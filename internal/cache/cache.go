@@ -156,8 +156,22 @@ type Cache struct {
 	clock     uint64
 	rng       *pearl.RNG
 
+	// valid counts the valid lines of each set, so a full set skips the
+	// search for a free way.
+	valid []int32
+	// index maps the line address of every valid line to its slot in sets.
+	// It is kept only for sets wider than scanWays (nil otherwise), where a
+	// hashed lookup beats comparing tags way by way.
+	index map[uint64]int32
+
 	S Stats
 }
+
+// scanWays is the widest set still searched by comparing tags way by way:
+// up to a cache line or two of tags, a scan is cheaper than hashing. The
+// PPC601's 8-way and direct-mapped caches scan; the T805's 256-way on-chip
+// store goes through the index.
+const scanWays = 8
 
 // New creates a cache level; the config must validate.
 func New(cfg Config, rng *pearl.RNG) (*Cache, error) {
@@ -180,6 +194,10 @@ func New(cfg Config, rng *pearl.RNG) (*Cache, error) {
 	}
 	c.setMask = uint64(c.nsets - 1)
 	c.sets = make([]line, lines)
+	c.valid = make([]int32, c.nsets)
+	if assoc > scanWays {
+		c.index = make(map[uint64]int32)
+	}
 	return c, nil
 }
 
@@ -202,34 +220,42 @@ func (c *Cache) LineSize() uint64 { return uint64(c.cfg.LineSize) }
 // the canonical line identity used throughout the hierarchy.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
-func (c *Cache) set(la uint64) []line {
-	idx := int(la & c.setMask)
-	return c.sets[idx*c.assoc : (idx+1)*c.assoc]
+// find is the one residency lookup: the slot in sets holding the line, or
+// -1 when the line is not resident.
+func (c *Cache) find(la uint64) int {
+	if c.index != nil {
+		if i, ok := c.index[la]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	base := int(la&c.setMask) * c.assoc
+	for i, ln := range c.sets[base : base+c.assoc] {
+		if ln.state != Invalid && ln.tag == la {
+			return base + i
+		}
+	}
+	return -1
 }
 
 // Lookup finds the line (by line address) and refreshes its LRU position.
 // It returns nil on miss. Lookup does not update hit/miss counters; the
 // hierarchy does, so that probes (snoops) don't pollute demand statistics.
 func (c *Cache) Lookup(la uint64) *State {
-	set := c.set(la)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			c.clock++
-			set[i].lastUse = c.clock
-			return &set[i].state
-		}
+	i := c.find(la)
+	if i < 0 {
+		return nil
 	}
-	return nil
+	c.clock++
+	c.sets[i].lastUse = c.clock
+	return &c.sets[i].state
 }
 
 // Probe finds the line without touching replacement state (used by snoops
 // and tests).
 func (c *Cache) Probe(la uint64) (State, bool) {
-	set := c.set(la)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			return set[i].state, true
-		}
+	if i := c.find(la); i >= 0 {
+		return c.sets[i].state, true
 	}
 	return Invalid, false
 }
@@ -247,32 +273,39 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 	if st == Invalid {
 		panic("cache: inserting invalid line")
 	}
-	set := c.set(la)
 	c.clock++
-	// Already present?
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			set[i].state = st
-			set[i].lastUse = c.clock
-			return Victim{}, false
+	if i := c.find(la); i >= 0 {
+		c.sets[i].state = st
+		c.sets[i].lastUse = c.clock
+		return Victim{}, false
+	}
+	setIdx := int(la & c.setMask)
+	base := setIdx * c.assoc
+	set := c.sets[base : base+c.assoc]
+	var v Victim
+	var way int
+	evict := int(c.valid[setIdx]) == c.assoc
+	if evict {
+		way = c.pickVictim(set)
+		v = Victim{LineAddr: set[way].tag, State: set[way].state}
+		c.S.Evictions.Inc()
+		if v.State == Modified {
+			c.S.Writebacks.Inc()
 		}
-	}
-	// Free way?
-	for i := range set {
-		if set[i].state == Invalid {
-			set[i] = line{tag: la, state: st, lastUse: c.clock, loadedAt: c.clock}
-			return Victim{}, false
+		if c.index != nil {
+			delete(c.index, v.LineAddr)
 		}
+	} else {
+		for set[way].state != Invalid { // the lowest free way
+			way++
+		}
+		c.valid[setIdx]++
 	}
-	// Evict.
-	vi := c.pickVictim(set)
-	v := Victim{LineAddr: set[vi].tag, State: set[vi].state}
-	set[vi] = line{tag: la, state: st, lastUse: c.clock, loadedAt: c.clock}
-	c.S.Evictions.Inc()
-	if v.State == Modified {
-		c.S.Writebacks.Inc()
+	set[way] = line{tag: la, state: st, lastUse: c.clock, loadedAt: c.clock}
+	if c.index != nil {
+		c.index[la] = int32(base + way)
 	}
-	return v, true
+	return v, evict
 }
 
 func (c *Cache) pickVictim(set []line) int {
@@ -303,28 +336,31 @@ func (c *Cache) pickVictim(set []line) int {
 
 // Invalidate removes the line if present, reporting its prior state.
 func (c *Cache) Invalidate(la uint64) (State, bool) {
-	set := c.set(la)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			st := set[i].state
-			set[i].state = Invalid
-			return st, true
-		}
+	i := c.find(la)
+	if i < 0 {
+		return Invalid, false
 	}
-	return Invalid, false
+	st := c.sets[i].state
+	c.sets[i].state = Invalid
+	c.valid[la&c.setMask]--
+	if c.index != nil {
+		delete(c.index, la)
+	}
+	return st, true
 }
 
 // SetState changes the state of a present line; it reports whether the line
 // was found.
 func (c *Cache) SetState(la uint64, st State) bool {
-	set := c.set(la)
-	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
-			set[i].state = st
-			return true
-		}
+	if st == Invalid {
+		panic("cache: SetState to Invalid; use Invalidate")
 	}
-	return false
+	i := c.find(la)
+	if i < 0 {
+		return false
+	}
+	c.sets[i].state = st
+	return true
 }
 
 // Flush invalidates every line, returning how many were dirty (Modified).
@@ -335,6 +371,8 @@ func (c *Cache) Flush() (dirty int) {
 		}
 		c.sets[i].state = Invalid
 	}
+	clear(c.valid)
+	clear(c.index)
 	return dirty
 }
 

@@ -350,6 +350,12 @@ func (h *Hierarchy) SharedCache(i int) *Cache { return h.shd[i] }
 type Port struct {
 	h   *Hierarchy
 	cpu int
+	// data and instr are the private chains, innermost first, that loads and
+	// stores resp. instruction fetches walk; they differ only in a split L1.
+	data, instr []*Cache
+	// private: no other CPU, snoop or directory message can touch the
+	// chains, so nothing changes them while this CPU is in a hold.
+	private bool
 }
 
 // Port returns the access port for the given CPU.
@@ -357,7 +363,50 @@ func (h *Hierarchy) Port(cpu int) *Port {
 	if cpu < 0 || cpu >= h.cfg.CPUs {
 		panic(fmt.Sprintf("cache: port for CPU %d of %d", cpu, h.cfg.CPUs))
 	}
-	return &Port{h: h, cpu: cpu}
+	pt := &Port{h: h, cpu: cpu}
+	if len(h.cfg.Private) == 0 {
+		return pt
+	}
+	pt.data = h.priv[cpu]
+	pt.instr = pt.data
+	if h.cfg.SplitL1 {
+		pt.instr = append([]*Cache{h.privI[cpu]}, pt.data[1:]...)
+	}
+	pt.private = h.cfg.CPUs == 1 && h.cfg.Coherence == NoCoherence
+	return pt
+}
+
+// Hit is the non-blocking front of Access for the one case that needs no
+// process: an access that lies inside one line, hits the innermost level of
+// a private port and is not a write to a write-through level. It performs
+// the lookup — refreshing the line's replacement position and, for a write,
+// marking it Modified — and returns that level and its hit latency; the
+// caller holds for the latency and then counts the hit in l1.S.Hits, which
+// is what Access does at the same virtual time. Access looks up when the
+// latency expires rather than when it starts, but on a private port nothing
+// else can change the chain in between, so the two orders are
+// indistinguishable — provided no outside agent invalidates lines either:
+// on a node with a virtual-shared-memory layer, use Access. For every other
+// access Hit changes nothing and returns a nil level.
+func (pt *Port) Hit(kind AccessKind, addr, size uint64) (d pearl.Time, l1 *Cache) {
+	if !pt.private {
+		return 0, nil
+	}
+	if size == 0 {
+		size = 1
+	}
+	l1 = pt.chain(kind)[0]
+	la := l1.LineAddr(addr)
+	if l1.LineAddr(addr+size-1) != la || (kind == Write && l1.cfg.Write == WriteThrough) {
+		return 0, nil
+	}
+	if l1.Lookup(la) == nil {
+		return 0, nil
+	}
+	if kind == Write {
+		pt.markModified(addr)
+	}
+	return l1.cfg.HitLatency, l1
 }
 
 // Access performs a memory access of the given kind, blocking the calling
@@ -400,14 +449,10 @@ func (pt *Port) Access(p *pearl.Process, kind AccessKind, addr, size uint64) {
 
 // chain returns the private cache chain for the access kind.
 func (pt *Port) chain(kind AccessKind) []*Cache {
-	h := pt.h
-	if kind == Fetch && h.cfg.SplitL1 {
-		chain := make([]*Cache, 0, len(h.priv[pt.cpu]))
-		chain = append(chain, h.privI[pt.cpu])
-		chain = append(chain, h.priv[pt.cpu][1:]...)
-		return chain
+	if kind == Fetch {
+		return pt.instr
 	}
-	return h.priv[pt.cpu]
+	return pt.data
 }
 
 // accessLine walks the private chain for one piece that lies within a single
@@ -493,14 +538,19 @@ func (pt *Port) ensureOwnership(p *pearl.Process, addr uint64) bool {
 			outerC.S.Upgrades.Inc()
 		}
 	}
-	// Mark Modified everywhere the line is present (write-back levels only).
-	for _, c := range chain {
+	pt.markModified(addr)
+	return true
+}
+
+// markModified marks the line Modified at every write-back level of the data
+// chain that holds it.
+func (pt *Port) markModified(addr uint64) {
+	for _, c := range pt.data {
 		if c.cfg.Write == WriteThrough {
 			continue
 		}
 		c.SetState(c.LineAddr(addr), Modified)
 	}
-	return true
 }
 
 // fill installs the line containing addr into private levels innermost..upto

@@ -1,12 +1,16 @@
 package cache
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mermaid/internal/bus"
 	"mermaid/internal/memory"
 	"mermaid/internal/pearl"
 	"mermaid/internal/sim"
+	"mermaid/internal/stats"
 )
 
 func testBus() bus.Config { return bus.Config{Width: 8, ArbitrationDelay: 1} }
@@ -582,4 +586,89 @@ func TestStoreBufferRequiresWriteThrough(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("store buffer over write-back must be rejected")
 	}
+}
+
+// TestPortHitMatchesAccess checks the contract of Port.Hit: an access
+// performed as Hit, hold, count — falling back to Access where Hit declines
+// — leaves the hierarchy in the state, and the clock at the time, that the
+// same access stream leaves behind through Access alone.
+func TestPortHitMatchesAccess(t *testing.T) {
+	twoLevel := uniConfig(WriteBack)
+	twoLevel.Private = append(twoLevel.Private,
+		Config{Size: 8192, LineSize: 64, Assoc: 1, HitLatency: 4, Write: WriteBack})
+	split := uniConfig(WriteBack)
+	split.SplitL1 = true
+	split.L1I = Config{Size: 1024, LineSize: 64, Assoc: 2, HitLatency: 1, Write: WriteBack}
+	buffered := uniConfig(WriteThrough)
+	buffered.StoreBuffer = 2
+	wide := uniConfig(WriteBack) // fully associative: the indexed lookup
+	wide.Private[0].Assoc = 0
+	free := uniConfig(WriteBack) // zero hit latency: a hit holds for nothing
+	free.Private[0].HitLatency = 0
+	for name, cfg := range map[string]HierarchyConfig{
+		"one level": uniConfig(WriteBack), "two levels": twoLevel, "split L1": split,
+		"write-through + store buffer": buffered, "fully associative": wide, "free hits": free,
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(viaHit bool) (report string, times []pearl.Time, hits int) {
+				k := pearl.NewKernel()
+				defer k.Close() // the store-buffer drain never terminates
+				h := mustHierarchy(t, k, cfg)
+				pt := h.Port(0)
+				r := pearl.NewRNG(5)
+				k.Spawn("driver", func(p *pearl.Process) {
+					for i := 0; i < 4000; i++ {
+						kind := AccessKind(r.Intn(3))
+						addr := uint64(r.Intn(4096))  // 4 KiB over a 1 KiB L1: hits and misses
+						size := uint64(1 + r.Intn(8)) // some straddle a line
+						var l1 *Cache
+						if viaHit {
+							var d pearl.Time
+							if d, l1 = pt.Hit(kind, addr, size); l1 != nil {
+								if d > 0 {
+									p.Hold(d)
+								}
+								l1.S.Hits.Inc()
+								hits++
+							}
+						}
+						if l1 == nil {
+							pt.Access(p, kind, addr, size)
+						}
+						times = append(times, p.Now())
+					}
+				})
+				k.Run()
+				var sb strings.Builder
+				if err := stats.RenderSet(&sb, h.StatsSet()); err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range h.Caches() {
+					fmt.Fprintf(&sb, "%s: %+v\n", c.cfg.Name, c.sets)
+				}
+				return sb.String(), times, hits
+			}
+			wantReport, wantTimes, _ := run(false)
+			gotReport, gotTimes, hits := run(true)
+			if hits < 500 {
+				t.Errorf("Hit accepted only %d of 4000 accesses", hits)
+			}
+			if !reflect.DeepEqual(gotTimes, wantTimes) {
+				t.Error("completion times differ between Hit and Access")
+			}
+			if gotReport != wantReport {
+				t.Errorf("statistics or cache contents differ\nAccess:\n%s\nHit:\n%s", wantReport, gotReport)
+			}
+		})
+	}
+	// A port another CPU can snoop never takes the short cut.
+	k := pearl.NewKernel()
+	h := mustHierarchy(t, k, smpConfig(2, Snoopy))
+	pt := h.Port(0)
+	drive(t, h, k, func(p *pearl.Process) {
+		pt.Access(p, Read, 0x100, 4)
+		if _, l1 := pt.Hit(Read, 0x100, 4); l1 != nil {
+			t.Error("Hit accepted an access on a snooped port")
+		}
+	})
 }

@@ -80,8 +80,11 @@ func (t *Timing) sanitize() {
 }
 
 // CPU executes abstract machine instructions against a memory hierarchy
-// port. It is passive: Exec runs in the owning process's context and blocks
-// for each operation's full latency.
+// port. It is passive. Exec runs in the owning process's context and blocks
+// for each operation's full latency; Begin and Retire are the same
+// execution split around the wait, for an owner that does the waiting itself
+// (the node model's stackless holds). One CPU executes one operation at a
+// time: every accepted Begin is followed by its Retire before the next.
 type CPU struct {
 	id     int
 	timing Timing
@@ -91,6 +94,10 @@ type CPU struct {
 	instrs   uint64
 	busy     pearl.Time
 	memStall pearl.Time
+
+	// hitIn is the cache level whose hit the operation between Begin and
+	// Retire is; the hit is counted when the operation retires.
+	hitIn *cache.Cache
 }
 
 // New creates a CPU with the given timing, issuing memory accesses through
@@ -117,6 +124,70 @@ func (c *CPU) MemStallCycles() pearl.Time { return c.memStall }
 // Count returns how many operations of the given kind were executed.
 func (c *CPU) Count(k ops.Kind) uint64 { return c.counts[k].Value() }
 
+// usesPort reports whether the operation goes through the memory hierarchy:
+// loads, stores and — unlike ops.Kind.IsMemoryAccess, which is the data side
+// only — instruction fetches.
+func usesPort(k ops.Kind) bool { return k == ops.Load || k == ops.Store || k == ops.IFetch }
+
+// memAccess translates a memory operation into its hierarchy access.
+func (c *CPU) memAccess(o ops.Op) (k cache.AccessKind, addr, size uint64) {
+	switch o.Kind {
+	case ops.Store:
+		return cache.Write, o.Addr, o.Mem.Size()
+	case ops.IFetch:
+		return cache.Fetch, o.Addr, uint64(c.timing.FetchBytes)
+	}
+	return cache.Read, o.Addr, o.Mem.Size()
+}
+
+// Begin starts a computational operation whose latency is known at issue and
+// returns that latency: every arithmetic, control and load-constant
+// operation — the timing table lives here and nowhere else — and a load,
+// store or instruction fetch that cache.Port.Hit accepts. The caller lets
+// the latency pass in virtual time and then calls Retire. Begin declines
+// (ok false, nothing changed) a memory access that has to walk the
+// hierarchy, and anything that is not a computational operation.
+func (c *CPU) Begin(o ops.Op) (latency pearl.Time, ok bool) {
+	switch o.Kind {
+	case ops.Load, ops.Store, ops.IFetch:
+		latency, c.hitIn = c.port.Hit(c.memAccess(o))
+		return latency, c.hitIn != nil
+	case ops.LoadConst:
+		return c.timing.LoadConst.forType(o.Data), true
+	case ops.Add:
+		return c.timing.Add.forType(o.Data), true
+	case ops.Sub:
+		return c.timing.Sub.forType(o.Data), true
+	case ops.Mul:
+		return c.timing.Mul.forType(o.Data), true
+	case ops.Div:
+		return c.timing.Div.forType(o.Data), true
+	case ops.Branch:
+		return c.timing.Branch, true
+	case ops.Call:
+		return c.timing.Call, true
+	case ops.Ret:
+		return c.timing.Ret, true
+	}
+	return 0, false
+}
+
+// Retire completes an operation of the given kind that took latency cycles,
+// at the virtual time it completes: it is counted, and its time attributed
+// to compute or, for a memory access, to memory stall.
+func (c *CPU) Retire(kind ops.Kind, latency pearl.Time) {
+	if c.hitIn != nil {
+		c.hitIn.S.Hits.Inc()
+		c.hitIn = nil
+	}
+	c.counts[kind].Inc()
+	c.instrs++
+	c.busy += latency
+	if usesPort(kind) {
+		c.memStall += latency
+	}
+}
+
 // Exec executes one computational operation, blocking p for its latency
 // (including the memory hierarchy for loads, stores and fetches).
 // Communication operations are not accepted here: the node model routes them
@@ -125,49 +196,19 @@ func (c *CPU) Exec(p *pearl.Process, o ops.Op) error {
 	if !o.Kind.IsComputational() {
 		return fmt.Errorf("cpu %d: %s is not a computational operation", c.id, o.Kind)
 	}
-	start := p.Now()
-	switch o.Kind {
-	case ops.Load:
-		c.access(p, cache.Read, o.Addr, o.Mem.Size())
-	case ops.Store:
-		c.access(p, cache.Write, o.Addr, o.Mem.Size())
-	case ops.LoadConst:
-		c.hold(p, c.timing.LoadConst.forType(o.Data))
-	case ops.Add:
-		c.hold(p, c.timing.Add.forType(o.Data))
-	case ops.Sub:
-		c.hold(p, c.timing.Sub.forType(o.Data))
-	case ops.Mul:
-		c.hold(p, c.timing.Mul.forType(o.Data))
-	case ops.Div:
-		c.hold(p, c.timing.Div.forType(o.Data))
-	case ops.IFetch:
-		c.access(p, cache.Fetch, o.Addr, uint64(c.timing.FetchBytes))
-	case ops.Branch:
-		c.hold(p, c.timing.Branch)
-	case ops.Call:
-		c.hold(p, c.timing.Call)
-	case ops.Ret:
-		c.hold(p, c.timing.Ret)
+	if usesPort(o.Kind) {
+		k, addr, size := c.memAccess(o)
+		start := p.Now()
+		c.port.Access(p, k, addr, size)
+		c.Retire(o.Kind, p.Now()-start)
+		return nil
 	}
-	c.counts[o.Kind].Inc()
-	c.instrs++
-	c.busy += p.Now() - start
-	return nil
-}
-
-func (c *CPU) hold(p *pearl.Process, d pearl.Time) {
+	d, _ := c.Begin(o)
 	if d > 0 {
 		p.Hold(d)
 	}
-}
-
-// access issues a memory-hierarchy access and attributes its full latency to
-// the memory-stall class of the CPU's time decomposition.
-func (c *CPU) access(p *pearl.Process, k cache.AccessKind, addr, size uint64) {
-	start := p.Now()
-	c.port.Access(p, k, addr, size)
-	c.memStall += p.Now() - start
+	c.Retire(o.Kind, d)
+	return nil
 }
 
 // Stats reports instruction counts by category.

@@ -246,6 +246,7 @@ type Machine struct {
 	inj   *fault.Injector
 	mon   *Monitor
 	col   *analysis.Collector
+	ran   bool // Run closes the kernels behind it: one run per machine
 
 	// Parallel-engine state (nil/empty when cfg.Shards == 0): the shard
 	// group, the sharded fabric, the node→shard map, and the per-shard
@@ -537,8 +538,23 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run drives the machine with one trace source per stream and simulates to
-// completion, returning the measured result.
+// completion, returning the measured result. A machine runs once: its
+// kernels are closed behind the run, so that the processes that never end —
+// DSM managers, store-buffer drains, whatever a deadlocked or panicking run
+// leaves blocked — do not outlive it as goroutines pinning the whole model.
 func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
+	if m.ran {
+		return nil, fmt.Errorf("machine: already run; build a new machine for another run")
+	}
+	m.ran = true
+	// Deferred, so that it follows checkDone and result — closing unwinds
+	// process bodies, whose own deferred calls (a runner marking itself
+	// done) must not mask a deadlock — and covers the panic path too.
+	defer func() {
+		for _, k := range m.kernels() {
+			k.Close()
+		}
+	}()
 	if err := m.attach(srcs); err != nil {
 		return nil, err
 	}

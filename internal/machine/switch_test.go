@@ -1,0 +1,64 @@
+package machine
+
+import (
+	"testing"
+
+	"mermaid/internal/stochastic"
+)
+
+// The switch budgets gate what the wall clock cannot on a noisy runner: how
+// many times a run hands the baton from one goroutine to another
+// (pearl.Kernel.Switches — exact and seed-determined, like the event count).
+// Before the baton-passing kernel every process activation cost two
+// transfers, so both ratios below were about 2.
+
+// runSwitches runs the description and returns the kernel's event and
+// switch counts.
+func runSwitches(t *testing.T, cfg Config, d stochastic.Desc) (events, switches uint64) {
+	t.Helper()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunStochastic(d); err != nil {
+		t.Fatal(err)
+	}
+	return m.Kernel().EventCount(), m.Kernel().Switches()
+}
+
+// A single-CPU node with private caches has nothing to interleave with: the
+// whole run is holds of one process, whose expiry resumes it in place. The
+// number of switches is a constant (into the process, and back out at the
+// end), not a function of the instruction count.
+func TestSwitchBudgetSingleNode(t *testing.T) {
+	d := stochastic.Desc{
+		Nodes: 1, Level: stochastic.InstructionLevel, Iterations: 1, Seed: 7,
+		Phases: []stochastic.Phase{{Instructions: 20000}},
+	}
+	events, switches := runSwitches(t, PPC601Machine(), d)
+	t.Logf("ppc601: %d events, %d switches", events, switches)
+	if events < 20000 {
+		t.Fatalf("only %d events for 20000 instructions: the run did not execute", events)
+	}
+	if switches > events/50 {
+		t.Errorf("%d switches for %d events; want at most events/50", switches, events)
+	}
+}
+
+// Sixteen interleaved transputers (the benchmark's detailed-t805 request):
+// arithmetic and on-chip hits run as stackless holds, so only misses — one
+// switch per bus or DRAM hold — and communication move the baton.
+func TestSwitchBudgetT805Grid(t *testing.T) {
+	d := stochastic.Desc{
+		Nodes: 16, Level: stochastic.InstructionLevel, Iterations: 2, Seed: 7,
+		Phases: []stochastic.Phase{{
+			Instructions: 5000, CV: 0.1,
+			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024},
+		}},
+	}
+	events, switches := runSwitches(t, T805Grid(4, 4), d)
+	t.Logf("t805 4x4: %d events, %d switches (%.2f per event)", events, switches, float64(switches)/float64(events))
+	if limit := events * 65 / 100; switches > limit {
+		t.Errorf("%d switches for %d events; want at most 0.65 per event (%d)", switches, events, limit)
+	}
+}

@@ -419,6 +419,10 @@ func (n *ShardedNetwork) grant(l *slink, pk *spkt, now pearl.Time) {
 // lookahead window past the grant, so cross-shard sends are safe.
 func (n *ShardedNetwork) hopDone(pk *spkt, from, port, next int) {
 	s := n.shardOf(next)
+	// The packet is in next's shard from here on, lost or not: a restart
+	// is sent from the shard that observed the loss (failRestart reads
+	// pk.at), never scheduled on from's kernel behind its back.
+	pk.at = next
 	if s.inj != nil {
 		if s.inj.LinkDown(from, port) {
 			// The link failed while the packet was crossing it.
@@ -433,7 +437,6 @@ func (n *ShardedNetwork) hopDone(pk *spkt, from, port, next int) {
 			return
 		}
 	}
-	pk.at = next
 	pk.hops++
 	if next != pk.msg.Dst {
 		n.requestHop(pk)

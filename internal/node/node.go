@@ -70,6 +70,11 @@ type Node struct {
 	cpuBase    int // machine-wide index of the node's CPU 0
 	commCycles []pearl.Time
 	dsmStall   []pearl.Time
+
+	// declineStraight is set only by tests: every operation then takes the
+	// blocking path through exec, the reference the stackless one is checked
+	// against.
+	declineStraight bool
 }
 
 type runner struct {
@@ -176,8 +181,8 @@ func (n *Node) FlushTaskSinks() error {
 }
 
 // Run spawns a simulation process executing the operation stream src on CPU
-// cpuIdx. Communication operations are forwarded to the node's network
-// interface; if the node has none, they are an error.
+// cpuIdx — one stream per CPU. Communication operations are forwarded to the
+// node's network interface; if the node has none, they are an error.
 func (n *Node) Run(cpuIdx int, src trace.Source) {
 	r := &runner{}
 	n.runners = append(n.runners, r)
@@ -187,9 +192,14 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 	// cost in this loop is a slice index, not a channel transfer.
 	cur := trace.NewCursor(src)
 	procName := fmt.Sprintf("node%d.cpu%d", n.id, cpuIdx)
+	straight := n.straightLine(c, cur)
 	r.proc = n.k.Spawn(procName, func(p *pearl.Process) {
 		defer func() { r.done = true }()
 		for {
+			// Everything whose latency is known at issue runs as a stackless
+			// chain of holds; the chain ends at the first operation that
+			// needs a process to block in (or at the end of the stream).
+			p.HoldWhile(straight)
 			ev, err := cur.Next()
 			if err == io.EOF {
 				n.emitTask(p, cpuIdx, nil)
@@ -208,6 +218,50 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 	// Opt the runner into kernel block-span tracing: time spent blocked in
 	// holds, receives and resource queues shows up on its own track.
 	n.tl.TrackProcess(r.proc, procName)
+}
+
+// straightLine returns the pearl.Process.HoldWhile step that executes the
+// stream at cur for as long as cpu.CPU.Begin accepts its operations: each
+// call retires the operation whose latency has just passed and begins the
+// next, and returns that one's latency. It declines — leaving the operation
+// at the cursor for exec — at the first operation Begin declines, at any
+// memory access on a node with a virtual-shared-memory layer (exec obtains
+// page rights first, and a remote page invalidation may drop the line during
+// the hold, so the lookup must happen when the hold expires, as
+// cache.Port.Access does it), and at the end of the stream.
+func (n *Node) straightLine(c *cpu.CPU, cur *trace.Cursor) func() (pearl.Time, bool) {
+	var (
+		inFlight bool // an operation begun by the previous call awaits Retire
+		kind     ops.Kind
+		latency  pearl.Time
+	)
+	return func() (pearl.Time, bool) {
+		if inFlight {
+			c.Retire(kind, latency)
+			inFlight = false
+		}
+		for !n.declineStraight {
+			ev, err := cur.Peek()
+			if err != nil {
+				break
+			}
+			o := ev.Op
+			if n.shared != nil && (o.Kind.IsMemoryAccess() || o.Kind == ops.IFetch) {
+				break
+			}
+			d, ok := c.Begin(o)
+			if !ok {
+				break
+			}
+			cur.Advance()
+			if d > 0 {
+				inFlight, kind, latency = true, o.Kind, d
+				return d, true
+			}
+			c.Retire(o.Kind, 0) // a free operation holds for nothing, as in Exec
+		}
+		return 0, false
+	}
 }
 
 func (n *Node) exec(p *pearl.Process, c *cpu.CPU, cpuIdx int, ev trace.Event) error {

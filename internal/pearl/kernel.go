@@ -17,6 +17,12 @@
 // it surfaces). Events scheduled for the current instant bypass the heap
 // through a FIFO run queue, so zero-delay cascades (mailbox handoffs, bus
 // grants) cost no heap reordering at all.
+//
+// There is no kernel goroutine. The event loop runs on whichever goroutine
+// holds the baton: the one that called Run, or a process goroutine that has
+// just blocked and fires events itself until the next process activation
+// (see dispatch and Process.block). A process whose own hold expires next
+// resumes without any goroutine switch.
 package pearl
 
 import (
@@ -50,6 +56,24 @@ const (
 	// evDaemon runs a callback closure like evFunc, but the event never keeps
 	// the run alive on its own: Run returns once only daemon events remain.
 	evDaemon
+	// evStep is one link of a HoldWhile chain: the process's step function
+	// runs in kernel context and either extends the chain or ends it, which
+	// activates the process — no closure needed.
+	evStep
+)
+
+// driveMode selects the stop condition of the event loop; the three public
+// drivers differ in nothing else.
+type driveMode uint8
+
+const (
+	// driveRun stops when only daemon events remain, or on Stop.
+	driveRun driveMode = iota
+	// driveUntil stops before the first event later than bound, or on Stop.
+	driveUntil
+	// driveWindow stops before the first event at or after bound, running
+	// the deferred Post/Settle phases at the end of every instant.
+	driveWindow
 )
 
 // eventSlot is one entry of the kernel's event slab. Slots are reused through
@@ -138,9 +162,27 @@ type Kernel struct {
 	settleq    []func()
 	settleHead int
 
-	// current is the process whose goroutine currently has control, or nil
-	// when the kernel itself (an event callback) is running.
+	// current is the process whose body is running, or nil while the event
+	// loop (an event callback, a HoldWhile step) is: kernel context.
 	current *Process
+
+	// The baton: exactly one goroutine runs kernel or model code at a time.
+	// mode and bound are the stop condition of the drive in progress, read
+	// by whichever goroutine runs the loop. home returns the baton to the
+	// goroutine that called Run/RunUntil/RunWindow — at a stop condition, or
+	// with a panic to raise there: crashed is the process whose body
+	// panicked, fault the value a callback panicked with while a process
+	// goroutine ran the loop. switches counts baton transfers.
+	mode     driveMode
+	bound    Time
+	home     chan struct{}
+	crashed  *Process
+	fault    any
+	switches uint64
+
+	// closed is set by Close; reaped acknowledges each goroutine it unwinds.
+	closed bool
+	reaped chan struct{}
 
 	eventCount  uint64
 	daemonFired uint64 // daemon events actually executed
@@ -177,7 +219,7 @@ func (ts Tracers) ProcessSpan(p *Process, from, to Time, reason string) {
 
 // NewKernel returns an empty kernel at virtual time zero.
 func NewKernel() *Kernel {
-	return &Kernel{}
+	return &Kernel{home: make(chan struct{}, 1), reaped: make(chan struct{})}
 }
 
 // Now returns the current virtual time.
@@ -186,6 +228,13 @@ func (k *Kernel) Now() Time { return k.now }
 // EventCount returns the number of events executed so far; useful as a cheap
 // progress and cost metric. Cancelled events are never executed or counted.
 func (k *Kernel) EventCount() uint64 { return k.eventCount }
+
+// Switches returns the number of goroutine hand-offs performed so far: every
+// transfer of the baton from the running goroutine to another (caller to
+// process, process to process, process back to the caller). Like EventCount
+// it is exact and seed-determined; a process resuming from its own hold, a
+// HoldWhile step and every callback cost none.
+func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule allocates a slot for an event at absolute time t and queues it.
 // The caller guarantees t >= k.now.
@@ -368,13 +417,10 @@ func (k *Kernel) remove(fromRunq bool) {
 	k.heapPop()
 }
 
-// step executes the next scheduled event. It reports false when the schedule
-// is empty.
-func (k *Kernel) step() bool {
-	idx, fromRunq, ok := k.front()
-	if !ok {
-		return false
-	}
+// fire executes the front event, which front has just located. It returns
+// the process the event activated — already marked running; the caller
+// becomes it or passes it the baton — or nil for every other event.
+func (k *Kernel) fire(idx int32, fromRunq bool) *Process {
 	k.remove(fromRunq)
 	s := &k.slots[idx]
 	if s.at < k.now {
@@ -395,12 +441,128 @@ func (k *Kernel) step() bool {
 	case evFunc, evDaemon:
 		fn()
 	case evHold:
-		k.activate(proc)
+		return k.activate(proc)
 	case evWake:
 		proc.wakePending = false
-		k.activate(proc)
+		return k.activate(proc)
+	case evStep:
+		// What activate would do for a process resuming from Hold, then the
+		// step the process would run, then the Hold it would enter.
+		if k.tracer != nil && k.now > proc.blockedAt {
+			k.tracer.ProcessSpan(proc, proc.blockedAt, k.now, proc.blockReason)
+		}
+		proc.blockedAt = k.now
+		if d, ok := proc.step(); ok {
+			proc.scheduleStep(d)
+			return nil
+		}
+		proc.step = nil
+		return k.activate(proc)
 	}
-	return true
+	return nil
+}
+
+// dispatch runs the event loop on the calling goroutine, which must hold the
+// baton with no process running. It fires events in strict (time, seq) order
+// until one activates a process, which it returns, or until the stop
+// condition of the drive in progress holds, when it returns nil.
+func (k *Kernel) dispatch() *Process {
+	for {
+		idx, fromRunq, ok := k.front()
+		switch k.mode {
+		case driveRun:
+			if k.stopped || k.live <= k.daemons {
+				return nil
+			}
+		case driveUntil:
+			if k.stopped || !ok || k.slots[idx].at > k.bound {
+				return nil
+			}
+		case driveWindow:
+			if !ok || k.slots[idx].at != k.now {
+				// Nothing more at this instant: run its deferred phases. A
+				// deferred callback may schedule new current-instant events,
+				// which then preempt the remaining deferred work.
+				if k.runDeferred() {
+					continue
+				}
+				k.postq, k.postHead = k.postq[:0], 0
+				k.settleq, k.settleHead = k.settleq[:0], 0
+				if !ok || k.slots[idx].at >= k.bound {
+					return nil
+				}
+			}
+		}
+		if p := k.fire(idx, fromRunq); p != nil {
+			return p
+		}
+	}
+}
+
+// drive is the caller's side of a run: it dispatches on the calling
+// goroutine and, whenever an event activates a process, passes that process
+// the baton and waits for it to come home. The baton comes home when a
+// process goroutine running the loop meets the stop condition — dispatch
+// then confirms it here and drive returns — or with a panic, which is raised
+// (or given to OnPanic) here, on the goroutine that called Run.
+func (k *Kernel) drive(mode driveMode, bound Time) {
+	if k.closed {
+		panic("pearl: running a closed kernel")
+	}
+	k.mode, k.bound = mode, bound
+	for {
+		p := k.dispatch()
+		if p == nil {
+			return
+		}
+		k.switches++
+		p.resume <- struct{}{}
+		<-k.home
+		if v := k.fault; v != nil {
+			k.fault = nil
+			panic(v)
+		}
+		if c := k.crashed; c != nil {
+			k.crashed = nil
+			if c.OnPanic == nil {
+				panic(fmt.Sprintf("pearl: %v panicked: %v", c, c.panicVal))
+			}
+			c.OnPanic(c.panicVal)
+		}
+	}
+}
+
+// relay is the process side: self's goroutine holds the baton and has just
+// stopped running its body (blocked or terminated), so it runs the event
+// loop itself until the baton moves. It reports true when the next
+// activation is self's own — no goroutine switch at all; otherwise it has
+// passed the baton to the activated process, or home, and returns false.
+func (k *Kernel) relay(self *Process) bool {
+	next := k.dispatchRecover()
+	if next == self {
+		return true
+	}
+	k.switches++
+	if next != nil {
+		next.resume <- struct{}{}
+	} else {
+		k.home <- struct{}{}
+	}
+	return false
+}
+
+// dispatchRecover is dispatch for a process goroutine: a panic in kernel
+// context (a callback, a HoldWhile step) must surface on the goroutine that
+// called Run, not kill this one, so it is parked in fault and the baton sent
+// home as if the run had stopped. The process stays blocked and intact.
+func (k *Kernel) dispatchRecover() (p *Process) {
+	defer func() {
+		if v := recover(); v != nil {
+			k.fault = v
+			p = nil
+		}
+	}()
+	return k.dispatch()
 }
 
 // Run executes events until the schedule is empty (daemon events alone do
@@ -408,8 +570,7 @@ func (k *Kernel) step() bool {
 // the final virtual time.
 func (k *Kernel) Run() Time {
 	k.stopped = false
-	for !k.stopped && k.live > k.daemons && k.step() {
-	}
+	k.drive(driveRun, 0)
 	return k.now
 }
 
@@ -419,21 +580,33 @@ func (k *Kernel) Run() Time {
 // never silently advances time. It returns the final virtual time.
 func (k *Kernel) RunUntil(t Time) Time {
 	k.stopped = false
-	for !k.stopped {
-		idx, _, ok := k.front()
-		if !ok {
-			break
-		}
-		if k.slots[idx].at > t {
-			k.now = t
-			return k.now
-		}
-		k.step()
-	}
-	if !k.stopped && k.now < t && k.live == 0 {
+	k.drive(driveUntil, t)
+	if !k.stopped && k.now < t {
 		k.now = t
 	}
 	return k.now
+}
+
+// Close ends the kernel's life: it unwinds the goroutine of every process
+// that has not terminated — servers that loop forever, processes a
+// deadlocked or aborted run left blocked — so that neither they nor the
+// model they reference outlive the run. Each is unwound with runtime.Goexit
+// from where it is parked: its deferred calls run, one process at a time,
+// and nothing else of kernel or model state is touched, so clocks, counters,
+// Blocked and BlockReason still read as the run left them. Close is
+// idempotent. It must be called from the goroutine driving the kernel,
+// between runs; a closed kernel can be neither run nor spawned on.
+func (k *Kernel) Close() {
+	if k.closed {
+		return
+	}
+	k.closed = true
+	for _, p := range k.procs {
+		if !p.terminated {
+			close(p.resume)
+			<-k.reaped
+		}
+	}
 }
 
 // Idle reports whether no events remain scheduled. Cancelled entries still
@@ -519,27 +692,7 @@ func (k *Kernel) runDeferred() bool {
 // The clock is left at the last executed event (it does not advance to end
 // on its own), so windows compose: consecutive calls with increasing bounds
 // replay exactly the schedule a single unbounded run would.
-func (k *Kernel) RunWindow(end Time) {
-	for {
-		idx, _, ok := k.front()
-		if ok && k.slots[idx].at == k.now {
-			k.step()
-			continue
-		}
-		// Nothing more at this instant: run its deferred phases. A deferred
-		// callback may schedule new current-instant events, which then
-		// preempt the remaining deferred work above.
-		if k.runDeferred() {
-			continue
-		}
-		k.postq, k.postHead = k.postq[:0], 0
-		k.settleq, k.settleHead = k.settleq[:0], 0
-		if !ok || k.slots[idx].at >= end {
-			return
-		}
-		k.step()
-	}
-}
+func (k *Kernel) RunWindow(end Time) { k.drive(driveWindow, end) }
 
 // FinishAt advances an idle (no non-daemon work) kernel's clock to t, so
 // end-of-run gauges that read Now() agree across the shards of one

@@ -1,6 +1,9 @@
 package pearl
 
-import "fmt"
+import (
+	"fmt"
+	"runtime"
+)
 
 // Process is a simulation process: a goroutine whose execution is
 // interleaved with virtual time under strict kernel control. Model code
@@ -12,8 +15,10 @@ type Process struct {
 	name string
 	id   int
 
-	resume chan struct{} // kernel -> process handoff
-	yield  chan struct{} // process -> kernel handoff
+	// resume carries the baton to the process's goroutine, one token per
+	// activation passed from another goroutine; Close closes it to unwind a
+	// goroutine that is still parked.
+	resume chan struct{}
 
 	terminated  bool
 	runnable    bool // currently running or has a pending activation
@@ -22,40 +27,70 @@ type Process struct {
 	blockReason string
 	blockedAt   Time // when the current block began (valid while blocked)
 
-	// OnPanic, if set, is invoked (in the kernel's goroutine) when the
-	// process body panics. The default is to re-panic with the process name.
+	// step is the HoldWhile chain in progress, nil otherwise.
+	step func() (Time, bool)
+
+	// OnPanic, if set, is invoked (in kernel context, on the goroutine that
+	// called Run) when the process body panics. The default is to re-panic
+	// there with the process name.
 	OnPanic func(v any)
 
 	panicVal any
-	panicked bool
 }
 
 // Spawn creates a process named name running body and schedules its first
 // activation at the current virtual time. The body starts parked; it will not
 // run before control returns to the kernel loop.
 func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
+	if k.closed {
+		panic("pearl: Spawn on a closed kernel")
+	}
 	p := &Process{
 		k:      k,
 		name:   name,
 		id:     len(k.procs),
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
+		resume: make(chan struct{}, 1),
 	}
 	k.procs = append(k.procs, p)
 	go func() {
-		<-p.resume
-		defer func() {
-			if v := recover(); v != nil {
-				p.panicked = true
-				p.panicVal = v
-			}
-			p.terminated = true
-			p.yield <- struct{}{}
-		}()
+		defer p.exit()
+		p.awaitBaton()
 		body(p)
 	}()
 	p.scheduleWake(0)
 	return p
+}
+
+// awaitBaton parks the process goroutine until another goroutine activates
+// the process and passes it the baton. A closed channel is Kernel.Close
+// reaping the goroutine: it unwinds from here.
+func (p *Process) awaitBaton() {
+	if _, ok := <-p.resume; !ok {
+		runtime.Goexit()
+	}
+}
+
+// exit is the last deferred call of the process goroutine. After Close it
+// only acknowledges the reaping. Otherwise the body has returned or
+// panicked with the baton held: the process terminates, and its goroutine
+// relays the baton before it ends — straight home when the body panicked,
+// so that the panic is raised there before any further event fires.
+func (p *Process) exit() {
+	k := p.k
+	if k.closed {
+		k.reaped <- struct{}{}
+		return
+	}
+	p.terminated = true
+	k.current = nil
+	if v := recover(); v != nil {
+		p.panicVal = v
+		k.crashed = p
+		k.switches++
+		k.home <- struct{}{}
+		return
+	}
+	k.relay(p)
 }
 
 // SpawnAt is Spawn with the first activation delayed until absolute time t.
@@ -99,44 +134,39 @@ func (p *Process) String() string {
 	return fmt.Sprintf("process %q (#%d)", p.name, p.id)
 }
 
-// activate hands control to the process goroutine and waits for it to block
-// or terminate. Must be called from the kernel loop (event context).
-func (k *Kernel) activate(p *Process) {
+// activate marks p as the running process and returns it for the event
+// loop's caller to become or to pass the baton to; nil when p has
+// terminated. Must be called from the kernel loop (event context).
+func (k *Kernel) activate(p *Process) *Process {
 	if p.terminated {
-		return
+		return nil
 	}
 	if k.tracer != nil && p.blockReason != "" && k.now > p.blockedAt {
 		k.tracer.ProcessSpan(p, p.blockedAt, k.now, p.blockReason)
 	}
-	prev := k.current
 	k.current = p
 	p.runnable = true
 	p.blockReason = ""
-	p.resume <- struct{}{}
-	<-p.yield
-	k.current = prev
-	if p.panicked {
-		if p.OnPanic != nil {
-			p.OnPanic(p.panicVal)
-		} else {
-			panic(fmt.Sprintf("pearl: %v panicked: %v", p, p.panicVal))
-		}
-	}
+	return p
 }
 
-// block parks the process goroutine and returns control to the kernel. It
-// returns when the process is next activated.
+// block suspends the process until its next activation. The goroutine does
+// not park first: it keeps the baton and runs the event loop itself, so
+// callbacks execute here, in kernel context, and if the next activation is
+// the process's own it simply returns. Only when another process is
+// activated, or the run stops, does it pass the baton on and park.
 func (p *Process) block(reason string) {
-	if p.k.current != p {
+	k := p.k
+	if k.current != p {
 		panic(fmt.Sprintf("pearl: %v blocking while not the running process", p))
 	}
 	p.runnable = false
 	p.blockReason = reason
-	p.blockedAt = p.k.now
-	p.yield <- struct{}{}
-	<-p.resume
-	p.runnable = true
-	p.blockReason = ""
+	p.blockedAt = k.now
+	k.current = nil
+	if !k.relay(p) {
+		p.awaitBaton()
+	}
 }
 
 // scheduleWake schedules an activation of p after delay d, unless an
@@ -166,6 +196,43 @@ func (p *Process) Hold(d Time) {
 	// A typed hold event: no closure, no allocation.
 	p.k.schedule(p.k.now+d, evHold, nil, p)
 	p.block("hold")
+}
+
+// HoldWhile is exactly
+//
+//	for {
+//		d, ok := step()
+//		if !ok {
+//			return
+//		}
+//		p.Hold(d)
+//	}
+//
+// except that after the first call step runs in kernel context, on whichever
+// goroutine holds the baton, so a chain of holds costs no goroutine switch
+// however many other processes interleave with it. Each link is one typed
+// event that emits the block span a resuming process would, calls step, and
+// either schedules the next link or, on !ok, activates the process: the same
+// events are scheduled at the same program points as by the loop above, so
+// event order, EventCount and everything observable in virtual time are
+// identical. step must not block, and must not rely on being called on the
+// process's goroutine; a panic in it surfaces like a callback's.
+func (p *Process) HoldWhile(step func() (d Time, ok bool)) {
+	d, ok := step()
+	if !ok {
+		return
+	}
+	p.step = step
+	p.scheduleStep(d)
+	p.block("hold")
+}
+
+// scheduleStep queues the next link of p's HoldWhile chain.
+func (p *Process) scheduleStep(d Time) {
+	if d < 0 {
+		panic(fmt.Sprintf("pearl: %v HoldWhile step returned %d: negative duration", p, d))
+	}
+	p.k.schedule(p.k.now+d, evStep, nil, p)
 }
 
 // park blocks until some other component calls unpark (via scheduleWake).

@@ -442,9 +442,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.running.Add(-1)
 			j.scope.RunDone()
 			j.scope.Finish()
-			j.mu.Lock()
-			j.wall = res.Wall
 			if res.Err != nil {
+				j.mu.Lock()
+				j.wall = res.Wall
 				j.state = "failed"
 				j.errMsg = res.Err.Error()
 				j.mu.Unlock()
@@ -452,13 +452,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.log.Error("job failed", "job", j.id, "wall_ms", durMS(res.Wall), "err", res.Err)
 				return
 			}
+			// Store, then publish: a client may resubmit the same document
+			// the instant it reads "done", and that submission must hit.
 			entry := res.Value.(resultcache.Entry)
-			j.state = "done"
-			j.entry = entry
-			j.mu.Unlock()
 			storeStart := time.Now()
 			s.cache.Put(j.key, entry)
 			j.host.SpanSince(j.hostTrk, "cache.store", storeStart)
+			j.mu.Lock()
+			j.wall = res.Wall
+			j.state = "done"
+			j.entry = entry
+			j.mu.Unlock()
 			s.completed.Add(1)
 			s.log.Info("job finished", "job", j.id,
 				"wall_ms", durMS(res.Wall), "queue_wait_ms", durMS(res.QueueWait),

@@ -14,6 +14,7 @@ package stochastic
 
 import (
 	"fmt"
+	"slices"
 
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
@@ -248,6 +249,9 @@ func (g *generator) computeInstr(tr *[]ops.Op, node int, ph *Phase) {
 	const loopBody = 64
 	loopBase := g.pcBase(node)
 	var cursor uint64
+	// Two operations per instruction, count known: one growth, not a
+	// doubling series that copies the trace again and again.
+	*tr = slices.Grow(*tr, int(2*n))
 	for i := int64(0); i < n; i++ {
 		pc := loopBase + uint64(i%loopBody)*4
 		*tr = append(*tr, ops.NewIFetch(pc))

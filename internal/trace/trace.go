@@ -71,8 +71,10 @@ type BatchSource interface {
 type Cursor struct {
 	src   Source
 	batch BatchSource // nil when src has no batch support
-	buf   []Event
+	buf   []Event     // events pulled and not yet consumed: buf[pos:]
 	pos   int
+	one   [1]Event // backs buf for a plain Source
+	err   error    // the error that ended the stream; sticky
 }
 
 // NewCursor wraps src for batched consumption.
@@ -84,29 +86,42 @@ func NewCursor(src Source) *Cursor {
 	return c
 }
 
-// Next returns the next event, pulling a fresh batch from the underlying
-// source when the current one is exhausted. It returns io.EOF after the last
-// event.
-func (c *Cursor) Next() (Event, error) {
+// Peek returns the next event without consuming it, pulling a fresh batch
+// from the underlying source when the current one is exhausted; Advance
+// consumes it. After the last event it returns io.EOF. An error — io.EOF
+// included — is sticky: every later Peek and Next returns it again without
+// asking the source, so a consumer that peeked the end of the stream on one
+// path finds the same end on another.
+func (c *Cursor) Peek() (Event, error) {
 	if c.pos < len(c.buf) {
-		ev := c.buf[c.pos]
-		c.pos++
-		return ev, nil
+		return c.buf[c.pos], nil
 	}
-	if c.batch == nil {
-		return c.src.Next()
-	}
-	for {
-		b, err := c.batch.NextBatch()
-		if err != nil {
-			return Event{}, err
+	for c.err == nil {
+		c.pos = 0
+		if c.batch != nil {
+			c.buf, c.err = c.batch.NextBatch()
+		} else {
+			c.buf = c.one[:]
+			c.one[0], c.err = c.src.Next()
 		}
-		if len(b) == 0 {
-			continue
+		if c.err == nil && len(c.buf) > 0 {
+			return c.buf[0], nil
 		}
-		c.buf, c.pos = b, 1
-		return b[0], nil
 	}
+	c.buf = nil
+	return Event{}, c.err
+}
+
+// Advance consumes the event the last successful Peek returned.
+func (c *Cursor) Advance() { c.pos++ }
+
+// Next returns the next event and consumes it: Peek, then Advance.
+func (c *Cursor) Next() (Event, error) {
+	ev, err := c.Peek()
+	if err == nil {
+		c.Advance()
+	}
+	return ev, err
 }
 
 // sourceBatch is the conversion chunk size for sources that materialise
