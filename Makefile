@@ -1,6 +1,6 @@
 # Convenience targets for the Mermaid workbench reproduction.
 
-.PHONY: all build vet test bench bench-pdes bench-scale experiments examples cover check fmt apicheck api
+.PHONY: all build vet test bench experiments examples cover check fmt apicheck api
 
 all: build vet test
 
@@ -35,29 +35,12 @@ test:
 experiments:
 	go run ./cmd/mermaid -experiment all
 
-# Kernel micro-benchmarks plus the end-to-end slowdown benchmarks, six
-# repetitions each so medians are stable; BENCH_kernel.json tracks the
-# before/after summary of the allocation-free kernel work and
-# BENCH_analysis.json the measured overhead of the bottleneck engine
-# (BenchmarkAnalyzerOff vs BenchmarkAnalyzerOn).
+# Kernel micro-benchmarks, six repetitions each so medians are stable. The
+# end-to-end and per-layer numbers (slowdown per processor, sharding, farm,
+# routing, analyzer overhead) come from `go run ./benchmark`; the design-study
+# benchmarks of bench_test.go run with `go test -bench . .`.
 bench:
 	go test -run '^$$' -bench . -benchmem -count=6 ./internal/pearl
-	go test -run '^$$' -bench Slowdown -benchmem -count=6 .
-	go test -run '^$$' -bench Analyzer -benchmem -count=6 ./internal/analysis
-
-# Parallel-engine benchmark: the legacy single-kernel engine against the
-# conservative parallel engine at 1 and 4 shards on a 64-node task-level
-# T805 grid (BenchmarkShardedT805); BENCH_pdes.json tracks the medians.
-bench-pdes:
-	go test -run '^$$' -bench ShardedT805 -benchmem -count=6 .
-
-# Million-node scale benchmarks: per-hop cost of the purely algorithmic
-# routing on 1M-node hierarchical topologies (BenchmarkScaleRouting) and
-# process- vs compact-engine host time on growing task-level machines
-# (BenchmarkScaleEngine); BENCH_scale.json tracks the medians.
-bench-scale:
-	go test -run '^$$' -bench ScaleRouting -benchmem -count=6 ./internal/topology
-	go test -run '^$$' -bench ScaleEngine -benchmem -count=6 ./internal/machine
 
 examples:
 	go run ./examples/quickstart

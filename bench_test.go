@@ -1,13 +1,14 @@
-// Benchmarks regenerating the paper's evaluation (§6) and the workbench
-// design studies — one benchmark per experiment of DESIGN.md's index. Beyond
-// ns/op, the relevant numbers are reported as custom metrics:
+// Benchmarks regenerating the workbench design studies of DESIGN.md's index
+// (E1, E4, E5, E7–E9, E11, E12) and the trace codec. The paper's slowdown
+// figures (E2, E3), the farm, the parallel engine, routing and the trace
+// generators are measured by `go run ./benchmark` instead. Beyond ns/op, the
+// relevant numbers are reported as custom metrics:
 //
 //	targetcyc/s    simulated target cycles per host second
 //	slowdown143    host cycles per target cycle per processor at the paper's
-//	               143 MHz UltraSPARC (the paper: 750–4,000 detailed, 0.5–4
-//	               task-level)
-//	slowdown/proc  the same at the actual measured host speed, taking this
-//	               host's single-core throughput as 1 GHz-equivalent
+//	               143 MHz UltraSPARC
+//	slowdown1GHz   the same taking this host's single-core throughput as
+//	               1 GHz-equivalent
 //
 // Run with: go test -bench=. -benchmem
 package mermaid
@@ -19,7 +20,6 @@ import (
 
 	"mermaid/internal/bus"
 	"mermaid/internal/cache"
-	"mermaid/internal/farm"
 	"mermaid/internal/machine"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
@@ -93,108 +93,6 @@ var errEOF = func() error {
 	_, err := trace.FromOps(nil).Next()
 	return err
 }()
-
-// E2: detailed-mode slowdown on the T805 multicomputer (16 processors,
-// mixed compute/communicate load). Paper shape: slowdown143 in the
-// hundreds-to-thousands per processor.
-func BenchmarkDetailedSlowdownT805(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 16, Level: stochastic.InstructionLevel, Seed: 11, Iterations: 2,
-		Phases: []stochastic.Phase{{
-			Instructions: 10000, CV: 0.1,
-			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024},
-		}},
-	}
-	var totalCycles pearl.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := machine.New(machine.T805Grid(4, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.RunStochastic(desc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalCycles += res.Cycles
-	}
-	reportSim(b, totalCycles, 16)
-}
-
-// E2: detailed-mode slowdown on the single-node PowerPC 601 with two cache
-// levels.
-func BenchmarkDetailedSlowdownPPC601(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 1, Level: stochastic.InstructionLevel, Seed: 13, Iterations: 1,
-		Phases: []stochastic.Phase{{Instructions: 100000}},
-	}
-	var totalCycles pearl.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := machine.New(machine.PPC601Machine())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.RunStochastic(desc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalCycles += res.Cycles
-	}
-	reportSim(b, totalCycles, 1)
-}
-
-// E3: task-level slowdown, computation-dominated load. Paper shape:
-// slowdown143 well below detailed mode, approaching fractions of a cycle.
-func BenchmarkTaskLevelSlowdownComputeHeavy(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 16, Level: stochastic.TaskLevel, Seed: 17, Iterations: 10,
-		Phases: []stochastic.Phase{{
-			Duration: 1000000,
-			Comm:     stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024},
-		}},
-	}
-	var totalCycles pearl.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := machine.New(machine.T805GridTaskLevel(4, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.RunStochastic(desc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalCycles += res.Cycles
-	}
-	reportSim(b, totalCycles, 16)
-}
-
-// E3: task-level slowdown, communication-dominated load (the expensive end
-// of the paper's 0.5–4 range).
-func BenchmarkTaskLevelSlowdownCommHeavy(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 16, Level: stochastic.TaskLevel, Seed: 19, Iterations: 50,
-		Phases: []stochastic.Phase{{
-			Duration: 2000,
-			Comm:     stochastic.Comm{Pattern: stochastic.AllToAll, Bytes: 4096},
-		}},
-	}
-	var totalCycles pearl.Time
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := machine.New(machine.T805GridTaskLevel(4, 4))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := m.RunStochastic(desc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		totalCycles += res.Cycles
-	}
-	reportSim(b, totalCycles, 16)
-}
 
 // E4: host memory per simulated node as the machine scales (§6: no
 // instruction interpretation, caches hold tags only, so memory is dominated
@@ -428,51 +326,6 @@ func benchCoherence(b *testing.B, cpus int, coh cache.Coherence) {
 	b.ReportMetric(float64(cycles), "simcycles")
 }
 
-// E10: the two trace-generation paths of Fig. 4: synthetic generation vs
-// annotation translation (throughput of the generators themselves).
-func BenchmarkStochasticGeneration(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 16, Level: stochastic.InstructionLevel, Seed: 3, Iterations: 1,
-		Phases: []stochastic.Phase{{
-			Instructions: 10000,
-			Comm:         stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 512},
-		}},
-	}
-	var nops uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		traces, err := stochastic.Generate(desc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nops = 0
-		for _, tr := range traces {
-			nops += uint64(len(tr))
-		}
-	}
-	b.ReportMetric(float64(nops)*float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-}
-
-// BenchmarkAnnotationTranslation measures the annotation translator: how
-// fast an instrumented program generates its operation trace.
-func BenchmarkAnnotationTranslation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prog := workload.Jacobi1D(1, 512, 3)
-		th := prog.Start()[0]
-		n := 0
-		for {
-			_, err := th.Next()
-			if err != nil {
-				break
-			}
-			n++
-		}
-		if n == 0 {
-			b.Fatal("no trace generated")
-		}
-	}
-}
-
 // BenchmarkTraceCodec measures the binary trace format (write + read).
 func BenchmarkTraceCodec(b *testing.B) {
 	traces, err := stochastic.Generate(stochastic.Desc{
@@ -552,146 +405,5 @@ func BenchmarkCalibrationProbe(b *testing.B) {
 		if _, err := m.Run([]trace.Source{trace.FromOps(tr)}); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// Simulation farm: a fixed batch of independent detailed runs dispatched
-// through the worker pool, sequential vs one worker per host CPU. The runs/s
-// metric is the farm's throughput; on a multi-core host the workers=N case
-// should approach N-fold the sequential rate (on a single-core host the two
-// are equivalent).
-func BenchmarkFarm(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 4, Level: stochastic.InstructionLevel, Seed: 29, Iterations: 1,
-		Phases: []stochastic.Phase{{
-			Instructions: 5000,
-			Comm:         stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 512},
-		}},
-	}
-	jobs := make([]farm.Job, 8)
-	for j := range jobs {
-		j := j
-		jobs[j] = farm.Job{Name: fmt.Sprintf("run%d", j), Run: func(rc *farm.RunContext) (any, error) {
-			m, err := machine.New(machine.T805Grid(2, 2))
-			if err != nil {
-				return nil, err
-			}
-			res, err := m.RunStochastic(desc)
-			if err != nil {
-				return nil, err
-			}
-			rc.ObserveSim(res.Cycles, res.Events)
-			return res.Cycles, nil
-		}}
-	}
-	for _, workers := range []int{1, runtime.NumCPU()} {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var runs int
-			for i := 0; i < b.N; i++ {
-				rep := farm.New(workers).Run(jobs)
-				if err := rep.Err(); err != nil {
-					b.Fatal(err)
-				}
-				runs += len(rep.Results)
-			}
-			b.ReportMetric(float64(runs)/b.Elapsed().Seconds(), "runs/s")
-		})
-	}
-}
-
-// Farm overhead in isolation: trivial jobs, so the metric is the dispatch +
-// seed-derivation + collection cost per run.
-func BenchmarkFarmOverhead(b *testing.B) {
-	jobs := make([]farm.Job, 64)
-	for j := range jobs {
-		jobs[j] = farm.Job{Name: "noop", Run: func(rc *farm.RunContext) (any, error) {
-			rc.ObserveSim(1, 1)
-			return rc.Seed, nil
-		}}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := farm.New(runtime.NumCPU()).Run(jobs)
-		if err := rep.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.N*len(jobs))/b.Elapsed().Seconds(), "runs/s")
-}
-
-// Routing-strategy sweep (minimal vs Valiant) under adversarial traffic.
-func BenchmarkRouting(b *testing.B) {
-	for _, rt := range []router.Routing{router.Minimal, router.Valiant} {
-		rt := rt
-		b.Run(rt.String(), func(b *testing.B) {
-			var cycles pearl.Time
-			for i := 0; i < b.N; i++ {
-				cfg := machine.GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, 16, router.VirtualCutThrough)
-				cfg.Network.Router.Routing = rt
-				cfg.Network.Seed = 5
-				m, err := machine.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				srcs := make([]trace.Source, 16)
-				for n := 0; n < 16; n++ {
-					dst := (n + 8) % 16
-					srcs[n] = trace.FromOps([]ops.Op{
-						ops.NewASend(2048, int32(dst), uint32(n)),
-						ops.NewRecv(int32((n+8)%16), uint32((n+8)%16)),
-					})
-				}
-				res, err := m.Run(srcs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cycles = res.Cycles
-			}
-			b.ReportMetric(float64(cycles), "simcycles")
-		})
-	}
-}
-
-// E11: the conservative parallel engine against the legacy single-kernel
-// engine on a 64-node task-level T805 grid with exchange traffic — the
-// communication-bound regime where the network transport dominates host
-// time. The sharded engine replaces the legacy per-packet goroutine
-// processes with event-driven transport, so shards1 measures that
-// constant-factor engine change alone and shards4 adds the window-parallel
-// execution across host cores (on a single-core host shards4 only adds
-// barrier overhead on top of shards1).
-func BenchmarkShardedT805(b *testing.B) {
-	desc := stochastic.Desc{
-		Nodes: 64, Level: stochastic.TaskLevel, Seed: 17, Iterations: 40,
-		Phases: []stochastic.Phase{{
-			Duration: 2000,
-			Comm:     stochastic.Comm{Pattern: stochastic.Exchange, Bytes: 8192},
-		}},
-	}
-	for _, shards := range []int{0, 1, 4} {
-		shards := shards
-		name := "legacy"
-		if shards > 0 {
-			name = fmt.Sprintf("shards%d", shards)
-		}
-		b.Run(name, func(b *testing.B) {
-			var totalCycles pearl.Time
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := machine.T805GridTaskLevel(8, 8)
-				cfg.Shards = shards
-				m, err := machine.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := m.RunStochastic(desc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				totalCycles += res.Cycles
-			}
-			reportSim(b, totalCycles, 64)
-		})
 	}
 }

@@ -96,16 +96,14 @@ func main() {
 		experiment = flag.String("experiment", "", "run a reproduction experiment: all, list, "+strings.Join(experiments.Names(), ", "))
 		sweepF     = flag.String("sweep", "", "experiment sweep overrides, ';'-separated name=value pairs (values may contain commas), e.g. \"sizes=4,16;assocs=2\"")
 		csv        = flag.Bool("csv", false, "emit experiment tables as CSV")
-		monitor    = flag.Int64("monitor", 0, "sample run-time metrics every N cycles (0 = off)")
-		monitorCSV = flag.String("monitor-csv", "", "write monitor samples to a CSV file")
+		monitor    = flag.Int64("monitor", 0, "print run-time sparklines sampled every N cycles (0 = off); N is also the sampling interval of -metrics and -monitor-addr (default 10000)")
 
 		reportPath  = flag.String("report", "", "run the bottleneck analysis and write its JSON report to this file")
 		monitorAddr = flag.String("monitor-addr", "", "serve live run state over HTTP on this address (/metrics Prometheus text, /progress JSON)")
 
 		timeline       = flag.String("timeline", "", "write a virtual-time timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
 		timelineSample = flag.Int("timeline-sample", 1, "keep every Nth timeline event (sampling rate)")
-		metricsOut     = flag.String("metrics", "", "write periodic metric-registry samples to this CSV file")
-		metricsEvery   = flag.Int64("metrics-every", 10000, "sample the metrics registry every N cycles (with -metrics)")
+		metricsOut     = flag.String("metrics", "", "write periodic metric-registry samples, one row per -monitor interval plus the end of the run, to this CSV file")
 
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations to run concurrently (experiment sweeps and -repeats)")
 		repeats  = flag.Int("repeats", 1, "replications of the run with per-replica derived seeds")
@@ -218,30 +216,31 @@ func main() {
 		}
 	}
 
-	if *repeats > 1 {
-		if *monitor > 0 {
-			fatal(fmt.Errorf("-monitor samples a single machine; use -repeats 1"))
+	// The live endpoint serves a single run and a -repeats sweep alike; with
+	// it off the scope stays nil, the disabled scope.
+	var scope *analysis.Scope
+	if *monitorAddr != "" {
+		mon, err := analysis.NewMonitor(*monitorAddr)
+		if err != nil {
+			fatal(err)
 		}
-		if *timeline != "" || *metricsOut != "" || *reportPath != "" {
-			fatal(fmt.Errorf("-timeline, -metrics and -report observe a single machine; use -repeats 1"))
+		defer mon.Close()
+		scope = mon.Scope()
+		fmt.Fprintf(os.Stderr, "mermaid: monitoring on http://%s (/metrics, /progress)\n", mon.Addr())
+	}
+
+	if *repeats > 1 {
+		if *monitor > 0 || *timeline != "" || *metricsOut != "" || *reportPath != "" {
+			fatal(fmt.Errorf("-monitor, -timeline, -metrics and -report observe a single machine; use -repeats 1"))
 		}
 		if *hostMetrics != "" {
 			fatal(fmt.Errorf("-host-metrics reports one parallel run; use -repeats 1"))
-		}
-		var mon *analysis.Monitor
-		if *monitorAddr != "" {
-			var err error
-			if mon, err = analysis.NewMonitor(*monitorAddr); err != nil {
-				fatal(err)
-			}
-			defer mon.Close()
-			fmt.Fprintf(os.Stderr, "mermaid: monitoring on http://%s (/metrics, /progress)\n", mon.Addr())
 		}
 		var host *hostprobe.Trace
 		if *hostTrace != "" {
 			host = hostprobe.NewTrace()
 		}
-		if err := runReplicated(os.Stdout, cfg, runName, *repeats, *parallel, mon, host, runOnce); err != nil {
+		if err := runReplicated(os.Stdout, cfg, runName, *repeats, *parallel, scope, host, runOnce); err != nil {
 			fatal(err)
 		}
 		writeHostTrace(host, *hostTrace)
@@ -250,7 +249,8 @@ func main() {
 
 	var pb *probe.Probe
 	var opts []core.Option
-	if *timeline != "" || *metricsOut != "" {
+	// Any observer reads the metric registry, so any observer attaches a probe.
+	if *timeline != "" || *metricsOut != "" || *monitor > 0 || *monitorAddr != "" {
 		pb = probe.New(probe.Config{Timeline: *timeline != "", SampleEvery: *timelineSample})
 		opts = append(opts, core.WithProbe(pb))
 	}
@@ -277,37 +277,19 @@ func main() {
 		shardTel = g.EnableTelemetry()
 		hostprobe.ShardSpans(host, g)
 	}
-	if *monitor > 0 {
-		if _, err := m.EnableMonitoring(pearl.Time(*monitor)); err != nil {
-			fatal(err)
-		}
-	}
-	if *metricsOut != "" {
-		if err := pb.Registry().StartSampler(m.Kernel(), pearl.Time(*metricsEvery)); err != nil {
-			fatal(err)
-		}
-	}
-	var httpMon *analysis.Monitor
-	if *monitorAddr != "" {
-		if httpMon, err = analysis.NewMonitor(*monitorAddr); err != nil {
-			fatal(err)
-		}
-		defer httpMon.Close()
-		every := pearl.Time(*monitor)
-		if every <= 0 {
-			every = 10000
-		}
-		httpMon.SetRuns(1)
-		httpMon.Watch(m.Kernel(), pb.Registry(), every)
-		fmt.Fprintf(os.Stderr, "mermaid: monitoring on http://%s (/metrics, /progress)\n", httpMon.Addr())
+	scope.SetRuns(1)
+	view, finish, err := observe(m.Kernel(), pb.Registry(), pearl.Time(*monitor), *metricsOut != "", scope)
+	if err != nil {
+		fatal(err)
 	}
 
 	res, err := runOnce(m)
 	if err != nil {
 		fatal(err)
 	}
-	httpMon.RunDone()
-	httpMon.Finish()
+	finish(res.Cycles)
+	scope.RunDone()
+	scope.Finish()
 	if *reportPath != "" {
 		if res.Analysis == nil {
 			fatal(fmt.Errorf("-report: run produced no analysis"))
@@ -348,30 +330,16 @@ func main() {
 		reg := new(probe.Registry)
 		hostprobe.RegisterShardStats(reg, shardTel)
 		if err := writeFileWith(*hostMetrics, func(w io.Writer) error {
-			return analysis.WriteRegistryMetrics(w, reg)
+			return probe.WritePrometheus(w, reg.Snapshot())
 		}); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *hostMetrics)
 	}
-	if mon := m.Monitor(); mon != nil {
+	if view != nil {
 		fmt.Println("\nrun-time monitor:")
-		if err := mon.Render(os.Stdout); err != nil {
+		if err := view.render(os.Stdout); err != nil {
 			fatal(err)
-		}
-		if *monitorCSV != "" {
-			f, err := os.Create(*monitorCSV)
-			if err != nil {
-				fatal(err)
-			}
-			if err := mon.RenderCSV(f); err != nil {
-				f.Close()
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *monitorCSV)
 		}
 	}
 }
@@ -549,17 +517,17 @@ func runExperimentSet(w io.Writer, exps []experiments.Experiment, csv bool, work
 // runReplicated executes the configured run `repeats` times with per-replica
 // derived seeds, farming the replicas across `workers` host goroutines, and
 // reports one row per replica plus batch aggregates — including the message
-// latency distribution merged across every replica. A non-nil monitor is fed
-// run completions for its /progress endpoint.
-func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, workers int, mon *analysis.Monitor, host *hostprobe.Trace, runOnce func(*machine.Machine) (*machine.Result, error)) error {
+// latency distribution merged across every replica. A non-nil scope is fed
+// run completions for the monitor's /progress endpoint.
+func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, workers int, scope *analysis.Scope, host *hostprobe.Trace, runOnce func(*machine.Machine) (*machine.Result, error)) error {
 	pool := farm.New(workers)
 	pool.Repeats = repeats
 	pool.Seed = cfg.Seed
 	pool.Host = host
-	mon.SetRuns(repeats)
+	scope.SetRuns(repeats)
 	pool.OnResult = func(res farm.Result) {
-		mon.ObserveRun(res.Cycles, res.Events)
-		mon.RunDone()
+		scope.ObserveRun(res.Cycles, res.Events)
+		scope.RunDone()
 	}
 	job := farm.Job{Name: name, Run: func(rc *farm.RunContext) (any, error) {
 		c := cfg
@@ -577,18 +545,14 @@ func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, worker
 			return nil, err
 		}
 		rc.ObserveSim(res.Cycles, res.Events)
-		if net := m.Network(); net != nil {
-			h := *net.MessageLatency() // copy: the machine dies with the run
-			return &h, nil
-		}
-		if cn := m.Compact(); cn != nil {
-			h := *cn.MessageLatency()
+		if lat := m.MessageLatency(); lat != nil {
+			h := *lat // copy: the machine dies with the run
 			return &h, nil
 		}
 		return nil, nil
 	}}
 	rep := pool.Run([]farm.Job{job})
-	mon.Finish()
+	scope.Finish()
 	fmt.Fprintf(w, "%d replications of %s (%s), seeds derived from %d:\n", repeats, name, cfg.Name, cfg.Seed)
 	if err := rep.Table().Render(w); err != nil {
 		return err

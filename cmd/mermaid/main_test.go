@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/core"
 	"mermaid/internal/experiments"
 	"mermaid/internal/farm"
 	"mermaid/internal/machine"
+	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/stats"
 	"mermaid/internal/workload"
@@ -188,21 +191,105 @@ func TestTimelineGoldenTwoNodePingPong(t *testing.T) {
 	}
 }
 
-// Replicated runs derive a distinct seed per replica and report one row each.
+// Replicated runs derive a distinct seed per replica and report one row each,
+// plus the latency distribution merged over all of them — on the parallel
+// engine too, whose fabric is neither Network() nor Compact().
 func TestRunReplicated(t *testing.T) {
-	cfg := machine.T805Grid(2, 2)
 	runOnce := func(m *machine.Machine) (*machine.Result, error) {
 		return m.RunProgram(workload.Jacobi1D(m.Streams(), 64, 2))
 	}
+	var latency []string
+	for _, shards := range []int{0, 2} {
+		cfg := machine.T805Grid(2, 2)
+		cfg.Shards = shards
+		var out bytes.Buffer
+		if err := runReplicated(&out, cfg, "jacobi", 3, 2, nil, nil, runOnce); err != nil {
+			t.Fatalf("shards %d: runReplicated: %v", shards, err)
+		}
+		if got := strings.Count(out.String(), "jacobi"); got != 4 { // header line + one row per replica
+			t.Errorf("shards %d: report mentions jacobi %d times, want 4 (3 replica rows):\n%s", shards, got, out.String())
+		}
+		if !strings.Contains(out.String(), "runs") {
+			t.Errorf("shards %d: report missing aggregate summary:\n%s", shards, out.String())
+		}
+		i := strings.Index(out.String(), "message latency over all replicas:")
+		if i < 0 {
+			t.Fatalf("shards %d: report missing the merged message latency:\n%s", shards, out.String())
+		}
+		latency = append(latency, out.String()[i:])
+	}
+	if latency[0] != latency[1] {
+		t.Errorf("merged latency differs between engines:\n%s%s", latency[0], latency[1])
+	}
+}
 
-	var out bytes.Buffer
-	if err := runReplicated(&out, cfg, "jacobi", 3, 2, nil, nil, runOnce); err != nil {
-		t.Fatalf("runReplicated: %v", err)
+// The CLI's observers — sparklines, CSV history and the HTTP scope — share one
+// sampling chain: attaching all three costs the events of attaching one, and
+// none of them moves simulated time.
+func TestObserversShareOneChain(t *testing.T) {
+	run := func(monitor pearl.Time, csv bool, scope *analysis.Scope) (*machine.Result, sparklines, *probe.Registry) {
+		pb := probe.New(probe.Config{})
+		wb, err := core.New(machine.T805Grid(2, 2), core.WithProbe(pb))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := wb.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, finish, err := observe(m.Kernel(), pb.Registry(), monitor, csv, scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.RunProgram(workload.Jacobi1D(4, 64, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		finish(res.Cycles)
+		return res, view, pb.Registry()
 	}
-	if got := strings.Count(out.String(), "jacobi"); got != 4 { // header line + one row per replica
-		t.Errorf("report mentions jacobi %d times, want 4 (3 replica rows):\n%s", got, out.String())
+	plain, view, _ := run(0, false, nil)
+	if view != nil {
+		t.Error("sparklines without -monitor")
 	}
-	if !strings.Contains(out.String(), "runs") {
-		t.Errorf("report missing aggregate summary:\n%s", out.String())
+	one, _, _ := run(1000, false, nil)
+	scope := analysis.NewScope()
+	all, view, reg := run(1000, true, scope)
+	if one.Cycles != plain.Cycles || all.Cycles != plain.Cycles {
+		t.Errorf("observers moved simulated time: plain %d, one %d, all %d", plain.Cycles, one.Cycles, all.Cycles)
+	}
+	ticks := uint64(plain.Cycles / 1000)
+	if one.Events != plain.Events+ticks || all.Events != one.Events {
+		t.Errorf("events: plain %d, one observer %d, three %d; want plain + %d ticks for both", plain.Events, one.Events, all.Events, ticks)
+	}
+	// Every consumer saw every sample, the last one at the run's end.
+	var sb strings.Builder
+	if err := view.render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	samples := fmt.Sprintf("%d samples", ticks+1)
+	for _, label := range []string{"bus utilization", "link utilization", "messages", "kernel events"} {
+		if !strings.Contains(sb.String(), label) {
+			t.Errorf("sparklines missing %q:\n%s", label, sb.String())
+		}
+	}
+	if got := strings.Count(sb.String(), samples); got != 4 {
+		t.Errorf("%d of 4 sparklines have %s:\n%s", got, samples, sb.String())
+	}
+	if n := reg.Lookup("kernel.events").Series.Len(); n != int(ticks)+1 {
+		t.Errorf("CSV history has %d rows, want %d", n, ticks+1)
+	}
+	sb.Reset()
+	if err := scope.WriteMetrics(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("mermaid_virtual_cycles %d\n", all.Cycles),
+		fmt.Sprintf("mermaid_events_total %d\n", all.Events),
+		"mermaid_net_messages ",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("scope metrics missing %q", want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ commands:
   run      -grid <file> [-out dir] [-root dir] [-parallel N]
            execute a grid specification into an artifact directory
   diff     [-o file] <beforeDir> <afterDir>
-           compare two artifact directories into a BENCH-style JSON delta
+           compare two artifact directories into a before/after JSON delta
   validate <dir>
            re-check an artifact directory against its manifest
 `

@@ -7,7 +7,7 @@ import (
 )
 
 // The disabled analyzer must be free: every model calls the Collector
-// unconditionally, so with analysis off (nil *Collector, nil *Monitor) none
+// unconditionally, so with analysis off (nil *Collector, nil *Scope) none
 // of those calls may allocate. These gates keep the bottleneck engine from
 // taxing uninstrumented simulations.
 
@@ -36,17 +36,16 @@ func TestAllocFreeNilMonitor(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	var m *Monitor
+	var s *Scope // what a run without -monitor-addr holds
 	k := pearl.NewKernel()
 	if got := testing.AllocsPerRun(200, func() {
-		m.Watch(k, nil, 100)
-		m.SetRuns(3)
-		m.RunDone()
-		m.Finish()
-		_ = m.Addr()
-		_ = m.Close()
+		s.Sample(k, nil)
+		s.SetRuns(3)
+		s.ObserveRun(100, 10)
+		s.RunDone()
+		s.Finish()
 	}); got != 0 {
-		t.Errorf("nil monitor allocates %v times per op; want 0", got)
+		t.Errorf("nil scope allocates %v times per op; want 0", got)
 	}
 }
 

@@ -4,25 +4,23 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"net"
 	"net/http"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
+	"mermaid/internal/stats"
 )
 
 // Scope is the live state of one monitored simulation: a mutex-protected
 // snapshot that the simulation side writes (from its own goroutine, or from
 // farm workers via ObserveRun/RunDone) and any number of HTTP handlers read.
 //
-// A Monitor owns one process-wide scope — the single-invocation CLI case —
+// A Monitor serves one process-wide scope — the single-invocation CLI case —
 // while the simulation server gives every job its own scope, so two jobs
 // running concurrently report independent progress and metrics streams.
 //
@@ -45,16 +43,10 @@ func NewScope() *Scope {
 type snapshot struct {
 	virtual   int64
 	events    uint64
-	metrics   []metricSample
+	metrics   []stats.Metric
 	runsDone  int
 	runsTotal int
 	finished  bool
-}
-
-type metricSample struct {
-	name  string
-	unit  string
-	value float64
 }
 
 // progressJSON is the wire format of GET /progress.
@@ -68,38 +60,15 @@ type progressJSON struct {
 	Done          bool    `json:"done"`
 }
 
-// Watch installs a self-rescheduling daemon event on the kernel that samples
-// the kernel and registry every `every` cycles of virtual time. Call from the
-// simulation goroutine before Run. Daemon events never keep a run alive, so
-// watching does not perturb termination — or any other aspect of the
-// simulation's virtual time.
-func (s *Scope) Watch(k *pearl.Kernel, reg *probe.Registry, every pearl.Time) {
-	if s == nil || k == nil || every <= 0 {
-		return
-	}
-	var tick func()
-	tick = func() {
-		s.Sample(k, reg)
-		k.AtDaemon(k.Now()+every, tick)
-	}
-	k.AtDaemon(k.Now()+every, tick)
-}
-
-// Sample copies the current kernel and registry state into the snapshot.
-// Watch calls it periodically; callers that need the exact end-of-run values
-// (the daemon tick may predate the last event) call it once more after the
-// run completes. Must run on the simulation goroutine.
+// Sample copies the current kernel and registry state into the snapshot: the
+// scope's consumer on the run's sampling chain (probe.Registry.StartSampler),
+// which calls it at every tick and once more, with the exact end-of-run
+// values, after the run. Must run on the simulation goroutine.
 func (s *Scope) Sample(k *pearl.Kernel, reg *probe.Registry) {
 	if s == nil {
 		return
 	}
-	var ms []metricSample
-	if n := reg.Len(); n > 0 {
-		ms = make([]metricSample, 0, n)
-		for _, e := range reg.Entries() {
-			ms = append(ms, metricSample{name: e.Name, unit: e.Unit, value: e.Read()})
-		}
-	}
+	ms := reg.Snapshot()
 	s.mu.Lock()
 	s.snap.virtual = int64(k.Now())
 	s.snap.events = k.EventCount()
@@ -153,40 +122,22 @@ func (s *Scope) Finish() {
 
 // WriteMetrics renders the scope's last sampled state in Prometheus text
 // exposition format: the virtual clock, the event count, and every registry
-// metric under a collision-free mermaid_-prefixed name.
+// metric as probe.WritePrometheus names it.
 func (s *Scope) WriteMetrics(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	ms := make([]metricSample, len(s.snap.metrics))
-	copy(ms, s.snap.metrics)
-	virtual := s.snap.virtual
-	events := s.snap.events
+	snap := s.snap // metrics is replaced whole by Sample, never written in place
 	s.mu.Unlock()
 
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	names := make([]string, len(ms))
-	for i := range ms {
-		names[i] = ms[i].name
-	}
-	if _, err := fmt.Fprintf(w, "# TYPE mermaid_virtual_cycles gauge\nmermaid_virtual_cycles %d\n", virtual); err != nil {
+	if _, err := fmt.Fprintf(w, "# TYPE mermaid_virtual_cycles gauge\nmermaid_virtual_cycles %d\n", snap.virtual); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE mermaid_events_total counter\nmermaid_events_total %d\n", events); err != nil {
+	if _, err := fmt.Fprintf(w, "# TYPE mermaid_events_total counter\nmermaid_events_total %d\n", snap.events); err != nil {
 		return err
 	}
-	for i, n := range promNames(names) {
-		if ms[i].unit != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s unit: %s\n", n, ms[i].unit); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, ms[i].value); err != nil {
-			return err
-		}
-	}
-	return nil
+	return probe.WritePrometheus(w, snap.metrics)
 }
 
 // WriteProgress renders the scope's completion state as the /progress JSON
@@ -212,18 +163,15 @@ func (s *Scope) WriteProgress(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// Monitor serves live run state over HTTP while a simulation executes:
+// Monitor serves one Scope over HTTP while a simulation executes:
 // GET /metrics returns the probe registry in Prometheus text exposition
 // format, GET /progress returns a JSON snapshot of virtual time, wall time,
 // event throughput and experiment completion.
 //
-// The simulation goroutine owns the kernel and registry; the monitor never
-// touches them from handler goroutines. Instead its Scope periodically
-// copies the interesting values into a mutex-protected snapshot, and the
-// HTTP handlers serve from that snapshot.
-//
-// A nil *Monitor is the disabled monitor: every method no-ops without
-// allocating.
+// The simulation goroutine owns the kernel and registry; the handlers never
+// touch them. They serve from the scope's mutex-protected snapshot, which the
+// simulation side fills (Scope.Sample on the run's sampling chain, or
+// ObserveRun/RunDone from farm workers).
 type Monitor struct {
 	ln    net.Listener
 	srv   *http.Server
@@ -239,51 +187,26 @@ func NewMonitor(addr string) (*Monitor, error) {
 	}
 	m := &Monitor{ln: ln, scope: NewScope()}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", m.handleMetrics)
-	mux.HandleFunc("/progress", m.handleProgress)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		m.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
+	})
+	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		m.scope.WriteProgress(w) //nolint:errcheck // best-effort over HTTP
+	})
 	m.srv = &http.Server{Handler: mux}
 	go m.srv.Serve(ln) //nolint:errcheck // closed via Close
 	return m, nil
 }
 
 // Addr returns the bound address, e.g. "127.0.0.1:41373".
-func (m *Monitor) Addr() string {
-	if m == nil {
-		return ""
-	}
-	return m.ln.Addr().String()
-}
+func (m *Monitor) Addr() string { return m.ln.Addr().String() }
 
-// Scope returns the monitor's process-wide scope, or nil on a nil monitor.
-func (m *Monitor) Scope() *Scope {
-	if m == nil {
-		return nil
-	}
-	return m.scope
-}
-
-// Watch installs a self-rescheduling daemon event on the kernel that samples
-// the kernel and registry every `every` cycles of virtual time. Call from the
-// simulation goroutine before Run.
-func (m *Monitor) Watch(k *pearl.Kernel, reg *probe.Registry, every pearl.Time) {
-	m.Scope().Watch(k, reg, every)
-}
-
-// ObserveRun accumulates a completed run's simulated volume. Safe to call
-// from worker goroutines.
-func (m *Monitor) ObserveRun(cycles pearl.Time, events uint64) {
-	m.Scope().ObserveRun(cycles, events)
-}
-
-// SetRuns declares how many runs (experiments × repeats) the invocation will
-// execute, for the completion fraction in /progress.
-func (m *Monitor) SetRuns(n int) { m.Scope().SetRuns(n) }
-
-// RunDone marks one run complete. Safe to call from farm worker goroutines.
-func (m *Monitor) RunDone() { m.Scope().RunDone() }
-
-// Finish marks the whole invocation complete; /progress reports done:true.
-func (m *Monitor) Finish() { m.Scope().Finish() }
+// Scope returns the scope the monitor serves: what the simulation side
+// writes. Hold it as a *Scope — nil when monitoring is off — and every call
+// site stays unconditional.
+func (m *Monitor) Scope() *Scope { return m.scope }
 
 // closeDeadline bounds how long Close waits for in-flight scrapes.
 const closeDeadline = 2 * time.Second
@@ -294,90 +217,12 @@ const closeDeadline = 2 * time.Second
 // mid-response. A client that still has not drained its response at the
 // deadline is cut off hard so Close can never hang the process.
 func (m *Monitor) Close() error {
-	if m == nil {
-		return nil
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), closeDeadline)
 	defer cancel()
 	if err := m.srv.Shutdown(ctx); err != nil {
 		return m.srv.Close()
 	}
 	return nil
-}
-
-// promNames converts dotted registry metric names to Prometheus-legal,
-// mermaid_-prefixed ones. Alphanumerics pass through and every other rune
-// becomes '_' — familiar, but lossy: distinct registry names like
-// "node0.cache.l1d" and "node0_cache.l1d" would fold into one Prometheus
-// name, and scrapers reject expositions with duplicate metric names. Any
-// group of input names whose sanitized forms collide therefore gets a
-// disambiguating suffix — '_' plus the FNV-1a hash of the original name —
-// on every member, keeping the common case pretty and the mapping
-// deterministic and injective (up to FNV collisions within one group).
-func promNames(names []string) []string {
-	out := make([]string, len(names))
-	count := make(map[string]int, len(names))
-	for i, n := range names {
-		out[i] = sanitizeProm(n)
-		count[out[i]]++
-	}
-	for i, n := range names {
-		if count[out[i]] > 1 {
-			h := fnv.New32a()
-			io.WriteString(h, n) //nolint:errcheck // hash writes cannot fail
-			out[i] = fmt.Sprintf("%s_%08x", out[i], h.Sum32())
-		}
-	}
-	return out
-}
-
-func sanitizeProm(name string) string {
-	var b strings.Builder
-	b.WriteString("mermaid_")
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// WriteRegistryMetrics renders the registry's current values in Prometheus
-// text exposition format with the same collision-free naming as a scope's
-// metrics. Unlike a Scope — which serves values sampled on the simulation
-// goroutine — this reads the registry's gauges directly, so it is only for
-// registries whose readers are safe to call from HTTP handlers (the
-// simulation server's own service counters, not a live machine model).
-func WriteRegistryMetrics(w io.Writer, reg *probe.Registry) error {
-	entries := reg.Entries()
-	ms := make([]metricSample, 0, len(entries))
-	for _, e := range entries {
-		ms = append(ms, metricSample{name: e.Name, unit: e.Unit, value: e.Read()})
-	}
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
-	names := make([]string, len(ms))
-	for i := range ms {
-		names[i] = ms[i].name
-	}
-	for i, n := range promNames(names) {
-		if ms[i].unit != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s unit: %s\n", n, ms[i].unit); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, ms[i].value); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (m *Monitor) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
 }
 
 // eventsPerSec computes the host event throughput, reporting 0 when the
@@ -393,9 +238,4 @@ func eventsPerSec(events uint64, wallSeconds float64) float64 {
 		return 0
 	}
 	return rate
-}
-
-func (m *Monitor) handleProgress(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	m.scope.WriteProgress(w) //nolint:errcheck // best-effort over HTTP
 }

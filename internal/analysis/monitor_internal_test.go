@@ -2,48 +2,8 @@ package analysis
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
-
-// Distinct registry names must never fold into the same Prometheus metric
-// name: "node0.cache.l1d" and "node0_cache.l1d" both sanitize to
-// "mermaid_node0_cache_l1d", and a scraper rejects an exposition with
-// duplicate names. Colliding groups get deterministic hash suffixes; names
-// without collisions keep the familiar dots-to-underscores form.
-func TestPromNamesCollisionFree(t *testing.T) {
-	names := []string{
-		"node0.cache.l1d",
-		"node0_cache.l1d",
-		"net.messages",
-	}
-	got := promNames(names)
-	if got[2] != "mermaid_net_messages" {
-		t.Errorf("uncontended name mangled: %q", got[2])
-	}
-	if got[0] == got[1] {
-		t.Fatalf("colliding names map to the same metric %q", got[0])
-	}
-	for i, n := range got {
-		if !strings.HasPrefix(n, "mermaid_node0_cache_l1d") && i < 2 {
-			t.Errorf("collider %q lost its sanitized stem: %q", names[i], n)
-		}
-		for _, r := range n {
-			legal := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')
-			if !legal {
-				t.Errorf("illegal rune %q in prometheus name %q", r, n)
-			}
-		}
-	}
-	// The mapping is per-exposition but deterministic: the same input set
-	// must yield the same names on every scrape.
-	again := promNames(names)
-	for i := range got {
-		if got[i] != again[i] {
-			t.Errorf("promNames not deterministic: %q then %q", got[i], again[i])
-		}
-	}
-}
 
 // eventsPerSec must never emit Inf or NaN into the /progress JSON — a request
 // arriving in the tick the monitor started yields a zero interval, and a

@@ -29,6 +29,17 @@ func get(t *testing.T, url string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
+// watch makes the scope a consumer of the run's sampling chain, the way the
+// CLI and the simulation server attach it, and returns the end-of-run sampler.
+func watch(t *testing.T, s *analysis.Scope, k *pearl.Kernel, reg *probe.Registry, every pearl.Time) func(pearl.Time) {
+	t.Helper()
+	finish, err := reg.StartSampler(k, every, func(pearl.Time) { s.Sample(k, reg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return finish
+}
+
 // The monitor serves live kernel and registry state over HTTP without
 // touching the simulation from handler goroutines: /metrics is Prometheus
 // text exposition, /progress is a JSON snapshot with run completion.
@@ -53,11 +64,12 @@ func TestMonitorEndpoints(t *testing.T) {
 			p.Hold(10)
 		}
 	})
-	mon.SetRuns(3)
-	mon.Watch(k, reg, 50)
+	scope := mon.Scope()
+	scope.SetRuns(3)
+	watch(t, scope, k, reg, 50)
 	k.RunUntil(1000)
-	mon.RunDone()
-	mon.RunDone()
+	scope.RunDone()
+	scope.RunDone()
 
 	metrics, ctype := get(t, "http://"+mon.Addr()+"/metrics")
 	if !strings.HasPrefix(ctype, "text/plain") {
@@ -99,7 +111,7 @@ func TestMonitorEndpoints(t *testing.T) {
 		t.Error("/progress reports done before Finish")
 	}
 
-	mon.Finish()
+	scope.Finish()
 	progress, _ = get(t, "http://"+mon.Addr()+"/progress")
 	if err := json.Unmarshal([]byte(progress), &p); err != nil {
 		t.Fatal(err)

@@ -28,9 +28,8 @@ func TestScopesAreIndependent(t *testing.T) {
 			}
 		})
 		s.SetRuns(1)
-		s.Watch(k, pb.Registry(), 25)
-		k.Run()
-		s.Sample(k, pb.Registry())
+		finish := watch(t, s, k, pb.Registry(), 25)
+		finish(k.Run())
 		s.RunDone()
 		s.Finish()
 		return s
@@ -81,7 +80,6 @@ func TestScopesAreIndependent(t *testing.T) {
 // A nil scope accepts every call as a no-op, like the nil monitor.
 func TestNilScope(t *testing.T) {
 	var s *analysis.Scope
-	s.Watch(pearl.NewKernel(), nil, 10)
 	s.Sample(pearl.NewKernel(), nil)
 	s.ObserveRun(100, 10)
 	s.SetRuns(1)
@@ -112,9 +110,8 @@ func TestMonitorCloseGraceful(t *testing.T) {
 			p.Hold(10)
 		}
 	})
-	mon.Watch(k, pb.Registry(), 50)
-	k.Run()
-	mon.Finish()
+	watch(t, mon.Scope(), k, pb.Registry(), 50)(k.Run())
+	mon.Scope().Finish()
 
 	addr := mon.Addr()
 	var wg sync.WaitGroup

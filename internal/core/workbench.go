@@ -17,7 +17,6 @@ import (
 	"os"
 
 	"mermaid/internal/analysis"
-	"mermaid/internal/fault"
 	"mermaid/internal/machine"
 	"mermaid/internal/probe"
 	"mermaid/internal/sim"
@@ -80,11 +79,6 @@ func Load(path string, opts ...Option) (*Workbench, error) {
 
 // Config returns the machine configuration.
 func (w *Workbench) Config() machine.Config { return w.cfg }
-
-// SetFaults installs a fault schedule (e.g. one loaded from a -faults file),
-// overriding the configuration's own Faults block. The schedule is validated
-// when the next machine is built.
-func (w *Workbench) SetFaults(s *fault.Schedule) { w.cfg.Faults = s }
 
 // Build instantiates a fresh machine model in a fresh environment.
 func (w *Workbench) Build() (*machine.Machine, error) {

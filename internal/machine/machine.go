@@ -244,7 +244,6 @@ type Machine struct {
 	procs []*network.Processor
 	dsm   *dsm.Layer
 	inj   *fault.Injector
-	mon   *Monitor
 	col   *analysis.Collector
 	ran   bool // Run closes the kernels behind it: one run per machine
 
@@ -428,6 +427,21 @@ func (m *Machine) Network() *network.Network { return m.net }
 // Compact returns the compact-engine communication model, or nil when the
 // machine runs on the process or parallel engine.
 func (m *Machine) Compact() *network.CompactNet { return m.cnet }
+
+// MessageLatency returns the end-to-end message latency distribution of
+// whichever fabric the machine was built with, or nil for single-node
+// machines.
+func (m *Machine) MessageLatency() *stats.Histogram {
+	switch {
+	case m.net != nil:
+		return m.net.MessageLatency()
+	case m.cnet != nil:
+		return m.cnet.MessageLatency()
+	case m.snet != nil:
+		return m.snet.MessageLatency()
+	}
+	return nil
+}
 
 // Nodes returns the node models (empty in task-level mode).
 func (m *Machine) Nodes() []*node.Node { return m.nodes }

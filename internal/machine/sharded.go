@@ -110,19 +110,6 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Sharded returns the parallel-engine fabric, or nil when the machine runs
-// on the single-kernel engine.
-func (m *Machine) Sharded() *network.ShardedNetwork { return m.snet }
-
-// ShardCount returns the number of shards the machine actually runs on:
-// cfg.Shards clamped to the node count, or 0 on the single-kernel engine.
-func (m *Machine) ShardCount() int {
-	if m.group == nil {
-		return 0
-	}
-	return m.group.Shards()
-}
-
 // events returns the run's event count. Under the parallel engine the
 // per-shard counts are summed and all but one copy of the replicated
 // daemon (fault-transition) events subtracted, so the total matches a

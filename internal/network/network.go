@@ -30,9 +30,6 @@ type LinkConfig struct {
 	PropDelay pearl.Time
 }
 
-// DefaultLink returns a generic 1 byte/cycle link with 1 cycle propagation.
-func DefaultLink() LinkConfig { return LinkConfig{BytesPerCycle: 1, PropDelay: 1} }
-
 // Config parameterises the whole communication model.
 type Config struct {
 	Topology topology.Config

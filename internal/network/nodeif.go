@@ -167,19 +167,6 @@ func (ni *NodeIf) arrive(m *Message) {
 	ni.arrived = append(ni.arrived, m)
 }
 
-// SendBlocked returns the cycles spent blocked in synchronous sends.
-func (ni *NodeIf) SendBlocked() pearl.Time { return ni.sendBlock }
-
-// RecvBlocked returns the cycles spent blocked waiting for arrivals.
-func (ni *NodeIf) RecvBlocked() pearl.Time { return ni.recvBlock }
-
-// Pending returns the number of arrived-but-unmatched messages (for
-// diagnostics and drain checks).
-func (ni *NodeIf) Pending() int { return len(ni.arrived) }
-
-// Outstanding returns the number of posted-but-unmatched receives.
-func (ni *NodeIf) Outstanding() int { return len(ni.waiters) }
-
 // Stats reports the interface's counters.
 func (ni *NodeIf) Stats() *stats.Set {
 	s := stats.NewSet(fmt.Sprintf("nif%d", ni.id))

@@ -122,8 +122,9 @@ func artifacts(t *testing.T, cfg machine.Config, decline bool, run func(*machine
 			nd.DeclineStraightLine()
 		}
 	}
+	finish := func(pearl.Time) {}
 	if cfg.Shards == 0 {
-		if err := pb.Registry().StartSampler(m.Kernel(), 250); err != nil {
+		if finish, err = pb.Registry().StartSampler(m.Kernel(), 250, pb.Registry().Sample); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -131,6 +132,7 @@ func artifacts(t *testing.T, cfg machine.Config, decline bool, run func(*machine
 	if err != nil {
 		t.Fatal(err)
 	}
+	finish(res.Cycles)
 	out := map[string]string{
 		"totals": fmt.Sprintf("%d cycles, %d events, %d instructions", res.Cycles, res.Events, res.Instructions),
 	}

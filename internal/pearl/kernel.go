@@ -609,10 +609,6 @@ func (k *Kernel) Close() {
 	}
 }
 
-// Idle reports whether no events remain scheduled. Cancelled entries still
-// waiting to be discarded do not count.
-func (k *Kernel) Idle() bool { return k.live == 0 }
-
 // Blocked returns the processes that are alive but have no pending event to
 // resume them: with an idle kernel these are deadlocked (or waiting on
 // external input). Intended for diagnostics at end of simulation.
@@ -625,9 +621,6 @@ func (k *Kernel) Blocked() []*Process {
 	}
 	return out
 }
-
-// Processes returns all processes ever spawned on this kernel.
-func (k *Kernel) Processes() []*Process { return k.procs }
 
 // DaemonEvents returns how many daemon events have been executed. The
 // sharded runner uses it to normalise event counts: background chains

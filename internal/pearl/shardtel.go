@@ -170,10 +170,6 @@ func (g *ShardGroup) EnableTelemetry() *ShardTelemetry {
 	return g.tel
 }
 
-// Telemetry returns the group's telemetry record, or nil when none was
-// enabled.
-func (g *ShardGroup) Telemetry() *ShardTelemetry { return g.tel }
-
 // SetWindowSpanHook installs fn to receive one wall-clock WindowSpan per
 // shard per window, called from the coordinator goroutine after each
 // barrier (never concurrently). A nil fn detaches the hook. Call before

@@ -15,7 +15,7 @@ type RunRef struct {
 	CreatedAt string `json:"created_at"`
 }
 
-// Delta is one metric's before/after pair, in the BENCH report style.
+// Delta is one metric's before/after pair.
 type Delta struct {
 	Before    float64 `json:"before"`
 	After     float64 `json:"after"`

@@ -4,7 +4,7 @@
 // directory, with schema-validated CSVs, per-run JSON artifacts, grouped
 // summaries, and a manifest recording the grid, the git commit, and a
 // content hash of every artifact. Two artifact directories can be diffed
-// into a BENCH-style JSON delta report (Diff), and any directory can be
+// into a before/after JSON delta report (Diff), and any directory can be
 // re-validated against its own manifest (Validate).
 //
 // The pipeline inherits the workbench's determinism contract: for

@@ -9,8 +9,9 @@
 //     time), exported in the Chrome trace-event JSON format so a run opens
 //     directly in Perfetto or chrome://tracing.
 //   - A Registry of named metrics that components register their existing
-//     stats counters into at construction, with a periodic virtual-time
-//     sampler feeding stats.Series and a CSV exporter.
+//     stats counters into at construction, with the one periodic
+//     virtual-time sampler every observer of a run shares (StartSampler),
+//     a CSV exporter and the Prometheus text renderer.
 //
 // The layer is cheap when disabled: every method is safe on a nil receiver,
 // components hold nil Timeline/Registry pointers when no probe is attached,

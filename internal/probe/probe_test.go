@@ -31,8 +31,15 @@ func TestNilRegistryNoOps(t *testing.T) {
 	if r.Len() != 0 || r.Entries() != nil || r.Lookup("a.b") != nil || r.Dump() != nil {
 		t.Error("nil registry is not inert")
 	}
-	if err := r.StartSampler(pearl.NewKernel(), 10); err != nil {
-		t.Errorf("nil registry sampler: %v", err)
+	k := pearl.NewKernel()
+	finish, err := r.StartSampler(k, 10, func(pearl.Time) { t.Error("nil registry sampled") })
+	if err != nil {
+		t.Fatalf("nil registry sampler: %v", err)
+	}
+	k.After(25, func() {})
+	finish(k.Run())
+	if k.EventCount() != 1 {
+		t.Errorf("nil registry armed a sampling chain: %d events", k.EventCount())
 	}
 	var buf bytes.Buffer
 	if err := r.WriteCSV(&buf); err != nil {
@@ -101,28 +108,40 @@ func TestRegistrySamplerAndCSV(t *testing.T) {
 	reg := p.Registry()
 	var c stats.Counter
 	reg.Counter("net.messages", &c)
-	if err := reg.StartSampler(k, 0); err == nil {
+	if _, err := reg.StartSampler(k, 0, reg.Sample); err == nil {
 		t.Fatal("StartSampler accepted a zero interval")
 	}
-	if err := reg.StartSampler(k, 10); err != nil {
+	// Nothing to sample arms nothing (the event count below has no extra
+	// ticks) and leaves the registry free for the run's real chain.
+	if _, err := reg.StartSampler(k, 10); err != nil {
 		t.Fatal(err)
+	}
+	finish, err := reg.StartSampler(k, 10, reg.Sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One chain per run: further consumers join the first call, not a second.
+	if _, err := reg.StartSampler(k, 10, reg.Sample); err == nil {
+		t.Fatal("StartSampler armed a second chain on the same registry")
 	}
 	// Keep the simulation alive for 35 cycles; the counter grows along the way.
 	k.After(5, func() { c.Add(1) })
 	k.After(15, func() { c.Add(1) })
-	k.After(35, func() {})
-	// The final tick (at 40) finds the schedule otherwise empty and stops
-	// without sampling — like the machine monitor, it does not keep a
-	// finished simulation alive beyond one interval.
+	k.After(35, func() { c.Add(1) })
+	// The tick queued for 40 is a daemon event: the run ends with its last
+	// model event, not at the next multiple of the interval.
 	end := k.Run()
-	if end != 40 {
-		t.Fatalf("simulation ended at %d, want 40 (final self-stopping tick)", end)
+	if end != 35 {
+		t.Fatalf("simulation ended at %d, want 35 (the last model event)", end)
 	}
+	if got := k.EventCount(); got != 3+3 {
+		t.Errorf("%d events, want 3 model events + 3 ticks", got)
+	}
+	finish(end)
 	e := reg.Lookup("net.messages")
-	// The sampler fires at 10, 20 and 30; its tick at 40 finds the schedule
-	// empty and stops without sampling.
-	if e.Series.Len() != 3 {
-		t.Fatalf("samples = %d, want 3 (got T=%v)", e.Series.Len(), e.Series.T)
+	// Ticks at 10, 20 and 30, then the end-of-run sample at 35.
+	if e.Series.Len() != 4 {
+		t.Fatalf("samples = %d, want 4 (got T=%v)", e.Series.Len(), e.Series.T)
 	}
 	if e.Series.T[0] != 10 || e.Series.V[0] != 1 {
 		t.Errorf("sample[0] = (%d, %g), want (10, 1)", e.Series.T[0], e.Series.V[0])
@@ -130,19 +149,42 @@ func TestRegistrySamplerAndCSV(t *testing.T) {
 	if e.Series.T[2] != 30 || e.Series.V[2] != 2 {
 		t.Errorf("sample[2] = (%d, %g), want (30, 2)", e.Series.T[2], e.Series.V[2])
 	}
+	if e.Series.T[3] != 35 || e.Series.V[3] != 3 {
+		t.Errorf("sample[3] = (%d, %g), want the end-of-run (35, 3)", e.Series.T[3], e.Series.V[3])
+	}
 	var buf bytes.Buffer
 	if err := reg.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("CSV lines = %d, want header + 3 rows:\n%s", len(lines), buf.String())
+	if len(lines) != 5 {
+		t.Fatalf("CSV lines = %d, want header + 4 rows:\n%s", len(lines), buf.String())
 	}
 	if lines[0] != "cycle,net.messages" {
 		t.Errorf("CSV header = %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[1], "10,") {
-		t.Errorf("CSV row 1 = %q", lines[1])
+	if !strings.HasPrefix(lines[1], "10,") || lines[4] != "35,3" {
+		t.Errorf("CSV rows = %q", lines[1:])
+	}
+}
+
+// A run that ends in the cycle of a tick must not leave two rows for that
+// cycle: the end-of-run sample — taken after the instant's remaining events —
+// replaces the tick's.
+func TestSamplerEndOfRunReplacesSameCycleTick(t *testing.T) {
+	k := pearl.NewKernel()
+	reg := New(Config{}).Registry()
+	var c stats.Counter
+	reg.Counter("net.messages", &c)
+	finish, err := reg.StartSampler(k, 10, reg.Sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.After(20, func() { c.Add(1) }) // same instant as the second tick, later sequence
+	finish(k.Run())
+	e := reg.Lookup("net.messages")
+	if !reflect.DeepEqual(e.Series.T, []int64{10, 20}) || !reflect.DeepEqual(e.Series.V, []float64{0, 1}) {
+		t.Errorf("series = %v %v, want [10 20] [0 1]", e.Series.T, e.Series.V)
 	}
 }
 
@@ -319,5 +361,68 @@ func TestWriteCSVDeterministicOrderAndEscaping(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("WriteCSV output differs between calls")
+	}
+}
+
+// The one Prometheus renderer: metrics sorted by name, units as HELP lines,
+// every metric a gauge — and the caller's slice left in registration order.
+func TestWritePrometheus(t *testing.T) {
+	reg := New(Config{}).Registry()
+	reg.Gauge("net.latency.mean", "cyc", func() float64 { return 12.5 })
+	reg.Gauge("kernel.events", "", func() float64 { return 42 })
+	rs := reg.Snapshot()
+	var buf bytes.Buffer
+	if err := WritePrometheus(&buf, rs); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE mermaid_kernel_events gauge\nmermaid_kernel_events 42\n" +
+		"# HELP mermaid_net_latency_mean unit: cyc\n# TYPE mermaid_net_latency_mean gauge\nmermaid_net_latency_mean 12.5\n"
+	if buf.String() != want {
+		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
+	}
+	if rs[0].Name != "net.latency.mean" {
+		t.Error("WritePrometheus reordered the caller's metrics")
+	}
+	if (*Registry)(nil).Snapshot() != nil || new(Registry).Snapshot() != nil {
+		t.Error("empty registry snapshot is not nil")
+	}
+}
+
+// Distinct registry names must never fold into the same Prometheus metric
+// name: "node0.cache.l1d" and "node0_cache.l1d" both sanitize to
+// "mermaid_node0_cache_l1d", and a scraper rejects an exposition with
+// duplicate names. Colliding groups get deterministic hash suffixes; names
+// without collisions keep the familiar dots-to-underscores form.
+func TestPromNamesCollisionFree(t *testing.T) {
+	names := []string{
+		"node0.cache.l1d",
+		"node0_cache.l1d",
+		"net.messages",
+	}
+	got := promNames(names)
+	if got[2] != "mermaid_net_messages" {
+		t.Errorf("uncontended name mangled: %q", got[2])
+	}
+	if got[0] == got[1] {
+		t.Fatalf("colliding names map to the same metric %q", got[0])
+	}
+	for i, n := range got {
+		if !strings.HasPrefix(n, "mermaid_node0_cache_l1d") && i < 2 {
+			t.Errorf("collider %q lost its sanitized stem: %q", names[i], n)
+		}
+		for _, r := range n {
+			legal := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') || (r >= '0' && r <= '9')
+			if !legal {
+				t.Errorf("illegal rune %q in prometheus name %q", r, n)
+			}
+		}
+	}
+	// The mapping is per-exposition but deterministic: the same input set
+	// must yield the same names on every scrape.
+	again := promNames(names)
+	for i := range got {
+		if got[i] != again[i] {
+			t.Errorf("promNames not deterministic: %q then %q", got[i], again[i])
+		}
 	}
 }

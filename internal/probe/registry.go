@@ -2,7 +2,10 @@ package probe
 
 import (
 	"fmt"
+	"hash/fnv"
 	"io"
+	"sort"
+	"strings"
 
 	"mermaid/internal/pearl"
 	"mermaid/internal/stats"
@@ -14,7 +17,7 @@ type Entry struct {
 	Name string
 	Unit string
 	Read func() float64
-	// Series collects the periodic samples when a sampler runs.
+	// Series collects the samples taken by Registry.Sample.
 	Series stats.Series
 }
 
@@ -26,8 +29,9 @@ type Entry struct {
 // Registration order is preserved; re-registering a name replaces its
 // reader, keeping the original position.
 type Registry struct {
-	entries []*Entry
-	index   map[string]int
+	entries  []*Entry
+	index    map[string]int
+	sampling bool // StartSampler has armed the run's sampling chain
 }
 
 // Gauge registers a metric read through fn.
@@ -85,7 +89,8 @@ func (r *Registry) Lookup(name string) *Entry {
 }
 
 // Sample appends the current value of every metric to its series, stamped
-// with virtual time at.
+// with virtual time at: the sampler consumer that keeps a full history, for
+// WriteCSV.
 func (r *Registry) Sample(at pearl.Time) {
 	if r == nil {
 		return
@@ -95,46 +100,69 @@ func (r *Registry) Sample(at pearl.Time) {
 	}
 }
 
-// StartSampler schedules a periodic virtual-time sample every `every`
-// cycles on kernel k. Like the machine monitor, the sampler stops itself
-// when its event is the only thing left on the schedule, so it never keeps
-// a finished simulation alive. Call before the simulation runs.
-func (r *Registry) StartSampler(k *pearl.Kernel, every pearl.Time) error {
+// StartSampler arms the run's one sampling chain on kernel k — a daemon event
+// at every, 2·every, … that calls each consumer with the tick's virtual time —
+// and returns the function that takes the end-of-run sample: call it once
+// after the run with the run's end time. However many consumers observe a
+// run (a CSV history via Sample, a live scope, a sparkline view), they share
+// this chain; a second StartSampler on the same registry is an error.
+//
+// Daemon events fire in (time, sequence) order while model work remains but
+// neither keep a run alive nor move its clock, and consumers only read, so a
+// sampled run ends at the same cycle with the same statistics as an unsampled
+// one. The one thing sampling changes is the kernel's event count: plus one
+// per tick fired.
+func (r *Registry) StartSampler(k *pearl.Kernel, every pearl.Time, consumers ...func(at pearl.Time)) (finish func(end pearl.Time), err error) {
 	if every <= 0 {
-		return fmt.Errorf("probe: sampling interval %d", every)
+		return nil, fmt.Errorf("probe: sampling interval %d", every)
 	}
-	if r == nil {
-		return nil
+	if r == nil || len(consumers) == 0 {
+		return func(pearl.Time) {}, nil // nothing to sample: no chain, no ticks
+	}
+	if r.sampling {
+		return nil, fmt.Errorf("probe: sampler already started")
+	}
+	r.sampling = true
+	sample := func(at pearl.Time) {
+		for _, c := range consumers {
+			c(at)
+		}
 	}
 	var tick func()
 	tick = func() {
-		if k.Idle() {
-			return
-		}
-		r.Sample(k.Now())
-		k.After(every, tick)
+		sample(k.Now())
+		k.AtDaemon(k.Now()+every, tick)
 	}
-	k.After(every, tick)
-	return nil
+	k.AtDaemon(k.Now()+every, tick)
+	return sample, nil
 }
 
-// Dump evaluates every metric now and returns them as one flat stats.Set
-// named "registry", in registration order — the stable-name counterpart of
-// the per-component Stats() trees.
+// Snapshot evaluates every metric now, in registration order, copying the
+// values out so that they can be served without touching the simulation
+// again; nil for an empty registry.
+func (r *Registry) Snapshot() []stats.Metric {
+	if r.Len() == 0 {
+		return nil
+	}
+	ms := make([]stats.Metric, len(r.entries))
+	for i, e := range r.entries {
+		ms[i] = stats.Metric{Name: e.Name, Value: e.Read(), Unit: e.Unit}
+	}
+	return ms
+}
+
+// Dump returns a Snapshot as one flat stats.Set named "registry" — the
+// stable-name counterpart of the per-component Stats() trees.
 func (r *Registry) Dump() *stats.Set {
 	if r == nil {
 		return nil
 	}
-	s := stats.NewSet("registry")
-	for _, e := range r.entries {
-		s.Put(e.Name, e.Read(), e.Unit)
-	}
-	return s
+	return &stats.Set{Name: "registry", Metrics: r.Snapshot()}
 }
 
 // WriteCSV exports the sampled series as CSV: a cycle column followed by
-// one column per registered metric. Without a sampler run it writes only
-// the header.
+// one column per registered metric, one row per Sample call. Without any it
+// writes only the header.
 func (r *Registry) WriteCSV(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -164,4 +192,62 @@ func (r *Registry) WriteCSV(w io.Writer) error {
 		tb.Row(row...)
 	}
 	return tb.RenderCSV(w)
+}
+
+// WritePrometheus renders metrics in Prometheus text exposition format,
+// sorted by name, every one a gauge under a collision-free mermaid_-prefixed
+// name. The slice is not modified.
+func WritePrometheus(w io.Writer, metrics []stats.Metric) error {
+	ms := append([]stats.Metric(nil), metrics...)
+	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
+	names := make([]string, len(ms))
+	for i := range ms {
+		names[i] = ms[i].Name
+	}
+	for i, n := range promNames(names) {
+		if ms[i].Unit != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s unit: %s\n", n, ms[i].Unit); err != nil {
+				return err
+			}
+		}
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %g\n", n, n, ms[i].Value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// promNames converts dotted registry metric names to Prometheus-legal,
+// mermaid_-prefixed ones. Alphanumerics pass through and every other rune
+// becomes '_' — familiar, but lossy: distinct registry names like
+// "node0.cache.l1d" and "node0_cache.l1d" would fold into one Prometheus
+// name, and scrapers reject expositions with duplicate metric names. Any
+// group of input names whose sanitized forms collide therefore gets a
+// disambiguating suffix — '_' plus the FNV-1a hash of the original name —
+// on every member, keeping the common case pretty and the mapping
+// deterministic and injective (up to FNV collisions within one group).
+func promNames(names []string) []string {
+	out := make([]string, len(names))
+	count := make(map[string]int, len(names))
+	for i, n := range names {
+		out[i] = sanitizeProm(n)
+		count[out[i]]++
+	}
+	for i, n := range names {
+		if count[out[i]] > 1 {
+			h := fnv.New32a()
+			io.WriteString(h, n) //nolint:errcheck // hash writes cannot fail
+			out[i] = fmt.Sprintf("%s_%08x", out[i], h.Sum32())
+		}
+	}
+	return out
+}
+
+func sanitizeProm(name string) string {
+	return "mermaid_" + strings.Map(func(r rune) rune {
+		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' {
+			return r
+		}
+		return '_'
+	}, name)
 }

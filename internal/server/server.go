@@ -334,12 +334,16 @@ func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resu
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
-	j.scope.Watch(m.Kernel(), pb.Registry(), s.cfg.SampleEvery)
+	k, reg := m.Kernel(), pb.Registry()
+	finish, err := reg.StartSampler(k, s.cfg.SampleEvery, func(pearl.Time) { j.scope.Sample(k, reg) })
+	if err != nil {
+		return resultcache.Entry{}, err
+	}
 	res, err := m.RunStochastic(desc)
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
-	j.scope.Sample(m.Kernel(), pb.Registry())
+	finish(res.Cycles)
 
 	var entry resultcache.Entry
 	var buf bytes.Buffer
@@ -692,7 +696,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // counters and job throughput gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	analysis.WriteRegistryMetrics(w, s.reg) //nolint:errcheck // best-effort over HTTP
+	probe.WritePrometheus(w, s.reg.Snapshot()) //nolint:errcheck // best-effort over HTTP
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

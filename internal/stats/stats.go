@@ -291,8 +291,14 @@ type Series struct {
 	V    []float64
 }
 
-// Append adds a sample at time t.
+// Append adds a sample at time t. A sample at the instant of the last one
+// replaces it, so a series holds one value per instant: an end-of-run sample
+// supersedes a periodic one that fired in the run's final cycle.
 func (s *Series) Append(t int64, v float64) {
+	if n := len(s.T); n > 0 && s.T[n-1] == t {
+		s.V[n-1] = v
+		return
+	}
 	s.T = append(s.T, t)
 	s.V = append(s.V, v)
 }

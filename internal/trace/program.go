@@ -366,16 +366,6 @@ func (t *Thread) ARecv(src int, tag uint32) *RecvHandle {
 	return &RecvHandle{t: t, id: h}
 }
 
-// ARecvAny posts an asynchronous receive from any source.
-func (t *Thread) ARecvAny(tag uint32) *RecvHandle {
-	h := t.nextHandle
-	t.nextHandle++
-	o := ops.NewARecv(ops.AnyPeer, tag)
-	o.Addr = h
-	t.emitGlobal(o, nil)
-	return &RecvHandle{t: t, id: h}
-}
-
 // RecvHandle is an outstanding asynchronous receive.
 type RecvHandle struct {
 	t    *Thread
