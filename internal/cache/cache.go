@@ -163,9 +163,23 @@ type Cache struct {
 	// It is kept only for sets wider than scanWays (nil otherwise), where a
 	// hashed lookup beats comparing tags way by way.
 	index map[uint64]int32
+	// order threads the valid lines of every set on a circular doubly linked
+	// list in replacement order, the next victim first: by last use under
+	// LRU, by load under FIFO. Entry i < len(sets) belongs to slot i, entry
+	// len(sets)+s is the sentinel of set s. Like the index it is kept only
+	// for sets wider than scanWays (and not under Random), where reading the
+	// sentinel replaces a scan of every way for the oldest clock. The two
+	// agree exactly: a victim is picked only in a full set, and every write
+	// of lastUse (loadedAt) gives one line a value no other holds and moves
+	// that line to the back.
+	order []link
 
 	S Stats
 }
+
+// link is one entry of Cache.order: the neighbours of a slot in its set's
+// replacement list, as indices into order.
+type link struct{ prev, next int32 }
 
 // scanWays is the widest set still searched by comparing tags way by way:
 // up to a cache line or two of tags, a scan is cheaper than hashing. The
@@ -197,8 +211,46 @@ func New(cfg Config, rng *pearl.RNG) (*Cache, error) {
 	c.valid = make([]int32, c.nsets)
 	if assoc > scanWays {
 		c.index = make(map[uint64]int32)
+		if cfg.Replacement != Random {
+			c.order = make([]link, lines+c.nsets)
+			c.resetOrder()
+		}
 	}
 	return c, nil
+}
+
+// resetOrder empties every set's replacement list.
+func (c *Cache) resetOrder() {
+	for i := len(c.sets); i < len(c.order); i++ {
+		c.order[i] = link{prev: int32(i), next: int32(i)}
+	}
+}
+
+// unlink takes slot i off its set's replacement list.
+func (c *Cache) unlink(i int) {
+	l := c.order[i]
+	c.order[l.prev].next = l.next
+	c.order[l.next].prev = l.prev
+}
+
+// pushBack makes slot i, which is on no list, the last victim of its set.
+func (c *Cache) pushBack(i int) {
+	end := int32(len(c.sets) + i/c.assoc)
+	last := c.order[end].prev
+	c.order[i] = link{prev: last, next: end}
+	c.order[last].next = int32(i)
+	c.order[end].prev = int32(i)
+}
+
+// used records a use of the valid line in slot i: it stamps the LRU clock
+// and, under LRU, moves the line to the back of the replacement list —
+// where the line used last already is.
+func (c *Cache) used(i int) {
+	c.sets[i].lastUse = c.clock
+	if c.order != nil && c.cfg.Replacement == LRU && int(c.order[i].next) < len(c.sets) {
+		c.unlink(i)
+		c.pushBack(i)
+	}
 }
 
 // MustNew is New for known-good configs (presets, tests).
@@ -247,7 +299,7 @@ func (c *Cache) Lookup(la uint64) *State {
 		return nil
 	}
 	c.clock++
-	c.sets[i].lastUse = c.clock
+	c.used(i)
 	return &c.sets[i].state
 }
 
@@ -276,7 +328,7 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 	c.clock++
 	if i := c.find(la); i >= 0 {
 		c.sets[i].state = st
-		c.sets[i].lastUse = c.clock
+		c.used(i)
 		return Victim{}, false
 	}
 	setIdx := int(la & c.setMask)
@@ -286,7 +338,12 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 	var way int
 	evict := int(c.valid[setIdx]) == c.assoc
 	if evict {
-		way = c.pickVictim(set)
+		if c.order != nil {
+			way = int(c.order[len(c.sets)+setIdx].next) - base
+			c.unlink(base + way)
+		} else {
+			way = c.pickVictim(set)
+		}
 		v = Victim{LineAddr: set[way].tag, State: set[way].state}
 		c.S.Evictions.Inc()
 		if v.State == Modified {
@@ -305,9 +362,13 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 	if c.index != nil {
 		c.index[la] = int32(base + way)
 	}
+	if c.order != nil {
+		c.pushBack(base + way)
+	}
 	return v, evict
 }
 
+// pickVictim scans a full set for the way to replace.
 func (c *Cache) pickVictim(set []line) int {
 	switch c.cfg.Replacement {
 	case FIFO:
@@ -346,6 +407,9 @@ func (c *Cache) Invalidate(la uint64) (State, bool) {
 	if c.index != nil {
 		delete(c.index, la)
 	}
+	if c.order != nil {
+		c.unlink(i)
+	}
 	return st, true
 }
 
@@ -373,6 +437,7 @@ func (c *Cache) Flush() (dirty int) {
 	}
 	clear(c.valid)
 	clear(c.index)
+	c.resetOrder()
 	return dirty
 }
 
@@ -389,7 +454,8 @@ func (c *Cache) Occupancy() int {
 
 // FootprintBytes returns the host-side bookkeeping cost of the cache — a
 // handful of words per line, independent of the simulated line size, because
-// only tags and state are stored (paper §6).
+// only tags and state are stored (paper §6). It prices the line array alone,
+// not the lookup aids wide sets add (index, order).
 func (c *Cache) FootprintBytes() int {
 	return len(c.sets) * 32
 }

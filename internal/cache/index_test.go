@@ -132,19 +132,51 @@ func (r *refCache) flush() (dirty int) {
 	return dirty
 }
 
+// checkOrder holds the replacement lists of wide sets to the lines: each
+// set's list threads exactly its valid lines, oldest clock first, so its head
+// is the way the reference's scan would pick.
+func checkOrder(t *testing.T, c *Cache, op int) {
+	t.Helper()
+	for set := 0; set < c.nsets; set++ {
+		end := int32(len(c.sets) + set)
+		n, last, prev := 0, uint64(0), end
+		for i := c.order[end].next; i != end; i = c.order[i].next {
+			ln := c.sets[i]
+			key := ln.lastUse
+			if c.cfg.Replacement == FIFO {
+				key = ln.loadedAt
+			}
+			if int(i)/c.assoc != set || ln.state == Invalid || key <= last || c.order[i].prev != prev {
+				t.Fatalf("op %d, set %d: list entry %d (%+v, links %+v) after clock %d and entry %d", op, set, i, ln, c.order[i], last, prev)
+			}
+			n, last, prev = n+1, key, i
+		}
+		if n != int(c.valid[set]) || c.order[end].prev != prev {
+			t.Fatalf("op %d, set %d: list threads %d lines and ends at %d, set holds %d and the sentinel says %d", op, set, n, prev, c.valid[set], c.order[end].prev)
+		}
+	}
+}
+
 // TestIndexedMatchesLinearScan drives the cache and the reference with the
 // same random operation stream, on both sides of scanWays, and compares
-// every return value as it goes and the whole line array at the end.
+// every return value as it goes and the whole line array at the end. Sets
+// wider than scanWays take their victims from a replacement list, not from a
+// scan: Lookup, Insert over a present line, SetState, Invalidate and Flush
+// all land between two evictions of the same set, and the list is checked
+// against the lines throughout.
 func TestIndexedMatchesLinearScan(t *testing.T) {
 	const lines = 512
 	states := []State{Shared, Exclusive, Modified}
 	for _, repl := range []Replacement{LRU, FIFO, Random} {
-		for _, assoc := range []int{1, 8, 256} {
+		for _, assoc := range []int{1, 8, 16, 64, 256} {
 			t.Run(fmt.Sprintf("%s/%d-way", repl, assoc), func(t *testing.T) {
 				cfg := Config{Name: "t", Size: lines * 16, LineSize: 16, Assoc: assoc, Replacement: repl}
 				c := MustNew(cfg, pearl.NewRNG(99))
 				if (c.index != nil) != (assoc > scanWays) {
 					t.Fatalf("index present: %v at %d ways (scanWays %d)", c.index != nil, assoc, scanWays)
+				}
+				if (c.order != nil) != (assoc > scanWays && repl != Random) {
+					t.Fatalf("replacement list present: %v at %d ways, %s", c.order != nil, assoc, repl)
 				}
 				ref := newRef(c, pearl.NewRNG(99))
 				r := pearl.NewRNG(uint64(assoc)*10 + uint64(repl))
@@ -152,6 +184,9 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 				// through Invalidate — regain free ways below valid ones.
 				addr := func() uint64 { return uint64(r.Intn(2 * lines)) }
 				for op := 0; op < 60000; op++ {
+					if c.order != nil && op%500 == 0 {
+						checkOrder(t, c, op)
+					}
 					la := addr()
 					what := r.Intn(100)
 					switch {
@@ -225,6 +260,9 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 				}
 				if c.index != nil && len(c.index) != occ {
 					t.Errorf("index holds %d lines, cache %d", len(c.index), occ)
+				}
+				if c.order != nil {
+					checkOrder(t, c, -1)
 				}
 			})
 		}

@@ -16,12 +16,12 @@ import (
 
 // A run must not outlive itself: processes that never terminate by design
 // (DSM managers, store-buffer drains) and processes an aborted run leaves
-// blocked are goroutines, each holding its whole machine alive, until
-// Machine.Run closes the kernels behind it.
+// blocked are coroutines — goroutines to the runtime —, each holding its
+// whole machine alive, until Machine.Run closes the kernels behind it.
 
-// settled waits for the goroutine count to return to base; a reaped
-// goroutine has acknowledged before Run returns but may still be on the
-// scheduler's books for a moment.
+// settled waits for the goroutine count to return to base: the kernels'
+// workers are gone when Run returns, but a reaped generator goroutine may
+// still be on the scheduler's books for a moment.
 func settled(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -60,10 +60,10 @@ const ConfigVersion = 2
 // Engine selects the task-level execution engine.
 //
 // The process engine runs one simulation process per node — fully featured
-// (timeline probes, bottleneck collector) but with per-node goroutine cost.
+// (timeline probes, bottleneck collector) but with per-node coroutine cost.
 // The compact engine steps a flat struct-of-arrays node state machine with
 // plain kernel events: byte-identical reports, two orders of magnitude less
-// memory per node, no scheduler handoffs — the only way to 10^5..10^6-node
+// memory per node, no process hand-offs — the only way to 10^5..10^6-node
 // machines. EngineAuto (or empty) picks compact for large task-level machines
 // when no process-level instrumentation is attached.
 const (
@@ -555,7 +555,7 @@ func (e *DeadlockError) Error() string {
 // completion, returning the measured result. A machine runs once: its
 // kernels are closed behind the run, so that the processes that never end —
 // DSM managers, store-buffer drains, whatever a deadlocked or panicking run
-// leaves blocked — do not outlive it as goroutines pinning the whole model.
+// leaves blocked — do not outlive it as coroutines pinning the whole model.
 func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("machine: already run; build a new machine for another run")

@@ -7,10 +7,20 @@ import (
 )
 
 // The switch budgets gate what the wall clock cannot on a noisy runner: how
-// many times a run hands the baton from one goroutine to another
+// many times a run hands the baton from one stack to another
 // (pearl.Kernel.Switches — exact and seed-determined, like the event count).
 // Before the baton-passing kernel every process activation cost two
 // transfers, so both ratios below were about 2.
+//
+// The counts themselves are pinned too. They are properties of the models
+// and the event order, not of the mechanism that carries the baton: the
+// values below were printed by the channel-baton kernel (PR 19) and are
+// unchanged under coroutine workers. A change that moves one has changed
+// what runs when; if that is intended, re-pin it and say why.
+const (
+	ppc601Events, ppc601Switches     = 47142, 2
+	t805GridEvents, t805GridSwitches = 534671, 285317
+)
 
 // runSwitches runs the description and returns the kernel's event and
 // switch counts.
@@ -43,6 +53,9 @@ func TestSwitchBudgetSingleNode(t *testing.T) {
 	if switches > events/50 {
 		t.Errorf("%d switches for %d events; want at most events/50", switches, events)
 	}
+	if events != ppc601Events || switches != ppc601Switches {
+		t.Errorf("%d events, %d switches; pinned %d, %d", events, switches, ppc601Events, ppc601Switches)
+	}
 }
 
 // Sixteen interleaved transputers (the benchmark's detailed-t805 request):
@@ -60,5 +73,8 @@ func TestSwitchBudgetT805Grid(t *testing.T) {
 	t.Logf("t805 4x4: %d events, %d switches (%.2f per event)", events, switches, float64(switches)/float64(events))
 	if limit := events * 65 / 100; switches > limit {
 		t.Errorf("%d switches for %d events; want at most 0.65 per event (%d)", switches, events, limit)
+	}
+	if events != t805GridEvents || switches != t805GridSwitches {
+		t.Errorf("%d events, %d switches; pinned %d, %d", events, switches, t805GridEvents, t805GridSwitches)
 	}
 }

@@ -17,12 +17,12 @@ import (
 )
 
 // CompactNet is the struct-of-arrays task-level engine: the same machine
-// model as Network + Processor per node, but with the per-node goroutine
+// model as Network + Processor per node, but with the per-node coroutine
 // processes replaced by a flat array of small state machines driven by plain
 // kernel events. One bound closure per node and one pooled record per packet
-// in flight replace the O(N) goroutine stacks, futures and named resources of
+// in flight replace the O(N) coroutine stacks, futures and named resources of
 // the process engine, cutting memory per node by two orders of magnitude and
-// removing all scheduler handoffs — which is what makes 10^5..10^6-node
+// removing all process hand-offs — which is what makes 10^5..10^6-node
 // task-level machines tractable.
 //
 // Equivalence contract: the compact engine is a continuation-passing

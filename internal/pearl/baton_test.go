@@ -170,9 +170,9 @@ func TestBlockedAfterRelayedDeadlock(t *testing.T) {
 	}
 }
 
-// settle waits for the goroutine count to come down to want: a reaped
-// goroutine has acknowledged before Close returns, but may not have left
-// the scheduler's books yet.
+// settle waits for the goroutine count to come down to want: Close ends its
+// workers before it returns, but goroutines of earlier tests (shard workers)
+// may not have left the scheduler's books yet.
 func settle(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -207,12 +207,17 @@ func TestCloseReapsParkedProcesses(t *testing.T) {
 	spawn("stuck", func(p *Process) { p.Await(k.NewFuture()) })
 	k.SpawnAt(1000, "late", func(p *Process) { t.Error("a process first activated after the run was stopped ran") })
 	k.RunUntil(500)
-	if got := runtime.NumGoroutine(); got < base+3 {
-		t.Fatalf("%d goroutines with three processes parked, baseline %d", got, base)
-	}
+	// Three workers: server's and stuck's, parked mid-body, and the idle one
+	// client ran on; late was never activated and has none. A stopped worker
+	// is gone when Close returns, so the count drops by three at once
+	// (goroutines left behind by earlier tests can only lower it further).
+	parked := runtime.NumGoroutine()
 	events := k.EventCount()
 	k.Close()
 	k.Close() // idempotent
+	if got := runtime.NumGoroutine(); got > parked-3 {
+		t.Fatalf("%d goroutines after Close, %d before: want three workers gone", got, parked)
+	}
 	settle(t, base)
 	// Deferred calls of the unwound bodies ran, one process at a time (the
 	// unsynchronised appends above are the race detector's business), and

@@ -71,6 +71,54 @@ func BenchmarkMailboxPingPong(b *testing.B) {
 	k.Run()
 }
 
+// BenchmarkPingPong prices the hand-off between two processes and nothing
+// else: one pre-boxed token bounced through two mailboxes, every Receive a
+// park, b.N messages. Beside BenchmarkProcessHandoff (an own hold expiring:
+// no switch) it reads as the cost of moving the baton to another process.
+func BenchmarkPingPong(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	there, back := k.NewMailbox("there"), k.NewMailbox("back")
+	var token any = "token"
+	k.Spawn("ping", func(p *Process) {
+		for i := 0; i < b.N; i += 2 {
+			there.Send(token)
+			p.Receive(back)
+		}
+	})
+	k.Spawn("pong", func(p *Process) {
+		for {
+			back.Send(p.Receive(there))
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
+// BenchmarkSpawnChurn prices a short-lived process from Spawn to the end of
+// its body — what the task-level network pays per packet: eight alive at a
+// time, each holding once and spawning its successor.
+func BenchmarkSpawnChurn(b *testing.B) {
+	k := NewKernel()
+	defer k.Close()
+	spawned := 0
+	var body func(p *Process)
+	body = func(p *Process) {
+		p.Hold(1)
+		if spawned < b.N {
+			spawned++
+			k.Spawn("short", body)
+		}
+	}
+	for ; spawned < 8 && spawned < b.N; spawned++ {
+		k.Spawn("short", body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}
+
 func BenchmarkResourceAcquireRelease(b *testing.B) {
 	k := NewKernel()
 	r := k.NewResource("r", 1)

@@ -7,9 +7,12 @@ import (
 )
 
 // HoldWhile is specified as a literal loop of Holds whose step function may
-// run on any goroutine. This file holds it to that: seeded random programs
+// run on any stack. This file holds it to that: seeded random programs
 // are built twice — once on HoldWhile, once on the loop written out below —
-// and must be indistinguishable in everything virtual time can show.
+// and must be indistinguishable in everything virtual time can show. The
+// programs spawn short-lived children as they go, from bodies and from
+// steps, so the two builds — which switch at different points — also hand
+// their processes to pooled workers in different orders.
 
 // literalHoldWhile is the specification of Process.HoldWhile.
 func literalHoldWhile(p *Process, step func() (Time, bool)) {
@@ -37,6 +40,7 @@ const (
 	opAfter                  // After(d) callback that logs and sends to inbox idx
 	opDaemon                 // AtDaemon(now+d) callback that logs
 	opStop                   // Kernel.Stop
+	opSpawn                  // spawn a child that runs a chain, holds d and ends
 	numPropOps
 )
 
@@ -45,7 +49,7 @@ const (
 // and the hold that follows it.
 type propLink struct {
 	d    Time
-	side propOp // opHold (none), opSend, opAfter, opComplete or opStop
+	side propOp // opHold (none), opSend, opAfter, opComplete, opStop or opSpawn
 	idx  int
 }
 
@@ -99,6 +103,8 @@ func genSpec(seed uint64, shards int) propSpec {
 			if r.Intn(4) == 0 {
 				l.side = opStop
 			}
+		case 4:
+			l.side = opSpawn // from kernel context, after the first step
 		}
 		return l
 	}
@@ -137,6 +143,8 @@ func genSpec(seed uint64, shards int) propSpec {
 					act.op = opChain
 					act.links = chain(ps.shard)
 				}
+			case opSpawn:
+				act.links = chain(ps.shard)
 			}
 			ps.acts = append(ps.acts, act)
 		}
@@ -171,6 +179,11 @@ type propShard struct {
 	spans []propSpan
 	res   []*Resource
 	fut   []*Future
+
+	// Not part of the outcome: how many bodies started, and on how many
+	// distinct coroutines.
+	bodies int
+	stacks map[string]bool
 }
 
 func (s *propShard) ProcessSpan(p *Process, from, to Time, reason string) {
@@ -198,7 +211,7 @@ func build(spec propSpec, sharded, holdWhile bool) *propWorld {
 		w.g = NewShardGroup(n, spec.lookahead)
 	}
 	for i := 0; i < n; i++ {
-		s := &propShard{k: NewKernel()}
+		s := &propShard{k: NewKernel(), stacks: make(map[string]bool)}
 		if sharded {
 			s.k = w.g.Kernel(i)
 		}
@@ -215,7 +228,7 @@ func build(spec propSpec, sharded, holdWhile bool) *propWorld {
 		w.inbox = append(w.inbox, w.shardOf(i).k.NewMailbox(fmt.Sprintf("inbox%d", i)))
 	}
 	for i, ps := range spec.procs {
-		w.shardOf(i).k.SpawnAt(ps.startAt, fmt.Sprintf("p%d", i), w.body(i, ps, holdWhile))
+		w.shardOf(i).k.SpawnAt(ps.startAt, fmt.Sprintf("p%d", i), w.body(i, ps.acts, holdWhile))
 	}
 	return w
 }
@@ -260,10 +273,17 @@ func (w *propWorld) effect(who int, op propOp, idx int, d Time) {
 		s.fut[idx].CompleteAfter(d, who)
 	case opStop:
 		s.k.Stop()
+	case opSpawn:
+		// A child of a chain link only holds; one spawned by an action runs
+		// a chain of its own first (body, below).
+		s.k.Spawn(fmt.Sprintf("p%d.link", who), w.body(who, []propAct{{op: opHold, d: d}}, false))
 	}
 }
 
-func (w *propWorld) body(who int, ps propProc, holdWhile bool) func(*Process) {
+// body is the script acts as a process body. A spawned child runs its
+// script under its parent's identity who — same shard, same inbox, same
+// cross-shard send sequence.
+func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process) {
 	s := w.shardOf(who)
 	holdChain := func(p *Process, links []propLink) {
 		i := 0
@@ -284,7 +304,9 @@ func (w *propWorld) body(who int, ps propProc, holdWhile bool) func(*Process) {
 		}
 	}
 	return func(p *Process) {
-		for i, a := range ps.acts {
+		s.bodies++
+		s.stacks[goid()] = true
+		for i, a := range acts {
 			switch a.op {
 			case opHold:
 				p.Hold(a.d)
@@ -302,10 +324,13 @@ func (w *propWorld) body(who int, ps propProc, holdWhile bool) func(*Process) {
 				s.res[a.idx].Release()
 			case opAwait:
 				p.Await(s.fut[a.idx])
+			case opSpawn:
+				child := []propAct{{op: opChain, links: a.links}, {op: opHold, d: a.d}}
+				s.k.Spawn(fmt.Sprintf("p%d.%d", who, i), w.body(who, child, holdWhile))
 			default:
 				w.effect(who, a.op, a.idx, a.d)
 			}
-			s.note(who, fmt.Sprintf("act %d", i))
+			s.note(who, fmt.Sprintf("%s act %d", p.Name(), i))
 		}
 	}
 }
@@ -371,6 +396,7 @@ func TestHoldWhileEquivalence(t *testing.T) {
 		seeds = 60
 	}
 	var chains, switchesLoop, switchesChain uint64
+	var bodies, stacks int
 	for name, drive := range propDrivers() {
 		for _, shards := range []int{1, 2} {
 			sharded := name == "ShardGroup"
@@ -385,6 +411,8 @@ func TestHoldWhileEquivalence(t *testing.T) {
 					drive(t, w)
 					got[i] = w.outcome()
 					for _, s := range w.shards {
+						bodies += s.bodies
+						stacks += len(s.stacks)
 						if holdWhile {
 							switchesChain += s.k.Switches()
 						} else {
@@ -414,7 +442,12 @@ func TestHoldWhileEquivalence(t *testing.T) {
 	if switchesChain >= switchesLoop {
 		t.Errorf("HoldWhile programs switched %d times, literal loops %d; want fewer", switchesChain, switchesLoop)
 	}
-	t.Logf("%d chain steps; %d switches with literal loops, %d with HoldWhile", chains, switchesLoop, switchesChain)
+	// ... and must churn: bodies that run on a worker an earlier one left.
+	if bodies-stacks < 1000 {
+		t.Errorf("%d bodies ran on %d coroutines; the generator is not exercising worker reuse", bodies, stacks)
+	}
+	t.Logf("%d chain steps; %d switches with literal loops, %d with HoldWhile; %d bodies on %d coroutines",
+		chains, switchesLoop, switchesChain, bodies, stacks)
 }
 
 func TestAllocFreeHoldWhile(t *testing.T) {

@@ -6,7 +6,7 @@
 // time, with both synchronous (call/reply) and asynchronous message passing.
 //
 // The kernel is strictly deterministic: events at equal virtual times fire in
-// schedule order, and at most one process goroutine runs at any moment. Given
+// schedule order, and at most one process runs at any moment. Given
 // identical inputs, a simulation produces identical traces and statistics,
 // which the trace-validity guarantees of the environment rely on.
 //
@@ -18,15 +18,19 @@
 // through a FIFO run queue, so zero-delay cascades (mailbox handoffs, bus
 // grants) cost no heap reordering at all.
 //
-// There is no kernel goroutine. The event loop runs on whichever goroutine
-// holds the baton: the one that called Run, or a process goroutine that has
-// just blocked and fires events itself until the next process activation
+// There is no kernel goroutine and no scheduler in the loop. Process bodies
+// run on pooled coroutines (iter.Pull workers, see worker) that the goroutine
+// calling Run switches into and that switch back to it: a direct transfer of
+// control, never a wake-up through the Go scheduler. The event loop runs on
+// whichever stack holds the baton: the caller's, or that of a process that
+// has just blocked and fires events itself until the next process activation
 // (see dispatch and Process.block). A process whose own hold expires next
-// resumes without any goroutine switch.
+// resumes without any switch.
 package pearl
 
 import (
 	"fmt"
+	"iter"
 )
 
 // Time is virtual simulation time, measured in cycles of the simulated
@@ -166,23 +170,25 @@ type Kernel struct {
 	// loop (an event callback, a HoldWhile step) is: kernel context.
 	current *Process
 
-	// The baton: exactly one goroutine runs kernel or model code at a time.
-	// mode and bound are the stop condition of the drive in progress, read
-	// by whichever goroutine runs the loop. home returns the baton to the
-	// goroutine that called Run/RunUntil/RunWindow — at a stop condition, or
-	// with a panic to raise there: crashed is the process whose body
-	// panicked, fault the value a callback panicked with while a process
-	// goroutine ran the loop. switches counts baton transfers.
+	// The baton: exactly one stack runs kernel or model code at a time. mode
+	// and bound are the stop condition of the drive in progress, read by
+	// whichever stack runs the loop. A worker that gives the baton up yields
+	// home, to drive on the goroutine that called Run/RunUntil/RunWindow,
+	// leaving in pending the process its loop activated — nil at a stop
+	// condition, or with a panic to raise there: crashed is the process whose
+	// body panicked, fault the value a callback panicked with while a worker
+	// ran the loop. switches counts baton transfers.
 	mode     driveMode
 	bound    Time
-	home     chan struct{}
+	pending  *Process
 	crashed  *Process
 	fault    any
 	switches uint64
 
-	// closed is set by Close; reaped acknowledges each goroutine it unwinds.
+	// idle holds the workers whose last body has ended, for the next first
+	// activation to reuse; closed is set by Close.
+	idle   []*worker
 	closed bool
-	reaped chan struct{}
 
 	eventCount  uint64
 	daemonFired uint64 // daemon events actually executed
@@ -218,9 +224,7 @@ func (ts Tracers) ProcessSpan(p *Process, from, to Time, reason string) {
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
-func NewKernel() *Kernel {
-	return &Kernel{home: make(chan struct{}, 1), reaped: make(chan struct{})}
-}
+func NewKernel() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -229,11 +233,12 @@ func (k *Kernel) Now() Time { return k.now }
 // progress and cost metric. Cancelled events are never executed or counted.
 func (k *Kernel) EventCount() uint64 { return k.eventCount }
 
-// Switches returns the number of goroutine hand-offs performed so far: every
-// transfer of the baton from the running goroutine to another (caller to
-// process, process to process, process back to the caller). Like EventCount
-// it is exact and seed-determined; a process resuming from its own hold, a
-// HoldWhile step and every callback cost none.
+// Switches returns the number of hand-offs performed so far: every transfer
+// of the baton from the running stack to another (caller to process, process
+// back to the caller, and process to process, which is relayed through the
+// caller and counts once). Like EventCount it is exact and seed-determined; a
+// process resuming from its own hold, a HoldWhile step and every callback
+// cost none.
 func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule allocates a slot for an event at absolute time t and queues it.
@@ -462,7 +467,7 @@ func (k *Kernel) fire(idx int32, fromRunq bool) *Process {
 	return nil
 }
 
-// dispatch runs the event loop on the calling goroutine, which must hold the
+// dispatch runs the event loop on the calling stack, which must hold the
 // baton with no process running. It fires events in strict (time, seq) order
 // until one activates a process, which it returns, or until the stop
 // condition of the drive in progress holds, when it returns nil.
@@ -499,12 +504,51 @@ func (k *Kernel) dispatch() *Process {
 	}
 }
 
+// worker is a coroutine that runs process bodies, one after another: a
+// process gets one at its first activation and returns it to Kernel.idle when
+// its body ends, so short-lived processes run on a stack that has already
+// grown. drive switches into a worker with next; the worker switches back
+// with yield. Both are direct switches between two goroutines that never pass
+// through the scheduler's run queues (iter.Pull).
+type worker struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+}
+
+// worker returns an idle worker, or a new one. Either runs the body of the
+// process that has just been activated (k.current) when next switches to it.
+func (k *Kernel) worker() *worker {
+	if n := len(k.idle); n > 0 {
+		w := k.idle[n-1]
+		k.idle[n-1] = nil
+		k.idle = k.idle[:n-1]
+		return w
+	}
+	w := &worker{}
+	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
+		w.yield = yield
+		for {
+			k.current.run()
+			if k.closed {
+				return
+			}
+			k.idle = append(k.idle, w)
+			if !yield(struct{}{}) {
+				return
+			}
+		}
+	})
+	return w
+}
+
 // drive is the caller's side of a run: it dispatches on the calling
-// goroutine and, whenever an event activates a process, passes that process
-// the baton and waits for it to come home. The baton comes home when a
-// process goroutine running the loop meets the stop condition — dispatch
-// then confirms it here and drive returns — or with a panic, which is raised
-// (or given to OnPanic) here, on the goroutine that called Run.
+// goroutine and, whenever an event activates a process, switches to that
+// process's worker and waits for the baton to come home. It comes home in
+// one of three ways: with another process pending, which drive switches to in
+// turn; with none, when a worker running the loop has met the stop condition
+// — dispatch confirms it here and drive returns; or with a panic, which is
+// raised (or given to OnPanic) here, on the goroutine that called Run.
 func (k *Kernel) drive(mode driveMode, bound Time) {
 	if k.closed {
 		panic("pearl: running a closed kernel")
@@ -516,45 +560,47 @@ func (k *Kernel) drive(mode driveMode, bound Time) {
 			return
 		}
 		k.switches++
-		p.resume <- struct{}{}
-		<-k.home
-		if v := k.fault; v != nil {
-			k.fault = nil
-			panic(v)
-		}
-		if c := k.crashed; c != nil {
-			k.crashed = nil
-			if c.OnPanic == nil {
-				panic(fmt.Sprintf("pearl: %v panicked: %v", c, c.panicVal))
+		for p != nil {
+			if p.w == nil {
+				p.w = k.worker()
 			}
-			c.OnPanic(c.panicVal)
+			p.w.next()
+			if v := k.fault; v != nil {
+				k.fault = nil
+				panic(v)
+			}
+			if c := k.crashed; c != nil {
+				k.crashed = nil
+				if c.OnPanic == nil {
+					panic(fmt.Sprintf("pearl: %v panicked: %v", c, c.panicVal))
+				}
+				c.OnPanic(c.panicVal)
+			}
+			p, k.pending = k.pending, nil
 		}
 	}
 }
 
-// relay is the process side: self's goroutine holds the baton and has just
+// relay is the process side: self's worker holds the baton and has just
 // stopped running its body (blocked or terminated), so it runs the event
 // loop itself until the baton moves. It reports true when the next
-// activation is self's own — no goroutine switch at all; otherwise it has
-// passed the baton to the activated process, or home, and returns false.
+// activation is self's own — no switch at all; otherwise it has left the
+// activated process, or nil, in pending for drive, and the caller must yield.
 func (k *Kernel) relay(self *Process) bool {
 	next := k.dispatchRecover()
 	if next == self {
 		return true
 	}
 	k.switches++
-	if next != nil {
-		next.resume <- struct{}{}
-	} else {
-		k.home <- struct{}{}
-	}
+	k.pending = next
 	return false
 }
 
-// dispatchRecover is dispatch for a process goroutine: a panic in kernel
-// context (a callback, a HoldWhile step) must surface on the goroutine that
-// called Run, not kill this one, so it is parked in fault and the baton sent
-// home as if the run had stopped. The process stays blocked and intact.
+// dispatchRecover is dispatch for a worker: a panic in kernel context (a
+// callback, a HoldWhile step) must surface on the goroutine that called Run
+// and must not unwind the body that happens to be underneath, so it is parked
+// in fault and the baton sent home as if the run had stopped. The process
+// stays blocked and intact.
 func (k *Kernel) dispatchRecover() (p *Process) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -587,13 +633,17 @@ func (k *Kernel) RunUntil(t Time) Time {
 	return k.now
 }
 
-// Close ends the kernel's life: it unwinds the goroutine of every process
-// that has not terminated — servers that loop forever, processes a
-// deadlocked or aborted run left blocked — so that neither they nor the
-// model they reference outlive the run. Each is unwound with runtime.Goexit
-// from where it is parked: its deferred calls run, one process at a time,
-// and nothing else of kernel or model state is touched, so clocks, counters,
-// Blocked and BlockReason still read as the run left them. Close is
+// Close ends the kernel's life: it unwinds the body of every process that
+// has started and not terminated — servers that loop forever, processes a
+// deadlocked or aborted run left blocked — and ends every worker, so that
+// neither they nor the model they reference outlive the run. Each body is
+// unwound from where it is parked by a panic that Process.exit recovers (a
+// goroutine exit would not stop at the coroutine: it propagates to whoever
+// resumed it, here Close's caller): its deferred calls run, one process at a
+// time, and nothing else of kernel or model state is touched, so clocks,
+// counters, Blocked and BlockReason still read as the run left them. A
+// process never activated has no worker and runs nothing. A kernel that has
+// run processes holds its idle workers until it is closed. Close is
 // idempotent. It must be called from the goroutine driving the kernel,
 // between runs; a closed kernel can be neither run nor spawned on.
 func (k *Kernel) Close() {
@@ -602,11 +652,14 @@ func (k *Kernel) Close() {
 	}
 	k.closed = true
 	for _, p := range k.procs {
-		if !p.terminated {
-			close(p.resume)
-			<-k.reaped
+		if !p.terminated && p.w != nil {
+			p.w.stop()
 		}
 	}
+	for _, w := range k.idle {
+		w.stop()
+	}
+	k.idle = nil
 }
 
 // Blocked returns the processes that are alive but have no pending event to

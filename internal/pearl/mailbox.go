@@ -10,8 +10,9 @@ import "fmt"
 type Mailbox struct {
 	k       *Kernel
 	name    string
-	q       []any
-	waiters []*Process
+	reason  string // block reason of a receiver, built once
+	q       fifo[any]
+	waiters fifo[*Process]
 
 	// stats
 	sent     uint64
@@ -21,14 +22,14 @@ type Mailbox struct {
 
 // NewMailbox creates an empty mailbox.
 func (k *Kernel) NewMailbox(name string) *Mailbox {
-	return &Mailbox{k: k, name: name}
+	return &Mailbox{k: k, name: name, reason: "receive " + name}
 }
 
 // Name returns the mailbox name.
 func (mb *Mailbox) Name() string { return mb.name }
 
 // Len returns the number of queued messages.
-func (mb *Mailbox) Len() int { return len(mb.q) }
+func (mb *Mailbox) Len() int { return mb.q.len() }
 
 // Sent and Received return lifetime message counters; MaxDepth the high-water
 // queue depth. Useful for model statistics.
@@ -52,19 +53,18 @@ func (mb *Mailbox) SendAfter(d Time, msg any) {
 }
 
 func (mb *Mailbox) deliver(msg any) {
-	mb.q = append(mb.q, msg)
+	mb.q.push(msg)
 	mb.sent++
-	if len(mb.q) > mb.maxDepth {
-		mb.maxDepth = len(mb.q)
+	if n := mb.q.len(); n > mb.maxDepth {
+		mb.maxDepth = n
 	}
 	mb.wakeOne()
 }
 
 // wakeOne pops one waiter, if any, and schedules it to resume.
 func (mb *Mailbox) wakeOne() {
-	for len(mb.waiters) > 0 {
-		w := mb.waiters[0]
-		mb.waiters = mb.waiters[1:]
+	for mb.waiters.len() > 0 {
+		w := mb.waiters.pop()
 		if w.terminated {
 			continue
 		}
@@ -73,26 +73,15 @@ func (mb *Mailbox) wakeOne() {
 	}
 }
 
-func (mb *Mailbox) removeWaiter(p *Process) {
-	for i, w := range mb.waiters {
-		if w == p {
-			mb.waiters = append(mb.waiters[:i], mb.waiters[i+1:]...)
-			return
-		}
-	}
-}
-
 // TryReceive dequeues the head message without blocking. It reports false if
 // the mailbox is empty. May be called from event callbacks as well as
 // processes.
 func (mb *Mailbox) TryReceive() (any, bool) {
-	if len(mb.q) == 0 {
+	if mb.q.len() == 0 {
 		return nil, false
 	}
-	msg := mb.q[0]
-	mb.q = mb.q[1:]
 	mb.received++
-	return msg, true
+	return mb.q.pop(), true
 }
 
 // Receive blocks the process until a message is available and dequeues it.
@@ -101,13 +90,13 @@ func (p *Process) Receive(mb *Mailbox) any {
 		if msg, ok := mb.TryReceive(); ok {
 			// Cascade: if more messages and more waiters remain, keep the
 			// pipeline moving so no wakeup is lost.
-			if len(mb.q) > 0 {
+			if mb.q.len() > 0 {
 				mb.wakeOne()
 			}
 			return msg
 		}
-		mb.waiters = append(mb.waiters, p)
-		p.park("receive " + mb.name)
+		mb.waiters.push(p)
+		p.park(mb.reason)
 	}
 }
 
@@ -121,18 +110,18 @@ func (p *Process) ReceiveAny(mbs ...*Mailbox) (int, any) {
 	for {
 		for i, mb := range mbs {
 			if msg, ok := mb.TryReceive(); ok {
-				if len(mb.q) > 0 {
+				if mb.q.len() > 0 {
 					mb.wakeOne()
 				}
 				return i, msg
 			}
 		}
 		for _, mb := range mbs {
-			mb.waiters = append(mb.waiters, p)
+			mb.waiters.push(p)
 		}
 		p.park(fmt.Sprintf("receive-any (%d mailboxes)", len(mbs)))
 		for _, mb := range mbs {
-			mb.removeWaiter(p)
+			mb.waiters.remove(p)
 		}
 	}
 }

@@ -1,11 +1,8 @@
 package pearl
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
-// Process is a simulation process: a goroutine whose execution is
+// Process is a simulation process: a coroutine whose execution is
 // interleaved with virtual time under strict kernel control. Model code
 // inside a process body is written in a blocking style (Hold, Receive,
 // Acquire, Await); the kernel guarantees that exactly one process runs at a
@@ -15,10 +12,10 @@ type Process struct {
 	name string
 	id   int
 
-	// resume carries the baton to the process's goroutine, one token per
-	// activation passed from another goroutine; Close closes it to unwind a
-	// goroutine that is still parked.
-	resume chan struct{}
+	// body runs on worker w, which the process holds from its first
+	// activation until body ends; both are nil before and after.
+	body func(p *Process)
+	w    *worker
 
 	terminated  bool
 	runnable    bool // currently running or has a pending activation
@@ -26,6 +23,11 @@ type Process struct {
 	wakeTimer   Timer // handle of the pending wake event, for retirement
 	blockReason string
 	blockedAt   Time // when the current block began (valid while blocked)
+
+	// granted and queuedAt are the process's entry in a Resource's wait
+	// queue; it waits for at most one resource at a time.
+	granted  bool
+	queuedAt Time
 
 	// step is the HoldWhile chain in progress, nil otherwise.
 	step func() (Time, bool)
@@ -39,55 +41,59 @@ type Process struct {
 }
 
 // Spawn creates a process named name running body and schedules its first
-// activation at the current virtual time. The body starts parked; it will not
-// run before control returns to the kernel loop.
+// activation at the current virtual time. The body will not run before
+// control returns to the kernel loop; until then the process is only this
+// record — it takes a worker when it is first activated.
 func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 	if k.closed {
 		panic("pearl: Spawn on a closed kernel")
 	}
-	p := &Process{
-		k:      k,
-		name:   name,
-		id:     len(k.procs),
-		resume: make(chan struct{}, 1),
-	}
+	p := &Process{k: k, name: name, id: len(k.procs), body: body}
 	k.procs = append(k.procs, p)
-	go func() {
-		defer p.exit()
-		p.awaitBaton()
-		body(p)
-	}()
 	p.scheduleWake(0)
 	return p
 }
 
-// awaitBaton parks the process goroutine until another goroutine activates
-// the process and passes it the baton. A closed channel is Kernel.Close
-// reaping the goroutine: it unwinds from here.
-func (p *Process) awaitBaton() {
-	if _, ok := <-p.resume; !ok {
-		runtime.Goexit()
+// unwind is what yield panics with to unwind a body parked at Close.
+type unwind struct{}
+
+// yield gives the baton up: it switches home, to drive, and returns when
+// drive switches back for the process's next activation. When Close stops
+// the worker instead, the body is unwound from here.
+func (p *Process) yield() {
+	if !p.w.yield(struct{}{}) {
+		panic(unwind{})
 	}
 }
 
-// exit is the last deferred call of the process goroutine. After Close it
-// only acknowledges the reaping. Otherwise the body has returned or
-// panicked with the baton held: the process terminates, and its goroutine
-// relays the baton before it ends — straight home when the body panicked,
-// so that the panic is raised there before any further event fires.
+// run executes the body to its end, on the worker that calls it.
+func (p *Process) run() {
+	defer p.exit()
+	p.body(p)
+}
+
+// exit is the last deferred call of the body. When Close is unwinding the
+// body it only ends the unwinding. Otherwise the body has returned or
+// panicked with the baton held: the process terminates, and runs the event
+// loop a last time before its worker goes idle — unless the body panicked,
+// which goes straight home so that the panic is raised there before any
+// further event fires.
 func (p *Process) exit() {
 	k := p.k
+	v := recover()
 	if k.closed {
-		k.reaped <- struct{}{}
+		if _, ok := v.(unwind); !ok && v != nil {
+			panic(v) // a deferred call of the body panicked: Close raises it
+		}
 		return
 	}
 	p.terminated = true
+	p.body, p.w = nil, nil
 	k.current = nil
-	if v := recover(); v != nil {
+	if v != nil {
 		p.panicVal = v
 		k.crashed = p
 		k.switches++
-		k.home <- struct{}{}
 		return
 	}
 	k.relay(p)
@@ -135,7 +141,7 @@ func (p *Process) String() string {
 }
 
 // activate marks p as the running process and returns it for the event
-// loop's caller to become or to pass the baton to; nil when p has
+// loop's caller to become or to leave the baton to; nil when p has
 // terminated. Must be called from the kernel loop (event context).
 func (k *Kernel) activate(p *Process) *Process {
 	if p.terminated {
@@ -150,11 +156,11 @@ func (k *Kernel) activate(p *Process) *Process {
 	return p
 }
 
-// block suspends the process until its next activation. The goroutine does
-// not park first: it keeps the baton and runs the event loop itself, so
-// callbacks execute here, in kernel context, and if the next activation is
+// block suspends the process until its next activation. It does not yield
+// first: it keeps the baton and runs the event loop itself, on its own stack,
+// so callbacks execute here, in kernel context, and if the next activation is
 // the process's own it simply returns. Only when another process is
-// activated, or the run stops, does it pass the baton on and park.
+// activated, or the run stops, does it yield the baton home.
 func (p *Process) block(reason string) {
 	k := p.k
 	if k.current != p {
@@ -165,7 +171,7 @@ func (p *Process) block(reason string) {
 	p.blockedAt = k.now
 	k.current = nil
 	if !k.relay(p) {
-		p.awaitBaton()
+		p.yield()
 	}
 }
 
@@ -209,14 +215,14 @@ func (p *Process) Hold(d Time) {
 //	}
 //
 // except that after the first call step runs in kernel context, on whichever
-// goroutine holds the baton, so a chain of holds costs no goroutine switch
-// however many other processes interleave with it. Each link is one typed
+// stack holds the baton, so a chain of holds costs no switch however many
+// other processes interleave with it. Each link is one typed
 // event that emits the block span a resuming process would, calls step, and
 // either schedules the next link or, on !ok, activates the process: the same
 // events are scheduled at the same program points as by the loop above, so
 // event order, EventCount and everything observable in virtual time are
 // identical. step must not block, and must not rely on being called on the
-// process's goroutine; a panic in it surfaces like a callback's.
+// process's own stack; a panic in it surfaces like a callback's.
 func (p *Process) HoldWhile(step func() (d Time, ok bool)) {
 	d, ok := step()
 	if !ok {

@@ -11,20 +11,15 @@ import "fmt"
 type Resource struct {
 	k        *Kernel
 	name     string
+	reason   string // block reason of a waiter, built once
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	waiters  fifo[*Process]
 
 	lastChange Time
 	busyCycles Time // integral of inUse over time
 	acquires   uint64
 	waitCycles Time // total time spent queued, over all acquires
-}
-
-type resWaiter struct {
-	p       *Process
-	granted bool
-	since   Time
 }
 
 // NewResource creates a resource with the given capacity (units that can be
@@ -33,7 +28,7 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("pearl: resource %q: capacity %d", name, capacity))
 	}
-	return &Resource{k: k, name: name, capacity: capacity}
+	return &Resource{k: k, name: name, reason: "acquire " + name, capacity: capacity}
 }
 
 // Name returns the resource name.
@@ -43,7 +38,7 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // Acquires returns the number of successful acquisitions so far.
 func (r *Resource) Acquires() uint64 { return r.acquires }
@@ -93,18 +88,18 @@ func (r *Resource) AvgWait() float64 {
 // Grants are strictly FIFO: a later arrival can never overtake an earlier
 // waiter.
 func (p *Process) Acquire(r *Resource) {
-	if r.inUse < r.capacity && len(r.waiters) == 0 {
+	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.account()
 		r.inUse++
 		r.acquires++
 		return
 	}
-	w := &resWaiter{p: p, since: p.k.now}
-	r.waiters = append(r.waiters, w)
-	for !w.granted {
-		p.park("acquire " + r.name)
+	p.granted, p.queuedAt = false, p.k.now
+	r.waiters.push(p)
+	for !p.granted {
+		p.park(r.reason)
 	}
-	r.waitCycles += p.k.now - w.since
+	r.waitCycles += p.k.now - p.queuedAt
 	r.acquires++
 }
 
@@ -116,16 +111,15 @@ func (r *Resource) Release() {
 	}
 	r.account()
 	r.inUse--
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if w.p.terminated {
+	for r.waiters.len() > 0 {
+		w := r.waiters.pop()
+		if w.terminated {
 			continue
 		}
 		// Transfer the unit directly to the waiter so no newcomer can steal.
 		r.inUse++
 		w.granted = true
-		w.p.unpark()
+		w.unpark()
 		return
 	}
 }
