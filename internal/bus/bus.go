@@ -90,6 +90,8 @@ type Bus struct {
 	tl      *probe.Timeline
 	tracks  []probe.Track
 	started []pearl.Time
+
+	idle []*call // see Transact
 }
 
 // New creates an interconnect on kernel k. pb and col may be nil (no
@@ -139,36 +141,56 @@ func (b *Bus) channelIndex(addr uint64) int {
 	return int((addr / uint64(b.cfg.InterleaveBytes)) % uint64(len(b.chans)))
 }
 
-// TransferTime returns the cycles needed to move size bytes across one
+// transferTime returns the cycles needed to move size bytes across one
 // channel, excluding arbitration and queueing.
-func (b *Bus) TransferTime(size uint64) pearl.Time {
+func (b *Bus) transferTime(size uint64) pearl.Time {
 	w := uint64(b.cfg.Width)
 	return pearl.Time((size + w - 1) / w)
 }
 
-// Acquire wins arbitration for the channel serving addr, blocking behind
+// Acquire wins arbitration for the channel serving addr, queueing behind
 // earlier requesters, and charges the arbitration delay.
-func (b *Bus) Acquire(p *pearl.Process, addr uint64) {
+//
+// Like Transfer and memory.DRAM.Access it blocks nobody: it is a resumable
+// call, made from a pearl.Process.HoldWhile step function. The caller owns
+// its program counter, zero before the first call, and calls again after each
+// hold or resource wait the call returns has been served, until the call
+// returns Done (and the counter is zero again).
+func (b *Bus) Acquire(addr uint64, pc *int) pearl.Step {
 	i := b.channelIndex(addr)
-	p.Acquire(b.chans[i])
-	if b.tl != nil {
-		// The transaction span covers ownership: arbitration delay, any
-		// body (snoop, memory access) and the transfer, until Release.
-		b.started[i] = p.Now()
-	}
-	if b.cfg.ArbitrationDelay > 0 {
-		p.Hold(b.cfg.ArbitrationDelay)
+	switch *pc {
+	case 0:
+		if !b.chans[i].TryAcquire() {
+			*pc = 1
+			return pearl.Step{Acquire: b.chans[i]}
+		}
+		fallthrough
+	case 1:
+		if b.tl != nil {
+			// The transaction span covers ownership: arbitration delay, any
+			// body (snoop, memory access) and the transfer, until Release.
+			b.started[i] = b.k.Now()
+		}
+		if b.cfg.ArbitrationDelay > 0 {
+			*pc = 2
+			return pearl.Step{Hold: b.cfg.ArbitrationDelay}
+		}
 	}
 	b.transactions.Inc()
+	*pc = 0
+	return pearl.Step{Done: true}
 }
 
 // Transfer occupies the already-acquired channel for the transfer time of
 // size bytes.
-func (b *Bus) Transfer(p *pearl.Process, size uint64) {
-	if t := b.TransferTime(size); t > 0 {
-		p.Hold(t)
+func (b *Bus) Transfer(size uint64, pc *int) pearl.Step {
+	if t := b.transferTime(size); t > 0 && *pc == 0 {
+		*pc = 1
+		return pearl.Step{Hold: t}
 	}
 	b.bytes.Add(size)
+	*pc = 0
+	return pearl.Step{Done: true}
 }
 
 // Release hands the channel serving addr to the next waiter.
@@ -180,16 +202,48 @@ func (b *Bus) Release(addr uint64) {
 	}
 }
 
-// Transact performs a full acquire/transfer/release cycle for addr, plus an
-// optional body executed while holding the channel (e.g. a snoop phase or a
-// memory access).
+// Transact performs a full acquire/transfer/release cycle for addr, blocking
+// p meanwhile, plus an optional body executed while holding the channel.
 func (b *Bus) Transact(p *pearl.Process, addr, size uint64, body func()) {
-	b.Acquire(p, addr)
-	if body != nil {
-		body()
+	var c *call
+	if n := len(b.idle); n > 0 {
+		c, b.idle = b.idle[n-1], b.idle[:n-1]
+	} else {
+		c = &call{b: b}
+		c.step = c.run
 	}
-	b.Transfer(p, size)
-	b.Release(addr)
+	c.addr, c.size, c.body, c.acquired = addr, size, body, false
+	p.HoldWhile(c.step)
+	c.body = nil
+	b.idle = append(b.idle, c)
+}
+
+// call is the state of one Transact call across its waits. The bus keeps the
+// records of finished calls for the next ones, so a call allocates nothing.
+type call struct {
+	b          *Bus
+	step       func() pearl.Step // run, bound once
+	addr, size uint64
+	body       func()
+	acquired   bool
+	pc         int
+}
+
+func (c *call) run() pearl.Step {
+	if !c.acquired {
+		if s := c.b.Acquire(c.addr, &c.pc); !s.Done {
+			return s
+		}
+		c.acquired = true
+		if c.body != nil {
+			c.body()
+		}
+	}
+	s := c.b.Transfer(c.size, &c.pc)
+	if s.Done {
+		c.b.Release(c.addr)
+	}
+	return s
 }
 
 // Transactions and Bytes expose the traffic counters.

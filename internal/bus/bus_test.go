@@ -9,10 +9,10 @@ import (
 func TestTransferTime(t *testing.T) {
 	k := pearl.NewKernel()
 	b := New(k, "bus", Config{Width: 8, ArbitrationDelay: 1}, nil, nil)
-	if got := b.TransferTime(64); got != 8 {
+	if got := b.transferTime(64); got != 8 {
 		t.Fatalf("64B = %d cycles, want 8", got)
 	}
-	if got := b.TransferTime(1); got != 1 {
+	if got := b.transferTime(1); got != 1 {
 		t.Fatalf("1B = %d cycles, want 1 (rounded up)", got)
 	}
 }
@@ -55,8 +55,8 @@ func TestTransactBodyRunsWhileHolding(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	k := pearl.NewKernel()
 	b := New(k, "bus", Config{}, nil, nil) // zero width must not divide by zero
-	if b.TransferTime(8) != 1 {
-		t.Fatalf("default width transfer = %d", b.TransferTime(8))
+	if b.transferTime(8) != 1 {
+		t.Fatalf("default width transfer = %d", b.transferTime(8))
 	}
 }
 

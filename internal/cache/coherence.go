@@ -2,59 +2,313 @@ package cache
 
 // Coherence transactions of the hierarchy: the snoopy MESI protocol, the
 // full-map directory alternative, and the shared cache tier / memory walk
-// both schemes resolve into. All transactions run in the requesting CPU's
-// process context while holding the node bus, which serialises them —
-// exactly the Pearl modelling style of the original (the bus component
-// "carries out arbitration upon multiple accesses").
+// both schemes resolve into. A transaction is the part of an access that
+// holds the node bus, which serialises them — exactly the Pearl modelling
+// style of the original (the bus component "carries out arbitration upon
+// multiple accesses").
 
 import "mermaid/internal/pearl"
 
-// fetchLine obtains the line (in coherence granularity) for the given CPU,
-// returning the MESI state it may install it in. Timing for the bus, snoops
-// or directory, the shared tier and memory is charged to p.
-func (h *Hierarchy) fetchLine(p *pearl.Process, cpu int, ola uint64, forWrite bool) State {
-	outerC := h.priv[cpu][h.outer]
-	lineBytes := outerC.LineSize()
-	addr := ola << outerC.lineShift
+// txnKind selects what a bus transaction does between winning the bus and
+// releasing it.
+type txnKind uint8
 
-	h.bus.Acquire(p, addr)
-	if forWrite {
-		h.busRdX.Inc()
-	} else {
-		h.busRd.Inc()
-	}
+const (
+	// txnPlain moves size bytes between the requester and the shared tier:
+	// write-backs, write-throughs and every access of a common hierarchy.
+	txnPlain txnKind = iota
+	// txnFetch obtains a line for a CPU's private chain: snoops or directory
+	// actions, then the data from the shared tier or from a dirty owner.
+	txnFetch
+	// txnUpgrade invalidates all other copies so a Shared line can be
+	// written; no data moves.
+	txnUpgrade
+)
 
-	sharedElsewhere := false
-	suppliedDirty := false
-	switch h.cfg.Coherence {
-	case Snoopy:
-		sharedElsewhere, suppliedDirty = h.snoop(cpu, ola, forWrite)
-	case Directory:
-		sharedElsewhere, suppliedDirty = h.dirTransact(p, cpu, ola, forWrite)
-	}
+// transaction is the bus transaction of an access in flight.
+type transaction struct {
+	kind  txnKind
+	addr  uint64 // selects the bus channel
+	size  uint64 // bytes transferred
+	write bool   // plain: a write at the shared tier; fetch: for writing (BusRdX)
 
-	if suppliedDirty {
-		// Illinois MESI: the dirty owner supplies the line and it is written
-		// back to the shared tier in the same transaction.
-		if h.cfg.CacheToCacheLatency > 0 {
-			p.Hold(h.cfg.CacheToCacheLatency)
+	// Coherent transactions: the line at coherence granularity, what the
+	// other CPUs' caches answered, and the directory's loop index. (The
+	// directory entry itself is access.dir: without a pointer in it, starting
+	// a transaction is a plain copy.)
+	ola             uint64
+	sharedElsewhere bool
+	suppliedDirty   bool
+	ok              bool // upgrade: this CPU's copy survived until the bus was won
+	o               int  // next CPU to look at
+}
+
+// sharedWalk is the walk of a transaction through the shared cache tier:
+// the level being visited and, for every level above it that missed and
+// allocates on the way back, a frame.
+type sharedWalk struct {
+	lvl    int
+	addr   uint64
+	size   uint64
+	write  bool
+	frames []sharedFrame
+}
+
+type sharedFrame struct {
+	lvl   int
+	la    uint64
+	write bool
+}
+
+// coherent returns the fetch or upgrade transaction for the line (in
+// coherence granularity) on behalf of the access's CPU.
+func (a *access) coherent(kind txnKind, ola uint64, forWrite bool) transaction {
+	outerC := a.h.priv[a.cpu][a.h.outer]
+	return transaction{kind: kind, ola: ola, write: forWrite, addr: ola << outerC.lineShift, size: outerC.LineSize()}
+}
+
+// transact starts a bus transaction; the access continues at ret when it is
+// over.
+func (a *access) transact(t transaction, ret pc) {
+	a.txn, a.ret, a.pc = t, ret, pcAcquire
+}
+
+// walkShared sends the transaction through the shared tier, falling through
+// to memory; lines are allocated on the way back (write-back semantics at
+// shared levels; write-through levels pass stores to the next level).
+func (a *access) walkShared(write bool) {
+	a.walk.lvl, a.walk.addr, a.walk.size, a.walk.write = 0, a.txn.addr, a.txn.size, write
+	a.pc = pcShared
+}
+
+// runTransaction continues the access's bus transaction up to its next wait,
+// or to its end, when it reports Done with the access back at a.ret. For a
+// fetch, a.txn then tells the MESI state the line may be installed in.
+func (a *access) runTransaction() pearl.Step {
+	h, t, w := a.h, &a.txn, &a.walk
+	for {
+		switch a.pc {
+		case pcAcquire:
+			if s := h.bus.Acquire(t.addr, &a.sub); !s.Done {
+				return s
+			}
+			switch t.kind {
+			case txnPlain:
+				a.walkShared(t.write)
+			case txnFetch:
+				if t.write {
+					h.busRdX.Inc()
+				} else {
+					h.busRd.Inc()
+				}
+				a.pc = pcData
+				switch h.cfg.Coherence {
+				case Snoopy:
+					t.sharedElsewhere, t.suppliedDirty = h.snoop(a.cpu, t.ola, t.write)
+				case Directory:
+					a.pc = pcDirLookup
+					return pearl.Step{Hold: h.cfg.DirLookupLatency}
+				}
+			case txnUpgrade:
+				// This CPU's copy may have disappeared before the bus was won;
+				// the access must then re-fetch.
+				if _, t.ok = h.priv[a.cpu][h.outer].Probe(t.ola); !t.ok {
+					a.pc = pcRelease
+					continue
+				}
+				h.busUpgr.Inc()
+				a.pc = pcRelease
+				switch h.cfg.Coherence {
+				case Snoopy:
+					for o := range h.priv {
+						if o == a.cpu {
+							continue
+						}
+						h.invalidateRemote(o, t)
+					}
+				case Directory:
+					a.pc = pcDirLookup
+					return pearl.Step{Hold: h.cfg.DirLookupLatency}
+				}
+			}
+
+		// The directory phase: lookup, then invalidations (upgrade, write
+		// miss) or an intervention (read of an owned line), and bookkeeping.
+		// One message latency per remote CPU involved.
+		case pcDirLookup:
+			h.dirLookups.Inc()
+			a.dir = h.dirEntryFor(t.ola)
+			switch {
+			case t.kind == txnUpgrade || t.write:
+				t.o = 0
+				a.pc = pcDirNext
+			case a.dir.owner >= 0 && a.dir.owner != a.cpu && a.dir.sharers&(1<<uint(a.dir.owner)) != 0:
+				// Intervention: the owner may hold the line Exclusive or
+				// Modified (E -> M upgrades are silent); downgrade it,
+				// flushing if dirty.
+				a.pc = pcDirIntervened
+				return pearl.Step{Hold: h.cfg.DirMessageLatency}
+			default:
+				a.pc = pcDirRead
+			}
+
+		case pcDirNext:
+			for t.o < len(h.priv) && (t.o == a.cpu || a.dir.sharers&(1<<uint(t.o)) == 0) {
+				t.o++
+			}
+			if t.o < len(h.priv) {
+				a.pc = pcDirInvalidated
+				return pearl.Step{Hold: h.cfg.DirMessageLatency}
+			}
+			a.dir.sharers = 1 << uint(a.cpu)
+			a.dir.owner = a.cpu
+			if t.kind == txnUpgrade {
+				a.pc = pcRelease
+			} else {
+				a.pc = pcData
+			}
+
+		case pcDirInvalidated:
+			h.dirMsgs.Inc()
+			h.invalidateRemote(t.o, t)
+			t.o++
+			a.pc = pcDirNext
+
+		case pcDirIntervened:
+			h.dirMsgs.Inc()
+			e := a.dir
+			oc := h.priv[e.owner][h.outer]
+			if st, ok := oc.Probe(t.ola); ok && (st == Modified || st == Exclusive) {
+				if st == Modified {
+					t.suppliedDirty = true
+					oc.S.SnoopSupplies.Inc()
+				}
+				oc.SetState(t.ola, Shared)
+				oc.S.SnoopDowngrades.Inc()
+				h.snoopDemoteInner(e.owner, t.addr, t.size)
+			}
+			e.owner = -1
+			a.pc = pcDirRead
+			fallthrough
+
+		case pcDirRead:
+			e := a.dir
+			t.sharedElsewhere = e.sharers&^(1<<uint(a.cpu)) != 0
+			e.sharers |= 1 << uint(a.cpu)
+			if !t.sharedElsewhere {
+				// Sole sharer: granted Exclusive, so record ownership — a later
+				// silent E -> M upgrade leaves the directory unaware otherwise.
+				e.owner = a.cpu
+			}
+			a.pc = pcData
+			fallthrough
+
+		case pcData:
+			if !t.suppliedDirty {
+				a.walkShared(false)
+				continue
+			}
+			// Illinois MESI: the dirty owner supplies the line and it is
+			// written back to the shared tier in the same transaction.
+			a.pc = pcSupplied
+			if h.cfg.CacheToCacheLatency > 0 {
+				return pearl.Step{Hold: h.cfg.CacheToCacheLatency}
+			}
+
+		case pcSupplied:
+			h.c2c.Inc()
+			a.walkShared(true)
+			fallthrough
+
+		case pcShared:
+			if w.lvl >= len(h.shd) {
+				a.pc = pcMemory
+				continue
+			}
+			a.pc = pcSharedLookup
+			if lat := h.shd[w.lvl].cfg.HitLatency; lat > 0 {
+				return pearl.Step{Hold: lat}
+			}
+			fallthrough
+
+		case pcSharedLookup:
+			c := h.shd[w.lvl]
+			la := c.LineAddr(w.addr)
+			passOn := w.write && c.cfg.Write == WriteThrough // no write-allocate
+			if c.Lookup(la) != nil {
+				c.S.Hits.Inc()
+				if !passOn {
+					if w.write {
+						c.SetState(la, Modified)
+					}
+					a.pc = pcSharedReturn
+					continue
+				}
+			} else {
+				c.S.Misses.Inc()
+				if !passOn {
+					// Fetch the line from below, then allocate here.
+					w.frames = append(w.frames, sharedFrame{lvl: w.lvl, la: la, write: w.write})
+					w.size, w.write = c.LineSize(), false
+				}
+			}
+			w.lvl++
+			a.pc = pcShared
+
+		case pcMemory:
+			if s := h.mem.Access(w.write, w.size, &a.sub); !s.Done {
+				return s
+			}
+			a.pc = pcSharedReturn
+			fallthrough
+
+		case pcSharedReturn:
+			n := len(w.frames)
+			if n == 0 {
+				a.pc = pcTransfer
+				continue
+			}
+			f := w.frames[n-1]
+			w.frames = w.frames[:n-1]
+			c := h.shd[f.lvl]
+			newState := Exclusive
+			if f.write {
+				newState = Modified
+			}
+			if v, had := c.Insert(f.la, newState); had && v.State == Modified {
+				// The dirty victim goes down a level before the walk returns.
+				w.lvl, w.addr, w.size, w.write = f.lvl+1, v.LineAddr<<c.lineShift, c.LineSize(), true
+				a.pc = pcShared
+			}
+
+		case pcTransfer:
+			if s := h.bus.Transfer(t.size, &a.sub); !s.Done {
+				return s
+			}
+			a.pc = pcRelease
+			fallthrough
+
+		case pcRelease:
+			h.bus.Release(t.addr)
+			a.pc = a.ret
+			return pearl.Step{Done: true}
 		}
-		h.c2c.Inc()
-		h.sharedWrite(p, addr, lineBytes)
-	} else {
-		h.sharedRead(p, addr, lineBytes)
 	}
-	h.bus.Transfer(p, lineBytes)
-	h.bus.Release(addr)
+}
 
-	switch {
-	case forWrite:
-		return Modified
-	case sharedElsewhere:
-		return Shared
-	default:
-		return Exclusive
+// invalidateRemote kills CPU o's copies of the transaction's line: the
+// effect of a BusRdX, a BusUpgr or a directory invalidation there. A dirty
+// copy supplies the data of a fetch.
+func (h *Hierarchy) invalidateRemote(o int, t *transaction) {
+	oc := h.priv[o][h.outer]
+	if st, ok := oc.Invalidate(t.ola); ok {
+		oc.S.SnoopInvalidates.Inc()
+		if t.kind == txnFetch && st == Modified {
+			t.suppliedDirty = true
+			oc.S.SnoopSupplies.Inc()
+		}
 	}
+	h.snoopDropInner(o, t.addr, t.size)
 }
 
 // snoop runs the broadcast phase of a snoopy transaction: every other CPU's
@@ -142,112 +396,6 @@ func (h *Hierarchy) snoopDemoteInner(o int, base, size uint64) {
 	}
 }
 
-// upgrade performs a BusUpgr: acquiring the bus and invalidating all other
-// copies so a Shared line can be written. It reports false if this CPU's
-// copy disappeared before the bus was won (the caller must re-fetch).
-func (h *Hierarchy) upgrade(p *pearl.Process, cpu int, ola uint64) bool {
-	outerC := h.priv[cpu][h.outer]
-	base := ola << outerC.lineShift
-	h.bus.Acquire(p, base)
-	defer h.bus.Release(base)
-	if _, ok := outerC.Probe(ola); !ok {
-		return false
-	}
-	h.busUpgr.Inc()
-	size := outerC.LineSize()
-	switch h.cfg.Coherence {
-	case Snoopy:
-		for o := range h.priv {
-			if o == cpu {
-				continue
-			}
-			oc := h.priv[o][h.outer]
-			if _, ok := oc.Invalidate(ola); ok {
-				oc.S.SnoopInvalidates.Inc()
-			}
-			h.snoopDropInner(o, base, size)
-		}
-	case Directory:
-		p.Hold(h.cfg.DirLookupLatency)
-		h.dirLookups.Inc()
-		e := h.dirEntryFor(ola)
-		for o := range h.priv {
-			if o == cpu || e.sharers&(1<<uint(o)) == 0 {
-				continue
-			}
-			p.Hold(h.cfg.DirMessageLatency)
-			h.dirMsgs.Inc()
-			oc := h.priv[o][h.outer]
-			if _, ok := oc.Invalidate(ola); ok {
-				oc.S.SnoopInvalidates.Inc()
-			}
-			h.snoopDropInner(o, base, size)
-		}
-		e.sharers = 1 << uint(cpu)
-		e.owner = cpu
-	}
-	return true
-}
-
-// dirTransact runs the directory phase of a miss: lookup, invalidations (on
-// write) or intervention (on read of a dirty line), and bookkeeping.
-func (h *Hierarchy) dirTransact(p *pearl.Process, cpu int, ola uint64, forWrite bool) (sharedElsewhere, suppliedDirty bool) {
-	p.Hold(h.cfg.DirLookupLatency)
-	h.dirLookups.Inc()
-	e := h.dirEntryFor(ola)
-	outerC := h.priv[cpu][h.outer]
-	base := ola << outerC.lineShift
-	size := outerC.LineSize()
-
-	if forWrite {
-		for o := range h.priv {
-			if o == cpu || e.sharers&(1<<uint(o)) == 0 {
-				continue
-			}
-			p.Hold(h.cfg.DirMessageLatency)
-			h.dirMsgs.Inc()
-			oc := h.priv[o][h.outer]
-			if st, ok := oc.Invalidate(ola); ok {
-				oc.S.SnoopInvalidates.Inc()
-				if st == Modified {
-					suppliedDirty = true
-					oc.S.SnoopSupplies.Inc()
-				}
-			}
-			h.snoopDropInner(o, base, size)
-		}
-		e.sharers = 1 << uint(cpu)
-		e.owner = cpu
-		return false, suppliedDirty
-	}
-
-	if e.owner >= 0 && e.owner != cpu && e.sharers&(1<<uint(e.owner)) != 0 {
-		// Intervention: the owner may hold the line Exclusive or Modified
-		// (E -> M upgrades are silent); downgrade it, flushing if dirty.
-		p.Hold(h.cfg.DirMessageLatency)
-		h.dirMsgs.Inc()
-		oc := h.priv[e.owner][h.outer]
-		if st, ok := oc.Probe(ola); ok && (st == Modified || st == Exclusive) {
-			if st == Modified {
-				suppliedDirty = true
-				oc.S.SnoopSupplies.Inc()
-			}
-			oc.SetState(ola, Shared)
-			oc.S.SnoopDowngrades.Inc()
-			h.snoopDemoteInner(e.owner, base, size)
-		}
-		e.owner = -1
-	}
-	sharedElsewhere = e.sharers&^(1<<uint(cpu)) != 0
-	e.sharers |= 1 << uint(cpu)
-	if !sharedElsewhere {
-		// Sole sharer: granted Exclusive, so record ownership — a later
-		// silent E -> M upgrade leaves the directory unaware otherwise.
-		e.owner = cpu
-	}
-	return sharedElsewhere, suppliedDirty
-}
-
 func (h *Hierarchy) dirEntryFor(ola uint64) *dirEntry {
 	e, ok := h.dir[ola]
 	if !ok {
@@ -270,87 +418,5 @@ func (h *Hierarchy) dirEvict(cpu int, ola uint64) {
 	}
 	if e.sharers == 0 {
 		delete(h.dir, ola)
-	}
-}
-
-// writeBackLine pushes a dirty outermost-level victim to the shared tier in
-// its own bus transaction.
-func (h *Hierarchy) writeBackLine(p *pearl.Process, ola uint64, lineBytes uint64) {
-	outerC := h.priv[0][h.outer]
-	addr := ola << outerC.lineShift
-	h.busWB.Inc()
-	h.bus.Acquire(p, addr)
-	h.sharedWrite(p, addr, lineBytes)
-	h.bus.Transfer(p, lineBytes)
-	h.bus.Release(addr)
-}
-
-// writeThrough sends a store of the given size straight to the shared tier
-// (fully write-through private hierarchy, single CPU).
-func (h *Hierarchy) writeThrough(p *pearl.Process, addr, size uint64) {
-	h.wtWrites.Inc()
-	h.bus.Acquire(p, addr)
-	h.sharedWrite(p, addr, size)
-	h.bus.Transfer(p, size)
-	h.bus.Release(addr)
-}
-
-// sharedRead walks the shared cache tier for a read, falling through to
-// memory; lines are allocated on the way back. Runs while holding the bus.
-func (h *Hierarchy) sharedRead(p *pearl.Process, addr, size uint64) {
-	h.sharedAccess(p, addr, size, false)
-}
-
-// sharedWrite walks the shared tier for a write (write-back semantics at
-// shared levels; write-through levels pass stores to the next level).
-func (h *Hierarchy) sharedWrite(p *pearl.Process, addr, size uint64) {
-	h.sharedAccess(p, addr, size, true)
-}
-
-func (h *Hierarchy) sharedAccess(p *pearl.Process, addr, size uint64, write bool) {
-	h.sharedLevel(p, 0, addr, size, write)
-}
-
-func (h *Hierarchy) sharedLevel(p *pearl.Process, lvl int, addr, size uint64, write bool) {
-	if lvl >= len(h.shd) {
-		if write {
-			h.mem.Write(p, addr, size)
-		} else {
-			h.mem.Read(p, addr, size)
-		}
-		return
-	}
-	c := h.shd[lvl]
-	if c.cfg.HitLatency > 0 {
-		p.Hold(c.cfg.HitLatency)
-	}
-	la := c.LineAddr(addr)
-	st := c.Lookup(la)
-	if st != nil {
-		c.S.Hits.Inc()
-		if write {
-			if c.cfg.Write == WriteThrough {
-				h.sharedLevel(p, lvl+1, addr, size, true)
-			} else {
-				c.SetState(la, Modified)
-			}
-		}
-		return
-	}
-	c.S.Misses.Inc()
-	if write && c.cfg.Write == WriteThrough {
-		// No write-allocate; pass through.
-		h.sharedLevel(p, lvl+1, addr, size, true)
-		return
-	}
-	// Fetch the line from below, then allocate here.
-	h.sharedLevel(p, lvl+1, addr, c.LineSize(), false)
-	newState := Exclusive
-	if write {
-		newState = Modified
-	}
-	v, had := c.Insert(la, newState)
-	if had && v.State == Modified {
-		h.sharedLevel(p, lvl+1, v.LineAddr<<c.lineShift, c.LineSize(), true)
 	}
 }

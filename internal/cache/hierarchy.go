@@ -277,7 +277,7 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 			h.sbSlots = append(h.sbSlots, slots)
 			h.sbQueue = append(h.sbQueue, queue)
 			k.Spawn(fmt.Sprintf("%s.cpu%d.drain", name, cpu), func(p *pearl.Process) {
-				h.drainStoreBuffer(p, queue, slots)
+				h.drainStoreBuffer(p, cpu, queue, slots)
 			})
 		}
 	}
@@ -292,14 +292,13 @@ type sbWrite struct {
 
 // drainStoreBuffer is the per-CPU background process that retires buffered
 // stores to the shared tier, competing with demand traffic for the bus.
-func (h *Hierarchy) drainStoreBuffer(p *pearl.Process, queue *pearl.Mailbox, slots *pearl.Resource) {
+func (h *Hierarchy) drainStoreBuffer(p *pearl.Process, cpu int, queue *pearl.Mailbox, slots *pearl.Resource) {
+	a := h.newAccess(cpu)
 	for {
 		w := p.Receive(queue).(sbWrite)
 		h.wtWrites.Inc()
-		h.bus.Acquire(p, w.addr)
-		h.sharedWrite(p, w.addr, w.size)
-		h.bus.Transfer(p, w.size)
-		h.bus.Release(w.addr)
+		a.transact(transaction{addr: w.addr, size: w.size, write: true}, pcDone)
+		p.HoldWhile(a.step)
 		slots.Release()
 	}
 }
@@ -346,16 +345,12 @@ func (h *Hierarchy) InstrCache(cpu int) *Cache {
 // SharedCache returns the shared cache at the given index.
 func (h *Hierarchy) SharedCache(i int) *Cache { return h.shd[i] }
 
-// Port is a CPU-side handle for issuing memory accesses.
+// Port is a CPU-side handle for issuing memory accesses, one at a time.
 type Port struct {
-	h   *Hierarchy
-	cpu int
+	a *access
 	// data and instr are the private chains, innermost first, that loads and
 	// stores resp. instruction fetches walk; they differ only in a split L1.
 	data, instr []*Cache
-	// private: no other CPU, snoop or directory message can touch the
-	// chains, so nothing changes them while this CPU is in a hold.
-	private bool
 }
 
 // Port returns the access port for the given CPU.
@@ -363,7 +358,7 @@ func (h *Hierarchy) Port(cpu int) *Port {
 	if cpu < 0 || cpu >= h.cfg.CPUs {
 		panic(fmt.Sprintf("cache: port for CPU %d of %d", cpu, h.cfg.CPUs))
 	}
-	pt := &Port{h: h, cpu: cpu}
+	pt := &Port{a: h.newAccess(cpu)}
 	if len(h.cfg.Private) == 0 {
 		return pt
 	}
@@ -372,250 +367,322 @@ func (h *Hierarchy) Port(cpu int) *Port {
 	if h.cfg.SplitL1 {
 		pt.instr = append([]*Cache{h.privI[cpu]}, pt.data[1:]...)
 	}
-	pt.private = h.cfg.CPUs == 1 && h.cfg.Coherence == NoCoherence
 	return pt
-}
-
-// Hit is the non-blocking front of Access for the one case that needs no
-// process: an access that lies inside one line, hits the innermost level of
-// a private port and is not a write to a write-through level. It performs
-// the lookup — refreshing the line's replacement position and, for a write,
-// marking it Modified — and returns that level and its hit latency; the
-// caller holds for the latency and then counts the hit in l1.S.Hits, which
-// is what Access does at the same virtual time. Access looks up when the
-// latency expires rather than when it starts, but on a private port nothing
-// else can change the chain in between, so the two orders are
-// indistinguishable — provided no outside agent invalidates lines either:
-// on a node with a virtual-shared-memory layer, use Access. For every other
-// access Hit changes nothing and returns a nil level.
-func (pt *Port) Hit(kind AccessKind, addr, size uint64) (d pearl.Time, l1 *Cache) {
-	if !pt.private {
-		return 0, nil
-	}
-	if size == 0 {
-		size = 1
-	}
-	l1 = pt.chain(kind)[0]
-	la := l1.LineAddr(addr)
-	if l1.LineAddr(addr+size-1) != la || (kind == Write && l1.cfg.Write == WriteThrough) {
-		return 0, nil
-	}
-	if l1.Lookup(la) == nil {
-		return 0, nil
-	}
-	if kind == Write {
-		pt.markModified(addr)
-	}
-	return l1.cfg.HitLatency, l1
 }
 
 // Access performs a memory access of the given kind, blocking the calling
 // process for its full latency, including queueing at the bus and memory.
 // Accesses spanning L1 line boundaries are split.
 func (pt *Port) Access(p *pearl.Process, kind AccessKind, addr, size uint64) {
+	pt.Begin(kind, addr, size)
+	p.HoldWhile(pt.a.step)
+}
+
+// Begin starts a memory access of the given kind without blocking anyone:
+// the caller — a pearl.Process.HoldWhile step function — lets it proceed by
+// calling Step. One access is in flight per port.
+func (pt *Port) Begin(kind AccessKind, addr, size uint64) {
 	if size == 0 {
 		size = 1
 	}
-	h := pt.h
-	if len(h.cfg.Private) == 0 {
+	a := pt.a
+	a.began = a.h.k.Now()
+	if len(pt.data) == 0 {
 		// Common (fully shared) hierarchy: every access is a bus + shared
 		// tier transaction.
-		h.bus.Acquire(p, addr)
-		if kind == Write {
-			h.sharedWrite(p, addr, size)
-		} else {
-			h.sharedRead(p, addr, size)
-		}
-		h.bus.Transfer(p, size)
-		h.bus.Release(addr)
+		a.transact(transaction{addr: addr, size: size, write: kind == Write}, pcDone)
 		return
 	}
-	// Split by innermost line granularity on the relevant chain.
-	l1 := pt.chain(kind)[0]
-	first := l1.LineAddr(addr)
-	last := l1.LineAddr(addr + size - 1)
-	for la := first; la <= last; la++ {
-		pieceAddr := addr
-		pieceEnd := addr + size
-		if la > first {
-			pieceAddr = la << l1.lineShift
-		}
-		if lineEnd := (la + 1) << l1.lineShift; pieceEnd > lineEnd {
-			pieceEnd = lineEnd
-		}
-		pt.accessLine(p, kind, pieceAddr, pieceEnd-pieceAddr)
-	}
-}
-
-// chain returns the private cache chain for the access kind.
-func (pt *Port) chain(kind AccessKind) []*Cache {
+	a.kind, a.chain = kind, pt.data
 	if kind == Fetch {
-		return pt.instr
+		a.chain = pt.instr
 	}
-	return pt.data
+	a.next, a.end = addr, addr+size
+	a.pc = pcPiece
 }
 
-// accessLine walks the private chain for one piece that lies within a single
-// innermost-granularity line.
-func (pt *Port) accessLine(p *pearl.Process, kind AccessKind, addr, size uint64) {
-	h := pt.h
-	chain := pt.chain(kind)
-	for i, c := range chain {
-		if c.cfg.HitLatency > 0 {
-			p.Hold(c.cfg.HitLatency)
-		}
-		la := c.LineAddr(addr)
-		st := c.Lookup(la)
-		if st != nil {
-			c.S.Hits.Inc()
-			if kind != Write {
-				pt.fill(kind, addr, i-1, *st)
-				return
+// Step continues the access in flight: it returns the hold or resource wait
+// the access needs next and is to be called again once that has been served.
+// When it reports Done the access is complete and latency is the time it
+// took, queueing included.
+func (pt *Port) Step() (s pearl.Step, latency pearl.Time) {
+	if s = pt.a.run(); s.Done {
+		latency = pt.a.h.k.Now() - pt.a.began
+	}
+	return s, latency
+}
+
+// pc is a point at which an access in flight resumes.
+type pc uint8
+
+const (
+	pcDone pc = iota
+
+	// The private chain (below).
+	pcPiece    // split off the next piece that lies in one innermost line
+	pcLevel    // charge the hit latency of private level lvl
+	pcLookup   // ... which has passed: look the line up there
+	pcMissed   // the whole private chain missed, or wrote through
+	pcUpgraded // the upgrade transaction of a write hit on a Shared line is over
+	pcOwned    // the line may be written: mark it Modified, allocate it further in
+	pcBuffered // a store buffer slot has been granted
+	pcFetched  // the line has arrived from the coherence level
+	pcFill     // install it at private level lvl, then further in
+	pcEvicted  // the outermost victim's write-back, if any, is over
+
+	// The bus transaction (coherence.go).
+	pcAcquire        // win the bus
+	pcDirLookup      // the directory lookup latency has passed
+	pcDirNext        // find the next sharer to invalidate
+	pcDirInvalidated // ... whose invalidation message has arrived
+	pcDirIntervened  // the intervention message has reached the owner
+	pcDirRead        // book a read miss in the directory
+	pcData           // the line's data: from the shared tier, or a dirty owner
+	pcSupplied       // the cache-to-cache latency has passed
+	pcShared         // charge the hit latency of shared level walk.lvl
+	pcSharedLookup   // ... which has passed: look the line up there
+	pcMemory         // below the last shared level: DRAM
+	pcSharedReturn   // allocate on the way back up
+	pcTransfer       // move the bytes over the bus
+	pcRelease        // release the bus; the transaction is over
+)
+
+// access is a memory access in flight. It is the blocking code a process
+// used to run — Port.Access down through the bus to DRAM and back — turned
+// inside out: run executes it up to the next point where that code held or
+// acquired, returns that wait as a pearl.Step, and continues from pc when it
+// is called again, so every counter moves and every event is scheduled at
+// the program point and virtual time it always was. All state that has to
+// survive a wait lives here; an access allocates nothing.
+type access struct {
+	h    *Hierarchy
+	cpu  int
+	step func() pearl.Step // run, bound once
+
+	pc    pc
+	ret   pc         // where to continue when the bus transaction is over
+	sub   int        // program counter of the bus or DRAM call in progress
+	began pearl.Time // when the access was begun
+
+	kind      AccessKind
+	chain     []*Cache
+	next, end uint64 // what is left of the access
+	addr      uint64 // the current piece, inside one innermost line
+	size      uint64
+	lvl       int
+	st        State      // state the fetched line is installed in
+	fillFrom  pearl.Time // start of the miss being filled
+	fillSpan  bool       // ... which goes on the timeline
+	victim    uint64     // line displaced from the outermost private level
+
+	txn  transaction
+	dir  *dirEntry // the line's directory entry, looked up once per transaction
+	walk sharedWalk
+}
+
+func (h *Hierarchy) newAccess(cpu int) *access {
+	a := &access{h: h, cpu: cpu}
+	a.step = a.run
+	a.walk.frames = make([]sharedFrame, 0, len(h.shd))
+	return a
+}
+
+// run continues the access up to its next wait, or to its end.
+func (a *access) run() pearl.Step {
+	h := a.h
+	for {
+		switch a.pc {
+		default:
+			// In a bus transaction (coherence.go), which ends back at a.ret.
+			if s := a.runTransaction(); !s.Done {
+				return s
 			}
-			if c.cfg.Write == WriteThrough {
-				// Update this level, propagate the write down.
+
+		case pcDone:
+			return pearl.Step{Done: true}
+
+		case pcPiece:
+			if a.next >= a.end {
+				a.pc = pcDone
 				continue
 			}
-			// Write-back hit: need ownership at the coherence level, then
-			// allocate the line (Modified) in the inner levels.
-			if pt.ensureOwnership(p, addr) {
-				pt.fill(Write, addr, i-1, Modified)
+			// Split by innermost line granularity on the relevant chain.
+			l1 := a.chain[0]
+			a.addr, a.size = a.next, a.end-a.next
+			if lineEnd := (l1.LineAddr(a.addr) + 1) << l1.lineShift; a.end > lineEnd {
+				a.size = lineEnd - a.addr
 			}
-			return
-		}
-		c.S.Misses.Inc()
-		if kind == Write && c.cfg.Write == WriteThrough {
-			continue // no write-allocate; keep propagating
-		}
-		if i < len(chain)-1 {
-			continue // try next level; fill happens on the way back
-		}
-	}
-	// Missed (or wrote through) the whole private chain.
-	outerC := chain[len(chain)-1]
-	if kind == Write && outerC.cfg.Write == WriteThrough {
-		// Fully write-through hierarchy (single CPU): write to shared tier,
-		// through the store buffer when configured.
-		if h.sbSlots != nil {
-			p.Acquire(h.sbSlots[pt.cpu]) // stalls only when the buffer is full
-			h.sbQueue[pt.cpu].Send(sbWrite{addr: addr, size: size})
-			return
-		}
-		h.writeThrough(p, addr, size)
-		return
-	}
-	ola := outerC.LineAddr(addr)
-	if h.tl == nil {
-		st := h.fetchLine(p, pt.cpu, ola, kind == Write)
-		pt.fillAll(p, kind, addr, st)
-		return
-	}
-	// Miss fill: the whole private chain missed, so the time from here to
-	// the fill completing is the CPU-visible miss penalty.
-	start := p.Now()
-	st := h.fetchLine(p, pt.cpu, ola, kind == Write)
-	pt.fillAll(p, kind, addr, st)
-	h.tl.Span(h.missTracks[pt.cpu], "fill", start, p.Now())
-}
+			a.next += a.size
+			a.lvl = 0
+			a.pc = pcLevel
+			fallthrough
 
-// ensureOwnership handles a write-back write hit: obtaining write permission
-// if the coherence state is Shared, then marking the line Modified at every
-// private level that holds it. It reports true on the plain-hit path; false
-// means the line was lost to a race and re-fetched (fill already done).
-func (pt *Port) ensureOwnership(p *pearl.Process, addr uint64) bool {
-	h := pt.h
-	chain := h.priv[pt.cpu]
-	outerC := chain[h.outer]
-	ola := outerC.LineAddr(addr)
-	if h.cfg.Coherence != NoCoherence {
-		if st, ok := outerC.Probe(ola); ok && st == Shared {
-			if !h.upgrade(p, pt.cpu, ola) {
-				// Line was invalidated before we won the bus: full write miss.
-				st := h.fetchLine(p, pt.cpu, ola, true)
-				pt.fillAll(p, Write, addr, st)
-				return false
+		case pcLevel:
+			if a.lvl == len(a.chain) {
+				a.pc = pcMissed
+				continue
 			}
-			outerC.S.Upgrades.Inc()
+			a.pc = pcLookup
+			if lat := a.chain[a.lvl].cfg.HitLatency; lat > 0 {
+				return pearl.Step{Hold: lat}
+			}
+			fallthrough
+
+		case pcLookup:
+			c := a.chain[a.lvl]
+			st := c.Lookup(c.LineAddr(a.addr))
+			if st == nil {
+				// Try the next level; the fill happens on the way back. (A
+				// write-through level does not allocate on a write at all.)
+				c.S.Misses.Inc()
+				a.lvl++
+				a.pc = pcLevel
+				continue
+			}
+			c.S.Hits.Inc()
+			switch {
+			case a.kind != Write:
+				a.fill(a.lvl-1, *st)
+				a.pc = pcPiece
+			case c.cfg.Write == WriteThrough:
+				// Update this level, propagate the write down.
+				a.lvl++
+				a.pc = pcLevel
+			default:
+				// Write-back hit: need ownership at the coherence level, then
+				// allocate the line (Modified) in the inner levels.
+				a.pc = pcOwned
+				if h.cfg.Coherence != NoCoherence {
+					outerC := h.priv[a.cpu][h.outer]
+					ola := outerC.LineAddr(a.addr)
+					if st, ok := outerC.Probe(ola); ok && st == Shared {
+						a.transact(a.coherent(txnUpgrade, ola, false), pcUpgraded)
+					}
+				}
+			}
+
+		case pcUpgraded:
+			if !a.txn.ok {
+				// Line was invalidated before we won the bus: full write miss.
+				a.fillSpan = false
+				a.transact(a.coherent(txnFetch, a.txn.ola, true), pcFetched)
+				continue
+			}
+			h.priv[a.cpu][h.outer].S.Upgrades.Inc()
+			fallthrough
+
+		case pcOwned:
+			a.markModified()
+			a.fill(a.lvl-1, Modified)
+			a.pc = pcPiece
+
+		case pcMissed:
+			outerC := a.chain[len(a.chain)-1]
+			if a.kind == Write && outerC.cfg.Write == WriteThrough {
+				// Fully write-through hierarchy (single CPU): write to shared
+				// tier, through the store buffer when configured.
+				if h.sbSlots != nil {
+					a.pc = pcBuffered
+					return pearl.Step{Acquire: h.sbSlots[a.cpu]} // waits only when the buffer is full
+				}
+				h.wtWrites.Inc()
+				a.transact(transaction{addr: a.addr, size: a.size, write: true}, pcPiece)
+				continue
+			}
+			// Miss fill: the whole private chain missed, so the time from here
+			// to the fill completing is the CPU-visible miss penalty.
+			a.fillSpan, a.fillFrom = h.tl != nil, h.k.Now()
+			a.transact(a.coherent(txnFetch, outerC.LineAddr(a.addr), a.kind == Write), pcFetched)
+
+		case pcBuffered:
+			h.sbQueue[a.cpu].Send(sbWrite{addr: a.addr, size: a.size})
+			a.pc = pcPiece
+
+		case pcFetched:
+			// Install the line into the entire private chain, outermost first.
+			switch {
+			case a.txn.write:
+				a.st = Modified
+			case a.txn.sharedElsewhere:
+				a.st = Shared
+			default:
+				a.st = Exclusive
+			}
+			a.lvl = len(a.chain) - 1
+			a.pc = pcFill
+			fallthrough
+
+		case pcFill:
+			if a.lvl < 0 {
+				if a.fillSpan {
+					h.tl.Span(h.missTracks[a.cpu], "fill", a.fillFrom, h.k.Now())
+				}
+				a.pc = pcPiece
+				continue
+			}
+			lvl := a.lvl
+			a.lvl--
+			v, had := a.install(lvl, a.st)
+			if !had || lvl != len(a.chain)-1 {
+				continue
+			}
+			// Outermost private level: the victim leaves the CPU entirely, a
+			// dirty one in a write-back bus transaction of its own.
+			a.victim = v.LineAddr
+			a.pc = pcEvicted
+			if v.State == Modified {
+				h.busWB.Inc()
+				a.transact(transaction{
+					addr: v.LineAddr << h.priv[0][h.outer].lineShift, size: a.chain[lvl].LineSize(), write: true,
+				}, pcEvicted)
+			}
+
+		case pcEvicted:
+			if h.cfg.Coherence == Directory {
+				h.dirEvict(a.cpu, a.victim)
+			}
+			a.pc = pcFill
 		}
 	}
-	pt.markModified(addr)
-	return true
 }
 
 // markModified marks the line Modified at every write-back level of the data
 // chain that holds it.
-func (pt *Port) markModified(addr uint64) {
-	for _, c := range pt.data {
+func (a *access) markModified() {
+	for _, c := range a.h.priv[a.cpu] {
 		if c.cfg.Write == WriteThrough {
 			continue
 		}
-		c.SetState(c.LineAddr(addr), Modified)
+		c.SetState(c.LineAddr(a.addr), Modified)
 	}
 }
 
-// fill installs the line containing addr into private levels innermost..upto
-// (inclusive) in the given state, handling victims. No timing is charged:
-// fills happen under the latency already paid by the miss path.
-func (pt *Port) fill(kind AccessKind, addr uint64, upto int, st State) {
-	chain := pt.chain(kind)
-	for i := upto; i >= 0; i-- {
-		c := chain[i]
-		if kind == Write && c.cfg.Write == WriteThrough {
-			continue // write-through levels don't allocate on writes
-		}
-		s := st
-		if kind == Fetch && s == Modified {
-			s = Exclusive
-		}
-		v, had := c.Insert(c.LineAddr(addr), s)
-		if had {
-			pt.h.evictVictim(pt.cpu, chain, i, v, nil)
-		}
+// fill installs the line containing the piece into private levels
+// innermost..upto (inclusive) in the given state. No timing is charged: fills
+// happen under the latency already paid, and an inner victim needs none.
+func (a *access) fill(upto int, st State) {
+	for lvl := upto; lvl >= 0; lvl-- {
+		a.install(lvl, st)
 	}
 }
 
-// fillAll installs the line into the entire private chain after a fetch from
-// the coherence level, outermost first. Dirty victims at the outermost level
-// cause a write-back bus transaction (timing charged to p).
-func (pt *Port) fillAll(p *pearl.Process, kind AccessKind, addr uint64, st State) {
-	chain := pt.chain(kind)
-	for i := len(chain) - 1; i >= 0; i-- {
-		c := chain[i]
-		if kind == Write && c.cfg.Write == WriteThrough {
-			continue
-		}
-		s := st
-		if kind == Fetch && s == Modified {
-			s = Exclusive
-		}
-		v, had := c.Insert(c.LineAddr(addr), s)
-		if had {
-			pt.h.evictVictim(pt.cpu, chain, i, v, p)
-		}
+// install puts the line into private level lvl of the chain and
+// back-invalidates what a displaced victim covered in the levels inside it
+// (inclusion). An inner dirty victim merges into the next level, which holds
+// the line Modified already (write rule); the caller deals with an outermost
+// one.
+func (a *access) install(lvl int, st State) (v Victim, had bool) {
+	c := a.chain[lvl]
+	if a.kind == Write && c.cfg.Write == WriteThrough {
+		return v, false // write-through levels don't allocate on writes
 	}
-}
-
-// evictVictim processes a victim displaced from level lvl of the given
-// chain: back-invalidates inner copies (inclusion), writes dirty outermost
-// victims back over the bus, and updates the directory. p may be nil for
-// inner levels, where no timing is charged.
-func (h *Hierarchy) evictVictim(cpu int, chain []*Cache, lvl int, v Victim, p *pearl.Process) {
-	c := chain[lvl]
-	base := v.LineAddr << c.lineShift
-	sz := c.LineSize()
-	// Back-invalidate every inner level (both instruction and data chains).
-	h.backInvalidate(cpu, lvl, base, sz)
-	if lvl == len(chain)-1 {
-		// Outermost private level: victim leaves the CPU entirely.
-		if v.State == Modified && p != nil {
-			h.writeBackLine(p, v.LineAddr, sz)
-		}
-		if h.cfg.Coherence == Directory {
-			h.dirEvict(cpu, v.LineAddr)
-		}
+	if a.kind == Fetch && st == Modified {
+		st = Exclusive
 	}
-	// Inner dirty victims merge into the next level, which holds the line
-	// Modified already (write rule); no action needed.
+	if v, had = c.Insert(c.LineAddr(a.addr), st); had {
+		a.h.backInvalidate(a.cpu, lvl, v.LineAddr<<c.lineShift, c.LineSize())
+	}
+	return v, had
 }
 
 // backInvalidate drops all copies covered by [base, base+size) from levels

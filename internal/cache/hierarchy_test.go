@@ -588,10 +588,13 @@ func TestStoreBufferRequiresWriteThrough(t *testing.T) {
 	}
 }
 
-// TestPortHitMatchesAccess checks the contract of Port.Hit: an access
-// performed as Hit, hold, count — falling back to Access where Hit declines
-// — leaves the hierarchy in the state, and the clock at the time, that the
-// same access stream leaves behind through Access alone.
+// TestPortHitMatchesAccess checks the contract of Port.Begin and Port.Step —
+// the successors of Port.Hit, whose name the test keeps: a stream of accesses
+// driven step by step from one pearl.Process.HoldWhile chain that never
+// returns to its process leaves the hierarchy in the state, and every access
+// completing at the time, that the same stream leaves behind through Access,
+// which blocks the process once per access. With several CPUs the chains
+// interleave at every wait, on the bus and in each other's caches.
 func TestPortHitMatchesAccess(t *testing.T) {
 	twoLevel := uniConfig(WriteBack)
 	twoLevel.Private = append(twoLevel.Private,
@@ -605,39 +608,62 @@ func TestPortHitMatchesAccess(t *testing.T) {
 	wide.Private[0].Assoc = 0
 	free := uniConfig(WriteBack) // zero hit latency: a hit holds for nothing
 	free.Private[0].HitLatency = 0
+	common := HierarchyConfig{CPUs: 3, Shared: []Config{l1cfg(WriteBack)}, Bus: testBus(), Memory: testMem()}
 	for name, cfg := range map[string]HierarchyConfig{
 		"one level": uniConfig(WriteBack), "two levels": twoLevel, "split L1": split,
 		"write-through + store buffer": buffered, "fully associative": wide, "free hits": free,
+		"snoopy": smpConfig(3, Snoopy), "directory": smpConfig(3, Directory), "common": common,
 	} {
 		t.Run(name, func(t *testing.T) {
-			run := func(viaHit bool) (report string, times []pearl.Time, hits int) {
+			const accesses = 4000
+			run := func(viaStep bool) (report string, times [][]pearl.Time, switches uint64) {
 				k := pearl.NewKernel()
 				defer k.Close() // the store-buffer drain never terminates
 				h := mustHierarchy(t, k, cfg)
-				pt := h.Port(0)
-				r := pearl.NewRNG(5)
-				k.Spawn("driver", func(p *pearl.Process) {
-					for i := 0; i < 4000; i++ {
-						kind := AccessKind(r.Intn(3))
-						addr := uint64(r.Intn(4096))  // 4 KiB over a 1 KiB L1: hits and misses
-						size := uint64(1 + r.Intn(8)) // some straddle a line
-						var l1 *Cache
-						if viaHit {
-							var d pearl.Time
-							if d, l1 = pt.Hit(kind, addr, size); l1 != nil {
-								if d > 0 {
-									p.Hold(d)
-								}
-								l1.S.Hits.Inc()
-								hits++
-							}
-						}
-						if l1 == nil {
-							pt.Access(p, kind, addr, size)
-						}
-						times = append(times, p.Now())
+				times = make([][]pearl.Time, cfg.CPUs)
+				for cpu := 0; cpu < cfg.CPUs; cpu++ {
+					pt := h.Port(cpu)
+					r := pearl.NewRNG(uint64(5 + cpu))
+					issued, began := 0, pearl.Time(0)
+					next := func() (AccessKind, uint64, uint64) {
+						issued++
+						began = k.Now()
+						// 4 KiB over a 1 KiB L1: hits and misses; some straddle a line.
+						return AccessKind(r.Intn(3)), uint64(r.Intn(4096)), uint64(1 + r.Intn(8))
 					}
-				})
+					done := func() { times[cpu] = append(times[cpu], k.Now()) }
+					k.Spawn(fmt.Sprintf("driver%d", cpu), func(p *pearl.Process) {
+						if !viaStep {
+							for issued < accesses {
+								kind, addr, size := next()
+								pt.Access(p, kind, addr, size)
+								done()
+							}
+							return
+						}
+						inFlight := false
+						p.HoldWhile(func() pearl.Step {
+							for {
+								if inFlight {
+									s, latency := pt.Step()
+									if !s.Done {
+										return s
+									}
+									if latency != k.Now()-began {
+										t.Errorf("Step reports latency %d for an access begun at %d and over at %d", latency, began, k.Now())
+									}
+									inFlight = false
+									done()
+								}
+								if issued == accesses {
+									return pearl.Step{Done: true}
+								}
+								pt.Begin(next())
+								inFlight = true
+							}
+						})
+					})
+				}
 				k.Run()
 				var sb strings.Builder
 				if err := stats.RenderSet(&sb, h.StatsSet()); err != nil {
@@ -646,29 +672,22 @@ func TestPortHitMatchesAccess(t *testing.T) {
 				for _, c := range h.Caches() {
 					fmt.Fprintf(&sb, "%s: %+v\n", c.cfg.Name, c.sets)
 				}
-				return sb.String(), times, hits
+				return sb.String(), times, k.Switches()
 			}
-			wantReport, wantTimes, _ := run(false)
-			gotReport, gotTimes, hits := run(true)
-			if hits < 500 {
-				t.Errorf("Hit accepted only %d of 4000 accesses", hits)
-			}
+			wantReport, wantTimes, blocking := run(false)
+			gotReport, gotTimes, stackless := run(true)
 			if !reflect.DeepEqual(gotTimes, wantTimes) {
-				t.Error("completion times differ between Hit and Access")
+				t.Error("completion times differ between Begin/Step and Access")
 			}
 			if gotReport != wantReport {
-				t.Errorf("statistics or cache contents differ\nAccess:\n%s\nHit:\n%s", wantReport, gotReport)
+				t.Errorf("statistics or cache contents differ\nAccess:\n%s\nBegin/Step:\n%s", wantReport, gotReport)
 			}
+			// Into each driver and out of it again, and a hand-off per store for
+			// the drain process of a store buffer: nothing per access.
+			if limit := uint64(2*cfg.CPUs + 2); stackless > limit && cfg.StoreBuffer == 0 {
+				t.Errorf("%d switches stepping through %d accesses; want at most %d", stackless, accesses*cfg.CPUs, limit)
+			}
+			t.Logf("%d switches through Access, %d through Begin/Step", blocking, stackless)
 		})
 	}
-	// A port another CPU can snoop never takes the short cut.
-	k := pearl.NewKernel()
-	h := mustHierarchy(t, k, smpConfig(2, Snoopy))
-	pt := h.Port(0)
-	drive(t, h, k, func(p *pearl.Process) {
-		pt.Access(p, Read, 0x100, 4)
-		if _, l1 := pt.Hit(Read, 0x100, 4); l1 != nil {
-			t.Error("Hit accepted an access on a snooped port")
-		}
-	})
 }

@@ -80,31 +80,37 @@ func (t *Timing) sanitize() {
 }
 
 // CPU executes abstract machine instructions against a memory hierarchy
-// port. It is passive. Exec runs in the owning process's context and blocks
-// for each operation's full latency; Begin and Retire are the same
-// execution split around the wait, for an owner that does the waiting itself
-// (the node model's stackless holds). One CPU executes one operation at a
-// time: every accepted Begin is followed by its Retire before the next.
+// port. It is passive and never blocks anyone itself: Begin starts an
+// operation and Step says what it has to wait for next, for an owner that
+// does the waiting — the node model's pearl.Process.HoldWhile chain, or Exec,
+// which is that chain for one operation of a given process. One CPU executes
+// one operation at a time: every accepted Begin is followed by Steps up to
+// the one that reports Done before the next.
 type CPU struct {
 	id     int
 	timing Timing
 	port   *cache.Port
+	step   func() pearl.Step // Step, bound once
 
 	counts   [ops.NumKinds + 1]stats.Counter
 	instrs   uint64
 	busy     pearl.Time
 	memStall pearl.Time
 
-	// hitIn is the cache level whose hit the operation between Begin and
-	// Retire is; the hit is counted when the operation retires.
-	hitIn *cache.Cache
+	// The operation between Begin and its last Step: its kind and, unless it
+	// goes through the port, its latency and whether that has been held for.
+	kind    ops.Kind
+	latency pearl.Time
+	held    bool
 }
 
 // New creates a CPU with the given timing, issuing memory accesses through
 // port.
 func New(id int, timing Timing, port *cache.Port) *CPU {
 	timing.sanitize()
-	return &CPU{id: id, timing: timing, port: port}
+	c := &CPU{id: id, timing: timing, port: port}
+	c.step = c.Step
+	return c
 }
 
 // ID returns the CPU's index within its node.
@@ -140,52 +146,61 @@ func (c *CPU) memAccess(o ops.Op) (k cache.AccessKind, addr, size uint64) {
 	return cache.Read, o.Addr, o.Mem.Size()
 }
 
-// Begin starts a computational operation whose latency is known at issue and
-// returns that latency: every arithmetic, control and load-constant
-// operation — the timing table lives here and nowhere else — and a load,
-// store or instruction fetch that cache.Port.Hit accepts. The caller lets
-// the latency pass in virtual time and then calls Retire. Begin declines
-// (ok false, nothing changed) a memory access that has to walk the
-// hierarchy, and anything that is not a computational operation.
-func (c *CPU) Begin(o ops.Op) (latency pearl.Time, ok bool) {
+// Begin starts a computational operation — the timing table lives here and
+// nowhere else — which then proceeds through Step. It declines (false,
+// nothing changed) anything that is not a computational operation.
+func (c *CPU) Begin(o ops.Op) bool {
 	switch o.Kind {
 	case ops.Load, ops.Store, ops.IFetch:
-		latency, c.hitIn = c.port.Hit(c.memAccess(o))
-		return latency, c.hitIn != nil
+		c.port.Begin(c.memAccess(o))
 	case ops.LoadConst:
-		return c.timing.LoadConst.forType(o.Data), true
+		c.latency = c.timing.LoadConst.forType(o.Data)
 	case ops.Add:
-		return c.timing.Add.forType(o.Data), true
+		c.latency = c.timing.Add.forType(o.Data)
 	case ops.Sub:
-		return c.timing.Sub.forType(o.Data), true
+		c.latency = c.timing.Sub.forType(o.Data)
 	case ops.Mul:
-		return c.timing.Mul.forType(o.Data), true
+		c.latency = c.timing.Mul.forType(o.Data)
 	case ops.Div:
-		return c.timing.Div.forType(o.Data), true
+		c.latency = c.timing.Div.forType(o.Data)
 	case ops.Branch:
-		return c.timing.Branch, true
+		c.latency = c.timing.Branch
 	case ops.Call:
-		return c.timing.Call, true
+		c.latency = c.timing.Call
 	case ops.Ret:
-		return c.timing.Ret, true
+		c.latency = c.timing.Ret
+	default:
+		return false
 	}
-	return 0, false
+	c.kind, c.held = o.Kind, false
+	return true
 }
 
-// Retire completes an operation of the given kind that took latency cycles,
-// at the virtual time it completes: it is counted, and its time attributed
-// to compute or, for a memory access, to memory stall.
-func (c *CPU) Retire(kind ops.Kind, latency pearl.Time) {
-	if c.hitIn != nil {
-		c.hitIn.S.Hits.Inc()
-		c.hitIn = nil
+// Step returns the hold or resource wait the operation in flight needs next,
+// to be called again when that has been served. With the last wait over it
+// retires the operation — counts it and attributes its time to compute or,
+// for a memory access, to memory stall — and reports Done.
+func (c *CPU) Step() pearl.Step {
+	if usesPort(c.kind) {
+		s, latency := c.port.Step()
+		if s.Done {
+			c.retire(latency)
+			c.memStall += latency
+		}
+		return s
 	}
-	c.counts[kind].Inc()
+	if !c.held && c.latency > 0 {
+		c.held = true
+		return pearl.Step{Hold: c.latency}
+	}
+	c.retire(c.latency)
+	return pearl.Step{Done: true}
+}
+
+func (c *CPU) retire(latency pearl.Time) {
+	c.counts[c.kind].Inc()
 	c.instrs++
 	c.busy += latency
-	if usesPort(kind) {
-		c.memStall += latency
-	}
 }
 
 // Exec executes one computational operation, blocking p for its latency
@@ -193,21 +208,10 @@ func (c *CPU) Retire(kind ops.Kind, latency pearl.Time) {
 // Communication operations are not accepted here: the node model routes them
 // to the communication model, as in Fig. 2.
 func (c *CPU) Exec(p *pearl.Process, o ops.Op) error {
-	if !o.Kind.IsComputational() {
+	if !c.Begin(o) {
 		return fmt.Errorf("cpu %d: %s is not a computational operation", c.id, o.Kind)
 	}
-	if usesPort(o.Kind) {
-		k, addr, size := c.memAccess(o)
-		start := p.Now()
-		c.port.Access(p, k, addr, size)
-		c.Retire(o.Kind, p.Now()-start)
-		return nil
-	}
-	d, _ := c.Begin(o)
-	if d > 0 {
-		p.Hold(d)
-	}
-	c.Retire(o.Kind, d)
+	p.HoldWhile(c.step)
 	return nil
 }
 

@@ -49,6 +49,7 @@ func (c *Config) sanitize() {
 // DRAM is a simple main-memory timing model.
 type DRAM struct {
 	cfg   Config
+	k     *pearl.Kernel
 	ports *pearl.Resource
 
 	reads  stats.Counter
@@ -57,6 +58,8 @@ type DRAM struct {
 
 	tl    *probe.Timeline // nil when no probe is attached
 	track probe.Track
+
+	idle []*call // see call
 }
 
 // New creates a DRAM on kernel k. pb and col may be nil (no
@@ -66,7 +69,7 @@ type DRAM struct {
 // bottleneck analysis.
 func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysis.Collector) *DRAM {
 	cfg.sanitize()
-	d := &DRAM{cfg: cfg, ports: k.NewResource(name+".ports", cfg.Ports)}
+	d := &DRAM{cfg: cfg, k: k, ports: k.NewResource(name+".ports", cfg.Ports)}
 	col.Resource("dram", d.ports)
 	reg := pb.Registry()
 	reg.Counter(name+".reads", &d.reads)
@@ -80,9 +83,9 @@ func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysi
 	return d
 }
 
-// AccessTime returns the service time for a transfer of size bytes,
+// accessTime returns the service time for a transfer of size bytes,
 // excluding queueing.
-func (d *DRAM) AccessTime(write bool, size uint64) pearl.Time {
+func (d *DRAM) accessTime(write bool, size uint64) pearl.Time {
 	lat := d.cfg.ReadLatency
 	if write {
 		lat = d.cfg.WriteLatency
@@ -91,37 +94,69 @@ func (d *DRAM) AccessTime(write bool, size uint64) pearl.Time {
 	return lat + pearl.Time((size+bpc-1)/bpc)
 }
 
+// Access is a read or write of size bytes, port queueing included, as a
+// resumable call (see bus.Bus.Acquire for the protocol): call it with *pc
+// zero from a pearl.Process.HoldWhile step and again after each Step it
+// returns has been served, until it returns Done.
+func (d *DRAM) Access(write bool, size uint64, pc *int) pearl.Step {
+	switch *pc {
+	case 0:
+		if !d.ports.TryAcquire() {
+			*pc = 1
+			return pearl.Step{Acquire: d.ports}
+		}
+		fallthrough
+	case 1:
+		*pc = 2
+		return pearl.Step{Hold: d.accessTime(write, size)}
+	}
+	d.ports.Release()
+	if d.tl != nil {
+		// The span covers port ownership only, not queueing.
+		name, now := "read", d.k.Now()
+		if write {
+			name = "write"
+		}
+		d.tl.Span(d.track, name, now-d.accessTime(write, size), now)
+	}
+	if write {
+		d.writes.Inc()
+	} else {
+		d.reads.Inc()
+	}
+	d.bytes.Add(size)
+	*pc = 0
+	return pearl.Step{Done: true}
+}
+
 // Read blocks the calling process for a read of size bytes at addr,
 // including any port queueing.
-func (d *DRAM) Read(p *pearl.Process, addr, size uint64) {
-	d.access(p, false, size)
-	d.reads.Inc()
-	d.bytes.Add(size)
-}
+func (d *DRAM) Read(p *pearl.Process, addr, size uint64) { d.access(p, false, size) }
 
 // Write blocks the calling process for a write of size bytes at addr.
-func (d *DRAM) Write(p *pearl.Process, addr, size uint64) {
-	d.access(p, true, size)
-	d.writes.Inc()
-	d.bytes.Add(size)
-}
+func (d *DRAM) Write(p *pearl.Process, addr, size uint64) { d.access(p, true, size) }
 
 func (d *DRAM) access(p *pearl.Process, write bool, size uint64) {
-	t := d.AccessTime(write, size)
-	if d.tl == nil {
-		p.Use(d.ports, t)
-		return
+	var c *call
+	if n := len(d.idle); n > 0 {
+		c, d.idle = d.idle[n-1], d.idle[:n-1]
+	} else {
+		c = &call{}
+		c.step = func() pearl.Step { return d.Access(c.write, c.size, &c.pc) }
 	}
-	// Inline Use so the span covers port ownership only, not queueing.
-	p.Acquire(d.ports)
-	start := p.Now()
-	p.Hold(t)
-	d.ports.Release()
-	name := "read"
-	if write {
-		name = "write"
-	}
-	d.tl.Span(d.track, name, start, p.Now())
+	c.write, c.size = write, size
+	p.HoldWhile(c.step)
+	d.idle = append(d.idle, c)
+}
+
+// call is the state of one Read or Write call across its waits. The DRAM
+// keeps the records of finished calls for the next ones, so a call allocates
+// nothing.
+type call struct {
+	step  func() pearl.Step
+	write bool
+	size  uint64
+	pc    int
 }
 
 // Reads, Writes and Bytes expose the access counters.

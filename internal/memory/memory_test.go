@@ -9,10 +9,10 @@ import (
 func TestAccessTime(t *testing.T) {
 	k := pearl.NewKernel()
 	d := New(k, "m", Config{ReadLatency: 5, WriteLatency: 7, BytesPerCycle: 8, Ports: 1}, nil, nil)
-	if got := d.AccessTime(false, 64); got != 13 {
+	if got := d.accessTime(false, 64); got != 13 {
 		t.Fatalf("read 64B = %d, want 13", got)
 	}
-	if got := d.AccessTime(true, 1); got != 8 {
+	if got := d.accessTime(true, 1); got != 8 {
 		t.Fatalf("write 1B = %d, want 8 (7 + ceil(1/8))", got)
 	}
 }

@@ -281,9 +281,10 @@ func (n *Network) inject(msg *Message) {
 	for i, pkt := range pkts {
 		pkt := pkt
 		n.packets.Inc()
-		n.k.Spawn(fmt.Sprintf("pkt.%d->%d.%d", msg.Src, msg.Dst, i), func(p *pearl.Process) {
+		// Named on demand: only the deadlock report reads a packet's name.
+		n.k.Spawn("pkt", func(p *pearl.Process) {
 			n.forward(p, msg, pkt)
-		})
+		}).NameFunc = func() string { return fmt.Sprintf("pkt.%d->%d.%d", msg.Src, msg.Dst, i) }
 	}
 }
 

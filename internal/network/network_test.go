@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"testing"
 
 	"mermaid/internal/fault"
@@ -343,6 +344,25 @@ func TestDeadlockDiagnosable(t *testing.T) {
 	}
 	if len(k.Blocked()) == 0 {
 		t.Fatal("kernel should report blocked processes")
+	}
+}
+
+// A packet in flight is a process whose name nobody formats until a
+// diagnostic asks for it.
+func TestPacketProcessNamedOnDemand(t *testing.T) {
+	k := pearl.NewKernel()
+	defer k.Close()
+	cfg := ringConfig(router.StoreAndForward)
+	cfg.Router.MaxPacket = 32
+	n := mustNet(t, k, cfg)
+	k.Spawn("sender", func(p *pearl.Process) { n.Node(0).Send(p, 2, 64, 0, nil, false) })
+	k.RunUntil(5) // past the send overhead: both packets are on their first hop
+	var names []string
+	for _, p := range k.Blocked() {
+		names = append(names, p.Name())
+	}
+	if got, want := fmt.Sprint(names), "[pkt.0->2.0 pkt.0->2.1]"; got != want {
+		t.Errorf("processes in flight: %s, want %s", got, want)
 	}
 }
 

@@ -71,9 +71,9 @@ type Node struct {
 	commCycles []pearl.Time
 	dsmStall   []pearl.Time
 
-	// declineStraight is set only by tests: every operation then takes the
-	// blocking path through exec, the reference the stackless one is checked
-	// against.
+	// declineStraight is set only by tests: every operation then goes through
+	// exec and blocks the process in a chain of its own, the reference the
+	// one long chain is checked against.
 	declineStraight bool
 }
 
@@ -196,9 +196,10 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 	r.proc = n.k.Spawn(procName, func(p *pearl.Process) {
 		defer func() { r.done = true }()
 		for {
-			// Everything whose latency is known at issue runs as a stackless
-			// chain of holds; the chain ends at the first operation that
-			// needs a process to block in (or at the end of the stream).
+			// Computation, memory hierarchy included, runs as a stackless
+			// chain of holds and resource waits; the chain ends at the first
+			// operation that needs a process to block in (or at the end of
+			// the stream).
 			p.HoldWhile(straight)
 			ev, err := cur.Next()
 			if err == io.EOF {
@@ -221,53 +222,49 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 }
 
 // straightLine returns the pearl.Process.HoldWhile step that executes the
-// stream at cur for as long as cpu.CPU.Begin accepts its operations: each
-// call retires the operation whose latency has just passed and begins the
-// next, and returns that one's latency. It declines — leaving the operation
-// at the cursor for exec — at the first operation Begin declines, at any
-// memory access on a node with a virtual-shared-memory layer (exec obtains
-// page rights first, and a remote page invalidation may drop the line during
-// the hold, so the lookup must happen when the hold expires, as
-// cache.Port.Access does it), and at the end of the stream.
-func (n *Node) straightLine(c *cpu.CPU, cur *trace.Cursor) func() (pearl.Time, bool) {
-	var (
-		inFlight bool // an operation begun by the previous call awaits Retire
-		kind     ops.Kind
-		latency  pearl.Time
-	)
-	return func() (pearl.Time, bool) {
-		if inFlight {
-			c.Retire(kind, latency)
-			inFlight = false
-		}
-		for !n.declineStraight {
+// stream at cur for as long as its operations are computational: each call
+// lets the operation in flight proceed and, when that retires, begins the
+// next. The chain ends — leaving the operation at the cursor for exec — at
+// the first communication or compute operation, at a load or store to the
+// shared segment of a virtual-shared-memory layer (exec obtains page rights
+// first, which may block in the network), and at the end of the stream.
+func (n *Node) straightLine(c *cpu.CPU, cur *trace.Cursor) func() pearl.Step {
+	inFlight := false // an operation begun by an earlier call has Steps left
+	return func() pearl.Step {
+		for {
+			if inFlight {
+				if s := c.Step(); !s.Done {
+					return s
+				}
+				inFlight = false
+			}
+			if n.declineStraight {
+				break
+			}
 			ev, err := cur.Peek()
 			if err != nil {
 				break
 			}
-			o := ev.Op
-			if n.shared != nil && (o.Kind.IsMemoryAccess() || o.Kind == ops.IFetch) {
-				break
-			}
-			d, ok := c.Begin(o)
-			if !ok {
+			if n.needsPageRights(ev.Op) || !c.Begin(ev.Op) {
 				break
 			}
 			cur.Advance()
-			if d > 0 {
-				inFlight, kind, latency = true, o.Kind, d
-				return d, true
-			}
-			c.Retire(o.Kind, 0) // a free operation holds for nothing, as in Exec
+			inFlight = true
 		}
-		return 0, false
+		return pearl.Step{Done: true}
 	}
+}
+
+// needsPageRights reports whether the operation is a load or store to the
+// node's virtual shared memory.
+func (n *Node) needsPageRights(o ops.Op) bool {
+	return n.shared != nil && o.Kind.IsMemoryAccess() && n.shared.InRange(o.Addr)
 }
 
 func (n *Node) exec(p *pearl.Process, c *cpu.CPU, cpuIdx int, ev trace.Event) error {
 	o := ev.Op
 	if o.Kind.IsComputational() {
-		if n.shared != nil && o.Kind.IsMemoryAccess() && n.shared.InRange(o.Addr) {
+		if n.needsPageRights(o) {
 			// Virtual shared memory: obtain page rights first (may fault
 			// through the network), then perform the local access.
 			write := o.Kind == ops.Store

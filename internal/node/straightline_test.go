@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mermaid/internal/analysis"
+	"mermaid/internal/bus"
 	"mermaid/internal/cache"
 	"mermaid/internal/fault"
 	"mermaid/internal/machine"
@@ -18,11 +19,14 @@ import (
 	"mermaid/internal/workload"
 )
 
-// The stackless path of Node.Run — operations whose latency is known at
-// issue executed as a pearl.Process.HoldWhile chain — must be invisible: a
-// machine whose nodes decline it, so that every operation blocks its process
-// the way it always did, has to produce the same bytes in every artifact the
-// workbench writes, on every kind of node and under every executor.
+// The stackless path of Node.Run — a stream's computation, memory hierarchy
+// included, executed as one long pearl.Process.HoldWhile chain driven from the
+// node's step function — must be invisible: a machine whose nodes decline it,
+// so that every operation goes through exec and cpu.CPU.Exec and blocks its
+// process in a chain of its own, has to produce the same bytes in every
+// artifact the workbench writes, on every kind of node and under every
+// executor. (What both must reproduce of the hierarchy that blocked a process
+// at every hold is pinned by TestDetailedDigests.)
 
 // mixedTrace draws n instructions exercising every case of cpu.CPU.Begin:
 // fetches, loads and stores over a private window that overflows the inner
@@ -176,6 +180,15 @@ func TestStraightLineIsInvisible(t *testing.T) {
 		Retrans: fault.Retrans{Timeout: 200, Backoff: 2, MaxRetries: 16},
 	}
 
+	contended := machine.PPC601SMP(4)
+	contended.Name = "ppc601-smp-contended"
+	directory := machine.PPC601SMP(4)
+	directory.Name = "ppc601-directory"
+	directory.Node.Hierarchy.Coherence = cache.Directory
+	directory.Node.Hierarchy.DirLookupLatency = 2
+	directory.Node.Hierarchy.DirMessageLatency = 3
+	directory.Node.Hierarchy.Bus = bus.Config{Kind: bus.KindCrossbar, Width: 8, ArbitrationDelay: 1, Banks: 4, InterleaveBytes: 64}
+
 	cases := []struct {
 		cfg    machine.Config
 		shards []int // 0 is the single-kernel engine
@@ -187,6 +200,8 @@ func TestStraightLineIsInvisible(t *testing.T) {
 		{storeBuffered, []int{0}, stream(ringTraces(1, 1, 1, 3000))},
 		{splitL1, []int{0}, stream(ringTraces(1, 1, 1, 3000))},
 		{machine.PPC601SMP(4), []int{0}, stream(ringTraces(1, 4, 1, 1500))},
+		{contended, []int{0}, stream(sharingTraces(4, 1500))},
+		{directory, []int{0}, stream(ringTraces(1, 4, 1, 1500))},
 		{machine.HybridCluster(2, 2, 2), []int{0}, stream(ringTraces(4, 2, 3, 400))},
 		{machine.DSMCluster(2, 2), []int{0}, func(m *machine.Machine) (*machine.Result, error) {
 			return m.RunProgram(workload.JacobiDSM(4, 64, 3))

@@ -3,11 +3,12 @@ package pearl
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// HoldWhile is specified as a literal loop of Holds whose step function may
-// run on any stack. This file holds it to that: seeded random programs
+// HoldWhile is specified as a literal loop of Holds and Acquires whose step
+// function may run on any stack. This file holds it to that: seeded random programs
 // are built twice — once on HoldWhile, once on the loop written out below —
 // and must be indistinguishable in everything virtual time can show. The
 // programs spawn short-lived children as they go, from bodies and from
@@ -15,13 +16,16 @@ import (
 // their processes to pooled workers in different orders.
 
 // literalHoldWhile is the specification of Process.HoldWhile.
-func literalHoldWhile(p *Process, step func() (Time, bool)) {
+func literalHoldWhile(p *Process, step func() Step) {
 	for {
-		d, ok := step()
-		if !ok {
+		switch s := step(); {
+		case s.Done:
 			return
+		case s.Acquire != nil:
+			p.Acquire(s.Acquire)
+		default:
+			p.Hold(s.Hold)
 		}
-		p.Hold(d)
 	}
 }
 
@@ -42,14 +46,19 @@ const (
 	opStop                   // Kernel.Stop
 	opSpawn                  // spawn a child that runs a chain, holds d and ends
 	numPropOps
+
+	// Chain links only: the step asks for resource idx instead of a hold; a
+	// later link of the same chain releases it before its hold.
+	opAcquire
+	opRelease
 )
 
 // propLink is one step of a chain: a side effect executed inside the step
 // function — in process context on the first step, in kernel context after —
-// and the hold that follows it.
+// and the hold, or for opAcquire the resource wait, that follows it.
 type propLink struct {
 	d    Time
-	side propOp // opHold (none), opSend, opAfter, opComplete, opStop or opSpawn
+	side propOp // opHold (none), opSend, opAfter, opComplete, opStop, opSpawn, opAcquire or opRelease
 	idx  int
 }
 
@@ -108,10 +117,23 @@ func genSpec(seed uint64, shards int) propSpec {
 		}
 		return l
 	}
-	chain := func(shard int) []propLink {
-		links := make([]propLink, r.Intn(7))
-		for i := range links {
-			links[i] = link(shard)
+	// A chain that may acquire holds one resource at a time, from an
+	// opAcquire link to the opRelease link that follows it, so chains alone
+	// never deadlock; a chain run inside opUse, which holds a resource
+	// already, acquires nothing.
+	chain := func(shard int, acquires bool) []propLink {
+		var links []propLink
+		for i, n := 0, r.Intn(7); i < n; i++ {
+			if acquires && r.Intn(3) == 0 {
+				res := r.Intn(propResources)
+				links = append(links, propLink{side: opAcquire, idx: res})
+				for j, m := 0, r.Intn(3); j < m; j++ {
+					links = append(links, link(shard))
+				}
+				links = append(links, propLink{d: Time(r.Intn(6)), side: opRelease, idx: res})
+				continue
+			}
+			links = append(links, link(shard))
 		}
 		return links
 	}
@@ -124,11 +146,11 @@ func genSpec(seed uint64, shards int) propSpec {
 			act := propAct{op: propOp(r.Intn(int(numPropOps))), d: Time(r.Intn(8)), idx: r.Intn(n)}
 			switch act.op {
 			case opChain:
-				act.links = chain(ps.shard)
+				act.links = chain(ps.shard, true)
 			case opUse:
 				act.idx = r.Intn(propResources)
 				if r.Intn(2) == 0 {
-					act.links = chain(ps.shard)
+					act.links = chain(ps.shard, false)
 				}
 			case opAwait:
 				act.idx = r.Intn(propFutures)
@@ -141,10 +163,10 @@ func genSpec(seed uint64, shards int) propSpec {
 			case opStop:
 				if r.Intn(3) != 0 {
 					act.op = opChain
-					act.links = chain(ps.shard)
+					act.links = chain(ps.shard, true)
 				}
 			case opSpawn:
-				act.links = chain(ps.shard)
+				act.links = chain(ps.shard, true)
 			}
 			ps.acts = append(ps.acts, act)
 		}
@@ -273,6 +295,8 @@ func (w *propWorld) effect(who int, op propOp, idx int, d Time) {
 		s.fut[idx].CompleteAfter(d, who)
 	case opStop:
 		s.k.Stop()
+	case opRelease:
+		s.res[idx].Release()
 	case opSpawn:
 		// A child of a chain link only holds; one spawned by an action runs
 		// a chain of its own first (body, below).
@@ -287,15 +311,23 @@ func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process)
 	s := w.shardOf(who)
 	holdChain := func(p *Process, links []propLink) {
 		i := 0
-		step := func() (Time, bool) {
+		step := func() Step {
 			s.note(who, "step")
-			if i == len(links) {
-				return 0, false
+			for i < len(links) {
+				l := links[i]
+				i++
+				if l.side != opAcquire {
+					w.effect(who, l.side, l.idx, l.d)
+					return Step{Hold: l.d}
+				}
+				// Every other acquisition the way the bus and the DRAM do it:
+				// taken in the step if free, asked for only if contended.
+				if i%2 == 0 && s.res[l.idx].TryAcquire() {
+					continue
+				}
+				return Step{Acquire: s.res[l.idx]}
 			}
-			l := links[i]
-			i++
-			w.effect(who, l.side, l.idx, l.d)
-			return l.d, true
+			return Step{Done: true}
 		}
 		if holdWhile {
 			p.HoldWhile(step)
@@ -343,6 +375,8 @@ type propOutcome struct {
 	Events  []uint64
 	Daemons []uint64
 	Blocked [][]string
+	// Per resource: BusyCycles, WaitCycles, Acquires, InUse, QueueLen.
+	Resources [][5]int64
 }
 
 func (w *propWorld) outcome() propOutcome {
@@ -358,6 +392,10 @@ func (w *propWorld) outcome() propOutcome {
 			blocked = append(blocked, p.Name()+": "+p.BlockReason())
 		}
 		o.Blocked = append(o.Blocked, blocked)
+		for _, r := range s.res {
+			o.Resources = append(o.Resources, [5]int64{int64(r.BusyCycles()), int64(r.WaitCycles()),
+				int64(r.Acquires()), int64(r.InUse()), int64(r.QueueLen())})
+		}
 		s.k.Close() // most programs leave someone waiting for a message
 	}
 	return o
@@ -382,7 +420,11 @@ func propDrivers() map[string]func(*testing.T, *propWorld) {
 			s := w.shards[0]
 			for _, at := range w.spec.cuts {
 				s.k.RunUntil(at)
-				s.note(-1, fmt.Sprintf("cut: %d events", s.k.EventCount()))
+				var waiting []string
+				for _, p := range s.k.Blocked() {
+					waiting = append(waiting, p.Name()+": "+p.BlockReason())
+				}
+				s.note(-1, fmt.Sprintf("cut: %d events, waiting %q", s.k.EventCount(), waiting))
 			}
 			drain(t, s.k)
 		},
@@ -395,7 +437,7 @@ func TestHoldWhileEquivalence(t *testing.T) {
 	if testing.Short() {
 		seeds = 60
 	}
-	var chains, switchesLoop, switchesChain uint64
+	var chains, waits, switchesLoop, switchesChain uint64
 	var bodies, stacks int
 	for name, drive := range propDrivers() {
 		for _, shards := range []int{1, 2} {
@@ -431,6 +473,13 @@ func TestHoldWhileEquivalence(t *testing.T) {
 						}
 					}
 				}
+				for _, spans := range got[0].Spans {
+					for _, sp := range spans {
+						if strings.HasPrefix(sp.Reason, "acquire ") {
+							waits++
+						}
+					}
+				}
 			}
 		}
 	}
@@ -439,6 +488,9 @@ func TestHoldWhileEquivalence(t *testing.T) {
 	if chains < 1000 {
 		t.Errorf("only %d chain steps executed; the generator is not exercising HoldWhile", chains)
 	}
+	if waits < 300 {
+		t.Errorf("only %d blocked acquisitions; the generator is not exercising contended resources", waits)
+	}
 	if switchesChain >= switchesLoop {
 		t.Errorf("HoldWhile programs switched %d times, literal loops %d; want fewer", switchesChain, switchesLoop)
 	}
@@ -446,8 +498,8 @@ func TestHoldWhileEquivalence(t *testing.T) {
 	if bodies-stacks < 1000 {
 		t.Errorf("%d bodies ran on %d coroutines; the generator is not exercising worker reuse", bodies, stacks)
 	}
-	t.Logf("%d chain steps; %d switches with literal loops, %d with HoldWhile; %d bodies on %d coroutines",
-		chains, switchesLoop, switchesChain, bodies, stacks)
+	t.Logf("%d chain steps, %d resource waits; %d switches with literal loops, %d with HoldWhile; %d bodies on %d coroutines",
+		chains, waits, switchesLoop, switchesChain, bodies, stacks)
 }
 
 func TestAllocFreeHoldWhile(t *testing.T) {
@@ -456,7 +508,7 @@ func TestAllocFreeHoldWhile(t *testing.T) {
 	}
 	k := NewKernel()
 	k.Spawn("holder", func(p *Process) {
-		p.HoldWhile(func() (Time, bool) { return 1, true })
+		p.HoldWhile(func() Step { return Step{Hold: 1} })
 	})
 	k.RunUntil(64) // warm up the slab
 	now := Time(64)

@@ -60,9 +60,10 @@ const (
 	// evDaemon runs a callback closure like evFunc, but the event never keeps
 	// the run alive on its own: Run returns once only daemon events remain.
 	evDaemon
-	// evStep is one link of a HoldWhile chain: the process's step function
-	// runs in kernel context and either extends the chain or ends it, which
-	// activates the process — no closure needed.
+	// evStep is the expiry of a hold link of a HoldWhile chain: the process's
+	// step function runs in kernel context and either extends the chain or
+	// ends it, which activates the process — no closure needed. (The link of
+	// a contended acquisition is the evWake of the grant.)
 	evStep
 )
 
@@ -152,7 +153,14 @@ type Kernel struct {
 
 	live    int // queued events that are not cancelled
 	daemons int // live events scheduled with AtDaemon
+
+	// procs holds the processes that have not terminated, in spawn order,
+	// and up to as many again that have: Spawn sweeps those out once they are
+	// the majority, so a run's short-lived processes — a network packet each
+	// — do not stay reachable until the kernel dies. spawned numbers them.
 	procs   []*Process
+	dead    int
+	spawned int
 
 	// Deferred same-instant work for the windowed (sharded) executor. Post
 	// callbacks run once no ordinary event remains at the current instant;
@@ -449,20 +457,12 @@ func (k *Kernel) fire(idx int32, fromRunq bool) *Process {
 		return k.activate(proc)
 	case evWake:
 		proc.wakePending = false
+		if proc.acquiring != nil {
+			return k.resume(proc)
+		}
 		return k.activate(proc)
 	case evStep:
-		// What activate would do for a process resuming from Hold, then the
-		// step the process would run, then the Hold it would enter.
-		if k.tracer != nil && k.now > proc.blockedAt {
-			k.tracer.ProcessSpan(proc, proc.blockedAt, k.now, proc.blockReason)
-		}
-		proc.blockedAt = k.now
-		if d, ok := proc.step(); ok {
-			proc.scheduleStep(d)
-			return nil
-		}
-		proc.step = nil
-		return k.activate(proc)
+		return k.resume(proc)
 	}
 	return nil
 }

@@ -29,13 +29,20 @@ type Process struct {
 	granted  bool
 	queuedAt Time
 
-	// step is the HoldWhile chain in progress, nil otherwise.
-	step func() (Time, bool)
+	// step is the HoldWhile chain in progress, nil otherwise; acquiring is the
+	// contended resource the chain is queued on, if it is.
+	step      func() Step
+	acquiring *Resource
 
 	// OnPanic, if set, is invoked (in kernel context, on the goroutine that
 	// called Run) when the process body panics. The default is to re-panic
 	// there with the process name.
 	OnPanic func(v any)
+
+	// NameFunc, if set, supplies the process name when somebody asks, in
+	// place of the one given to Spawn: for processes spawned by the thousand
+	// whose names only a diagnostic ever reads.
+	NameFunc func() string
 
 	panicVal any
 }
@@ -48,10 +55,28 @@ func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 	if k.closed {
 		panic("pearl: Spawn on a closed kernel")
 	}
-	p := &Process{k: k, name: name, id: len(k.procs), body: body}
+	if k.dead > len(k.procs)/2 {
+		k.sweep()
+	}
+	p := &Process{k: k, name: name, id: k.spawned, body: body}
+	k.spawned++
 	k.procs = append(k.procs, p)
 	p.scheduleWake(0)
 	return p
+}
+
+// sweep drops the terminated processes from k.procs, keeping the order of
+// the rest. Spawn calls it when more than half the entries are dead, so the
+// cost per spawn is constant and the slice at most twice the live count.
+func (k *Kernel) sweep() {
+	live := k.procs[:0]
+	for _, p := range k.procs {
+		if !p.terminated {
+			live = append(live, p)
+		}
+	}
+	clear(k.procs[len(live):])
+	k.procs, k.dead = live, 0
 }
 
 // unwind is what yield panics with to unwind a body parked at Close.
@@ -88,6 +113,7 @@ func (p *Process) exit() {
 		return
 	}
 	p.terminated = true
+	k.dead++
 	p.body, p.w = nil, nil
 	k.current = nil
 	if v != nil {
@@ -120,7 +146,12 @@ func (p *Process) rescheduleFirst(t Time) *Process {
 }
 
 // Name returns the process name.
-func (p *Process) Name() string { return p.name }
+func (p *Process) Name() string {
+	if p.NameFunc != nil {
+		return p.NameFunc()
+	}
+	return p.name
+}
 
 // Kernel returns the kernel this process runs on.
 func (p *Process) Kernel() *Kernel { return p.k }
@@ -137,7 +168,7 @@ func (p *Process) BlockReason() string { return p.blockReason }
 
 // String implements fmt.Stringer.
 func (p *Process) String() string {
-	return fmt.Sprintf("process %q (#%d)", p.name, p.id)
+	return fmt.Sprintf("process %q (#%d)", p.Name(), p.id)
 }
 
 // activate marks p as the running process and returns it for the event
@@ -204,41 +235,95 @@ func (p *Process) Hold(d Time) {
 	p.block("hold")
 }
 
+// Step is what a HoldWhile step function asks for next.
+type Step struct {
+	// Hold lets this many cycles pass before the next step, like
+	// Process.Hold. Zero still yields to the events of the current instant.
+	Hold Time
+	// Acquire, when not nil, takes a unit of the resource before the next
+	// step, like Process.Acquire: at once if one is free, else queued behind
+	// earlier requesters. Hold is then ignored.
+	Acquire *Resource
+	// Done ends the chain.
+	Done bool
+}
+
 // HoldWhile is exactly
 //
 //	for {
-//		d, ok := step()
-//		if !ok {
+//		switch s := step(); {
+//		case s.Done:
 //			return
+//		case s.Acquire != nil:
+//			p.Acquire(s.Acquire)
+//		default:
+//			p.Hold(s.Hold)
 //		}
-//		p.Hold(d)
 //	}
 //
 // except that after the first call step runs in kernel context, on whichever
-// stack holds the baton, so a chain of holds costs no switch however many
-// other processes interleave with it. Each link is one typed
-// event that emits the block span a resuming process would, calls step, and
-// either schedules the next link or, on !ok, activates the process: the same
-// events are scheduled at the same program points as by the loop above, so
-// event order, EventCount and everything observable in virtual time are
-// identical. step must not block, and must not rely on being called on the
-// process's own stack; a panic in it surfaces like a callback's.
-func (p *Process) HoldWhile(step func() (d Time, ok bool)) {
-	d, ok := step()
-	if !ok {
-		return
-	}
+// stack holds the baton, so a chain of holds and resource waits costs no
+// switch however many other processes interleave with it. Each link is one
+// typed event — the hold's expiry, or the wake-up a Release schedules for the
+// waiter it grants the unit to — that emits the block span a resuming process
+// would, does the accounting Acquire would, calls step, and either schedules
+// or queues the next link or, on Done, activates the process: the same events
+// are scheduled at the same program points as by the loop above, so event
+// order, EventCount and everything observable in virtual time are identical.
+// step must not block, and must not rely on being called on the process's own
+// stack; a panic in it surfaces like a callback's.
+func (p *Process) HoldWhile(step func() Step) {
 	p.step = step
-	p.scheduleStep(d)
-	p.block("hold")
+	if reason := p.advance(); reason != "" {
+		p.block(reason)
+	}
 }
 
-// scheduleStep queues the next link of p's HoldWhile chain.
-func (p *Process) scheduleStep(d Time) {
-	if d < 0 {
-		panic(fmt.Sprintf("pearl: %v HoldWhile step returned %d: negative duration", p, d))
+// advance calls p's step function until the chain has to wait — a link is
+// scheduled or queued — and returns the block reason of that wait, or ""
+// when the chain has ended.
+func (p *Process) advance() string {
+	for {
+		s := p.step()
+		switch {
+		case s.Done:
+			p.step = nil
+			return ""
+		case s.Acquire == nil:
+			if s.Hold < 0 {
+				panic(fmt.Sprintf("pearl: %v HoldWhile step asked to hold %d: negative duration", p, s.Hold))
+			}
+			p.k.schedule(p.k.now+s.Hold, evStep, nil, p)
+			return "hold"
+		case !s.Acquire.request(p):
+			p.acquiring = s.Acquire
+			return s.Acquire.reason
+		}
 	}
-	p.k.schedule(p.k.now+d, evStep, nil, p)
+}
+
+// resume fires a link of p's chain — its hold has expired, or the resource it
+// is queued on has woken it: what activate would do for the resuming process,
+// then what the process would do up to its next block.
+func (k *Kernel) resume(p *Process) *Process {
+	if k.tracer != nil && k.now > p.blockedAt {
+		k.tracer.ProcessSpan(p, p.blockedAt, k.now, p.blockReason)
+	}
+	p.blockedAt = k.now
+	if r := p.acquiring; r != nil {
+		if !p.granted {
+			p.runnable = false // woken, but not by a grant: Acquire parks again
+			return nil
+		}
+		p.acquiring = nil
+		r.grant(p)
+	}
+	if reason := p.advance(); reason != "" {
+		p.runnable = false
+		p.blockReason = reason
+		return nil
+	}
+	return k.activate(p)
 }
 
 // park blocks until some other component calls unpark (via scheduleWake).

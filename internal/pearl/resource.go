@@ -84,23 +84,46 @@ func (r *Resource) AvgWait() float64 {
 	return float64(r.waitCycles) / float64(r.acquires)
 }
 
-// Acquire blocks until a unit of the resource is granted to the process.
-// Grants are strictly FIFO: a later arrival can never overtake an earlier
-// waiter.
-func (p *Process) Acquire(r *Resource) {
+// TryAcquire takes a unit if one is free and nobody is queued for one, which
+// is when Acquire returns without blocking, and reports whether it did.
+func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.account()
 		r.inUse++
 		r.acquires++
+		return true
+	}
+	return false
+}
+
+// request takes a unit for p if one is free and nobody is queued; otherwise
+// it queues p and reports false.
+func (r *Resource) request(p *Process) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	p.granted, p.queuedAt = false, r.k.now
+	r.waiters.push(p)
+	return false
+}
+
+// grant books the acquisition of a queued p that Release has given its unit.
+func (r *Resource) grant(p *Process) {
+	r.waitCycles += r.k.now - p.queuedAt
+	r.acquires++
+}
+
+// Acquire blocks until a unit of the resource is granted to the process.
+// Grants are strictly FIFO: a later arrival can never overtake an earlier
+// waiter.
+func (p *Process) Acquire(r *Resource) {
+	if r.request(p) {
 		return
 	}
-	p.granted, p.queuedAt = false, p.k.now
-	r.waiters.push(p)
 	for !p.granted {
 		p.park(r.reason)
 	}
-	r.waitCycles += p.k.now - p.queuedAt
-	r.acquires++
+	r.grant(p)
 }
 
 // Release returns one unit of the resource, granting it to the head waiter if

@@ -59,6 +59,42 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 	}
 }
 
+// TryAcquire succeeds exactly when Acquire would not block, with the same
+// bookkeeping.
+func TestTryAcquire(t *testing.T) {
+	k := NewKernel()
+	r := k.NewResource("port", 2)
+	if !r.TryAcquire() || !r.TryAcquire() {
+		t.Fatal("TryAcquire refused a free unit")
+	}
+	if r.TryAcquire() {
+		t.Fatal("TryAcquire took a third unit of two")
+	}
+	var granted Time
+	k.Spawn("waiter", func(p *Process) {
+		p.Acquire(r)
+		granted = p.Now()
+	})
+	k.After(5, func() {
+		if r.QueueLen() != 1 {
+			t.Errorf("%d queued, want the waiter", r.QueueLen())
+		}
+		r.Release() // goes to the waiter, at 5
+		r.Release()
+		k.After(0, func() {
+			// One unit is free again, and nobody is queued any more.
+			if !r.TryAcquire() {
+				t.Error("TryAcquire refused the unit the second Release freed")
+			}
+		})
+	})
+	k.Run()
+	if granted != 5 || r.InUse() != 2 || r.Acquires() != 4 || r.WaitCycles() != 5 {
+		t.Errorf("waiter granted at %d, %d in use, %d acquisitions, %d wait cycles; want 5, 2, 4, 5",
+			granted, r.InUse(), r.Acquires(), r.WaitCycles())
+	}
+}
+
 func TestResourceCapacity(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource("ports", 2)

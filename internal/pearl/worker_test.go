@@ -54,6 +54,39 @@ func TestGoroutineHighWater(t *testing.T) {
 	settle(t, base)
 }
 
+// TestTerminatedProcessesAreDropped: the kernel's process list follows the
+// processes alive, not the processes spawned, and sweeping it disturbs
+// neither the order Blocked reports nor the numbering.
+func TestTerminatedProcessesAreDropped(t *testing.T) {
+	const total = 10_000
+	k := NewKernel()
+	defer k.Close()
+	never := k.NewMailbox("never")
+	var stuck []*Process
+	high := 0
+	for i := 0; i < total; i++ {
+		if i%1000 == 0 {
+			// Every so often one that blocks for good, among the churn.
+			stuck = append(stuck, k.Spawn(fmt.Sprintf("stuck%d", i), func(p *Process) { p.Receive(never) }))
+		}
+		k.Spawn("short", func(p *Process) { p.Hold(1) })
+		k.Run()
+		if n := len(k.procs); n > high {
+			high = n
+		}
+	}
+	if limit := 2*len(stuck) + 2; high > limit {
+		t.Errorf("process list reached %d entries with at most %d processes alive; want at most %d", high, len(stuck)+1, limit)
+	}
+	if got := k.Blocked(); !reflect.DeepEqual(got, stuck) {
+		t.Errorf("Blocked() = %v, want the %d stuck processes in spawn order", got, len(stuck))
+	}
+	last := k.Spawn("last", func(*Process) {})
+	if want := fmt.Sprintf("process %q (#%d)", "last", total+len(stuck)); last.String() != want {
+		t.Errorf("process %v, want %s: ids count spawns", last, want)
+	}
+}
+
 // TestAllocFreeSpawnReuse pins what a short-lived process costs once a worker
 // is idle: its Process record and, amortised, its slot in the kernel's
 // process list — no goroutine, no stack, no channel.
@@ -147,7 +180,8 @@ func TestCloseInEveryState(t *testing.T) {
 		p.Await(k.NewFuture())
 	})
 	spawn("acquirer", func(p *Process) { p.Acquire(unit) })
-	spawn("chain", func(p *Process) { p.HoldWhile(func() (Time, bool) { return 400, true }) })
+	spawn("chain", func(p *Process) { p.HoldWhile(func() Step { return Step{Hold: 400} }) })
+	spawn("queued", func(p *Process) { p.HoldWhile(func() Step { return Step{Acquire: unit} }) })
 	spawn("done", func(p *Process) { p.Hold(1) }) // leaves an idle worker
 	procs["late"] = k.SpawnAt(5000, "late", func(p *Process) { t.Error("a process never activated ran") })
 	k.RunUntil(500)
@@ -173,16 +207,16 @@ func TestCloseInEveryState(t *testing.T) {
 	before := read()
 	wantReasons := map[string]string{
 		"holder": "hold", "receiver": "receive never", "owner": "await", "acquirer": "acquire unit",
-		"chain": "hold", "done": "", "late": "",
+		"chain": "hold", "queued": "acquire unit", "done": "", "late": "",
 	}
 	// (Cut mid-run, Blocked counts the two holders as well: it is meant for
 	// an idle kernel.)
-	if fmt.Sprint(before.Blocked) != "[holder receiver owner acquirer chain]" || !reflect.DeepEqual(before.Reasons, wantReasons) {
+	if fmt.Sprint(before.Blocked) != "[holder receiver owner acquirer chain queued]" || !reflect.DeepEqual(before.Reasons, wantReasons) {
 		t.Fatalf("the run left Blocked %v, reasons %v", before.Blocked, before.Reasons)
 	}
 
 	k.Close()
-	wantDeferred := map[string]int{"holder": 1, "receiver": 1, "owner": 1, "acquirer": 1, "chain": 1, "done": 1}
+	wantDeferred := map[string]int{"holder": 1, "receiver": 1, "owner": 1, "acquirer": 1, "chain": 1, "queued": 1, "done": 1}
 	if !reflect.DeepEqual(deferred, wantDeferred) {
 		t.Errorf("deferred calls ran %v, want %v", deferred, wantDeferred)
 	}

@@ -426,3 +426,93 @@ func TestPromNamesCollisionFree(t *testing.T) {
 		}
 	}
 }
+
+// WriteJSON encodes by hand; the bytes must be what encoding/json makes of
+// the same events — the format the golden timelines were written in — for
+// every kind of name, and through more than one flush of the buffer.
+func TestTimelineWriteJSONMatchesEncodingJSON(t *testing.T) {
+	type jsonEvent struct {
+		Name string         `json:"name"`
+		Ph   string         `json:"ph"`
+		Ts   int64          `json:"ts"`
+		Dur  *int64         `json:"dur,omitempty"`
+		Pid  int            `json:"pid"`
+		Tid  int            `json:"tid"`
+		S    string         `json:"s,omitempty"`
+		Args map[string]any `json:"args,omitempty"`
+	}
+	names := []string{
+		"plain", "", `quo"te`, `back\slash`, "tab\tnewline\n", "bell\a\b\f\r\x00\x1f\x7f", "<html>&amp;",
+		"ünïcödé ☃ 😀", "line\u2028sep\u2029", "bad\xffutf8", "acquire node0.bus.0",
+	}
+	tl := NewTimeline()
+	var want []jsonEvent
+	meta := func(kind string, pid, tid int, name string) {
+		want = append(want, jsonEvent{Name: kind, Ph: "M", Pid: pid, Tid: tid, Args: map[string]any{"name": name}})
+	}
+	// One group per name (each is its own first dot segment... unless it has
+	// a dot), one track in it.
+	var tracks []Track
+	for _, n := range names {
+		tracks = append(tracks, tl.Track("g"+n))
+	}
+	groups := map[string]int{}
+	var pids, tids []int
+	for _, n := range names {
+		g := "g" + n
+		if dot := strings.IndexByte(g, '.'); dot > 0 {
+			g = g[:dot]
+		}
+		if _, ok := groups[g]; !ok {
+			groups[g] = len(groups) + 1
+			meta("process_name", groups[g], 0, g)
+		}
+		pids, tids = append(pids, groups[g]), append(tids, 1)
+	}
+	for i, n := range names {
+		meta("thread_name", pids[i], tids[i], "g"+n)
+	}
+	const rounds = 400 // ≈ 300 KB: several flushes
+	for ts := int64(0); ts < rounds; ts++ {
+		for i, n := range names {
+			if (ts+int64(i))%3 == 0 {
+				tl.Instant(tracks[i], n, pearl.Time(ts))
+				want = append(want, jsonEvent{Name: n, Ph: "i", Ts: ts, Pid: pids[i], Tid: tids[i], S: "t"})
+				continue
+			}
+			dur := (ts + int64(i)) % 2 // zero-length spans keep "dur":0
+			tl.Span(tracks[i], n, pearl.Time(ts), pearl.Time(ts+dur))
+			want = append(want, jsonEvent{Name: n, Ph: "X", Ts: ts, Dur: &dur, Pid: pids[i], Tid: tids[i]})
+		}
+	}
+	var ref bytes.Buffer
+	ref.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
+	for i, ev := range want {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			ref.WriteString(",\n")
+		}
+		ref.Write(data)
+	}
+	ref.WriteString("]}\n")
+	var got bytes.Buffer
+	if err := tl.WriteJSON(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), ref.Bytes()) {
+		g, w := got.Bytes(), ref.Bytes()
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		lo, hi := max(0, i-80), i+80
+		t.Fatalf("WriteJSON differs from encoding/json at byte %d of %d/%d:\ngot  %q\nwant %q",
+			i, len(g), len(w), g[lo:min(hi, len(g))], w[lo:min(hi, len(w))])
+	}
+	if got.Len() < 3*(60<<10) {
+		t.Errorf("only %d bytes written: the test no longer spans several flushes", got.Len())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mermaid/internal/pearl"
@@ -132,19 +133,6 @@ func (t *Timeline) Events() int {
 	return len(t.events)
 }
 
-// jsonEvent is one entry of the trace-event array. Dur is a pointer so
-// instants omit it while zero-length spans keep an explicit "dur":0.
-type jsonEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   int64          `json:"ts"`
-	Dur  *int64         `json:"dur,omitempty"`
-	Pid  int            `json:"pid"`
-	Tid  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
 // WriteJSON exports the timeline in the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // a {"traceEvents": [...]} document of metadata, span ('X') and instant
@@ -189,61 +177,97 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 		return t.events[order[a]].ts < t.events[order[b]].ts
 	})
 
-	bw := &errWriter{w: w}
-	bw.writeString(`{"displayTimeUnit":"ns","traceEvents":[`)
-	first := true
-	emit := func(ev jsonEvent) {
-		data, err := json.Marshal(ev)
-		if err != nil {
-			bw.err = err
-			return
-		}
-		if !first {
-			bw.writeString(",\n")
-		}
-		first = false
-		bw.write(data)
-	}
+	// One buffer, flushed when it fills: no allocation and no reflection per
+	// event. The bytes are those of encoding/json marshalling
+	// {name, ph, ts, dur, pid, tid, s, args} with dur, s and args omitted
+	// when unset.
+	const flushAt = 60 << 10
+	enc := &eventEncoder{w: w, buf: make([]byte, 0, 64<<10)}
+	enc.buf = append(enc.buf, `{"displayTimeUnit":"ns","traceEvents":[`...)
 	for i, g := range groups {
-		emit(jsonEvent{Name: "process_name", Ph: "M", Pid: i + 1, Args: map[string]any{"name": g}})
+		enc.metadata("process_name", i+1, 0, g)
 	}
 	for i, name := range t.tracks {
-		emit(jsonEvent{Name: "thread_name", Ph: "M", Pid: pids[i], Tid: tids[i], Args: map[string]any{"name": name}})
+		enc.metadata("thread_name", pids[i], tids[i], name)
 	}
 	for _, i := range order {
 		ev := &t.events[i]
-		je := jsonEvent{Name: ev.name, Ts: ev.ts, Pid: pids[ev.track], Tid: tids[ev.track]}
+		enc.begin(ev.name, ev.ph, ev.ts)
 		switch ev.ph {
 		case 'X':
-			je.Ph = "X"
-			dur := ev.dur
-			je.Dur = &dur
+			// A zero-length span keeps an explicit "dur":0.
+			enc.buf = strconv.AppendInt(append(enc.buf, `,"dur":`...), ev.dur, 10)
+			enc.ids(pids[ev.track], tids[ev.track])
+			enc.buf = append(enc.buf, '}')
 		case 'i':
-			je.Ph = "i"
-			je.S = "t" // thread-scoped instant
+			enc.ids(pids[ev.track], tids[ev.track])
+			enc.buf = append(enc.buf, `,"s":"t"}`...) // thread-scoped instant
 		default:
-			bw.err = fmt.Errorf("probe: unknown event phase %q", ev.ph)
+			return fmt.Errorf("probe: unknown event phase %q", ev.ph)
 		}
-		emit(je)
+		if len(enc.buf) >= flushAt {
+			enc.flush()
+		}
 	}
-	bw.writeString("]}\n")
-	return bw.err
+	enc.buf = append(enc.buf, "]}\n"...)
+	enc.flush()
+	return enc.err
 }
 
-// errWriter folds write errors so the export loop stays linear.
-type errWriter struct {
-	w   io.Writer
-	err error
+// eventEncoder appends trace events to a buffer it writes out in large
+// pieces, folding write errors so the export loop stays linear.
+type eventEncoder struct {
+	w     io.Writer
+	buf   []byte
+	err   error
+	begun bool // an event has been written: the next one needs a separator
 }
 
-func (e *errWriter) write(p []byte) {
+// begin appends the head of an event: {"name":…,"ph":…,"ts":…
+func (e *eventEncoder) begin(name string, ph byte, ts int64) {
+	if e.begun {
+		e.buf = append(e.buf, ",\n"...)
+	}
+	e.begun = true
+	e.buf = appendJSONString(append(e.buf, `{"name":`...), name)
+	e.buf = append(e.buf, `,"ph":"`...)
+	e.buf = append(e.buf, ph)
+	e.buf = strconv.AppendInt(append(e.buf, `","ts":`...), ts, 10)
+}
+
+// ids appends ,"pid":…,"tid":…
+func (e *eventEncoder) ids(pid, tid int) {
+	e.buf = strconv.AppendInt(append(e.buf, `,"pid":`...), int64(pid), 10)
+	e.buf = strconv.AppendInt(append(e.buf, `,"tid":`...), int64(tid), 10)
+}
+
+// metadata appends a whole metadata event naming a process or thread row.
+func (e *eventEncoder) metadata(kind string, pid, tid int, name string) {
+	e.begin(kind, 'M', 0)
+	e.ids(pid, tid)
+	e.buf = appendJSONString(append(e.buf, `,"args":{"name":`...), name)
+	e.buf = append(e.buf, "}}"...)
+}
+
+func (e *eventEncoder) flush() {
 	if e.err == nil {
-		_, e.err = e.w.Write(p)
+		_, e.err = e.w.Write(e.buf)
 	}
+	e.buf = e.buf[:0]
 }
 
-func (e *errWriter) writeString(s string) {
-	if e.err == nil {
-		_, e.err = io.WriteString(e.w, s)
+// appendJSONString appends s as encoding/json would marshal it. Names are
+// almost always plain ASCII, which is copied between quotes; anything
+// encoding/json would escape — quotes, backslashes, control characters, the
+// HTML-sensitive <, > and &, anything beyond ASCII — is left to it.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(buf, quoted...)
+		}
 	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }

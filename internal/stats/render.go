@@ -5,6 +5,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is an aligned ASCII table builder, the workhorse of the analysis
@@ -35,9 +36,12 @@ func (t *Table) Row(cells ...any) {
 
 // FormatFloat renders a float compactly: integers without decimals, small
 // magnitudes with enough precision to be useful.
-func FormatFloat(v float64) string {
+func FormatFloat(v float64) string { return string(appendFloat(nil, v)) }
+
+// appendFloat appends FormatFloat(v) to buf.
+func appendFloat(buf []byte, v float64) []byte {
 	if v == float64(int64(v)) && v < 1e15 && v > -1e15 {
-		return strconv.FormatInt(int64(v), 10)
+		return strconv.AppendInt(buf, int64(v), 10)
 	}
 	a := v
 	if a < 0 {
@@ -45,11 +49,11 @@ func FormatFloat(v float64) string {
 	}
 	switch {
 	case a >= 100:
-		return strconv.FormatFloat(v, 'f', 1, 64)
+		return strconv.AppendFloat(buf, v, 'f', 1, 64)
 	case a >= 1:
-		return strconv.FormatFloat(v, 'f', 2, 64)
+		return strconv.AppendFloat(buf, v, 'f', 2, 64)
 	default:
-		return strconv.FormatFloat(v, 'g', 4, 64)
+		return strconv.AppendFloat(buf, v, 'g', 4, 64)
 	}
 }
 
@@ -125,25 +129,73 @@ func (t *Table) RenderCSV(w io.Writer) error {
 // RenderSet writes a metric set (and its subsets, indented) as
 // "name: value unit" lines.
 func RenderSet(w io.Writer, s *Set) error {
-	return renderSet(w, s, 0)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		// A buffer is told how much is coming: the report of a 16,384-node
+		// machine is megabytes, and growing to it by doubling leaves as much
+		// again in dead copies, which nothing here allocates enough to have
+		// collected.
+		g.Grow(renderBound(s, 0))
+	}
+	var buf []byte
+	return renderSet(w, s, 0, &buf)
 }
 
-func renderSet(w io.Writer, s *Set, depth int) error {
-	indent := strings.Repeat("  ", depth)
-	if _, err := fmt.Fprintf(w, "%s%s\n", indent, s.Name); err != nil {
-		return err
-	}
+// nameWidth is the column metric names are padded to.
+const nameWidth = 28
+
+// renderBound returns the number of bytes renderSet writes for s, or a little
+// more: whole numbers, most of a report, are counted exactly.
+func renderBound(s *Set, depth int) int {
+	n := 2*depth + len(s.Name) + 1
 	for _, m := range s.Metrics {
-		unit := m.Unit
-		if unit != "" {
-			unit = " " + unit
+		value := 24 // generous for anything FormatFloat prints with decimals
+		if v := int64(m.Value); m.Value == float64(v) && m.Value < 1e15 && m.Value > -1e15 {
+			if value = 1; v < 0 {
+				value, v = 2, -v
+			}
+			for ; v >= 10; v /= 10 {
+				value++
+			}
 		}
-		if _, err := fmt.Fprintf(w, "%s  %-28s %s%s\n", indent, m.Name, FormatFloat(m.Value), unit); err != nil {
-			return err
+		if m.Unit != "" {
+			value += 1 + len(m.Unit)
 		}
+		n += 2*(depth+1) + max(nameWidth, len(m.Name)) + 1 + value + 1
 	}
 	for _, sub := range s.Subsets {
-		if err := renderSet(w, sub, depth+1); err != nil {
+		n += renderBound(sub, depth+1)
+	}
+	return n
+}
+
+// renderSet formats one set into *buf — a machine report is tens of
+// thousands of these lines — and writes it out before descending.
+func renderSet(w io.Writer, s *Set, depth int, buf *[]byte) error {
+	indent := func(b []byte, depth int) []byte {
+		for ; depth > 0; depth-- {
+			b = append(b, "  "...)
+		}
+		return b
+	}
+	b := append(indent((*buf)[:0], depth), s.Name...)
+	b = append(b, '\n')
+	for _, m := range s.Metrics {
+		b = append(indent(b, depth+1), m.Name...)
+		for n := utf8.RuneCountInString(m.Name); n < nameWidth; n++ {
+			b = append(b, ' ')
+		}
+		b = appendFloat(append(b, ' '), m.Value)
+		if m.Unit != "" {
+			b = append(append(b, ' '), m.Unit...)
+		}
+		b = append(b, '\n')
+	}
+	*buf = b
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
+	for _, sub := range s.Subsets {
+		if err := renderSet(w, sub, depth+1, buf); err != nil {
 			return err
 		}
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -68,6 +69,44 @@ func TestRenderSet(t *testing.T) {
 	}
 }
 
+// RenderSet formats by hand; its lines must be those of the format string it
+// replaced, whatever the names and values.
+func TestRenderSetMatchesFormat(t *testing.T) {
+	s := NewSet("machine")
+	s.Put("cycles", 1000, "cyc")
+	s.Put("a name of exactly twenty-8 ch", 0.5, "")
+	s.Put("a name longer than twenty-eight characters", -3.25, "cyc")
+	s.Put("größe µs ☃", 1e15, "µs")
+	s.Put("", 123.456, "B")
+	deep := s.Sub("node0").Sub("cpu0").Sub("L1")
+	deep.Put("hit ratio", 0.98765, "")
+	deep.Put("misses", 1e-9, "")
+	s.Sub("empty")
+	var ref func(sb *strings.Builder, s *Set, depth int)
+	ref = func(sb *strings.Builder, s *Set, depth int) {
+		indent := strings.Repeat("  ", depth)
+		fmt.Fprintf(sb, "%s%s\n", indent, s.Name)
+		for _, m := range s.Metrics {
+			unit := m.Unit
+			if unit != "" {
+				unit = " " + unit
+			}
+			fmt.Fprintf(sb, "%s  %-28s %s%s\n", indent, m.Name, FormatFloat(m.Value), unit)
+		}
+		for _, sub := range s.Subsets {
+			ref(sb, sub, depth+1)
+		}
+	}
+	var want, got strings.Builder
+	ref(&want, s, 0)
+	if err := RenderSet(&got, s); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("RenderSet wrote\n%s\nwant\n%s", got.String(), want.String())
+	}
+}
+
 func TestBarChart(t *testing.T) {
 	var sb strings.Builder
 	err := BarChart(&sb, "hits", []string{"L1", "L2"}, []float64{100, 50}, 10)
@@ -130,5 +169,28 @@ func TestRenderHistogram(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "8-15") {
 		t.Fatalf("bucket label missing:\n%s", sb.String())
+	}
+}
+
+// renderBound sizes the buffer RenderSet writes into: exact for whole
+// numbers, never short for the others a report holds.
+func TestRenderBound(t *testing.T) {
+	whole, mixed := NewSet("machine"), NewSet("machine")
+	for i, v := range []float64{0, 7, 10, 99, 100, 123456789, 999999999999999, -1, -10, -4096} {
+		whole.Sub(fmt.Sprintf("node%d", i)).Put(fmt.Sprintf("metric %d with a long name beyond the column", i), v, "cyc")
+		whole.Put("m", v, "")
+	}
+	for _, v := range []float64{0.5, 3.25, 123.456, -0.001, 1e15, 12345678.9} {
+		mixed.Sub("node").Put("m", v, "B")
+	}
+	for _, s := range []*Set{whole, mixed} {
+		var sb strings.Builder
+		if err := RenderSet(&sb, s); err != nil {
+			t.Fatal(err)
+		}
+		got, bound := sb.Len(), renderBound(s, 0)
+		if bound < got || (s == whole && bound != got) {
+			t.Errorf("renderBound = %d for %d bytes written", bound, got)
+		}
 	}
 }
