@@ -84,7 +84,7 @@ func main() {
 
 		faultsPath = flag.String("faults", "", "fault schedule JSON file (link/node down windows, packet noise, retransmission parameters)")
 
-		app      = flag.String("app", "", "instrumented application: pingpong, jacobi, jacobi-dsm, matmul, allreduce, transpose, butterfly, shared")
+		app      = flag.String("app", "", "instrumented application: "+strings.Join(apps, ", "))
 		rounds   = flag.Int("rounds", 10, "pingpong rounds")
 		iters    = flag.Int("iters", 10, "application iterations/sweeps")
 		bytesF   = flag.Int("bytes", 1024, "message/block size in bytes")
@@ -344,6 +344,9 @@ func main() {
 	}
 }
 
+// apps are the instrumented applications runApp runs.
+var apps = []string{"pingpong", "jacobi", "jacobi-dsm", "matmul", "allreduce", "transpose", "butterfly", "shared"}
+
 type appParams struct {
 	rounds, iters, cells, dim int
 	bytes                     uint32
@@ -358,13 +361,22 @@ func runApp(m *machine.Machine, name string, p appParams) (*machine.Result, erro
 		}
 		return m.RunProgram(workload.PingPong(p.rounds, p.bytes))
 	case "jacobi":
+		if p.cells < 2*n {
+			return nil, fmt.Errorf("jacobi needs -cells of at least 2 per processor, have %d over %d", p.cells, n)
+		}
 		return m.RunProgram(workload.Jacobi1D(n, p.cells, p.iters))
 	case "jacobi-dsm":
 		if m.DSM() == nil {
 			return nil, fmt.Errorf("jacobi-dsm needs a machine with virtual shared memory (DSM config)")
 		}
+		if p.cells < 2*n {
+			return nil, fmt.Errorf("jacobi-dsm needs -cells of at least 2 per processor, have %d over %d", p.cells, n)
+		}
 		return m.RunProgram(workload.JacobiDSM(n, p.cells, p.iters))
 	case "matmul":
+		if p.dim < n {
+			return nil, fmt.Errorf("matmul needs -dim of at least one row per processor, have %d over %d", p.dim, n)
+		}
 		var out [][]float64
 		return m.RunProgram(workload.MatMul(n, p.dim, &out))
 	case "allreduce":
@@ -373,6 +385,9 @@ func runApp(m *machine.Machine, name string, p appParams) (*machine.Result, erro
 	case "transpose":
 		return m.RunProgram(workload.Transpose(n, p.bytes))
 	case "butterfly":
+		if n < 2 || n&(n-1) != 0 {
+			return nil, fmt.Errorf("butterfly needs a power-of-two processor count, have %d", n)
+		}
 		return m.RunProgram(workload.Butterfly(n, p.bytes, p.iters))
 	case "shared":
 		return m.RunProgram(workload.SharedCounter(n, p.iters*10))

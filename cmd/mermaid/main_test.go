@@ -342,3 +342,33 @@ func TestRunTraceFiles(t *testing.T) {
 		t.Fatalf("instructions = %d", res.Instructions)
 	}
 }
+
+// Every preset runs every application, at tiny sizes, to an answer or to an
+// error: a program that does not fit the machine (a message-passing program
+// on a single processor, eight ranks on a four-node network) must never
+// panic.
+func TestEveryPresetRunsEveryApp(t *testing.T) {
+	tiny := appParams{rounds: 2, iters: 1, bytes: 64, cells: 16, dim: 4}
+	for _, preset := range presetNames() {
+		for _, app := range apps {
+			t.Run(preset+"/"+app, func(t *testing.T) {
+				defer func() {
+					if v := recover(); v != nil {
+						t.Fatalf("panic: %v", v)
+					}
+				}()
+				m, err := machine.New(presets[preset]())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := runApp(m, app, tiny)
+				switch {
+				case err != nil:
+					t.Logf("error: %v", err)
+				case res == nil:
+					t.Fatal("no result and no error")
+				}
+			})
+		}
+	}
+}

@@ -144,7 +144,9 @@ type Layer struct {
 	faultCycles pearl.Time
 }
 
-// New creates the layer and spawns one manager process per node.
+// New creates the layer and spawns one manager process per node. Protocol
+// messages only travel between nodes of net, so their sends cannot fail: the
+// layer drops NodeIf.Send's error.
 func New(env sim.Env, net *network.Network, cfg Config) (*Layer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -237,7 +239,7 @@ func (l *Layer) Ensure(p *pearl.Process, node int, write bool, addr uint64) {
 		kind = mWriteReq
 	}
 	nif := l.net.Node(node)
-	nif.Send(p, l.homeOf(page), 16, tagManager, protoMsg{kind: kind, page: page, from: node, replyTag: rt}, false)
+	_ = nif.Send(p, l.homeOf(page), 16, tagManager, protoMsg{kind: kind, page: page, from: node, replyTag: rt}, false)
 	m := nif.Recv(p, ops.AnyPeer, rt)
 	rep := m.Payload.(replyMsg)
 	if rep.write {
@@ -269,14 +271,14 @@ func (l *Layer) manager(p *pearl.Process, node int) {
 			// Drop the local copy and cached lines, then ack.
 			l.dropPage(node, req.page)
 			l.invals.Inc()
-			nif.Send(p, req.from, 8, req.replyTag, nil, false)
+			_ = nif.Send(p, req.from, 8, req.replyTag, nil, false)
 		case mFlushDemand:
 			// Give up ownership: demote to read, return the page.
 			if l.rights[node][req.page] == rightsWrite {
 				l.rights[node][req.page] = rightsRead
 			}
 			l.pageMoves.Inc()
-			nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, nil, false)
+			_ = nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, nil, false)
 		}
 	}
 }
@@ -292,7 +294,7 @@ func (l *Layer) serve(p *pearl.Process, home int, req protoMsg) {
 	if e.owner >= 0 && e.owner != req.from {
 		l.seq++
 		ft := tagReply + l.seq
-		nif.Send(p, e.owner, 16, tagManager, protoMsg{kind: mFlushDemand, page: req.page, from: home, replyTag: ft}, false)
+		_ = nif.Send(p, e.owner, 16, tagManager, protoMsg{kind: mFlushDemand, page: req.page, from: home, replyTag: ft}, false)
 		nif.Recv(p, ops.AnyPeer, ft)
 		// Owner keeps a read copy.
 		e.copyset |= 1 << uint(e.owner)
@@ -307,21 +309,21 @@ func (l *Layer) serve(p *pearl.Process, home int, req protoMsg) {
 			}
 			l.seq++
 			it := tagReply + l.seq
-			nif.Send(p, o, 16, tagManager, protoMsg{kind: mInvalidate, page: req.page, from: home, replyTag: it}, false)
+			_ = nif.Send(p, o, 16, tagManager, protoMsg{kind: mInvalidate, page: req.page, from: home, replyTag: it}, false)
 			nif.Recv(p, ops.AnyPeer, it)
 			e.copyset &^= 1 << uint(o)
 		}
 		e.owner = req.from
 		e.copyset = 1 << uint(req.from)
 		l.pageMoves.Inc()
-		nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, replyMsg{page: req.page, write: true}, false)
+		_ = nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, replyMsg{page: req.page, write: true}, false)
 		return
 	}
 
 	// Read request: grant a shared copy.
 	e.copyset |= 1 << uint(req.from)
 	l.pageMoves.Inc()
-	nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, replyMsg{page: req.page}, false)
+	_ = nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, replyMsg{page: req.page}, false)
 }
 
 func (l *Layer) dirFor(home int, page uint64) *dirEntry {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mermaid/internal/fault"
+	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
@@ -13,6 +14,7 @@ import (
 	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
+	"mermaid/internal/trace"
 )
 
 // runEngineReport builds cfg on the named engine and runs the stochastic
@@ -137,6 +139,29 @@ func TestCompactEngineByteIdenticalUnderFaults(t *testing.T) {
 		Duration: 2000, CV: 0.4,
 		Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
 	}))
+}
+
+// A send to a node the network does not have is an error of the run, worded
+// the same on both engines and naming the sender — not a panic.
+func TestInvalidDestinationIsAnError(t *testing.T) {
+	for _, engine := range []string{EngineProcess, EngineCompact} {
+		cfg := T805GridTaskLevel(2, 2)
+		cfg.Engine = engine
+		m, err := Build(sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(1)}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs := make([]trace.Source, 4)
+		for i := range srcs {
+			srcs[i] = trace.FromOps(nil)
+		}
+		srcs[2] = trace.FromOps([]ops.Op{ops.NewCompute(10), ops.NewASend(64, 7, 0)})
+		_, err = m.Run(srcs)
+		want := "node 2 cpu 0 (rank 2): send to invalid destination 7 (the network has 4 nodes)"
+		if err == nil || err.Error() != want {
+			t.Errorf("engine=%s: err = %v, want %q", engine, err, want)
+		}
+	}
 }
 
 func TestCompactEngineAutoSelection(t *testing.T) {

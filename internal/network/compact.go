@@ -345,8 +345,9 @@ func (c *CompactNet) execOp(i int32, nd *cnode) bool {
 		}
 		return true
 	case ops.Send, ops.ASend:
-		if dst := int(o.Peer); dst < 0 || dst >= c.topo.Nodes() {
-			panic(fmt.Sprintf("network: node %d sending to invalid destination %d", i, dst))
+		if err := checkDest(int(o.Peer), c.topo.Nodes()); err != nil {
+			c.fail(nd, fmt.Errorf("node %d cpu 0 (rank %d): %w", i, i, err))
+			return false
 		}
 		c.sends[i].Inc()
 		if c.cfg.SendOverhead > 0 {

@@ -61,10 +61,11 @@ func (ni *NodeIf) ID() int { return ni.id }
 // Send transmits size bytes to dst. When sync is true the call blocks (in
 // simulated time) until the destination has accepted the message —
 // synchronous send(message-size, destination) of Table 1; otherwise it
-// returns after the send overhead — asend.
-func (ni *NodeIf) Send(p *pearl.Process, dst int, size uint32, tag uint32, payload any, sync bool) {
-	if dst < 0 || dst >= ni.tr.nodeCount() {
-		panic(fmt.Sprintf("network: node %d sending to invalid destination %d", ni.id, dst))
+// returns after the send overhead — asend. A destination outside the network
+// is an error, and nothing is sent.
+func (ni *NodeIf) Send(p *pearl.Process, dst int, size uint32, tag uint32, payload any, sync bool) error {
+	if err := checkDest(dst, ni.tr.nodeCount()); err != nil {
+		return err
 	}
 	ni.sends.Inc()
 	if ni.tr.config().SendOverhead > 0 {
@@ -80,6 +81,16 @@ func (ni *NodeIf) Send(p *pearl.Process, dst int, size uint32, tag uint32, paylo
 		p.Await(msg.ackFut)
 		ni.sendBlock += p.Now() - start
 	}
+	return nil
+}
+
+// checkDest reports a send to a node outside a network of n nodes. The
+// caller names the sender: node, CPU and rank.
+func checkDest(dst, n int) error {
+	if dst < 0 || dst >= n {
+		return fmt.Errorf("send to invalid destination %d (the network has %d nodes)", dst, n)
+	}
+	return nil
 }
 
 // Recv blocks until a message matching (src, tag) has arrived, returning it.

@@ -92,16 +92,14 @@ func (pr *Processor) exec(p *pearl.Process, ev trace.Event) error {
 			p.Hold(pearl.Time(o.Dur))
 		}
 		pr.col.Compute(pr.cpu, start, p.Now())
-	case ops.Send:
-		pr.ni.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, true)
+	case ops.Send, ops.ASend:
+		// A task-level node has one CPU and runs the rank of its own number.
+		if err := pr.ni.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, o.Kind == ops.Send); err != nil {
+			return fmt.Errorf("node %d cpu 0 (rank %d): %w", pr.ni.id, pr.ni.id, err)
+		}
 		resume(trace.Feedback{Peer: o.Peer, Tag: o.Tag})
 		pr.commCycles += p.Now() - start
-		pr.col.Send(pr.cpu, o.Peer, "send", start, p.Now())
-	case ops.ASend:
-		pr.ni.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, false)
-		resume(trace.Feedback{Peer: o.Peer, Tag: o.Tag})
-		pr.commCycles += p.Now() - start
-		pr.col.Send(pr.cpu, o.Peer, "asend", start, p.Now())
+		pr.col.Send(pr.cpu, o.Peer, o.Kind.String(), start, p.Now())
 	case ops.Recv:
 		m := pr.ni.Recv(p, o.Peer, o.Tag)
 		resume(trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})

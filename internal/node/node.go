@@ -299,14 +299,12 @@ func (n *Node) exec(p *pearl.Process, c *cpu.CPU, cpuIdx int, ev trace.Event) er
 	}
 	gcpu := n.cpuBase + cpuIdx
 	switch o.Kind {
-	case ops.Send:
-		n.nif.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, true)
+	case ops.Send, ops.ASend:
+		if err := n.nif.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, o.Kind == ops.Send); err != nil {
+			return fmt.Errorf("node %d cpu %d (rank %d): %w", n.id, cpuIdx, gcpu, err)
+		}
 		resume(trace.Feedback{Peer: o.Peer, Tag: o.Tag})
-		n.col.Send(gcpu, o.Peer, "send", commStart, p.Now())
-	case ops.ASend:
-		n.nif.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, false)
-		resume(trace.Feedback{Peer: o.Peer, Tag: o.Tag})
-		n.col.Send(gcpu, o.Peer, "asend", commStart, p.Now())
+		n.col.Send(gcpu, o.Peer, o.Kind.String(), commStart, p.Now())
 	case ops.Recv:
 		m := n.nif.Recv(p, o.Peer, o.Tag)
 		resume(trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})

@@ -3,10 +3,14 @@ package pearl
 import "testing"
 
 // The event kernel must not allocate in steady state: once the slot slab and
-// the heap/run-queue arrays have grown to the working-set size, scheduling
-// and firing events reuses slots through the free list. These tests pin that
-// property so a regression fails CI rather than showing up as GC pressure in
-// long simulations.
+// the heap array have grown to the working-set size, scheduling and firing
+// events reuses slots through the free list, and the timing wheel is part of
+// the Kernel itself. These tests pin that property so a regression fails CI
+// rather than showing up as GC pressure in long simulations.
+
+// queueDelays are a zero-delay event, near ones (timing wheel) and far ones
+// (heap).
+var queueDelays = []Time{0, 1, wheelSize - 1, wheelSize, 10 * wheelSize}
 
 func TestAllocFreeScheduleStep(t *testing.T) {
 	if raceEnabled {
@@ -16,21 +20,18 @@ func TestAllocFreeScheduleStep(t *testing.T) {
 	fn := func() {}
 	// Warm the slab: first schedules grow slots/heap once.
 	for i := 0; i < 64; i++ {
-		k.After(1, fn)
-		k.step()
+		for _, d := range queueDelays {
+			k.After(d, fn)
+			k.step()
+		}
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		k.After(1, fn)
-		k.step()
-	}); got != 0 {
-		t.Errorf("After(1)+step allocates %v times per op; want 0", got)
-	}
-	// Zero-delay events take the FIFO run queue, bypassing the heap.
-	if got := testing.AllocsPerRun(200, func() {
-		k.After(0, fn)
-		k.step()
-	}); got != 0 {
-		t.Errorf("After(0)+step allocates %v times per op; want 0", got)
+	for _, d := range queueDelays {
+		if got := testing.AllocsPerRun(200, func() {
+			k.After(d, fn)
+			k.step()
+		}); got != 0 {
+			t.Errorf("After(%d)+step allocates %v times per op; want 0", d, got)
+		}
 	}
 }
 
@@ -41,16 +42,21 @@ func TestAllocFreeTimerCancel(t *testing.T) {
 	k := NewKernel()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		k.After(1, fn).Cancel()
-		k.step()
+		for _, d := range queueDelays {
+			k.After(d, fn).Cancel()
+			k.After(d, fn)
+			k.step()
+		}
 	}
-	if got := testing.AllocsPerRun(200, func() {
-		tm := k.After(1, fn)
-		tm.Cancel()
-		k.After(1, fn)
-		k.step()
-	}); got != 0 {
-		t.Errorf("schedule+cancel allocates %v times per op; want 0", got)
+	for _, d := range queueDelays {
+		if got := testing.AllocsPerRun(200, func() {
+			tm := k.After(d, fn)
+			tm.Cancel()
+			k.After(d, fn)
+			k.step()
+		}); got != 0 {
+			t.Errorf("After(%d)+cancel allocates %v times per op; want 0", d, got)
+		}
 	}
 }
 

@@ -24,7 +24,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 func BenchmarkEventHeap(b *testing.B) {
-	// Many pending events: heap reordering cost.
+	// Many pending events: 1,024 due up to 1,000 cycles ahead, a crowded
+	// timing wheel.
 	k := NewKernel()
 	const pending = 1024
 	seed := NewRNG(1)
@@ -33,6 +34,24 @@ func BenchmarkEventHeap(b *testing.B) {
 		var fn func()
 		fn = func() { k.After(Time(seed.Intn(1000)+1), fn) }
 		k.At(d, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.step()
+	}
+}
+
+// BenchmarkEventNear prices one event in the queue shape of a detailed-mode
+// run: at most 16 pending, almost all due within a few dozen cycles — here
+// 16 events each re-arming 1–40 cycles ahead.
+func BenchmarkEventNear(b *testing.B) {
+	k := NewKernel()
+	const pending = 16
+	seed := NewRNG(1)
+	for i := 0; i < pending; i++ {
+		var fn func()
+		fn = func() { k.After(Time(seed.Intn(40)+1), fn) }
+		k.At(Time(seed.Intn(40)+1), fn)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

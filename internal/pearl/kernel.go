@@ -12,12 +12,14 @@
 // which the trace-validity guarantees of the environment rely on.
 //
 // The event queue is allocation-free on the steady state: events live in a
-// slab of reusable slots addressed by index, ordered by a hand-specialized
-// 4-ary heap, with generation-counted Timer handles for cancellation (lazy
-// invalidation — a cancelled event stays queued and is discarded unfired when
-// it surfaces). Events scheduled for the current instant bypass the heap
-// through a FIFO run queue, so zero-delay cascades (mailbox handoffs, bus
-// grants) cost no heap reordering at all.
+// slab of reusable slots addressed by index, with generation-counted Timer
+// handles for cancellation (lazy invalidation — a cancelled event stays
+// queued and is discarded unfired when it surfaces). An event due less than
+// wheelSize cycles ahead goes into a timing wheel: one FIFO bucket per
+// instant, found through an occupancy bitmap, so scheduling and firing it
+// costs O(1) — the bucket of the current instant is where zero-delay
+// cascades (mailbox handoffs, bus grants) land. Only events further ahead
+// take the 4-ary heap behind it.
 //
 // There is no kernel goroutine and no scheduler in the loop. Process bodies
 // run on pooled coroutines (iter.Pull workers, see worker) that the goroutine
@@ -32,6 +34,7 @@ package pearl
 import (
 	"fmt"
 	"iter"
+	"math/bits"
 )
 
 // Time is virtual simulation time, measured in cycles of the simulated
@@ -91,6 +94,7 @@ type eventSlot struct {
 	fn   func() // evFunc only
 	proc *Process
 	gen  uint32
+	next int32 // wheel entries: the next slot of the bucket, +1; 0 ends it
 	kind eventKind
 }
 
@@ -104,7 +108,7 @@ type Timer struct {
 }
 
 // Cancel invalidates the event. The entry stays queued and is discarded,
-// unfired and uncounted, when it surfaces (lazy invalidation — no heap
+// unfired and uncounted, when it surfaces (lazy invalidation — no queue
 // removal). Cancelling an already-fired or already-cancelled timer is a
 // no-op. It reports whether the event was still pending.
 func (t Timer) Cancel() bool {
@@ -135,8 +139,23 @@ func (t Timer) Pending() bool {
 	return s.gen == t.gen && s.kind >= evFunc
 }
 
-// Kernel is a discrete-event simulation engine. The zero value is not usable;
-// create kernels with NewKernel.
+// Timing-wheel geometry. The width is fixed, and the largest the two-level
+// occupancy bitmap covers (64 × 64 buckets): at 32 KB per kernel it holds the
+// short delays of detailed mode and also the 256–4,095-cycle delays that are
+// a fifth of a large task-level run's events.
+const (
+	wheelSize  = 4096
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+)
+
+// bucket is one instant of the timing wheel: a FIFO list of slot indices
+// threaded through eventSlot.next. Links are index+1, so the zero bucket is
+// empty and the zero Kernel usable.
+type bucket struct{ head, tail int32 }
+
+// Kernel is a discrete-event simulation engine. Create kernels with
+// NewKernel; the zero value is an empty kernel at time zero too.
 type Kernel struct {
 	now Time
 	seq uint64
@@ -145,12 +164,19 @@ type Kernel struct {
 	free  []int32     // released slot indices available for reuse
 	heap  []int32     // 4-ary min-heap of slot indices, keyed by (at, seq)
 
-	// runq is the same-timestamp FIFO run queue: events scheduled for the
-	// current instant. Because virtual time is monotonic and seq strictly
-	// increases, the queue is ordered by (at, seq) by construction, so the
-	// front is its minimum and zero-delay cascades bypass heap push/pop.
-	runq     []int32
-	runqHead int
+	// wheel holds the events scheduled less than wheelSize cycles ahead, in
+	// bucket at&wheelMask. The clock never passes a queued wheel entry, so
+	// every one is due in [now, now+wheelSize): a bucket holds a single
+	// instant in schedule (seq) order, and the first occupied bucket from
+	// now's, cyclically, is the wheel's minimum. Events scheduled further
+	// ahead go to the heap. A heap entry due at the same instant as a wheel
+	// entry was scheduled earlier (wheelSize or more cycles before that
+	// instant, against fewer) and so has the smaller seq: front prefers the
+	// heap on a tie. occupied has bit b set while bucket b is non-empty;
+	// summary has bit w set while occupied[w] is non-zero.
+	wheel    [wheelSize]bucket
+	occupied [wheelWords]uint64
+	summary  uint64
 
 	live    int // queued events that are not cancelled
 	daemons int // live events scheduled with AtDaemon
@@ -269,12 +295,62 @@ func (k *Kernel) schedule(t Time, kind eventKind, fn func(), proc *Process) Time
 	s.kind = kind
 	k.seq++
 	k.live++
-	if t == k.now {
-		k.runq = append(k.runq, idx)
+	if t-k.now < wheelSize {
+		k.wheelPush(idx, t)
 	} else {
 		k.heapPush(idx)
 	}
 	return Timer{k: k, idx: idx, gen: s.gen}
+}
+
+// wheelPush appends slot idx, due at t < now+wheelSize, to its bucket.
+func (k *Kernel) wheelPush(idx int32, t Time) {
+	b := int(t) & wheelMask
+	k.slots[idx].next = 0
+	bk := &k.wheel[b]
+	if bk.tail == 0 {
+		bk.head = idx + 1
+		k.occupied[b>>6] |= 1 << (b & 63)
+		k.summary |= 1 << (b >> 6)
+	} else {
+		k.slots[bk.tail-1].next = idx + 1
+	}
+	bk.tail = idx + 1
+}
+
+// wheelFirst returns the first occupied bucket at or after now's, wrapping
+// around — the bucket of the wheel's earliest instant — or -1 when the wheel
+// is empty.
+func (k *Kernel) wheelFirst() int {
+	if k.summary == 0 {
+		return -1
+	}
+	b := int(k.now) & wheelMask
+	w := b >> 6
+	if m := k.occupied[w] & (^uint64(0) << (b & 63)); m != 0 {
+		return w<<6 | bits.TrailingZeros64(m)
+	}
+	s := k.summary & (^uint64(0) << (w + 1))
+	if s == 0 {
+		s = k.summary // wrap: earlier buckets hold the later instants
+	}
+	w = bits.TrailingZeros64(s)
+	return w<<6 | bits.TrailingZeros64(k.occupied[w])
+}
+
+// wheelPop unlinks the head of bucket b.
+func (k *Kernel) wheelPop(b int) {
+	bk := &k.wheel[b]
+	bk.head = k.slots[bk.head-1].next
+	if bk.head != 0 {
+		return
+	}
+	bk.tail = 0
+	w := b >> 6
+	k.occupied[w] &^= 1 << (b & 63)
+	if k.occupied[w] == 0 {
+		k.summary &^= 1 << w
+	}
 }
 
 // release returns a slot to the free list, bumping its generation so stale
@@ -389,53 +465,44 @@ func (k *Kernel) heapPop() int32 {
 	return top
 }
 
-// front locates the next event in strict (time, seq) order across the heap
-// and the run queue, releasing cancelled entries along the way. It reports
-// false when no live events remain. The returned entry is left queued.
-func (k *Kernel) front() (idx int32, fromRunq, ok bool) {
+// front locates the next event in strict (time, seq) order across the wheel
+// and the heap, releasing cancelled entries along the way. It reports false
+// when no live events remain. The returned entry is left queued.
+func (k *Kernel) front() (idx int32, fromHeap, ok bool) {
 	for {
-		hasR := k.runqHead < len(k.runq)
-		hasH := len(k.heap) > 0
-		switch {
-		case hasR && hasH:
-			if r := k.runq[k.runqHead]; k.less(r, k.heap[0]) {
-				idx, fromRunq = r, true
-			} else {
-				idx, fromRunq = k.heap[0], false
+		if b := k.wheelFirst(); b >= 0 {
+			idx = k.wheel[b].head - 1
+			fromHeap = len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at
+			if fromHeap {
+				idx = k.heap[0]
 			}
-		case hasR:
-			idx, fromRunq = k.runq[k.runqHead], true
-		case hasH:
-			idx, fromRunq = k.heap[0], false
-		default:
+		} else if len(k.heap) > 0 {
+			idx, fromHeap = k.heap[0], true
+		} else {
 			return 0, false, false
 		}
 		if k.slots[idx].kind != evCancelled {
-			return idx, fromRunq, true
+			return idx, fromHeap, true
 		}
-		k.remove(fromRunq)
+		k.remove(idx, fromHeap)
 		k.release(idx)
 	}
 }
 
-// remove discards the front entry of the indicated queue.
-func (k *Kernel) remove(fromRunq bool) {
-	if fromRunq {
-		k.runqHead++
-		if k.runqHead == len(k.runq) {
-			k.runq = k.runq[:0]
-			k.runqHead = 0
-		}
+// remove unlinks idx, the front entry of the indicated queue.
+func (k *Kernel) remove(idx int32, fromHeap bool) {
+	if fromHeap {
+		k.heapPop()
 		return
 	}
-	k.heapPop()
+	k.wheelPop(int(k.slots[idx].at) & wheelMask)
 }
 
 // fire executes the front event, which front has just located. It returns
 // the process the event activated — already marked running; the caller
 // becomes it or passes it the baton — or nil for every other event.
-func (k *Kernel) fire(idx int32, fromRunq bool) *Process {
-	k.remove(fromRunq)
+func (k *Kernel) fire(idx int32, fromHeap bool) *Process {
+	k.remove(idx, fromHeap)
 	s := &k.slots[idx]
 	if s.at < k.now {
 		panic("pearl: time went backwards")
@@ -474,7 +541,7 @@ func (k *Kernel) fire(idx int32, fromRunq bool) *Process {
 // condition of the drive in progress holds, when it returns nil.
 func (k *Kernel) dispatch() *Process {
 	for {
-		idx, fromRunq, ok := k.front()
+		idx, fromHeap, ok := k.front()
 		switch k.mode {
 		case driveRun:
 			if k.stopped || k.live <= k.daemons {
@@ -499,7 +566,7 @@ func (k *Kernel) dispatch() *Process {
 				}
 			}
 		}
-		if p := k.fire(idx, fromRunq); p != nil {
+		if p := k.fire(idx, fromHeap); p != nil {
 			return p
 		}
 	}
@@ -750,6 +817,21 @@ func (k *Kernel) FinishAt(t Time) {
 		panic("pearl: FinishAt with non-daemon events pending")
 	}
 	if t > k.now {
+		k.wheelToHeap()
 		k.now = t
+	}
+}
+
+// wheelToHeap moves every wheel entry to the heap. FinishAt calls it before
+// it moves the clock past queued events, which would break the wheel's
+// window [now, now+wheelSize); in the heap they keep their (at, seq) order,
+// and ahead of anything scheduled later at the same instant.
+func (k *Kernel) wheelToHeap() {
+	for k.summary != 0 {
+		w := bits.TrailingZeros64(k.summary)
+		b := w<<6 | bits.TrailingZeros64(k.occupied[w])
+		idx := k.wheel[b].head - 1
+		k.wheelPop(b)
+		k.heapPush(idx)
 	}
 }

@@ -200,9 +200,9 @@ func TestEventCount(t *testing.T) {
 }
 
 // Property: for any set of (time, id) pairs, execution visits them sorted by
-// time with ties in insertion order.
+// time with ties in insertion order. Delays span the wheel and the heap.
 func TestEventOrderProperty(t *testing.T) {
-	f := func(delays []uint8) bool {
+	f := func(delays []uint16) bool {
 		if len(delays) == 0 {
 			return true
 		}

@@ -191,3 +191,40 @@ func TestFinishAt(t *testing.T) {
 	}()
 	k2.FinishAt(10)
 }
+
+// TestFinishAtKeepsQueueExact moves the clock past daemon events still
+// queued in the timing wheel — some behind the new time, some within a wheel
+// width of it, one beyond — and checks that NextTime still reports the
+// earliest live one as each is cancelled in turn.
+func TestFinishAtKeepsQueueExact(t *testing.T) {
+	k := NewKernel()
+	// Bucket 10 comes before bucket 3 when a search starts at the new
+	// time's bucket, 5.
+	at := []Time{10, 3, wheelSize - 1, 3 * wheelSize, wheelSize + 10, 2 * wheelSize}
+	timers := make([]Timer, len(at))
+	for i, a := range at {
+		timers[i] = k.AtDaemon(a, func() { t.Errorf("daemon event fired") })
+	}
+	k.At(2, func() {})
+	k.Run()
+	k.FinishAt(wheelSize + 5)
+	// Earliest live event first, cancelled in that order.
+	for _, i := range []int{1, 0, 2, 4, 5, 3} {
+		if got, ok := k.NextTime(); !ok || got != at[i] {
+			t.Fatalf("NextTime = %d, %v; want %d", got, ok, at[i])
+		}
+		timers[i].Cancel()
+	}
+	if got, ok := k.NextTime(); ok {
+		t.Fatalf("NextTime = %d on an empty queue", got)
+	}
+	// Near and far events scheduled after the jump keep (time, seq) order.
+	var got []int
+	for i, d := range []Time{wheelSize, 0, 1, wheelSize - 1, 1} {
+		k.After(d, func() { got = append(got, i) })
+	}
+	k.Run()
+	if want := []int{1, 2, 4, 3, 0}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+}

@@ -5,11 +5,11 @@ package pearl
 // that price a single callback event; an event that activates a process
 // needs the baton protocol of a real drive, so it is refused here.
 func (k *Kernel) step() bool {
-	idx, fromRunq, ok := k.front()
+	idx, fromHeap, ok := k.front()
 	if !ok {
 		return false
 	}
-	if p := k.fire(idx, fromRunq); p != nil {
+	if p := k.fire(idx, fromHeap); p != nil {
 		panic("pearl: step activated " + p.String() + "; drive processes with Run")
 	}
 	return true
