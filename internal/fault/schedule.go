@@ -237,5 +237,26 @@ func ParseSchedule(data []byte) (*Schedule, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("fault: trailing data after schedule JSON")
 	}
+	s.Normalize()
 	return &s, nil
+}
+
+// Normalize reads empty fault lists as absent. They marshal away
+// (omitempty), so a decoded schedule — on its own or inside a machine
+// configuration — must be normalised to survive a marshal and re-parse. A nil
+// schedule is left alone.
+func (s *Schedule) Normalize() {
+	if s == nil {
+		return
+	}
+	s.Links = nilIfEmpty(s.Links)
+	s.Nodes = nilIfEmpty(s.Nodes)
+	s.Noise = nilIfEmpty(s.Noise)
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mermaid/internal/fault"
@@ -32,11 +33,11 @@ func ledgerReading(t *testing.T, m *Machine) string {
 		net.Messages(), net.Bytes(), net.MeanHops(), net.Retransmits(), net.Lost(), lat.Mean(), lat.Max(), avg, max)
 }
 
-// runEngineReport builds cfg on the named engine and runs the stochastic
-// description, returning the rendered stats report (with the probe registry
-// dump included, so metric names and ordering are compared too) and the
-// ledger reading.
-func runEngineReport(t *testing.T, cfg Config, engine string, desc stochastic.Desc) (string, string) {
+// runEngineReport builds cfg on the named engine and runs the case's
+// streams, returning the rendered stats report (with the probe registry dump
+// included, so metric names and ordering are compared too) and the ledger
+// reading. The run must conserve its traffic.
+func runEngineReport(t *testing.T, cfg Config, engine string, s streams) (string, string) {
 	t.Helper()
 	cfg.Engine = engine
 	pb := probe.New(probe.Config{})
@@ -44,10 +45,11 @@ func runEngineReport(t *testing.T, cfg Config, engine string, desc stochastic.De
 	if err != nil {
 		t.Fatalf("engine=%s: build: %v", engine, err)
 	}
-	res, err := m.RunStochastic(desc)
+	res, syncSends, err := runCounted(m, s)
 	if err != nil {
 		t.Fatalf("engine=%s: run: %v", engine, err)
 	}
+	checkConservation(t, "engine="+engine, m, res, syncSends)
 	var report bytes.Buffer
 	if err := stats.RenderSet(&report, res.Stats); err != nil {
 		t.Fatalf("engine=%s: render: %v", engine, err)
@@ -58,13 +60,13 @@ func runEngineReport(t *testing.T, cfg Config, engine string, desc stochastic.De
 // checkEngineIdentity requires the process and compact engines to produce
 // byte-identical reports for the same machine and workload — the equivalence
 // contract of the compact engine (see compact.go).
-func checkEngineIdentity(t *testing.T, cfg Config, desc stochastic.Desc) {
+func checkEngineIdentity(t *testing.T, cfg Config, s streams) {
 	t.Helper()
-	ref, refLedger := runEngineReport(t, cfg, EngineProcess, desc)
+	ref, refLedger := runEngineReport(t, cfg, EngineProcess, s)
 	if !strings.Contains(ref, "messages") {
 		t.Fatalf("reference report looks empty:\n%s", ref)
 	}
-	got, gotLedger := runEngineReport(t, cfg, EngineCompact, desc)
+	got, gotLedger := runEngineReport(t, cfg, EngineCompact, s)
 	if got != ref {
 		t.Errorf("compact engine report differs from process engine\n--- process ---\n%s\n--- compact ---\n%s", ref, got)
 	}
@@ -73,19 +75,186 @@ func checkEngineIdentity(t *testing.T, cfg Config, desc stochastic.Desc) {
 	}
 }
 
-func taskDesc(nodes int, seed uint64, phases ...stochastic.Phase) stochastic.Desc {
-	return stochastic.Desc{
+// streams produces a run's trace streams for m, afresh for every run, and
+// the cleanup an aborted run needs (nil when there is none).
+type streams func(m *Machine) ([]trace.Source, func(), error)
+
+// stochasticStreams is what RunStochastic runs for desc, checked alike.
+func stochasticStreams(desc stochastic.Desc) streams {
+	return func(m *Machine) ([]trace.Source, func(), error) {
+		srcs, err := m.stochasticSources(desc)
+		return srcs, nil, err
+	}
+}
+
+// programStreams is what RunProgram runs for the program prog builds,
+// checked alike.
+func programStreams(prog func() *trace.Program) streams {
+	return func(m *Machine) ([]trace.Source, func(), error) {
+		p := prog()
+		srcs, err := m.programSources(p)
+		return srcs, p.Close, err
+	}
+}
+
+// opStreams replays one hand-written operation list per node; Run checks
+// their count.
+func opStreams(traces ...[]ops.Op) streams {
+	return func(*Machine) ([]trace.Source, func(), error) {
+		srcs := make([]trace.Source, len(traces))
+		for i, tr := range traces {
+			srcs[i] = trace.FromOps(tr)
+		}
+		return srcs, nil, nil
+	}
+}
+
+// runCounted runs m on fresh streams from s, counting the synchronous sends
+// the streams issue. Shards pull their streams concurrently, hence the atomic.
+func runCounted(m *Machine, s streams) (*Result, int64, error) {
+	srcs, cleanup, err := s(m)
+	if cleanup != nil {
+		defer cleanup()
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	var syncSends atomic.Int64
+	for i, src := range srcs {
+		srcs[i] = trace.FuncSource(func() (trace.Event, error) {
+			ev, err := src.Next()
+			if err == nil && ev.Op.Kind == ops.Send {
+				syncSends.Add(1)
+			}
+			return ev, err
+		})
+	}
+	res, err := m.Run(srcs)
+	return res, syncSends.Load(), err
+}
+
+// checkConservation asserts what a completed run conserves on whichever
+// engine ran it: every message injected was delivered, and was sent once and
+// received once by the interfaces (Σ net.nifN.sends, Σ net.nifN.recvs); every
+// synchronous send was acknowledged once (net.acks).
+func checkConservation(t *testing.T, label string, m *Machine, res *Result, syncSends int64) {
+	t.Helper()
+	var reg *stats.Set
+	for _, s := range res.Stats.Subsets {
+		if s.Name == "registry" {
+			reg = s
+		}
+	}
+	if reg == nil {
+		t.Fatalf("%s: no registry dump in the report", label)
+	}
+	var sends, recvs, acks float64
+	for _, mt := range reg.Metrics {
+		switch {
+		case mt.Name == "net.acks":
+			acks = mt.Value
+		case strings.HasPrefix(mt.Name, "net.nif") && strings.HasSuffix(mt.Name, ".sends"):
+			sends += mt.Value
+		case strings.HasPrefix(mt.Name, "net.nif") && strings.HasSuffix(mt.Name, ".recvs"):
+			recvs += mt.Value
+		}
+	}
+	net := m.Network()
+	msgs, delivered := net.Messages(), net.MessageLatency().Count()
+	if delivered != msgs || float64(msgs) != sends || float64(msgs) != recvs {
+		t.Errorf("%s: %d messages, %d delivered, %v sent, %v received: traffic not conserved",
+			label, msgs, delivered, sends, recvs)
+	}
+	if acks != float64(syncSends) {
+		t.Errorf("%s: %v rendezvous acks for %d synchronous sends", label, acks, syncSends)
+	}
+}
+
+func taskDesc(nodes int, seed uint64, phases ...stochastic.Phase) streams {
+	return stochasticStreams(stochastic.Desc{
 		Name: "engine-identity", Nodes: nodes, Level: stochastic.TaskLevel,
 		Seed: seed, Iterations: 6, Phases: phases,
+	})
+}
+
+// matchingStreams is a hand-written 4-node task trace for the matching corners
+// generated traces never reach — they always name a receive's source and post
+// it in rendezvous order. Node 0 is the hub:
+//   - tag 1: receives from ops.AnyPeer that nodes 1 and 2 race to at the same
+//     instant (both one hop away, same size);
+//   - tag 2: node 3's message arrives long before node 0 posts its receive;
+//   - tags 3 and 4: an arecv posted after its message arrived (handle 10,
+//     whose WaitRecv then finds it complete) and one posted before (handle
+//     11, whose WaitRecv blocks);
+//   - tag 5: AnyPeer receives raced by a synchronous and an asynchronous send
+//     arriving at different times;
+//   - tag 6: node 1's synchronous send to node 3, which receives it late;
+//   - tags 7 and 8: node 2's self-sends, asynchronous into a later receive and
+//     synchronous into an arecv posted first;
+//   - tag 9: two AnyPeer arecvs, waited for in the opposite order;
+//   - tag 10: messages from nodes 3 and then 1 queue before an AnyPeer
+//     receive, which must take node 3's (the oldest arrival) for the
+//     receive from node 1 after it to complete;
+//   - tag 11: an AnyPeer arecv posted before one from node 3, so node 3's
+//     first message must match the AnyPeer one (the oldest posted receive),
+//     node 1's must queue for a later receive, and node 3's second must
+//     match the other.
+//
+// Either matching rule taken the other way round deadlocks the run.
+func matchingStreams() streams {
+	anyPeer := ops.AnyPeer
+	arecv := func(src int32, tag uint32, handle uint64) ops.Op {
+		o := ops.NewARecv(src, tag)
+		o.Addr = handle
+		return o
 	}
+	return opStreams(
+		[]ops.Op{
+			ops.NewRecv(anyPeer, 1), ops.NewRecv(anyPeer, 1),
+			ops.NewCompute(20_000),
+			ops.NewRecv(3, 2),
+			arecv(1, 3, 10), arecv(2, 4, 11),
+			ops.NewWaitRecv(10), ops.NewWaitRecv(11),
+			ops.NewRecv(anyPeer, 5), ops.NewRecv(anyPeer, 5),
+			arecv(anyPeer, 9, 12), arecv(anyPeer, 9, 13),
+			ops.NewWaitRecv(13), ops.NewWaitRecv(12),
+			arecv(anyPeer, 11, 16), arecv(3, 11, 17),
+			ops.NewCompute(12_000),
+			ops.NewRecv(anyPeer, 10), ops.NewRecv(1, 10),
+			ops.NewWaitRecv(16), ops.NewWaitRecv(17), ops.NewRecv(1, 11),
+		},
+		[]ops.Op{
+			ops.NewCompute(100), ops.NewASend(64, 0, 1), ops.NewASend(128, 0, 3),
+			ops.NewSend(256, 3, 6),
+			ops.NewCompute(500), ops.NewASend(32, 0, 5),
+			ops.NewASend(8, 0, 9),
+			ops.NewCompute(3000), ops.NewASend(8, 0, 10),
+			ops.NewCompute(3000), ops.NewASend(8, 0, 11),
+		},
+		[]ops.Op{
+			ops.NewCompute(100), ops.NewASend(64, 0, 1),
+			ops.NewASend(16, 2, 7), ops.NewRecv(2, 7),
+			arecv(2, 8, 20), ops.NewSend(48, 2, 8), ops.NewWaitRecv(20),
+			ops.NewCompute(30_000), ops.NewASend(512, 0, 4),
+		},
+		[]ops.Op{
+			ops.NewASend(200, 0, 2),
+			ops.NewCompute(40_000), ops.NewRecv(1, 6),
+			ops.NewSend(64, 0, 5),
+			ops.NewASend(8, 0, 9),
+			ops.NewASend(8, 0, 10),
+			ops.NewCompute(3000), ops.NewASend(8, 0, 11),
+			ops.NewCompute(6000), ops.NewASend(8, 0, 11),
+		},
+	)
 }
 
 // engineCase is one machine and workload the two single-kernel engines must
 // agree on byte for byte.
 type engineCase struct {
-	name string
-	cfg  Config
-	desc stochastic.Desc
+	name    string
+	cfg     Config
+	streams streams
 }
 
 // engineCases returns the engine-identity corners: every switching strategy,
@@ -126,6 +295,12 @@ func engineCases() []engineCase {
 			MaxRetries: 12,
 		},
 	}
+	// The matching corners, with the overheads of the transputer machine and
+	// with none (every interface call then completes or parks in place).
+	matching := T805GridTaskLevel(2, 2)
+	matching.Seed = 3
+	free := matching
+	free.Network.SendOverhead, free.Network.RecvOverhead = 0, 0
 	return []engineCase{
 		{"SAF", saf, taskDesc(16, 11, stochastic.Phase{
 			Duration: 2500, CV: 0.4,
@@ -154,6 +329,8 @@ func engineCases() []engineCase {
 			Duration: 2000, CV: 0.4,
 			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
 		})},
+		{"Matching", matching, matchingStreams()},
+		{"MatchingNoOverhead", free, matchingStreams()},
 	}
 }
 
@@ -162,7 +339,7 @@ func checkEngineCase(t *testing.T, name string) {
 	t.Helper()
 	for _, c := range engineCases() {
 		if c.name == name {
-			checkEngineIdentity(t, c.cfg, c.desc)
+			checkEngineIdentity(t, c.cfg, c.streams)
 			return
 		}
 	}
@@ -191,6 +368,11 @@ func TestCompactEngineByteIdenticalDragonfly(t *testing.T) {
 
 func TestCompactEngineByteIdenticalUnderFaults(t *testing.T) {
 	checkEngineCase(t, "UnderFaults")
+}
+
+func TestCompactEngineByteIdenticalMatching(t *testing.T) {
+	checkEngineCase(t, "Matching")
+	checkEngineCase(t, "MatchingNoOverhead")
 }
 
 // A send to a node the network does not have is an error of the run, worded

@@ -137,6 +137,19 @@ func (c *Config) Validate() error {
 		if err := c.Network.Validate(); err != nil {
 			return err
 		}
+		// Sizing the topology is cheap; building the fabric is not. A node
+		// count the topology disagrees with is caught here, before any
+		// engine allocates per-node or per-link state.
+		if c.Network.Topology.Kind == "" {
+			return fmt.Errorf("machine: %d nodes but no topology", c.Nodes)
+		}
+		topo, err := topology.New(c.Network.Topology)
+		if err != nil {
+			return err
+		}
+		if topo.Nodes() != c.Nodes {
+			return fmt.Errorf("machine: %d nodes but topology %s has %d", c.Nodes, topo.Name(), topo.Nodes())
+		}
 	}
 	if c.Mode == Detailed {
 		if err := c.Node.Hierarchy.Validate(); err != nil {
@@ -203,11 +216,7 @@ func ParseConfig(data []byte) (Config, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return Config{}, fmt.Errorf("machine: trailing data after configuration JSON")
 	}
-	if f := cfg.Faults; f != nil {
-		// Empty fault lists marshal away (omitempty): read them as absent, so
-		// that a parsed configuration survives a marshal and re-parse.
-		f.Links, f.Nodes, f.Noise = nilIfEmpty(f.Links), nilIfEmpty(f.Nodes), nilIfEmpty(f.Noise)
-	}
+	cfg.Faults.Normalize()
 	switch cfg.Version {
 	case 0:
 		// Legacy schema: identical to v1 except that it predates the Faults
@@ -236,13 +245,6 @@ func ParseConfig(data []byte) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
-}
-
-func nilIfEmpty[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
-	}
-	return s
 }
 
 // Machine is an instantiated multicomputer model.
@@ -317,9 +319,6 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 	}
 	env.Registry().Gauge("kernel.events", "", func() float64 { return float64(k.EventCount()) })
 	if cfg.hasNetwork() {
-		if cfg.Network.Topology.Kind == "" {
-			return nil, fmt.Errorf("machine: %d nodes but no topology", cfg.Nodes)
-		}
 		if cfg.useCompact(env) {
 			cn, err := network.NewCompact(env, cfg.Network)
 			if err != nil {
@@ -332,10 +331,6 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 				return nil, err
 			}
 			m.net, m.led = net, &net.Traffic
-		}
-		if m.led.Nodes() != cfg.Nodes {
-			return nil, fmt.Errorf("machine: %d nodes but topology %s has %d",
-				cfg.Nodes, m.led.Topology().Name(), m.led.Nodes())
 		}
 	}
 	if cfg.Mode == Detailed {
@@ -588,19 +583,29 @@ func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 // RunProgram starts an execution-driven, physical-time-interleaved program:
 // one thread per processor.
 func (m *Machine) RunProgram(prog *trace.Program) (*Result, error) {
+	srcs, err := m.programSources(prog)
+	if err != nil {
+		return nil, err
+	}
+	// Unwind generator threads left suspended by an aborted run (trace
+	// error, deadlock); after a completed run this is a no-op.
+	defer prog.Close()
+	return m.Run(srcs)
+}
+
+// programSources checks prog against the machine and starts its threads,
+// one stream per processor.
+func (m *Machine) programSources(prog *trace.Program) ([]trace.Source, error) {
 	if prog.Threads != m.Streams() {
 		return nil, fmt.Errorf("machine: program has %d threads, machine %d processors",
 			prog.Threads, m.Streams())
 	}
 	threads := prog.Start()
-	// Unwind generator threads left suspended by an aborted run (trace
-	// error, deadlock); after a completed run this is a no-op.
-	defer prog.Close()
 	srcs := make([]trace.Source, len(threads))
 	for i, th := range threads {
 		srcs[i] = th
 	}
-	return m.Run(srcs)
+	return srcs, nil
 }
 
 // RunStochastic generates traces from the description and runs them. The
@@ -608,6 +613,16 @@ func (m *Machine) RunProgram(prog *trace.Program) (*Result, error) {
 // Nodes == 0 is sized to the machine, so one description file can drive a
 // whole machine-size sweep.
 func (m *Machine) RunStochastic(d stochastic.Desc) (*Result, error) {
+	srcs, err := m.stochasticSources(d)
+	if err != nil {
+		return nil, err
+	}
+	return m.Run(srcs)
+}
+
+// stochasticSources checks d against the machine, sizing it if need be, and
+// generates its traces.
+func (m *Machine) stochasticSources(d stochastic.Desc) ([]trace.Source, error) {
 	if (d.Level == stochastic.TaskLevel) != (m.cfg.Mode == TaskLevel) {
 		return nil, fmt.Errorf("machine: %s description on %s machine", d.Level, m.cfg.Mode)
 	}
@@ -618,11 +633,7 @@ func (m *Machine) RunStochastic(d stochastic.Desc) (*Result, error) {
 		return nil, fmt.Errorf("machine: description for %d nodes, machine has %d streams",
 			d.Nodes, m.Streams())
 	}
-	srcs, err := stochastic.Sources(d)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run(srcs)
+	return stochastic.Sources(d)
 }
 
 func (m *Machine) checkDone() error {

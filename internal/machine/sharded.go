@@ -26,16 +26,9 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 	if env.Collect.Enabled() {
 		return nil, fmt.Errorf("machine: bottleneck analysis is not supported with shards")
 	}
-	if cfg.Network.Topology.Kind == "" {
-		return nil, fmt.Errorf("machine: %d nodes but no topology", cfg.Nodes)
-	}
 	topo, err := topology.New(cfg.Network.Topology)
 	if err != nil {
 		return nil, err
-	}
-	if topo.Nodes() != cfg.Nodes {
-		return nil, fmt.Errorf("machine: %d nodes but topology %s has %d",
-			cfg.Nodes, topo.Name(), topo.Nodes())
 	}
 	perHop := cfg.Network.Router.RoutingDelay + cfg.Network.Link.PropDelay
 	if perHop < 1 {

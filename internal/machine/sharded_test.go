@@ -2,6 +2,7 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,14 +13,15 @@ import (
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
+	"mermaid/internal/trace"
 	"mermaid/internal/workload"
 )
 
-// runShardedReport builds cfg with the given shard count and drives it via
-// run, returning the rendered stats report, the exported timeline and the
-// merged ledger's reading (all byte-for-byte comparable across shard
-// counts).
-func runShardedReport(t *testing.T, cfg Config, shards int, run func(*Machine) (*Result, error)) (string, string, string) {
+// runShardedReport builds cfg with the given shard count and runs the case's
+// streams, returning the rendered stats report, the exported timeline and the
+// merged ledger's reading (all byte-for-byte comparable across shard counts).
+// The run must conserve its traffic.
+func runShardedReport(t *testing.T, cfg Config, shards int, s streams) (string, string, string) {
 	t.Helper()
 	cfg.Shards = shards
 	pb := probe.New(probe.Config{Timeline: true})
@@ -27,10 +29,11 @@ func runShardedReport(t *testing.T, cfg Config, shards int, run func(*Machine) (
 	if err != nil {
 		t.Fatalf("shards=%d: build: %v", shards, err)
 	}
-	res, err := run(m)
+	res, syncSends, err := runCounted(m, s)
 	if err != nil {
 		t.Fatalf("shards=%d: run: %v", shards, err)
 	}
+	checkConservation(t, fmt.Sprintf("shards=%d", shards), m, res, syncSends)
 	var report bytes.Buffer
 	if err := stats.RenderSet(&report, res.Stats); err != nil {
 		t.Fatalf("shards=%d: render: %v", shards, err)
@@ -45,14 +48,14 @@ func runShardedReport(t *testing.T, cfg Config, shards int, run func(*Machine) (
 // checkShardInvariance runs the model at 1, 2 and 4 shards and requires the
 // full stats report and the timeline export to be byte-identical — the
 // determinism gate of the parallel engine.
-func checkShardInvariance(t *testing.T, cfg Config, run func(*Machine) (*Result, error)) {
+func checkShardInvariance(t *testing.T, cfg Config, s streams) {
 	t.Helper()
-	ref, refTL, refLedger := runShardedReport(t, cfg, 1, run)
+	ref, refTL, refLedger := runShardedReport(t, cfg, 1, s)
 	if !strings.Contains(ref, "messages") {
 		t.Fatalf("reference report looks empty:\n%s", ref)
 	}
 	for _, shards := range []int{2, 4} {
-		got, gotTL, gotLedger := runShardedReport(t, cfg, shards, run)
+		got, gotTL, gotLedger := runShardedReport(t, cfg, shards, s)
 		if got != ref {
 			t.Errorf("shards=%d: stats report differs from shards=1\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
 				shards, ref, shards, got)
@@ -71,9 +74,9 @@ func checkShardInvariance(t *testing.T, cfg Config, run func(*Machine) (*Result,
 // shardCase is one machine and workload whose reports and timelines must not
 // depend on the shard count.
 type shardCase struct {
-	name string
-	cfg  Config
-	run  func(*Machine) (*Result, error)
+	name    string
+	cfg     Config
+	streams streams
 }
 
 func shardCases() []shardCase {
@@ -114,16 +117,10 @@ func shardCases() []shardCase {
 	}
 	return []shardCase{
 		// Two nodes cap the useful shard count at 2; the engine clamps 4 to 2.
-		{"PingPong", pingpong, func(m *Machine) (*Result, error) {
-			return m.RunProgram(workload.PingPong(20, 1500))
-		}},
-		{"TaskLevel", task, func(m *Machine) (*Result, error) { return m.RunStochastic(desc) }},
-		{"JacobiDetailed", jacobi, func(m *Machine) (*Result, error) {
-			return m.RunProgram(workload.Jacobi1D(4, 64, 3))
-		}},
-		{"UnderFaults", faulted, func(m *Machine) (*Result, error) {
-			return m.RunProgram(workload.Jacobi1D(4, 256, 6))
-		}},
+		{"PingPong", pingpong, programStreams(func() *trace.Program { return workload.PingPong(20, 1500) })},
+		{"TaskLevel", task, stochasticStreams(desc)},
+		{"JacobiDetailed", jacobi, programStreams(func() *trace.Program { return workload.Jacobi1D(4, 64, 3) })},
+		{"UnderFaults", faulted, programStreams(func() *trace.Program { return workload.Jacobi1D(4, 256, 6) })},
 	}
 }
 
@@ -132,7 +129,7 @@ func checkShardCase(t *testing.T, name string) {
 	t.Helper()
 	for _, c := range shardCases() {
 		if c.name == name {
-			checkShardInvariance(t, c.cfg, c.run)
+			checkShardInvariance(t, c.cfg, c.streams)
 			return
 		}
 	}

@@ -22,36 +22,42 @@ import (
 // what the engines printed when each still kept its own copy of that
 // bookkeeping (commit 852830c): SHA-256 over the rendered report (registry
 // dump included), the timeline JSON and the bottleneck JSON of seeded runs
-// on every engine. A digest that moves means a counter, a metric name, a
-// registration order or a simulated time moved.
+// on every engine. The Matching entries were pinned at commit 1e0a5fd, while
+// the compact engine still kept its own copy of NodeIf's matching rule. A
+// digest that moves means a counter, a metric name, a registration order or a
+// simulated time moved.
 var trafficDigests = map[string]string{
-	"detailed/DSMCluster(2,2)":       "2abe82a37cd09ae20215b541",
-	"detailed/HybridCluster(2,2,2)":  "2b6f535888ab03694eeadf01",
-	"detailed/T805Grid(2,2)":         "9ec799e3355fefa2a714e77a",
-	"engine/AdaptiveFatTree/compact": "830501e0a07162d1885b35d7",
-	"engine/AdaptiveFatTree/process": "6facbbf96f297e60971d2df1",
-	"engine/Dragonfly/compact":       "8cac5cbbf4ecc2f4017df565",
-	"engine/Dragonfly/process":       "ad2a8dc631a75dcada901d10",
-	"engine/SAF/compact":             "acc724673a887fd8c9d50156",
-	"engine/SAF/process":             "d70134df49d71bb584e76121",
-	"engine/UnderFaults/compact":     "b56dbf636026cfdbfe348fee",
-	"engine/UnderFaults/process":     "0b899e8e51fc9b1561bb237d",
-	"engine/VCTValiant/compact":      "88435e6f6411aa5cc215f77e",
-	"engine/VCTValiant/process":      "aaf5710301ae157a01035c78",
-	"engine/WormholeTorus3D/compact": "5a0b604871e0a177069d8b7d",
-	"engine/WormholeTorus3D/process": "ed8071d04ebc8ad9f803f9da",
-	"shards/JacobiDetailed/1":        "dec06509e6e9c02295838f95",
-	"shards/JacobiDetailed/2":        "dec06509e6e9c02295838f95",
-	"shards/JacobiDetailed/4":        "dec06509e6e9c02295838f95",
-	"shards/PingPong/1":              "4a0b80bbf7e3dddc0ce6a028",
-	"shards/PingPong/2":              "4a0b80bbf7e3dddc0ce6a028",
-	"shards/PingPong/4":              "4a0b80bbf7e3dddc0ce6a028",
-	"shards/TaskLevel/1":             "9cc7075b80f3298c0ad813a1",
-	"shards/TaskLevel/2":             "9cc7075b80f3298c0ad813a1",
-	"shards/TaskLevel/4":             "9cc7075b80f3298c0ad813a1",
-	"shards/UnderFaults/1":           "4be73ff701b5fd96ff844181",
-	"shards/UnderFaults/2":           "4be73ff701b5fd96ff844181",
-	"shards/UnderFaults/4":           "4be73ff701b5fd96ff844181",
+	"detailed/DSMCluster(2,2)":          "2abe82a37cd09ae20215b541",
+	"detailed/HybridCluster(2,2,2)":     "2b6f535888ab03694eeadf01",
+	"detailed/T805Grid(2,2)":            "9ec799e3355fefa2a714e77a",
+	"engine/AdaptiveFatTree/compact":    "830501e0a07162d1885b35d7",
+	"engine/AdaptiveFatTree/process":    "6facbbf96f297e60971d2df1",
+	"engine/Dragonfly/compact":          "8cac5cbbf4ecc2f4017df565",
+	"engine/Dragonfly/process":          "ad2a8dc631a75dcada901d10",
+	"engine/Matching/compact":           "ce9dbc4318b23a97983f4922",
+	"engine/Matching/process":           "f74c3992b79d38edef7536fe",
+	"engine/MatchingNoOverhead/compact": "08ec9d92faaa079fba38d572",
+	"engine/MatchingNoOverhead/process": "2c8913e8e289b0c247693306",
+	"engine/SAF/compact":                "acc724673a887fd8c9d50156",
+	"engine/SAF/process":                "d70134df49d71bb584e76121",
+	"engine/UnderFaults/compact":        "b56dbf636026cfdbfe348fee",
+	"engine/UnderFaults/process":        "0b899e8e51fc9b1561bb237d",
+	"engine/VCTValiant/compact":         "88435e6f6411aa5cc215f77e",
+	"engine/VCTValiant/process":         "aaf5710301ae157a01035c78",
+	"engine/WormholeTorus3D/compact":    "5a0b604871e0a177069d8b7d",
+	"engine/WormholeTorus3D/process":    "ed8071d04ebc8ad9f803f9da",
+	"shards/JacobiDetailed/1":           "dec06509e6e9c02295838f95",
+	"shards/JacobiDetailed/2":           "dec06509e6e9c02295838f95",
+	"shards/JacobiDetailed/4":           "dec06509e6e9c02295838f95",
+	"shards/PingPong/1":                 "4a0b80bbf7e3dddc0ce6a028",
+	"shards/PingPong/2":                 "4a0b80bbf7e3dddc0ce6a028",
+	"shards/PingPong/4":                 "4a0b80bbf7e3dddc0ce6a028",
+	"shards/TaskLevel/1":                "9cc7075b80f3298c0ad813a1",
+	"shards/TaskLevel/2":                "9cc7075b80f3298c0ad813a1",
+	"shards/TaskLevel/4":                "9cc7075b80f3298c0ad813a1",
+	"shards/UnderFaults/1":              "4be73ff701b5fd96ff844181",
+	"shards/UnderFaults/2":              "4be73ff701b5fd96ff844181",
+	"shards/UnderFaults/4":              "4be73ff701b5fd96ff844181",
 }
 
 // artifactDigest runs cfg with whatever instrumentation its engine accepts —
@@ -136,9 +142,10 @@ func TestTrafficDigests(t *testing.T) {
 		for _, engine := range []string{EngineProcess, EngineCompact} {
 			cfg := c.cfg
 			cfg.Engine = engine
-			desc := c.desc
+			s := c.streams
 			got["engine/"+c.name+"/"+engine] = artifactDigest(t, cfg, func(m *Machine) (*Result, error) {
-				return m.RunStochastic(desc)
+				res, _, err := runCounted(m, s)
+				return res, err
 			})
 		}
 	}
@@ -146,7 +153,11 @@ func TestTrafficDigests(t *testing.T) {
 		for _, shards := range []int{1, 2, 4} {
 			cfg := c.cfg
 			cfg.Shards = shards
-			got[fmt.Sprintf("shards/%s/%d", c.name, shards)] = artifactDigest(t, cfg, c.run)
+			s := c.streams
+			got[fmt.Sprintf("shards/%s/%d", c.name, shards)] = artifactDigest(t, cfg, func(m *Machine) (*Result, error) {
+				res, _, err := runCounted(m, s)
+				return res, err
+			})
 		}
 	}
 	got["detailed/T805Grid(2,2)"] = artifactDigest(t, T805Grid(2, 2), func(m *Machine) (*Result, error) {

@@ -18,8 +18,8 @@ import (
 // model as Network + Processor per node, but with the per-node coroutine
 // processes replaced by a flat array of small state machines driven by plain
 // kernel events. One bound closure per node and one pooled record per packet
-// in flight replace the O(N) coroutine stacks, futures and named resources of
-// the process engine, cutting memory per node by two orders of magnitude and
+// in flight replace the O(N) coroutine stacks and named resources of the
+// process engine, cutting memory per node by two orders of magnitude and
 // removing all process hand-offs — which is what makes 10^5..10^6-node
 // task-level machines tractable.
 //
@@ -30,14 +30,15 @@ import (
 // (time, seq) order of every event — and therefore every RNG draw, every
 // counter, every histogram observation and the kernel event count — is
 // identical, and a run's report is byte-for-byte the same as the process
-// engine's (pinned by TestCompactEngineByteIdentical). The traffic counters,
-// metric names and report sets are the embedded Traffic ledger, the same
-// code Network runs. Timeline probes and the bottleneck collector are the two
+// engine's (pinned by TestCompactEngineByteIdentical). What is not
+// transformed is shared outright: each node carries a NodeIf, so matching,
+// arecv handles and rendezvous acks are the code Network's processes call,
+// and the traffic counters, metric names and report sets are the embedded
+// Traffic ledger. Timeline probes and the bottleneck collector are the two
 // features the transform does not carry; NewCompact rejects them.
 type CompactNet struct {
 	Traffic
 
-	k   *pearl.Kernel
 	deg int
 	rng *pearl.RNG // Valiant intermediate draws, same stream as Network
 
@@ -68,45 +69,22 @@ const (
 	cnSendBody          // send overhead elapsed; inject the message
 	cnSendAcked         // rendezvous ack arrived; finish the sync send
 	cnRecvBody          // recv overhead elapsed; match or block
-	cnRecvGot           // blocking receive matched; finish the recv
+	cnRecvGot           // the receive the node is parked on matched
 	cnARecvBody         // recv overhead elapsed; post the async receive
 )
 
-// cnode is one node's processor + network-interface state: the accounting,
-// the trace cursor, the operation in flight across a hold, and the MPI-style
-// matching state of NodeIf. 'cont' is the node's single continuation, bound
-// at attach time; every event the node schedules reuses it.
+// cnode is one node: its network interface, whose resume is the node's single
+// continuation (bound at build time; every event the node schedules reuses
+// it), and the processor's driver state — the trace cursor, the operation in
+// flight across a hold, the phase to resume in and when the node blocked.
 type cnode struct {
-	nodeAcct
-	cur     *trace.Cursor
-	cont    func()
-	ackCont func() // completes the pending rendezvous ack (at most one)
+	NodeIf
+	cur *trace.Cursor
 
 	ev         trace.Event
 	phase      uint8
 	done       bool
 	blockStart pearl.Time
-	wait       *cfut // future the node is parked on (blocking receives)
-
-	arrived []*Message
-	waiters []crecvWait
-	handles map[uint64]*cfut // lazily allocated; most nodes never arecv
-}
-
-// cfut is the compact engine's future: completion value plus whether the
-// owning node is parked on it (mirrors pearl.Future's waiter list, which here
-// can hold at most the one owning node).
-type cfut struct {
-	val     *Message
-	node    int32
-	done    bool
-	waiting bool
-}
-
-type crecvWait struct {
-	src int32
-	tag uint32
-	fut *cfut
 }
 
 // Packet phases: where a packet's walk resumes when its continuation fires.
@@ -166,7 +144,8 @@ func NewCompact(env sim.Env, cfg Config) (*CompactNet, error) {
 		return nil, fmt.Errorf("network: compact engine does not support the bottleneck collector; use the process engine")
 	}
 	topo := fab.topo
-	c := &CompactNet{Traffic: Traffic{fabric: fab}, k: k, rng: pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431)}
+	c := &CompactNet{Traffic: Traffic{fabric: fab, k: k}, rng: pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431)}
+	c.tr = c
 	n := topo.Nodes()
 	c.deg = topo.Degree()
 	links := n * c.deg * numVCs
@@ -183,7 +162,9 @@ func NewCompact(env sim.Env, cfg Config) (*CompactNet, error) {
 	c.nodes = make([]cnode, n)
 	reg := pb.Registry()
 	for i := range c.nodes {
-		c.nodes[i].registerIf(reg, i)
+		nd := &c.nodes[i]
+		nd.NodeIf = NodeIf{led: &c.Traffic, id: i, resume: func() { c.step(nd) }}
+		nd.registerIf(reg, i)
 	}
 	c.register(reg, c.linkUtilization)
 	return c, nil
@@ -195,24 +176,20 @@ func NewCompact(env sim.Env, cfg Config) (*CompactNet, error) {
 func (c *CompactNet) Attach(i int, src trace.Source) {
 	nd := &c.nodes[i]
 	nd.cur = trace.NewCursor(src)
-	id := int32(i)
-	nd.cont = func() { c.step(id) }
-	nd.ackCont = func() { c.k.After(0, nd.cont) }
 	nd.phase = cnRun
-	c.k.After(0, nd.cont)
+	c.k.After(0, nd.resume)
 }
 
-// step resumes node i's state machine when its continuation fires: it
+// step resumes a node's state machine when its continuation fires: it
 // finishes the phase the node was suspended in, then re-enters the
 // fetch-execute loop.
-func (c *CompactNet) step(i int32) {
-	nd := &c.nodes[i]
+func (c *CompactNet) step(nd *cnode) {
 	now := c.k.Now()
 	switch nd.phase {
 	case cnRun, cnComputeDone:
 		// Initial fetch, or a compute hold elapsed: nothing to finish.
 	case cnSendBody:
-		if !c.sendBody(i, nd) {
+		if !c.sendBody(nd) {
 			return // parked awaiting the rendezvous ack
 		}
 	case cnSendAcked:
@@ -220,24 +197,24 @@ func (c *CompactNet) step(i int32) {
 		o := &nd.ev.Op
 		finishOp(nd, trace.Feedback{Peer: o.Peer, Tag: o.Tag})
 	case cnRecvBody:
-		if !c.recvBody(i, nd) {
+		if !c.recvBody(nd) {
 			return // parked awaiting a matching arrival
 		}
 	case cnRecvGot:
-		m := nd.wait.val
-		nd.wait = nil
+		m := nd.parked.Value().(*Message)
+		nd.parked = nil
 		nd.recvBlock += now - nd.blockStart
-		finishOp(nd, trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})
+		finishRecv(nd, m)
 	case cnARecvBody:
-		c.arecvBody(i, nd)
+		c.arecvBody(nd)
 	}
 	nd.phase = cnRun
-	c.runLoop(i, nd)
+	c.runLoop(nd)
 }
 
 // runLoop is Processor.Run: fetch operations until the trace ends, an error
 // surfaces, or an operation suspends the node.
-func (c *CompactNet) runLoop(i int32, nd *cnode) {
+func (c *CompactNet) runLoop(nd *cnode) {
 	for {
 		ev, err := nd.cur.Next()
 		if err == io.EOF {
@@ -249,7 +226,7 @@ func (c *CompactNet) runLoop(i int32, nd *cnode) {
 			return
 		}
 		nd.ev = ev
-		if !c.execOp(i, nd) {
+		if !c.execOp(nd) {
 			return
 		}
 	}
@@ -262,56 +239,68 @@ func (c *CompactNet) fail(nd *cnode, err error) {
 	}
 }
 
-// execOp is Processor.exec fused with the NodeIf entry points. It reports
-// whether the operation completed synchronously (true: keep fetching).
-func (c *CompactNet) execOp(i int32, nd *cnode) bool {
+// execOp is Processor.exec over the non-blocking halves of the NodeIf
+// operations, each hold a suspension of the node. It reports whether the
+// operation completed synchronously (true: keep fetching).
+func (c *CompactNet) execOp(nd *cnode) bool {
 	o := &nd.ev.Op
 	switch o.Kind {
 	case ops.Compute:
 		nd.compute += pearl.Time(o.Dur)
 		nd.tasks.Inc()
 		if o.Dur > 0 {
-			nd.phase = cnComputeDone
-			c.k.After(pearl.Time(o.Dur), nd.cont)
-			return false
+			return c.suspend(nd, cnComputeDone, pearl.Time(o.Dur))
 		}
 		return true
 	case ops.Send, ops.ASend:
-		if err := checkDest(int(o.Peer), c.topo.Nodes()); err != nil {
-			c.fail(nd, fmt.Errorf("node %d cpu 0 (rank %d): %w", i, i, err))
+		hold, err := nd.beginSend(int(o.Peer))
+		if err != nil {
+			c.fail(nd, fmt.Errorf("node %d cpu 0 (rank %d): %w", nd.id, nd.id, err))
 			return false
 		}
-		nd.sends.Inc()
-		if c.cfg.SendOverhead > 0 {
-			nd.phase = cnSendBody
-			c.k.After(c.cfg.SendOverhead, nd.cont)
-			return false
+		if hold > 0 {
+			return c.suspend(nd, cnSendBody, hold)
 		}
-		return c.sendBody(i, nd)
+		return c.sendBody(nd)
 	case ops.Recv:
-		nd.recvs.Inc()
-		if c.cfg.RecvOverhead > 0 {
-			nd.phase = cnRecvBody
-			c.k.After(c.cfg.RecvOverhead, nd.cont)
-			return false
+		if hold := nd.beginRecv(); hold > 0 {
+			return c.suspend(nd, cnRecvBody, hold)
 		}
-		return c.recvBody(i, nd)
+		return c.recvBody(nd)
 	case ops.ARecv:
-		nd.recvs.Inc()
-		if c.cfg.RecvOverhead > 0 {
-			nd.phase = cnARecvBody
-			c.k.After(c.cfg.RecvOverhead, nd.cont)
-			return false
+		if hold := nd.beginRecv(); hold > 0 {
+			return c.suspend(nd, cnARecvBody, hold)
 		}
-		c.arecvBody(i, nd)
+		c.arecvBody(nd)
 		return true
 	case ops.WaitRecv:
-		return c.waitBody(i, nd)
+		f := nd.startWait(o.Addr)
+		if f.Done() {
+			finishRecv(nd, f.Value().(*Message))
+			return true
+		}
+		return c.park(nd, cnRecvGot, f)
 	default:
 		c.fail(nd, fmt.Errorf("network: task-level trace for node %d contains %s; "+
-			"instruction-level operations need the computational model", i, o.Kind))
+			"instruction-level operations need the computational model", nd.id, o.Kind))
 		return false
 	}
+}
+
+// suspend resumes the node in phase after d cycles — a Hold.
+func (c *CompactNet) suspend(nd *cnode, phase uint8, d pearl.Time) bool {
+	nd.phase = phase
+	c.k.After(d, nd.resume)
+	return false
+}
+
+// park blocks the node in phase until its interface resumes it: on the
+// rendezvous ack of a synchronous send (f nil), or on f's completion.
+func (c *CompactNet) park(nd *cnode, phase uint8, f *pearl.Future) bool {
+	nd.parked = f
+	nd.blockStart = c.k.Now()
+	nd.phase = phase
+	return false
 }
 
 // finishOp delivers the trace feedback — the tail every comm operation
@@ -322,112 +311,48 @@ func finishOp(nd *cnode, fb trace.Feedback) {
 	}
 }
 
-// sendBody runs the post-overhead half of NodeIf.Send. A synchronous send
-// parks the node until the rendezvous ack arrives (false); an asynchronous
-// send completes in place (true).
-func (c *CompactNet) sendBody(i int32, nd *cnode) bool {
+// finishRecv delivers a received message's feedback.
+func finishRecv(nd *cnode, m *Message) {
+	finishOp(nd, trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})
+}
+
+// sendBody runs NodeIf.Send past its overhead. A synchronous send parks the
+// node until the rendezvous ack arrives (false); an asynchronous send
+// completes in place (true).
+func (c *CompactNet) sendBody(nd *cnode) bool {
 	o := &nd.ev.Op
-	sync := o.Kind == ops.Send
-	msg := &Message{Src: int(i), Dst: int(o.Peer), Size: o.Size, Tag: o.Tag, Payload: nd.ev.Payload, Sync: sync}
-	if sync {
-		msg.ackFn = nd.ackCont
-	}
-	c.inject2(msg)
-	if sync {
-		nd.blockStart = c.k.Now()
-		nd.phase = cnSendAcked
-		return false
+	nd.startSend(int(o.Peer), o.Size, o.Tag, nd.ev.Payload, o.Kind == ops.Send)
+	if o.Kind == ops.Send {
+		return c.park(nd, cnSendAcked, nil)
 	}
 	finishOp(nd, trace.Feedback{Peer: o.Peer, Tag: o.Tag})
 	return true
 }
 
-// recvBody runs the post-overhead half of NodeIf.Recv.
-func (c *CompactNet) recvBody(i int32, nd *cnode) bool {
+// recvBody runs NodeIf.Recv past its overhead.
+func (c *CompactNet) recvBody(nd *cnode) bool {
 	o := &nd.ev.Op
-	if m := takeArrived(&nd.arrived, o.Peer, o.Tag); m != nil {
-		c.sendAck(m)
-		finishOp(nd, trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})
-		return true
+	m, f := nd.startRecv(o.Peer, o.Tag)
+	if f != nil {
+		return c.park(nd, cnRecvGot, f)
 	}
-	f := &cfut{node: i, waiting: true}
-	nd.waiters = append(nd.waiters, crecvWait{src: o.Peer, tag: o.Tag, fut: f})
-	nd.wait = f
-	nd.blockStart = c.k.Now()
-	nd.phase = cnRecvGot
-	return false
+	finishRecv(nd, m)
+	return true
 }
 
-// arecvBody runs the post-overhead half of NodeIf.PostRecv; it never blocks.
-func (c *CompactNet) arecvBody(i int32, nd *cnode) {
+// arecvBody runs NodeIf.PostRecv past its overhead; it never blocks.
+func (c *CompactNet) arecvBody(nd *cnode) {
 	o := &nd.ev.Op
-	if _, dup := nd.handles[o.Addr]; dup {
-		panic(fmt.Sprintf("network: node %d reusing arecv handle %d", i, o.Addr))
-	}
-	if nd.handles == nil {
-		nd.handles = make(map[uint64]*cfut)
-	}
-	f := &cfut{node: i}
-	nd.handles[o.Addr] = f
-	if m := takeArrived(&nd.arrived, o.Peer, o.Tag); m != nil {
-		c.sendAck(m)
-		f.done, f.val = true, m
-	} else {
-		nd.waiters = append(nd.waiters, crecvWait{src: o.Peer, tag: o.Tag, fut: f})
-	}
+	nd.postRecv(o.Peer, o.Tag, o.Addr)
 	finishOp(nd, trace.Feedback{Peer: o.Peer, Tag: o.Tag})
 }
 
-// waitBody is NodeIf.WaitRecv: no receive accounting, no overhead — complete
-// in place if the posted receive already matched, else park.
-func (c *CompactNet) waitBody(i int32, nd *cnode) bool {
-	o := &nd.ev.Op
-	f, ok := nd.handles[o.Addr]
-	if !ok {
-		panic(fmt.Sprintf("network: node %d waiting on unknown arecv handle %d", i, o.Addr))
-	}
-	delete(nd.handles, o.Addr)
-	if f.done {
-		finishOp(nd, trace.Feedback{Peer: int32(f.val.Src), Tag: f.val.Tag, Payload: f.val.Payload})
-		return true
-	}
-	f.waiting = true
-	nd.wait = f
-	nd.blockStart = c.k.Now()
-	nd.phase = cnRecvGot
-	return false
-}
-
-// arrive2 hands a fully arrived message to the destination node's matching
-// state — NodeIf.arrive. Completing a future the node is parked on schedules
-// the node's continuation, the one wake pearl.Future.Complete would issue.
-func (c *CompactNet) arrive2(m *Message) {
-	if m.isAck {
-		m.ackFn()
-		return
-	}
-	nd := &c.nodes[m.Dst]
-	for i, w := range nd.waiters {
-		if matches(w.src, w.tag, m) {
-			nd.waiters = append(nd.waiters[:i], nd.waiters[i+1:]...)
-			c.sendAck(m)
-			w.fut.done, w.fut.val = true, m
-			if w.fut.waiting {
-				w.fut.waiting = false
-				c.k.After(0, c.nodes[w.fut.node].cont)
-			}
-			return
-		}
-	}
-	nd.arrived = append(nd.arrived, m)
-}
-
-// inject2 launches the transport of msg — Network.inject, with packet
+// inject launches the transport of msg — Network.inject, with packet
 // processes replaced by pooled packet records.
-func (c *CompactNet) inject2(msg *Message) {
+func (c *CompactNet) inject(msg *Message) {
 	c.countInjection(msg, c.k.Now())
 	if msg.Src == msg.Dst {
-		c.k.After(c.copyTime(msg.Size), func() { c.delivered2(msg) })
+		c.k.After(c.copyTime(msg.Size), func() { c.delivered(msg) })
 		return
 	}
 	pkts := c.cfg.Router.Packetize(msg.Size)
@@ -439,17 +364,10 @@ func (c *CompactNet) inject2(msg *Message) {
 	}
 }
 
-func (c *CompactNet) delivered2(msg *Message) {
+// delivered hands a fully arrived message to the destination interface.
+func (c *CompactNet) delivered(msg *Message) {
 	c.countDelivery(msg, c.k.Now())
-	c.arrive2(msg)
-}
-
-// sendAck issues the rendezvous acknowledgement — NodeIf.sendAck, carrying
-// the compact ack continuation instead of a Future.
-func (c *CompactNet) sendAck(msg *Message) {
-	if ack := c.ackFor(msg); ack != nil {
-		c.inject2(ack)
-	}
+	c.nodes[msg.Dst].arrive(msg)
 }
 
 func (c *CompactNet) newPkt(msg *Message, bytes uint32, idx int) *cpkt {
@@ -532,7 +450,7 @@ func (c *CompactNet) hopLoop(pk *cpkt) {
 				return
 			}
 		case rc.Routing == router.Adaptive:
-			port = c.adaptivePort2(pk.at, pk.target)
+			port = c.adaptivePort(pk.at, pk.target)
 		default:
 			port = c.topo.Route(pk.at, pk.target)
 		}
@@ -638,7 +556,7 @@ func (c *CompactNet) finishAttempt(pk *cpkt) {
 	c.freePkt(pk)
 	msg.remaining--
 	if msg.remaining == 0 {
-		c.delivered2(msg)
+		c.delivered(msg)
 	}
 }
 
@@ -689,8 +607,8 @@ func (c *CompactNet) release(li int) {
 	}
 }
 
-// adaptivePort2 is Network.adaptivePort over the SoA link state.
-func (c *CompactNet) adaptivePort2(at, to int) int {
+// adaptivePort is Network.adaptivePort over the SoA link state.
+func (c *CompactNet) adaptivePort(at, to int) int {
 	ports := c.topo.MinimalPorts(at, to)
 	best := ports[0]
 	bestLoad := 1 << 30

@@ -9,11 +9,13 @@
 // fully instrumentable reference), CompactNet (the same model as plain
 // events over struct-of-arrays state) and ShardedNetwork (the conservative
 // parallel fabric). Each keeps only what it runs — its packet walker, its
-// link state, how it matches, acknowledges and delivers. What they share is
-// written once in Traffic: the validated configuration and topology, the
-// traffic counters and histograms, the net.* metric names, the report sets
-// and the fault wiring. Whatever engine a machine was built on, its Traffic
-// reads the same.
+// link state, how it delivers, and on CompactNet the per-node driver that
+// replaces Processor. What they share is written once. NodeIf is every
+// node's interface on every engine: Table 1 matching, arecv handles and
+// rendezvous acks. Traffic is the ledger: the validated configuration and
+// topology, the traffic counters and histograms, the net.* metric names, the
+// report sets and the fault wiring. Whatever engine a machine was built on,
+// its nodes match messages alike and its Traffic reads the same.
 package network
 
 import (
@@ -84,8 +86,7 @@ type Message struct {
 	Sync     bool
 
 	isAck      bool
-	ackFut     *pearl.Future // process-engine ack completion
-	ackFn      func()        // compact-engine ack completion (see compact.go)
+	ackFut     *pearl.Future // what the sender awaits; nil on the compact engine
 	remaining  int
 	injectedAt pearl.Time
 	// key is the message's deterministic identity (src node and per-source
@@ -99,7 +100,6 @@ type Message struct {
 type Network struct {
 	Traffic
 
-	k     *pearl.Kernel
 	links []*pearl.Resource // directed, indexed node*degree+port
 	ifs   []*NodeIf
 	rng   *pearl.RNG // Valiant intermediate draws
@@ -127,7 +127,8 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("network: sim.Env without a kernel")
 	}
 	topo := fab.topo
-	n := &Network{Traffic: Traffic{fabric: fab}, k: k, rng: pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431)}
+	n := &Network{Traffic: Traffic{fabric: fab, k: k}, rng: pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431)}
+	n.tr = n
 	// Two virtual channels per directed link: wormhole switching moves to
 	// the high channel at topology datelines (Dally–Seitz), which keeps it
 	// deadlock-free on rings and tori. Each virtual channel is modelled as
@@ -159,7 +160,7 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 	n.ifs = make([]*NodeIf, topo.Nodes())
 	reg := pb.Registry()
 	for i := range n.ifs {
-		n.ifs[i] = &NodeIf{tr: n, led: &n.Traffic, k: k, id: i, handles: make(map[uint64]*pearl.Future)}
+		n.ifs[i] = &NodeIf{led: &n.Traffic, id: i}
 		n.ifs[i].registerIf(reg, i)
 	}
 	n.register(reg, n.linkUtilization)

@@ -49,14 +49,13 @@ type ShardedNetwork struct {
 	linkRNGs []*pearl.RNG
 }
 
-// netShard is the per-shard slice of the fabric: the kernel, the timeline,
-// and this shard's traffic ledger — its share of the counters, registered in
-// the shard's registry, plus the shard's fault replica and re-pathing table.
-// A metric is counted on whichever shard observes the event; Traffic merges
-// the ledgers.
+// netShard is the per-shard slice of the fabric: the timeline, and this
+// shard's traffic ledger — its kernel, its share of the counters, registered
+// in the shard's registry, plus the shard's fault replica and re-pathing
+// table. A metric is counted on whichever shard observes the event; Traffic
+// merges the ledgers.
 type netShard struct {
 	Traffic
-	k  *pearl.Kernel
 	tl *probe.Timeline
 }
 
@@ -135,7 +134,7 @@ func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int)
 	for s := range n.shards {
 		// Unlike the single-kernel engines, each shard names the traffic
 		// metrics before the interfaces it hosts.
-		sh := &netShard{Traffic: Traffic{fabric: fab}, k: group.Kernel(s), tl: envs[s].Timeline()}
+		sh := &netShard{Traffic: Traffic{fabric: fab, k: group.Kernel(s), tr: n}, tl: envs[s].Timeline()}
 		sh.register(envs[s].Registry(), n.linkUtilization)
 		n.shards[s] = sh
 	}
@@ -162,7 +161,7 @@ func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int)
 	n.bufs = make([]arrivalBuf, topo.Nodes())
 	for i := range n.ifs {
 		sh := part[i]
-		n.ifs[i] = &NodeIf{tr: n, led: &n.shards[sh].Traffic, k: group.Kernel(sh), id: i, handles: make(map[uint64]*pearl.Future)}
+		n.ifs[i] = &NodeIf{led: &n.shards[sh].Traffic, id: i}
 		n.bufs[i].drainAt = pearl.Forever
 		n.ifs[i].registerIf(envs[sh].Registry(), i)
 	}

@@ -51,12 +51,16 @@ func (f *fabric) copyTime(size uint32) pearl.Time {
 // Traffic is the engine-independent half of the communication model: the
 // fabric's configuration and topology, the traffic counters and histograms,
 // the net.* metrics and the "network <topology>" report, and the fault
-// wiring. Network and CompactNet embed one; the sharded fabric keeps one per
-// shard and answers with their merge. What differs between the engines —
-// how packets walk, how links are arbitrated, how arrivals are matched — stays
-// with each engine, which writes the counters here directly.
+// wiring — plus the kernel the traffic runs on and the engine carrying it,
+// which is all a NodeIf needs besides. Network and CompactNet embed one; the
+// sharded fabric keeps one per shard and answers with their merge. What
+// differs between the engines — how packets walk and how links are
+// arbitrated — stays with each engine, which writes the counters here
+// directly.
 type Traffic struct {
 	fabric
+	k  *pearl.Kernel
+	tr transport
 
 	msgLatency stats.Histogram
 	hopHist    stats.Histogram
@@ -140,14 +144,14 @@ func (t *Traffic) countDelivery(msg *Message, now pearl.Time) {
 
 // ackFor counts and builds the rendezvous acknowledgement of a synchronous
 // message its receiver has just accepted, or returns nil when m needs none.
-// The ack carries the sender's completion — a Future on the process engine,
-// a continuation on the compact one — back through the network.
+// The ack carries the Future the sender awaits back through the network (nil
+// for a compact node, which its interface resumes on the ack's arrival).
 func (t *Traffic) ackFor(m *Message) *Message {
 	if !m.Sync {
 		return nil
 	}
 	t.acks.Inc()
-	return &Message{Src: m.Dst, Dst: m.Src, Size: uint32(t.cfg.AckBytes), isAck: true, ackFut: m.ackFut, ackFn: m.ackFn}
+	return &Message{Src: m.Dst, Dst: m.Src, Size: uint32(t.cfg.AckBytes), isAck: true, ackFut: m.ackFut}
 }
 
 // retry accounts a lost packet attempt: it returns the backoff before the
@@ -236,9 +240,9 @@ func (t *Traffic) Stats() *stats.Set {
 }
 
 // nodeAcct is one node's processor and interface accounting — the counters
-// behind its "procN" and "nifN" report sets — kept by NodeIf (with the
-// task-level Processor charging its compute there) and by the compact
-// engine's node records alike. Detailed nodes use only the interface half.
+// behind its "procN" and "nifN" report sets — kept by NodeIf, where the
+// task-level driver (Processor, or the compact engine's node state machine)
+// charges its compute. Detailed nodes use only the interface half.
 type nodeAcct struct {
 	tasks, sends, recvs           stats.Counter
 	compute, sendBlock, recvBlock pearl.Time

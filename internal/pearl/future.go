@@ -6,14 +6,13 @@ package pearl
 // when the reply is ready (the network interface's synchronous send awaits
 // its acknowledgement this way).
 type Future struct {
-	k       *Kernel
 	done    bool
 	val     any
 	waiters []*Process
 }
 
 // NewFuture creates an incomplete future.
-func (k *Kernel) NewFuture() *Future { return &Future{k: k} }
+func (k *Kernel) NewFuture() *Future { return &Future{} }
 
 // Done reports whether the future has been completed.
 func (f *Future) Done() bool { return f.done }
@@ -35,15 +34,6 @@ func (f *Future) Complete(v any) {
 		}
 	}
 	f.waiters = nil
-}
-
-// CompleteAfter resolves the future d cycles from now.
-func (f *Future) CompleteAfter(d Time, v any) {
-	if d == 0 {
-		f.Complete(v)
-		return
-	}
-	f.k.After(d, func() { f.Complete(v) })
 }
 
 // Await blocks the process until the future is complete, returning its value.

@@ -292,7 +292,11 @@ func (w *propWorld) effect(who int, op propOp, idx int, d Time) {
 	case opDaemon:
 		s.k.AtDaemon(s.k.Now()+d, func() { s.note(who, "daemon") })
 	case opComplete:
-		s.fut[idx].CompleteAfter(d, who)
+		if f := s.fut[idx]; d == 0 {
+			f.Complete(who)
+		} else {
+			s.k.After(d, func() { f.Complete(who) })
+		}
 	case opStop:
 		s.k.Stop()
 	case opRelease:

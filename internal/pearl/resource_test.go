@@ -239,7 +239,7 @@ func TestSynchronousCall(t *testing.T) {
 	k.Spawn("server", func(p *Process) {
 		for i := 0; i < 2; i++ {
 			req := p.Receive(mb).(request)
-			req.reply.CompleteAfter(10, req.n*req.n)
+			k.After(10, func() { req.reply.Complete(req.n * req.n) })
 		}
 	})
 	var results []int

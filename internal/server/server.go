@@ -243,6 +243,14 @@ type jobSpec struct {
 	Workload json.RawMessage `json:"workload"`
 }
 
+// maxJobStreams caps the trace streams (processors) of a job's machine. Every
+// job runs with the timeline and the bottleneck collector attached, which
+// keeps it on the process engine with named link resources and timeline
+// tracks — about 4.7 KB per node before the first event — so the cap is the
+// largest machine the benchmark runs, 16,384 nodes, not the 2^30-node bound
+// of the topology parser.
+const maxJobStreams = 16384
+
 // buildJob resolves a request document into a runnable (config, workload)
 // pair and the cache key that addresses its outcome.
 func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resultcache.Key, error) {
@@ -263,6 +271,17 @@ func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resul
 	if err != nil {
 		return cfg, stochastic.Desc{}, resultcache.Key{}, err
 	}
+	cpus := 1
+	if cfg.Mode == machine.Detailed {
+		cpus = cfg.Node.Hierarchy.CPUs
+	}
+	// cfg.Nodes is the topology's size: both machine forms are validated,
+	// and validation sizes the topology. Each factor is bounded first, so
+	// the product cannot overflow.
+	if cfg.Nodes > maxJobStreams || cpus > maxJobStreams || cfg.Nodes*cpus > maxJobStreams {
+		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("machine has %d nodes of %d CPUs; a job may have at most %d streams", cfg.Nodes, cpus, maxJobStreams)
+	}
+	streams := cfg.Nodes * cpus
 	if spec.Engine != "" {
 		cfg.Engine = spec.Engine
 	}
@@ -291,10 +310,6 @@ func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resul
 	desc, err := stochastic.ParseDesc(spec.Workload)
 	if err != nil {
 		return cfg, desc, resultcache.Key{}, fmt.Errorf("workload: %w", err)
-	}
-	streams := cfg.Nodes
-	if cfg.Mode == machine.Detailed {
-		streams = cfg.Nodes * cfg.Node.Hierarchy.CPUs
 	}
 	if desc.Nodes == 0 {
 		desc.Nodes = streams

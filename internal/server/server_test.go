@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"mermaid/internal/machine"
 	"mermaid/internal/server"
+	"mermaid/internal/topology"
 )
 
 type jobResp struct {
@@ -305,6 +307,45 @@ func TestSubmissionValidation(t *testing.T) {
 	}
 	if data, code := get(t, ts, "/jobs/nope"); code != http.StatusNotFound {
 		t.Errorf("unknown job: %d\n%s", code, data)
+	}
+}
+
+// A machine beyond the server's stream cap is refused with 400 before anything
+// is built: a 2^20-node torus would retain gigabytes under the instrumentation
+// every job runs with.
+func TestSubmissionMachineLimit(t *testing.T) {
+	_, ts := startServer(t, server.Config{Workers: 1})
+	j, code := submit(t, ts, `{"topology":"torus3d:128x128x64","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("2^20-node job: status %d, want 400", code)
+	}
+	want := "mermaidd: machine has 1048576 nodes of 1 CPUs; a job may have at most 16384 streams"
+	if strings.TrimSpace(j.Error) != want {
+		t.Errorf("2^20-node job: error %q, want %q", j.Error, want)
+	}
+
+	// The same torus behind a configuration that declares 4 nodes: the
+	// topology is sized, not trusted.
+	cfg, err := machine.TaskMachineFromSpec("torus:2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Network.Topology = topology.Config{Kind: topology.Torus3D, DimX: 128, DimY: 128, DimZ: 64}
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, code = submit(t, ts, `{"config":`+string(raw)+`,"workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`)
+	if code != http.StatusBadRequest {
+		t.Fatalf("2^20-node topology in a 4-node config: status %d, want 400", code)
+	}
+	want = "mermaidd: machine: 4 nodes but topology torus3d(128x128x64) has 1048576"
+	if strings.TrimSpace(j.Error) != want {
+		t.Errorf("2^20-node topology in a 4-node config: error %q, want %q", j.Error, want)
+	}
+
+	if _, code := submit(t, ts, torusJob("small", 1, 1)); code != http.StatusAccepted {
+		t.Errorf("a small job after the refused ones: status %d", code)
 	}
 }
 
