@@ -79,7 +79,6 @@ func main() {
 		preset     = flag.String("preset", "", "machine preset: "+strings.Join(presetNames(), ", "))
 		configPath = flag.String("config", "", "machine configuration JSON file")
 		topoSpec   = flag.String("topology", "", "build a task-level machine on this topology, e.g. torus:8x8, torus3d:16x16x16, fattree:32x3, dragonfly:8x4x33 (instead of -preset/-config)")
-		engineF    = flag.String("engine", "", "node engine for task-level machines: auto, process, compact (default auto)")
 		dumpConfig = flag.Bool("dump-config", false, "print the machine configuration as JSON and exit")
 
 		faultsPath = flag.String("faults", "", "fault schedule JSON file (link/node down windows, packet noise, retransmission parameters)")
@@ -141,9 +140,6 @@ func main() {
 	cfg, err := resolveConfig(*preset, *configPath, *topoSpec)
 	if err != nil {
 		fatal(err)
-	}
-	if *engineF != "" {
-		cfg.Engine = *engineF
 	}
 	if *faultsPath != "" {
 		data, err := os.ReadFile(*faultsPath)

@@ -196,7 +196,7 @@ func TestTimelineGoldenTwoNodePingPong(t *testing.T) {
 
 // Replicated runs derive a distinct seed per replica and report one row each,
 // plus the latency distribution merged over all of them — on the parallel
-// engine too, whose fabric is neither Network() nor Compact().
+// engine too, whose ledger is the merge of its shards'.
 func TestRunReplicated(t *testing.T) {
 	runOnce := func(m *machine.Machine) (*machine.Result, error) {
 		return m.RunProgram(workload.Jacobi1D(m.Streams(), 64, 2))

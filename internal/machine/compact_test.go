@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
@@ -33,45 +34,60 @@ func ledgerReading(t *testing.T, m *Machine) string {
 		net.Messages(), net.Bytes(), net.MeanHops(), net.Retransmits(), net.Lost(), lat.Mean(), lat.Max(), avg, max)
 }
 
-// runEngineReport builds cfg on the named engine and runs the case's
-// streams, returning the rendered stats report (with the probe registry dump
-// included, so metric names and ordering are compared too) and the ledger
-// reading. The run must conserve its traffic.
-func runEngineReport(t *testing.T, cfg Config, engine string, s streams) (string, string) {
+// observedEnv is the environment of a fully instrumented single-kernel run:
+// a probe with a timeline, and the bottleneck collector.
+func observedEnv(seed uint64) sim.Env {
+	return sim.NewEnv(seed, probe.New(probe.Config{Timeline: true})).WithCollector(analysis.New())
+}
+
+// runEngineReport builds cfg on the compact engine, fully observed or with a
+// bare probe, and runs the case's streams, returning the rendered stats
+// report (with the probe registry dump included, so metric names and
+// ordering are compared too) and the ledger reading. The run must conserve
+// its traffic.
+func runEngineReport(t *testing.T, cfg Config, observed bool, s streams) (string, string) {
 	t.Helper()
-	cfg.Engine = engine
-	pb := probe.New(probe.Config{})
-	m, err := Build(sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(cfg.Seed), Probe: pb}, cfg)
+	env := sim.NewEnv(cfg.Seed, probe.New(probe.Config{}))
+	if observed {
+		env = observedEnv(cfg.Seed)
+	}
+	label := fmt.Sprintf("observed=%v", observed)
+	m, err := Build(env, cfg)
 	if err != nil {
-		t.Fatalf("engine=%s: build: %v", engine, err)
+		t.Fatalf("%s: build: %v", label, err)
 	}
 	res, syncSends, err := runCounted(m, s)
 	if err != nil {
-		t.Fatalf("engine=%s: run: %v", engine, err)
+		t.Fatalf("%s: run: %v", label, err)
 	}
-	checkConservation(t, "engine="+engine, m, res, syncSends)
+	if observed && (res.Analysis == nil || m.MergedTimeline().Events() == 0) {
+		t.Fatalf("%s: no bottleneck report or an empty timeline", label)
+	}
+	checkConservation(t, label, m, res, syncSends)
 	var report bytes.Buffer
 	if err := stats.RenderSet(&report, res.Stats); err != nil {
-		t.Fatalf("engine=%s: render: %v", engine, err)
+		t.Fatalf("%s: render: %v", label, err)
 	}
 	return report.String(), ledgerReading(t, m)
 }
 
-// checkEngineIdentity requires the process and compact engines to produce
-// byte-identical reports for the same machine and workload — the equivalence
-// contract of the compact engine (see compact.go).
+// checkEngineIdentity requires the compact engine — the one single-kernel
+// engine, packets and processors as events — to produce byte-identical
+// reports for the same machine and workload whether or not the timeline and
+// the bottleneck collector observe it: instrumentation rides along, it never
+// moves an event. TestTrafficDigests pins both runs' artifacts.
 func checkEngineIdentity(t *testing.T, cfg Config, s streams) {
 	t.Helper()
-	ref, refLedger := runEngineReport(t, cfg, EngineProcess, s)
+	ref, refLedger := runEngineReport(t, cfg, false, s)
 	if !strings.Contains(ref, "messages") {
 		t.Fatalf("reference report looks empty:\n%s", ref)
 	}
-	got, gotLedger := runEngineReport(t, cfg, EngineCompact, s)
+	got, gotLedger := runEngineReport(t, cfg, true, s)
 	if got != ref {
-		t.Errorf("compact engine report differs from process engine\n--- process ---\n%s\n--- compact ---\n%s", ref, got)
+		t.Errorf("observed report differs from the unobserved one\n--- unobserved ---\n%s\n--- observed ---\n%s", ref, got)
 	}
 	if gotLedger != refLedger {
-		t.Errorf("compact engine ledger differs from process engine\nprocess: %s\ncompact: %s", refLedger, gotLedger)
+		t.Errorf("observed ledger differs from the unobserved one\nunobserved: %s\nobserved: %s", refLedger, gotLedger)
 	}
 }
 
@@ -249,8 +265,8 @@ func matchingStreams() streams {
 	)
 }
 
-// engineCase is one machine and workload the two single-kernel engines must
-// agree on byte for byte.
+// engineCase is one machine and workload the compact engine must run alike
+// observed and unobserved.
 type engineCase struct {
 	name    string
 	cfg     Config
@@ -265,7 +281,7 @@ func engineCases() []engineCase {
 	saf := T805GridTaskLevel(4, 4)
 	saf.Seed = 42
 	// Virtual cut-through with Valiant routing: the random intermediate
-	// draws must land in the same RNG-stream order on both engines.
+	// draws must land in the pinned RNG-stream order.
 	valiant := GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, 16, router.VirtualCutThrough)
 	valiant.Network.Router.Routing = router.Valiant
 	valiant.Seed = 7
@@ -376,11 +392,11 @@ func TestCompactEngineByteIdenticalMatching(t *testing.T) {
 }
 
 // A send to a node the network does not have is an error of the run, worded
-// the same on both engines and naming the sender — not a panic.
+// the same on both fabrics and naming the sender — not a panic.
 func TestInvalidDestinationIsAnError(t *testing.T) {
-	for _, engine := range []string{EngineProcess, EngineCompact} {
+	for _, shards := range []int{0, 2} {
 		cfg := T805GridTaskLevel(2, 2)
-		cfg.Engine = engine
+		cfg.Shards = shards
 		m, err := Build(sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(1)}, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -393,47 +409,7 @@ func TestInvalidDestinationIsAnError(t *testing.T) {
 		_, err = m.Run(srcs)
 		want := "node 2 cpu 0 (rank 2): send to invalid destination 7 (the network has 4 nodes)"
 		if err == nil || err.Error() != want {
-			t.Errorf("engine=%s: err = %v, want %q", engine, err, want)
+			t.Errorf("shards=%d: err = %v, want %q", shards, err, want)
 		}
-	}
-}
-
-func TestCompactEngineAutoSelection(t *testing.T) {
-	cfg := T805GridTaskLevel(2, 2)
-	env := func() sim.Env {
-		return sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(1), Probe: nil}
-	}
-	m, err := Build(env(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.net == nil || m.cnet != nil {
-		t.Errorf("small task machine must default to the process engine")
-	}
-	cfg.Engine = EngineCompact
-	m, err = Build(env(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.cnet == nil || m.net != nil {
-		t.Errorf("engine=compact must force the compact engine")
-	}
-	// Forcing compact with a timeline probe is a descriptive error, not a
-	// silent fallback.
-	pb := probe.New(probe.Config{Timeline: true})
-	if _, err := Build(sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(1), Probe: pb}, cfg); err == nil {
-		t.Errorf("compact engine with a timeline probe must be rejected")
-	}
-	// Detailed mode and shards reject the compact engine in Validate.
-	bad := T805Grid(2, 2)
-	bad.Engine = EngineCompact
-	if err := bad.Validate(); err == nil {
-		t.Errorf("detailed mode with engine=compact must be rejected")
-	}
-	bad = T805GridTaskLevel(2, 2)
-	bad.Engine = EngineCompact
-	bad.Shards = 2
-	if err := bad.Validate(); err == nil {
-		t.Errorf("shards with engine=compact must be rejected")
 	}
 }

@@ -53,30 +53,11 @@ const (
 // beyond ConfigVersion are rejected. Version history:
 //
 //	v1 — adds the Faults block.
-//	v2 — adds the Engine selector and the hierarchical topology families
-//	     (torus3d, fattree, dragonfly).
+//	v2 — adds the hierarchical topology families (torus3d, fattree,
+//	     dragonfly). Its engine selector is gone: every machine runs on the
+//	     one single-kernel engine (or on shards), so a file naming one is
+//	     rejected as having an unknown field.
 const ConfigVersion = 2
-
-// Engine selects the task-level execution engine.
-//
-// The process engine runs one simulation process per node — fully featured
-// (timeline probes, bottleneck collector) but with per-node coroutine cost.
-// The compact engine steps a flat struct-of-arrays node state machine with
-// plain kernel events: byte-identical reports, two orders of magnitude less
-// memory per node, no process hand-offs — the only way to 10^5..10^6-node
-// machines. EngineAuto (or empty) picks compact for large task-level machines
-// when no process-level instrumentation is attached.
-const (
-	EngineAuto    = "auto"
-	EngineProcess = "process"
-	EngineCompact = "compact"
-)
-
-// CompactAutoThreshold is the node count at which EngineAuto switches a
-// task-level machine to the compact engine. Below it the engines are
-// indistinguishable in output and close enough in speed that the fully
-// instrumentable process engine stays the default.
-const CompactAutoThreshold = 4096
 
 // Config describes a complete machine.
 type Config struct {
@@ -113,11 +94,6 @@ type Config struct {
 	// engine. Requires a networked machine; wormhole switching, non-minimal
 	// routing, and DSM are not supported (see DESIGN.md §8).
 	Shards int `json:"shards,omitempty"`
-	// Engine selects the task-level execution engine: EngineAuto (or empty),
-	// EngineProcess, or EngineCompact (schema v2; see DESIGN.md §9). Only
-	// meaningful for single-kernel task-level machines; detailed mode and the
-	// parallel engine always use processes.
-	Engine string `json:"engine,omitempty"`
 }
 
 // Validate checks the configuration's cross-component consistency.
@@ -172,19 +148,6 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
-	switch c.Engine {
-	case "", EngineAuto, EngineProcess:
-	case EngineCompact:
-		if c.Mode != TaskLevel {
-			return fmt.Errorf("machine: the compact engine is task-level only; detailed nodes need processes")
-		}
-		if c.Shards > 0 {
-			return fmt.Errorf("machine: the compact engine is single-kernel; drop shards or use engine %q", EngineProcess)
-		}
-	default:
-		return fmt.Errorf("machine: unknown engine %q (want %q, %q or %q)",
-			c.Engine, EngineAuto, EngineProcess, EngineCompact)
-	}
 	if c.Shards < 0 {
 		return fmt.Errorf("machine: %d shards", c.Shards)
 	}
@@ -227,11 +190,8 @@ func ParseConfig(data []byte) (Config, error) {
 		}
 		fallthrough
 	case 1:
-		// v1 predates the engine selector and the hierarchical topology
-		// families; either appearing in an older file is a mistake.
-		if cfg.Engine != "" {
-			return Config{}, fmt.Errorf("machine: engine selector requires config version 2")
-		}
+		// v1 predates the hierarchical topology families; one appearing in an
+		// older file is a mistake.
 		if topology.Hierarchical(cfg.Network.Topology.Kind) {
 			return Config{}, fmt.Errorf("machine: topology %q requires config version 2", cfg.Network.Topology.Kind)
 		}
@@ -252,23 +212,19 @@ type Machine struct {
 	cfg   Config
 	k     *pearl.Kernel
 	pb    *probe.Probe
-	net   *network.Network    // process engine
-	cnet  *network.CompactNet // compact engine
-	led   *network.Traffic    // the single-kernel engine's traffic ledger
+	net   *network.Network // the single-kernel fabric; nil without a network or with shards
 	nodes []*node.Node
-	procs []*network.Processor
 	dsm   *dsm.Layer
 	inj   *fault.Injector
 	col   *analysis.Collector
 	ran   bool // Run closes the kernels behind it: one run per machine
 
 	// Parallel-engine state (nil/empty when cfg.Shards == 0): the shard
-	// group, the sharded fabric, the node→shard map, and the per-shard
-	// construction environments (kernel, RNG root, probe). k then aliases
-	// shard 0's kernel; net and led stay nil and snet carries the fabric.
+	// group, the sharded fabric and the per-shard construction environments
+	// (kernel, RNG root, probe). k then aliases shard 0's kernel; net stays
+	// nil and snet carries the fabric.
 	group *pearl.ShardGroup
 	snet  *network.ShardedNetwork
-	part  []int
 	envs  []sim.Env
 }
 
@@ -300,7 +256,8 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 	// Kernel block spans (holds, receives, resource queues) feed the timeline
 	// for every process opted in via TrackProcess, and the analysis collector
 	// for every process. With neither attached the tracer stays nil and the
-	// kernel hot path is untouched.
+	// kernel hot path is untouched. Packets and task-level processors are not
+	// processes: the network reports their block spans to the collector.
 	tl := env.Timeline()
 	switch {
 	case tl != nil && m.col.Enabled():
@@ -319,19 +276,11 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 	}
 	env.Registry().Gauge("kernel.events", "", func() float64 { return float64(k.EventCount()) })
 	if cfg.hasNetwork() {
-		if cfg.useCompact(env) {
-			cn, err := network.NewCompact(env, cfg.Network)
-			if err != nil {
-				return nil, err
-			}
-			m.cnet, m.led = cn, &cn.Traffic
-		} else {
-			net, err := network.New(env, cfg.Network)
-			if err != nil {
-				return nil, err
-			}
-			m.net, m.led = net, &net.Traffic
+		net, err := network.New(env, cfg.Network)
+		if err != nil {
+			return nil, err
 		}
+		m.net = net
 	}
 	if cfg.Mode == Detailed {
 		for i := 0; i < cfg.Nodes; i++ {
@@ -359,32 +308,14 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 	if !cfg.Faults.Empty() {
 		// Registered last so that with an empty schedule the metric registry
 		// and timeline are bit-identical to a build without the subsystem.
-		inj, err := fault.NewInjector(k, m.led.Topology(), *cfg.Faults, env.RNG, env.Probe)
+		inj, err := fault.NewInjector(k, m.net.Topology(), *cfg.Faults, env.RNG, env.Probe)
 		if err != nil {
 			return nil, err
 		}
 		m.inj = inj
-		m.led.AttachFaults(inj)
+		m.net.AttachFaults(inj)
 	}
 	return m, nil
-}
-
-// useCompact resolves the engine selection for this build. Forcing
-// EngineCompact with a timeline or collector attached is left to
-// network.NewCompact, which rejects it with a descriptive error; EngineAuto
-// quietly keeps the process engine in that case, since the user asked for
-// instrumentation the compact engine cannot feed.
-func (c *Config) useCompact(env sim.Env) bool {
-	if c.Mode != TaskLevel || c.Shards > 0 {
-		return false
-	}
-	switch c.Engine {
-	case EngineCompact:
-		return true
-	case "", EngineAuto:
-		return c.Nodes >= CompactAutoThreshold && env.Timeline() == nil && !env.Collect.Enabled()
-	}
-	return false
 }
 
 // Faults returns the fault injector, or nil when the configuration schedules
@@ -408,13 +339,16 @@ func (m *Machine) ShardGroup() *pearl.ShardGroup { return m.group }
 func (m *Machine) Collector() *analysis.Collector { return m.col }
 
 // Network returns the traffic ledger of the machine's communication model,
-// whichever engine runs it — process, compact, or the merge across shards —
-// or nil for single-node machines.
+// whichever engine runs it — the single kernel's, or the merge across shards
+// — or nil for single-node machines.
 func (m *Machine) Network() *network.Traffic {
-	if m.snet != nil {
+	switch {
+	case m.snet != nil:
 		return m.snet.Traffic()
+	case m.net != nil:
+		return &m.net.Traffic
 	}
-	return m.led
+	return nil
 }
 
 // Nodes returns the node models (empty in task-level mode).
@@ -442,51 +376,36 @@ func (m *Machine) attach(srcs []trace.Source) error {
 		}
 		return nil
 	}
-	if m.cnet != nil {
-		// Compact engine: the shared state machine consumes the streams
-		// directly; attach in ascending node order so the first-fetch events
-		// land in the same kernel order as process spawns would.
-		for i, src := range srcs {
-			m.cnet.Attach(i, src)
-		}
-		return nil
-	}
+	// Task-level mode: each node's abstract processor consumes its stream,
+	// started in ascending node order so that the first fetches land in
+	// node order on every kernel.
 	for i, src := range srcs {
-		pr := network.NewProcessor(m.nodeIf(i), src)
-		if m.col.Enabled() {
-			i := i
-			pr := pr
-			pr.Observe(m.col, i)
-			m.col.RegisterCPU(i, fmt.Sprintf("proc%d", i), func() analysis.CPUSample {
-				return analysis.CPUSample{
-					Compute:     pr.ComputeCycles(),
-					CommBlocked: pr.CommCycles(),
-				}
-			})
-		}
-		pr.Spawn(m.streamKernel(i))
-		m.procs = append(m.procs, pr)
+		m.processor(i).Start(src)
 	}
 	return nil
 }
 
-// nodeIf returns node i's network interface on whichever fabric the machine
-// was built with.
-func (m *Machine) nodeIf(i int) *network.NodeIf {
+// processor returns node i's abstract processor on whichever fabric the
+// machine was built with.
+func (m *Machine) processor(i int) *network.Processor {
 	if m.snet != nil {
-		return m.snet.Node(i)
+		return m.snet.Processor(i)
 	}
-	return m.net.Node(i)
+	return m.net.Processor(i)
 }
 
-// streamKernel returns the kernel that hosts node i's processes: the shard
-// kernel owning the node under the parallel engine, the machine kernel
-// otherwise.
-func (m *Machine) streamKernel(i int) *pearl.Kernel {
-	if m.group != nil {
-		return m.group.Kernel(m.part[i])
+// processors yields the abstract processors of a task-level machine in node
+// order — every one of them started once the machine runs — and nothing in
+// detailed mode.
+func (m *Machine) processors(yield func(*network.Processor) bool) {
+	if m.cfg.Mode != TaskLevel {
+		return
 	}
-	return m.k
+	for i := 0; i < m.cfg.Nodes; i++ {
+		if !yield(m.processor(i)) {
+			return
+		}
+	}
 }
 
 // SetTaskSink attaches a task-trace writer to the given stream (detailed
@@ -564,13 +483,8 @@ func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 			return nil, err
 		}
 	}
-	for _, pr := range m.procs {
+	for pr := range m.processors {
 		if err := pr.Err(); err != nil {
-			return nil, err
-		}
-	}
-	if m.cnet != nil {
-		if err := m.cnet.Err(); err != nil {
 			return nil, err
 		}
 	}
@@ -641,11 +555,8 @@ func (m *Machine) checkDone() error {
 	for _, nd := range m.nodes {
 		done = done && nd.Done()
 	}
-	for _, pr := range m.procs {
+	for pr := range m.processors {
 		done = done && pr.Done()
-	}
-	if m.cnet != nil {
-		done = done && m.cnet.AllDone()
 	}
 	if done {
 		return nil
@@ -656,8 +567,13 @@ func (m *Machine) checkDone() error {
 			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name(), p.BlockReason()))
 		}
 	}
-	if m.cnet != nil {
-		blocked = append(blocked, m.cnet.Blocked()...)
+	for pr := range m.processors {
+		if b := pr.Blocked(); b != "" {
+			blocked = append(blocked, b)
+		}
+	}
+	if m.net != nil {
+		blocked = append(blocked, m.net.Blocked()...)
 	}
 	return &DeadlockError{Blocked: blocked}
 }
@@ -710,13 +626,8 @@ func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
 		}
 		root.Subsets = append(root.Subsets, nd.Stats())
 	}
-	for _, pr := range m.procs {
+	for pr := range m.processors {
 		root.Subsets = append(root.Subsets, pr.Stats())
-	}
-	if m.cnet != nil {
-		for i := 0; i < m.cnet.Nodes(); i++ {
-			root.Subsets = append(root.Subsets, m.cnet.ProcStats(i))
-		}
 	}
 	if t := m.Network(); t != nil {
 		root.Subsets = append(root.Subsets, t.Stats())

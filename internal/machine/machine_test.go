@@ -180,6 +180,9 @@ func TestDeadlockReported(t *testing.T) {
 	if len(de.Blocked) == 0 {
 		t.Fatal("no blocked processes listed")
 	}
+	if got := strings.Join(de.Blocked, ", "); got != "proc0 (await)" {
+		t.Errorf("blocked: %s, want node 0's processor parked on its receive", got)
+	}
 }
 
 func TestWrongSourceCount(t *testing.T) {
@@ -233,6 +236,16 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 func TestParseConfigRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseConfig([]byte(`{"Mode":"detailed","Nodes":1,"Bogus":1}`)); err == nil {
 		t.Fatal("expected unknown-field error")
+	}
+	// The engine selector is gone with the engines it selected: a v2 file
+	// naming one is refused, not silently run on the one engine left.
+	valid, err := json.Marshal(T805GridTaskLevel(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withEngine := append(valid[:len(valid)-1:len(valid)-1], `,"engine":"process"}`...)
+	if _, err := ParseConfig(withEngine); err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+		t.Errorf("config with an engine selector: err = %v, want an unknown-field error", err)
 	}
 }
 

@@ -187,13 +187,9 @@ func flatten(s *stats.Set, prefix string, out *[]string) {
 // chain — leaves the simulated time and every statistic where the unobserved
 // run has them; the kernel's event count grows by exactly the ticks fired.
 func TestSamplingDoesNotPerturb(t *testing.T) {
-	torus := func(engine string) Config {
-		cfg, err := TaskMachineFromSpec("torus:8x8")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Engine = engine
-		return cfg
+	torus, err := TaskMachineFromSpec("torus:8x8")
+	if err != nil {
+		t.Fatal(err)
 	}
 	faulted := T805Grid(2, 2)
 	faulted.Seed = 99
@@ -211,8 +207,7 @@ func TestSamplingDoesNotPerturb(t *testing.T) {
 	}{
 		{"t805-2x2 jacobi", T805Grid(2, 2), jacobi},
 		{"ppc601-smp4", PPC601SMP(4), func(m *Machine) (*Result, error) { return m.RunProgram(workload.SharedCounter(4, 50)) }},
-		{"torus:8x8 process", torus(EngineProcess), exchange},
-		{"torus:8x8 compact", torus(EngineCompact), exchange},
+		{"torus:8x8", torus, exchange},
 		{"t805-2x2 faulted", faulted, jacobi},
 	}
 	for _, tc := range cases {

@@ -47,7 +47,7 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 		}
 	}
 	group := pearl.NewShardGroup(shards, look)
-	m := &Machine{cfg: cfg, k: group.Kernel(0), pb: env.Probe, group: group, part: part}
+	m := &Machine{cfg: cfg, k: group.Kernel(0), pb: env.Probe, group: group}
 	wantTL := env.Timeline() != nil
 	m.envs = make([]sim.Env, shards)
 	for s := 0; s < shards; s++ {

@@ -19,13 +19,16 @@ import (
 // The switch counts of the two multi-CPU machines were 285,317 and 70,094 as
 // long as a miss blocked its process at every bus and DRAM hold; with the
 // access a pearl.Process.HoldWhile chain (cache.Port.Begin/Step) what is left
-// is communication — a T805 node's sends, receives and link transfers — and,
-// on a machine without any, the way into each CPU's process and out again.
-// A change that moves a count has changed what runs when; if that is
-// intended, re-pin it and say why.
+// is communication — a T805 node's sends and receives — and, on a machine
+// without any, the way into each CPU's process and out again. The T805 grid's
+// count was 216 while every packet in flight was a process of its own; with
+// packets walked as events it is 83, every one of them a CPU's process
+// blocking in NodeIf (its event count did not move). A change that moves a
+// count has changed what runs when; if that is intended, re-pin it and say
+// why.
 const (
 	ppc601Events, ppc601Switches     = 47142, 2
-	t805GridEvents, t805GridSwitches = 534671, 216
+	t805GridEvents, t805GridSwitches = 534671, 83
 	smpEvents, smpSwitches           = 105898, 9
 )
 

@@ -8,67 +8,77 @@ import (
 	"testing"
 
 	"mermaid/internal/analysis"
+	"mermaid/internal/fault"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
+	"mermaid/internal/router"
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
 	"mermaid/internal/trace"
 	"mermaid/internal/workload"
 )
 
-// The three network engines share one traffic ledger (network.Traffic):
-// counters, metric names, stats sets and fault wiring. The table below pins
-// what the engines printed when each still kept its own copy of that
-// bookkeeping (commit 852830c): SHA-256 over the rendered report (registry
-// dump included), the timeline JSON and the bottleneck JSON of seeded runs
-// on every engine. The Matching entries were pinned at commit 1e0a5fd, while
-// the compact engine still kept its own copy of NodeIf's matching rule. A
-// digest that moves means a counter, a metric name, a registration order or a
-// simulated time moved.
+// The table below pins what the network engines printed before they shared
+// one traffic ledger (commit 852830c): SHA-256 over the rendered report
+// (registry dump included), the timeline JSON and the bottleneck JSON of
+// seeded runs. The Matching entries were pinned at commit 1e0a5fd, while the
+// compact engine still kept its own copy of NodeIf's matching rule. The
+// engine/*/observed entries are what the per-process transport — one process
+// per packet and per task-level node, then the only engine that carried the
+// timeline and the collector — printed fully instrumented; the
+// engine/*/plain entries are the compact engine's uninstrumented runs. Both
+// are now the one single-kernel engine. A digest that moves means a counter,
+// a metric name, a registration order, a span or a simulated time moved. The
+// three detailed/T805Grid/<switching> entries were printed by the
+// per-process transport too (commit d8329d7), to pin the detailed nodes'
+// packets — under cut-through, adaptive routing, wormhole worms and a fault
+// schedule — now that they walk as events.
 var trafficDigests = map[string]string{
-	"detailed/DSMCluster(2,2)":          "2abe82a37cd09ae20215b541",
-	"detailed/HybridCluster(2,2,2)":     "2b6f535888ab03694eeadf01",
-	"detailed/T805Grid(2,2)":            "9ec799e3355fefa2a714e77a",
-	"engine/AdaptiveFatTree/compact":    "830501e0a07162d1885b35d7",
-	"engine/AdaptiveFatTree/process":    "6facbbf96f297e60971d2df1",
-	"engine/Dragonfly/compact":          "8cac5cbbf4ecc2f4017df565",
-	"engine/Dragonfly/process":          "ad2a8dc631a75dcada901d10",
-	"engine/Matching/compact":           "ce9dbc4318b23a97983f4922",
-	"engine/Matching/process":           "f74c3992b79d38edef7536fe",
-	"engine/MatchingNoOverhead/compact": "08ec9d92faaa079fba38d572",
-	"engine/MatchingNoOverhead/process": "2c8913e8e289b0c247693306",
-	"engine/SAF/compact":                "acc724673a887fd8c9d50156",
-	"engine/SAF/process":                "d70134df49d71bb584e76121",
-	"engine/UnderFaults/compact":        "b56dbf636026cfdbfe348fee",
-	"engine/UnderFaults/process":        "0b899e8e51fc9b1561bb237d",
-	"engine/VCTValiant/compact":         "88435e6f6411aa5cc215f77e",
-	"engine/VCTValiant/process":         "aaf5710301ae157a01035c78",
-	"engine/WormholeTorus3D/compact":    "5a0b604871e0a177069d8b7d",
-	"engine/WormholeTorus3D/process":    "ed8071d04ebc8ad9f803f9da",
-	"shards/JacobiDetailed/1":           "dec06509e6e9c02295838f95",
-	"shards/JacobiDetailed/2":           "dec06509e6e9c02295838f95",
-	"shards/JacobiDetailed/4":           "dec06509e6e9c02295838f95",
-	"shards/PingPong/1":                 "4a0b80bbf7e3dddc0ce6a028",
-	"shards/PingPong/2":                 "4a0b80bbf7e3dddc0ce6a028",
-	"shards/PingPong/4":                 "4a0b80bbf7e3dddc0ce6a028",
-	"shards/TaskLevel/1":                "9cc7075b80f3298c0ad813a1",
-	"shards/TaskLevel/2":                "9cc7075b80f3298c0ad813a1",
-	"shards/TaskLevel/4":                "9cc7075b80f3298c0ad813a1",
-	"shards/UnderFaults/1":              "4be73ff701b5fd96ff844181",
-	"shards/UnderFaults/2":              "4be73ff701b5fd96ff844181",
-	"shards/UnderFaults/4":              "4be73ff701b5fd96ff844181",
+	"detailed/DSMCluster(2,2)":              "2abe82a37cd09ae20215b541",
+	"detailed/HybridCluster(2,2,2)":         "2b6f535888ab03694eeadf01",
+	"detailed/T805Grid(2,2)":                "9ec799e3355fefa2a714e77a",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "b73ecd5b73c1c2ac1672f768",
+	"detailed/T805Grid(3,3)/VCTAdaptive":    "13205aabb0490f160497c32a",
+	"detailed/T805Grid(3,3)/Wormhole":       "d76c3efcce5d04b19bd07e11",
+	"engine/AdaptiveFatTree/observed":       "6facbbf96f297e60971d2df1",
+	"engine/AdaptiveFatTree/plain":          "830501e0a07162d1885b35d7",
+	"engine/Dragonfly/observed":             "ad2a8dc631a75dcada901d10",
+	"engine/Dragonfly/plain":                "8cac5cbbf4ecc2f4017df565",
+	"engine/Matching/observed":              "f74c3992b79d38edef7536fe",
+	"engine/Matching/plain":                 "ce9dbc4318b23a97983f4922",
+	"engine/MatchingNoOverhead/observed":    "2c8913e8e289b0c247693306",
+	"engine/MatchingNoOverhead/plain":       "08ec9d92faaa079fba38d572",
+	"engine/SAF/observed":                   "d70134df49d71bb584e76121",
+	"engine/SAF/plain":                      "acc724673a887fd8c9d50156",
+	"engine/UnderFaults/observed":           "0b899e8e51fc9b1561bb237d",
+	"engine/UnderFaults/plain":              "b56dbf636026cfdbfe348fee",
+	"engine/VCTValiant/observed":            "aaf5710301ae157a01035c78",
+	"engine/VCTValiant/plain":               "88435e6f6411aa5cc215f77e",
+	"engine/WormholeTorus3D/observed":       "ed8071d04ebc8ad9f803f9da",
+	"engine/WormholeTorus3D/plain":          "5a0b604871e0a177069d8b7d",
+	"shards/JacobiDetailed/1":               "dec06509e6e9c02295838f95",
+	"shards/JacobiDetailed/2":               "dec06509e6e9c02295838f95",
+	"shards/JacobiDetailed/4":               "dec06509e6e9c02295838f95",
+	"shards/PingPong/1":                     "4a0b80bbf7e3dddc0ce6a028",
+	"shards/PingPong/2":                     "4a0b80bbf7e3dddc0ce6a028",
+	"shards/PingPong/4":                     "4a0b80bbf7e3dddc0ce6a028",
+	"shards/TaskLevel/1":                    "9cc7075b80f3298c0ad813a1",
+	"shards/TaskLevel/2":                    "9cc7075b80f3298c0ad813a1",
+	"shards/TaskLevel/4":                    "9cc7075b80f3298c0ad813a1",
+	"shards/UnderFaults/1":                  "4be73ff701b5fd96ff844181",
+	"shards/UnderFaults/2":                  "4be73ff701b5fd96ff844181",
+	"shards/UnderFaults/4":                  "4be73ff701b5fd96ff844181",
 }
 
-// artifactDigest runs cfg with whatever instrumentation its engine accepts —
-// the timeline everywhere but the compact engine, the bottleneck collector on
-// the single-kernel process engine — and hashes every artifact of the run.
-func artifactDigest(t *testing.T, cfg Config, run func(*Machine) (*Result, error)) string {
+// artifactDigest runs cfg, observed or with a bare probe, and hashes every
+// artifact of the run. Observed means the timeline, plus the bottleneck
+// collector on a single kernel (shards reject it).
+func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) (*Result, error)) string {
 	t.Helper()
-	compact := cfg.Engine == EngineCompact
-	pb := probe.New(probe.Config{Timeline: !compact})
+	pb := probe.New(probe.Config{Timeline: observed})
 	env := sim.NewEnv(cfg.Seed, pb)
-	if !compact && cfg.Shards == 0 {
+	if observed && cfg.Shards == 0 {
 		env = env.WithCollector(analysis.New())
 	}
 	m, err := Build(env, cfg)
@@ -139,11 +149,9 @@ func ringStreams(nodes, cpus, rounds int) []trace.Source {
 func TestTrafficDigests(t *testing.T) {
 	got := make(map[string]string)
 	for _, c := range engineCases() {
-		for _, engine := range []string{EngineProcess, EngineCompact} {
-			cfg := c.cfg
-			cfg.Engine = engine
+		for observed, label := range map[bool]string{true: "observed", false: "plain"} {
 			s := c.streams
-			got["engine/"+c.name+"/"+engine] = artifactDigest(t, cfg, func(m *Machine) (*Result, error) {
+			got["engine/"+c.name+"/"+label] = artifactDigest(t, c.cfg, observed, func(m *Machine) (*Result, error) {
 				res, _, err := runCounted(m, s)
 				return res, err
 			})
@@ -154,19 +162,25 @@ func TestTrafficDigests(t *testing.T) {
 			cfg := c.cfg
 			cfg.Shards = shards
 			s := c.streams
-			got[fmt.Sprintf("shards/%s/%d", c.name, shards)] = artifactDigest(t, cfg, func(m *Machine) (*Result, error) {
+			got[fmt.Sprintf("shards/%s/%d", c.name, shards)] = artifactDigest(t, cfg, true, func(m *Machine) (*Result, error) {
 				res, _, err := runCounted(m, s)
 				return res, err
 			})
 		}
 	}
-	got["detailed/T805Grid(2,2)"] = artifactDigest(t, T805Grid(2, 2), func(m *Machine) (*Result, error) {
+	got["detailed/T805Grid(2,2)"] = artifactDigest(t, T805Grid(2, 2), true, func(m *Machine) (*Result, error) {
 		return m.RunProgram(workload.Jacobi1D(4, 64, 3))
 	})
-	got["detailed/HybridCluster(2,2,2)"] = artifactDigest(t, HybridCluster(2, 2, 2), func(m *Machine) (*Result, error) {
+	for name, cfg := range detailedFabricCases() {
+		nodes := cfg.Nodes
+		got[name] = artifactDigest(t, cfg, true, func(m *Machine) (*Result, error) {
+			return m.RunProgram(workload.Jacobi1D(nodes, 128, 4))
+		})
+	}
+	got["detailed/HybridCluster(2,2,2)"] = artifactDigest(t, HybridCluster(2, 2, 2), true, func(m *Machine) (*Result, error) {
 		return m.Run(ringStreams(4, 2, 3))
 	})
-	got["detailed/DSMCluster(2,2)"] = artifactDigest(t, DSMCluster(2, 2), func(m *Machine) (*Result, error) {
+	got["detailed/DSMCluster(2,2)"] = artifactDigest(t, DSMCluster(2, 2), true, func(m *Machine) (*Result, error) {
 		return m.RunProgram(workload.JacobiDSM(4, 64, 3))
 	})
 
@@ -191,5 +205,30 @@ func TestTrafficDigests(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("digests of this tree:\n%s", table.String())
+	}
+}
+
+// detailedFabricCases are detailed T805 grids on the switching and routing
+// strategies other than the preset's store-and-forward.
+func detailedFabricCases() map[string]Config {
+	worm := T805Grid(3, 3)
+	worm.Seed = 5
+	worm.Network.Router.Switching = router.Wormhole
+	adaptive := T805Grid(3, 3)
+	adaptive.Seed = 9
+	adaptive.Network.Router.Switching = router.VirtualCutThrough
+	adaptive.Network.Router.Routing = router.Adaptive
+	faulted := T805Grid(2, 2)
+	faulted.Seed = 11
+	faulted.Network.Router.Switching = router.VirtualCutThrough
+	faulted.Faults = &fault.Schedule{
+		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 8_000, To: 90_000}}},
+		Noise:   []fault.LinkNoise{{A: -1, B: -1, Drop: 0.01}},
+		Retrans: fault.Retrans{Timeout: 250, Backoff: 2, MaxRetries: 16},
+	}
+	return map[string]Config{
+		"detailed/T805Grid(3,3)/Wormhole":       worm,
+		"detailed/T805Grid(3,3)/VCTAdaptive":    adaptive,
+		"detailed/T805Grid(2,2)/VCTUnderFaults": faulted,
 	}
 }

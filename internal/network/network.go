@@ -5,21 +5,24 @@
 // router and moved with a configurable switching strategy; synchronous and
 // asynchronous message passing are both supported (Table 1).
 //
-// The model runs on three engines: Network (one process per packet, the
-// fully instrumentable reference), CompactNet (the same model as plain
-// events over struct-of-arrays state) and ShardedNetwork (the conservative
-// parallel fabric). Each keeps only what it runs — its packet walker, its
-// link state, how it delivers, and on CompactNet the per-node driver that
-// replaces Processor. What they share is written once. NodeIf is every
-// node's interface on every engine: Table 1 matching, arecv handles and
-// rendezvous acks. Traffic is the ledger: the validated configuration and
-// topology, the traffic counters and histograms, the net.* metric names, the
-// report sets and the fault wiring. Whatever engine a machine was built on,
-// its nodes match messages alike and its Traffic reads the same.
+// The model runs on two fabrics: Network, the single-kernel engine every
+// machine without shards is built on, and ShardedNetwork, the conservative
+// parallel fabric. Both run packets and task-level nodes as plain kernel
+// events — no packet or node owns a process — and each keeps only what it
+// runs: its packet walker, its link state and how it delivers. What they
+// share is written once. NodeIf is every node's interface: Table 1 matching,
+// arecv handles and rendezvous acks, with a blocking wrapper for the detailed
+// nodes' processes and a non-blocking half for everything else. Processor is
+// the abstract processor of a task-level node, a state machine over those
+// halves. Traffic is the ledger: the validated configuration and topology,
+// the traffic counters and histograms, the net.* metric names, the report sets
+// and the fault wiring. Whatever fabric a machine was built on, its nodes
+// match messages alike and its Traffic reads the same.
 package network
 
 import (
 	"fmt"
+	"sort"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
@@ -86,7 +89,7 @@ type Message struct {
 	Sync     bool
 
 	isAck      bool
-	ackFut     *pearl.Future // what the sender awaits; nil on the compact engine
+	ackFut     *pearl.Future // what a sending process awaits; nil from a Processor
 	remaining  int
 	injectedAt pearl.Time
 	// key is the message's deterministic identity (src node and per-source
@@ -96,27 +99,68 @@ type Message struct {
 	key uint64
 }
 
-// Network is the assembled communication fabric plus per-node interfaces.
+// Network is the single-kernel communication fabric: struct-of-arrays link
+// state, one pooled record per packet in flight and one Processor per node,
+// all driven by plain kernel events. A packet's journey is a state machine
+// whose every wait — the per-hop hold, a busy channel, the body's drain, a
+// retransmission backoff — is one k.After of the packet's bound continuation,
+// at the program point where a process walking the packet would hold, queue
+// or be handed the channel. The (time, seq) order of every event, and with it
+// every RNG draw, counter and report byte, is therefore that of a
+// process-per-packet and process-per-node model of the same fabric (pinned by
+// TestTrafficDigests), without the per-process memory or a single hand-off.
+//
+// Instrumentation is carried whole: with a timeline attached every link
+// virtual channel gets a track and every channel ownership a "pkt" span; with
+// the bottleneck collector attached every channel and router registers its
+// busy/wait accounting, and the block spans a packet or node process would
+// have reported to the kernel tracer ("hold", "acquire link…", "await") are
+// reported to the collector directly.
 type Network struct {
 	Traffic
 
-	links []*pearl.Resource // directed, indexed node*degree+port
-	ifs   []*NodeIf
-	rng   *pearl.RNG // Valiant intermediate draws
+	deg int
+	rng *pearl.RNG // Valiant intermediate draws
 
-	// Timeline instrumentation (nil when no probe is attached): one track
-	// per directed link virtual channel, parallel to links.
-	tl         *probe.Timeline
-	linkTracks []probe.Track
+	// Directed link state, indexed (node*deg+port)*numVCs+vc. Two virtual
+	// channels per directed link: wormhole switching moves to the high
+	// channel at topology datelines (Dally–Seitz), which keeps it
+	// deadlock-free on rings and tori. Each virtual channel is an
+	// independent capacity-1 channel with the full link bandwidth — a slight
+	// bandwidth overestimate when both channels of a link are busy at once,
+	// in exchange for the deadlock behaviour being exact. Busy flag,
+	// busy-cycle integral and last-change time mirror pearl.Resource's
+	// accounting; the wait queue holds the packets blocked on the channel and
+	// is empty except under contention, so an idle channel costs 17 bytes.
+	linkBusy    []uint8
+	linkLast    []pearl.Time
+	linkBusyCyc []pearl.Time
+	linkWait    map[int32][]*packet
+	wiredPort   []bool // per (node*deg+port); both VCs share the wiring
 
-	// Per-node router busy accounting for the bottleneck analysis (nil when
-	// no collector is attached — the hot path pays one nil test per hop).
-	routers []router.Occupancy
+	procs []Processor // per node: its interface and abstract processor; never resized
+
+	pktFree *packet // free list: packet records recycle across the run
+
+	// Instrumentation, nil unless attached — the walker pays one nil test.
+	// With a timeline: one track per link virtual channel. With the
+	// collector (Traffic.col): per-node router occupancy and per-channel
+	// acquisitions and queueing time, the rest of pearl.Resource's
+	// accounting.
+	tl          *probe.Timeline
+	linkTracks  []probe.Track
+	routers     []router.Occupancy
+	linkAcq     []uint64
+	linkWaitCyc []pearl.Time
 }
 
-// New builds the network on env's kernel. With a probe attached the network
-// registers its traffic counters and emits one "pkt" span per packet and
-// link hop.
+// numVCs is the number of virtual channels per directed link.
+const numVCs = 2
+
+// New builds the network on env's kernel. The probe registry gets every
+// interface's counters, then the traffic ledger's; a timeline gets one track
+// per link virtual channel and the collector one resource per channel and per
+// router.
 func New(env sim.Env, cfg Config) (*Network, error) {
 	fab, err := newFabric(cfg)
 	if err != nil {
@@ -127,48 +171,50 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("network: sim.Env without a kernel")
 	}
 	topo := fab.topo
-	n := &Network{Traffic: Traffic{fabric: fab, k: k}, rng: pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431)}
-	n.tr = n
-	// Two virtual channels per directed link: wormhole switching moves to
-	// the high channel at topology datelines (Dally–Seitz), which keeps it
-	// deadlock-free on rings and tori. Each virtual channel is modelled as
-	// an independent sub-channel with the full link bandwidth — a slight
-	// bandwidth overestimate when both channels of a link are busy at once,
-	// in exchange for the deadlock behaviour being exact.
-	deg := topo.Degree()
-	tl := pb.Timeline()
-	if tl != nil {
-		n.tl = tl
-		n.linkTracks = make([]probe.Track, topo.Nodes()*deg*numVCs)
+	n := &Network{
+		Traffic: Traffic{fabric: fab, k: k, col: env.Collect},
+		deg:     topo.Degree(),
+		rng:     pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431),
+		tl:      pb.Timeline(),
 	}
-	n.links = make([]*pearl.Resource, topo.Nodes()*deg*numVCs)
-	for node := 0; node < topo.Nodes(); node++ {
-		for port := 0; port < deg; port++ {
+	n.tr = n
+	nodes := topo.Nodes()
+	links := nodes * n.deg * numVCs
+	n.linkBusy = make([]uint8, links)
+	n.linkLast = make([]pearl.Time, links)
+	n.linkBusyCyc = make([]pearl.Time, links)
+	n.linkWait = make(map[int32][]*packet)
+	n.wiredPort = make([]bool, nodes*n.deg)
+	if n.tl != nil {
+		n.linkTracks = make([]probe.Track, links)
+	}
+	if n.col != nil {
+		n.linkAcq = make([]uint64, links)
+		n.linkWaitCyc = make([]pearl.Time, links)
+	}
+	for node := 0; node < nodes; node++ {
+		for port := 0; port < n.deg; port++ {
 			if topo.Neighbor(node, port) < 0 {
 				continue
 			}
+			n.wiredPort[node*n.deg+port] = true
 			for vc := 0; vc < numVCs; vc++ {
-				idx := (node*deg+port)*numVCs + vc
-				n.links[idx] = k.NewResource(fmt.Sprintf("link.%d.%d.vc%d", node, port, vc), 1)
-				env.Collect.Resource("link", n.links[idx])
-				if tl != nil {
-					n.linkTracks[idx] = tl.Track(fmt.Sprintf("net.link%d.%d.vc%d", node, port, vc))
-				}
+				n.observeLink((node*n.deg+port)*numVCs + vc)
 			}
 		}
 	}
-	n.ifs = make([]*NodeIf, topo.Nodes())
+	n.procs = make([]Processor, nodes)
 	reg := pb.Registry()
-	for i := range n.ifs {
-		n.ifs[i] = &NodeIf{led: &n.Traffic, id: i}
-		n.ifs[i].registerIf(reg, i)
+	for i := range n.procs {
+		n.procs[i].NodeIf = NodeIf{led: &n.Traffic, id: i}
+		n.procs[i].registerIf(reg, i)
 	}
 	n.register(reg, n.linkUtilization)
-	if col := env.Collect; col.Enabled() {
-		n.routers = make([]router.Occupancy, topo.Nodes())
-		for node := 0; node < topo.Nodes(); node++ {
+	if n.col != nil {
+		n.routers = make([]router.Occupancy, nodes)
+		for node := range n.routers {
 			o := &n.routers[node]
-			col.RegisterResource("router", fmt.Sprintf("router.%d", node), 1, func() analysis.ResourceSample {
+			n.col.RegisterResource("router", fmt.Sprintf("router.%d", node), 1, func() analysis.ResourceSample {
 				return analysis.ResourceSample{Busy: o.Busy(), Acquires: o.Hops()}
 			})
 		}
@@ -176,18 +222,79 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// Node returns node i's network interface.
-func (n *Network) Node(i int) *NodeIf { return n.ifs[i] }
-
-// numVCs is the number of virtual channels per directed link.
-const numVCs = 2
-
-func (n *Network) link(node, port, vc int) *pearl.Resource {
-	return n.links[(node*n.topo.Degree()+port)*numVCs+vc]
+// observeLink gives wired channel li its timeline track and its collector
+// resource, whichever is attached.
+func (n *Network) observeLink(li int) {
+	if n.col != nil {
+		n.col.RegisterResource("link", n.linkName(li), 1, func() analysis.ResourceSample {
+			n.accountLink(li)
+			return analysis.ResourceSample{Busy: n.linkBusyCyc[li], Wait: n.linkWaitCyc[li], Acquires: n.linkAcq[li]}
+		})
+	}
+	if n.tl != nil {
+		n.linkTracks[li] = n.tl.Track("net.link" + n.linkID(li))
+	}
 }
 
-// inject launches the transport of msg. Called in the sender's process
-// context at the moment the message enters the network interface.
+// linkName names channel li as its collector resource: "link.<node>.<port>.vc<vc>".
+func (n *Network) linkName(li int) string { return "link." + n.linkID(li) }
+
+// linkID is channel li's "<node>.<port>.vc<vc>".
+func (n *Network) linkID(li int) string {
+	port := li / numVCs
+	return fmt.Sprintf("%d.%d.vc%d", port/n.deg, port%n.deg, li%numVCs)
+}
+
+// Node returns node i's network interface.
+func (n *Network) Node(i int) *NodeIf { return &n.procs[i].NodeIf }
+
+// Processor returns node i's abstract processor, which drives the node from
+// a task-level trace once started.
+func (n *Network) Processor(i int) *Processor { return &n.procs[i] }
+
+// Packet phases: where a packet's walk resumes when its continuation fires.
+const (
+	ppStart     uint8 = iota // begin a delivery attempt
+	ppGranted                // channel handed over by a releasing packet
+	ppAfterHold              // per-hop hold elapsed
+	ppDrain                  // body drained at the destination
+	ppRetry                  // retransmission backoff elapsed
+)
+
+// packet is one packet in flight. Records are recycled through
+// Network.pktFree, so a steady-state run allocates no per-packet state.
+type packet struct {
+	n    *Network
+	cont func()  // step, bound once per record
+	next *packet // free list
+
+	msg     *Message
+	bytes   uint32
+	attempt int
+
+	at, target int
+	nextWp     int // pending Valiant waypoint (the true dst), -1 if none
+	hops       int
+	wrapped    uint32 // per-dimension dateline crossings, bitmask
+	phase      uint8
+	since      pearl.Time // when the current wait began: a hold, or queueing for a channel
+
+	// The hop in progress: channel index just requested, its port and far end.
+	pendLi   int
+	pendPort int
+	pendNext int
+
+	held []heldLink // wormhole: the channels the worm owns
+}
+
+// heldLink is one channel a worm owns, and since when.
+type heldLink struct {
+	li int32
+	at pearl.Time
+}
+
+// inject launches the transport of msg at the moment it enters the network
+// interface.
 func (n *Network) inject(msg *Message) {
 	n.countInjection(msg, n.k.Now())
 	if msg.Src == msg.Dst {
@@ -197,196 +304,333 @@ func (n *Network) inject(msg *Message) {
 	}
 	pkts := n.cfg.Router.Packetize(msg.Size)
 	msg.remaining = len(pkts)
-	for i, pkt := range pkts {
-		pkt := pkt
+	for _, bytes := range pkts {
 		n.packets.Inc()
-		// Named on demand: only the deadlock report reads a packet's name.
-		n.k.Spawn("pkt", func(p *pearl.Process) {
-			n.forward(p, msg, pkt)
-		}).NameFunc = func() string { return fmt.Sprintf("pkt.%d->%d.%d", msg.Src, msg.Dst, i) }
+		pk := n.newPacket(msg, bytes)
+		n.k.After(0, pk.cont)
 	}
 }
 
-// forward carries one packet from msg.Src to msg.Dst, retransmitting after
-// a backed-off timeout whenever the fault subsystem loses an attempt. It
-// runs as its own simulation process. On a healthy build (no injector) the
-// single attempt is exactly the pre-fault transport.
-func (n *Network) forward(p *pearl.Process, msg *Message, pktBytes uint32) {
-	attempt := 0
-	for !n.attemptForward(p, msg, pktBytes) {
-		// The packet was lost. The source learns of it through its
-		// retransmission timer (corruptions are discarded at the receiver,
-		// so recovery timing is the same) and resends after the timeout,
-		// backing off exponentially per attempt.
-		attempt++
-		delay, ok := n.retry(attempt)
-		if !ok {
+// delivered hands a fully arrived message to the destination interface.
+func (n *Network) delivered(msg *Message) {
+	n.countDelivery(msg, n.k.Now())
+	n.procs[msg.Dst].arrive(msg)
+}
+
+func (n *Network) newPacket(msg *Message, bytes uint32) *packet {
+	pk := n.pktFree
+	if pk == nil {
+		pk = &packet{n: n}
+		pk.cont = pk.step
+	} else {
+		n.pktFree = pk.next
+	}
+	pk.msg, pk.bytes = msg, bytes
+	pk.attempt = 0
+	pk.phase = ppStart
+	return pk
+}
+
+func (n *Network) freePacket(pk *packet) {
+	pk.msg = nil
+	pk.held = pk.held[:0]
+	pk.next = n.pktFree
+	n.pktFree = pk
+}
+
+// suspend resumes the packet in phase after d cycles — a hold.
+func (pk *packet) suspend(phase uint8, d pearl.Time) {
+	pk.phase = phase
+	pk.since = pk.n.k.Now()
+	pk.n.k.After(d, pk.cont)
+}
+
+// step resumes a packet's walk when its continuation fires.
+func (pk *packet) step() {
+	n := pk.n
+	if n.col != nil {
+		n.traceWait(pk)
+	}
+	switch pk.phase {
+	case ppStart, ppRetry:
+		n.attemptStart(pk)
+	case ppGranted:
+		n.granted(pk)
+	case ppAfterHold:
+		n.afterHold(pk)
+	case ppDrain:
+		n.finishAttempt(pk)
+	}
+}
+
+// traceWait reports the wait the packet resumes from to the collector, as
+// the kernel tracer reports a process resuming from a block.
+func (n *Network) traceWait(pk *packet) {
+	now := n.k.Now()
+	if pk.phase == ppStart || now <= pk.since {
+		return
+	}
+	reason := "hold"
+	if pk.phase == ppGranted {
+		reason = "acquire " + n.linkName(pk.pendLi)
+	}
+	n.col.ProcessSpan(nil, pk.since, now, reason)
+}
+
+// attemptStart begins one delivery attempt from the source. Every fault check
+// is a nil test on a healthy build.
+func (n *Network) attemptStart(pk *packet) {
+	rc := &n.cfg.Router
+	pk.hops = 0
+	pk.wrapped = 0
+	pk.at = pk.msg.Src
+	if n.faults != nil && (n.faults.NodeDown(pk.msg.Src) || n.faults.NodeDown(pk.msg.Dst)) {
+		// Source interface crashed, or the destination would discard the
+		// arrival: the packet goes nowhere this attempt.
+		n.faults.CountDrop()
+		n.failAttempt(pk)
+		return
+	}
+	// Valiant routing: a random intermediate waypoint precedes the true
+	// destination; each leg is routed minimally. Under active faults the
+	// re-pathing table overrides it (minimal routing over the live graph).
+	pk.target = pk.msg.Dst
+	pk.nextWp = -1
+	if rc.Routing == router.Valiant && n.table == nil {
+		if mid := n.rng.Intn(n.topo.Nodes()); mid != pk.msg.Src && mid != pk.msg.Dst {
+			pk.target = mid
+			pk.nextWp = pk.msg.Dst
+		}
+	}
+	n.hopLoop(pk)
+}
+
+// hopLoop advances the packet hop by hop until it reaches the destination,
+// waits for a busy channel or a hop in progress, or the attempt fails.
+func (n *Network) hopLoop(pk *packet) {
+	rc := &n.cfg.Router
+	for pk.at != pk.msg.Dst {
+		if pk.at == pk.target && pk.nextWp >= 0 {
+			pk.target = pk.nextWp
+			pk.nextWp = -1
+		}
+		var port int
+		switch {
+		case n.table != nil:
+			port = n.table.Port(pk.at, pk.target)
+			if port < 0 {
+				// The live graph is partitioned right now; retry after the
+				// timeout, by which time links may have recovered.
+				n.faults.CountDrop()
+				n.releaseHeld(pk)
+				n.failAttempt(pk)
+				return
+			}
+		case rc.Routing == router.Adaptive:
+			port = n.adaptivePort(pk.at, pk.target)
+		default:
+			port = n.topo.Route(pk.at, pk.target)
+		}
+		if n.faults != nil && n.faults.LinkDown(pk.at, port) {
+			// The table has not been recomputed for a fault landing at this
+			// exact instant; the packet is lost at the dead link.
+			n.faults.CountDrop()
+			n.releaseHeld(pk)
+			n.failAttempt(pk)
 			return
 		}
-		p.Hold(delay)
+		next := n.topo.Neighbor(pk.at, port)
+		vc := 0
+		if rc.Switching == router.Wormhole {
+			// Dateline virtual-channel selection, per dimension.
+			d := n.topo.PortDim(port)
+			if n.topo.Dateline(pk.at, port) {
+				pk.wrapped |= 1 << d
+			}
+			if pk.wrapped&(1<<d) != 0 {
+				vc = 1
+			}
+		}
+		li := (pk.at*n.deg+port)*numVCs + vc
+		pk.pendLi, pk.pendPort, pk.pendNext = li, port, next
+		if n.linkBusy[li] == 0 && len(n.linkWait[int32(li)]) == 0 {
+			n.accountLink(li)
+			n.linkBusy[li]++
+			if n.linkAcq != nil {
+				n.linkAcq[li]++
+			}
+			n.granted(pk)
+		} else {
+			// Strict FIFO: a later arrival never overtakes a waiter.
+			pk.phase = ppGranted
+			pk.since = n.k.Now()
+			n.linkWait[int32(li)] = append(n.linkWait[int32(li)], pk)
+		}
+		return
 	}
+	n.arrivedAtDst(pk)
+}
+
+// granted owns the channel at pk.pendLi: count the hop and start crossing.
+func (n *Network) granted(pk *packet) {
+	rc := &n.cfg.Router
+	pk.hops++
+	if n.routers != nil {
+		n.routers[pk.at].Charge(rc.RoutingDelay)
+	}
+	perHop := rc.RoutingDelay + n.cfg.Link.PropDelay
+	switch rc.Switching {
+	case router.StoreAndForward:
+		// The whole packet crosses before the next hop starts.
+		pk.suspend(ppAfterHold, perHop+n.transferTime(pk.bytes))
+	case router.VirtualCutThrough:
+		// Header advances; the body streams behind and the channel frees
+		// once it has drained, wherever the header is by then.
+		pk.suspend(ppAfterHold, perHop)
+	case router.Wormhole:
+		// Channels stay with the worm until delivery.
+		pk.held = append(pk.held, heldLink{li: int32(pk.pendLi), at: n.k.Now()})
+		pk.suspend(ppAfterHold, perHop)
+	}
+}
+
+// afterHold finishes the hop in progress: free or schedule freeing the
+// channel, run the per-hop fault checks, advance. The timeline span covers
+// channel ownership, not queueing: it starts when the hold did.
+func (n *Network) afterHold(pk *packet) {
+	li := pk.pendLi
+	switch n.cfg.Router.Switching {
+	case router.StoreAndForward:
+		n.release(li)
+		if n.tl != nil {
+			n.tl.Span(n.linkTracks[li], "pkt", pk.since, n.k.Now())
+		}
+	case router.VirtualCutThrough:
+		transfer := n.transferTime(pk.bytes)
+		n.k.After(transfer, func() { n.release(li) })
+		if n.tl != nil {
+			n.tl.Span(n.linkTracks[li], "pkt", pk.since, n.k.Now()+transfer)
+		}
+	}
+	if n.faults != nil {
+		if n.faults.LinkDown(pk.at, pk.pendPort) {
+			// The link failed while the packet was crossing it.
+			n.faults.CountDrop()
+			n.releaseHeld(pk)
+			n.failAttempt(pk)
+			return
+		}
+		if n.faults.HopFate(pk.at, pk.pendPort) != fault.OK {
+			// Dropped in transit or discarded at the next router's
+			// checksum; either way this attempt is over.
+			n.releaseHeld(pk)
+			n.failAttempt(pk)
+			return
+		}
+	}
+	pk.at = pk.pendNext
+	n.hopLoop(pk)
+}
+
+// arrivedAtDst runs the attempt epilogue once the header is at the
+// destination: the body drains behind it (except under store-and-forward),
+// then the attempt finishes.
+func (n *Network) arrivedAtDst(pk *packet) {
+	if n.cfg.Router.Switching != router.StoreAndForward {
+		pk.suspend(ppDrain, n.transferTime(pk.bytes))
+		return
+	}
+	n.finishAttempt(pk)
+}
+
+// finishAttempt ends a successful traversal and delivers the message once its
+// last packet is in.
+func (n *Network) finishAttempt(pk *packet) {
+	n.releaseHeld(pk)
+	if n.faults != nil && n.faults.NodeDown(pk.msg.Dst) {
+		// The destination crashed while the packet was in flight.
+		n.faults.CountDrop()
+		n.failAttempt(pk)
+		return
+	}
+	n.hopHist.Observe(int64(pk.hops))
+	msg := pk.msg
+	n.freePacket(pk)
 	msg.remaining--
 	if msg.remaining == 0 {
 		n.delivered(msg)
 	}
 }
 
-// attemptForward tries to carry one packet from msg.Src to msg.Dst through
-// the configured switching strategy, reporting whether it arrived intact.
-// Every fault check is a nil test on a healthy build.
-func (n *Network) attemptForward(p *pearl.Process, msg *Message, pktBytes uint32) bool {
-	rc := &n.cfg.Router
-	transfer := n.transferTime(pktBytes)
-	perHop := rc.RoutingDelay + n.cfg.Link.PropDelay
-	var held []*pearl.Resource
-	var heldStarts []pearl.Time  // per held channel, acquisition time
-	var heldTracks []probe.Track // per held channel, its timeline track
-	// releaseHeld frees a worm's channels when an attempt ends, successfully
-	// or not; the spans cover the time the channels were actually owned.
-	releaseHeld := func() {
-		for i, l := range held {
-			l.Release()
-			if n.tl != nil {
-				n.tl.Span(heldTracks[i], "pkt", heldStarts[i], p.Now())
-			}
-		}
-		held = held[:0]
+// failAttempt handles a lost attempt. The source learns of the loss through
+// its retransmission timer (corruptions are discarded at the receiver, so
+// recovery timing is the same) and resends after the timeout, backing off
+// exponentially per attempt — or abandons the packet after MaxRetries.
+func (n *Network) failAttempt(pk *packet) {
+	pk.attempt++
+	delay, ok := n.retry(pk.attempt)
+	if !ok {
+		n.freePacket(pk)
+		return
 	}
-	wrapped := make([]bool, n.topo.Dims())
-	hops := 0
-	at := msg.Src
-	if n.faults != nil && (n.faults.NodeDown(msg.Src) || n.faults.NodeDown(msg.Dst)) {
-		// Source interface crashed, or the destination would discard the
-		// arrival: the packet goes nowhere this attempt.
-		n.faults.CountDrop()
-		return false
-	}
-	// Valiant routing: a random intermediate waypoint precedes the true
-	// destination; each leg is routed minimally. Under active faults the
-	// re-pathing table overrides it (minimal routing over the live graph).
-	waypoints := []int{msg.Dst}
-	if rc.Routing == router.Valiant && n.table == nil {
-		if mid := n.rng.Intn(n.topo.Nodes()); mid != msg.Src && mid != msg.Dst {
-			waypoints = []int{mid, msg.Dst}
-		}
-	}
-	target := waypoints[0]
-	waypoints = waypoints[1:]
-	for at != msg.Dst {
-		if at == target && len(waypoints) > 0 {
-			target = waypoints[0]
-			waypoints = waypoints[1:]
-		}
-		var port int
-		switch {
-		case n.table != nil:
-			port = n.table.Port(at, target)
-			if port < 0 {
-				// The live graph is partitioned right now; retry after the
-				// timeout, by which time links may have recovered.
-				n.faults.CountDrop()
-				releaseHeld()
-				return false
-			}
-		case rc.Routing == router.Adaptive:
-			port = n.adaptivePort(at, target)
-		default:
-			port = n.topo.Route(at, target)
-		}
-		if n.faults != nil && n.faults.LinkDown(at, port) {
-			// The table has not been recomputed for a fault landing at this
-			// exact instant; the packet is lost at the dead link.
-			n.faults.CountDrop()
-			releaseHeld()
-			return false
-		}
-		next := n.topo.Neighbor(at, port)
-		vc := 0
-		if rc.Switching == router.Wormhole {
-			// Dateline virtual-channel selection, per dimension.
-			d := n.topo.PortDim(port)
-			if n.topo.Dateline(at, port) {
-				wrapped[d] = true
-			}
-			if wrapped[d] {
-				vc = 1
-			}
-		}
-		li := (at*n.topo.Degree()+port)*numVCs + vc
-		link := n.links[li]
-		p.Acquire(link)
-		hops++
-		if n.routers != nil {
-			n.routers[at].Charge(rc.RoutingDelay)
-		}
-		var start pearl.Time
+	pk.suspend(ppRetry, delay)
+}
+
+// releaseHeld frees a worm's channels when an attempt ends, successfully or
+// not; the spans cover the time the channels were actually owned.
+func (n *Network) releaseHeld(pk *packet) {
+	for _, h := range pk.held {
+		n.release(int(h.li))
 		if n.tl != nil {
-			start = p.Now() // span covers channel ownership, not queueing
+			n.tl.Span(n.linkTracks[h.li], "pkt", h.at, n.k.Now())
 		}
-		switch rc.Switching {
-		case router.StoreAndForward:
-			// The whole packet crosses before the next hop starts.
-			p.Hold(perHop + transfer)
-			link.Release()
-			if n.tl != nil {
-				n.tl.Span(n.linkTracks[li], "pkt", start, p.Now())
-			}
-		case router.VirtualCutThrough:
-			// Header advances; the body streams behind and the channel frees
-			// once it has drained, wherever the header is by then.
-			p.Hold(perHop)
-			n.k.After(transfer, link.Release)
-			if n.tl != nil {
-				n.tl.Span(n.linkTracks[li], "pkt", start, p.Now()+transfer)
-			}
-		case router.Wormhole:
-			// Channels stay with the worm until delivery.
-			held = append(held, link)
-			if n.tl != nil {
-				heldStarts = append(heldStarts, start)
-				heldTracks = append(heldTracks, n.linkTracks[li])
-			}
-			p.Hold(perHop)
-		}
-		if n.faults != nil {
-			if n.faults.LinkDown(at, port) {
-				// The link failed while the packet was crossing it.
-				n.faults.CountDrop()
-				releaseHeld()
-				return false
-			}
-			if n.faults.HopFate(at, port) != fault.OK {
-				// Dropped in transit or discarded at the next router's
-				// checksum; either way this attempt is over.
-				releaseHeld()
-				return false
-			}
-		}
-		at = next
 	}
-	if rc.Switching != router.StoreAndForward {
-		p.Hold(transfer) // body drains at the destination
+	pk.held = pk.held[:0]
+}
+
+// accountLink folds the elapsed occupancy of channel li into its busy
+// integral.
+func (n *Network) accountLink(li int) {
+	now := n.k.Now()
+	n.linkBusyCyc[li] += pearl.Time(n.linkBusy[li]) * (now - n.linkLast[li])
+	n.linkLast[li] = now
+}
+
+// release frees channel li and, like pearl.Resource.Release, transfers it
+// directly to the head waiter, waking it with a single event.
+func (n *Network) release(li int) {
+	n.accountLink(li)
+	n.linkBusy[li]--
+	q := n.linkWait[int32(li)]
+	if len(q) == 0 {
+		return
 	}
-	releaseHeld()
-	if n.faults != nil && n.faults.NodeDown(msg.Dst) {
-		// The destination crashed while the packet was in flight.
-		n.faults.CountDrop()
-		return false
+	pk := q[0]
+	copy(q, q[1:])
+	q[len(q)-1] = nil
+	if q = q[:len(q)-1]; len(q) == 0 {
+		delete(n.linkWait, int32(li))
+	} else {
+		n.linkWait[int32(li)] = q
 	}
-	n.hopHist.Observe(int64(hops))
-	return true
+	n.linkBusy[li]++
+	if n.linkAcq != nil {
+		n.linkAcq[li]++
+		n.linkWaitCyc[li] += n.k.Now() - pk.since
+	}
+	n.k.After(0, pk.cont)
 }
 
 // adaptivePort picks, among the minimal output ports, the one whose channel
-// is least loaded right now (holders plus queued packets; ties go to the
+// is least loaded right now (holder plus queued packets; ties go to the
 // lowest port, keeping the choice deterministic).
 func (n *Network) adaptivePort(at, to int) int {
 	ports := n.topo.MinimalPorts(at, to)
 	best := ports[0]
 	bestLoad := 1 << 30
 	for _, p := range ports {
-		l := n.link(at, p, 0)
-		load := l.InUse() + l.QueueLen()
+		li := (at*n.deg + p) * numVCs
+		load := int(n.linkBusy[li]) + len(n.linkWait[int32(li)])
 		if load < bestLoad {
 			best, bestLoad = p, load
 		}
@@ -394,20 +638,35 @@ func (n *Network) adaptivePort(at, to int) int {
 	return best
 }
 
-// delivered hands a fully arrived message to the destination interface.
-func (n *Network) delivered(msg *Message) {
-	n.countDelivery(msg, n.k.Now())
-	n.ifs[msg.Dst].arrive(msg)
+// Blocked describes the packets queued on channels, for deadlock reports, in
+// the "what (reason)" style of the kernel's blocked processes.
+func (n *Network) Blocked() []string {
+	lis := make([]int, 0, len(n.linkWait))
+	for li := range n.linkWait {
+		lis = append(lis, int(li))
+	}
+	sort.Ints(lis)
+	out := make([]string, 0, len(lis))
+	for _, li := range lis {
+		out = append(out, fmt.Sprintf("%d pkt (acquire %s)", len(n.linkWait[int32(li)]), n.linkName(li)))
+	}
+	return out
 }
 
-// linkUtilization returns the mean and maximum utilisation over all links.
+// linkUtilization returns the mean and maximum utilisation over all wired
+// channels.
 func (n *Network) linkUtilization() (avg, max float64) {
+	now := n.k.Now()
 	count := 0
-	for _, l := range n.links {
-		if l == nil {
+	for li := range n.linkBusy {
+		if !n.wiredPort[li/numVCs] {
 			continue
 		}
-		u := l.Utilization()
+		var u float64
+		if now > 0 {
+			n.accountLink(li)
+			u = float64(n.linkBusyCyc[li]) / float64(now)
+		}
 		avg += u
 		if u > max {
 			max = u

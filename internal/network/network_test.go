@@ -300,10 +300,9 @@ func TestProcessorPingPong(t *testing.T) {
 		ops.NewCompute(50),
 		ops.NewSend(64, 0, 1),
 	}
-	p0 := NewProcessor(n.Node(0), traceFromOps(t0))
-	p1 := NewProcessor(n.Node(1), traceFromOps(t1))
-	p0.Spawn(k)
-	p1.Spawn(k)
+	p0, p1 := n.Processor(0), n.Processor(1)
+	p0.Start(traceFromOps(t0))
+	p1.Start(traceFromOps(t1))
 	end := k.Run()
 	if p0.Err() != nil || p1.Err() != nil {
 		t.Fatalf("errors: %v / %v", p0.Err(), p1.Err())
@@ -311,8 +310,8 @@ func TestProcessorPingPong(t *testing.T) {
 	if !p0.Done() || !p1.Done() {
 		t.Fatal("processors not done")
 	}
-	if p0.ComputeCycles() != 100 || p1.ComputeCycles() != 50 {
-		t.Fatalf("compute cycles %d/%d", p0.ComputeCycles(), p1.ComputeCycles())
+	if p0.compute != 100 || p1.compute != 50 {
+		t.Fatalf("compute cycles %d/%d", p0.compute, p1.compute)
 	}
 	if end == 0 {
 		t.Fatal("no time advanced")
@@ -325,8 +324,8 @@ func TestProcessorPingPong(t *testing.T) {
 func TestProcessorRejectsInstructionOps(t *testing.T) {
 	k := pearl.NewKernel()
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
-	pr := NewProcessor(n.Node(0), traceFromOps([]ops.Op{ops.NewLoad(ops.MemWord, 0)}))
-	pr.Spawn(k)
+	pr := n.Processor(0)
+	pr.Start(traceFromOps([]ops.Op{ops.NewLoad(ops.MemWord, 0)}))
 	k.Run()
 	if pr.Err() == nil {
 		t.Fatal("expected error for instruction-level op in task-level model")
@@ -336,33 +335,34 @@ func TestProcessorRejectsInstructionOps(t *testing.T) {
 func TestDeadlockDiagnosable(t *testing.T) {
 	k := pearl.NewKernel()
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
-	pr := NewProcessor(n.Node(0), traceFromOps([]ops.Op{ops.NewRecv(1, 0)}))
-	pr.Spawn(k)
+	pr := n.Processor(0)
+	pr.Start(traceFromOps([]ops.Op{ops.NewRecv(1, 0)}))
 	k.Run()
 	if pr.Done() {
 		t.Fatal("processor should be stuck")
 	}
-	if len(k.Blocked()) == 0 {
-		t.Fatal("kernel should report blocked processes")
+	if got, want := pr.Blocked(), "proc0 (await)"; got != want {
+		t.Fatalf("blocked processor reads %q, want %q", got, want)
 	}
 }
 
-// A packet in flight is a process whose name nobody formats until a
-// diagnostic asks for it.
-func TestPacketProcessNamedOnDemand(t *testing.T) {
+// Packets queued for a busy channel are what a deadlock report names on the
+// network side: how many wait, and on which channel.
+func TestQueuedPacketsDiagnosable(t *testing.T) {
 	k := pearl.NewKernel()
 	defer k.Close()
 	cfg := ringConfig(router.StoreAndForward)
 	cfg.Router.MaxPacket = 32
 	n := mustNet(t, k, cfg)
-	k.Spawn("sender", func(p *pearl.Process) { n.Node(0).Send(p, 2, 64, 0, nil, false) })
-	k.RunUntil(5) // past the send overhead: both packets are on their first hop
-	var names []string
-	for _, p := range k.Blocked() {
-		names = append(names, p.Name())
+	k.Spawn("sender", func(p *pearl.Process) { n.Node(0).Send(p, 2, 96, 0, nil, false) })
+	k.RunUntil(5) // past the send overhead: one packet crosses 0->1, two queue behind it
+	port := n.Topology().Route(0, 2)
+	if got, want := fmt.Sprint(n.Blocked()), fmt.Sprintf("[2 pkt (acquire link.0.%d.vc0)]", port); got != want {
+		t.Errorf("queued packets: %s, want %s", got, want)
 	}
-	if got, want := fmt.Sprint(names), "[pkt.0->2.0 pkt.0->2.1]"; got != want {
-		t.Errorf("processes in flight: %s, want %s", got, want)
+	k.Run()
+	if b := n.Blocked(); len(b) != 0 {
+		t.Errorf("packets still queued after the run: %v", b)
 	}
 }
 

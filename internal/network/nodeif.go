@@ -18,10 +18,11 @@ import (
 //
 // Each operation has a non-blocking half (startSend, startRecv, postRecv,
 // startWait) that completes in place or returns the Future to wait on, and a
-// blocking wrapper that parks a process on that Future. The compact engine's
-// node state machines call the halves directly: such a node has no process,
-// so the interface resumes its continuation instead — one zero-delay event,
-// the one wake pearl.Future.Complete issues for a parked process.
+// blocking wrapper that parks a process on that Future — how a detailed
+// node's CPU communicates. A task-level node's Processor calls the halves
+// directly: it has no process, so the interface resumes its continuation
+// instead — one zero-delay event, the one wake pearl.Future.Complete issues
+// for a parked process.
 type NodeIf struct {
 	nodeAcct
 	led *Traffic // the ledger this node's traffic is counted in, and its kernel and transport
@@ -35,14 +36,15 @@ type NodeIf struct {
 	waiters []recvWait
 	handles map[uint64]*pearl.Future // lazily allocated; most nodes never arecv
 
-	// Set on a compact engine node, which waits without a process: resume is
-	// its continuation, and parked the receive it waits on. A synchronous
-	// send from such a node carries no Future; its ack resumes the node.
+	// Set on a node driven by its Processor, which waits without a process:
+	// resume is the processor's continuation, and parked the receive it waits
+	// on. A synchronous send from such a node carries no Future; its ack
+	// resumes the node.
 	resume func()
 	parked *pearl.Future
 }
 
-// transport is the fabric behind a NodeIf: the process, compact or sharded
+// transport is the fabric behind a NodeIf: the single-kernel or the sharded
 // engine. Everything but injection — configuration, matching, overheads,
 // rendezvous acks — is shared verbatim between the engines.
 type transport interface {
@@ -150,7 +152,7 @@ func (ni *NodeIf) beginRecv() pearl.Time {
 
 // startSend injects the message once the send overhead has elapsed. It
 // returns the Future a synchronous send awaits its rendezvous ack on; nil for
-// an asynchronous send, and on a compact node, which the ack resumes.
+// an asynchronous send, and from a Processor, which the ack resumes.
 func (ni *NodeIf) startSend(dst int, size uint32, tag uint32, payload any, sync bool) *pearl.Future {
 	msg := &Message{Src: ni.id, Dst: dst, Size: size, Tag: tag, Payload: payload, Sync: sync}
 	if sync && ni.resume == nil {

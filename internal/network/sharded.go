@@ -13,9 +13,9 @@ import (
 
 // ShardedNetwork is the communication fabric of the conservative parallel
 // engine: the same node-facing semantics as Network (it implements the same
-// transport interface behind NodeIf), but with the machine's nodes cut into
-// shards that each own a kernel, and packet movement expressed as events
-// instead of per-packet processes.
+// transport interface behind NodeIf, and its task-level nodes run the same
+// Processor), but with the machine's nodes cut into shards that each own a
+// kernel.
 //
 // Determinism does not come from replaying the single-kernel engine's
 // scheduling — it comes from making every cross-order-sensitive interaction
@@ -40,9 +40,9 @@ type ShardedNetwork struct {
 	hop   pearl.Time // per-hop header latency: routing decision + propagation
 
 	shards []*netShard
-	links  []*slink // directed, single virtual channel, indexed node*deg+port
-	ifs    []*NodeIf
-	bufs   []arrivalBuf // per node, same index space as ifs
+	links  []*slink     // directed, single virtual channel, indexed node*deg+port
+	procs  []Processor  // per node: its interface and abstract processor; never resized
+	bufs   []arrivalBuf // per node, same index space as procs
 
 	// One private noise stream per directed link (nil on a healthy build),
 	// so fate draws are a function of grant order on that link alone.
@@ -79,8 +79,7 @@ type slink struct {
 }
 
 // spkt is one packet in flight under the sharded engine: plain state moved
-// between shards by events, where the single-kernel engine would block a
-// dedicated process.
+// between shards by events.
 type spkt struct {
 	msg     *Message
 	bytes   uint32 // wire size of this packet
@@ -157,13 +156,13 @@ func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int)
 			n.links[node*n.deg+port] = l
 		}
 	}
-	n.ifs = make([]*NodeIf, topo.Nodes())
+	n.procs = make([]Processor, topo.Nodes())
 	n.bufs = make([]arrivalBuf, topo.Nodes())
-	for i := range n.ifs {
+	for i := range n.procs {
 		sh := part[i]
-		n.ifs[i] = &NodeIf{led: &n.shards[sh].Traffic, id: i}
+		n.procs[i].NodeIf = NodeIf{led: &n.shards[sh].Traffic, id: i}
 		n.bufs[i].drainAt = pearl.Forever
-		n.ifs[i].registerIf(envs[sh].Registry(), i)
+		n.procs[i].registerIf(envs[sh].Registry(), i)
 	}
 	return n, nil
 }
@@ -190,7 +189,11 @@ func (n *ShardedNetwork) AttachFaults(injs []*fault.Injector, seed uint64) {
 }
 
 // Node returns node i's network interface.
-func (n *ShardedNetwork) Node(i int) *NodeIf { return n.ifs[i] }
+func (n *ShardedNetwork) Node(i int) *NodeIf { return &n.procs[i].NodeIf }
+
+// Processor returns node i's abstract processor, which runs on the kernel of
+// the node's shard once started.
+func (n *ShardedNetwork) Processor(i int) *Processor { return &n.procs[i] }
 
 // Traffic returns the fabric's traffic ledger: the shard ledgers merged, with
 // counters summed and histograms merged, and shard 0's injector replica,
@@ -208,7 +211,7 @@ func (n *ShardedNetwork) shardOf(node int) *netShard { return n.shards[n.part[no
 // inject launches the transport of msg. Runs in the sending node's shard, in
 // the sender's event context.
 func (n *ShardedNetwork) inject(msg *Message) {
-	src := n.ifs[msg.Src]
+	src := &n.procs[msg.Src]
 	src.msgSeq++
 	msg.key = uint64(msg.Src)<<32 | src.msgSeq
 	s := n.shardOf(msg.Src)
@@ -416,7 +419,7 @@ func (n *ShardedNetwork) deliverMsg(msg *Message) {
 
 // drainArrivals hands the instant's arrivals at one node to its NodeIf in
 // message-key order. It resets the buffer before touching the interface:
-// matching a receive can wake a process that sends again within the same
+// matching a receive can wake a node that sends again within the same
 // instant (a zero-cost local copy), and that re-delivery must get a fresh
 // drain.
 func (n *ShardedNetwork) drainArrivals(node int) {
@@ -425,7 +428,7 @@ func (n *ShardedNetwork) drainArrivals(node int) {
 	b.buf = nil
 	b.drainAt = pearl.Forever
 	sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
-	ni := n.ifs[node]
+	ni := &n.procs[node]
 	for _, m := range ms {
 		ni.arrive(m)
 	}

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
@@ -52,15 +53,17 @@ func (f *fabric) copyTime(size uint32) pearl.Time {
 // fabric's configuration and topology, the traffic counters and histograms,
 // the net.* metrics and the "network <topology>" report, and the fault
 // wiring — plus the kernel the traffic runs on and the engine carrying it,
-// which is all a NodeIf needs besides. Network and CompactNet embed one; the
-// sharded fabric keeps one per shard and answers with their merge. What
+// which is all a NodeIf needs besides, and the bottleneck collector its
+// processors report to. Network embeds one; the sharded fabric keeps one per
+// shard and answers with their merge. What
 // differs between the engines — how packets walk and how links are
 // arbitrated — stays with each engine, which writes the counters here
 // directly.
 type Traffic struct {
 	fabric
-	k  *pearl.Kernel
-	tr transport
+	k   *pearl.Kernel
+	tr  transport
+	col *analysis.Collector // nil when the analyzer is off, and on shards
 
 	msgLatency stats.Histogram
 	hopHist    stats.Histogram
@@ -145,7 +148,7 @@ func (t *Traffic) countDelivery(msg *Message, now pearl.Time) {
 // ackFor counts and builds the rendezvous acknowledgement of a synchronous
 // message its receiver has just accepted, or returns nil when m needs none.
 // The ack carries the Future the sender awaits back through the network (nil
-// for a compact node, which its interface resumes on the ack's arrival).
+// from a Processor, which its interface resumes on the ack's arrival).
 func (t *Traffic) ackFor(m *Message) *Message {
 	if !m.Sync {
 		return nil
@@ -241,8 +244,8 @@ func (t *Traffic) Stats() *stats.Set {
 
 // nodeAcct is one node's processor and interface accounting — the counters
 // behind its "procN" and "nifN" report sets — kept by NodeIf, where the
-// task-level driver (Processor, or the compact engine's node state machine)
-// charges its compute. Detailed nodes use only the interface half.
+// task-level Processor charges its compute. Detailed nodes use only the
+// interface half.
 type nodeAcct struct {
 	tasks, sends, recvs           stats.Counter
 	compute, sendBlock, recvBlock pearl.Time

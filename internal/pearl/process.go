@@ -39,11 +39,6 @@ type Process struct {
 	// there with the process name.
 	OnPanic func(v any)
 
-	// NameFunc, if set, supplies the process name when somebody asks, in
-	// place of the one given to Spawn: for processes spawned by the thousand
-	// whose names only a diagnostic ever reads.
-	NameFunc func() string
-
 	panicVal any
 }
 
@@ -146,12 +141,7 @@ func (p *Process) rescheduleFirst(t Time) *Process {
 }
 
 // Name returns the process name.
-func (p *Process) Name() string {
-	if p.NameFunc != nil {
-		return p.NameFunc()
-	}
-	return p.name
-}
+func (p *Process) Name() string { return p.name }
 
 // Kernel returns the kernel this process runs on.
 func (p *Process) Kernel() *Kernel { return p.k }

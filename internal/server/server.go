@@ -229,9 +229,6 @@ type jobSpec struct {
 	// Topology builds a task-level machine from a compact spec string
 	// ("torus:8x8", "fattree:32x3", ...), exclusive with Config.
 	Topology string `json:"topology,omitempty"`
-	// Engine overrides the task-level execution engine (auto, process,
-	// compact).
-	Engine string `json:"engine,omitempty"`
 	// Seed overrides the configuration's seed — the third component of the
 	// cache key.
 	Seed *uint64 `json:"seed,omitempty"`
@@ -245,10 +242,10 @@ type jobSpec struct {
 
 // maxJobStreams caps the trace streams (processors) of a job's machine. Every
 // job runs with the timeline and the bottleneck collector attached, which
-// keeps it on the process engine with named link resources and timeline
-// tracks — about 4.7 KB per node before the first event — so the cap is the
-// largest machine the benchmark runs, 16,384 nodes, not the 2^30-node bound
-// of the topology parser.
+// give every link virtual channel a named track and a collector resource —
+// about 3.3 KB per node of a 3-D torus before the first event — so the cap is
+// the largest machine the benchmark runs, 16,384 nodes, not the 2^30-node
+// bound of the topology parser.
 const maxJobStreams = 16384
 
 // buildJob resolves a request document into a runnable (config, workload)
@@ -282,9 +279,6 @@ func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resul
 		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("machine has %d nodes of %d CPUs; a job may have at most %d streams", cfg.Nodes, cpus, maxJobStreams)
 	}
 	streams := cfg.Nodes * cpus
-	if spec.Engine != "" {
-		cfg.Engine = spec.Engine
-	}
 	if spec.Seed != nil {
 		cfg.Seed = *spec.Seed
 	}

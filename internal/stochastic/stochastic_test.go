@@ -286,8 +286,8 @@ func TestSyncPatternsRunToCompletion(t *testing.T) {
 				}
 				var procs []*network.Processor
 				for i := 0; i < nodes; i++ {
-					pr := network.NewProcessor(net.Node(i), srcs[i])
-					pr.Spawn(k)
+					pr := net.Processor(i)
+					pr.Start(srcs[i])
 					procs = append(procs, pr)
 				}
 				k.Run()
