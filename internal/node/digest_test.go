@@ -1,20 +1,26 @@
 package node_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/bus"
 	"mermaid/internal/cache"
 	"mermaid/internal/core"
+	"mermaid/internal/dsm"
 	"mermaid/internal/fault"
 	"mermaid/internal/machine"
 	"mermaid/internal/memory"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
+	"mermaid/internal/sim"
 	"mermaid/internal/stats"
 	"mermaid/internal/workload"
 )
@@ -267,4 +273,239 @@ func TestDetailedDigests(t *testing.T) {
 	if t.Failed() {
 		t.Logf("digests of this tree:\n%s", table.String())
 	}
+
+	// Every kind of node under every executor, with every artifact the
+	// workbench writes about a run: on one kernel the timeline, the
+	// bottleneck text and JSON and the CSV of a metrics sampler ticking
+	// through the run, on shards the timeline.
+	table.Reset()
+	for _, tc := range observedCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			var sinks []*bytes.Buffer
+			run := tc.run
+			if tc.sinks {
+				run = func(m *machine.Machine) (*machine.Result, error) {
+					for s := 0; s < m.Streams(); s++ {
+						sinks = append(sinks, new(bytes.Buffer))
+						if err := m.SetTaskSink(s, sinks[s]); err != nil {
+							return nil, err
+						}
+					}
+					res, err := tc.run(m)
+					if err == nil {
+						err = m.FlushTaskSinks()
+					}
+					return res, err
+				}
+			}
+			arts := observe(t, tc.cfg, tc.every, run)
+			for s, b := range sinks {
+				arts[fmt.Sprintf("task sink %d", s)] = b.String()
+			}
+			if tc.check != nil {
+				tc.check(t, arts)
+			}
+			got := hashArtifacts(arts)
+			fmt.Fprintf(&table, "\t%q: %q,\n", tc.name, got)
+			if want, ok := observedDigests[tc.name]; !ok {
+				t.Errorf("no digest pinned (got %s)", got)
+			} else if got != want {
+				t.Errorf("digest %s, pinned %s: simulated behaviour moved", got, want)
+			}
+		})
+	}
+	if t.Failed() {
+		t.Logf("observed digests of this tree:\n%s", table.String())
+	}
+}
+
+// hashArtifacts digests a run's artifacts in name order.
+func hashArtifacts(arts map[string]string) string {
+	names := make([]string, 0, len(arts))
+	for name := range arts {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := sha256.New()
+	for _, name := range names {
+		fmt.Fprintf(h, "== %s ==\n%s\n", name, arts[name])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+}
+
+type observedCase struct {
+	name  string
+	cfg   machine.Config
+	every pearl.Time // metrics sampler interval on one kernel
+	run   func(*machine.Machine) (*machine.Result, error)
+	sinks bool // also digest the task-level trace every stream exports
+	check func(*testing.T, map[string]string)
+}
+
+// observedCases are the machines whose components wait in the model's own
+// state machines — CPU runners, store-buffer drains, DSM managers and request
+// handlers — under every executor, and the outputs those write.
+func observedCases() []observedCase {
+	stream := func(traces [][]ops.Op) func(*machine.Machine) (*machine.Result, error) {
+		return func(m *machine.Machine) (*machine.Result, error) { return m.Run(sources(traces)) }
+	}
+	storeBuffered := machine.PPC601Machine()
+	storeBuffered.Name = "ppc601-store-buffer"
+	for i := range storeBuffered.Node.Hierarchy.Private {
+		storeBuffered.Node.Hierarchy.Private[i].Write = cache.WriteThrough
+	}
+	storeBuffered.Node.Hierarchy.StoreBuffer = 4
+	splitL1 := machine.PPC601Machine()
+	splitL1.Name = "ppc601-split-l1"
+	splitL1.Node.Hierarchy.SplitL1 = true
+	splitL1.Node.Hierarchy.L1I = cache.Config{Size: 8 << 10, LineSize: 32, Assoc: 2, HitLatency: 1}
+	faulted := machine.T805Grid(2, 2)
+	faulted.Name = "t805-grid-faulted"
+	faulted.Seed = 99
+	faulted.Faults = &fault.Schedule{
+		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 10_000, To: 60_000}}},
+		Noise:   []fault.LinkNoise{{A: -1, B: -1, Drop: 0.02}},
+		Retrans: fault.Retrans{Timeout: 200, Backoff: 2, MaxRetries: 16},
+	}
+	contended := machine.PPC601SMP(4)
+	contended.Name = "ppc601-smp-contended"
+	directory := machine.PPC601SMP(4)
+	directory.Name = "ppc601-directory"
+	directory.Node.Hierarchy.Coherence = cache.Directory
+	directory.Node.Hierarchy.DirLookupLatency = 2
+	directory.Node.Hierarchy.DirMessageLatency = 3
+	directory.Node.Hierarchy.Bus = bus.Config{Kind: bus.KindCrossbar, Width: 8, ArbitrationDelay: 1, Banks: 4, InterleaveBytes: 64}
+
+	var out []observedCase
+	add := func(cfg machine.Config, shards []int, run func(*machine.Machine) (*machine.Result, error)) {
+		for _, s := range shards {
+			cfg := cfg
+			cfg.Shards = s
+			out = append(out, observedCase{name: fmt.Sprintf("%s/shards=%d", cfg.Name, s), cfg: cfg, every: 250, run: run})
+		}
+	}
+	add(machine.T805Grid(2, 2), []int{0, 1, 2, 4}, stream(ringTraces(4, 1, 4, 400)))
+	add(faulted, []int{0, 1, 2, 4}, stream(ringTraces(4, 1, 4, 400)))
+	add(machine.PPC601Machine(), []int{0}, stream(ringTraces(1, 1, 1, 3000)))
+	add(storeBuffered, []int{0}, stream(ringTraces(1, 1, 1, 3000)))
+	add(splitL1, []int{0}, stream(ringTraces(1, 1, 1, 3000)))
+	add(machine.PPC601SMP(4), []int{0}, stream(ringTraces(1, 4, 1, 1500)))
+	add(contended, []int{0}, stream(sharingTraces(4, 1500)))
+	add(directory, []int{0}, stream(ringTraces(1, 4, 1, 1500)))
+	add(machine.HybridCluster(2, 2, 2), []int{0}, stream(ringTraces(4, 2, 3, 400)))
+	add(machine.DSMCluster(2, 2), []int{0}, func(m *machine.Machine) (*machine.Result, error) {
+		return m.RunProgram(workload.JacobiDSM(4, 64, 3))
+	})
+
+	// Every CPU of a DSM cluster stores to the same few shared pages: write
+	// faults that demand a flush from the page's owner, invalidations of the
+	// readers' copies, and requests for one page queued on its home's lock.
+	dsmShared := machine.DSMCluster(2, 2)
+	out = append(out, observedCase{
+		name: "dsm-cluster/contended", cfg: dsmShared, every: 250,
+		run: stream(pageSharingTraces(4, 3, 60)),
+		check: func(t *testing.T, arts map[string]string) {
+			for _, counter := range []string{"read faults", "write faults", "invalidations", "page transfers"} {
+				if !regexp.MustCompile(`(?m)^\s*` + counter + `\s+[1-9]`).MatchString(arts["report"]) {
+					t.Errorf("dsm %s: none in the report", counter)
+				}
+			}
+			if !strings.Contains(arts["bottleneck JSON"], `"acquire dsm.page`) {
+				t.Error("no request waited on a page lock")
+			}
+		},
+	})
+	// A store buffer that fills and drains under a sampler ticking every few
+	// cycles, so ticks fall between a buffered store and its write-through.
+	sampled := storeBuffered
+	sampled.Name = "ppc601-store-buffer/sampled"
+	out = append(out, observedCase{name: sampled.Name, cfg: sampled, every: 7, run: stream(storeBurstTraces(2000))})
+	// The task-level traces a hybrid cluster's CPUs export (Fig. 2).
+	out = append(out, observedCase{
+		name: "hybrid-cluster/task-sinks", cfg: machine.HybridCluster(2, 2, 2), every: 250,
+		run: stream(ringTraces(4, 2, 3, 400)), sinks: true,
+	})
+	return out
+}
+
+// pageSharingTraces gives every node rounds of loads and stores over the
+// same pages of the DSM segment, with a little computation in between.
+func pageSharingTraces(nodes, pages, rounds int) [][]ops.Op {
+	base := dsm.DefaultConfig().Base
+	page := dsm.DefaultConfig().PageSize
+	traces := make([][]ops.Op, nodes)
+	for n := range traces {
+		r := pearl.NewRNG(uint64(9000 + n))
+		for i := 0; i < rounds; i++ {
+			addr := base + uint64(r.Intn(pages))*page + uint64(r.Intn(64))*8
+			if r.Intn(3) == 0 {
+				traces[n] = append(traces[n], ops.NewLoad(ops.MemWord, addr))
+			} else {
+				traces[n] = append(traces[n], ops.NewStore(ops.MemWord, addr))
+			}
+			traces[n] = append(traces[n], ops.NewArith(ops.Add, ops.TypeInt), ops.NewCompute(int64(r.Intn(300))))
+		}
+	}
+	return traces
+}
+
+// storeBurstTraces is one stream of store bursts longer than a four-entry
+// store buffer, with loads and arithmetic between the bursts.
+func storeBurstTraces(n int) [][]ops.Op {
+	r := pearl.NewRNG(4242)
+	var out []ops.Op
+	for len(out) < n {
+		for i, burst := 0, 1+r.Intn(9); i < burst; i++ {
+			out = append(out, ops.NewStore(ops.MemWord, 0x1000_0000+uint64(r.Intn(4<<10))&^3))
+		}
+		out = append(out, ops.NewLoad(ops.MemWord, 0x1000_0000+uint64(r.Intn(4<<10))&^3),
+			ops.NewArith(ops.Mul, ops.TypeInt))
+	}
+	return [][]ops.Op{out}
+}
+
+// observe runs cfg once and renders everything the workbench can write about
+// the run. Single-kernel runs carry the full instrumentation — the timeline,
+// the bottleneck collector and a metrics sampler ticking every `every`
+// cycles; sharded runs what the parallel engine supports.
+func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machine.Machine) (*machine.Result, error)) map[string]string {
+	t.Helper()
+	pb := probe.New(probe.Config{Timeline: true})
+	env := sim.NewEnv(cfg.Seed, pb)
+	if cfg.Shards == 0 {
+		env = env.WithCollector(analysis.New())
+	}
+	m, err := machine.Build(env, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish := func(pearl.Time) {}
+	if cfg.Shards == 0 {
+		if finish, err = pb.Registry().StartSampler(m.Kernel(), every, pb.Registry().Sample); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish(res.Cycles)
+	out := map[string]string{
+		"totals": fmt.Sprintf("%d cycles, %d events, %d instructions", res.Cycles, res.Events, res.Instructions),
+	}
+	render := func(name string, write func(*bytes.Buffer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out[name] = buf.String()
+	}
+	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, res.Stats) })
+	render("timeline", func(b *bytes.Buffer) error { return m.MergedTimeline().WriteJSON(b) })
+	if res.Analysis != nil {
+		render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
+		render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })
+		render("metrics CSV", func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
+	}
+	return out
 }
