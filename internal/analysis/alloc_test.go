@@ -24,7 +24,7 @@ func TestAllocFreeNilCollector(t *testing.T) {
 		c.Compute(0, 0, 10)
 		c.Send(0, 1, "send", 0, 10)
 		c.Recv(0, 1, "recv", 0, 10)
-		c.ProcessSpan(nil, 0, 10, "hold")
+		c.BlockSpan(0, 10, "hold")
 		_ = c.Enabled()
 		_ = c.Analyze(100)
 	}); got != 0 {
@@ -50,7 +50,7 @@ func TestAllocFreeNilMonitor(t *testing.T) {
 }
 
 // A live collector's hot-path record calls (Compute/Send/Recv on pre-grown
-// span slices, ProcessSpan on an already-seen reason) must stay cheap: after
+// span slices, BlockSpan on an already-seen reason) must stay cheap: after
 // warm-up they amortise to zero allocations per operation thanks to slice
 // doubling — the test tolerates the occasional growth by measuring many ops.
 func TestCollectorRecordAmortisedAllocs(t *testing.T) {
@@ -62,14 +62,14 @@ func TestCollectorRecordAmortisedAllocs(t *testing.T) {
 	// Warm up: force the span slice and blocked table to their steady state.
 	for i := 0; i < 4096; i++ {
 		c.Compute(0, pearl.Time(i), pearl.Time(i+1))
-		c.ProcessSpan(nil, pearl.Time(i), pearl.Time(i+1), "hold")
+		c.BlockSpan(pearl.Time(i), pearl.Time(i+1), "hold")
 	}
 	var at pearl.Time = 1 << 20
 	got := testing.AllocsPerRun(1000, func() {
-		c.ProcessSpan(nil, at, at+1, "hold")
+		c.BlockSpan(at, at+1, "hold")
 		at++
 	})
 	if got != 0 {
-		t.Errorf("ProcessSpan on a seen reason allocates %v times per op; want 0", got)
+		t.Errorf("BlockSpan on a seen reason allocates %v times per op; want 0", got)
 	}
 }

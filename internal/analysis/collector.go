@@ -3,8 +3,8 @@
 // shared resource (bus channels, DRAM ports, network links, routers) and
 // every CPU registers a uniform busy/wait accounting hook with the
 // Collector; during the run the node and processor models feed it
-// compute/communication spans and the kernel tracer feeds it blocked
-// intervals. After the run, Analyze folds all of it into a Report: a per-CPU
+// compute/communication spans, and every waiting component reports the
+// intervals it spent blocked. After the run, Analyze folds all of it into a Report: a per-CPU
 // virtual-time decomposition that sums exactly to the run length, a
 // per-resource utilization and queue-wait table, a critical-path walk
 // attributing end-to-end runtime to components, and a ranked bottleneck
@@ -92,8 +92,8 @@ type Collector struct {
 
 	spans [][]span // per registered CPU index, in nondecreasing end-time order
 
-	// Blocked-interval aggregation from the kernel tracer, by block reason,
-	// in first-appearance order (deterministic: the simulation itself is).
+	// Blocked-interval aggregation by block reason, in first-appearance order
+	// (deterministic: the simulation itself is).
 	blockedFor map[string]int
 	blocked    []blockedEntry
 }
@@ -182,11 +182,11 @@ func (c *Collector) Recv(cpu int, peer int32, op string, from, to pearl.Time) {
 	c.spans[cpu] = append(c.spans[cpu], span{kind: spanRecv, op: op, peer: peer, from: from, to: to})
 }
 
-// ProcessSpan implements pearl.Tracer: blocked intervals are aggregated by
-// block reason, giving the report its "who waited on what" table. It fires
-// for every process — CPU runners, packet worms, drain daemons — so resource
-// queueing shows up no matter which process paid for it.
-func (c *Collector) ProcessSpan(_ *pearl.Process, from, to pearl.Time, reason string) {
+// BlockSpan records that a component waited from from to to for reason
+// ("hold", "await", "acquire <resource>", "receive <queue>"), aggregated by
+// reason into the report's "who waited on what" table. Its signature is that
+// of pearl.Chain.Spans.
+func (c *Collector) BlockSpan(from, to pearl.Time, reason string) {
 	if c == nil || to <= from {
 		return
 	}

@@ -127,9 +127,9 @@ func TestAnalyzeWaitsAndRank(t *testing.T) {
 	c.RegisterResource("bus", "node0.bus.0", 1, func() ResourceSample {
 		return ResourceSample{Busy: busy, Wait: 300, Acquires: 10}
 	})
-	c.ProcessSpan(nil, 0, 100, "acquire node0.bus.0")
-	c.ProcessSpan(nil, 0, 50, "hold")
-	c.ProcessSpan(nil, 100, 300, "acquire node0.bus.0")
+	c.BlockSpan(0, 100, "acquire node0.bus.0")
+	c.BlockSpan(0, 50, "hold")
+	c.BlockSpan(100, 300, "acquire node0.bus.0")
 
 	rep := c.Analyze(1000)
 	if len(rep.Waits) != 2 {

@@ -152,10 +152,9 @@ func (b *Bus) transferTime(size uint64) pearl.Time {
 // earlier requesters, and charges the arbitration delay.
 //
 // Like Transfer and memory.DRAM.Access it blocks nobody: it is a resumable
-// call, made from a pearl.Process.HoldWhile step function. The caller owns
-// its program counter, zero before the first call, and calls again after each
-// hold or resource wait the call returns has been served, until the call
-// returns Done (and the counter is zero again).
+// call, made from a pearl.Chain step function. The caller owns its program
+// counter, zero before the first call, and calls again after each wait the
+// call returns has been served, until it returns Done (the counter zero).
 func (b *Bus) Acquire(addr uint64, pc *int) pearl.Step {
 	i := b.channelIndex(addr)
 	switch *pc {

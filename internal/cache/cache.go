@@ -144,8 +144,8 @@ type Stats struct {
 
 // Cache is one level: a set-associative, tags-only cache. It is a passive
 // structure; timing is charged by the hierarchy that owns it. Methods are not
-// safe for concurrent use — in a Pearl-style simulation exactly one process
-// runs at a time, so no locking is needed or wanted.
+// safe for concurrent use — a simulation runs one component at a time, so no
+// locking is needed or wanted.
 type Cache struct {
 	cfg       Config
 	nsets     int

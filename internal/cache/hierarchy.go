@@ -181,8 +181,7 @@ type Hierarchy struct {
 	dir map[uint64]*dirEntry
 
 	// Store buffers (one per CPU) for write-through hierarchies.
-	sbSlots []*pearl.Resource
-	sbQueue []*pearl.Mailbox
+	drains []*drain
 
 	// Coherence-level geometry: the outermost private level defines the
 	// coherence granularity.
@@ -273,33 +272,69 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 		for cpu := 0; cpu < cfg.CPUs; cpu++ {
 			slots := k.NewResource(fmt.Sprintf("%s.cpu%d.sb", name, cpu), cfg.StoreBuffer)
 			env.Collect.Resource("storebuf", slots)
-			queue := k.NewMailbox(fmt.Sprintf("%s.cpu%d.sbq", name, cpu))
-			h.sbSlots = append(h.sbSlots, slots)
-			h.sbQueue = append(h.sbQueue, queue)
-			k.Spawn(fmt.Sprintf("%s.cpu%d.drain", name, cpu), func(p *pearl.Process) {
-				h.drainStoreBuffer(p, cpu, queue, slots)
-			})
+			d := &drain{a: h.newAccess(cpu), slots: slots, ring: make([]transaction, cfg.StoreBuffer),
+				since: k.Now(), reason: fmt.Sprintf("receive %s.cpu%d.sbq", name, cpu)}
+			d.c.Init(k, d.step)
+			if env.Collect.Enabled() {
+				d.c.Spans = env.Collect.BlockSpan
+			}
+			d.c.Start()
+			h.drains = append(h.drains, d)
 		}
 	}
 	return h, nil
 }
 
-// sbWrite is one buffered store awaiting drain.
-type sbWrite struct {
-	addr uint64
-	size uint64
+// drain retires one CPU's buffered stores to the shared tier, one
+// write-through at a time, competing with demand traffic for the bus. It is a
+// chain that runs while stores are buffered and ends when none is; the next
+// store starts it again with one zero-delay event, and the idle time it ends
+// is a block span for the reason given.
+type drain struct {
+	a      *access
+	c      pearl.Chain
+	slots  *pearl.Resource // the buffer's entries; a store holds one until written
+	ring   []transaction   // the n buffered stores from ring[head] on, one per slot held
+	head   int
+	n      int
+	busy   bool       // ring[head] is being written
+	idle   bool       // none was: the next push starts the chain
+	since  pearl.Time // ... since then
+	reason string
 }
 
-// drainStoreBuffer is the per-CPU background process that retires buffered
-// stores to the shared tier, competing with demand traffic for the bus.
-func (h *Hierarchy) drainStoreBuffer(p *pearl.Process, cpu int, queue *pearl.Mailbox, slots *pearl.Resource) {
-	a := h.newAccess(cpu)
+// push buffers a store: the CPU has taken a slot for it.
+func (d *drain) push(w transaction) {
+	d.ring[(d.head+d.n)%len(d.ring)] = w
+	d.n++
+	if d.idle {
+		d.idle = false
+		d.c.Start()
+	}
+}
+
+func (d *drain) step() pearl.Step {
+	h := d.a.h
+	if now := h.k.Now(); !d.busy && d.since < now && d.c.Spans != nil {
+		d.c.Spans(d.since, now, d.reason)
+	}
 	for {
-		w := p.Receive(queue).(sbWrite)
+		if d.busy {
+			if s := d.a.run(); !s.Done {
+				return s
+			}
+			d.busy = false
+			d.head = (d.head + 1) % len(d.ring)
+			d.n--
+			d.slots.Release()
+		}
+		if d.n == 0 {
+			d.idle, d.since = true, h.k.Now()
+			return pearl.Step{Done: true}
+		}
 		h.wtWrites.Inc()
-		a.transact(transaction{addr: w.addr, size: w.size, write: true}, pcDone)
-		p.HoldWhile(a.step)
-		slots.Release()
+		d.a.transact(d.ring[d.head], pcDone)
+		d.busy = true
 	}
 }
 
@@ -379,8 +414,8 @@ func (pt *Port) Access(p *pearl.Process, kind AccessKind, addr, size uint64) {
 }
 
 // Begin starts a memory access of the given kind without blocking anyone:
-// the caller — a pearl.Process.HoldWhile step function — lets it proceed by
-// calling Step. One access is in flight per port.
+// the caller — a pearl.Chain step function — lets it proceed by calling Step.
+// One access is in flight per port.
 func (pt *Port) Begin(kind AccessKind, addr, size uint64) {
 	if size == 0 {
 		size = 1
@@ -447,13 +482,11 @@ const (
 	pcRelease        // release the bus; the transaction is over
 )
 
-// access is a memory access in flight. It is the blocking code a process
-// used to run — Port.Access down through the bus to DRAM and back — turned
-// inside out: run executes it up to the next point where that code held or
-// acquired, returns that wait as a pearl.Step, and continues from pc when it
-// is called again, so every counter moves and every event is scheduled at
-// the program point and virtual time it always was. All state that has to
-// survive a wait lives here; an access allocates nothing.
+// access is a memory access in flight, from the port down through the bus to
+// DRAM and back: run executes it up to its next hold or acquisition, returns
+// that wait as a pearl.Step, and continues from pc when it is called again.
+// All state that has to survive a wait lives here; an access allocates
+// nothing.
 type access struct {
 	h    *Hierarchy
 	cpu  int
@@ -581,9 +614,9 @@ func (a *access) run() pearl.Step {
 			if a.kind == Write && outerC.cfg.Write == WriteThrough {
 				// Fully write-through hierarchy (single CPU): write to shared
 				// tier, through the store buffer when configured.
-				if h.sbSlots != nil {
+				if h.drains != nil {
 					a.pc = pcBuffered
-					return pearl.Step{Acquire: h.sbSlots[a.cpu]} // waits only when the buffer is full
+					return pearl.Step{Acquire: h.drains[a.cpu].slots} // waits only when the buffer is full
 				}
 				h.wtWrites.Inc()
 				a.transact(transaction{addr: a.addr, size: a.size, write: true}, pcPiece)
@@ -595,7 +628,7 @@ func (a *access) run() pearl.Step {
 			a.transact(a.coherent(txnFetch, outerC.LineAddr(a.addr), a.kind == Write), pcFetched)
 
 		case pcBuffered:
-			h.sbQueue[a.cpu].Send(sbWrite{addr: a.addr, size: a.size})
+			h.drains[a.cpu].push(transaction{addr: a.addr, size: a.size, write: true})
 			a.pc = pcPiece
 
 		case pcFetched:

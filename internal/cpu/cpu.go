@@ -82,10 +82,9 @@ func (t *Timing) sanitize() {
 // CPU executes abstract machine instructions against a memory hierarchy
 // port. It is passive and never blocks anyone itself: Begin starts an
 // operation and Step says what it has to wait for next, for an owner that
-// does the waiting — the node model's pearl.Process.HoldWhile chain, or Exec,
-// which is that chain for one operation of a given process. One CPU executes
-// one operation at a time: every accepted Begin is followed by Steps up to
-// the one that reports Done before the next.
+// does the waiting — the node model's runner chain, or Exec, the blocking
+// form for a pearl.Process. One CPU executes one operation at a time: every
+// accepted Begin is followed by Steps up to the one that reports Done.
 type CPU struct {
 	id     int
 	timing Timing

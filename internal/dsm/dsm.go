@@ -14,12 +14,16 @@
 // application messages, in a reserved tag space.
 //
 // Like the rest of Mermaid, the layer models timing and protocol events
-// only: page contents are never represented.
+// only: page contents are never represented. Nothing in it owns a stack:
+// a page fault is a resumable call (Ensure) made from the faulting CPU's
+// chain, and every manager and request handler is a pearl.Chain of its own
+// whose protocol messages are network.Comm operations, the same as a CPU's.
 package dsm
 
 import (
 	"fmt"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/network"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
@@ -124,12 +128,13 @@ type CacheInvalidator interface {
 	InvalidateSharedRange(base, size uint64)
 }
 
-// Layer is the machine-wide DSM instance: per-node page tables and manager
-// processes over the communication network.
+// Layer is the machine-wide DSM instance: per-node page tables and managers
+// over the communication network.
 type Layer struct {
 	cfg   Config
 	k     *pearl.Kernel
 	net   *network.Network
+	col   *analysis.Collector
 	nodes int
 
 	rights []map[uint64]pageRights // per node
@@ -144,9 +149,7 @@ type Layer struct {
 	faultCycles pearl.Time
 }
 
-// New creates the layer and spawns one manager process per node. Protocol
-// messages only travel between nodes of net, so their sends cannot fail: the
-// layer drops NodeIf.Send's error.
+// New creates the layer and starts one manager per node.
 func New(env sim.Env, net *network.Network, cfg Config) (*Layer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -163,6 +166,7 @@ func New(env sim.Env, net *network.Network, cfg Config) (*Layer, error) {
 		cfg:    cfg,
 		k:      k,
 		net:    net,
+		col:    env.Collect,
 		nodes:  n,
 		rights: make([]map[uint64]pageRights, n),
 		dir:    make([]map[uint64]*dirEntry, n),
@@ -171,18 +175,67 @@ func New(env sim.Env, net *network.Network, cfg Config) (*Layer, error) {
 	for i := 0; i < n; i++ {
 		l.rights[i] = make(map[uint64]pageRights)
 		l.dir[i] = make(map[uint64]*dirEntry)
-		i := i
-		k.Spawn(fmt.Sprintf("dsm.mgr%d", i), func(p *pearl.Process) { l.manager(p, i) })
+		m := &manager{l: l, node: i}
+		l.start(&m.c, m.step)
 	}
 	return l, nil
+}
+
+// start runs a manager's or handler's step function on a chain of its own,
+// its waits reported to the bottleneck collector.
+func (l *Layer) start(c *pearl.Chain, step func() pearl.Step) {
+	c.Init(l.k, step)
+	if l.col.Enabled() {
+		c.Spans = l.col.BlockSpan
+	}
+	c.Start()
+}
+
+// send begins node from's asynchronous protocol message to node to on c. Its
+// error is dropped: to is a node of the network, which is all Begin checks.
+func (l *Layer) send(c *network.Comm, from, to int, size, tag uint32, payload any) {
+	_ = c.Begin(l.net.Node(from), ops.Op{Kind: ops.ASend, Peer: int32(to), Size: size, Tag: tag}, payload)
+}
+
+// recv begins node's receive of the protocol message tagged tag on c.
+func (l *Layer) recv(c *network.Comm, node int, tag uint32) {
+	_ = c.Begin(l.net.Node(node), ops.Op{Kind: ops.Recv, Peer: ops.AnyPeer, Tag: tag}, nil)
+}
+
+// request is a protocol request in flight: the state of an ask call.
+type request struct {
+	comm network.Comm
+	pc   uint8
+	tag  uint32
+}
+
+// ask sends msg from node from to node to's manager and receives the reply
+// on a fresh tag. It is a resumable call: called again with the same
+// arguments after each wait it returns, until Done; the reply is then
+// r.comm.Message().
+func (l *Layer) ask(r *request, from, to int, msg protoMsg) pearl.Step {
+	if r.pc == 0 {
+		l.seq++
+		r.tag = tagReply + l.seq
+		msg.replyTag = r.tag
+		l.send(&r.comm, from, to, 16, tagManager, msg)
+		r.pc = 1
+	}
+	s := r.comm.Step()
+	if s.Done && r.pc == 1 { // sent: receive the reply
+		l.recv(&r.comm, from, r.tag)
+		r.pc = 2
+		s = r.comm.Step()
+	}
+	if s.Done {
+		r.pc = 0
+	}
+	return s
 }
 
 // AttachCaches registers the node's cache hierarchy for page-invalidation
 // callbacks.
 func (l *Layer) AttachCaches(node int, inv CacheInvalidator) { l.caches[node] = inv }
-
-// Config returns the layer's configuration.
-func (l *Layer) Config() Config { return l.cfg }
 
 // InRange reports whether addr falls in the shared segment.
 func (l *Layer) InRange(addr uint64) bool {
@@ -212,118 +265,198 @@ func (l *Layer) WriteFaults() uint64   { return l.faultsWrite.Value() }
 func (l *Layer) Invalidations() uint64 { return l.invals.Value() }
 func (l *Layer) PageTransfers() uint64 { return l.pageMoves.Value() }
 
+// Fault is a page fault in progress: the state of an Ensure call across its
+// waits, kept by the caller. Its zero value is ready for the next call.
+type Fault struct {
+	pc    uint8
+	page  uint64
+	start pearl.Time
+	req   request
+}
+
 // Ensure obtains the rights needed for an access of the given kind to addr
-// by node, blocking the calling (CPU) process through the protocol if the
-// local rights are insufficient. It must be called before the local memory
-// access is performed.
-func (l *Layer) Ensure(p *pearl.Process, node int, write bool, addr uint64) {
-	page := l.pageOf(addr)
-	have := l.rights[node][page]
-	if have == rightsWrite || (!write && have >= rightsRead) {
-		return
+// by node: at once if the node's rights suffice, else through the protocol —
+// the fault overhead, then a request to the page's home manager and its
+// reply. It must complete before the local memory access is performed.
+// Ensure is a resumable call, made from the faulting CPU's pearl.Chain step
+// function: the caller calls it again with the same arguments and Fault after
+// each wait it returns has been served, until it returns Done.
+func (l *Layer) Ensure(node int, write bool, addr uint64, f *Fault) pearl.Step {
+	if f.pc == 0 {
+		f.page = l.pageOf(addr)
+		have := l.rights[node][f.page]
+		if have == rightsWrite || (!write && have >= rightsRead) {
+			return pearl.Step{Done: true}
+		}
+		f.start = l.k.Now()
+		if write {
+			l.faultsWrite.Inc()
+		} else {
+			l.faultsRead.Inc()
+		}
+		f.pc = 1
+		if l.cfg.FaultOverhead > 0 {
+			return pearl.Step{Hold: l.cfg.FaultOverhead}
+		}
 	}
-	start := p.Now()
-	if write {
-		l.faultsWrite.Inc()
-	} else {
-		l.faultsRead.Inc()
-	}
-	if l.cfg.FaultOverhead > 0 {
-		p.Hold(l.cfg.FaultOverhead)
-	}
-	// Ask the page's home manager and await the reply on a unique tag.
-	l.seq++
-	rt := tagReply + l.seq
 	kind := mReadReq
 	if write {
 		kind = mWriteReq
 	}
-	nif := l.net.Node(node)
-	_ = nif.Send(p, l.homeOf(page), 16, tagManager, protoMsg{kind: kind, page: page, from: node, replyTag: rt}, false)
-	m := nif.Recv(p, ops.AnyPeer, rt)
-	rep := m.Payload.(replyMsg)
-	if rep.write {
-		l.rights[node][page] = rightsWrite
-	} else {
-		l.rights[node][page] = rightsRead
+	if s := l.ask(&f.req, node, l.homeOf(f.page), protoMsg{kind: kind, page: f.page, from: node}); !s.Done {
+		return s
 	}
-	l.faultCycles += p.Now() - start
+	if f.req.comm.Message().Payload.(replyMsg).write {
+		l.rights[node][f.page] = rightsWrite
+	} else {
+		l.rights[node][f.page] = rightsRead
+	}
+	l.faultCycles += l.k.Now() - f.start
+	f.pc = 0
+	return pearl.Step{Done: true}
 }
 
-// manager is the per-node protocol server: it dispatches read/write requests
-// to per-request handler processes (which may block on sub-requests) and
-// serves invalidations and flush demands inline, so it can never deadlock.
-func (l *Layer) manager(p *pearl.Process, node int) {
-	nif := l.net.Node(node)
+// manager is a node's protocol server: it starts a handler per read/write
+// request (which may wait on sub-requests) and serves invalidations and
+// flush demands itself, so it can never deadlock.
+type manager struct {
+	l    *Layer
+	node int
+	c    pearl.Chain
+	pc   uint8
+	comm network.Comm
+}
+
+// Manager program counters.
+const (
+	mgRecv  uint8 = iota // receive the next request
+	mgReq                // ... which is arriving
+	mgServe              // the service overhead has passed
+	mgReply              // the answer to an invalidation or flush is on its way
+)
+
+func (m *manager) step() pearl.Step {
+	l := m.l
 	for {
-		m := nif.Recv(p, ops.AnyPeer, tagManager)
-		req := m.Payload.(protoMsg)
-		if l.cfg.ServeOverhead > 0 {
-			p.Hold(l.cfg.ServeOverhead)
+		switch m.pc {
+		case mgRecv:
+			l.recv(&m.comm, m.node, tagManager)
+			m.pc = mgReq
+			fallthrough
+		case mgReq:
+			if s := m.comm.Step(); !s.Done {
+				return s
+			}
+			m.pc = mgServe
+			if l.cfg.ServeOverhead > 0 {
+				return pearl.Step{Hold: l.cfg.ServeOverhead}
+			}
+			fallthrough
+		case mgServe:
+			req := m.comm.Message().Payload.(protoMsg)
+			m.pc = mgReply
+			switch req.kind {
+			case mReadReq, mWriteReq:
+				h := &handler{l: l, home: m.node, req: req}
+				l.start(&h.c, h.step)
+				m.pc = mgRecv
+			case mInvalidate:
+				// Drop the local copy and cached lines, then ack.
+				l.dropPage(m.node, req.page)
+				l.invals.Inc()
+				l.send(&m.comm, m.node, req.from, 8, req.replyTag, nil)
+			case mFlushDemand:
+				// Give up ownership: demote to read, return the page.
+				if l.rights[m.node][req.page] == rightsWrite {
+					l.rights[m.node][req.page] = rightsRead
+				}
+				l.pageMoves.Inc()
+				l.send(&m.comm, m.node, req.from, uint32(l.cfg.PageSize), req.replyTag, nil)
+			}
+		case mgReply:
+			if s := m.comm.Step(); !s.Done {
+				return s
+			}
+			m.pc = mgRecv
 		}
-		switch req.kind {
-		case mReadReq, mWriteReq:
-			req := req
-			l.k.Spawn(fmt.Sprintf("dsm.h%d.p%d", node, req.page), func(hp *pearl.Process) {
-				l.serve(hp, node, req)
-			})
-		case mInvalidate:
-			// Drop the local copy and cached lines, then ack.
-			l.dropPage(node, req.page)
-			l.invals.Inc()
-			_ = nif.Send(p, req.from, 8, req.replyTag, nil, false)
-		case mFlushDemand:
-			// Give up ownership: demote to read, return the page.
-			if l.rights[node][req.page] == rightsWrite {
-				l.rights[node][req.page] = rightsRead
+	}
+}
+
+// handler serves one read or write request at the page's home node, holding
+// the page's lock throughout, so requests for one page are served one at a
+// time.
+type handler struct {
+	l    *Layer
+	home int
+	req  protoMsg
+	c    pearl.Chain
+	e    *dirEntry
+	pc   uint8
+	asks []protoMsg // the flush demand and invalidations to send, in order
+	to   []int      // ... and to whom
+	sub  request
+}
+
+// Handler program counters.
+const (
+	hdLock   uint8 = iota // take the page lock
+	hdLocked              // ... which is granted
+	hdAsk                 // ask the next node, or reply
+	hdReply               // the reply is on its way; then unlock
+)
+
+func (h *handler) step() pearl.Step {
+	l, req := h.l, &h.req
+	for {
+		switch h.pc {
+		case hdLock:
+			h.e = l.dirFor(h.home, req.page)
+			h.pc = hdLocked
+			return pearl.Step{Acquire: h.e.lock}
+		case hdLocked:
+			// The directory entry is this handler's until it unlocks, so what
+			// the request takes is known now. If a writer exists elsewhere,
+			// demand a flush first; the owner keeps a read copy.
+			e := h.e
+			if e.owner >= 0 && e.owner != req.from {
+				h.asks = append(h.asks, protoMsg{kind: mFlushDemand, page: req.page, from: h.home})
+				h.to = append(h.to, e.owner)
+				e.copyset |= 1 << uint(e.owner)
+				e.owner = -1
+			}
+			if req.kind == mWriteReq {
+				// Invalidate every other copy and collect acknowledgements.
+				for o := 0; o < l.nodes; o++ {
+					if o != req.from && e.copyset&(1<<uint(o)) != 0 {
+						h.asks = append(h.asks, protoMsg{kind: mInvalidate, page: req.page, from: h.home})
+						h.to = append(h.to, o)
+					}
+				}
+				e.owner = req.from
+				e.copyset = 1 << uint(req.from)
+			} else {
+				e.copyset |= 1 << uint(req.from) // read request: grant a shared copy
+			}
+			h.pc = hdAsk
+		case hdAsk:
+			for len(h.asks) > 0 {
+				if s := l.ask(&h.sub, h.home, h.to[0], h.asks[0]); !s.Done {
+					return s
+				}
+				h.asks, h.to = h.asks[1:], h.to[1:]
 			}
 			l.pageMoves.Inc()
-			_ = nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, nil, false)
-		}
-	}
-}
-
-// serve handles one read or write request at the page's home node.
-func (l *Layer) serve(p *pearl.Process, home int, req protoMsg) {
-	e := l.dirFor(home, req.page)
-	p.Acquire(e.lock) // serialise per page
-	defer e.lock.Release()
-	nif := l.net.Node(home)
-
-	// If a writer exists elsewhere, demand a flush first.
-	if e.owner >= 0 && e.owner != req.from {
-		l.seq++
-		ft := tagReply + l.seq
-		_ = nif.Send(p, e.owner, 16, tagManager, protoMsg{kind: mFlushDemand, page: req.page, from: home, replyTag: ft}, false)
-		nif.Recv(p, ops.AnyPeer, ft)
-		// Owner keeps a read copy.
-		e.copyset |= 1 << uint(e.owner)
-		e.owner = -1
-	}
-
-	if req.kind == mWriteReq {
-		// Invalidate every other copy and collect acknowledgements.
-		for o := 0; o < l.nodes; o++ {
-			if o == req.from || e.copyset&(1<<uint(o)) == 0 {
-				continue
+			l.send(&h.sub.comm, h.home, req.from, uint32(l.cfg.PageSize), req.replyTag,
+				replyMsg{page: req.page, write: req.kind == mWriteReq})
+			h.pc = hdReply
+		case hdReply:
+			if s := h.sub.comm.Step(); !s.Done {
+				return s
 			}
-			l.seq++
-			it := tagReply + l.seq
-			_ = nif.Send(p, o, 16, tagManager, protoMsg{kind: mInvalidate, page: req.page, from: home, replyTag: it}, false)
-			nif.Recv(p, ops.AnyPeer, it)
-			e.copyset &^= 1 << uint(o)
+			h.e.lock.Release()
+			return pearl.Step{Done: true}
 		}
-		e.owner = req.from
-		e.copyset = 1 << uint(req.from)
-		l.pageMoves.Inc()
-		_ = nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, replyMsg{page: req.page, write: true}, false)
-		return
 	}
-
-	// Read request: grant a shared copy.
-	e.copyset |= 1 << uint(req.from)
-	l.pageMoves.Inc()
-	_ = nif.Send(p, req.from, uint32(l.cfg.PageSize), req.replyTag, replyMsg{page: req.page}, false)
 }
 
 func (l *Layer) dirFor(home int, page uint64) *dirEntry {

@@ -14,14 +14,15 @@ import (
 	"mermaid/internal/workload"
 )
 
-// A run must not outlive itself: processes that never terminate by design
-// (DSM managers, store-buffer drains) and processes an aborted run leaves
-// blocked are coroutines — goroutines to the runtime —, each holding its
-// whole machine alive, until Machine.Run closes the kernels behind it.
+// A run must not outlive itself. Nothing in a built machine owns a stack —
+// DSM managers and store-buffer drains that wait for work forever, and CPUs an
+// aborted run leaves waiting, are state machines on the event queue, garbage
+// once the machine is — so the only goroutines a run can leave are a
+// program's generator coroutines, which RunProgram closes on every path.
 
-// settled waits for the goroutine count to return to base: the kernels'
-// workers and the program's generator coroutines are gone when Run returns,
-// but the runtime's books may lag for a moment.
+// settled waits for the goroutine count to return to base: the program's
+// generator coroutines are gone when Run returns, but the runtime's books may
+// lag for a moment.
 func settled(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -80,8 +81,6 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			if !errors.As(err, &dead) {
 				t.Fatalf("severed machine finished with err = %v, want DeadlockError", err)
 			}
-			// Closing unwinds the runners, whose deferred "done" must not
-			// have masked the deadlock, nor emptied its diagnosis.
 			if len(dead.Blocked) == 0 || !strings.Contains(dead.Error(), "node") {
 				t.Errorf("deadlock names no blocked process: %v", dead)
 			}

@@ -217,7 +217,7 @@ type Machine struct {
 	dsm   *dsm.Layer
 	inj   *fault.Injector
 	col   *analysis.Collector
-	ran   bool // Run closes the kernels behind it: one run per machine
+	ran   bool // one run per machine
 
 	// Parallel-engine state (nil/empty when cfg.Shards == 0): the shard
 	// group, the sharded fabric and the per-shard construction environments
@@ -253,20 +253,6 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("machine: nil kernel in environment")
 	}
 	m := &Machine{cfg: cfg, k: k, pb: env.Probe, col: env.Collect}
-	// Kernel block spans (holds, receives, resource queues) feed the timeline
-	// for every process opted in via TrackProcess, and the analysis collector
-	// for every process. With neither attached the tracer stays nil and the
-	// kernel hot path is untouched. Packets and task-level processors are not
-	// processes: the network reports their block spans to the collector.
-	tl := env.Timeline()
-	switch {
-	case tl != nil && m.col.Enabled():
-		k.SetTracer(pearl.Tracers{tl, m.col})
-	case tl != nil:
-		k.SetTracer(tl)
-	case m.col.Enabled():
-		k.SetTracer(m.col)
-	}
 	if m.col.Enabled() {
 		cpusPerNode := 1
 		if cfg.Mode == Detailed {
@@ -434,7 +420,8 @@ func (m *Machine) FlushTaskSinks() error {
 	return nil
 }
 
-// DeadlockError reports a simulation that stopped with suspended processes.
+// DeadlockError reports a simulation that stopped with components still
+// waiting: CPUs, processors or packets that no pending event will resume.
 type DeadlockError struct {
 	Blocked []string
 }
@@ -445,23 +432,12 @@ func (e *DeadlockError) Error() string {
 }
 
 // Run drives the machine with one trace source per stream and simulates to
-// completion, returning the measured result. A machine runs once: its
-// kernels are closed behind the run, so that the processes that never end —
-// DSM managers, store-buffer drains, whatever a deadlocked or panicking run
-// leaves blocked — do not outlive it as coroutines pinning the whole model.
+// completion, returning the measured result. A machine runs once.
 func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 	if m.ran {
 		return nil, fmt.Errorf("machine: already run; build a new machine for another run")
 	}
 	m.ran = true
-	// Deferred, so that it follows checkDone and result — closing unwinds
-	// process bodies, whose own deferred calls (a runner marking itself
-	// done) must not mask a deadlock — and covers the panic path too.
-	defer func() {
-		for _, k := range m.kernels() {
-			k.Close()
-		}
-	}()
 	if err := m.attach(srcs); err != nil {
 		return nil, err
 	}
@@ -550,27 +526,21 @@ func (m *Machine) stochasticSources(d stochastic.Desc) ([]trace.Source, error) {
 	return stochastic.Sources(d)
 }
 
+// checkDone reports a deadlock when a CPU runner or an abstract processor has
+// not finished its stream, listing those and the packets queued for a link.
+// DSM managers wait for requests by design and are never listed.
 func (m *Machine) checkDone() error {
-	done := true
-	for _, nd := range m.nodes {
-		done = done && nd.Done()
-	}
-	for pr := range m.processors {
-		done = done && pr.Done()
-	}
-	if done {
-		return nil
-	}
 	var blocked []string
-	for _, k := range m.kernels() {
-		for _, p := range k.Blocked() {
-			blocked = append(blocked, fmt.Sprintf("%s (%s)", p.Name(), p.BlockReason()))
-		}
+	for _, nd := range m.nodes {
+		blocked = append(blocked, nd.Blocked()...)
 	}
 	for pr := range m.processors {
 		if b := pr.Blocked(); b != "" {
 			blocked = append(blocked, b)
 		}
+	}
+	if len(blocked) == 0 {
+		return nil
 	}
 	if m.net != nil {
 		blocked = append(blocked, m.net.Blocked()...)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mermaid/internal/fault"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
 	"mermaid/internal/router"
@@ -182,6 +183,23 @@ func TestDeadlockReported(t *testing.T) {
 	}
 	if got := strings.Join(de.Blocked, ", "); got != "proc0 (await)" {
 		t.Errorf("blocked: %s, want node 0's processor parked on its receive", got)
+	}
+
+	// Detailed: a link severed for good, and retransmission giving up, leave
+	// both CPUs of a ping-pong awaiting messages that never come.
+	severed := T805Grid(2, 1)
+	severed.Faults = &fault.Schedule{
+		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 0}}},
+		Retrans: fault.Retrans{Timeout: 100, Backoff: 2, MaxRetries: 2},
+	}
+	m, err = New(severed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.RunProgram(workload.PingPong(10, 1024))
+	const want = "machine: simulation deadlocked; blocked: node0.cpu0 (await), node1.cpu0 (await)"
+	if err == nil || err.Error() != want {
+		t.Errorf("severed ping-pong: err = %v, want %q", err, want)
 	}
 }
 

@@ -61,9 +61,6 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 			pb = probe.New(probe.Config{Timeline: wantTL})
 		}
 		e := sim.Env{Kernel: k, RNG: pearl.NewRNG(cfg.Seed), Probe: pb}
-		if tl := e.Timeline(); tl != nil {
-			k.SetTracer(tl)
-		}
 		e.Registry().Gauge("kernel.events", "", func() float64 { return float64(k.EventCount()) })
 		m.envs[s] = e
 	}

@@ -89,6 +89,11 @@ func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, k := range m.kernels() {
+		if n := k.Switches(); n != 0 {
+			t.Errorf("%s: %d switches; nothing in a machine runs on a stack of its own", cfg.Name, n)
+		}
+	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
 	if err := stats.RenderSet(h, res.Stats); err != nil {

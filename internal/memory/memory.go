@@ -96,8 +96,8 @@ func (d *DRAM) accessTime(write bool, size uint64) pearl.Time {
 
 // Access is a read or write of size bytes, port queueing included, as a
 // resumable call (see bus.Bus.Acquire for the protocol): call it with *pc
-// zero from a pearl.Process.HoldWhile step and again after each Step it
-// returns has been served, until it returns Done.
+// zero from a pearl.Chain step function and again after each Step it returns
+// has been served, until it returns Done.
 func (d *DRAM) Access(write bool, size uint64, pc *int) pearl.Step {
 	switch *pc {
 	case 0:

@@ -8,13 +8,13 @@
 // The model runs on two fabrics: Network, the single-kernel engine every
 // machine without shards is built on, and ShardedNetwork, the conservative
 // parallel fabric. Both run packets and task-level nodes as plain kernel
-// events — no packet or node owns a process — and each keeps only what it
+// events — no packet or node owns a stack — and each keeps only what it
 // runs: its packet walker, its link state and how it delivers. What they
 // share is written once. NodeIf is every node's interface: Table 1 matching,
-// arecv handles and rendezvous acks, with a blocking wrapper for the detailed
-// nodes' processes and a non-blocking half for everything else. Processor is
-// the abstract processor of a task-level node, a state machine over those
-// halves. Traffic is the ledger: the validated configuration and topology,
+// arecv handles and rendezvous acks, in non-blocking halves. Comm is one
+// communication operation over them, a resumable call that detailed CPUs, DSM
+// servers and Processor — the abstract processor of a task-level node — make
+// from their pearl.Chain step functions. Traffic is the ledger: the validated configuration and topology,
 // the traffic counters and histograms, the net.* metric names, the report sets
 // and the fault wiring. Whatever fabric a machine was built on, its nodes
 // match messages alike and its Traffic reads the same.
@@ -89,7 +89,7 @@ type Message struct {
 	Sync     bool
 
 	isAck      bool
-	ackFut     *pearl.Future // what a sending process awaits; nil from a Processor
+	ackFut     *pearl.Future // what a synchronous sender awaits
 	remaining  int
 	injectedAt pearl.Time
 	// key is the message's deterministic identity (src node and per-source
@@ -103,19 +103,15 @@ type Message struct {
 // state, one pooled record per packet in flight and one Processor per node,
 // all driven by plain kernel events. A packet's journey is a state machine
 // whose every wait — the per-hop hold, a busy channel, the body's drain, a
-// retransmission backoff — is one k.After of the packet's bound continuation,
-// at the program point where a process walking the packet would hold, queue
-// or be handed the channel. The (time, seq) order of every event, and with it
-// every RNG draw, counter and report byte, is therefore that of a
-// process-per-packet and process-per-node model of the same fabric (pinned by
-// TestTrafficDigests), without the per-process memory or a single hand-off.
+// retransmission backoff — is one k.After of the packet's bound continuation
+// (the order of every event, RNG draw, counter and report byte is pinned by
+// TestTrafficDigests).
 //
 // Instrumentation is carried whole: with a timeline attached every link
 // virtual channel gets a track and every channel ownership a "pkt" span; with
 // the bottleneck collector attached every channel and router registers its
-// busy/wait accounting, and the block spans a packet or node process would
-// have reported to the kernel tracer ("hold", "acquire link…", "await") are
-// reported to the collector directly.
+// busy/wait accounting, and every packet wait reports its block span ("hold",
+// "acquire link…") to the collector, as every Processor's chain does its own.
 type Network struct {
 	Traffic
 
@@ -363,8 +359,7 @@ func (pk *packet) step() {
 	}
 }
 
-// traceWait reports the wait the packet resumes from to the collector, as
-// the kernel tracer reports a process resuming from a block.
+// traceWait reports the wait the packet resumes from to the collector.
 func (n *Network) traceWait(pk *packet) {
 	now := n.k.Now()
 	if pk.phase == ppStart || now <= pk.since {
@@ -374,7 +369,7 @@ func (n *Network) traceWait(pk *packet) {
 	if pk.phase == ppGranted {
 		reason = "acquire " + n.linkName(pk.pendLi)
 	}
-	n.col.ProcessSpan(nil, pk.since, now, reason)
+	n.col.BlockSpan(pk.since, now, reason)
 }
 
 // attemptStart begins one delivery attempt from the source. Every fault check
@@ -639,7 +634,7 @@ func (n *Network) adaptivePort(at, to int) int {
 }
 
 // Blocked describes the packets queued on channels, for deadlock reports, in
-// the "what (reason)" style of the kernel's blocked processes.
+// the "what (reason)" style of the other waiting components.
 func (n *Network) Blocked() []string {
 	lis := make([]int, 0, len(n.linkWait))
 	for li := range n.linkWait {

@@ -37,14 +37,14 @@ func TestAsyncSendLatencySAF(t *testing.T) {
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
 	var recvAt pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 64, 0, "hi", false)
+		send(p, n.Node(0), 1, 64, 0, "hi", false)
 		// Async: back after the send overhead.
 		if p.Now() != 3 {
 			t.Errorf("async send returned at %d, want 3", p.Now())
 		}
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
-		m := n.Node(1).Recv(p, 0, 0)
+		m := recv(p, n.Node(1), 0, 0)
 		recvAt = p.Now()
 		if m.Payload != "hi" {
 			t.Errorf("payload = %v", m.Payload)
@@ -68,9 +68,9 @@ func TestZeroLoadLatencyMatchesFormula(t *testing.T) {
 			n := mustNet(t, k, cfg)
 			// 0 -> 2 on a 4-ring: 2 hops.
 			var recvAt pearl.Time
-			k.Spawn("s", func(p *pearl.Process) { n.Node(0).Send(p, 2, 128, 0, nil, false) })
+			k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 2, 128, 0, nil, false) })
 			k.Spawn("r", func(p *pearl.Process) {
-				n.Node(2).Recv(p, 0, 0)
+				recv(p, n.Node(2), 0, 0)
 				recvAt = p.Now()
 			})
 			k.Run()
@@ -87,11 +87,11 @@ func TestSyncSendBlocksForAck(t *testing.T) {
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
 	var sendDone pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 64, 0, nil, true)
+		send(p, n.Node(0), 1, 64, 0, nil, true)
 		sendDone = p.Now()
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
-		n.Node(1).Recv(p, 0, 0)
+		recv(p, n.Node(1), 0, 0)
 	})
 	k.Run()
 	// Message delivered at 14 (see async test); ack (8 B): routing 2 + prop 1
@@ -106,12 +106,12 @@ func TestSyncSendWaitsForLateReceiver(t *testing.T) {
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
 	var done pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 64, 0, nil, true)
+		send(p, n.Node(0), 1, 64, 0, nil, true)
 		done = p.Now()
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		p.Hold(100) // receiver arrives late
-		n.Node(1).Recv(p, 0, 0)
+		recv(p, n.Node(1), 0, 0)
 	})
 	k.Run()
 	// Message arrives at 14 but is only accepted at 102 (recv overhead 2
@@ -127,10 +127,10 @@ func TestRecvAnyEarliestArrivalWins(t *testing.T) {
 	cfg.SendOverhead = 0
 	n := mustNet(t, k, cfg)
 	var src int32
-	k.Spawn("far", func(p *pearl.Process) { n.Node(2).Send(p, 0, 64, 0, "far", false) })   // 2 hops
-	k.Spawn("near", func(p *pearl.Process) { n.Node(1).Send(p, 0, 64, 0, "near", false) }) // 1 hop
+	k.Spawn("far", func(p *pearl.Process) { send(p, n.Node(2), 0, 64, 0, "far", false) })   // 2 hops
+	k.Spawn("near", func(p *pearl.Process) { send(p, n.Node(1), 0, 64, 0, "near", false) }) // 1 hop
 	k.Spawn("receiver", func(p *pearl.Process) {
-		m := n.Node(0).Recv(p, ops.AnyPeer, 0)
+		m := recv(p, n.Node(0), ops.AnyPeer, 0)
 		src = int32(m.Src)
 	})
 	k.Run()
@@ -145,13 +145,13 @@ func TestTagMatching(t *testing.T) {
 	n := mustNet(t, k, cfg)
 	var first, second any
 	k.Spawn("sender", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 8, 7, "tag7", false)
-		n.Node(0).Send(p, 1, 8, 9, "tag9", false)
+		send(p, n.Node(0), 1, 8, 7, "tag7", false)
+		send(p, n.Node(0), 1, 8, 9, "tag9", false)
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		// Receive out of arrival order by tag.
-		second = n.Node(1).Recv(p, 0, 9).Payload
-		first = n.Node(1).Recv(p, 0, 7).Payload
+		second = recv(p, n.Node(1), 0, 9).Payload
+		first = recv(p, n.Node(1), 0, 7).Payload
 	})
 	k.Run()
 	if first != "tag7" || second != "tag9" {
@@ -166,8 +166,8 @@ func TestMultiPacketMessage(t *testing.T) {
 	cfg.SendOverhead = 0
 	n := mustNet(t, k, cfg)
 	var recvAt pearl.Time
-	k.Spawn("s", func(p *pearl.Process) { n.Node(0).Send(p, 1, 256, 0, nil, false) })
-	k.Spawn("r", func(p *pearl.Process) { n.Node(1).Recv(p, 0, 0); recvAt = p.Now() })
+	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 1, 256, 0, nil, false) })
+	k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0); recvAt = p.Now() })
 	k.Run()
 	if n.Packets() != 4 {
 		t.Errorf("packets = %d, want 4", n.Packets())
@@ -189,8 +189,8 @@ func TestSelfSendIsLocalCopy(t *testing.T) {
 	n := mustNet(t, k, cfg)
 	var recvAt pearl.Time
 	k.Spawn("node", func(p *pearl.Process) {
-		n.Node(2).Send(p, 2, 64, 0, "self", false)
-		m := n.Node(2).Recv(p, 2, 0)
+		send(p, n.Node(2), 2, 64, 0, "self", false)
+		m := recv(p, n.Node(2), 2, 0)
 		recvAt = p.Now()
 		if m.Payload != "self" {
 			t.Error("lost payload")
@@ -211,12 +211,12 @@ func TestARecvOverlap(t *testing.T) {
 	cfg.RecvOverhead = 0
 	n := mustNet(t, k, cfg)
 	var postedAt, waitedAt pearl.Time
-	k.Spawn("s", func(p *pearl.Process) { n.Node(0).Send(p, 1, 64, 0, nil, false) })
+	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 1, 64, 0, nil, false) })
 	k.Spawn("r", func(p *pearl.Process) {
-		n.Node(1).PostRecv(p, 0, 0, 1)
+		postRecv(p, n.Node(1), 0, 0, 1)
 		postedAt = p.Now() // immediate
 		p.Hold(5)          // overlapped computation
-		n.Node(1).WaitRecv(p, 1)
+		waitRecv(p, n.Node(1), 1)
 		waitedAt = p.Now()
 	})
 	k.Run()
@@ -237,13 +237,13 @@ func TestLinkContentionSerialises(t *testing.T) {
 	var t1, t2 pearl.Time
 	// Two messages over the same directed link 0->1.
 	k.Spawn("s", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 64, 1, nil, false)
-		n.Node(0).Send(p, 1, 64, 2, nil, false)
+		send(p, n.Node(0), 1, 64, 1, nil, false)
+		send(p, n.Node(0), 1, 64, 2, nil, false)
 	})
 	k.Spawn("r", func(p *pearl.Process) {
-		n.Node(1).Recv(p, 0, 1)
+		recv(p, n.Node(1), 0, 1)
 		t1 = p.Now()
-		n.Node(1).Recv(p, 0, 2)
+		recv(p, n.Node(1), 0, 2)
 		t2 = p.Now()
 	})
 	k.Run()
@@ -268,12 +268,12 @@ func TestWormholeHoldsPath(t *testing.T) {
 		n := mustNet(t, k, cfg)
 		var t2 pearl.Time
 		k.Spawn("s0", func(p *pearl.Process) {
-			n.Node(0).Send(p, 3, 1000, 0, nil, false)
+			send(p, n.Node(0), 3, 1000, 0, nil, false)
 			p.Hold(1) // let the worm grab link 0->1 first
-			n.Node(0).Send(p, 1, 10, 1, nil, false)
+			send(p, n.Node(0), 1, 10, 1, nil, false)
 		})
 		k.Spawn("r", func(p *pearl.Process) {
-			n.Node(1).Recv(p, 0, 1)
+			recv(p, n.Node(1), 0, 1)
 			t2 = p.Now()
 		})
 		k.Run()
@@ -354,7 +354,7 @@ func TestQueuedPacketsDiagnosable(t *testing.T) {
 	cfg := ringConfig(router.StoreAndForward)
 	cfg.Router.MaxPacket = 32
 	n := mustNet(t, k, cfg)
-	k.Spawn("sender", func(p *pearl.Process) { n.Node(0).Send(p, 2, 96, 0, nil, false) })
+	k.Spawn("sender", func(p *pearl.Process) { send(p, n.Node(0), 2, 96, 0, nil, false) })
 	k.RunUntil(5) // past the send overhead: one packet crosses 0->1, two queue behind it
 	port := n.Topology().Route(0, 2)
 	if got, want := fmt.Sprint(n.Blocked()), fmt.Sprintf("[2 pkt (acquire link.0.%d.vc0)]", port); got != want {
@@ -369,8 +369,8 @@ func TestQueuedPacketsDiagnosable(t *testing.T) {
 func TestNetworkStats(t *testing.T) {
 	k := pearl.NewKernel()
 	n := mustNet(t, k, ringConfig(router.StoreAndForward))
-	k.Spawn("s", func(p *pearl.Process) { n.Node(0).Send(p, 1, 64, 0, nil, false) })
-	k.Spawn("r", func(p *pearl.Process) { n.Node(1).Recv(p, 0, 0) })
+	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 1, 64, 0, nil, false) })
+	k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0) })
 	k.Run()
 	s := n.Stats()
 	if v, ok := s.Get("messages"); !ok || v != 1 {
@@ -401,8 +401,8 @@ func TestValiantRoutingDelivers(t *testing.T) {
 		// Adversarial-ish permutation: everyone sends across the machine.
 		for i := 0; i < 16; i++ {
 			i := i
-			k.Spawn("s", func(p *pearl.Process) { n.Node(i).Send(p, (i+8)%16, 512, uint32(i), nil, false) })
-			k.Spawn("r", func(p *pearl.Process) { n.Node((i+8)%16).Recv(p, int32(i), uint32(i)) })
+			k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(i), (i+8)%16, 512, uint32(i), nil, false) })
+			k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node((i+8)%16), int32(i), uint32(i)) })
 		}
 		k.Run()
 		return n.Messages(), n.MeanHops()
@@ -433,8 +433,8 @@ func TestValiantDeterministic(t *testing.T) {
 	run := func() pearl.Time {
 		k := pearl.NewKernel()
 		n := mustNet(t, k, cfg)
-		k.Spawn("s", func(p *pearl.Process) { n.Node(0).Send(p, 2, 256, 0, nil, false) })
-		k.Spawn("r", func(p *pearl.Process) { n.Node(2).Recv(p, 0, 0) })
+		k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 2, 256, 0, nil, false) })
+		k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(2), 0, 0) })
 		return k.Run()
 	}
 	if a, b := run(), run(); a != b {
@@ -455,16 +455,16 @@ func TestAdaptiveRoutingAvoidsHotLink(t *testing.T) {
 		n := mustNet(t, k, cfg)
 		var done pearl.Time
 		// A big transfer hogs link 0->1 (dimension 0).
-		k.Spawn("hog", func(p *pearl.Process) { n.Node(0).Send(p, 1, 8000, 0, nil, false) })
+		k.Spawn("hog", func(p *pearl.Process) { send(p, n.Node(0), 1, 8000, 0, nil, false) })
 		// Shortly after, 0 -> 3 (dims 0 and 1): minimal e-cube goes via
 		// dimension 0 first — congested; adaptive goes via dimension 1.
 		k.Spawn("probe", func(p *pearl.Process) {
 			p.Hold(5)
-			n.Node(0).Send(p, 3, 100, 1, nil, false)
+			send(p, n.Node(0), 3, 100, 1, nil, false)
 		})
-		k.Spawn("sink1", func(p *pearl.Process) { n.Node(1).Recv(p, 0, 0) })
+		k.Spawn("sink1", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0) })
 		k.Spawn("sink3", func(p *pearl.Process) {
-			n.Node(3).Recv(p, 0, 1)
+			recv(p, n.Node(3), 0, 1)
 			done = p.Now()
 		})
 		k.Run()
@@ -485,8 +485,8 @@ func TestAdaptiveStaysMinimal(t *testing.T) {
 		Link:     LinkConfig{BytesPerCycle: 8, PropDelay: 1},
 	}
 	n := mustNet(t, k, cfg)
-	k.Spawn("s", func(p *pearl.Process) { n.Node(0).Send(p, 15, 64, 0, nil, false) })
-	k.Spawn("r", func(p *pearl.Process) { n.Node(15).Recv(p, 0, 0) })
+	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 15, 64, 0, nil, false) })
+	k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(15), 0, 0) })
 	k.Run()
 	// 0 -> 15 on the 4x4 torus is 2 hops (wrap both dimensions); adaptive
 	// must not take more.
@@ -520,10 +520,10 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 
 	var recvAt pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 64, 0, "through the outage", false)
+		send(p, n.Node(0), 1, 64, 0, "through the outage", false)
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
-		m := n.Node(1).Recv(p, 0, 0)
+		m := recv(p, n.Node(1), 0, 0)
 		recvAt = p.Now()
 		if m.Payload != "through the outage" {
 			t.Errorf("payload = %v", m.Payload)
@@ -559,10 +559,10 @@ func TestCrashedDestinationDropsUntilRestart(t *testing.T) {
 	n.AttachFaults(inj)
 	var recvAt pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
-		n.Node(0).Send(p, 1, 16, 0, nil, false)
+		send(p, n.Node(0), 1, 16, 0, nil, false)
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
-		n.Node(1).Recv(p, 0, 0)
+		recv(p, n.Node(1), 0, 0)
 		recvAt = p.Now()
 	})
 	k.Run()

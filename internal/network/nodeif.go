@@ -16,13 +16,11 @@ import (
 // the oldest compatible arrival — "oldest" in simulated time, which is what
 // makes the generated multiprocessor traces valid.
 //
-// Each operation has a non-blocking half (startSend, startRecv, postRecv,
-// startWait) that completes in place or returns the Future to wait on, and a
-// blocking wrapper that parks a process on that Future — how a detailed
-// node's CPU communicates. A task-level node's Processor calls the halves
-// directly: it has no process, so the interface resumes its continuation
-// instead — one zero-delay event, the one wake pearl.Future.Complete issues
-// for a parked process.
+// Its operations are non-blocking halves (startSend, startRecv, postRecv,
+// startWait) that complete in place or return the Future to wait on; Comm
+// counts and times the operations and drives the halves for every caller,
+// whose pearl.Chain waits. Nothing here blocks, and nothing depends on who
+// calls.
 type NodeIf struct {
 	nodeAcct
 	led *Traffic // the ledger this node's traffic is counted in, and its kernel and transport
@@ -35,13 +33,6 @@ type NodeIf struct {
 	arrived []*Message
 	waiters []recvWait
 	handles map[uint64]*pearl.Future // lazily allocated; most nodes never arecv
-
-	// Set on a node driven by its Processor, which waits without a process:
-	// resume is the processor's continuation, and parked the receive it waits
-	// on. A synchronous send from such a node carries no Future; its ack
-	// resumes the node.
-	resume func()
-	parked *pearl.Future
 }
 
 // transport is the fabric behind a NodeIf: the single-kernel or the sharded
@@ -73,98 +64,19 @@ func takeArrived(q *[]*Message, src int32, tag uint32) *Message {
 	return nil
 }
 
-// ID returns the node id.
-func (ni *NodeIf) ID() int { return ni.id }
-
-// Send transmits size bytes to dst. When sync is true the call blocks (in
-// simulated time) until the destination has accepted the message —
-// synchronous send(message-size, destination) of Table 1; otherwise it
-// returns after the send overhead — asend. A destination outside the network
-// is an error, and nothing is sent.
-func (ni *NodeIf) Send(p *pearl.Process, dst int, size uint32, tag uint32, payload any, sync bool) error {
-	hold, err := ni.beginSend(dst)
-	if err != nil {
-		return err
-	}
-	if hold > 0 {
-		p.Hold(hold)
-	}
-	if ack := ni.startSend(dst, size, tag, payload, sync); ack != nil {
-		start := p.Now()
-		p.Await(ack)
-		ni.sendBlock += p.Now() - start
-	}
-	return nil
-}
-
-// Recv blocks until a message matching (src, tag) has arrived, returning it.
-// src may be ops.AnyPeer; the message that arrived first in simulated time
-// wins — the feedback the execution-driven trace generation relies on.
-func (ni *NodeIf) Recv(p *pearl.Process, src int32, tag uint32) *Message {
-	if hold := ni.beginRecv(); hold > 0 {
-		p.Hold(hold)
-	}
-	m, f := ni.startRecv(src, tag)
-	if f != nil {
-		start := p.Now()
-		m = p.Await(f).(*Message)
-		ni.recvBlock += p.Now() - start
-	}
-	return m
-}
-
-// PostRecv posts an asynchronous receive (arecv) under the given handle and
-// returns immediately; complete it with WaitRecv.
-func (ni *NodeIf) PostRecv(p *pearl.Process, src int32, tag uint32, handle uint64) {
-	if hold := ni.beginRecv(); hold > 0 {
-		p.Hold(hold)
-	}
-	ni.postRecv(src, tag, handle)
-}
-
-// WaitRecv blocks until the arecv posted under handle has completed,
-// returning its message.
-func (ni *NodeIf) WaitRecv(p *pearl.Process, handle uint64) *Message {
-	f := ni.startWait(handle)
-	start := p.Now()
-	m := p.Await(f).(*Message)
-	ni.recvBlock += p.Now() - start
-	return m
-}
-
-// beginSend counts a send to dst and returns the send overhead to charge
-// before startSend. A destination outside the network is an error, and
-// nothing is counted; the caller names the sender: node, CPU and rank.
-func (ni *NodeIf) beginSend(dst int) (pearl.Time, error) {
-	if n := ni.led.Nodes(); dst < 0 || dst >= n {
-		return 0, fmt.Errorf("send to invalid destination %d (the network has %d nodes)", dst, n)
-	}
-	ni.sends.Inc()
-	return ni.led.cfg.SendOverhead, nil
-}
-
-// beginRecv counts a receive or arecv and returns the receive overhead to
-// charge before startRecv or postRecv.
-func (ni *NodeIf) beginRecv() pearl.Time {
-	ni.recvs.Inc()
-	return ni.led.cfg.RecvOverhead
-}
-
-// startSend injects the message once the send overhead has elapsed. It
-// returns the Future a synchronous send awaits its rendezvous ack on; nil for
-// an asynchronous send, and from a Processor, which the ack resumes.
-func (ni *NodeIf) startSend(dst int, size uint32, tag uint32, payload any, sync bool) *pearl.Future {
-	msg := &Message{Src: ni.id, Dst: dst, Size: size, Tag: tag, Payload: payload, Sync: sync}
-	if sync && ni.resume == nil {
-		msg.ackFut = ni.led.k.NewFuture()
-	}
-	ni.led.tr.inject(msg)
-	return msg.ackFut
+// startSend injects the message once the send overhead has elapsed — send
+// (message-size, destination) of Table 1. A synchronous send names the Future
+// its rendezvous ack completes once the destination has accepted the message;
+// an asynchronous one (asend) passes nil.
+func (ni *NodeIf) startSend(dst int, size uint32, tag uint32, payload any, ack *pearl.Future) {
+	ni.led.tr.inject(&Message{Src: ni.id, Dst: dst, Size: size, Tag: tag, Payload: payload, Sync: ack != nil, ackFut: ack})
 }
 
 // startRecv takes the oldest arrival matching (src, tag) once the receive
 // overhead has elapsed, or, finding none, queues the receive and returns the
-// Future the matching arrival will complete.
+// Future the matching arrival will complete. src may be ops.AnyPeer; the
+// message that arrived first in simulated time wins — the feedback the
+// execution-driven trace generation relies on.
 func (ni *NodeIf) startRecv(src int32, tag uint32) (*Message, *pearl.Future) {
 	if m := takeArrived(&ni.arrived, src, tag); m != nil {
 		ni.sendAck(m)
@@ -214,14 +126,10 @@ func (ni *NodeIf) sendAck(m *Message) {
 
 // arrive is called by the transport when a message has fully arrived at this
 // node: it matches the oldest compatible posted receive or queues the
-// message. An ack wakes the sender awaiting it.
+// message. An ack completes the Future its sender awaits.
 func (ni *NodeIf) arrive(m *Message) {
 	if m.isAck {
-		if m.ackFut != nil {
-			m.ackFut.Complete(nil)
-		} else {
-			ni.led.k.After(0, ni.resume)
-		}
+		m.ackFut.Complete(nil)
 		return
 	}
 	for i, w := range ni.waiters {
@@ -229,9 +137,6 @@ func (ni *NodeIf) arrive(m *Message) {
 			ni.waiters = append(ni.waiters[:i], ni.waiters[i+1:]...)
 			ni.sendAck(m)
 			w.fut.Complete(m)
-			if w.fut == ni.parked {
-				ni.led.k.After(0, ni.resume)
-			}
 			return
 		}
 	}

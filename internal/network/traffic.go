@@ -147,8 +147,7 @@ func (t *Traffic) countDelivery(msg *Message, now pearl.Time) {
 
 // ackFor counts and builds the rendezvous acknowledgement of a synchronous
 // message its receiver has just accepted, or returns nil when m needs none.
-// The ack carries the Future the sender awaits back through the network (nil
-// from a Processor, which its interface resumes on the ack's arrival).
+// The ack carries the Future the sender awaits back through the network.
 func (t *Traffic) ackFor(m *Message) *Message {
 	if !m.Sync {
 		return nil

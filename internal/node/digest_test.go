@@ -22,17 +22,21 @@ import (
 	"mermaid/internal/probe"
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
+	"mermaid/internal/trace"
 	"mermaid/internal/workload"
 )
 
 // The detailed-mode models have no second implementation to be compared
 // against: the memory hierarchy that blocked a process at every hold was
-// rewritten in place as a resumable chain. What stands in for it is this
-// table — SHA-256 over report, timeline JSON and bottleneck JSON of seeded
-// detailed runs, printed by the tree as it was before the rewrite (commit
-// beed453). A digest that moves means simulated behaviour moved: some event
-// fires at another time, in another order, or not at all. If that is
-// intended, re-pin it and say why.
+// rewritten in place as a resumable chain, and the CPU runners, store-buffer
+// drains and DSM servers that waited in processes became state machines in
+// turn. What stands in for the old code is these tables — SHA-256 over
+// report, timeline JSON and bottleneck JSON of seeded detailed runs, printed
+// by the tree as it was before each rewrite (detailedDigests by commit
+// beed453; observedDigests, which add the bottleneck text, a metrics
+// sampler's CSV and exported task traces, by commit 367e6bd). A digest that
+// moves means simulated behaviour moved: some event fires at another time, in
+// another order, or not at all. If that is intended, re-pin it and say why.
 
 // smallCache returns a cache small enough for mixedTrace's 12 KiB private
 // window to overflow, so fills, victims and write-backs all happen.
@@ -201,6 +205,7 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	if err != nil {
 		t.Fatal(err)
 	}
+	noSwitches(t, m)
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
 	if err := stats.RenderSet(h, res.Stats); err != nil {
@@ -316,6 +321,24 @@ func TestDetailedDigests(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("observed digests of this tree:\n%s", table.String())
+	}
+}
+
+// noSwitches fails the test unless every kernel of m ran its events without a
+// hand-off: nothing in a machine runs on a stack of its own.
+func noSwitches(t *testing.T, m *machine.Machine) {
+	t.Helper()
+	ks := []*pearl.Kernel{m.Kernel()}
+	if g := m.ShardGroup(); g != nil {
+		ks = ks[:0]
+		for i := 0; i < g.Shards(); i++ {
+			ks = append(ks, g.Kernel(i))
+		}
+	}
+	for i, k := range ks {
+		if n := k.Switches(); n != 0 {
+			t.Errorf("kernel %d: %d switches", i, n)
+		}
 	}
 }
 
@@ -489,6 +512,7 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 	if err != nil {
 		t.Fatal(err)
 	}
+	noSwitches(t, m)
 	finish(res.Cycles)
 	out := map[string]string{
 		"totals": fmt.Sprintf("%d cycles, %d events, %d instructions", res.Cycles, res.Events, res.Instructions),
@@ -508,4 +532,82 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 		render("metrics CSV", func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
 	}
 	return out
+}
+
+// mixedTrace draws n instructions exercising every case of cpu.CPU.Begin:
+// fetches, loads and stores over a private window that overflows the inner
+// cache (hits and misses) and a window other CPUs of the node share
+// (coherence traffic), accesses straddling a line, every arithmetic and
+// control kind, and task-level compute operations mixed in.
+func mixedTrace(r *pearl.RNG, n int, private uint64) []ops.Op {
+	const shared = 0x2000_0000
+	var out []ops.Op
+	for i := 0; i < n; i++ {
+		out = append(out, ops.NewIFetch(0x40_0000+private>>8+uint64(i%96)*4))
+		addr := private + uint64(r.Intn(12<<10))&^3
+		switch r.Intn(10) {
+		case 0:
+			addr = shared + uint64(r.Intn(1<<10))&^3
+		case 1:
+			addr |= 30 // a word at offset 30 straddles 16- and 32-byte lines
+		}
+		switch r.Intn(12) {
+		case 0, 1, 2:
+			out = append(out, ops.NewLoad(ops.MemWord, addr))
+		case 3, 4:
+			out = append(out, ops.NewStore(ops.MemWord, addr))
+		case 5:
+			out = append(out, ops.NewArith(ops.Add, ops.TypeInt))
+		case 6:
+			out = append(out, ops.NewArith(ops.Mul, ops.TypeDouble))
+		case 7:
+			out = append(out, ops.NewArith(ops.Div, ops.TypeLong))
+		case 8:
+			out = append(out, ops.NewBranch(0x40_0000))
+		case 9:
+			out = append(out, ops.NewCall(0x40_1000), ops.NewRet(0x40_0000))
+		case 10:
+			out = append(out, ops.NewLoadConst(ops.TypeFloat))
+		case 11:
+			out = append(out, ops.NewCompute(int64(r.Intn(40))))
+		}
+	}
+	return out
+}
+
+// ringTraces builds one stream per CPU: rounds of mixed computation, with
+// CPU 0 of every node passing a token around the ring of nodes in between
+// (synchronously on even rounds, with asynchronous sends on odd ones).
+func ringTraces(nodes, cpus, rounds, instrs int) [][]ops.Op {
+	traces := make([][]ops.Op, nodes*cpus)
+	for s := range traces {
+		r := pearl.NewRNG(uint64(1000 + s))
+		nd, cpu := s/cpus, s%cpus
+		for round := 0; round < rounds; round++ {
+			traces[s] = append(traces[s], mixedTrace(r, instrs, 0x1000_0000+uint64(s)<<20)...)
+			if cpu != 0 || nodes == 1 {
+				continue
+			}
+			next, prev := int32((nd+1)%nodes), int32((nd+nodes-1)%nodes)
+			tag := uint32(round)
+			send := ops.NewSend(512, next, tag)
+			if round%2 == 1 {
+				send = ops.NewASend(512, next, tag)
+			}
+			if nd == nodes-1 {
+				traces[s] = append(traces[s], ops.NewRecv(prev, tag), send)
+			} else {
+				traces[s] = append(traces[s], send, ops.NewRecv(prev, tag))
+			}
+		}
+	}
+	return traces
+}
+
+func sources(traces [][]ops.Op) []trace.Source {
+	srcs := make([]trace.Source, len(traces))
+	for i, tr := range traces {
+		srcs[i] = trace.FromOps(tr)
+	}
+	return srcs
 }

@@ -5,6 +5,11 @@
 // (Fig. 2), and the node measures the simulated time between two consecutive
 // communication operations to construct the computational tasks that drive
 // the task-level model (optionally exporting them as a task-level trace).
+//
+// Each CPU's stream runs on a runner, a pearl.Chain whose step function is a
+// state machine over cpu.CPU.Begin/Step, dsm.Layer.Ensure and network.Comm —
+// the resumable call the task-level network.Processor makes too — and whose
+// waits are block spans on the CPU's timeline track and in the collector.
 package node
 
 import (
@@ -70,17 +75,6 @@ type Node struct {
 	cpuBase    int // machine-wide index of the node's CPU 0
 	commCycles []pearl.Time
 	dsmStall   []pearl.Time
-
-	// declineStraight is set only by tests: every operation then goes through
-	// exec and blocks the process in a chain of its own, the reference the
-	// one long chain is checked against.
-	declineStraight bool
-}
-
-type runner struct {
-	proc *pearl.Process
-	err  error
-	done bool
 }
 
 // New builds a node in the given environment. env.Probe may be nil (no
@@ -180,78 +174,121 @@ func (n *Node) FlushTaskSinks() error {
 	return nil
 }
 
-// Run spawns a simulation process executing the operation stream src on CPU
-// cpuIdx — one stream per CPU. Communication operations are forwarded to the
-// node's network interface; if the node has none, they are an error.
+// runner executes one CPU's operation stream: a chain whose step function
+// carries the stream from one wait to the next.
+type runner struct {
+	n     *Node
+	cpu   int // index within the node
+	c     *cpu.CPU
+	cur   *trace.Cursor
+	chain pearl.Chain
+
+	phase    uint8
+	inFlight bool        // an operation begun by CPU.Begin has Steps left
+	ev       trace.Event // the operation fetched for exec
+	start    pearl.Time  // when it began
+	fault    dsm.Fault   // a page fault in progress
+	comm     network.Comm
+
+	err  error
+	done bool
+}
+
+// Runner phases: what the operation in flight is waiting on.
+const (
+	rnStraight uint8 = iota // computational operations (CPU.Step)
+	rnFault                 // the page rights of a shared access's first byte
+	rnFaultEnd              // ... and of its last, when it straddles a page
+	rnCompute               // a task-level compute operation, to hold for
+	rnComm                  // a communication operation
+)
+
+// Run starts executing the operation stream src on CPU cpuIdx — one stream
+// per CPU — with one zero-delay event at the current time. Communication
+// operations are forwarded to the node's network interface; if the node has
+// none, they are an error.
 func (n *Node) Run(cpuIdx int, src trace.Source) {
-	r := &runner{}
-	n.runners = append(n.runners, r)
-	c := n.cpus[cpuIdx]
 	// Pull through a cursor: batched sources (generator threads, trace
 	// replays) hand over operations many at a time, so the per-operation
 	// cost in this loop is a slice index, not a coroutine switch.
-	cur := trace.NewCursor(src)
-	procName := fmt.Sprintf("node%d.cpu%d", n.id, cpuIdx)
-	straight := n.straightLine(c, cur)
-	r.proc = n.k.Spawn(procName, func(p *pearl.Process) {
-		defer func() { r.done = true }()
-		for {
-			// Computation, memory hierarchy included, runs as a stackless
-			// chain of holds and resource waits; the chain ends at the first
-			// operation that needs a process to block in (or at the end of
-			// the stream).
-			p.HoldWhile(straight)
-			ev, err := cur.Next()
-			if err == io.EOF {
-				n.emitTask(p, cpuIdx, nil)
-				return
-			}
-			if err != nil {
-				r.err = err
-				return
-			}
-			if err := n.exec(p, c, cpuIdx, ev); err != nil {
-				r.err = err
-				return
-			}
+	r := &runner{n: n, cpu: cpuIdx, c: n.cpus[cpuIdx], cur: trace.NewCursor(src)}
+	n.runners = append(n.runners, r)
+	r.chain.Init(n.k, r.step)
+	if n.tl != nil || n.col.Enabled() {
+		// The runner's waits — holds, awaits, resource queues — show up on a
+		// track of its own and in the collector's table of blocked time.
+		track := n.tl.Track(fmt.Sprintf("node%d.cpu%d", n.id, cpuIdx))
+		r.chain.Spans = func(from, to pearl.Time, reason string) {
+			n.tl.Span(track, reason, from, to)
+			n.col.BlockSpan(from, to, reason)
 		}
-	})
-	// Opt the runner into kernel block-span tracing: time spent blocked in
-	// holds, receives and resource queues shows up on its own track.
-	n.tl.TrackProcess(r.proc, procName)
+	}
+	r.chain.Start()
 }
 
-// straightLine returns the pearl.Process.HoldWhile step that executes the
-// stream at cur for as long as its operations are computational: each call
-// lets the operation in flight proceed and, when that retires, begins the
-// next. The chain ends — leaving the operation at the cursor for exec — at
-// the first communication or compute operation, at a load or store to the
-// shared segment of a virtual-shared-memory layer (exec obtains page rights
-// first, which may block in the network), and at the end of the stream.
-func (n *Node) straightLine(c *cpu.CPU, cur *trace.Cursor) func() pearl.Step {
-	inFlight := false // an operation begun by an earlier call has Steps left
-	return func() pearl.Step {
-		for {
-			if inFlight {
-				if s := c.Step(); !s.Done {
+// step is the runner's step function. The straight line — computational
+// operations, one CPU.Begin after the other, each Stepped through its holds
+// and resource waits — comes first: it is nearly all of a run. It ends at the
+// first operation the CPU does not take — a task-level compute operation, a
+// load or store to the virtual shared memory, a communication — which exec
+// starts, and at the end of the stream.
+func (r *runner) step() pearl.Step {
+	n := r.n
+	for {
+		switch r.phase {
+		case rnStraight:
+			if r.inFlight {
+				if s := r.c.Step(); !s.Done {
 					return s
 				}
-				inFlight = false
+				r.inFlight = false
 			}
-			if n.declineStraight {
-				break
+			if ev, err := r.cur.Peek(); err == nil && !n.needsPageRights(ev.Op) && r.c.Begin(ev.Op) {
+				r.cur.Advance()
+				r.inFlight = true
+				continue
 			}
-			ev, err := cur.Peek()
+			ev, err := r.cur.Next()
+			if err == io.EOF {
+				n.emitTask(r.cpu, nil)
+				r.done = true
+				return pearl.Step{Done: true}
+			}
+			if err == nil {
+				r.ev = ev
+				err = r.exec()
+			}
 			if err != nil {
-				break
+				r.err, r.done = err, true
+				return pearl.Step{Done: true}
 			}
-			if n.needsPageRights(ev.Op) || !c.Begin(ev.Op) {
-				break
+		case rnFault, rnFaultEnd:
+			o := &r.ev.Op
+			addr := o.Addr
+			if r.phase == rnFaultEnd {
+				addr += o.Mem.Size() - 1
 			}
-			cur.Advance()
-			inFlight = true
+			if s := n.shared.Ensure(n.id, o.Kind == ops.Store, addr, &r.fault); !s.Done {
+				return s
+			}
+			if last := o.Addr + o.Mem.Size() - 1; r.phase == rnFault && n.shared.InRange(last) {
+				r.phase = rnFaultEnd // page-straddling access
+				continue
+			}
+			n.dsmStall[r.cpu] += n.k.Now() - r.start
+			r.c.Begin(*o)
+			r.inFlight = true
+			r.phase = rnStraight
+		case rnCompute:
+			r.phase = rnStraight
+			return pearl.Step{Hold: pearl.Time(r.ev.Op.Dur)}
+		case rnComm:
+			if s := r.comm.Step(); !s.Done {
+				return s
+			}
+			r.endComm()
+			r.phase = rnStraight
 		}
-		return pearl.Step{Done: true}
 	}
 }
 
@@ -261,84 +298,67 @@ func (n *Node) needsPageRights(o ops.Op) bool {
 	return n.shared != nil && o.Kind.IsMemoryAccess() && n.shared.InRange(o.Addr)
 }
 
-func (n *Node) exec(p *pearl.Process, c *cpu.CPU, cpuIdx int, ev trace.Event) error {
-	o := ev.Op
-	if o.Kind.IsComputational() {
-		if n.needsPageRights(o) {
-			// Virtual shared memory: obtain page rights first (may fault
-			// through the network), then perform the local access.
-			write := o.Kind == ops.Store
-			ensureStart := p.Now()
-			n.shared.Ensure(p, n.id, write, o.Addr)
-			if last := o.Addr + o.Mem.Size() - 1; n.shared.InRange(last) {
-				n.shared.Ensure(p, n.id, write, last) // page-straddling access
-			}
-			n.dsmStall[cpuIdx] += p.Now() - ensureStart
-		}
-		return c.Exec(p, o)
-	}
-	if o.Kind == ops.Compute {
+// exec starts the operation that ended the straight line, setting the phase
+// that completes it.
+func (r *runner) exec() error {
+	n, o := r.n, r.ev.Op
+	r.start = n.k.Now()
+	switch {
+	case o.Kind.IsComputational():
+		// Virtual shared memory: obtain page rights first (may fault through
+		// the network), then perform the local access.
+		r.phase = rnFault
+		return nil
+	case o.Kind == ops.Compute:
 		// Mixed-abstraction traces are permitted: a compute event simply
 		// advances time.
 		if o.Dur > 0 {
-			p.Hold(pearl.Time(o.Dur))
+			r.phase = rnCompute
 		}
 		return nil
 	}
 	// Communication operation: close the current computational task and
 	// dispatch to the communication model.
-	n.emitTask(p, cpuIdx, &o)
+	n.emitTask(r.cpu, &o)
 	if n.nif == nil {
 		return fmt.Errorf("node %d: %s without a network attached (shared-memory node)", n.id, o.Kind)
 	}
-	commStart := p.Now()
-	resume := func(fb trace.Feedback) {
-		if ev.Resume != nil {
-			ev.Resume(fb)
-		}
-	}
-	gcpu := n.cpuBase + cpuIdx
-	switch o.Kind {
-	case ops.Send, ops.ASend:
-		if err := n.nif.Send(p, int(o.Peer), o.Size, o.Tag, ev.Payload, o.Kind == ops.Send); err != nil {
-			return fmt.Errorf("node %d cpu %d (rank %d): %w", n.id, cpuIdx, gcpu, err)
-		}
-		resume(trace.Feedback{Peer: o.Peer, Tag: o.Tag})
-		n.col.Send(gcpu, o.Peer, o.Kind.String(), commStart, p.Now())
-	case ops.Recv:
-		m := n.nif.Recv(p, o.Peer, o.Tag)
-		resume(trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})
-		n.col.Recv(gcpu, int32(m.Src), "recv", commStart, p.Now())
-	case ops.ARecv:
-		n.nif.PostRecv(p, o.Peer, o.Tag, o.Addr)
-		resume(trace.Feedback{Peer: o.Peer, Tag: o.Tag})
-	case ops.WaitRecv:
-		m := n.nif.WaitRecv(p, o.Addr)
-		resume(trace.Feedback{Peer: int32(m.Src), Tag: m.Tag, Payload: m.Payload})
-		n.col.Recv(gcpu, int32(m.Src), "waitrecv", commStart, p.Now())
-	default:
+	if !o.Kind.IsCommunication() {
 		return fmt.Errorf("node %d: unsupported operation %s", n.id, o.Kind)
 	}
-	if n.tl != nil {
-		n.tl.Span(n.cpuTracks[cpuIdx], o.Kind.String(), commStart, p.Now())
+	if err := r.comm.Begin(n.nif, o, r.ev.Payload); err != nil {
+		return fmt.Errorf("node %d cpu %d (rank %d): %w", n.id, r.cpu, n.cpuBase+r.cpu, err)
 	}
-	n.commCycles[cpuIdx] += p.Now() - commStart
-	n.lastComm[cpuIdx] = p.Now()
+	r.phase = rnComm
 	return nil
+}
+
+// endComm closes the communication operation in flight: feedback, spans,
+// and the start of the next computational task.
+func (r *runner) endComm() {
+	n := r.n
+	r.comm.Finish(r.ev.Resume, n.cpuBase+r.cpu, r.start)
+	now := n.k.Now()
+	if n.tl != nil {
+		n.tl.Span(n.cpuTracks[r.cpu], r.ev.Op.Kind.String(), r.start, now)
+	}
+	n.commCycles[r.cpu] += now - r.start
+	n.lastComm[r.cpu] = now
 }
 
 // emitTask writes the computational task that ended now (the time since the
 // previous communication operation) and, if given, the communication
 // operation that ended it, to the CPU's task sink.
-func (n *Node) emitTask(p *pearl.Process, cpuIdx int, comm *ops.Op) {
-	elapsed := p.Now() - n.lastComm[cpuIdx]
+func (n *Node) emitTask(cpuIdx int, comm *ops.Op) {
+	now := n.k.Now()
+	elapsed := now - n.lastComm[cpuIdx]
 	n.taskCount[cpuIdx]++
 	if n.tl != nil && elapsed > 0 {
 		// The compute burst between two communication operations — the same
 		// interval the task-level trace derivation records (Fig. 2).
-		n.tl.Span(n.cpuTracks[cpuIdx], "compute", n.lastComm[cpuIdx], p.Now())
+		n.tl.Span(n.cpuTracks[cpuIdx], "compute", n.lastComm[cpuIdx], now)
 	}
-	n.col.Compute(n.cpuBase+cpuIdx, n.lastComm[cpuIdx], p.Now())
+	n.col.Compute(n.cpuBase+cpuIdx, n.lastComm[cpuIdx], now)
 	w := n.taskSinks[cpuIdx]
 	if w == nil {
 		return
@@ -363,14 +383,19 @@ func (n *Node) Err() error {
 	return nil
 }
 
-// Done reports whether all spawned runners have finished their traces.
-func (n *Node) Done() bool {
+// Done reports whether all runners have finished their traces.
+func (n *Node) Done() bool { return len(n.Blocked()) == 0 }
+
+// Blocked describes the runners that have not finished, for a deadlock
+// report: "node0.cpu1 (await)", or whatever else each one's chain waits for.
+func (n *Node) Blocked() []string {
+	var out []string
 	for _, r := range n.runners {
 		if !r.done {
-			return false
+			out = append(out, fmt.Sprintf("node%d.cpu%d (%s)", n.id, r.cpu, r.chain.Reason()))
 		}
 	}
-	return true
+	return out
 }
 
 // Tasks returns how many computational tasks CPU cpuIdx produced (the task

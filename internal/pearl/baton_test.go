@@ -158,7 +158,7 @@ func TestBlockedAfterRelayedDeadlock(t *testing.T) {
 	}
 	var got []string
 	for _, p := range k.Blocked() {
-		got = append(got, p.Name()+": "+p.BlockReason())
+		got = append(got, p.Name()+": "+p.blockReason())
 	}
 	want := "[a: receive never b: receive never c: acquire unit]"
 	if fmt.Sprint(got) != want {

@@ -19,14 +19,18 @@ func TestAllocFreeBlocking(t *testing.T) {
 		for {
 			b.Send(msg)
 			p.Receive(a) // parks: pong has not answered yet
-			p.Use(bus, 2)
+			p.Acquire(bus)
+			p.Hold(2)
+			bus.Release()
 		}
 	})
 	k.Spawn("pong", func(p *Process) {
 		for {
 			p.Receive(b)
 			a.Send(msg)
-			p.Use(bus, 3) // the two queue for the bus in turn
+			p.Acquire(bus)
+			p.Hold(3)
+			bus.Release() // the two queue for the bus in turn
 		}
 	})
 	k.RunUntil(1000)

@@ -2,13 +2,14 @@ package pearl
 
 // Future is a one-shot completion cell, the reply half of a synchronous
 // request: a caller embeds a Future in its request message, sends the
-// request through a mailbox, and awaits the future; the server completes it
-// when the reply is ready (the network interface's synchronous send awaits
-// its acknowledgement this way).
+// request, and awaits the future — a chain with Step{Await}, a process with
+// Await; the server completes it when the reply is ready (the network
+// interface's synchronous send awaits its acknowledgement this way). The zero
+// Future is incomplete.
 type Future struct {
 	done    bool
 	val     any
-	waiters []*Process
+	waiting *Chain // chains awaiting completion, in arrival order
 }
 
 // NewFuture creates an incomplete future.
@@ -20,27 +21,26 @@ func (f *Future) Done() bool { return f.done }
 // Value returns the completion value; valid only once Done.
 func (f *Future) Value() any { return f.val }
 
-// Complete resolves the future with v and wakes all awaiting processes.
-// Completing a future twice panics: replies are one-shot.
+// Complete resolves the future with v and schedules, for every chain
+// awaiting it, the zero-delay event that resumes it. Completing a future
+// twice panics: replies are one-shot.
 func (f *Future) Complete(v any) {
 	if f.done {
 		panic("pearl: future completed twice")
 	}
 	f.done = true
 	f.val = v
-	for _, w := range f.waiters {
-		if !w.terminated {
-			w.unpark()
-		}
+	for c := f.waiting; c != nil; {
+		next := c.next
+		c.next = nil
+		c.wake()
+		c = next
 	}
-	f.waiters = nil
+	f.waiting = nil
 }
 
 // Await blocks the process until the future is complete, returning its value.
 func (p *Process) Await(f *Future) any {
-	for !f.done {
-		f.waiters = append(f.waiters, p)
-		p.park("await")
-	}
+	p.wait(Step{Await: f})
 	return f.val
 }

@@ -3,7 +3,6 @@ package pearl
 import (
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -23,6 +22,8 @@ func literalHoldWhile(p *Process, step func() Step) {
 			return
 		case s.Acquire != nil:
 			p.Acquire(s.Acquire)
+		case s.Await != nil:
+			p.Await(s.Await)
 		default:
 			p.Hold(s.Hold)
 		}
@@ -187,29 +188,20 @@ type propEntry struct {
 	What string
 }
 
-type propSpan struct {
-	Proc     string
-	From, To Time
-	Reason   string
-}
-
 // propShard is everything one kernel of a built program owns; with two
 // shards running on two goroutines nothing here is shared.
 type propShard struct {
-	k     *Kernel
-	log   []propEntry
-	spans []propSpan
-	res   []*Resource
-	fut   []*Future
+	k   *Kernel
+	log []propEntry
+	res []*Resource
+	fut []*Future
 
 	// Not part of the outcome: how many bodies started, and on how many
 	// distinct coroutines.
 	bodies int
 	stacks map[string]bool
-}
-
-func (s *propShard) ProcessSpan(p *Process, from, to Time, reason string) {
-	s.spans = append(s.spans, propSpan{p.Name(), from, to, reason})
+	// ... and how many chain acquisitions found their resource taken.
+	waits int
 }
 
 func (s *propShard) note(who int, what string) {
@@ -237,7 +229,6 @@ func build(spec propSpec, sharded, holdWhile bool) *propWorld {
 		if sharded {
 			s.k = w.g.Kernel(i)
 		}
-		s.k.SetTracer(s)
 		for j := 0; j < propResources; j++ {
 			s.res = append(s.res, s.k.NewResource(fmt.Sprintf("r%d.%d", i, j), 1))
 		}
@@ -269,7 +260,7 @@ func (w *propWorld) shardOf(proc int) *propShard { return w.shards[w.shardIndex(
 func (w *propWorld) send(from, to int, d Time) {
 	src, dst := w.shardIndex(from), w.shardIndex(to)
 	if src == dst {
-		w.inbox[to].SendAfter(d, from)
+		w.inbox[to].sendAfter(d, from)
 		return
 	}
 	w.sent[from]++
@@ -329,6 +320,9 @@ func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process)
 				if i%2 == 0 && s.res[l.idx].TryAcquire() {
 					continue
 				}
+				if s.res[l.idx].InUse() > 0 {
+					s.waits++
+				}
 				return Step{Acquire: s.res[l.idx]}
 			}
 			return Step{Done: true}
@@ -374,7 +368,6 @@ func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process)
 // propOutcome is everything the two builds of a program must agree on.
 type propOutcome struct {
 	Logs    [][]propEntry
-	Spans   [][]propSpan
 	Now     []Time
 	Events  []uint64
 	Daemons []uint64
@@ -387,18 +380,17 @@ func (w *propWorld) outcome() propOutcome {
 	var o propOutcome
 	for _, s := range w.shards {
 		o.Logs = append(o.Logs, s.log)
-		o.Spans = append(o.Spans, s.spans)
 		o.Now = append(o.Now, s.k.Now())
 		o.Events = append(o.Events, s.k.EventCount())
 		o.Daemons = append(o.Daemons, s.k.DaemonEvents())
 		var blocked []string
 		for _, p := range s.k.Blocked() {
-			blocked = append(blocked, p.Name()+": "+p.BlockReason())
+			blocked = append(blocked, p.Name()+": "+p.blockReason())
 		}
 		o.Blocked = append(o.Blocked, blocked)
 		for _, r := range s.res {
 			o.Resources = append(o.Resources, [5]int64{int64(r.BusyCycles()), int64(r.WaitCycles()),
-				int64(r.Acquires()), int64(r.InUse()), int64(r.QueueLen())})
+				int64(r.Acquires()), int64(r.InUse()), int64(r.queueLen())})
 		}
 		s.k.Close() // most programs leave someone waiting for a message
 	}
@@ -426,7 +418,7 @@ func propDrivers() map[string]func(*testing.T, *propWorld) {
 				s.k.RunUntil(at)
 				var waiting []string
 				for _, p := range s.k.Blocked() {
-					waiting = append(waiting, p.Name()+": "+p.BlockReason())
+					waiting = append(waiting, p.Name()+": "+p.blockReason())
 				}
 				s.note(-1, fmt.Sprintf("cut: %d events, waiting %q", s.k.EventCount(), waiting))
 			}
@@ -463,6 +455,7 @@ func TestHoldWhileEquivalence(t *testing.T) {
 							switchesChain += s.k.Switches()
 						} else {
 							switchesLoop += s.k.Switches()
+							waits += uint64(s.waits)
 						}
 					}
 				}
@@ -474,13 +467,6 @@ func TestHoldWhileEquivalence(t *testing.T) {
 					for _, e := range log {
 						if e.What == "step" {
 							chains++
-						}
-					}
-				}
-				for _, spans := range got[0].Spans {
-					for _, sp := range spans {
-						if strings.HasPrefix(sp.Reason, "acquire ") {
-							waits++
 						}
 					}
 				}

@@ -1,13 +1,13 @@
 // Package pearl provides the discrete-event simulation kernel that the
 // Mermaid architecture models are written in. It is a Go substitute for the
 // Pearl object-oriented simulation language used by the original system
-// (Muller, "Simulating computer architectures", 1993): simulation models are
-// expressed as communicating processes that exchange messages in virtual
-// time: mailboxes carry them, and a request that needs an answer carries a
-// Future for the reply, which the sender awaits.
+// (Muller, "Simulating computer architectures", 1993). Nothing in a model owns
+// a stack: every component that waits is the owner of a Chain, a step
+// function that returns what it waits for next — a hold, a unit of a
+// Resource, a Future — and that the one event ending the wait calls again.
 //
 // The kernel is strictly deterministic: events at equal virtual times fire in
-// schedule order, and at most one process runs at any moment. Given
+// schedule order, and at most one component runs at any moment. Given
 // identical inputs, a simulation produces identical traces and statistics,
 // which the trace-validity guarantees of the environment rely on.
 //
@@ -18,17 +18,16 @@
 // wheelSize cycles ahead goes into a timing wheel: one FIFO bucket per
 // instant, found through an occupancy bitmap, so scheduling and firing it
 // costs O(1) — the bucket of the current instant is where zero-delay
-// cascades (mailbox handoffs, bus grants) land. Only events further ahead
-// take the 4-ary heap behind it.
+// cascades (grants, completions) land. Only events further ahead take the
+// 4-ary heap behind it.
 //
-// There is no kernel goroutine and no scheduler in the loop. Process bodies
-// run on pooled coroutines (iter.Pull workers, see worker) that the goroutine
-// calling Run switches into and that switch back to it: a direct transfer of
-// control, never a wake-up through the Go scheduler. The event loop runs on
+// Process is a blocking layer over chains, kept for tests and host-side
+// probes that are easier to write as straight-line code: its body runs on a
+// pooled coroutine (iter.Pull, see worker), and its Hold, Acquire, Await and
+// HoldWhile are chains whose end activates it. The event loop runs on
 // whichever stack holds the baton: the caller's, or that of a process that
 // has just blocked and fires events itself until the next process activation
-// (see dispatch and Process.block). A process whose own hold expires next
-// resumes without any switch.
+// (see dispatch and Process.block).
 package pearl
 
 import (
@@ -56,19 +55,13 @@ const (
 	evCancelled
 	// evFunc runs a callback closure.
 	evFunc
-	// evHold resumes a process parked in Hold — no closure needed.
-	evHold
-	// evWake is an idempotent process activation (park/unpark) — no closure
-	// needed.
-	evWake
 	// evDaemon runs a callback closure like evFunc, but the event never keeps
 	// the run alive on its own: Run returns once only daemon events remain.
 	evDaemon
-	// evStep is the expiry of a hold link of a HoldWhile chain: the process's
-	// step function runs in kernel context and either extends the chain or
-	// ends it, which activates the process — no closure needed. (The link of
-	// a contended acquisition is the evWake of the grant.)
-	evStep
+	// evChain starts a chain or ends its wait — a hold expiring, a unit
+	// granted, a future completed — and calls its step function in kernel
+	// context (Kernel.link), or activates its process: no closure needed.
+	evChain
 )
 
 // driveMode selects the stop condition of the event loop; the three public
@@ -89,13 +82,13 @@ const (
 // a free list; gen increments on every release so stale Timer handles can
 // never cancel a recycled slot.
 type eventSlot struct {
-	at   Time
-	seq  uint64 // tie-breaker: FIFO among equal times
-	fn   func() // evFunc only
-	proc *Process
-	gen  uint32
-	next int32 // wheel entries: the next slot of the bucket, +1; 0 ends it
-	kind eventKind
+	at    Time
+	seq   uint64 // tie-breaker: FIFO among equal times
+	fn    func() // evFunc and evDaemon only
+	chain *Chain // evChain only
+	gen   uint32
+	next  int32 // wheel entries: the next slot of the bucket, +1; 0 ends it
+	kind  eventKind
 }
 
 // Timer is a generation-counted handle to a scheduled event. The zero Timer
@@ -124,7 +117,7 @@ func (t Timer) Cancel() bool {
 	}
 	s.kind = evCancelled
 	s.fn = nil
-	s.proc = nil
+	s.chain = nil
 	t.k.live--
 	return true
 }
@@ -228,34 +221,6 @@ type Kernel struct {
 	eventCount  uint64
 	daemonFired uint64 // daemon events actually executed
 	stopped     bool
-
-	// tracer, when non-nil, observes process scheduling for the
-	// instrumentation layer. The hook sits on the process activation path,
-	// not the event loop, so pure-event workloads pay nothing.
-	tracer Tracer
-}
-
-// Tracer observes process scheduling. ProcessSpan is called when a process
-// resumes after blocking: [from, to] is the blocked interval and reason the
-// process's block reason ("hold", "receive x", "acquire y"). Implementations
-// must not re-enter the kernel.
-type Tracer interface {
-	ProcessSpan(p *Process, from, to Time, reason string)
-}
-
-// SetTracer attaches (or, with nil, detaches) a scheduling tracer.
-func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
-
-// Tracers fans one process-span feed out to several consumers (e.g. the
-// timeline recorder and the bottleneck collector observing the same run). It
-// implements Tracer itself; attach with SetTracer.
-type Tracers []Tracer
-
-// ProcessSpan implements Tracer by forwarding to every member in order.
-func (ts Tracers) ProcessSpan(p *Process, from, to Time, reason string) {
-	for _, t := range ts {
-		t.ProcessSpan(p, from, to, reason)
-	}
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -268,17 +233,14 @@ func (k *Kernel) Now() Time { return k.now }
 // progress and cost metric. Cancelled events are never executed or counted.
 func (k *Kernel) EventCount() uint64 { return k.eventCount }
 
-// Switches returns the number of hand-offs performed so far: every transfer
-// of the baton from the running stack to another (caller to process, process
-// back to the caller, and process to process, which is relayed through the
-// caller and counts once). Like EventCount it is exact and seed-determined; a
-// process resuming from its own hold, a HoldWhile step and every callback
-// cost none.
+// Switches returns the number of hand-offs between stacks so far — into a
+// process, back to the caller, and process to process (relayed, counted
+// once) — exact and seed-determined like EventCount. Chains cost none.
 func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule allocates a slot for an event at absolute time t and queues it.
 // The caller guarantees t >= k.now.
-func (k *Kernel) schedule(t Time, kind eventKind, fn func(), proc *Process) Timer {
+func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) Timer {
 	var idx int32
 	if n := len(k.free); n > 0 {
 		idx = k.free[n-1]
@@ -291,7 +253,7 @@ func (k *Kernel) schedule(t Time, kind eventKind, fn func(), proc *Process) Time
 	s.at = t
 	s.seq = k.seq
 	s.fn = fn
-	s.proc = proc
+	s.chain = c
 	s.kind = kind
 	k.seq++
 	k.live++
@@ -358,7 +320,7 @@ func (k *Kernel) wheelPop(b int) {
 func (k *Kernel) release(idx int32) {
 	s := &k.slots[idx]
 	s.fn = nil
-	s.proc = nil
+	s.chain = nil
 	s.kind = evFree
 	s.gen++
 	k.free = append(k.free, idx)
@@ -510,7 +472,7 @@ func (k *Kernel) fire(idx int32, fromHeap bool) *Process {
 	k.now = s.at
 	k.eventCount++
 	k.live--
-	kind, fn, proc := s.kind, s.fn, s.proc
+	kind, fn, c := s.kind, s.fn, s.chain
 	if kind == evDaemon {
 		k.daemons--
 		k.daemonFired++
@@ -521,16 +483,8 @@ func (k *Kernel) fire(idx int32, fromHeap bool) *Process {
 	switch kind {
 	case evFunc, evDaemon:
 		fn()
-	case evHold:
-		return k.activate(proc)
-	case evWake:
-		proc.wakePending = false
-		if proc.acquiring != nil {
-			return k.resume(proc)
-		}
-		return k.activate(proc)
-	case evStep:
-		return k.resume(proc)
+	case evChain:
+		return k.link(c)
 	}
 	return nil
 }
@@ -702,18 +656,15 @@ func (k *Kernel) RunUntil(t Time) Time {
 }
 
 // Close ends the kernel's life: it unwinds the body of every process that
-// has started and not terminated — servers that loop forever, processes a
-// deadlocked or aborted run left blocked — and ends every worker, so that
-// neither they nor the model they reference outlive the run. Each body is
-// unwound from where it is parked by a panic that Process.exit recovers (a
-// goroutine exit would not stop at the coroutine: it propagates to whoever
-// resumed it, here Close's caller): its deferred calls run, one process at a
-// time, and nothing else of kernel or model state is touched, so clocks,
-// counters, Blocked and BlockReason still read as the run left them. A
-// process never activated has no worker and runs nothing. A kernel that has
-// run processes holds its idle workers until it is closed. Close is
-// idempotent. It must be called from the goroutine driving the kernel,
-// between runs; a closed kernel can be neither run nor spawned on.
+// has started and not terminated, and ends every worker, so that neither
+// outlives the run. A body is unwound from where it is parked by a panic
+// that Process.exit recovers (a goroutine exit would propagate to whoever
+// resumed the coroutine, here Close's caller): its deferred calls run, one
+// process at a time, and nothing else is touched, so clocks, counters and
+// Blocked read as the run left them. A kernel that has run processes holds
+// its idle workers until it is closed. Close is idempotent; it must be called
+// from the goroutine driving the kernel, between runs, and a closed kernel
+// can be neither run nor spawned on.
 func (k *Kernel) Close() {
 	if k.closed {
 		return

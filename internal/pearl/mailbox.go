@@ -40,9 +40,9 @@ func (mb *Mailbox) Send(msg any) {
 	mb.deliver(msg)
 }
 
-// SendAfter enqueues msg for delivery d cycles from now. The message is not
+// sendAfter enqueues msg for delivery d cycles from now. The message is not
 // visible to receivers before then.
-func (mb *Mailbox) SendAfter(d Time, msg any) {
+func (mb *Mailbox) sendAfter(d Time, msg any) {
 	if d == 0 {
 		mb.deliver(msg)
 		return
@@ -71,10 +71,10 @@ func (mb *Mailbox) wakeOne() {
 	}
 }
 
-// TryReceive dequeues the head message without blocking. It reports false if
+// tryReceive dequeues the head message without blocking. It reports false if
 // the mailbox is empty. May be called from event callbacks as well as
 // processes.
-func (mb *Mailbox) TryReceive() (any, bool) {
+func (mb *Mailbox) tryReceive() (any, bool) {
 	if mb.q.len() == 0 {
 		return nil, false
 	}
@@ -85,7 +85,7 @@ func (mb *Mailbox) TryReceive() (any, bool) {
 // Receive blocks the process until a message is available and dequeues it.
 func (p *Process) Receive(mb *Mailbox) any {
 	for {
-		if msg, ok := mb.TryReceive(); ok {
+		if msg, ok := mb.tryReceive(); ok {
 			// Cascade: if more messages and more waiters remain, keep the
 			// pipeline moving so no wakeup is lost.
 			if mb.q.len() > 0 {

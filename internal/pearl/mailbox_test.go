@@ -35,7 +35,7 @@ func TestMailboxSendAfter(t *testing.T) {
 		p.Receive(mb)
 		when = p.Now()
 	})
-	mb.SendAfter(42, "late")
+	mb.sendAfter(42, "late")
 	k.Run()
 	if when != 42 {
 		t.Fatalf("received at %d, want 42", when)
@@ -89,13 +89,13 @@ func TestMailboxMultipleWaitersNoLostWakeup(t *testing.T) {
 func TestTryReceive(t *testing.T) {
 	k := NewKernel()
 	mb := k.NewMailbox("try")
-	if _, ok := mb.TryReceive(); ok {
-		t.Fatal("TryReceive on empty mailbox succeeded")
+	if _, ok := mb.tryReceive(); ok {
+		t.Fatal("tryReceive on empty mailbox succeeded")
 	}
 	mb.Send(7)
-	v, ok := mb.TryReceive()
+	v, ok := mb.tryReceive()
 	if !ok || v.(int) != 7 {
-		t.Fatalf("TryReceive = %v, %v", v, ok)
+		t.Fatalf("tryReceive = %v, %v", v, ok)
 	}
 }
 

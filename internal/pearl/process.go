@@ -17,22 +17,13 @@ type Process struct {
 	body func(p *Process)
 	w    *worker
 
-	terminated  bool
-	runnable    bool // currently running or has a pending activation
-	wakePending bool
-	wakeTimer   Timer // handle of the pending wake event, for retirement
-	blockReason string
-	blockedAt   Time // when the current block began (valid while blocked)
+	terminated bool
+	runnable   bool   // currently running or has a pending activation
+	receiving  string // the block reason of a Receive in progress
 
-	// granted and queuedAt are the process's entry in a Resource's wait
-	// queue; it waits for at most one resource at a time.
-	granted  bool
-	queuedAt Time
-
-	// step is the HoldWhile chain in progress, nil otherwise; acquiring is the
-	// contended resource the chain is queued on, if it is.
-	step      func() Step
-	acquiring *Resource
+	// c carries the process's holds, resource waits and awaits, and its
+	// HoldWhile chains; its end activates the process.
+	c Chain
 
 	// OnPanic, if set, is invoked (in kernel context, on the goroutine that
 	// called Run) when the process body panics. The default is to re-panic
@@ -47,16 +38,22 @@ type Process struct {
 // control returns to the kernel loop; until then the process is only this
 // record — it takes a worker when it is first activated.
 func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
+	return k.SpawnAt(k.now, name, body)
+}
+
+// SpawnAt is Spawn with the first activation at absolute time t.
+func (k *Kernel) SpawnAt(t Time, name string, body func(p *Process)) *Process {
 	if k.closed {
 		panic("pearl: Spawn on a closed kernel")
 	}
 	if k.dead > len(k.procs)/2 {
 		k.sweep()
 	}
-	p := &Process{k: k, name: name, id: k.spawned, body: body}
+	p := &Process{k: k, name: name, id: k.spawned, body: body, runnable: true}
+	p.c = Chain{k: k, proc: p}
 	k.spawned++
 	k.procs = append(k.procs, p)
-	p.scheduleWake(0)
+	k.schedule(t, evChain, nil, &p.c)
 	return p
 }
 
@@ -120,31 +117,8 @@ func (p *Process) exit() {
 	k.relay(p)
 }
 
-// SpawnAt is Spawn with the first activation delayed until absolute time t.
-func (k *Kernel) SpawnAt(t Time, name string, body func(p *Process)) *Process {
-	p := k.Spawn(name, body)
-	// Spawn scheduled an immediate wake; move it.
-	// (The pending wake is always the immediate one here.)
-	return p.rescheduleFirst(t)
-}
-
-func (p *Process) rescheduleFirst(t Time) *Process {
-	// Retire the immediate activation scheduled by Spawn and reschedule at t.
-	// Only valid right after Spawn, before the kernel loop runs: the stale
-	// event is cancelled (discarded unfired, never counted), not left dead in
-	// the queue.
-	p.wakeTimer.Cancel()
-	p.wakePending = false
-	p.runnable = false
-	p.scheduleWakeAt(t)
-	return p
-}
-
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
-
-// Kernel returns the kernel this process runs on.
-func (p *Process) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Process) Now() Time { return p.k.now }
@@ -152,9 +126,14 @@ func (p *Process) Now() Time { return p.k.now }
 // Terminated reports whether the process body has returned.
 func (p *Process) Terminated() bool { return p.terminated }
 
-// BlockReason returns a short description of what the process is currently
+// blockReason returns a short description of what the process is currently
 // blocked on; empty if running or terminated. For diagnostics.
-func (p *Process) BlockReason() string { return p.blockReason }
+func (p *Process) blockReason() string {
+	if p.receiving != "" {
+		return p.receiving
+	}
+	return p.c.Reason()
+}
 
 // String implements fmt.Stringer.
 func (p *Process) String() string {
@@ -168,12 +147,9 @@ func (k *Kernel) activate(p *Process) *Process {
 	if p.terminated {
 		return nil
 	}
-	if k.tracer != nil && p.blockReason != "" && k.now > p.blockedAt {
-		k.tracer.ProcessSpan(p, p.blockedAt, k.now, p.blockReason)
-	}
 	k.current = p
 	p.runnable = true
-	p.blockReason = ""
+	p.receiving = ""
 	return p
 }
 
@@ -182,35 +158,16 @@ func (k *Kernel) activate(p *Process) *Process {
 // so callbacks execute here, in kernel context, and if the next activation is
 // the process's own it simply returns. Only when another process is
 // activated, or the run stops, does it yield the baton home.
-func (p *Process) block(reason string) {
+func (p *Process) block() {
 	k := p.k
 	if k.current != p {
 		panic(fmt.Sprintf("pearl: %v blocking while not the running process", p))
 	}
 	p.runnable = false
-	p.blockReason = reason
-	p.blockedAt = k.now
 	k.current = nil
 	if !k.relay(p) {
 		p.yield()
 	}
-}
-
-// scheduleWake schedules an activation of p after delay d, unless an
-// activation is already pending (wakes are idempotent).
-func (p *Process) scheduleWake(d Time) {
-	p.scheduleWakeAt(p.k.now + d)
-}
-
-func (p *Process) scheduleWakeAt(t Time) {
-	if p.wakePending || p.terminated {
-		return
-	}
-	p.wakePending = true
-	p.runnable = true
-	// A typed wake event: no closure, no allocation; the kernel clears
-	// wakePending and activates p when it fires.
-	p.wakeTimer = p.k.schedule(t, evWake, nil, p)
 }
 
 // Hold advances the process's virtual time by d cycles, yielding control to
@@ -220,22 +177,7 @@ func (p *Process) Hold(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("pearl: %v Hold(%d): negative duration", p, d))
 	}
-	// A typed hold event: no closure, no allocation.
-	p.k.schedule(p.k.now+d, evHold, nil, p)
-	p.block("hold")
-}
-
-// Step is what a HoldWhile step function asks for next.
-type Step struct {
-	// Hold lets this many cycles pass before the next step, like
-	// Process.Hold. Zero still yields to the events of the current instant.
-	Hold Time
-	// Acquire, when not nil, takes a unit of the resource before the next
-	// step, like Process.Acquire: at once if one is free, else queued behind
-	// earlier requesters. Hold is then ignored.
-	Acquire *Resource
-	// Done ends the chain.
-	Done bool
+	p.wait(Step{Hold: d})
 }
 
 // HoldWhile is exactly
@@ -246,79 +188,43 @@ type Step struct {
 //			return
 //		case s.Acquire != nil:
 //			p.Acquire(s.Acquire)
+//		case s.Await != nil:
+//			p.Await(s.Await)
 //		default:
 //			p.Hold(s.Hold)
 //		}
 //	}
 //
-// except that after the first call step runs in kernel context, on whichever
-// stack holds the baton, so a chain of holds and resource waits costs no
-// switch however many other processes interleave with it. Each link is one
-// typed event — the hold's expiry, or the wake-up a Release schedules for the
-// waiter it grants the unit to — that emits the block span a resuming process
-// would, does the accounting Acquire would, calls step, and either schedules
-// or queues the next link or, on Done, activates the process: the same events
-// are scheduled at the same program points as by the loop above, so event
-// order, EventCount and everything observable in virtual time are identical.
-// step must not block, and must not rely on being called on the process's own
-// stack; a panic in it surfaces like a callback's.
+// except that after the first call step runs in kernel context, as the step
+// function of the process's Chain, so a chain of waits costs no switch
+// however many other processes interleave with it: each wait is the one event
+// that would resume the process, and only the chain's end activates it. The
+// same events are scheduled at the same program points as by the loop above,
+// so event order, EventCount and everything observable in virtual time are
+// identical. step must not block, and must not rely on being called on the
+// process's own stack; a panic in it surfaces like a callback's.
 func (p *Process) HoldWhile(step func() Step) {
-	p.step = step
-	if reason := p.advance(); reason != "" {
-		p.block(reason)
+	p.c.step = step
+	if p.c.advance() {
+		p.block()
+		return
+	}
+	p.c.step = nil
+}
+
+// wait blocks the process for one wait of its chain, if s needs one.
+func (p *Process) wait(s Step) {
+	if p.c.await(s) {
+		p.block()
 	}
 }
 
-// advance calls p's step function until the chain has to wait — a link is
-// scheduled or queued — and returns the block reason of that wait, or ""
-// when the chain has ended.
-func (p *Process) advance() string {
-	for {
-		s := p.step()
-		switch {
-		case s.Done:
-			p.step = nil
-			return ""
-		case s.Acquire == nil:
-			if s.Hold < 0 {
-				panic(fmt.Sprintf("pearl: %v HoldWhile step asked to hold %d: negative duration", p, s.Hold))
-			}
-			p.k.schedule(p.k.now+s.Hold, evStep, nil, p)
-			return "hold"
-		case !s.Acquire.request(p):
-			p.acquiring = s.Acquire
-			return s.Acquire.reason
-		}
-	}
+// park blocks until some other component calls unpark. It is the building
+// block of Receive.
+func (p *Process) park(reason string) {
+	p.receiving = reason
+	p.block()
 }
-
-// resume fires a link of p's chain — its hold has expired, or the resource it
-// is queued on has woken it: what activate would do for the resuming process,
-// then what the process would do up to its next block.
-func (k *Kernel) resume(p *Process) *Process {
-	if k.tracer != nil && k.now > p.blockedAt {
-		k.tracer.ProcessSpan(p, p.blockedAt, k.now, p.blockReason)
-	}
-	p.blockedAt = k.now
-	if r := p.acquiring; r != nil {
-		if !p.granted {
-			p.runnable = false // woken, but not by a grant: Acquire parks again
-			return nil
-		}
-		p.acquiring = nil
-		r.grant(p)
-	}
-	if reason := p.advance(); reason != "" {
-		p.runnable = false
-		p.blockReason = reason
-		return nil
-	}
-	return k.activate(p)
-}
-
-// park blocks until some other component calls unpark (via scheduleWake).
-// It is the building block of Receive/Acquire/Await.
-func (p *Process) park(reason string) { p.block(reason) }
 
 // unpark schedules the process to resume at the current virtual time.
-func (p *Process) unpark() { p.scheduleWake(0) }
+func (p *Process) unpark() { p.c.wake() }

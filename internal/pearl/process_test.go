@@ -113,8 +113,8 @@ func TestBlockedDiagnostics(t *testing.T) {
 	if len(blocked) != 1 || blocked[0] != p {
 		t.Fatalf("Blocked() = %v, want [stuck]", blocked)
 	}
-	if !strings.Contains(p.BlockReason(), "never") {
-		t.Fatalf("BlockReason = %q, want mention of mailbox", p.BlockReason())
+	if !strings.Contains(p.blockReason(), "never") {
+		t.Fatalf("BlockReason = %q, want mention of mailbox", p.blockReason())
 	}
 }
 

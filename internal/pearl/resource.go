@@ -14,7 +14,7 @@ type Resource struct {
 	reason   string // block reason of a waiter, built once
 	capacity int
 	inUse    int
-	waiters  fifo[*Process]
+	waiters  fifo[*Chain]
 
 	lastChange Time
 	busyCycles Time // integral of inUse over time
@@ -37,8 +37,9 @@ func (r *Resource) Name() string { return r.name }
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
+// queueLen returns the number of chains (processes among them) waiting to
+// acquire.
+func (r *Resource) queueLen() int { return r.waiters.len() }
 
 // Acquires returns the number of successful acquisitions so far.
 func (r *Resource) Acquires() uint64 { return r.acquires }
@@ -55,8 +56,8 @@ func (r *Resource) BusyCycles() Time {
 	return r.busyCycles
 }
 
-// WaitCycles returns the total time processes have spent queued for the
-// resource, summed over all completed acquisitions.
+// WaitCycles returns the total time spent queued for the resource, summed
+// over all completed acquisitions.
 func (r *Resource) WaitCycles() Time { return r.waitCycles }
 
 // account folds the elapsed occupancy into the busy integral.
@@ -96,35 +97,10 @@ func (r *Resource) TryAcquire() bool {
 	return false
 }
 
-// request takes a unit for p if one is free and nobody is queued; otherwise
-// it queues p and reports false.
-func (r *Resource) request(p *Process) bool {
-	if r.TryAcquire() {
-		return true
-	}
-	p.granted, p.queuedAt = false, r.k.now
-	r.waiters.push(p)
-	return false
-}
-
-// grant books the acquisition of a queued p that Release has given its unit.
-func (r *Resource) grant(p *Process) {
-	r.waitCycles += r.k.now - p.queuedAt
-	r.acquires++
-}
-
 // Acquire blocks until a unit of the resource is granted to the process.
 // Grants are strictly FIFO: a later arrival can never overtake an earlier
 // waiter.
-func (p *Process) Acquire(r *Resource) {
-	if r.request(p) {
-		return
-	}
-	for !p.granted {
-		p.park(r.reason)
-	}
-	r.grant(p)
-}
+func (p *Process) Acquire(r *Resource) { p.wait(Step{Acquire: r}) }
 
 // Release returns one unit of the resource, granting it to the head waiter if
 // any. May be called from any context.
@@ -134,23 +110,9 @@ func (r *Resource) Release() {
 	}
 	r.account()
 	r.inUse--
-	for r.waiters.len() > 0 {
-		w := r.waiters.pop()
-		if w.terminated {
-			continue
-		}
+	if r.waiters.len() > 0 {
 		// Transfer the unit directly to the waiter so no newcomer can steal.
 		r.inUse++
-		w.granted = true
-		w.unpark()
-		return
+		r.waiters.pop().wake()
 	}
-}
-
-// Use acquires the resource, holds it for d cycles, and releases it — the
-// common "occupy the bus for the transfer time" pattern.
-func (p *Process) Use(r *Resource, d Time) {
-	p.Acquire(r)
-	p.Hold(d)
-	r.Release()
 }

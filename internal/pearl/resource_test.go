@@ -76,8 +76,8 @@ func TestTryAcquire(t *testing.T) {
 		granted = p.Now()
 	})
 	k.After(5, func() {
-		if r.QueueLen() != 1 {
-			t.Errorf("%d queued, want the waiter", r.QueueLen())
+		if r.queueLen() != 1 {
+			t.Errorf("%d queued, want the waiter", r.queueLen())
 		}
 		r.Release() // goes to the waiter, at 5
 		r.Release()
@@ -125,7 +125,9 @@ func TestResourceUtilization(t *testing.T) {
 	r := k.NewResource("bus", 1)
 	k.Spawn("w", func(p *Process) {
 		p.Hold(50)
-		p.Use(r, 50) // busy half the time
+		p.Acquire(r)
+		p.Hold(50)
+		r.Release() // busy half the time
 	})
 	k.Run()
 	if u := r.Utilization(); math.Abs(u-0.5) > 1e-9 {
@@ -136,8 +138,16 @@ func TestResourceUtilization(t *testing.T) {
 func TestResourceAvgWait(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource("bus", 1)
-	k.Spawn("first", func(p *Process) { p.Use(r, 10) })
-	k.Spawn("second", func(p *Process) { p.Use(r, 10) }) // waits 10
+	k.Spawn("first", func(p *Process) {
+		p.Acquire(r)
+		p.Hold(10)
+		r.Release()
+	})
+	k.Spawn("second", func(p *Process) {
+		p.Acquire(r)
+		p.Hold(10)
+		r.Release()
+	}) // waits 10
 	k.Run()
 	// Two acquires, total wait 10 -> mean 5.
 	if w := r.AvgWait(); math.Abs(w-5) > 1e-9 {

@@ -195,12 +195,12 @@ func TestCloseInEveryState(t *testing.T) {
 		QueueLen int
 	}
 	read := func() reading {
-		r := reading{Reasons: map[string]string{}, Events: k.EventCount(), Now: k.Now(), InUse: unit.InUse(), QueueLen: unit.QueueLen()}
+		r := reading{Reasons: map[string]string{}, Events: k.EventCount(), Now: k.Now(), InUse: unit.InUse(), QueueLen: unit.queueLen()}
 		for _, p := range k.Blocked() {
 			r.Blocked = append(r.Blocked, p.Name())
 		}
 		for name, p := range procs {
-			r.Reasons[name] = p.BlockReason()
+			r.Reasons[name] = p.blockReason()
 		}
 		return r
 	}

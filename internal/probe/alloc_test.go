@@ -21,7 +21,6 @@ func TestAllocFreeNilTimeline(t *testing.T) {
 	if got := testing.AllocsPerRun(200, func() {
 		tl.Span(tr, "s", 0, 10)
 		tl.Instant(tr, "i", 5)
-		tl.ProcessSpan(nil, 0, 1, "hold")
 	}); got != 0 {
 		t.Errorf("nil timeline allocates %v times per op; want 0", got)
 	}
@@ -43,28 +42,24 @@ func TestAllocFreeTracerUnattachedProcess(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	// Probe enabled but no process registered: the kernel's tracer hook fires
-	// on every resume, the timeline looks the process up and drops the span.
-	// That path must not allocate.
+	// A probe with a timeline, and a chain that reports no spans to it (the
+	// counterpart of a process the kernel tracer used to look up and drop):
+	// every link of the chain must stay allocation-free and record nothing.
 	k := pearl.NewKernel()
 	p := New(Config{Timeline: true})
 	tl := p.Timeline()
-	k.SetTracer(tl)
-	k.Spawn("untracked", func(pr *pearl.Process) {
-		for i := 0; i < 1<<20; i++ {
-			pr.Hold(1)
-		}
-	})
-	// Warm up, then measure single-cycle advances, each resuming the
-	// untracked process once through the tracer hook.
+	var c pearl.Chain
+	c.Init(k, func() pearl.Step { return pearl.Step{Hold: 1} })
+	c.Start()
+	// Warm up, then measure single-cycle advances, one link each.
 	at := k.RunUntil(64)
 	if got := testing.AllocsPerRun(200, func() {
 		at++
 		k.RunUntil(at)
 	}); got != 0 {
-		t.Errorf("tracer hook allocates %v times per resume of an untracked process; want 0", got)
+		t.Errorf("an unobserved chain allocates %v times per link; want 0", got)
 	}
 	if tl.Events() != 0 {
-		t.Errorf("untracked process produced %d events", tl.Events())
+		t.Errorf("unobserved chain produced %d events", tl.Events())
 	}
 }

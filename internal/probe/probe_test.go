@@ -52,8 +52,6 @@ func TestNilTimelineNoOps(t *testing.T) {
 	tr := tl.Track("x")
 	tl.Span(tr, "s", 0, 10)
 	tl.Instant(tr, "i", 5)
-	tl.TrackProcess(nil, "p")
-	tl.ProcessSpan(nil, 0, 1, "hold")
 	if tl.Events() != 0 {
 		t.Error("nil timeline recorded events")
 	}
@@ -282,18 +280,26 @@ func TestKernelBlockSpansOptIn(t *testing.T) {
 	k := pearl.NewKernel()
 	p := New(Config{Timeline: true})
 	tl := p.Timeline()
-	k.SetTracer(tl)
-	tracked := k.Spawn("tracked", func(pr *pearl.Process) {
-		pr.Hold(10)
-		pr.Hold(5)
-	})
-	k.Spawn("ignored", func(pr *pearl.Process) {
-		pr.Hold(7)
-	})
-	tl.TrackProcess(tracked, "node0.cpu0")
+	// A component's chain reports its waits on its own track when it asks
+	// to; a chain nobody observes records nothing.
+	holds := func(ds ...pearl.Time) func() pearl.Step {
+		return func() pearl.Step {
+			if len(ds) == 0 {
+				return pearl.Step{Done: true}
+			}
+			d := ds[0]
+			ds = ds[1:]
+			return pearl.Step{Hold: d}
+		}
+	}
+	var tracked, ignored pearl.Chain
+	tracked.Init(k, holds(10, 5))
+	track := tl.Track("node0.cpu0")
+	tracked.Spans = func(from, to pearl.Time, reason string) { tl.Span(track, reason, from, to) }
+	ignored.Init(k, holds(7))
+	tracked.Start()
+	ignored.Start()
 	k.Run()
-	// Two hold spans from the tracked process; the unregistered process must
-	// contribute nothing.
 	if tl.Events() != 2 {
 		t.Fatalf("events = %d, want 2 (opt-in only)", tl.Events())
 	}
@@ -302,11 +308,8 @@ func TestKernelBlockSpansOptIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, `"hold"`) {
-		t.Errorf("block spans missing hold reason:\n%s", out)
-	}
-	if strings.Contains(out, "ignored") {
-		t.Errorf("unregistered process leaked into the timeline:\n%s", out)
+	if !strings.Contains(out, `"hold"`) || !strings.Contains(out, "node0.cpu0") {
+		t.Errorf("block spans missing on the component's track:\n%s", out)
 	}
 }
 

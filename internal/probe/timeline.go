@@ -32,11 +32,6 @@ type Timeline struct {
 	tracks     []string
 	trackIndex map[string]Track
 
-	// procTracks holds the kernel-span opt-in set: only processes registered
-	// with TrackProcess get their block spans recorded (packet and drain
-	// helper processes would otherwise explode the track count).
-	procTracks map[*pearl.Process]Track
-
 	events []event
 }
 
@@ -58,7 +53,6 @@ func newTimeline(sampleEvery uint64) *Timeline {
 	return &Timeline{
 		sampleEvery: sampleEvery,
 		trackIndex:  make(map[string]Track),
-		procTracks:  make(map[*pearl.Process]Track),
 	}
 }
 
@@ -76,16 +70,6 @@ func (t *Timeline) Track(name string) Track {
 	t.tracks = append(t.tracks, name)
 	t.trackIndex[name] = tr
 	return tr
-}
-
-// TrackProcess opts the given simulation process into kernel block-span
-// recording on the named track: every time the process resumes, the span it
-// spent blocked (hold, receive, resource acquisition) is emitted.
-func (t *Timeline) TrackProcess(p *pearl.Process, name string) {
-	if t == nil || p == nil {
-		return
-	}
-	t.procTracks[p] = t.Track(name)
 }
 
 // sampled advances the global event counter and reports whether this event
@@ -109,20 +93,6 @@ func (t *Timeline) Instant(tr Track, name string, at pearl.Time) {
 		return
 	}
 	t.events = append(t.events, event{name: name, ts: int64(at), track: tr, ph: 'i'})
-}
-
-// ProcessSpan implements pearl.Tracer: the kernel calls it when a tracked
-// process resumes after blocking, with the reason it was blocked. Processes
-// not registered with TrackProcess are ignored.
-func (t *Timeline) ProcessSpan(p *pearl.Process, from, to pearl.Time, reason string) {
-	if t == nil {
-		return
-	}
-	tr, ok := t.procTracks[p]
-	if !ok {
-		return
-	}
-	t.Span(tr, reason, from, to)
 }
 
 // Events returns how many events were recorded (after sampling).
