@@ -1,0 +1,109 @@
+package server_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+
+	"mermaid/internal/machine"
+	"mermaid/internal/router"
+	"mermaid/internal/server"
+)
+
+// jobArtifactDigests pins SHA-256 of every artifact a job serves, printed by
+// the tree before block reasons and timeline names were interned. The report
+// is hashed with its host wall-clock lines removed; the rest is hashed whole.
+var jobArtifactDigests = map[string]string{
+	"service-mix/report":               "31cd5fc076cb96d083d95efb07a86063a69d68d9e76eab1b0d89b285bd64f373",
+	"service-mix/metrics":              "1b9c8ac52f12ad7167f530951d783d42d84536e438b6a13fe99075c186490c4b",
+	"service-mix/timeline":             "76659bf3187851fefa5ceadf9058867671d4f93c02d8e88e0fd4a9ec9796e366",
+	"service-mix/bottleneck":           "4aebe58c9fa9e134adfeab08ab9700da75a6d8fb6d4c8e3c76dd44b8f68cc3f5",
+	"torus-wormhole-config/report":     "d698b578002e3e4073ab4512cf9e1e6d1998281c0b9f3a17e422a8684c72085d",
+	"torus-wormhole-config/metrics":    "5143dfd63f8a0c0b376cd524a68c79fa7b71b2f92eddfb7e0c9245c5219b7c85",
+	"torus-wormhole-config/timeline":   "098099fa5f06495d03fc26bf159691873c909fd5ce065537e3cf0a265eedd6ce",
+	"torus-wormhole-config/bottleneck": "8c8b4fe3cf7a285251db888960d96981f27498d97b4ed94da1b35d0abd83b0e6",
+}
+
+// digestJobs are the documents TestJobArtifactDigests posts: the benchmark's
+// service job (an 8x8 mesh running an 8 KiB exchange 40 times) and a full
+// configuration document for a wormhole 4x4 torus whose traffic crosses the
+// datelines, so link waits land on both virtual channels.
+func digestJobs(t *testing.T) map[string]string {
+	t.Helper()
+	cfg, err := machine.TaskMachineFromSpec("torus:4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Name = "digest-torus"
+	cfg.Seed = 7
+	cfg.Network.Router.Switching = router.Wormhole
+	cfgJSON, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]string{
+		"service-mix": `{
+			"name": "service-mix-digest",
+			"topology": "mesh:8x8",
+			"seed": 12345,
+			"workload": {
+				"Nodes": 64, "Level": "task", "Seed": 678, "Iterations": 40,
+				"Phases": [{"Duration": 2000, "CV": 0.1, "Comm": {"Pattern": "exchange", "Bytes": 8192}}]
+			}
+		}`,
+		"torus-wormhole-config": fmt.Sprintf(`{
+			"name": "torus-digest",
+			"config": %s,
+			"workload": {
+				"Nodes": 16, "Level": "task", "Seed": 99, "Iterations": 6,
+				"Phases": [
+					{"Duration": 300, "CV": 0.2, "Comm": {"Pattern": "exchange", "Bytes": 16384}},
+					{"Duration": 300, "CV": 0.2, "Comm": {"Pattern": "alltoall", "Bytes": 2048}}
+				]
+			}
+		}`, cfgJSON),
+	}
+}
+
+// stripWallClock drops the report lines that carry host time.
+func stripWallClock(report []byte) []byte {
+	var out []byte
+	for _, line := range bytes.SplitAfter(report, []byte("\n")) {
+		if bytes.HasPrefix(line, []byte("host wall time:")) || bytes.HasPrefix(line, []byte("sim speed:")) ||
+			bytes.HasPrefix(line, []byte("slowdown/proc:")) {
+			continue
+		}
+		out = append(out, line...)
+	}
+	return out
+}
+
+func TestJobArtifactDigests(t *testing.T) {
+	_, ts := startServer(t, server.Config{Workers: 1, SampleEvery: 10000})
+	for name, doc := range digestJobs(t) {
+		j, code := submit(t, ts, doc)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: status %d (%s)", name, code, j.Error)
+		}
+		waitDone(t, ts, j.ID)
+		for _, art := range []string{"report", "metrics", "timeline", "bottleneck"} {
+			data, code := get(t, ts, "/jobs/"+j.ID+"/"+art)
+			if code != http.StatusOK {
+				t.Fatalf("%s/%s: status %d", name, art, code)
+			}
+			if art == "report" {
+				data = stripWallClock(data)
+			}
+			sum := sha256.Sum256(data)
+			key := name + "/" + art
+			got := hex.EncodeToString(sum[:])
+			if want := jobArtifactDigests[key]; got != want {
+				t.Errorf("%q: %q, // pinned %q", key, got, want)
+			}
+		}
+	}
+}
