@@ -18,7 +18,9 @@
 package analysis
 
 import (
+	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
+	"mermaid/internal/probe"
 )
 
 // CPUSample is one processor's accumulated time decomposition, read at
@@ -69,11 +71,12 @@ const (
 	spanRecv
 )
 
-// span is one recorded interval on a processor's own time axis.
+// span is one recorded interval on a processor's own time axis. It holds no
+// pointer, so the chunked span logs are never scanned by the collector.
 type span struct {
 	kind     spanKind
-	op       string // operation name for reporting ("send", "recv", ...)
-	peer     int32  // peer node id, or a negative value for none/any
+	op       ops.Kind // the communication operation, named in the report
+	peer     int32    // peer node id, or a negative value for none/any
 	from, to pearl.Time
 }
 
@@ -90,33 +93,34 @@ type Collector struct {
 	cpus      []cpuEntry
 	resources []resourceEntry
 
-	spans [][]span // per registered CPU index, in nondecreasing end-time order
+	spans []probe.Chunks[span] // per registered CPU index, in nondecreasing end-time order
 
-	// Blocked-interval aggregation by block reason, in first-appearance order
-	// (deterministic: the simulation itself is).
-	blockedFor map[string]int
-	blocked    []blockedEntry
+	// Blocked time by block reason, indexed by the reason's number. The
+	// kernel that numbered the reasons names them when the report is
+	// written.
+	k       *pearl.Kernel
+	blocked []blockedEntry
 }
 
 type blockedEntry struct {
-	reason string
 	cycles pearl.Time
 	count  uint64
 }
 
 // New creates an enabled collector.
-func New() *Collector { return &Collector{blockedFor: make(map[string]int)} }
+func New() *Collector { return &Collector{} }
 
 // Enabled reports whether the collector is live (non-nil).
 func (c *Collector) Enabled() bool { return c != nil }
 
-// SetMachine records the machine's name and per-node CPU count (used by the
-// critical-path walk to map peer node ids to processor indices).
-func (c *Collector) SetMachine(name string, cpusPerNode int) {
+// SetMachine records the machine's name, its per-node CPU count (used by the
+// critical-path walk to map peer node ids to processor indices) and the
+// kernel whose reasons the block spans carry.
+func (c *Collector) SetMachine(name string, cpusPerNode int, k *pearl.Kernel) {
 	if c == nil {
 		return
 	}
-	c.machine = name
+	c.machine, c.k = name, k
 	if cpusPerNode < 1 {
 		cpusPerNode = 1
 	}
@@ -131,7 +135,7 @@ func (c *Collector) RegisterCPU(index int, name string, sample func() CPUSample)
 	}
 	c.cpus = append(c.cpus, cpuEntry{index: index, name: name, sample: sample})
 	for len(c.spans) <= index {
-		c.spans = append(c.spans, nil)
+		c.spans = append(c.spans, probe.Chunks[span]{})
 	}
 }
 
@@ -161,41 +165,39 @@ func (c *Collector) Compute(cpu int, from, to pearl.Time) {
 	if c == nil || to <= from || cpu < 0 || cpu >= len(c.spans) {
 		return
 	}
-	c.spans[cpu] = append(c.spans[cpu], span{kind: spanCompute, op: "compute", from: from, to: to})
+	c.spans[cpu].Append(span{kind: spanCompute, op: ops.Compute, from: from, to: to})
 }
 
-// Send records a send-side communication operation on processor cpu,
+// Send records a send-side communication operation op on processor cpu,
 // destined for node peer.
-func (c *Collector) Send(cpu int, peer int32, op string, from, to pearl.Time) {
+func (c *Collector) Send(cpu int, peer int32, op ops.Kind, from, to pearl.Time) {
 	if c == nil || to < from || cpu < 0 || cpu >= len(c.spans) {
 		return
 	}
-	c.spans[cpu] = append(c.spans[cpu], span{kind: spanSend, op: op, peer: peer, from: from, to: to})
+	c.spans[cpu].Append(span{kind: spanSend, op: op, peer: peer, from: from, to: to})
 }
 
-// Recv records a receive-side communication operation on processor cpu,
+// Recv records a receive-side communication operation op on processor cpu,
 // expecting node peer (negative for "any").
-func (c *Collector) Recv(cpu int, peer int32, op string, from, to pearl.Time) {
+func (c *Collector) Recv(cpu int, peer int32, op ops.Kind, from, to pearl.Time) {
 	if c == nil || to < from || cpu < 0 || cpu >= len(c.spans) {
 		return
 	}
-	c.spans[cpu] = append(c.spans[cpu], span{kind: spanRecv, op: op, peer: peer, from: from, to: to})
+	c.spans[cpu].Append(span{kind: spanRecv, op: op, peer: peer, from: from, to: to})
 }
 
 // BlockSpan records that a component waited from from to to for reason
-// ("hold", "await", "acquire <resource>", "receive <queue>"), aggregated by
-// reason into the report's "who waited on what" table. Its signature is that
-// of pearl.Chain.Spans.
-func (c *Collector) BlockSpan(from, to pearl.Time, reason string) {
-	if c == nil || to <= from {
+// (hold, await, the acquisition of a resource, a queue's receive), added up
+// by reason into the report's "who waited on what" table. Its signature is
+// that of pearl.Chain.Spans.
+func (c *Collector) BlockSpan(from, to pearl.Time, reason pearl.Reason) {
+	if c == nil || to <= from || reason < 0 {
 		return
 	}
-	i, ok := c.blockedFor[reason]
-	if !ok {
-		i = len(c.blocked)
-		c.blockedFor[reason] = i
-		c.blocked = append(c.blocked, blockedEntry{reason: reason})
+	if int(reason) >= len(c.blocked) {
+		c.blocked = append(c.blocked, make([]blockedEntry, int(reason)+1-len(c.blocked))...)
 	}
-	c.blocked[i].cycles += to - from
-	c.blocked[i].count++
+	b := &c.blocked[reason]
+	b.cycles += to - from
+	b.count++
 }

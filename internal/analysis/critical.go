@@ -36,7 +36,7 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 	// the walk revisits a processor after a network jump.
 	pt := make([]int, len(c.spans))
 	for q := range pt {
-		pt[q] = len(c.spans[q]) - 1
+		pt[q] = c.spans[q].Len() - 1
 	}
 
 	// Start on the processor whose last recorded span ends latest. With no
@@ -45,8 +45,8 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 	cur := -1
 	var latest pearl.Time = -1
 	for q := range c.spans {
-		if n := len(c.spans[q]); n > 0 && c.spans[q][n-1].to > latest {
-			latest = c.spans[q][n-1].to
+		if n := c.spans[q].Len(); n > 0 && c.spans[q].At(n-1).to > latest {
+			latest = c.spans[q].At(n - 1).to
 			cur = q
 		}
 	}
@@ -74,13 +74,13 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 	// latestSend finds the most recent send on CPU q ending at or before t,
 	// respecting the descending pointer so already-walked spans are excluded.
 	latestSend := func(q int, t pearl.Time) (int, bool) {
-		sp := c.spans[q]
-		i := sort.Search(len(sp), func(i int) bool { return sp[i].to > t }) - 1
+		sp := &c.spans[q]
+		i := sort.Search(sp.Len(), func(i int) bool { return sp.At(i).to > t }) - 1
 		if i > pt[q] {
 			i = pt[q]
 		}
 		for ; i >= 0; i-- {
-			if sp[i].kind == spanSend {
+			if sp.At(i).kind == spanSend {
 				return i, true
 			}
 		}
@@ -89,15 +89,15 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 
 	t := total
 	for t > 0 {
-		sp := c.spans[cur]
-		for pt[cur] >= 0 && sp[pt[cur]].to > t {
+		sp := &c.spans[cur]
+		for pt[cur] >= 0 && sp.At(pt[cur]).to > t {
 			pt[cur]--
 		}
 		if pt[cur] < 0 {
 			emit(name(cur), "idle", t)
 			break
 		}
-		s := sp[pt[cur]]
+		s := *sp.At(pt[cur])
 		if s.to < t {
 			emit(name(cur), "idle", t-s.to)
 			t = s.to
@@ -108,7 +108,7 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 			t = s.from
 			pt[cur]--
 		case spanSend:
-			emit(name(cur), s.op, t-s.from)
+			emit(name(cur), s.op.String(), t-s.from)
 			t = s.from
 			pt[cur]--
 		case spanRecv:
@@ -128,8 +128,8 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 				if q == cur {
 					continue
 				}
-				if i, ok := latestSend(q, t); ok && c.spans[q][i].to > sendEnd {
-					sender, sendIdx, sendEnd = q, i, c.spans[q][i].to
+				if i, ok := latestSend(q, t); ok && c.spans[q].At(i).to > sendEnd {
+					sender, sendIdx, sendEnd = q, i, c.spans[q].At(i).to
 				}
 			}
 			if sender >= 0 && sendEnd > s.from {
@@ -146,7 +146,7 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 			} else {
 				// Message was already there (or no sender recorded): the
 				// receive itself is pure overhead/wait on this processor.
-				emit(name(cur), s.op+" wait", t-s.from)
+				emit(name(cur), s.op.String()+" wait", t-s.from)
 				t = s.from
 				pt[cur]--
 			}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
 )
 
@@ -29,13 +30,13 @@ func find(segs []PathSegment, component, kind string) (PathSegment, bool) {
 // own activity — and the segments still partition the run exactly.
 func TestCriticalPathNetworkJump(t *testing.T) {
 	c := New()
-	c.SetMachine("m", 1)
+	c.SetMachine("m", 1, nil)
 	c.RegisterCPU(0, "node0.cpu0", func() CPUSample { return CPUSample{} })
 	c.RegisterCPU(1, "node1.cpu0", func() CPUSample { return CPUSample{} })
 
 	c.Compute(0, 0, 40)
-	c.Send(0, 1, "send", 40, 60)
-	c.Recv(1, 0, "recv", 0, 70) // completes when the message lands at t=70
+	c.Send(0, 1, ops.Send, 40, 60)
+	c.Recv(1, 0, ops.Recv, 0, 70) // completes when the message lands at t=70
 	c.Compute(1, 70, 100)
 
 	segs := c.criticalPath(100)
@@ -67,12 +68,12 @@ func TestCriticalPathNetworkJump(t *testing.T) {
 // the walk charges it as "<op> wait" and stays on the same processor.
 func TestCriticalPathRecvWait(t *testing.T) {
 	c := New()
-	c.SetMachine("m", 1)
+	c.SetMachine("m", 1, nil)
 	c.RegisterCPU(0, "node0.cpu0", func() CPUSample { return CPUSample{} })
 	c.RegisterCPU(1, "node1.cpu0", func() CPUSample { return CPUSample{} })
 
-	c.Send(0, 1, "send", 0, 10)
-	c.Recv(1, 0, "recv", 20, 30)
+	c.Send(0, 1, ops.Send, 0, 10)
+	c.Recv(1, 0, ops.Recv, 20, 30)
 	c.Compute(1, 30, 50)
 
 	segs := c.criticalPath(50)
@@ -94,7 +95,7 @@ func TestCriticalPathRecvWait(t *testing.T) {
 // the run length, with idle as the exact remainder.
 func TestAnalyzeDecompositionIdentity(t *testing.T) {
 	c := New()
-	c.SetMachine("m", 1)
+	c.SetMachine("m", 1, nil)
 	c.RegisterCPU(0, "cpu0", func() CPUSample {
 		return CPUSample{Compute: 500, MemStall: 137, CommBlocked: 42}
 	})
@@ -118,18 +119,23 @@ func TestAnalyzeDecompositionIdentity(t *testing.T) {
 	}
 }
 
-// Blocked intervals aggregate by reason in first-appearance order and render
-// sorted by cycles; resources score into the ranked summary.
+// Blocked intervals aggregate by reason text, named by the kernel only at
+// analysis, and render sorted by cycles; resources score into the ranked
+// summary.
 func TestAnalyzeWaitsAndRank(t *testing.T) {
+	k := pearl.NewKernel()
 	c := New()
-	c.SetMachine("m", 1)
+	c.SetMachine("m", 1, k)
 	busy := pearl.Time(900)
 	c.RegisterResource("bus", "node0.bus.0", 1, func() ResourceSample {
 		return ResourceSample{Busy: busy, Wait: 300, Acquires: 10}
 	})
-	c.BlockSpan(0, 100, "acquire node0.bus.0")
-	c.BlockSpan(0, 50, "hold")
-	c.BlockSpan(100, 300, "acquire node0.bus.0")
+	bus := k.NewReason("acquire", "node0.bus.0")
+	twin := k.NewReason("acquire", "node0.bus.0") // same text: same row
+	k.NewReason("acquire", "idle")                // never waited: no row
+	c.BlockSpan(0, 100, bus)
+	c.BlockSpan(0, 50, pearl.ReasonHold)
+	c.BlockSpan(100, 300, twin)
 
 	rep := c.Analyze(1000)
 	if len(rep.Waits) != 2 {
@@ -137,6 +143,9 @@ func TestAnalyzeWaitsAndRank(t *testing.T) {
 	}
 	if rep.Waits[0].Reason != "acquire node0.bus.0" || rep.Waits[0].Cycles != 300 || rep.Waits[0].Count != 2 {
 		t.Errorf("top wait row = %+v, want acquire node0.bus.0 / 300 / 2", rep.Waits[0])
+	}
+	if rep.Waits[1].Reason != "hold" || rep.Waits[1].Cycles != 50 {
+		t.Errorf("second wait row = %+v, want hold / 50 / 1", rep.Waits[1])
 	}
 	if len(rep.Bottlenecks) == 0 {
 		t.Fatal("report has no bottlenecks despite a 90%-utilized bus")

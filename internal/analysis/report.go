@@ -128,8 +128,22 @@ func (c *Collector) Analyze(total pearl.Time) *Report {
 		r.Resources = append(r.Resources, row)
 	}
 
-	for _, b := range c.blocked {
-		r.Waits = append(r.Waits, WaitRow{Reason: b.reason, Cycles: int64(b.cycles), Count: b.count})
+	// Reasons are named here, and reasons of one text (resources of one
+	// name) share a row; a reason that never waited has none.
+	row := make(map[string]int)
+	for i, b := range c.blocked {
+		if b.count == 0 {
+			continue
+		}
+		text := c.k.ReasonText(pearl.Reason(i))
+		j, ok := row[text]
+		if !ok {
+			j = len(r.Waits)
+			row[text] = j
+			r.Waits = append(r.Waits, WaitRow{Reason: text})
+		}
+		r.Waits[j].Cycles += int64(b.cycles)
+		r.Waits[j].Count += b.count
 	}
 	sort.SliceStable(r.Waits, func(i, j int) bool {
 		if r.Waits[i].Cycles != r.Waits[j].Cycles {
@@ -145,45 +159,52 @@ func (c *Collector) Analyze(total pearl.Time) *Report {
 
 // rank builds the top-N bottleneck summary from the report's own tables:
 // shared resources score by utilization plus their queueing share of the run,
-// CPUs by the fraction of the run they were not computing.
+// CPUs by the fraction of the run they were not computing. Only the entries
+// that make the summary get their detail text.
 func (r *Report) rank() []Bottleneck {
 	total := float64(r.Cycles)
 	if total <= 0 {
 		total = 1
 	}
-	var cand []Bottleneck
-	for _, res := range r.Resources {
-		score := res.Utilization + float64(res.Wait)/total
-		cand = append(cand, Bottleneck{
-			Component: res.Name,
-			Score:     round6(score),
-			Detail: fmt.Sprintf("%s at %.1f%% utilization, %.1f cyc avg wait over %d acquires",
-				res.Kind, res.Utilization*100, res.AvgWait, res.Acquires),
-		})
+	// A candidate is a resource row (index below len(r.Resources)) or a CPU.
+	type candidate struct {
+		component string
+		score     float64
+		row       int
 	}
-	for _, d := range r.CPUs {
-		stalled := float64(d.MemStall+d.CommBlocked) / total
-		cand = append(cand, Bottleneck{
-			Component: d.Name,
-			Score:     round6(stalled),
-			Detail: fmt.Sprintf("cpu stalled %.1f%% (%.1f%% memory, %.1f%% communication), computing %.1f%%",
-				stalled*100, float64(d.MemStall)/total*100,
-				float64(d.CommBlocked)/total*100, float64(d.Compute)/total*100),
-		})
+	cand := make([]candidate, 0, len(r.Resources)+len(r.CPUs))
+	for i, res := range r.Resources {
+		cand = append(cand, candidate{res.Name, round6(res.Utilization + float64(res.Wait)/total), i})
+	}
+	for i, d := range r.CPUs {
+		cand = append(cand, candidate{d.Name, round6(float64(d.MemStall+d.CommBlocked) / total), len(r.Resources) + i})
 	}
 	sort.SliceStable(cand, func(i, j int) bool {
-		if cand[i].Score != cand[j].Score {
-			return cand[i].Score > cand[j].Score
+		if cand[i].score != cand[j].score {
+			return cand[i].score > cand[j].score
 		}
-		return cand[i].Component < cand[j].Component
+		return cand[i].component < cand[j].component
 	})
 	if len(cand) > TopN {
 		cand = cand[:TopN]
 	}
-	for i := range cand {
-		cand[i].Rank = i + 1
+	var out []Bottleneck
+	for i, c := range cand {
+		b := Bottleneck{Rank: i + 1, Component: c.component, Score: c.score}
+		if c.row < len(r.Resources) {
+			res := &r.Resources[c.row]
+			b.Detail = fmt.Sprintf("%s at %.1f%% utilization, %.1f cyc avg wait over %d acquires",
+				res.Kind, res.Utilization*100, res.AvgWait, res.Acquires)
+		} else {
+			d := &r.CPUs[c.row-len(r.Resources)]
+			stalled := float64(d.MemStall+d.CommBlocked) / total
+			b.Detail = fmt.Sprintf("cpu stalled %.1f%% (%.1f%% memory, %.1f%% communication), computing %.1f%%",
+				stalled*100, float64(d.MemStall)/total*100,
+				float64(d.CommBlocked)/total*100, float64(d.Compute)/total*100)
+		}
+		out = append(out, b)
 	}
-	return cand
+	return out
 }
 
 // WriteJSON writes the report as deterministic, indented JSON.

@@ -89,6 +89,7 @@ type Bus struct {
 	// per channel, with the start of the in-flight transaction.
 	tl      *probe.Timeline
 	tracks  []probe.Track
+	txn     probe.Name
 	started []pearl.Time
 
 	idle []*call // see Transact
@@ -117,6 +118,7 @@ func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysi
 	reg.Gauge(name+".utilization", "", b.Utilization)
 	if tl := pb.Timeline(); tl != nil {
 		b.tl = tl
+		b.txn = tl.Name("txn")
 		b.tracks = make([]probe.Track, n)
 		b.started = make([]pearl.Time, n)
 		for i := range b.tracks {
@@ -197,7 +199,7 @@ func (b *Bus) Release(addr uint64) {
 	i := b.channelIndex(addr)
 	b.chans[i].Release()
 	if b.tl != nil {
-		b.tl.Span(b.tracks[i], "txn", b.started[i], b.k.Now())
+		b.tl.NamedSpan(b.tracks[i], b.txn, b.started[i], b.k.Now())
 	}
 }
 

@@ -201,6 +201,7 @@ type Hierarchy struct {
 	// miss-fill track per CPU.
 	tl         *probe.Timeline
 	missTracks []probe.Track
+	fill       probe.Name
 }
 
 // NewHierarchy builds the memory system in the given environment. env.RNG
@@ -263,6 +264,7 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 	reg.Counter(name+".coherence.dir-messages", &h.dirMsgs)
 	if tl := pb.Timeline(); tl != nil {
 		h.tl = tl
+		h.fill = tl.Name("fill")
 		h.missTracks = make([]probe.Track, cfg.CPUs)
 		for cpu := range h.missTracks {
 			h.missTracks[cpu] = tl.Track(fmt.Sprintf("%s.cpu%d.miss", name, cpu))
@@ -273,7 +275,7 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 			slots := k.NewResource(fmt.Sprintf("%s.cpu%d.sb", name, cpu), cfg.StoreBuffer)
 			env.Collect.Resource("storebuf", slots)
 			d := &drain{a: h.newAccess(cpu), slots: slots, ring: make([]transaction, cfg.StoreBuffer),
-				since: k.Now(), reason: fmt.Sprintf("receive %s.cpu%d.sbq", name, cpu)}
+				since: k.Now(), reason: k.NewReason("receive", fmt.Sprintf("%s.cpu%d.sbq", name, cpu))}
 			d.c.Init(k, d.step)
 			if env.Collect.Enabled() {
 				d.c.Spans = env.Collect.BlockSpan
@@ -300,7 +302,7 @@ type drain struct {
 	busy   bool       // ring[head] is being written
 	idle   bool       // none was: the next push starts the chain
 	since  pearl.Time // ... since then
-	reason string
+	reason pearl.Reason
 }
 
 // push buffers a store: the CPU has taken a slot for it.
@@ -648,7 +650,7 @@ func (a *access) run() pearl.Step {
 		case pcFill:
 			if a.lvl < 0 {
 				if a.fillSpan {
-					h.tl.Span(h.missTracks[a.cpu], "fill", a.fillFrom, h.k.Now())
+					h.tl.NamedSpan(h.missTracks[a.cpu], h.fill, a.fillFrom, h.k.Now())
 				}
 				a.pc = pcPiece
 				continue

@@ -258,7 +258,7 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		if cfg.Mode == Detailed {
 			cpusPerNode = cfg.Node.Hierarchy.CPUs
 		}
-		m.col.SetMachine(cfg.Name, cpusPerNode)
+		m.col.SetMachine(cfg.Name, cpusPerNode, k)
 	}
 	env.Registry().Gauge("kernel.events", "", func() float64 { return float64(k.EventCount()) })
 	if cfg.hasNetwork() {

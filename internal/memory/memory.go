@@ -58,6 +58,7 @@ type DRAM struct {
 
 	tl    *probe.Timeline // nil when no probe is attached
 	track probe.Track
+	names [2]probe.Name // of a read and of a write
 
 	idle []*call // see call
 }
@@ -79,6 +80,7 @@ func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysi
 	if tl := pb.Timeline(); tl != nil {
 		d.tl = tl
 		d.track = tl.Track(name)
+		d.names = [2]probe.Name{tl.Name("read"), tl.Name("write")}
 	}
 	return d
 }
@@ -113,11 +115,11 @@ func (d *DRAM) Access(write bool, size uint64, pc *int) pearl.Step {
 	d.ports.Release()
 	if d.tl != nil {
 		// The span covers port ownership only, not queueing.
-		name, now := "read", d.k.Now()
+		name, now := d.names[0], d.k.Now()
 		if write {
-			name = "write"
+			name = d.names[1]
 		}
-		d.tl.Span(d.track, name, now-d.accessTime(write, size), now)
+		d.tl.NamedSpan(d.track, name, now-d.accessTime(write, size), now)
 	}
 	if write {
 		d.writes.Inc()

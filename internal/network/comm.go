@@ -134,10 +134,8 @@ func (c *Comm) Finish(resume func(trace.Feedback), cpu int, start pearl.Time) {
 	now := c.ni.led.k.Now()
 	switch o.Kind {
 	case ops.Send, ops.ASend:
-		col.Send(cpu, o.Peer, o.Kind.String(), start, now)
-	case ops.Recv:
-		col.Recv(cpu, fb.Peer, "recv", start, now)
-	case ops.WaitRecv:
-		col.Recv(cpu, fb.Peer, "waitrecv", start, now)
+		col.Send(cpu, o.Peer, o.Kind, start, now)
+	case ops.Recv, ops.WaitRecv:
+		col.Recv(cpu, fb.Peer, o.Kind, start, now)
 	}
 }

@@ -23,6 +23,7 @@ package network
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
@@ -145,9 +146,11 @@ type Network struct {
 	// accounting.
 	tl          *probe.Timeline
 	linkTracks  []probe.Track
+	pktName     probe.Name
 	routers     []router.Occupancy
 	linkAcq     []uint64
 	linkWaitCyc []pearl.Time
+	linkReason  pearl.Reason // a packet's wait for channel li is linkReason+li: "acquire link…"
 }
 
 // numVCs is the number of virtual channels per directed link.
@@ -183,10 +186,12 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 	n.wiredPort = make([]bool, nodes*n.deg)
 	if n.tl != nil {
 		n.linkTracks = make([]probe.Track, links)
+		n.pktName = n.tl.Name("pkt")
 	}
 	if n.col != nil {
 		n.linkAcq = make([]uint64, links)
 		n.linkWaitCyc = make([]pearl.Time, links)
+		n.linkReason = k.NewReasons("acquire", links, n.linkName)
 	}
 	for node := 0; node < nodes; node++ {
 		for port := 0; port < n.deg; port++ {
@@ -218,27 +223,35 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 	return n, nil
 }
 
-// observeLink gives wired channel li its timeline track and its collector
-// resource, whichever is attached.
+// observeLink gives wired channel li its timeline track,
+// "net.link<node>.<port>.vc<vc>", and its collector resource, whichever is
+// attached.
 func (n *Network) observeLink(li int) {
+	if n.col == nil && n.tl == nil {
+		return
+	}
+	var buf [48]byte
+	name := n.appendLinkID(append(buf[:0], "link."...), li)
 	if n.col != nil {
-		n.col.RegisterResource("link", n.linkName(li), 1, func() analysis.ResourceSample {
+		n.col.RegisterResource("link", string(name), 1, func() analysis.ResourceSample {
 			n.accountLink(li)
 			return analysis.ResourceSample{Busy: n.linkBusyCyc[li], Wait: n.linkWaitCyc[li], Acquires: n.linkAcq[li]}
 		})
 	}
 	if n.tl != nil {
-		n.linkTracks[li] = n.tl.Track("net.link" + n.linkID(li))
+		n.linkTracks[li] = n.tl.Track("net.link" + string(name[len("link."):]))
 	}
 }
 
 // linkName names channel li as its collector resource: "link.<node>.<port>.vc<vc>".
-func (n *Network) linkName(li int) string { return "link." + n.linkID(li) }
+func (n *Network) linkName(li int) string { return string(n.appendLinkID([]byte("link."), li)) }
 
-// linkID is channel li's "<node>.<port>.vc<vc>".
-func (n *Network) linkID(li int) string {
+// appendLinkID appends channel li's "<node>.<port>.vc<vc>".
+func (n *Network) appendLinkID(buf []byte, li int) []byte {
 	port := li / numVCs
-	return fmt.Sprintf("%d.%d.vc%d", port/n.deg, port%n.deg, li%numVCs)
+	buf = strconv.AppendInt(buf, int64(port/n.deg), 10)
+	buf = strconv.AppendInt(append(buf, '.'), int64(port%n.deg), 10)
+	return strconv.AppendInt(append(buf, ".vc"...), int64(li%numVCs), 10)
 }
 
 // Node returns node i's network interface.
@@ -365,9 +378,9 @@ func (n *Network) traceWait(pk *packet) {
 	if pk.phase == ppStart || now <= pk.since {
 		return
 	}
-	reason := "hold"
+	reason := pearl.ReasonHold
 	if pk.phase == ppGranted {
-		reason = "acquire " + n.linkName(pk.pendLi)
+		reason = n.linkReason + pearl.Reason(pk.pendLi)
 	}
 	n.col.BlockSpan(pk.since, now, reason)
 }
@@ -498,13 +511,13 @@ func (n *Network) afterHold(pk *packet) {
 	case router.StoreAndForward:
 		n.release(li)
 		if n.tl != nil {
-			n.tl.Span(n.linkTracks[li], "pkt", pk.since, n.k.Now())
+			n.tl.NamedSpan(n.linkTracks[li], n.pktName, pk.since, n.k.Now())
 		}
 	case router.VirtualCutThrough:
 		transfer := n.transferTime(pk.bytes)
 		n.k.After(transfer, func() { n.release(li) })
 		if n.tl != nil {
-			n.tl.Span(n.linkTracks[li], "pkt", pk.since, n.k.Now()+transfer)
+			n.tl.NamedSpan(n.linkTracks[li], n.pktName, pk.since, n.k.Now()+transfer)
 		}
 	}
 	if n.faults != nil {
@@ -577,7 +590,7 @@ func (n *Network) releaseHeld(pk *packet) {
 	for _, h := range pk.held {
 		n.release(int(h.li))
 		if n.tl != nil {
-			n.tl.Span(n.linkTracks[h.li], "pkt", h.at, n.k.Now())
+			n.tl.NamedSpan(n.linkTracks[h.li], n.pktName, h.at, n.k.Now())
 		}
 	}
 	pk.held = pk.held[:0]

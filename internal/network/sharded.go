@@ -76,6 +76,7 @@ type slink struct {
 
 	tl    *probe.Timeline
 	track probe.Track
+	pkt   probe.Name
 }
 
 // spkt is one packet in flight under the sharded engine: plain state moved
@@ -152,6 +153,7 @@ func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int)
 			if owner.tl != nil {
 				l.tl = owner.tl
 				l.track = owner.tl.Track(fmt.Sprintf("net.link%d.%d.vc0", node, port))
+				l.pkt = owner.tl.Name("pkt")
 			}
 			n.links[node*n.deg+port] = l
 		}
@@ -337,7 +339,7 @@ func (n *ShardedNetwork) grant(l *slink, pk *spkt, now pearl.Time) {
 	l.freeAt = now + occ
 	l.busy += occ
 	if l.tl != nil {
-		l.tl.Span(l.track, "pkt", now, l.freeAt)
+		l.tl.NamedSpan(l.track, l.pkt, now, l.freeAt)
 	}
 	headerAt := l.freeAt // store-and-forward: the whole packet crosses first
 	if n.cfg.Router.Switching == router.VirtualCutThrough {

@@ -65,9 +65,13 @@ type Node struct {
 	runners []*runner
 
 	// Timeline instrumentation (nil when no probe is attached): one task
-	// track per CPU carrying compute bursts and communication operations.
-	tl        *probe.Timeline
-	cpuTracks []probe.Track
+	// track per CPU carrying compute bursts and communication operations,
+	// named by operation kind, and the runners' block spans, named by reason
+	// (Name+1, 0 until a runner first waits for it).
+	tl          *probe.Timeline
+	cpuTracks   []probe.Track
+	kindNames   [ops.NumKinds + 1]probe.Name
+	reasonNames []probe.Name
 
 	// Bottleneck-analysis feed (nil collector when the analyzer is off):
 	// per-CPU communication and DSM-fault time, plus compute/comm spans.
@@ -110,6 +114,9 @@ func New(env sim.Env, prm Params) (*Node, error) {
 	if tl != nil {
 		n.tl = tl
 		n.cpuTracks = make([]probe.Track, cfg.Hierarchy.CPUs)
+		for kind := range n.kindNames {
+			n.kindNames[kind] = tl.Name(ops.Kind(kind).String())
+		}
 	}
 	for i := 0; i < cfg.Hierarchy.CPUs; i++ {
 		i := i
@@ -218,12 +225,26 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 		// The runner's waits — holds, awaits, resource queues — show up on a
 		// track of its own and in the collector's table of blocked time.
 		track := n.tl.Track(fmt.Sprintf("node%d.cpu%d", n.id, cpuIdx))
-		r.chain.Spans = func(from, to pearl.Time, reason string) {
-			n.tl.Span(track, reason, from, to)
+		r.chain.Spans = func(from, to pearl.Time, reason pearl.Reason) {
+			if n.tl != nil {
+				n.tl.NamedSpan(track, n.reasonName(reason), from, to)
+			}
 			n.col.BlockSpan(from, to, reason)
 		}
 	}
 	r.chain.Start()
+}
+
+// reasonName returns the timeline Name of a block reason, interning its text
+// the first time one of the node's runners waits for it.
+func (n *Node) reasonName(r pearl.Reason) probe.Name {
+	if int(r) >= len(n.reasonNames) {
+		n.reasonNames = append(n.reasonNames, make([]probe.Name, int(r)+1-len(n.reasonNames))...)
+	}
+	if n.reasonNames[r] == 0 {
+		n.reasonNames[r] = n.tl.Name(n.k.ReasonText(r)) + 1
+	}
+	return n.reasonNames[r] - 1
 }
 
 // step is the runner's step function. The straight line — computational
@@ -340,7 +361,7 @@ func (r *runner) endComm() {
 	r.comm.Finish(r.ev.Resume, n.cpuBase+r.cpu, r.start)
 	now := n.k.Now()
 	if n.tl != nil {
-		n.tl.Span(n.cpuTracks[r.cpu], r.ev.Op.Kind.String(), r.start, now)
+		n.tl.NamedSpan(n.cpuTracks[r.cpu], n.kindNames[r.ev.Op.Kind], r.start, now)
 	}
 	n.commCycles[r.cpu] += now - r.start
 	n.lastComm[r.cpu] = now
@@ -356,7 +377,7 @@ func (n *Node) emitTask(cpuIdx int, comm *ops.Op) {
 	if n.tl != nil && elapsed > 0 {
 		// The compute burst between two communication operations — the same
 		// interval the task-level trace derivation records (Fig. 2).
-		n.tl.Span(n.cpuTracks[cpuIdx], "compute", n.lastComm[cpuIdx], now)
+		n.tl.NamedSpan(n.cpuTracks[cpuIdx], n.kindNames[ops.Compute], n.lastComm[cpuIdx], now)
 	}
 	n.col.Compute(n.cpuBase+cpuIdx, n.lastComm[cpuIdx], now)
 	w := n.taskSinks[cpuIdx]

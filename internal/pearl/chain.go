@@ -43,9 +43,10 @@ type Chain struct {
 	proc *Process // the process this chain blocks, or nil
 
 	// Spans, when set, is called when a wait that took virtual time ends,
-	// before the step function runs, with the interval and the wait's Reason:
-	// the owner's block spans for its timeline and bottleneck collector.
-	Spans func(from, to Time, reason string)
+	// before the step function runs, with the interval and what the chain
+	// waited for: the owner's block spans for its timeline and bottleneck
+	// collector. Kernel.ReasonText names the reason.
+	Spans func(from, to Time, reason Reason)
 
 	since Time      // when the current wait began
 	wait  waitKind  // what it is
@@ -64,16 +65,19 @@ func (c *Chain) Start() { c.k.schedule(c.k.now, evChain, nil, c) }
 
 // Reason describes what the chain waits for: "hold", "await", "acquire
 // <resource>", or "" when it is not waiting.
-func (c *Chain) Reason() string {
+func (c *Chain) Reason() string { return c.k.ReasonText(c.waitReason()) }
+
+// waitReason is the Reason of the wait in progress, reasonNone outside one.
+func (c *Chain) waitReason() Reason {
 	switch c.wait {
 	case waitHold:
-		return "hold"
+		return ReasonHold
 	case waitAcquire:
 		return c.on.reason
 	case waitAwait:
-		return "await"
+		return ReasonAwait
 	}
-	return ""
+	return reasonNone
 }
 
 // advance calls the step function until the chain has to wait, and reports
@@ -138,7 +142,7 @@ func (c *Chain) wake() {
 func (k *Kernel) link(c *Chain) *Process {
 	if c.wait != waitNone {
 		if c.Spans != nil && k.now > c.since {
-			c.Spans(c.since, k.now, c.Reason())
+			c.Spans(c.since, k.now, c.waitReason())
 		}
 		if c.wait == waitAcquire {
 			c.on.waitCycles += k.now - c.since

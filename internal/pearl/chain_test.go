@@ -18,8 +18,8 @@ type script struct {
 func newScript(k *Kernel, name string, log *[]string, waits ...Step) *script {
 	s := &script{name: name, waits: waits, log: log}
 	s.c.Init(k, s.step)
-	s.c.Spans = func(from, to Time, reason string) {
-		*s.log = append(*s.log, fmt.Sprintf("%s span %d-%d %s", s.name, from, to, reason))
+	s.c.Spans = func(from, to Time, reason Reason) {
+		*s.log = append(*s.log, fmt.Sprintf("%s span %d-%d %s", s.name, from, to, k.ReasonText(reason)))
 	}
 	return s
 }

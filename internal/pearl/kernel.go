@@ -213,6 +213,11 @@ type Kernel struct {
 	fault    any
 	switches uint64
 
+	// reasons names the Reasons made by NewReason and NewReasons, in
+	// order; nextReason is the next one to hand out (zero before the first).
+	reasons    []reasonRange
+	nextReason Reason
+
 	// idle holds the workers whose last body has ended, for the next first
 	// activation to reuse; closed is set by Close.
 	idle   []*worker

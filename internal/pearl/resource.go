@@ -11,7 +11,7 @@ import "fmt"
 type Resource struct {
 	k        *Kernel
 	name     string
-	reason   string // block reason of a waiter, built once
+	reason   Reason // block reason of a waiter
 	capacity int
 	inUse    int
 	waiters  fifo[*Chain]
@@ -28,7 +28,7 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("pearl: resource %q: capacity %d", name, capacity))
 	}
-	return &Resource{k: k, name: name, reason: "acquire " + name, capacity: capacity}
+	return &Resource{k: k, name: name, reason: k.NewReason("acquire", name), capacity: capacity}
 }
 
 // Name returns the resource name.

@@ -63,3 +63,31 @@ func TestAllocFreeTracerUnattachedProcess(t *testing.T) {
 		t.Errorf("unobserved chain produced %d events", tl.Events())
 	}
 }
+
+// A live timeline's span with an interned name must allocate nothing in the
+// steady state: records are pointer-free and chunked, so appending copies
+// nothing already recorded, and the name is a number. Only the chunks
+// themselves allocate, one per 1,024 records once they stop doubling, which
+// AllocsPerRun's whole-allocations average counts as zero.
+func TestTimelineNamedSpanAmortisedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tl := NewTimeline()
+	tr := tl.Track("net.link0.0.vc0")
+	pkt := tl.Name("pkt")
+	var at pearl.Time
+	if got := testing.AllocsPerRun(1<<16, func() {
+		tl.NamedSpan(tr, pkt, at, at+3)
+		at++
+	}); got != 0 {
+		t.Errorf("a span with an interned name allocates %v times; want 0 amortised", got)
+	}
+	// Span by string interns on first use and then looks the name up.
+	if got := testing.AllocsPerRun(1<<16, func() {
+		tl.Span(tr, "pkt", at, at+3)
+		at++
+	}); got != 0 {
+		t.Errorf("a span by a seen name allocates %v times; want 0 amortised", got)
+	}
+}

@@ -39,34 +39,44 @@ func MergeTimelines(parts ...*Timeline) *Timeline {
 	for _, name := range names {
 		merged.Track(name)
 	}
+	// Merged tracks are in sorted-name order, so ordering by merged track
+	// is ordering by track name.
 	type mev struct {
-		ev   event
-		name string
-		seq  int
+		rec record
+		seq int
 	}
 	var all []mev
 	for _, t := range live {
+		tracks := make([]Track, len(t.tracks))
+		for i, name := range t.tracks {
+			tracks[i] = merged.trackIndex[name]
+		}
+		names := make([]Name, len(t.names))
+		for i, name := range t.names {
+			names[i] = merged.Name(name)
+		}
 		seq := make([]int, len(t.tracks))
-		for _, ev := range t.events {
-			all = append(all, mev{ev: ev, name: t.tracks[ev.track], seq: seq[ev.track]})
-			seq[ev.track]++
+		for i := 0; i < t.events.Len(); i++ {
+			rec := *t.events.At(i)
+			n := seq[rec.track]
+			seq[rec.track]++
+			rec.track, rec.name = tracks[rec.track], names[rec.name]
+			all = append(all, mev{rec: rec, seq: n})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := &all[i], &all[j]
-		if a.ev.ts != b.ev.ts {
-			return a.ev.ts < b.ev.ts
+		if a.rec.ts != b.rec.ts {
+			return a.rec.ts < b.rec.ts
 		}
-		if a.name != b.name {
-			return a.name < b.name
+		if a.rec.track != b.rec.track {
+			return a.rec.track < b.rec.track
 		}
 		return a.seq < b.seq
 	})
 	for _, m := range all {
-		ev := m.ev
-		ev.track = merged.trackIndex[m.name]
-		merged.events = append(merged.events, ev)
+		merged.events.Append(m.rec)
 	}
-	merged.n = uint64(len(merged.events))
+	merged.n = uint64(merged.events.Len())
 	return merged
 }

@@ -295,7 +295,7 @@ func TestKernelBlockSpansOptIn(t *testing.T) {
 	var tracked, ignored pearl.Chain
 	tracked.Init(k, holds(10, 5))
 	track := tl.Track("node0.cpu0")
-	tracked.Spans = func(from, to pearl.Time, reason string) { tl.Span(track, reason, from, to) }
+	tracked.Spans = func(from, to pearl.Time, reason pearl.Reason) { tl.Span(track, k.ReasonText(reason), from, to) }
 	ignored.Init(k, holds(7))
 	tracked.Start()
 	ignored.Start()

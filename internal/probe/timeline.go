@@ -1,10 +1,12 @@
 package probe
 
 import (
+	"cmp"
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -16,11 +18,20 @@ import (
 // construction and referenced by value on the hot path.
 type Track int32
 
+// Name is an event name interned by Timeline.Name. Components intern the
+// names they emit when they are built and record with NamedSpan, so a span
+// costs no string work.
+type Name int32
+
 // Timeline records span and instant events in virtual time for the
 // Chrome trace-event export. All methods are safe on a nil receiver, so
 // components can hold a possibly-nil *Timeline and call it unconditionally
 // only where a nil check would hurt readability; on hot paths they should
 // check for nil themselves to skip argument evaluation.
+//
+// Every event is one fixed-width, pointer-free record in chunked storage:
+// recording copies nothing already recorded and gives the garbage collector
+// nothing to scan. Track and event names are resolved only by WriteJSON.
 //
 // The recorder is deterministic: given the same simulation, the same events
 // are recorded in the same order, so the JSON export is byte-identical
@@ -32,15 +43,20 @@ type Timeline struct {
 	tracks     []string
 	trackIndex map[string]Track
 
-	events []event
+	names     []string
+	nameIndex map[string]Name
+	lastName  string // the name Span interned last, and its Name
+	lastID    Name
+
+	events Chunks[record]
 }
 
-type event struct {
-	name  string
-	ts    int64
-	dur   int64
-	track Track
-	ph    byte // 'X' complete span, 'i' instant
+// record is one event: a complete span ('X') or an instant ('i').
+type record struct {
+	ts, dur int64
+	track   Track
+	name    Name
+	ph      byte
 }
 
 // NewTimeline returns a standalone, unsampled timeline recorder. Probes
@@ -53,6 +69,7 @@ func newTimeline(sampleEvery uint64) *Timeline {
 	return &Timeline{
 		sampleEvery: sampleEvery,
 		trackIndex:  make(map[string]Track),
+		nameIndex:   make(map[string]Name),
 	}
 }
 
@@ -72,6 +89,24 @@ func (t *Timeline) Track(name string) Track {
 	return tr
 }
 
+// Name returns (interning on first use) the Name of an event name.
+func (t *Timeline) Name(name string) Name {
+	if t == nil {
+		return 0
+	}
+	if name == t.lastName && len(t.names) > 0 {
+		return t.lastID
+	}
+	id, ok := t.nameIndex[name]
+	if !ok {
+		id = Name(len(t.names))
+		t.names = append(t.names, name)
+		t.nameIndex[name] = id
+	}
+	t.lastName, t.lastID = name, id
+	return id
+}
+
 // sampled advances the global event counter and reports whether this event
 // is kept under the configured sampling rate.
 func (t *Timeline) sampled() bool {
@@ -79,20 +114,32 @@ func (t *Timeline) sampled() bool {
 	return t.sampleEvery <= 1 || t.n%t.sampleEvery == 0
 }
 
-// Span records a complete event covering [from, to] on the track.
-func (t *Timeline) Span(tr Track, name string, from, to pearl.Time) {
+// NamedSpan records a complete event named n covering [from, to] on the
+// track.
+func (t *Timeline) NamedSpan(tr Track, n Name, from, to pearl.Time) {
 	if t == nil || !t.sampled() {
 		return
 	}
-	t.events = append(t.events, event{name: name, ts: int64(from), dur: int64(to - from), track: tr, ph: 'X'})
+	t.events.Append(record{ts: int64(from), dur: int64(to - from), track: tr, name: n, ph: 'X'})
+}
+
+// Span records a complete event covering [from, to] on the track.
+func (t *Timeline) Span(tr Track, name string, from, to pearl.Time) {
+	if t == nil {
+		return
+	}
+	t.NamedSpan(tr, t.Name(name), from, to)
 }
 
 // Instant records a point event at virtual time at.
 func (t *Timeline) Instant(tr Track, name string, at pearl.Time) {
-	if t == nil || !t.sampled() {
+	if t == nil {
 		return
 	}
-	t.events = append(t.events, event{name: name, ts: int64(at), track: tr, ph: 'i'})
+	n := t.Name(name)
+	if t.sampled() {
+		t.events.Append(record{ts: int64(at), track: tr, name: n, ph: 'i'})
+	}
 }
 
 // Events returns how many events were recorded (after sampling).
@@ -100,7 +147,7 @@ func (t *Timeline) Events() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.events.Len()
 }
 
 // WriteJSON exports the timeline in the Chrome trace-event format
@@ -137,20 +184,47 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 		tids[i] = nextTid[group] + 1
 		nextTid[group] = tids[i]
 	}
-	// Stable sort by timestamp: per-(pid,tid) timestamps come out monotonic
-	// and equal-time events keep their deterministic recording order.
-	order := make([]int, len(t.events))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return t.events[order[a]].ts < t.events[order[b]].ts
+
+	// The bytes are those of encoding/json marshalling {name, ph, ts, dur,
+	// pid, tid, s, args} with dur, s and args omitted when unset. What an
+	// event shares with others is encoded once: per name its head up to the
+	// phase, per track its ids.
+	heads, headAt := encodeEach(len(t.names), func(buf []byte, i int) []byte {
+		return append(appendJSONString(append(buf, `{"name":`...), t.names[i]), `,"ph":"`...)
+	})
+	ids, idAt := encodeEach(len(t.tracks), func(buf []byte, i int) []byte {
+		return appendIDs(buf, pids[i], tids[i])
 	})
 
+	// One pass over the records collects the sort keys and, for a writer that
+	// can grow (a bytes.Buffer), the exact size of the events' part of the
+	// document, so the writer is grown once.
+	grow, _ := w.(interface{ Grow(int) })
+	keys := make([]uint64, t.events.Len())
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	size, i := 0, 0
+	for _, chunk := range t.events.chunks {
+		for j := range chunk {
+			ev := &chunk[j]
+			keys[i] = uint64(ev.ts)
+			i++
+			lo, hi = min(lo, ev.ts), max(hi, ev.ts)
+			if grow == nil {
+				continue
+			}
+			size += len(",\n") + headAt[ev.name+1] - headAt[ev.name] + len(`X","ts":`) + decimalLen(ev.ts) +
+				idAt[ev.track+1] - idAt[ev.track]
+			if ev.ph == 'X' {
+				size += len(`,"dur":}`) + decimalLen(ev.dur)
+			} else {
+				size += len(`,"s":"t"}`)
+			}
+		}
+	}
+	t.sortByTime(keys, lo, hi)
+
 	// One buffer, flushed when it fills: no allocation and no reflection per
-	// event. The bytes are those of encoding/json marshalling
-	// {name, ph, ts, dur, pid, tid, s, args} with dur, s and args omitted
-	// when unset.
+	// event.
 	const flushAt = 60 << 10
 	enc := &eventEncoder{w: w, buf: make([]byte, 0, 64<<10)}
 	enc.buf = append(enc.buf, `{"displayTimeUnit":"ns","traceEvents":[`...)
@@ -160,28 +234,145 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	for i, name := range t.tracks {
 		enc.metadata("thread_name", pids[i], tids[i], name)
 	}
-	for _, i := range order {
-		ev := &t.events[i]
-		enc.begin(ev.name, ev.ph, ev.ts)
-		switch ev.ph {
-		case 'X':
-			// A zero-length span keeps an explicit "dur":0.
-			enc.buf = strconv.AppendInt(append(enc.buf, `,"dur":`...), ev.dur, 10)
-			enc.ids(pids[ev.track], tids[ev.track])
-			enc.buf = append(enc.buf, '}')
-		case 'i':
-			enc.ids(pids[ev.track], tids[ev.track])
-			enc.buf = append(enc.buf, `,"s":"t"}`...) // thread-scoped instant
-		default:
-			return fmt.Errorf("probe: unknown event phase %q", ev.ph)
+	if grow != nil {
+		grow.Grow(len(enc.buf) + size + len("]}\n"))
+	}
+	sep := enc.begun
+	for _, k := range keys {
+		ev := t.events.At(int(uint32(k)))
+		buf := enc.buf
+		if sep {
+			buf = append(buf, ",\n"...)
 		}
-		if len(enc.buf) >= flushAt {
+		sep = true
+		buf = append(append(buf, heads[headAt[ev.name]:headAt[ev.name+1]]...), ev.ph)
+		buf = appendInt(append(buf, `","ts":`...), ev.ts)
+		if ev.ph == 'X' {
+			// A zero-length span keeps an explicit "dur":0.
+			buf = appendInt(append(buf, `,"dur":`...), ev.dur)
+			buf = append(append(buf, ids[idAt[ev.track]:idAt[ev.track+1]]...), '}')
+		} else {
+			buf = append(append(buf, ids[idAt[ev.track]:idAt[ev.track+1]]...), `,"s":"t"}`...) // thread-scoped instant
+		}
+		if enc.buf = buf; len(buf) >= flushAt {
 			enc.flush()
 		}
 	}
 	enc.buf = append(enc.buf, "]}\n"...)
 	enc.flush()
 	return enc.err
+}
+
+// sortByTime orders the events by timestamp, equal timestamps in recording
+// order: per-(pid,tid) timestamps come out monotonic and equal-time events
+// keep their deterministic recording order. keys holds the events'
+// timestamps, in [lo, hi], and is left holding each event's index in its low
+// 32 bits, in that order. Above the index goes the timestamp's offset from
+// lo, and a least-significant-digit radix sort over the offset's bits — two
+// or three linear passes, stable by construction — orders the keys.
+// Timestamps spanning 2^32 or more take a stable comparison sort instead.
+func (t *Timeline) sortByTime(keys []uint64, lo, hi int64) {
+	if uint64(hi)-uint64(lo) >= 1<<32 {
+		for i := range keys {
+			keys[i] = uint64(i)
+		}
+		slices.SortStableFunc(keys, func(a, b uint64) int {
+			return cmp.Compare(t.events.At(int(a)).ts, t.events.At(int(b)).ts)
+		})
+		return
+	}
+	for i, ts := range keys {
+		keys[i] = (ts-uint64(lo))<<32 | uint64(i)
+	}
+	width := bits.Len64(uint64(hi - lo))
+	if width == 0 {
+		return
+	}
+	const digit = 11
+	passes := (width + digit - 1) / digit
+	step := (width + passes - 1) / passes
+	mask := uint64(1)<<step - 1
+	from, to := keys, make([]uint64, len(keys))
+	for shift := 32; shift < 32+width; shift += step {
+		var at [1 << digit]int
+		for _, k := range from {
+			at[k>>shift&mask]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, k := range from {
+			b := k >> shift & mask
+			to[at[b]] = k
+			at[b]++
+		}
+		from, to = to, from
+	}
+	copy(keys, from) // a no-op after an even number of passes
+}
+
+// appendInt appends v in decimal, as strconv.AppendInt(buf, v, 10) does,
+// writing the digits of a non-negative v in place, two at a time.
+func appendInt(buf []byte, v int64) []byte {
+	if v < 0 || cap(buf)-len(buf) < 20 {
+		return strconv.AppendInt(buf, v, 10)
+	}
+	u := uint64(v)
+	i := len(buf) + decimalLen(v)
+	buf = buf[:i]
+	for u >= 100 {
+		q := u / 100
+		r := (u - q*100) * 2
+		i -= 2
+		buf[i], buf[i+1] = digitPairs[r], digitPairs[r+1]
+		u = q
+	}
+	if u >= 10 {
+		buf[i-2], buf[i-1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		buf[i-1] = byte('0' + u)
+	}
+	return buf
+}
+
+// decimalLen is len(strconv.FormatInt(v, 10)).
+func decimalLen(v int64) int {
+	u, sign := uint64(v), 0
+	if v < 0 {
+		u, sign = -u, 1
+	}
+	n := bits.Len64(u) * 1233 >> 12 // log10(2) ≈ 1233/4096: n or n+1 digits
+	if n < len(powersOf10) && u >= powersOf10[n] {
+		n++
+	}
+	return sign + max(n, 1)
+}
+
+var powersOf10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
+	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+const digitPairs = "00010203040506070809" +
+	"10111213141516171819" +
+	"20212223242526272829" +
+	"30313233343536373839" +
+	"40414243444546474849" +
+	"50515253545556575859" +
+	"60616263646566676869" +
+	"70717273747576777879" +
+	"80818283848586878889" +
+	"90919293949596979899"
+
+// encodeEach encodes n byte strings into one slab: string i is
+// slab[at[i]:at[i+1]].
+func encodeEach(n int, encode func(buf []byte, i int) []byte) (slab []byte, at []int) {
+	at = make([]int, n+1)
+	for i := 0; i < n; i++ {
+		slab = encode(slab, i)
+		at[i+1] = len(slab)
+	}
+	return slab, at
 }
 
 // eventEncoder appends trace events to a buffer it writes out in large
@@ -193,28 +384,21 @@ type eventEncoder struct {
 	begun bool // an event has been written: the next one needs a separator
 }
 
-// begin appends the head of an event: {"name":…,"ph":…,"ts":…
-func (e *eventEncoder) begin(name string, ph byte, ts int64) {
-	if e.begun {
-		e.buf = append(e.buf, ",\n"...)
-	}
-	e.begun = true
-	e.buf = appendJSONString(append(e.buf, `{"name":`...), name)
-	e.buf = append(e.buf, `,"ph":"`...)
-	e.buf = append(e.buf, ph)
-	e.buf = strconv.AppendInt(append(e.buf, `","ts":`...), ts, 10)
-}
-
-// ids appends ,"pid":…,"tid":…
-func (e *eventEncoder) ids(pid, tid int) {
-	e.buf = strconv.AppendInt(append(e.buf, `,"pid":`...), int64(pid), 10)
-	e.buf = strconv.AppendInt(append(e.buf, `,"tid":`...), int64(tid), 10)
+// appendIDs appends ,"pid":…,"tid":…
+func appendIDs(buf []byte, pid, tid int) []byte {
+	buf = strconv.AppendInt(append(buf, `,"pid":`...), int64(pid), 10)
+	return strconv.AppendInt(append(buf, `,"tid":`...), int64(tid), 10)
 }
 
 // metadata appends a whole metadata event naming a process or thread row.
 func (e *eventEncoder) metadata(kind string, pid, tid int, name string) {
-	e.begin(kind, 'M', 0)
-	e.ids(pid, tid)
+	if e.begun {
+		e.buf = append(e.buf, ",\n"...)
+	}
+	e.begun = true
+	e.buf = appendJSONString(append(e.buf, `{"name":`...), kind)
+	e.buf = append(e.buf, `,"ph":"M","ts":0`...)
+	e.buf = appendIDs(e.buf, pid, tid)
 	e.buf = appendJSONString(append(e.buf, `,"args":{"name":`...), name)
 	e.buf = append(e.buf, "}}"...)
 }
