@@ -72,7 +72,7 @@ const (
 )
 
 // span is one recorded interval on a processor's own time axis. It holds no
-// pointer, so the chunked span logs are never scanned by the collector.
+// pointer, so the garbage collector never scans the span logs.
 type span struct {
 	kind     spanKind
 	op       ops.Kind // the communication operation, named in the report
@@ -191,7 +191,7 @@ func (c *Collector) Recv(cpu int, peer int32, op ops.Kind, from, to pearl.Time) 
 // by reason into the report's "who waited on what" table. Its signature is
 // that of pearl.Chain.Spans.
 func (c *Collector) BlockSpan(from, to pearl.Time, reason pearl.Reason) {
-	if c == nil || to <= from || reason < 0 {
+	if c == nil || to <= from {
 		return
 	}
 	if int(reason) >= len(c.blocked) {

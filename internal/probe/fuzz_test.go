@@ -98,10 +98,11 @@ func referenceJSON(tracks []string, events []refEvent) []byte {
 // FuzzTimelineJSON records random tracks, spans and instants — equal
 // timestamps, negative durations, timestamps spanning more than 2^32, names
 // that need escaping — and requires WriteJSON to write exactly the
-// reference's bytes, into a growable buffer and into a plain writer alike,
-// and valid JSON.
+// reference's bytes, into a writer that can grow — grown once, by exactly
+// the document's size — and into a plain writer alike, and valid JSON.
 func FuzzTimelineJSON(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0}) // one track, no events
 	f.Add([]byte("\x05\x04\x06\x07\x0c\x0e\x01\x02 span and instant with equal times \x00\x00\x00\x00\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0x81, 0x13, 0xff, 0x7f, 0x00, 0x80, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff}, 12))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -146,7 +147,7 @@ func FuzzTimelineJSON(f *testing.F) {
 			}
 		}
 		want := referenceJSON(tracks, events)
-		var grown bytes.Buffer
+		var grown growWriter
 		if err := tl.WriteJSON(&grown); err != nil {
 			t.Fatal(err)
 		}
@@ -154,8 +155,11 @@ func FuzzTimelineJSON(f *testing.F) {
 		if err := tl.WriteJSON(struct{ io.Writer }{&plain}); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(grown.Bytes(), want) {
-			t.Fatalf("WriteJSON differs from the reference:\n got %q\nwant %q", grown.Bytes(), want)
+		if !bytes.Equal(grown.buf, want) {
+			t.Fatalf("WriteJSON differs from the reference:\n got %q\nwant %q", grown.buf, want)
+		}
+		if grown.grown != len(want) {
+			t.Fatalf("WriteJSON grew its writer by %d bytes for a %d-byte document", grown.grown, len(want))
 		}
 		if plain.String() != string(want) {
 			t.Fatalf("WriteJSON to a plain writer differs from the reference:\n got %q\nwant %q", plain.String(), want)
@@ -164,6 +168,20 @@ func FuzzTimelineJSON(f *testing.F) {
 			t.Fatalf("WriteJSON output is not valid JSON: %q", want)
 		}
 	})
+}
+
+// growWriter is a writer that can grow, like a bytes.Buffer, and counts by
+// how much it was asked to.
+type growWriter struct {
+	buf   []byte
+	grown int
+}
+
+func (w *growWriter) Grow(n int) { w.grown += n }
+
+func (w *growWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }
 
 // appendInt and decimalLen at the edges the fuzzer does not reach.

@@ -187,13 +187,19 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 
 	// The bytes are those of encoding/json marshalling {name, ph, ts, dur,
 	// pid, tid, s, args} with dur, s and args omitted when unset. What an
-	// event shares with others is encoded once: per name its head up to the
-	// phase, per track its ids.
-	heads, headAt := encodeEach(len(t.names), func(buf []byte, i int) []byte {
-		return append(appendJSONString(append(buf, `{"name":`...), t.names[i]), `,"ph":"`...)
+	// event shares with others is encoded once, for a span and for an
+	// instant: per name its head up to the timestamp, separator first, and
+	// per track its tail from the ids on.
+	heads, headAt := encodeEach(2*len(t.names), func(buf []byte, i int) []byte {
+		buf = appendJSONString(append(buf, ",\n{\"name\":"...), t.names[i/2])
+		return append(append(append(buf, `,"ph":"`...), "Xi"[i%2]), `","ts":`...)
 	})
-	ids, idAt := encodeEach(len(t.tracks), func(buf []byte, i int) []byte {
-		return appendIDs(buf, pids[i], tids[i])
+	tails, tailAt := encodeEach(2*len(t.tracks), func(buf []byte, i int) []byte {
+		buf = appendIDs(buf, pids[i/2], tids[i/2])
+		if i%2 == 1 {
+			return append(buf, `,"s":"t"}`...) // thread-scoped instant
+		}
+		return append(buf, '}')
 	})
 
 	// One pass over the records collects the sort keys and, for a writer that
@@ -212,12 +218,10 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 			if grow == nil {
 				continue
 			}
-			size += len(",\n") + headAt[ev.name+1] - headAt[ev.name] + len(`X","ts":`) + decimalLen(ev.ts) +
-				idAt[ev.track+1] - idAt[ev.track]
+			h, tl := ev.parts()
+			size += headAt[h+1] - headAt[h] + decimalLen(ev.ts) + tailAt[tl+1] - tailAt[tl]
 			if ev.ph == 'X' {
-				size += len(`,"dur":}`) + decimalLen(ev.dur)
-			} else {
-				size += len(`,"s":"t"}`)
+				size += len(`,"dur":`) + decimalLen(ev.dur)
 			}
 		}
 	}
@@ -234,26 +238,27 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	for i, name := range t.tracks {
 		enc.metadata("thread_name", pids[i], tids[i], name)
 	}
+	first := len(",\n") // the head bytes the first event skips: no separator after "["
+	if enc.begun {
+		first = 0
+	}
 	if grow != nil {
+		if len(keys) > 0 {
+			size -= first
+		}
 		grow.Grow(len(enc.buf) + size + len("]}\n"))
 	}
-	sep := enc.begun
 	for _, k := range keys {
 		ev := t.events.At(int(uint32(k)))
-		buf := enc.buf
-		if sep {
-			buf = append(buf, ",\n"...)
-		}
-		sep = true
-		buf = append(append(buf, heads[headAt[ev.name]:headAt[ev.name+1]]...), ev.ph)
-		buf = appendInt(append(buf, `","ts":`...), ev.ts)
+		h, tl := ev.parts()
+		buf := append(enc.buf, heads[headAt[h]+first:headAt[h+1]]...)
+		first = 0
+		buf = appendInt(buf, ev.ts)
 		if ev.ph == 'X' {
 			// A zero-length span keeps an explicit "dur":0.
 			buf = appendInt(append(buf, `,"dur":`...), ev.dur)
-			buf = append(append(buf, ids[idAt[ev.track]:idAt[ev.track+1]]...), '}')
-		} else {
-			buf = append(append(buf, ids[idAt[ev.track]:idAt[ev.track+1]]...), `,"s":"t"}`...) // thread-scoped instant
 		}
+		buf = append(buf, tails[tailAt[tl]:tailAt[tl+1]]...)
 		if enc.buf = buf; len(buf) >= flushAt {
 			enc.flush()
 		}
@@ -261,6 +266,16 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	enc.buf = append(enc.buf, "]}\n"...)
 	enc.flush()
 	return enc.err
+}
+
+// parts returns the indices of the event's head and tail in WriteJSON's
+// encodings: a span's, or an instant's one after it.
+func (ev *record) parts() (head, tail int) {
+	head, tail = 2*int(ev.name), 2*int(ev.track)
+	if ev.ph == 'i' {
+		head, tail = head+1, tail+1
+	}
+	return head, tail
 }
 
 // sortByTime orders the events by timestamp, equal timestamps in recording
