@@ -21,7 +21,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -351,19 +350,14 @@ func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resu
 	}
 	finish(res.Cycles)
 
-	// The artifacts render in turn into one buffer, which the timeline,
-	// rendered first, grows to its exact size from its events, and each is
-	// stored as a copy of exactly its length: the result cache holds its
-	// entries for as long as they are hot and must retain no slack.
-	var buf bytes.Buffer
+	// Each artifact is stored with no spare capacity: the result cache holds
+	// its entries for as long as they are hot and must retain no slack.
 	render := func(write func(io.Writer) error) ([]byte, error) {
-		buf.Reset()
-		if err := write(&buf); err != nil {
+		var a artifact
+		if err := write(&a); err != nil {
 			return nil, err
 		}
-		out := make([]byte, buf.Len())
-		copy(out, buf.Bytes())
-		return out, nil
+		return a.exact(), nil
 	}
 	var entry resultcache.Entry
 	if entry.Timeline, err = render(m.MergedTimeline().WriteJSON); err != nil {
@@ -383,6 +377,34 @@ func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resu
 	entry.Cycles = int64(res.Cycles)
 	entry.Events = res.Events
 	return entry, nil
+}
+
+// artifact is the writer a job's artifact is rendered into. A renderer that
+// grows its writer by the size of what it writes — the timeline's WriteJSON
+// does, from its events — fills one slice of exactly that size; anything
+// else is appended and copied to its exact size at the end.
+type artifact struct{ b []byte }
+
+// Grow makes room for n more bytes, exactly.
+func (a *artifact) Grow(n int) {
+	if cap(a.b)-len(a.b) < n {
+		a.b = append(make([]byte, 0, len(a.b)+n), a.b...)
+	}
+}
+
+func (a *artifact) Write(p []byte) (int, error) {
+	a.b = append(a.b, p...)
+	return len(p), nil
+}
+
+// exact returns the rendered bytes in a slice with cap == len.
+func (a *artifact) exact() []byte {
+	if cap(a.b) == len(a.b) {
+		return a.b
+	}
+	out := make([]byte, len(a.b))
+	copy(out, a.b)
+	return out
 }
 
 // maxJobBytes caps a POST /jobs document. Job documents are a few hundred
