@@ -70,9 +70,8 @@ func runMeshExchange(t *testing.T, observed bool) (allocs, hops uint64) {
 // the span name are interned when the network is built, and spans go to
 // chunked records. What the observed run allocates beyond the plain one —
 // three per link channel for its names and sampler, the other
-// registrations, the chunks — must stay under 0.05 per hop; a name built per
-// contended hop, as the reasons were before they were interned, cost 0.48
-// per hop on this exchange.
+// registrations, the chunks — must stay under 0.05 per hop; building a
+// reason's text per contended hop costs about 0.5 per hop on this exchange.
 func TestObservedExchangeAmortisedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
