@@ -20,6 +20,7 @@ func TestAllocFreeNilTimeline(t *testing.T) {
 	tr := tl.Track("x")
 	if got := testing.AllocsPerRun(200, func() {
 		tl.Span(tr, "s", 0, 10)
+		tl.NamedSpan(tr, tl.Name("n"), 0, 10)
 		tl.Instant(tr, "i", 5)
 	}); got != 0 {
 		t.Errorf("nil timeline allocates %v times per op; want 0", got)
