@@ -1,12 +1,10 @@
 package probe
 
 import (
-	"cmp"
 	"encoding/json"
 	"io"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -45,8 +43,6 @@ type Timeline struct {
 
 	names     []string
 	nameIndex map[string]Name
-	lastName  string // the name Span interned last, and its Name
-	lastID    Name
 
 	events Chunks[record]
 }
@@ -94,16 +90,12 @@ func (t *Timeline) Name(name string) Name {
 	if t == nil {
 		return 0
 	}
-	if name == t.lastName && len(t.names) > 0 {
-		return t.lastID
+	if id, ok := t.nameIndex[name]; ok {
+		return id
 	}
-	id, ok := t.nameIndex[name]
-	if !ok {
-		id = Name(len(t.names))
-		t.names = append(t.names, name)
-		t.nameIndex[name] = id
-	}
-	t.lastName, t.lastID = name, id
+	id := Name(len(t.names))
+	t.names = append(t.names, name)
+	t.nameIndex[name] = id
 	return id
 }
 
@@ -202,30 +194,7 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 		return append(buf, '}')
 	})
 
-	// One pass over the records collects the sort keys and, for a writer that
-	// can grow (a bytes.Buffer), the exact size of the events' part of the
-	// document, so the writer is grown once.
-	grow, _ := w.(interface{ Grow(int) })
-	keys := make([]uint64, t.events.Len())
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	size, i := 0, 0
-	for _, chunk := range t.events.chunks {
-		for j := range chunk {
-			ev := &chunk[j]
-			keys[i] = uint64(ev.ts)
-			i++
-			lo, hi = min(lo, ev.ts), max(hi, ev.ts)
-			if grow == nil {
-				continue
-			}
-			h, tl := ev.parts()
-			size += headAt[h+1] - headAt[h] + decimalLen(ev.ts) + tailAt[tl+1] - tailAt[tl]
-			if ev.ph == 'X' {
-				size += len(`,"dur":`) + decimalLen(ev.dur)
-			}
-		}
-	}
-	t.sortByTime(keys, lo, hi)
+	order := t.sortByTime()
 
 	// One buffer, flushed when it fills: no allocation and no reflection per
 	// event.
@@ -242,21 +211,15 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	if enc.begun {
 		first = 0
 	}
-	if grow != nil {
-		if len(keys) > 0 {
-			size -= first
-		}
-		grow.Grow(len(enc.buf) + size + len("]}\n"))
-	}
-	for _, k := range keys {
-		ev := t.events.At(int(uint32(k)))
+	for _, i := range order {
+		ev := t.events.At(int(i))
 		h, tl := ev.parts()
 		buf := append(enc.buf, heads[headAt[h]+first:headAt[h+1]]...)
 		first = 0
-		buf = appendInt(buf, ev.ts)
+		buf = strconv.AppendInt(buf, ev.ts, 10)
 		if ev.ph == 'X' {
 			// A zero-length span keeps an explicit "dur":0.
-			buf = appendInt(append(buf, `,"dur":`...), ev.dur)
+			buf = strconv.AppendInt(append(buf, `,"dur":`...), ev.dur, 10)
 		}
 		buf = append(buf, tails[tailAt[tl]:tailAt[tl+1]]...)
 		if enc.buf = buf; len(buf) >= flushAt {
@@ -268,6 +231,54 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	return enc.err
 }
 
+// sortByTime returns the events' indices ordered by timestamp, equal
+// timestamps in recording order: per-(pid,tid) timestamps come out
+// monotonic and equal-time events keep their deterministic recording order.
+// A least-significant-digit radix sort over each timestamp's offset from the
+// earliest orders them: one linear pass per 11 bits of the timestamps' range
+// (two or three for a run of up to 2^33 cycles), stable by construction.
+func (t *Timeline) sortByTime() []uint32 {
+	ts := make([]int64, 0, t.events.Len()) // in recording order
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for _, chunk := range t.events.chunks {
+		for j := range chunk {
+			ts = append(ts, chunk[j].ts)
+			lo, hi = min(lo, chunk[j].ts), max(hi, chunk[j].ts)
+		}
+	}
+	order := make([]uint32, len(ts))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	if lo >= hi {
+		return order // no events, or all at one time
+	}
+	width := bits.Len64(uint64(hi) - uint64(lo))
+	const digit = 11
+	passes := (width + digit - 1) / digit
+	step := (width + passes - 1) / passes
+	mask := uint64(1)<<step - 1
+	from, to := order, make([]uint32, len(order))
+	for shift := 0; shift < width; shift += step {
+		var at [1 << digit]int
+		for _, v := range ts {
+			at[(uint64(v)-uint64(lo))>>shift&mask]++
+		}
+		sum := 0
+		for b, c := range at {
+			at[b] = sum
+			sum += c
+		}
+		for _, i := range from {
+			b := (uint64(ts[i]) - uint64(lo)) >> shift & mask
+			to[at[b]] = i
+			at[b]++
+		}
+		from, to = to, from
+	}
+	return from
+}
+
 // parts returns the indices of the event's head and tail in WriteJSON's
 // encodings: a span's, or an instant's one after it.
 func (ev *record) parts() (head, tail int) {
@@ -277,107 +288,6 @@ func (ev *record) parts() (head, tail int) {
 	}
 	return head, tail
 }
-
-// sortByTime orders the events by timestamp, equal timestamps in recording
-// order: per-(pid,tid) timestamps come out monotonic and equal-time events
-// keep their deterministic recording order. keys holds the events'
-// timestamps, in [lo, hi], and is left holding each event's index in its low
-// 32 bits, in that order. Above the index goes the timestamp's offset from
-// lo, and a least-significant-digit radix sort over the offset's bits — two
-// or three linear passes, stable by construction — orders the keys.
-// Timestamps spanning 2^32 or more take a stable comparison sort instead.
-func (t *Timeline) sortByTime(keys []uint64, lo, hi int64) {
-	if uint64(hi)-uint64(lo) >= 1<<32 {
-		for i := range keys {
-			keys[i] = uint64(i)
-		}
-		slices.SortStableFunc(keys, func(a, b uint64) int {
-			return cmp.Compare(t.events.At(int(a)).ts, t.events.At(int(b)).ts)
-		})
-		return
-	}
-	for i, ts := range keys {
-		keys[i] = (ts-uint64(lo))<<32 | uint64(i)
-	}
-	width := bits.Len64(uint64(hi - lo))
-	if width == 0 {
-		return
-	}
-	const digit = 11
-	passes := (width + digit - 1) / digit
-	step := (width + passes - 1) / passes
-	mask := uint64(1)<<step - 1
-	from, to := keys, make([]uint64, len(keys))
-	for shift := 32; shift < 32+width; shift += step {
-		var at [1 << digit]int
-		for _, k := range from {
-			at[k>>shift&mask]++
-		}
-		sum := 0
-		for b, c := range at {
-			at[b] = sum
-			sum += c
-		}
-		for _, k := range from {
-			b := k >> shift & mask
-			to[at[b]] = k
-			at[b]++
-		}
-		from, to = to, from
-	}
-	copy(keys, from) // a no-op after an even number of passes
-}
-
-// appendInt appends v in decimal, as strconv.AppendInt(buf, v, 10) does,
-// writing the digits of a non-negative v in place, two at a time.
-func appendInt(buf []byte, v int64) []byte {
-	if v < 0 || cap(buf)-len(buf) < 20 {
-		return strconv.AppendInt(buf, v, 10)
-	}
-	u := uint64(v)
-	i := len(buf) + decimalLen(v)
-	buf = buf[:i]
-	for u >= 100 {
-		q := u / 100
-		r := (u - q*100) * 2
-		i -= 2
-		buf[i], buf[i+1] = digitPairs[r], digitPairs[r+1]
-		u = q
-	}
-	if u >= 10 {
-		buf[i-2], buf[i-1] = digitPairs[u*2], digitPairs[u*2+1]
-	} else {
-		buf[i-1] = byte('0' + u)
-	}
-	return buf
-}
-
-// decimalLen is len(strconv.FormatInt(v, 10)).
-func decimalLen(v int64) int {
-	u, sign := uint64(v), 0
-	if v < 0 {
-		u, sign = -u, 1
-	}
-	n := bits.Len64(u) * 1233 >> 12 // log10(2) ≈ 1233/4096: n or n+1 digits
-	if n < len(powersOf10) && u >= powersOf10[n] {
-		n++
-	}
-	return sign + max(n, 1)
-}
-
-var powersOf10 = [...]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
-	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
-
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
 
 // encodeEach encodes n byte strings into one slab: string i is
 // slab[at[i]:at[i+1]].

@@ -21,6 +21,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -350,17 +351,24 @@ func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resu
 	}
 	finish(res.Cycles)
 
-	// Each artifact is stored with no spare capacity: the result cache holds
-	// its entries for as long as they are hot and must retain no slack.
+	// The artifacts are rendered in turn into one buffer sized for the
+	// timeline, the largest, and each is stored in a copy with no spare
+	// capacity: the result cache holds its entries for as long as they are
+	// hot and must retain no slack. A timeline event is 60–70 bytes of JSON;
+	// the track names before the events take a few tens of KB.
+	tl := m.MergedTimeline()
+	buf := bytes.NewBuffer(make([]byte, 0, 72*tl.Events()+64<<10))
 	render := func(write func(io.Writer) error) ([]byte, error) {
-		var a artifact
-		if err := write(&a); err != nil {
+		buf.Reset()
+		if err := write(buf); err != nil {
 			return nil, err
 		}
-		return a.exact(), nil
+		out := make([]byte, buf.Len())
+		copy(out, buf.Bytes())
+		return out, nil
 	}
 	var entry resultcache.Entry
-	if entry.Timeline, err = render(m.MergedTimeline().WriteJSON); err != nil {
+	if entry.Timeline, err = render(tl.WriteJSON); err != nil {
 		return entry, err
 	}
 	if entry.Report, err = render(func(w io.Writer) error { return wb.Report(w, res) }); err != nil {
@@ -377,34 +385,6 @@ func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resu
 	entry.Cycles = int64(res.Cycles)
 	entry.Events = res.Events
 	return entry, nil
-}
-
-// artifact is the writer a job's artifact is rendered into. A renderer that
-// grows its writer by the size of what it writes — the timeline's WriteJSON
-// does, from its events — fills one slice of exactly that size; anything
-// else is appended and copied to its exact size at the end.
-type artifact struct{ b []byte }
-
-// Grow makes room for n more bytes, exactly.
-func (a *artifact) Grow(n int) {
-	if cap(a.b)-len(a.b) < n {
-		a.b = append(make([]byte, 0, len(a.b)+n), a.b...)
-	}
-}
-
-func (a *artifact) Write(p []byte) (int, error) {
-	a.b = append(a.b, p...)
-	return len(p), nil
-}
-
-// exact returns the rendered bytes in a slice with cap == len.
-func (a *artifact) exact() []byte {
-	if cap(a.b) == len(a.b) {
-		return a.b
-	}
-	out := make([]byte, len(a.b))
-	copy(out, a.b)
-	return out
 }
 
 // maxJobBytes caps a POST /jobs document. Job documents are a few hundred
