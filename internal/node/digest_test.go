@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"regexp"
 	"sort"
 	"strings"
@@ -34,7 +35,10 @@ import (
 // report, timeline JSON and bottleneck JSON of seeded detailed runs, printed
 // by the tree as it was before each rewrite (detailedDigests by commit
 // beed453; observedDigests, which add the bottleneck text, a metrics
-// sampler's CSV and exported task traces, by commit 367e6bd). A digest that
+// sampler's CSV and exported task traces, by commit 367e6bd). Both hash the
+// timeline through coalesce, the reference for a CPU runner's track; they
+// were re-printed that way by commit c9229e9, the last tree that recorded
+// each of a runner's waits as a span of its own. A digest that
 // moves means simulated behaviour moved: some event fires at another time, in
 // another order, or not at all. If that is intended, re-pin it and say why.
 
@@ -211,9 +215,11 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	if err := stats.RenderSet(h, res.Stats); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MergedTimeline().WriteJSON(h); err != nil {
+	var tl strings.Builder
+	if err := m.MergedTimeline().WriteJSON(&tl); err != nil {
 		t.Fatal(err)
 	}
+	io.WriteString(h, coalesce(t, tl.String()))
 	if err := res.Analysis.WriteJSON(h); err != nil {
 		t.Fatal(err)
 	}
@@ -526,6 +532,7 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 	}
 	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, res.Stats) })
 	render("timeline", func(b *bytes.Buffer) error { return m.MergedTimeline().WriteJSON(b) })
+	out["timeline"] = coalesce(t, out["timeline"])
 	if res.Analysis != nil {
 		render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
 		render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })
