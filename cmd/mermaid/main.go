@@ -100,9 +100,8 @@ func main() {
 		reportPath  = flag.String("report", "", "run the bottleneck analysis and write its JSON report to this file")
 		monitorAddr = flag.String("monitor-addr", "", "serve live run state over HTTP on this address (/metrics Prometheus text, /progress JSON)")
 
-		timeline       = flag.String("timeline", "", "write a virtual-time timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
-		timelineSample = flag.Int("timeline-sample", 1, "keep every Nth timeline event (sampling rate)")
-		metricsOut     = flag.String("metrics", "", "write periodic metric-registry samples, one row per -monitor interval plus the end of the run, to this CSV file")
+		timeline   = flag.String("timeline", "", "write a virtual-time timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
+		metricsOut = flag.String("metrics", "", "write periodic metric-registry samples, one row per -monitor interval plus the end of the run, to this CSV file")
 
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations to run concurrently (experiment sweeps and -repeats)")
 		repeats  = flag.Int("repeats", 1, "replications of the run with per-replica derived seeds")
@@ -168,8 +167,6 @@ func main() {
 			fatal(fmt.Errorf("-report is not supported with -shards"))
 		case *monitorAddr != "":
 			fatal(fmt.Errorf("-monitor-addr is not supported with -shards"))
-		case *timelineSample > 1:
-			fatal(fmt.Errorf("-timeline-sample is not supported with -shards (sampling rates on a partition-dependent counter)"))
 		}
 	}
 	if *hostMetrics != "" && cfg.Shards == 0 {
@@ -247,7 +244,7 @@ func main() {
 	var opts []core.Option
 	// Any observer reads the metric registry, so any observer attaches a probe.
 	if *timeline != "" || *metricsOut != "" || *monitor > 0 || *monitorAddr != "" {
-		pb = probe.New(probe.Config{Timeline: *timeline != "", SampleEvery: *timelineSample})
+		pb = probe.New(probe.Config{Timeline: *timeline != ""})
 		opts = append(opts, core.WithProbe(pb))
 	}
 	if *reportPath != "" {

@@ -33,14 +33,18 @@ import (
 // three detailed/T805Grid/<switching> entries were printed by the
 // per-process transport too (commit d8329d7), to pin the detailed nodes'
 // packets — under cut-through, adaptive routing, wormhole worms and a fault
-// schedule — now that they walk as events.
+// schedule — now that they walk as events. The detailed/* and shards/*
+// entries were re-printed when CPU runners began to record one span per run
+// of back-to-back waits: they are what commit c9229e9, which recorded each
+// wait as a span of its own, prints with its timelines put through the
+// reference coalescer of the node package's digest tests.
 var trafficDigests = map[string]string{
-	"detailed/DSMCluster(2,2)":              "2abe82a37cd09ae20215b541",
-	"detailed/HybridCluster(2,2,2)":         "2b6f535888ab03694eeadf01",
-	"detailed/T805Grid(2,2)":                "9ec799e3355fefa2a714e77a",
-	"detailed/T805Grid(2,2)/VCTUnderFaults": "b73ecd5b73c1c2ac1672f768",
-	"detailed/T805Grid(3,3)/VCTAdaptive":    "13205aabb0490f160497c32a",
-	"detailed/T805Grid(3,3)/Wormhole":       "d76c3efcce5d04b19bd07e11",
+	"detailed/DSMCluster(2,2)":              "1c71488d4bb26d3400f95bc5",
+	"detailed/HybridCluster(2,2,2)":         "9bdfc3c5cf844a08fc9a4ca0",
+	"detailed/T805Grid(2,2)":                "e59a2d4c8d1b1472c88e62d5",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "2267e78acd43bdabcbd1b762",
+	"detailed/T805Grid(3,3)/VCTAdaptive":    "467d2526dea9e68195dc53df",
+	"detailed/T805Grid(3,3)/Wormhole":       "e7d3de6e574749bc1efe4bc2",
 	"engine/AdaptiveFatTree/observed":       "6facbbf96f297e60971d2df1",
 	"engine/AdaptiveFatTree/plain":          "830501e0a07162d1885b35d7",
 	"engine/Dragonfly/observed":             "ad2a8dc631a75dcada901d10",
@@ -57,18 +61,18 @@ var trafficDigests = map[string]string{
 	"engine/VCTValiant/plain":               "88435e6f6411aa5cc215f77e",
 	"engine/WormholeTorus3D/observed":       "ed8071d04ebc8ad9f803f9da",
 	"engine/WormholeTorus3D/plain":          "5a0b604871e0a177069d8b7d",
-	"shards/JacobiDetailed/1":               "dec06509e6e9c02295838f95",
-	"shards/JacobiDetailed/2":               "dec06509e6e9c02295838f95",
-	"shards/JacobiDetailed/4":               "dec06509e6e9c02295838f95",
-	"shards/PingPong/1":                     "4a0b80bbf7e3dddc0ce6a028",
-	"shards/PingPong/2":                     "4a0b80bbf7e3dddc0ce6a028",
-	"shards/PingPong/4":                     "4a0b80bbf7e3dddc0ce6a028",
+	"shards/JacobiDetailed/1":               "0e525dc7f9510048b679e76f",
+	"shards/JacobiDetailed/2":               "0e525dc7f9510048b679e76f",
+	"shards/JacobiDetailed/4":               "0e525dc7f9510048b679e76f",
+	"shards/PingPong/1":                     "8afcbd38cb37e5d51e6187b3",
+	"shards/PingPong/2":                     "8afcbd38cb37e5d51e6187b3",
+	"shards/PingPong/4":                     "8afcbd38cb37e5d51e6187b3",
 	"shards/TaskLevel/1":                    "9cc7075b80f3298c0ad813a1",
 	"shards/TaskLevel/2":                    "9cc7075b80f3298c0ad813a1",
 	"shards/TaskLevel/4":                    "9cc7075b80f3298c0ad813a1",
-	"shards/UnderFaults/1":                  "4be73ff701b5fd96ff844181",
-	"shards/UnderFaults/2":                  "4be73ff701b5fd96ff844181",
-	"shards/UnderFaults/4":                  "4be73ff701b5fd96ff844181",
+	"shards/UnderFaults/1":                  "d8fbc62454b9fe1beecdde68",
+	"shards/UnderFaults/2":                  "d8fbc62454b9fe1beecdde68",
+	"shards/UnderFaults/4":                  "d8fbc62454b9fe1beecdde68",
 }
 
 // artifactDigest runs cfg, observed or with a bare probe, and hashes every

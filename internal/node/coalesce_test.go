@@ -62,3 +62,13 @@ func coalesce(t *testing.T, tl string) string {
 	}
 	return strings.Join(kept, ",\n") + end
 }
+
+// coalesced fails the test unless the timeline tl is its own coalesce: every
+// CPU runner records one span per run of back-to-back, same-named waits.
+func coalesced(t *testing.T, tl string) string {
+	t.Helper()
+	if c := coalesce(t, tl); c != tl {
+		t.Errorf("timeline of %d bytes coalesces to %d", len(tl), len(c))
+	}
+	return tl
+}

@@ -35,12 +35,13 @@ import (
 // report, timeline JSON and bottleneck JSON of seeded detailed runs, printed
 // by the tree as it was before each rewrite (detailedDigests by commit
 // beed453; observedDigests, which add the bottleneck text, a metrics
-// sampler's CSV and exported task traces, by commit 367e6bd). Both hash the
-// timeline through coalesce, the reference for a CPU runner's track; they
-// were re-printed that way by commit c9229e9, the last tree that recorded
-// each of a runner's waits as a span of its own. A digest that
-// moves means simulated behaviour moved: some event fires at another time, in
-// another order, or not at all. If that is intended, re-pin it and say why.
+// sampler's CSV and exported task traces, by commit 367e6bd). When CPU
+// runners began to record one span per run of waits, both were re-printed by
+// commit c9229e9, the last tree that recorded each wait as a span of its own,
+// over its timelines put through coalesce; every timeline now must equal its
+// coalesced self. A digest that moves means simulated behaviour moved: some
+// event fires at another time, in another order, or not at all. If that is
+// intended, re-pin it and say why.
 
 // smallCache returns a cache small enough for mixedTrace's 12 KiB private
 // window to overflow, so fills, victims and write-backs all happen.
@@ -219,7 +220,7 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	if err := m.MergedTimeline().WriteJSON(&tl); err != nil {
 		t.Fatal(err)
 	}
-	io.WriteString(h, coalesce(t, tl.String()))
+	io.WriteString(h, coalesced(t, tl.String()))
 	if err := res.Analysis.WriteJSON(h); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 	}
 	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, res.Stats) })
 	render("timeline", func(b *bytes.Buffer) error { return m.MergedTimeline().WriteJSON(b) })
-	out["timeline"] = coalesce(t, out["timeline"])
+	coalesced(t, out["timeline"])
 	if res.Analysis != nil {
 		render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
 		render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })

@@ -223,11 +223,13 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 	r.chain.Init(n.k, r.step)
 	if n.tl != nil || n.col.Enabled() {
 		// The runner's waits — holds, awaits, resource queues — show up on a
-		// track of its own and in the collector's table of blocked time.
+		// track of its own, one span per run of back-to-back waits for one
+		// reason, and each in the collector's table of blocked time.
 		track := n.tl.Track(fmt.Sprintf("node%d.cpu%d", n.id, cpuIdx))
+		open := -1 // the track's last span
 		r.chain.Spans = func(from, to pearl.Time, reason pearl.Reason) {
 			if n.tl != nil {
-				n.tl.NamedSpan(track, n.reasonName(reason), from, to)
+				n.tl.ExtendSpan(&open, track, n.reasonName(reason), from, to)
 			}
 			n.col.BlockSpan(from, to, reason)
 		}

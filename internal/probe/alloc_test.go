@@ -18,9 +18,11 @@ func TestAllocFreeNilTimeline(t *testing.T) {
 	}
 	var tl *Timeline
 	tr := tl.Track("x")
+	open := -1
 	if got := testing.AllocsPerRun(200, func() {
 		tl.Span(tr, "s", 0, 10)
 		tl.NamedSpan(tr, tl.Name("n"), 0, 10)
+		tl.ExtendSpan(&open, tr, tl.Name("n"), 0, 10)
 		tl.Instant(tr, "i", 5)
 	}); got != 0 {
 		t.Errorf("nil timeline allocates %v times per op; want 0", got)
@@ -90,5 +92,15 @@ func TestTimelineNamedSpanAmortisedAllocs(t *testing.T) {
 		at++
 	}); got != 0 {
 		t.Errorf("a span by a seen name allocates %v times; want 0 amortised", got)
+	}
+	// ExtendSpan, alternately opening a span and extending it: every other
+	// span starts one cycle after the last one ends.
+	open, n := -1, pearl.Time(0)
+	if got := testing.AllocsPerRun(1<<16, func() {
+		tl.ExtendSpan(&open, tr, pkt, at, at+1)
+		at += 1 + n%2
+		n++
+	}); got != 0 {
+		t.Errorf("ExtendSpan allocates %v times; want 0 amortised", got)
 	}
 }

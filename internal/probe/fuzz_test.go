@@ -95,13 +95,18 @@ func referenceJSON(tracks []string, events []refEvent) []byte {
 
 // FuzzTimelineJSON records random tracks, spans and instants — equal
 // timestamps, negative durations, timestamps spanning more than 2^32, names
-// that need escaping — and requires WriteJSON to write exactly the
-// reference's bytes, and valid JSON.
+// that need escaping, spans through ExtendSpan that often continue their
+// track's open span — and requires WriteJSON to write exactly the
+// reference's bytes, and valid JSON. The reference extends a span by
+// growing its recorded event.
 func FuzzTimelineJSON(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0}) // one track, no events
 	f.Add([]byte("\x05\x04\x06\x07\x0c\x0e\x01\x02 span and instant with equal times \x00\x00\x00\x00\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0x81, 0x13, 0xff, 0x7f, 0x00, 0x80, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff}, 12))
+	// A span through ExtendSpan at 9 lasting 4, then five continuations.
+	f.Add(append([]byte{1, 2, 3, 3, 0, 15, 15, 0x03, 0, 15, 15, 9, 0, 0, 0, 4, 0, 0, 0, 0},
+		bytes.Repeat([]byte{0x23, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0}, 5)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -121,6 +126,10 @@ func FuzzTimelineJSON(f *testing.F) {
 			}
 		}
 		var events []refEvent
+		open := make([]int, len(tracks)) // each track's ExtendSpan index
+		for i := range open {
+			open[i] = -1
+		}
 		for len(data) >= 13 {
 			op, tr, nm := data[0], int(data[1])%len(tracks), fuzzNames[int(data[2])%len(fuzzNames)]+fuzzNames[int(data[3])%len(fuzzNames)]
 			ts := int64(int32(binary.LittleEndian.Uint32(data[4:])))
@@ -131,7 +140,7 @@ func FuzzTimelineJSON(f *testing.F) {
 				ts &= 7 // many equal timestamps
 			}
 			data = data[13:]
-			switch op % 3 {
+			switch op % 4 {
 			case 0:
 				tl.Span(Track(tr), nm, pearl.Time(ts), pearl.Time(ts+dur))
 				events = append(events, refEvent{name: nm, ph: 'X', ts: ts, dur: dur, track: tr})
@@ -141,6 +150,20 @@ func FuzzTimelineJSON(f *testing.F) {
 			case 2:
 				tl.Instant(Track(tr), nm, pearl.Time(ts))
 				events = append(events, refEvent{name: nm, ph: 'i', ts: ts, track: tr})
+			case 3:
+				at := open[tr]
+				if at >= 0 && op&0x20 != 0 {
+					nm, ts = events[at].name, events[at].ts+events[at].dur // a continuation
+				}
+				tl.ExtendSpan(&open[tr], Track(tr), tl.Name(nm), pearl.Time(ts), pearl.Time(ts+dur))
+				if at >= 0 && events[at].name == nm && events[at].ts+events[at].dur == ts {
+					events[at].dur += dur
+				} else {
+					events = append(events, refEvent{name: nm, ph: 'X', ts: ts, dur: dur, track: tr})
+					if open[tr] != len(events)-1 {
+						t.Fatalf("ExtendSpan opened span %d, want %d", open[tr], len(events)-1)
+					}
+				}
 			}
 		}
 		want := referenceJSON(tracks, events)

@@ -24,7 +24,7 @@ func MergeTimelines(parts ...*Timeline) *Timeline {
 	if len(live) == 0 {
 		return nil
 	}
-	merged := newTimeline(1)
+	merged := NewTimeline()
 	names := make([]string, 0)
 	seen := make(map[string]bool)
 	for _, t := range live {
@@ -77,6 +77,5 @@ func MergeTimelines(parts ...*Timeline) *Timeline {
 	for _, m := range all {
 		merged.events.Append(m.rec)
 	}
-	merged.n = uint64(merged.events.Len())
 	return merged
 }

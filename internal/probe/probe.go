@@ -23,10 +23,6 @@ package probe
 type Config struct {
 	// Timeline enables span/instant recording for the trace-event export.
 	Timeline bool
-	// SampleEvery keeps every Nth timeline event (per the global event
-	// counter), bounding file size on long runs. Values below 1 mean 1
-	// (keep everything).
-	SampleEvery int
 }
 
 // Probe bundles the two instrumentation outputs. A nil *Probe is the
@@ -41,11 +37,7 @@ type Probe struct {
 func New(cfg Config) *Probe {
 	p := &Probe{}
 	if cfg.Timeline {
-		every := cfg.SampleEvery
-		if every < 1 {
-			every = 1
-		}
-		p.tl = newTimeline(uint64(every))
+		p.tl = NewTimeline()
 	}
 	return p
 }

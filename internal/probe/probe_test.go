@@ -186,18 +186,6 @@ func TestSamplerEndOfRunReplacesSameCycleTick(t *testing.T) {
 	}
 }
 
-func TestTimelineSampling(t *testing.T) {
-	p := New(Config{Timeline: true, SampleEvery: 3})
-	tl := p.Timeline()
-	tr := tl.Track("cpu")
-	for i := 0; i < 9; i++ {
-		tl.Span(tr, "s", pearl.Time(i), pearl.Time(i+1))
-	}
-	if tl.Events() != 3 {
-		t.Errorf("kept %d of 9 events at 1-in-3 sampling, want 3", tl.Events())
-	}
-}
-
 func TestTimelineWriteJSON(t *testing.T) {
 	p := New(Config{Timeline: true})
 	tl := p.Timeline()

@@ -35,9 +35,6 @@ type Name int32
 // are recorded in the same order, so the JSON export is byte-identical
 // across runs and host worker counts.
 type Timeline struct {
-	sampleEvery uint64
-	n           uint64 // global event counter driving sampling
-
 	tracks     []string
 	trackIndex map[string]Track
 
@@ -55,17 +52,14 @@ type record struct {
 	ph      byte
 }
 
-// NewTimeline returns a standalone, unsampled timeline recorder. Probes
-// allocate their own timeline via New; this constructor is for reusing the
-// recorder and its JSON writer on other time axes — internal/hostprobe
-// records wall-clock microseconds through it.
-func NewTimeline() *Timeline { return newTimeline(1) }
-
-func newTimeline(sampleEvery uint64) *Timeline {
+// NewTimeline returns an empty timeline recorder. Probes allocate their own
+// timeline via New; this constructor is also for reusing the recorder and its
+// JSON writer on other time axes — internal/hostprobe records wall-clock
+// microseconds through it.
+func NewTimeline() *Timeline {
 	return &Timeline{
-		sampleEvery: sampleEvery,
-		trackIndex:  make(map[string]Track),
-		nameIndex:   make(map[string]Name),
+		trackIndex: make(map[string]Track),
+		nameIndex:  make(map[string]Name),
 	}
 }
 
@@ -99,20 +93,34 @@ func (t *Timeline) Name(name string) Name {
 	return id
 }
 
-// sampled advances the global event counter and reports whether this event
-// is kept under the configured sampling rate.
-func (t *Timeline) sampled() bool {
-	t.n++
-	return t.sampleEvery <= 1 || t.n%t.sampleEvery == 0
-}
-
 // NamedSpan records a complete event named n covering [from, to] on the
 // track.
 func (t *Timeline) NamedSpan(tr Track, n Name, from, to pearl.Time) {
-	if t == nil || !t.sampled() {
+	if t == nil {
 		return
 	}
 	t.events.Append(record{ts: int64(from), dur: int64(to - from), track: tr, name: n, ph: 'X'})
+}
+
+// ExtendSpan records the span named n covering [from, to] on the track as
+// NamedSpan does, unless it continues the span *open — the index of a span
+// ExtendSpan recorded, or negative for none — by having its track and name
+// and ending at from. That span is then extended to end at to, in the place
+// it was recorded; otherwise *open becomes the new span's index. A caller
+// that records its back-to-back waits through one index gets one span per
+// run of same-named waits.
+func (t *Timeline) ExtendSpan(open *int, tr Track, n Name, from, to pearl.Time) {
+	if t == nil {
+		return
+	}
+	if *open >= 0 {
+		if ev := t.events.At(*open); ev.track == tr && ev.name == n && ev.ts+ev.dur == int64(from) {
+			ev.dur = int64(to) - ev.ts
+			return
+		}
+	}
+	*open = t.events.Len()
+	t.NamedSpan(tr, n, from, to)
 }
 
 // Span records a complete event covering [from, to] on the track.
@@ -128,13 +136,10 @@ func (t *Timeline) Instant(tr Track, name string, at pearl.Time) {
 	if t == nil {
 		return
 	}
-	n := t.Name(name)
-	if t.sampled() {
-		t.events.Append(record{ts: int64(at), track: tr, name: n, ph: 'i'})
-	}
+	t.events.Append(record{ts: int64(at), track: tr, name: t.Name(name), ph: 'i'})
 }
 
-// Events returns how many events were recorded (after sampling).
+// Events returns how many events were recorded.
 func (t *Timeline) Events() int {
 	if t == nil {
 		return 0
