@@ -348,6 +348,13 @@ type appParams struct {
 func runApp(m *machine.Machine, name string, p appParams) (*machine.Result, error) {
 	n := m.Streams()
 	switch name {
+	case "pingpong", "jacobi", "matmul", "allreduce", "transpose", "butterfly":
+		// A message-passing rank is addressed as a network node.
+		if net := m.Network(); net != nil && n > net.Nodes() {
+			return nil, fmt.Errorf("%s runs one message-passing rank per processor, but the machine has %d processors and %d network nodes", name, n, net.Nodes())
+		}
+	}
+	switch name {
 	case "pingpong":
 		if n != 2 {
 			return nil, fmt.Errorf("pingpong needs a 2-processor machine, have %d", n)

@@ -372,3 +372,37 @@ func TestEveryPresetRunsEveryApp(t *testing.T) {
 		}
 	}
 }
+
+// TestRunAppRefusals: an application the machine cannot run is refused
+// before the run, naming what is missing; the others on that machine run.
+func TestRunAppRefusals(t *testing.T) {
+	tiny := appParams{rounds: 2, iters: 1, bytes: 64, cells: 16, dim: 4}
+	for _, tc := range []struct {
+		preset, app, want string // want "" means the run succeeds
+	}{
+		{"hybrid-2x2x2", "jacobi", "jacobi runs one message-passing rank per processor, but the machine has 8 processors and 4 network nodes"},
+		{"hybrid-2x2x2", "matmul", "matmul runs one message-passing rank per processor, but the machine has 8 processors and 4 network nodes"},
+		{"hybrid-2x2x2", "allreduce", "allreduce runs one"},
+		{"hybrid-2x2x2", "transpose", "transpose runs one"},
+		{"hybrid-2x2x2", "butterfly", "butterfly runs one"},
+		{"hybrid-2x2x2", "pingpong", "pingpong runs one"},
+		{"hybrid-2x2x2", "shared", ""},
+		{"hybrid-2x2x2", "jacobi-dsm", "needs a machine with virtual shared memory"},
+		{"dsm-2x2", "jacobi", ""},
+		{"dsm-2x2", "jacobi-dsm", ""},
+		{"t805-2x2", "allreduce", ""},
+		{"ppc601-smp4", "pingpong", "pingpong needs a 2-processor machine, have 4"},
+	} {
+		m, err := machine.New(presets[tc.preset]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = runApp(m, tc.app, tiny)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s -app %s: %v", tc.preset, tc.app, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s -app %s: error %v, want one containing %q", tc.preset, tc.app, err, tc.want)
+		}
+	}
+}
