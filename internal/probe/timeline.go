@@ -102,13 +102,11 @@ func (t *Timeline) NamedSpan(tr Track, n Name, from, to pearl.Time) {
 	t.events.Append(record{ts: int64(from), dur: int64(to - from), track: tr, name: n, ph: 'X'})
 }
 
-// ExtendSpan records the span named n covering [from, to] on the track as
-// NamedSpan does, unless it continues the span *open — the index of a span
-// ExtendSpan recorded, or negative for none — by having its track and name
-// and ending at from. That span is then extended to end at to, in the place
-// it was recorded; otherwise *open becomes the new span's index. A caller
-// that records its back-to-back waits through one index gets one span per
-// run of same-named waits.
+// ExtendSpan records a span as NamedSpan does, unless it continues span
+// *open, one ExtendSpan recorded (negative: none), by its track and name and
+// by ending at from. That span then ends at to, in the place it was recorded;
+// otherwise *open becomes the new span's index. Back-to-back waits recorded
+// through one index make one span per run of same-named waits.
 func (t *Timeline) ExtendSpan(open *int, tr Track, n Name, from, to pearl.Time) {
 	if t == nil {
 		return
