@@ -104,9 +104,15 @@ func FuzzTimelineJSON(f *testing.F) {
 	f.Add([]byte{0}) // one track, no events
 	f.Add([]byte("\x05\x04\x06\x07\x0c\x0e\x01\x02 span and instant with equal times \x00\x00\x00\x00\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0x81, 0x13, 0xff, 0x7f, 0x00, 0x80, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff}, 12))
-	// A span through ExtendSpan at 9 lasting 4, then five continuations.
-	f.Add(append([]byte{1, 2, 3, 3, 0, 15, 15, 0x03, 0, 15, 15, 9, 0, 0, 0, 4, 0, 0, 0, 0},
-		bytes.Repeat([]byte{0x23, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0}, 5)...))
+	// Through ExtendSpan on one track: a span at 9 lasting 4, five
+	// continuations, a span of its name after a gap, and one of another name
+	// where that one ends.
+	ext := func(op, name, ts, dur byte) []byte { return []byte{op, 0, name, name, ts, 0, 0, 0, dur, 0, 0, 0, 0} }
+	seed := append([]byte{1, 2, 3, 3, 0, 15, 15}, ext(0x03, 15, 9, 4)...)
+	for i := 0; i < 5; i++ {
+		seed = append(seed, ext(0x23, 0, 0, 2)...)
+	}
+	f.Add(append(append(seed, ext(0x03, 15, 100, 2)...), ext(0x03, 0, 102, 1)...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
