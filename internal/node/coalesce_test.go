@@ -35,10 +35,10 @@ func coalesce(t *testing.T, tl string) string {
 	const end = "]}\n"
 	body, ok := strings.CutSuffix(tl, end)
 	pieces := strings.Split(body, ",\n")
-	if evs := doc.TraceEvents; !ok || len(evs) == 0 || len(pieces) != len(evs) {
+	evs := doc.TraceEvents
+	if !ok || len(evs) == 0 || len(pieces) != len(evs) {
 		t.Fatalf("timeline: %d events on %d lines", len(evs), len(pieces))
 	}
-	evs := doc.TraceEvents
 	type track struct{ pid, tid int }
 	runner := make(map[track]bool)
 	last := make(map[track][2]int) // a runner track's last event: its index and kept line
