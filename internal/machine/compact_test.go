@@ -311,6 +311,21 @@ func engineCases() []engineCase {
 			MaxRetries: 12,
 		},
 	}
+	// Wormhole worms under faults: a 4x4 torus with datelines, a link
+	// down-window, drop noise and retransmission, so failed attempts release
+	// partially built worms and the re-path table steers worms around the
+	// dead link.
+	wormFaulted := GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, 16, router.Wormhole)
+	wormFaulted.Seed = 61
+	wormFaulted.Faults = &fault.Schedule{
+		Links: []fault.LinkFault{{A: 5, B: 6, Window: fault.Window{From: 3_000, To: 60_000}}},
+		Noise: []fault.LinkNoise{{A: -1, B: -1, Drop: 0.02}},
+		Retrans: fault.Retrans{
+			Timeout:    400,
+			Backoff:    2,
+			MaxRetries: 12,
+		},
+	}
 	// The matching corners, with the overheads of the transputer machine and
 	// with none (every interface call then completes or parks in place).
 	matching := T805GridTaskLevel(2, 2)
@@ -344,6 +359,10 @@ func engineCases() []engineCase {
 		{"UnderFaults", faulted, taskDesc(9, 17, stochastic.Phase{
 			Duration: 2000, CV: 0.4,
 			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
+		})},
+		{"WormholeUnderFaults", wormFaulted, taskDesc(16, 41, stochastic.Phase{
+			Duration: 1500, CV: 0.3,
+			Comm: stochastic.Comm{Pattern: stochastic.RandomPairs, Bytes: 3072, Jitter: true},
 		})},
 		{"Matching", matching, matchingStreams()},
 		{"MatchingNoOverhead", free, matchingStreams()},
@@ -384,6 +403,10 @@ func TestCompactEngineByteIdenticalDragonfly(t *testing.T) {
 
 func TestCompactEngineByteIdenticalUnderFaults(t *testing.T) {
 	checkEngineCase(t, "UnderFaults")
+}
+
+func TestCompactEngineByteIdenticalWormholeUnderFaults(t *testing.T) {
+	checkEngineCase(t, "WormholeUnderFaults")
 }
 
 func TestCompactEngineByteIdenticalMatching(t *testing.T) {

@@ -37,7 +37,10 @@ import (
 // entries were re-printed when CPU runners began to record one span per run
 // of back-to-back waits: they are what commit c9229e9, which recorded each
 // wait as a span of its own, prints with its timelines put through the
-// reference coalescer of the node package's digest tests.
+// reference coalescer of the node package's digest tests. The two
+// engine/WormholeUnderFaults entries were printed by the packet walker that
+// kept its waiters in a map and each worm's channels in a slice, the last
+// tree before the walker's state became one record per channel.
 var trafficDigests = map[string]string{
 	"detailed/DSMCluster(2,2)":              "1c71488d4bb26d3400f95bc5",
 	"detailed/HybridCluster(2,2,2)":         "9bdfc3c5cf844a08fc9a4ca0",
@@ -61,6 +64,8 @@ var trafficDigests = map[string]string{
 	"engine/VCTValiant/plain":               "88435e6f6411aa5cc215f77e",
 	"engine/WormholeTorus3D/observed":       "ed8071d04ebc8ad9f803f9da",
 	"engine/WormholeTorus3D/plain":          "5a0b604871e0a177069d8b7d",
+	"engine/WormholeUnderFaults/observed":   "63d53c6ef52266d67fe2ecb7",
+	"engine/WormholeUnderFaults/plain":      "3484cf93701479f8ef348ed2",
 	"shards/JacobiDetailed/1":               "0e525dc7f9510048b679e76f",
 	"shards/JacobiDetailed/2":               "0e525dc7f9510048b679e76f",
 	"shards/JacobiDetailed/4":               "0e525dc7f9510048b679e76f",

@@ -347,17 +347,21 @@ func TestDeadlockDiagnosable(t *testing.T) {
 }
 
 // Packets queued for a busy channel are what a deadlock report names on the
-// network side: how many wait, and on which channel.
+// network side: how many wait, and on which channel, channels in ascending
+// index order whatever order they filled in.
 func TestQueuedPacketsDiagnosable(t *testing.T) {
 	k := pearl.NewKernel()
 	defer k.Close()
 	cfg := ringConfig(router.StoreAndForward)
 	cfg.Router.MaxPacket = 32
 	n := mustNet(t, k, cfg)
-	k.Spawn("sender", func(p *pearl.Process) { send(p, n.Node(0), 2, 96, 0, nil, false) })
-	k.RunUntil(5) // past the send overhead: one packet crosses 0->1, two queue behind it
-	port := n.Topology().Route(0, 2)
-	if got, want := fmt.Sprint(n.Blocked()), fmt.Sprintf("[2 pkt (acquire link.0.%d.vc0)]", port); got != want {
+	// Node 2's channel fills first in event order, node 0's second.
+	k.Spawn("sender2", func(p *pearl.Process) { send(p, n.Node(2), 0, 128, 0, nil, false) })
+	k.Spawn("sender0", func(p *pearl.Process) { send(p, n.Node(0), 2, 96, 0, nil, false) })
+	k.RunUntil(5) // past the send overhead: one packet per sender crosses, the rest queue behind it
+	port0, port2 := n.Topology().Route(0, 2), n.Topology().Route(2, 0)
+	want := fmt.Sprintf("[2 pkt (acquire link.0.%d.vc0) 3 pkt (acquire link.2.%d.vc0)]", port0, port2)
+	if got := fmt.Sprint(n.Blocked()); got != want {
 		t.Errorf("queued packets: %s, want %s", got, want)
 	}
 	k.Run()
