@@ -22,7 +22,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"mermaid/internal/analysis"
@@ -100,13 +99,15 @@ type Message struct {
 	key uint64
 }
 
-// Network is the single-kernel communication fabric: struct-of-arrays link
-// state, one pooled record per packet in flight and one Processor per node,
-// all driven by plain kernel events. A packet's journey is a state machine
-// whose every wait — the per-hop hold, a busy channel, the body's drain, a
-// retransmission backoff — is one k.After of the packet's bound continuation
-// (the order of every event, RNG draw, counter and report byte is pinned by
-// TestTrafficDigests).
+// Network is the single-kernel communication fabric: one pointer-free record
+// per link virtual channel, a slab of packet records and one Processor per
+// node, all driven by plain kernel events. A packet's journey is a state
+// machine whose every wait — the per-hop hold, a busy channel, the body's
+// drain, a retransmission backoff — is one k.After of the packet's bound
+// continuation (the order of every event, RNG draw, counter and report byte
+// is pinned by TestTrafficDigests). In steady state the walker allocates
+// nothing: waiters queue through the packets, a worm's channels chain
+// through the channel records, and packet records recycle through the slab.
 //
 // Instrumentation is carried whole: with a timeline attached every link
 // virtual channel gets a track and every channel ownership a "pkt" span; with
@@ -125,32 +126,51 @@ type Network struct {
 	// deadlock-free on rings and tori. Each virtual channel is an
 	// independent capacity-1 channel with the full link bandwidth — a slight
 	// bandwidth overestimate when both channels of a link are busy at once,
-	// in exchange for the deadlock behaviour being exact. Busy flag,
-	// busy-cycle integral and last-change time mirror pearl.Resource's
-	// accounting; the wait queue holds the packets blocked on the channel and
-	// is empty except under contention, so an idle channel costs 17 bytes.
-	linkBusy    []uint8
-	linkLast    []pearl.Time
-	linkBusyCyc []pearl.Time
-	linkWait    map[int32][]*packet
-	wiredPort   []bool // per (node*deg+port); both VCs share the wiring
+	// in exchange for the deadlock behaviour being exact.
+	chans     []vchan
+	wiredPort []bool // per (node*deg+port); both VCs share the wiring
 
 	procs []Processor // per node: its interface and abstract processor; never resized
 
-	pktFree *packet // free list: packet records recycle across the run
+	// Packet records live in chunks of pktChunk and are named by slab index;
+	// index 0 is never handed out, so 0 means "no packet". Freed records
+	// chain through packet.next from pktFree.
+	pkts    [][]packet
+	pktFree int32
+	pktLen  int32 // indices handed out so far, 0 included
 
 	// Instrumentation, nil unless attached — the walker pays one nil test.
-	// With a timeline: one track per link virtual channel. With the
-	// collector (Traffic.col): per-node router occupancy and per-channel
-	// acquisitions and queueing time, the rest of pearl.Resource's
-	// accounting.
+	// With a timeline: one track per link virtual channel, and when its worm
+	// took each channel. With the collector (Traffic.col): per-node router
+	// occupancy and per-channel acquisitions and queueing time, the rest of
+	// pearl.Resource's accounting.
 	tl          *probe.Timeline
 	linkTracks  []probe.Track
+	heldAt      []pearl.Time
 	pktName     probe.Name
 	routers     []router.Occupancy
 	linkAcq     []uint64
 	linkWaitCyc []pearl.Time
 	linkReason  pearl.Reason // a packet's wait for channel li is linkReason+li: "acquire link…"
+}
+
+// vchan is one virtual channel: the busy integral of pearl.Resource's
+// accounting for a capacity-1 channel, the FIFO of packets waiting for it
+// and, while a worm holds it, the next channel that worm took. It holds no
+// pointer — packets are slab indices — so the collector never scans the
+// channel array, and it takes 32 bytes.
+type vchan struct {
+	last    pearl.Time // when the busy state last changed
+	busyCyc pearl.Time // busy cycles up to last
+	// The waiting packets, oldest first, chained through packet.next; 0
+	// when none wait.
+	head, tail int32
+	// load is the holder plus the waiting packets: the channel is busy
+	// when load > 0, and load-1 packets wait.
+	load int32
+	// nextHeld is the channel the holding worm took after this one; the
+	// worm's packet knows its first and last.
+	nextHeld int32
 }
 
 // numVCs is the number of virtual channels per directed link.
@@ -174,18 +194,17 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 		Traffic: Traffic{fabric: fab, k: k, col: env.Collect},
 		deg:     topo.Degree(),
 		rng:     pearl.NewRNG(cfg.Seed ^ 0x6d65726d61696431),
+		pktLen:  1, // slab index 0 stays unused
 		tl:      pb.Timeline(),
 	}
 	n.tr = n
 	nodes := topo.Nodes()
 	links := nodes * n.deg * numVCs
-	n.linkBusy = make([]uint8, links)
-	n.linkLast = make([]pearl.Time, links)
-	n.linkBusyCyc = make([]pearl.Time, links)
-	n.linkWait = make(map[int32][]*packet)
+	n.chans = make([]vchan, links)
 	n.wiredPort = make([]bool, nodes*n.deg)
 	if n.tl != nil {
 		n.linkTracks = make([]probe.Track, links)
+		n.heldAt = make([]pearl.Time, links)
 		n.pktName = n.tl.Name("pkt")
 	}
 	if n.col != nil {
@@ -235,7 +254,7 @@ func (n *Network) observeLink(li int) {
 	if n.col != nil {
 		n.col.RegisterResource("link", string(name), 1, func() analysis.ResourceSample {
 			n.accountLink(li)
-			return analysis.ResourceSample{Busy: n.linkBusyCyc[li], Wait: n.linkWaitCyc[li], Acquires: n.linkAcq[li]}
+			return analysis.ResourceSample{Busy: n.chans[li].busyCyc, Wait: n.linkWaitCyc[li], Acquires: n.linkAcq[li]}
 		})
 	}
 	if n.tl != nil {
@@ -270,37 +289,38 @@ const (
 	ppRetry                  // retransmission backoff elapsed
 )
 
-// packet is one packet in flight. Records are recycled through
-// Network.pktFree, so a steady-state run allocates no per-packet state.
+// packet is one packet in flight, a record of the Network's slab: records
+// recycle across the run, so a steady-state run allocates no per-packet
+// state.
 type packet struct {
 	n    *Network
-	cont func()  // step, bound once per record
-	next *packet // free list
+	cont func() // step, bound once per record
+	msg  *Message
 
-	msg     *Message
-	bytes   uint32
-	attempt int
+	id    int32 // slab index
+	next  int32 // the packet queued behind this one, or the next free record
+	bytes uint32
 
-	at, target int
-	nextWp     int // pending Valiant waypoint (the true dst), -1 if none
-	hops       int
+	attempt    int32
+	at, target int32
+	nextWp     int32 // pending Valiant waypoint (the true dst), -1 if none
+	hops       int32
 	wrapped    uint32 // per-dimension dateline crossings, bitmask
 	phase      uint8
 	since      pearl.Time // when the current wait began: a hold, or queueing for a channel
 
 	// The hop in progress: channel index just requested, its port and far end.
-	pendLi   int
-	pendPort int
-	pendNext int
+	pendLi   int32
+	pendPort int32
+	pendNext int32
 
-	held []heldLink // wormhole: the channels the worm owns
+	// Wormhole: the first and the last channel the worm owns, -1 when it
+	// owns none; the rest chain through vchan.nextHeld in acquisition order.
+	heldFirst, heldLast int32
 }
 
-// heldLink is one channel a worm owns, and since when.
-type heldLink struct {
-	li int32
-	at pearl.Time
-}
+// pktChunk is the number of packet records per slab chunk.
+const pktChunk = 256
 
 // inject launches the transport of msg at the moment it enters the network
 // interface.
@@ -311,11 +331,11 @@ func (n *Network) inject(msg *Message) {
 		n.k.After(n.copyTime(msg.Size), func() { n.delivered(msg) })
 		return
 	}
-	pkts := n.cfg.Router.Packetize(msg.Size)
-	msg.remaining = len(pkts)
-	for _, bytes := range pkts {
+	rc := &n.cfg.Router
+	msg.remaining = rc.NumPackets(msg.Size)
+	for i := 0; i < msg.remaining; i++ {
 		n.packets.Inc()
-		pk := n.newPacket(msg, bytes)
+		pk := n.newPacket(msg, rc.PacketBytes(msg.Size, i))
 		n.k.After(0, pk.cont)
 	}
 }
@@ -326,25 +346,35 @@ func (n *Network) delivered(msg *Message) {
 	n.procs[msg.Dst].arrive(msg)
 }
 
+// pkt returns the packet record at slab index id.
+func (n *Network) pkt(id int32) *packet { return &n.pkts[id/pktChunk][id%pktChunk] }
+
 func (n *Network) newPacket(msg *Message, bytes uint32) *packet {
-	pk := n.pktFree
-	if pk == nil {
-		pk = &packet{n: n}
-		pk.cont = pk.step
-	} else {
+	var pk *packet
+	if id := n.pktFree; id != 0 {
+		pk = n.pkt(id)
 		n.pktFree = pk.next
+	} else {
+		id := n.pktLen
+		if int(id/pktChunk) == len(n.pkts) {
+			n.pkts = append(n.pkts, make([]packet, pktChunk))
+		}
+		n.pktLen++
+		pk = n.pkt(id)
+		pk.n, pk.id = n, id
+		pk.cont = pk.step
 	}
 	pk.msg, pk.bytes = msg, bytes
 	pk.attempt = 0
 	pk.phase = ppStart
+	pk.heldFirst = -1
 	return pk
 }
 
 func (n *Network) freePacket(pk *packet) {
 	pk.msg = nil
-	pk.held = pk.held[:0]
 	pk.next = n.pktFree
-	n.pktFree = pk
+	n.pktFree = pk.id
 }
 
 // suspend resumes the packet in phase after d cycles — a hold.
@@ -391,7 +421,7 @@ func (n *Network) attemptStart(pk *packet) {
 	rc := &n.cfg.Router
 	pk.hops = 0
 	pk.wrapped = 0
-	pk.at = pk.msg.Src
+	pk.at = int32(pk.msg.Src)
 	if n.faults != nil && (n.faults.NodeDown(pk.msg.Src) || n.faults.NodeDown(pk.msg.Dst)) {
 		// Source interface crashed, or the destination would discard the
 		// arrival: the packet goes nowhere this attempt.
@@ -402,12 +432,12 @@ func (n *Network) attemptStart(pk *packet) {
 	// Valiant routing: a random intermediate waypoint precedes the true
 	// destination; each leg is routed minimally. Under active faults the
 	// re-pathing table overrides it (minimal routing over the live graph).
-	pk.target = pk.msg.Dst
+	pk.target = int32(pk.msg.Dst)
 	pk.nextWp = -1
 	if rc.Routing == router.Valiant && n.table == nil {
 		if mid := n.rng.Intn(n.topo.Nodes()); mid != pk.msg.Src && mid != pk.msg.Dst {
-			pk.target = mid
-			pk.nextWp = pk.msg.Dst
+			pk.target = int32(mid)
+			pk.nextWp = int32(pk.msg.Dst)
 		}
 	}
 	n.hopLoop(pk)
@@ -417,15 +447,17 @@ func (n *Network) attemptStart(pk *packet) {
 // waits for a busy channel or a hop in progress, or the attempt fails.
 func (n *Network) hopLoop(pk *packet) {
 	rc := &n.cfg.Router
-	for pk.at != pk.msg.Dst {
+	dst := int32(pk.msg.Dst)
+	for pk.at != dst {
 		if pk.at == pk.target && pk.nextWp >= 0 {
 			pk.target = pk.nextWp
 			pk.nextWp = -1
 		}
+		at := int(pk.at)
 		var port int
 		switch {
 		case n.table != nil:
-			port = n.table.Port(pk.at, pk.target)
+			port = n.table.Port(at, int(pk.target))
 			if port < 0 {
 				// The live graph is partitioned right now; retry after the
 				// timeout, by which time links may have recovered.
@@ -435,11 +467,11 @@ func (n *Network) hopLoop(pk *packet) {
 				return
 			}
 		case rc.Routing == router.Adaptive:
-			port = n.adaptivePort(pk.at, pk.target)
+			port = n.adaptivePort(at, int(pk.target))
 		default:
-			port = n.topo.Route(pk.at, pk.target)
+			port = n.topo.Route(at, int(pk.target))
 		}
-		if n.faults != nil && n.faults.LinkDown(pk.at, port) {
+		if n.faults != nil && n.faults.LinkDown(at, port) {
 			// The table has not been recomputed for a fault landing at this
 			// exact instant; the packet is lost at the dead link.
 			n.faults.CountDrop()
@@ -447,32 +479,40 @@ func (n *Network) hopLoop(pk *packet) {
 			n.failAttempt(pk)
 			return
 		}
-		next := n.topo.Neighbor(pk.at, port)
+		next := n.topo.Neighbor(at, port)
 		vc := 0
 		if rc.Switching == router.Wormhole {
 			// Dateline virtual-channel selection, per dimension.
 			d := n.topo.PortDim(port)
-			if n.topo.Dateline(pk.at, port) {
+			if n.topo.Dateline(at, port) {
 				pk.wrapped |= 1 << d
 			}
 			if pk.wrapped&(1<<d) != 0 {
 				vc = 1
 			}
 		}
-		li := (pk.at*n.deg+port)*numVCs + vc
-		pk.pendLi, pk.pendPort, pk.pendNext = li, port, next
-		if n.linkBusy[li] == 0 && len(n.linkWait[int32(li)]) == 0 {
+		li := (at*n.deg+port)*numVCs + vc
+		pk.pendLi, pk.pendPort, pk.pendNext = int32(li), int32(port), int32(next)
+		c := &n.chans[li]
+		if c.load == 0 {
 			n.accountLink(li)
-			n.linkBusy[li]++
+			c.load = 1
 			if n.linkAcq != nil {
 				n.linkAcq[li]++
 			}
 			n.granted(pk)
 		} else {
 			// Strict FIFO: a later arrival never overtakes a waiter.
+			c.load++
 			pk.phase = ppGranted
 			pk.since = n.k.Now()
-			n.linkWait[int32(li)] = append(n.linkWait[int32(li)], pk)
+			pk.next = 0
+			if c.tail == 0 {
+				c.head = pk.id
+			} else {
+				n.pkt(c.tail).next = pk.id
+			}
+			c.tail = pk.id
 		}
 		return
 	}
@@ -497,7 +537,16 @@ func (n *Network) granted(pk *packet) {
 		pk.suspend(ppAfterHold, perHop)
 	case router.Wormhole:
 		// Channels stay with the worm until delivery.
-		pk.held = append(pk.held, heldLink{li: int32(pk.pendLi), at: n.k.Now()})
+		li := pk.pendLi
+		if pk.heldFirst < 0 {
+			pk.heldFirst = li
+		} else {
+			n.chans[pk.heldLast].nextHeld = li
+		}
+		pk.heldLast = li
+		if n.heldAt != nil {
+			n.heldAt[li] = n.k.Now()
+		}
 		pk.suspend(ppAfterHold, perHop)
 	}
 }
@@ -506,7 +555,7 @@ func (n *Network) granted(pk *packet) {
 // channel, run the per-hop fault checks, advance. The timeline span covers
 // channel ownership, not queueing: it starts when the hold did.
 func (n *Network) afterHold(pk *packet) {
-	li := pk.pendLi
+	li := int(pk.pendLi)
 	switch n.cfg.Router.Switching {
 	case router.StoreAndForward:
 		n.release(li)
@@ -521,14 +570,15 @@ func (n *Network) afterHold(pk *packet) {
 		}
 	}
 	if n.faults != nil {
-		if n.faults.LinkDown(pk.at, pk.pendPort) {
+		at, port := int(pk.at), int(pk.pendPort)
+		if n.faults.LinkDown(at, port) {
 			// The link failed while the packet was crossing it.
 			n.faults.CountDrop()
 			n.releaseHeld(pk)
 			n.failAttempt(pk)
 			return
 		}
-		if n.faults.HopFate(pk.at, pk.pendPort) != fault.OK {
+		if n.faults.HopFate(at, port) != fault.OK {
 			// Dropped in transit or discarded at the next router's
 			// checksum; either way this attempt is over.
 			n.releaseHeld(pk)
@@ -576,7 +626,7 @@ func (n *Network) finishAttempt(pk *packet) {
 // exponentially per attempt — or abandons the packet after MaxRetries.
 func (n *Network) failAttempt(pk *packet) {
 	pk.attempt++
-	delay, ok := n.retry(pk.attempt)
+	delay, ok := n.retry(int(pk.attempt))
 	if !ok {
 		n.freePacket(pk)
 		return
@@ -584,44 +634,51 @@ func (n *Network) failAttempt(pk *packet) {
 	pk.suspend(ppRetry, delay)
 }
 
-// releaseHeld frees a worm's channels when an attempt ends, successfully or
-// not; the spans cover the time the channels were actually owned.
+// releaseHeld frees a worm's channels in the order it took them when an
+// attempt ends, successfully or not; the spans cover the time the channels
+// were actually owned.
 func (n *Network) releaseHeld(pk *packet) {
-	for _, h := range pk.held {
-		n.release(int(h.li))
-		if n.tl != nil {
-			n.tl.NamedSpan(n.linkTracks[h.li], n.pktName, h.at, n.k.Now())
-		}
+	if pk.heldFirst < 0 {
+		return
 	}
-	pk.held = pk.held[:0]
+	for li := pk.heldFirst; ; {
+		next := n.chans[li].nextHeld
+		n.release(int(li))
+		if n.tl != nil {
+			n.tl.NamedSpan(n.linkTracks[li], n.pktName, n.heldAt[li], n.k.Now())
+		}
+		if li == pk.heldLast {
+			break
+		}
+		li = next
+	}
+	pk.heldFirst = -1
 }
 
 // accountLink folds the elapsed occupancy of channel li into its busy
 // integral.
 func (n *Network) accountLink(li int) {
+	c := &n.chans[li]
 	now := n.k.Now()
-	n.linkBusyCyc[li] += pearl.Time(n.linkBusy[li]) * (now - n.linkLast[li])
-	n.linkLast[li] = now
+	if c.load > 0 {
+		c.busyCyc += now - c.last
+	}
+	c.last = now
 }
 
 // release frees channel li and, like pearl.Resource.Release, transfers it
 // directly to the head waiter, waking it with a single event.
 func (n *Network) release(li int) {
 	n.accountLink(li)
-	n.linkBusy[li]--
-	q := n.linkWait[int32(li)]
-	if len(q) == 0 {
+	c := &n.chans[li]
+	c.load--
+	if c.head == 0 {
 		return
 	}
-	pk := q[0]
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	if q = q[:len(q)-1]; len(q) == 0 {
-		delete(n.linkWait, int32(li))
-	} else {
-		n.linkWait[int32(li)] = q
+	pk := n.pkt(c.head)
+	if c.head = pk.next; c.head == 0 {
+		c.tail = 0
 	}
-	n.linkBusy[li]++
 	if n.linkAcq != nil {
 		n.linkAcq[li]++
 		n.linkWaitCyc[li] += n.k.Now() - pk.since
@@ -635,11 +692,9 @@ func (n *Network) release(li int) {
 func (n *Network) adaptivePort(at, to int) int {
 	ports := n.topo.MinimalPorts(at, to)
 	best := ports[0]
-	bestLoad := 1 << 30
+	bestLoad := int32(1 << 30)
 	for _, p := range ports {
-		li := (at*n.deg + p) * numVCs
-		load := int(n.linkBusy[li]) + len(n.linkWait[int32(li)])
-		if load < bestLoad {
+		if load := n.chans[(at*n.deg+p)*numVCs].load; load < bestLoad {
 			best, bestLoad = p, load
 		}
 	}
@@ -647,16 +702,14 @@ func (n *Network) adaptivePort(at, to int) int {
 }
 
 // Blocked describes the packets queued on channels, for deadlock reports, in
-// the "what (reason)" style of the other waiting components.
+// the "what (reason)" style of the other waiting components, channels in
+// index order.
 func (n *Network) Blocked() []string {
-	lis := make([]int, 0, len(n.linkWait))
-	for li := range n.linkWait {
-		lis = append(lis, int(li))
-	}
-	sort.Ints(lis)
-	out := make([]string, 0, len(lis))
-	for _, li := range lis {
-		out = append(out, fmt.Sprintf("%d pkt (acquire %s)", len(n.linkWait[int32(li)]), n.linkName(li)))
+	var out []string
+	for li := range n.chans {
+		if queued := n.chans[li].load - 1; queued > 0 {
+			out = append(out, fmt.Sprintf("%d pkt (acquire %s)", queued, n.linkName(li)))
+		}
 	}
 	return out
 }
@@ -666,14 +719,14 @@ func (n *Network) Blocked() []string {
 func (n *Network) linkUtilization() (avg, max float64) {
 	now := n.k.Now()
 	count := 0
-	for li := range n.linkBusy {
+	for li := range n.chans {
 		if !n.wiredPort[li/numVCs] {
 			continue
 		}
 		var u float64
 		if now > 0 {
 			n.accountLink(li)
-			u = float64(n.linkBusyCyc[li]) / float64(now)
+			u = float64(n.chans[li].busyCyc) / float64(now)
 		}
 		avg += u
 		if u > max {

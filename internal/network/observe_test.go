@@ -21,7 +21,7 @@ import (
 // the timeline and the bottleneck collector are attached.
 func runMeshExchange(t *testing.T, observed bool) (allocs, hops uint64) {
 	t.Helper()
-	const nodes, rounds = 64, 40
+	const nodes = 64
 	cfg := Config{
 		Topology:     topology.Config{Kind: topology.Mesh2D, DimX: 8, DimY: 8},
 		Router:       router.Config{Switching: router.Wormhole, RoutingDelay: 2, MaxPacket: 1024, HeaderBytes: 8},
@@ -30,13 +30,28 @@ func runMeshExchange(t *testing.T, observed bool) (allocs, hops uint64) {
 		RecvOverhead: 50,
 		AckBytes:     8,
 	}
+	return runExchange(t, cfg, exchangeStreams(nodes, 40, 8192, func(i int) int { return nodes - 1 - i }), observed)
+}
+
+// exchangeStreams gives each of nodes processors rounds of a compute burst,
+// an asynchronous send of size bytes to peer(i) and a receive from it.
+func exchangeStreams(nodes, rounds int, size uint32, peer func(int) int) [][]ops.Op {
 	streams := make([][]ops.Op, nodes)
 	for i := range streams {
-		peer := int32(nodes - 1 - i)
+		p := int32(peer(i))
 		for r := 0; r < rounds; r++ {
-			streams[i] = append(streams[i], ops.NewCompute(200), ops.NewASend(8192, peer, uint32(r)), ops.NewRecv(peer, uint32(r)))
+			streams[i] = append(streams[i], ops.NewCompute(200), ops.NewASend(size, p, uint32(r)), ops.NewRecv(p, uint32(r)))
 		}
 	}
+	return streams
+}
+
+// runExchange builds cfg and runs one task-level processor per stream on it,
+// returning the heap allocations of building and running it and the
+// packet-hops it made. With observed set, the timeline and the bottleneck
+// collector are attached.
+func runExchange(t testing.TB, cfg Config, streams [][]ops.Op, observed bool) (allocs, hops uint64) {
+	t.Helper()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -50,12 +65,12 @@ func runMeshExchange(t *testing.T, observed bool) (allocs, hops uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < nodes; i++ {
+	for i := range streams {
 		n.Processor(i).Start(trace.FromOps(streams[i]))
 	}
 	env.Kernel.Run()
 	runtime.ReadMemStats(&after)
-	for i := 0; i < nodes; i++ {
+	for i := range streams {
 		if p := n.Processor(i); !p.Done() || p.Err() != nil {
 			t.Fatalf("processor %d: done %v, err %v", i, p.Done(), p.Err())
 		}

@@ -76,6 +76,9 @@ func (pr *Processor) step() pearl.Step {
 		pr.phase = prFetch
 		ev, err := pr.cur.Next()
 		if err == io.EOF {
+			// Drop the cursor, and with it the trace and its batch buffer:
+			// they are garbage before the run builds its report.
+			pr.cur = nil
 			pr.done = true
 			return pearl.Step{Done: true}
 		}

@@ -225,11 +225,11 @@ func (n *ShardedNetwork) inject(msg *Message) {
 		s.k.At(s.k.Now()+n.copyTime(msg.Size), func() { n.deliverMsg(msg) })
 		return
 	}
-	pkts := n.cfg.Router.Packetize(msg.Size)
-	msg.remaining = len(pkts)
-	for i, wire := range pkts {
+	rc := &n.cfg.Router
+	msg.remaining = rc.NumPackets(msg.Size)
+	for i := 0; i < msg.remaining; i++ {
 		s.packets.Inc()
-		pk := &spkt{msg: msg, bytes: wire, key2: uint64(i), at: msg.Src}
+		pk := &spkt{msg: msg, bytes: rc.PacketBytes(msg.Size, i), key2: uint64(i), at: msg.Src}
 		n.startAttempt(pk)
 	}
 }

@@ -153,31 +153,24 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Packetize splits a message of size bytes into packet wire sizes (payload
-// plus header). A zero-byte message still needs one (header-only) packet.
-func (c *Config) Packetize(size uint32) []uint32 {
-	if size == 0 {
-		return []uint32{uint32(c.HeaderBytes)}
-	}
-	var out []uint32
-	remaining := size
-	for remaining > 0 {
-		chunk := uint32(c.MaxPacket)
-		if remaining < chunk {
-			chunk = remaining
-		}
-		out = append(out, chunk+uint32(c.HeaderBytes))
-		remaining -= chunk
-	}
-	return out
-}
-
-// NumPackets returns how many packets a message of the given size needs.
+// NumPackets returns how many packets a message of the given size needs. A
+// zero-byte message still needs one (header-only) packet.
 func (c *Config) NumPackets(size uint32) int {
 	if size == 0 {
 		return 1
 	}
-	return int((size + uint32(c.MaxPacket) - 1) / uint32(c.MaxPacket))
+	return int((uint64(size) + uint64(c.MaxPacket) - 1) / uint64(c.MaxPacket))
+}
+
+// PacketBytes returns the wire size (payload plus header) of packet i of a
+// message of size bytes, 0 <= i < NumPackets(size): every packet but the
+// last carries MaxPacket bytes of payload, the last the rest.
+func (c *Config) PacketBytes(size uint32, i int) uint32 {
+	payload := size - uint32(i)*uint32(c.MaxPacket)
+	if payload > uint32(c.MaxPacket) {
+		payload = uint32(c.MaxPacket)
+	}
+	return payload + uint32(c.HeaderBytes)
 }
 
 // UncontendedLatency returns the analytic zero-load latency of one packet of

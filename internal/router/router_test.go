@@ -5,9 +5,19 @@ import (
 	"testing/quick"
 )
 
+// wireSizes lists the wire sizes of a message's packets, in order, as the
+// engines read them: NumPackets, then PacketBytes per index.
+func wireSizes(c Config, size uint32) []uint32 {
+	out := make([]uint32, c.NumPackets(size))
+	for i := range out {
+		out[i] = c.PacketBytes(size, i)
+	}
+	return out
+}
+
 func TestPacketize(t *testing.T) {
 	c := Config{MaxPacket: 100, HeaderBytes: 8}
-	pkts := c.Packetize(250)
+	pkts := wireSizes(c, 250)
 	want := []uint32{108, 108, 58}
 	if len(pkts) != 3 {
 		t.Fatalf("pkts = %v", pkts)
@@ -24,7 +34,7 @@ func TestPacketize(t *testing.T) {
 
 func TestPacketizeZeroLength(t *testing.T) {
 	c := Config{MaxPacket: 100, HeaderBytes: 8}
-	pkts := c.Packetize(0)
+	pkts := wireSizes(c, 0)
 	if len(pkts) != 1 || pkts[0] != 8 {
 		t.Fatalf("pkts = %v, want [8]", pkts)
 	}
@@ -35,9 +45,22 @@ func TestPacketizeZeroLength(t *testing.T) {
 
 func TestPacketizeExactMultiple(t *testing.T) {
 	c := Config{MaxPacket: 128, HeaderBytes: 0}
-	pkts := c.Packetize(256)
+	pkts := wireSizes(c, 256)
 	if len(pkts) != 2 || pkts[0] != 128 || pkts[1] != 128 {
 		t.Fatalf("pkts = %v", pkts)
+	}
+}
+
+// A message near the 4 GiB size limit still packetises in full: the packet
+// count must not wrap in 32 bits.
+func TestPacketizeLargestMessage(t *testing.T) {
+	c := Config{MaxPacket: 4096, HeaderBytes: 8}
+	const size = 1<<32 - 1
+	if n := c.NumPackets(size); n != 1<<20 {
+		t.Fatalf("NumPackets(%d) = %d, want %d", uint32(size), n, 1<<20)
+	}
+	if got := c.PacketBytes(size, 1<<20-1); got != 4095+8 {
+		t.Fatalf("last packet = %d bytes, want %d", got, 4095+8)
 	}
 }
 
@@ -96,7 +119,7 @@ func TestPacketizeCoversProperty(t *testing.T) {
 		size = size % (1 << 20)
 		c := Config{MaxPacket: int(max16%4096) + 1, HeaderBytes: int(hdr8 % 64)}
 		var payload uint64
-		for _, p := range c.Packetize(size) {
+		for _, p := range wireSizes(c, size) {
 			if int(p) < c.HeaderBytes {
 				return false
 			}
