@@ -12,8 +12,8 @@ import (
 
 // torusExchange is the walker's own workload: on a 16x16 wormhole torus every
 // node sends 32 KiB asynchronously to its antipode, in 1 KiB packets, for 4
-// rounds — 524,288 packet-hops, every packet crossing both dimensions'
-// datelines or none, and the bisection contended throughout.
+// rounds — 524,288 packet-hops by worms of 16 channels that change virtual
+// channel at the datelines, every one crossing the contended bisection.
 func torusExchange() (Config, [][]ops.Op) {
 	const side, rounds = 16, 4
 	cfg := Config{
@@ -65,8 +65,8 @@ func BenchmarkWormholeExchange(b *testing.B) {
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(hops), "ns/hop")
 }
 
-// A channel record stays pointer-free and within 32 bytes: a 16,384-node
-// 3-D torus has 196,608 of them.
+// A channel record stays within 32 bytes: a 16,384-node 3-D torus has
+// 196,608 of them.
 func TestChannelRecordSize(t *testing.T) {
 	if size := unsafe.Sizeof(vchan{}); size > 32 {
 		t.Errorf("a channel record takes %d bytes; want at most 32", size)
