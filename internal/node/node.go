@@ -266,7 +266,7 @@ func (r *runner) step() pearl.Step {
 				}
 				r.inFlight = false
 			}
-			if ev, err := r.cur.Peek(); err == nil && !n.needsPageRights(ev.Op) && r.c.Begin(ev.Op) {
+			if o, err := r.cur.Peek(); err == nil && !n.needsPageRights(*o) && r.c.Begin(*o) {
 				r.cur.Advance()
 				r.inFlight = true
 				continue

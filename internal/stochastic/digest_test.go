@@ -99,7 +99,9 @@ func drain(t *testing.T, src trace.Source) []ops.Op {
 		var err error
 		switch i % 3 {
 		case 0:
-			if ev, err = cur.Peek(); err == nil {
+			var o *ops.Op
+			if o, err = cur.Peek(); err == nil {
+				ev.Op = *o
 				cur.Advance()
 			}
 		case 1:

@@ -49,16 +49,51 @@ func TestAllocFreeEmitNextBatch(t *testing.T) {
 	}
 	th := emitter(t)
 	cycle := func() {
-		b, err := th.NextBatch()
+		b, _, err := th.NextBatch()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(b) != defaultBatch {
-			t.Fatalf("batch of %d events, want %d", len(b), defaultBatch)
+			t.Fatalf("batch of %d operations, want %d", len(b), defaultBatch)
 		}
 	}
 	cycle()
 	if got := testing.AllocsPerRun(100, cycle); got != 0 {
 		t.Errorf("Emit/NextBatch cycle allocates %v times per cycle; want 0", got)
+	}
+}
+
+// TestAllocFreeCursorInPlace: a cursor reads operations where the source
+// keeps them — a slice source's own slice, a thread's batch buffer — so
+// Peek and Advance allocate nothing per operation.
+func TestAllocFreeCursorInPlace(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	stream := make([]ops.Op, 102*defaultBatch)
+	for name, src := range map[string]Source{
+		"FromOps": FromOps(stream),
+		"Thread":  emitter(t),
+	} {
+		t.Run(name, func(t *testing.T) {
+			cur := NewCursor(src)
+			cycle := func() {
+				for i := 0; i < defaultBatch; i++ {
+					if _, err := cur.Peek(); err != nil {
+						t.Fatal(err)
+					}
+					cur.Advance()
+				}
+			}
+			cycle() // the first pull starts a thread's coroutine
+			if got := testing.AllocsPerRun(100, cycle); got != 0 {
+				t.Errorf("%d Peek/Advance pairs allocate %v times; want 0", defaultBatch, got)
+			}
+		})
+	}
+	// In place: the operation peeked is the slice's own.
+	cur := NewCursor(FromOps(stream))
+	if o, err := cur.Peek(); err != nil || o != &stream[0] {
+		t.Errorf("Peek over FromOps = %p, %v; want the slice's first element %p", o, err, &stream[0])
 	}
 }

@@ -26,20 +26,17 @@ type onceFailing struct {
 	calls int
 }
 
-func (s *onceFailing) NextBatch() ([]Event, error) {
+func (s *onceFailing) NextBatch() ([]ops.Op, Global, error) {
 	s.calls++
 	if s.pos >= len(s.trace) {
 		err := s.err
 		s.err = io.EOF
-		return nil, err
+		return nil, Global{}, err
 	}
 	n := min(3, len(s.trace)-s.pos)
-	b := make([]Event, n)
-	for i := range b {
-		b[i] = Event{Op: s.trace[s.pos+i]}
-	}
+	b := s.trace[s.pos : s.pos+n]
 	s.pos += n
-	return b, nil
+	return b, Global{}, nil
 }
 
 // plain hides a source's batch support, as Tee and FuncSource lack it.
@@ -50,7 +47,8 @@ func (p plain) Next() (Event, error) { return p.src.Next() }
 func TestCursorPeekAdvance(t *testing.T) {
 	for name, src := range map[string]Source{
 		"batched, boundary every 3": &onceFailing{SliceSource: SliceSource{trace: numbered(10)}, err: io.EOF},
-		"batched, one batch of 256": FromOps(numbered(10)),
+		"batched, one batch":        FromOps(numbered(10)),
+		"batched, four segments":    FromSegments([][]ops.Op{nil, numbered(10)[:4], numbered(10)[4:5], nil, numbered(10)[5:]}),
 		"plain source":              plain{FromOps(numbered(10))},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -59,9 +57,9 @@ func TestCursorPeekAdvance(t *testing.T) {
 				// Peeking — any number of times, a batch boundary included —
 				// consumes nothing.
 				for rep := 0; rep < 3; rep++ {
-					ev, err := cur.Peek()
-					if err != nil || ev.Op.Addr != i {
-						t.Fatalf("Peek #%d of op %d = %v, %v", rep, i, ev.Op, err)
+					o, err := cur.Peek()
+					if err != nil || o.Addr != i {
+						t.Fatalf("Peek #%d of op %d = %v, %v", rep, i, o, err)
 					}
 				}
 				// Alternate the two ways of consuming it.

@@ -75,10 +75,12 @@ type stopped struct{}
 // Recv, …) must only be called from the thread's body; Next/NextBatch only
 // from the simulator.
 //
-// The body appends to one batch buffer, reused for the thread's whole life:
-// the simulator reads the yielded batch in place, and the body clears it when
-// the next pull resumes it. Steady-state emission therefore allocates nothing
-// and no thread holds more than one batch.
+// The body appends operations to one batch buffer, reused for the thread's
+// whole life: the simulator reads the yielded batch in place, and the body
+// refills it when the next pull resumes it. A batch ends at a global event,
+// whose payload and resume wait beside the buffer, not in it, so the buffer
+// holds no pointers. Steady-state emission therefore allocates nothing and
+// no thread holds more than one batch.
 type Thread struct {
 	id   int
 	n    int
@@ -90,12 +92,13 @@ type Thread struct {
 	// The coroutine: next resumes the body until it yields a batch, stop
 	// unwinds it, yield is the body's way back. next is nil until the first
 	// pull.
-	next  func() ([]Event, bool)
+	next  func() ([]ops.Op, bool)
 	stop  func()
-	yield func([]Event) bool
+	yield func([]ops.Op) bool
 
-	batch []Event // the body's buffer
-	cur   []Event // the batch being consumed, cur[pos:]
+	batch []ops.Op // the body's buffer
+	g     Global   // the plumbing of the batch's closing global event
+	cur   []ops.Op // the batch being consumed, cur[pos:]
 	pos   int
 
 	// resume is feed, bound once: the Resume of every global event. awaiting
@@ -125,23 +128,25 @@ func (t *Thread) Next() (Event, error) {
 			return Event{}, err
 		}
 	}
-	ev := t.cur[t.pos]
-	t.pos++
+	ev := Event{Op: t.cur[t.pos]}
+	if t.pos++; t.pos == len(t.cur) {
+		ev.Global = t.g
+	}
 	return ev, nil
 }
 
 // NextBatch implements BatchSource: it returns the rest of the current batch,
 // or resumes the body for the next one. The slice is only valid until the
 // next NextBatch call, which hands the buffer back to the body.
-func (t *Thread) NextBatch() ([]Event, error) {
+func (t *Thread) NextBatch() ([]ops.Op, Global, error) {
 	if t.pos == len(t.cur) {
 		if err := t.pull(); err != nil {
-			return nil, err
+			return nil, Global{}, err
 		}
 	}
 	b := t.cur[t.pos:]
 	t.pos = len(t.cur)
-	return b, nil
+	return b, t.g, nil
 }
 
 // pull resumes the body for its next batch. Pulling past a global event the
@@ -187,9 +192,9 @@ func (t *Thread) close() {
 // run is the thread's coroutine: the body, then the locals it left batched.
 // A panic other than the stop sentinel ends the stream with an error, after
 // those locals.
-func (t *Thread) run(yield func([]Event) bool) {
+func (t *Thread) run(yield func([]ops.Op) bool) {
 	t.yield = yield
-	t.batch = make([]Event, 0, defaultBatch)
+	t.batch = make([]ops.Op, 0, defaultBatch)
 	err := t.call()
 	if err == nil || (len(t.batch) > 0 && !yield(t.batch)) {
 		return // closed
@@ -214,12 +219,11 @@ func (t *Thread) call() (err error) {
 }
 
 // flush yields the batch to the simulator and, once the next pull resumes
-// the body, clears it for reuse so it keeps no payload reachable.
+// the body, empties it for reuse.
 func (t *Thread) flush() {
 	if !t.yield(t.batch) {
 		panic(stopped{})
 	}
-	clear(t.batch)
 	t.batch = t.batch[:0]
 }
 
@@ -231,7 +235,7 @@ func (t *Thread) Emit(o ops.Op) {
 		panic(fmt.Sprintf("trace: Emit of global event %s; use Send/Recv", o.Kind))
 	}
 	t.emitted++
-	t.batch = append(t.batch, Event{Op: o})
+	t.batch = append(t.batch, o)
 	if len(t.batch) == defaultBatch {
 		t.flush()
 	}
@@ -240,12 +244,16 @@ func (t *Thread) Emit(o ops.Op) {
 // emitGlobal produces a global event and suspends until the simulator has
 // answered it and pulls again. The pending locals travel in the same batch,
 // ahead of the global event, preserving per-thread order; the per-operation
-// handshake of physical-time interleaving is untouched.
+// handshake of physical-time interleaving is untouched. The payload and
+// resume travel beside the batch and are dropped when the body resumes, so
+// the thread keeps no payload reachable.
 func (t *Thread) emitGlobal(o ops.Op, payload any) Feedback {
 	t.emitted++
-	t.batch = append(t.batch, Event{Op: o, Payload: payload, Resume: t.resume})
+	t.batch = append(t.batch, o)
+	t.g = Global{Payload: payload, Resume: t.resume}
 	t.awaiting = true
 	t.flush()
+	t.g = Global{}
 	fb := t.fb
 	t.fb = Feedback{}
 	return fb

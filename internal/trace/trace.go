@@ -38,10 +38,17 @@ type Feedback struct {
 	Payload any
 }
 
-// Event is one element of a generated trace: the operation plus the
-// generator-side plumbing for global events.
+// Event is one element of a generated trace as a Source hands it out: the
+// operation plus, for a global event, the generator-side plumbing.
 type Event struct {
 	Op ops.Op
+	Global
+}
+
+// Global is the generator-side plumbing of a global event. Local operations
+// carry none, and neither do the global events of a replayed trace: only a
+// running generator has a payload to hand over or a thread to resume.
+type Global struct {
 	// Payload is the message data carried by send operations.
 	Payload any
 	// Resume, when non-nil, must be called exactly once, with the
@@ -59,24 +66,30 @@ type Source interface {
 // BatchSource is implemented by sources that can hand over many operations
 // per pull. A returned batch is non-empty, in execution order, and only
 // valid until the next NextBatch call (implementations may recycle the
-// backing buffer). Consumers that drain sources in a hot loop should go
-// through a Cursor, which uses batch pulls when available.
+// backing buffer, and the consumer must not write to it). A generator
+// suspends at every global event, so only a batch's last operation can
+// carry plumbing: g is that operation's, zero when it carries none.
+// Consumers that drain sources in a hot loop should go through a Cursor,
+// which uses batch pulls when available.
 type BatchSource interface {
 	Source
-	NextBatch() ([]Event, error)
+	NextBatch() (batch []ops.Op, g Global, err error)
 }
 
 // Cursor drains a Source batch-at-a-time: one interface call per batch
 // instead of per operation, and for Thread sources one coroutine switch per
-// batch. A Cursor over a plain (non-batch) Source degrades to per-event
-// Next. The zero Cursor is not usable; create cursors with NewCursor.
+// batch. Operations are read in place, in the source's own storage; only
+// Next copies one out. A Cursor over a plain (non-batch) Source degrades to
+// per-event Next. The zero Cursor is not usable; create cursors with
+// NewCursor.
 type Cursor struct {
 	src   Source
 	batch BatchSource // nil when src has no batch support
-	buf   []Event     // events pulled and not yet consumed: buf[pos:]
+	buf   []ops.Op    // operations pulled and not yet consumed: buf[pos:]
 	pos   int
-	one   [1]Event // backs buf for a plain Source
-	err   error    // the error that ended the stream; sticky
+	g     Global    // the plumbing of buf's last operation
+	one   [1]ops.Op // backs buf for a plain Source
+	err   error     // the error that ended the stream; sticky
 }
 
 // NewCursor wraps src for batched consumption.
@@ -88,61 +101,95 @@ func NewCursor(src Source) *Cursor {
 	return c
 }
 
-// Peek returns the next event without consuming it, pulling a fresh batch
-// from the underlying source when the current one is exhausted; Advance
-// consumes it. After the last event it returns io.EOF. An error — io.EOF
-// included — is sticky: every later Peek and Next returns it again without
-// asking the source, so a consumer that peeked the end of the stream on one
-// path finds the same end on another.
-func (c *Cursor) Peek() (Event, error) {
+// Peek returns the next operation without consuming it, pulling a fresh
+// batch from the underlying source when the current one is exhausted;
+// Advance consumes it. The operation is the source's own, valid until the
+// cursor pulls again, and must not be written to. After the last operation
+// Peek returns io.EOF. An error — io.EOF included — is sticky: every later
+// Peek and Next returns it again without asking the source, so a consumer
+// that peeked the end of the stream on one path finds the same end on
+// another.
+func (c *Cursor) Peek() (*ops.Op, error) {
 	if c.pos < len(c.buf) {
-		return c.buf[c.pos], nil
+		return &c.buf[c.pos], nil
 	}
+	return c.fill()
+}
+
+// fill pulls the next non-empty batch, or records the error that ends the
+// stream.
+func (c *Cursor) fill() (*ops.Op, error) {
 	for c.err == nil {
 		c.pos = 0
 		if c.batch != nil {
-			c.buf, c.err = c.batch.NextBatch()
+			c.buf, c.g, c.err = c.batch.NextBatch()
 		} else {
+			var ev Event
+			ev, c.err = c.src.Next()
+			c.one[0], c.g = ev.Op, ev.Global
 			c.buf = c.one[:]
-			c.one[0], c.err = c.src.Next()
 		}
 		if c.err == nil && len(c.buf) > 0 {
-			return c.buf[0], nil
+			return &c.buf[0], nil
 		}
 	}
-	c.buf = nil
-	return Event{}, c.err
+	c.buf, c.g = nil, Global{}
+	return nil, c.err
 }
 
-// Advance consumes the event the last successful Peek returned.
+// Advance consumes the operation the last successful Peek returned.
 func (c *Cursor) Advance() { c.pos++ }
 
-// Next returns the next event and consumes it: Peek, then Advance.
+// Next returns the next event and consumes it: Peek, then Advance. The last
+// operation of a batch comes with the batch's plumbing.
 func (c *Cursor) Next() (Event, error) {
-	ev, err := c.Peek()
-	if err == nil {
-		c.Advance()
+	o, err := c.Peek()
+	if err != nil {
+		return Event{}, err
 	}
-	return ev, err
+	ev := Event{Op: *o}
+	if c.pos++; c.pos == len(c.buf) {
+		ev.Global = c.g
+	}
+	return ev, nil
 }
 
-// sourceBatch is the conversion chunk size for sources that materialise
-// Event batches from a non-Event backing store.
-const sourceBatch = 256
-
-// SliceSource replays a fixed operation slice (trace-driven simulation).
+// SliceSource replays operations held in memory (trace-driven simulation):
+// one slice, or a list of segments read one after the other as one stream.
+// NextBatch hands out the rest of the current segment itself, so replaying
+// copies nothing.
 type SliceSource struct {
-	trace []ops.Op
+	trace []ops.Op // the segment being read: trace[pos:]
 	pos   int
-	buf   []Event // reusable batch buffer for NextBatch
+	rest  [][]ops.Op // the segments after it
 }
 
 // FromOps wraps an operation slice as a Source.
 func FromOps(trace []ops.Op) *SliceSource { return &SliceSource{trace: trace} }
 
+// FromSegments wraps a list of operation slices as one Source that replays
+// them in order.
+func FromSegments(segs [][]ops.Op) *SliceSource {
+	if len(segs) == 0 {
+		return &SliceSource{}
+	}
+	return &SliceSource{trace: segs[0], rest: segs[1:]}
+}
+
+// more moves past used-up segments, reporting whether an operation is left.
+func (s *SliceSource) more() bool {
+	for s.pos >= len(s.trace) {
+		if len(s.rest) == 0 {
+			return false
+		}
+		s.trace, s.rest, s.pos = s.rest[0], s.rest[1:], 0
+	}
+	return true
+}
+
 // Next implements Source.
 func (s *SliceSource) Next() (Event, error) {
-	if s.pos >= len(s.trace) {
+	if !s.more() {
 		return Event{}, io.EOF
 	}
 	o := s.trace[s.pos]
@@ -150,32 +197,25 @@ func (s *SliceSource) Next() (Event, error) {
 	return Event{Op: o}, nil
 }
 
-// NextBatch implements BatchSource: it converts up to sourceBatch operations
-// into a reused Event buffer, valid until the next call.
-func (s *SliceSource) NextBatch() ([]Event, error) {
-	if s.pos >= len(s.trace) {
-		return nil, io.EOF
+// NextBatch implements BatchSource: the rest of the current segment, in
+// place.
+func (s *SliceSource) NextBatch() ([]ops.Op, Global, error) {
+	if !s.more() {
+		return nil, Global{}, io.EOF
 	}
-	n := len(s.trace) - s.pos
-	if n > sourceBatch {
-		n = sourceBatch
-	}
-	if cap(s.buf) < n {
-		s.buf = make([]Event, n)
-	}
-	b := s.buf[:n]
-	for i := 0; i < n; i++ {
-		b[i] = Event{Op: s.trace[s.pos+i]}
-	}
-	s.pos += n
-	return b, nil
+	b := s.trace[s.pos:]
+	s.pos = len(s.trace)
+	return b, Global{}, nil
 }
+
+// readerBatch is how many operations a ReaderSource decodes per batch.
+const readerBatch = 256
 
 // ReaderSource replays a binary trace stream.
 type ReaderSource struct {
 	r   *ops.Reader
-	buf []Event // reusable batch buffer for NextBatch
-	err error   // deferred error: delivered after the batch read so far
+	buf []ops.Op // reusable batch buffer for NextBatch
+	err error    // deferred error: delivered after the batch read so far
 }
 
 // FromReader wraps a binary trace stream as a Source.
@@ -195,33 +235,33 @@ func (s *ReaderSource) Next() (Event, error) {
 	return Event{Op: o}, nil
 }
 
-// NextBatch implements BatchSource: it decodes up to sourceBatch operations
+// NextBatch implements BatchSource: it decodes up to readerBatch operations
 // per call into a reused buffer, valid until the next call. A decode error
 // or EOF hit mid-batch is returned on the following call, after the
 // operations read before it.
-func (s *ReaderSource) NextBatch() ([]Event, error) {
+func (s *ReaderSource) NextBatch() ([]ops.Op, Global, error) {
 	if s.err != nil {
 		err := s.err
 		s.err = nil
-		return nil, err
+		return nil, Global{}, err
 	}
 	if s.buf == nil {
-		s.buf = make([]Event, sourceBatch)
+		s.buf = make([]ops.Op, readerBatch)
 	}
 	n := 0
 	for n < len(s.buf) {
 		o, err := s.r.Read()
 		if err != nil {
 			if n == 0 {
-				return nil, err
+				return nil, Global{}, err
 			}
 			s.err = err
 			break
 		}
-		s.buf[n] = Event{Op: o}
+		s.buf[n] = o
 		n++
 	}
-	return s.buf[:n], nil
+	return s.buf[:n], Global{}, nil
 }
 
 // FuncSource adapts a generator function to a Source.
