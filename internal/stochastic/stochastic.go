@@ -195,32 +195,85 @@ func ParseDesc(data []byte) (Desc, error) {
 	return d, nil
 }
 
-// Generate produces the complete per-node traces for the description.
+// Generate produces the complete per-node traces for the description, each
+// in one slice.
 func Generate(d Desc) ([][]ops.Op, error) {
-	if err := d.Validate(); err != nil {
+	streams, err := generate(d)
+	if err != nil {
 		return nil, err
 	}
-	g := &generator{d: d, rng: pearl.NewRNG(d.Seed)}
-	traces := make([][]ops.Op, d.Nodes)
-	for iter := 0; iter < d.Iterations; iter++ {
-		for pi := range d.Phases {
-			g.phase(traces, iter, &d.Phases[pi])
+	traces := make([][]ops.Op, len(streams))
+	for i, s := range streams {
+		if len(s.segs) == 1 {
+			traces[i] = s.segs[0]
+		} else {
+			traces[i] = slices.Concat(s.segs...)
 		}
 	}
 	return traces, nil
 }
 
-// Sources generates the traces and wraps them as per-node Sources.
+// Sources generates the traces and wraps them as per-node Sources, which hand
+// the generated operations to the simulator in place.
 func Sources(d Desc) ([]trace.Source, error) {
-	tr, err := Generate(d)
+	streams, err := generate(d)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]trace.Source, len(tr))
-	for i := range tr {
-		out[i] = trace.FromOps(tr[i])
+	out := make([]trace.Source, len(streams))
+	for i, s := range streams {
+		out[i] = trace.FromSegments(s.segs)
 	}
 	return out, nil
+}
+
+// generate draws every node's trace, one phase of all nodes at a time.
+func generate(d Desc) ([]stream, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	g := &generator{d: d, rng: pearl.NewRNG(d.Seed)}
+	streams := make([]stream, d.Nodes)
+	for iter := 0; iter < d.Iterations; iter++ {
+		for pi := range d.Phases {
+			g.phase(streams, iter, &d.Phases[pi])
+		}
+	}
+	return streams, nil
+}
+
+// stream is one node's trace under construction: a list of segments, the
+// last one open for appends. A segment never grows — an append it has no
+// room for starts a new one — so no operation is copied once it is written.
+type stream struct {
+	segs [][]ops.Op
+	n    int // operations in all segments
+}
+
+// segmentSpare is the most room a new segment gets beyond the append that
+// starts it, in operations: enough for the communication operations that
+// close a phase, so a phase and its communication share a segment.
+const segmentSpare = 64
+
+// room returns the open segment with room for k more operations. A new
+// segment gets as much room again as the stream will hold, up to
+// segmentSpare: short streams grow geometrically, and a long computation is
+// not followed by a segment as long.
+func (s *stream) room(k int) *[]ops.Op {
+	if len(s.segs) > 0 {
+		if seg := &s.segs[len(s.segs)-1]; cap(*seg)-len(*seg) >= k {
+			return seg
+		}
+	}
+	s.segs = append(s.segs, make([]ops.Op, 0, k+min(s.n+k, segmentSpare)))
+	return &s.segs[len(s.segs)-1]
+}
+
+// add appends operations to the stream.
+func (s *stream) add(o ...ops.Op) {
+	seg := s.room(len(o))
+	*seg = append(*seg, o...)
+	s.n += len(o)
 }
 
 type generator struct {
@@ -245,21 +298,23 @@ func (g *generator) amount(mean int64, cv float64) int64 {
 	return int64(v)
 }
 
-func (g *generator) phase(traces [][]ops.Op, iter int, ph *Phase) {
-	for node := range traces {
+func (g *generator) phase(streams []stream, iter int, ph *Phase) {
+	for node := range streams {
 		switch g.d.Level {
 		case InstructionLevel:
-			g.computeInstr(&traces[node], node, ph)
+			g.computeInstr(&streams[node], node, ph)
 		case TaskLevel:
-			dur := g.amount(ph.Duration, ph.CV)
-			traces[node] = append(traces[node], ops.NewCompute(dur))
+			streams[node].add(ops.NewCompute(g.amount(ph.Duration, ph.CV)))
 		}
 	}
-	g.comm(traces, iter, ph)
+	g.comm(streams, iter, ph)
 }
 
-func (g *generator) computeInstr(tr *[]ops.Op, node int, ph *Phase) {
+func (g *generator) computeInstr(s *stream, node int, ph *Phase) {
 	n := g.amount(ph.Instructions, ph.CV)
+	if n == 0 {
+		return
+	}
 	mix := ph.Mix
 	if mix == (Mix{}) {
 		mix = DefaultMix()
@@ -276,25 +331,28 @@ func (g *generator) computeInstr(tr *[]ops.Op, node int, ph *Phase) {
 	const loopBody = 64
 	loopBase := g.pcBase(node)
 	var cursor uint64
-	// Two operations per instruction, count known: one growth, not a
-	// doubling series that copies the trace again and again.
-	*tr = slices.Grow(*tr, int(2*n))
+	// Two operations per instruction, count known: the room is made once,
+	// and the appends below never grow the segment.
+	seg := s.room(int(2 * n))
+	tr := *seg
 	for i := int64(0); i < n; i++ {
 		pc := loopBase + uint64(i%loopBody)*4
-		*tr = append(*tr, ops.NewIFetch(pc))
+		tr = append(tr, ops.NewIFetch(pc))
 		switch g.rng.WeightedChoice(weights) {
 		case 0:
-			*tr = append(*tr, ops.NewLoad(mem.Access, g.dataAddr(&mem, &cursor, node)))
+			tr = append(tr, ops.NewLoad(mem.Access, g.dataAddr(&mem, &cursor, node)))
 		case 1:
-			*tr = append(*tr, ops.NewStore(mem.Access, g.dataAddr(&mem, &cursor, node)))
+			tr = append(tr, ops.NewStore(mem.Access, g.dataAddr(&mem, &cursor, node)))
 		case 2:
-			*tr = append(*tr, ops.NewArith(g.intKind(), ops.TypeInt))
+			tr = append(tr, ops.NewArith(g.intKind(), ops.TypeInt))
 		case 3:
-			*tr = append(*tr, ops.NewArith(g.fltKind(), ops.TypeDouble))
+			tr = append(tr, ops.NewArith(g.fltKind(), ops.TypeDouble))
 		case 4:
-			*tr = append(*tr, ops.NewBranch(loopBase))
+			tr = append(tr, ops.NewBranch(loopBase))
 		}
 	}
+	*seg = tr
+	s.n += int(2 * n)
 }
 
 // pcBase gives each node a stable code region.
@@ -347,9 +405,9 @@ func (g *generator) msgBytes(c *Comm) uint32 {
 // are ordered so they cannot deadlock — within each permutation round, the
 // lower-ranked endpoint sends first and the higher-ranked one receives
 // first, which breaks every wait cycle at its maximum element.
-func (g *generator) comm(traces [][]ops.Op, _ int, ph *Phase) {
+func (g *generator) comm(streams []stream, _ int, ph *Phase) {
 	c := &ph.Comm
-	n := len(traces)
+	n := len(streams)
 	if c.Pattern == None || c.Pattern == "" || n < 2 {
 		return
 	}
@@ -359,7 +417,7 @@ func (g *generator) comm(traces [][]ops.Op, _ int, ph *Phase) {
 		for i := range perm {
 			perm[i] = (i + 1) % n
 		}
-		g.permRound(traces, c, perm)
+		g.permRound(streams, c, perm)
 	case Exchange:
 		perm := make([]int, n)
 		for i := range perm {
@@ -369,7 +427,7 @@ func (g *generator) comm(traces [][]ops.Op, _ int, ph *Phase) {
 				perm[i] = i
 			}
 		}
-		g.permRound(traces, c, perm)
+		g.permRound(streams, c, perm)
 	case AllToAll:
 		// Pairwise exchange rounds: partner = rank XOR r. Every round is a
 		// set of disjoint pairs, so each round is trivially deadlock-free,
@@ -387,24 +445,24 @@ func (g *generator) comm(traces [][]ops.Op, _ int, ph *Phase) {
 					perm[i] = i
 				}
 			}
-			g.permRound(traces, c, perm)
+			g.permRound(streams, c, perm)
 		}
 	case Hotspot:
 		g.tick++
 		tag := uint32(g.tick)
 		for i := 1; i < n; i++ {
 			b := g.msgBytes(c)
-			g.emitSend(traces, c, i, 0, b, tag)
+			g.emitSend(streams, c, i, 0, b, tag)
 		}
 		for i := 1; i < n; i++ {
-			g.emitRecv(traces, c, i, 0, tag)
+			g.emitRecv(streams, c, i, 0, tag)
 		}
 	case RandomPairs:
 		perm := g.rng.Perm(n)
 		for isIdentity(perm) {
 			perm = g.rng.Perm(n) // identity would mean no communication
 		}
-		g.permRound(traces, c, perm)
+		g.permRound(streams, c, perm)
 	}
 }
 
@@ -419,7 +477,7 @@ func isIdentity(perm []int) bool {
 
 // permRound emits one permutation round: node i sends to perm[i] and
 // receives from its inverse image. Lower rank sends first.
-func (g *generator) permRound(traces [][]ops.Op, c *Comm, perm []int) {
+func (g *generator) permRound(streams []stream, c *Comm, perm []int) {
 	n := len(perm)
 	g.tick++
 	tag := uint32(g.tick)
@@ -437,32 +495,32 @@ func (g *generator) permRound(traces [][]ops.Op, c *Comm, perm []int) {
 			continue
 		}
 		if i < to {
-			g.emitSend(traces, c, i, to, sizes[i], tag)
-			g.emitRecv(traces, c, from, i, tag)
+			g.emitSend(streams, c, i, to, sizes[i], tag)
+			g.emitRecv(streams, c, from, i, tag)
 		} else {
-			g.emitRecv(traces, c, from, i, tag)
-			g.emitSend(traces, c, i, to, sizes[i], tag)
+			g.emitRecv(streams, c, from, i, tag)
+			g.emitSend(streams, c, i, to, sizes[i], tag)
 		}
 	}
 }
 
 // emitSend appends the sending side of one transfer to the sender's trace.
-func (g *generator) emitSend(traces [][]ops.Op, c *Comm, from, to int, bytes uint32, tag uint32) {
+func (g *generator) emitSend(streams []stream, c *Comm, from, to int, bytes uint32, tag uint32) {
 	if c.Async {
-		traces[from] = append(traces[from], ops.NewASend(bytes, int32(to), tag))
+		streams[from].add(ops.NewASend(bytes, int32(to), tag))
 	} else {
-		traces[from] = append(traces[from], ops.NewSend(bytes, int32(to), tag))
+		streams[from].add(ops.NewSend(bytes, int32(to), tag))
 	}
 }
 
 // emitRecv appends the receiving side of the transfer from -> to.
-func (g *generator) emitRecv(traces [][]ops.Op, c *Comm, from, to int, tag uint32) {
+func (g *generator) emitRecv(streams []stream, c *Comm, from, to int, tag uint32) {
 	if c.Async {
 		ar := ops.NewARecv(int32(from), tag)
 		ar.Addr = uint64(tag)<<20 | uint64(from) // unique handle per (round, source)
-		traces[to] = append(traces[to], ar, ops.NewWaitRecv(ar.Addr))
+		streams[to].add(ar, ops.NewWaitRecv(ar.Addr))
 	} else {
-		traces[to] = append(traces[to], ops.NewRecv(int32(from), tag))
+		streams[to].add(ops.NewRecv(int32(from), tag))
 	}
 }
 
