@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
@@ -159,10 +160,15 @@ type Cache struct {
 	// valid counts the valid lines of each set, so a full set skips the
 	// search for a free way.
 	valid []int32
-	// index maps the line address of every valid line to its slot in sets.
-	// It is kept only for sets wider than scanWays (nil otherwise), where a
-	// hashed lookup beats comparing tags way by way.
-	index map[uint64]int32
+	// index is an open-addressed hash table of the valid lines: an entry is
+	// a slot in sets plus one, 0 is empty, and the key of an entry is the tag
+	// of its line. It has a power-of-two size of at least twice the lines,
+	// probes linearly from a line address's home entry, and deletes by
+	// shifting the entries after it back, so it needs no tombstones. It is
+	// kept only for sets wider than scanWays (nil otherwise), where a hashed
+	// lookup beats comparing tags way by way.
+	index      []int32
+	indexShift uint // 64 - log2(len(index)): home takes the top bits of a hash
 	// order threads the valid lines of every set on a circular doubly linked
 	// list in replacement order, the next victim first: by last use under
 	// LRU, by load under FIFO. Entry i < len(sets) belongs to slot i, entry
@@ -210,7 +216,12 @@ func New(cfg Config, rng *pearl.RNG) (*Cache, error) {
 	c.sets = make([]line, lines)
 	c.valid = make([]int32, c.nsets)
 	if assoc > scanWays {
-		c.index = make(map[uint64]int32)
+		size := 2
+		for size < 2*lines {
+			size <<= 1
+		}
+		c.index = make([]int32, size)
+		c.indexShift = uint(64 - bits.TrailingZeros(uint(size)))
 		if cfg.Replacement != Random {
 			c.order = make([]link, lines+c.nsets)
 			c.resetOrder()
@@ -272,14 +283,44 @@ func (c *Cache) LineSize() uint64 { return uint64(c.cfg.LineSize) }
 // the canonical line identity used throughout the hierarchy.
 func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
+// home is the index entry where the probe for a line address starts: the top
+// bits of a Fibonacci hash, which spreads sequential and strided line
+// addresses alike.
+func (c *Cache) home(la uint64) int {
+	return int((la * 0x9E3779B97F4A7C15) >> c.indexShift)
+}
+
+// entry returns the position in index of the line's entry or, when the line
+// is not resident, of the empty entry that ends its probe.
+func (c *Cache) entry(la uint64) int {
+	mask := len(c.index) - 1
+	for i := c.home(la); ; i = (i + 1) & mask {
+		if e := c.index[i]; e == 0 || c.sets[e-1].tag == la {
+			return i
+		}
+	}
+}
+
+// unindex empties entry i of index and shifts back the entries of its probe
+// run that can no longer be reached past the gap.
+func (c *Cache) unindex(i int) {
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
+		// The entry at j stays unless its home is at or before the gap:
+		// probes from its home would stop at the empty entry i.
+		if e := c.index[j]; (j-c.home(c.sets[e-1].tag))&mask >= (j-i)&mask {
+			c.index[i] = e
+			i = j
+		}
+	}
+	c.index[i] = 0
+}
+
 // find is the one residency lookup: the slot in sets holding the line, or
 // -1 when the line is not resident.
 func (c *Cache) find(la uint64) int {
 	if c.index != nil {
-		if i, ok := c.index[la]; ok {
-			return int(i)
-		}
-		return -1
+		return int(c.index[c.entry(la)]) - 1
 	}
 	base := int(la&c.setMask) * c.assoc
 	for i, ln := range c.sets[base : base+c.assoc] {
@@ -350,7 +391,7 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 			c.S.Writebacks.Inc()
 		}
 		if c.index != nil {
-			delete(c.index, v.LineAddr)
+			c.unindex(c.entry(v.LineAddr))
 		}
 	} else {
 		for set[way].state != Invalid { // the lowest free way
@@ -360,7 +401,7 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 	}
 	set[way] = line{tag: la, state: st, lastUse: c.clock, loadedAt: c.clock}
 	if c.index != nil {
-		c.index[la] = int32(base + way)
+		c.index[c.entry(la)] = int32(base + way + 1)
 	}
 	if c.order != nil {
 		c.pushBack(base + way)
@@ -405,7 +446,7 @@ func (c *Cache) Invalidate(la uint64) (State, bool) {
 	c.sets[i].state = Invalid
 	c.valid[la&c.setMask]--
 	if c.index != nil {
-		delete(c.index, la)
+		c.unindex(c.entry(la))
 	}
 	if c.order != nil {
 		c.unlink(i)

@@ -157,6 +157,17 @@ func checkOrder(t *testing.T, c *Cache, op int) {
 	}
 }
 
+// indexed counts the lines the residency table holds.
+func indexed(c *Cache) int {
+	n := 0
+	for _, e := range c.index {
+		if e != 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // TestIndexedMatchesLinearScan drives the cache and the reference with the
 // same random operation stream, on both sides of scanWays, and compares
 // every return value as it goes and the whole line array at the end. Sets
@@ -164,107 +175,141 @@ func checkOrder(t *testing.T, c *Cache, op int) {
 // scan: Lookup, Insert over a present line, SetState, Invalidate and Flush
 // all land between two evictions of the same set, and the list is checked
 // against the lines throughout.
+//
+// A fully-associative 16-line cache, whose residency table has 32 entries,
+// is driven over line addresses that all hash to its last two entries and
+// its first two: probe runs collide, wrap the table's end, and are cut and
+// shifted back by every eviction and Invalidate. Its table is checked
+// against Occupancy after every operation.
 func TestIndexedMatchesLinearScan(t *testing.T) {
 	const lines = 512
-	states := []State{Shared, Exclusive, Modified}
 	for _, repl := range []Replacement{LRU, FIFO, Random} {
 		for _, assoc := range []int{1, 8, 16, 64, 256} {
 			t.Run(fmt.Sprintf("%s/%d-way", repl, assoc), func(t *testing.T) {
 				cfg := Config{Name: "t", Size: lines * 16, LineSize: 16, Assoc: assoc, Replacement: repl}
-				c := MustNew(cfg, pearl.NewRNG(99))
-				if (c.index != nil) != (assoc > scanWays) {
-					t.Fatalf("index present: %v at %d ways (scanWays %d)", c.index != nil, assoc, scanWays)
-				}
-				if (c.order != nil) != (assoc > scanWays && repl != Random) {
-					t.Fatalf("replacement list present: %v at %d ways, %s", c.order != nil, assoc, repl)
-				}
-				ref := newRef(c, pearl.NewRNG(99))
 				r := pearl.NewRNG(uint64(assoc)*10 + uint64(repl))
 				// Twice the capacity in distinct lines: sets fill, evict and —
 				// through Invalidate — regain free ways below valid ones.
-				addr := func() uint64 { return uint64(r.Intn(2 * lines)) }
-				for op := 0; op < 60000; op++ {
-					if c.order != nil && op%500 == 0 {
-						checkOrder(t, c, op)
-					}
-					la := addr()
-					what := r.Intn(100)
-					switch {
-					case what < 35:
-						got, want := c.Lookup(la), ref.lookup(la)
-						if (got == nil) != (want == nil) || (got != nil && *got != *want) {
-							t.Fatalf("op %d: Lookup(%d) = %v, reference %v", op, la, got, want)
-						}
-					case what < 70:
-						st := states[r.Intn(len(states))]
-						gv, gh := c.Insert(la, st)
-						wv, wh := ref.insert(la, st)
-						if gv != wv || gh != wh {
-							t.Fatalf("op %d: Insert(%d, %v) = %v,%v, reference %v,%v", op, la, st, gv, gh, wv, wh)
-						}
-					case what < 85:
-						gs, gok := c.Invalidate(la)
-						ws, wok := ref.invalidate(la)
-						if gs != ws || gok != wok {
-							t.Fatalf("op %d: Invalidate(%d) = %v,%v, reference %v,%v", op, la, gs, gok, ws, wok)
-						}
-					case what < 92:
-						st := states[r.Intn(len(states))]
-						if got, want := c.SetState(la, st), ref.setState(la, st); got != want {
-							t.Fatalf("op %d: SetState(%d, %v) = %v, reference %v", op, la, st, got, want)
-						}
-					case what < 99:
-						gs, gok := c.Probe(la)
-						ws, wok := ref.probe(la)
-						if gs != ws || gok != wok {
-							t.Fatalf("op %d: Probe(%d) = %v,%v, reference %v,%v", op, la, gs, gok, ws, wok)
-						}
-					default:
-						if op%7 == 0 { // rare: a flush empties what the stream built up
-							if got, want := c.Flush(), ref.flush(); got != want {
-								t.Fatalf("op %d: Flush() = %d dirty, reference %d", op, got, want)
-							}
-						}
-					}
-				}
-				for i := range c.sets {
-					if c.sets[i] != ref.sets[i] && (c.sets[i].state != Invalid || ref.sets[i].state != Invalid) {
-						t.Fatalf("slot %d holds %+v, reference %+v", i, c.sets[i], ref.sets[i])
-					}
-				}
-				if c.clock != ref.clock {
-					t.Errorf("clock %d, reference %d", c.clock, ref.clock)
-				}
-				if e, w := c.S.Evictions.Value(), c.S.Writebacks.Value(); e != ref.evictions || w != ref.writeback {
-					t.Errorf("%d evictions, %d writebacks; reference %d, %d", e, w, ref.evictions, ref.writeback)
-				}
-				if ref.evictions == 0 {
-					t.Error("the stream never evicted: victim choice is untested")
-				}
-				if got, want := c.rng.Uint64(), ref.rng.Uint64(); got != want {
-					t.Error("random streams diverged: a different number of victim draws")
-				}
-				// The bookkeeping the index adds agrees with the lines.
-				occ := 0
-				for set := 0; set < c.nsets; set++ {
-					n := 0
-					for _, ln := range c.sets[set*c.assoc : (set+1)*c.assoc] {
-						if ln.state != Invalid {
-							n++
-						}
-					}
-					if int(c.valid[set]) != n {
-						t.Fatalf("set %d: valid count %d, %d valid lines", set, c.valid[set], n)
-					}
-					occ += n
-				}
-				if c.index != nil && len(c.index) != occ {
-					t.Errorf("index holds %d lines, cache %d", len(c.index), occ)
-				}
-				if c.order != nil {
-					checkOrder(t, c, -1)
-				}
+				matchRef(t, cfg, func() uint64 { return uint64(r.Intn(2 * lines)) }, r, false)
 			})
 		}
+		t.Run(fmt.Sprintf("%s/fully-associative-16", repl), func(t *testing.T) {
+			cfg := Config{Name: "t", Size: 16 * 16, LineSize: 16, Replacement: repl}
+			c := MustNew(cfg, nil)
+			if len(c.index) != 32 {
+				t.Fatalf("residency table of %d entries for 16 lines, want 32", len(c.index))
+			}
+			var pool []uint64
+			for la := uint64(0); len(pool) < 32; la++ {
+				if h := c.home(la); h >= 30 || h <= 1 {
+					pool = append(pool, la)
+				}
+			}
+			r := pearl.NewRNG(7 + uint64(repl))
+			matchRef(t, cfg, func() uint64 { return pool[r.Intn(len(pool))] }, r, true)
+		})
+	}
+}
+
+// matchRef drives a cache built from cfg and the reference through the same
+// 60,000 random operations on the line addresses addr draws, comparing every
+// answer. With everyOp the residency table is checked against Occupancy
+// after each operation.
+func matchRef(t *testing.T, cfg Config, addr func() uint64, r *pearl.RNG, everyOp bool) {
+	t.Helper()
+	states := []State{Shared, Exclusive, Modified}
+	c := MustNew(cfg, pearl.NewRNG(99))
+	if (c.index != nil) != (c.assoc > scanWays) {
+		t.Fatalf("index present: %v at %d ways (scanWays %d)", c.index != nil, c.assoc, scanWays)
+	}
+	if (c.order != nil) != (c.assoc > scanWays && cfg.Replacement != Random) {
+		t.Fatalf("replacement list present: %v at %d ways, %s", c.order != nil, c.assoc, cfg.Replacement)
+	}
+	ref := newRef(c, pearl.NewRNG(99))
+	for op := 0; op < 60000; op++ {
+		if c.order != nil && op%500 == 0 {
+			checkOrder(t, c, op)
+		}
+		la := addr()
+		what := r.Intn(100)
+		switch {
+		case what < 35:
+			got, want := c.Lookup(la), ref.lookup(la)
+			if (got == nil) != (want == nil) || (got != nil && *got != *want) {
+				t.Fatalf("op %d: Lookup(%d) = %v, reference %v", op, la, got, want)
+			}
+		case what < 70:
+			st := states[r.Intn(len(states))]
+			gv, gh := c.Insert(la, st)
+			wv, wh := ref.insert(la, st)
+			if gv != wv || gh != wh {
+				t.Fatalf("op %d: Insert(%d, %v) = %v,%v, reference %v,%v", op, la, st, gv, gh, wv, wh)
+			}
+		case what < 85:
+			gs, gok := c.Invalidate(la)
+			ws, wok := ref.invalidate(la)
+			if gs != ws || gok != wok {
+				t.Fatalf("op %d: Invalidate(%d) = %v,%v, reference %v,%v", op, la, gs, gok, ws, wok)
+			}
+		case what < 92:
+			st := states[r.Intn(len(states))]
+			if got, want := c.SetState(la, st), ref.setState(la, st); got != want {
+				t.Fatalf("op %d: SetState(%d, %v) = %v, reference %v", op, la, st, got, want)
+			}
+		case what < 99:
+			gs, gok := c.Probe(la)
+			ws, wok := ref.probe(la)
+			if gs != ws || gok != wok {
+				t.Fatalf("op %d: Probe(%d) = %v,%v, reference %v,%v", op, la, gs, gok, ws, wok)
+			}
+		default:
+			if op%7 == 0 { // rare: a flush empties what the stream built up
+				if got, want := c.Flush(), ref.flush(); got != want {
+					t.Fatalf("op %d: Flush() = %d dirty, reference %d", op, got, want)
+				}
+			}
+		}
+		if everyOp {
+			if n, occ := indexed(c), c.Occupancy(); n != occ {
+				t.Fatalf("op %d: residency table holds %d lines, cache %d", op, n, occ)
+			}
+		}
+	}
+	for i := range c.sets {
+		if c.sets[i] != ref.sets[i] && (c.sets[i].state != Invalid || ref.sets[i].state != Invalid) {
+			t.Fatalf("slot %d holds %+v, reference %+v", i, c.sets[i], ref.sets[i])
+		}
+	}
+	if c.clock != ref.clock {
+		t.Errorf("clock %d, reference %d", c.clock, ref.clock)
+	}
+	if e, w := c.S.Evictions.Value(), c.S.Writebacks.Value(); e != ref.evictions || w != ref.writeback {
+		t.Errorf("%d evictions, %d writebacks; reference %d, %d", e, w, ref.evictions, ref.writeback)
+	}
+	if ref.evictions == 0 {
+		t.Error("the stream never evicted: victim choice is untested")
+	}
+	if got, want := c.rng.Uint64(), ref.rng.Uint64(); got != want {
+		t.Error("random streams diverged: a different number of victim draws")
+	}
+	// The bookkeeping the index adds agrees with the lines.
+	occ := 0
+	for set := 0; set < c.nsets; set++ {
+		n := 0
+		for _, ln := range c.sets[set*c.assoc : (set+1)*c.assoc] {
+			if ln.state != Invalid {
+				n++
+			}
+		}
+		if int(c.valid[set]) != n {
+			t.Fatalf("set %d: valid count %d, %d valid lines", set, c.valid[set], n)
+		}
+		occ += n
+	}
+	if c.index != nil && indexed(c) != occ {
+		t.Errorf("index holds %d lines, cache %d", indexed(c), occ)
+	}
+	if c.order != nil {
+		checkOrder(t, c, -1)
 	}
 }
