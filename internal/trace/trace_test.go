@@ -504,38 +504,46 @@ func TestRunAheadBounded(t *testing.T) {
 }
 
 // TestFullBatchThenGlobalEvent: a thread emits exactly one batch of locals,
-// then a send with a payload, then one more local. The batch's last local
-// carries no plumbing, the send carries both its payload and its resume, and
-// the local after it neither, whether the thread is read per operation or
-// through a cursor.
+// then a send with a payload, then three locals and a second send, then one
+// more local. The full batch's last local carries no plumbing, each send
+// carries its payload and resume, and the locals batched ahead of the second
+// send and the one after it carry neither, whether the thread is read per
+// operation or through a cursor.
 func TestFullBatchThenGlobalEvent(t *testing.T) {
+	payloads := map[int]string{64: "first", 68: "second"} // event index -> send payload
 	for _, viaCursor := range []bool{false, true} {
 		pr := &Program{Threads: 1, Body: func(th *Thread) {
 			for i := 0; i < 64; i++ {
 				th.Emit(ops.NewCompute(int64(i)))
 			}
-			th.Send(0, 8, 3, "payload")
-			th.Emit(ops.NewCompute(64))
+			th.Send(0, 8, 3, "first")
+			for i := 64; i < 67; i++ {
+				th.Emit(ops.NewCompute(int64(i)))
+			}
+			th.Send(0, 8, 4, "second")
+			th.Emit(ops.NewCompute(67))
 		}}
 		var src Source = pr.Start()[0]
 		if viaCursor {
 			src = NewCursor(src)
 		}
-		for i := 0; i < 66; i++ {
+		local := int64(0)
+		for i := 0; i < 70; i++ {
 			ev, err := src.Next()
 			if err != nil {
 				t.Fatalf("cursor %v, event %d: %v", viaCursor, i, err)
 			}
-			if i == 64 {
-				if ev.Op.Kind != ops.Send || ev.Payload != "payload" || ev.Resume == nil {
-					t.Fatalf("cursor %v: the send reads %v, payload %v, resume set %v", viaCursor, ev.Op, ev.Payload, ev.Resume != nil)
+			if p, ok := payloads[i]; ok {
+				if ev.Op.Kind != ops.Send || ev.Payload != p || ev.Resume == nil {
+					t.Fatalf("cursor %v: send %q reads %v, payload %v, resume set %v", viaCursor, p, ev.Op, ev.Payload, ev.Resume != nil)
 				}
 				ev.Resume(Feedback{})
 				continue
 			}
-			if ev.Op.Kind != ops.Compute || ev.Op.Dur != int64(min(i, 64)) || ev.Payload != nil || ev.Resume != nil {
-				t.Fatalf("cursor %v: local %d reads %v, payload %v, resume set %v", viaCursor, i, ev.Op, ev.Payload, ev.Resume != nil)
+			if ev.Op.Kind != ops.Compute || ev.Op.Dur != local || ev.Payload != nil || ev.Resume != nil {
+				t.Fatalf("cursor %v: local %d reads %v, payload %v, resume set %v", viaCursor, local, ev.Op, ev.Payload, ev.Resume != nil)
 			}
+			local++
 		}
 		if _, err := src.Next(); err != io.EOF {
 			t.Fatalf("cursor %v: after the last event: %v, want io.EOF", viaCursor, err)
