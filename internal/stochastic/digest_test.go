@@ -83,7 +83,7 @@ var streamDigests = map[string][]string{
 func opDigest(stream []ops.Op) string {
 	h := sha256.New()
 	for _, o := range stream {
-		binary.Write(h, binary.LittleEndian, o)
+		binary.Write(h, binary.LittleEndian, o) // a hash's Write never fails
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
