@@ -113,12 +113,6 @@ func (c *Cursor) Peek() (*ops.Op, error) {
 	if c.pos < len(c.buf) {
 		return &c.buf[c.pos], nil
 	}
-	return c.fill()
-}
-
-// fill pulls the next non-empty batch, or records the error that ends the
-// stream.
-func (c *Cursor) fill() (*ops.Op, error) {
 	for c.err == nil {
 		c.pos = 0
 		if c.batch != nil {
