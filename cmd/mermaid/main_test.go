@@ -19,6 +19,7 @@ import (
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/stats"
+	"mermaid/internal/stochastic"
 	"mermaid/internal/workload"
 )
 
@@ -404,5 +405,75 @@ func TestRunAppRefusals(t *testing.T) {
 		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s -app %s: error %v, want one containing %q", tc.preset, tc.app, err, tc.want)
 		}
+	}
+}
+
+// An instruction-level description runs to the same result whether the
+// machine generates it (-desc) or replays trace files written from the same
+// description (the trgen path): cycles, events, instructions and every
+// rendered statistic.
+func TestRunDescMatchesTraceFiles(t *testing.T) {
+	const doc = `{"Level": "instruction", "Seed": 7, "Iterations": 2,
+		"Phases": [{"Name": "relax", "Instructions": 3000, "CV": 0.2,
+			"Comm": {"Pattern": "nearest", "Bytes": 256}}]}`
+	dir := t.TempDir()
+	descPath := filepath.Join(dir, "desc.json")
+	if err := os.WriteFile(descPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	build := func() *machine.Machine {
+		m, err := machine.New(presets["t805-2x2"]())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	want, err := runDesc(build(), descPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := stochastic.ParseDesc([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := build()
+	d.Nodes = m.Streams()
+	traces, err := stochastic.Generate(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := make([]string, len(traces))
+	for i, tr := range traces {
+		paths[i] = filepath.Join(dir, fmt.Sprintf("node%d.mmt", i))
+		var buf bytes.Buffer
+		if err := ops.WriteAll(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paths[i], buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := runTraceFiles(m, paths)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if got.Cycles != want.Cycles || got.Events != want.Events || got.Instructions != want.Instructions {
+		t.Errorf("trace files: %d cycles, %d events, %d instructions; -desc: %d, %d, %d",
+			got.Cycles, got.Events, got.Instructions, want.Cycles, want.Events, want.Instructions)
+	}
+	render := func(r *machine.Result) string {
+		var sb strings.Builder
+		if err := stats.RenderSet(&sb, r.Stats); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if g, w := render(got), render(want); g != w {
+		t.Errorf("rendered stats differ\ntrace files:\n%s\n-desc:\n%s", g, w)
+	}
+	if want.Instructions == 0 {
+		t.Error("the run executed no instructions")
 	}
 }

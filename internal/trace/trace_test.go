@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -547,6 +548,39 @@ func TestFullBatchThenGlobalEvent(t *testing.T) {
 		}
 		if _, err := src.Next(); err != io.EOF {
 			t.Fatalf("cursor %v: after the last event: %v, want io.EOF", viaCursor, err)
+		}
+	}
+}
+
+// TestReaderSourceTruncated: a binary trace cut inside its last record reads
+// through a Cursor as every whole operation before the cut, in order, and
+// then the decode error on every later Peek and Next — across more than two
+// reader batches.
+func TestReaderSourceTruncated(t *testing.T) {
+	const n = 600
+	trace := numbered(n)
+	var buf bytes.Buffer
+	if err := ops.WriteAll(&buf, trace); err != nil {
+		t.Fatal(err)
+	}
+	cut := buf.Bytes()[:buf.Len()-1]
+	cur := NewCursor(FromReader(bytes.NewReader(cut)))
+	for i := 0; i < n-1; i++ {
+		ev, err := cur.Next()
+		if err != nil || ev.Op != trace[i] {
+			t.Fatalf("op %d = %v, %v; want %v", i, ev.Op, err, trace[i])
+		}
+	}
+	_, err := cur.Peek()
+	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ops.ErrBadTrace) {
+		t.Fatalf("after the last whole op: %v, want a decode error", err)
+	}
+	for rep := 0; rep < 3; rep++ {
+		if _, again := cur.Peek(); again != err {
+			t.Fatalf("Peek #%d = %v, want the same error %v", rep, again, err)
+		}
+		if _, again := cur.Next(); again != err {
+			t.Fatalf("Next #%d = %v, want the same error %v", rep, again, err)
 		}
 	}
 }
