@@ -208,3 +208,35 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzBinaryTrace: decoding arbitrary bytes never panics, and every
+// operation decoded before the first error re-encodes and decodes back to
+// itself.
+func FuzzBinaryTrace(f *testing.F) {
+	var table bytes.Buffer
+	if err := WriteAll(&table, TableOne()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(table.Bytes())
+	f.Add(magic[:])
+	f.Add(table.Bytes()[:len(magic)+3])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, _ := ReadAll(bytes.NewReader(data))
+		var buf bytes.Buffer
+		if err := WriteAll(&buf, got); err != nil {
+			t.Fatalf("re-encoding %d decoded ops: %v", len(got), err)
+		}
+		back, err := ReadAll(&buf)
+		if err != nil {
+			t.Fatalf("decoding the re-encoded ops: %v", err)
+		}
+		if len(back) != len(got) {
+			t.Fatalf("%d ops re-decoded, want %d", len(back), len(got))
+		}
+		for i := range got {
+			if back[i] != got[i] {
+				t.Fatalf("op %d: %+v re-decoded as %+v", i, got[i], back[i])
+			}
+		}
+	})
+}
