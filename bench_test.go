@@ -15,6 +15,7 @@ package mermaid
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"testing"
 
@@ -60,6 +61,10 @@ func BenchmarkTable1OpLatencies(b *testing.B) {
 		ops.NewRet(0x400020),
 	}
 	const reps = 1000
+	stream := make([]ops.Op, 0, reps*len(table))
+	for range reps {
+		stream = append(stream, table...)
+	}
 	var totalCycles pearl.Time
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -67,18 +72,7 @@ func BenchmarkTable1OpLatencies(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		src := trace.FuncSource(func() func() (trace.Event, error) {
-			n := 0
-			return func() (trace.Event, error) {
-				if n >= reps*len(table) {
-					return trace.Event{}, errEOF
-				}
-				o := table[n%len(table)]
-				n++
-				return trace.Event{Op: o}, nil
-			}
-		}())
-		res, err := m.Run([]trace.Source{src})
+		res, err := m.Run([]trace.Source{trace.FromOps(stream)})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,12 +81,6 @@ func BenchmarkTable1OpLatencies(b *testing.B) {
 	}
 	reportSim(b, totalCycles, 1)
 }
-
-var errEOF = func() error {
-	// io.EOF without importing io at top level twice.
-	_, err := trace.FromOps(nil).Next()
-	return err
-}()
 
 // E4: host memory per simulated node as the machine scales (§6: no
 // instruction interpretation, caches hold tags only, so memory is dominated
@@ -210,7 +198,7 @@ type writerBuf struct{ data []byte }
 func (w *writerBuf) Write(p []byte) (int, error) { w.data = append(w.data, p...); return len(p), nil }
 func (w *writerBuf) Read(p []byte) (int, error) {
 	if len(w.data) == 0 {
-		return 0, errEOF
+		return 0, io.EOF
 	}
 	n := copy(p, w.data)
 	w.data = w.data[n:]

@@ -581,9 +581,7 @@ func runReplicated(w io.Writer, cfg machine.Config, name string, repeats, worker
 	var agg stats.Histogram
 	for _, v := range rep.Values() {
 		if h, ok := v.(*stats.Histogram); ok {
-			if err := agg.Merge(h); err != nil {
-				return fmt.Errorf("aggregating replica latency: %w", err)
-			}
+			agg.Merge(h)
 		}
 	}
 	if agg.Count() > 0 {

@@ -1,13 +1,13 @@
 // Command trgen is the stochastic trace generator tool (§3): it turns a
 // probabilistic application description (JSON) into per-node binary
 // operation trace files that can drive the architecture simulators, or dumps
-// traces in the text format for inspection.
+// them one operation per line as a debug listing (nothing reads it back).
 //
 // Usage:
 //
 //	trgen -example > desc.json            # print a starter description
 //	trgen -desc desc.json -out traces/    # write traces/node0.mmt ...
-//	trgen -desc desc.json -print | head   # text dump
+//	trgen -desc desc.json -print | head   # debug dump
 package main
 
 import (

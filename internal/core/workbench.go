@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/machine"
@@ -62,19 +61,6 @@ func New(cfg machine.Config, opts ...Option) (*Workbench, error) {
 		o(w)
 	}
 	return w, nil
-}
-
-// Load creates a workbench from a JSON machine configuration file.
-func Load(path string, opts ...Option) (*Workbench, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := machine.ParseConfig(data)
-	if err != nil {
-		return nil, err
-	}
-	return New(cfg, opts...)
 }
 
 // Config returns the machine configuration.

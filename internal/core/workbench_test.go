@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -57,27 +54,5 @@ func TestRunStochastic(t *testing.T) {
 	}
 	if res.Cycles < 100 {
 		t.Fatalf("cycles = %d", res.Cycles)
-	}
-}
-
-func TestLoadFromJSONFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "machine.json")
-	data, err := json.Marshal(machine.T805Grid(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	wb, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wb.Config().Nodes != 4 {
-		t.Fatalf("nodes = %d", wb.Config().Nodes)
-	}
-	if _, err := Load(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("expected error for missing file")
 	}
 }

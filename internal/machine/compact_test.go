@@ -137,16 +137,27 @@ func runCounted(m *Machine, s streams) (*Result, int64, error) {
 	}
 	var syncSends atomic.Int64
 	for i, src := range srcs {
-		srcs[i] = trace.FuncSource(func() (trace.Event, error) {
-			ev, err := src.Next()
-			if err == nil && ev.Op.Kind == ops.Send {
-				syncSends.Add(1)
-			}
-			return ev, err
-		})
+		srcs[i] = sendCounter{src, &syncSends}
 	}
 	res, err := m.Run(srcs)
 	return res, syncSends.Load(), err
+}
+
+// sendCounter passes its source's batches through, counting the synchronous
+// sends in them.
+type sendCounter struct {
+	src trace.Source
+	n   *atomic.Int64
+}
+
+func (c sendCounter) NextBatch() ([]ops.Op, trace.Global, error) {
+	b, g, err := c.src.NextBatch()
+	for i := range b {
+		if b[i].Kind == ops.Send {
+			c.n.Add(1)
+		}
+	}
+	return b, g, err
 }
 
 // checkConservation asserts what a completed run conserves on whichever

@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // Binary trace format: a magic header followed by one variable-length record
@@ -215,161 +213,6 @@ func (tr *Reader) Read() (Op, error) {
 	}
 	tr.count++
 	return o, nil
-}
-
-// ParseText parses one operation in the trace text format produced by
-// Op.String. The text format is intended for debugging and small hand-written
-// traces.
-func ParseText(line string) (Op, error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		return Op{}, errors.New("ops: empty line")
-	}
-	kind, ok := KindByName(fields[0])
-	if !ok {
-		return Op{}, fmt.Errorf("ops: unknown operation %q", fields[0])
-	}
-	o := Op{Kind: kind}
-	arg := func(i int) (string, error) {
-		if i >= len(fields) {
-			return "", fmt.Errorf("ops: %s: missing argument %d", kind, i)
-		}
-		return fields[i], nil
-	}
-	parseUint := func(s string) (uint64, error) {
-		return strconv.ParseUint(strings.TrimPrefix(s, "0x"), pickBase(s), 64)
-	}
-	switch kind {
-	case Load, Store:
-		ms, err := arg(1)
-		if err != nil {
-			return Op{}, err
-		}
-		m, ok := memTypeByName(ms)
-		if !ok {
-			return Op{}, fmt.Errorf("ops: unknown mem-type %q", ms)
-		}
-		o.Mem = m
-		as, err := arg(2)
-		if err != nil {
-			return Op{}, err
-		}
-		if o.Addr, err = parseUint(as); err != nil {
-			return Op{}, err
-		}
-	case LoadConst, Add, Sub, Mul, Div:
-		ds, err := arg(1)
-		if err != nil {
-			return Op{}, err
-		}
-		d, ok := dataTypeByName(ds)
-		if !ok {
-			return Op{}, fmt.Errorf("ops: unknown data type %q", ds)
-		}
-		o.Data = d
-	case IFetch, Branch, Call, Ret:
-		as, err := arg(1)
-		if err != nil {
-			return Op{}, err
-		}
-		if o.Addr, err = parseUint(as); err != nil {
-			return Op{}, err
-		}
-	case Send, ASend:
-		// "send <size> -> <dst> tag <tag>"
-		ss, err := arg(1)
-		if err != nil {
-			return Op{}, err
-		}
-		size, err := strconv.ParseUint(ss, 10, 32)
-		if err != nil {
-			return Op{}, err
-		}
-		o.Size = uint32(size)
-		ds, err := arg(3)
-		if err != nil {
-			return Op{}, err
-		}
-		dst, err := strconv.ParseInt(ds, 10, 32)
-		if err != nil {
-			return Op{}, err
-		}
-		o.Peer = int32(dst)
-		if len(fields) >= 6 && fields[4] == "tag" {
-			tag, err := strconv.ParseUint(fields[5], 10, 32)
-			if err != nil {
-				return Op{}, err
-			}
-			o.Tag = uint32(tag)
-		}
-	case Recv, ARecv:
-		// "recv <- <src|any> tag <tag>"
-		ss, err := arg(2)
-		if err != nil {
-			return Op{}, err
-		}
-		if ss == "any" {
-			o.Peer = AnyPeer
-		} else {
-			src, err := strconv.ParseInt(ss, 10, 32)
-			if err != nil {
-				return Op{}, err
-			}
-			o.Peer = int32(src)
-		}
-		if len(fields) >= 5 && fields[3] == "tag" {
-			tag, err := strconv.ParseUint(fields[4], 10, 32)
-			if err != nil {
-				return Op{}, err
-			}
-			o.Tag = uint32(tag)
-		}
-	case Compute:
-		ds, err := arg(1)
-		if err != nil {
-			return Op{}, err
-		}
-		if o.Dur, err = strconv.ParseInt(ds, 10, 64); err != nil {
-			return Op{}, err
-		}
-	case WaitRecv:
-		hs, err := arg(1)
-		if err != nil {
-			return Op{}, err
-		}
-		if o.Addr, err = strconv.ParseUint(hs, 10, 64); err != nil {
-			return Op{}, err
-		}
-	}
-	if err := o.Validate(); err != nil {
-		return Op{}, err
-	}
-	return o, nil
-}
-
-func pickBase(s string) int {
-	if strings.HasPrefix(s, "0x") {
-		return 16
-	}
-	return 10
-}
-
-func memTypeByName(s string) (MemType, bool) {
-	for m, n := range memTypeNames {
-		if n == s && MemType(m) != MemNone {
-			return MemType(m), true
-		}
-	}
-	return MemNone, false
-}
-
-func dataTypeByName(s string) (DataType, bool) {
-	for d, n := range dataTypeNames {
-		if n == s && DataType(d) != TypeNone {
-			return DataType(d), true
-		}
-	}
-	return TypeNone, false
 }
 
 // ReadAll decodes an entire binary trace into a slice.

@@ -135,37 +135,6 @@ func TestBinaryCarriesARecvHandleAndWaitRecv(t *testing.T) {
 	}
 }
 
-func TestTextRoundTrip(t *testing.T) {
-	for _, o := range TableOne() {
-		back, err := ParseText(o.String())
-		if err != nil {
-			t.Fatalf("%s: %v", o, err)
-		}
-		if back != o {
-			t.Fatalf("text round trip: %+v != %+v", back, o)
-		}
-	}
-}
-
-func TestParseTextErrors(t *testing.T) {
-	bad := []string{
-		"",
-		"frobnicate",
-		"load",
-		"load x 0x10",
-		"load w zzz",
-		"send abc -> 3",
-		"compute",
-		"compute -5",
-		"recv <- -7",
-	}
-	for _, line := range bad {
-		if _, err := ParseText(line); err == nil {
-			t.Errorf("ParseText(%q): expected error", line)
-		}
-	}
-}
-
 // Property: any structurally valid operation survives a binary round trip.
 func TestBinaryRoundTripProperty(t *testing.T) {
 	f := func(kindSel uint8, mem, data uint8, addr uint64, size uint32, peer int32, tag uint32, dur int64) bool {

@@ -91,16 +91,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// KindByName maps a mnemonic back to its Kind; ok is false for unknown names.
-func KindByName(s string) (Kind, bool) {
-	for k, n := range kindNames {
-		if n == s && Kind(k) != Invalid {
-			return Kind(k), true
-		}
-	}
-	return Invalid, false
-}
-
 // IsComputational reports whether the kind is an abstract machine instruction
 // (simulated by the single-node computational model).
 func (k Kind) IsComputational() bool { return k >= Load && k <= Ret }
@@ -251,8 +241,9 @@ type Op struct {
 	Dur  int64
 }
 
-// String renders the operation in the trace text format, e.g.
-// "load w 0x1f00", "add i", "send 1024 -> 3", "compute 500".
+// String renders the operation for a human reader, e.g. "load w 0x1f00",
+// "add i", "send 1024 -> 3", "compute 500". It is a write-only debug dump:
+// traces are read only in the binary encoding.
 func (o Op) String() string {
 	switch o.Kind {
 	case Load, Store:

@@ -264,19 +264,3 @@ func Sparkline(values []float64) string {
 	}
 	return b.String()
 }
-
-// RenderHistogram writes a histogram's non-empty buckets as a bar chart.
-func RenderHistogram(w io.Writer, title string, h *Histogram, width int) error {
-	rows := h.Buckets()
-	labels := make([]string, len(rows))
-	values := make([]float64, len(rows))
-	for i, r := range rows {
-		if r[0] == r[1] {
-			labels[i] = fmt.Sprintf("%d", r[0])
-		} else {
-			labels[i] = fmt.Sprintf("%d-%d", r[0], r[1])
-		}
-		values[i] = float64(r[2])
-	}
-	return BarChart(w, title, labels, values, width)
-}

@@ -155,23 +155,6 @@ func TestSparkline(t *testing.T) {
 	}
 }
 
-func TestRenderHistogram(t *testing.T) {
-	var h Histogram
-	for _, v := range []int64{1, 2, 2, 3, 8, 9} {
-		h.Observe(v)
-	}
-	var sb strings.Builder
-	if err := RenderHistogram(&sb, "latency", &h, 20); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "latency") {
-		t.Fatal("title missing")
-	}
-	if !strings.Contains(sb.String(), "8-15") {
-		t.Fatalf("bucket label missing:\n%s", sb.String())
-	}
-}
-
 // renderBound sizes the buffer RenderSet writes into: exact for whole
 // numbers, never short for the others a report holds.
 func TestRenderBound(t *testing.T) {

@@ -32,51 +32,20 @@ func Ratio(c, total uint64) float64 {
 	return float64(c) / float64(total)
 }
 
-// Histogram accumulates int64 samples in buckets. The zero value uses the
-// default power-of-two layout: bucket i holds samples in [2^(i-1), 2^i) with
-// bucket 0 holding zero and negative samples. NewHistogramWithEdges builds
-// one with explicit bucket bounds instead. Either way the histogram also
-// tracks exact count, sum, min and max, so Mean is exact while percentiles
-// are bucket-resolution estimates.
+// Histogram accumulates int64 samples in power-of-two buckets: bucket i
+// holds samples in [2^(i-1), 2^i), with bucket 0 holding zero and negative
+// samples. Every histogram shares this one layout. It also tracks exact
+// count, sum, min and max, so Mean is exact while percentiles are
+// bucket-resolution estimates. The zero value is an empty histogram.
 //
 // Histogram is a comparable value type (no pointers or slices), so snapshots
 // can be taken by plain assignment and compared with ==.
 type Histogram struct {
 	buckets [65]uint64
-	// edges[:nedges] are the explicit ascending bucket bounds; nedges == 0
-	// means the default power-of-two layout.
-	edges  [maxEdges]int64
-	nedges int
-	count  uint64
-	sum    int64
-	min    int64
-	max    int64
-}
-
-// maxEdges is the most explicit bucket edges a histogram can hold: k edges
-// define k+1 buckets, and the bucket array holds 65.
-const maxEdges = 64
-
-// NewHistogramWithEdges returns a histogram with an explicit bucket layout:
-// for edges e0 < e1 < ... < ek, bucket 0 holds samples below e0, bucket i
-// holds samples in [e(i-1), e(i)), and the last bucket holds samples at or
-// above ek. It errors on empty, non-ascending, or more than 64 edges.
-// Histograms with different layouts refuse to Merge.
-func NewHistogramWithEdges(edges ...int64) (*Histogram, error) {
-	if len(edges) == 0 {
-		return nil, fmt.Errorf("stats: histogram needs at least one bucket edge")
-	}
-	if len(edges) > maxEdges {
-		return nil, fmt.Errorf("stats: histogram supports at most %d edges, got %d", maxEdges, len(edges))
-	}
-	h := &Histogram{nedges: len(edges)}
-	for i, e := range edges {
-		if i > 0 && e <= edges[i-1] {
-			return nil, fmt.Errorf("stats: histogram edges must be strictly ascending, got %d after %d", e, edges[i-1])
-		}
-		h.edges[i] = e
-	}
-	return h, nil
+	count   uint64
+	sum     int64
+	min     int64
+	max     int64
 }
 
 // Observe records one sample.
@@ -96,21 +65,8 @@ func (h *Histogram) Observe(v int64) {
 	h.buckets[h.bucketOf(v)]++
 }
 
-// bucketOf maps a sample to its bucket index under the histogram's layout.
+// bucketOf maps a sample to its bucket index.
 func (h *Histogram) bucketOf(v int64) int {
-	if h.nedges > 0 {
-		// Explicit layout: the bucket index is the number of edges <= v.
-		lo, hi := 0, h.nedges
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if h.edges[mid] <= v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
 	if v <= 0 {
 		return 0
 	}
@@ -124,36 +80,17 @@ func (h *Histogram) bucketOf(v int64) int {
 	return b
 }
 
-// sameLayout reports whether two histograms bucket their samples identically.
-func (h *Histogram) sameLayout(o *Histogram) bool {
-	return h.nedges == o.nedges && h.edges == o.edges
-}
-
 // Merge folds another histogram into h, bucket-wise, as if every sample
 // observed by o had been observed by h: count, sum, min and max all end up
 // exactly what a single histogram observing both sample streams would hold.
-// A nil or empty o is a no-op; merging into a zero-value (unconfigured,
-// empty) h copies o verbatim, layout included.
-//
-// Histograms with different bucket layouts do not merge: their buckets mean
-// different ranges, and adding them cell-wise would silently corrupt every
-// percentile estimate. Merge returns an error instead of mixing them.
-func (h *Histogram) Merge(o *Histogram) error {
+// A nil or empty o is a no-op.
+func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
-		return nil
-	}
-	if !h.sameLayout(o) {
-		if h.count == 0 && h.nedges == 0 {
-			// A blank aggregator adopts the source's layout wholesale.
-			*h = *o
-			return nil
-		}
-		return fmt.Errorf("stats: cannot merge histograms with different bucket layouts (%d vs %d explicit edges)",
-			h.nedges, o.nedges)
+		return
 	}
 	if h.count == 0 {
 		*h = *o
-		return nil
+		return
 	}
 	for i := range h.buckets {
 		h.buckets[i] += o.buckets[i]
@@ -166,7 +103,6 @@ func (h *Histogram) Merge(o *Histogram) error {
 	if o.max > h.max {
 		h.max = o.max
 	}
-	return nil
 }
 
 // Count returns the number of samples.
@@ -239,48 +175,12 @@ func (h *Histogram) clamp(v int64) int64 {
 	return v
 }
 
-// bucketHigh returns the inclusive upper edge of bucket i under the
-// histogram's layout; the open-ended last bucket reports the observed max.
+// bucketHigh returns the inclusive upper edge of bucket i.
 func (h *Histogram) bucketHigh(i int) int64 {
-	if h.nedges > 0 {
-		if i < h.nedges {
-			return h.edges[i] - 1
-		}
-		return h.max
-	}
 	if i == 0 {
 		return 0
 	}
 	return int64(1)<<uint(i-1)*2 - 1
-}
-
-// bucketLow returns the inclusive lower edge of bucket i under the
-// histogram's layout; the open-ended first explicit bucket reports the
-// observed min.
-func (h *Histogram) bucketLow(i int) int64 {
-	if h.nedges > 0 {
-		if i == 0 {
-			return h.min
-		}
-		return h.edges[i-1]
-	}
-	if i == 0 {
-		return 0
-	}
-	return int64(1) << uint(i-1)
-}
-
-// Buckets returns the non-empty buckets as (lowEdge, highEdge, count) rows,
-// for rendering.
-func (h *Histogram) Buckets() [][3]int64 {
-	var rows [][3]int64
-	for i, n := range h.buckets {
-		if n == 0 {
-			continue
-		}
-		rows = append(rows, [3]int64{h.bucketLow(i), h.bucketHigh(i), int64(n)})
-	}
-	return rows
 }
 
 // Series is a sampled time series of float64 values at int64 (virtual time)

@@ -39,17 +39,11 @@ func (s *onceFailing) NextBatch() ([]ops.Op, Global, error) {
 	return b, Global{}, nil
 }
 
-// plain hides a source's batch support, as Tee and FuncSource lack it.
-type plain struct{ src Source }
-
-func (p plain) Next() (Event, error) { return p.src.Next() }
-
 func TestCursorPeekAdvance(t *testing.T) {
 	for name, src := range map[string]Source{
 		"batched, boundary every 3": &onceFailing{SliceSource: SliceSource{trace: numbered(10)}, err: io.EOF},
 		"batched, one batch":        FromOps(numbered(10)),
 		"batched, four segments":    FromSegments([][]ops.Op{nil, numbered(10)[:4], numbered(10)[4:5], nil, numbered(10)[5:]}),
-		"plain source":              plain{FromOps(numbered(10))},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cur := NewCursor(src)

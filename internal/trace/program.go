@@ -119,9 +119,10 @@ func (t *Thread) Threads() int { return t.n }
 // Emitted returns the number of operations emitted so far.
 func (t *Thread) Emitted() uint64 { return t.emitted }
 
-// Next implements Source for the simulator. When the current batch is used
-// up it resumes the body for the next one — the execution-driven coupling of
-// trace generation and simulation; otherwise it is a slice index.
+// Next returns the thread's next event, one at a time. When the current
+// batch is used up it resumes the body for the next one — the
+// execution-driven coupling of trace generation and simulation; otherwise it
+// is a slice index.
 func (t *Thread) Next() (Event, error) {
 	if t.pos == len(t.cur) {
 		if err := t.pull(); err != nil {
@@ -135,7 +136,7 @@ func (t *Thread) Next() (Event, error) {
 	return ev, nil
 }
 
-// NextBatch implements BatchSource: it returns the rest of the current batch,
+// NextBatch implements Source: it returns the rest of the current batch,
 // or resumes the body for the next one. The slice is only valid until the
 // next NextBatch call, which hands the buffer back to the body.
 func (t *Thread) NextBatch() ([]ops.Op, Global, error) {

@@ -57,49 +57,33 @@ type Global struct {
 	Resume func(Feedback)
 }
 
-// Source yields a node's operation stream in execution order. Next returns
-// io.EOF after the last event.
-type Source interface {
-	Next() (Event, error)
-}
-
-// BatchSource is implemented by sources that can hand over many operations
-// per pull. A returned batch is non-empty, in execution order, and only
-// valid until the next NextBatch call (implementations may recycle the
-// backing buffer, and the consumer must not write to it). A generator
+// Source yields a node's operation stream in execution order, many
+// operations per pull. A returned batch is non-empty, in execution order,
+// and only valid until the next NextBatch call (implementations may recycle
+// the backing buffer, and the consumer must not write to it). A generator
 // suspends at every global event, so only a batch's last operation can
-// carry plumbing: g is that operation's, zero when it carries none.
-// Consumers that drain sources in a hot loop should go through a Cursor,
-// which uses batch pulls when available.
-type BatchSource interface {
-	Source
+// carry plumbing: g is that operation's, zero when it carries none. After
+// the last batch NextBatch returns io.EOF. Consumers read sources through a
+// Cursor.
+type Source interface {
 	NextBatch() (batch []ops.Op, g Global, err error)
 }
 
 // Cursor drains a Source batch-at-a-time: one interface call per batch
 // instead of per operation, and for Thread sources one coroutine switch per
 // batch. Operations are read in place, in the source's own storage; only
-// Next copies one out. A Cursor over a plain (non-batch) Source degrades to
-// per-event Next. The zero Cursor is not usable; create cursors with
+// Next copies one out. The zero Cursor is not usable; create cursors with
 // NewCursor.
 type Cursor struct {
-	src   Source
-	batch BatchSource // nil when src has no batch support
-	buf   []ops.Op    // operations pulled and not yet consumed: buf[pos:]
-	pos   int
-	g     Global    // the plumbing of buf's last operation
-	one   [1]ops.Op // backs buf for a plain Source
-	err   error     // the error that ended the stream; sticky
+	src Source
+	buf []ops.Op // operations pulled and not yet consumed: buf[pos:]
+	pos int
+	g   Global // the plumbing of buf's last operation
+	err error  // the error that ended the stream; sticky
 }
 
 // NewCursor wraps src for batched consumption.
-func NewCursor(src Source) *Cursor {
-	c := &Cursor{src: src}
-	if bs, ok := src.(BatchSource); ok {
-		c.batch = bs
-	}
-	return c
-}
+func NewCursor(src Source) *Cursor { return &Cursor{src: src} }
 
 // Peek returns the next operation without consuming it, pulling a fresh
 // batch from the underlying source when the current one is exhausted;
@@ -115,14 +99,7 @@ func (c *Cursor) Peek() (*ops.Op, error) {
 	}
 	for c.err == nil {
 		c.pos = 0
-		if c.batch != nil {
-			c.buf, c.g, c.err = c.batch.NextBatch()
-		} else {
-			var ev Event
-			ev, c.err = c.src.Next()
-			c.one[0], c.g = ev.Op, ev.Global
-			c.buf = c.one[:]
-		}
+		c.buf, c.g, c.err = c.src.NextBatch()
 		if c.err == nil && len(c.buf) > 0 {
 			return &c.buf[0], nil
 		}
@@ -181,18 +158,7 @@ func (s *SliceSource) more() bool {
 	return true
 }
 
-// Next implements Source.
-func (s *SliceSource) Next() (Event, error) {
-	if !s.more() {
-		return Event{}, io.EOF
-	}
-	o := s.trace[s.pos]
-	s.pos++
-	return Event{Op: o}, nil
-}
-
-// NextBatch implements BatchSource: the rest of the current segment, in
-// place.
+// NextBatch implements Source: the rest of the current segment, in place.
 func (s *SliceSource) NextBatch() ([]ops.Op, Global, error) {
 	if !s.more() {
 		return nil, Global{}, io.EOF
@@ -208,36 +174,20 @@ const readerBatch = 256
 // ReaderSource replays a binary trace stream.
 type ReaderSource struct {
 	r   *ops.Reader
-	buf []ops.Op // reusable batch buffer for NextBatch
-	err error    // deferred error: delivered after the batch read so far
+	buf []ops.Op // reusable batch buffer
+	err error    // how the stream ended: delivered after the batch read so far
 }
 
 // FromReader wraps a binary trace stream as a Source.
 func FromReader(r io.Reader) *ReaderSource { return &ReaderSource{r: ops.NewReader(r)} }
 
-// Next implements Source.
-func (s *ReaderSource) Next() (Event, error) {
-	if s.err != nil {
-		err := s.err
-		s.err = nil
-		return Event{}, err
-	}
-	o, err := s.r.Read()
-	if err != nil {
-		return Event{}, err
-	}
-	return Event{Op: o}, nil
-}
-
-// NextBatch implements BatchSource: it decodes up to readerBatch operations
-// per call into a reused buffer, valid until the next call. A decode error
-// or EOF hit mid-batch is returned on the following call, after the
+// NextBatch implements Source: it decodes up to readerBatch operations per
+// call into a reused buffer, valid until the next call. A decode error or
+// EOF hit mid-batch is returned on the following calls, after the
 // operations read before it.
 func (s *ReaderSource) NextBatch() ([]ops.Op, Global, error) {
 	if s.err != nil {
-		err := s.err
-		s.err = nil
-		return nil, Global{}, err
+		return nil, Global{}, s.err
 	}
 	if s.buf == nil {
 		s.buf = make([]ops.Op, readerBatch)
@@ -246,59 +196,24 @@ func (s *ReaderSource) NextBatch() ([]ops.Op, Global, error) {
 	for n < len(s.buf) {
 		o, err := s.r.Read()
 		if err != nil {
-			if n == 0 {
-				return nil, Global{}, err
-			}
 			s.err = err
 			break
 		}
 		s.buf[n] = o
 		n++
 	}
+	if n == 0 {
+		return nil, Global{}, s.err
+	}
 	return s.buf[:n], Global{}, nil
-}
-
-// FuncSource adapts a generator function to a Source.
-type FuncSource func() (Event, error)
-
-// Next implements Source.
-func (f FuncSource) Next() (Event, error) { return f() }
-
-// Tee wraps a source, appending every operation that passes through to a
-// writer — the mechanism the hybrid model uses to export traces (e.g.
-// task-level traces derived from an instruction-level run).
-type Tee struct {
-	src Source
-	w   *ops.Writer
-}
-
-// NewTee creates a tee of src into w.
-func NewTee(src Source, w io.Writer) *Tee {
-	return &Tee{src: src, w: ops.NewWriter(w)}
-}
-
-// Next implements Source.
-func (t *Tee) Next() (Event, error) {
-	ev, err := t.src.Next()
-	if err != nil {
-		if err == io.EOF {
-			if ferr := t.w.Flush(); ferr != nil {
-				return Event{}, ferr
-			}
-		}
-		return Event{}, err
-	}
-	if werr := t.w.Write(ev.Op); werr != nil {
-		return Event{}, werr
-	}
-	return ev, nil
 }
 
 // Collect drains a source into a slice (for tests and analysis).
 func Collect(src Source) ([]ops.Op, error) {
 	var out []ops.Op
+	cur := NewCursor(src)
 	for {
-		ev, err := src.Next()
+		ev, err := cur.Next()
 		if err == io.EOF {
 			return out, nil
 		}

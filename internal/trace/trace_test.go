@@ -23,7 +23,7 @@ func TestSliceSource(t *testing.T) {
 	if len(got) != 2 || got[0] != trace[0] || got[1] != trace[1] {
 		t.Fatalf("got %v", got)
 	}
-	if _, err := src.Next(); err != io.EOF {
+	if _, _, err := src.NextBatch(); err != io.EOF {
 		t.Fatalf("err = %v, want EOF", err)
 	}
 }
@@ -40,26 +40,6 @@ func TestReaderSource(t *testing.T) {
 	}
 	if len(got) != 2 || got[1] != trace[1] {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestTeeCopiesTrace(t *testing.T) {
-	trace := []ops.Op{ops.NewIFetch(4), ops.NewLoad(ops.MemWord, 16), ops.NewCompute(3)}
-	var buf bytes.Buffer
-	tee := NewTee(FromOps(trace), &buf)
-	if _, err := Collect(tee); err != nil {
-		t.Fatal(err)
-	}
-	// Drain past EOF to flush.
-	if _, err := tee.Next(); err != io.EOF {
-		t.Fatalf("err = %v", err)
-	}
-	back, err := ops.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(trace) {
-		t.Fatalf("tee wrote %d ops, want %d", len(back), len(trace))
 	}
 }
 
@@ -524,9 +504,10 @@ func TestFullBatchThenGlobalEvent(t *testing.T) {
 			th.Send(0, 8, 4, "second")
 			th.Emit(ops.NewCompute(67))
 		}}
-		var src Source = pr.Start()[0]
+		th := pr.Start()[0]
+		var src interface{ Next() (Event, error) } = th
 		if viaCursor {
-			src = NewCursor(src)
+			src = NewCursor(th)
 		}
 		local := int64(0)
 		for i := 0; i < 70; i++ {
