@@ -38,7 +38,7 @@ type Feedback struct {
 	Payload any
 }
 
-// Event is one element of a generated trace as a Source hands it out: the
+// Event is one element of a generated trace as Cursor.Next hands it out: the
 // operation plus, for a global event, the generator-side plumbing.
 type Event struct {
 	Op ops.Op
