@@ -5,7 +5,9 @@
 // progress and live metrics, and fetch the finished report, timeline and
 // bottleneck analysis. Identical jobs are answered from a content-addressed
 // result cache without re-running the simulation — the workbench's
-// determinism makes responses cacheable by construction.
+// determinism makes responses cacheable by construction. A job keeps only
+// its report and metrics: each GET of its timeline or bottleneck analysis
+// re-derives it by one more run of the simulation, and retains nothing.
 //
 // Operationally the daemon logs one structured line per job-lifecycle event
 // (accept, start, finish, fail, reject) with the job id for correlation,

@@ -6,6 +6,11 @@
 // cacheable forever: a repeated sweep point, or the same study submitted by
 // a second user, is served from memory without touching a kernel. The cache
 // is what makes heavy traffic from many users cheap.
+//
+// An entry holds what every job needs: the report and the final metrics.
+// The timeline and the bottleneck analysis are not stored; the server
+// re-derives them per GET by running the simulation again, at the cost of
+// one simulation each, and determinism makes those bytes the first run's.
 package resultcache
 
 import (
@@ -47,17 +52,20 @@ func (k Key) ID() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Entry holds the finished artifacts of one run, exactly as the server's
+// Entry holds the stored artifacts of one run, exactly as the server's
 // endpoints deliver them: a cache hit serves bytes equal to what the
-// original run produced.
+// original run produced. The server stores the report and the metrics
+// only: it re-derives the timeline and the bottleneck analysis per GET and
+// retains nothing of them.
 type Entry struct {
 	// Report is the rendered text report (GET /jobs/{id}/report).
 	Report []byte
 	// Metrics is the final Prometheus exposition (GET /jobs/{id}/metrics).
 	Metrics []byte
-	// Timeline is the Chrome trace-event JSON (GET /jobs/{id}/timeline).
-	Timeline []byte
-	// Bottleneck is the analysis JSON (GET /jobs/{id}/bottleneck).
+	// Timeline and Bottleneck are left empty by the server. They remain
+	// only because the benchmark's cache probe (benchmark/probes.go) sizes
+	// its entries with them; they go when that probe next changes.
+	Timeline   []byte
 	Bottleneck []byte
 	// Cycles and Events are the run's simulated volume, for progress
 	// reporting on cache hits.

@@ -112,7 +112,7 @@ func TestCacheBytes(t *testing.T) {
 	c := resultcache.New(2)
 	k := func(i int) resultcache.Key { return resultcache.Key{Config: "c", Seed: uint64(i)} }
 	ent := func(n int) resultcache.Entry {
-		return resultcache.Entry{Report: make([]byte, n), Timeline: make([]byte, n)}
+		return resultcache.Entry{Report: make([]byte, n), Metrics: make([]byte, n)}
 	}
 	if c.Bytes() != 0 {
 		t.Fatalf("empty cache reports %d bytes", c.Bytes())

@@ -1,36 +1,49 @@
 package server
 
 import (
-	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
-
-	"mermaid/internal/analysis"
 )
 
-// A job's artifacts are stored with no spare capacity: the result cache
-// keeps up to 256 entries, and slack in each would be retained with them.
+// A finished job stores exactly its report and its final metrics, each with
+// no spare capacity: the result cache keeps up to 256 entries, and slack in
+// each would be retained with them. The timeline and the bottleneck analysis
+// are re-derived per GET and never stored.
 func TestArtifactsStoredExactSize(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	var spec jobSpec
 	doc := `{"topology": "mesh:4x4", "seed": 3, "workload": {"Level": "task", "Iterations": 5,
 		"Phases": [{"Duration": 500, "Comm": {"Pattern": "exchange", "Bytes": 4096}}]}}`
-	if err := json.Unmarshal([]byte(doc), &spec); err != nil {
-		t.Fatal(err)
-	}
-	cfg, desc, _, err := s.buildJob(&spec)
+	spec, err := decodeJob(strings.NewReader(doc))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entry, err := s.execute(&job{scope: analysis.NewScope()}, cfg, desc)
+	_, _, key, err := buildJob(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, art := range map[string][]byte{
-		"report": entry.Report, "metrics": entry.Metrics, "timeline": entry.Timeline, "bottleneck": entry.Bottleneck,
-	} {
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/jobs", strings.NewReader(doc)))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: status %d\n%s", rec.Code, rec.Body)
+	}
+	s.Close() // runs the job and stores its entry
+
+	entry, ok := s.cache.Get(key)
+	if !ok {
+		t.Fatal("finished job left no cache entry")
+	}
+	for name, art := range map[string][]byte{"report": entry.Report, "metrics": entry.Metrics} {
 		if len(art) == 0 || cap(art) != len(art) {
 			t.Errorf("%s: len %d, cap %d; want a non-empty slice with cap == len", name, len(art), cap(art))
 		}
+	}
+	if entry.Timeline != nil || entry.Bottleneck != nil {
+		t.Errorf("entry stores a timeline (%d B) or a bottleneck analysis (%d B)", len(entry.Timeline), len(entry.Bottleneck))
+	}
+	if got, want := s.cache.Bytes(), uint64(len(entry.Report)+len(entry.Metrics)); got != want {
+		t.Errorf("cache holds %d bytes, want the report and metrics' %d", got, want)
 	}
 }

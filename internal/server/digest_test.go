@@ -32,7 +32,7 @@ var jobArtifactDigests = map[string]string{
 // service job (an 8x8 mesh running an 8 KiB exchange 40 times) and a full
 // configuration document for a wormhole 4x4 torus whose traffic crosses the
 // datelines, so link waits land on both virtual channels.
-func digestJobs(t *testing.T) map[string]string {
+func digestJobs(t testing.TB) map[string]string {
 	t.Helper()
 	cfg, err := machine.TaskMachineFromSpec("torus:4x4")
 	if err != nil {
@@ -104,6 +104,81 @@ func TestJobArtifactDigests(t *testing.T) {
 			if want := jobArtifactDigests[key]; got != want {
 				t.Errorf("%q: %q, // pinned %q", key, got, want)
 			}
+		}
+	}
+}
+
+// The timeline and the bottleneck analysis are not stored: every GET of one
+// re-runs the job. A miss and its cache hit serve the same bytes, those
+// pinned in jobArtifactDigests. A re-derivation the queue has no room for
+// answers 503, and a job still running answers 409 as it does for its
+// report.
+func TestHeavyArtifactsRederived(t *testing.T) {
+	_, ts := startServer(t, server.Config{Workers: 1, QueueDepth: 1, SampleEvery: 10000})
+	var doneID string
+	for name, doc := range digestJobs(t) {
+		miss, code := submit(t, ts, doc)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: status %d (%s)", name, code, miss.Error)
+		}
+		waitDone(t, ts, miss.ID)
+		hit, code := submit(t, ts, doc)
+		if code != http.StatusOK || !hit.Cached {
+			t.Fatalf("%s resubmitted: status %d, cached %v", name, code, hit.Cached)
+		}
+		doneID = hit.ID
+		for _, art := range []string{"timeline", "bottleneck"} {
+			fromMiss, code := get(t, ts, "/jobs/"+miss.ID+"/"+art)
+			if code != http.StatusOK {
+				t.Fatalf("%s/%s of the miss: status %d\n%s", name, art, code, fromMiss)
+			}
+			fromHit, code := get(t, ts, "/jobs/"+hit.ID+"/"+art)
+			if code != http.StatusOK {
+				t.Fatalf("%s/%s of the hit: status %d\n%s", name, art, code, fromHit)
+			}
+			if !bytes.Equal(fromMiss, fromHit) {
+				t.Errorf("%s/%s: the hit serves %d bytes, the miss %d different ones", name, art, len(fromHit), len(fromMiss))
+			}
+			sum := sha256.Sum256(fromHit)
+			key := name + "/" + art
+			if got, want := hex.EncodeToString(sum[:]), jobArtifactDigests[key]; got != want {
+				t.Errorf("%q: %q, pinned %q", key, got, want)
+			}
+		}
+	}
+
+	// One long job runs while the one-slot queue fills behind it.
+	long, code := submit(t, ts, torusJob("long", 1, 5000))
+	if code != http.StatusAccepted {
+		t.Fatalf("long job: status %d (%s)", code, long.Error)
+	}
+	for state := long.State; state != "running"; {
+		data, _ := get(t, ts, "/jobs/"+long.ID)
+		var j jobResp
+		if err := json.Unmarshal(data, &j); err != nil {
+			t.Fatal(err)
+		}
+		if state = j.State; state == "done" || state == "failed" {
+			t.Fatalf("long job %s before its artifacts were asked for", state)
+		}
+	}
+	for _, art := range []string{"timeline", "bottleneck"} {
+		if data, code := get(t, ts, "/jobs/"+long.ID+"/"+art); code != http.StatusConflict {
+			t.Errorf("%s of a running job: status %d, want 409\n%s", art, code, data)
+		}
+	}
+	for i := 0; ; i++ {
+		_, code := submit(t, ts, torusJob(fmt.Sprintf("fill%d", i), uint64(2+i), 5000))
+		if code == http.StatusServiceUnavailable {
+			break
+		}
+		if code != http.StatusAccepted || i == 4 {
+			t.Fatalf("filling the queue: submission %d answered %d", i, code)
+		}
+	}
+	for _, art := range []string{"timeline", "bottleneck"} {
+		if data, code := get(t, ts, "/jobs/"+doneID+"/"+art); code != http.StatusServiceUnavailable {
+			t.Errorf("%s with the queue full: status %d, want 503\n%.200s", art, code, data)
 		}
 	}
 }

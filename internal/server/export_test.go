@@ -1,0 +1,20 @@
+package server
+
+import (
+	"bytes"
+
+	"mermaid/internal/machine"
+	"mermaid/internal/resultcache"
+)
+
+// ResolveJob decodes a POST /jobs document and resolves it as a submission
+// is resolved, running nothing: the configuration the job would run and the
+// key its outcome would be cached under.
+func ResolveJob(doc []byte) (machine.Config, resultcache.Key, error) {
+	spec, err := decodeJob(bytes.NewReader(doc))
+	if err != nil {
+		return machine.Config{}, resultcache.Key{}, err
+	}
+	cfg, _, key, err := buildJob(spec)
+	return cfg, key, err
+}

@@ -1,0 +1,32 @@
+package server_test
+
+import (
+	"testing"
+
+	"mermaid/internal/server"
+)
+
+// FuzzJobSpec holds the POST /jobs decoder to its contract: decoding and
+// resolving an arbitrary document never panics, and a document it accepts
+// yields a configuration that validates and a cache key with both hashes.
+func FuzzJobSpec(f *testing.F) {
+	for _, doc := range digestJobs(f) {
+		f.Add([]byte(doc))
+	}
+	for _, tc := range invalidJobs {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(torusJob("seed", 42, 10)))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		cfg, key, err := server.ResolveJob(doc)
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted job's configuration fails validation: %v\n%s", err, doc)
+		}
+		if key.Config == "" || key.Workload == "" {
+			t.Fatalf("accepted job has key %+v\n%s", key, doc)
+		}
+	})
+}

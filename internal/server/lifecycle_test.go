@@ -117,6 +117,12 @@ func TestJobsLeaveNoGoroutines(t *testing.T) {
 			if got := finished(t, ts, j.ID); got.State != want {
 				t.Fatalf("job %d: %s (%s), want %s", i, got.State, got.Error, want)
 			}
+			if i == 4 {
+				// A re-derivation builds and runs the machine once more.
+				if data, code := get(t, ts, "/jobs/"+j.ID+"/timeline"); code != http.StatusOK {
+					t.Fatalf("job %d timeline: status %d\n%s", i, code, data)
+				}
+			}
 		}
 	}
 	// Let the HTTP client, the server's connection handlers and the workers
@@ -124,8 +130,9 @@ func TestJobsLeaveNoGoroutines(t *testing.T) {
 	runJobs(0, 4)
 	base := runtime.NumGoroutine()
 	runJobs(4, 54)
-	// Fifty jobs used to leave 150 parked processes behind; connection
-	// handlers come and go by a few.
+	// Fifty jobs used to leave 150 parked processes behind, and the
+	// re-derivation runs one more DSM machine; connection handlers come and
+	// go by a few.
 	const slack = 6
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base+slack {

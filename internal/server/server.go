@@ -7,10 +7,9 @@
 // optional fault schedule, and answers with a job id. A bounded queue feeds
 // a shared farm of simulation workers; every job owns an analysis.Scope, so
 // GET /jobs/{id}/progress and /jobs/{id}/metrics stream per-job live state
-// while concurrent jobs stay independent. Finished artifacts — the text
-// report, the Perfetto timeline, the bottleneck analysis and the final
-// metrics exposition — are served from /jobs/{id}/report, /timeline,
-// /bottleneck and /metrics.
+// while concurrent jobs stay independent. A finished job keeps two
+// artifacts, served from /jobs/{id}/report and /metrics: the text report and
+// the final metrics exposition.
 //
 // Because the workbench is deterministic (byte-identical reports at any
 // worker or shard count), finished artifacts are cached content-addressed
@@ -18,6 +17,14 @@
 // answered from internal/resultcache without running a simulation, and the
 // response bytes equal the original run's. Cache hits and misses are
 // visible on the server-level GET /metrics.
+//
+// The same determinism lets the heavy artifacts go unstored. A job runs
+// without a timeline; GET /jobs/{id}/timeline and /bottleneck re-run its
+// simulation on the shared queue, with the timeline attached when it is the
+// one asked for, and stream the artifact from that run. Each such GET costs
+// one simulation and retains nothing; the bytes equal the first run's, on a
+// cache hit too. The server's /metrics counts the re-runs
+// (artifacts.rederived).
 package server
 
 import (
@@ -113,15 +120,20 @@ type Server struct {
 	rejected  atomic.Uint64
 	queued    atomic.Int64
 	running   atomic.Int64
+	rederived atomic.Uint64 // simulations run to serve /timeline and /bottleneck
 }
 
 // job is the server-side state of one submission. The immutable fields are
 // set at creation; everything behind mu changes as the job advances.
 type job struct {
-	id      string
-	name    string
-	key     resultcache.Key
-	scope   *analysis.Scope
+	id    string
+	name  string
+	key   resultcache.Key
+	scope *analysis.Scope
+	// cfg and desc are what the job simulates, kept on a cache hit as on a
+	// miss: /timeline and /bottleneck run them again.
+	cfg     machine.Config
+	desc    stochastic.Desc
 	created time.Time
 	// host is the job's wall-clock trace: cache lookup, queue wait and run
 	// spans, served at /jobs/{id}/hosttrace. Host-side only — it observes
@@ -159,6 +171,7 @@ func New(cfg Config) *Server {
 	s.reg.Gauge("jobs.rejected", "", func() float64 { return float64(s.rejected.Load()) })
 	s.reg.Gauge("jobs.queued", "", func() float64 { return float64(s.queued.Load()) })
 	s.reg.Gauge("jobs.running", "", func() float64 { return float64(s.running.Load()) })
+	s.reg.Gauge("artifacts.rederived", "", func() float64 { return float64(s.rederived.Load()) })
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -166,9 +179,9 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /jobs/{id}/metrics", s.handleJobMetrics)
-	mux.HandleFunc("GET /jobs/{id}/report", s.artifact("report", "text/plain; charset=utf-8"))
-	mux.HandleFunc("GET /jobs/{id}/timeline", s.artifact("timeline", "application/json"))
-	mux.HandleFunc("GET /jobs/{id}/bottleneck", s.artifact("bottleneck", "application/json"))
+	mux.HandleFunc("GET /jobs/{id}/report", s.handleReport)
+	mux.HandleFunc("GET /jobs/{id}/timeline", s.rederive(true))
+	mux.HandleFunc("GET /jobs/{id}/bottleneck", s.rederive(false))
 	mux.HandleFunc("GET /jobs/{id}/hosttrace", s.handleHostTrace)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -241,17 +254,29 @@ type jobSpec struct {
 }
 
 // maxJobStreams caps the trace streams (processors) of a job's machine. Every
-// job runs with the timeline and the bottleneck collector attached, which
-// give every link virtual channel a named track and a collector resource —
-// about 3.4 KB of heap per node of a 3-D torus before the first event, on
-// 4,096 and 16,384 nodes alike (against 0.6 KB unobserved) — so the cap is
-// the largest machine the benchmark runs, 16,384 nodes, not the 2^30-node
-// bound of the topology parser.
+// job runs with the bottleneck collector attached, and a GET of its timeline
+// re-runs it with the timeline attached too; together they give every link
+// virtual channel a named track and a collector resource — about 3.4 KB of
+// heap per node of a 3-D torus before the first event, on 4,096 and 16,384
+// nodes alike (against 0.6 KB unobserved) — so the cap is the largest
+// machine the benchmark runs, 16,384 nodes, not the 2^30-node bound of the
+// topology parser.
 const maxJobStreams = 16384
+
+// decodeJob reads a POST /jobs document. Unknown fields are refused.
+func decodeJob(r io.Reader) (*jobSpec, error) {
+	var spec jobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return nil, err
+	}
+	return &spec, nil
+}
 
 // buildJob resolves a request document into a runnable (config, workload)
 // pair and the cache key that addresses its outcome.
-func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resultcache.Key, error) {
+func buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resultcache.Key, error) {
 	var (
 		cfg machine.Config
 		err error
@@ -327,75 +352,76 @@ func (s *Server) buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resul
 	return cfg, desc, resultcache.Key{Config: cfgHash, Workload: wlHash, Seed: cfg.Seed}, nil
 }
 
-// execute runs one job's simulation on a worker goroutine and renders its
-// artifacts. The job's scope is sampled live during the run and once more
-// at the end, so the stored metrics are the exact end-of-run values.
-func (s *Server) execute(j *job, cfg machine.Config, desc stochastic.Desc) (resultcache.Entry, error) {
-	pb := probe.New(probe.Config{Timeline: true})
+// simRun is one simulation of a job: the workbench that built the machine,
+// the machine and its result.
+type simRun struct {
+	wb  *core.Workbench
+	m   *machine.Machine
+	res *machine.Result
+}
+
+// simulate runs a job's simulation, with the timeline attached or not. The
+// bottleneck collector and the live sampler are attached either way, so
+// every run of a job is the same simulation; the sampler feeds scope (nil
+// samples into nothing) and takes one last sample at the end of the run.
+func (s *Server) simulate(scope *analysis.Scope, cfg machine.Config, desc stochastic.Desc, timeline bool) (simRun, error) {
+	pb := probe.New(probe.Config{Timeline: timeline})
 	wb, err := core.New(cfg, core.WithProbe(pb), core.WithAnalysis())
 	if err != nil {
-		return resultcache.Entry{}, err
+		return simRun{}, err
 	}
 	m, err := wb.Build()
 	if err != nil {
-		return resultcache.Entry{}, err
+		return simRun{}, err
 	}
 	k, reg := m.Kernel(), pb.Registry()
-	finish, err := reg.StartSampler(k, s.cfg.SampleEvery, func(pearl.Time) { j.scope.Sample(k, reg) })
+	finish, err := reg.StartSampler(k, s.cfg.SampleEvery, func(pearl.Time) { scope.Sample(k, reg) })
 	if err != nil {
-		return resultcache.Entry{}, err
+		return simRun{}, err
 	}
 	res, err := m.RunStochastic(desc)
 	if err != nil {
-		return resultcache.Entry{}, err
+		return simRun{}, err
 	}
 	finish(res.Cycles)
-
-	// The artifacts are rendered in turn into one buffer sized for the
-	// timeline, the largest, and each is stored in a copy with no spare
-	// capacity: the result cache holds its entries for as long as they are
-	// hot and must retain no slack. A timeline event is 60–70 bytes of JSON;
-	// the track names before the events take a few tens of KB.
-	tl := m.MergedTimeline()
-	buf := bytes.NewBuffer(make([]byte, 0, 72*tl.Events()+64<<10))
-	render := func(write func(io.Writer) error) ([]byte, error) {
-		buf.Reset()
-		if err := write(buf); err != nil {
-			return nil, err
-		}
-		out := make([]byte, buf.Len())
-		copy(out, buf.Bytes())
-		return out, nil
-	}
-	var entry resultcache.Entry
-	if entry.Timeline, err = render(tl.WriteJSON); err != nil {
-		return entry, err
-	}
-	if entry.Report, err = render(func(w io.Writer) error { return wb.Report(w, res) }); err != nil {
-		return entry, err
-	}
-	if entry.Metrics, err = render(j.scope.WriteMetrics); err != nil {
-		return entry, err
-	}
-	if res.Analysis != nil {
-		if entry.Bottleneck, err = render(res.Analysis.WriteJSON); err != nil {
-			return entry, err
-		}
-	}
-	entry.Cycles = int64(res.Cycles)
-	entry.Events = res.Events
-	return entry, nil
+	return simRun{wb: wb, m: m, res: res}, nil
 }
+
+// execute runs one job's simulation on a worker goroutine, without a
+// timeline, and renders what the job keeps: the report and the final
+// metrics, which the job's scope holds at their exact end-of-run values.
+// Each is stored with no spare capacity: the result cache holds its entries
+// for as long as they are hot.
+func (s *Server) execute(j *job) (resultcache.Entry, error) {
+	run, err := s.simulate(j.scope, j.cfg, j.desc, false)
+	if err != nil {
+		return resultcache.Entry{}, err
+	}
+	var report, metrics bytes.Buffer
+	if err := run.wb.Report(&report, run.res); err != nil {
+		return resultcache.Entry{}, err
+	}
+	if err := j.scope.WriteMetrics(&metrics); err != nil {
+		return resultcache.Entry{}, err
+	}
+	return resultcache.Entry{
+		Report:  exactCopy(report.Bytes()),
+		Metrics: exactCopy(metrics.Bytes()),
+		Cycles:  int64(run.res.Cycles),
+		Events:  run.res.Events,
+	}, nil
+}
+
+// exactCopy returns a copy of b whose capacity is its length.
+func exactCopy(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 
 // maxJobBytes caps a POST /jobs document. Job documents are a few hundred
 // bytes to a few KiB, even with a full machine configuration inline.
 const maxJobBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec jobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := decodeJob(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	if err != nil {
 		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "job document exceeds %d bytes", maxJobBytes)
 			return
@@ -403,7 +429,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "parsing job: %v", err)
 		return
 	}
-	cfg, desc, key, err := s.buildJob(&spec)
+	cfg, desc, key, err := buildJob(spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -417,6 +443,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		name:    name,
 		key:     key,
 		scope:   analysis.NewScope(),
+		cfg:     cfg,
+		desc:    desc,
 		created: time.Now(),
 		host:    hostprobe.NewTrace(),
 	}
@@ -429,6 +457,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if hit {
 		// Determinism makes the stored artifacts byte-identical to what a
 		// fresh run would produce — answer without touching a kernel.
+		// /timeline and /bottleneck re-run the job's own cfg and desc.
 		j.state = "done"
 		j.cached = true
 		j.entry = entry
@@ -458,7 +487,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.queueWait = runStart.Sub(j.created)
 			j.mu.Unlock()
 			s.log.Info("job started", "job", j.id, "queue_wait_ms", durMS(runStart.Sub(j.created)))
-			v, err := s.execute(j, cfg, desc)
+			v, err := s.execute(j)
 			j.host.SpanSince(j.hostTrk, "run", runStart)
 			return v, err
 		},
@@ -646,41 +675,89 @@ func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	j.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
 }
 
-// artifact serves one finished artifact of a job.
-func (s *Server) artifact(which, contentType string) http.HandlerFunc {
+// finished returns a done job's stored entry. A failed, queued or running
+// job has no artifacts: it is answered 409 and finished returns false.
+func finished(w http.ResponseWriter, j *job) (resultcache.Entry, bool) {
+	j.mu.Lock()
+	state, errMsg, entry := j.state, j.errMsg, j.entry
+	j.mu.Unlock()
+	switch state {
+	case "failed":
+		httpError(w, http.StatusConflict, "job failed: %s", errMsg)
+		return entry, false
+	case "queued", "running":
+		httpError(w, http.StatusConflict, "job is %s; poll /jobs/%s/progress", state, j.id)
+		return entry, false
+	}
+	return entry, true
+}
+
+// handleReport serves the job's stored text report.
+func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
+	j := s.lookup(r)
+	if j == nil {
+		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		return
+	}
+	entry, ok := finished(w, j)
+	if !ok {
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Write(entry.Report) //nolint:errcheck // best-effort over HTTP
+}
+
+// rederive serves an artifact no job keeps — the timeline, or else the
+// bottleneck analysis — by running the job's simulation again and streaming
+// the artifact from that run. The run goes through the shared queue, so it
+// is bounded like a job: a full queue answers 503, and a panic fails only
+// this request. Determinism makes the bytes those of the job's first run.
+func (s *Server) rederive(timeline bool) http.HandlerFunc {
+	which := "bottleneck"
+	if timeline {
+		which = "timeline"
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		j := s.lookup(r)
 		if j == nil {
 			httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 			return
 		}
-		j.mu.Lock()
-		state := j.state
-		errMsg := j.errMsg
-		var data []byte
-		switch which {
-		case "report":
-			data = j.entry.Report
-		case "timeline":
-			data = j.entry.Timeline
-		case "bottleneck":
-			data = j.entry.Bottleneck
-		}
-		j.mu.Unlock()
-		switch state {
-		case "failed":
-			httpError(w, http.StatusConflict, "job failed: %s", errMsg)
-			return
-		case "queued", "running":
-			httpError(w, http.StatusConflict, "job is %s; poll /jobs/%s/progress", state, j.id)
+		if _, ok := finished(w, j); !ok {
 			return
 		}
-		if data == nil {
-			httpError(w, http.StatusNotFound, "job has no %s artifact", which)
+		done := make(chan farm.Result, 1) // the run may outlive a client that hung up
+		err := s.queue.Submit(farm.Job{
+			Name: j.id + "/" + which,
+			Run: func(*farm.RunContext) (any, error) {
+				s.rederived.Add(1)
+				return s.simulate(nil, j.cfg, j.desc, timeline)
+			},
+			OnResult: func(res farm.Result) { done <- res },
+		}, j.cfg.Seed)
+		if err != nil {
+			s.log.Warn("re-derivation rejected", "job", j.id, "artifact", which, "err", err)
+			httpError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		w.Header().Set("Content-Type", contentType)
-		w.Write(data) //nolint:errcheck // best-effort over HTTP
+		var res farm.Result
+		select {
+		case res = <-done:
+		case <-r.Context().Done():
+			return
+		}
+		if res.Err != nil {
+			s.log.Error("re-derivation failed", "job", j.id, "artifact", which, "err", res.Err)
+			httpError(w, http.StatusInternalServerError, "re-deriving %s: %v", which, res.Err)
+			return
+		}
+		run := res.Value.(simRun)
+		w.Header().Set("Content-Type", "application/json")
+		if timeline {
+			run.m.MergedTimeline().WriteJSON(w) //nolint:errcheck // best-effort over HTTP
+			return
+		}
+		run.res.Analysis.WriteJSON(w) //nolint:errcheck // best-effort over HTTP
 	}
 }
 
@@ -715,7 +792,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleMetrics serves the server-level exposition: result-cache hit/miss
-// counters and job throughput gauges.
+// counters, job throughput gauges and the count of re-derivation runs.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	probe.WritePrometheus(w, s.reg.Snapshot()) //nolint:errcheck // best-effort over HTTP

@@ -285,23 +285,25 @@ func TestArtifactsBeforeCompletion(t *testing.T) {
 	}
 }
 
+// invalidJobs are documents POST /jobs refuses with 400.
+var invalidJobs = []struct {
+	name string
+	body string
+}{
+	{"empty", `{}`},
+	{"bad json", `{"topology":`},
+	{"both machine forms", `{"topology":"torus:4x4","config":{"Name":"x"},"workload":{}}`},
+	{"unknown topology", `{"topology":"moebius:7","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`},
+	{"no workload", `{"topology":"torus:4x4"}`},
+	{"level mismatch", `{"topology":"torus:4x4","workload":{"Level":"instruction","Iterations":1,"Phases":[{"Instructions":10}]}}`},
+	{"node mismatch", `{"topology":"torus:4x4","workload":{"Level":"task","Nodes":5,"Iterations":1,"Phases":[{"Duration":1}]}}`},
+	{"unknown field", `{"topology":"torus:4x4","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]},"x":1}`},
+	{"engine selector", `{"topology":"torus:4x4","engine":"process","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`},
+}
+
 func TestSubmissionValidation(t *testing.T) {
 	_, ts := startServer(t, server.Config{Workers: 1})
-	cases := []struct {
-		name string
-		body string
-	}{
-		{"empty", `{}`},
-		{"bad json", `{"topology":`},
-		{"both machine forms", `{"topology":"torus:4x4","config":{"Name":"x"},"workload":{}}`},
-		{"unknown topology", `{"topology":"moebius:7","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`},
-		{"no workload", `{"topology":"torus:4x4"}`},
-		{"level mismatch", `{"topology":"torus:4x4","workload":{"Level":"instruction","Iterations":1,"Phases":[{"Instructions":10}]}}`},
-		{"node mismatch", `{"topology":"torus:4x4","workload":{"Level":"task","Nodes":5,"Iterations":1,"Phases":[{"Duration":1}]}}`},
-		{"unknown field", `{"topology":"torus:4x4","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]},"x":1}`},
-		{"engine selector", `{"topology":"torus:4x4","engine":"process","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`},
-	}
-	for _, tc := range cases {
+	for _, tc := range invalidJobs {
 		if _, code := submit(t, ts, tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
@@ -408,5 +410,16 @@ func TestHealthAndListing(t *testing.T) {
 	}
 	if len(list.Jobs) != 1 || list.Jobs[0].Name != "listed" {
 		t.Errorf("listing = %+v", list)
+	}
+
+	// Every GET of a timeline or a bottleneck analysis is one more run,
+	// counted on the server's own exposition.
+	for _, art := range []string{"timeline", "bottleneck", "timeline"} {
+		if _, code := get(t, ts, "/jobs/"+j.ID+"/"+art); code != http.StatusOK {
+			t.Fatalf("%s: %d", art, code)
+		}
+	}
+	if sm, _ := get(t, ts, "/metrics"); !bytes.Contains(sm, []byte("mermaid_artifacts_rederived 3\n")) {
+		t.Errorf("server /metrics does not count 3 re-derivations:\n%s", sm)
 	}
 }
