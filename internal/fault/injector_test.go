@@ -18,8 +18,8 @@ func ringTopo(t *testing.T, nodes int) topology.Topology {
 
 func portTo(t *testing.T, topo topology.Topology, from, to int) int {
 	t.Helper()
-	for port, nb := range topo.Neighbors(from) {
-		if nb == to {
+	for port := 0; port < topo.Degree(); port++ {
+		if topo.Neighbor(from, port) == to {
 			return port
 		}
 	}

@@ -34,7 +34,7 @@ func walk(t *testing.T, topo topology.Topology, tb *Table, at, to int) int {
 		if port < 0 {
 			t.Fatalf("dead end at node %d towards %d", at, to)
 		}
-		at = topo.Neighbors(at)[port]
+		at = topo.Neighbor(at, port)
 		if hops++; hops > topo.Nodes() {
 			t.Fatalf("routing loop towards %d", to)
 		}
@@ -63,7 +63,7 @@ func TestTableHealthyMatchesMinimalRouting(t *testing.T) {
 				// following it gives the shortest-path hop count.
 				want := 0
 				for at := from; at != to; want++ {
-					at = topo.Neighbors(at)[topo.Route(at, to)]
+					at = topo.Neighbor(at, topo.Route(at, to))
 				}
 				if got != want {
 					t.Errorf("%s: table path %d->%d takes %d hops, minimal is %d", topo.Name(), from, to, got, want)
@@ -80,7 +80,7 @@ func TestTableRoutesAroundDeadLink(t *testing.T) {
 	// Kill the 0-1 link (both directions); 0 -> 1 must re-path via 2 and 3.
 	topo := mustTopo(t, topology.Config{Kind: topology.Mesh2D, DimX: 2, DimY: 2})
 	dead := func(node, port int) bool {
-		nb := topo.Neighbors(node)[port]
+		nb := topo.Neighbor(node, port)
 		return (node == 0 && nb == 1) || (node == 1 && nb == 0)
 	}
 	tb := mustBuild(t, topo, func(node, port int) bool { return !dead(node, port) })
@@ -99,7 +99,7 @@ func TestTableRoutesAroundDeadLink(t *testing.T) {
 				if dead(at, port) {
 					t.Fatalf("route %d->%d crosses the dead link at node %d", from, to, at)
 				}
-				at = topo.Neighbors(at)[port]
+				at = topo.Neighbor(at, port)
 				if hops > 4 {
 					t.Fatalf("routing loop %d->%d", from, to)
 				}
@@ -115,7 +115,7 @@ func TestTableUnreachableAndSelf(t *testing.T) {
 	// Partition a 4-ring into {0,1} and {2,3} by killing links 1-2 and 3-0.
 	topo := mustTopo(t, topology.Config{Kind: topology.Ring, Nodes: 4})
 	alive := func(node, port int) bool {
-		nb := topo.Neighbors(node)[port]
+		nb := topo.Neighbor(node, port)
 		cut := func(a, b int) bool {
 			return (node == a && nb == b) || (node == b && nb == a)
 		}

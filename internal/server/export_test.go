@@ -7,6 +7,9 @@ import (
 	"mermaid/internal/resultcache"
 )
 
+// MaxJobPorts is the cap on nodes × topology degree of a job's machine.
+const MaxJobPorts = maxJobPorts
+
 // ResolveJob decodes a POST /jobs document and resolves it as a submission
 // is resolved, running nothing: the configuration the job would run and the
 // key its outcome would be cached under.

@@ -4,11 +4,13 @@ import (
 	"testing"
 
 	"mermaid/internal/server"
+	"mermaid/internal/topology"
 )
 
 // FuzzJobSpec holds the POST /jobs decoder to its contract: decoding and
 // resolving an arbitrary document never panics, and a document it accepts
-// yields a configuration that validates and a cache key with both hashes.
+// yields a configuration that validates, a cache key with both hashes, and a
+// machine within the port cap.
 func FuzzJobSpec(f *testing.F) {
 	for _, doc := range digestJobs(f) {
 		f.Add([]byte(doc))
@@ -17,6 +19,7 @@ func FuzzJobSpec(f *testing.F) {
 		f.Add([]byte(tc.body))
 	}
 	f.Add([]byte(torusJob("seed", 42, 10)))
+	f.Add([]byte(`{"topology":"star:16384","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, key, err := server.ResolveJob(doc)
 		if err != nil {
@@ -27,6 +30,13 @@ func FuzzJobSpec(f *testing.F) {
 		}
 		if key.Config == "" || key.Workload == "" {
 			t.Fatalf("accepted job has key %+v\n%s", key, doc)
+		}
+		tp, err := topology.New(cfg.Network.Topology)
+		if err != nil {
+			t.Fatalf("accepted job's topology: %v\n%s", err, doc)
+		}
+		if ports := tp.Nodes() * tp.Degree(); ports > server.MaxJobPorts {
+			t.Fatalf("accepted job has %d ports, cap %d\n%s", ports, server.MaxJobPorts, doc)
 		}
 	})
 }

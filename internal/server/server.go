@@ -52,6 +52,7 @@ import (
 	"mermaid/internal/probe"
 	"mermaid/internal/resultcache"
 	"mermaid/internal/stochastic"
+	"mermaid/internal/topology"
 )
 
 // Config parameterises the service.
@@ -263,6 +264,15 @@ type jobSpec struct {
 // topology parser.
 const maxJobStreams = 16384
 
+// maxJobPorts caps the ports (nodes × topology degree) of a job's machine.
+// The network allocates two virtual-channel records per port before the
+// first event, and the collector its per-link counters besides, so the
+// stream cap alone lets a star or fully connected machine of 16,384 nodes
+// through with 268 M ports — some 17 GB of channel records, and an
+// out-of-memory error is fatal, not a panic the farm can recover. The cap
+// admits the 3-D torus of 16,384 nodes the benchmark runs (98,304 ports).
+const maxJobPorts = 6 * maxJobStreams
+
 // decodeJob reads a POST /jobs document. Unknown fields are refused.
 func decodeJob(r io.Reader) (*jobSpec, error) {
 	var spec jobSpec
@@ -322,6 +332,15 @@ func buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resultcache.Key, 
 	}
 	if err := cfg.Validate(); err != nil {
 		return cfg, stochastic.Desc{}, resultcache.Key{}, err
+	}
+	// Validation has matched the topology to cfg.Nodes, so the product
+	// cannot overflow.
+	tp, err := topology.New(cfg.Network.Topology)
+	if err != nil {
+		return cfg, stochastic.Desc{}, resultcache.Key{}, err
+	}
+	if ports := tp.Nodes() * tp.Degree(); ports > maxJobPorts {
+		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("machine %s has %d ports (%d nodes of degree %d); a job may have at most %d", tp.Name(), ports, tp.Nodes(), tp.Degree(), maxJobPorts)
 	}
 
 	if len(spec.Workload) == 0 {

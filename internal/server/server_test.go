@@ -313,9 +313,10 @@ func TestSubmissionValidation(t *testing.T) {
 	}
 }
 
-// A machine beyond the server's stream cap is refused with 400 before anything
-// is built: a 2^20-node torus would retain gigabytes under the instrumentation
-// every job runs with.
+// A machine beyond the server's stream or port cap is refused with 400 before
+// anything is built: a 2^20-node torus would retain gigabytes under the
+// instrumentation every job runs with, and a 16,384-node star or full machine
+// would allocate gigabytes of channel records.
 func TestSubmissionMachineLimit(t *testing.T) {
 	_, ts := startServer(t, server.Config{Workers: 1})
 	j, code := submit(t, ts, `{"topology":"torus3d:128x128x64","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`)
@@ -345,6 +346,18 @@ func TestSubmissionMachineLimit(t *testing.T) {
 	want = "mermaidd: machine: 4 nodes but topology torus3d(128x128x64) has 1048576"
 	if strings.TrimSpace(j.Error) != want {
 		t.Errorf("2^20-node topology in a 4-node config: error %q, want %q", j.Error, want)
+	}
+
+	// Within the stream cap but not the port cap: 16,384 nodes of degree
+	// 16,383 would allocate some 17 GB of channel records.
+	for _, spec := range []string{"star:16384", "full:16384"} {
+		j, code = submit(t, ts, `{"topology":"`+spec+`","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", spec, code)
+		}
+		if !strings.Contains(j.Error, "268419072 ports (16384 nodes of degree 16383); a job may have at most 98304") {
+			t.Errorf("%s: error %q does not name the port cap", spec, j.Error)
+		}
 	}
 
 	if _, code := submit(t, ts, torusJob("small", 1, 1)); code != http.StatusAccepted {

@@ -2,8 +2,8 @@ package topology
 
 import "testing"
 
-// The per-hop routing loop — Route, Neighbor, PortDim, Dateline,
-// MinimalPorts consumption via NeighborsInto — must not allocate: it runs
+// The per-hop routing loop — Route, Neighbor, PortDim, Dateline, and a
+// Neighbor query on every port — must not allocate: it runs
 // once per packet per hop, millions of times in a large run, and any
 // allocation here dominates the profile. This gate walks a full route on
 // every family with the exact call mix of network.attemptForward.
@@ -29,7 +29,6 @@ func TestAllocFreeRoutingHotLoop(t *testing.T) {
 	for _, tp := range tops {
 		tp := tp
 		n := tp.Nodes()
-		buf := make([]int, 0, tp.Degree())
 		sink := 0
 		if got := testing.AllocsPerRun(100, func() {
 			// A far-apart pair walked hop by hop, touching every query the
@@ -40,8 +39,9 @@ func TestAllocFreeRoutingHotLoop(t *testing.T) {
 				if tp.Dateline(at, port) {
 					sink += tp.PortDim(port)
 				}
-				buf = NeighborsInto(tp, at, buf)
-				sink += buf[port]
+				for p := 0; p < tp.Degree(); p++ {
+					sink += tp.Neighbor(at, p)
+				}
 				at = tp.Neighbor(at, port)
 			}
 		}); got != 0 {

@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzParseSpec feeds arbitrary specs through ParseSpec and New — the path a
 // -topology flag or a job's "topology" field takes. Neither may panic, and an
-// accepted topology must respect the node bound, name itself, and wire the
-// ports of its first and last node only to nodes it has. Seeds:
+// accepted topology must respect the node bound, name itself, wire the
+// ports of its first and last node only to nodes it has, and answer -1 for
+// their ports outside [0, Degree()). Seeds:
 // testdata/fuzz/FuzzParseSpec (the ParseSpec doc examples and the oversized
 // specs the size bounds reject).
 func FuzzParseSpec(f *testing.F) {
@@ -28,6 +29,11 @@ func FuzzParseSpec(f *testing.F) {
 		const span = 1 << 12
 		deg := tp.Degree()
 		for _, node := range []int{0, n - 1} {
+			for _, port := range []int{-1, deg} {
+				if nb := tp.Neighbor(node, port); nb != -1 {
+					t.Fatalf("%s: node %d port %d outside [0, Degree %d) leads to %d, want -1", name, node, port, deg, nb)
+				}
+			}
 			for port := 0; port < deg; port++ {
 				if port == span && deg > 2*span {
 					port = deg - span

@@ -2,137 +2,10 @@ package topology
 
 import "fmt"
 
-// Hierarchical / large-machine topology families. All three are pure
-// generators: the wiring and the routing function are closed-form in the
-// node id, so a million-node machine is a handful of integers and every
-// Route/Neighbor/Dateline query is O(1) with zero allocation.
-
-// 3-D torus -----------------------------------------------------------------
-
-// Ports: 0 = +x, 1 = -x, 2 = +y, 3 = -y, 4 = +z, 5 = -z.
-type torus3d struct {
-	x, y, z int
-}
-
-// NewTorus3D builds an x*y*z 3-D torus with dimension-order (XYZ) routing,
-// each dimension taking the shorter way around, and per-dimension datelines
-// at the wrap edges (Dally–Seitz virtual-channel deadlock avoidance, as on
-// the 2-D torus).
-func NewTorus3D(x, y, z int) (Topology, error) {
-	if x < 2 || y < 2 || z < 2 {
-		return nil, fmt.Errorf("topology: torus3d %dx%dx%d needs every dimension >= 2 (fields DimX, DimY, DimZ)", x, y, z)
-	}
-	if err := checkSize(fmt.Sprintf("torus3d %dx%dx%d", x, y, z), product(x, y, z), 6); err != nil {
-		return nil, err
-	}
-	return &torus3d{x, y, z}, nil
-}
-
-func (t *torus3d) Name() string { return fmt.Sprintf("torus3d(%dx%dx%d)", t.x, t.y, t.z) }
-func (t *torus3d) Nodes() int   { return t.x * t.y * t.z }
-func (t *torus3d) Degree() int  { return 6 }
-
-func (t *torus3d) coords(node int) (x, y, z int) {
-	return node % t.x, (node / t.x) % t.y, node / (t.x * t.y)
-}
-func (t *torus3d) id(x, y, z int) int { return (z*t.y+y)*t.x + x }
-
-func (t *torus3d) Neighbor(node, port int) int {
-	x, y, z := t.coords(node)
-	switch port {
-	case 0:
-		return t.id((x+1)%t.x, y, z)
-	case 1:
-		return t.id((x-1+t.x)%t.x, y, z)
-	case 2:
-		return t.id(x, (y+1)%t.y, z)
-	case 3:
-		return t.id(x, (y-1+t.y)%t.y, z)
-	case 4:
-		return t.id(x, y, (z+1)%t.z)
-	case 5:
-		return t.id(x, y, (z-1+t.z)%t.z)
-	}
-	return -1
-}
-
-func (t *torus3d) Neighbors(node int) []int {
-	nb := make([]int, 6)
-	for p := 0; p < 6; p++ {
-		nb[p] = t.Neighbor(node, p)
-	}
-	return nb
-}
-
-// Route corrects x, then y, then z, taking the shorter way around each ring.
-func (t *torus3d) Route(at, to int) int {
-	ax, ay, az := t.coords(at)
-	tx, ty, tz := t.coords(to)
-	if ax != tx {
-		return ringPort(ax, tx, t.x, 0, 1)
-	}
-	if ay != ty {
-		return ringPort(ay, ty, t.y, 2, 3)
-	}
-	if az != tz {
-		return ringPort(az, tz, t.z, 4, 5)
-	}
-	panic("topology: Route(at, at)")
-}
-
-// ringPort picks the shorter direction around a size-wide ring, preferring
-// the positive port on ties.
-func ringPort(a, t, size, pos, neg int) int {
-	fwd := (t - a + size) % size
-	if fwd <= size-fwd {
-		return pos
-	}
-	return neg
-}
-
-func (t *torus3d) MinimalPorts(at, to int) []int {
-	ax, ay, az := t.coords(at)
-	tx, ty, tz := t.coords(to)
-	var out []int
-	addDim := func(a, tc, size, pos, neg int) {
-		if a == tc {
-			return
-		}
-		fwd := (tc - a + size) % size
-		if fwd*2 == size {
-			out = append(out, pos, neg)
-		} else if fwd < size-fwd {
-			out = append(out, pos)
-		} else {
-			out = append(out, neg)
-		}
-	}
-	addDim(ax, tx, t.x, 0, 1)
-	addDim(ay, ty, t.y, 2, 3)
-	addDim(az, tz, t.z, 4, 5)
-	return out
-}
-
-func (t *torus3d) Dims() int            { return 3 }
-func (t *torus3d) PortDim(port int) int { return port / 2 }
-func (t *torus3d) Dateline(node, port int) bool {
-	x, y, z := t.coords(node)
-	switch port {
-	case 0:
-		return x == t.x-1
-	case 1:
-		return x == 0
-	case 2:
-		return y == t.y-1
-	case 3:
-		return y == 0
-	case 4:
-		return z == t.z-1
-	case 5:
-		return z == 0
-	}
-	return false
-}
+// Hierarchical / large-machine topology families besides the 3-D torus
+// (cube.go). Both are pure generators: the wiring and the routing function
+// are closed-form in the node id, so a million-node machine is a handful of
+// integers and every Route/Neighbor/Dateline query is allocation-free.
 
 // k-ary fat-tree ------------------------------------------------------------
 
@@ -230,11 +103,12 @@ func (f *fattree) maxDiffDigit(a, b int) int {
 func (f *fattree) Neighbor(node, port int) int {
 	level, idx := f.locate(node)
 	switch {
+	case port < 0: // out of range
 	case level == 0: // host: single up port to its leaf switch
 		if port == 0 {
 			return f.swid(1, idx>>f.shift)
 		}
-	case port >= 0 && port < f.k: // down
+	case port < f.k: // down
 		if level == 1 {
 			return idx<<f.shift | port
 		}
@@ -243,22 +117,6 @@ func (f *fattree) Neighbor(node, port int) int {
 		return f.swid(level+1, f.setDigit(idx, level-1, port-f.k))
 	}
 	return -1
-}
-
-func (f *fattree) Neighbors(node int) []int {
-	level, _ := f.locate(node)
-	n := 2 * f.k
-	switch {
-	case level == 0:
-		n = 1
-	case level == f.levels:
-		n = f.k
-	}
-	nb := make([]int, n)
-	for p := range nb {
-		nb[p] = f.Neighbor(node, p)
-	}
-	return nb
 }
 
 // anchor maps a destination to switch-index space: the leaf switch column
@@ -320,7 +178,6 @@ func (f *fattree) MinimalPorts(at, to int) []int {
 	return []int{f.Route(at, to)}
 }
 
-func (f *fattree) Dims() int              { return 1 }
 func (f *fattree) PortDim(int) int        { return 0 }
 func (f *fattree) Dateline(int, int) bool { return false }
 
@@ -419,14 +276,6 @@ func (d *dragonfly) Neighbor(node, port int) int {
 	return dst*d.routers + back/d.globals
 }
 
-func (d *dragonfly) Neighbors(node int) []int {
-	nb := make([]int, d.Degree())
-	for p := range nb {
-		nb[p] = d.Neighbor(node, p)
-	}
-	return nb
-}
-
 func (d *dragonfly) Route(at, to int) int {
 	if at == to {
 		panic("topology: Route(at, at)")
@@ -452,7 +301,6 @@ func (d *dragonfly) Route(at, to int) int {
 // unique, so the deterministic route is the only minimal port.
 func (d *dragonfly) MinimalPorts(at, to int) []int { return []int{d.Route(at, to)} }
 
-func (d *dragonfly) Dims() int       { return 1 }
 func (d *dragonfly) PortDim(int) int { return 0 }
 
 // Dateline marks every global port: wormhole packets switch to the high

@@ -3,10 +3,10 @@ package topology
 import "testing"
 
 // BenchmarkScaleRouting measures the per-hop cost of purely algorithmic
-// routing on million-node machines: one Route + Dateline + Neighbor step,
-// the exact per-hop query mix of the network forward loop. There is no
-// adjacency structure and no table — the figure of merit is a handful of
-// nanoseconds per hop, flat in machine size.
+// routing on million-node machines of four families: one Route + Dateline +
+// Neighbor step, the exact per-hop query mix of the network forward loop.
+// There is no adjacency structure and no table — the figure of merit is a
+// handful of nanoseconds per hop, flat in machine size.
 func BenchmarkScaleRouting(b *testing.B) {
 	mk := func(tp Topology, err error) Topology {
 		if err != nil {
@@ -15,6 +15,7 @@ func BenchmarkScaleRouting(b *testing.B) {
 		return tp
 	}
 	for _, tp := range []Topology{
+		mk(NewMesh(1000, 1000)),         // 1,000,000 nodes, no wraparound
 		mk(NewTorus3D(100, 100, 100)),   // 1,000,000 nodes
 		mk(NewFatTree(32, 4)),           // 1,179,648 nodes
 		mk(NewDragonfly(1024, 1, 1025)), // 1,049,600 nodes

@@ -4,36 +4,30 @@
 // Provided shapes: ring, 2-D mesh, 2-D torus, 3-D torus, hypercube, star,
 // fully connected, k-ary fat-tree and dragonfly; all are parameterised by
 // size, per the workbench goal of evaluating a wide range of design options.
+// Ring, mesh, torus and torus3d are one k-ary n-cube generator (cube.go)
+// that differ only in their sizes and whether the dimensions wrap.
 //
 // Every family is generator-backed: the wiring is a closed-form function of
 // the node id, so no adjacency structure is ever materialised and a
-// million-node machine costs a few words of memory. Hot paths (routers, the
-// fault injector, the network forward loop) use the allocation-free
-// Neighbor(node, port) form; Neighbors remains for construction-time and
-// diagnostic code.
+// million-node machine costs a few words of memory. Every query but
+// MinimalPorts, which returns a fresh slice, is allocation-free.
 package topology
 
 import "fmt"
 
 // Topology is a wiring of N nodes plus a deterministic routing function.
-// Ports are small integers local to a node; Neighbors maps ports to node
-// ids. Route returns the output port for a packet at `at` heading to `to`
-// along a minimal deterministic path (dimension-order on meshes/tori, e-cube
-// on hypercubes, up*/down* on fat-trees, minimal group routing on
-// dragonflies).
+// Ports are small integers local to a node, in [0, Degree()). Route returns
+// the output port for a packet at `at` heading to `to` along a minimal
+// deterministic path (dimension-order on rings, meshes and tori, e-cube on
+// hypercubes, up*/down* on fat-trees, minimal group routing on dragonflies).
 type Topology interface {
 	Name() string
 	Nodes() int
 	// Degree is the maximum number of ports on any node.
 	Degree() int
-	// Neighbors returns, for each port of the node, the node on the other
-	// end, or -1 for an unconnected port (mesh edges, star leaves). The
-	// slice may be built per call; hot paths use Neighbor instead.
-	Neighbors(node int) []int
 	// Neighbor returns the node at the far end of `port`, or -1 when the
-	// port is unconnected or out of range. It is O(1) and never allocates:
-	// for port < len(Neighbors(node)) it equals Neighbors(node)[port], and
-	// it returns -1 for every port in [len(Neighbors(node)), Degree()).
+	// port is unconnected (mesh edges, star leaves) or outside [0, Degree()).
+	// It is O(1) and never allocates.
 	Neighbor(node, port int) int
 	// Route returns the output port at node `at` towards node `to`.
 	// at == to is invalid.
@@ -42,10 +36,8 @@ type Topology interface {
 	// minimal path to `to` (adaptive routers choose among them by local
 	// congestion). The deterministic Route port is always included.
 	MinimalPorts(at, to int) []int
-	// Dims returns the number of routing dimensions; PortDim maps a port to
-	// its dimension. Used for per-dimension virtual-channel bookkeeping.
-	Dims() int
-	// PortDim returns the routing dimension a port belongs to.
+	// PortDim returns the routing dimension a port belongs to, for
+	// per-dimension virtual-channel bookkeeping.
 	PortDim(port int) int
 	// Dateline reports whether the hop out of `node` via `port` crosses the
 	// dimension's dateline (a wraparound edge). Wormhole routers switch to
@@ -158,22 +150,6 @@ func checkSize(name string, nodes, degree int) error {
 	return nil
 }
 
-// NeighborsInto fills buf with the far end of every port of `node` and
-// returns it, growing buf only when its capacity is below Degree(). The
-// result always has Degree() entries with -1 for unconnected ports — the
-// allocation-free counterpart of Neighbors for callers that iterate ports.
-func NeighborsInto(t Topology, node int, buf []int) []int {
-	deg := t.Degree()
-	if cap(buf) < deg {
-		buf = make([]int, deg)
-	}
-	buf = buf[:deg]
-	for p := 0; p < deg; p++ {
-		buf[p] = t.Neighbor(node, p)
-	}
-	return buf
-}
-
 // Distance returns the hop count of the path Route actually takes from a to
 // b (0 if a == b). It panics if routing does not converge within Nodes()
 // hops, which would mean a broken routing function.
@@ -232,238 +208,13 @@ func AvgDistance(t Topology) float64 {
 func Links(t Topology) int {
 	n := 0
 	for a := 0; a < t.Nodes(); a++ {
-		for _, b := range t.Neighbors(a) {
-			if b > a {
+		for p := 0; p < t.Degree(); p++ {
+			if t.Neighbor(a, p) > a {
 				n++
 			}
 		}
 	}
 	return n
-}
-
-// ring
-
-type ring struct{ n int }
-
-// NewRing builds a bidirectional ring of n nodes (n >= 2).
-func NewRing(n int) (Topology, error) {
-	if n < 2 {
-		return nil, fmt.Errorf("topology: ring needs >= 2 nodes, got %d", n)
-	}
-	if err := checkSize(fmt.Sprintf("ring(%d)", n), n, 2); err != nil {
-		return nil, err
-	}
-	return &ring{n}, nil
-}
-
-func (r *ring) Name() string { return fmt.Sprintf("ring(%d)", r.n) }
-func (r *ring) Nodes() int   { return r.n }
-func (r *ring) Degree() int  { return 2 }
-func (r *ring) Neighbors(node int) []int {
-	return []int{(node + 1) % r.n, (node - 1 + r.n) % r.n}
-}
-func (r *ring) Neighbor(node, port int) int {
-	switch port {
-	case 0:
-		return (node + 1) % r.n
-	case 1:
-		return (node - 1 + r.n) % r.n
-	}
-	return -1
-}
-func (r *ring) Route(at, to int) int {
-	fwd := (to - at + r.n) % r.n
-	if fwd <= r.n-fwd {
-		return 0 // clockwise
-	}
-	return 1
-}
-func (r *ring) Dims() int       { return 1 }
-func (r *ring) PortDim(int) int { return 0 }
-func (r *ring) Dateline(node, port int) bool {
-	// Each direction is its own ring; its dateline is its wrap edge.
-	return (port == 0 && node == r.n-1) || (port == 1 && node == 0)
-}
-
-// mesh / torus
-
-type mesh struct {
-	w, h int
-	wrap bool
-}
-
-// NewMesh builds a w x h 2-D mesh with dimension-order (XY) routing.
-func NewMesh(w, h int) (Topology, error) {
-	if w < 1 || h < 1 || product(w, h) < 2 {
-		return nil, fmt.Errorf("topology: mesh %dx%d too small", w, h)
-	}
-	if err := checkSize(fmt.Sprintf("mesh %dx%d", w, h), product(w, h), 4); err != nil {
-		return nil, err
-	}
-	return &mesh{w, h, false}, nil
-}
-
-// NewTorus builds a w x h 2-D torus (wrap-around mesh).
-func NewTorus(w, h int) (Topology, error) {
-	if w < 2 || h < 2 {
-		return nil, fmt.Errorf("topology: torus %dx%d needs both dimensions >= 2", w, h)
-	}
-	if err := checkSize(fmt.Sprintf("torus %dx%d", w, h), product(w, h), 4); err != nil {
-		return nil, err
-	}
-	return &mesh{w, h, true}, nil
-}
-
-// Ports: 0 = +x (east), 1 = -x (west), 2 = +y (north), 3 = -y (south).
-const (
-	east = iota
-	west
-	north
-	south
-)
-
-func (m *mesh) Name() string {
-	if m.wrap {
-		return fmt.Sprintf("torus(%dx%d)", m.w, m.h)
-	}
-	return fmt.Sprintf("mesh(%dx%d)", m.w, m.h)
-}
-func (m *mesh) Nodes() int  { return m.w * m.h }
-func (m *mesh) Degree() int { return 4 }
-
-func (m *mesh) coords(node int) (x, y int) { return node % m.w, node / m.w }
-func (m *mesh) id(x, y int) int            { return y*m.w + x }
-
-func (m *mesh) Neighbors(node int) []int {
-	x, y := m.coords(node)
-	nb := []int{-1, -1, -1, -1}
-	if m.wrap {
-		if m.w > 1 {
-			nb[east] = m.id((x+1)%m.w, y)
-			nb[west] = m.id((x-1+m.w)%m.w, y)
-		}
-		if m.h > 1 {
-			nb[north] = m.id(x, (y+1)%m.h)
-			nb[south] = m.id(x, (y-1+m.h)%m.h)
-		}
-	} else {
-		if x+1 < m.w {
-			nb[east] = m.id(x+1, y)
-		}
-		if x > 0 {
-			nb[west] = m.id(x-1, y)
-		}
-		if y+1 < m.h {
-			nb[north] = m.id(x, y+1)
-		}
-		if y > 0 {
-			nb[south] = m.id(x, y-1)
-		}
-	}
-	return nb
-}
-
-func (m *mesh) Neighbor(node, port int) int {
-	x, y := m.coords(node)
-	if m.wrap {
-		switch port {
-		case east:
-			if m.w > 1 {
-				return m.id((x+1)%m.w, y)
-			}
-		case west:
-			if m.w > 1 {
-				return m.id((x-1+m.w)%m.w, y)
-			}
-		case north:
-			if m.h > 1 {
-				return m.id(x, (y+1)%m.h)
-			}
-		case south:
-			if m.h > 1 {
-				return m.id(x, (y-1+m.h)%m.h)
-			}
-		}
-		return -1
-	}
-	switch port {
-	case east:
-		if x+1 < m.w {
-			return m.id(x+1, y)
-		}
-	case west:
-		if x > 0 {
-			return m.id(x-1, y)
-		}
-	case north:
-		if y+1 < m.h {
-			return m.id(x, y+1)
-		}
-	case south:
-		if y > 0 {
-			return m.id(x, y-1)
-		}
-	}
-	return -1
-}
-
-// Route implements dimension-order (XY) routing: correct x first, then y.
-// On the torus, each dimension takes the shorter way around.
-func (m *mesh) Route(at, to int) int {
-	ax, ay := m.coords(at)
-	tx, ty := m.coords(to)
-	if ax != tx {
-		if !m.wrap {
-			if tx > ax {
-				return east
-			}
-			return west
-		}
-		fwd := (tx - ax + m.w) % m.w
-		if fwd <= m.w-fwd {
-			return east
-		}
-		return west
-	}
-	if ay != ty {
-		if !m.wrap {
-			if ty > ay {
-				return north
-			}
-			return south
-		}
-		fwd := (ty - ay + m.h) % m.h
-		if fwd <= m.h-fwd {
-			return north
-		}
-		return south
-	}
-	panic("topology: Route(at, at)")
-}
-
-func (m *mesh) Dims() int { return 2 }
-func (m *mesh) PortDim(port int) int {
-	if port == east || port == west {
-		return 0
-	}
-	return 1
-}
-func (m *mesh) Dateline(node, port int) bool {
-	if !m.wrap {
-		return false
-	}
-	x, y := m.coords(node)
-	switch port {
-	case east:
-		return x == m.w-1
-	case west:
-		return x == 0
-	case north:
-		return y == m.h-1
-	case south:
-		return y == 0
-	}
-	return false
 }
 
 // hypercube
@@ -491,13 +242,6 @@ func NewHypercube(n int) (Topology, error) {
 func (h *hypercube) Name() string { return fmt.Sprintf("hypercube(%d)", h.n) }
 func (h *hypercube) Nodes() int   { return h.n }
 func (h *hypercube) Degree() int  { return h.dim }
-func (h *hypercube) Neighbors(node int) []int {
-	nb := make([]int, h.dim)
-	for i := 0; i < h.dim; i++ {
-		nb[i] = node ^ (1 << i)
-	}
-	return nb
-}
 func (h *hypercube) Neighbor(node, port int) int {
 	if port < 0 || port >= h.dim {
 		return -1
@@ -535,16 +279,6 @@ func NewStar(n int) (Topology, error) {
 func (s *star) Name() string { return fmt.Sprintf("star(%d)", s.n) }
 func (s *star) Nodes() int   { return s.n }
 func (s *star) Degree() int  { return s.n - 1 }
-func (s *star) Neighbors(node int) []int {
-	if node == 0 {
-		nb := make([]int, s.n-1)
-		for i := range nb {
-			nb[i] = i + 1
-		}
-		return nb
-	}
-	return []int{0}
-}
 func (s *star) Neighbor(node, port int) int {
 	if node == 0 {
 		if port >= 0 && port < s.n-1 {
@@ -585,15 +319,6 @@ func NewFull(n int) (Topology, error) {
 func (f *full) Name() string { return fmt.Sprintf("full(%d)", f.n) }
 func (f *full) Nodes() int   { return f.n }
 func (f *full) Degree() int  { return f.n - 1 }
-func (f *full) Neighbors(node int) []int {
-	nb := make([]int, 0, f.n-1)
-	for i := 0; i < f.n; i++ {
-		if i != node {
-			nb = append(nb, i)
-		}
-	}
-	return nb
-}
 func (f *full) Neighbor(node, port int) int {
 	if port < 0 || port >= f.n-1 {
 		return -1
@@ -613,66 +338,21 @@ func (f *full) Route(at, to int) int {
 	return to
 }
 
-// Dateline bookkeeping for the remaining topologies: hypercubes route
+// Dateline bookkeeping: hypercubes route
 // e-cube (no wraparound channels), stars and fully connected graphs have
 // single-hop routes, so no virtual-channel datelines are needed.
 
-func (h *hypercube) Dims() int              { return h.dim }
 func (h *hypercube) PortDim(port int) int   { return port }
 func (h *hypercube) Dateline(int, int) bool { return false }
 
-func (s *star) Dims() int              { return 1 }
 func (s *star) PortDim(int) int        { return 0 }
 func (s *star) Dateline(int, int) bool { return false }
 
-func (f *full) Dims() int              { return 1 }
 func (f *full) PortDim(int) int        { return 0 }
 func (f *full) Dateline(int, int) bool { return false }
 
 // MinimalPorts implementations: every port that strictly reduces the
 // remaining distance.
-
-func (r *ring) MinimalPorts(at, to int) []int {
-	fwd := (to - at + r.n) % r.n
-	switch {
-	case fwd*2 == r.n:
-		return []int{0, 1} // equidistant: both directions minimal
-	case fwd < r.n-fwd:
-		return []int{0}
-	default:
-		return []int{1}
-	}
-}
-
-func (m *mesh) MinimalPorts(at, to int) []int {
-	ax, ay := m.coords(at)
-	tx, ty := m.coords(to)
-	var out []int
-	addDim := func(a, t, size int, pos, neg int) {
-		if a == t {
-			return
-		}
-		if !m.wrap {
-			if t > a {
-				out = append(out, pos)
-			} else {
-				out = append(out, neg)
-			}
-			return
-		}
-		fwd := (t - a + size) % size
-		if fwd*2 == size {
-			out = append(out, pos, neg)
-		} else if fwd < size-fwd {
-			out = append(out, pos)
-		} else {
-			out = append(out, neg)
-		}
-	}
-	addDim(ax, tx, m.w, east, west)
-	addDim(ay, ty, m.h, north, south)
-	return out
-}
 
 func (h *hypercube) MinimalPorts(at, to int) []int {
 	diff := at ^ to

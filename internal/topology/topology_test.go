@@ -26,28 +26,29 @@ func all(t *testing.T) []Topology {
 	return out
 }
 
-// Every topology: neighbor relation is symmetric and routing reaches every
-// destination along ports that exist.
+// Every topology: Neighbor is -1 outside [0, Degree()), the neighbor
+// relation is symmetric, and routing reaches every destination along ports
+// that exist.
 func TestTopologyInvariants(t *testing.T) {
 	for _, tp := range all(t) {
 		tp := tp
 		t.Run(tp.Name(), func(t *testing.T) {
-			n := tp.Nodes()
+			n, deg := tp.Nodes(), tp.Degree()
 			for a := 0; a < n; a++ {
-				nbs := tp.Neighbors(a)
-				if len(nbs) > tp.Degree() {
-					t.Fatalf("node %d has %d ports > degree %d", a, len(nbs), tp.Degree())
+				for _, p := range []int{-1, deg, deg + 1} {
+					if b := tp.Neighbor(a, p); b != -1 {
+						t.Fatalf("Neighbor(%d,%d) = %d outside [0, Degree %d), want -1", a, p, b, deg)
+					}
 				}
-				for _, b := range nbs {
+				for p := 0; p < deg; p++ {
+					b := tp.Neighbor(a, p)
 					if b < 0 {
 						continue
 					}
-					// Symmetry: b must list a as a neighbor.
+					// Symmetry: some port of b must lead back to a.
 					found := false
-					for _, back := range tp.Neighbors(b) {
-						if back == a {
-							found = true
-						}
+					for q := 0; q < deg && !found; q++ {
+						found = tp.Neighbor(b, q) == a
 					}
 					if !found {
 						t.Fatalf("asymmetric link %d -> %d", a, b)
@@ -81,11 +82,11 @@ func TestRingDistances(t *testing.T) {
 func TestMeshXYRouting(t *testing.T) {
 	m, _ := NewMesh(4, 4)
 	// From (0,0) to (3,3): x first.
-	if p := m.Route(0, 15); p != east {
+	if p := m.Route(0, 15); p != 0 { // east
 		t.Fatalf("first hop port = %d, want east", p)
 	}
 	// From (3,0)=3 to (3,3)=15: x aligned, go north.
-	if p := m.Route(3, 15); p != north {
+	if p := m.Route(3, 15); p != 2 { // north
 		t.Fatalf("port = %d, want north", p)
 	}
 	if d := Distance(m, 0, 15); d != 6 {
@@ -98,10 +99,9 @@ func TestMeshXYRouting(t *testing.T) {
 
 func TestMeshEdgesHaveDeadPorts(t *testing.T) {
 	m, _ := NewMesh(3, 3)
-	nb := m.Neighbors(0) // corner
 	dead := 0
-	for _, b := range nb {
-		if b == -1 {
+	for p := 0; p < m.Degree(); p++ {
+		if m.Neighbor(0, p) == -1 { // corner
 			dead++
 		}
 	}
@@ -121,8 +121,8 @@ func TestTorusWrap(t *testing.T) {
 	}
 	// Torus has no dead ports.
 	for a := 0; a < tr.Nodes(); a++ {
-		for _, b := range tr.Neighbors(a) {
-			if b < 0 {
+		for p := 0; p < tr.Degree(); p++ {
+			if tr.Neighbor(a, p) < 0 {
 				t.Fatal("torus has dead port")
 			}
 		}
@@ -250,14 +250,11 @@ func TestDatelines(t *testing.T) {
 	if r.Dateline(1, 0) || r.Dateline(2, 1) {
 		t.Fatal("ring dateline on a non-wrap edge")
 	}
-	if r.Dims() != 1 || r.PortDim(0) != 0 {
-		t.Fatal("ring dims wrong")
+	if r.PortDim(0) != 0 || r.PortDim(1) != 0 {
+		t.Fatal("ring port dims wrong")
 	}
 
 	tr, _ := NewTorus(4, 4)
-	if tr.Dims() != 2 {
-		t.Fatal("torus dims")
-	}
 	// East from x=3 wraps; east from x=1 does not.
 	if !tr.Dateline(3, 0) || tr.Dateline(1, 0) {
 		t.Fatal("torus x dateline wrong")
@@ -280,13 +277,12 @@ func TestDatelines(t *testing.T) {
 	}
 
 	h, _ := NewHypercube(8)
-	if h.Dims() != 3 || h.PortDim(2) != 2 || h.Dateline(0, 0) {
+	if h.PortDim(2) != 2 || h.Dateline(0, 0) {
 		t.Fatal("hypercube dateline data wrong")
 	}
 	s, _ := NewStar(4)
 	f, _ := NewFull(4)
-	if s.Dateline(0, 0) || f.Dateline(0, 0) || s.Dims() != 1 || f.Dims() != 1 ||
-		s.PortDim(0) != 0 || f.PortDim(0) != 0 {
+	if s.Dateline(0, 0) || f.Dateline(0, 0) || s.PortDim(0) != 0 || f.PortDim(0) != 0 {
 		t.Fatal("star/full dateline data wrong")
 	}
 }
@@ -330,7 +326,7 @@ func TestMinimalPortsContainRouteAndReduceDistance(t *testing.T) {
 						if p == routePort {
 							found = true
 						}
-						next := tp.Neighbors(a)[p]
+						next := tp.Neighbor(a, p)
 						if next < 0 {
 							t.Fatalf("%d->%d: minimal port %d is dead", a, b, p)
 						}
