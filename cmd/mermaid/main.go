@@ -19,6 +19,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,45 +27,18 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/core"
 	"mermaid/internal/experiments"
 	"mermaid/internal/farm"
-	"mermaid/internal/fault"
 	"mermaid/internal/hostprobe"
 	"mermaid/internal/machine"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/stats"
-	"mermaid/internal/stochastic"
-	"mermaid/internal/trace"
-	"mermaid/internal/workload"
 )
-
-var presets = map[string]func() machine.Config{
-	"t805-2x1":      func() machine.Config { return machine.T805Grid(2, 1) },
-	"t805-2x2":      func() machine.Config { return machine.T805Grid(2, 2) },
-	"t805-4x4":      func() machine.Config { return machine.T805Grid(4, 4) },
-	"t805-8x8":      func() machine.Config { return machine.T805Grid(8, 8) },
-	"t805-task-4x4": func() machine.Config { return machine.T805GridTaskLevel(4, 4) },
-	"ppc601":        machine.PPC601Machine,
-	"ppc601-smp4":   func() machine.Config { return machine.PPC601SMP(4) },
-	"ppc601-smp8":   func() machine.Config { return machine.PPC601SMP(8) },
-	"hybrid-2x2x2":  func() machine.Config { return machine.HybridCluster(2, 2, 2) },
-	"dsm-2x2":       func() machine.Config { return machine.DSMCluster(2, 2) },
-}
-
-func presetNames() []string {
-	names := make([]string, 0, len(presets))
-	for n := range presets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 func main() {
 	// Subcommand dispatch: `mermaid pipeline <run|diff|validate> ...` has its
@@ -75,22 +49,22 @@ func main() {
 		}
 		return
 	}
+	// The machine and workload flags fill the run's description.
+	var spec core.RunSpec
+	flag.StringVar(&spec.Preset, "preset", "", "machine preset: "+strings.Join(core.PresetNames(), ", "))
+	flag.StringVar(&spec.ConfigFile, "config", "", "machine configuration JSON file")
+	flag.StringVar(&spec.Topology, "topology", "", "build a task-level machine on this topology, e.g. torus:8x8, torus3d:16x16x16, fattree:32x3, dragonfly:8x4x33 (instead of -preset/-config)")
+	flag.StringVar(&spec.FaultsFile, "faults", "", "fault schedule JSON file (link/node down windows, packet noise, retransmission parameters)")
+	flag.StringVar(&spec.App, "app", "", "instrumented application: "+strings.Join(core.AppNames(), ", "))
+	flag.IntVar(&spec.Rounds, "rounds", 10, "pingpong rounds")
+	flag.IntVar(&spec.Iters, "iters", 10, "application iterations/sweeps")
+	flag.IntVar(&spec.Bytes, "bytes", 1024, "message/block size in bytes")
+	flag.IntVar(&spec.Cells, "cells", 256, "jacobi grid cells")
+	flag.IntVar(&spec.Dim, "dim", 16, "matmul matrix dimension")
+	flag.StringVar(&spec.Desc, "desc", "", "stochastic workload description JSON file")
 	var (
-		preset     = flag.String("preset", "", "machine preset: "+strings.Join(presetNames(), ", "))
-		configPath = flag.String("config", "", "machine configuration JSON file")
-		topoSpec   = flag.String("topology", "", "build a task-level machine on this topology, e.g. torus:8x8, torus3d:16x16x16, fattree:32x3, dragonfly:8x4x33 (instead of -preset/-config)")
+		traces     = flag.String("traces", "", "comma-separated binary trace files, one per processor")
 		dumpConfig = flag.Bool("dump-config", false, "print the machine configuration as JSON and exit")
-
-		faultsPath = flag.String("faults", "", "fault schedule JSON file (link/node down windows, packet noise, retransmission parameters)")
-
-		app      = flag.String("app", "", "instrumented application: "+strings.Join(apps, ", "))
-		rounds   = flag.Int("rounds", 10, "pingpong rounds")
-		iters    = flag.Int("iters", 10, "application iterations/sweeps")
-		bytesF   = flag.Int("bytes", 1024, "message/block size in bytes")
-		cells    = flag.Int("cells", 256, "jacobi grid cells")
-		dim      = flag.Int("dim", 16, "matmul matrix dimension")
-		descPath = flag.String("desc", "", "stochastic workload description JSON file")
-		traces   = flag.String("traces", "", "comma-separated binary trace files, one per processor")
 
 		experiment = flag.String("experiment", "", "run a reproduction experiment: all, list, "+strings.Join(experiments.Names(), ", "))
 		sweepF     = flag.String("sweep", "", "experiment sweep overrides, ';'-separated name=value pairs (values may contain commas), e.g. \"sizes=4,16;assocs=2\"")
@@ -136,20 +110,12 @@ func main() {
 		fatal(fmt.Errorf("-sweep only applies to -experiment runs"))
 	}
 
-	cfg, err := resolveConfig(*preset, *configPath, *topoSpec)
+	if *traces != "" {
+		spec.Traces = strings.Split(*traces, ",")
+	}
+	cfg, runOnce, err := spec.Resolve()
 	if err != nil {
 		fatal(err)
-	}
-	if *faultsPath != "" {
-		data, err := os.ReadFile(*faultsPath)
-		if err != nil {
-			fatal(err)
-		}
-		sched, err := fault.ParseSchedule(data)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Faults = sched
 	}
 	if *shards > 0 {
 		cfg.Shards = *shards
@@ -173,9 +139,6 @@ func main() {
 		fatal(fmt.Errorf("-host-metrics reports the parallel engine; add -shards N"))
 	}
 	if *dumpConfig {
-		if cfg.Version == 0 {
-			cfg.Version = machine.ConfigVersion
-		}
 		data, err := json.MarshalIndent(cfg, "", "  ")
 		if err != nil {
 			fatal(err)
@@ -184,30 +147,11 @@ func main() {
 		return
 	}
 
-	if *app == "" && *descPath == "" && *traces == "" {
+	if runOnce == nil {
 		flag.Usage()
 		os.Exit(2)
 	}
-	runName := *app
-	if runName == "" {
-		if *descPath != "" {
-			runName = *descPath
-		} else {
-			runName = *traces
-		}
-	}
-	runOnce := func(m *machine.Machine) (*machine.Result, error) {
-		switch {
-		case *app != "":
-			return runApp(m, *app, appParams{
-				rounds: *rounds, iters: *iters, bytes: uint32(*bytesF), cells: *cells, dim: *dim,
-			})
-		case *descPath != "":
-			return runDesc(m, *descPath)
-		default:
-			return runTraceFiles(m, strings.Split(*traces, ","))
-		}
-	}
+	runName := cmp.Or(spec.App, spec.Desc, *traces)
 
 	// The live endpoint serves a single run and a -repeats sweep alike; with
 	// it off the scope stays nil, the disabled scope.
@@ -334,124 +278,6 @@ func main() {
 		if err := view.render(os.Stdout); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-// apps are the instrumented applications runApp runs.
-var apps = []string{"pingpong", "jacobi", "jacobi-dsm", "matmul", "allreduce", "transpose", "butterfly", "shared"}
-
-type appParams struct {
-	rounds, iters, cells, dim int
-	bytes                     uint32
-}
-
-func runApp(m *machine.Machine, name string, p appParams) (*machine.Result, error) {
-	n := m.Streams()
-	switch name {
-	case "pingpong", "jacobi", "matmul", "allreduce", "transpose", "butterfly":
-		// A message-passing rank is addressed as a network node.
-		if net := m.Network(); net != nil && n > net.Nodes() {
-			return nil, fmt.Errorf("%s runs one message-passing rank per processor, but the machine has %d processors and %d network nodes", name, n, net.Nodes())
-		}
-	}
-	switch name {
-	case "pingpong":
-		if n != 2 {
-			return nil, fmt.Errorf("pingpong needs a 2-processor machine, have %d", n)
-		}
-		return m.RunProgram(workload.PingPong(p.rounds, p.bytes))
-	case "jacobi":
-		if p.cells < 2*n {
-			return nil, fmt.Errorf("jacobi needs -cells of at least 2 per processor, have %d over %d", p.cells, n)
-		}
-		return m.RunProgram(workload.Jacobi1D(n, p.cells, p.iters))
-	case "jacobi-dsm":
-		if m.DSM() == nil {
-			return nil, fmt.Errorf("jacobi-dsm needs a machine with virtual shared memory (DSM config)")
-		}
-		if p.cells < 2*n {
-			return nil, fmt.Errorf("jacobi-dsm needs -cells of at least 2 per processor, have %d over %d", p.cells, n)
-		}
-		return m.RunProgram(workload.JacobiDSM(n, p.cells, p.iters))
-	case "matmul":
-		if p.dim < n {
-			return nil, fmt.Errorf("matmul needs -dim of at least one row per processor, have %d over %d", p.dim, n)
-		}
-		var out [][]float64
-		return m.RunProgram(workload.MatMul(n, p.dim, &out))
-	case "allreduce":
-		results := make([]float64, n)
-		return m.RunProgram(workload.RingAllreduce(n, 16, results))
-	case "transpose":
-		return m.RunProgram(workload.Transpose(n, p.bytes))
-	case "butterfly":
-		if n < 2 || n&(n-1) != 0 {
-			return nil, fmt.Errorf("butterfly needs a power-of-two processor count, have %d", n)
-		}
-		return m.RunProgram(workload.Butterfly(n, p.bytes, p.iters))
-	case "shared":
-		return m.RunProgram(workload.SharedCounter(n, p.iters*10))
-	}
-	return nil, fmt.Errorf("unknown application %q", name)
-}
-
-func runDesc(m *machine.Machine, path string) (*machine.Result, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	d, err := stochastic.ParseDesc(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return m.RunStochastic(d)
-}
-
-func runTraceFiles(m *machine.Machine, paths []string) (*machine.Result, error) {
-	srcs := make([]trace.Source, len(paths))
-	files := make([]*os.File, len(paths))
-	for i, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		files[i] = f
-		srcs[i] = trace.FromReader(f)
-	}
-	defer func() {
-		for _, f := range files {
-			f.Close()
-		}
-	}()
-	return m.Run(srcs)
-}
-
-func resolveConfig(preset, configPath, topoSpec string) (machine.Config, error) {
-	given := 0
-	for _, s := range []string{preset, configPath, topoSpec} {
-		if s != "" {
-			given++
-		}
-	}
-	switch {
-	case given > 1:
-		return machine.Config{}, fmt.Errorf("use exactly one of -preset, -config or -topology")
-	case preset != "":
-		mk, ok := presets[preset]
-		if !ok {
-			return machine.Config{}, fmt.Errorf("unknown preset %q (have: %s)", preset, strings.Join(presetNames(), ", "))
-		}
-		return mk(), nil
-	case configPath != "":
-		data, err := os.ReadFile(configPath)
-		if err != nil {
-			return machine.Config{}, err
-		}
-		return machine.ParseConfig(data)
-	case topoSpec != "":
-		return machine.TaskMachineFromSpec(topoSpec)
-	default:
-		return machine.Config{}, fmt.Errorf("a machine is required: -preset, -config or -topology")
 	}
 }
 

@@ -298,6 +298,31 @@ func TestObserversShareOneChain(t *testing.T) {
 	}
 }
 
+// resolve resolves spec as the command does, failing the test on an error.
+func resolve(t *testing.T, spec core.RunSpec) (machine.Config, func(*machine.Machine) (*machine.Result, error)) {
+	t.Helper()
+	cfg, run, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg, run
+}
+
+// build builds a fresh machine from cfg.
+func build(t *testing.T, cfg machine.Config) *machine.Machine {
+	t.Helper()
+	m, err := machine.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// tinyApp describes app on preset at tiny sizes.
+func tinyApp(preset, app string) core.RunSpec {
+	return core.RunSpec{Preset: preset, App: app, Rounds: 2, Iters: 1, Bytes: 64, Cells: 16, Dim: 4}
+}
+
 // A misspelt field in a -desc file is an error, as it is for POST /jobs —
 // not a run of a different workload than the one written down.
 func TestRunDescRejectsTypos(t *testing.T) {
@@ -311,11 +336,8 @@ func TestRunDescRejectsTypos(t *testing.T) {
 		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		m, err := machine.New(machine.T805GridTaskLevel(4, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := runDesc(m, path); err == nil || !strings.Contains(err.Error(), name) {
+		_, _, err := core.RunSpec{Preset: "t805-task-4x4", Desc: path}.Resolve()
+		if err == nil || !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: err = %v, want a parse error naming the file", name, err)
 		}
 	}
@@ -331,11 +353,8 @@ func TestRunTraceFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	m, err := machine.New(machine.PPC601Machine())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := runTraceFiles(m, []string{path})
+	cfg, run := resolve(t, core.RunSpec{Preset: "ppc601", Traces: []string{path}})
+	res, err := run(build(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,20 +368,16 @@ func TestRunTraceFiles(t *testing.T) {
 // on a single processor, eight ranks on a four-node network) must never
 // panic.
 func TestEveryPresetRunsEveryApp(t *testing.T) {
-	tiny := appParams{rounds: 2, iters: 1, bytes: 64, cells: 16, dim: 4}
-	for _, preset := range presetNames() {
-		for _, app := range apps {
+	for _, preset := range core.PresetNames() {
+		for _, app := range core.AppNames() {
 			t.Run(preset+"/"+app, func(t *testing.T) {
 				defer func() {
 					if v := recover(); v != nil {
 						t.Fatalf("panic: %v", v)
 					}
 				}()
-				m, err := machine.New(presets[preset]())
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := runApp(m, app, tiny)
+				cfg, run := resolve(t, tinyApp(preset, app))
+				res, err := run(build(t, cfg))
 				switch {
 				case err != nil:
 					t.Logf("error: %v", err)
@@ -377,7 +392,6 @@ func TestEveryPresetRunsEveryApp(t *testing.T) {
 // TestRunAppRefusals: an application the machine cannot run is refused
 // before the run, naming what is missing; the others on that machine run.
 func TestRunAppRefusals(t *testing.T) {
-	tiny := appParams{rounds: 2, iters: 1, bytes: 64, cells: 16, dim: 4}
 	for _, tc := range []struct {
 		preset, app, want string // want "" means the run succeeds
 	}{
@@ -394,11 +408,8 @@ func TestRunAppRefusals(t *testing.T) {
 		{"t805-2x2", "allreduce", ""},
 		{"ppc601-smp4", "pingpong", "pingpong needs a 2-processor machine, have 4"},
 	} {
-		m, err := machine.New(presets[tc.preset]())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = runApp(m, tc.app, tiny)
+		cfg, run := resolve(t, tinyApp(tc.preset, tc.app))
+		_, err := run(build(t, cfg))
 		switch {
 		case tc.want == "" && err != nil:
 			t.Errorf("%s -app %s: %v", tc.preset, tc.app, err)
@@ -421,14 +432,8 @@ func TestRunDescMatchesTraceFiles(t *testing.T) {
 	if err := os.WriteFile(descPath, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	build := func() *machine.Machine {
-		m, err := machine.New(presets["t805-2x2"]())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	want, err := runDesc(build(), descPath)
+	cfg, run := resolve(t, core.RunSpec{Preset: "t805-2x2", Desc: descPath})
+	want, err := run(build(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +442,7 @@ func TestRunDescMatchesTraceFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := build()
-	d.Nodes = m.Streams()
+	d.Nodes = build(t, cfg).Streams()
 	traces, err := stochastic.Generate(d)
 	if err != nil {
 		t.Fatal(err)
@@ -454,7 +458,8 @@ func TestRunDescMatchesTraceFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := runTraceFiles(m, paths)
+	cfg, run = resolve(t, core.RunSpec{Preset: "t805-2x2", Traces: paths})
+	got, err := run(build(t, cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,5 +480,24 @@ func TestRunDescMatchesTraceFiles(t *testing.T) {
 	}
 	if want.Instructions == 0 {
 		t.Error("the run executed no instructions")
+	}
+}
+
+// More than one workload flag is refused, naming both, rather than running
+// the first and ignoring the other.
+func TestOneWorkloadFlag(t *testing.T) {
+	dir := cliFixtures(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-app", "jacobi", "-desc", "instr.json"}, "mermaid: give exactly one of app and desc\n"},
+		{[]string{"-desc", "instr.json", "-traces", "itr/node0.mmt"}, "mermaid: give exactly one of desc and traces\n"},
+		{[]string{"-app", "jacobi", "-traces", "itr/node0.mmt"}, "mermaid: give exactly one of app and traces\n"},
+	} {
+		code, stdout, stderr := runCLI(t, dir, append([]string{"-preset", "t805-2x2"}, tc.args...)...)
+		if code != 1 || len(stdout) != 0 || string(stderr) != tc.want {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and %q", tc.args, code, stdout, stderr, tc.want)
+		}
 	}
 }

@@ -27,7 +27,11 @@ func main() {
 	// drive the trace generation, interleaved with the simulation.
 	prog := workload.Jacobi1D(16, 1024, 10)
 
-	res, err := wb.RunProgram(prog)
+	m, err := wb.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := m.RunProgram(prog)
 	if err != nil {
 		log.Fatal(err)
 	}

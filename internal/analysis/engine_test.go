@@ -19,7 +19,11 @@ func pingPongReport() (*analysis.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := wb.RunProgram(workload.PingPong(4, 256))
+	m, err := wb.Build()
+	if err != nil {
+		return nil, err
+	}
+	res, err := m.RunProgram(workload.PingPong(4, 256))
 	if err != nil {
 		return nil, err
 	}

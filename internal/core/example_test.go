@@ -16,7 +16,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := wb.RunProgram(workload.PingPong(3, 256))
+	m, err := wb.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := m.RunProgram(workload.PingPong(3, 256))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,13 +1,15 @@
 // Package core is the façade of the Mermaid architecture workbench: one
 // entry point that ties together the application level (instrumented
-// programs, stochastic descriptions), the trace generators, and the
-// architecture level (detailed and task-level machine models), plus the
-// reporting tools. Trace files replay through Build and Machine.Run.
+// programs, stochastic descriptions, trace files), the trace generators, and
+// the architecture level (detailed and task-level machine models), plus the
+// reporting tools. A RunSpec describes one run and resolves it; a Workbench
+// builds the machines and reports their results.
 //
 // Typical use:
 //
 //	wb, err := core.New(machine.T805Grid(4, 4))
-//	res, err := wb.RunProgram(workload.Jacobi1D(16, 1024, 50))
+//	m, err := wb.Build()
+//	res, err := m.RunProgram(workload.Jacobi1D(16, 1024, 50))
 //	wb.Report(os.Stdout, res)
 package core
 
@@ -20,8 +22,6 @@ import (
 	"mermaid/internal/probe"
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
-	"mermaid/internal/stochastic"
-	"mermaid/internal/trace"
 )
 
 // Workbench wraps one machine configuration, building a fresh machine model
@@ -63,9 +63,6 @@ func New(cfg machine.Config, opts ...Option) (*Workbench, error) {
 	return w, nil
 }
 
-// Config returns the machine configuration.
-func (w *Workbench) Config() machine.Config { return w.cfg }
-
 // Build instantiates a fresh machine model in a fresh environment.
 func (w *Workbench) Build() (*machine.Machine, error) {
 	env := sim.NewEnv(w.cfg.Seed, w.pb)
@@ -73,26 +70,6 @@ func (w *Workbench) Build() (*machine.Machine, error) {
 		env = env.WithCollector(analysis.New())
 	}
 	return machine.Build(env, w.cfg)
-}
-
-// RunProgram executes an instrumented, execution-driven program on a fresh
-// machine and returns the measured result.
-func (w *Workbench) RunProgram(prog *trace.Program) (*machine.Result, error) {
-	m, err := w.Build()
-	if err != nil {
-		return nil, err
-	}
-	return m.RunProgram(prog)
-}
-
-// RunStochastic generates synthetic traces from the description and runs
-// them — the fast-prototyping path.
-func (w *Workbench) RunStochastic(d stochastic.Desc) (*machine.Result, error) {
-	m, err := w.Build()
-	if err != nil {
-		return nil, err
-	}
-	return m.RunStochastic(d)
 }
 
 // Report writes a human-readable summary of a run: the headline numbers

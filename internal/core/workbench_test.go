@@ -17,8 +17,12 @@ func TestNewValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wb.Config().Name != "ppc601" {
-		t.Fatal("config lost")
+	m, err := wb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Streams() != 1 {
+		t.Fatalf("ppc601 built with %d streams", m.Streams())
 	}
 }
 
@@ -27,7 +31,11 @@ func TestRunProgramAndReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := wb.RunProgram(workload.PingPong(5, 256))
+	m, err := wb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunProgram(workload.PingPong(5, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +53,11 @@ func TestRunProgramAndReport(t *testing.T) {
 
 func TestRunStochastic(t *testing.T) {
 	wb, _ := New(machine.T805GridTaskLevel(2, 2))
-	res, err := wb.RunStochastic(stochastic.Desc{
+	m, err := wb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunStochastic(stochastic.Desc{
 		Nodes: 4, Level: stochastic.TaskLevel, Seed: 1, Iterations: 1,
 		Phases: []stochastic.Phase{{Duration: 100}},
 	})

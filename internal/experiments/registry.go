@@ -20,10 +20,6 @@ type Spec struct {
 	// Workers is the number of simulations an experiment may run
 	// concurrently (values below 1 mean sequential).
 	Workers int
-	// Repeats is how many replicas of the experiment the caller intends to
-	// run. Experiments execute once per Run call; the pipeline records the
-	// value and drives the replication itself.
-	Repeats int
 	// Sweep overrides named sweep parameters. Valid names and their
 	// defaults are declared per experiment in Experiment.Sweep; an override
 	// for an undeclared name is rejected by Experiment.Execute.

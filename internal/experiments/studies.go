@@ -506,7 +506,11 @@ func ScalingStudy(s Spec) (*ResultSet, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := wb.RunProgram(workload.Jacobi1D(nodes, cells, iters))
+		m, err := wb.Build()
+		if err != nil {
+			return nil, err
+		}
+		res, err := m.RunProgram(workload.Jacobi1D(nodes, cells, iters))
 		if err != nil {
 			return nil, err
 		}

@@ -50,7 +50,6 @@ type unit struct {
 	exp     experiments.Experiment
 	point   Point
 	replica int
-	repeats int // recorded replicas in this unit's group
 	warmup  bool
 	group   string // display group: "name" or "name@k=v ..."
 	id      string // filesystem id: sanitized group plus replica suffix
@@ -120,7 +119,6 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 			start := time.Now()
 			rs, err := u.exp.Execute(experiments.Spec{
 				Workers: 1, // the pipeline owns host parallelism
-				Repeats: u.repeats,
 				Sweep:   u.point,
 			})
 			if err != nil {
@@ -226,16 +224,15 @@ func expandUnits(grid *GridSpec) []unit {
 			}
 			base := sanitize(strings.ReplaceAll(group, " ", ","))
 			for w := 0; w < grid.Warmup; w++ {
-				units = append(units, unit{exp: e, point: pt, warmup: true, repeats: repeats,
-					group: group, id: base + "__warmup" + fmt.Sprint(w)})
+				units = append(units, unit{exp: e, point: pt, warmup: true, group: group,
+					id: base + "__warmup" + fmt.Sprint(w)})
 			}
 			for r := 0; r < repeats; r++ {
 				id := base
 				if repeats > 1 {
 					id = fmt.Sprintf("%s__r%d", base, r)
 				}
-				units = append(units, unit{exp: e, point: pt, replica: r, repeats: repeats,
-					group: group, id: id})
+				units = append(units, unit{exp: e, point: pt, replica: r, group: group, id: id})
 			}
 		}
 	}

@@ -16,11 +16,7 @@ func TestArtifactsStoredExactSize(t *testing.T) {
 	defer s.Close()
 	doc := `{"topology": "mesh:4x4", "seed": 3, "workload": {"Level": "task", "Iterations": 5,
 		"Phases": [{"Duration": 500, "Comm": {"Pattern": "exchange", "Bytes": 4096}}]}}`
-	spec, err := decodeJob(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, key, err := buildJob(spec)
+	_, key, err := ResolveJob([]byte(doc))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 
+	"mermaid/internal/core"
 	"mermaid/internal/machine"
 	"mermaid/internal/resultcache"
 )
@@ -14,10 +15,13 @@ const MaxJobPorts = maxJobPorts
 // is resolved, running nothing: the configuration the job would run and the
 // key its outcome would be cached under.
 func ResolveJob(doc []byte) (machine.Config, resultcache.Key, error) {
-	spec, err := decodeJob(bytes.NewReader(doc))
+	spec, err := core.DecodeRunSpec(bytes.NewReader(doc))
 	if err != nil {
 		return machine.Config{}, resultcache.Key{}, err
 	}
-	cfg, _, key, err := buildJob(spec)
-	return cfg, key, err
+	j, err := admit(spec)
+	if err != nil {
+		return machine.Config{}, resultcache.Key{}, err
+	}
+	return j.cfg, j.key, nil
 }

@@ -19,6 +19,7 @@ func FuzzJobSpec(f *testing.F) {
 		f.Add([]byte(tc.body))
 	}
 	f.Add([]byte(torusJob("seed", 42, 10)))
+	f.Add([]byte(`{"preset":"t805-task-4x4","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`))
 	f.Add([]byte(`{"topology":"star:16384","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`))
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		cfg, key, err := server.ResolveJob(doc)

@@ -2,9 +2,10 @@
 // front end through which many users explore many machine variants against
 // shared machinery — the paper's "environment" claim, made multi-tenant.
 //
-// POST /jobs accepts a machine configuration (schema v2, full JSON or a
-// compact -topology spec) plus a stochastic workload description and an
-// optional fault schedule, and answers with a job id. A bounded queue feeds
+// POST /jobs accepts a core.RunSpec in its JSON form — a machine (a preset,
+// a schema-v2 configuration or a compact topology spec, with an optional
+// seed and fault schedule) and a stochastic workload description — and
+// answers with a job id. A bounded queue feeds
 // a shared farm of simulation workers; every job owns an analysis.Scope, so
 // GET /jobs/{id}/progress and /jobs/{id}/metrics stream per-job live state
 // while concurrent jobs stay independent. A finished job keeps two
@@ -45,13 +46,11 @@ import (
 	"mermaid/internal/analysis"
 	"mermaid/internal/core"
 	"mermaid/internal/farm"
-	"mermaid/internal/fault"
 	"mermaid/internal/hostprobe"
 	"mermaid/internal/machine"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/resultcache"
-	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
 )
 
@@ -131,10 +130,10 @@ type job struct {
 	name  string
 	key   resultcache.Key
 	scope *analysis.Scope
-	// cfg and desc are what the job simulates, kept on a cache hit as on a
+	// cfg and run are what the job simulates, kept on a cache hit as on a
 	// miss: /timeline and /bottleneck run them again.
 	cfg     machine.Config
-	desc    stochastic.Desc
+	run     func(*machine.Machine) (*machine.Result, error)
 	created time.Time
 	// host is the job's wall-clock trace: cache lookup, queue wait and run
 	// spans, served at /jobs/{id}/hosttrace. Host-side only — it observes
@@ -232,28 +231,6 @@ func (s *Server) Drain(ctx context.Context) (drained, aborted int) {
 // Cache returns the result cache (counters for tests and ops tooling).
 func (s *Server) Cache() *resultcache.Cache { return s.cache }
 
-// jobSpec is the POST /jobs request document.
-type jobSpec struct {
-	// Name optionally labels the job in listings; defaults to the machine
-	// configuration's name.
-	Name string `json:"name,omitempty"`
-	// Config is a full machine configuration (schema v2), exclusive with
-	// Topology.
-	Config json.RawMessage `json:"config,omitempty"`
-	// Topology builds a task-level machine from a compact spec string
-	// ("torus:8x8", "fattree:32x3", ...), exclusive with Config.
-	Topology string `json:"topology,omitempty"`
-	// Seed overrides the configuration's seed — the third component of the
-	// cache key.
-	Seed *uint64 `json:"seed,omitempty"`
-	// Faults is an optional fault schedule document, as for -faults.
-	Faults json.RawMessage `json:"faults,omitempty"`
-	// Workload is the stochastic application description to run, as for
-	// -desc. Its own Seed drives trace generation and is covered by the
-	// workload hash.
-	Workload json.RawMessage `json:"workload"`
-}
-
 // maxJobStreams caps the trace streams (processors) of a job's machine. Every
 // job runs with the bottleneck collector attached, and a GET of its timeline
 // re-runs it with the timeline attached too; together they give every link
@@ -273,102 +250,59 @@ const maxJobStreams = 16384
 // admits the 3-D torus of 16,384 nodes the benchmark runs (98,304 ports).
 const maxJobPorts = 6 * maxJobStreams
 
-// decodeJob reads a POST /jobs document. Unknown fields are refused.
-func decodeJob(r io.Reader) (*jobSpec, error) {
-	var spec jobSpec
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return nil, err
-	}
-	return &spec, nil
-}
-
-// buildJob resolves a request document into a runnable (config, workload)
-// pair and the cache key that addresses its outcome.
-func buildJob(spec *jobSpec) (machine.Config, stochastic.Desc, resultcache.Key, error) {
-	var (
-		cfg machine.Config
-		err error
-	)
-	switch {
-	case len(spec.Config) > 0 && spec.Topology != "":
-		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("give exactly one of config and topology")
-	case len(spec.Config) > 0:
-		cfg, err = machine.ParseConfig(spec.Config)
-	case spec.Topology != "":
-		cfg, err = machine.TaskMachineFromSpec(spec.Topology)
-	default:
-		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("a machine is required: config or topology")
-	}
+// admit resolves a POST /jobs document into a job and applies the service's
+// policy on top of the RunSpec's own checks: the stream and port caps, no
+// shards, a stochastic workload, and the cache key that addresses the
+// job's outcome.
+func admit(spec core.RunSpec) (*job, error) {
+	cfg, run, err := spec.Resolve()
 	if err != nil {
-		return cfg, stochastic.Desc{}, resultcache.Key{}, err
+		return nil, err
 	}
 	cpus := 1
 	if cfg.Mode == machine.Detailed {
 		cpus = cfg.Node.Hierarchy.CPUs
 	}
-	// cfg.Nodes is the topology's size: both machine forms are validated,
-	// and validation sizes the topology. Each factor is bounded first, so
-	// the product cannot overflow.
+	// cfg.Nodes is the topology's size: validation sizes the topology. Each
+	// factor is bounded first, so the product cannot overflow.
 	if cfg.Nodes > maxJobStreams || cpus > maxJobStreams || cfg.Nodes*cpus > maxJobStreams {
-		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("machine has %d nodes of %d CPUs; a job may have at most %d streams", cfg.Nodes, cpus, maxJobStreams)
-	}
-	streams := cfg.Nodes * cpus
-	if spec.Seed != nil {
-		cfg.Seed = *spec.Seed
-	}
-	if len(spec.Faults) > 0 {
-		sched, ferr := fault.ParseSchedule(spec.Faults)
-		if ferr != nil {
-			return cfg, stochastic.Desc{}, resultcache.Key{}, ferr
-		}
-		cfg.Faults = sched
+		return nil, fmt.Errorf("machine has %d nodes of %d CPUs; a job may have at most %d streams", cfg.Nodes, cpus, maxJobStreams)
 	}
 	if cfg.Shards > 0 {
 		// Per-job live monitoring and the bottleneck collector observe one
 		// kernel; the parallel engine is for offline runs.
-		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("shards are not supported by the server; submit with shards 0")
-	}
-	if err := cfg.Validate(); err != nil {
-		return cfg, stochastic.Desc{}, resultcache.Key{}, err
+		return nil, fmt.Errorf("shards are not supported by the server; submit with shards 0")
 	}
 	// Validation has matched the topology to cfg.Nodes, so the product
 	// cannot overflow.
 	tp, err := topology.New(cfg.Network.Topology)
 	if err != nil {
-		return cfg, stochastic.Desc{}, resultcache.Key{}, err
+		return nil, err
 	}
 	if ports := tp.Nodes() * tp.Degree(); ports > maxJobPorts {
-		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("machine %s has %d ports (%d nodes of degree %d); a job may have at most %d", tp.Name(), ports, tp.Nodes(), tp.Degree(), maxJobPorts)
+		return nil, fmt.Errorf("machine %s has %d ports (%d nodes of degree %d); a job may have at most %d", tp.Name(), ports, tp.Nodes(), tp.Degree(), maxJobPorts)
 	}
-
 	if len(spec.Workload) == 0 {
-		return cfg, stochastic.Desc{}, resultcache.Key{}, fmt.Errorf("a workload description is required")
+		return nil, fmt.Errorf("a workload description is required")
 	}
-	desc, err := stochastic.ParseDesc(spec.Workload)
-	if err != nil {
-		return cfg, desc, resultcache.Key{}, fmt.Errorf("workload: %w", err)
-	}
-	if desc.Nodes == 0 {
-		desc.Nodes = streams
-	}
-	if desc.Nodes != streams {
-		return cfg, desc, resultcache.Key{}, fmt.Errorf("workload describes %d nodes, machine has %d streams", desc.Nodes, streams)
-	}
-	if (desc.Level == stochastic.TaskLevel) != (cfg.Mode == machine.TaskLevel) {
-		return cfg, desc, resultcache.Key{}, fmt.Errorf("%s-level workload on a %s-mode machine", desc.Level, cfg.Mode)
-	}
-
 	cfgHash, err := cfg.Hash()
 	if err != nil {
-		return cfg, desc, resultcache.Key{}, err
+		return nil, err
 	}
 	wlHash, err := machine.CanonicalJSONHash(spec.Workload)
 	if err != nil {
-		return cfg, desc, resultcache.Key{}, err
+		return nil, err
 	}
-	return cfg, desc, resultcache.Key{Config: cfgHash, Workload: wlHash, Seed: cfg.Seed}, nil
+	name := spec.Name
+	if name == "" {
+		name = cfg.Name
+	}
+	return &job{
+		name: name,
+		key:  resultcache.Key{Config: cfgHash, Workload: wlHash, Seed: cfg.Seed},
+		cfg:  cfg,
+		run:  run,
+	}, nil
 }
 
 // simRun is one simulation of a job: the workbench that built the machine,
@@ -383,9 +317,9 @@ type simRun struct {
 // bottleneck collector and the live sampler are attached either way, so
 // every run of a job is the same simulation; the sampler feeds scope (nil
 // samples into nothing) and takes one last sample at the end of the run.
-func (s *Server) simulate(scope *analysis.Scope, cfg machine.Config, desc stochastic.Desc, timeline bool) (simRun, error) {
+func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun, error) {
 	pb := probe.New(probe.Config{Timeline: timeline})
-	wb, err := core.New(cfg, core.WithProbe(pb), core.WithAnalysis())
+	wb, err := core.New(j.cfg, core.WithProbe(pb), core.WithAnalysis())
 	if err != nil {
 		return simRun{}, err
 	}
@@ -398,7 +332,7 @@ func (s *Server) simulate(scope *analysis.Scope, cfg machine.Config, desc stocha
 	if err != nil {
 		return simRun{}, err
 	}
-	res, err := m.RunStochastic(desc)
+	res, err := j.run(m)
 	if err != nil {
 		return simRun{}, err
 	}
@@ -412,7 +346,7 @@ func (s *Server) simulate(scope *analysis.Scope, cfg machine.Config, desc stocha
 // Each is stored with no spare capacity: the result cache holds its entries
 // for as long as they are hot.
 func (s *Server) execute(j *job) (resultcache.Entry, error) {
-	run, err := s.simulate(j.scope, j.cfg, j.desc, false)
+	run, err := s.simulate(j.scope, j, false)
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
@@ -439,7 +373,7 @@ func exactCopy(b []byte) []byte { return append(make([]byte, 0, len(b)), b...) }
 const maxJobBytes = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := decodeJob(http.MaxBytesReader(w, r.Body, maxJobBytes))
+	spec, err := core.DecodeRunSpec(http.MaxBytesReader(w, r.Body, maxJobBytes))
 	if err != nil {
 		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "job document exceeds %d bytes", maxJobBytes)
@@ -448,35 +382,24 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "parsing job: %v", err)
 		return
 	}
-	cfg, desc, key, err := buildJob(spec)
+	j, err := admit(spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	name := spec.Name
-	if name == "" {
-		name = cfg.Name
-	}
-
-	j := &job{
-		name:    name,
-		key:     key,
-		scope:   analysis.NewScope(),
-		cfg:     cfg,
-		desc:    desc,
-		created: time.Now(),
-		host:    hostprobe.NewTrace(),
-	}
+	j.scope = analysis.NewScope()
+	j.created = time.Now()
+	j.host = hostprobe.NewTrace()
 	j.hostTrk = j.host.Track("job")
 	j.scope.SetRuns(1)
 
 	lookupStart := time.Now()
-	entry, hit := s.cache.Get(key)
+	entry, hit := s.cache.Get(j.key)
 	j.host.SpanSince(j.hostTrk, "cache.lookup", lookupStart)
 	if hit {
 		// Determinism makes the stored artifacts byte-identical to what a
 		// fresh run would produce — answer without touching a kernel.
-		// /timeline and /bottleneck re-run the job's own cfg and desc.
+		// /timeline and /bottleneck re-run the job's own cfg and run.
 		j.state = "done"
 		j.cached = true
 		j.entry = entry
@@ -495,7 +418,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.state = "queued"
 	s.register(j)
 	fj := farm.Job{
-		Name: name,
+		Name: j.name,
 		Run: func(*farm.RunContext) (any, error) {
 			s.queued.Add(-1)
 			s.running.Add(1)
@@ -543,10 +466,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				"cycles", entry.Cycles, "events", entry.Events)
 		},
 	}
-	if err := s.queue.Submit(fj, cfg.Seed); err != nil {
+	if err := s.queue.Submit(fj, j.cfg.Seed); err != nil {
 		s.unregister(j)
 		s.rejected.Add(1)
-		s.log.Warn("job rejected", "name", name, "err", err)
+		s.log.Warn("job rejected", "name", j.name, "err", err)
 		httpError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
@@ -750,7 +673,7 @@ func (s *Server) rederive(timeline bool) http.HandlerFunc {
 			Name: j.id + "/" + which,
 			Run: func(*farm.RunContext) (any, error) {
 				s.rederived.Add(1)
-				return s.simulate(nil, j.cfg, j.desc, timeline)
+				return s.simulate(nil, j, timeline)
 			},
 			OnResult: func(res farm.Result) { done <- res },
 		}, j.cfg.Seed)

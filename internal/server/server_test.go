@@ -436,3 +436,31 @@ func TestHealthAndListing(t *testing.T) {
 		t.Errorf("server /metrics does not count 3 re-derivations:\n%s", sm)
 	}
 }
+
+// A job may name its machine by preset. It resolves to the configuration
+// the preset's -dump-config document does, so the two share a cache key.
+func TestPresetJob(t *testing.T) {
+	const wl = `"workload":{"Level":"task","Iterations":2,"Phases":[{"Duration":100,"Comm":{"Pattern":"nearest","Bytes":64}}]}`
+	cfg, key, err := server.ResolveJob([]byte(`{"preset":"t805-task-4x4",` + wl + `}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, fromConfig, err := server.ResolveJob([]byte(`{"config":` + string(raw) + `,` + wl + `}`)); err != nil || fromConfig != key {
+		t.Errorf("the preset's configuration document resolves to %v (%v), the preset to %v", fromConfig, err, key)
+	}
+	_, ts := startServer(t, server.Config{Workers: 1})
+	j, code := submit(t, ts, `{"preset":"t805-task-4x4",`+wl+`}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("preset job: status %d (%s)", code, j.Error)
+	}
+	if done := waitDone(t, ts, j.ID); done.State != "done" {
+		t.Errorf("preset job: %+v", done)
+	}
+	if _, code := submit(t, ts, `{"preset":"t805-9x9",`+wl+`}`); code != http.StatusBadRequest {
+		t.Errorf("unknown preset: status %d, want 400", code)
+	}
+}

@@ -145,6 +145,7 @@ func (s Schema) WithUnits(units []string) Schema {
 // before it is encoded, and encoding goes through encoding/csv so cells
 // containing separators, quotes or newlines are escaped correctly.
 type CSVWriter struct {
+	w      io.Writer
 	cw     *csv.Writer
 	schema Schema
 	line   int // last line written (1 = header)
@@ -156,11 +157,11 @@ func NewCSVWriter(w io.Writer, schema Schema) (*CSVWriter, error) {
 	if len(schema) == 0 {
 		return nil, fmt.Errorf("stats: CSV schema must have at least one column")
 	}
-	cw := csv.NewWriter(w)
-	if err := cw.Write(schema.Header()); err != nil {
+	cw := &CSVWriter{w: w, cw: csv.NewWriter(w), schema: schema, line: 1}
+	if err := cw.write(schema.Header()); err != nil {
 		return nil, err
 	}
-	return &CSVWriter{cw: cw, schema: schema, line: 1}, nil
+	return cw, nil
 }
 
 // Write validates one data row against the schema and appends it.
@@ -168,11 +169,25 @@ func (w *CSVWriter) Write(row []string) error {
 	if err := w.schema.CheckRow(w.line+1, row); err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
-	if err := w.cw.Write(row); err != nil {
+	if err := w.write(row); err != nil {
 		return err
 	}
 	w.line++
 	return nil
+}
+
+// write encodes one record. encoding/csv writes a record of one empty cell
+// as a blank line, which readers skip, so that record is written quoted.
+func (w *CSVWriter) write(record []string) error {
+	if len(record) != 1 || record[0] != "" {
+		return w.cw.Write(record)
+	}
+	w.cw.Flush()
+	if err := w.cw.Error(); err != nil {
+		return err
+	}
+	_, err := io.WriteString(w.w, "\"\"\n")
+	return err
 }
 
 // Flush drains buffered rows and reports any deferred encoding error. Call

@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"encoding/csv"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -131,5 +133,26 @@ func TestSummarize(t *testing.T) {
 	}
 	if zero := Summarize(nil); zero.N != 0 {
 		t.Errorf("empty summary wrong: %+v", zero)
+	}
+}
+
+// A header or row of one empty cell is written quoted: encoding/csv would
+// write it as a blank line, which a reader skips, losing the header or the
+// row.
+func TestCSVWriterLoneEmptyCell(t *testing.T) {
+	var buf strings.Builder
+	schema := Schema{{Name: "", Type: ColString}}
+	if err := WriteCSV(&buf, schema, [][]string{{""}, {"a"}, {""}}); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]string{{""}, {""}, {"a"}, {""}}; !reflect.DeepEqual(records, want) {
+		t.Errorf("read back %q from %q, want %q", records, buf.String(), want)
+	}
+	if err := ValidateCSV(strings.NewReader(buf.String()), schema); err != nil {
+		t.Error(err)
 	}
 }
