@@ -40,9 +40,9 @@ func observedEnv(seed uint64) sim.Env {
 	return sim.NewEnv(seed, probe.New(probe.Config{Timeline: true})).WithCollector(analysis.New())
 }
 
-// runEngineReport builds cfg on the compact engine, fully observed or with a
-// bare probe, and runs the case's streams, returning the rendered stats
-// report (with the probe registry dump included, so metric names and
+// runEngineReport builds cfg on the single-kernel network, fully observed or
+// with a bare probe, and runs the case's streams, returning the rendered
+// stats report (with the probe registry dump included, so metric names and
 // ordering are compared too) and the ledger reading. The run must conserve
 // its traffic.
 func runEngineReport(t *testing.T, cfg Config, observed bool, s streams) (string, string) {
@@ -71,11 +71,11 @@ func runEngineReport(t *testing.T, cfg Config, observed bool, s streams) (string
 	return report.String(), ledgerReading(t, m)
 }
 
-// checkEngineIdentity requires the compact engine — the one single-kernel
-// engine, packets and processors as events — to produce byte-identical
-// reports for the same machine and workload whether or not the timeline and
-// the bottleneck collector observe it: instrumentation rides along, it never
-// moves an event. TestTrafficDigests pins both runs' artifacts.
+// checkEngineIdentity requires the single-kernel network — packets and
+// processors as events — to produce byte-identical reports for the same
+// machine and workload whether or not the timeline and the bottleneck
+// collector observe it: instrumentation rides along, it never moves an
+// event. TestTrafficDigests pins both runs' artifacts.
 func checkEngineIdentity(t *testing.T, cfg Config, s streams) {
 	t.Helper()
 	ref, refLedger := runEngineReport(t, cfg, false, s)
@@ -276,8 +276,8 @@ func matchingStreams() streams {
 	)
 }
 
-// engineCase is one machine and workload the compact engine must run alike
-// observed and unobserved.
+// engineCase is one machine and workload the single-kernel network must run
+// alike observed and unobserved.
 type engineCase struct {
 	name    string
 	cfg     Config

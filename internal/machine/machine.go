@@ -596,8 +596,8 @@ func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
 		}
 		root.Subsets = append(root.Subsets, nd.Stats())
 	}
-	for pr := range m.processors {
-		root.Subsets = append(root.Subsets, pr.Stats())
+	if m.cfg.Mode == TaskLevel {
+		root.Subsets = append(root.Subsets, network.ProcessorStats(m.cfg.Nodes, m.processor)...)
 	}
 	if t := m.Network(); t != nil {
 		root.Subsets = append(root.Subsets, t.Stats())

@@ -12,7 +12,7 @@ import (
 )
 
 // TestScaleSmoke100k drives a 100,000-node dragonfly task-level machine end
-// to end on the compact engine: build, a two-iteration
+// to end on the single-kernel network: build, a two-iteration
 // nearest-neighbour workload, and wall-clock/heap budgets sized for CI. The
 // run is opt-in (MERMAID_SCALE_SMOKE=1) because it is deliberately heavy for
 // a unit-test sweep, and the budgets are deliberately loose — they catch

@@ -16,16 +16,18 @@ import (
 // node's CPU runner, a DSM page fault or server — calls Begin, then Step from
 // its pearl.Chain's step function until Step reports Done, the chain serving
 // each wait Step returns in between; then Finish or Message. A Comm is reused
-// from one operation to the next and allocates nothing but the Future of a
-// receive that has to wait.
+// from one operation to the next and owns the Futures a send and a receive
+// await; it allocates nothing but the Future of an arecv handle, since
+// several can be outstanding at once.
 type Comm struct {
 	ni      *NodeIf
 	op      ops.Op
 	payload any
 	pc      uint8
 	hold    pearl.Time    // overhead still to charge
-	fut     *pearl.Future // what a receive or wait awaits
+	fut     *pearl.Future // what a receive or wait awaits, or the handle an arecv posts
 	ack     pearl.Future  // what a synchronous send awaits
+	recv    pearl.Future  // what a receive that finds no arrival awaits
 	msg     *Message      // what a receive or wait matched
 	since   pearl.Time    // when the await began
 }
@@ -44,10 +46,13 @@ const (
 
 // Begin starts the communication operation o on ni; a send carries payload.
 // A send, receive or arecv is counted now, and its overhead is the first wait
-// Step returns. A send to a destination outside the network is an error, and
-// nothing is counted; the caller names the sender: node, CPU and rank.
+// Step returns; an arecv registers its handle and a waitrecv retires its
+// own. A send to a destination outside the network, an arecv reusing a
+// handle still posted and a waitrecv of a handle no arecv posted are errors,
+// and nothing is counted; the caller names the issuer: node, CPU and rank.
 func (c *Comm) Begin(ni *NodeIf, o ops.Op, payload any) error {
-	c.ni, c.op, c.payload, c.hold, c.msg = ni, o, payload, 0, nil
+	c.ni, c.op, c.payload, c.hold, c.msg, c.fut = ni, o, payload, 0, nil, nil
+	var err error
 	switch o.Kind {
 	case ops.Send, ops.ASend:
 		if n := ni.led.Nodes(); o.Peer < 0 || int(o.Peer) >= n {
@@ -59,9 +64,15 @@ func (c *Comm) Begin(ni *NodeIf, o ops.Op, payload any) error {
 		ni.recvs.Inc()
 		c.pc, c.hold = cmRecv, ni.led.cfg.RecvOverhead
 	case ops.ARecv:
+		if c.fut, err = ni.reserveHandle(o.Addr); err != nil {
+			return err
+		}
 		ni.recvs.Inc()
 		c.pc, c.hold = cmARecv, ni.led.cfg.RecvOverhead
 	case ops.WaitRecv:
+		if c.fut, err = ni.takeHandle(o.Addr); err != nil {
+			return err
+		}
 		c.pc = cmWait
 	default:
 		panic(fmt.Sprintf("network: %s is not a communication operation", o.Kind))
@@ -92,17 +103,19 @@ func (c *Comm) Step() pearl.Step {
 	case cmAcked:
 		ni.sendBlock += now - c.since
 	case cmRecv:
-		if c.msg, c.fut = ni.startRecv(o.Peer, o.Tag); c.fut != nil {
-			c.pc, c.since = cmGot, now
+		c.recv = pearl.Future{}
+		if c.msg = ni.startRecv(o.Peer, o.Tag, &c.recv); c.msg == nil {
+			c.pc, c.since, c.fut = cmGot, now, &c.recv
 			return pearl.Step{Await: c.fut}
 		}
 	case cmGot:
 		c.msg, c.fut = c.fut.Value().(*Message), nil
 		ni.recvBlock += now - c.since
 	case cmARecv:
-		ni.postRecv(o.Peer, o.Tag, o.Addr)
+		ni.postRecv(o.Peer, o.Tag, c.fut)
+		c.fut = nil
 	case cmWait:
-		if c.fut = ni.startWait(o.Addr); !c.fut.Done() {
+		if !c.fut.Done() {
 			c.pc, c.since = cmGot, now
 			return pearl.Step{Await: c.fut}
 		}

@@ -17,10 +17,10 @@ import (
 // makes the generated multiprocessor traces valid.
 //
 // Its operations are non-blocking halves (startSend, startRecv, postRecv,
-// startWait) that complete in place or return the Future to wait on; Comm
-// counts and times the operations and drives the halves for every caller,
-// whose pearl.Chain waits. Nothing here blocks, and nothing depends on who
-// calls.
+// and reserveHandle and takeHandle for arecv handles) that complete in place
+// or complete a Future the caller awaits; Comm counts and times the
+// operations and drives the halves for every caller, whose pearl.Chain
+// waits. Nothing here blocks, and nothing depends on who calls.
 type NodeIf struct {
 	nodeAcct
 	led *Traffic // the ledger this node's traffic is counted in, and its kernel and transport
@@ -73,46 +73,52 @@ func (ni *NodeIf) startSend(dst int, size uint32, tag uint32, payload any, ack *
 }
 
 // startRecv takes the oldest arrival matching (src, tag) once the receive
-// overhead has elapsed, or, finding none, queues the receive and returns the
-// Future the matching arrival will complete. src may be ops.AnyPeer; the
-// message that arrived first in simulated time wins — the feedback the
-// execution-driven trace generation relies on.
-func (ni *NodeIf) startRecv(src int32, tag uint32) (*Message, *pearl.Future) {
+// overhead has elapsed, or, finding none, queues the receive and returns nil:
+// the matching arrival will complete fut, which the caller owns. src may be
+// ops.AnyPeer; the message that arrived first in simulated time wins — the
+// feedback the execution-driven trace generation relies on.
+func (ni *NodeIf) startRecv(src int32, tag uint32, fut *pearl.Future) *Message {
 	if m := takeArrived(&ni.arrived, src, tag); m != nil {
 		ni.sendAck(m)
-		return m, nil
+		return m
 	}
-	f := ni.led.k.NewFuture()
-	ni.waiters = append(ni.waiters, recvWait{src: src, tag: tag, fut: f})
-	return nil, f
+	ni.waiters = append(ni.waiters, recvWait{src: src, tag: tag, fut: fut})
+	return nil
 }
 
-// postRecv registers an arecv under handle once the receive overhead has
-// elapsed; it never blocks.
-func (ni *NodeIf) postRecv(src int32, tag uint32, handle uint64) {
+// reserveHandle registers a new arecv handle and returns the Future its
+// message will complete, or an error when the handle is already posted and
+// not yet waited for.
+func (ni *NodeIf) reserveHandle(handle uint64) (*pearl.Future, error) {
 	if _, dup := ni.handles[handle]; dup {
-		panic(fmt.Sprintf("network: node %d reusing arecv handle %d", ni.id, handle))
-	}
-	m, f := ni.startRecv(src, tag)
-	if f == nil {
-		f = ni.led.k.NewFuture()
-		f.Complete(m)
+		return nil, fmt.Errorf("arecv reuses handle %d, which is posted and not yet waited for", handle)
 	}
 	if ni.handles == nil {
 		ni.handles = make(map[uint64]*pearl.Future)
 	}
+	f := ni.led.k.NewFuture()
 	ni.handles[handle] = f
+	return f, nil
 }
 
-// startWait retires handle and returns the Future its arecv completes —
-// already done if the message has arrived.
-func (ni *NodeIf) startWait(handle uint64) *pearl.Future {
+// postRecv posts the arecv whose handle completes f once the receive
+// overhead has elapsed; it never blocks.
+func (ni *NodeIf) postRecv(src int32, tag uint32, f *pearl.Future) {
+	if m := ni.startRecv(src, tag, f); m != nil {
+		f.Complete(m)
+	}
+}
+
+// takeHandle retires handle and returns the Future its arecv completes —
+// already done if the message has arrived — or an error when no arecv
+// posted it.
+func (ni *NodeIf) takeHandle(handle uint64) (*pearl.Future, error) {
 	f, ok := ni.handles[handle]
 	if !ok {
-		panic(fmt.Sprintf("network: node %d waiting on unknown arecv handle %d", ni.id, handle))
+		return nil, fmt.Errorf("waitrecv on handle %d, which no pending arecv posted", handle)
 	}
 	delete(ni.handles, handle)
-	return f
+	return f, nil
 }
 
 // sendAck issues the rendezvous acknowledgement completing a synchronous
@@ -130,6 +136,7 @@ func (ni *NodeIf) sendAck(m *Message) {
 func (ni *NodeIf) arrive(m *Message) {
 	if m.isAck {
 		m.ackFut.Complete(nil)
+		ni.led.recycleAck(m)
 		return
 	}
 	for i, w := range ni.waiters {

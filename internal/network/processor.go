@@ -7,7 +7,6 @@ import (
 	"mermaid/internal/analysis"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
-	"mermaid/internal/stats"
 	"mermaid/internal/trace"
 )
 
@@ -24,7 +23,7 @@ import (
 // attached the chain reports its block spans ("hold", "await") to it.
 type Processor struct {
 	NodeIf // also keeps the processor's compute accounting
-	cur    *trace.Cursor
+	cur    trace.Cursor
 	chain  pearl.Chain
 	comm   Comm
 
@@ -54,7 +53,7 @@ func (pr *Processor) Start(src trace.Source) {
 		})
 		pr.chain.Spans = col.BlockSpan
 	}
-	pr.cur = trace.NewCursor(src)
+	pr.cur = *trace.NewCursor(src)
 	pr.chain.Init(pr.led.k, pr.step)
 	pr.chain.Start()
 }
@@ -74,21 +73,23 @@ func (pr *Processor) step() pearl.Step {
 			pr.comm.Finish(pr.resume, pr.id, pr.opStart)
 		}
 		pr.phase = prFetch
-		ev, err := pr.cur.Next()
+		// A compute operation is read in place; a communication operation
+		// is copied out with the plumbing of a global event.
+		o, err := pr.cur.Peek()
 		if err == io.EOF {
 			// Drop the cursor, and with it the trace and its batch buffer:
 			// they are garbage before the run builds its report.
-			pr.cur = nil
+			pr.cur = trace.Cursor{}
 			pr.done = true
 			return pearl.Step{Done: true}
 		}
 		if err != nil {
 			return pr.fail(err)
 		}
-		pr.resume = ev.Resume
 		pr.opStart = pr.led.k.Now()
-		switch o := &ev.Op; {
+		switch {
 		case o.Kind == ops.Compute:
+			pr.cur.Advance()
 			pr.compute += pearl.Time(o.Dur)
 			pr.tasks.Inc()
 			if o.Dur > 0 {
@@ -96,8 +97,10 @@ func (pr *Processor) step() pearl.Step {
 				return pearl.Step{Hold: pearl.Time(o.Dur)}
 			}
 		case o.Kind.IsCommunication():
+			ev, _ := pr.cur.Next()
+			pr.resume = ev.Resume
 			// A task-level node has one CPU and runs the rank of its own number.
-			if err := pr.comm.Begin(&pr.NodeIf, *o, ev.Payload); err != nil {
+			if err := pr.comm.Begin(&pr.NodeIf, ev.Op, ev.Payload); err != nil {
 				return pr.fail(fmt.Errorf("node %d cpu 0 (rank %d): %w", pr.id, pr.id, err))
 			}
 			pr.phase = prComm
@@ -139,6 +142,3 @@ func (pr *Processor) Blocked() string {
 	}
 	return fmt.Sprintf("proc%d (%s)", pr.id, pr.chain.Reason())
 }
-
-// Stats reports the processor's counters.
-func (pr *Processor) Stats() *stats.Set { return pr.procStats(pr.id) }

@@ -1,7 +1,8 @@
 package network
 
 import (
-	"fmt"
+	"strconv"
+	"strings"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
@@ -84,6 +85,8 @@ type Traffic struct {
 
 	reg  *probe.Registry
 	util func() (avg, max float64) // the engine's link utilisation
+
+	freeAcks []*Message // delivered acks, for ackFor to reuse
 }
 
 // register names the traffic metrics in reg and takes the engine's link
@@ -147,13 +150,30 @@ func (t *Traffic) countDelivery(msg *Message, now pearl.Time) {
 
 // ackFor counts and builds the rendezvous acknowledgement of a synchronous
 // message its receiver has just accepted, or returns nil when m needs none.
-// The ack carries the Future the sender awaits back through the network.
+// The ack carries the Future the sender awaits back through the network. It
+// reuses a record an earlier ack left in this ledger when one is free.
 func (t *Traffic) ackFor(m *Message) *Message {
 	if !m.Sync {
 		return nil
 	}
 	t.acks.Inc()
-	return &Message{Src: m.Dst, Dst: m.Src, Size: uint32(t.cfg.AckBytes), isAck: true, ackFut: m.ackFut}
+	var ack *Message
+	if n := len(t.freeAcks); n > 0 {
+		ack = t.freeAcks[n-1]
+		t.freeAcks = t.freeAcks[:n-1]
+	} else {
+		ack = new(Message)
+	}
+	*ack = Message{Src: m.Dst, Dst: m.Src, Size: uint32(t.cfg.AckBytes), isAck: true, ackFut: m.ackFut}
+	return ack
+}
+
+// recycleAck takes back an ack that has completed its sender's Future: no
+// one holds it any more, since acks never reach Comm.Message. On the
+// sharded fabric an ack goes back to the ledger of the shard it arrived on.
+func (t *Traffic) recycleAck(ack *Message) {
+	ack.ackFut = nil
+	t.freeAcks = append(t.freeAcks, ack)
 }
 
 // retry accounts a lost packet attempt: it returns the backoff before the
@@ -245,27 +265,75 @@ type nodeAcct struct {
 	compute, sendBlock, recvBlock pearl.Time
 }
 
-// registerIf names node i's interface counters in reg.
+// registerIf names node i's interface counters in reg; with no registry
+// attached it builds no names.
 func (a *nodeAcct) registerIf(reg *probe.Registry, i int) {
-	reg.Counter(fmt.Sprintf("net.nif%d.sends", i), &a.sends)
-	reg.Counter(fmt.Sprintf("net.nif%d.recvs", i), &a.recvs)
+	if reg == nil {
+		return
+	}
+	var buf [32]byte
+	name := strconv.AppendInt(append(buf[:0], "net.nif"...), int64(i), 10)
+	n := len(name)
+	reg.Counter(string(append(name, ".sends"...)), &a.sends)
+	reg.Counter(string(append(name[:n], ".recvs"...)), &a.recvs)
+}
+
+// The metrics of a "procN" and of a "nifN" set.
+const (
+	procMetrics = 2
+	ifMetrics   = 4
+)
+
+// putIf writes the interface counters into ms, ifMetrics long.
+func (a *nodeAcct) putIf(ms []stats.Metric) {
+	ms[0] = stats.Metric{Name: "sends", Value: float64(a.sends.Value())}
+	ms[1] = stats.Metric{Name: "recvs", Value: float64(a.recvs.Value())}
+	ms[2] = stats.Metric{Name: "send blocked", Value: float64(a.sendBlock), Unit: "cyc"}
+	ms[3] = stats.Metric{Name: "recv blocked", Value: float64(a.recvBlock), Unit: "cyc"}
 }
 
 // ifStats reports node i's interface counters.
 func (a *nodeAcct) ifStats(i int) *stats.Set {
-	s := stats.NewSet(fmt.Sprintf("nif%d", i))
-	s.PutUint("sends", a.sends.Value(), "")
-	s.PutUint("recvs", a.recvs.Value(), "")
-	s.PutInt("send blocked", int64(a.sendBlock), "cyc")
-	s.PutInt("recv blocked", int64(a.recvBlock), "cyc")
+	s := &stats.Set{Name: "nif" + strconv.Itoa(i), Metrics: make([]stats.Metric, ifMetrics)}
+	a.putIf(s.Metrics)
 	return s
 }
 
-// procStats reports node i's abstract processor, its interface as a subset.
-func (a *nodeAcct) procStats(i int) *stats.Set {
-	s := stats.NewSet(fmt.Sprintf("proc%d", i))
-	s.PutUint("compute tasks", a.tasks.Value(), "")
-	s.PutInt("compute cycles", int64(a.compute), "cyc")
-	s.Subsets = append(s.Subsets, a.ifStats(i))
-	return s
+// ProcessorStats reports the n abstract processors proc returns for node ids
+// 0 to n-1: one "procN" set each, in node order, with its interface's
+// "nifN" set as the one subset. The sets are built in bulk — one array of
+// sets, one of metrics, one of subset pointers and one string every name
+// slices — so a 16,384-node report costs four allocations, not a dozen per
+// node.
+func ProcessorStats(n int, proc func(i int) *Processor) []*stats.Set {
+	const perNode = procMetrics + ifMetrics
+	sets := make([]stats.Set, 2*n)
+	ptrs := make([]*stats.Set, 2*n) // the procN sets, then each one's subset
+	metrics := make([]stats.Metric, perNode*n)
+	// Every name, one after the other. Grown once: a string taken from the
+	// builder stays valid as it grows.
+	var names strings.Builder
+	names.Grow(n * (len("proc") + len("nif") + 2*len(strconv.Itoa(n))))
+	var num [20]byte
+	for i := 0; i < n; i++ {
+		id := strconv.AppendInt(num[:0], int64(i), 10)
+		from := names.Len()
+		names.WriteString("proc")
+		names.Write(id)
+		mid := names.Len()
+		names.WriteString("nif")
+		names.Write(id)
+		all := names.String()
+
+		a := &proc(i).nodeAcct
+		m := metrics[perNode*i : perNode*(i+1) : perNode*(i+1)]
+		ps, is := &sets[2*i], &sets[2*i+1]
+		*ps = stats.Set{Name: all[from:mid], Metrics: m[:procMetrics:procMetrics], Subsets: ptrs[n+i : n+i+1 : n+i+1]}
+		*is = stats.Set{Name: all[mid:], Metrics: m[procMetrics:]}
+		ps.Metrics[0] = stats.Metric{Name: "compute tasks", Value: float64(a.tasks.Value())}
+		ps.Metrics[1] = stats.Metric{Name: "compute cycles", Value: float64(a.compute), Unit: "cyc"}
+		a.putIf(is.Metrics)
+		ptrs[i], ptrs[n+i] = ps, is
+	}
+	return ptrs[:n:n]
 }
