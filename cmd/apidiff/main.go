@@ -21,6 +21,7 @@ import (
 	"go/parser"
 	"go/printer"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,33 +30,57 @@ import (
 )
 
 func main() {
-	write := flag.Bool("write", false, "regenerate the golden file instead of checking against it")
-	golden := flag.String("golden", "API.txt", "golden API surface file")
-	root := flag.String("root", ".", "module root to scan")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stderr))
+}
+
+// run checks (or with -write regenerates) the golden surface and returns
+// the exit status: 0 clean, 1 a finding or a drift, 2 an error.
+func run(args []string, stderr io.Writer) int {
+	fl := flag.NewFlagSet("apidiff", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	write := fl.Bool("write", false, "regenerate the golden file instead of checking against it")
+	golden := fl.String("golden", "API.txt", "golden API surface file")
+	root := fl.String("root", ".", "module root to scan")
+	if err := fl.Parse(args); err != nil {
+		return 2
+	}
 
 	surface, err := scan(*root)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "apidiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "apidiff:", err)
+		return 2
+	}
+	findings, err := unused(*root)
+	if err != nil {
+		fmt.Fprintln(stderr, "apidiff:", err)
+		return 2
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "apidiff: %d exported identifiers are used by no other package:\n", len(findings))
+		for _, f := range findings {
+			fmt.Fprintln(stderr, f)
+		}
+		fmt.Fprintln(stderr, "Unexport what its own package uses and delete the rest.")
+		return 1
 	}
 	if *write {
 		if err := os.WriteFile(*golden, []byte(surface), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "apidiff:", err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, "apidiff:", err)
+			return 2
 		}
-		return
+		return 0
 	}
 	want, err := os.ReadFile(*golden)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "apidiff: reading golden: %v (run `go run ./cmd/apidiff -write` to create it)\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "apidiff: reading golden: %v (run `go run ./cmd/apidiff -write` to create it)\n", err)
+		return 2
 	}
 	if diff := diffLines(string(want), surface); diff != "" {
-		fmt.Fprintf(os.Stderr, "apidiff: exported API differs from %s:\n%s", *golden, diff)
-		fmt.Fprintln(os.Stderr, "If the change is intentional, regenerate with `go run ./cmd/apidiff -write`.")
-		os.Exit(1)
+		fmt.Fprintf(stderr, "apidiff: exported API differs from %s:\n%s", *golden, diff)
+		fmt.Fprintln(stderr, "If the change is intentional, regenerate with `go run ./cmd/apidiff -write`.")
+		return 1
 	}
+	return 0
 }
 
 // scan renders the exported API of every package under <root>/internal as a

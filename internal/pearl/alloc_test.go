@@ -35,31 +35,6 @@ func TestAllocFreeScheduleStep(t *testing.T) {
 	}
 }
 
-func TestAllocFreeTimerCancel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	k := NewKernel()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		for _, d := range queueDelays {
-			k.After(d, fn).Cancel()
-			k.After(d, fn)
-			k.step()
-		}
-	}
-	for _, d := range queueDelays {
-		if got := testing.AllocsPerRun(200, func() {
-			tm := k.After(d, fn)
-			tm.Cancel()
-			k.After(d, fn)
-			k.step()
-		}); got != 0 {
-			t.Errorf("After(%d)+cancel allocates %v times per op; want 0", d, got)
-		}
-	}
-}
-
 func TestAllocFreeShardRunDisabled(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -144,29 +144,29 @@ func TestBlockedAfterRelayedDeadlock(t *testing.T) {
 	// not by the caller.
 	k.Spawn("a", func(p *Process) { p.Receive(never) })
 	k.Spawn("b", func(p *Process) {
-		p.Acquire(res)
+		p.wait(Step{Acquire: res})
 		p.Hold(10)
 		p.Receive(never)
 	})
 	k.Spawn("c", func(p *Process) {
 		p.Hold(5)
-		p.Acquire(res) // b never releases
+		p.wait(Step{Acquire: res}) // b never releases
 	})
 	k.Spawn("fine", func(p *Process) { p.Hold(20) })
 	if end := k.Run(); end != 20 {
 		t.Fatalf("run ended at %d, want 20", end)
 	}
 	var got []string
-	for _, p := range k.Blocked() {
-		got = append(got, p.Name()+": "+p.blockReason())
+	for _, p := range k.blocked() {
+		got = append(got, p.name+": "+p.blockReason())
 	}
 	want := "[a: receive never b: receive never c: acquire unit]"
 	if fmt.Sprint(got) != want {
 		t.Errorf("Blocked() = %v, want %v", got, want)
 	}
 	k.Close()
-	if fmt.Sprint(len(k.Blocked())) != "3" {
-		t.Errorf("Close changed what Blocked reports: %v", k.Blocked())
+	if fmt.Sprint(len(k.blocked())) != "3" {
+		t.Errorf("Close changed what Blocked reports: %v", k.blocked())
 	}
 }
 
@@ -204,7 +204,7 @@ func TestCloseReapsParkedProcesses(t *testing.T) {
 		requests.Send(1)
 		p.Hold(10)
 	})
-	spawn("stuck", func(p *Process) { p.Await(k.NewFuture()) })
+	spawn("stuck", func(p *Process) { p.wait(Step{Await: k.NewFuture()}) })
 	k.SpawnAt(1000, "late", func(p *Process) { t.Error("a process first activated after the run was stopped ran") })
 	k.RunUntil(500)
 	// Three workers: server's and stuck's, parked mid-body, and the idle one

@@ -143,7 +143,7 @@ func BenchmarkResourceAcquireRelease(b *testing.B) {
 	r := k.NewResource("r", 1)
 	k.Spawn("user", func(p *Process) {
 		for i := 0; i < b.N; i++ {
-			p.Acquire(r)
+			p.wait(Step{Acquire: r})
 			r.Release()
 		}
 	})

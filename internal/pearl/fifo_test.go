@@ -15,11 +15,13 @@ func TestAllocFreeBlocking(t *testing.T) {
 	a, b := k.NewMailbox("a"), k.NewMailbox("b")
 	bus := k.NewResource("bus", 1)
 	var msg any = "token" // boxed once: what is left is the kernel's own cost
+	received := 0
 	k.Spawn("ping", func(p *Process) {
 		for {
 			b.Send(msg)
 			p.Receive(a) // parks: pong has not answered yet
-			p.Acquire(bus)
+			received++
+			p.wait(Step{Acquire: bus})
 			p.Hold(2)
 			bus.Release()
 		}
@@ -28,13 +30,13 @@ func TestAllocFreeBlocking(t *testing.T) {
 		for {
 			p.Receive(b)
 			a.Send(msg)
-			p.Acquire(bus)
+			p.wait(Step{Acquire: bus})
 			p.Hold(3)
 			bus.Release() // the two queue for the bus in turn
 		}
 	})
 	k.RunUntil(1000)
-	if bus.WaitCycles() == 0 || a.Received() == 0 {
+	if bus.WaitCycles() == 0 || received == 0 {
 		t.Fatal("nobody waited for the bus or for a message: the test does not block")
 	}
 	now := k.Now()

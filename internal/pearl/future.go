@@ -2,8 +2,7 @@ package pearl
 
 // Future is a one-shot completion cell, the reply half of a synchronous
 // request: a caller embeds a Future in its request message, sends the
-// request, and awaits the future — a chain with Step{Await}, a process with
-// Await; the server completes it when the reply is ready (the network
+// request, and awaits the future — a chain with Step{Await}; the server completes it when the reply is ready (the network
 // interface's synchronous send awaits its acknowledgement this way). The zero
 // Future is incomplete.
 type Future struct {
@@ -37,10 +36,4 @@ func (f *Future) Complete(v any) {
 		c = next
 	}
 	f.waiting = nil
-}
-
-// Await blocks the process until the future is complete, returning its value.
-func (p *Process) Await(f *Future) any {
-	p.wait(Step{Await: f})
-	return f.val
 }

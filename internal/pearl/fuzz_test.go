@@ -6,12 +6,13 @@ import (
 )
 
 // FuzzKernelOrder decodes bytes into a schedule — events near, at and far
-// past the timing wheel's edge, daemon events, cancels, callbacks that
-// schedule zero-delay and near cascades, RunUntil cuts, Run, and FinishAt past
-// queued daemon events — and replays it on a zero Kernel and on refQueue, a
+// past the timing wheel's edge, daemon events, callbacks that schedule
+// zero-delay and near cascades, RunUntil cuts, Run, and FinishAt past queued
+// daemon events — and replays it on a zero Kernel and on refQueue, a
 // reference that keeps every event in one list and fires the minimum by
-// (time, schedule order). Firing sequence, clock, NextTime after every cut,
-// cancel results and event count must agree. The seed corpus in
+// (time, schedule order). Firing sequence, clock, NextTime after every cut
+// and event count must agree. The daemon events FinishAt leaves behind the
+// clock never fire, so after it the program drops each queued event in turn. The seed corpus in
 // testdata/fuzz/FuzzKernelOrder holds, among others, the shortest programs
 // that tell a heap-first tie-break, the wrap of the bucket search and
 // FinishAt's hand-over of the wheel from their broken versions.
@@ -31,8 +32,8 @@ func FuzzKernelOrder(f *testing.F) {
 // eventQueue is the surface replay drives: the Kernel, or the reference.
 type eventQueue interface {
 	now() Time
-	at(t Time, daemon bool, fn func()) // handle: the number of earlier calls
-	cancel(h int) bool
+	at(t Time, daemon bool, fn func())
+	drop() bool // unlink the next event unfired
 	runUntil(t Time)
 	run()
 	nextTime() (Time, bool)
@@ -53,7 +54,7 @@ func fuzzDelay(b byte) Time { return fuzzDelays[b%16] + Time(b/16) }
 // replay runs prog on q and returns what it observed, as a flat list.
 func replay(q eventQueue, prog []byte) []int64 {
 	var obs []int64
-	handles := 0
+	ids := 0
 	pos := 0
 	next := func() byte {
 		if pos == len(prog) {
@@ -66,12 +67,12 @@ func replay(q eventQueue, prog []byte) []int64 {
 		t, ok := q.nextTime()
 		obs = append(obs, -1, int64(q.now()), int64(t), b2i(ok))
 	}
-	// schedule queues event id handles at t; when it fires it logs itself
+	// schedule queues the next event id at t; when it fires it logs itself
 	// and, while depth lasts, schedules one child per cascade delay.
 	var schedule func(t Time, daemon bool, cascade []Time, depth int)
 	schedule = func(t Time, daemon bool, cascade []Time, depth int) {
-		id := handles
-		handles++
+		id := ids
+		ids++
 		q.at(t, daemon, func() {
 			obs = append(obs, int64(id), int64(q.now()))
 			if depth > 0 {
@@ -95,9 +96,7 @@ func replay(q eventQueue, prog []byte) []int64 {
 			}
 			schedule(q.now()+d, op&8 != 0, cascade, int(c/3%3)+1)
 		case 3:
-			if handles > 0 {
-				obs = append(obs, b2i(q.cancel(int(next())%handles)))
-			}
+			observeCut()
 		case 4:
 			q.runUntil(q.now() + fuzzDelay(next()))
 			observeCut()
@@ -113,12 +112,11 @@ func replay(q eventQueue, prog []byte) []int64 {
 		case 7:
 			// FinishAt past queued daemon events (Run leaves nothing else)
 			// ends the program: the queue must still report its earliest
-			// live event while each is cancelled in turn.
+			// event while each is dropped in turn.
 			q.run()
 			q.finishAt(q.now() + fuzzDelay(next()))
 			observeCut()
-			for h := 0; h < handles; h++ {
-				obs = append(obs, b2i(q.cancel(h)))
+			for q.drop() {
 				observeCut()
 			}
 			return append(obs, int64(q.events()))
@@ -137,20 +135,17 @@ func b2i(b bool) int64 {
 }
 
 // kernelQueue adapts the Kernel to eventQueue.
-type kernelQueue struct {
-	k      *Kernel
-	timers []Timer
-}
+type kernelQueue struct{ k *Kernel }
 
 func (q *kernelQueue) now() Time { return q.k.Now() }
 func (q *kernelQueue) at(t Time, daemon bool, fn func()) {
 	if daemon {
-		q.timers = append(q.timers, q.k.AtDaemon(t, fn))
+		q.k.AtDaemon(t, fn)
 	} else {
-		q.timers = append(q.timers, q.k.At(t, fn))
+		q.k.At(t, fn)
 	}
 }
-func (q *kernelQueue) cancel(h int) bool      { return q.timers[h].Cancel() }
+func (q *kernelQueue) drop() bool             { return q.k.drop() }
 func (q *kernelQueue) runUntil(t Time)        { q.k.RunUntil(t) }
 func (q *kernelQueue) run()                   { q.k.Run() }
 func (q *kernelQueue) nextTime() (Time, bool) { return q.k.NextTime() }
@@ -171,7 +166,7 @@ type refEvent struct {
 	at     Time
 	fn     func()
 	daemon bool
-	done   bool // fired or cancelled
+	done   bool // fired or dropped
 }
 
 func (q *refQueue) now() Time { return q.t }
@@ -179,13 +174,12 @@ func (q *refQueue) at(t Time, daemon bool, fn func()) {
 	q.evs = append(q.evs, refEvent{at: t, fn: fn, daemon: daemon})
 }
 
-func (q *refQueue) cancel(h int) bool {
-	e := &q.evs[h]
-	if e.done {
-		return false
+func (q *refQueue) drop() bool {
+	i := q.first()
+	if i >= 0 {
+		q.evs[i].done = true
 	}
-	e.done = true
-	return true
+	return i >= 0
 }
 
 // first returns the index of the next event to fire, or -1.

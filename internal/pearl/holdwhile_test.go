@@ -20,12 +20,8 @@ func literalHoldWhile(p *Process, step func() Step) {
 		switch s := step(); {
 		case s.Done:
 			return
-		case s.Acquire != nil:
-			p.Acquire(s.Acquire)
-		case s.Await != nil:
-			p.Await(s.Await)
 		default:
-			p.Hold(s.Hold)
+			p.wait(s)
 		}
 	}
 }
@@ -44,7 +40,6 @@ const (
 	opComplete               // complete future idx after d (one completer per future)
 	opAfter                  // After(d) callback that logs and sends to inbox idx
 	opDaemon                 // AtDaemon(now+d) callback that logs
-	opStop                   // Kernel.Stop
 	opSpawn                  // spawn a child that runs a chain, holds d and ends
 	numPropOps
 
@@ -59,7 +54,7 @@ const (
 // and the hold, or for opAcquire the resource wait, that follows it.
 type propLink struct {
 	d    Time
-	side propOp // opHold (none), opSend, opAfter, opComplete, opStop, opSpawn, opAcquire or opRelease
+	side propOp // opHold (none), opSend, opAfter, opComplete, opSpawn, opAcquire or opRelease
 	idx  int
 }
 
@@ -109,10 +104,6 @@ func genSpec(seed uint64, shards int) propSpec {
 				l.side = opHold
 			}
 			completed[[2]int{shard, l.idx}] = true
-		case 3:
-			if r.Intn(4) == 0 {
-				l.side = opStop
-			}
 		case 4:
 			l.side = opSpawn // from kernel context, after the first step
 		}
@@ -161,11 +152,6 @@ func genSpec(seed uint64, shards int) propSpec {
 					act.op = opHold
 				}
 				completed[[2]int{ps.shard, act.idx}] = true
-			case opStop:
-				if r.Intn(3) != 0 {
-					act.op = opChain
-					act.links = chain(ps.shard, true)
-				}
 			case opSpawn:
 				act.links = chain(ps.shard, true)
 			}
@@ -288,8 +274,6 @@ func (w *propWorld) effect(who int, op propOp, idx int, d Time) {
 		} else {
 			s.k.After(d, func() { f.Complete(who) })
 		}
-	case opStop:
-		s.k.Stop()
 	case opRelease:
 		s.res[idx].Release()
 	case opSpawn:
@@ -320,7 +304,7 @@ func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process)
 				if i%2 == 0 && s.res[l.idx].TryAcquire() {
 					continue
 				}
-				if s.res[l.idx].InUse() > 0 {
+				if s.res[l.idx].inUse > 0 {
 					s.waits++
 				}
 				return Step{Acquire: s.res[l.idx]}
@@ -345,7 +329,7 @@ func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process)
 			case opRecv:
 				p.Receive(w.inbox[who])
 			case opUse:
-				p.Acquire(s.res[a.idx])
+				p.wait(Step{Acquire: s.res[a.idx]})
 				if a.links != nil {
 					holdChain(p, a.links)
 				} else {
@@ -353,14 +337,14 @@ func (w *propWorld) body(who int, acts []propAct, holdWhile bool) func(*Process)
 				}
 				s.res[a.idx].Release()
 			case opAwait:
-				p.Await(s.fut[a.idx])
+				p.wait(Step{Await: s.fut[a.idx]})
 			case opSpawn:
 				child := []propAct{{op: opChain, links: a.links}, {op: opHold, d: a.d}}
 				s.k.Spawn(fmt.Sprintf("p%d.%d", who, i), w.body(who, child, holdWhile))
 			default:
 				w.effect(who, a.op, a.idx, a.d)
 			}
-			s.note(who, fmt.Sprintf("%s act %d", p.Name(), i))
+			s.note(who, fmt.Sprintf("%s act %d", p.name, i))
 		}
 	}
 }
@@ -384,32 +368,22 @@ func (w *propWorld) outcome() propOutcome {
 		o.Events = append(o.Events, s.k.EventCount())
 		o.Daemons = append(o.Daemons, s.k.DaemonEvents())
 		var blocked []string
-		for _, p := range s.k.Blocked() {
-			blocked = append(blocked, p.Name()+": "+p.blockReason())
+		for _, p := range s.k.blocked() {
+			blocked = append(blocked, p.name+": "+p.blockReason())
 		}
 		o.Blocked = append(o.Blocked, blocked)
 		for _, r := range s.res {
 			o.Resources = append(o.Resources, [5]int64{int64(r.BusyCycles()), int64(r.WaitCycles()),
-				int64(r.Acquires()), int64(r.InUse()), int64(r.queueLen())})
+				int64(r.Acquires()), int64(r.inUse), int64(r.queueLen())})
 		}
 		s.k.Close() // most programs leave someone waiting for a message
 	}
 	return o
 }
 
-// drain runs a single kernel to the end of the program, through any Stops.
-func drain(t *testing.T, k *Kernel) {
-	for i := 0; k.PendingWork(); i++ {
-		if i > 1000 {
-			t.Fatal("program does not terminate")
-		}
-		k.Run()
-	}
-}
-
 func propDrivers() map[string]func(*testing.T, *propWorld) {
 	return map[string]func(*testing.T, *propWorld){
-		"Run": func(t *testing.T, w *propWorld) { drain(t, w.shards[0].k) },
+		"Run": func(t *testing.T, w *propWorld) { w.shards[0].k.Run() },
 		"RunUntil": func(t *testing.T, w *propWorld) {
 			// Cut the run at arbitrary horizons — mid-chain more often than
 			// not — and require the same state at every cut.
@@ -417,12 +391,12 @@ func propDrivers() map[string]func(*testing.T, *propWorld) {
 			for _, at := range w.spec.cuts {
 				s.k.RunUntil(at)
 				var waiting []string
-				for _, p := range s.k.Blocked() {
-					waiting = append(waiting, p.Name()+": "+p.blockReason())
+				for _, p := range s.k.blocked() {
+					waiting = append(waiting, p.name+": "+p.blockReason())
 				}
 				s.note(-1, fmt.Sprintf("cut: %d events, waiting %q", s.k.EventCount(), waiting))
 			}
-			drain(t, s.k)
+			s.k.Run()
 		},
 		"ShardGroup": func(t *testing.T, w *propWorld) { w.g.Run() },
 	}

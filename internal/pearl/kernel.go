@@ -12,9 +12,8 @@
 // which the trace-validity guarantees of the environment rely on.
 //
 // The event queue is allocation-free on the steady state: events live in a
-// slab of reusable slots addressed by index, with generation-counted Timer
-// handles for cancellation (lazy invalidation — a cancelled event stays
-// queued and is discarded unfired when it surfaces). An event due less than
+// slab of reusable slots addressed by index. An event is never cancelled:
+// once scheduled it fires, or stays queued when the run ends. An event due less than
 // wheelSize cycles ahead goes into a timing wheel: one FIFO bucket per
 // instant, found through an occupancy bitmap, so scheduling and firing it
 // costs O(1) — the bucket of the current instant is where zero-delay
@@ -23,8 +22,8 @@
 //
 // Process is a blocking layer over chains, kept for tests and host-side
 // probes that are easier to write as straight-line code: its body runs on a
-// pooled coroutine (iter.Pull, see worker), and its Hold, Acquire, Await and
-// HoldWhile are chains whose end activates it. The event loop runs on
+// pooled coroutine (iter.Pull, see worker), and its Hold and HoldWhile are
+// chains whose end activates it. The event loop runs on
 // whichever stack holds the baton: the caller's, or that of a process that
 // has just blocked and fires events itself until the next process activation
 // (see dispatch and Process.block).
@@ -50,9 +49,6 @@ type eventKind uint8
 const (
 	// evFree marks a slot on the free list.
 	evFree eventKind = iota
-	// evCancelled marks a queued slot whose timer was cancelled; it is
-	// released unfired when it reaches the front (lazy invalidation).
-	evCancelled
 	// evFunc runs a callback closure.
 	evFunc
 	// evDaemon runs a callback closure like evFunc, but the event never keeps
@@ -69,67 +65,24 @@ const (
 type driveMode uint8
 
 const (
-	// driveRun stops when only daemon events remain, or on Stop.
+	// driveRun stops when only daemon events remain.
 	driveRun driveMode = iota
-	// driveUntil stops before the first event later than bound, or on Stop.
+	// driveUntil stops before the first event later than bound.
 	driveUntil
 	// driveWindow stops before the first event at or after bound, running
 	// the deferred Post/Settle phases at the end of every instant.
 	driveWindow
 )
 
-// eventSlot is one entry of the kernel's event slab. Slots are reused through
-// a free list; gen increments on every release so stale Timer handles can
-// never cancel a recycled slot.
+// eventSlot is one entry of the kernel's event slab, 40 bytes. Slots are
+// reused through a free list.
 type eventSlot struct {
 	at    Time
 	seq   uint64 // tie-breaker: FIFO among equal times
 	fn    func() // evFunc and evDaemon only
 	chain *Chain // evChain only
-	gen   uint32
-	next  int32 // wheel entries: the next slot of the bucket, +1; 0 ends it
+	next  int32  // wheel entries: the next slot of the bucket, +1; 0 ends it
 	kind  eventKind
-}
-
-// Timer is a generation-counted handle to a scheduled event. The zero Timer
-// is valid and never pending. Timers are plain values: scheduling does not
-// allocate.
-type Timer struct {
-	k   *Kernel
-	idx int32
-	gen uint32
-}
-
-// Cancel invalidates the event. The entry stays queued and is discarded,
-// unfired and uncounted, when it surfaces (lazy invalidation — no queue
-// removal). Cancelling an already-fired or already-cancelled timer is a
-// no-op. It reports whether the event was still pending.
-func (t Timer) Cancel() bool {
-	if t.k == nil {
-		return false
-	}
-	s := &t.k.slots[t.idx]
-	if s.gen != t.gen || s.kind < evFunc {
-		return false
-	}
-	if s.kind == evDaemon {
-		t.k.daemons--
-	}
-	s.kind = evCancelled
-	s.fn = nil
-	s.chain = nil
-	t.k.live--
-	return true
-}
-
-// Pending reports whether the timer's event has not yet fired or been
-// cancelled.
-func (t Timer) Pending() bool {
-	if t.k == nil {
-		return false
-	}
-	s := &t.k.slots[t.idx]
-	return s.gen == t.gen && s.kind >= evFunc
 }
 
 // Timing-wheel geometry. The width is fixed, and the largest the two-level
@@ -171,7 +124,7 @@ type Kernel struct {
 	occupied [wheelWords]uint64
 	summary  uint64
 
-	live    int // queued events that are not cancelled
+	live    int // queued events
 	daemons int // live events scheduled with AtDaemon
 
 	// procs holds the processes that have not terminated, in spawn order,
@@ -225,7 +178,6 @@ type Kernel struct {
 
 	eventCount  uint64
 	daemonFired uint64 // daemon events actually executed
-	stopped     bool
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -235,7 +187,7 @@ func NewKernel() *Kernel { return &Kernel{} }
 func (k *Kernel) Now() Time { return k.now }
 
 // EventCount returns the number of events executed so far; useful as a cheap
-// progress and cost metric. Cancelled events are never executed or counted.
+// progress and cost metric.
 func (k *Kernel) EventCount() uint64 { return k.eventCount }
 
 // Switches returns the number of hand-offs between stacks so far — into a
@@ -245,7 +197,7 @@ func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule allocates a slot for an event at absolute time t and queues it.
 // The caller guarantees t >= k.now.
-func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) Timer {
+func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) {
 	var idx int32
 	if n := len(k.free); n > 0 {
 		idx = k.free[n-1]
@@ -267,7 +219,6 @@ func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) Timer {
 	} else {
 		k.heapPush(idx)
 	}
-	return Timer{k: k, idx: idx, gen: s.gen}
 }
 
 // wheelPush appends slot idx, due at t < now+wheelSize, to its bucket.
@@ -320,33 +271,30 @@ func (k *Kernel) wheelPop(b int) {
 	}
 }
 
-// release returns a slot to the free list, bumping its generation so stale
-// Timer handles become inert.
+// release returns a slot to the free list.
 func (k *Kernel) release(idx int32) {
 	s := &k.slots[idx]
 	s.fn = nil
 	s.chain = nil
 	s.kind = evFree
-	s.gen++
 	k.free = append(k.free, idx)
 }
 
 // At schedules fn to run at absolute virtual time t, which must not be in the
-// past. It returns a cancellable Timer. On the steady state (slab warm) this
-// performs no heap allocation.
-func (k *Kernel) At(t Time, fn func()) Timer {
+// past. On the steady state (slab warm) this performs no heap allocation.
+func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("pearl: scheduling event at %d, before current time %d", t, k.now))
 	}
-	return k.schedule(t, evFunc, fn, nil)
+	k.schedule(t, evFunc, fn, nil)
 }
 
 // After schedules fn to run d cycles from now. Negative d panics.
-func (k *Kernel) After(d Time, fn func()) Timer {
+func (k *Kernel) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("pearl: negative delay %d", d))
 	}
-	return k.schedule(k.now+d, evFunc, fn, nil)
+	k.schedule(k.now+d, evFunc, fn, nil)
 }
 
 // AtDaemon schedules fn at absolute virtual time t like At, except that the
@@ -356,16 +304,13 @@ func (k *Kernel) After(d Time, fn func()) Timer {
 // chains (fault schedules, periodic samplers) use this so a plan that
 // outlives the workload cannot extend the run. RunUntil, whose horizon is
 // the caller's and not the schedule's, fires daemon events like any other.
-func (k *Kernel) AtDaemon(t Time, fn func()) Timer {
+func (k *Kernel) AtDaemon(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("pearl: scheduling event at %d, before current time %d", t, k.now))
 	}
 	k.daemons++
-	return k.schedule(t, evDaemon, fn, nil)
+	k.schedule(t, evDaemon, fn, nil)
 }
-
-// Stop makes Run return after the currently executing event completes.
-func (k *Kernel) Stop() { k.stopped = true }
 
 // less orders queued events by (time, sequence).
 func (k *Kernel) less(a, b int32) bool {
@@ -433,27 +378,20 @@ func (k *Kernel) heapPop() int32 {
 }
 
 // front locates the next event in strict (time, seq) order across the wheel
-// and the heap, releasing cancelled entries along the way. It reports false
-// when no live events remain. The returned entry is left queued.
+// and the heap. It reports false when no events remain. The returned entry is
+// left queued.
 func (k *Kernel) front() (idx int32, fromHeap, ok bool) {
-	for {
-		if b := k.wheelFirst(); b >= 0 {
-			idx = k.wheel[b].head - 1
-			fromHeap = len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at
-			if fromHeap {
-				idx = k.heap[0]
-			}
-		} else if len(k.heap) > 0 {
-			idx, fromHeap = k.heap[0], true
-		} else {
-			return 0, false, false
+	if b := k.wheelFirst(); b >= 0 {
+		idx = k.wheel[b].head - 1
+		if len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at {
+			return k.heap[0], true, true
 		}
-		if k.slots[idx].kind != evCancelled {
-			return idx, fromHeap, true
-		}
-		k.remove(idx, fromHeap)
-		k.release(idx)
+		return idx, false, true
 	}
+	if len(k.heap) > 0 {
+		return k.heap[0], true, true
+	}
+	return 0, false, false
 }
 
 // remove unlinks idx, the front entry of the indicated queue.
@@ -503,11 +441,11 @@ func (k *Kernel) dispatch() *Process {
 		idx, fromHeap, ok := k.front()
 		switch k.mode {
 		case driveRun:
-			if k.stopped || k.live <= k.daemons {
+			if k.live <= k.daemons {
 				return nil
 			}
 		case driveUntil:
-			if k.stopped || !ok || k.slots[idx].at > k.bound {
+			if !ok || k.slots[idx].at > k.bound {
 				return nil
 			}
 		case driveWindow:
@@ -639,22 +577,18 @@ func (k *Kernel) dispatchRecover() (p *Process) {
 }
 
 // Run executes events until the schedule is empty (daemon events alone do
-// not count — they are left queued, unfired) or Stop is called. It returns
-// the final virtual time.
+// not count — they are left queued, unfired). It returns the final virtual
+// time.
 func (k *Kernel) Run() Time {
-	k.stopped = false
 	k.drive(driveRun, 0)
 	return k.now
 }
 
-// RunUntil executes events with timestamps <= t, then sets the clock to t if
-// the simulation got that far. Like Run, a call to Stop ends execution after
-// the current event with the clock left where it stopped — a stopped run
-// never silently advances time. It returns the final virtual time.
+// RunUntil executes events with timestamps <= t, then sets the clock to t.
+// It returns the final virtual time.
 func (k *Kernel) RunUntil(t Time) Time {
-	k.stopped = false
 	k.drive(driveUntil, t)
-	if !k.stopped && k.now < t {
+	if k.now < t {
 		k.now = t
 	}
 	return k.now
@@ -665,8 +599,8 @@ func (k *Kernel) RunUntil(t Time) Time {
 // outlives the run. A body is unwound from where it is parked by a panic
 // that Process.exit recovers (a goroutine exit would propagate to whoever
 // resumed the coroutine, here Close's caller): its deferred calls run, one
-// process at a time, and nothing else is touched, so clocks, counters and
-// Blocked read as the run left them. A kernel that has run processes holds
+// process at a time, and nothing else is touched, so clocks and counters
+// read as the run left them. A kernel that has run processes holds
 // its idle workers until it is closed. Close is idempotent; it must be called
 // from the goroutine driving the kernel, between runs, and a closed kernel
 // can be neither run nor spawned on.
@@ -686,19 +620,6 @@ func (k *Kernel) Close() {
 	k.idle = nil
 }
 
-// Blocked returns the processes that are alive but have no pending event to
-// resume them: with an idle kernel these are deadlocked (or waiting on
-// external input). Intended for diagnostics at end of simulation.
-func (k *Kernel) Blocked() []*Process {
-	var out []*Process
-	for _, p := range k.procs {
-		if !p.terminated && !p.runnable {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // DaemonEvents returns how many daemon events have been executed. The
 // sharded runner uses it to normalise event counts: background chains
 // replicated into every shard (the fault plan) are counted once.
@@ -709,8 +630,8 @@ func (k *Kernel) DaemonEvents() uint64 { return k.daemonFired }
 // across several kernels.
 func (k *Kernel) PendingWork() bool { return k.live > k.daemons }
 
-// NextTime returns the timestamp of the next live event (daemon or not),
-// discarding cancelled entries on the way; ok is false with nothing queued.
+// NextTime returns the timestamp of the next event (daemon or not); ok is
+// false with nothing queued.
 func (k *Kernel) NextTime() (t Time, ok bool) {
 	idx, _, ok := k.front()
 	if !ok {

@@ -3,6 +3,7 @@ package pearl
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEventOrdering(t *testing.T) {
@@ -64,48 +65,6 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	k.Run()
 }
 
-func TestTimerCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	tm := k.At(10, func() { fired = true })
-	if !tm.Pending() {
-		t.Fatal("timer should be pending")
-	}
-	if !tm.Cancel() {
-		t.Fatal("cancel should succeed")
-	}
-	if tm.Cancel() {
-		t.Fatal("second cancel should report false")
-	}
-	k.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestTimerCancelAmongOthers(t *testing.T) {
-	k := NewKernel()
-	var got []int
-	var timers []Timer
-	for i := 0; i < 10; i++ {
-		i := i
-		timers = append(timers, k.At(Time(i), func() { got = append(got, i) }))
-	}
-	// Cancel the odd ones.
-	for i := 1; i < 10; i += 2 {
-		timers[i].Cancel()
-	}
-	k.Run()
-	if len(got) != 5 {
-		t.Fatalf("got %v, want 5 even events", got)
-	}
-	for _, v := range got {
-		if v%2 != 0 {
-			t.Fatalf("cancelled event %d fired", v)
-		}
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	k := NewKernel()
 	var fired []Time
@@ -131,60 +90,6 @@ func TestRunUntilEmptyScheduleAdvancesClock(t *testing.T) {
 	k.RunUntil(42)
 	if k.Now() != 42 {
 		t.Fatalf("Now = %d, want 42", k.Now())
-	}
-}
-
-// Regression: RunUntil used to advance the clock to t after Stop() drained
-// the last event, inconsistent with Run's stop semantics.
-func TestRunUntilStoppedDoesNotAdvanceClock(t *testing.T) {
-	k := NewKernel()
-	k.At(5, func() { k.Stop() })
-	if end := k.RunUntil(100); end != 5 {
-		t.Fatalf("RunUntil returned %d, want 5 (stopped)", end)
-	}
-	if k.Now() != 5 {
-		t.Fatalf("Now = %d after stopped RunUntil, want 5", k.Now())
-	}
-	// Resuming with an empty schedule behaves as before: the clock advances
-	// to the horizon.
-	if end := k.RunUntil(100); end != 100 {
-		t.Fatalf("resumed RunUntil returned %d, want 100", end)
-	}
-}
-
-func TestRunUntilStoppedWithPendingEvents(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	k.At(5, func() { fired++; k.Stop() })
-	k.At(7, func() { fired++ })
-	if end := k.RunUntil(100); end != 5 || fired != 1 {
-		t.Fatalf("RunUntil = %d, fired = %d; want 5, 1", end, fired)
-	}
-	k.Run()
-	if fired != 2 || k.Now() != 7 {
-		t.Fatalf("after resume: fired = %d, now = %d", fired, k.Now())
-	}
-}
-
-func TestStop(t *testing.T) {
-	k := NewKernel()
-	n := 0
-	for i := 1; i <= 10; i++ {
-		k.At(Time(i), func() {
-			n++
-			if n == 3 {
-				k.Stop()
-			}
-		})
-	}
-	k.Run()
-	if n != 3 {
-		t.Fatalf("executed %d events, want 3", n)
-	}
-	// Run again resumes.
-	k.Run()
-	if n != 10 {
-		t.Fatalf("executed %d events after resume, want 10", n)
 	}
 }
 
@@ -254,25 +159,6 @@ func TestRunUntilWithProcesses(t *testing.T) {
 	}
 }
 
-func TestStopFromProcess(t *testing.T) {
-	k := NewKernel()
-	var after bool
-	k.Spawn("stopper", func(p *Process) {
-		p.Hold(5)
-		k.Stop()
-		p.Hold(5) // parks; kernel stops before resuming
-		after = true
-	})
-	k.Run()
-	if after {
-		t.Fatal("process ran past Stop within the same Run")
-	}
-	k.Run() // resume
-	if !after {
-		t.Fatal("process did not finish on resumed Run")
-	}
-}
-
 func TestTerminatedWaiterSkipped(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource("r", 1)
@@ -280,14 +166,14 @@ func TestTerminatedWaiterSkipped(t *testing.T) {
 	// holder keeps the resource; w1 queues then is unblocked via mailbox and
 	// terminates while still queued; w2 queues behind it and must be granted.
 	k.Spawn("holder", func(p *Process) {
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		p.Hold(100)
 		r.Release()
 	})
 	granted := false
 	k.Spawn("w2", func(p *Process) {
 		p.Hold(2)
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		granted = true
 		r.Release()
 	})
@@ -353,22 +239,6 @@ func TestDaemonChainReArmsWithoutExtendingRun(t *testing.T) {
 	}
 }
 
-func TestDaemonEventCancel(t *testing.T) {
-	k := NewKernel()
-	fired := false
-	tm := k.AtDaemon(10, func() { fired = true })
-	if !tm.Cancel() {
-		t.Fatal("cancel should succeed")
-	}
-	k.At(20, func() {})
-	if end := k.Run(); end != 20 {
-		t.Fatalf("run ended at %d, want 20", end)
-	}
-	if fired {
-		t.Fatal("cancelled daemon event fired")
-	}
-}
-
 func TestRunUntilFiresDaemonEvents(t *testing.T) {
 	// RunUntil's horizon is the caller's, not the schedule's: daemon events
 	// inside it fire like any other.
@@ -380,5 +250,11 @@ func TestRunUntilFiresDaemonEvents(t *testing.T) {
 	}
 	if !fired {
 		t.Fatal("daemon event within the horizon did not fire")
+	}
+}
+
+func TestEventSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(eventSlot{}); got != 40 {
+		t.Fatalf("eventSlot is %d bytes, want 40", got)
 	}
 }

@@ -7,33 +7,15 @@ package pearl
 // mailbox, with delayed sends ordered by (arrival time, send order).
 type Mailbox struct {
 	k       *Kernel
-	name    string
 	reason  string // block reason of a receiver, built once
 	q       fifo[any]
 	waiters fifo[*Process]
-
-	// stats
-	sent     uint64
-	received uint64
-	maxDepth int
 }
 
 // NewMailbox creates an empty mailbox.
 func (k *Kernel) NewMailbox(name string) *Mailbox {
-	return &Mailbox{k: k, name: name, reason: "receive " + name}
+	return &Mailbox{k: k, reason: "receive " + name}
 }
-
-// Name returns the mailbox name.
-func (mb *Mailbox) Name() string { return mb.name }
-
-// Len returns the number of queued messages.
-func (mb *Mailbox) Len() int { return mb.q.len() }
-
-// Sent and Received return lifetime message counters; MaxDepth the high-water
-// queue depth. Useful for model statistics.
-func (mb *Mailbox) Sent() uint64     { return mb.sent }
-func (mb *Mailbox) Received() uint64 { return mb.received }
-func (mb *Mailbox) MaxDepth() int    { return mb.maxDepth }
 
 // Send enqueues msg for delivery at the current virtual time.
 func (mb *Mailbox) Send(msg any) {
@@ -52,10 +34,6 @@ func (mb *Mailbox) sendAfter(d Time, msg any) {
 
 func (mb *Mailbox) deliver(msg any) {
 	mb.q.push(msg)
-	mb.sent++
-	if n := mb.q.len(); n > mb.maxDepth {
-		mb.maxDepth = n
-	}
 	mb.wakeOne()
 }
 
@@ -78,7 +56,6 @@ func (mb *Mailbox) tryReceive() (any, bool) {
 	if mb.q.len() == 0 {
 		return nil, false
 	}
-	mb.received++
 	return mb.q.pop(), true
 }
 

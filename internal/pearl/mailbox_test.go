@@ -81,8 +81,8 @@ func TestMailboxMultipleWaitersNoLostWakeup(t *testing.T) {
 	if served != 4 {
 		t.Fatalf("served = %d, want 4 (lost wakeup)", served)
 	}
-	if len(k.Blocked()) != 0 {
-		t.Fatalf("blocked processes remain: %v", k.Blocked())
+	if len(k.blocked()) != 0 {
+		t.Fatalf("blocked processes remain: %v", k.blocked())
 	}
 }
 
@@ -96,25 +96,5 @@ func TestTryReceive(t *testing.T) {
 	v, ok := mb.tryReceive()
 	if !ok || v.(int) != 7 {
 		t.Fatalf("tryReceive = %v, %v", v, ok)
-	}
-}
-
-func TestMailboxStats(t *testing.T) {
-	k := NewKernel()
-	mb := k.NewMailbox("stats")
-	k.Spawn("producer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			mb.Send(i)
-		}
-	})
-	k.Spawn("consumer", func(p *Process) {
-		p.Hold(5)
-		for i := 0; i < 3; i++ {
-			p.Receive(mb)
-		}
-	})
-	k.Run()
-	if mb.Sent() != 3 || mb.Received() != 3 || mb.MaxDepth() != 3 {
-		t.Fatalf("stats sent=%d recv=%d max=%d, want 3/3/3", mb.Sent(), mb.Received(), mb.MaxDepth())
 	}
 }

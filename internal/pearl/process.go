@@ -5,7 +5,7 @@ import "fmt"
 // Process is a simulation process: a coroutine whose execution is
 // interleaved with virtual time under strict kernel control. Model code
 // inside a process body is written in a blocking style (Hold, Receive,
-// Acquire, Await); the kernel guarantees that exactly one process runs at a
+// HoldWhile); the kernel guarantees that exactly one process runs at a
 // time, so process bodies need no locking.
 type Process struct {
 	k    *Kernel
@@ -117,14 +117,8 @@ func (p *Process) exit() {
 	k.relay(p)
 }
 
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
 // Now returns the current virtual time.
 func (p *Process) Now() Time { return p.k.now }
-
-// Terminated reports whether the process body has returned.
-func (p *Process) Terminated() bool { return p.terminated }
 
 // blockReason returns a short description of what the process is currently
 // blocked on; empty if running or terminated. For diagnostics.
@@ -137,7 +131,7 @@ func (p *Process) blockReason() string {
 
 // String implements fmt.Stringer.
 func (p *Process) String() string {
-	return fmt.Sprintf("process %q (#%d)", p.Name(), p.id)
+	return fmt.Sprintf("process %q (#%d)", p.name, p.id)
 }
 
 // activate marks p as the running process and returns it for the event
@@ -186,12 +180,8 @@ func (p *Process) Hold(d Time) {
 //		switch s := step(); {
 //		case s.Done:
 //			return
-//		case s.Acquire != nil:
-//			p.Acquire(s.Acquire)
-//		case s.Await != nil:
-//			p.Await(s.Await)
 //		default:
-//			p.Hold(s.Hold)
+//			p.wait(s) // one hold, one unit of s.Acquire or s.Await
 //		}
 //	}
 //

@@ -33,11 +33,11 @@ func TestProcessHold(t *testing.T) {
 func TestProcessTermination(t *testing.T) {
 	k := NewKernel()
 	p := k.Spawn("quick", func(p *Process) { p.Hold(3) })
-	if p.Terminated() {
+	if p.terminated {
 		t.Fatal("terminated before Run")
 	}
 	k.Run()
-	if !p.Terminated() {
+	if !p.terminated {
 		t.Fatal("not terminated after Run")
 	}
 }
@@ -109,7 +109,7 @@ func TestBlockedDiagnostics(t *testing.T) {
 	mb := k.NewMailbox("never")
 	p := k.Spawn("stuck", func(p *Process) { p.Receive(mb) })
 	k.Run()
-	blocked := k.Blocked()
+	blocked := k.blocked()
 	if len(blocked) != 1 || blocked[0] != p {
 		t.Fatalf("Blocked() = %v, want [stuck]", blocked)
 	}

@@ -34,9 +34,6 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// InUse returns the number of units currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
 // queueLen returns the number of chains (processes among them) waiting to
 // acquire.
 func (r *Resource) queueLen() int { return r.waiters.len() }
@@ -86,7 +83,7 @@ func (r *Resource) AvgWait() float64 {
 }
 
 // TryAcquire takes a unit if one is free and nobody is queued for one, which
-// is when Acquire returns without blocking, and reports whether it did.
+// is when Step{Acquire} ends without a wait, and reports whether it did.
 func (r *Resource) TryAcquire() bool {
 	if r.inUse < r.capacity && r.waiters.len() == 0 {
 		r.account()
@@ -96,11 +93,6 @@ func (r *Resource) TryAcquire() bool {
 	}
 	return false
 }
-
-// Acquire blocks until a unit of the resource is granted to the process.
-// Grants are strictly FIFO: a later arrival can never overtake an earlier
-// waiter.
-func (p *Process) Acquire(r *Resource) { p.wait(Step{Acquire: r}) }
 
 // Release returns one unit of the resource, granting it to the head waiter if
 // any. May be called from any context.

@@ -15,7 +15,7 @@ func TestResourceMutualExclusion(t *testing.T) {
 	worker := func(name string, start Time) {
 		k.Spawn(name, func(p *Process) {
 			p.Hold(start)
-			p.Acquire(r)
+			p.wait(Step{Acquire: r})
 			order = append(order, fmt.Sprintf("%s+%d", name, p.Now()))
 			p.Hold(10)
 			order = append(order, fmt.Sprintf("%s-%d", name, p.Now()))
@@ -37,7 +37,7 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 	r := k.NewResource("link", 1)
 	var grants []int
 	k.Spawn("holder", func(p *Process) {
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		p.Hold(100)
 		r.Release()
 	})
@@ -45,7 +45,7 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 		i := i
 		k.Spawn(fmt.Sprintf("w%d", i), func(p *Process) {
 			p.Hold(Time(10 + i)) // arrival order 0,1,2,3,4
-			p.Acquire(r)
+			p.wait(Step{Acquire: r})
 			grants = append(grants, i)
 			p.Hold(1)
 			r.Release()
@@ -72,7 +72,7 @@ func TestTryAcquire(t *testing.T) {
 	}
 	var granted Time
 	k.Spawn("waiter", func(p *Process) {
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		granted = p.Now()
 	})
 	k.After(5, func() {
@@ -89,9 +89,9 @@ func TestTryAcquire(t *testing.T) {
 		})
 	})
 	k.Run()
-	if granted != 5 || r.InUse() != 2 || r.Acquires() != 4 || r.WaitCycles() != 5 {
+	if granted != 5 || r.inUse != 2 || r.Acquires() != 4 || r.WaitCycles() != 5 {
 		t.Errorf("waiter granted at %d, %d in use, %d acquisitions, %d wait cycles; want 5, 2, 4, 5",
-			granted, r.InUse(), r.Acquires(), r.WaitCycles())
+			granted, r.inUse, r.Acquires(), r.WaitCycles())
 	}
 }
 
@@ -101,7 +101,7 @@ func TestResourceCapacity(t *testing.T) {
 	var concurrent, maxConcurrent int
 	for i := 0; i < 6; i++ {
 		k.Spawn("w", func(p *Process) {
-			p.Acquire(r)
+			p.wait(Step{Acquire: r})
 			concurrent++
 			if concurrent > maxConcurrent {
 				maxConcurrent = concurrent
@@ -125,7 +125,7 @@ func TestResourceUtilization(t *testing.T) {
 	r := k.NewResource("bus", 1)
 	k.Spawn("w", func(p *Process) {
 		p.Hold(50)
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		p.Hold(50)
 		r.Release() // busy half the time
 	})
@@ -139,12 +139,12 @@ func TestResourceAvgWait(t *testing.T) {
 	k := NewKernel()
 	r := k.NewResource("bus", 1)
 	k.Spawn("first", func(p *Process) {
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		p.Hold(10)
 		r.Release()
 	})
 	k.Spawn("second", func(p *Process) {
-		p.Acquire(r)
+		p.wait(Step{Acquire: r})
 		p.Hold(10)
 		r.Release()
 	}) // waits 10
@@ -176,8 +176,8 @@ func TestResourceMakespanProperty(t *testing.T) {
 		r := k.NewResource("r", c)
 		for i := 0; i < n; i++ {
 			k.Spawn("w", func(p *Process) {
-				p.Acquire(r)
-				if r.InUse() > c {
+				p.wait(Step{Acquire: r})
+				if r.inUse > c {
 					t.Fatal("capacity exceeded")
 				}
 				p.Hold(1)
@@ -199,7 +199,8 @@ func TestFutureAwait(t *testing.T) {
 	var got any
 	var when Time
 	k.Spawn("waiter", func(p *Process) {
-		got = p.Await(f)
+		p.wait(Step{Await: f})
+		got = f.Value()
 		when = p.Now()
 	})
 	k.Spawn("completer", func(p *Process) {
@@ -217,7 +218,10 @@ func TestFutureAwaitAlreadyDone(t *testing.T) {
 	f := k.NewFuture()
 	f.Complete(1)
 	var got any
-	k.Spawn("waiter", func(p *Process) { got = p.Await(f) })
+	k.Spawn("waiter", func(p *Process) {
+		p.wait(Step{Await: f})
+		got = f.Value()
+	})
 	k.Run()
 	if got != 1 {
 		t.Fatalf("got %v, want 1", got)
@@ -258,7 +262,8 @@ func TestSynchronousCall(t *testing.T) {
 		for _, n := range []int{3, 4} {
 			req := request{n: n, reply: k.NewFuture()}
 			mb.Send(req)
-			results = append(results, p.Await(req.reply).(int))
+			p.wait(Step{Await: req.reply})
+			results = append(results, req.reply.Value().(int))
 			times = append(times, p.Now())
 		}
 	})

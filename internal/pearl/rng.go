@@ -80,18 +80,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success (support {0,1,2,...}). p must be in (0, 1].
-func (r *RNG) Geometric(p float64) int64 {
-	if p <= 0 || p > 1 {
-		panic("pearl: RNG.Geometric with p outside (0,1]")
-	}
-	if p == 1 {
-		return 0
-	}
-	return int64(math.Floor(math.Log(1-r.Float64()) / math.Log(1-p)))
-}
-
 // WeightedChoice returns an index in [0, len(weights)) with probability
 // proportional to weights[i]. Weights must be non-negative with a positive
 // sum.

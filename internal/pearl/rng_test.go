@@ -101,29 +101,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := NewRNG(17)
-	p := 0.25
-	var sum float64
-	const n = 50000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	want := (1 - p) / p // mean of geometric on {0,1,...}
-	if mean := sum / n; math.Abs(mean-want) > 0.1 {
-		t.Fatalf("geometric mean = %v, want ~%v", mean, want)
-	}
-}
-
-func TestGeometricPOne(t *testing.T) {
-	r := NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if r.Geometric(1) != 0 {
-			t.Fatal("Geometric(1) must be 0")
-		}
-	}
-}
-
 func TestWeightedChoice(t *testing.T) {
 	r := NewRNG(19)
 	counts := make([]int, 3)

@@ -78,9 +78,6 @@ func (g *ShardGroup) Shards() int { return len(g.kernels) }
 // Kernel returns shard i's kernel.
 func (g *ShardGroup) Kernel(i int) *Kernel { return g.kernels[i] }
 
-// Lookahead returns the group's synchronisation horizon.
-func (g *ShardGroup) Lookahead() Time { return g.lookahead }
-
 // Send schedules fn at absolute time at on shard dst. Called from shard
 // src's executing event. A local send (src == dst) schedules directly; a
 // cross-shard send must respect the lookahead — at least `lookahead` cycles

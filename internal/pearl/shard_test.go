@@ -195,25 +195,24 @@ func TestFinishAt(t *testing.T) {
 // TestFinishAtKeepsQueueExact moves the clock past daemon events still
 // queued in the timing wheel — some behind the new time, some within a wheel
 // width of it, one beyond — and checks that NextTime still reports the
-// earliest live one as each is cancelled in turn.
+// earliest one as each is dropped in turn.
 func TestFinishAtKeepsQueueExact(t *testing.T) {
 	k := NewKernel()
 	// Bucket 10 comes before bucket 3 when a search starts at the new
 	// time's bucket, 5.
 	at := []Time{10, 3, wheelSize - 1, 3 * wheelSize, wheelSize + 10, 2 * wheelSize}
-	timers := make([]Timer, len(at))
-	for i, a := range at {
-		timers[i] = k.AtDaemon(a, func() { t.Errorf("daemon event fired") })
+	for _, a := range at {
+		k.AtDaemon(a, func() { t.Errorf("daemon event fired") })
 	}
 	k.At(2, func() {})
 	k.Run()
 	k.FinishAt(wheelSize + 5)
-	// Earliest live event first, cancelled in that order.
+	// Earliest event first, dropped in that order.
 	for _, i := range []int{1, 0, 2, 4, 5, 3} {
 		if got, ok := k.NextTime(); !ok || got != at[i] {
 			t.Fatalf("NextTime = %d, %v; want %d", got, ok, at[i])
 		}
-		timers[i].Cancel()
+		k.drop()
 	}
 	if got, ok := k.NextTime(); ok {
 		t.Fatalf("NextTime = %d on an empty queue", got)

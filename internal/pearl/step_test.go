@@ -14,3 +14,32 @@ func (k *Kernel) step() bool {
 	}
 	return true
 }
+
+// blocked returns the processes that are alive but have no pending event to
+// resume them: with an idle kernel these are deadlocked.
+func (k *Kernel) blocked() []*Process {
+	var out []*Process
+	for _, p := range k.procs {
+		if !p.terminated && !p.runnable {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// drop unlinks the next event unfired and reports whether there was one. It
+// reads the queue past FinishAt, whose daemon events behind the clock never
+// fire.
+func (k *Kernel) drop() bool {
+	idx, fromHeap, ok := k.front()
+	if !ok {
+		return false
+	}
+	k.remove(idx, fromHeap)
+	if k.slots[idx].kind == evDaemon {
+		k.daemons--
+	}
+	k.live--
+	k.release(idx)
+	return true
+}

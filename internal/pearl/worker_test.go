@@ -78,7 +78,7 @@ func TestTerminatedProcessesAreDropped(t *testing.T) {
 	if limit := 2*len(stuck) + 2; high > limit {
 		t.Errorf("process list reached %d entries with at most %d processes alive; want at most %d", high, len(stuck)+1, limit)
 	}
-	if got := k.Blocked(); !reflect.DeepEqual(got, stuck) {
+	if got := k.blocked(); !reflect.DeepEqual(got, stuck) {
 		t.Errorf("Blocked() = %v, want the %d stuck processes in spawn order", got, len(stuck))
 	}
 	last := k.Spawn("last", func(*Process) {})
@@ -142,8 +142,8 @@ func TestBodyPanicOnReusedWorker(t *testing.T) {
 	done := false
 	last := spawn("last", func() { done = true })
 	k.Run()
-	if !done || !last.Terminated() || k.Now() != 4 {
-		t.Errorf("after two panics on its worker: done=%v terminated=%v at %d; want a normal run to 4", done, last.Terminated(), k.Now())
+	if !done || !last.terminated || k.Now() != 4 {
+		t.Errorf("after two panics on its worker: done=%v terminated=%v at %d; want a normal run to 4", done, last.terminated, k.Now())
 	}
 	for i, id := range ranOn {
 		if id != ranOn[0] {
@@ -176,10 +176,10 @@ func TestCloseInEveryState(t *testing.T) {
 	spawn("holder", func(p *Process) { p.Hold(1000) })
 	spawn("receiver", func(p *Process) { p.Receive(never) })
 	spawn("owner", func(p *Process) {
-		p.Acquire(unit)
-		p.Await(k.NewFuture())
+		p.wait(Step{Acquire: unit})
+		p.wait(Step{Await: k.NewFuture()})
 	})
-	spawn("acquirer", func(p *Process) { p.Acquire(unit) })
+	spawn("acquirer", func(p *Process) { p.wait(Step{Acquire: unit}) })
 	spawn("chain", func(p *Process) { p.HoldWhile(func() Step { return Step{Hold: 400} }) })
 	spawn("queued", func(p *Process) { p.HoldWhile(func() Step { return Step{Acquire: unit} }) })
 	spawn("done", func(p *Process) { p.Hold(1) }) // leaves an idle worker
@@ -195,9 +195,9 @@ func TestCloseInEveryState(t *testing.T) {
 		QueueLen int
 	}
 	read := func() reading {
-		r := reading{Reasons: map[string]string{}, Events: k.EventCount(), Now: k.Now(), InUse: unit.InUse(), QueueLen: unit.queueLen()}
-		for _, p := range k.Blocked() {
-			r.Blocked = append(r.Blocked, p.Name())
+		r := reading{Reasons: map[string]string{}, Events: k.EventCount(), Now: k.Now(), InUse: unit.inUse, QueueLen: unit.queueLen()}
+		for _, p := range k.blocked() {
+			r.Blocked = append(r.Blocked, p.name)
 		}
 		for name, p := range procs {
 			r.Reasons[name] = p.blockReason()
@@ -226,7 +226,7 @@ func TestCloseInEveryState(t *testing.T) {
 	if after := read(); !reflect.DeepEqual(after, before) {
 		t.Errorf("Close moved the run's outcome:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if procs["holder"].Terminated() || !procs["done"].Terminated() {
+	if procs["holder"].terminated || !procs["done"].terminated {
 		t.Error("Close changed which processes count as terminated")
 	}
 	settle(t, base)
