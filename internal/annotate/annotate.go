@@ -23,18 +23,12 @@ import (
 // processor — the knowledge the generic compiler needs to assign addresses
 // and decide register placement.
 type Target struct {
-	Name string
-	// WordSize is the natural integer/pointer size in bytes.
-	WordSize int
 	// CodeBase is where instruction addresses start.
 	CodeBase uint64
 	// GlobalBase is where global variables are laid out (upwards).
 	GlobalBase uint64
 	// StackBase is where the stack starts (growing downwards).
 	StackBase uint64
-	// RegisterArgs is how many leading scalar arguments are passed in
-	// registers (their loads/stores cost no memory operation).
-	RegisterArgs int
 	// RegisterLocals is how many leading scalar locals per frame the
 	// compiler keeps in registers.
 	RegisterLocals int
@@ -50,12 +44,9 @@ type Target struct {
 // GenericTarget returns a plain 32-bit RISC-ish target.
 func GenericTarget() Target {
 	return Target{
-		Name:           "generic32",
-		WordSize:       4,
 		CodeBase:       0x0040_0000,
 		GlobalBase:     0x1000_0000,
 		StackBase:      0x7fff_f000,
-		RegisterArgs:   4,
 		RegisterLocals: 4,
 		InstrBytes:     4,
 		SharedBase:     0x8000_0000,
@@ -63,9 +54,6 @@ func GenericTarget() Target {
 }
 
 func (t *Target) sanitize() {
-	if t.WordSize <= 0 {
-		t.WordSize = 4
-	}
 	if t.InstrBytes == 0 {
 		t.InstrBytes = 4
 	}
@@ -86,7 +74,6 @@ type VarClass uint8
 const (
 	Global VarClass = iota
 	Local
-	Arg
 )
 
 // String returns the class name.
@@ -96,14 +83,12 @@ func (c VarClass) String() string {
 		return "global"
 	case Local:
 		return "local"
-	case Arg:
-		return "arg"
 	}
 	return "?"
 }
 
 // Var is one entry of the variable descriptor table: whether the variable is
-// global, local or a function argument, its address, whether it lives in a
+// global or local, its address, whether it lives in a
 // register, and its type (§5.1).
 type Var struct {
 	Name  string
@@ -124,17 +109,14 @@ type Unit struct {
 	th     *trace.Thread
 	target Target
 
-	vars      []*Var
 	globalTop uint64
 	sharedTop uint64
 	stackTop  uint64
 	frames    []*frame
 
-	labels   map[string]uint64
-	pc       uint64
-	codeTop  uint64
-	emitted  uint64
-	returnPC []uint64
+	labels  map[string]uint64
+	pc      uint64
+	codeTop uint64
 }
 
 type frame struct {
@@ -142,8 +124,6 @@ type frame struct {
 	base     uint64
 	top      uint64
 	regsUsed int
-	argsSeen int
-	vars     []*Var
 }
 
 // New creates a translation unit for thread th targeting the given machine.
@@ -164,15 +144,6 @@ func New(th *trace.Thread, target Target) *Unit {
 // Thread returns the underlying trace thread (for communication
 // annotations).
 func (u *Unit) Thread() *trace.Thread { return u.th }
-
-// Target returns the unit's target description.
-func (u *Unit) Target() Target { return u.target }
-
-// DescriptorTable returns the variable descriptor table built so far.
-func (u *Unit) DescriptorTable() []*Var { return u.vars }
-
-// Emitted returns the number of operations emitted (including fetches).
-func (u *Unit) Emitted() uint64 { return u.emitted }
 
 func align(addr, size uint64) uint64 {
 	if size == 0 {
@@ -195,7 +166,6 @@ func (u *Unit) GlobalArray(name string, typ ops.MemType, n int) *Var {
 	u.globalTop = align(u.globalTop, typ.Size())
 	v := &Var{Name: name, Class: Global, Type: typ, Count: n, Addr: u.globalTop}
 	u.globalTop += v.Size()
-	u.vars = append(u.vars, v)
 	return v
 }
 
@@ -217,17 +187,15 @@ func (u *Unit) SharedArray(name string, typ ops.MemType, n int) *Var {
 	u.sharedTop = align(u.sharedTop, typ.Size())
 	v := &Var{Name: name, Class: Global, Type: typ, Count: n, Addr: u.sharedTop}
 	u.sharedTop += v.Size()
-	u.vars = append(u.vars, v)
 	return v
 }
 
-// Enter opens a function frame (for locals and arguments). Pair with Leave.
+// Enter opens a function frame (for locals). Pair with Leave.
 func (u *Unit) Enter(name string) {
 	u.frames = append(u.frames, &frame{name: name, base: u.stackTop, top: u.stackTop})
 }
 
-// Leave closes the innermost frame, releasing its stack space and dropping
-// its descriptor-table entries from scope (they remain in the table).
+// Leave closes the innermost frame, releasing its stack space.
 func (u *Unit) Leave() {
 	if len(u.frames) == 0 {
 		panic("annotate: Leave without Enter")
@@ -239,7 +207,7 @@ func (u *Unit) Leave() {
 
 func (u *Unit) curFrame() *frame {
 	if len(u.frames) == 0 {
-		panic("annotate: local/arg declared outside a function frame")
+		panic("annotate: local declared outside a function frame")
 	}
 	return u.frames[len(u.frames)-1]
 }
@@ -249,40 +217,24 @@ func (u *Unit) curFrame() *frame {
 // no memory operation, exactly the information the descriptor table exists
 // to provide.
 func (u *Unit) Local(name string, typ ops.MemType) *Var {
-	return u.localVar(name, typ, 1, Local)
+	return u.localVar(name, typ, 1)
 }
 
 // LocalArray declares a local array (never register-allocated).
 func (u *Unit) LocalArray(name string, typ ops.MemType, n int) *Var {
-	return u.localVar(name, typ, n, Local)
+	return u.localVar(name, typ, n)
 }
 
-// ArgVar declares a function argument; the first RegisterArgs scalars are
-// passed in registers.
-func (u *Unit) ArgVar(name string, typ ops.MemType) *Var {
-	return u.localVar(name, typ, 1, Arg)
-}
-
-func (u *Unit) localVar(name string, typ ops.MemType, n int, class VarClass) *Var {
+func (u *Unit) localVar(name string, typ ops.MemType, n int) *Var {
 	f := u.curFrame()
 	size := typ.Size() * uint64(n)
 	f.top = (f.top - size) &^ (typ.Size() - 1) // stack grows down, aligned
-	v := &Var{Name: f.name + "." + name, Class: class, Type: typ, Count: n, Addr: f.top}
-	switch class {
-	case Local:
-		if n == 1 && f.regsUsed < u.target.RegisterLocals {
-			v.InReg = true
-			f.regsUsed++
-		}
-	case Arg:
-		if n == 1 && f.argsSeen < u.target.RegisterArgs {
-			v.InReg = true
-		}
-		f.argsSeen++
+	v := &Var{Name: f.name + "." + name, Class: Local, Type: typ, Count: n, Addr: f.top}
+	if n == 1 && f.regsUsed < u.target.RegisterLocals {
+		v.InReg = true
+		f.regsUsed++
 	}
 	u.stackTop = f.top
-	f.vars = append(f.vars, v)
-	u.vars = append(u.vars, v)
 	return v
 }
 
@@ -290,17 +242,13 @@ func (u *Unit) localVar(name string, typ ops.MemType, n int, class VarClass) *Va
 // program counter.
 func (u *Unit) fetch() {
 	u.th.Emit(ops.NewIFetch(u.pc))
-	u.emitted++
 	u.pc += u.target.InstrBytes
 	if u.pc > u.codeTop {
 		u.codeTop = u.pc
 	}
 }
 
-func (u *Unit) emit(o ops.Op) {
-	u.th.Emit(o)
-	u.emitted++
-}
+func (u *Unit) emit(o ops.Op) { u.th.Emit(o) }
 
 // Load translates a "variable is read" annotation: an instruction fetch,
 // plus a load operation unless the variable is register-resident.
@@ -349,12 +297,6 @@ func (u *Unit) indexArith(v *Var, _ int) {
 	u.emit(ops.NewArith(ops.Add, ops.TypeInt))
 }
 
-// LoadConst translates an immediate-operand annotation.
-func (u *Unit) LoadConst(typ ops.DataType) {
-	u.fetch()
-	u.emit(ops.NewLoadConst(typ))
-}
-
 // Arith translates an arithmetic annotation (register-to-register).
 func (u *Unit) Arith(kind ops.Kind, typ ops.DataType) {
 	u.fetch()
@@ -362,8 +304,7 @@ func (u *Unit) Arith(kind ops.Kind, typ ops.DataType) {
 }
 
 // labelStride is the code-region granularity of label allocation: each new
-// label starts its own 256-byte region, so distinct basic blocks (e.g. the
-// two arms of an If) get disjoint instruction addresses. Blocks longer than
+// label starts its own 256-byte region, so distinct basic blocks get disjoint instruction addresses. Blocks longer than
 // 64 instructions may overrun into the next region — an accepted
 // approximation at the abstract-instruction level.
 const labelStride = 256
@@ -403,27 +344,6 @@ func (u *Unit) Branch(name string, taken bool) {
 	}
 }
 
-// If traces a two-armed conditional: the condition test (compare +
-// conditional branch), then whichever arm the really-executing program
-// takes, at stable per-arm code addresses. Either arm may be nil.
-func (u *Unit) If(name string, cond bool, then, els func()) {
-	u.Arith(ops.Sub, ops.TypeInt) // evaluate the condition
-	u.Branch(name+":else", !cond) // branch to else when the condition fails
-	if cond {
-		u.Label(name + ":then")
-		if then != nil {
-			then()
-		}
-		u.Branch(name+":join", true) // jump over the else arm
-	} else {
-		u.Label(name + ":else")
-		if els != nil {
-			els()
-		}
-	}
-	u.Label(name + ":join")
-}
-
 // Loop traces a counted loop with a stable head label: body runs n times;
 // each iteration ends with the increment/compare arithmetic and a backward
 // branch, re-tracing the head's addresses.
@@ -447,45 +367,24 @@ func (u *Unit) Loop(name string, n int, body func(i int)) {
 	}
 }
 
-// CallFunc translates a function call: the call operation, the callee body
-// at its own (stable) code addresses, and the return.
-func (u *Unit) CallFunc(name string, body func()) {
-	entry := u.labelAddr("func:" + name)
-	u.fetch()
-	u.emit(ops.NewCall(entry))
-	ret := u.pc
-	u.returnPC = append(u.returnPC, ret)
-	u.Label("func:" + name)
-	u.Enter(name)
-	body()
-	u.Leave()
-	u.fetch()
-	u.emit(ops.NewRet(ret))
-	u.returnPC = u.returnPC[:len(u.returnPC)-1]
-	u.pc = ret
-}
-
 // Communication annotations map directly onto the operations of Table 1
 // (§5.1); each also fetches the instruction that issues it.
 
 // Send translates a synchronous send annotation.
 func (u *Unit) Send(dst int, size uint32, tag uint32, payload any) {
 	u.fetch()
-	u.emitted++
 	u.th.Send(dst, size, tag, payload)
 }
 
 // ASend translates an asynchronous send annotation.
 func (u *Unit) ASend(dst int, size uint32, tag uint32, payload any) {
 	u.fetch()
-	u.emitted++
 	u.th.ASend(dst, size, tag, payload)
 }
 
 // Recv translates a synchronous receive annotation.
 func (u *Unit) Recv(src int, tag uint32) any {
 	u.fetch()
-	u.emitted++
 	return u.th.Recv(src, tag)
 }
 
@@ -493,47 +392,5 @@ func (u *Unit) Recv(src int, tag uint32) any {
 // simulator feeds back the actual source.
 func (u *Unit) RecvAny(tag uint32) (int, any) {
 	u.fetch()
-	u.emitted++
 	return u.th.RecvAny(tag)
-}
-
-// ARecv translates an asynchronous receive annotation.
-func (u *Unit) ARecv(src int, tag uint32) *trace.RecvHandle {
-	u.fetch()
-	u.emitted++
-	return u.th.ARecv(src, tag)
-}
-
-// T805Target approximates the INMOS T805 transputer's addressing and runtime
-// model: a 32-bit machine whose evaluation-stack architecture passes
-// arguments and keeps locals in memory (the workspace), not in registers.
-func T805Target() Target {
-	return Target{
-		Name:           "t805",
-		WordSize:       4,
-		CodeBase:       0x8000_0000 >> 8, // arbitrary distinct code region
-		GlobalBase:     0x2000_0000,
-		StackBase:      0x7fff_f000,
-		RegisterArgs:   0, // stack machine: everything through the workspace
-		RegisterLocals: 0,
-		InstrBytes:     1, // dense byte-coded instructions
-		SharedBase:     0x8000_0000,
-	}
-}
-
-// PPC601Target approximates the PowerPC 601's addressing and runtime model:
-// generous register files (r3-r10 argument passing, register-allocated
-// scalars) and 4-byte instructions.
-func PPC601Target() Target {
-	return Target{
-		Name:           "ppc601",
-		WordSize:       4,
-		CodeBase:       0x0001_0000,
-		GlobalBase:     0x1000_0000,
-		StackBase:      0x7fff_f000,
-		RegisterArgs:   8,
-		RegisterLocals: 8,
-		InstrBytes:     4,
-		SharedBase:     0x8000_0000,
-	}
 }

@@ -35,7 +35,7 @@ func TestGlobalAllocation(t *testing.T) {
 		a := u.Global("a", ops.MemWord)
 		b := u.Global("b", ops.MemByte)
 		c := u.Global("c", ops.MemFloat8)
-		if a.Addr != u.Target().GlobalBase {
+		if a.Addr != u.target.GlobalBase {
 			t.Errorf("a at %#x", a.Addr)
 		}
 		if b.Addr != a.Addr+4 {
@@ -56,7 +56,7 @@ func TestStackGrowsDown(t *testing.T) {
 		defer u.Leave()
 		x := u.LocalArray("x", ops.MemWord, 8) // arrays never in registers
 		y := u.LocalArray("y", ops.MemWord, 8)
-		if x.Addr >= u.Target().StackBase {
+		if x.Addr >= u.target.StackBase {
 			t.Errorf("x at %#x, above stack base", x.Addr)
 		}
 		if y.Addr >= x.Addr {
@@ -72,7 +72,7 @@ func TestRegisterAllocation(t *testing.T) {
 	collect(t, func(u *Unit) {
 		u.Enter("f")
 		defer u.Leave()
-		// GenericTarget: 4 register locals, 4 register args.
+		// GenericTarget: 4 register locals.
 		var locals []*Var
 		for i := 0; i < 6; i++ {
 			locals = append(locals, u.Local(string(rune('a'+i)), ops.MemWord))
@@ -81,10 +81,6 @@ func TestRegisterAllocation(t *testing.T) {
 			if (i < 4) != v.InReg {
 				t.Errorf("local %d InReg = %v", i, v.InReg)
 			}
-		}
-		a1 := u.ArgVar("p0", ops.MemWord)
-		if !a1.InReg || a1.Class != Arg {
-			t.Error("first arg should be in a register")
 		}
 	})
 }
@@ -180,62 +176,6 @@ func TestBranchTargetsLabel(t *testing.T) {
 	}
 }
 
-func TestCallFunc(t *testing.T) {
-	got := collect(t, func(u *Unit) {
-		u.Enter("main")
-		defer u.Leave()
-		u.Arith(ops.Add, ops.TypeInt)
-		u.CallFunc("sq", func() {
-			u.Arith(ops.Mul, ops.TypeInt)
-		})
-		u.Arith(ops.Sub, ops.TypeInt)
-	})
-	var call, ret ops.Op
-	kinds := []ops.Kind{}
-	for _, o := range got {
-		if o.Kind != ops.IFetch {
-			kinds = append(kinds, o.Kind)
-		}
-		switch o.Kind {
-		case ops.Call:
-			call = o
-		case ops.Ret:
-			ret = o
-		}
-	}
-	want := []ops.Kind{ops.Add, ops.Call, ops.Mul, ops.Ret, ops.Sub}
-	if len(kinds) != len(want) {
-		t.Fatalf("kinds = %v", kinds)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("kinds = %v, want %v", kinds, want)
-		}
-	}
-	if call.Addr == 0 || ret.Addr == 0 {
-		t.Fatal("call/ret addresses missing")
-	}
-}
-
-func TestCallTwiceSameEntryAddress(t *testing.T) {
-	got := collect(t, func(u *Unit) {
-		u.Enter("main")
-		defer u.Leave()
-		for i := 0; i < 2; i++ {
-			u.CallFunc("f", func() { u.Arith(ops.Add, ops.TypeInt) })
-		}
-	})
-	var calls []uint64
-	for _, o := range got {
-		if o.Kind == ops.Call {
-			calls = append(calls, o.Addr)
-		}
-	}
-	if len(calls) != 2 || calls[0] != calls[1] {
-		t.Fatalf("call targets = %v, want identical", calls)
-	}
-}
-
 func TestLoadElemEmitsAddressArithmetic(t *testing.T) {
 	got := collect(t, func(u *Unit) {
 		a := u.GlobalArray("A", ops.MemFloat8, 10)
@@ -287,26 +227,6 @@ func TestZeroIterationLoop(t *testing.T) {
 	}
 }
 
-func TestDescriptorTable(t *testing.T) {
-	collect(t, func(u *Unit) {
-		u.Global("g", ops.MemWord)
-		u.Enter("f")
-		u.Local("l", ops.MemWord)
-		u.ArgVar("a", ops.MemWord)
-		u.Leave()
-		tbl := u.DescriptorTable()
-		if len(tbl) != 3 {
-			t.Fatalf("table has %d entries", len(tbl))
-		}
-		classes := map[string]VarClass{"g": Global, "f.l": Local, "f.a": Arg}
-		for _, v := range tbl {
-			if want, ok := classes[v.Name]; !ok || v.Class != want {
-				t.Errorf("entry %q class %v", v.Name, v.Class)
-			}
-		}
-	})
-}
-
 func TestLeaveWithoutEnterPanics(t *testing.T) {
 	pr := &trace.Program{
 		Threads: 1,
@@ -351,40 +271,11 @@ func TestNestedLoopsRecurringAddresses(t *testing.T) {
 	}
 }
 
-func TestNestedCalls(t *testing.T) {
-	got := collect(t, func(u *Unit) {
-		u.Enter("main")
-		defer u.Leave()
-		u.CallFunc("outerfn", func() {
-			u.Arith(ops.Add, ops.TypeInt)
-			u.CallFunc("innerfn", func() {
-				u.Arith(ops.Sub, ops.TypeInt)
-			})
-			u.Arith(ops.Mul, ops.TypeInt)
-		})
-	})
-	var kinds []ops.Kind
-	for _, o := range got {
-		if o.Kind != ops.IFetch {
-			kinds = append(kinds, o.Kind)
-		}
-	}
-	want := []ops.Kind{ops.Call, ops.Add, ops.Call, ops.Sub, ops.Ret, ops.Mul, ops.Ret}
-	if len(kinds) != len(want) {
-		t.Fatalf("kinds = %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("kinds = %v, want %v", kinds, want)
-		}
-	}
-}
-
 func TestSharedSegmentAddresses(t *testing.T) {
 	collect(t, func(u *Unit) {
 		s := u.Shared("s", ops.MemWord)
-		if s.Addr != u.Target().SharedBase {
-			t.Errorf("shared at %#x, want base %#x", s.Addr, u.Target().SharedBase)
+		if s.Addr != u.target.SharedBase {
+			t.Errorf("shared at %#x, want base %#x", s.Addr, u.target.SharedBase)
 		}
 		a := u.SharedArray("arr", ops.MemFloat8, 4)
 		if a.Addr < s.Addr || a.Addr%8 != 0 {
@@ -411,35 +302,21 @@ func TestSharedWithoutSegmentPanics(t *testing.T) {
 	}
 }
 
-func TestEmittedCounter(t *testing.T) {
-	collect(t, func(u *Unit) {
-		before := u.Emitted()
-		u.Arith(ops.Add, ops.TypeInt) // ifetch + add
-		if u.Emitted() != before+2 {
-			t.Errorf("emitted advanced by %d, want 2", u.Emitted()-before)
-		}
-	})
-}
-
-func TestStoreAndConstAnnotations(t *testing.T) {
+func TestStoreAnnotations(t *testing.T) {
 	got := collect(t, func(u *Unit) {
 		g := u.Global("g", ops.MemWord)
 		arr := u.GlobalArray("A", ops.MemWord, 4)
 		u.Store(g)
 		u.StoreElem(arr, 2)
-		u.LoadConst(ops.TypeFloat)
 	})
-	var stores, consts int
+	stores := 0
 	for _, o := range got {
-		switch o.Kind {
-		case ops.Store:
+		if o.Kind == ops.Store {
 			stores++
-		case ops.LoadConst:
-			consts++
 		}
 	}
-	if stores != 2 || consts != 1 {
-		t.Fatalf("stores=%d consts=%d", stores, consts)
+	if stores != 2 {
+		t.Fatalf("stores=%d", stores)
 	}
 }
 
@@ -469,8 +346,6 @@ func TestCommunicationAnnotations(t *testing.T) {
 			u.ASend(0, 32, 2, nil)
 			u.Recv(0, 1)
 			u.RecvAny(2)
-			h := u.ARecv(0, 3)
-			h.Wait()
 			if u.Thread() != th {
 				t.Error("Thread accessor broken")
 			}
@@ -482,72 +357,25 @@ func TestCommunicationAnnotations(t *testing.T) {
 	for _, o := range got {
 		counts[o.Kind]++
 	}
-	if counts[ops.Send] != 1 || counts[ops.ASend] != 1 || counts[ops.Recv] != 2 ||
-		counts[ops.ARecv] != 1 || counts[ops.WaitRecv] != 1 {
+	if counts[ops.Send] != 1 || counts[ops.ASend] != 1 || counts[ops.Recv] != 2 {
 		t.Fatalf("counts = %v", counts)
 	}
 	// Every communication annotation fetched its issuing instruction.
-	if counts[ops.IFetch] != 5 {
-		t.Fatalf("ifetches = %d, want 5", counts[ops.IFetch])
+	if counts[ops.IFetch] != 4 {
+		t.Fatalf("ifetches = %d, want 4", counts[ops.IFetch])
 	}
 }
 
 func TestVarClassStrings(t *testing.T) {
-	if Global.String() != "global" || Local.String() != "local" || Arg.String() != "arg" {
+	if Global.String() != "global" || Local.String() != "local" {
 		t.Fatal("class names wrong")
-	}
-}
-
-func TestIfElseStableDisjointAddresses(t *testing.T) {
-	// Alternate both arms within one program: each arm's fetch addresses
-	// must be stable across executions AND disjoint from the other arm's.
-	thenAddrs := map[uint64]bool{}
-	elseAddrs := map[uint64]bool{}
-	got := collect(t, func(u *Unit) {
-		for i := 0; i < 4; i++ {
-			u.If("c", i%2 == 0,
-				func() { u.Arith(ops.Add, ops.TypeInt) },
-				func() { u.Arith(ops.Mul, ops.TypeInt); u.Arith(ops.Mul, ops.TypeInt) })
-		}
-	})
-	var last uint64
-	for _, o := range got {
-		switch o.Kind {
-		case ops.IFetch:
-			last = o.Addr
-		case ops.Add:
-			thenAddrs[last] = true
-		case ops.Mul:
-			elseAddrs[last] = true
-		}
-	}
-	if len(thenAddrs) != 1 {
-		t.Fatalf("then arm used %d addresses across iterations, want 1", len(thenAddrs))
-	}
-	if len(elseAddrs) != 2 {
-		t.Fatalf("else arm used %d addresses, want 2", len(elseAddrs))
-	}
-	for a := range thenAddrs {
-		if elseAddrs[a] {
-			t.Fatalf("arms overlap at %#x", a)
-		}
-	}
-}
-
-func TestIfNilArms(t *testing.T) {
-	got := collect(t, func(u *Unit) {
-		u.If("a", true, nil, nil)
-		u.If("b", false, nil, nil)
-	})
-	if len(got) == 0 {
-		t.Fatal("condition evaluation must still be traced")
 	}
 }
 
 func TestTargetsChangeTranslation(t *testing.T) {
 	// The same annotated source yields different operation streams per
-	// target: the stack-machine T805 spills scalars the PPC601 keeps in
-	// registers — "the translation of annotations according to the runtime
+	// target: a stack machine (no register locals, like the T805) spills
+	// scalars a register machine keeps in registers — "the translation of annotations according to the runtime
 	// and addressing capabilities of the target processor" (§5.1).
 	countMemOps := func(tgt Target) int {
 		pr := &trace.Program{
@@ -577,12 +405,12 @@ func TestTargetsChangeTranslation(t *testing.T) {
 		}
 		return mem
 	}
-	t805 := countMemOps(T805Target())
-	ppc := countMemOps(PPC601Target())
-	if t805 != 10 {
-		t.Fatalf("T805 memory ops = %d, want 10 (workspace-resident scalar)", t805)
+	stack := GenericTarget()
+	stack.RegisterLocals = 0
+	if got := countMemOps(stack); got != 10 {
+		t.Fatalf("stack machine memory ops = %d, want 10 (workspace-resident scalar)", got)
 	}
-	if ppc != 0 {
-		t.Fatalf("PPC601 memory ops = %d, want 0 (register-resident scalar)", ppc)
+	if got := countMemOps(GenericTarget()); got != 0 {
+		t.Fatalf("register machine memory ops = %d, want 0 (register-resident scalar)", got)
 	}
 }

@@ -119,7 +119,6 @@ func (s RunSpec) machine() (machine.Config, error) {
 			return cfg, fmt.Errorf("unknown preset %q (have: %s)", s.Preset, strings.Join(PresetNames(), ", "))
 		}
 		cfg = mk()
-		cfg.Version = machine.ConfigVersion
 	case s.Topology != "":
 		cfg, err = machine.TaskMachineFromSpec(s.Topology)
 	default:

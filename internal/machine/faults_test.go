@@ -12,59 +12,34 @@ import (
 )
 
 func TestParseConfigVersions(t *testing.T) {
-	// A legacy (unversioned) file upgrades to the current schema.
-	legacy := T805Grid(2, 2)
-	data, err := json.Marshal(legacy)
-	if err != nil {
+	parse := func(version int) error {
+		t.Helper()
+		cfg := T805Grid(2, 2)
+		cfg.Version = version
+		cfg.Faults = &fault.Schedule{Nodes: []fault.NodeFault{{Node: 1, Window: fault.Window{From: 10, To: 20}}}}
+		data, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseConfig(data)
+		if err == nil && (back.Faults == nil || len(back.Faults.Nodes) != 1) {
+			t.Errorf("faults lost in round trip: %+v", back.Faults)
+		}
+		return err
+	}
+	// The current schema, fault plan included, parses.
+	if err := parse(ConfigVersion); err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(data), `"version"`) {
-		t.Fatalf("zero version serialized: %s", data)
+	// An unversioned (v0) or v1 file is refused with the fix in the message:
+	// every field those schemas had reads the same in the current one.
+	for _, old := range []int{0, 1} {
+		if err := parse(old); err == nil || !strings.Contains(err.Error(), `set "version": 2`) {
+			t.Errorf("version %d: err = %v, want a refusal that says to set the version", old, err)
+		}
 	}
-	cfg, err := ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Version != ConfigVersion {
-		t.Errorf("parsed version = %d, want upgrade to %d", cfg.Version, ConfigVersion)
-	}
-
-	// A current-version file with a fault plan parses.
-	v1 := T805Grid(2, 2)
-	v1.Version = ConfigVersion
-	v1.Faults = &fault.Schedule{Nodes: []fault.NodeFault{{Node: 1, Window: fault.Window{From: 10, To: 20}}}}
-	data, err = json.Marshal(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg, err = ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Faults == nil || len(cfg.Faults.Nodes) != 1 {
-		t.Errorf("faults lost in round trip: %+v", cfg.Faults)
-	}
-
-	// The same fault plan in an unversioned file is a mistake, not an
-	// upgrade: the legacy schema predates faults.
-	v0 := v1
-	v0.Version = 0
-	data, err = json.Marshal(v0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseConfig(data); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("unversioned faults accepted (err = %v)", err)
-	}
-
 	// Future schema versions are rejected rather than misread.
-	future := T805Grid(2, 2)
-	future.Version = 99
-	data, err = json.Marshal(future)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ParseConfig(data); err == nil || !strings.Contains(err.Error(), "unsupported config version") {
+	if err := parse(99); err == nil || !strings.Contains(err.Error(), "unsupported config version") {
 		t.Errorf("future version accepted (err = %v)", err)
 	}
 }

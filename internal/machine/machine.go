@@ -48,22 +48,18 @@ const (
 	TaskLevel Mode = "task"
 )
 
-// ConfigVersion is the current machine-configuration schema version. Version
-// 0 files (the legacy, unversioned schema) are upgraded on parse; versions
-// beyond ConfigVersion are rejected. Version history:
-//
-//	v1 — adds the Faults block.
-//	v2 — adds the hierarchical topology families (torus3d, fattree,
-//	     dragonfly). Its engine selector is gone: every machine runs on the
-//	     one single-kernel engine (or on shards), so a file naming one is
-//	     rejected as having an unknown field.
+// ConfigVersion is the machine-configuration schema version, the only one
+// ParseConfig reads. The unversioned schema and v1 lacked only fields v2
+// has (the Faults block, the hierarchical topology families), so a file of
+// either reads as v2 once it says "version": 2. An engine selector is gone:
+// every machine runs on the one single-kernel engine (or on shards), so a
+// file naming one is rejected as having an unknown field.
 const ConfigVersion = 2
 
 // Config describes a complete machine.
 type Config struct {
-	// Version is the configuration schema version: omitted/0 for a legacy
-	// file (upgraded to the current schema on parse), or ConfigVersion. The
-	// Faults block exists only from version 1 on.
+	// Version is the configuration schema version, which a parsed file must
+	// give as ConfigVersion.
 	Version int `json:"version,omitempty"`
 	Name    string
 	Mode    Mode
@@ -166,9 +162,8 @@ func (c *Config) hasNetwork() bool { return c.Nodes > 1 }
 
 // ParseConfig decodes a machine configuration from JSON. Anything but
 // whitespace after the JSON document is an error: a truncated or
-// concatenated configuration must not silently half-parse. Legacy version-0
-// files are upgraded to the current schema; files from a future schema are
-// rejected rather than misread.
+// concatenated configuration must not silently half-parse. A file of any
+// schema version but ConfigVersion is refused.
 func ParseConfig(data []byte) (Config, error) {
 	var cfg Config
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -180,24 +175,11 @@ func ParseConfig(data []byte) (Config, error) {
 		return Config{}, fmt.Errorf("machine: trailing data after configuration JSON")
 	}
 	cfg.Faults.Normalize()
-	switch cfg.Version {
-	case 0:
-		// Legacy schema: identical to v1 except that it predates the Faults
-		// block, so one appearing in an unversioned file is a mistake worth
-		// rejecting, not upgrading.
-		if cfg.Faults != nil {
-			return Config{}, fmt.Errorf("machine: faults block requires config version 1 or later")
-		}
-		fallthrough
-	case 1:
-		// v1 predates the hierarchical topology families; one appearing in an
-		// older file is a mistake.
-		if topology.Hierarchical(cfg.Network.Topology.Kind) {
-			return Config{}, fmt.Errorf("machine: topology %q requires config version 2", cfg.Network.Topology.Kind)
-		}
-		cfg.Version = ConfigVersion
-	case ConfigVersion:
-	default:
+	switch {
+	case cfg.Version < ConfigVersion:
+		return Config{}, fmt.Errorf(`machine: config version %d is no longer read; set "version": %d (every field of versions 0 and 1 reads the same in it)`,
+			cfg.Version, ConfigVersion)
+	case cfg.Version > ConfigVersion:
 		return Config{}, fmt.Errorf("machine: unsupported config version %d (this build reads up to %d)",
 			cfg.Version, ConfigVersion)
 	}

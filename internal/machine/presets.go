@@ -59,10 +59,11 @@ func T805Node() node.Config {
 // communication.
 func T805Grid(w, h int) Config {
 	return Config{
-		Name:  "t805-grid",
-		Mode:  Detailed,
-		Nodes: w * h,
-		Node:  T805Node(),
+		Version: ConfigVersion,
+		Name:    "t805-grid",
+		Mode:    Detailed,
+		Nodes:   w * h,
+		Node:    T805Node(),
 		Network: network.Config{
 			Topology: topology.Config{Kind: topology.Mesh2D, DimX: w, DimY: h},
 			Router: router.Config{
@@ -125,10 +126,11 @@ func PPC601Node() node.Config {
 // PPC601Machine is the single-node PowerPC 601 configuration of §6.
 func PPC601Machine() Config {
 	return Config{
-		Name:  "ppc601",
-		Mode:  Detailed,
-		Nodes: 1,
-		Node:  PPC601Node(),
+		Version: ConfigVersion,
+		Name:    "ppc601",
+		Mode:    Detailed,
+		Nodes:   1,
+		Node:    PPC601Node(),
 	}
 }
 
@@ -140,10 +142,11 @@ func PPC601SMP(cpus int) Config {
 	nd.Hierarchy.Coherence = cache.Snoopy
 	nd.Hierarchy.CacheToCacheLatency = 4
 	return Config{
-		Name:  "ppc601-smp",
-		Mode:  Detailed,
-		Nodes: 1,
-		Node:  nd,
+		Version: ConfigVersion,
+		Name:    "ppc601-smp",
+		Mode:    Detailed,
+		Nodes:   1,
+		Node:    nd,
 	}
 }
 
@@ -158,10 +161,11 @@ func HybridCluster(w, h, cpus int) Config {
 		nd.Hierarchy.CacheToCacheLatency = 4
 	}
 	return Config{
-		Name:  "hybrid-cluster",
-		Mode:  Detailed,
-		Nodes: w * h,
-		Node:  nd,
+		Version: ConfigVersion,
+		Name:    "hybrid-cluster",
+		Mode:    Detailed,
+		Nodes:   w * h,
+		Node:    nd,
 		Network: network.Config{
 			Topology: topology.Config{Kind: topology.Torus2D, DimX: w, DimY: h},
 			Router: router.Config{
@@ -194,9 +198,10 @@ func DSMCluster(w, h int) Config {
 // studies: `nodes` abstract processors on the given topology.
 func GenericTaskMachine(topo topology.Config, nodes int, sw router.Switching) Config {
 	return Config{
-		Name:  "generic-task",
-		Mode:  TaskLevel,
-		Nodes: nodes,
+		Version: ConfigVersion,
+		Name:    "generic-task",
+		Mode:    TaskLevel,
+		Nodes:   nodes,
 		Network: network.Config{
 			Topology: topo,
 			Router: router.Config{
@@ -230,6 +235,5 @@ func TaskMachineFromSpec(spec string) (Config, error) {
 	}
 	cfg := GenericTaskMachine(tc, tp.Nodes(), router.Wormhole)
 	cfg.Name = "task-" + tp.Name()
-	cfg.Version = ConfigVersion
 	return cfg, nil
 }

@@ -30,19 +30,3 @@ func Shards(part []int) int {
 	}
 	return part[len(part)-1] + 1
 }
-
-// CrossLinks counts the directed links of t whose endpoints land in
-// different shards of part — the channels that become cross-shard mailbox
-// traffic. A partition diagnostic for tests and tuning.
-func CrossLinks(t Topology, part []int) int {
-	cut := 0
-	deg := t.Degree()
-	for node := 0; node < t.Nodes(); node++ {
-		for port := 0; port < deg; port++ {
-			if nb := t.Neighbor(node, port); nb >= 0 && part[node] != part[nb] {
-				cut++
-			}
-		}
-	}
-	return cut
-}

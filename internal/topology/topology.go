@@ -62,13 +62,6 @@ const (
 	Dragonfly      Kind = "dragonfly"
 )
 
-// Hierarchical reports whether k is one of the generator-backed hierarchical
-// families added for large-machine studies (torus3d, fattree, dragonfly) —
-// the topologies gated to machine-configuration schema v2.
-func Hierarchical(k Kind) bool {
-	return k == Torus3D || k == FatTree || k == Dragonfly
-}
-
 // Config selects and sizes a topology.
 type Config struct {
 	Kind Kind
@@ -169,39 +162,6 @@ func Distance(t Topology, a, b int) int {
 		}
 	}
 	return hops
-}
-
-// Diameter returns the longest routed distance between any node pair.
-func Diameter(t Topology) int {
-	d := 0
-	for a := 0; a < t.Nodes(); a++ {
-		for b := 0; b < t.Nodes(); b++ {
-			if a == b {
-				continue
-			}
-			if h := Distance(t, a, b); h > d {
-				d = h
-			}
-		}
-	}
-	return d
-}
-
-// AvgDistance returns the mean routed distance over all ordered pairs.
-func AvgDistance(t Topology) float64 {
-	n := t.Nodes()
-	if n < 2 {
-		return 0
-	}
-	total := 0
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			if a != b {
-				total += Distance(t, a, b)
-			}
-		}
-	}
-	return float64(total) / float64(n*(n-1))
 }
 
 // Links counts the distinct physical links (unordered neighbor pairs).

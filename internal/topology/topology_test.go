@@ -74,8 +74,8 @@ func TestRingDistances(t *testing.T) {
 	if d := Distance(r, 0, 7); d != 1 {
 		t.Fatalf("wrap distance = %d, want 1", d)
 	}
-	if Diameter(r) != 4 {
-		t.Fatalf("diameter = %d, want 4", Diameter(r))
+	if diameter(r) != 4 {
+		t.Fatalf("diameter = %d, want 4", diameter(r))
 	}
 }
 
@@ -92,8 +92,8 @@ func TestMeshXYRouting(t *testing.T) {
 	if d := Distance(m, 0, 15); d != 6 {
 		t.Fatalf("corner distance = %d, want 6", d)
 	}
-	if Diameter(m) != 6 {
-		t.Fatalf("mesh diameter = %d, want 6", Diameter(m))
+	if diameter(m) != 6 {
+		t.Fatalf("mesh diameter = %d, want 6", diameter(m))
 	}
 }
 
@@ -116,8 +116,8 @@ func TestTorusWrap(t *testing.T) {
 	if d := Distance(tr, 0, 3); d != 1 {
 		t.Fatalf("wrap distance = %d, want 1", d)
 	}
-	if Diameter(tr) != 4 {
-		t.Fatalf("torus diameter = %d, want 4", Diameter(tr))
+	if diameter(tr) != 4 {
+		t.Fatalf("torus diameter = %d, want 4", diameter(tr))
 	}
 	// Torus has no dead ports.
 	for a := 0; a < tr.Nodes(); a++ {
@@ -134,8 +134,8 @@ func TestHypercubeEcube(t *testing.T) {
 	if d := Distance(h, 0, 7); d != 3 {
 		t.Fatalf("distance 0->7 = %d, want 3 (popcount)", d)
 	}
-	if Diameter(h) != 3 {
-		t.Fatalf("diameter = %d, want 3", Diameter(h))
+	if diameter(h) != 3 {
+		t.Fatalf("diameter = %d, want 3", diameter(h))
 	}
 	// e-cube corrects lowest dimension first: 0 -> 6 (bits 110) goes via bit 1.
 	if p := h.Route(0, 6); p != 1 {
@@ -157,15 +157,15 @@ func TestStarRouting(t *testing.T) {
 	if d := Distance(s, 0, 3); d != 1 {
 		t.Fatalf("hub-to-leaf = %d, want 1", d)
 	}
-	if Diameter(s) != 2 {
+	if diameter(s) != 2 {
 		t.Fatal("star diameter != 2")
 	}
 }
 
 func TestFullIsDiameterOne(t *testing.T) {
 	f, _ := NewFull(6)
-	if Diameter(f) != 1 {
-		t.Fatalf("diameter = %d", Diameter(f))
+	if diameter(f) != 1 {
+		t.Fatalf("diameter = %d", diameter(f))
 	}
 	if Links(f) != 15 {
 		t.Fatalf("links = %d, want n(n-1)/2 = 15", Links(f))
@@ -174,12 +174,12 @@ func TestFullIsDiameterOne(t *testing.T) {
 
 func TestAvgDistance(t *testing.T) {
 	f, _ := NewFull(4)
-	if avg := AvgDistance(f); avg != 1 {
+	if avg := avgDistance(f); avg != 1 {
 		t.Fatalf("full avg = %v, want 1", avg)
 	}
 	r, _ := NewRing(4)
 	// distances from any node: 1,2,1 -> avg 4/3
-	if avg := AvgDistance(r); avg < 1.32 || avg > 1.35 {
+	if avg := avgDistance(r); avg < 1.32 || avg > 1.35 {
 		t.Fatalf("ring(4) avg = %v, want ~1.333", avg)
 	}
 }
@@ -348,4 +348,37 @@ func TestHypercubeAdaptivity(t *testing.T) {
 	if got := len(h.MinimalPorts(0, 7)); got != 3 {
 		t.Fatalf("0->7 minimal ports = %d, want 3", got)
 	}
+}
+
+// diameter returns the longest routed distance between any node pair.
+func diameter(t Topology) int {
+	d := 0
+	for a := 0; a < t.Nodes(); a++ {
+		for b := 0; b < t.Nodes(); b++ {
+			if a == b {
+				continue
+			}
+			if h := Distance(t, a, b); h > d {
+				d = h
+			}
+		}
+	}
+	return d
+}
+
+// avgDistance returns the mean routed distance over all ordered pairs.
+func avgDistance(t Topology) float64 {
+	n := t.Nodes()
+	if n < 2 {
+		return 0
+	}
+	total := 0
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			if a != b {
+				total += Distance(t, a, b)
+			}
+		}
+	}
+	return float64(total) / float64(n*(n-1))
 }

@@ -7,52 +7,38 @@ import (
 	"mermaid/internal/ops"
 )
 
-// Comm is a small collective-communication library for instrumented SPMD
-// programs: barrier, broadcast, reduce, allreduce and allgather built from
-// the point-to-point operations of Table 1 (binomial trees for the
-// tree-shaped collectives, a ring for allgather). All ranks must call each
+// comm is a small collective-communication library for instrumented SPMD
+// programs: broadcast, reduce and allreduce built from the point-to-point
+// operations of Table 1 along binomial trees. All ranks must call each
 // collective in the same order — the usual SPMD contract — because tags are
-// assigned from a per-communicator sequence.
+// assigned from a per-communicator sequence, which starts at a tag region
+// the caller reserves (below the DSM-reserved space).
 //
 // Payloads are real Go values routed through the simulator, so algorithmic
 // correctness (e.g. an allreduce really producing the global sum) is
 // testable end to end.
-type Comm struct {
+type comm struct {
 	u    *annotate.Unit
 	rank int
 	size int
 	seq  uint32
 }
 
-// NewComm creates a communicator for the calling thread. tagBase reserves a
-// tag region; collectives use tags tagBase+1, tagBase+2, … (stay below the
-// DSM-reserved space).
-func NewComm(u *annotate.Unit, tagBase uint32) *Comm {
-	th := u.Thread()
-	return &Comm{u: u, rank: th.ID(), size: th.Threads(), seq: tagBase}
-}
-
-// Rank returns the calling thread's rank.
-func (c *Comm) Rank() int { return c.rank }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return c.size }
-
-func (c *Comm) nextTag() uint32 {
+func (c *comm) nextTag() uint32 {
 	c.seq++
 	return c.seq
 }
 
 // rel converts the caller's rank into root-relative coordinates.
-func (c *Comm) rel(root int) int { return (c.rank - root + c.size) % c.size }
+func (c *comm) rel(root int) int { return (c.rank - root + c.size) % c.size }
 
 // abs converts a root-relative rank back to an absolute one.
-func (c *Comm) abs(root, r int) int { return (r + root) % c.size }
+func (c *comm) abs(root, r int) int { return (r + root) % c.size }
 
 // Broadcast distributes the root's payload of the given wire size to every
 // rank along a binomial tree (log2(p) rounds). It returns the payload on
 // every rank.
-func (c *Comm) Broadcast(root int, bytes uint32, payload any) any {
+func (c *comm) Broadcast(root int, bytes uint32, payload any) any {
 	if root < 0 || root >= c.size {
 		panic(fmt.Sprintf("workload: broadcast root %d of %d", root, c.size))
 	}
@@ -85,7 +71,7 @@ func (c *Comm) Broadcast(root int, bytes uint32, payload any) any {
 // combiner) down a binomial tree; the result is returned at the root (other
 // ranks receive their partial). Each combine step also charges one
 // arithmetic operation, modelling the reduction computation.
-func (c *Comm) Reduce(root int, bytes uint32, val float64, op func(a, b float64) float64) float64 {
+func (c *comm) Reduce(root int, bytes uint32, val float64, op func(a, b float64) float64) float64 {
 	tag := c.nextTag()
 	r := c.rel(root)
 	acc := val
@@ -108,62 +94,8 @@ func (c *Comm) Reduce(root int, bytes uint32, val float64, op func(a, b float64)
 
 // AllReduce gives every rank the combined value: a reduce to rank 0 followed
 // by a broadcast.
-func (c *Comm) AllReduce(bytes uint32, val float64, op func(a, b float64) float64) float64 {
+func (c *comm) AllReduce(bytes uint32, val float64, op func(a, b float64) float64) float64 {
 	total := c.Reduce(0, bytes, val, op)
 	out := c.Broadcast(0, bytes, total)
 	return out.(float64)
-}
-
-// Barrier blocks until every rank has entered it (a zero-payload
-// allreduce).
-func (c *Comm) Barrier() {
-	c.AllReduce(4, 0, func(a, b float64) float64 { return a + b })
-}
-
-// AllGather collects every rank's payload on every rank, by circulating the
-// pieces around a ring for size-1 steps. It returns the pieces indexed by
-// rank.
-func (c *Comm) AllGather(bytes uint32, payload any) []any {
-	tag := c.nextTag()
-	out := make([]any, c.size)
-	out[c.rank] = payload
-	if c.size == 1 {
-		return out
-	}
-	type piece struct {
-		owner int
-		data  any
-	}
-	cur := piece{c.rank, payload}
-	next, prev := (c.rank+1)%c.size, (c.rank-1+c.size)%c.size
-	for step := 0; step < c.size-1; step++ {
-		if c.rank == c.size-1 {
-			in := c.u.Recv(prev, tag).(piece)
-			c.u.Send(next, bytes, tag, cur)
-			cur = in
-		} else {
-			c.u.Send(next, bytes, tag, cur)
-			cur = c.u.Recv(prev, tag).(piece)
-		}
-		out[cur.owner] = cur.data
-	}
-	return out
-}
-
-// Gather collects every rank's payload at the root (direct sends; the root
-// receives from each rank by source). Non-root ranks get nil.
-func (c *Comm) Gather(root int, bytes uint32, payload any) []any {
-	tag := c.nextTag()
-	if c.rank != root {
-		c.u.Send(root, bytes, tag, payload)
-		return nil
-	}
-	out := make([]any, c.size)
-	out[root] = payload
-	for i := 0; i < c.size; i++ {
-		if i != root {
-			out[i] = c.u.Recv(i, tag)
-		}
-	}
-	return out
 }

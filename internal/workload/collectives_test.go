@@ -29,7 +29,7 @@ func collectiveMachine(t *testing.T, n int) *machine.Machine {
 }
 
 // runCollective executes body on n ranks and fails on any simulation error.
-func runCollective(t *testing.T, n int, body func(c *Comm, rank int)) {
+func runCollective(t *testing.T, n int, body func(c *comm, rank int)) {
 	t.Helper()
 	m := collectiveMachine(t, n)
 	prog := &trace.Program{
@@ -38,7 +38,7 @@ func runCollective(t *testing.T, n int, body func(c *Comm, rank int)) {
 			u := annotate.New(th, annotate.GenericTarget())
 			u.Enter("main")
 			defer u.Leave()
-			body(NewComm(u, 500), th.ID())
+			body(&comm{u: u, rank: th.ID(), size: th.Threads(), seq: 500}, th.ID())
 		},
 	}
 	if _, err := m.RunProgram(prog); err != nil {
@@ -52,7 +52,7 @@ func TestBroadcast(t *testing.T) {
 			n, root := n, root
 			t.Run(fmt.Sprintf("n=%d root=%d", n, root), func(t *testing.T) {
 				got := make([]any, n)
-				runCollective(t, n, func(c *Comm, rank int) {
+				runCollective(t, n, func(c *comm, rank int) {
 					var payload any
 					if rank == root {
 						payload = "the word"
@@ -74,7 +74,7 @@ func TestReduceSum(t *testing.T) {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			var rootGot float64
-			runCollective(t, n, func(c *Comm, rank int) {
+			runCollective(t, n, func(c *comm, rank int) {
 				v := c.Reduce(0, 8, float64(rank+1), func(a, b float64) float64 { return a + b })
 				if rank == 0 {
 					rootGot = v
@@ -91,7 +91,7 @@ func TestReduceSum(t *testing.T) {
 func TestAllReduceEveryRank(t *testing.T) {
 	const n = 6
 	got := make([]float64, n)
-	runCollective(t, n, func(c *Comm, rank int) {
+	runCollective(t, n, func(c *comm, rank int) {
 		got[rank] = c.AllReduce(8, float64(rank), func(a, b float64) float64 { return a + b })
 	})
 	want := float64(n*(n-1)) / 2
@@ -105,7 +105,7 @@ func TestAllReduceEveryRank(t *testing.T) {
 func TestAllReduceMax(t *testing.T) {
 	const n = 4
 	got := make([]float64, n)
-	runCollective(t, n, func(c *Comm, rank int) {
+	runCollective(t, n, func(c *comm, rank int) {
 		got[rank] = c.AllReduce(8, float64((rank*7)%5), func(a, b float64) float64 {
 			if a > b {
 				return a
@@ -120,55 +120,11 @@ func TestAllReduceMax(t *testing.T) {
 	}
 }
 
-func TestBarrierCompletes(t *testing.T) {
-	runCollective(t, 5, func(c *Comm, rank int) {
-		for i := 0; i < 3; i++ {
-			c.Barrier()
-		}
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	const n = 5
-	got := make([][]any, n)
-	runCollective(t, n, func(c *Comm, rank int) {
-		got[rank] = c.AllGather(16, rank*10)
-	})
-	for r := 0; r < n; r++ {
-		if len(got[r]) != n {
-			t.Fatalf("rank %d gathered %d pieces", r, len(got[r]))
-		}
-		for i := 0; i < n; i++ {
-			if got[r][i] != i*10 {
-				t.Fatalf("rank %d piece %d = %v, want %d", r, i, got[r][i], i*10)
-			}
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	const n, root = 4, 2
-	var atRoot []any
-	runCollective(t, n, func(c *Comm, rank int) {
-		res := c.Gather(root, 16, rank+100)
-		if rank == root {
-			atRoot = res
-		} else if res != nil {
-			t.Errorf("non-root rank %d got %v", rank, res)
-		}
-	})
-	for i := 0; i < n; i++ {
-		if atRoot[i] != i+100 {
-			t.Fatalf("gathered[%d] = %v", i, atRoot[i])
-		}
-	}
-}
-
 func TestCollectivesBackToBack(t *testing.T) {
 	// Distinct tags per call: mixing collectives must not cross-match.
 	const n = 4
-	runCollective(t, n, func(c *Comm, rank int) {
-		c.Barrier()
+	runCollective(t, n, func(c *comm, rank int) {
+		c.AllReduce(4, 0, func(a, b float64) float64 { return a + b })
 		v := c.AllReduce(8, 1, func(a, b float64) float64 { return a + b })
 		if v != n {
 			t.Errorf("allreduce = %v", v)
@@ -177,6 +133,6 @@ func TestCollectivesBackToBack(t *testing.T) {
 		if got != "x" {
 			t.Errorf("broadcast = %v", got)
 		}
-		c.Barrier()
+		c.Reduce(2, 4, 0, func(a, b float64) float64 { return a + b })
 	})
 }
