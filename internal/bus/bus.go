@@ -44,9 +44,6 @@ type Config struct {
 	InterleaveBytes int
 }
 
-// DefaultConfig returns a generic 8-byte, 1-cycle-arbitration shared bus.
-func DefaultConfig() Config { return Config{Kind: KindBus, Width: 8, ArbitrationDelay: 1} }
-
 func (c *Config) sanitize() {
 	if c.Kind == "" {
 		c.Kind = KindBus
@@ -127,13 +124,6 @@ func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysi
 	}
 	return b
 }
-
-// Kind returns the interconnect kind.
-func (b *Bus) Kind() Kind { return b.cfg.Kind }
-
-// Broadcast reports whether the interconnect is a broadcast medium (needed
-// by snoopy coherence protocols).
-func (b *Bus) Broadcast() bool { return len(b.chans) == 1 }
 
 // channelIndex maps an address to its arbitration domain.
 func (b *Bus) channelIndex(addr uint64) int {
@@ -246,12 +236,6 @@ func (c *call) run() pearl.Step {
 	}
 	return s
 }
-
-// Transactions and Bytes expose the traffic counters.
-func (b *Bus) Transactions() uint64 { return b.transactions.Value() }
-
-// Bytes returns the number of bytes carried.
-func (b *Bus) Bytes() uint64 { return b.bytes.Value() }
 
 // Utilization returns the mean occupancy across channels so far.
 func (b *Bus) Utilization() float64 {

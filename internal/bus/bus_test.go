@@ -28,8 +28,8 @@ func TestArbitrationSerialises(t *testing.T) {
 	if t1 != 9 || t2 != 18 {
 		t.Fatalf("t1=%d t2=%d, want 9/18", t1, t2)
 	}
-	if b.Transactions() != 2 || b.Bytes() != 128 {
-		t.Fatalf("txns=%d bytes=%d", b.Transactions(), b.Bytes())
+	if b.transactions.Value() != 2 || b.bytes.Value() != 128 {
+		t.Fatalf("txns=%d bytes=%d", b.transactions.Value(), b.bytes.Value())
 	}
 }
 
@@ -62,7 +62,7 @@ func TestSanitize(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	k := pearl.NewKernel()
-	b := New(k, "bus", DefaultConfig(), nil, nil)
+	b := New(k, "bus", Config{Kind: KindBus, Width: 8, ArbitrationDelay: 1}, nil, nil)
 	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 16, nil) })
 	k.Run()
 	s := b.Stats()
@@ -94,16 +94,6 @@ func TestCrossbarSameBankSerialises(t *testing.T) {
 	k.Run()
 	if t1 != 9 || t2 != 18 {
 		t.Fatalf("t1=%d t2=%d, want serialised 9/18", t1, t2)
-	}
-}
-
-func TestBroadcast(t *testing.T) {
-	k := pearl.NewKernel()
-	if !New(k, "b", DefaultConfig(), nil, nil).Broadcast() {
-		t.Fatal("bus must be a broadcast medium")
-	}
-	if New(k, "x", Config{Kind: KindCrossbar, Banks: 2}, nil, nil).Broadcast() {
-		t.Fatal("crossbar must not claim broadcast")
 	}
 }
 

@@ -273,9 +273,6 @@ func MustNew(cfg Config, rng *pearl.RNG) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // LineSize returns the line size in bytes.
 func (c *Cache) LineSize() uint64 { return uint64(c.cfg.LineSize) }
 
@@ -466,39 +463,6 @@ func (c *Cache) SetState(la uint64, st State) bool {
 	}
 	c.sets[i].state = st
 	return true
-}
-
-// Flush invalidates every line, returning how many were dirty (Modified).
-func (c *Cache) Flush() (dirty int) {
-	for i := range c.sets {
-		if c.sets[i].state == Modified {
-			dirty++
-		}
-		c.sets[i].state = Invalid
-	}
-	clear(c.valid)
-	clear(c.index)
-	c.resetOrder()
-	return dirty
-}
-
-// Occupancy returns the number of valid lines.
-func (c *Cache) Occupancy() int {
-	n := 0
-	for i := range c.sets {
-		if c.sets[i].state != Invalid {
-			n++
-		}
-	}
-	return n
-}
-
-// FootprintBytes returns the host-side bookkeeping cost of the cache — a
-// handful of words per line, independent of the simulated line size, because
-// only tags and state are stored (paper §6). It prices the line array alone,
-// not the lookup aids wide sets add (index, order).
-func (c *Cache) FootprintBytes() int {
-	return len(c.sets) * 32
 }
 
 // HitRatio returns hits/(hits+misses).

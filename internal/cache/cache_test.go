@@ -56,8 +56,8 @@ func TestLookupInsert(t *testing.T) {
 	if got, _ := c.Probe(la); got != Modified {
 		t.Fatalf("state = %v, want M", got)
 	}
-	if c.Occupancy() != 1 {
-		t.Fatalf("occupancy = %d", c.Occupancy())
+	if occupancy(c) != 1 {
+		t.Fatalf("occupancy = %d", occupancy(c))
 	}
 }
 
@@ -164,39 +164,17 @@ func TestSetState(t *testing.T) {
 	}
 }
 
-func TestFlush(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
-	c.Insert(c.LineAddr(0), Modified)
-	c.Insert(c.LineAddr(64), Exclusive)
-	if dirty := c.Flush(); dirty != 1 {
-		t.Fatalf("dirty = %d, want 1", dirty)
-	}
-	if c.Occupancy() != 0 {
-		t.Fatal("cache not empty after flush")
-	}
-}
-
 func TestFullyAssociative(t *testing.T) {
 	c := MustNew(Config{Name: "fa", Size: 256, LineSize: 64, Assoc: 0}, nil)
 	// 4 lines; any 4 addresses coexist regardless of bits.
 	for i := uint64(0); i < 4; i++ {
 		c.Insert(c.LineAddr(i*0x10000), Exclusive)
 	}
-	if c.Occupancy() != 4 {
-		t.Fatalf("occupancy = %d, want 4", c.Occupancy())
+	if occupancy(c) != 4 {
+		t.Fatalf("occupancy = %d, want 4", occupancy(c))
 	}
 	if _, had := c.Insert(c.LineAddr(5*0x10000), Exclusive); !had {
 		t.Fatal("fifth line should evict")
-	}
-}
-
-func TestFootprintIndependentOfLineSize(t *testing.T) {
-	small := MustNew(Config{Name: "s", Size: 1 << 14, LineSize: 16, Assoc: 2}, nil)
-	big := MustNew(Config{Name: "b", Size: 1 << 20, LineSize: 1024, Assoc: 2}, nil)
-	// Same number of lines -> same footprint, though capacities differ 64x:
-	// caches hold tags, not data (paper §6).
-	if small.FootprintBytes() != big.FootprintBytes() {
-		t.Fatalf("footprints differ: %d vs %d", small.FootprintBytes(), big.FootprintBytes())
 	}
 }
 
@@ -218,7 +196,7 @@ func TestCacheOccupancyProperty(t *testing.T) {
 		for _, a := range addrs {
 			la := c.LineAddr(uint64(a))
 			c.Insert(la, Exclusive)
-			if c.Occupancy() > maxLines {
+			if occupancy(c) > maxLines {
 				return false
 			}
 			if st := c.Lookup(la); st == nil {
@@ -249,4 +227,15 @@ func TestVictimGoneProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// occupancy returns the number of valid lines of c.
+func occupancy(c *Cache) int {
+	n := 0
+	for i := range c.sets {
+		if c.sets[i].state != Invalid {
+			n++
+		}
+	}
+	return n
 }

@@ -371,17 +371,6 @@ func (h *Hierarchy) Caches() []*Cache {
 // PrivateCache returns CPU cpu's private data cache at the given level.
 func (h *Hierarchy) PrivateCache(cpu, level int) *Cache { return h.priv[cpu][level] }
 
-// InstrCache returns CPU cpu's L1 instruction cache (nil if not split).
-func (h *Hierarchy) InstrCache(cpu int) *Cache {
-	if !h.cfg.SplitL1 {
-		return nil
-	}
-	return h.privI[cpu]
-}
-
-// SharedCache returns the shared cache at the given index.
-func (h *Hierarchy) SharedCache(i int) *Cache { return h.shd[i] }
-
 // Port is a CPU-side handle for issuing memory accesses, one at a time.
 type Port struct {
 	a *access
@@ -771,14 +760,4 @@ func (h *Hierarchy) StatsSet() *stats.Set {
 	}
 	s.Subsets = append(s.Subsets, h.bus.Stats(), h.mem.Stats())
 	return s
-}
-
-// FootprintBytes sums the host bookkeeping cost of all caches: the
-// tags-only representation of the paper's §6.
-func (h *Hierarchy) FootprintBytes() int {
-	n := 0
-	for _, c := range h.Caches() {
-		n += c.FootprintBytes()
-	}
-	return n
 }

@@ -247,12 +247,12 @@ func TestSplitL1(t *testing.T) {
 		pt.Access(p, Fetch, 0x400000, 4)
 		pt.Access(p, Read, 0x10000, 4)
 	})
-	ic, dc := h.InstrCache(0), h.PrivateCache(0, 0)
-	if ic.S.Misses.Value() != 1 || ic.Occupancy() != 1 {
-		t.Errorf("L1I misses=%d occupancy=%d", ic.S.Misses.Value(), ic.Occupancy())
+	ic, dc := h.privI[0], h.PrivateCache(0, 0)
+	if ic.S.Misses.Value() != 1 || occupancy(ic) != 1 {
+		t.Errorf("L1I misses=%d occupancy=%d", ic.S.Misses.Value(), occupancy(ic))
 	}
-	if dc.Occupancy() != 1 {
-		t.Errorf("L1D occupancy = %d (must not hold instruction line)", dc.Occupancy())
+	if occupancy(dc) != 1 {
+		t.Errorf("L1D occupancy = %d (must not hold instruction line)", occupancy(dc))
 	}
 	if _, ok := dc.Probe(dc.LineAddr(0x400000)); ok {
 		t.Error("instruction line leaked into L1D")
@@ -411,7 +411,7 @@ func TestCommonSharedHierarchy(t *testing.T) {
 		h.Port(0).Access(p, Read, 0x40, 4)
 		h.Port(1).Access(p, Read, 0x40, 4) // hit in the common cache
 	})
-	sc := h.SharedCache(0)
+	sc := h.shd[0]
 	if sc.S.Hits.Value() != 1 || sc.S.Misses.Value() != 1 {
 		t.Errorf("shared cache hits=%d misses=%d", sc.S.Hits.Value(), sc.S.Misses.Value())
 	}

@@ -112,9 +112,6 @@ func New(id int, timing Timing, port *cache.Port) *CPU {
 	return c
 }
 
-// ID returns the CPU's index within its node.
-func (c *CPU) ID() int { return c.id }
-
 // Instructions returns the number of operations executed.
 func (c *CPU) Instructions() uint64 { return c.instrs }
 

@@ -259,11 +259,9 @@ func (l *Layer) Stats() *stats.Set {
 	return s
 }
 
-// ReadFaults, WriteFaults, Invalidations and PageTransfers expose counters.
-func (l *Layer) ReadFaults() uint64    { return l.faultsRead.Value() }
-func (l *Layer) WriteFaults() uint64   { return l.faultsWrite.Value() }
-func (l *Layer) Invalidations() uint64 { return l.invals.Value() }
-func (l *Layer) PageTransfers() uint64 { return l.pageMoves.Value() }
+// ReadFaults and WriteFaults expose the fault counters.
+func (l *Layer) ReadFaults() uint64  { return l.faultsRead.Value() }
+func (l *Layer) WriteFaults() uint64 { return l.faultsWrite.Value() }
 
 // Fault is a page fault in progress: the state of an Ensure call across its
 // waits, kept by the caller. Its zero value is ready for the next call.

@@ -69,8 +69,8 @@ func TestReadFaultThenLocality(t *testing.T) {
 	if l.ReadFaults() != 1 {
 		t.Fatalf("read faults = %d, want 1 (page cached after first)", l.ReadFaults())
 	}
-	if l.PageTransfers() != 1 {
-		t.Fatalf("page transfers = %d", l.PageTransfers())
+	if dsmCount(l, "page transfers") != 1 {
+		t.Fatalf("page transfers = %d", dsmCount(l, "page transfers"))
 	}
 	// The fault generated real network traffic without any app-level send.
 	if m.Network().Messages() == 0 {
@@ -103,8 +103,8 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := m.DSM()
-	if l.Invalidations() != 2 {
-		t.Fatalf("invalidations = %d, want 2 (both readers)", l.Invalidations())
+	if dsmCount(l, "invalidations") != 2 {
+		t.Fatalf("invalidations = %d, want 2 (both readers)", dsmCount(l, "invalidations"))
 	}
 	// Re-reads: 2 initial + 2 after invalidation = 4 read faults.
 	if l.ReadFaults() != 4 {
@@ -138,7 +138,7 @@ func TestOwnershipMigration(t *testing.T) {
 	}
 	// The second write forced the first owner's copy out (flush demand
 	// demotes, then the invalidation removes the read copy).
-	if l.Invalidations() == 0 {
+	if dsmCount(l, "invalidations") == 0 {
 		t.Fatal("no invalidation on ownership migration")
 	}
 }
@@ -303,11 +303,17 @@ func TestManyNodesConcurrentSharing(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := m.DSM()
-	if l.PageTransfers() == 0 {
+	if dsmCount(l, "page transfers") == 0 {
 		t.Fatal("no page transfers")
 	}
 	faults := l.ReadFaults() + l.WriteFaults()
-	if l.Invalidations() > faults*9 {
-		t.Fatalf("invalidations %d inconsistent with %d faults", l.Invalidations(), faults)
+	if dsmCount(l, "invalidations") > faults*9 {
+		t.Fatalf("invalidations %d inconsistent with %d faults", dsmCount(l, "invalidations"), faults)
 	}
+}
+
+// dsmCount reads one protocol counter from the layer's report set.
+func dsmCount(l *dsm.Layer, name string) uint64 {
+	v, _ := l.Stats().Get(name)
+	return uint64(v)
 }

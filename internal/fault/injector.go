@@ -380,14 +380,6 @@ func (inj *Injector) Drops() uint64 {
 	return inj.drops.Value()
 }
 
-// Corruptions returns how many packets arrived damaged and were discarded.
-func (inj *Injector) Corruptions() uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.corruptions.Value()
-}
-
 // DowntimeUpTo returns how long node has been down in [0, now): the union of
 // its crash windows clipped to the elapsed run.
 func (inj *Injector) DowntimeUpTo(node int, now pearl.Time) pearl.Time {

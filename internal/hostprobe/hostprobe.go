@@ -24,7 +24,7 @@ import (
 	"mermaid/internal/probe"
 )
 
-// Trace records wall-clock span and instant events for a Chrome trace-event
+// Trace records wall-clock span events for a Chrome trace-event
 // export, Perfetto-loadable next to a virtual-time probe timeline. It
 // reuses the probe timeline recorder and its JSON writer; timestamps are
 // microseconds since the trace was created. Unlike the single-goroutine
@@ -39,14 +39,6 @@ type Trace struct {
 // NewTrace starts an empty trace; its epoch (timestamp zero) is now.
 func NewTrace() *Trace {
 	return &Trace{t0: time.Now(), tl: probe.NewTimeline()}
-}
-
-// Epoch returns the trace's zero timestamp. Zero on a nil trace.
-func (t *Trace) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.t0
 }
 
 // Track returns (creating on first use) the track with the given dotted
@@ -90,16 +82,6 @@ func (t *Trace) Span(tr probe.Track, name string, from, to time.Time) {
 //	trace.SpanSince(tr, "stage", t0)
 func (t *Trace) SpanSince(tr probe.Track, name string, from time.Time) {
 	t.Span(tr, name, from, time.Now())
-}
-
-// Instant records a point event at the given wall-clock time.
-func (t *Trace) Instant(tr probe.Track, name string, at time.Time) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.tl.Instant(tr, name, t.ts(at))
 }
 
 // Events returns how many events were recorded. 0 on a nil trace.

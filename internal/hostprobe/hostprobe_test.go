@@ -41,22 +41,21 @@ func decodeTrace(t *testing.T, tr *Trace) traceDoc {
 
 func TestTraceExport(t *testing.T) {
 	tr := NewTrace()
-	epoch := tr.Epoch()
+	epoch := tr.t0
 	a := tr.Track("farm.w0")
 	b := tr.Track("farm.w1")
 	tr.Span(a, "run", epoch, epoch.Add(5*time.Millisecond))
 	tr.Span(b, "run", epoch.Add(time.Millisecond), epoch.Add(3*time.Millisecond))
 	tr.Span(a, "run", epoch.Add(6*time.Millisecond), epoch.Add(7*time.Millisecond))
-	tr.Instant(a, "done", epoch.Add(8*time.Millisecond))
-	if got := tr.Events(); got != 4 {
-		t.Fatalf("Events() = %d, want 4", got)
+	if got := tr.Events(); got != 3 {
+		t.Fatalf("Events() = %d, want 3", got)
 	}
 
 	doc := decodeTrace(t, tr)
 	// Per-(pid,tid) timestamps must be monotonic, spans must carry a duration
 	// and every timestamp must be non-negative.
 	lastTs := map[[2]int]int64{}
-	var spans, instants int
+	var spans int
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph == "M" {
 			continue
@@ -69,25 +68,22 @@ func TestTraceExport(t *testing.T) {
 			t.Errorf("track %v: ts %d after %d — not monotonic", key, ev.Ts, lastTs[key])
 		}
 		lastTs[key] = ev.Ts
-		switch ev.Ph {
-		case "X":
+		if ev.Ph == "X" {
 			spans++
 			if ev.Dur == nil || *ev.Dur < 0 {
 				t.Errorf("span %q missing or negative dur", ev.Name)
 			}
-		case "i":
-			instants++
 		}
 	}
-	if spans != 3 || instants != 1 {
-		t.Errorf("got %d spans, %d instants; want 3, 1", spans, instants)
+	if spans != 3 {
+		t.Errorf("got %d spans; want 3", spans)
 	}
 }
 
 func TestTraceClampsPreEpoch(t *testing.T) {
 	tr := NewTrace()
 	a := tr.Track("x")
-	tr.Span(a, "early", tr.Epoch().Add(-time.Second), tr.Epoch().Add(time.Millisecond))
+	tr.Span(a, "early", tr.t0.Add(-time.Second), tr.t0.Add(time.Millisecond))
 	doc := decodeTrace(t, tr)
 	for _, ev := range doc.TraceEvents {
 		if ev.Ph != "M" && ev.Ts < 0 {
@@ -101,10 +97,6 @@ func TestNilTraceSafe(t *testing.T) {
 	track := tr.Track("x")
 	tr.Span(track, "s", time.Now(), time.Now())
 	tr.SpanSince(track, "s", time.Now())
-	tr.Instant(track, "i", time.Now())
-	if !tr.Epoch().IsZero() {
-		t.Error("nil trace epoch not zero")
-	}
 	if tr.Events() != 0 {
 		t.Error("nil trace has events")
 	}

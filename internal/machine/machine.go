@@ -302,10 +302,6 @@ func (m *Machine) Kernel() *pearl.Kernel { return m.k }
 // hooks); host observation never affects simulated results.
 func (m *Machine) ShardGroup() *pearl.ShardGroup { return m.group }
 
-// Collector returns the bottleneck-analysis collector, or nil when the
-// analyzer is off.
-func (m *Machine) Collector() *analysis.Collector { return m.col }
-
 // Network returns the traffic ledger of the machine's communication model,
 // whichever engine runs it — the single kernel's, or the merge across shards
 // — or nil for single-node machines.

@@ -24,13 +24,6 @@ type Config struct {
 	Ports int
 }
 
-// DefaultConfig returns a generic DRAM: 70 ns at 66 MHz ≈ 5-cycle access,
-// 8 bytes/cycle, single ported. Presets in the machine package override this
-// with calibrated values.
-func DefaultConfig() Config {
-	return Config{ReadLatency: 5, WriteLatency: 5, BytesPerCycle: 8, Ports: 1}
-}
-
 func (c *Config) sanitize() {
 	if c.BytesPerCycle <= 0 {
 		c.BytesPerCycle = 8
@@ -135,9 +128,6 @@ func (d *DRAM) Access(write bool, size uint64, pc *int) pearl.Step {
 // including any port queueing.
 func (d *DRAM) Read(p *pearl.Process, addr, size uint64) { d.access(p, false, size) }
 
-// Write blocks the calling process for a write of size bytes at addr.
-func (d *DRAM) Write(p *pearl.Process, addr, size uint64) { d.access(p, true, size) }
-
 func (d *DRAM) access(p *pearl.Process, write bool, size uint64) {
 	var c *call
 	if n := len(d.idle); n > 0 {
@@ -151,7 +141,7 @@ func (d *DRAM) access(p *pearl.Process, write bool, size uint64) {
 	d.idle = append(d.idle, c)
 }
 
-// call is the state of one Read or Write call across its waits. The DRAM
+// call is the state of one Read call across its waits. The DRAM
 // keeps the records of finished calls for the next ones, so a call allocates
 // nothing.
 type call struct {
@@ -161,10 +151,9 @@ type call struct {
 	pc    int
 }
 
-// Reads, Writes and Bytes expose the access counters.
+// Reads and Writes expose the access counters.
 func (d *DRAM) Reads() uint64  { return d.reads.Value() }
 func (d *DRAM) Writes() uint64 { return d.writes.Value() }
-func (d *DRAM) Bytes() uint64  { return d.bytes.Value() }
 
 // Stats reports the memory's counters and utilisation.
 func (d *DRAM) Stats() *stats.Set {

@@ -27,8 +27,8 @@ func TestPortContention(t *testing.T) {
 	if t1 != 11 || t2 != 22 {
 		t.Fatalf("t1=%d t2=%d, want 11/22 (serialised)", t1, t2)
 	}
-	if d.Reads() != 2 || d.Bytes() != 16 {
-		t.Fatalf("reads=%d bytes=%d", d.Reads(), d.Bytes())
+	if d.Reads() != 2 || d.bytes.Value() != 16 {
+		t.Fatalf("reads=%d bytes=%d", d.Reads(), d.bytes.Value())
 	}
 }
 
@@ -37,7 +37,7 @@ func TestDualPorted(t *testing.T) {
 	d := New(k, "m", Config{ReadLatency: 10, WriteLatency: 10, BytesPerCycle: 8, Ports: 2}, nil, nil)
 	var t1, t2 pearl.Time
 	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 8); t1 = p.Now() })
-	k.Spawn("b", func(p *pearl.Process) { d.Write(p, 64, 8); t2 = p.Now() })
+	k.Spawn("b", func(p *pearl.Process) { d.access(p, true, 8); t2 = p.Now() })
 	k.Run()
 	if t1 != 11 || t2 != 11 {
 		t.Fatalf("t1=%d t2=%d, want concurrent 11/11", t1, t2)
@@ -56,7 +56,7 @@ func TestSanitizeDefaults(t *testing.T) {
 
 func TestStatsSet(t *testing.T) {
 	k := pearl.NewKernel()
-	d := New(k, "m", DefaultConfig(), nil, nil)
+	d := New(k, "m", Config{ReadLatency: 5, WriteLatency: 5, BytesPerCycle: 8, Ports: 1}, nil, nil)
 	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 8) })
 	k.Run()
 	s := d.Stats()

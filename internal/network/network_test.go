@@ -169,8 +169,8 @@ func TestMultiPacketMessage(t *testing.T) {
 	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 1, 256, 0, nil, false) })
 	k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0); recvAt = p.Now() })
 	k.Run()
-	if n.Packets() != 4 {
-		t.Errorf("packets = %d, want 4", n.Packets())
+	if n.packets.Value() != 4 {
+		t.Errorf("packets = %d, want 4", n.packets.Value())
 	}
 	// 4 packets of 64B share one link: serialised transfers of 8 cycles each
 	// behind routing+prop; last packet completes at 2+1+4*8 = wait, each
@@ -200,7 +200,7 @@ func TestSelfSendIsLocalCopy(t *testing.T) {
 	if recvAt != 8 {
 		t.Errorf("self-send completed at %d, want 8 (64/8 copy)", recvAt)
 	}
-	if n.Packets() != 0 {
+	if n.packets.Value() != 0 {
 		t.Error("self-send entered the network")
 	}
 }

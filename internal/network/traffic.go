@@ -210,15 +210,9 @@ func (t *Traffic) Nodes() int { return t.topo.Nodes() }
 // Topology returns the interconnect.
 func (t *Traffic) Topology() topology.Topology { return t.topo }
 
-// Faults returns the attached fault injector, or nil on a healthy build.
-func (t *Traffic) Faults() *fault.Injector { return t.faults }
-
 // Messages returns the number of application messages injected (acks
 // excluded).
 func (t *Traffic) Messages() uint64 { return t.messages.Value() }
-
-// Packets returns the number of packets injected, acks included.
-func (t *Traffic) Packets() uint64 { return t.packets.Value() }
 
 // Bytes returns the total application payload bytes injected.
 func (t *Traffic) Bytes() uint64 { return t.bytes.Value() }

@@ -60,7 +60,6 @@ type Node struct {
 
 	taskSinks []*ops.Writer
 	lastComm  []pearl.Time
-	taskCount []uint64
 
 	runners []*runner
 
@@ -103,7 +102,6 @@ func New(env sim.Env, prm Params) (*Node, error) {
 		nif:        prm.NIF,
 		taskSinks:  make([]*ops.Writer, cfg.Hierarchy.CPUs),
 		lastComm:   make([]pearl.Time, cfg.Hierarchy.CPUs),
-		taskCount:  make([]uint64, cfg.Hierarchy.CPUs),
 		col:        env.Collect,
 		cpuBase:    prm.ID * cfg.Hierarchy.CPUs,
 		commCycles: make([]pearl.Time, cfg.Hierarchy.CPUs),
@@ -147,9 +145,6 @@ func (n *Node) AttachDSM(layer *dsm.Layer) {
 	n.shared = layer
 	layer.AttachCaches(n.id, n.hier)
 }
-
-// ID returns the node id.
-func (n *Node) ID() int { return n.id }
 
 // CPUs returns the number of processors on the node.
 func (n *Node) CPUs() int { return len(n.cpus) }
@@ -375,7 +370,6 @@ func (r *runner) endComm() {
 func (n *Node) emitTask(cpuIdx int, comm *ops.Op) {
 	now := n.k.Now()
 	elapsed := now - n.lastComm[cpuIdx]
-	n.taskCount[cpuIdx]++
 	if n.tl != nil && elapsed > 0 {
 		// The compute burst between two communication operations — the same
 		// interval the task-level trace derivation records (Fig. 2).
@@ -406,9 +400,6 @@ func (n *Node) Err() error {
 	return nil
 }
 
-// Done reports whether all runners have finished their traces.
-func (n *Node) Done() bool { return len(n.Blocked()) == 0 }
-
 // Blocked describes the runners that have not finished, for a deadlock
 // report: "node0.cpu1 (await)", or whatever else each one's chain waits for.
 func (n *Node) Blocked() []string {
@@ -420,10 +411,6 @@ func (n *Node) Blocked() []string {
 	}
 	return out
 }
-
-// Tasks returns how many computational tasks CPU cpuIdx produced (the task
-// extraction of Fig. 2).
-func (n *Node) Tasks(cpuIdx int) uint64 { return n.taskCount[cpuIdx] }
 
 // Stats reports the node's CPU and memory system metrics.
 func (n *Node) Stats() *stats.Set {

@@ -71,7 +71,7 @@ func runNode(t *testing.T, cfg node.Config, traces [][]ops.Op, blocking bool) no
 	if err := nd.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if !nd.Done() {
+	if len(nd.Blocked()) != 0 {
 		t.Fatalf("runners left blocked: %v", nd.Blocked())
 	}
 	var buf bytes.Buffer

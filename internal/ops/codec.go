@@ -19,7 +19,6 @@ var magic = [4]byte{'M', 'M', 'T', '1'} // Mermaid trace v1
 type Writer struct {
 	w       *bufio.Writer
 	wrote   bool
-	count   uint64
 	scratch [binary.MaxVarintLen64]byte
 }
 
@@ -28,9 +27,6 @@ type Writer struct {
 func NewWriter(w io.Writer) *Writer {
 	return &Writer{w: bufio.NewWriter(w)}
 }
-
-// Count returns the number of operations written.
-func (tw *Writer) Count() uint64 { return tw.count }
 
 func (tw *Writer) uvarint(v uint64) error {
 	n := binary.PutUvarint(tw.scratch[:], v)
@@ -92,7 +88,6 @@ func (tw *Writer) Write(o Op) error {
 	if err != nil {
 		return err
 	}
-	tw.count++
 	return nil
 }
 
@@ -103,16 +98,12 @@ func (tw *Writer) Flush() error { return tw.w.Flush() }
 type Reader struct {
 	r      *bufio.Reader
 	header bool
-	count  uint64
 }
 
 // NewReader creates a trace reader on r.
 func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
-
-// Count returns the number of operations read so far.
-func (tr *Reader) Count() uint64 { return tr.count }
 
 // ErrBadTrace is returned when the stream is not a valid binary trace.
 var ErrBadTrace = errors.New("ops: malformed binary trace")
@@ -211,7 +202,6 @@ func (tr *Reader) Read() (Op, error) {
 	if err := o.Validate(); err != nil {
 		return Op{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
 	}
-	tr.count++
 	return o, nil
 }
 

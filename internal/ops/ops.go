@@ -172,9 +172,6 @@ func (m MemType) Size() uint64 {
 	return 0
 }
 
-// IsFloat reports whether the access moves floating-point data.
-func (m MemType) IsFloat() bool { return m == MemFloat || m == MemFloat8 }
-
 // DataType is the operand type of an arithmetic operation or constant load
 // (the type parameter of add/sub/mul/div and the [f] of load constant).
 type DataType uint8
@@ -207,9 +204,6 @@ func (d DataType) String() string {
 	}
 	return fmt.Sprintf("type(%d)", uint8(d))
 }
-
-// IsFloat reports whether the type is floating point.
-func (d DataType) IsFloat() bool { return d == TypeFloat || d == TypeDouble }
 
 // AnyPeer, as the Peer of a recv/arecv operation, matches a message from any
 // source; the architecture simulator feeds back which source was actually

@@ -57,9 +57,6 @@ func TestMemTypeSizes(t *testing.T) {
 			t.Errorf("%s.Size() = %d, want %d", m, m.Size(), sz)
 		}
 	}
-	if !MemFloat.IsFloat() || !MemFloat8.IsFloat() || MemWord.IsFloat() {
-		t.Error("IsFloat classification wrong")
-	}
 }
 
 func TestValidate(t *testing.T) {

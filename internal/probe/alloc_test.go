@@ -23,7 +23,6 @@ func TestAllocFreeNilTimeline(t *testing.T) {
 		tl.Span(tr, "s", 0, 10)
 		tl.NamedSpan(tr, tl.Name("n"), 0, 10)
 		tl.ExtendSpan(&open, tr, tl.Name("n"), 0, 10)
-		tl.Instant(tr, "i", 5)
 	}); got != 0 {
 		t.Errorf("nil timeline allocates %v times per op; want 0", got)
 	}

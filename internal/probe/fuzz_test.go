@@ -93,7 +93,7 @@ func referenceJSON(tracks []string, events []refEvent) []byte {
 	return buf.Bytes()
 }
 
-// FuzzTimelineJSON records random tracks, spans and instants — equal
+// FuzzTimelineJSON records random tracks and spans — equal
 // timestamps, negative durations, timestamps spanning more than 2^32, names
 // that need escaping, spans through ExtendSpan that often continue their
 // track's open span — and requires WriteJSON to write exactly the
@@ -102,7 +102,7 @@ func referenceJSON(tracks []string, events []refEvent) []byte {
 func FuzzTimelineJSON(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0}) // one track, no events
-	f.Add([]byte("\x05\x04\x06\x07\x0c\x0e\x01\x02 span and instant with equal times \x00\x00\x00\x00\x00\x00"))
+	f.Add([]byte("\x05\x04\x06\x07\x0c\x0e\x01\x02 two spans with equal times \x00\x00\x00\x00\x00\x00"))
 	f.Add(bytes.Repeat([]byte{0x81, 0x13, 0xff, 0x7f, 0x00, 0x80, 0x01, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff}, 12))
 	// Through ExtendSpan on one track: a span at 9 lasting 4, five
 	// continuations, a span of its name after a gap, and one of another name
@@ -147,15 +147,12 @@ func FuzzTimelineJSON(f *testing.F) {
 			}
 			data = data[13:]
 			switch op % 4 {
-			case 0:
+			case 0, 2:
 				tl.Span(Track(tr), nm, pearl.Time(ts), pearl.Time(ts+dur))
 				events = append(events, refEvent{name: nm, ph: 'X', ts: ts, dur: dur, track: tr})
 			case 1:
 				tl.NamedSpan(Track(tr), tl.Name(nm), pearl.Time(ts), pearl.Time(ts+dur))
 				events = append(events, refEvent{name: nm, ph: 'X', ts: ts, dur: dur, track: tr})
-			case 2:
-				tl.Instant(Track(tr), nm, pearl.Time(ts))
-				events = append(events, refEvent{name: nm, ph: 'i', ts: ts, track: tr})
 			case 3:
 				at := open[tr]
 				if at >= 0 && op&0x20 != 0 {

@@ -5,7 +5,7 @@
 //
 // It has two outputs:
 //
-//   - A Timeline of span/instant events keyed by (component track, virtual
+//   - A Timeline of span events keyed by (component track, virtual
 //     time), exported in the Chrome trace-event JSON format so a run opens
 //     directly in Perfetto or chrome://tracing.
 //   - A Registry of named metrics that components register their existing
@@ -21,7 +21,7 @@ package probe
 
 // Config selects which probe outputs are active.
 type Config struct {
-	// Timeline enables span/instant recording for the trace-event export.
+	// Timeline enables span recording for the trace-event export.
 	Timeline bool
 }
 

@@ -51,7 +51,6 @@ func TestNilTimelineNoOps(t *testing.T) {
 	var tl *Timeline
 	tr := tl.Track("x")
 	tl.Span(tr, "s", 0, 10)
-	tl.Instant(tr, "i", 5)
 	if tl.Events() != 0 {
 		t.Error("nil timeline recorded events")
 	}
@@ -194,7 +193,7 @@ func TestTimelineWriteJSON(t *testing.T) {
 	link := tl.Track("net.link0.0.vc0")
 	tl.Span(bus, "txn", 5, 9)
 	tl.Span(cpu, "compute", 0, 10)
-	tl.Instant(link, "drop", 7)
+	tl.Span(link, "drop", 7, 7)
 	var buf bytes.Buffer
 	if err := tl.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -220,7 +219,7 @@ func TestTimelineWriteJSON(t *testing.T) {
 	if len(doc.TraceEvents) != 8 {
 		t.Fatalf("traceEvents = %d entries, want 8", len(doc.TraceEvents))
 	}
-	var meta, spans, instants int
+	var meta, spans int
 	lastTs := map[[2]int]int64{}
 	for _, ev := range doc.TraceEvents {
 		switch ev.Ph {
@@ -232,11 +231,6 @@ func TestTimelineWriteJSON(t *testing.T) {
 			if ev.Dur == nil {
 				t.Errorf("span %q lacks dur", ev.Name)
 			}
-		case "i":
-			instants++
-			if ev.S != "t" {
-				t.Errorf("instant scope = %q, want t", ev.S)
-			}
 		default:
 			t.Errorf("unknown phase %q", ev.Ph)
 		}
@@ -246,8 +240,8 @@ func TestTimelineWriteJSON(t *testing.T) {
 		}
 		lastTs[key] = ev.Ts
 	}
-	if meta != 5 || spans != 2 || instants != 1 {
-		t.Errorf("meta/spans/instants = %d/%d/%d, want 5/2/1", meta, spans, instants)
+	if meta != 5 || spans != 3 {
+		t.Errorf("meta/spans = %d/%d, want 5/3", meta, spans)
 	}
 	// The compute span (ts 0) must precede the bus span (ts 5) despite being
 	// recorded second.
@@ -466,11 +460,6 @@ func TestTimelineWriteJSONMatchesEncodingJSON(t *testing.T) {
 	const rounds = 400 // ≈ 300 KB: several flushes
 	for ts := int64(0); ts < rounds; ts++ {
 		for i, n := range names {
-			if (ts+int64(i))%3 == 0 {
-				tl.Instant(tracks[i], n, pearl.Time(ts))
-				want = append(want, jsonEvent{Name: n, Ph: "i", Ts: ts, Pid: pids[i], Tid: tids[i], S: "t"})
-				continue
-			}
 			dur := (ts + int64(i)) % 2 // zero-length spans keep "dur":0
 			tl.Span(tracks[i], n, pearl.Time(ts), pearl.Time(ts+dur))
 			want = append(want, jsonEvent{Name: n, Ph: "X", Ts: ts, Dur: &dur, Pid: pids[i], Tid: tids[i]})

@@ -21,7 +21,7 @@ type Track int32
 // costs no string work.
 type Name int32
 
-// Timeline records span and instant events in virtual time for the
+// Timeline records span events in virtual time for the
 // Chrome trace-event export. All methods are safe on a nil receiver, so
 // components can hold a possibly-nil *Timeline and call it unconditionally
 // only where a nil check would hurt readability; on hot paths they should
@@ -44,12 +44,11 @@ type Timeline struct {
 	events Chunks[record]
 }
 
-// record is one event: a complete span ('X') or an instant ('i').
+// record is one event: a complete span ('X').
 type record struct {
 	ts, dur int64
 	track   Track
 	name    Name
-	ph      byte
 }
 
 // NewTimeline returns an empty timeline recorder. Probes allocate their own
@@ -99,7 +98,7 @@ func (t *Timeline) NamedSpan(tr Track, n Name, from, to pearl.Time) {
 	if t == nil {
 		return
 	}
-	t.events.Append(record{ts: int64(from), dur: int64(to - from), track: tr, name: n, ph: 'X'})
+	t.events.Append(record{ts: int64(from), dur: int64(to - from), track: tr, name: n})
 }
 
 // ExtendSpan records a span as NamedSpan does, unless it continues span
@@ -129,14 +128,6 @@ func (t *Timeline) Span(tr Track, name string, from, to pearl.Time) {
 	t.NamedSpan(tr, t.Name(name), from, to)
 }
 
-// Instant records a point event at virtual time at.
-func (t *Timeline) Instant(tr Track, name string, at pearl.Time) {
-	if t == nil {
-		return
-	}
-	t.events.Append(record{ts: int64(at), track: tr, name: t.Name(name), ph: 'i'})
-}
-
 // Events returns how many events were recorded.
 func (t *Timeline) Events() int {
 	if t == nil {
@@ -147,8 +138,7 @@ func (t *Timeline) Events() int {
 
 // WriteJSON exports the timeline in the Chrome trace-event format
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
-// a {"traceEvents": [...]} document of metadata, span ('X') and instant
-// ('i') events. Track names map to (pid, tid) pairs — the first dot segment
+// a {"traceEvents": [...]} document of metadata and span ('X') events. Track names map to (pid, tid) pairs — the first dot segment
 // of the track name is the process group — and events are ordered by
 // timestamp, so per-track timestamps are monotonic. Virtual cycles are
 // reported as microseconds, which Perfetto displays unscaled.
@@ -181,20 +171,15 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	}
 
 	// The bytes are those of encoding/json marshalling {name, ph, ts, dur,
-	// pid, tid, s, args} with dur, s and args omitted when unset. What an
-	// event shares with others is encoded once, for a span and for an
-	// instant: per name its head up to the timestamp, separator first, and
-	// per track its tail from the ids on.
-	heads, headAt := encodeEach(2*len(t.names), func(buf []byte, i int) []byte {
-		buf = appendJSONString(append(buf, ",\n{\"name\":"...), t.names[i/2])
-		return append(append(append(buf, `,"ph":"`...), "Xi"[i%2]), `","ts":`...)
+	// pid, tid, args} with args omitted when unset. What an event shares with
+	// others is encoded once: per name its head up to the timestamp,
+	// separator first, and per track its tail from the ids on.
+	heads, headAt := encodeEach(len(t.names), func(buf []byte, i int) []byte {
+		buf = appendJSONString(append(buf, ",\n{\"name\":"...), t.names[i])
+		return append(buf, `,"ph":"X","ts":`...)
 	})
-	tails, tailAt := encodeEach(2*len(t.tracks), func(buf []byte, i int) []byte {
-		buf = appendIDs(buf, pids[i/2], tids[i/2])
-		if i%2 == 1 {
-			return append(buf, `,"s":"t"}`...) // thread-scoped instant
-		}
-		return append(buf, '}')
+	tails, tailAt := encodeEach(len(t.tracks), func(buf []byte, i int) []byte {
+		return append(appendIDs(buf, pids[i], tids[i]), '}')
 	})
 
 	order := t.sortByTime()
@@ -216,14 +201,12 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 	}
 	for _, i := range order {
 		ev := t.events.At(int(i))
-		h, tl := ev.parts()
+		h, tl := ev.name, ev.track
 		buf := append(enc.buf, heads[headAt[h]+first:headAt[h+1]]...)
 		first = 0
 		buf = strconv.AppendInt(buf, ev.ts, 10)
-		if ev.ph == 'X' {
-			// A zero-length span keeps an explicit "dur":0.
-			buf = strconv.AppendInt(append(buf, `,"dur":`...), ev.dur, 10)
-		}
+		// A zero-length span keeps an explicit "dur":0.
+		buf = strconv.AppendInt(append(buf, `,"dur":`...), ev.dur, 10)
 		buf = append(buf, tails[tailAt[tl]:tailAt[tl+1]]...)
 		if enc.buf = buf; len(buf) >= flushAt {
 			enc.flush()
@@ -280,16 +263,6 @@ func (t *Timeline) sortByTime() []uint32 {
 		from, to = to, from
 	}
 	return from
-}
-
-// parts returns the indices of the event's head and tail in WriteJSON's
-// encodings: a span's, or an instant's one after it.
-func (ev *record) parts() (head, tail int) {
-	head, tail = 2*int(ev.name), 2*int(ev.track)
-	if ev.ph == 'i' {
-		head, tail = head+1, tail+1
-	}
-	return head, tail
 }
 
 // encodeEach encodes n byte strings into one slab: string i is

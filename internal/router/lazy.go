@@ -49,12 +49,6 @@ func (lt *LazyTable) Port(at, to int) int {
 	return int(row[at])
 }
 
-// Reachable reports whether a live path from `at` to `to` exists (true for
-// at == to).
-func (lt *LazyTable) Reachable(at, to int) bool {
-	return at == to || lt.Port(at, to) >= 0
-}
-
 // build runs one backwards BFS from dest over the alive links, exactly the
 // per-destination search of BuildTable: dist strictly decreases along every
 // table path and ties between equally short paths resolve to the lowest

@@ -44,11 +44,8 @@ func TestLazyTableMatchesEagerTable(t *testing.T) {
 			n := topo.Nodes()
 			for to := 0; to < n; to++ {
 				for at := 0; at < n; at++ {
-					if e, l := eager.Port(at, to), lazy.Port(at, to); e != l {
+					if e, l := eager.port(at, to), lazy.Port(at, to); e != l {
 						t.Fatalf("%s mask %d: Port(%d,%d) eager %d, lazy %d", topo.Name(), mi, at, to, e, l)
-					}
-					if e, l := eager.Reachable(at, to), lazy.Reachable(at, to); e != l {
-						t.Fatalf("%s mask %d: Reachable(%d,%d) eager %v, lazy %v", topo.Name(), mi, at, to, e, l)
 					}
 				}
 			}
@@ -72,7 +69,7 @@ func TestLazyTableInvalidate(t *testing.T) {
 	want := mustBuild(t, topo, alive)
 	for to := 0; to < topo.Nodes(); to++ {
 		for at := 0; at < topo.Nodes(); at++ {
-			if e, l := want.Port(at, to), lt.Port(at, to); e != l {
+			if e, l := want.port(at, to), lt.Port(at, to); e != l {
 				t.Fatalf("after Invalidate: Port(%d,%d) = %d, want %d", at, to, l, e)
 			}
 		}

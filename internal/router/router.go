@@ -122,11 +122,6 @@ type Config struct {
 	HeaderBytes int
 }
 
-// DefaultConfig returns a generic wormhole router with 4 KiB packets.
-func DefaultConfig() Config {
-	return Config{Switching: Wormhole, RoutingDelay: 2, MaxPacket: 4096, HeaderBytes: 8}
-}
-
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.MaxPacket <= 0 {

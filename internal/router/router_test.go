@@ -81,7 +81,7 @@ func TestUncontendedLatency(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	good := DefaultConfig()
+	good := Config{Switching: Wormhole, RoutingDelay: 2, MaxPacket: 4096, HeaderBytes: 8}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}

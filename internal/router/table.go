@@ -97,15 +97,3 @@ func BuildTable(t topology.Topology, alive func(node, port int) bool) (*Table, e
 	}
 	return tb, nil
 }
-
-// Port returns the output port at `at` towards `to`, or -1 when `to` is
-// currently unreachable. at == to returns -1 (local delivery never routes).
-func (tb *Table) Port(at, to int) int {
-	return int(tb.next[to*tb.nodes+at])
-}
-
-// Reachable reports whether a live path from `at` to `to` exists (true for
-// at == to).
-func (tb *Table) Reachable(at, to int) bool {
-	return at == to || tb.Port(at, to) >= 0
-}

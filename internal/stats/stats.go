@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Counter is a monotonically increasing event count.
@@ -318,13 +317,4 @@ func (s *Set) Lookup(path ...string) *Set {
 		cur = next
 	}
 	return cur
-}
-
-// SortSubsets orders subsets by name (natural string order); renderers call
-// it for stable output when sets were built from map iteration.
-func (s *Set) SortSubsets() {
-	sort.Slice(s.Subsets, func(i, j int) bool { return s.Subsets[i].Name < s.Subsets[j].Name })
-	for _, sub := range s.Subsets {
-		sub.SortSubsets()
-	}
 }

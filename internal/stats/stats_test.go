@@ -166,16 +166,6 @@ func TestSetNesting(t *testing.T) {
 	}
 }
 
-func TestSortSubsets(t *testing.T) {
-	root := NewSet("m")
-	root.Sub("b")
-	root.Sub("a")
-	root.SortSubsets()
-	if root.Subsets[0].Name != "a" {
-		t.Fatal("not sorted")
-	}
-}
-
 // Property: merging is exactly equivalent to observing both sample streams
 // on one histogram — count, sum, min, max, every bucket, and therefore mean
 // and percentiles all coincide.

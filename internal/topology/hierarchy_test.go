@@ -51,7 +51,7 @@ func TestRouteReachesWithinDiameter(t *testing.T) {
 					if a == b {
 						continue
 					}
-					if d := Distance(tp, a, b); d > bound {
+					if d := distance(tp, a, b); d > bound {
 						t.Fatalf("route %d->%d takes %d hops, diameter bound %d", a, b, d, bound)
 					}
 				}
@@ -78,7 +78,7 @@ func TestMinimalPortsConsistent(t *testing.T) {
 					}
 					route := tp.Route(a, b)
 					found := false
-					d := Distance(tp, a, b)
+					d := distance(tp, a, b)
 					for _, p := range ports {
 						if p == route {
 							found = true
@@ -89,7 +89,7 @@ func TestMinimalPortsConsistent(t *testing.T) {
 						}
 						nd := 0
 						if next != b {
-							nd = Distance(tp, next, b)
+							nd = distance(tp, next, b)
 						}
 						if nd != d-1 {
 							t.Fatalf("MinimalPorts(%d,%d): port %d leads to distance %d, want %d", a, b, p, nd, d-1)
@@ -254,7 +254,7 @@ func TestMillionNodeConstruction(t *testing.T) {
 			if pr[0] == pr[1] {
 				continue
 			}
-			Distance(tp, pr[0], pr[1])
+			distance(tp, pr[0], pr[1])
 		}
 		// Neighbor symmetry on a sample of nodes.
 		for _, a := range []int{0, 1, n / 2, n - 1} {

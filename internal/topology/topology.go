@@ -143,27 +143,6 @@ func checkSize(name string, nodes, degree int) error {
 	return nil
 }
 
-// Distance returns the hop count of the path Route actually takes from a to
-// b (0 if a == b). It panics if routing does not converge within Nodes()
-// hops, which would mean a broken routing function.
-func Distance(t Topology, a, b int) int {
-	hops := 0
-	at := a
-	for at != b {
-		port := t.Route(at, b)
-		next := t.Neighbor(at, port)
-		if next < 0 {
-			panic(fmt.Sprintf("topology %s: route from %d to %d via dead port %d", t.Name(), at, b, port))
-		}
-		at = next
-		hops++
-		if hops > t.Nodes() {
-			panic(fmt.Sprintf("topology %s: routing loop from %d to %d", t.Name(), a, b))
-		}
-	}
-	return hops
-}
-
 // Links counts the distinct physical links (unordered neighbor pairs).
 func Links(t Topology) int {
 	n := 0

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -58,7 +59,7 @@ func TestTopologyInvariants(t *testing.T) {
 			for a := 0; a < n; a++ {
 				for b := 0; b < n; b++ {
 					if a != b {
-						Distance(tp, a, b) // panics on loops/dead ports
+						distance(tp, a, b) // panics on loops/dead ports
 					}
 				}
 			}
@@ -68,10 +69,10 @@ func TestTopologyInvariants(t *testing.T) {
 
 func TestRingDistances(t *testing.T) {
 	r, _ := NewRing(8)
-	if d := Distance(r, 0, 4); d != 4 {
+	if d := distance(r, 0, 4); d != 4 {
 		t.Fatalf("antipodal distance = %d, want 4", d)
 	}
-	if d := Distance(r, 0, 7); d != 1 {
+	if d := distance(r, 0, 7); d != 1 {
 		t.Fatalf("wrap distance = %d, want 1", d)
 	}
 	if diameter(r) != 4 {
@@ -89,7 +90,7 @@ func TestMeshXYRouting(t *testing.T) {
 	if p := m.Route(3, 15); p != 2 { // north
 		t.Fatalf("port = %d, want north", p)
 	}
-	if d := Distance(m, 0, 15); d != 6 {
+	if d := distance(m, 0, 15); d != 6 {
 		t.Fatalf("corner distance = %d, want 6", d)
 	}
 	if diameter(m) != 6 {
@@ -113,7 +114,7 @@ func TestMeshEdgesHaveDeadPorts(t *testing.T) {
 func TestTorusWrap(t *testing.T) {
 	tr, _ := NewTorus(4, 4)
 	// 0 -> 3 is one hop west on the torus.
-	if d := Distance(tr, 0, 3); d != 1 {
+	if d := distance(tr, 0, 3); d != 1 {
 		t.Fatalf("wrap distance = %d, want 1", d)
 	}
 	if diameter(tr) != 4 {
@@ -131,7 +132,7 @@ func TestTorusWrap(t *testing.T) {
 
 func TestHypercubeEcube(t *testing.T) {
 	h, _ := NewHypercube(8)
-	if d := Distance(h, 0, 7); d != 3 {
+	if d := distance(h, 0, 7); d != 3 {
 		t.Fatalf("distance 0->7 = %d, want 3 (popcount)", d)
 	}
 	if diameter(h) != 3 {
@@ -151,10 +152,10 @@ func TestHypercubeRejectsNonPowerOfTwo(t *testing.T) {
 
 func TestStarRouting(t *testing.T) {
 	s, _ := NewStar(5)
-	if d := Distance(s, 1, 2); d != 2 {
+	if d := distance(s, 1, 2); d != 2 {
 		t.Fatalf("leaf-to-leaf = %d, want 2", d)
 	}
-	if d := Distance(s, 0, 3); d != 1 {
+	if d := distance(s, 0, 3); d != 1 {
 		t.Fatalf("hub-to-leaf = %d, want 1", d)
 	}
 	if diameter(s) != 2 {
@@ -227,7 +228,7 @@ func TestTorusDistanceProperty(t *testing.T) {
 		if 4-dy < dy {
 			dy = 4 - dy
 		}
-		return Distance(tr, a, b) == dx+dy
+		return distance(tr, a, b) == dx+dy
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -321,7 +322,7 @@ func TestMinimalPortsContainRouteAndReduceDistance(t *testing.T) {
 					}
 					routePort := tp.Route(a, b)
 					found := false
-					d := Distance(tp, a, b)
+					d := distance(tp, a, b)
 					for _, p := range ports {
 						if p == routePort {
 							found = true
@@ -330,7 +331,7 @@ func TestMinimalPortsContainRouteAndReduceDistance(t *testing.T) {
 						if next < 0 {
 							t.Fatalf("%d->%d: minimal port %d is dead", a, b, p)
 						}
-						if nd := Distance(tp, next, b); nd != d-1 {
+						if nd := distance(tp, next, b); nd != d-1 {
 							t.Fatalf("%d->%d via %d: distance %d -> %d, not minimal", a, b, p, d, nd)
 						}
 					}
@@ -358,7 +359,7 @@ func diameter(t Topology) int {
 			if a == b {
 				continue
 			}
-			if h := Distance(t, a, b); h > d {
+			if h := distance(t, a, b); h > d {
 				d = h
 			}
 		}
@@ -376,9 +377,30 @@ func avgDistance(t Topology) float64 {
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			if a != b {
-				total += Distance(t, a, b)
+				total += distance(t, a, b)
 			}
 		}
 	}
 	return float64(total) / float64(n*(n-1))
+}
+
+// distance returns the hop count of the path Route actually takes from a to
+// b (0 if a == b). It panics if routing does not converge within Nodes()
+// hops, which would mean a broken routing function.
+func distance(t Topology, a, b int) int {
+	hops := 0
+	at := a
+	for at != b {
+		port := t.Route(at, b)
+		next := t.Neighbor(at, port)
+		if next < 0 {
+			panic(fmt.Sprintf("topology %s: route from %d to %d via dead port %d", t.Name(), at, b, port))
+		}
+		at = next
+		hops++
+		if hops > t.Nodes() {
+			panic(fmt.Sprintf("topology %s: routing loop from %d to %d", t.Name(), a, b))
+		}
+	}
+	return hops
 }

@@ -86,8 +86,7 @@ type Thread struct {
 	n    int
 	body func(*Thread)
 
-	emitted    uint64
-	nextHandle uint64
+	emitted uint64
 
 	// The coroutine: next resumes the body until it yields a batch, stop
 	// unwinds it, yield is the body's way back. next is nil until the first
@@ -115,9 +114,6 @@ func (t *Thread) ID() int { return t.id }
 
 // Threads returns the total number of threads in the program.
 func (t *Thread) Threads() int { return t.n }
-
-// Emitted returns the number of operations emitted so far.
-func (t *Thread) Emitted() uint64 { return t.emitted }
 
 // Next returns the thread's next event, one at a time. When the current
 // batch is used up it resumes the body for the next one — the
@@ -287,37 +283,4 @@ func (t *Thread) Recv(src int, tag uint32) any {
 func (t *Thread) RecvAny(tag uint32) (int, any) {
 	fb := t.emitGlobal(ops.NewRecv(ops.AnyPeer, tag), nil)
 	return int(fb.Peer), fb.Payload
-}
-
-// ARecv posts an asynchronous receive and returns immediately with a handle;
-// the thread continues generating trace while the message is in flight.
-// Consume the data with Wait, which emits the WaitRecv completion
-// pseudo-operation.
-func (t *Thread) ARecv(src int, tag uint32) *RecvHandle {
-	h := t.nextHandle
-	t.nextHandle++
-	o := ops.NewARecv(int32(src), tag)
-	o.Addr = h
-	t.emitGlobal(o, nil)
-	return &RecvHandle{t: t, id: h}
-}
-
-// RecvHandle is an outstanding asynchronous receive.
-type RecvHandle struct {
-	t    *Thread
-	id   uint64
-	done bool
-	fb   Feedback
-}
-
-// Wait suspends the application thread until the receive has completed in
-// simulated time, returning the source and payload. The suspension is
-// visible to the simulator as a WaitRecv pseudo-operation. Wait is
-// idempotent: further calls return the same result without re-suspending.
-func (h *RecvHandle) Wait() (int, any) {
-	if !h.done {
-		h.fb = h.t.emitGlobal(ops.NewWaitRecv(h.id), nil)
-		h.done = true
-	}
-	return int(h.fb.Peer), h.fb.Payload
 }

@@ -150,68 +150,6 @@ func TestProgramRecvFeedbackCarriesData(t *testing.T) {
 	}
 }
 
-func TestProgramARecvThenWait(t *testing.T) {
-	var result any
-	pr := &Program{
-		Threads: 1,
-		Body: func(th *Thread) {
-			h := th.ARecv(2, 0)
-			th.Emit(ops.NewArith(ops.Add, ops.TypeInt)) // overlap
-			_, result = h.Wait()
-		},
-	}
-	th := pr.Start()[0]
-	// arecv post
-	ev, _ := th.Next()
-	if ev.Op.Kind != ops.ARecv || ev.Op.Addr != 0 {
-		t.Fatalf("first op = %v", ev.Op)
-	}
-	ev.Resume(Feedback{}) // ack the post
-	// overlapped local op
-	ev, _ = th.Next()
-	if ev.Op.Kind != ops.Add {
-		t.Fatalf("second op = %v", ev.Op)
-	}
-	// wait completion
-	ev, _ = th.Next()
-	if ev.Op.Kind != ops.WaitRecv || ev.Op.Addr != 0 {
-		t.Fatalf("third op = %v", ev.Op)
-	}
-	ev.Resume(Feedback{Peer: 2, Payload: "data"})
-	if _, err := th.Next(); err != io.EOF {
-		t.Fatal(err)
-	}
-	if result != "data" {
-		t.Fatalf("result = %v", result)
-	}
-}
-
-func TestWaitIdempotent(t *testing.T) {
-	var a, b any
-	pr := &Program{
-		Threads: 1,
-		Body: func(th *Thread) {
-			h := th.ARecv(0, 0)
-			_, a = h.Wait()
-			_, b = h.Wait() // no second suspension
-		},
-	}
-	th := pr.Start()[0]
-	ev, _ := th.Next()
-	ev.Resume(Feedback{}) // post ack
-	ev, _ = th.Next()
-	if ev.Op.Kind != ops.WaitRecv {
-		t.Fatalf("op = %v", ev.Op)
-	}
-	ev.Resume(Feedback{Payload: 42})
-	if _, err := th.Next(); err != io.EOF {
-		t.Fatal(err)
-	}
-	if a != 42 || b != 42 {
-		t.Fatalf("a=%v b=%v", a, b)
-	}
-}
-
 func TestEmitRejectsGlobalEvents(t *testing.T) {
 	pr := &Program{
 		Threads: 1,
@@ -457,7 +395,7 @@ func TestRunAheadBounded(t *testing.T) {
 				} else {
 					th.Emit(ops.NewArith(ops.Add, ops.TypeInt))
 				}
-				worst = max(worst, th.Emitted()-consumed)
+				worst = max(worst, th.emitted-consumed)
 			}
 		},
 	}
@@ -470,7 +408,7 @@ func TestRunAheadBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		worst = max(worst, th.Emitted()-consumed)
+		worst = max(worst, th.emitted-consumed)
 		consumed++
 		if ev.Resume != nil {
 			ev.Resume(Feedback{})
