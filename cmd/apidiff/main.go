@@ -1,16 +1,21 @@
 // Command apidiff guards the workbench's exported API surface. It parses
-// every package under internal/ (go/parser only — no toolchain invocation,
-// no dependencies), renders each exported declaration as one normalized
-// line, and compares the sorted result against the checked-in golden
-// API.txt (the default mode; CI runs it), so an unintentional signature
-// change fails the build with a readable diff. An intentional change is
-// committed by regenerating the golden with `-write`.
+// and type-checks the module from source (go/parser, go/types and the
+// "source" importer only — no toolchain invocation, no dependencies),
+// renders each exported declaration under internal/ as one normalized line,
+// and compares the sorted result against the checked-in golden API.txt (the
+// default mode; CI runs it), so an unintentional signature change fails the
+// build with a readable diff. An intentional change is committed by
+// regenerating the golden with `-write`.
 //
 // The surface covers exported functions, methods on exported receivers,
 // type definitions (struct fields and interface methods filtered to the
 // exported ones), constants and variables. Unexported details — field
 // renames, method bodies, doc comments — never appear, so refactors that
 // keep the API stable keep the golden byte-identical.
+//
+// Every identifier on that surface must also earn its place: both modes
+// fail, and -write writes nothing, while any of them is used by no file in
+// another directory of the module (see unused).
 package main
 
 import (
@@ -18,13 +23,11 @@ import (
 	"flag"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/printer"
 	"go/token"
 	"io"
-	"io/fs"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -45,17 +48,13 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	surface, err := scan(*root)
+	l, err := load(*root)
 	if err != nil {
 		fmt.Fprintln(stderr, "apidiff:", err)
 		return 2
 	}
-	findings, err := unused(*root)
-	if err != nil {
-		fmt.Fprintln(stderr, "apidiff:", err)
-		return 2
-	}
-	if len(findings) > 0 {
+	surface := scan(l)
+	if findings := unused(l); len(findings) > 0 {
 		fmt.Fprintf(stderr, "apidiff: %d exported identifiers are used by no other package:\n", len(findings))
 		for _, f := range findings {
 			fmt.Fprintln(stderr, f)
@@ -83,80 +82,35 @@ func run(args []string, stderr io.Writer) int {
 	return 0
 }
 
-// scan renders the exported API of every package under <root>/internal as a
+// scan renders the exported API of every package under internal/ as a
 // sorted newline-terminated string.
-func scan(root string) (string, error) {
+func scan(l *loader) string {
 	var lines []string
-	base := filepath.Join(root, "internal")
-	err := filepath.WalkDir(base, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	for _, p := range l.order {
+		pkg := strings.TrimPrefix(p.path, l.module+"/")
+		if !strings.HasPrefix(pkg, "internal/") {
+			continue
 		}
-		if d.IsDir() {
-			if d.Name() == "testdata" {
-				return filepath.SkipDir
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if line, ok := funcLine(l.fset, d); ok {
+						lines = append(lines, pkg+": "+line)
+					}
+				case *ast.GenDecl:
+					for _, line := range genLines(l.fset, d) {
+						lines = append(lines, pkg+": "+line)
+					}
+				}
 			}
-			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, filepath.Dir(path))
-		if err != nil {
-			return err
-		}
-		pkg := filepath.ToSlash(rel)
-		decls, err := fileAPI(path)
-		if err != nil {
-			return err
-		}
-		for _, d := range decls {
-			lines = append(lines, pkg+": "+d)
-		}
-		return nil
-	})
-	if err != nil {
-		return "", err
 	}
 	sort.Strings(lines)
-	// Files in one package can redeclare nothing, but the same line may
-	// legitimately not repeat; dedup keeps the golden stable regardless of
-	// how declarations are split across files.
-	lines = dedup(lines)
-	return strings.Join(lines, "\n") + "\n", nil
-}
-
-func dedup(lines []string) []string {
-	out := lines[:0]
-	var prev string
-	for i, l := range lines {
-		if i == 0 || l != prev {
-			out = append(out, l)
-		}
-		prev = l
-	}
-	return out
-}
-
-// fileAPI renders every exported declaration of one source file.
-func fileAPI(path string) ([]string, error) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-	if err != nil {
-		return nil, err
-	}
-	var out []string
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if line, ok := funcLine(fset, d); ok {
-				out = append(out, line)
-			}
-		case *ast.GenDecl:
-			out = append(out, genLines(fset, d)...)
-		}
-	}
-	return out, nil
+	// The same line may come from two files of a package (a method set split
+	// across files renders alike); compacting keeps the golden stable
+	// however declarations are split.
+	return strings.Join(slices.Compact(lines), "\n") + "\n"
 }
 
 // funcLine renders an exported function or an exported method on an

@@ -15,105 +15,98 @@ import (
 	"strings"
 )
 
-// A finding is one exported identifier in the API.txt scope that no file
+// A finding is one exported identifier of the API.txt surface that no file
 // outside its own package uses.
-type finding struct {
-	pos    string // file:line, relative to the module root
-	name   string // pkg.Ident or pkg.Type.Method
-	reason string
-}
+type finding struct{ pos, name, reason string }
 
 func (f finding) String() string { return f.pos + ": " + f.name + ": " + f.reason }
 
-const (
-	insideOnly = "used only inside its package"
-	testsOnly  = "no use outside its own package's tests"
-)
-
 // stdIfaces are the standard-library interfaces whose methods count as used
-// when an exported type implements them, beside every interface the module
-// declares itself.
-var stdIfaces = []struct{ path, name string }{
-	{"fmt", "Stringer"},
-	{"encoding/json", "Marshaler"},
-	{"encoding/json", "Unmarshaler"},
-	{"encoding", "TextMarshaler"},
-	{"io", "Reader"},
-	{"io", "Writer"},
-	{"io", "Closer"},
-	{"sort", "Interface"},
-	{"net/http", "Handler"},
+// when an exported type implements them, beside error and every interface
+// the module declares.
+var stdIfaces = [][2]string{
+	{"fmt", "Stringer"}, {"encoding/json", "Marshaler"}, {"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"}, {"io", "Reader"}, {"io", "Writer"}, {"io", "Closer"},
+	{"sort", "Interface"}, {"net/http", "Handler"},
 }
 
 // pkgDir is one directory of the module, its files split the way the go
-// tool splits them.
+// tool splits them: the package, its in-package tests, its external tests.
 type pkgDir struct {
-	dir, path    string
-	files, tests []*ast.File // package p: non-test files; in-package _test.go files
-	xtests       []*ast.File // package p_test files
-	pkg          *types.Package
-	checking     bool
+	path                 string
+	files, tests, xtests []*ast.File
+	pkg                  *types.Package
+	checking             bool
 }
 
 // loader type-checks every package of a module from source. Module imports
 // resolve to the loader's own packages, so an object has one identity
 // wherever it is used; the standard library comes from go/importer's
-// "source" importer.
+// "source" importer. uses collects the Info.Uses of every check.
 type loader struct {
 	root, module string
 	fset         *token.FileSet
 	dirs         map[string]*pkgDir // by import path
 	order        []*pkgDir
 	std          types.ImporterFrom
-	uses         []use
+	uses         map[*ast.Ident]types.Object
 	errs         []error
 }
 
-// use is one Info.Uses reference.
-type use struct {
-	at  token.Pos
-	obj types.Object
-}
-
-func newLoader(root string) (*loader, error) {
+// load parses every directory of the module at root (files selected by the
+// build context, as the go tool selects them) and type-checks each package,
+// then each package's tests: the in-package tests with their package, and
+// the external tests against that test variant, where export_test.go
+// files live.
+func load(root string) (*loader, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
 	}
-	var module string
+	l := &loader{root: root, fset: token.NewFileSet(), dirs: map[string]*pkgDir{}, uses: map[*ast.Ident]types.Object{}}
 	for _, line := range strings.Split(string(mod), "\n") {
 		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
-			module = f[1]
+			l.module = f[1]
 		}
 	}
-	if module == "" {
-		return nil, fmt.Errorf("%s/go.mod names no module", root)
-	}
-	ctx := build.Default
-	ctx.CgoEnabled = false
 	build.Default.CgoEnabled = false // the source importer reads build.Default
-	l := &loader{
-		root: root, module: module, fset: token.NewFileSet(),
-		dirs: map[string]*pkgDir{},
-		std:  importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom),
-	}
-	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+	l.std = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		if !d.IsDir() {
-			return nil
-		}
-		if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+		if dir != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
 			return filepath.SkipDir
 		}
-		return l.parseDir(&ctx, path)
+		return l.parseDir(dir)
 	})
-	return l, err
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range l.order {
+		if len(p.files) > 0 {
+			if _, err := l.Import(p.path); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(l.errs) > 0 {
+		return nil, l.errs[0]
+	}
+	for _, p := range l.order {
+		withTests := p.pkg
+		if len(p.tests) > 0 {
+			withTests = l.check(p.path, append(append([]*ast.File{}, p.files...), p.tests...), l, false)
+		}
+		if len(p.xtests) > 0 {
+			l.check(p.path+"_test", p.xtests, variant{l, p.path, withTests}, false)
+		}
+	}
+	return l, nil
 }
 
-// parseDir parses the files of one directory that match the build context.
-func (l *loader) parseDir(ctx *build.Context, dir string) error {
+// parseDir parses the Go files of one directory.
+func (l *loader) parseDir(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -122,23 +115,16 @@ func (l *loader) parseDir(ctx *build.Context, dir string) error {
 	if err != nil {
 		return err
 	}
-	p := &pkgDir{dir: dir, path: l.module}
-	if rel != "." {
-		p.path += "/" + filepath.ToSlash(rel)
-	}
+	p := &pkgDir{path: strings.TrimSuffix(l.module+"/"+filepath.ToSlash(rel), "/.")}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if ok, err := ctx.MatchFile(dir, name); err != nil || !ok {
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok || !strings.HasSuffix(name, ".go") {
 			continue
 		}
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
 		switch {
+		case err != nil:
+			return err
 		case !strings.HasSuffix(name, "_test.go"):
 			p.files = append(p.files, f)
 		case strings.HasSuffix(f.Name.Name, "_test"):
@@ -154,20 +140,17 @@ func (l *loader) parseDir(ctx *build.Context, dir string) error {
 	return nil
 }
 
-// Import resolves an import from a module package's non-test files.
-func (l *loader) Import(path string) (*types.Package, error) {
-	return l.ImportFrom(path, "", 0)
-}
+func (l *loader) Import(path string) (*types.Package, error) { return l.ImportFrom(path, "", 0) }
 
+// ImportFrom resolves an import of a module package's non-test files.
 func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	p, ok := l.dirs[path]
-	if !ok {
+	switch {
+	case !ok:
 		return l.std.ImportFrom(path, dir, mode)
-	}
-	if p.pkg == nil {
-		if p.checking {
-			return nil, fmt.Errorf("import cycle through %s", path)
-		}
+	case p.pkg == nil && p.checking:
+		return nil, fmt.Errorf("import cycle through %s", path)
+	case p.pkg == nil:
 		p.checking = true
 		p.pkg = l.check(path, p.files, l, true)
 	}
@@ -175,20 +158,16 @@ func (l *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 }
 
 // check type-checks one package and records its uses. Errors in a package's
-// own files fail the scan; errors in test variants (an external test sees
-// dependencies built against the plain package) are tolerated, since the
-// uses are recorded all the same.
+// own files fail the scan; those of a test variant (an external test sees
+// dependencies built against the plain package) are let be, since the uses
+// are recorded all the same.
 func (l *loader) check(path string, files []*ast.File, imp types.Importer, strict bool) *types.Package {
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
 	conf := types.Config{Importer: imp, Error: func(err error) {
 		if strict {
 			l.errs = append(l.errs, err)
 		}
 	}}
-	pkg, _ := conf.Check(path, l.fset, files, info)
-	for id, obj := range info.Uses {
-		l.uses = append(l.uses, use{id.Pos(), obj})
-	}
+	pkg, _ := conf.Check(path, l.fset, files, &types.Info{Uses: l.uses})
 	return pkg
 }
 
@@ -199,9 +178,7 @@ type variant struct {
 	pkg  *types.Package
 }
 
-func (v variant) Import(path string) (*types.Package, error) {
-	return v.ImportFrom(path, "", 0)
-}
+func (v variant) Import(path string) (*types.Package, error) { return v.ImportFrom(path, "", 0) }
 
 func (v variant) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
 	if path == v.path {
@@ -210,230 +187,160 @@ func (v variant) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 	return v.loader.ImportFrom(path, dir, mode)
 }
 
-// loadAll type-checks every package, then every package's tests: the
-// in-package tests with their package, and an external test package against
-// that test variant (where export_test.go files live).
-func (l *loader) loadAll() error {
-	for _, p := range l.order {
-		if len(p.files) > 0 {
-			if _, err := l.Import(p.path); err != nil {
-				return err
-			}
-		}
-	}
-	if len(l.errs) > 0 {
-		return l.errs[0]
-	}
-	for _, p := range l.order {
-		withTests := p.pkg
-		if len(p.tests) > 0 {
-			withTests = l.check(p.path, append(append([]*ast.File{}, p.files...), p.tests...), l, false)
-		}
-		if len(p.xtests) > 0 {
-			l.check(p.path+"_test", p.xtests, variant{l, p.path, withTests}, false)
-		}
-	}
-	return nil
-}
-
-// unused lists every exported identifier under <root>/internal (the scope of
-// API.txt: package-level funcs, types, consts and vars, and methods on
-// exported types) that no .go file in another directory of the module uses.
+// unused lists every identifier of the API.txt surface — package-level
+// funcs, types, consts and vars under internal/, and methods on their
+// exported types — that no .go file in another directory of the module
+// uses, test files included; a generic instantiation counts for its origin.
 // A named type is also used when it appears in the exported signature or
 // fields of a used identifier, and a method when it implements an interface
-// the module declares or one of stdIfaces.
-func unused(root string) ([]finding, error) {
-	l, err := newLoader(root)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.loadAll(); err != nil {
-		return nil, err
-	}
-	internal := filepath.Join(l.root, "internal") + string(filepath.Separator)
-
-	// Candidates, and the interfaces whose implementations count as uses.
+// of the module's, error, or one of stdIfaces.
+func unused(l *loader) []finding {
 	var cands []types.Object
-	var ifaces []*types.Interface
+	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	for _, s := range stdIfaces {
+		if pkg, err := l.std.ImportFrom(s[0], l.root, 0); err == nil {
+			ifaces = append(ifaces, pkg.Scope().Lookup(s[1]).Type().Underlying().(*types.Interface))
+		}
+	}
 	for _, p := range l.order {
 		if p.pkg == nil {
 			continue
 		}
-		scope := p.pkg.Scope()
-		inScope := strings.HasPrefix(p.dir+string(filepath.Separator), internal)
-		for _, name := range scope.Names() {
-			obj := scope.Lookup(name)
-			if tn, ok := obj.(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok && !tn.IsAlias() {
-					ifaces = append(ifaces, it)
-				}
+		inScope := strings.HasPrefix(p.path, l.module+"/internal/")
+		for _, name := range p.pkg.Scope().Names() {
+			obj := p.pkg.Scope().Lookup(name)
+			named, isNamed := obj.Type().(*types.Named)
+			if it, ok := obj.Type().Underlying().(*types.Interface); ok && isNamed {
+				ifaces = append(ifaces, it)
 			}
 			if !inScope || !obj.Exported() {
 				continue
 			}
 			cands = append(cands, obj)
-			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-				if named, ok := tn.Type().(*types.Named); ok {
-					for i := 0; i < named.NumMethods(); i++ {
-						if m := named.Method(i); m.Exported() {
-							cands = append(cands, m)
-						}
+			if _, ok := obj.(*types.TypeName); ok && isNamed {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() {
+						cands = append(cands, m)
 					}
 				}
 			}
 		}
 	}
-	for _, s := range stdIfaces {
-		pkg, err := l.std.ImportFrom(s.path, l.root, 0)
-		if err != nil {
-			return nil, err
-		}
-		ifaces = append(ifaces, pkg.Scope().Lookup(s.name).Type().Underlying().(*types.Interface))
-	}
-	ifaces = append(ifaces, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
 
-	// Receivers and a function's own body do not count as uses inside the
-	// package: a type with methods, or a recursive func, is not used by that.
-	type span struct{ from, to token.Pos }
-	own := map[token.Pos]span{}
+	// A receiver, or a use inside the function's own body, does not make an
+	// identifier used inside its package: a type only its methods name, or
+	// a function only it calls, is used nowhere.
+	own := map[token.Pos][2]token.Pos{}
 	recv := map[token.Pos]bool{}
 	for _, p := range l.order {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				own[fd.Name.Pos()] = span{fd.Pos(), fd.End()}
-				if fd.Recv != nil {
-					ast.Inspect(fd.Recv, func(n ast.Node) bool {
-						if id, ok := n.(*ast.Ident); ok {
-							recv[id.Pos()] = true
-						}
-						return true
-					})
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					own[fd.Name.Pos()] = [2]token.Pos{fd.Pos(), fd.End()}
+					if fd.Recv != nil {
+						ast.Inspect(fd.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								recv[id.Pos()] = true
+							}
+							return true
+						})
+					}
 				}
 			}
 		}
 	}
-
-	used := map[token.Pos]bool{}   // by the declaring identifier
+	used := map[token.Pos]bool{}   // by the declaring identifier's position
 	inside := map[token.Pos]bool{} // a non-test use in its own directory
-	for _, u := range l.uses {
-		obj := origin(u.obj)
-		if obj.Pkg() == nil || l.dirs[obj.Pkg().Path()] == nil && l.dirs[strings.TrimSuffix(obj.Pkg().Path(), "_test")] == nil {
+	for id, obj := range l.uses {
+		obj = origin(obj)
+		if obj.Pkg() == nil || l.dirs[strings.TrimSuffix(obj.Pkg().Path(), "_test")] == nil {
 			continue
 		}
-		file := l.fset.Position(u.at).Filename
-		decl := l.fset.Position(obj.Pos()).Filename
-		switch {
+		file, decl := l.fset.Position(id.Pos()).Filename, l.fset.Position(obj.Pos()).Filename
+		switch span, isOwn := own[obj.Pos()]; {
 		case filepath.Dir(file) != filepath.Dir(decl):
 			used[obj.Pos()] = true
-		case !strings.HasSuffix(file, "_test.go") && !recv[u.at]:
-			if s, ok := own[obj.Pos()]; ok && u.at >= s.from && u.at < s.to {
-				continue
-			}
+		case !strings.HasSuffix(file, "_test.go") && !recv[id.Pos()] && !(isOwn && id.Pos() >= span[0] && id.Pos() < span[1]):
 			inside[obj.Pos()] = true
 		}
 	}
 
-	// Types reached through the exported signature of a used identifier.
-	var queue []types.Object
+	// The types reached through the exported signature or fields of a used
+	// identifier are used too.
+	var queue []types.Type
 	for _, obj := range cands {
 		if used[obj.Pos()] {
-			queue = append(queue, obj)
+			queue = append(queue, obj.Type())
 		}
 	}
 	seen := map[types.Type]bool{}
-	var reach func(t types.Type)
-	reach = func(t types.Type) {
-		if t == nil || seen[t] {
-			return
+	for len(queue) > 0 {
+		t := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		if seen[t] {
+			continue
 		}
 		seen[t] = true
 		switch t := t.(type) {
 		case *types.Alias:
-			reach(types.Unalias(t))
+			queue = append(queue, types.Unalias(t))
 		case *types.Named:
-			tn := t.Origin().Obj()
-			if !used[tn.Pos()] {
-				used[tn.Pos()] = true
-				queue = append(queue, tn)
-			}
+			used[t.Origin().Obj().Pos()] = true
+			queue = append(queue, t.Origin().Underlying())
 			for i := 0; i < t.TypeArgs().Len(); i++ {
-				reach(t.TypeArgs().At(i))
+				queue = append(queue, t.TypeArgs().At(i))
 			}
-		case *types.Pointer:
-			reach(t.Elem())
-		case *types.Slice:
-			reach(t.Elem())
-		case *types.Array:
-			reach(t.Elem())
-		case *types.Chan:
-			reach(t.Elem())
 		case *types.Map:
-			reach(t.Key())
-			reach(t.Elem())
+			queue = append(queue, t.Key(), t.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array, chan
+			queue = append(queue, t.Elem())
 		case *types.Signature:
-			for i := 0; i < t.Params().Len(); i++ {
-				reach(t.Params().At(i).Type())
-			}
-			for i := 0; i < t.Results().Len(); i++ {
-				reach(t.Results().At(i).Type())
+			for _, tuple := range []*types.Tuple{t.Params(), t.Results()} {
+				for i := 0; i < tuple.Len(); i++ {
+					queue = append(queue, tuple.At(i).Type())
+				}
 			}
 		case *types.Struct:
 			for i := 0; i < t.NumFields(); i++ {
 				if f := t.Field(i); f.Exported() {
-					reach(f.Type())
+					queue = append(queue, f.Type())
 				}
 			}
 		case *types.Interface:
 			for i := 0; i < t.NumExplicitMethods(); i++ {
 				if m := t.ExplicitMethod(i); m.Exported() {
-					reach(m.Type())
+					queue = append(queue, m.Type())
 				}
 			}
-		}
-	}
-	for len(queue) > 0 {
-		obj := queue[0]
-		queue = queue[1:]
-		if tn, ok := obj.(*types.TypeName); ok {
-			reach(tn.Type().Underlying())
-		} else {
-			reach(obj.Type())
 		}
 	}
 
 	var out []finding
 	for _, obj := range cands {
+		name := obj.Pkg().Name() + "." + obj.Name()
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			recv := sig.Recv().Type()
+			if p, ok := recv.(*types.Pointer); ok {
+				recv = p.Elem()
+			}
+			if implements(recv.(*types.Named), obj.Name(), ifaces) {
+				continue
+			}
+			name = obj.Pkg().Name() + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
+		}
 		if used[obj.Pos()] {
 			continue
 		}
-		name := obj.Pkg().Name() + "." + obj.Name()
-		if fn, ok := obj.(*types.Func); ok {
-			if sig := fn.Type().(*types.Signature); sig.Recv() != nil {
-				if implements(sig.Recv().Type(), fn.Name(), ifaces) {
-					continue
-				}
-				name = obj.Pkg().Name() + "." + recvName(sig.Recv().Type()) + "." + obj.Name()
-			}
-		}
-		reason := testsOnly
+		reason := "no use outside its own package's tests"
 		if inside[obj.Pos()] {
-			reason = insideOnly
+			reason = "used only inside its package"
 		}
 		pos := l.fset.Position(obj.Pos())
-		rel, err := filepath.Rel(l.root, pos.Filename)
-		if err != nil {
-			return nil, err
-		}
+		rel, _ := filepath.Rel(l.root, pos.Filename)
 		out = append(out, finding{fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line), name, reason})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].pos < out[j].pos || out[i].pos == out[j].pos && out[i].name < out[j].name
-	})
-	return out, nil
+	sort.SliceStable(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	return out
 }
 
 // origin maps a generic instantiation's objects to the declared ones.
@@ -447,39 +354,18 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// implements reports whether recv (or a pointer to it) implements an
-// interface that declares a method of this name.
-func implements(recv types.Type, method string, ifaces []*types.Interface) bool {
-	named, ok := recv.(*types.Named)
-	if p, isPtr := recv.(*types.Pointer); isPtr {
-		named, ok = p.Elem().(*types.Named)
-	}
-	if !ok {
-		return false
-	}
-	var t types.Type = named
-	if named.TypeParams().Len() > 0 {
+// implements reports whether t, or a pointer to it, implements an interface
+// that declares a method of this name. A generic type implements none.
+func implements(t *types.Named, method string, ifaces []*types.Interface) bool {
+	if t.TypeParams().Len()+t.TypeArgs().Len() > 0 {
 		return false
 	}
 	for _, it := range ifaces {
 		for i := 0; i < it.NumMethods(); i++ {
-			if it.Method(i).Name() != method {
-				continue
-			}
-			if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			if it.Method(i).Name() == method && (types.Implements(t, it) || types.Implements(types.NewPointer(t), it)) {
 				return true
 			}
 		}
 	}
 	return false
-}
-
-func recvName(t types.Type) string {
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return n.Obj().Name()
-	}
-	return t.String()
 }

@@ -72,8 +72,8 @@ type Report struct {
 	Bottlenecks  []Bottleneck  `json:"bottlenecks"`
 }
 
-// TopN is how many entries the ranked bottleneck summary keeps.
-const TopN = 8
+// topN is how many entries the ranked bottleneck summary keeps.
+const topN = 8
 
 // round6 quantises derived ratios so the JSON export is stable and readable;
 // the underlying integer cycle counts stay exact.
@@ -185,8 +185,8 @@ func (r *Report) rank() []Bottleneck {
 		}
 		return cand[i].component < cand[j].component
 	})
-	if len(cand) > TopN {
-		cand = cand[:TopN]
+	if len(cand) > topN {
+		cand = cand[:topN]
 	}
 	var out []Bottleneck
 	for i, c := range cand {

@@ -72,16 +72,16 @@ func (t *Target) sanitize() {
 type VarClass uint8
 
 const (
-	Global VarClass = iota
-	Local
+	global VarClass = iota
+	local
 )
 
 // String returns the class name.
 func (c VarClass) String() string {
 	switch c {
-	case Global:
+	case global:
 		return "global"
-	case Local:
+	case local:
 		return "local"
 	}
 	return "?"
@@ -99,8 +99,8 @@ type Var struct {
 	InReg bool
 }
 
-// Size returns the variable's total size in bytes.
-func (v *Var) Size() uint64 { return v.Type.Size() * uint64(v.Count) }
+// size returns the variable's total size in bytes.
+func (v *Var) size() uint64 { return v.Type.Size() * uint64(v.Count) }
 
 // Unit is one thread's translation context: it owns the variable descriptor
 // table, the code-address map and the simulated stack, and emits operations
@@ -164,8 +164,8 @@ func (u *Unit) GlobalArray(name string, typ ops.MemType, n int) *Var {
 		panic(fmt.Sprintf("annotate: array %q with %d elements", name, n))
 	}
 	u.globalTop = align(u.globalTop, typ.Size())
-	v := &Var{Name: name, Class: Global, Type: typ, Count: n, Addr: u.globalTop}
-	u.globalTop += v.Size()
+	v := &Var{Name: name, Class: global, Type: typ, Count: n, Addr: u.globalTop}
+	u.globalTop += v.size()
 	return v
 }
 
@@ -185,8 +185,8 @@ func (u *Unit) SharedArray(name string, typ ops.MemType, n int) *Var {
 		panic("annotate: target has no shared segment (SharedBase is 0)")
 	}
 	u.sharedTop = align(u.sharedTop, typ.Size())
-	v := &Var{Name: name, Class: Global, Type: typ, Count: n, Addr: u.sharedTop}
-	u.sharedTop += v.Size()
+	v := &Var{Name: name, Class: global, Type: typ, Count: n, Addr: u.sharedTop}
+	u.sharedTop += v.size()
 	return v
 }
 
@@ -229,7 +229,7 @@ func (u *Unit) localVar(name string, typ ops.MemType, n int) *Var {
 	f := u.curFrame()
 	size := typ.Size() * uint64(n)
 	f.top = (f.top - size) &^ (typ.Size() - 1) // stack grows down, aligned
-	v := &Var{Name: f.name + "." + name, Class: Local, Type: typ, Count: n, Addr: f.top}
+	v := &Var{Name: f.name + "." + name, Class: local, Type: typ, Count: n, Addr: f.top}
 	if n == 1 && f.regsUsed < u.target.RegisterLocals {
 		v.InReg = true
 		f.regsUsed++
@@ -322,20 +322,20 @@ func (u *Unit) labelAddr(name string) uint64 {
 	return a
 }
 
-// Label marks a control-flow join/loop-head point: the program counter moves
+// label marks a control-flow join/loop-head point: the program counter moves
 // to the label's (stable) address, so re-executing the same source region
 // re-traces the same instruction addresses.
-func (u *Unit) Label(name string) {
+func (u *Unit) label(name string) {
 	u.pc = u.labelAddr(name)
 	if u.pc >= u.codeTop {
 		u.codeTop = u.pc + u.target.InstrBytes
 	}
 }
 
-// Branch translates a conditional branch annotation. taken selects whether
+// branch translates a conditional branch annotation. taken selects whether
 // control transfers to the label (the trace generator evaluates loop and
 // branch conditions itself — the simulator never sees data).
-func (u *Unit) Branch(name string, taken bool) {
+func (u *Unit) branch(name string, taken bool) {
 	target := u.labelAddr(name)
 	u.fetch()
 	u.emit(ops.NewBranch(target))
@@ -349,21 +349,21 @@ func (u *Unit) Branch(name string, taken bool) {
 // branch, re-tracing the head's addresses.
 func (u *Unit) Loop(name string, n int, body func(i int)) {
 	for i := 0; i < n; i++ {
-		u.Label(name)
+		u.label(name)
 		body(i)
 		u.Arith(ops.Add, ops.TypeInt) // induction increment
 		u.Arith(ops.Sub, ops.TypeInt) // compare against bound
-		u.Branch(name, false)         // evaluated: fall through on exit
+		u.branch(name, false)         // evaluated: fall through on exit
 		if i < n-1 {
 			u.pc = u.labels[name] // backward branch taken
 		}
 	}
 	if n == 0 {
 		// Still trace the test-and-skip.
-		u.Label(name)
+		u.label(name)
 		u.Arith(ops.Sub, ops.TypeInt)
-		u.Branch(name+":skip", true)
-		u.Label(name + ":skip")
+		u.branch(name+":skip", true)
+		u.label(name + ":skip")
 	}
 }
 

@@ -44,7 +44,7 @@ func TestGlobalAllocation(t *testing.T) {
 		if c.Addr%8 != 0 || c.Addr < b.Addr {
 			t.Errorf("c at %#x, want 8-aligned after b", c.Addr)
 		}
-		if a.Class != Global || a.InReg {
+		if a.Class != global || a.InReg {
 			t.Error("global misclassified")
 		}
 	})
@@ -149,9 +149,9 @@ func TestLoopRecurringFetchAddresses(t *testing.T) {
 
 func TestBranchTargetsLabel(t *testing.T) {
 	got := collect(t, func(u *Unit) {
-		u.Label("head")
+		u.label("head")
 		u.Arith(ops.Add, ops.TypeInt)
-		u.Branch("head", true)
+		u.branch("head", true)
 		u.Arith(ops.Sub, ops.TypeInt) // after taken branch: pc back at head
 	})
 	var branch ops.Op
@@ -367,7 +367,7 @@ func TestCommunicationAnnotations(t *testing.T) {
 }
 
 func TestVarClassStrings(t *testing.T) {
-	if Global.String() != "global" || Local.String() != "local" {
+	if global.String() != "global" || local.String() != "local" {
 		t.Fatal("class names wrong")
 	}
 }

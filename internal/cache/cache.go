@@ -15,27 +15,27 @@ import (
 	"mermaid/internal/stats"
 )
 
-// State is the coherence state of a cache line (MESI). Single-CPU
+// state is the coherence state of a cache line (MESI). Single-CPU
 // configurations use Exclusive/Modified as plain valid/dirty.
-type State uint8
+type state uint8
 
 const (
-	Invalid State = iota
-	Shared
-	Exclusive
-	Modified
+	invalid state = iota
+	shared
+	exclusive
+	modified
 )
 
 // String returns the one-letter MESI name.
-func (s State) String() string {
+func (s state) String() string {
 	switch s {
-	case Invalid:
+	case invalid:
 		return "I"
-	case Shared:
+	case shared:
 		return "S"
-	case Exclusive:
+	case exclusive:
 		return "E"
-	case Modified:
+	case modified:
 		return "M"
 	}
 	return "?"
@@ -45,17 +45,17 @@ func (s State) String() string {
 type Replacement uint8
 
 const (
-	LRU Replacement = iota
-	FIFO
+	lru Replacement = iota
+	fifo
 	Random
 )
 
 // String returns the policy name.
 func (r Replacement) String() string {
 	switch r {
-	case LRU:
+	case lru:
 		return "LRU"
-	case FIFO:
+	case fifo:
 		return "FIFO"
 	case Random:
 		return "random"
@@ -94,8 +94,8 @@ type Config struct {
 	Replacement Replacement
 }
 
-// Validate checks geometric consistency.
-func (c *Config) Validate() error {
+// validate checks geometric consistency.
+func (c *Config) validate() error {
 	if c.Size <= 0 || c.LineSize <= 0 {
 		return fmt.Errorf("cache %s: non-positive geometry (size %d, line %d)", c.Name, c.Size, c.LineSize)
 	}
@@ -125,7 +125,7 @@ func (c *Config) Validate() error {
 
 type line struct {
 	tag      uint64 // full line address (addr >> lineShift); uniqueness makes it both tag and identity
-	state    State
+	state    state
 	lastUse  uint64 // LRU clock
 	loadedAt uint64 // FIFO clock
 }
@@ -193,9 +193,9 @@ type link struct{ prev, next int32 }
 // store goes through the index.
 const scanWays = 8
 
-// New creates a cache level; the config must validate.
-func New(cfg Config, rng *pearl.RNG) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+// newCache creates a cache level; the config must validate.
+func newCache(cfg Config, rng *pearl.RNG) (*Cache, error) {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	lines := cfg.Size / cfg.LineSize
@@ -258,27 +258,27 @@ func (c *Cache) pushBack(i int) {
 // where the line used last already is.
 func (c *Cache) used(i int) {
 	c.sets[i].lastUse = c.clock
-	if c.order != nil && c.cfg.Replacement == LRU && int(c.order[i].next) < len(c.sets) {
+	if c.order != nil && c.cfg.Replacement == lru && int(c.order[i].next) < len(c.sets) {
 		c.unlink(i)
 		c.pushBack(i)
 	}
 }
 
-// MustNew is New for known-good configs (presets, tests).
-func MustNew(cfg Config, rng *pearl.RNG) *Cache {
-	c, err := New(cfg, rng)
+// mustNew is New for known-good configs (presets, tests).
+func mustNew(cfg Config, rng *pearl.RNG) *Cache {
+	c, err := newCache(cfg, rng)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
 
-// LineSize returns the line size in bytes.
-func (c *Cache) LineSize() uint64 { return uint64(c.cfg.LineSize) }
+// lineSize returns the line size in bytes.
+func (c *Cache) lineSize() uint64 { return uint64(c.cfg.LineSize) }
 
-// LineAddr returns the line address (addr with the offset bits shifted out),
+// lineAddr returns the line address (addr with the offset bits shifted out),
 // the canonical line identity used throughout the hierarchy.
-func (c *Cache) LineAddr(addr uint64) uint64 { return addr >> c.lineShift }
+func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
 // home is the index entry where the probe for a line address starts: the top
 // bits of a Fibonacci hash, which spreads sequential and strided line
@@ -321,17 +321,17 @@ func (c *Cache) find(la uint64) int {
 	}
 	base := int(la&c.setMask) * c.assoc
 	for i, ln := range c.sets[base : base+c.assoc] {
-		if ln.state != Invalid && ln.tag == la {
+		if ln.state != invalid && ln.tag == la {
 			return base + i
 		}
 	}
 	return -1
 }
 
-// Lookup finds the line (by line address) and refreshes its LRU position.
+// lookup finds the line (by line address) and refreshes its LRU position.
 // It returns nil on miss. Lookup does not update hit/miss counters; the
 // hierarchy does, so that probes (snoops) don't pollute demand statistics.
-func (c *Cache) Lookup(la uint64) *State {
+func (c *Cache) lookup(la uint64) *state {
 	i := c.find(la)
 	if i < 0 {
 		return nil
@@ -341,38 +341,38 @@ func (c *Cache) Lookup(la uint64) *State {
 	return &c.sets[i].state
 }
 
-// Probe finds the line without touching replacement state (used by snoops
+// probe finds the line without touching replacement state (used by snoops
 // and tests).
-func (c *Cache) Probe(la uint64) (State, bool) {
+func (c *Cache) probe(la uint64) (state, bool) {
 	if i := c.find(la); i >= 0 {
 		return c.sets[i].state, true
 	}
-	return Invalid, false
+	return invalid, false
 }
 
-// Victim describes a line displaced by Insert.
-type Victim struct {
+// victim describes a line displaced by Insert.
+type victim struct {
 	LineAddr uint64
-	State    State
+	State    state
 }
 
-// Insert places the line (by line address) in the given state, evicting a
+// insert places the line (by line address) in the given state, evicting a
 // victim if the set is full. It reports the victim, if any. Inserting a line
 // that is already present just overwrites its state.
-func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
-	if st == Invalid {
+func (c *Cache) insert(la uint64, st state) (victim, bool) {
+	if st == invalid {
 		panic("cache: inserting invalid line")
 	}
 	c.clock++
 	if i := c.find(la); i >= 0 {
 		c.sets[i].state = st
 		c.used(i)
-		return Victim{}, false
+		return victim{}, false
 	}
 	setIdx := int(la & c.setMask)
 	base := setIdx * c.assoc
 	set := c.sets[base : base+c.assoc]
-	var v Victim
+	var v victim
 	var way int
 	evict := int(c.valid[setIdx]) == c.assoc
 	if evict {
@@ -382,16 +382,16 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 		} else {
 			way = c.pickVictim(set)
 		}
-		v = Victim{LineAddr: set[way].tag, State: set[way].state}
+		v = victim{LineAddr: set[way].tag, State: set[way].state}
 		c.S.Evictions.Inc()
-		if v.State == Modified {
+		if v.State == modified {
 			c.S.Writebacks.Inc()
 		}
 		if c.index != nil {
 			c.unindex(c.entry(v.LineAddr))
 		}
 	} else {
-		for set[way].state != Invalid { // the lowest free way
+		for set[way].state != invalid { // the lowest free way
 			way++
 		}
 		c.valid[setIdx]++
@@ -409,7 +409,7 @@ func (c *Cache) Insert(la uint64, st State) (Victim, bool) {
 // pickVictim scans a full set for the way to replace.
 func (c *Cache) pickVictim(set []line) int {
 	switch c.cfg.Replacement {
-	case FIFO:
+	case fifo:
 		best := 0
 		for i := 1; i < len(set); i++ {
 			if set[i].loadedAt < set[best].loadedAt {
@@ -433,14 +433,14 @@ func (c *Cache) pickVictim(set []line) int {
 	}
 }
 
-// Invalidate removes the line if present, reporting its prior state.
-func (c *Cache) Invalidate(la uint64) (State, bool) {
+// invalidate removes the line if present, reporting its prior state.
+func (c *Cache) invalidate(la uint64) (state, bool) {
 	i := c.find(la)
 	if i < 0 {
-		return Invalid, false
+		return invalid, false
 	}
 	st := c.sets[i].state
-	c.sets[i].state = Invalid
+	c.sets[i].state = invalid
 	c.valid[la&c.setMask]--
 	if c.index != nil {
 		c.unindex(c.entry(la))
@@ -451,10 +451,10 @@ func (c *Cache) Invalidate(la uint64) (State, bool) {
 	return st, true
 }
 
-// SetState changes the state of a present line; it reports whether the line
+// setState changes the state of a present line; it reports whether the line
 // was found.
-func (c *Cache) SetState(la uint64, st State) bool {
-	if st == Invalid {
+func (c *Cache) setState(la uint64, st state) bool {
+	if st == invalid {
 		panic("cache: SetState to Invalid; use Invalidate")
 	}
 	i := c.find(la)
@@ -471,8 +471,8 @@ func (c *Cache) HitRatio() float64 {
 	return stats.Ratio(h, h+m)
 }
 
-// StatsSet reports the cache counters as a metric set.
-func (c *Cache) StatsSet() *stats.Set {
+// statsSet reports the cache counters as a metric set.
+func (c *Cache) statsSet() *stats.Set {
 	s := stats.NewSet(c.cfg.Name)
 	s.PutUint("hits", c.S.Hits.Value(), "")
 	s.PutUint("misses", c.S.Misses.Value(), "")
@@ -487,10 +487,10 @@ func (c *Cache) StatsSet() *stats.Set {
 	return s
 }
 
-// Register publishes the cache's counters into the metrics registry under
+// register publishes the cache's counters into the metrics registry under
 // its dotted name (e.g. "node0.cpu0.L1.misses"), making them stable,
 // greppable identifiers for the sampler and the registry dump.
-func (c *Cache) Register(reg *probe.Registry) {
+func (c *Cache) register(reg *probe.Registry) {
 	n := c.cfg.Name
 	reg.Counter(n+".hits", &c.S.Hits)
 	reg.Counter(n+".misses", &c.S.Misses)

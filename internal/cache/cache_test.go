@@ -18,7 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "c", Size: 64, LineSize: 64, Assoc: 1},
 	}
 	for _, c := range good {
-		if err := c.Validate(); err != nil {
+		if err := c.validate(); err != nil {
 			t.Errorf("%s: unexpected error %v", c.Name, err)
 		}
 	}
@@ -30,30 +30,30 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "neg-lat", Size: 1024, LineSize: 64, Assoc: 1, HitLatency: -1},
 	}
 	for _, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := c.validate(); err == nil {
 			t.Errorf("%s: expected error", c.Name)
 		}
 	}
 }
 
 func TestLookupInsert(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
-	la := c.LineAddr(0x1000)
-	if c.Lookup(la) != nil {
+	c := mustNew(cfg64(1024), nil)
+	la := c.lineAddr(0x1000)
+	if c.lookup(la) != nil {
 		t.Fatal("hit on empty cache")
 	}
-	if v, had := c.Insert(la, Exclusive); had {
+	if v, had := c.insert(la, exclusive); had {
 		t.Fatalf("victim %v from empty set", v)
 	}
-	st := c.Lookup(la)
-	if st == nil || *st != Exclusive {
+	st := c.lookup(la)
+	if st == nil || *st != exclusive {
 		t.Fatal("line not found after insert")
 	}
 	// Reinsert updates state in place.
-	if _, had := c.Insert(la, Modified); had {
+	if _, had := c.insert(la, modified); had {
 		t.Fatal("reinsert produced victim")
 	}
-	if got, _ := c.Probe(la); got != Modified {
+	if got, _ := c.probe(la); got != modified {
 		t.Fatalf("state = %v, want M", got)
 	}
 	if occupancy(c) != 1 {
@@ -63,42 +63,42 @@ func TestLookupInsert(t *testing.T) {
 
 func TestSetConflictEviction(t *testing.T) {
 	// 1024 B / 64 B lines / assoc 2 = 8 sets. Addresses 64*8 apart collide.
-	c := MustNew(cfg64(1024), nil)
+	c := mustNew(cfg64(1024), nil)
 	stride := uint64(64 * 8)
 	a0, a1, a2 := uint64(0), stride, 2*stride
-	c.Insert(c.LineAddr(a0), Exclusive)
-	c.Insert(c.LineAddr(a1), Exclusive)
-	v, had := c.Insert(c.LineAddr(a2), Exclusive)
+	c.insert(c.lineAddr(a0), exclusive)
+	c.insert(c.lineAddr(a1), exclusive)
+	v, had := c.insert(c.lineAddr(a2), exclusive)
 	if !had {
 		t.Fatal("expected eviction from full set")
 	}
-	if v.LineAddr != c.LineAddr(a0) {
-		t.Fatalf("LRU victim = %#x, want oldest %#x", v.LineAddr, c.LineAddr(a0))
+	if v.LineAddr != c.lineAddr(a0) {
+		t.Fatalf("LRU victim = %#x, want oldest %#x", v.LineAddr, c.lineAddr(a0))
 	}
 }
 
 func TestLRUTouchChangesVictim(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
+	c := mustNew(cfg64(1024), nil)
 	stride := uint64(64 * 8)
-	c.Insert(c.LineAddr(0), Exclusive)
-	c.Insert(c.LineAddr(stride), Exclusive)
-	c.Lookup(c.LineAddr(0)) // refresh line 0
-	v, had := c.Insert(c.LineAddr(2*stride), Exclusive)
-	if !had || v.LineAddr != c.LineAddr(stride) {
+	c.insert(c.lineAddr(0), exclusive)
+	c.insert(c.lineAddr(stride), exclusive)
+	c.lookup(c.lineAddr(0)) // refresh line 0
+	v, had := c.insert(c.lineAddr(2*stride), exclusive)
+	if !had || v.LineAddr != c.lineAddr(stride) {
 		t.Fatalf("victim = %+v, want line at %#x", v, stride)
 	}
 }
 
 func TestFIFOIgnoresTouches(t *testing.T) {
 	cfg := cfg64(1024)
-	cfg.Replacement = FIFO
-	c := MustNew(cfg, nil)
+	cfg.Replacement = fifo
+	c := mustNew(cfg, nil)
 	stride := uint64(64 * 8)
-	c.Insert(c.LineAddr(0), Exclusive)
-	c.Insert(c.LineAddr(stride), Exclusive)
-	c.Lookup(c.LineAddr(0)) // FIFO must not care
-	v, had := c.Insert(c.LineAddr(2*stride), Exclusive)
-	if !had || v.LineAddr != c.LineAddr(0) {
+	c.insert(c.lineAddr(0), exclusive)
+	c.insert(c.lineAddr(stride), exclusive)
+	c.lookup(c.lineAddr(0)) // FIFO must not care
+	v, had := c.insert(c.lineAddr(2*stride), exclusive)
+	if !had || v.LineAddr != c.lineAddr(0) {
 		t.Fatalf("victim = %+v, want first-in line 0", v)
 	}
 }
@@ -106,26 +106,26 @@ func TestFIFOIgnoresTouches(t *testing.T) {
 func TestRandomReplacementStaysInSet(t *testing.T) {
 	cfg := cfg64(1024)
 	cfg.Replacement = Random
-	c := MustNew(cfg, pearl.NewRNG(1))
+	c := mustNew(cfg, pearl.NewRNG(1))
 	stride := uint64(64 * 8)
-	c.Insert(c.LineAddr(0), Exclusive)
-	c.Insert(c.LineAddr(stride), Exclusive)
-	v, had := c.Insert(c.LineAddr(2*stride), Exclusive)
+	c.insert(c.lineAddr(0), exclusive)
+	c.insert(c.lineAddr(stride), exclusive)
+	v, had := c.insert(c.lineAddr(2*stride), exclusive)
 	if !had {
 		t.Fatal("expected eviction")
 	}
-	if v.LineAddr != c.LineAddr(0) && v.LineAddr != c.LineAddr(stride) {
+	if v.LineAddr != c.lineAddr(0) && v.LineAddr != c.lineAddr(stride) {
 		t.Fatalf("victim %#x not from the conflicting set", v.LineAddr)
 	}
 }
 
 func TestDirtyVictimCounted(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
+	c := mustNew(cfg64(1024), nil)
 	stride := uint64(64 * 8)
-	c.Insert(c.LineAddr(0), Modified)
-	c.Insert(c.LineAddr(stride), Exclusive)
-	v, _ := c.Insert(c.LineAddr(2*stride), Exclusive)
-	if v.State != Modified {
+	c.insert(c.lineAddr(0), modified)
+	c.insert(c.lineAddr(stride), exclusive)
+	v, _ := c.insert(c.lineAddr(2*stride), exclusive)
+	if v.State != modified {
 		t.Fatalf("victim state = %v, want M", v.State)
 	}
 	if c.S.Writebacks.Value() != 1 || c.S.Evictions.Value() != 1 {
@@ -134,52 +134,52 @@ func TestDirtyVictimCounted(t *testing.T) {
 }
 
 func TestInvalidate(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
-	la := c.LineAddr(0x40)
-	c.Insert(la, Modified)
-	st, ok := c.Invalidate(la)
-	if !ok || st != Modified {
+	c := mustNew(cfg64(1024), nil)
+	la := c.lineAddr(0x40)
+	c.insert(la, modified)
+	st, ok := c.invalidate(la)
+	if !ok || st != modified {
 		t.Fatalf("Invalidate = %v, %v", st, ok)
 	}
-	if _, ok := c.Probe(la); ok {
+	if _, ok := c.probe(la); ok {
 		t.Fatal("line still present")
 	}
-	if _, ok := c.Invalidate(la); ok {
+	if _, ok := c.invalidate(la); ok {
 		t.Fatal("double invalidate reported found")
 	}
 }
 
 func TestSetState(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
-	la := c.LineAddr(0)
-	if c.SetState(la, Shared) {
+	c := mustNew(cfg64(1024), nil)
+	la := c.lineAddr(0)
+	if c.setState(la, shared) {
 		t.Fatal("SetState on absent line succeeded")
 	}
-	c.Insert(la, Exclusive)
-	if !c.SetState(la, Shared) {
+	c.insert(la, exclusive)
+	if !c.setState(la, shared) {
 		t.Fatal("SetState failed")
 	}
-	if st, _ := c.Probe(la); st != Shared {
+	if st, _ := c.probe(la); st != shared {
 		t.Fatalf("state = %v", st)
 	}
 }
 
 func TestFullyAssociative(t *testing.T) {
-	c := MustNew(Config{Name: "fa", Size: 256, LineSize: 64, Assoc: 0}, nil)
+	c := mustNew(Config{Name: "fa", Size: 256, LineSize: 64, Assoc: 0}, nil)
 	// 4 lines; any 4 addresses coexist regardless of bits.
 	for i := uint64(0); i < 4; i++ {
-		c.Insert(c.LineAddr(i*0x10000), Exclusive)
+		c.insert(c.lineAddr(i*0x10000), exclusive)
 	}
 	if occupancy(c) != 4 {
 		t.Fatalf("occupancy = %d, want 4", occupancy(c))
 	}
-	if _, had := c.Insert(c.LineAddr(5*0x10000), Exclusive); !had {
+	if _, had := c.insert(c.lineAddr(5*0x10000), exclusive); !had {
 		t.Fatal("fifth line should evict")
 	}
 }
 
 func TestHitRatio(t *testing.T) {
-	c := MustNew(cfg64(1024), nil)
+	c := mustNew(cfg64(1024), nil)
 	c.S.Hits.Add(3)
 	c.S.Misses.Add(1)
 	if c.HitRatio() != 0.75 {
@@ -191,15 +191,15 @@ func TestHitRatio(t *testing.T) {
 // is always found.
 func TestCacheOccupancyProperty(t *testing.T) {
 	f := func(addrs []uint32) bool {
-		c := MustNew(Config{Name: "p", Size: 512, LineSize: 32, Assoc: 2}, nil)
+		c := mustNew(Config{Name: "p", Size: 512, LineSize: 32, Assoc: 2}, nil)
 		maxLines := 512 / 32
 		for _, a := range addrs {
-			la := c.LineAddr(uint64(a))
-			c.Insert(la, Exclusive)
+			la := c.lineAddr(uint64(a))
+			c.insert(la, exclusive)
 			if occupancy(c) > maxLines {
 				return false
 			}
-			if st := c.Lookup(la); st == nil {
+			if st := c.lookup(la); st == nil {
 				return false
 			}
 		}
@@ -213,11 +213,11 @@ func TestCacheOccupancyProperty(t *testing.T) {
 // Property: a victim reported by Insert is no longer present.
 func TestVictimGoneProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
-		c := MustNew(Config{Name: "p", Size: 256, LineSize: 32, Assoc: 2}, nil)
+		c := mustNew(Config{Name: "p", Size: 256, LineSize: 32, Assoc: 2}, nil)
 		for _, a := range addrs {
-			v, had := c.Insert(c.LineAddr(uint64(a)*32), Exclusive)
+			v, had := c.insert(c.lineAddr(uint64(a)*32), exclusive)
 			if had {
-				if _, still := c.Probe(v.LineAddr); still {
+				if _, still := c.probe(v.LineAddr); still {
 					return false
 				}
 			}
@@ -233,7 +233,7 @@ func TestVictimGoneProperty(t *testing.T) {
 func occupancy(c *Cache) int {
 	n := 0
 	for i := range c.sets {
-		if c.sets[i].state != Invalid {
+		if c.sets[i].state != invalid {
 			n++
 		}
 	}

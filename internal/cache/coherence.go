@@ -64,7 +64,7 @@ type sharedFrame struct {
 // coherence granularity) on behalf of the access's CPU.
 func (a *access) coherent(kind txnKind, ola uint64, forWrite bool) transaction {
 	outerC := a.h.priv[a.cpu][a.h.outer]
-	return transaction{kind: kind, ola: ola, write: forWrite, addr: ola << outerC.lineShift, size: outerC.LineSize()}
+	return transaction{kind: kind, ola: ola, write: forWrite, addr: ola << outerC.lineShift, size: outerC.lineSize()}
 }
 
 // transact starts a bus transaction; the access continues at ret when it is
@@ -112,7 +112,7 @@ func (a *access) runTransaction() pearl.Step {
 			case txnUpgrade:
 				// This CPU's copy may have disappeared before the bus was won;
 				// the access must then re-fetch.
-				if _, t.ok = h.priv[a.cpu][h.outer].Probe(t.ola); !t.ok {
+				if _, t.ok = h.priv[a.cpu][h.outer].probe(t.ola); !t.ok {
 					a.pc = pcRelease
 					continue
 				}
@@ -178,12 +178,12 @@ func (a *access) runTransaction() pearl.Step {
 			h.dirMsgs.Inc()
 			e := a.dir
 			oc := h.priv[e.owner][h.outer]
-			if st, ok := oc.Probe(t.ola); ok && (st == Modified || st == Exclusive) {
-				if st == Modified {
+			if st, ok := oc.probe(t.ola); ok && (st == modified || st == exclusive) {
+				if st == modified {
 					t.suppliedDirty = true
 					oc.S.SnoopSupplies.Inc()
 				}
-				oc.SetState(t.ola, Shared)
+				oc.setState(t.ola, shared)
 				oc.S.SnoopDowngrades.Inc()
 				h.snoopDemoteInner(e.owner, t.addr, t.size)
 			}
@@ -233,13 +233,13 @@ func (a *access) runTransaction() pearl.Step {
 
 		case pcSharedLookup:
 			c := h.shd[w.lvl]
-			la := c.LineAddr(w.addr)
+			la := c.lineAddr(w.addr)
 			passOn := w.write && c.cfg.Write == WriteThrough // no write-allocate
-			if c.Lookup(la) != nil {
+			if c.lookup(la) != nil {
 				c.S.Hits.Inc()
 				if !passOn {
 					if w.write {
-						c.SetState(la, Modified)
+						c.setState(la, modified)
 					}
 					a.pc = pcSharedReturn
 					continue
@@ -249,7 +249,7 @@ func (a *access) runTransaction() pearl.Step {
 				if !passOn {
 					// Fetch the line from below, then allocate here.
 					w.frames = append(w.frames, sharedFrame{lvl: w.lvl, la: la, write: w.write})
-					w.size, w.write = c.LineSize(), false
+					w.size, w.write = c.lineSize(), false
 				}
 			}
 			w.lvl++
@@ -271,13 +271,13 @@ func (a *access) runTransaction() pearl.Step {
 			f := w.frames[n-1]
 			w.frames = w.frames[:n-1]
 			c := h.shd[f.lvl]
-			newState := Exclusive
+			newState := exclusive
 			if f.write {
-				newState = Modified
+				newState = modified
 			}
-			if v, had := c.Insert(f.la, newState); had && v.State == Modified {
+			if v, had := c.insert(f.la, newState); had && v.State == modified {
 				// The dirty victim goes down a level before the walk returns.
-				w.lvl, w.addr, w.size, w.write = f.lvl+1, v.LineAddr<<c.lineShift, c.LineSize(), true
+				w.lvl, w.addr, w.size, w.write = f.lvl+1, v.LineAddr<<c.lineShift, c.lineSize(), true
 				a.pc = pcShared
 			}
 
@@ -301,9 +301,9 @@ func (a *access) runTransaction() pearl.Step {
 // copy supplies the data of a fetch.
 func (h *Hierarchy) invalidateRemote(o int, t *transaction) {
 	oc := h.priv[o][h.outer]
-	if st, ok := oc.Invalidate(t.ola); ok {
+	if st, ok := oc.invalidate(t.ola); ok {
 		oc.S.SnoopInvalidates.Inc()
-		if t.kind == txnFetch && st == Modified {
+		if t.kind == txnFetch && st == modified {
 			t.suppliedDirty = true
 			oc.S.SnoopSupplies.Inc()
 		}
@@ -317,18 +317,18 @@ func (h *Hierarchy) invalidateRemote(o int, t *transaction) {
 func (h *Hierarchy) snoop(cpu int, ola uint64, forWrite bool) (sharedElsewhere, suppliedDirty bool) {
 	outerShift := h.priv[cpu][h.outer].lineShift
 	base := ola << outerShift
-	size := h.priv[cpu][h.outer].LineSize()
+	size := h.priv[cpu][h.outer].lineSize()
 	for o := range h.priv {
 		if o == cpu {
 			continue
 		}
 		oc := h.priv[o][h.outer]
-		st, ok := oc.Probe(ola)
+		st, ok := oc.probe(ola)
 		// The instruction cache may hold the line even when the data chain
 		// does not (split L1 at the coherence boundary).
 		iHolds := false
 		if h.cfg.SplitL1 && len(h.priv[o]) == 1 {
-			if _, ok2 := h.privI[o].Probe(h.privI[o].LineAddr(base)); ok2 {
+			if _, ok2 := h.privI[o].probe(h.privI[o].lineAddr(base)); ok2 {
 				iHolds = true
 			}
 		}
@@ -338,9 +338,9 @@ func (h *Hierarchy) snoop(cpu int, ola uint64, forWrite bool) (sharedElsewhere, 
 		if forWrite {
 			// BusRdX: all other copies die.
 			if ok {
-				oc.Invalidate(ola)
+				oc.invalidate(ola)
 				oc.S.SnoopInvalidates.Inc()
-				if st == Modified {
+				if st == modified {
 					suppliedDirty = true
 					oc.S.SnoopSupplies.Inc()
 				}
@@ -350,13 +350,13 @@ func (h *Hierarchy) snoop(cpu int, ola uint64, forWrite bool) (sharedElsewhere, 
 			// BusRd: dirty owners flush and everyone downgrades to Shared.
 			if ok {
 				switch st {
-				case Modified:
+				case modified:
 					suppliedDirty = true
 					oc.S.SnoopSupplies.Inc()
-					oc.SetState(ola, Shared)
+					oc.setState(ola, shared)
 					oc.S.SnoopDowngrades.Inc()
-				case Exclusive:
-					oc.SetState(ola, Shared)
+				case exclusive:
+					oc.setState(ola, shared)
 					oc.S.SnoopDowngrades.Inc()
 				}
 				// Inner copies keep their (clean) lines; demote dirty inner
@@ -386,10 +386,10 @@ func (h *Hierarchy) snoopDropInner(o int, base, size uint64) {
 func (h *Hierarchy) snoopDemoteInner(o int, base, size uint64) {
 	for lvl := 0; lvl < h.outer; lvl++ {
 		c := h.priv[o][lvl]
-		for a := base; a < base+size; a += c.LineSize() {
-			la := c.LineAddr(a)
-			if st, ok := c.Probe(la); ok && st == Modified {
-				c.SetState(la, Shared)
+		for a := base; a < base+size; a += c.lineSize() {
+			la := c.lineAddr(a)
+			if st, ok := c.probe(la); ok && st == modified {
+				c.setState(la, shared)
 				c.S.SnoopDowngrades.Inc()
 			}
 		}

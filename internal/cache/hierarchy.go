@@ -110,7 +110,7 @@ func (hc *HierarchyConfig) Validate() error {
 		all = append(all, hc.L1I)
 	}
 	for i := range all {
-		if err := all[i].Validate(); err != nil {
+		if err := all[i].validate(); err != nil {
 			return err
 		}
 	}
@@ -237,22 +237,22 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 		var chain []*Cache
 		for lvl, cc := range cfg.Private {
 			cc.Name = fmt.Sprintf("%s.cpu%d.%s", name, cpu, levelName(cc.Name, lvl, false))
-			chain = append(chain, MustNew(cc, nextRNG()))
+			chain = append(chain, mustNew(cc, nextRNG()))
 		}
 		h.priv = append(h.priv, chain)
 		if cfg.SplitL1 {
 			ic := cfg.L1I
 			ic.Name = fmt.Sprintf("%s.cpu%d.%s", name, cpu, levelName(ic.Name, 0, true))
-			h.privI = append(h.privI, MustNew(ic, nextRNG()))
+			h.privI = append(h.privI, mustNew(ic, nextRNG()))
 		}
 	}
 	for lvl, cc := range cfg.Shared {
 		cc.Name = fmt.Sprintf("%s.%s", name, levelName(cc.Name, len(cfg.Private)+lvl, false))
-		h.shd = append(h.shd, MustNew(cc, nextRNG()))
+		h.shd = append(h.shd, mustNew(cc, nextRNG()))
 	}
 	reg := pb.Registry()
-	for _, c := range h.Caches() {
-		c.Register(reg)
+	for _, c := range h.caches() {
+		c.register(reg)
 	}
 	reg.Counter(name+".coherence.bus-reads", &h.busRd)
 	reg.Counter(name+".coherence.bus-read-x", &h.busRdX)
@@ -356,9 +356,9 @@ func (h *Hierarchy) Bus() *bus.Bus { return h.bus }
 // Memory returns the DRAM model.
 func (h *Hierarchy) Memory() *memory.DRAM { return h.mem }
 
-// Caches returns every cache instance (for statistics and tests): data
+// caches returns every cache instance (for statistics and tests): data
 // chains per CPU, instruction L1s, then shared levels.
-func (h *Hierarchy) Caches() []*Cache {
+func (h *Hierarchy) caches() []*Cache {
 	var out []*Cache
 	for _, chain := range h.priv {
 		out = append(out, chain...)
@@ -494,7 +494,7 @@ type access struct {
 	addr      uint64 // the current piece, inside one innermost line
 	size      uint64
 	lvl       int
-	st        State      // state the fetched line is installed in
+	st        state      // state the fetched line is installed in
 	fillFrom  pearl.Time // start of the miss being filled
 	fillSpan  bool       // ... which goes on the timeline
 	victim    uint64     // line displaced from the outermost private level
@@ -533,7 +533,7 @@ func (a *access) run() pearl.Step {
 			// Split by innermost line granularity on the relevant chain.
 			l1 := a.chain[0]
 			a.addr, a.size = a.next, a.end-a.next
-			if lineEnd := (l1.LineAddr(a.addr) + 1) << l1.lineShift; a.end > lineEnd {
+			if lineEnd := (l1.lineAddr(a.addr) + 1) << l1.lineShift; a.end > lineEnd {
 				a.size = lineEnd - a.addr
 			}
 			a.next += a.size
@@ -554,7 +554,7 @@ func (a *access) run() pearl.Step {
 
 		case pcLookup:
 			c := a.chain[a.lvl]
-			st := c.Lookup(c.LineAddr(a.addr))
+			st := c.lookup(c.lineAddr(a.addr))
 			if st == nil {
 				// Try the next level; the fill happens on the way back. (A
 				// write-through level does not allocate on a write at all.)
@@ -578,8 +578,8 @@ func (a *access) run() pearl.Step {
 				a.pc = pcOwned
 				if h.cfg.Coherence != NoCoherence {
 					outerC := h.priv[a.cpu][h.outer]
-					ola := outerC.LineAddr(a.addr)
-					if st, ok := outerC.Probe(ola); ok && st == Shared {
+					ola := outerC.lineAddr(a.addr)
+					if st, ok := outerC.probe(ola); ok && st == shared {
 						a.transact(a.coherent(txnUpgrade, ola, false), pcUpgraded)
 					}
 				}
@@ -597,7 +597,7 @@ func (a *access) run() pearl.Step {
 
 		case pcOwned:
 			a.markModified()
-			a.fill(a.lvl-1, Modified)
+			a.fill(a.lvl-1, modified)
 			a.pc = pcPiece
 
 		case pcMissed:
@@ -616,7 +616,7 @@ func (a *access) run() pearl.Step {
 			// Miss fill: the whole private chain missed, so the time from here
 			// to the fill completing is the CPU-visible miss penalty.
 			a.fillSpan, a.fillFrom = h.tl != nil, h.k.Now()
-			a.transact(a.coherent(txnFetch, outerC.LineAddr(a.addr), a.kind == Write), pcFetched)
+			a.transact(a.coherent(txnFetch, outerC.lineAddr(a.addr), a.kind == Write), pcFetched)
 
 		case pcBuffered:
 			h.drains[a.cpu].push(transaction{addr: a.addr, size: a.size, write: true})
@@ -626,11 +626,11 @@ func (a *access) run() pearl.Step {
 			// Install the line into the entire private chain, outermost first.
 			switch {
 			case a.txn.write:
-				a.st = Modified
+				a.st = modified
 			case a.txn.sharedElsewhere:
-				a.st = Shared
+				a.st = shared
 			default:
-				a.st = Exclusive
+				a.st = exclusive
 			}
 			a.lvl = len(a.chain) - 1
 			a.pc = pcFill
@@ -654,10 +654,10 @@ func (a *access) run() pearl.Step {
 			// dirty one in a write-back bus transaction of its own.
 			a.victim = v.LineAddr
 			a.pc = pcEvicted
-			if v.State == Modified {
+			if v.State == modified {
 				h.busWB.Inc()
 				a.transact(transaction{
-					addr: v.LineAddr << h.priv[0][h.outer].lineShift, size: a.chain[lvl].LineSize(), write: true,
+					addr: v.LineAddr << h.priv[0][h.outer].lineShift, size: a.chain[lvl].lineSize(), write: true,
 				}, pcEvicted)
 			}
 
@@ -677,14 +677,14 @@ func (a *access) markModified() {
 		if c.cfg.Write == WriteThrough {
 			continue
 		}
-		c.SetState(c.LineAddr(a.addr), Modified)
+		c.setState(c.lineAddr(a.addr), modified)
 	}
 }
 
 // fill installs the line containing the piece into private levels
 // innermost..upto (inclusive) in the given state. No timing is charged: fills
 // happen under the latency already paid, and an inner victim needs none.
-func (a *access) fill(upto int, st State) {
+func (a *access) fill(upto int, st state) {
 	for lvl := upto; lvl >= 0; lvl-- {
 		a.install(lvl, st)
 	}
@@ -695,16 +695,16 @@ func (a *access) fill(upto int, st State) {
 // (inclusion). An inner dirty victim merges into the next level, which holds
 // the line Modified already (write rule); the caller deals with an outermost
 // one.
-func (a *access) install(lvl int, st State) (v Victim, had bool) {
+func (a *access) install(lvl int, st state) (v victim, had bool) {
 	c := a.chain[lvl]
 	if a.kind == Write && c.cfg.Write == WriteThrough {
 		return v, false // write-through levels don't allocate on writes
 	}
-	if a.kind == Fetch && st == Modified {
-		st = Exclusive
+	if a.kind == Fetch && st == modified {
+		st = exclusive
 	}
-	if v, had = c.Insert(c.LineAddr(a.addr), st); had {
-		a.h.backInvalidate(a.cpu, lvl, v.LineAddr<<c.lineShift, c.LineSize())
+	if v, had = c.insert(c.lineAddr(a.addr), st); had {
+		a.h.backInvalidate(a.cpu, lvl, v.LineAddr<<c.lineShift, c.lineSize())
 	}
 	return v, had
 }
@@ -726,8 +726,8 @@ func (h *Hierarchy) backInvalidate(cpu, lvl int, base, size uint64) {
 }
 
 func (h *Hierarchy) invalidateRange(c *Cache, base, size uint64, counter *stats.Counter) {
-	for a := base; a < base+size; a += c.LineSize() {
-		if _, ok := c.Invalidate(c.LineAddr(a)); ok {
+	for a := base; a < base+size; a += c.lineSize() {
+		if _, ok := c.invalidate(c.lineAddr(a)); ok {
 			counter.Inc()
 		}
 	}
@@ -738,7 +738,7 @@ func (h *Hierarchy) invalidateRange(c *Cache, base, size uint64, counter *stats.
 // layer calls it when a page is invalidated or migrated away, keeping the
 // hardware caches included in the DSM page table.
 func (h *Hierarchy) InvalidateSharedRange(base, size uint64) {
-	for _, c := range h.Caches() {
+	for _, c := range h.caches() {
 		h.invalidateRange(c, base, size, &c.S.SnoopInvalidates)
 	}
 }
@@ -755,8 +755,8 @@ func (h *Hierarchy) StatsSet() *stats.Set {
 	coh.PutUint("cache-to-cache supplies", h.c2c.Value(), "")
 	coh.PutUint("directory lookups", h.dirLookups.Value(), "")
 	coh.PutUint("directory messages", h.dirMsgs.Value(), "")
-	for _, c := range h.Caches() {
-		s.Subsets = append(s.Subsets, c.StatsSet())
+	for _, c := range h.caches() {
+		s.Subsets = append(s.Subsets, c.statsSet())
 	}
 	s.Subsets = append(s.Subsets, h.bus.Stats(), h.mem.Stats())
 	return s

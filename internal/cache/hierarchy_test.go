@@ -127,7 +127,7 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 	if h.busWB.Value() != 1 {
 		t.Errorf("write-back transactions = %d, want 1", h.busWB.Value())
 	}
-	if _, ok := h.PrivateCache(0, 0).Probe(0); ok {
+	if _, ok := h.PrivateCache(0, 0).probe(0); ok {
 		t.Error("evicted line still present")
 	}
 }
@@ -145,10 +145,10 @@ func TestWriteThroughStoresReachMemory(t *testing.T) {
 		t.Errorf("memory writes = %d, want 2", h.Memory().Writes())
 	}
 	l1 := h.PrivateCache(0, 0)
-	if st, ok := l1.Probe(l1.LineAddr(0x40)); !ok || st == Modified {
+	if st, ok := l1.probe(l1.lineAddr(0x40)); !ok || st == modified {
 		t.Errorf("WT line state = %v, %v; want clean present", st, ok)
 	}
-	if _, ok := l1.Probe(l1.LineAddr(0x80)); ok {
+	if _, ok := l1.probe(l1.lineAddr(0x80)); ok {
 		t.Error("WT write miss must not allocate")
 	}
 }
@@ -204,7 +204,7 @@ func TestInclusionBackInvalidation(t *testing.T) {
 		pt.Access(p, Read, 128, 4) // L2 set 0 again (stride 128 = 2 lines*64): evicts line 0
 	})
 	l1 := h.PrivateCache(0, 0)
-	if _, ok := l1.Probe(l1.LineAddr(0)); ok {
+	if _, ok := l1.probe(l1.lineAddr(0)); ok {
 		t.Error("L1 copy survived L2 eviction (inclusion violated)")
 	}
 	if l1.S.BackInvalidates.Value() == 0 {
@@ -254,7 +254,7 @@ func TestSplitL1(t *testing.T) {
 	if occupancy(dc) != 1 {
 		t.Errorf("L1D occupancy = %d (must not hold instruction line)", occupancy(dc))
 	}
-	if _, ok := dc.Probe(dc.LineAddr(0x400000)); ok {
+	if _, ok := dc.probe(dc.lineAddr(0x400000)); ok {
 		t.Error("instruction line leaked into L1D")
 	}
 }
@@ -281,10 +281,10 @@ func TestSnoopyReadAfterRemoteWrite(t *testing.T) {
 		p1.Access(p, Read, 0x100, 4)  // CPU1 read: supply + downgrade
 	})
 	c0, c1 := h.PrivateCache(0, 0), h.PrivateCache(1, 0)
-	la := c0.LineAddr(0x100)
-	st0, _ := c0.Probe(la)
-	st1, _ := c1.Probe(la)
-	if st0 != Shared || st1 != Shared {
+	la := c0.lineAddr(0x100)
+	st0, _ := c0.probe(la)
+	st1, _ := c1.probe(la)
+	if st0 != shared || st1 != shared {
 		t.Errorf("states = %v/%v, want S/S", st0, st1)
 	}
 	if h.c2c.Value() != 1 {
@@ -309,11 +309,11 @@ func TestSnoopyWriteInvalidatesRemote(t *testing.T) {
 		p1.Access(p, Write, 0x100, 4) // CPU1 upgrades; CPU0 invalidated
 	})
 	c0, c1 := h.PrivateCache(0, 0), h.PrivateCache(1, 0)
-	la := c0.LineAddr(0x100)
-	if _, ok := c0.Probe(la); ok {
+	la := c0.lineAddr(0x100)
+	if _, ok := c0.probe(la); ok {
 		t.Error("CPU0 copy survived remote write")
 	}
-	if st, _ := c1.Probe(la); st != Modified {
+	if st, _ := c1.probe(la); st != modified {
 		t.Errorf("CPU1 state = %v, want M", st)
 	}
 	if h.busUpgr.Value() != 1 {
@@ -332,7 +332,7 @@ func TestSnoopyExclusiveOnSoleRead(t *testing.T) {
 		p0.Access(p, Read, 0x200, 4)
 	})
 	c0 := h.PrivateCache(0, 0)
-	if st, _ := c0.Probe(c0.LineAddr(0x200)); st != Exclusive {
+	if st, _ := c0.probe(c0.lineAddr(0x200)); st != exclusive {
 		t.Errorf("state = %v, want E (no other sharer)", st)
 	}
 }
@@ -349,7 +349,7 @@ func TestSnoopySilentUpgradeFromExclusive(t *testing.T) {
 		t.Errorf("upgrades = %d, want 0 (E->M is silent)", h.busUpgr.Value())
 	}
 	c0 := h.PrivateCache(0, 0)
-	if st, _ := c0.Probe(c0.LineAddr(0x200)); st != Modified {
+	if st, _ := c0.probe(c0.lineAddr(0x200)); st != modified {
 		t.Errorf("state = %v, want M", st)
 	}
 }
@@ -364,11 +364,11 @@ func TestDirectorySemanticsMatchSnoopy(t *testing.T) {
 		p1.Access(p, Write, 0x100, 4) // invalidation of CPU0
 	})
 	c0, c1 := h.PrivateCache(0, 0), h.PrivateCache(1, 0)
-	la := c0.LineAddr(0x100)
-	if _, ok := c0.Probe(la); ok {
+	la := c0.lineAddr(0x100)
+	if _, ok := c0.probe(la); ok {
 		t.Error("CPU0 copy survived remote write")
 	}
-	if st, _ := c1.Probe(la); st != Modified {
+	if st, _ := c1.probe(la); st != modified {
 		t.Errorf("CPU1 state = %v, want M", st)
 	}
 	if h.dirLookups.Value() == 0 || h.dirMsgs.Value() == 0 {
@@ -424,16 +424,16 @@ func checkMESI(t *testing.T, h *Hierarchy, la uint64) {
 	t.Helper()
 	var m, e, s int
 	for cpu := range h.priv {
-		st, ok := h.priv[cpu][h.outer].Probe(la)
+		st, ok := h.priv[cpu][h.outer].probe(la)
 		if !ok {
 			continue
 		}
 		switch st {
-		case Modified:
+		case modified:
 			m++
-		case Exclusive:
+		case exclusive:
 			e++
-		case Shared:
+		case shared:
 			s++
 		}
 	}
@@ -461,7 +461,7 @@ func TestCoherenceInvariantsRandom(t *testing.T) {
 						kind = Write
 					}
 					h.Port(cpu).Access(p, kind, addr, 4)
-					checkMESI(t, h, h.priv[0][0].LineAddr(addr))
+					checkMESI(t, h, h.priv[0][0].lineAddr(addr))
 				}
 			})
 		})
@@ -669,7 +669,7 @@ func TestPortHitMatchesAccess(t *testing.T) {
 				if err := stats.RenderSet(&sb, h.StatsSet()); err != nil {
 					t.Fatal(err)
 				}
-				for _, c := range h.Caches() {
+				for _, c := range h.caches() {
 					fmt.Fprintf(&sb, "%s: %+v\n", c.cfg.Name, c.sets)
 				}
 				return sb.String(), times, k.Switches()

@@ -35,10 +35,10 @@ func (r *refCache) set(la uint64) []line {
 	return r.sets[idx*r.assoc : (idx+1)*r.assoc]
 }
 
-func (r *refCache) lookup(la uint64) *State {
+func (r *refCache) lookup(la uint64) *state {
 	set := r.set(la)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
+		if set[i].state != invalid && set[i].tag == la {
 			r.clock++
 			set[i].lastUse = r.clock
 			return &set[i].state
@@ -47,35 +47,35 @@ func (r *refCache) lookup(la uint64) *State {
 	return nil
 }
 
-func (r *refCache) probe(la uint64) (State, bool) {
+func (r *refCache) probe(la uint64) (state, bool) {
 	set := r.set(la)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
+		if set[i].state != invalid && set[i].tag == la {
 			return set[i].state, true
 		}
 	}
-	return Invalid, false
+	return invalid, false
 }
 
-func (r *refCache) insert(la uint64, st State) (Victim, bool) {
+func (r *refCache) insert(la uint64, st state) (victim, bool) {
 	set := r.set(la)
 	r.clock++
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
+		if set[i].state != invalid && set[i].tag == la {
 			set[i].state = st
 			set[i].lastUse = r.clock
-			return Victim{}, false
+			return victim{}, false
 		}
 	}
 	for i := range set {
-		if set[i].state == Invalid {
+		if set[i].state == invalid {
 			set[i] = line{tag: la, state: st, lastUse: r.clock, loadedAt: r.clock}
-			return Victim{}, false
+			return victim{}, false
 		}
 	}
 	vi := 0
 	switch r.repl {
-	case FIFO:
+	case fifo:
 		for i := 1; i < len(set); i++ {
 			if set[i].loadedAt < set[vi].loadedAt {
 				vi = i
@@ -90,31 +90,31 @@ func (r *refCache) insert(la uint64, st State) (Victim, bool) {
 			}
 		}
 	}
-	v := Victim{LineAddr: set[vi].tag, State: set[vi].state}
+	v := victim{LineAddr: set[vi].tag, State: set[vi].state}
 	set[vi] = line{tag: la, state: st, lastUse: r.clock, loadedAt: r.clock}
 	r.evictions++
-	if v.State == Modified {
+	if v.State == modified {
 		r.writeback++
 	}
 	return v, true
 }
 
-func (r *refCache) invalidate(la uint64) (State, bool) {
+func (r *refCache) invalidate(la uint64) (state, bool) {
 	set := r.set(la)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
+		if set[i].state != invalid && set[i].tag == la {
 			st := set[i].state
-			set[i].state = Invalid
+			set[i].state = invalid
 			return st, true
 		}
 	}
-	return Invalid, false
+	return invalid, false
 }
 
-func (r *refCache) setState(la uint64, st State) bool {
+func (r *refCache) setState(la uint64, st state) bool {
 	set := r.set(la)
 	for i := range set {
-		if set[i].state != Invalid && set[i].tag == la {
+		if set[i].state != invalid && set[i].tag == la {
 			set[i].state = st
 			return true
 		}
@@ -133,10 +133,10 @@ func checkOrder(t *testing.T, c *Cache, op int) {
 		for i := c.order[end].next; i != end; i = c.order[i].next {
 			ln := c.sets[i]
 			key := ln.lastUse
-			if c.cfg.Replacement == FIFO {
+			if c.cfg.Replacement == fifo {
 				key = ln.loadedAt
 			}
-			if int(i)/c.assoc != set || ln.state == Invalid || key <= last || c.order[i].prev != prev {
+			if int(i)/c.assoc != set || ln.state == invalid || key <= last || c.order[i].prev != prev {
 				t.Fatalf("op %d, set %d: list entry %d (%+v, links %+v) after clock %d and entry %d", op, set, i, ln, c.order[i], last, prev)
 			}
 			n, last, prev = n+1, key, i
@@ -173,7 +173,7 @@ func indexed(c *Cache) int {
 // against Occupancy after every operation.
 func TestIndexedMatchesLinearScan(t *testing.T) {
 	const lines = 512
-	for _, repl := range []Replacement{LRU, FIFO, Random} {
+	for _, repl := range []Replacement{lru, fifo, Random} {
 		for _, assoc := range []int{1, 8, 16, 64, 256} {
 			t.Run(fmt.Sprintf("%s/%d-way", repl, assoc), func(t *testing.T) {
 				cfg := Config{Name: "t", Size: lines * 16, LineSize: 16, Assoc: assoc, Replacement: repl}
@@ -185,7 +185,7 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s/fully-associative-16", repl), func(t *testing.T) {
 			cfg := Config{Name: "t", Size: 16 * 16, LineSize: 16, Replacement: repl}
-			c := MustNew(cfg, nil)
+			c := mustNew(cfg, nil)
 			if len(c.index) != 32 {
 				t.Fatalf("residency table of %d entries for 16 lines, want 32", len(c.index))
 			}
@@ -207,8 +207,8 @@ func TestIndexedMatchesLinearScan(t *testing.T) {
 // after each operation.
 func matchRef(t *testing.T, cfg Config, addr func() uint64, r *pearl.RNG, everyOp bool) {
 	t.Helper()
-	states := []State{Shared, Exclusive, Modified}
-	c := MustNew(cfg, pearl.NewRNG(99))
+	states := []state{shared, exclusive, modified}
+	c := mustNew(cfg, pearl.NewRNG(99))
 	if (c.index != nil) != (c.assoc > scanWays) {
 		t.Fatalf("index present: %v at %d ways (scanWays %d)", c.index != nil, c.assoc, scanWays)
 	}
@@ -224,30 +224,30 @@ func matchRef(t *testing.T, cfg Config, addr func() uint64, r *pearl.RNG, everyO
 		what := r.Intn(100)
 		switch {
 		case what < 35:
-			got, want := c.Lookup(la), ref.lookup(la)
+			got, want := c.lookup(la), ref.lookup(la)
 			if (got == nil) != (want == nil) || (got != nil && *got != *want) {
 				t.Fatalf("op %d: Lookup(%d) = %v, reference %v", op, la, got, want)
 			}
 		case what < 70:
 			st := states[r.Intn(len(states))]
-			gv, gh := c.Insert(la, st)
+			gv, gh := c.insert(la, st)
 			wv, wh := ref.insert(la, st)
 			if gv != wv || gh != wh {
 				t.Fatalf("op %d: Insert(%d, %v) = %v,%v, reference %v,%v", op, la, st, gv, gh, wv, wh)
 			}
 		case what < 85:
-			gs, gok := c.Invalidate(la)
+			gs, gok := c.invalidate(la)
 			ws, wok := ref.invalidate(la)
 			if gs != ws || gok != wok {
 				t.Fatalf("op %d: Invalidate(%d) = %v,%v, reference %v,%v", op, la, gs, gok, ws, wok)
 			}
 		case what < 92:
 			st := states[r.Intn(len(states))]
-			if got, want := c.SetState(la, st), ref.setState(la, st); got != want {
+			if got, want := c.setState(la, st), ref.setState(la, st); got != want {
 				t.Fatalf("op %d: SetState(%d, %v) = %v, reference %v", op, la, st, got, want)
 			}
 		default:
-			gs, gok := c.Probe(la)
+			gs, gok := c.probe(la)
 			ws, wok := ref.probe(la)
 			if gs != ws || gok != wok {
 				t.Fatalf("op %d: Probe(%d) = %v,%v, reference %v,%v", op, la, gs, gok, ws, wok)
@@ -260,7 +260,7 @@ func matchRef(t *testing.T, cfg Config, addr func() uint64, r *pearl.RNG, everyO
 		}
 	}
 	for i := range c.sets {
-		if c.sets[i] != ref.sets[i] && (c.sets[i].state != Invalid || ref.sets[i].state != Invalid) {
+		if c.sets[i] != ref.sets[i] && (c.sets[i].state != invalid || ref.sets[i].state != invalid) {
 			t.Fatalf("slot %d holds %+v, reference %+v", i, c.sets[i], ref.sets[i])
 		}
 	}
@@ -281,7 +281,7 @@ func matchRef(t *testing.T, cfg Config, addr func() uint64, r *pearl.RNG, everyO
 	for set := 0; set < c.nsets; set++ {
 		n := 0
 		for _, ln := range c.sets[set*c.assoc : (set+1)*c.assoc] {
-			if ln.state != Invalid {
+			if ln.state != invalid {
 				n++
 			}
 		}

@@ -36,9 +36,9 @@ func (r *Replacement) UnmarshalJSON(b []byte) error {
 	}
 	switch name {
 	case "LRU", "lru", "":
-		*r = LRU
+		*r = lru
 	case "FIFO", "fifo":
-		*r = FIFO
+		*r = fifo
 	case "random":
 		*r = Random
 	default:

@@ -76,11 +76,11 @@ func (c *Config) Validate() error {
 // The DSM protocol owns the top of the tag space; applications must stay
 // below TagBase.
 const (
-	// TagBase is the first tag reserved for the DSM protocol.
-	TagBase uint32 = 0xD500_0000
+	// tagBase is the first tag reserved for the DSM protocol.
+	tagBase uint32 = 0xD500_0000
 
-	tagManager = TagBase // requests to a node's manager
-	tagReply   = TagBase + 1
+	tagManager = tagBase // requests to a node's manager
+	tagReply   = tagBase + 1
 )
 
 // protocol message kinds (carried as payloads of network messages).

@@ -9,7 +9,7 @@ import (
 	"mermaid/internal/trace"
 )
 
-// Calibration is the §3 validation path: "small benchmarks used to tune and
+// calibration is the §3 validation path: "small benchmarks used to tune and
 // validate the machine parameters of the simulation models". It runs a
 // lat-mem-rd-style probe — strided loads over growing working sets, with the
 // stride in bytes as sweep parameter "stride" — on the PowerPC 601 node and
@@ -17,10 +17,10 @@ import (
 // recover the configured hierarchy: ~L1 hit latency while the set fits in
 // L1, the L2 access cost up to the L2 capacity, and the full memory path
 // beyond.
-func Calibration(s Spec) (*ResultSet, error) {
+func calibration(s Spec) (*ResultSet, error) {
 	// Default stride = L2 line size so every out-of-cache access is a full
 	// miss.
-	stride, err := s.IntParam("stride", defCalibStrideByte)
+	stride, err := s.intParam("stride", defCalibStrideByte)
 	if err != nil {
 		return nil, err
 	}

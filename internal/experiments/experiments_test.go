@@ -125,7 +125,7 @@ func TestRegistryMetadata(t *testing.T) {
 }
 
 func TestTable1(t *testing.T) {
-	rs, err := Table1(Spec{})
+	rs, err := table1(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,11 +160,11 @@ func TestTable1(t *testing.T) {
 func TestDetailedVsTaskSlowdownShape(t *testing.T) {
 	// The paper's central performance claim: the task-level mode is orders
 	// of magnitude faster (per simulated cycle) than the detailed mode.
-	drs, err := DetailedSlowdown(Spec{})
+	drs, err := detailedSlowdown(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trs, err := TaskLevelSlowdown(Spec{})
+	trs, err := taskLevelSlowdown(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestDetailedVsTaskSlowdownShape(t *testing.T) {
 }
 
 func TestMemoryScaling(t *testing.T) {
-	rs, err := MemoryScaling(Spec{Sweep: map[string]string{"nodes": "4,16"}})
+	rs, err := memoryScaling(Spec{Sweep: map[string]string{"nodes": "4,16"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestMemoryScaling(t *testing.T) {
 }
 
 func TestHybridAgreement(t *testing.T) {
-	rs, err := HybridAgreement(Spec{})
+	rs, err := hybridAgreement(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestHybridAgreement(t *testing.T) {
 }
 
 func TestTraceValidity(t *testing.T) {
-	rs, err := TraceValidity(Spec{})
+	rs, err := traceValidity(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestTraceValidity(t *testing.T) {
 }
 
 func TestCacheSweep(t *testing.T) {
-	rs, err := CacheSweep(Spec{})
+	rs, err := cacheSweep(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestCacheSweep(t *testing.T) {
 
 func TestCacheSweepOverride(t *testing.T) {
 	// A narrowed sweep must produce exactly its points.
-	rs, err := CacheSweep(Spec{Sweep: map[string]string{"sizes": "4,16", "assocs": "2"}})
+	rs, err := cacheSweep(Spec{Sweep: map[string]string{"sizes": "4,16", "assocs": "2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestCacheSweepOverride(t *testing.T) {
 }
 
 func TestNetworkSweep(t *testing.T) {
-	rs, err := NetworkSweep(Spec{})
+	rs, err := networkSweep(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestNetworkSweep(t *testing.T) {
 }
 
 func TestCoherenceStudy(t *testing.T) {
-	rs, err := CoherenceStudy(Spec{})
+	rs, err := coherenceStudy(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestCoherenceStudy(t *testing.T) {
 }
 
 func TestStochasticVsAnnotated(t *testing.T) {
-	rs, err := StochasticVsAnnotated(Spec{})
+	rs, err := stochasticVsAnnotated(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestStochasticVsAnnotated(t *testing.T) {
 }
 
 func TestNodeInterconnectStudy(t *testing.T) {
-	rs, err := NodeInterconnectStudy(Spec{})
+	rs, err := nodeInterconnectStudy(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestNodeInterconnectStudy(t *testing.T) {
 }
 
 func TestCalibrationRecoversHierarchy(t *testing.T) {
-	rs, err := Calibration(Spec{})
+	rs, err := calibration(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestCalibrationRecoversHierarchy(t *testing.T) {
 }
 
 func TestRoutingStudy(t *testing.T) {
-	rs, err := RoutingStudy(Spec{})
+	rs, err := routingStudy(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +386,7 @@ func TestRoutingStudy(t *testing.T) {
 }
 
 func TestImbalanceStudy(t *testing.T) {
-	rs, err := ImbalanceStudy(Spec{})
+	rs, err := imbalanceStudy(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestImbalanceStudy(t *testing.T) {
 }
 
 func TestRoutingStudyAdaptive(t *testing.T) {
-	rs, err := RoutingStudy(Spec{})
+	rs, err := routingStudy(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func TestRoutingStudyAdaptive(t *testing.T) {
 }
 
 func TestScalingStudy(t *testing.T) {
-	rs, err := ScalingStudy(Spec{})
+	rs, err := scalingStudy(Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}

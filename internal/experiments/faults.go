@@ -11,7 +11,7 @@ import (
 	"mermaid/internal/workload"
 )
 
-// FaultResilience exercises the fault-injection subsystem on the 2x2
+// faultResilience exercises the fault-injection subsystem on the 2x2
 // transputer grid: the same Jacobi workload (sweep parameters "cells" and
 // "iters") runs healthy, under increasing packet-loss rates, and with a
 // mid-run link failure that forces the routers to re-path. Every scenario
@@ -21,13 +21,13 @@ import (
 // engine and attaches its report as the "bottleneck" artifact. All
 // quantities are simulated, so the table and artifact are byte-identical
 // across hosts and worker counts.
-func FaultResilience(s Spec) (*ResultSet, error) {
+func faultResilience(s Spec) (*ResultSet, error) {
 	const nodes = 4
-	cells, err := s.IntParam("cells", defFaultCells)
+	cells, err := s.intParam("cells", defFaultCells)
 	if err != nil {
 		return nil, err
 	}
-	iters, err := s.IntParam("iters", defFaultIters)
+	iters, err := s.intParam("iters", defFaultIters)
 	if err != nil {
 		return nil, err
 	}

@@ -47,12 +47,12 @@ func collect(s Spec, jobs []farm.Job, tb *stats.Table, keys Keys) error {
 	return nil
 }
 
-// Table1 (E1) executes every operation of Table 1 through the full detailed
+// table1 (E1) executes every operation of Table 1 through the full detailed
 // simulator — the computational operations on a PowerPC 601 node, the
 // communication operations across a two-node T805 machine — and reports the
 // simulated cost of each. Every operation is an independent cold machine, so
 // the measurements farm out across host workers.
-func Table1(s Spec) (*ResultSet, error) {
+func table1(s Spec) (*ResultSet, error) {
 	tb := stats.NewTable("operation", "class", "cycles")
 	keys := Keys{}
 
@@ -143,12 +143,12 @@ func slowdownDesc(nodes int, level stochastic.Level, instrs, dur int64, iters in
 	}
 }
 
-// DetailedSlowdown (E2) measures the simulation speed of the detailed
+// detailedSlowdown (E2) measures the simulation speed of the detailed
 // (abstract-instruction) level on the paper's two calibration machines: a
 // T805 multicomputer and a PowerPC 601 single node with two cache levels.
 // The paper reports a slowdown of about 750–4,000 per processor on a
 // 143 MHz UltraSPARC host (30k–200k target cycles/s).
-func DetailedSlowdown(Spec) (*ResultSet, error) {
+func detailedSlowdown(Spec) (*ResultSet, error) {
 	tb := stats.NewTable("machine", "procs", "sim cycles", "wall ms",
 		"cycles/s", "slowdown/proc @143MHz", "@1GHz")
 	keys := Keys{}
@@ -184,11 +184,11 @@ func DetailedSlowdown(Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// TaskLevelSlowdown (E3) measures the fast-prototyping level: computation is
+// taskLevelSlowdown (E3) measures the fast-prototyping level: computation is
 // simulated as whole tasks, so an entire multicomputer simulates with only a
 // minor slowdown (the paper: 0.5–4 per processor, dominated by the amount of
 // communication in the load).
-func TaskLevelSlowdown(Spec) (*ResultSet, error) {
+func taskLevelSlowdown(Spec) (*ResultSet, error) {
 	tb := stats.NewTable("machine", "procs", "sim cycles", "wall ms",
 		"cycles/s", "slowdown/proc @143MHz", "@1GHz")
 	keys := Keys{}
@@ -221,7 +221,7 @@ func TaskLevelSlowdown(Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// MemoryScaling (E4) measures host memory per simulated node as the machine
+// memoryScaling (E4) measures host memory per simulated node as the machine
 // grows (sweep parameter "nodes", a comma-separated list of square node
 // counts). Because the simulator interprets no machine instructions and
 // caches hold only tags, the footprint stays small and is dominated by the
@@ -229,8 +229,8 @@ func TaskLevelSlowdown(Spec) (*ResultSet, error) {
 // isolation but always sequentially: heap accounting via runtime.MemStats is
 // process-global, so concurrent probes would attribute each other's
 // allocations.
-func MemoryScaling(s Spec) (*ResultSet, error) {
-	nodeCounts, err := s.IntsParam("nodes", defMemoryNodes)
+func memoryScaling(s Spec) (*ResultSet, error) {
+	nodeCounts, err := s.intsParam("nodes", defMemoryNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -298,12 +298,12 @@ func cacheHostBytes(size int) int {
 	return size / 32 * 32
 }
 
-// HybridAgreement (E5) runs the same annotated program once through the
+// hybridAgreement (E5) runs the same annotated program once through the
 // detailed model (deriving a task-level trace on the fly, Fig. 2) and then
 // replays the derived trace through the task-level model. The two abstraction
 // levels must agree on execution time, since the communication model is
 // shared and the task durations were measured by the detailed model.
-func HybridAgreement(Spec) (*ResultSet, error) {
+func hybridAgreement(Spec) (*ResultSet, error) {
 	const nodes = 4
 	detailed, err := machine.New(machine.T805Grid(2, 2))
 	if err != nil {

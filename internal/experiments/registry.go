@@ -29,18 +29,18 @@ type Spec struct {
 // pool returns a farm pool configured by the spec.
 func (s Spec) pool() *farm.Pool { return farm.New(s.Workers) }
 
-// Param returns the named sweep parameter: the override if present, the
+// param returns the named sweep parameter: the override if present, the
 // given default otherwise.
-func (s Spec) Param(name, def string) string {
+func (s Spec) param(name, def string) string {
 	if v, ok := s.Sweep[name]; ok {
 		return v
 	}
 	return def
 }
 
-// IntsParam parses the named parameter as a comma-separated int list.
-func (s Spec) IntsParam(name, def string) ([]int, error) {
-	parts := strings.Split(s.Param(name, def), ",")
+// intsParam parses the named parameter as a comma-separated int list.
+func (s Spec) intsParam(name, def string) ([]int, error) {
+	parts := strings.Split(s.param(name, def), ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
@@ -52,9 +52,9 @@ func (s Spec) IntsParam(name, def string) ([]int, error) {
 	return out, nil
 }
 
-// FloatsParam parses the named parameter as a comma-separated float list.
-func (s Spec) FloatsParam(name, def string) ([]float64, error) {
-	parts := strings.Split(s.Param(name, def), ",")
+// floatsParam parses the named parameter as a comma-separated float list.
+func (s Spec) floatsParam(name, def string) ([]float64, error) {
+	parts := strings.Split(s.param(name, def), ",")
 	out := make([]float64, 0, len(parts))
 	for _, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
@@ -66,11 +66,11 @@ func (s Spec) FloatsParam(name, def string) ([]float64, error) {
 	return out, nil
 }
 
-// IntParam parses the named parameter as a single integer.
-func (s Spec) IntParam(name, def string) (int, error) {
-	v, err := strconv.Atoi(strings.TrimSpace(s.Param(name, def)))
+// intParam parses the named parameter as a single integer.
+func (s Spec) intParam(name, def string) (int, error) {
+	v, err := strconv.Atoi(strings.TrimSpace(s.param(name, def)))
 	if err != nil {
-		return 0, fmt.Errorf("sweep parameter %s: %q is not an integer", name, s.Param(name, def))
+		return 0, fmt.Errorf("sweep parameter %s: %q is not an integer", name, s.param(name, def))
 	}
 	return v, nil
 }
@@ -189,50 +189,50 @@ const (
 func All() []Experiment {
 	return []Experiment{
 		{Name: "table1", Title: "Table 1 operation costs through the detailed simulator",
-			Deterministic: true, Units: []string{"", "", "cyc"}, Run: Table1},
+			Deterministic: true, Units: []string{"", "", "cyc"}, Run: table1},
 		{Name: "slowdown", Title: "detailed-mode simulation slowdown (§6)",
-			Units: []string{"", "", "cyc", "ms", "cyc/s", "", ""}, Run: DetailedSlowdown},
+			Units: []string{"", "", "cyc", "ms", "cyc/s", "", ""}, Run: detailedSlowdown},
 		{Name: "slowdown-task", Title: "task-level simulation slowdown (§6)",
-			Units: []string{"", "", "cyc", "ms", "cyc/s", "", ""}, Run: TaskLevelSlowdown},
+			Units: []string{"", "", "cyc", "ms", "cyc/s", "", ""}, Run: taskLevelSlowdown},
 		{Name: "memory", Title: "host memory per simulated node (§6)",
 			Units: []string{"", "KiB", "KiB"},
-			Sweep: map[string]string{"nodes": defMemoryNodes}, Run: MemoryScaling},
+			Sweep: map[string]string{"nodes": defMemoryNodes}, Run: memoryScaling},
 		{Name: "hybrid", Title: "detailed vs derived task-level trace agreement (Fig. 2)",
-			Units: []string{"", "cyc", "ms", ""}, Run: HybridAgreement},
+			Units: []string{"", "cyc", "ms", ""}, Run: hybridAgreement},
 		{Name: "validity", Title: "execution-driven multiprocessor trace validity (§3.1)",
 			Deterministic: true, Units: []string{"", ""},
-			Sweep: map[string]string{"bytes": defValidityBytes}, Run: TraceValidity},
+			Sweep: map[string]string{"bytes": defValidityBytes}, Run: traceValidity},
 		{Name: "cache-sweep", Title: "L1 size/associativity design study (§2, §4.1)",
 			Deterministic: true, Units: []string{"", "", "", "cyc", "cyc/instr"},
 			Sweep: map[string]string{"sizes": defCacheSizesKiB, "assocs": defCacheAssocs},
-			Run:   CacheSweep},
+			Run:   cacheSweep},
 		{Name: "network-sweep", Title: "topology x switching design study (§4.2)",
 			Deterministic: true, Units: []string{"", "", "cyc", "cyc", "", ""},
-			Sweep: map[string]string{"bytes": defNetworkBytes}, Run: NetworkSweep},
+			Sweep: map[string]string{"bytes": defNetworkBytes}, Run: networkSweep},
 		{Name: "coherence", Title: "SMP scaling and snoopy vs directory coherence (§4.3)",
-			Deterministic: true, Units: []string{"", "", "", "cyc", "", ""}, Run: CoherenceStudy},
+			Deterministic: true, Units: []string{"", "", "", "cyc", "", ""}, Run: coherenceStudy},
 		{Name: "interconnect", Title: "node bus vs banked crossbar ablation (§4.1)",
-			Deterministic: true, Units: []string{"", "", "cyc", ""}, Run: NodeInterconnectStudy},
+			Deterministic: true, Units: []string{"", "", "cyc", ""}, Run: nodeInterconnectStudy},
 		{Name: "calibration", Title: "lat-mem-rd microbenchmark recovers the hierarchy (§3)",
 			Deterministic: true, Units: []string{"", "cyc", ""},
-			Sweep: map[string]string{"stride": defCalibStrideByte}, Run: Calibration},
+			Sweep: map[string]string{"stride": defCalibStrideByte}, Run: calibration},
 		{Name: "routing", Title: "minimal vs Valiant vs adaptive routing (§4.2)",
 			Deterministic: true, Units: []string{"", "cyc", "hops", "cyc", ""},
 			Sweep: map[string]string{"bytes": defRoutingBytes, "rounds": defRoutingRounds},
-			Run:   RoutingStudy},
+			Run:   routingStudy},
 		{Name: "imbalance", Title: "load imbalance vs completion time (§3.2)",
 			Deterministic: true, Units: []string{"", "cyc", "x"},
-			Sweep: map[string]string{"cv": defImbalanceCVs}, Run: ImbalanceStudy},
+			Sweep: map[string]string{"cv": defImbalanceCVs}, Run: imbalanceStudy},
 		{Name: "scaling", Title: "strong scaling of a fixed-size problem (§1)",
 			Deterministic: true, Units: []string{"", "cyc", "x", ""},
 			Sweep: map[string]string{"cells": defScalingCells, "iters": defScalingIters},
-			Run:   ScalingStudy},
+			Run:   scalingStudy},
 		{Name: "stochastic-vs-annotated", Title: "stochastic vs annotated workload paths (§3, Fig. 4)",
-			Deterministic: true, Units: []string{"", "cyc", "", "", "B"}, Run: StochasticVsAnnotated},
+			Deterministic: true, Units: []string{"", "cyc", "", "", "B"}, Run: stochasticVsAnnotated},
 		{Name: "fault-resilience", Title: "packet loss and link failure under retransmission",
 			Deterministic: true, Units: []string{"", "cyc", "", "", "", ""},
 			Sweep: map[string]string{"cells": defFaultCells, "iters": defFaultIters},
-			Run:   FaultResilience},
+			Run:   faultResilience},
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 	"mermaid/internal/workload"
 )
 
-// TraceValidity (E6) demonstrates the execution-driven trace guarantee of
+// traceValidity (E6) demonstrates the execution-driven trace guarantee of
 // §3.1: a receive-from-any server workload (message size: sweep parameter
 // "bytes") is run on two architectures — one with fast links, one with slow
 // transputer-class links — and the multiprocessor traces (the observed
@@ -27,8 +27,8 @@ import (
 // target machine produces. A static trace could satisfy at most one of them.
 // The slow-link run records a probe timeline, attached as the "timeline"
 // artifact.
-func TraceValidity(s Spec) (*ResultSet, error) {
-	msgBytes, err := s.IntParam("bytes", defValidityBytes)
+func traceValidity(s Spec) (*ResultSet, error) {
+	msgBytes, err := s.intParam("bytes", defValidityBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -77,19 +77,19 @@ func TraceValidity(s Spec) (*ResultSet, error) {
 	}}, nil
 }
 
-// CacheSweep (E7) is the design study the paper motivates in §2: the effect
+// cacheSweep (E7) is the design study the paper motivates in §2: the effect
 // of private-cache parameters on performance, a study direct-execution
 // simulators can only do marginally. It sweeps the L1 size at associativity
 // 8 (sweep parameter "sizes", KiB) and the associativity at 16 KiB (sweep
 // parameter "assocs") of the PowerPC 601 node under a fixed workload with a
 // 16 KiB working set. Each sweep point is an independent machine, farmed
 // across host workers; the table is identical for any worker count.
-func CacheSweep(s Spec) (*ResultSet, error) {
-	sizes, err := s.IntsParam("sizes", defCacheSizesKiB)
+func cacheSweep(s Spec) (*ResultSet, error) {
+	sizes, err := s.intsParam("sizes", defCacheSizesKiB)
 	if err != nil {
 		return nil, err
 	}
-	assocs, err := s.IntsParam("assocs", defCacheAssocs)
+	assocs, err := s.intsParam("assocs", defCacheAssocs)
 	if err != nil {
 		return nil, err
 	}
@@ -147,13 +147,13 @@ func CacheSweep(s Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// NetworkSweep (E8) evaluates interconnect design options on the task-level
+// networkSweep (E8) evaluates interconnect design options on the task-level
 // model: topology x switching strategy under a fixed communication-bound
 // load (message size: sweep parameter "bytes"), reporting latency and cost
 // metrics — the §4.2 parameterisation at work. The 12 design points farm
 // across host workers.
-func NetworkSweep(s Spec) (*ResultSet, error) {
-	msgBytes, err := s.IntParam("bytes", defNetworkBytes)
+func networkSweep(s Spec) (*ResultSet, error) {
+	msgBytes, err := s.intParam("bytes", defNetworkBytes)
 	if err != nil {
 		return nil, err
 	}
@@ -223,10 +223,10 @@ func shortSw(sw router.Switching) string {
 	}
 }
 
-// CoherenceStudy (E9) exercises the shared-memory side of the workbench
+// coherenceStudy (E9) exercises the shared-memory side of the workbench
 // (§4.3): SMP scaling under a true-sharing workload and the snoopy bus
 // protocol against the directory alternative.
-func CoherenceStudy(Spec) (*ResultSet, error) {
+func coherenceStudy(Spec) (*ResultSet, error) {
 	tb := stats.NewTable("machine", "CPUs", "coherence", "cycles", "invalidations", "bus util")
 	keys := Keys{}
 	for _, cpus := range []int{1, 2, 4, 8} {
@@ -273,12 +273,12 @@ func runSharedCounter(cfg machine.Config, cpus int) (cycles float64, invals uint
 	return float64(res.Cycles), invals, h.Bus().Utilization(), nil
 }
 
-// StochasticVsAnnotated (E10) compares the two application-modelling paths
+// stochasticVsAnnotated (E10) compares the two application-modelling paths
 // of Fig. 4 on the same machine: an instrumented Jacobi solver versus a
 // stochastic description of the same phase structure. The synthetic load
 // reproduces the communication structure and the execution time roughly —
 // "modest accuracy", per §3.
-func StochasticVsAnnotated(Spec) (*ResultSet, error) {
+func stochasticVsAnnotated(Spec) (*ResultSet, error) {
 	const nodes, iters = 4, 10
 	// Annotated run.
 	mA, err := machine.New(machine.T805Grid(2, 2))
@@ -329,11 +329,11 @@ func StochasticVsAnnotated(Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// NodeInterconnectStudy (ablation of §4.1's "changing the bus to a more
+// nodeInterconnectStudy (ablation of §4.1's "changing the bus to a more
 // complex structure"): the same multi-CPU node with its shared bus swapped
 // for a banked crossbar, under the directory protocol (snooping needs a
 // broadcast medium) with a bank-disjoint access pattern.
-func NodeInterconnectStudy(Spec) (*ResultSet, error) {
+func nodeInterconnectStudy(Spec) (*ResultSet, error) {
 	tb := stats.NewTable("interconnect", "CPUs", "cycles", "avg occupancy")
 	keys := Keys{}
 	desc := stochastic.Desc{
@@ -369,17 +369,17 @@ func NodeInterconnectStudy(Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// RoutingStudy (§4.2's configurable routing strategy): an adversarial
+// routingStudy (§4.2's configurable routing strategy): an adversarial
 // permutation (antipodal in one torus dimension, so deterministic minimal
 // routing piles all traffic onto one dimension's links) under minimal vs
 // Valiant randomised routing. Message size and exchange rounds are the sweep
 // parameters "bytes" and "rounds". The strategies farm across host workers.
-func RoutingStudy(s Spec) (*ResultSet, error) {
-	msgBytes, err := s.IntParam("bytes", defRoutingBytes)
+func routingStudy(s Spec) (*ResultSet, error) {
+	msgBytes, err := s.intParam("bytes", defRoutingBytes)
 	if err != nil {
 		return nil, err
 	}
-	rounds, err := s.IntParam("rounds", defRoutingRounds)
+	rounds, err := s.intParam("rounds", defRoutingRounds)
 	if err != nil {
 		return nil, err
 	}
@@ -435,15 +435,15 @@ func RoutingStudy(s Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// ImbalanceStudy exercises the load-balancing knob of the stochastic
+// imbalanceStudy exercises the load-balancing knob of the stochastic
 // descriptions (§3.2: the task-level model exists "to model synchronization
 // behaviour and load-balancing correctly"): the same BSP-style
 // compute/exchange loop under growing cross-node imbalance (sweep parameter
 // "cv", the coefficient of variation of the per-node computation).
 // Completion time is governed by the slowest node of each superstep, so it
 // grows with CV even though the mean work is constant.
-func ImbalanceStudy(s Spec) (*ResultSet, error) {
-	cvs, err := s.FloatsParam("cv", defImbalanceCVs)
+func imbalanceStudy(s Spec) (*ResultSet, error) {
+	cvs, err := s.floatsParam("cv", defImbalanceCVs)
 	if err != nil {
 		return nil, err
 	}
@@ -475,19 +475,19 @@ func ImbalanceStudy(s Spec) (*ResultSet, error) {
 	return &ResultSet{Table: tb, Keys: keys}, nil
 }
 
-// ScalingStudy runs a fixed-size Jacobi problem (sweep parameters "cells"
+// scalingStudy runs a fixed-size Jacobi problem (sweep parameters "cells"
 // and "iters") on growing T805 machines — the classic strong-scaling curve
 // an architecture workbench exists to predict: speedup rises with nodes
 // while parallel efficiency falls as the fixed per-iteration halo
 // communication stops amortising. The largest machine runs under the
 // bottleneck analysis engine; its report is attached as the "bottleneck"
 // artifact.
-func ScalingStudy(s Spec) (*ResultSet, error) {
-	cells, err := s.IntParam("cells", defScalingCells)
+func scalingStudy(s Spec) (*ResultSet, error) {
+	cells, err := s.intParam("cells", defScalingCells)
 	if err != nil {
 		return nil, err
 	}
-	iters, err := s.IntParam("iters", defScalingIters)
+	iters, err := s.intParam("iters", defScalingIters)
 	if err != nil {
 		return nil, err
 	}

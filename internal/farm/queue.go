@@ -9,12 +9,12 @@ import (
 
 // Queue errors.
 var (
-	// ErrQueueFull reports a Submit that found the bounded queue at
+	// errQueueFull reports a Submit that found the bounded queue at
 	// capacity; the caller sheds the load (the simulation server answers
 	// 503) instead of blocking.
-	ErrQueueFull = errors.New("farm: queue full")
-	// ErrQueueClosed reports a Submit after Close.
-	ErrQueueClosed = errors.New("farm: queue closed")
+	errQueueFull = errors.New("farm: queue full")
+	// errQueueClosed reports a Submit after Close.
+	errQueueClosed = errors.New("farm: queue closed")
 )
 
 // Queue is the service front of a Pool: a bounded submission queue feeding a
@@ -75,19 +75,19 @@ func (p *Pool) StartQueue(depth int) *Queue {
 }
 
 // Submit enqueues one job to run with the given seed. It never blocks:
-// a full queue returns ErrQueueFull, a closed queue ErrQueueClosed.
+// a full queue returns errQueueFull, a closed queue errQueueClosed.
 func (q *Queue) Submit(job Job, seed uint64) error {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return ErrQueueClosed
+		return errQueueClosed
 	}
 	select {
 	case q.jobs <- queuedJob{job: job, seed: seed, idx: q.next, submitted: time.Now()}:
 		q.next++
 		return nil
 	default:
-		return ErrQueueFull
+		return errQueueFull
 	}
 }
 

@@ -1,4 +1,4 @@
-package farm_test
+package farm
 
 import (
 	"errors"
@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"mermaid/internal/farm"
 )
 
 // The queue runs every submitted job exactly once, delivers each result
@@ -19,8 +17,8 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 	var mu sync.Mutex
 	seeds := map[uint64]bool{}
 
-	p := farm.New(4)
-	p.OnResult = func(res farm.Result) {
+	p := New(4)
+	p.OnResult = func(res Result) {
 		// Per-run ordering: this run's job-scoped hook already recorded its
 		// seed before the pool-level hook fires.
 		mu.Lock()
@@ -35,12 +33,12 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 	const n = 32
 	for i := 0; i < n; i++ {
 		seed := uint64(1000 + i)
-		err := q.Submit(farm.Job{
+		err := q.Submit(Job{
 			Name: "t",
-			Run: func(rc *farm.RunContext) (any, error) {
+			Run: func(rc *RunContext) (any, error) {
 				return rc.Seed, nil
 			},
-			OnResult: func(res farm.Result) {
+			OnResult: func(res Result) {
 				jobHook.Add(1)
 				mu.Lock()
 				seeds[res.Value.(uint64)] = true
@@ -65,13 +63,13 @@ func TestQueueRunsSubmittedJobs(t *testing.T) {
 	}
 }
 
-// A full queue refuses immediately with ErrQueueFull — the server's
-// back-pressure signal — and a closed queue with ErrQueueClosed.
+// A full queue refuses immediately with errQueueFull — the server's
+// back-pressure signal — and a closed queue with errQueueClosed.
 func TestQueueBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	p := farm.New(1)
+	p := New(1)
 	q := p.StartQueue(1)
-	block := farm.Job{Name: "block", Run: func(*farm.RunContext) (any, error) {
+	block := Job{Name: "block", Run: func(*RunContext) (any, error) {
 		<-release
 		return nil, nil
 	}}
@@ -84,7 +82,7 @@ func TestQueueBackpressure(t *testing.T) {
 	// two accepted submissions in the worst case — the third must refuse.
 	full := 0
 	for i := 0; i < 3; i++ {
-		if err := q.Submit(block, uint64(i)); errors.Is(err, farm.ErrQueueFull) {
+		if err := q.Submit(block, uint64(i)); errors.Is(err, errQueueFull) {
 			full++
 		}
 	}
@@ -93,8 +91,8 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	close(release)
 	q.Close()
-	if err := q.Submit(block, 9); !errors.Is(err, farm.ErrQueueClosed) {
-		t.Errorf("submit after close = %v, want ErrQueueClosed", err)
+	if err := q.Submit(block, 9); !errors.Is(err, errQueueClosed) {
+		t.Errorf("submit after close = %v, want errQueueClosed", err)
 	}
 	q.Close() // idempotent
 }
@@ -104,12 +102,12 @@ func TestQueueBackpressure(t *testing.T) {
 func TestQueuePanicIsolation(t *testing.T) {
 	var got error
 	done := make(chan struct{})
-	p := farm.New(2)
+	p := New(2)
 	q := p.StartQueue(4)
-	err := q.Submit(farm.Job{
+	err := q.Submit(Job{
 		Name: "boom",
-		Run:  func(*farm.RunContext) (any, error) { panic("kaboom") },
-		OnResult: func(res farm.Result) {
+		Run:  func(*RunContext) (any, error) { panic("kaboom") },
+		OnResult: func(res Result) {
 			got = res.Err
 			close(done)
 		},
@@ -129,15 +127,15 @@ func TestQueuePanicIsolation(t *testing.T) {
 func TestJobScopedHooksConcurrent(t *testing.T) {
 	const jobs = 8
 	var counts [jobs]atomic.Uint64
-	p := farm.New(4)
+	p := New(4)
 	p.Repeats = 5
-	batch := make([]farm.Job, jobs)
+	batch := make([]Job, jobs)
 	for i := range batch {
 		i := i
-		batch[i] = farm.Job{
+		batch[i] = Job{
 			Name:     "j",
-			Run:      func(rc *farm.RunContext) (any, error) { return nil, nil },
-			OnResult: func(farm.Result) { counts[i].Add(1) },
+			Run:      func(rc *RunContext) (any, error) { return nil, nil },
+			OnResult: func(Result) { counts[i].Add(1) },
 		}
 	}
 	rep := p.Run(batch)

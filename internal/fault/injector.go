@@ -21,12 +21,12 @@ type Fate uint8
 const (
 	// OK: the packet crossed the link intact.
 	OK Fate = iota
-	// Dropped: the packet was lost in transit; the source learns of it only
+	// dropped: the packet was lost in transit; the source learns of it only
 	// through its retransmission timeout.
-	Dropped
-	// Corrupted: the packet arrived damaged; the receiver detects the bad
+	dropped
+	// corrupted: the packet arrived damaged; the receiver detects the bad
 	// checksum and discards it, so recovery timing equals a drop's.
-	Corrupted
+	corrupted
 )
 
 // transition is one scheduled fault state change.
@@ -313,10 +313,10 @@ func (inj *Injector) HopFate(node, port int) Fate {
 	switch {
 	case u < d:
 		inj.drops.Inc()
-		return Dropped
+		return dropped
 	case u < d+c:
 		inj.corruptions.Inc()
-		return Corrupted
+		return corrupted
 	}
 	return OK
 }
@@ -340,10 +340,10 @@ func (inj *Injector) FateWith(r *pearl.RNG, node, port int) Fate {
 	switch {
 	case u < d:
 		inj.drops.Inc()
-		return Dropped
+		return dropped
 	case u < d+c:
 		inj.corruptions.Inc()
-		return Corrupted
+		return corrupted
 	}
 	return OK
 }

@@ -124,23 +124,23 @@ func TestHopFateMatchesConfiguredProbabilities(t *testing.T) {
 		t.Fatal(err)
 	}
 	const draws = 20000
-	var dropped, corrupted int
+	var drops, corrupts int
 	for i := 0; i < draws; i++ {
 		switch inj.HopFate(0, 0) {
-		case Dropped:
-			dropped++
-		case Corrupted:
-			corrupted++
+		case dropped:
+			drops++
+		case corrupted:
+			corrupts++
 		}
 	}
-	if f := float64(dropped) / draws; f < 0.27 || f > 0.33 {
+	if f := float64(drops) / draws; f < 0.27 || f > 0.33 {
 		t.Errorf("drop fraction = %.3f, want ~0.3", f)
 	}
-	if f := float64(corrupted) / draws; f < 0.17 || f > 0.23 {
+	if f := float64(corrupts) / draws; f < 0.17 || f > 0.23 {
 		t.Errorf("corrupt fraction = %.3f, want ~0.2", f)
 	}
-	if inj.Drops() != uint64(dropped) || inj.corruptions.Value() != uint64(corrupted) {
-		t.Errorf("counters %d/%d, want %d/%d", inj.Drops(), inj.corruptions.Value(), dropped, corrupted)
+	if inj.Drops() != uint64(drops) || inj.corruptions.Value() != uint64(corrupts) {
+		t.Errorf("counters %d/%d, want %d/%d", inj.Drops(), inj.corruptions.Value(), drops, corrupts)
 	}
 }
 

@@ -38,10 +38,6 @@ func (w Window) validate() error {
 	return nil
 }
 
-// open reports whether the window is still active at the end of a run of
-// the given length.
-func (w Window) open(end pearl.Time) bool { return w.To == 0 || w.To > end }
-
 // clip returns the window intersected with [0, end), reporting ok=false for
 // an empty intersection.
 func (w Window) clip(end pearl.Time) (from, to pearl.Time, ok bool) {

@@ -115,7 +115,7 @@ func TestPermanentPartitionAbandonsPackets(t *testing.T) {
 		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 0}}},
 		Retrans: fault.Retrans{Timeout: 100, Backoff: 2, MaxRetries: 2},
 	})
-	var dead *DeadlockError
+	var dead *deadlockError
 	if !errors.As(err, &dead) {
 		t.Fatalf("severed machine finished with err = %v, want DeadlockError", err)
 	}

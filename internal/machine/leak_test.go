@@ -77,7 +77,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, err = m.RunProgram(workload.PingPong(10, 1024))
-			var dead *DeadlockError
+			var dead *deadlockError
 			if !errors.As(err, &dead) {
 				t.Fatalf("severed machine finished with err = %v, want DeadlockError", err)
 			}
@@ -94,7 +94,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				trace.FromOps([]ops.Op{ops.NewRecv(1, 0)}), // never sent
 				trace.FromOps(nil), trace.FromOps(nil), trace.FromOps(nil),
 			})
-			var dead *DeadlockError
+			var dead *deadlockError
 			if !errors.As(err, &dead) {
 				t.Fatalf("err = %v, want DeadlockError", err)
 			}

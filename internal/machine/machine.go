@@ -398,14 +398,14 @@ func (m *Machine) FlushTaskSinks() error {
 	return nil
 }
 
-// DeadlockError reports a simulation that stopped with components still
+// deadlockError reports a simulation that stopped with components still
 // waiting: CPUs, processors or packets that no pending event will resume.
-type DeadlockError struct {
+type deadlockError struct {
 	Blocked []string
 }
 
 // Error implements error.
-func (e *DeadlockError) Error() string {
+func (e *deadlockError) Error() string {
 	return fmt.Sprintf("machine: simulation deadlocked; blocked: %s", strings.Join(e.Blocked, ", "))
 }
 
@@ -523,7 +523,7 @@ func (m *Machine) checkDone() error {
 	if m.net != nil {
 		blocked = append(blocked, m.net.Blocked()...)
 	}
-	return &DeadlockError{Blocked: blocked}
+	return &deadlockError{Blocked: blocked}
 }
 
 // kernels returns every kernel of the machine: the shard kernels under the

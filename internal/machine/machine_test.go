@@ -174,7 +174,7 @@ func TestDeadlockReported(t *testing.T) {
 		trace.FromOps(nil),
 	}
 	_, err := m.Run(srcs)
-	de, ok := err.(*DeadlockError)
+	de, ok := err.(*deadlockError)
 	if !ok {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}

@@ -19,9 +19,9 @@ import (
 // cycle-approximate, not cycle-exact — exactly the accuracy class the
 // abstract-instruction methodology targets.
 
-// T805Timing is the INMOS T805 (30 MHz) operation timing table: fast integer
+// t805Timing is the INMOS T805 (30 MHz) operation timing table: fast integer
 // add/sub, microcoded multiply/divide, on-chip FPU.
-func T805Timing() cpu.Timing {
+func t805Timing() cpu.Timing {
 	return cpu.Timing{
 		Add:        cpu.ArithTiming{Int: 1, Long: 2, Float: 7, Double: 7},
 		Sub:        cpu.ArithTiming{Int: 1, Long: 2, Float: 7, Double: 7},
@@ -35,10 +35,10 @@ func T805Timing() cpu.Timing {
 	}
 }
 
-// T805Node models a transputer node: 4 KiB of fast on-chip RAM acting as a
+// t805Node models a transputer node: 4 KiB of fast on-chip RAM acting as a
 // directly addressed store (modelled as a small one-cycle cache) over
 // external DRAM.
-func T805Node() node.Config {
+func t805Node() node.Config {
 	return node.Config{
 		Hierarchy: cache.HierarchyConfig{
 			CPUs: 1,
@@ -49,7 +49,7 @@ func T805Node() node.Config {
 			Bus:    bus.Config{Width: 4, ArbitrationDelay: 1},
 			Memory: memory.Config{ReadLatency: 4, WriteLatency: 4, BytesPerCycle: 4, Ports: 1},
 		},
-		Timing: T805Timing(),
+		Timing: t805Timing(),
 	}
 }
 
@@ -63,7 +63,7 @@ func T805Grid(w, h int) Config {
 		Name:    "t805-grid",
 		Mode:    Detailed,
 		Nodes:   w * h,
-		Node:    T805Node(),
+		Node:    t805Node(),
 		Network: network.Config{
 			Topology: topology.Config{Kind: topology.Mesh2D, DimX: w, DimY: h},
 			Router: router.Config{

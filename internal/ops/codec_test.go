@@ -140,10 +140,10 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 		o := Op{Kind: k}
 		switch {
 		case k == Load || k == Store:
-			o.Mem = MemType(mem%uint8(NumMemTypes-1)) + 1
+			o.Mem = MemType(mem%uint8(numMemTypes-1)) + 1
 			o.Addr = addr
 		case k.IsArithmetic() || k == LoadConst:
-			o.Data = DataType(data%uint8(NumDataTypes-1)) + 1
+			o.Data = DataType(data%uint8(numDataTypes-1)) + 1
 		case k.IsControl():
 			o.Addr = addr
 		case k == Send || k == ASend:

@@ -23,7 +23,7 @@ type Kind uint8
 
 // Computational operations (abstract machine instructions, Table 1 top).
 const (
-	Invalid Kind = iota
+	invalid Kind = iota
 
 	// Category 1: transferring data between registers and the memory
 	// hierarchy.
@@ -63,7 +63,7 @@ const (
 const NumKinds = int(numKinds) - 1
 
 var kindNames = [...]string{
-	Invalid:   "invalid",
+	invalid:   "invalid",
 	Load:      "load",
 	Store:     "store",
 	LoadConst: "loadc",
@@ -136,9 +136,6 @@ const (
 	numMemTypes
 )
 
-// NumMemTypes is the number of defined memory access types.
-const NumMemTypes = int(numMemTypes)
-
 var memTypeNames = [...]string{
 	MemNone:   "-",
 	MemByte:   "b",
@@ -177,7 +174,7 @@ func (m MemType) Size() uint64 {
 type DataType uint8
 
 const (
-	TypeNone DataType = iota
+	typeNone DataType = iota
 	TypeInt           // integer word
 	TypeLong          // double-width integer
 	TypeFloat
@@ -186,11 +183,8 @@ const (
 	numDataTypes
 )
 
-// NumDataTypes is the number of defined arithmetic operand types.
-const NumDataTypes = int(numDataTypes)
-
 var dataTypeNames = [...]string{
-	TypeNone:   "-",
+	typeNone:   "-",
 	TypeInt:    "i",
 	TypeLong:   "l",
 	TypeFloat:  "f",
@@ -268,11 +262,11 @@ func (o Op) String() string {
 func (o Op) Validate() error {
 	switch o.Kind {
 	case Load, Store:
-		if o.Mem == MemNone || int(o.Mem) >= NumMemTypes {
+		if o.Mem == MemNone || o.Mem >= numMemTypes {
 			return fmt.Errorf("ops: %s without valid mem-type", o.Kind)
 		}
 	case LoadConst, Add, Sub, Mul, Div:
-		if o.Data == TypeNone || int(o.Data) >= NumDataTypes {
+		if o.Data == typeNone || o.Data >= numDataTypes {
 			return fmt.Errorf("ops: %s without valid data type", o.Kind)
 		}
 	case IFetch, Branch, Call, Ret:

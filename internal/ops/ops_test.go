@@ -67,7 +67,7 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	bad := []Op{
-		{Kind: Invalid},
+		{Kind: invalid},
 		{Kind: Load},                              // no mem-type
 		{Kind: Add},                               // no data type
 		{Kind: Send, Size: 0, Peer: 1},            // zero size

@@ -75,7 +75,7 @@ func (c *Chain) waitReason() Reason {
 	case waitAcquire:
 		return c.on.reason
 	case waitAwait:
-		return ReasonAwait
+		return reasonAwait
 	}
 	return reasonNone
 }

@@ -148,9 +148,9 @@ func (q *kernelQueue) at(t Time, daemon bool, fn func()) {
 func (q *kernelQueue) drop() bool             { return q.k.drop() }
 func (q *kernelQueue) runUntil(t Time)        { q.k.RunUntil(t) }
 func (q *kernelQueue) run()                   { q.k.Run() }
-func (q *kernelQueue) nextTime() (Time, bool) { return q.k.NextTime() }
-func (q *kernelQueue) pendingWork() bool      { return q.k.PendingWork() }
-func (q *kernelQueue) finishAt(t Time)        { q.k.FinishAt(t) }
+func (q *kernelQueue) nextTime() (Time, bool) { return q.k.nextTime() }
+func (q *kernelQueue) pendingWork() bool      { return q.k.pendingWork() }
+func (q *kernelQueue) finishAt(t Time)        { q.k.finishAt(t) }
 func (q *kernelQueue) events() uint64         { return q.k.EventCount() }
 
 // refQueue is the reference model: every event ever scheduled in one list,

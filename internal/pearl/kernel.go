@@ -625,14 +625,14 @@ func (k *Kernel) Close() {
 // replicated into every shard (the fault plan) are counted once.
 func (k *Kernel) DaemonEvents() uint64 { return k.daemonFired }
 
-// PendingWork reports whether any non-daemon event is queued: the liveness
+// pendingWork reports whether any non-daemon event is queued: the liveness
 // condition of Run, exposed so a shard coordinator can decide termination
 // across several kernels.
-func (k *Kernel) PendingWork() bool { return k.live > k.daemons }
+func (k *Kernel) pendingWork() bool { return k.live > k.daemons }
 
-// NextTime returns the timestamp of the next event (daemon or not); ok is
+// nextTime returns the timestamp of the next event (daemon or not); ok is
 // false with nothing queued.
-func (k *Kernel) NextTime() (t Time, ok bool) {
+func (k *Kernel) nextTime() (t Time, ok bool) {
 	idx, _, ok := k.front()
 	if !ok {
 		return 0, false
@@ -677,19 +677,19 @@ func (k *Kernel) runDeferred() bool {
 	return false
 }
 
-// RunWindow executes every event with timestamp strictly before end —
+// runWindow executes every event with timestamp strictly before end —
 // daemon events included, since the window bound, not liveness, limits the
 // horizon — interleaving the deferred Post/Settle phases at each instant.
 // The clock is left at the last executed event (it does not advance to end
 // on its own), so windows compose: consecutive calls with increasing bounds
 // replay exactly the schedule a single unbounded run would.
-func (k *Kernel) RunWindow(end Time) { k.drive(driveWindow, end) }
+func (k *Kernel) runWindow(end Time) { k.drive(driveWindow, end) }
 
-// FinishAt advances an idle (no non-daemon work) kernel's clock to t, so
+// finishAt advances an idle (no non-daemon work) kernel's clock to t, so
 // end-of-run gauges that read Now() agree across the shards of one
 // simulation. Daemon events left queued before t stay queued, unfired —
 // exactly like the tail of a fault plan after Run returns.
-func (k *Kernel) FinishAt(t Time) {
+func (k *Kernel) finishAt(t Time) {
 	if k.live > k.daemons {
 		panic("pearl: FinishAt with non-daemon events pending")
 	}

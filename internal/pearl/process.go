@@ -120,15 +120,6 @@ func (p *Process) exit() {
 // Now returns the current virtual time.
 func (p *Process) Now() Time { return p.k.now }
 
-// blockReason returns a short description of what the process is currently
-// blocked on; empty if running or terminated. For diagnostics.
-func (p *Process) blockReason() string {
-	if p.receiving != "" {
-		return p.receiving
-	}
-	return p.c.Reason()
-}
-
 // String implements fmt.Stringer.
 func (p *Process) String() string {
 	return fmt.Sprintf("process %q (#%d)", p.name, p.id)

@@ -17,7 +17,7 @@ type Reason int32
 const (
 	reasonNone  Reason = iota // not waiting
 	ReasonHold                // "hold": a timed wait
-	ReasonAwait               // "await": waiting for a future
+	reasonAwait               // "await": waiting for a future
 	numFixedReasons
 )
 
@@ -63,7 +63,7 @@ func (k *Kernel) ReasonText(r Reason) string {
 		return ""
 	case ReasonHold:
 		return "hold"
-	case ReasonAwait:
+	case reasonAwait:
 		return "await"
 	}
 	if k == nil || r < numFixedReasons || r >= k.nextReason {

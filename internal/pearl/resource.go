@@ -34,10 +34,6 @@ func (k *Kernel) NewResource(name string, capacity int) *Resource {
 // Name returns the resource name.
 func (r *Resource) Name() string { return r.name }
 
-// queueLen returns the number of chains (processes among them) waiting to
-// acquire.
-func (r *Resource) queueLen() int { return r.waiters.len() }
-
 // Acquires returns the number of successful acquisitions so far.
 func (r *Resource) Acquires() uint64 { return r.acquires }
 

@@ -176,10 +176,10 @@ func (g *ShardGroup) Run() Time {
 		next := Forever
 		work := false
 		for _, k := range g.kernels {
-			if k.PendingWork() {
+			if k.pendingWork() {
 				work = true
 			}
-			if t, ok := k.NextTime(); ok && t < next {
+			if t, ok := k.nextTime(); ok && t < next {
 				next = t
 			}
 		}
@@ -199,11 +199,11 @@ func (g *ShardGroup) Run() Time {
 		if workers == nil {
 			if obs {
 				t0 := time.Now()
-				g.kernels[0].RunWindow(end)
+				g.kernels[0].runWindow(end)
 				g.resScratch = append(g.resScratch[:0], windowRes{t0: t0, t1: time.Now()})
 				g.windowDone(window, next, end, g.resScratch, evBase)
 			} else {
-				g.kernels[0].RunWindow(end)
+				g.kernels[0].runWindow(end)
 			}
 			window++
 			continue
@@ -241,7 +241,7 @@ func (g *ShardGroup) Run() Time {
 		}
 	}
 	for _, k := range g.kernels {
-		k.FinishAt(end)
+		k.finishAt(end)
 	}
 	return end
 }
@@ -329,6 +329,6 @@ func runWindowRecover(k *Kernel, end Time) (r any) {
 			r = v
 		}
 	}()
-	k.RunWindow(end)
+	k.runWindow(end)
 	return nil
 }

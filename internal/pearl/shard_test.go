@@ -21,7 +21,7 @@ func TestRunWindowPhases(t *testing.T) {
 			k.Post(func() { order = append(order, "post2") })
 		})
 	})
-	k.RunWindow(100)
+	k.runWindow(100)
 	want := "[event post event2 post2 settle]"
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("phase order = %v, want %v", got, want)
@@ -40,14 +40,14 @@ func TestRunWindowStopsAtEnd(t *testing.T) {
 		at := at
 		k.At(at, func() { fired = append(fired, at) })
 	}
-	k.RunWindow(10)
+	k.runWindow(10)
 	if fmt.Sprint(fired) != "[1 9]" {
 		t.Fatalf("window [0,10) fired %v", fired)
 	}
-	if nt, ok := k.NextTime(); !ok || nt != 10 {
+	if nt, ok := k.nextTime(); !ok || nt != 10 {
 		t.Fatalf("next = %d,%v, want 10,true", nt, ok)
 	}
-	k.RunWindow(100)
+	k.runWindow(100)
 	if fmt.Sprint(fired) != "[1 9 10 11]" {
 		t.Fatalf("after second window fired %v", fired)
 	}
@@ -174,11 +174,11 @@ func TestFinishAt(t *testing.T) {
 	k := NewKernel()
 	k.At(3, func() {})
 	k.Run()
-	k.FinishAt(99)
+	k.finishAt(99)
 	if k.Now() != 99 {
 		t.Fatalf("now = %d after FinishAt(99)", k.Now())
 	}
-	k.FinishAt(50) // never moves backwards
+	k.finishAt(50) // never moves backwards
 	if k.Now() != 99 {
 		t.Fatalf("now = %d after FinishAt(50), want 99", k.Now())
 	}
@@ -189,7 +189,7 @@ func TestFinishAt(t *testing.T) {
 			t.Errorf("FinishAt with pending events did not panic")
 		}
 	}()
-	k2.FinishAt(10)
+	k2.finishAt(10)
 }
 
 // TestFinishAtKeepsQueueExact moves the clock past daemon events still
@@ -206,15 +206,15 @@ func TestFinishAtKeepsQueueExact(t *testing.T) {
 	}
 	k.At(2, func() {})
 	k.Run()
-	k.FinishAt(wheelSize + 5)
+	k.finishAt(wheelSize + 5)
 	// Earliest event first, dropped in that order.
 	for _, i := range []int{1, 0, 2, 4, 5, 3} {
-		if got, ok := k.NextTime(); !ok || got != at[i] {
+		if got, ok := k.nextTime(); !ok || got != at[i] {
 			t.Fatalf("NextTime = %d, %v; want %d", got, ok, at[i])
 		}
 		k.drop()
 	}
-	if got, ok := k.NextTime(); ok {
+	if got, ok := k.nextTime(); ok {
 		t.Fatalf("NextTime = %d on an empty queue", got)
 	}
 	// Near and far events scheduled after the jump keep (time, seq) order.

@@ -43,3 +43,16 @@ func (k *Kernel) drop() bool {
 	k.release(idx)
 	return true
 }
+
+// blockReason returns a short description of what the process is currently
+// blocked on; empty if running or terminated. For diagnostics.
+func (p *Process) blockReason() string {
+	if p.receiving != "" {
+		return p.receiving
+	}
+	return p.c.Reason()
+}
+
+// queueLen returns the number of chains (processes among them) waiting to
+// acquire.
+func (r *Resource) queueLen() int { return r.waiters.len() }

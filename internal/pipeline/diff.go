@@ -92,11 +92,11 @@ func metricsOf(m *Manifest) map[string]metric {
 // "<group>/<key>"; the Changed count covers only deterministic experiments,
 // so it is stable across hosts.
 func Diff(beforeDir, afterDir string) (*DiffReport, error) {
-	mb, err := ReadManifest(beforeDir)
+	mb, err := readManifest(beforeDir)
 	if err != nil {
 		return nil, err
 	}
-	ma, err := ReadManifest(afterDir)
+	ma, err := readManifest(afterDir)
 	if err != nil {
 		return nil, err
 	}

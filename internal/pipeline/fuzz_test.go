@@ -26,7 +26,7 @@ func FuzzParseGrid(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := g.Validate(); err != nil {
+		if err := g.validate(); err != nil {
 			t.Fatalf("accepted grid fails validation: %v\n%s", err, doc)
 		}
 		data, err := json.Marshal(g)

@@ -89,14 +89,14 @@ func ParseGrid(data []byte) (*GridSpec, error) {
 	if err := dec.Decode(&g); err != nil {
 		return nil, fmt.Errorf("pipeline: parsing grid: %w", err)
 	}
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		return nil, err
 	}
 	return &g, nil
 }
 
-// Validate checks the grid against the experiment registry.
-func (g *GridSpec) Validate() error {
+// validate checks the grid against the experiment registry.
+func (g *GridSpec) validate() error {
 	if g.Name == "" {
 		return fmt.Errorf("pipeline: grid needs a name")
 	}
@@ -130,9 +130,9 @@ func (g *GridSpec) Validate() error {
 // parameter, passed as the experiment's Spec.Sweep.
 type Point map[string]string
 
-// Label renders the point as "k=v k2=v2" with sorted keys; empty for the
+// label renders the point as "k=v k2=v2" with sorted keys; empty for the
 // defaults-only point.
-func (p Point) Label() string {
+func (p Point) label() string {
 	if len(p) == 0 {
 		return ""
 	}

@@ -13,8 +13,8 @@ import (
 	"mermaid/internal/stats"
 )
 
-// ManifestVersion is bumped when the manifest layout changes incompatibly.
-const ManifestVersion = 1
+// manifestVersion is bumped when the manifest layout changes incompatibly.
+const manifestVersion = 1
 
 // manifestFile is the manifest's filename inside an artifact directory.
 const manifestFile = "manifest.json"
@@ -68,9 +68,9 @@ type Manifest struct {
 	Files map[string]string `json:"files"`
 }
 
-// WriteJSON writes the manifest as deterministic indented JSON (object keys
+// writeJSON writes the manifest as deterministic indented JSON (object keys
 // sort; map fields are host-stable given equal content).
-func (m *Manifest) WriteJSON(w io.Writer) error {
+func (m *Manifest) writeJSON(w io.Writer) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
@@ -80,8 +80,8 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ReadManifest loads the manifest of an artifact directory.
-func ReadManifest(dir string) (*Manifest, error) {
+// readManifest loads the manifest of an artifact directory.
+func readManifest(dir string) (*Manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: reading manifest: %w", err)
@@ -90,8 +90,8 @@ func ReadManifest(dir string) (*Manifest, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("pipeline: parsing %s: %w", filepath.Join(dir, manifestFile), err)
 	}
-	if m.Version != ManifestVersion {
-		return nil, fmt.Errorf("pipeline: %s: manifest version %d, this build reads %d", dir, m.Version, ManifestVersion)
+	if m.Version != manifestVersion {
+		return nil, fmt.Errorf("pipeline: %s: manifest version %d, this build reads %d", dir, m.Version, manifestVersion)
 	}
 	return &m, nil
 }
@@ -149,7 +149,7 @@ func listArtifacts(dir string) ([]string, error) {
 // row and column name), every file must match its recorded content hash,
 // and no unrecorded files may appear in the artifact subdirectories.
 func Validate(dir string) error {
-	m, err := ReadManifest(dir)
+	m, err := readManifest(dir)
 	if err != nil {
 		return err
 	}

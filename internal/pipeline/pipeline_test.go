@@ -210,7 +210,7 @@ func TestDiffDetectsChange(t *testing.T) {
 	_, dirB := runTestGrid(t, 2)
 	// Forge a changed metric in B's manifest (simulating a behavioural
 	// change between commits).
-	mb, err := ReadManifest(dirB)
+	mb, err := readManifest(dirB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDiffDetectsChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mb.WriteJSON(f); err != nil {
+	if err := mb.writeJSON(f); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -289,7 +289,7 @@ func TestGridPointExpansion(t *testing.T) {
 	if len(pts) != 2 {
 		t.Fatalf("expanded %d points, want 2: %v", len(pts), pts)
 	}
-	labels := []string{pts[0].Label(), pts[1].Label()}
+	labels := []string{pts[0].label(), pts[1].label()}
 	want := []string{"assocs=2 sizes=4", "assocs=2 sizes=8"}
 	if !reflect.DeepEqual(labels, want) {
 		t.Errorf("labels = %v, want %v", labels, want)

@@ -76,7 +76,7 @@ type namedFile struct {
 // writing happens on the caller's goroutine in submission order, so the
 // directory layout and the manifest are deterministic for any worker count.
 func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
-	if err := grid.Validate(); err != nil {
+	if err := grid.validate(); err != nil {
 		return nil, "", err
 	}
 	now := opts.Now
@@ -138,7 +138,7 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 	}
 
 	man := &Manifest{
-		Version:   ManifestVersion,
+		Version:   manifestVersion,
 		Name:      grid.Name,
 		CreatedAt: now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
@@ -193,7 +193,7 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	if err := man.WriteJSON(mf); err != nil {
+	if err := man.writeJSON(mf); err != nil {
 		mf.Close()
 		return nil, "", err
 	}
@@ -219,7 +219,7 @@ func expandUnits(grid *GridSpec) []unit {
 		}
 		for _, pt := range ge.points() {
 			group := e.Name
-			if label := pt.Label(); label != "" {
+			if label := pt.label(); label != "" {
 				group += "@" + label
 			}
 			base := sanitize(strings.ReplaceAll(group, " ", ","))
@@ -255,7 +255,7 @@ func buildOutput(u unit, rs *experiments.ResultSet, wall time.Duration) (*unitOu
 
 	var logBuf bytes.Buffer
 	fmt.Fprintf(&logBuf, "experiment: %s\n", rs.Experiment)
-	if label := u.point.Label(); label != "" {
+	if label := u.point.label(); label != "" {
 		fmt.Fprintf(&logBuf, "point:      %s\n", label)
 	}
 	fmt.Fprintf(&logBuf, "replica:    %d\n\n", u.replica)

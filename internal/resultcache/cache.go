@@ -114,7 +114,7 @@ func (c *Cache) Register(reg *probe.Registry) {
 	reg.Gauge("resultcache.hits", "", func() float64 { return float64(c.hits.Load()) })
 	reg.Gauge("resultcache.misses", "", func() float64 { return float64(c.misses.Load()) })
 	reg.Gauge("resultcache.evictions", "", func() float64 { return float64(c.evictions.Load()) })
-	reg.Gauge("resultcache.entries", "", func() float64 { return float64(c.Len()) })
+	reg.Gauge("resultcache.entries", "", func() float64 { return float64(c.entries()) })
 	reg.Gauge("resultcache.bytes", "B", func() float64 { return float64(c.Bytes()) })
 }
 
@@ -160,8 +160,8 @@ func (c *Cache) Put(k Key, e Entry) {
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *Cache) Len() int {
+// entries returns the number of cached entries.
+func (c *Cache) entries() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

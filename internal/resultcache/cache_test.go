@@ -1,4 +1,4 @@
-package resultcache_test
+package resultcache
 
 import (
 	"strings"
@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"mermaid/internal/probe"
-	"mermaid/internal/resultcache"
 )
 
 func TestKeyID(t *testing.T) {
-	a := resultcache.Key{Config: "c1", Workload: "w1", Seed: 7}
+	a := Key{Config: "c1", Workload: "w1", Seed: 7}
 	if a.ID() != a.ID() {
 		t.Fatal("key ID not deterministic")
 	}
-	variants := []resultcache.Key{
+	variants := []Key{
 		{Config: "c2", Workload: "w1", Seed: 7},
 		{Config: "c1", Workload: "w2", Seed: 7},
 		{Config: "c1", Workload: "w1", Seed: 8},
@@ -34,12 +33,12 @@ func TestKeyID(t *testing.T) {
 }
 
 func TestCacheHitMissAndCounters(t *testing.T) {
-	c := resultcache.New(8)
-	k := resultcache.Key{Config: "c", Workload: "w", Seed: 1}
+	c := New(8)
+	k := Key{Config: "c", Workload: "w", Seed: 1}
 	if _, ok := c.Get(k); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(k, resultcache.Entry{Report: []byte("report"), Cycles: 42, Events: 7})
+	c.Put(k, Entry{Report: []byte("report"), Cycles: 42, Events: 7})
 	e, ok := c.Get(k)
 	if !ok {
 		t.Fatal("miss after Put")
@@ -62,28 +61,28 @@ func TestCacheHitMissAndCounters(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := resultcache.New(2)
-	k := func(i int) resultcache.Key { return resultcache.Key{Config: "c", Seed: uint64(i)} }
-	c.Put(k(1), resultcache.Entry{})
-	c.Put(k(2), resultcache.Entry{})
+	c := New(2)
+	k := func(i int) Key { return Key{Config: "c", Seed: uint64(i)} }
+	c.Put(k(1), Entry{})
+	c.Put(k(2), Entry{})
 	if _, ok := c.Get(k(1)); !ok { // refresh 1: now 2 is least recent
 		t.Fatal("entry 1 missing")
 	}
-	c.Put(k(3), resultcache.Entry{})
+	c.Put(k(3), Entry{})
 	if _, ok := c.Get(k(2)); ok {
 		t.Error("least recently used entry survived eviction")
 	}
 	if _, ok := c.Get(k(1)); !ok {
 		t.Error("recently used entry was evicted")
 	}
-	if c.Len() != 2 || c.Evictions() != 1 {
-		t.Errorf("len/evictions = %d/%d, want 2/1", c.Len(), c.Evictions())
+	if c.entries() != 2 || c.Evictions() != 1 {
+		t.Errorf("len/evictions = %d/%d, want 2/1", c.entries(), c.Evictions())
 	}
 }
 
 // The cache serves HTTP handlers and farm workers at once.
 func TestCacheConcurrent(t *testing.T) {
-	c := resultcache.New(16)
+	c := New(16)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		w := w
@@ -91,9 +90,9 @@ func TestCacheConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				k := resultcache.Key{Config: "c", Seed: uint64((w + i) % 32)}
+				k := Key{Config: "c", Seed: uint64((w + i) % 32)}
 				if i%3 == 0 {
-					c.Put(k, resultcache.Entry{Cycles: int64(i)})
+					c.Put(k, Entry{Cycles: int64(i)})
 				} else {
 					c.Get(k)
 				}
@@ -101,18 +100,18 @@ func TestCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Errorf("cache overflowed capacity: %d", c.Len())
+	if c.entries() > 16 {
+		t.Errorf("cache overflowed capacity: %d", c.entries())
 	}
 }
 
 // TestCacheBytes checks the byte gauge tracks stores, replacements and
 // evictions.
 func TestCacheBytes(t *testing.T) {
-	c := resultcache.New(2)
-	k := func(i int) resultcache.Key { return resultcache.Key{Config: "c", Seed: uint64(i)} }
-	ent := func(n int) resultcache.Entry {
-		return resultcache.Entry{Report: make([]byte, n), Metrics: make([]byte, n)}
+	c := New(2)
+	k := func(i int) Key { return Key{Config: "c", Seed: uint64(i)} }
+	ent := func(n int) Entry {
+		return Entry{Report: make([]byte, n), Metrics: make([]byte, n)}
 	}
 	if c.Bytes() != 0 {
 		t.Fatalf("empty cache reports %d bytes", c.Bytes())

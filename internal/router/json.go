@@ -17,7 +17,7 @@ func (s *Switching) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
-	v, ok := SwitchingByName(name)
+	v, ok := switchingByName(name)
 	if !ok {
 		return fmt.Errorf("router: unknown switching strategy %q", name)
 	}

@@ -81,7 +81,7 @@ func TestLazyTableInvalidate(t *testing.T) {
 // anything but the touched rows.
 func TestLazyTableScalesPastEagerLimit(t *testing.T) {
 	topo := mustTopo(t, topology.Config{Kind: topology.Torus3D, DimX: 32, DimY: 32, DimZ: 32})
-	if topo.Nodes() <= MaxEagerTableNodes {
+	if topo.Nodes() <= maxEagerTableNodes {
 		t.Fatalf("test topology too small: %d nodes", topo.Nodes())
 	}
 	if _, err := BuildTable(topo, nil); err == nil {

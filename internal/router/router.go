@@ -42,9 +42,9 @@ func (s Switching) String() string {
 	return "?"
 }
 
-// SwitchingByName resolves a strategy name (for configs); ok is false for
+// switchingByName resolves a strategy name (for configs); ok is false for
 // unknown names.
-func SwitchingByName(s string) (Switching, bool) {
+func switchingByName(s string) (Switching, bool) {
 	switch s {
 	case "store-and-forward", "saf":
 		return StoreAndForward, true

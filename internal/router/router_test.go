@@ -100,15 +100,15 @@ func TestValidate(t *testing.T) {
 
 func TestSwitchingByName(t *testing.T) {
 	for _, s := range []Switching{StoreAndForward, VirtualCutThrough, Wormhole} {
-		got, ok := SwitchingByName(s.String())
+		got, ok := switchingByName(s.String())
 		if !ok || got != s {
 			t.Errorf("round trip failed for %s", s)
 		}
 	}
-	if got, ok := SwitchingByName("wh"); !ok || got != Wormhole {
+	if got, ok := switchingByName("wh"); !ok || got != Wormhole {
 		t.Error("short name wh failed")
 	}
-	if _, ok := SwitchingByName("bogus"); ok {
+	if _, ok := switchingByName("bogus"); ok {
 		t.Error("bogus resolved")
 	}
 }

@@ -24,11 +24,11 @@ type Table struct {
 	next []int16
 }
 
-// MaxEagerTableNodes caps BuildTable: the eager table is O(N²) in both time
+// maxEagerTableNodes caps BuildTable: the eager table is O(N²) in both time
 // and memory (a 100k-node machine would silently allocate a 20 GB next-hop
 // array), so above this threshold BuildTable refuses and callers must use
 // the per-destination LazyTable backend instead.
-const MaxEagerTableNodes = 8192
+const maxEagerTableNodes = 8192
 
 // BuildTable computes next-hop ports for every (node, destination) pair over
 // the links for which alive(node, port) is true. A nil alive means every
@@ -36,9 +36,9 @@ const MaxEagerTableNodes = 8192
 // with an error naming the lazy alternative.
 func BuildTable(t topology.Topology, alive func(node, port int) bool) (*Table, error) {
 	n := t.Nodes()
-	if n > MaxEagerTableNodes {
+	if n > maxEagerTableNodes {
 		return nil, fmt.Errorf("router: eager table for %d nodes is O(N²) = %d entries; above %d nodes use NewLazyTable",
-			n, n*n, MaxEagerTableNodes)
+			n, n*n, maxEagerTableNodes)
 	}
 	tb := &Table{nodes: n, next: make([]int16, n*n)}
 	for i := range tb.next {

@@ -36,8 +36,8 @@ type Column struct {
 // recorded (ValidateCSV).
 type Schema []Column
 
-// Header returns the column names in order.
-func (s Schema) Header() []string {
+// header returns the column names in order.
+func (s Schema) header() []string {
 	h := make([]string, len(s))
 	for i, c := range s {
 		h[i] = c.Name
@@ -45,8 +45,8 @@ func (s Schema) Header() []string {
 	return h
 }
 
-// CheckHeader verifies a read-back header row matches the schema exactly.
-func (s Schema) CheckHeader(row []string) error {
+// checkHeader verifies a read-back header row matches the schema exactly.
+func (s Schema) checkHeader(row []string) error {
 	if len(row) != len(s) {
 		return fmt.Errorf("header has %d columns, schema wants %d", len(row), len(s))
 	}
@@ -58,10 +58,10 @@ func (s Schema) CheckHeader(row []string) error {
 	return nil
 }
 
-// CheckRow validates one data row against the schema: the column count must
+// checkRow validates one data row against the schema: the column count must
 // match and every cell must parse under its column's type. line is the
 // 1-based CSV line number used in error messages (line 1 is the header).
-func (s Schema) CheckRow(line int, row []string) error {
+func (s Schema) checkRow(line int, row []string) error {
 	if len(row) != len(s) {
 		return fmt.Errorf("row %d has %d columns, schema wants %d", line, len(row), len(s))
 	}
@@ -92,13 +92,13 @@ func (c Column) check(cell string) error {
 	return nil
 }
 
-// InferSchema derives a schema from a header and the data rows: a column is
+// inferSchema derives a schema from a header and the data rows: a column is
 // ColInt when every cell parses as an integer, ColFloat when every cell
 // parses as a number, and ColString otherwise. A column with no rows is
 // ColString. The result accepts exactly the rows it was inferred from, so
 // writing a table through its inferred schema can never fail, while any
 // later corruption of a numeric cell is caught on re-validation.
-func InferSchema(header []string, rows [][]string) Schema {
+func inferSchema(header []string, rows [][]string) Schema {
 	s := make(Schema, len(header))
 	for i, name := range header {
 		t := ColString
@@ -127,9 +127,9 @@ func InferSchema(header []string, rows [][]string) Schema {
 	return s
 }
 
-// WithUnits returns a copy of the schema with per-column units attached
+// withUnits returns a copy of the schema with per-column units attached
 // (missing or empty entries leave the column unitless).
-func (s Schema) WithUnits(units []string) Schema {
+func (s Schema) withUnits(units []string) Schema {
 	out := make(Schema, len(s))
 	copy(out, s)
 	for i := range out {
@@ -158,7 +158,7 @@ func NewCSVWriter(w io.Writer, schema Schema) (*CSVWriter, error) {
 		return nil, fmt.Errorf("stats: CSV schema must have at least one column")
 	}
 	cw := &CSVWriter{w: w, cw: csv.NewWriter(w), schema: schema, line: 1}
-	if err := cw.write(schema.Header()); err != nil {
+	if err := cw.write(schema.header()); err != nil {
 		return nil, err
 	}
 	return cw, nil
@@ -166,7 +166,7 @@ func NewCSVWriter(w io.Writer, schema Schema) (*CSVWriter, error) {
 
 // Write validates one data row against the schema and appends it.
 func (w *CSVWriter) Write(row []string) error {
-	if err := w.schema.CheckRow(w.line+1, row); err != nil {
+	if err := w.schema.checkRow(w.line+1, row); err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
 	if err := w.write(row); err != nil {
@@ -223,7 +223,7 @@ func ValidateCSV(r io.Reader, schema Schema) error {
 	if err != nil {
 		return fmt.Errorf("stats: reading CSV header: %w", err)
 	}
-	if err := schema.CheckHeader(header); err != nil {
+	if err := schema.checkHeader(header); err != nil {
 		return fmt.Errorf("stats: %w", err)
 	}
 	for line := 2; ; line++ {
@@ -234,7 +234,7 @@ func ValidateCSV(r io.Reader, schema Schema) error {
 		if err != nil {
 			return fmt.Errorf("stats: reading CSV row %d: %w", line, err)
 		}
-		if err := schema.CheckRow(line, row); err != nil {
+		if err := schema.checkRow(line, row); err != nil {
 			return fmt.Errorf("stats: %w", err)
 		}
 	}

@@ -83,7 +83,7 @@ func TestInferSchema(t *testing.T) {
 		{"a", "1", "0.5", "1"},
 		{"b", "-2", "3", "x"},
 	}
-	s := InferSchema(header, rows)
+	s := inferSchema(header, rows)
 	want := []ColType{ColString, ColInt, ColFloat, ColString}
 	for i, c := range s {
 		if c.Type != want[i] {
@@ -92,7 +92,7 @@ func TestInferSchema(t *testing.T) {
 	}
 	// The inferred schema must accept the rows it came from.
 	for i, row := range rows {
-		if err := s.CheckRow(i+2, row); err != nil {
+		if err := s.checkRow(i+2, row); err != nil {
 			t.Errorf("inferred schema rejects its own row: %v", err)
 		}
 	}

@@ -28,7 +28,7 @@ func FuzzValidateCSV(f *testing.F) {
 			copy(row, strings.Split(line, ","))
 			rows = append(rows, row)
 		}
-		schema := InferSchema(header, rows)
+		schema := inferSchema(header, rows)
 		ValidateCSV(strings.NewReader(doc), schema) //nolint:errcheck // must not panic; any verdict goes
 
 		var buf bytes.Buffer

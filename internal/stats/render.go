@@ -114,7 +114,7 @@ func (t *Table) Rows() [][]string { return t.rows }
 // Schema infers the table's CSV schema from its formatted cells (see
 // InferSchema), attaching the given per-column units if any.
 func (t *Table) Schema(units ...string) Schema {
-	return InferSchema(t.header, t.rows).WithUnits(units)
+	return inferSchema(t.header, t.rows).withUnits(units)
 }
 
 // RenderCSV writes the table as CSV for post-mortem analysis in external

@@ -55,8 +55,8 @@ type Mix struct {
 	Branch   float64
 }
 
-// DefaultMix is a typical scientific-code mix.
-func DefaultMix() Mix {
+// defaultMix is a typical scientific-code mix.
+func defaultMix() Mix {
 	return Mix{Load: 0.25, Store: 0.10, IntArith: 0.30, FltArith: 0.25, Branch: 0.10}
 }
 
@@ -77,8 +77,8 @@ type MemModel struct {
 	Access ops.MemType
 }
 
-// DefaultMem is a 64 KiB uniformly accessed working set of words.
-func DefaultMem() MemModel {
+// defaultMem is a 64 KiB uniformly accessed working set of words.
+func defaultMem() MemModel {
 	return MemModel{Base: 0x1000_0000, WorkingSet: 64 << 10, Access: ops.MemWord}
 }
 
@@ -87,7 +87,7 @@ type PatternKind string
 
 // Supported communication patterns.
 const (
-	None            PatternKind = "none"
+	none            PatternKind = "none"
 	NearestNeighbor PatternKind = "nearest"  // ring-style: send to rank+1, receive from rank-1
 	Exchange        PatternKind = "exchange" // pairwise with partner rank^1
 	AllToAll        PatternKind = "alltoall"
@@ -131,8 +131,8 @@ type Desc struct {
 	Phases     []Phase
 }
 
-// Validate checks the description.
-func (d *Desc) Validate() error {
+// validate checks the description.
+func (d *Desc) validate() error {
 	if d.Nodes < 1 {
 		return fmt.Errorf("stochastic: %d nodes", d.Nodes)
 	}
@@ -157,11 +157,11 @@ func (d *Desc) Validate() error {
 			return fmt.Errorf("stochastic: unknown level %d", d.Level)
 		}
 		switch ph.Comm.Pattern {
-		case None, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs, "":
+		case none, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs, "":
 		default:
 			return fmt.Errorf("stochastic: phase %d unknown pattern %q", i, ph.Comm.Pattern)
 		}
-		if ph.Comm.Pattern != None && ph.Comm.Pattern != "" && ph.Comm.Bytes == 0 {
+		if ph.Comm.Pattern != none && ph.Comm.Pattern != "" && ph.Comm.Bytes == 0 {
 			return fmt.Errorf("stochastic: phase %d communication with zero bytes", i)
 		}
 		if ph.CV < 0 {
@@ -189,7 +189,7 @@ func ParseDesc(data []byte) (Desc, error) {
 	if sized.Nodes == 0 {
 		sized.Nodes = 1
 	}
-	if err := sized.Validate(); err != nil {
+	if err := sized.validate(); err != nil {
 		return Desc{}, err
 	}
 	return d, nil
@@ -229,7 +229,7 @@ func Sources(d Desc) ([]trace.Source, error) {
 
 // generate draws every node's trace, one phase of all nodes at a time.
 func generate(d Desc) ([]stream, error) {
-	if err := d.Validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	g := &generator{d: d, rng: pearl.NewRNG(d.Seed)}
@@ -317,11 +317,11 @@ func (g *generator) computeInstr(s *stream, node int, ph *Phase) {
 	}
 	mix := ph.Mix
 	if mix == (Mix{}) {
-		mix = DefaultMix()
+		mix = defaultMix()
 	}
 	mem := ph.Mem
 	if mem.WorkingSet == 0 {
-		mem = DefaultMem()
+		mem = defaultMem()
 	}
 	if mem.Access == ops.MemNone {
 		mem.Access = ops.MemWord
@@ -408,7 +408,7 @@ func (g *generator) msgBytes(c *Comm) uint32 {
 func (g *generator) comm(streams []stream, _ int, ph *Phase) {
 	c := &ph.Comm
 	n := len(streams)
-	if c.Pattern == None || c.Pattern == "" || n < 2 {
+	if c.Pattern == none || c.Pattern == "" || n < 2 {
 		return
 	}
 	switch c.Pattern {

@@ -18,13 +18,13 @@ func TestAllocFreeRoutingHotLoop(t *testing.T) {
 		return tp
 	}
 	tops := []Topology{
-		mk(NewRing(16)),
+		mk(newRing(16)),
 		mk(NewMesh(4, 4)),
 		mk(NewTorus(4, 4)),
-		mk(NewHypercube(16)),
+		mk(newHypercube(16)),
 		mk(NewTorus3D(4, 4, 4)),
-		mk(NewFatTree(4, 3)),
-		mk(NewDragonfly(4, 2, 9)),
+		mk(newFatTree(4, 3)),
+		mk(newDragonfly(4, 2, 9)),
 	}
 	for _, tp := range tops {
 		tp := tp

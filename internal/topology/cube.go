@@ -18,8 +18,8 @@ type cube struct {
 	wrap         bool
 }
 
-// NewRing builds a bidirectional ring of n nodes (n >= 2).
-func NewRing(n int) (Topology, error) {
+// newRing builds a bidirectional ring of n nodes (n >= 2).
+func newRing(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: ring needs >= 2 nodes, got %d", n)
 	}

@@ -47,8 +47,8 @@ func wiringDigest(tp Topology) string {
 
 func TestCubeWiringDigests(t *testing.T) {
 	for _, mk := range []func() (Topology, error){
-		func() (Topology, error) { return NewRing(2) },
-		func() (Topology, error) { return NewRing(5) },
+		func() (Topology, error) { return newRing(2) },
+		func() (Topology, error) { return newRing(5) },
 		func() (Topology, error) { return NewMesh(1, 6) },
 		func() (Topology, error) { return NewMesh(3, 4) },
 		func() (Topology, error) { return NewTorus(2, 2) },

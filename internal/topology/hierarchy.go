@@ -35,8 +35,8 @@ type fattree struct {
 	perLevel  int  // k^(levels-1) switches per level
 }
 
-// NewFatTree builds a k-ary fat-tree with `levels` switch tiers.
-func NewFatTree(arity, levels int) (Topology, error) {
+// newFatTree builds a k-ary fat-tree with `levels` switch tiers.
+func newFatTree(arity, levels int) (Topology, error) {
 	if arity < 2 || arity&(arity-1) != 0 {
 		return nil, fmt.Errorf("topology: fattree arity must be a power of two >= 2, got %d (field Arity)", arity)
 	}
@@ -201,9 +201,9 @@ type dragonfly struct {
 	groups, routers, globals int
 }
 
-// NewDragonfly builds a dragonfly from routers-per-group, global links per
+// newDragonfly builds a dragonfly from routers-per-group, global links per
 // router, and the group count.
-func NewDragonfly(routers, globals, groups int) (Topology, error) {
+func newDragonfly(routers, globals, groups int) (Topology, error) {
 	if routers < 1 {
 		return nil, fmt.Errorf("topology: dragonfly needs >= 1 router per group, got %d (field Routers)", routers)
 	}

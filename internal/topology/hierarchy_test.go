@@ -23,19 +23,19 @@ func props(t *testing.T) []struct {
 		tp  Topology
 		dia int
 	}{
-		{mk(NewRing(9)), 4},
+		{mk(newRing(9)), 4},
 		{mk(NewMesh(4, 4)), 6},
 		{mk(NewTorus(4, 5)), 4},
-		{mk(NewHypercube(32)), 5},
-		{mk(NewStar(8)), 2},
-		{mk(NewFull(7)), 1},
+		{mk(newHypercube(32)), 5},
+		{mk(newStar(8)), 2},
+		{mk(newFull(7)), 1},
 		{mk(NewTorus3D(3, 4, 5)), 1 + 2 + 2},
 		{mk(NewTorus3D(2, 2, 2)), 3},
-		{mk(NewFatTree(4, 2)), 2 * 2},  // host-switch-...-switch-host
-		{mk(NewFatTree(2, 3)), 2 * 3},  // binary, three tiers
-		{mk(NewDragonfly(2, 2, 5)), 5}, // intra + global + intra, with slack
-		{mk(NewDragonfly(4, 1, 5)), 5}, // single global link per router
-		{mk(NewDragonfly(1, 3, 4)), 3}, // single-router groups
+		{mk(newFatTree(4, 2)), 2 * 2},  // host-switch-...-switch-host
+		{mk(newFatTree(2, 3)), 2 * 3},  // binary, three tiers
+		{mk(newDragonfly(2, 2, 5)), 5}, // intra + global + intra, with slack
+		{mk(newDragonfly(4, 1, 5)), 5}, // single global link per router
+		{mk(newDragonfly(1, 3, 4)), 3}, // single-router groups
 	}
 }
 
@@ -143,7 +143,7 @@ func TestDatelineCrossedAtMostOncePerDimension(t *testing.T) {
 // diagnostic, not an application pattern) may alternate: the minimal path
 // between peer switches descends to a shared child before climbing.
 func TestFatTreeUpDownRouting(t *testing.T) {
-	ft, err := NewFatTree(4, 3)
+	ft, err := newFatTree(4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestFatTreeUpDownRouting(t *testing.T) {
 // Dragonfly minimal routes use at most one global hop, so the global-port
 // dateline switches the virtual channel at most once per route.
 func TestDragonflyOneGlobalHop(t *testing.T) {
-	df, err := NewDragonfly(3, 2, 7)
+	df, err := newDragonfly(3, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,8 +240,8 @@ func TestMillionNodeConstruction(t *testing.T) {
 	}
 	for _, tp := range []Topology{
 		mk(NewTorus3D(100, 100, 100)),   // 1,000,000 nodes
-		mk(NewFatTree(32, 4)),           // 32^4 = 1,048,576 hosts + 131,072 switches
-		mk(NewDragonfly(1024, 1, 1025)), // 1024 routers x 1025 groups = 1,049,600
+		mk(newFatTree(32, 4)),           // 32^4 = 1,048,576 hosts + 131,072 switches
+		mk(newDragonfly(1024, 1, 1025)), // 1024 routers x 1025 groups = 1,049,600
 	} {
 		n := tp.Nodes()
 		if n < 1_000_000 {

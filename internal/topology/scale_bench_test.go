@@ -17,8 +17,8 @@ func BenchmarkScaleRouting(b *testing.B) {
 	for _, tp := range []Topology{
 		mk(NewMesh(1000, 1000)),         // 1,000,000 nodes, no wraparound
 		mk(NewTorus3D(100, 100, 100)),   // 1,000,000 nodes
-		mk(NewFatTree(32, 4)),           // 1,179,648 nodes
-		mk(NewDragonfly(1024, 1, 1025)), // 1,049,600 nodes
+		mk(newFatTree(32, 4)),           // 1,179,648 nodes
+		mk(newDragonfly(1024, 1, 1025)), // 1,049,600 nodes
 	} {
 		tp := tp
 		b.Run(tp.Name(), func(b *testing.B) {

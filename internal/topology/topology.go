@@ -84,7 +84,7 @@ type Config struct {
 func New(cfg Config) (Topology, error) {
 	switch cfg.Kind {
 	case Ring:
-		return NewRing(cfg.Nodes)
+		return newRing(cfg.Nodes)
 	case Mesh2D:
 		return NewMesh(cfg.DimX, cfg.DimY)
 	case Torus2D:
@@ -92,15 +92,15 @@ func New(cfg Config) (Topology, error) {
 	case Torus3D:
 		return NewTorus3D(cfg.DimX, cfg.DimY, cfg.DimZ)
 	case Hypercube:
-		return NewHypercube(cfg.Nodes)
+		return newHypercube(cfg.Nodes)
 	case Star:
-		return NewStar(cfg.Nodes)
+		return newStar(cfg.Nodes)
 	case FullyConnected:
-		return NewFull(cfg.Nodes)
+		return newFull(cfg.Nodes)
 	case FatTree:
-		return NewFatTree(cfg.Arity, cfg.Levels)
+		return newFatTree(cfg.Arity, cfg.Levels)
 	case Dragonfly:
-		return NewDragonfly(cfg.Routers, cfg.Globals, cfg.Groups)
+		return newDragonfly(cfg.Routers, cfg.Globals, cfg.Groups)
 	}
 	return nil, fmt.Errorf("topology: unknown kind %q", cfg.Kind)
 }
@@ -162,9 +162,9 @@ type hypercube struct {
 	n, dim int
 }
 
-// NewHypercube builds a hypercube of n nodes (n a power of two >= 2), with
+// newHypercube builds a hypercube of n nodes (n a power of two >= 2), with
 // e-cube routing (correct the lowest differing dimension first).
-func NewHypercube(n int) (Topology, error) {
+func newHypercube(n int) (Topology, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("topology: hypercube needs a power-of-two node count, got %d", n)
 	}
@@ -204,8 +204,8 @@ func (h *hypercube) Route(at, to int) int {
 
 type star struct{ n int }
 
-// NewStar builds a star: node 0 is the hub, nodes 1..n-1 are leaves.
-func NewStar(n int) (Topology, error) {
+// newStar builds a star: node 0 is the hub, nodes 1..n-1 are leaves.
+func newStar(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: star needs >= 2 nodes, got %d", n)
 	}
@@ -244,8 +244,8 @@ func (s *star) Route(at, to int) int {
 
 type full struct{ n int }
 
-// NewFull builds a fully connected (crossbar-like) topology.
-func NewFull(n int) (Topology, error) {
+// newFull builds a fully connected (crossbar-like) topology.
+func newFull(n int) (Topology, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("topology: full needs >= 2 nodes, got %d", n)
 	}

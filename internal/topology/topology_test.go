@@ -15,15 +15,15 @@ func all(t *testing.T) []Topology {
 		}
 		out = append(out, tp)
 	}
-	mk(NewRing(7))
+	mk(newRing(7))
 	mk(NewMesh(4, 3))
 	mk(NewTorus(4, 4))
-	mk(NewHypercube(16))
-	mk(NewStar(6))
-	mk(NewFull(5))
+	mk(newHypercube(16))
+	mk(newStar(6))
+	mk(newFull(5))
 	mk(NewTorus3D(3, 4, 2))
-	mk(NewFatTree(4, 2))
-	mk(NewDragonfly(2, 2, 5))
+	mk(newFatTree(4, 2))
+	mk(newDragonfly(2, 2, 5))
 	return out
 }
 
@@ -68,7 +68,7 @@ func TestTopologyInvariants(t *testing.T) {
 }
 
 func TestRingDistances(t *testing.T) {
-	r, _ := NewRing(8)
+	r, _ := newRing(8)
 	if d := distance(r, 0, 4); d != 4 {
 		t.Fatalf("antipodal distance = %d, want 4", d)
 	}
@@ -131,7 +131,7 @@ func TestTorusWrap(t *testing.T) {
 }
 
 func TestHypercubeEcube(t *testing.T) {
-	h, _ := NewHypercube(8)
+	h, _ := newHypercube(8)
 	if d := distance(h, 0, 7); d != 3 {
 		t.Fatalf("distance 0->7 = %d, want 3 (popcount)", d)
 	}
@@ -145,13 +145,13 @@ func TestHypercubeEcube(t *testing.T) {
 }
 
 func TestHypercubeRejectsNonPowerOfTwo(t *testing.T) {
-	if _, err := NewHypercube(6); err == nil {
+	if _, err := newHypercube(6); err == nil {
 		t.Fatal("expected error")
 	}
 }
 
 func TestStarRouting(t *testing.T) {
-	s, _ := NewStar(5)
+	s, _ := newStar(5)
 	if d := distance(s, 1, 2); d != 2 {
 		t.Fatalf("leaf-to-leaf = %d, want 2", d)
 	}
@@ -164,7 +164,7 @@ func TestStarRouting(t *testing.T) {
 }
 
 func TestFullIsDiameterOne(t *testing.T) {
-	f, _ := NewFull(6)
+	f, _ := newFull(6)
 	if diameter(f) != 1 {
 		t.Fatalf("diameter = %d", diameter(f))
 	}
@@ -174,11 +174,11 @@ func TestFullIsDiameterOne(t *testing.T) {
 }
 
 func TestAvgDistance(t *testing.T) {
-	f, _ := NewFull(4)
+	f, _ := newFull(4)
 	if avg := avgDistance(f); avg != 1 {
 		t.Fatalf("full avg = %v, want 1", avg)
 	}
-	r, _ := NewRing(4)
+	r, _ := newRing(4)
 	// distances from any node: 1,2,1 -> avg 4/3
 	if avg := avgDistance(r); avg < 1.32 || avg > 1.35 {
 		t.Fatalf("ring(4) avg = %v, want ~1.333", avg)
@@ -243,7 +243,7 @@ func abs(x int) int {
 }
 
 func TestDatelines(t *testing.T) {
-	r, _ := NewRing(4)
+	r, _ := newRing(4)
 	// Clockwise dateline at node n-1, counterclockwise at node 0.
 	if !r.Dateline(3, 0) || !r.Dateline(0, 1) {
 		t.Fatal("ring datelines missing at wrap edges")
@@ -277,19 +277,19 @@ func TestDatelines(t *testing.T) {
 		}
 	}
 
-	h, _ := NewHypercube(8)
+	h, _ := newHypercube(8)
 	if h.PortDim(2) != 2 || h.Dateline(0, 0) {
 		t.Fatal("hypercube dateline data wrong")
 	}
-	s, _ := NewStar(4)
-	f, _ := NewFull(4)
+	s, _ := newStar(4)
+	f, _ := newFull(4)
 	if s.Dateline(0, 0) || f.Dateline(0, 0) || s.PortDim(0) != 0 || f.PortDim(0) != 0 {
 		t.Fatal("star/full dateline data wrong")
 	}
 }
 
 func TestConstructorErrors(t *testing.T) {
-	if _, err := NewRing(1); err == nil {
+	if _, err := newRing(1); err == nil {
 		t.Error("ring(1)")
 	}
 	if _, err := NewMesh(1, 1); err == nil {
@@ -298,10 +298,10 @@ func TestConstructorErrors(t *testing.T) {
 	if _, err := NewTorus(1, 4); err == nil {
 		t.Error("torus(1x4)")
 	}
-	if _, err := NewStar(1); err == nil {
+	if _, err := newStar(1); err == nil {
 		t.Error("star(1)")
 	}
-	if _, err := NewFull(1); err == nil {
+	if _, err := newFull(1); err == nil {
 		t.Error("full(1)")
 	}
 }
@@ -345,7 +345,7 @@ func TestMinimalPortsContainRouteAndReduceDistance(t *testing.T) {
 }
 
 func TestHypercubeAdaptivity(t *testing.T) {
-	h, _ := NewHypercube(8)
+	h, _ := newHypercube(8)
 	if got := len(h.MinimalPorts(0, 7)); got != 3 {
 		t.Fatalf("0->7 minimal ports = %d, want 3", got)
 	}
