@@ -110,6 +110,9 @@ func main() {
 		fatal(fmt.Errorf("-sweep only applies to -experiment runs"))
 	}
 
+	if *monitor < 0 {
+		fatal(fmt.Errorf("-monitor must be 0 (off) or a positive interval, have %d", *monitor))
+	}
 	if *traces != "" {
 		spec.Traces = strings.Split(*traces, ",")
 	}

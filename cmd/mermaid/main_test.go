@@ -419,6 +419,51 @@ func TestRunAppRefusals(t *testing.T) {
 	}
 }
 
+// A size an application reads must be at least 1: the spec is refused
+// before any machine is built, and the command exits nonzero without a run.
+// An application that does not read a size ignores it. A negative -monitor
+// interval is refused too, not taken as "off".
+func TestNonPositiveSizesRefused(t *testing.T) {
+	for _, tc := range []struct {
+		app  string
+		set  func(*core.RunSpec)
+		want string // "" means the spec resolves
+	}{
+		{"pingpong", func(s *core.RunSpec) { s.Bytes = -5 }, "pingpong needs -bytes of at least 1, have -5"},
+		{"pingpong", func(s *core.RunSpec) { s.Rounds = -2 }, "pingpong needs -rounds of at least 1, have -2"},
+		{"pingpong", func(s *core.RunSpec) { s.Rounds = 0 }, "pingpong needs -rounds of at least 1, have 0"},
+		{"jacobi", func(s *core.RunSpec) { s.Iters = -1 }, "jacobi needs -iters of at least 1, have -1"},
+		{"jacobi-dsm", func(s *core.RunSpec) { s.Iters = 0 }, "jacobi-dsm needs -iters of at least 1"},
+		{"transpose", func(s *core.RunSpec) { s.Bytes = 0 }, "transpose needs -bytes of at least 1"},
+		{"butterfly", func(s *core.RunSpec) { s.Iters = -3 }, "butterfly needs -iters of at least 1"},
+		{"shared", func(s *core.RunSpec) { s.Iters = -1 }, "shared needs -iters of at least 1"},
+		{"jacobi", func(s *core.RunSpec) { s.Bytes, s.Rounds = -1, -1 }, ""},
+		{"allreduce", func(s *core.RunSpec) { s.Bytes, s.Rounds, s.Iters = -1, -1, -1 }, ""},
+	} {
+		spec := tinyApp("t805-2x2", tc.app)
+		tc.set(&spec)
+		_, _, err := spec.Resolve()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %v", tc.app, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want one containing %q", tc.app, err, tc.want)
+		}
+	}
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-preset", "t805-2x1", "-app", "pingpong", "-bytes", "-5"},
+		{"-preset", "t805-2x1", "-app", "pingpong", "-rounds", "-2"},
+		{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "-1"},
+		{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-monitor", "-5"},
+	} {
+		code, stdout, stderr := runCLI(t, dir, args...)
+		if code == 0 || bytes.Contains(stdout, []byte("simulated time")) || len(stderr) == 0 {
+			t.Errorf("%v: exit %d, stdout %.80q, stderr %q; want a refusal before any run", args, code, stdout, stderr)
+		}
+	}
+}
+
 // An instruction-level description runs to the same result whether the
 // machine generates it (-desc) or replays trace files written from the same
 // description (the trgen path): cycles, events, instructions and every

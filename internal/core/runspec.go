@@ -76,6 +76,12 @@ func (s RunSpec) Resolve() (machine.Config, func(*machine.Machine) (*machine.Res
 	case len(workloads) > 1:
 		return machine.Config{}, nil, fmt.Errorf("give exactly one of %s", strings.Join(workloads, " and "))
 	case s.App != "":
+		sizes := map[string]int{"rounds": s.Rounds, "iters": s.Iters, "bytes": s.Bytes}
+		for _, name := range appSizes[s.App] {
+			if sizes[name] < 1 {
+				return machine.Config{}, nil, fmt.Errorf("%s needs -%s of at least 1, have %d", s.App, name, sizes[name])
+			}
+		}
 		return cfg, s.runApp, nil
 	case len(s.Traces) > 0:
 		return cfg, s.runTraces, nil
@@ -202,6 +208,17 @@ var apps = []string{"pingpong", "jacobi", "jacobi-dsm", "matmul", "allreduce", "
 
 // AppNames lists the applications a RunSpec's App may name.
 func AppNames() []string { return slices.Clone(apps) }
+
+// appSizes names, by flag, the sizes each application reads that must be at
+// least 1; Cells and Dim have per-processor minimums, which runApp checks.
+var appSizes = map[string][]string{
+	"pingpong":   {"rounds", "bytes"},
+	"jacobi":     {"iters"},
+	"jacobi-dsm": {"iters"},
+	"transpose":  {"bytes"},
+	"butterfly":  {"bytes", "iters"},
+	"shared":     {"iters"},
+}
 
 // runApp runs the instrumented application on m, refusing before the run
 // one the machine cannot run.
