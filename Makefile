@@ -10,8 +10,13 @@ check: fmt vet build apicheck
 	go test -race ./...
 
 # Fail when the exported API surface of internal/... drifts from the
-# checked-in golden. After an intentional API change, regenerate with
-# `make api` and commit API.txt alongside the change.
+# checked-in golden, or when any identifier on it is used by no .go file in
+# another directory of the module (tests, benchmark/ and examples/ count;
+# the package's own tests do not): unexport what only its own package uses,
+# delete what only its own tests use. cmd/apidiff type-checks the module
+# from source in about 6 s. After an intentional API change, regenerate with
+# `make api` (which refuses while anything is flagged) and commit API.txt
+# alongside the change.
 apicheck:
 	go run ./cmd/apidiff
 

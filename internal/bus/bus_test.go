@@ -97,6 +97,18 @@ func TestCrossbarSameBankSerialises(t *testing.T) {
 	}
 }
 
+// The bus is one arbitration domain, which every agent observes (the
+// broadcast medium snoopy coherence needs); a crossbar has one per bank.
+func TestBroadcast(t *testing.T) {
+	k := pearl.NewKernel()
+	if b := New(k, "b", Config{Kind: KindBus, Width: 8, ArbitrationDelay: 1}, nil, nil); len(b.chans) != 1 {
+		t.Fatalf("bus has %d channels, want 1: a broadcast medium", len(b.chans))
+	}
+	if x := New(k, "x", Config{Kind: KindCrossbar, Banks: 2}, nil, nil); len(x.chans) != 2 {
+		t.Fatalf("crossbar has %d channels, want one per bank", len(x.chans))
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := Config{Kind: KindCrossbar}
 	if err := good.Validate(); err != nil {

@@ -264,7 +264,7 @@ func (c *Cache) used(i int) {
 	}
 }
 
-// mustNew is New for known-good configs (presets, tests).
+// mustNew is newCache for known-good configs (presets, tests).
 func mustNew(cfg Config, rng *pearl.RNG) *Cache {
 	c, err := newCache(cfg, rng)
 	if err != nil {
@@ -329,7 +329,7 @@ func (c *Cache) find(la uint64) int {
 }
 
 // lookup finds the line (by line address) and refreshes its LRU position.
-// It returns nil on miss. Lookup does not update hit/miss counters; the
+// It returns nil on miss. lookup does not update hit/miss counters; the
 // hierarchy does, so that probes (snoops) don't pollute demand statistics.
 func (c *Cache) lookup(la uint64) *state {
 	i := c.find(la)
@@ -350,7 +350,7 @@ func (c *Cache) probe(la uint64) (state, bool) {
 	return invalid, false
 }
 
-// victim describes a line displaced by Insert.
+// victim describes a line displaced by insert.
 type victim struct {
 	LineAddr uint64
 	State    state

@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mermaid/internal/pearl"
 )
@@ -175,6 +176,17 @@ func TestFullyAssociative(t *testing.T) {
 	}
 	if _, had := c.insert(c.lineAddr(5*0x10000), exclusive); !had {
 		t.Fatal("fifth line should evict")
+	}
+}
+
+func TestFootprintIndependentOfLineSize(t *testing.T) {
+	small := mustNew(Config{Name: "s", Size: 1 << 14, LineSize: 16, Assoc: 2}, nil)
+	big := mustNew(Config{Name: "b", Size: 1 << 20, LineSize: 1024, Assoc: 2}, nil)
+	// Same number of lines -> same host state, though capacities differ 64x:
+	// caches hold tags, not data (paper §6), so a line record is a tag,
+	// a state and two clocks whatever the simulated line size.
+	if len(small.sets) != len(big.sets) || unsafe.Sizeof(line{}) > 32 {
+		t.Fatalf("lines %d vs %d, %d bytes per line", len(small.sets), len(big.sets), unsafe.Sizeof(line{}))
 	}
 }
 

@@ -74,7 +74,7 @@ func (c *Config) Validate() error {
 }
 
 // The DSM protocol owns the top of the tag space; applications must stay
-// below TagBase.
+// below tagBase.
 const (
 	// tagBase is the first tag reserved for the DSM protocol.
 	tagBase uint32 = 0xD500_0000

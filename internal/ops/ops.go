@@ -59,7 +59,7 @@ const (
 	numKinds
 )
 
-// NumKinds is the number of defined operation kinds (excluding Invalid).
+// NumKinds is the number of defined operation kinds (excluding invalid).
 const NumKinds = int(numKinds) - 1
 
 var kindNames = [...]string{

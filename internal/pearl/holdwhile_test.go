@@ -246,11 +246,7 @@ func (w *propWorld) shardOf(proc int) *propShard { return w.shards[w.shardIndex(
 func (w *propWorld) send(from, to int, d Time) {
 	src, dst := w.shardIndex(from), w.shardIndex(to)
 	if src == dst {
-		if d == 0 {
-			w.inbox[to].Send(from)
-		} else {
-			w.shards[src].k.After(d, func() { w.inbox[to].Send(from) })
-		}
+		w.inbox[to].sendAfter(d, from)
 		return
 	}
 	w.sent[from]++

@@ -140,7 +140,7 @@ type Kernel struct {
 	// Settle callbacks run after the Posts. Neither queue is ordered by seq —
 	// deferred work must be order-insensitive by construction (the sharded
 	// network uses Post for arrival draining and Settle for link
-	// arbitration, both keyed deterministically). Only RunWindow drains
+	// arbitration, both keyed deterministically). Only runWindow drains
 	// these queues; Run and RunUntil predate them and never see any.
 	postq      []func()
 	postHead   int
@@ -154,7 +154,7 @@ type Kernel struct {
 	// The baton: exactly one stack runs kernel or model code at a time. mode
 	// and bound are the stop condition of the drive in progress, read by
 	// whichever stack runs the loop. A worker that gives the baton up yields
-	// home, to drive on the goroutine that called Run/RunUntil/RunWindow,
+	// home, to drive on the goroutine that called Run/RunUntil/runWindow,
 	// leaving in pending the process its loop activated — nil at a stop
 	// condition, or with a panic to raise there: crashed is the process whose
 	// body panicked, fault the value a callback panicked with while a worker
@@ -645,7 +645,7 @@ func (k *Kernel) nextTime() (t Time, ok bool) {
 // advances. Deferred work must be order-insensitive among its peers — the
 // kernel fires Posts in submission order, but submission order at one
 // instant is not part of the determinism contract the way (time, seq) event
-// order is. Only RunWindow executes deferred work.
+// order is. Only runWindow executes deferred work.
 func (k *Kernel) Post(fn func()) { k.postq = append(k.postq, fn) }
 
 // Settle defers fn like Post, but to after every Post of the instant has
@@ -699,7 +699,7 @@ func (k *Kernel) finishAt(t Time) {
 	}
 }
 
-// wheelToHeap moves every wheel entry to the heap. FinishAt calls it before
+// wheelToHeap moves every wheel entry to the heap. finishAt calls it before
 // it moves the clock past queued events, which would break the wheel's
 // window [now, now+wheelSize); in the heap they keep their (at, seq) order,
 // and ahead of anything scheduled later at the same instant.

@@ -27,6 +27,21 @@ func TestMailboxFIFO(t *testing.T) {
 	}
 }
 
+func TestMailboxSendAfter(t *testing.T) {
+	k := NewKernel()
+	mb := k.NewMailbox("delayed")
+	var when Time
+	k.Spawn("consumer", func(p *Process) {
+		p.Receive(mb)
+		when = p.Now()
+	})
+	mb.sendAfter(42, "late")
+	k.Run()
+	if when != 42 {
+		t.Fatalf("received at %d, want 42", when)
+	}
+}
+
 func TestMailboxBlocksUntilMessage(t *testing.T) {
 	k := NewKernel()
 	mb := k.NewMailbox("block")

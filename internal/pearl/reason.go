@@ -6,7 +6,7 @@ import (
 )
 
 // Reason is what a waiting component waited for, as a number its kernel
-// hands out: ReasonHold, ReasonAwait, one per resource for queueing on it
+// hands out: ReasonHold, reasonAwait, one per resource for queueing on it
 // (Resource.Reason), or one a model makes with NewReason or NewReasons for
 // waits it reports itself. Observers add up block spans by Reason and ask
 // for the text only when they write a report, so a span costs no string

@@ -32,7 +32,7 @@ const maxEagerTableNodes = 8192
 
 // BuildTable computes next-hop ports for every (node, destination) pair over
 // the links for which alive(node, port) is true. A nil alive means every
-// connected port is alive. Topologies above MaxEagerTableNodes are rejected
+// connected port is alive. Topologies above maxEagerTableNodes are rejected
 // with an error naming the lazy alternative.
 func BuildTable(t topology.Topology, alive func(node, port int) bool) (*Table, error) {
 	n := t.Nodes()

@@ -213,7 +213,7 @@ func WriteCSV(w io.Writer, schema Schema, rows [][]string) error {
 }
 
 // ValidateCSV re-validates a CSV document against its schema: the header
-// must match exactly and every row must pass CheckRow. The first violation
+// must match exactly and every row must pass checkRow. The first violation
 // is returned with its line number and column name — this is how an
 // artifact store rejects corrupted or hand-edited run data.
 func ValidateCSV(r io.Reader, schema Schema) error {

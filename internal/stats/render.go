@@ -112,7 +112,7 @@ func (t *Table) Header() []string { return t.header }
 func (t *Table) Rows() [][]string { return t.rows }
 
 // Schema infers the table's CSV schema from its formatted cells (see
-// InferSchema), attaching the given per-column units if any.
+// inferSchema), attaching the given per-column units if any.
 func (t *Table) Schema(units ...string) Schema {
 	return inferSchema(t.header, t.rows).withUnits(units)
 }

@@ -72,11 +72,11 @@ type Config struct {
 	DimX, DimY int
 	DimZ       int
 	// Arity and Levels size k-ary fat-trees: Arity hosts per leaf switch
-	// (a power of two) and Levels switch tiers. See NewFatTree.
+	// (a power of two) and Levels switch tiers. See newFatTree.
 	Arity, Levels int
 	// Routers, Globals and Groups size dragonflies: Routers per group,
 	// Globals (global links) per router, Groups in the machine. See
-	// NewDragonfly.
+	// newDragonfly.
 	Routers, Globals, Groups int
 }
 
