@@ -304,9 +304,10 @@ func (u *Unit) Arith(kind ops.Kind, typ ops.DataType) {
 }
 
 // labelStride is the code-region granularity of label allocation: each new
-// label starts its own 256-byte region, so distinct basic blocks get disjoint instruction addresses. Blocks longer than
-// 64 instructions may overrun into the next region — an accepted
-// approximation at the abstract-instruction level.
+// label starts its own 256-byte region, so distinct basic blocks get
+// disjoint instruction addresses. Blocks longer than 64 instructions may
+// overrun into the next region — an accepted approximation at the
+// abstract-instruction level.
 const labelStride = 256
 
 // labelAddr resolves (allocating on first use) a code label.

@@ -375,8 +375,9 @@ func TestVarClassStrings(t *testing.T) {
 func TestTargetsChangeTranslation(t *testing.T) {
 	// The same annotated source yields different operation streams per
 	// target: a stack machine (no register locals, like the T805) spills
-	// scalars a register machine keeps in registers — "the translation of annotations according to the runtime
-	// and addressing capabilities of the target processor" (§5.1).
+	// scalars a register machine keeps in registers — "the translation of
+	// annotations according to the runtime and addressing capabilities of
+	// the target processor" (§5.1).
 	countMemOps := func(tgt Target) int {
 		pr := &trace.Program{
 			Threads: 1,

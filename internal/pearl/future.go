@@ -2,9 +2,9 @@ package pearl
 
 // Future is a one-shot completion cell, the reply half of a synchronous
 // request: a caller embeds a Future in its request message, sends the
-// request, and awaits the future — a chain with Step{Await}; the server completes it when the reply is ready (the network
-// interface's synchronous send awaits its acknowledgement this way). The zero
-// Future is incomplete.
+// request, and awaits the future with Step{Await}; the server completes it
+// when the reply is ready (the network interface's synchronous send awaits
+// its acknowledgement this way). The zero Future is incomplete.
 type Future struct {
 	done    bool
 	val     any

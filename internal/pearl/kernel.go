@@ -13,20 +13,20 @@
 //
 // The event queue is allocation-free on the steady state: events live in a
 // slab of reusable slots addressed by index. An event is never cancelled:
-// once scheduled it fires, or stays queued when the run ends. An event due less than
-// wheelSize cycles ahead goes into a timing wheel: one FIFO bucket per
-// instant, found through an occupancy bitmap, so scheduling and firing it
-// costs O(1) — the bucket of the current instant is where zero-delay
+// once scheduled it fires, or stays queued when the run ends. An event due
+// less than wheelSize cycles ahead goes into a timing wheel: one FIFO bucket
+// per instant, found through an occupancy bitmap, so scheduling and firing
+// it costs O(1) — the bucket of the current instant is where zero-delay
 // cascades (grants, completions) land. Only events further ahead take the
 // 4-ary heap behind it.
 //
 // Process is a blocking layer over chains, kept for tests and host-side
 // probes that are easier to write as straight-line code: its body runs on a
 // pooled coroutine (iter.Pull, see worker), and its Hold and HoldWhile are
-// chains whose end activates it. The event loop runs on
-// whichever stack holds the baton: the caller's, or that of a process that
-// has just blocked and fires events itself until the next process activation
-// (see dispatch and Process.block).
+// chains whose end activates it. The event loop runs on whichever stack
+// holds the baton: the caller's, or that of a process that has just blocked
+// and fires events itself until the next process activation (see dispatch
+// and Process.block).
 package pearl
 
 import (

@@ -40,7 +40,7 @@ var digestDescs = []struct {
 		Nodes: 5, Level: InstructionLevel, Seed: 13, Iterations: 3,
 		Phases: []Phase{
 			{Instructions: 7, CV: 1.5, Comm: Comm{Pattern: RandomPairs, Bytes: 32}},
-			{Instructions: 900, Mem: MemModel{WorkingSet: 1 << 20, Access: ops.MemByte}, Comm: Comm{Pattern: none}},
+			{Instructions: 900, Mem: MemModel{WorkingSet: 1 << 20, Access: ops.MemByte}, Comm: Comm{Pattern: noComm}},
 		},
 	}},
 	{"task/nearest+hotspot-async-jitter", Desc{
@@ -61,7 +61,7 @@ var digestDescs = []struct {
 		Nodes: 5, Level: TaskLevel, Seed: 16, Iterations: 3,
 		Phases: []Phase{
 			{Duration: 250, CV: 2, Comm: Comm{Pattern: RandomPairs, Bytes: 1000, Jitter: true, Async: true}},
-			{Duration: 0, Comm: Comm{Pattern: none}},
+			{Duration: 0, Comm: Comm{Pattern: noComm}},
 		},
 	}},
 }

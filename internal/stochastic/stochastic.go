@@ -87,7 +87,7 @@ type PatternKind string
 
 // Supported communication patterns.
 const (
-	none            PatternKind = "none"
+	noComm          PatternKind = "none"
 	NearestNeighbor PatternKind = "nearest"  // ring-style: send to rank+1, receive from rank-1
 	Exchange        PatternKind = "exchange" // pairwise with partner rank^1
 	AllToAll        PatternKind = "alltoall"
@@ -157,11 +157,11 @@ func (d *Desc) validate() error {
 			return fmt.Errorf("stochastic: unknown level %d", d.Level)
 		}
 		switch ph.Comm.Pattern {
-		case none, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs, "":
+		case noComm, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs, "":
 		default:
 			return fmt.Errorf("stochastic: phase %d unknown pattern %q", i, ph.Comm.Pattern)
 		}
-		if ph.Comm.Pattern != none && ph.Comm.Pattern != "" && ph.Comm.Bytes == 0 {
+		if ph.Comm.Pattern != noComm && ph.Comm.Pattern != "" && ph.Comm.Bytes == 0 {
 			return fmt.Errorf("stochastic: phase %d communication with zero bytes", i)
 		}
 		if ph.CV < 0 {
@@ -408,7 +408,7 @@ func (g *generator) msgBytes(c *Comm) uint32 {
 func (g *generator) comm(streams []stream, _ int, ph *Phase) {
 	c := &ph.Comm
 	n := len(streams)
-	if c.Pattern == none || c.Pattern == "" || n < 2 {
+	if c.Pattern == noComm || c.Pattern == "" || n < 2 {
 		return
 	}
 	switch c.Pattern {

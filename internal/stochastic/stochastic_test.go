@@ -92,7 +92,7 @@ func TestDeterministicGeneration(t *testing.T) {
 }
 
 func TestSeedChangesTrace(t *testing.T) {
-	d := simpleDesc(2, InstructionLevel, none)
+	d := simpleDesc(2, InstructionLevel, noComm)
 	a, _ := Generate(d)
 	d.Seed = 43
 	b, _ := Generate(d)
@@ -181,7 +181,7 @@ func TestAllToAllCoversAllPairs(t *testing.T) {
 }
 
 func TestInstructionLevelContent(t *testing.T) {
-	d := simpleDesc(2, InstructionLevel, none)
+	d := simpleDesc(2, InstructionLevel, noComm)
 	d.Phases[0].Instructions = 1000
 	traces, _ := Generate(d)
 	var fetches, mem, arith int
@@ -212,7 +212,7 @@ func TestInstructionLevelContent(t *testing.T) {
 }
 
 func TestStridedMemoryModel(t *testing.T) {
-	d := simpleDesc(1, InstructionLevel, none)
+	d := simpleDesc(1, InstructionLevel, noComm)
 	d.Phases[0].Mix = Mix{Load: 1}
 	d.Phases[0].Mem = MemModel{Base: 0x1000, WorkingSet: 1024, Stride: 8, Access: ops.MemDouble}
 	d.Iterations = 1
@@ -235,7 +235,7 @@ func TestStridedMemoryModel(t *testing.T) {
 }
 
 func TestLoadImbalanceCV(t *testing.T) {
-	d := simpleDesc(16, TaskLevel, none)
+	d := simpleDesc(16, TaskLevel, noComm)
 	d.Phases[0].CV = 0.5
 	d.Iterations = 1
 	traces, _ := Generate(d)
@@ -332,7 +332,7 @@ func TestAsyncPattern(t *testing.T) {
 // Property: generation never produces invalid operations and always balances
 // sends and recvs, across random node counts, patterns and seeds.
 func TestGenerateProperty(t *testing.T) {
-	pats := []PatternKind{none, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs}
+	pats := []PatternKind{noComm, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs}
 	f := func(seed uint64, n8, p8, async8 uint8) bool {
 		nodes := int(n8%7) + 2
 		d := Desc{
