@@ -249,10 +249,11 @@ func unused(l *loader) []finding {
 			}
 		}
 	}
-	used := map[token.Pos]bool{}   // by the declaring identifier's position
+	// Objects are keyed by their declaring identifier's position, which the
+	// objects of a generic instantiation share with their origin.
+	used := map[token.Pos]bool{}
 	inside := map[token.Pos]bool{} // a non-test use in its own directory
 	for id, obj := range l.uses {
-		obj = origin(obj)
 		if obj.Pkg() == nil || l.dirs[strings.TrimSuffix(obj.Pkg().Path(), "_test")] == nil {
 			continue
 		}
@@ -341,17 +342,6 @@ func unused(l *loader) []finding {
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].pos < out[j].pos })
 	return out
-}
-
-// origin maps a generic instantiation's objects to the declared ones.
-func origin(obj types.Object) types.Object {
-	switch o := obj.(type) {
-	case *types.Func:
-		return o.Origin()
-	case *types.Var:
-		return o.Origin()
-	}
-	return obj
 }
 
 // implements reports whether t, or a pointer to it, implements an interface
