@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // A finding is one exported identifier of the API.txt surface that no file
@@ -53,6 +54,13 @@ type loader struct {
 	errs         []error
 }
 
+// stdImporter type-checks standard-library packages from source, each once
+// per process however many modules are loaded.
+var stdImporter = sync.OnceValue(func() types.ImporterFrom {
+	build.Default.CgoEnabled = false // the source importer reads build.Default
+	return importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+})
+
 // load parses every directory of the module at root (files selected by the
 // build context, as the go tool selects them) and type-checks each package,
 // then each package's tests: the in-package tests with their package, and
@@ -69,8 +77,7 @@ func load(root string) (*loader, error) {
 			l.module = f[1]
 		}
 	}
-	build.Default.CgoEnabled = false // the source importer reads build.Default
-	l.std = importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
+	l.std = stdImporter()
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
