@@ -96,6 +96,9 @@ func main() {
 	profileStop = stop
 	defer stop()
 
+	if *parallel < 1 {
+		fatal(fmt.Errorf("-parallel must be at least 1, have %d", *parallel))
+	}
 	if *experiment != "" {
 		sweep, err := parseSweep(*sweepF)
 		if err != nil {
@@ -110,8 +113,13 @@ func main() {
 		fatal(fmt.Errorf("-sweep only applies to -experiment runs"))
 	}
 
-	if *monitor < 0 {
+	switch {
+	case *monitor < 0:
 		fatal(fmt.Errorf("-monitor must be 0 (off) or a positive interval, have %d", *monitor))
+	case *repeats < 1:
+		fatal(fmt.Errorf("-repeats must be at least 1, have %d", *repeats))
+	case *shards < 0:
+		fatal(fmt.Errorf("-shards must be 0 (one kernel) or a positive shard count, have %d", *shards))
 	}
 	if *traces != "" {
 		spec.Traces = strings.Split(*traces, ",")

@@ -451,15 +451,29 @@ func TestNonPositiveSizesRefused(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	for _, args := range [][]string{
-		{"-preset", "t805-2x1", "-app", "pingpong", "-bytes", "-5"},
-		{"-preset", "t805-2x1", "-app", "pingpong", "-rounds", "-2"},
-		{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "-1"},
-		{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-monitor", "-5"},
+	// A grid the pipeline would run, were -parallel not refused first.
+	grid := `{"name": "refused", "seed": 1, "experiments": [{"name": "validity"}]}`
+	if err := os.WriteFile(filepath.Join(dir, "grid.json"), []byte(grid), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag string // what the refusal must name
+		args []string
+	}{
+		{"-bytes", []string{"-preset", "t805-2x1", "-app", "pingpong", "-bytes", "-5"}},
+		{"-rounds", []string{"-preset", "t805-2x1", "-app", "pingpong", "-rounds", "-2"}},
+		{"-iters", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "-1"}},
+		{"-monitor", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-monitor", "-5"}},
+		{"-repeats", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "0"}},
+		{"-repeats", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "-3"}},
+		{"-shards", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-shards", "-2"}},
+		{"-parallel", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "2", "-parallel", "0"}},
+		{"-parallel", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "2", "-parallel", "-4"}},
+		{"-parallel", []string{"pipeline", "run", "-grid", "grid.json", "-out", "refused", "-parallel", "0"}},
 	} {
-		code, stdout, stderr := runCLI(t, dir, args...)
-		if code == 0 || bytes.Contains(stdout, []byte("simulated time")) || len(stderr) == 0 {
-			t.Errorf("%v: exit %d, stdout %.80q, stderr %q; want a refusal before any run", args, code, stdout, stderr)
+		code, stdout, stderr := runCLI(t, dir, tc.args...)
+		if code == 0 || len(stdout) != 0 || !bytes.Contains(stderr, []byte(tc.flag)) {
+			t.Errorf("%v: exit %d, stdout %.80q, stderr %q; want a refusal naming %s before any run", tc.args, code, stdout, stderr, tc.flag)
 		}
 	}
 }

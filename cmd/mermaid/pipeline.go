@@ -37,6 +37,9 @@ func pipelineMain(args []string) error {
 		parallel := fs.Int("parallel", runtime.NumCPU(), "max experiment runs in flight")
 		hostTrace := fs.String("host-trace", "", "write the pipeline's wall-clock schedule (Chrome trace-event JSON: worker runs, write and hash stages) to this file")
 		fs.Parse(rest)
+		if *parallel < 1 {
+			return fmt.Errorf("pipeline run: -parallel must be at least 1, have %d", *parallel)
+		}
 		if *gridPath == "" {
 			return fmt.Errorf("pipeline run: -grid is required")
 		}

@@ -59,6 +59,8 @@ func BenchmarkEventNear(b *testing.B) {
 	}
 }
 
+// BenchmarkProcessHandoff prices one Hold of a process: the hold's event and
+// a coroutine round trip into the body and out again.
 func BenchmarkProcessHandoff(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("holder", func(p *Process) {
@@ -92,8 +94,8 @@ func BenchmarkMailboxPingPong(b *testing.B) {
 
 // BenchmarkPingPong prices the hand-off between two processes and nothing
 // else: one pre-boxed token bounced through two mailboxes, every Receive a
-// park, b.N messages. Beside BenchmarkProcessHandoff (an own hold expiring:
-// no switch) it reads as the cost of moving the baton to another process.
+// park, b.N messages. Beside BenchmarkProcessHandoff (an own hold expiring)
+// it reads as the cost of a park on the process's future and its wake.
 func BenchmarkPingPong(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()
@@ -116,8 +118,8 @@ func BenchmarkPingPong(b *testing.B) {
 }
 
 // BenchmarkSpawnChurn prices a short-lived process from Spawn to the end of
-// its body — what the task-level network pays per packet: eight alive at a
-// time, each holding once and spawning its successor.
+// its body, its coroutine made and ended included: eight alive at a time,
+// each holding once and spawning its successor.
 func BenchmarkSpawnChurn(b *testing.B) {
 	k := NewKernel()
 	defer k.Close()

@@ -9,9 +9,9 @@ import (
 	"time"
 )
 
-// The event loop runs on whichever goroutine holds the baton, but everything
-// a caller of Run can observe — where a panic surfaces, where OnPanic runs,
-// what Blocked reports — must be as if a kernel goroutine of its own ran it.
+// Process bodies run on coroutines of their own, but everything a caller of
+// Run can observe — where a panic surfaces, where OnPanic runs, what Blocked
+// reports — must be as if the kernel alone ran on the caller's goroutine.
 
 // goid returns the calling goroutine's id, for telling goroutines apart.
 func goid() string {
@@ -27,9 +27,9 @@ func recovered(fn func()) (v any) {
 	return nil
 }
 
-// relayed builds the situation the baton adds: process "waiter" has blocked
-// and is running the event loop on its own goroutine when then() fires.
-func relayed(k *Kernel, then func()) {
+// waiting builds a run where process "waiter" has blocked, its body parked
+// on its own coroutine, when then() fires.
+func waiting(k *Kernel, then func()) {
 	k.Spawn("waiter", func(p *Process) { p.Hold(100) })
 	k.After(10, then)
 }
@@ -37,8 +37,7 @@ func relayed(k *Kernel, then func()) {
 func TestBodyPanicSurfacesOnCaller(t *testing.T) {
 	k := NewKernel()
 	var order []string
-	// "boom" is activated by the waiter's goroutine, not by the caller's.
-	relayed(k, func() {
+	waiting(k, func() {
 		k.Spawn("boom", func(p *Process) { panic("kaput") })
 		k.After(0, func() { order = append(order, "same instant, later seq") })
 	})
@@ -49,8 +48,8 @@ func TestBodyPanicSurfacesOnCaller(t *testing.T) {
 	if k.Now() != 10 {
 		t.Errorf("clock at %d after the panic, want 10", k.Now())
 	}
-	// The run is resumable, exactly as after a panic on a kernel goroutine:
-	// nothing fired between the panic and its surfacing.
+	// The run is resumable: nothing fired between the panic and its
+	// surfacing.
 	if len(order) != 0 {
 		t.Errorf("events fired after the panicking body and before the panic surfaced: %v", order)
 	}
@@ -65,7 +64,7 @@ func TestOnPanicRunsOnCaller(t *testing.T) {
 	caller := goid()
 	var handledOn string
 	var handled any
-	relayed(k, func() {
+	waiting(k, func() {
 		p := k.Spawn("boom", func(p *Process) {
 			p.Hold(5)
 			panic("contained")
@@ -84,41 +83,13 @@ func TestOnPanicRunsOnCaller(t *testing.T) {
 	}
 }
 
-func TestCallbackPanicWhileProcessHoldsBaton(t *testing.T) {
-	k := NewKernel()
-	caller := goid()
-	var firedOn string
-	done := false
-	k.Spawn("waiter", func(p *Process) {
-		p.Hold(100)
-		done = true
-	})
-	k.After(10, func() {
-		firedOn = goid()
-		panic("callback kaput")
-	})
-	v := recovered(func() { k.Run() })
-	if v != "callback kaput" {
-		t.Fatalf("Run panicked with %v; want the callback's own value, unwrapped", v)
-	}
-	if firedOn == caller {
-		t.Fatal("the callback ran on the caller's goroutine: this test no longer exercises the relay")
-	}
-	// The process whose goroutine carried the panic is still blocked and
-	// intact: the run is resumable.
-	k.Run()
-	if !done || k.Now() != 100 {
-		t.Errorf("resumed run: done=%v at %d; want the waiter to finish at 100", done, k.Now())
-	}
-}
-
 func TestShardGroupPanicsSurfaceOnCoordinator(t *testing.T) {
 	for name, plant := range map[string]func(k *Kernel){
 		"body": func(k *Kernel) {
-			relayed(k, func() { k.Spawn("boom", func(p *Process) { panic("shard kaput") }) })
+			waiting(k, func() { k.Spawn("boom", func(p *Process) { panic("shard kaput") }) })
 		},
 		"callback": func(k *Kernel) {
-			relayed(k, func() { panic("shard kaput") })
+			waiting(k, func() { panic("shard kaput") })
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -140,8 +111,6 @@ func TestBlockedAfterRelayedDeadlock(t *testing.T) {
 	k := NewKernel()
 	never := k.NewMailbox("never")
 	res := k.NewResource("unit", 1)
-	// The deadlock is discovered by whichever process goroutine blocks last,
-	// not by the caller.
 	k.Spawn("a", func(p *Process) { p.Receive(never) })
 	k.Spawn("b", func(p *Process) {
 		p.wait(Step{Acquire: res})
@@ -170,9 +139,9 @@ func TestBlockedAfterRelayedDeadlock(t *testing.T) {
 	}
 }
 
-// settle waits for the goroutine count to come down to want: Close ends its
-// workers before it returns, but goroutines of earlier tests (shard workers)
-// may not have left the scheduler's books yet.
+// settle waits for the goroutine count to come down to want: Close ends the
+// coroutines of parked bodies before it returns, but goroutines of earlier
+// tests (shard workers) may not have left the scheduler's books yet.
 func settle(t *testing.T, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -207,16 +176,16 @@ func TestCloseReapsParkedProcesses(t *testing.T) {
 	spawn("stuck", func(p *Process) { p.wait(Step{Await: k.NewFuture()}) })
 	k.SpawnAt(1000, "late", func(p *Process) { t.Error("a process first activated after the run was stopped ran") })
 	k.RunUntil(500)
-	// Three workers: server's and stuck's, parked mid-body, and the idle one
-	// client ran on; late was never activated and has none. A stopped worker
-	// is gone when Close returns, so the count drops by three at once
+	// Two coroutines: server's and stuck's, parked mid-body; client's ended
+	// with its body, and late was never activated and has none. A stopped
+	// coroutine is gone when Close returns, so the count drops by two at once
 	// (goroutines left behind by earlier tests can only lower it further).
 	parked := runtime.NumGoroutine()
 	events := k.EventCount()
 	k.Close()
 	k.Close() // idempotent
-	if got := runtime.NumGoroutine(); got > parked-3 {
-		t.Fatalf("%d goroutines after Close, %d before: want three workers gone", got, parked)
+	if got := runtime.NumGoroutine(); got > parked-2 {
+		t.Fatalf("%d goroutines after Close, %d before: want two coroutines gone", got, parked)
 	}
 	settle(t, base)
 	// Deferred calls of the unwound bodies ran, one process at a time (the
@@ -239,7 +208,7 @@ func TestCloseReapsParkedProcesses(t *testing.T) {
 func TestCloseAfterPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := NewKernel()
-	relayed(k, func() { panic("kaput") })
+	waiting(k, func() { panic("kaput") })
 	k.Spawn("server", func(p *Process) { p.Receive(k.NewMailbox("never")) })
 	if v := recovered(func() { k.Run() }); v != "kaput" {
 		t.Fatalf("Run panicked with %v", v)

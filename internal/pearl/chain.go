@@ -40,7 +40,6 @@ const (
 type Chain struct {
 	k    *Kernel
 	step func() Step
-	proc *Process // the process this chain blocks, or nil
 
 	// Spans, when set, is called when a wait that took virtual time ends,
 	// before the step function runs, with the interval and what the chain
@@ -80,20 +79,6 @@ func (c *Chain) waitReason() Reason {
 	return reasonNone
 }
 
-// advance calls the step function until the chain has to wait, and reports
-// whether it does: false means the chain has ended.
-func (c *Chain) advance() bool {
-	for {
-		s := c.step()
-		if s.Done {
-			return false
-		}
-		if c.await(s) {
-			return true
-		}
-	}
-}
-
 // await begins the wait s asks for and reports true, or reports false when
 // there is nothing to wait for: the unit was free, the future complete.
 func (c *Chain) await(s Step) bool {
@@ -129,17 +114,12 @@ func (c *Chain) await(s Step) bool {
 
 // wake schedules the zero-delay event that ends the chain's wait for a grant
 // or a completion.
-func (c *Chain) wake() {
-	if c.proc != nil {
-		c.proc.runnable = true
-	}
-	c.k.schedule(c.k.now, evChain, nil, c)
-}
+func (c *Chain) wake() { c.k.schedule(c.k.now, evChain, nil, c) }
 
 // link fires a chain event: it reports the wait that has ended, books a
-// granted unit, and calls the step function up to the next wait. When the
-// chain ends it returns the chain's process, activated; nil otherwise.
-func (k *Kernel) link(c *Chain) *Process {
+// granted unit, and calls the step function until the chain has to wait
+// again or ends.
+func (k *Kernel) link(c *Chain) {
 	if c.wait != waitNone {
 		if c.Spans != nil && k.now > c.since {
 			c.Spans(c.since, k.now, c.waitReason())
@@ -151,15 +131,10 @@ func (k *Kernel) link(c *Chain) *Process {
 		}
 		c.wait = waitNone
 	}
-	if c.step != nil && c.advance() {
-		if c.proc != nil {
-			c.proc.runnable = false
+	for {
+		s := c.step()
+		if s.Done || c.await(s) {
+			return
 		}
-		return nil
 	}
-	if c.proc == nil {
-		return nil
-	}
-	c.step = nil
-	return k.activate(c.proc)
 }

@@ -4,20 +4,17 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 )
 
-// Process bodies run on pooled coroutine workers: a process takes one at its
-// first activation and hands it back when its body ends. These tests hold
-// the pool to what it is for — goroutines and allocations follow the number
-// of processes alive, not the number ever spawned — and to what it must not
-// change: a body that panics or is unwound behaves as if it had a goroutine
-// of its own.
+// A process body runs on a coroutine of its own, made at its first
+// activation and gone when the body ends. These tests hold the coroutines to
+// the number of processes alive, not the number ever spawned, and Close to
+// unwinding every body that has started and not ended.
 
 // TestGoroutineHighWater runs 100,000 three-cycle processes, eight alive at
-// a time: the goroutine count never exceeds eight workers over the baseline,
-// and Close returns it to the baseline.
+// a time: the goroutine count never exceeds eight coroutines over the
+// baseline, and Close returns it to the baseline.
 func TestGoroutineHighWater(t *testing.T) {
 	const lanes, total, slack = 8, 100_000, 2
 	base := runtime.NumGoroutine()
@@ -45,10 +42,7 @@ func TestGoroutineHighWater(t *testing.T) {
 		t.Fatalf("%d processes finished, want %d", finished, total)
 	}
 	if high > base+lanes+slack {
-		t.Errorf("%d goroutines at the high-water mark, baseline %d: want at most %d workers", high, base, lanes)
-	}
-	if got := len(k.idle); got != lanes {
-		t.Errorf("%d idle workers after the run, want %d", got, lanes)
+		t.Errorf("%d goroutines at the high-water mark, baseline %d: want at most %d coroutines", high, base, lanes)
 	}
 	k.Close()
 	settle(t, base)
@@ -71,7 +65,7 @@ func TestTerminatedProcessesAreDropped(t *testing.T) {
 		}
 		k.Spawn("short", func(p *Process) { p.Hold(1) })
 		k.Run()
-		if n := len(k.procs); n > high {
+		if n := len(k.procs.list); n > high {
 			high = n
 		}
 	}
@@ -84,74 +78,6 @@ func TestTerminatedProcessesAreDropped(t *testing.T) {
 	last := k.Spawn("last", func(*Process) {})
 	if want := fmt.Sprintf("process %q (#%d)", "last", total+len(stuck)); last.String() != want {
 		t.Errorf("process %v, want %s: ids count spawns", last, want)
-	}
-}
-
-// TestAllocFreeSpawnReuse pins what a short-lived process costs once a worker
-// is idle: its Process record and, amortised, its slot in the kernel's
-// process list — no goroutine, no stack, no channel.
-func TestAllocFreeSpawnReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	k := NewKernel()
-	defer k.Close()
-	body := func(p *Process) { p.Hold(1) }
-	for i := 0; i < 64; i++ { // warm up: the worker, the slab
-		k.Spawn("short", body)
-		k.Run()
-	}
-	if got := testing.AllocsPerRun(1000, func() {
-		k.Spawn("short", body)
-		k.Run()
-	}); got > 2 {
-		t.Errorf("spawn, hold, return allocates %v objects per process; want at most 2", got)
-	}
-}
-
-// A worker that has carried a panicking body is as good as new: the panic
-// surfaces at Run's caller, naming the process (or goes to OnPanic), and the
-// next process to take the worker never notices.
-func TestBodyPanicOnReusedWorker(t *testing.T) {
-	k := NewKernel()
-	defer k.Close()
-	var ranOn []string
-	spawn := func(name string, then func()) *Process {
-		return k.Spawn(name, func(p *Process) {
-			ranOn = append(ranOn, goid())
-			p.Hold(1)
-			then()
-		})
-	}
-	spawn("first", func() {})
-	k.Run()
-
-	spawn("boom", func() { panic("kaput") })
-	v := recovered(func() { k.Run() })
-	if v == nil || !strings.Contains(fmt.Sprint(v), "kaput") || !strings.Contains(fmt.Sprint(v), `"boom"`) {
-		t.Fatalf("Run panicked with %v; want the body's panic, naming the process", v)
-	}
-
-	var handled any
-	spawn("contained", func() { panic("handled") }).OnPanic = func(v any) { handled = v }
-	k.Run()
-	if handled != "handled" {
-		t.Fatalf("OnPanic got %v, want handled", handled)
-	}
-
-	done := false
-	last := spawn("last", func() { done = true })
-	k.Run()
-	if !done || !last.terminated || k.Now() != 4 {
-		t.Errorf("after two panics on its worker: done=%v terminated=%v at %d; want a normal run to 4", done, last.terminated, k.Now())
-	}
-	for i, id := range ranOn {
-		if id != ranOn[0] {
-			t.Errorf("body %d ran on goroutine %s, the first on %s: this test no longer exercises reuse", i, id, ranOn[0])
-		}
-	}
-	if len(k.idle) != 1 {
-		t.Errorf("%d idle workers, want the one", len(k.idle))
 	}
 }
 
@@ -182,7 +108,7 @@ func TestCloseInEveryState(t *testing.T) {
 	spawn("acquirer", func(p *Process) { p.wait(Step{Acquire: unit}) })
 	spawn("chain", func(p *Process) { p.HoldWhile(func() Step { return Step{Hold: 400} }) })
 	spawn("queued", func(p *Process) { p.HoldWhile(func() Step { return Step{Acquire: unit} }) })
-	spawn("done", func(p *Process) { p.Hold(1) }) // leaves an idle worker
+	spawn("done", func(p *Process) { p.Hold(1) }) // its coroutine has ended
 	procs["late"] = k.SpawnAt(5000, "late", func(p *Process) { t.Error("a process never activated ran") })
 	k.RunUntil(500)
 
@@ -253,7 +179,7 @@ func TestCloseRaisesPanicOfDeferredCall(t *testing.T) {
 
 // A kernel belongs to no goroutine: a shard group drives each of its kernels
 // from a fresh goroutine per Run. Drive one kernel from a new goroutine on
-// every slice (under -race this is what checks that a worker resumed from
+// every slice (under -race this is what checks that a coroutine resumed from
 // goroutine B sees what goroutine A's slice wrote) and compare with the same
 // program driven from one.
 func TestDrivenFromAnotherGoroutineEachSlice(t *testing.T) {

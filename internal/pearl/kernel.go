@@ -21,17 +21,16 @@
 // 4-ary heap behind it.
 //
 // Process is a blocking layer over chains, kept for tests and host-side
-// probes that are easier to write as straight-line code: its body runs on a
-// pooled coroutine (iter.Pull, see worker), and its Hold and HoldWhile are
-// chains whose end activates it. The event loop runs on whichever stack
-// holds the baton: the caller's, or that of a process that has just blocked
-// and fires events itself until the next process activation (see dispatch
-// and Process.block).
+// probes that are easier to write as straight-line code: a process owns a
+// chain whose step function resumes the process's body, a coroutine
+// (iter.Pull), until the body yields the Step it waits for next (see
+// process.go). The kernel itself knows only events: the event loop runs on
+// the goroutine that called Run, RunUntil or runWindow, and every callback,
+// chain step and body panic surfaces there.
 package pearl
 
 import (
 	"fmt"
-	"iter"
 	"math/bits"
 )
 
@@ -56,7 +55,7 @@ const (
 	evDaemon
 	// evChain starts a chain or ends its wait — a hold expiring, a unit
 	// granted, a future completed — and calls its step function in kernel
-	// context (Kernel.link), or activates its process: no closure needed.
+	// context (Kernel.link): no closure needed.
 	evChain
 )
 
@@ -127,13 +126,10 @@ type Kernel struct {
 	live    int // queued events
 	daemons int // live events scheduled with AtDaemon
 
-	// procs holds the processes that have not terminated, in spawn order,
-	// and up to as many again that have: Spawn sweeps those out once they are
-	// the majority, so a run's short-lived processes — a network packet each
-	// — do not stay reachable until the kernel dies. spawned numbers them.
-	procs   []*Process
-	dead    int
-	spawned int
+	// procs is the blocking layer's record (process.go); closed is set by
+	// Close.
+	procs  processes
+	closed bool
 
 	// Deferred same-instant work for the windowed (sharded) executor. Post
 	// callbacks run once no ordinary event remains at the current instant;
@@ -147,34 +143,10 @@ type Kernel struct {
 	settleq    []func()
 	settleHead int
 
-	// current is the process whose body is running, or nil while the event
-	// loop (an event callback, a HoldWhile step) is: kernel context.
-	current *Process
-
-	// The baton: exactly one stack runs kernel or model code at a time. mode
-	// and bound are the stop condition of the drive in progress, read by
-	// whichever stack runs the loop. A worker that gives the baton up yields
-	// home, to drive on the goroutine that called Run/RunUntil/runWindow,
-	// leaving in pending the process its loop activated — nil at a stop
-	// condition, or with a panic to raise there: crashed is the process whose
-	// body panicked, fault the value a callback panicked with while a worker
-	// ran the loop. switches counts baton transfers.
-	mode     driveMode
-	bound    Time
-	pending  *Process
-	crashed  *Process
-	fault    any
-	switches uint64
-
 	// reasons names the Reasons made by NewReason and NewReasons, in
 	// order; nextReason is the next one to hand out (zero before the first).
 	reasons    []reasonRange
 	nextReason Reason
-
-	// idle holds the workers whose last body has ended, for the next first
-	// activation to reuse; closed is set by Close.
-	idle   []*worker
-	closed bool
 
 	eventCount  uint64
 	daemonFired uint64 // daemon events actually executed
@@ -189,11 +161,6 @@ func (k *Kernel) Now() Time { return k.now }
 // EventCount returns the number of events executed so far; useful as a cheap
 // progress and cost metric.
 func (k *Kernel) EventCount() uint64 { return k.eventCount }
-
-// Switches returns the number of hand-offs between stacks so far — into a
-// process, back to the caller, and process to process (relayed, counted
-// once) — exact and seed-determined like EventCount. Chains cost none.
-func (k *Kernel) Switches() uint64 { return k.switches }
 
 // schedule allocates a slot for an event at absolute time t and queues it.
 // The caller guarantees t >= k.now.
@@ -403,10 +370,8 @@ func (k *Kernel) remove(idx int32, fromHeap bool) {
 	k.wheelPop(int(k.slots[idx].at) & wheelMask)
 }
 
-// fire executes the front event, which front has just located. It returns
-// the process the event activated — already marked running; the caller
-// becomes it or passes it the baton — or nil for every other event.
-func (k *Kernel) fire(idx int32, fromHeap bool) *Process {
+// fire executes the front event, which front has just located.
+func (k *Kernel) fire(idx int32, fromHeap bool) {
 	k.remove(idx, fromHeap)
 	s := &k.slots[idx]
 	if s.at < k.now {
@@ -427,26 +392,28 @@ func (k *Kernel) fire(idx int32, fromHeap bool) *Process {
 	case evFunc, evDaemon:
 		fn()
 	case evChain:
-		return k.link(c)
+		k.link(c)
 	}
-	return nil
 }
 
-// dispatch runs the event loop on the calling stack, which must hold the
-// baton with no process running. It fires events in strict (time, seq) order
-// until one activates a process, which it returns, or until the stop
-// condition of the drive in progress holds, when it returns nil.
-func (k *Kernel) dispatch() *Process {
+// dispatch is the event loop: it fires events in strict (time, seq) order,
+// on the calling goroutine, until the stop condition of mode and bound holds.
+// An event that panics leaves the kernel as it left it, so the run can be
+// resumed.
+func (k *Kernel) dispatch(mode driveMode, bound Time) {
+	if k.closed {
+		panic("pearl: running a closed kernel")
+	}
 	for {
 		idx, fromHeap, ok := k.front()
-		switch k.mode {
+		switch mode {
 		case driveRun:
 			if k.live <= k.daemons {
-				return nil
+				return
 			}
 		case driveUntil:
-			if !ok || k.slots[idx].at > k.bound {
-				return nil
+			if !ok || k.slots[idx].at > bound {
+				return
 			}
 		case driveWindow:
 			if !ok || k.slots[idx].at != k.now {
@@ -458,166 +425,31 @@ func (k *Kernel) dispatch() *Process {
 				}
 				k.postq, k.postHead = k.postq[:0], 0
 				k.settleq, k.settleHead = k.settleq[:0], 0
-				if !ok || k.slots[idx].at >= k.bound {
-					return nil
+				if !ok || k.slots[idx].at >= bound {
+					return
 				}
 			}
 		}
-		if p := k.fire(idx, fromHeap); p != nil {
-			return p
-		}
+		k.fire(idx, fromHeap)
 	}
-}
-
-// worker is a coroutine that runs process bodies, one after another: a
-// process gets one at its first activation and returns it to Kernel.idle when
-// its body ends, so short-lived processes run on a stack that has already
-// grown. drive switches into a worker with next; the worker switches back
-// with yield. Both are direct switches between two goroutines that never pass
-// through the scheduler's run queues (iter.Pull).
-type worker struct {
-	next  func() (struct{}, bool)
-	stop  func()
-	yield func(struct{}) bool
-}
-
-// worker returns an idle worker, or a new one. Either runs the body of the
-// process that has just been activated (k.current) when next switches to it.
-func (k *Kernel) worker() *worker {
-	if n := len(k.idle); n > 0 {
-		w := k.idle[n-1]
-		k.idle[n-1] = nil
-		k.idle = k.idle[:n-1]
-		return w
-	}
-	w := &worker{}
-	w.next, w.stop = iter.Pull(func(yield func(struct{}) bool) {
-		w.yield = yield
-		for {
-			k.current.run()
-			if k.closed {
-				return
-			}
-			k.idle = append(k.idle, w)
-			if !yield(struct{}{}) {
-				return
-			}
-		}
-	})
-	return w
-}
-
-// drive is the caller's side of a run: it dispatches on the calling
-// goroutine and, whenever an event activates a process, switches to that
-// process's worker and waits for the baton to come home. It comes home in
-// one of three ways: with another process pending, which drive switches to in
-// turn; with none, when a worker running the loop has met the stop condition
-// — dispatch confirms it here and drive returns; or with a panic, which is
-// raised (or given to OnPanic) here, on the goroutine that called Run.
-func (k *Kernel) drive(mode driveMode, bound Time) {
-	if k.closed {
-		panic("pearl: running a closed kernel")
-	}
-	k.mode, k.bound = mode, bound
-	for {
-		p := k.dispatch()
-		if p == nil {
-			return
-		}
-		k.switches++
-		for p != nil {
-			if p.w == nil {
-				p.w = k.worker()
-			}
-			p.w.next()
-			if v := k.fault; v != nil {
-				k.fault = nil
-				panic(v)
-			}
-			if c := k.crashed; c != nil {
-				k.crashed = nil
-				if c.OnPanic == nil {
-					panic(fmt.Sprintf("pearl: %v panicked: %v", c, c.panicVal))
-				}
-				c.OnPanic(c.panicVal)
-			}
-			p, k.pending = k.pending, nil
-		}
-	}
-}
-
-// relay is the process side: self's worker holds the baton and has just
-// stopped running its body (blocked or terminated), so it runs the event
-// loop itself until the baton moves. It reports true when the next
-// activation is self's own — no switch at all; otherwise it has left the
-// activated process, or nil, in pending for drive, and the caller must yield.
-func (k *Kernel) relay(self *Process) bool {
-	next := k.dispatchRecover()
-	if next == self {
-		return true
-	}
-	k.switches++
-	k.pending = next
-	return false
-}
-
-// dispatchRecover is dispatch for a worker: a panic in kernel context (a
-// callback, a HoldWhile step) must surface on the goroutine that called Run
-// and must not unwind the body that happens to be underneath, so it is parked
-// in fault and the baton sent home as if the run had stopped. The process
-// stays blocked and intact.
-func (k *Kernel) dispatchRecover() (p *Process) {
-	defer func() {
-		if v := recover(); v != nil {
-			k.fault = v
-			p = nil
-		}
-	}()
-	return k.dispatch()
 }
 
 // Run executes events until the schedule is empty (daemon events alone do
 // not count — they are left queued, unfired). It returns the final virtual
 // time.
 func (k *Kernel) Run() Time {
-	k.drive(driveRun, 0)
+	k.dispatch(driveRun, 0)
 	return k.now
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 // It returns the final virtual time.
 func (k *Kernel) RunUntil(t Time) Time {
-	k.drive(driveUntil, t)
+	k.dispatch(driveUntil, t)
 	if k.now < t {
 		k.now = t
 	}
 	return k.now
-}
-
-// Close ends the kernel's life: it unwinds the body of every process that
-// has started and not terminated, and ends every worker, so that neither
-// outlives the run. A body is unwound from where it is parked by a panic
-// that Process.exit recovers (a goroutine exit would propagate to whoever
-// resumed the coroutine, here Close's caller): its deferred calls run, one
-// process at a time, and nothing else is touched, so clocks and counters
-// read as the run left them. A kernel that has run processes holds
-// its idle workers until it is closed. Close is idempotent; it must be called
-// from the goroutine driving the kernel, between runs, and a closed kernel
-// can be neither run nor spawned on.
-func (k *Kernel) Close() {
-	if k.closed {
-		return
-	}
-	k.closed = true
-	for _, p := range k.procs {
-		if !p.terminated && p.w != nil {
-			p.w.stop()
-		}
-	}
-	for _, w := range k.idle {
-		w.stop()
-	}
-	k.idle = nil
 }
 
 // DaemonEvents returns how many daemon events have been executed. The
@@ -683,7 +515,7 @@ func (k *Kernel) runDeferred() bool {
 // The clock is left at the last executed event (it does not advance to end
 // on its own), so windows compose: consecutive calls with increasing bounds
 // replay exactly the schedule a single unbounded run would.
-func (k *Kernel) runWindow(end Time) { k.drive(driveWindow, end) }
+func (k *Kernel) runWindow(end Time) { k.dispatch(driveWindow, end) }
 
 // finishAt advances an idle (no non-daemon work) kernel's clock to t, so
 // end-of-run gauges that read Now() agree across the shards of one

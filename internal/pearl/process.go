@@ -1,28 +1,36 @@
 package pearl
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
-// Process is a simulation process: a coroutine whose execution is
-// interleaved with virtual time under strict kernel control. Model code
-// inside a process body is written in a blocking style (Hold, Receive,
-// HoldWhile); the kernel guarantees that exactly one process runs at a
-// time, so process bodies need no locking.
+// Process is a simulation process: a body written in a blocking style (Hold,
+// Receive, HoldWhile) whose execution is interleaved with virtual time under
+// strict kernel control. It is a library over Chain: the process owns a
+// chain whose step function resumes the body — a coroutine made at the
+// process's first activation — until the body yields the Step it waits for
+// next, which the chain then waits for like any other. Bodies and events run
+// one at a time, so bodies need no locking.
 type Process struct {
 	k    *Kernel
 	name string
 	id   int
 
-	// body runs on worker w, which the process holds from its first
-	// activation until body ends; both are nil before and after.
-	body func(p *Process)
-	w    *worker
+	// body runs on the coroutine next resumes and stop unwinds, made at the
+	// first activation; yield is the coroutine's side of the switch. All
+	// three are nil before the first activation and after the body's end.
+	body  func(p *Process)
+	next  func() (Step, bool)
+	stop  func()
+	yield func(Step) bool
 
-	terminated bool
-	runnable   bool   // currently running or has a pending activation
-	receiving  string // the block reason of a Receive in progress
+	running    bool        // the body is executing: only then may it block
+	terminated bool        // the body has ended
+	while      func() Step // the step of a HoldWhile in progress, after its first call
+	receiving  string      // the block reason of a Receive in progress
+	mail       Future      // what a Receive parks on, reset at every park
 
-	// c carries the process's holds, resource waits and awaits, and its
-	// HoldWhile chains; its end activates the process.
 	c Chain
 
 	// OnPanic, if set, is invoked (in kernel context, on the goroutine that
@@ -33,10 +41,40 @@ type Process struct {
 	panicVal any
 }
 
+// processes is a kernel's record of its processes: those that have not
+// terminated, in spawn order, and up to as many again that have — add sweeps
+// those out once they are the majority, so that a run's short-lived processes
+// do not stay reachable until the kernel dies. spawned numbers them, resumed
+// counts body resumptions (Kernel.Switches).
+type processes struct {
+	list    []*Process
+	dead    int
+	spawned int
+	resumed uint64
+}
+
+// add records p, first sweeping out the terminated processes if they are
+// the majority, so the cost per spawn is constant and the list at most twice
+// the live count.
+func (ps *processes) add(p *Process) {
+	if ps.dead > len(ps.list)/2 {
+		live := ps.list[:0]
+		for _, q := range ps.list {
+			if !q.terminated {
+				live = append(live, q)
+			}
+		}
+		clear(ps.list[len(live):])
+		ps.list, ps.dead = live, 0
+	}
+	ps.spawned++
+	ps.list = append(ps.list, p)
+}
+
 // Spawn creates a process named name running body and schedules its first
 // activation at the current virtual time. The body will not run before
 // control returns to the kernel loop; until then the process is only this
-// record — it takes a worker when it is first activated.
+// record — its coroutine is made when it is first activated.
 func (k *Kernel) Spawn(name string, body func(p *Process)) *Process {
 	return k.SpawnAt(k.now, name, body)
 }
@@ -46,75 +84,104 @@ func (k *Kernel) SpawnAt(t Time, name string, body func(p *Process)) *Process {
 	if k.closed {
 		panic("pearl: Spawn on a closed kernel")
 	}
-	if k.dead > len(k.procs)/2 {
-		k.sweep()
-	}
-	p := &Process{k: k, name: name, id: k.spawned, body: body, runnable: true}
-	p.c = Chain{k: k, proc: p}
-	k.spawned++
-	k.procs = append(k.procs, p)
+	p := &Process{k: k, name: name, id: k.procs.spawned, body: body}
+	p.c.Init(k, p.step)
+	k.procs.add(p)
 	k.schedule(t, evChain, nil, &p.c)
 	return p
 }
 
-// sweep drops the terminated processes from k.procs, keeping the order of
-// the rest. Spawn calls it when more than half the entries are dead, so the
-// cost per spawn is constant and the slice at most twice the live count.
-func (k *Kernel) sweep() {
-	live := k.procs[:0]
-	for _, p := range k.procs {
-		if !p.terminated {
-			live = append(live, p)
+// Switches returns how many times a process body has been resumed so far —
+// at its first activation and at the end of each of its waits — exact and
+// seed-determined like EventCount. Chains cost none: a run that spawns no
+// process reads 0.
+func (k *Kernel) Switches() uint64 { return k.procs.resumed }
+
+// Close ends the kernel's life: it unwinds the body of every process that
+// has started and not ended, so that no coroutine outlives the run. A body
+// is unwound from where it is parked by a panic that run recovers: its
+// deferred calls run, one process at a time, and nothing else is touched, so
+// clocks and counters read as the run left them. Close is idempotent; it
+// must be called from the goroutine driving the kernel, between runs, and a
+// closed kernel can be neither run nor spawned on.
+func (k *Kernel) Close() {
+	if k.closed {
+		return
+	}
+	k.closed = true
+	for _, p := range k.procs.list {
+		if p.stop != nil {
+			p.stop()
 		}
 	}
-	clear(k.procs[len(live):])
-	k.procs, k.dead = live, 0
 }
 
-// unwind is what yield panics with to unwind a body parked at Close.
+// step is the step function of the process's chain. It calls the step of a
+// HoldWhile in progress until that ends, then resumes the body until the
+// body yields its next wait. A body that has ended ends the chain; if it
+// panicked, the panic is raised here, before any further event fires, or
+// handed to OnPanic.
+func (p *Process) step() Step {
+	if p.while != nil {
+		if s := p.while(); !s.Done {
+			return s
+		}
+		p.while = nil
+	}
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	p.k.procs.resumed++
+	p.running = true
+	s, ok := p.next()
+	p.running = false
+	if ok {
+		return s
+	}
+	p.terminated = true
+	p.k.procs.dead++
+	p.body, p.next, p.stop, p.yield = nil, nil, nil, nil
+	if v := p.panicVal; v != nil {
+		if p.OnPanic == nil {
+			panic(fmt.Sprintf("pearl: %v panicked: %v", p, v))
+		}
+		p.OnPanic(v)
+	}
+	return Step{Done: true}
+}
+
+// unwind is what wait panics with to unwind a body parked at Close.
 type unwind struct{}
 
-// yield gives the baton up: it switches home, to drive, and returns when
-// drive switches back for the process's next activation. When Close stops
-// the worker instead, the body is unwound from here.
-func (p *Process) yield() {
-	if !p.w.yield(struct{}{}) {
-		panic(unwind{})
-	}
-}
-
-// run executes the body to its end, on the worker that calls it.
-func (p *Process) run() {
-	defer p.exit()
+// run is the body's coroutine. It keeps a body's panic for step to raise,
+// and ends the unwinding Close starts — letting through any other panic of a
+// deferred call, for Close to raise.
+func (p *Process) run(yield func(Step) bool) {
+	p.yield = yield
+	defer func() {
+		v := recover()
+		if _, ok := v.(unwind); ok || v == nil {
+			return
+		}
+		if p.k.closed {
+			panic(v)
+		}
+		p.panicVal = v
+	}()
 	p.body(p)
 }
 
-// exit is the last deferred call of the body. When Close is unwinding the
-// body it only ends the unwinding. Otherwise the body has returned or
-// panicked with the baton held: the process terminates, and runs the event
-// loop a last time before its worker goes idle — unless the body panicked,
-// which goes straight home so that the panic is raised there before any
-// further event fires.
-func (p *Process) exit() {
-	k := p.k
-	v := recover()
-	if k.closed {
-		if _, ok := v.(unwind); !ok && v != nil {
-			panic(v) // a deferred call of the body panicked: Close raises it
-		}
-		return
+// wait blocks the body for the wait s asks for, if it needs one: it hands s
+// to the chain and returns when the chain resumes the body. Only the running
+// body may block — from anywhere else, yield would switch out of a coroutine
+// the caller is not on.
+func (p *Process) wait(s Step) {
+	if !p.running {
+		panic(fmt.Sprintf("pearl: %v blocking while not the running process", p))
 	}
-	p.terminated = true
-	k.dead++
-	p.body, p.w = nil, nil
-	k.current = nil
-	if v != nil {
-		p.panicVal = v
-		k.crashed = p
-		k.switches++
-		return
+	if !p.yield(s) {
+		panic(unwind{})
 	}
-	k.relay(p)
 }
 
 // Now returns the current virtual time.
@@ -123,36 +190,6 @@ func (p *Process) Now() Time { return p.k.now }
 // String implements fmt.Stringer.
 func (p *Process) String() string {
 	return fmt.Sprintf("process %q (#%d)", p.name, p.id)
-}
-
-// activate marks p as the running process and returns it for the event
-// loop's caller to become or to leave the baton to; nil when p has
-// terminated. Must be called from the kernel loop (event context).
-func (k *Kernel) activate(p *Process) *Process {
-	if p.terminated {
-		return nil
-	}
-	k.current = p
-	p.runnable = true
-	p.receiving = ""
-	return p
-}
-
-// block suspends the process until its next activation. It does not yield
-// first: it keeps the baton and runs the event loop itself, on its own stack,
-// so callbacks execute here, in kernel context, and if the next activation is
-// the process's own it simply returns. Only when another process is
-// activated, or the run stops, does it yield the baton home.
-func (p *Process) block() {
-	k := p.k
-	if k.current != p {
-		panic(fmt.Sprintf("pearl: %v blocking while not the running process", p))
-	}
-	p.runnable = false
-	k.current = nil
-	if !k.relay(p) {
-		p.yield()
-	}
 }
 
 // Hold advances the process's virtual time by d cycles, yielding control to
@@ -176,36 +213,27 @@ func (p *Process) Hold(d Time) {
 //		}
 //	}
 //
-// except that after the first call step runs in kernel context, as the step
-// function of the process's Chain, so a chain of waits costs no switch
-// however many other processes interleave with it: each wait is the one event
-// that would resume the process, and only the chain's end activates it. The
-// same events are scheduled at the same program points as by the loop above,
-// so event order, EventCount and everything observable in virtual time are
-// identical. step must not block, and must not rely on being called on the
-// process's own stack; a panic in it surfaces like a callback's.
+// except that after the first call step runs in kernel context, called by
+// the process's chain, so a chain of waits resumes the body once, at its
+// end, however many waits it takes. The same events are scheduled at the
+// same program points as by the loop above, so event order, EventCount and
+// everything observable in virtual time are identical. step must not block;
+// a panic in it surfaces like a callback's.
 func (p *Process) HoldWhile(step func() Step) {
-	p.c.step = step
-	if p.c.advance() {
-		p.block()
-		return
-	}
-	p.c.step = nil
-}
-
-// wait blocks the process for one wait of its chain, if s needs one.
-func (p *Process) wait(s Step) {
-	if p.c.await(s) {
-		p.block()
+	if s := step(); !s.Done {
+		p.while = step
+		p.wait(s)
 	}
 }
 
-// park blocks until some other component calls unpark. It is the building
-// block of Receive.
+// park blocks until some other component calls unpark: an await of the
+// process's own future. It is the building block of Receive.
 func (p *Process) park(reason string) {
+	p.mail.done = false
 	p.receiving = reason
-	p.block()
+	p.wait(Step{Await: &p.mail})
+	p.receiving = ""
 }
 
 // unpark schedules the process to resume at the current virtual time.
-func (p *Process) unpark() { p.c.wake() }
+func (p *Process) unpark() { p.mail.Complete(nil) }

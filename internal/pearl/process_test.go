@@ -155,3 +155,44 @@ func TestHoldNegativePanics(t *testing.T) {
 		t.Fatal("expected panic for negative Hold")
 	}
 }
+
+// Only the running body may block. From an event callback, or from the
+// HoldWhile step of another process (called in kernel context after its
+// first call), Hold would switch out of a coroutine the caller is not on: it
+// panics instead, on the caller of Run, and leaves the victim intact.
+func TestBlockingWhileNotRunningPanics(t *testing.T) {
+	for name, plant := range map[string]func(k *Kernel, victim *Process){
+		"callback": func(k *Kernel, victim *Process) {
+			k.After(5, func() { victim.Hold(1) })
+		},
+		"HoldWhile step": func(k *Kernel, victim *Process) {
+			k.Spawn("other", func(p *Process) {
+				calls := 0
+				p.HoldWhile(func() Step {
+					if calls++; calls > 1 {
+						victim.Hold(1)
+					}
+					return Step{Hold: 5}
+				})
+			})
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			k := NewKernel()
+			defer k.Close()
+			victim := k.Spawn("victim", func(p *Process) { p.Hold(100) })
+			plant(k, victim)
+			v := fmt.Sprint(recovered(func() { k.Run() }))
+			if !strings.Contains(v, `"victim"`) || !strings.Contains(v, "blocking while not the running process") {
+				t.Fatalf("Run panicked with %q; want the victim named, blocking while not the running process", v)
+			}
+			if k.Now() != 5 {
+				t.Errorf("panic surfaced at %d, want 5", k.Now())
+			}
+			k.Run()
+			if !victim.terminated || k.Now() != 100 {
+				t.Errorf("resumed run: victim terminated=%v at %d; want its hold to end at 100", victim.terminated, k.Now())
+			}
+		})
+	}
+}

@@ -28,10 +28,9 @@ type ShardGroup struct {
 	lookahead Time
 
 	// cross[src*n+dst] is the mailbox of events shard src has produced for
-	// shard dst. Only the holder of src's baton appends (inside a window),
-	// only the coordinator drains (between windows); the window barrier —
-	// which the baton is back home for — provides the happens-before edge
-	// for both directions.
+	// shard dst. Only the goroutine running src's window appends, only the
+	// coordinator drains (between windows); the window barrier provides the
+	// happens-before edge for both directions.
 	cross   [][]crossEvent
 	scratch []crossEvent
 

@@ -2,25 +2,24 @@ package pearl
 
 // step fires the next scheduled event on the calling goroutine and reports
 // false when the schedule is empty. It exists for the tests and benchmarks
-// that price a single callback event; an event that activates a process
-// needs the baton protocol of a real drive, so it is refused here.
+// that price a single event.
 func (k *Kernel) step() bool {
 	idx, fromHeap, ok := k.front()
 	if !ok {
 		return false
 	}
-	if p := k.fire(idx, fromHeap); p != nil {
-		panic("pearl: step activated " + p.String() + "; drive processes with Run")
-	}
+	k.fire(idx, fromHeap)
 	return true
 }
 
-// blocked returns the processes that are alive but have no pending event to
-// resume them: with an idle kernel these are deadlocked.
+// blocked returns the processes that have started, not terminated and are
+// waiting: with an idle kernel these are deadlocked. (A woken wait counts
+// until its event fires; every caller reads an idle or cut kernel, where no
+// wake is pending.)
 func (k *Kernel) blocked() []*Process {
 	var out []*Process
-	for _, p := range k.procs {
-		if !p.terminated && !p.runnable {
+	for _, p := range k.procs.list {
+		if !p.terminated && p.c.wait != waitNone {
 			out = append(out, p)
 		}
 	}
