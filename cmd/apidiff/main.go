@@ -1,11 +1,11 @@
 // Command apidiff guards the workbench's exported API surface. It parses
 // and type-checks the module from source (go/parser, go/types and the
-// "source" importer only — no toolchain invocation, no dependencies),
-// renders each exported declaration under internal/ as one normalized line,
-// and compares the sorted result against the checked-in golden API.txt (the
-// default mode; CI runs it), so an unintentional signature change fails the
-// build with a readable diff. An intentional change is committed by
-// regenerating the golden with `-write`.
+// "source" importer; no dependencies), renders each exported declaration
+// under internal/ as one normalized line, and compares the sorted result
+// against the checked-in golden API.txt (the default mode; CI runs it), so
+// an unintentional signature change fails the build with a readable diff.
+// An intentional change is committed by regenerating the golden with
+// `-write`.
 //
 // The surface covers exported functions, methods on exported receivers,
 // type definitions (struct fields and interface methods filtered to the
@@ -13,13 +13,16 @@
 // renames, method bodies, doc comments — never appear, so refactors that
 // keep the API stable keep the golden byte-identical.
 //
-// Every identifier on that surface must also earn its place: both modes
-// fail, and -write writes nothing, while any of them is used by no file in
-// another directory of the module (see unused).
+// Every identifier on that surface must also earn its place, and so must
+// every function under internal/: both modes fail, and -write writes
+// nothing, while an identifier is used by no file in another directory of
+// the module (see unused) or a function is linked into none of the module's
+// binaries, which one go build of every main reports (see linked).
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"go/ast"
@@ -48,18 +51,31 @@ func run(args []string, stderr io.Writer) int {
 		return 2
 	}
 
-	l, err := load(*root)
+	l, err := parse(*root)
 	if err != nil {
 		fmt.Fprintln(stderr, "apidiff:", err)
 		return 2
 	}
+	// The build runs beside the type-check, which reads the same syntax.
+	var reached map[string]bool
+	built := make(chan error, 1)
+	go func() {
+		var err error
+		reached, err = linked(l)
+		built <- err
+	}()
+	if err := cmp.Or(l.typeCheck(), <-built); err != nil {
+		fmt.Fprintln(stderr, "apidiff:", err)
+		return 2
+	}
 	surface := scan(l)
-	if findings := unused(l); len(findings) > 0 {
-		fmt.Fprintf(stderr, "apidiff: %d exported identifiers are used by no other package:\n", len(findings))
+	if findings := append(unused(l), unreached(l, reached, testOnly)...); len(findings) > 0 {
+		fmt.Fprintf(stderr, "apidiff: %d identifiers do not earn their place:\n", len(findings))
 		for _, f := range findings {
 			fmt.Fprintln(stderr, f)
 		}
-		fmt.Fprintln(stderr, "Unexport what its own package uses and delete the rest.")
+		fmt.Fprintln(stderr, "Unexport what only its own package uses and delete what only its own tests use, or move it into them;")
+		fmt.Fprintln(stderr, "list in testOnly (cmd/apidiff/reach.go), with those tests, a function no binary links that other packages' tests need.")
 		return 1
 	}
 	if *write {

@@ -1,5 +1,11 @@
 package b
 
-import "fixture/internal/a"
+import (
+	"fixture/internal/a"
+	"fixture/internal/c"
+)
 
-func useOther() { a.OtherTestOnly() }
+func useOther() {
+	a.OtherTestOnly()
+	c.ForOtherTests()
+}

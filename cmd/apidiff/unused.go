@@ -61,12 +61,9 @@ var stdImporter = sync.OnceValue(func() types.ImporterFrom {
 	return importer.ForCompiler(token.NewFileSet(), "source", nil).(types.ImporterFrom)
 })
 
-// load parses every directory of the module at root (files selected by the
-// build context, as the go tool selects them) and type-checks each package,
-// then each package's tests: the in-package tests with their package, and
-// the external tests against that test variant, where export_test.go
-// files live.
-func load(root string) (*loader, error) {
+// parse parses every directory of the module at root, files selected by the
+// build context as the go tool selects them.
+func parse(root string) (*loader, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -87,18 +84,22 @@ func load(root string) (*loader, error) {
 		}
 		return l.parseDir(dir)
 	})
-	if err != nil {
-		return nil, err
-	}
+	return l, err
+}
+
+// typeCheck type-checks each package, then each package's tests: the
+// in-package tests with their package, and the external tests against that
+// test variant, where export_test.go files live.
+func (l *loader) typeCheck() error {
 	for _, p := range l.order {
 		if len(p.files) > 0 {
 			if _, err := l.Import(p.path); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
 	if len(l.errs) > 0 {
-		return nil, l.errs[0]
+		return l.errs[0]
 	}
 	for _, p := range l.order {
 		withTests := p.pkg
@@ -109,7 +110,7 @@ func load(root string) (*loader, error) {
 			l.check(p.path+"_test", p.xtests, variant{l, p.path, withTests}, false)
 		}
 	}
-	return l, nil
+	return nil
 }
 
 // parseDir parses the Go files of one directory.
@@ -343,12 +344,17 @@ func unused(l *loader) []finding {
 		if inside[obj.Pos()] {
 			reason = "used only inside its package"
 		}
-		pos := l.fset.Position(obj.Pos())
-		rel, _ := filepath.Rel(l.root, pos.Filename)
-		out = append(out, finding{fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line), name, reason})
+		out = append(out, finding{l.at(obj.Pos()), name, reason})
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].pos < out[j].pos })
 	return out
+}
+
+// at renders a position as a module-relative file:line.
+func (l *loader) at(p token.Pos) string {
+	pos := l.fset.Position(p)
+	rel, _ := filepath.Rel(l.root, pos.Filename)
+	return fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)
 }
 
 // implements reports whether t, or a pointer to it, implements an interface

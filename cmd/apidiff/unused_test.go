@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// load parses and type-checks the module at root.
+func load(root string) (*loader, error) {
+	l, err := parse(root)
+	if err != nil {
+		return nil, err
+	}
+	return l, l.typeCheck()
+}
+
 // TestUnusedRules runs the gate on the fixture module in testdata/mod, which
 // declares one identifier per rule, and checks what it flags and spares.
 func TestUnusedRules(t *testing.T) {

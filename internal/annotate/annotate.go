@@ -76,17 +76,6 @@ const (
 	local
 )
 
-// String returns the class name.
-func (c VarClass) String() string {
-	switch c {
-	case global:
-		return "global"
-	case local:
-		return "local"
-	}
-	return "?"
-}
-
 // Var is one entry of the variable descriptor table: whether the variable is
 // global or local, its address, whether it lives in a
 // register, and its type (§5.1).
@@ -141,10 +130,6 @@ func New(th *trace.Thread, target Target) *Unit {
 	}
 }
 
-// Thread returns the underlying trace thread (for communication
-// annotations).
-func (u *Unit) Thread() *trace.Thread { return u.th }
-
 func align(addr, size uint64) uint64 {
 	if size == 0 {
 		size = 1
@@ -169,14 +154,10 @@ func (u *Unit) GlobalArray(name string, typ ops.MemType, n int) *Var {
 	return v
 }
 
-// Shared declares a scalar in the virtual-shared-memory segment: the same
-// declaration order yields the same address on every node, and accesses to
-// it are resolved by the DSM layer when the machine has one (§5).
-func (u *Unit) Shared(name string, typ ops.MemType) *Var {
-	return u.SharedArray(name, typ, 1)
-}
-
-// SharedArray declares a shared array of n elements.
+// SharedArray declares an array of n elements in the virtual-shared-memory
+// segment: the same declaration order yields the same address on every node,
+// and accesses to it are resolved by the DSM layer when the machine has one
+// (§5).
 func (u *Unit) SharedArray(name string, typ ops.MemType, n int) *Var {
 	if n < 1 {
 		panic(fmt.Sprintf("annotate: shared array %q with %d elements", name, n))

@@ -273,7 +273,7 @@ func TestNestedLoopsRecurringAddresses(t *testing.T) {
 
 func TestSharedSegmentAddresses(t *testing.T) {
 	collect(t, func(u *Unit) {
-		s := u.Shared("s", ops.MemWord)
+		s := u.SharedArray("s", ops.MemWord, 1)
 		if s.Addr != u.target.SharedBase {
 			t.Errorf("shared at %#x, want base %#x", s.Addr, u.target.SharedBase)
 		}
@@ -293,7 +293,7 @@ func TestSharedWithoutSegmentPanics(t *testing.T) {
 		Body: func(th *trace.Thread) {
 			tgt := GenericTarget()
 			tgt.SharedBase = 0
-			New(th, tgt).Shared("x", ops.MemWord)
+			New(th, tgt).SharedArray("x", ops.MemWord, 1)
 		},
 	}
 	th := pr.Start()[0]
@@ -346,9 +346,6 @@ func TestCommunicationAnnotations(t *testing.T) {
 			u.ASend(0, 32, 2, nil)
 			u.Recv(0, 1)
 			u.RecvAny(2)
-			if u.Thread() != th {
-				t.Error("Thread accessor broken")
-			}
 		},
 	}
 	th := pr.Start()[0]
@@ -363,12 +360,6 @@ func TestCommunicationAnnotations(t *testing.T) {
 	// Every communication annotation fetched its issuing instruction.
 	if counts[ops.IFetch] != 4 {
 		t.Fatalf("ifetches = %d, want 4", counts[ops.IFetch])
-	}
-}
-
-func TestVarClassStrings(t *testing.T) {
-	if global.String() != "global" || local.String() != "local" {
-		t.Fatal("class names wrong")
 	}
 }
 

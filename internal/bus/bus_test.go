@@ -21,8 +21,8 @@ func TestArbitrationSerialises(t *testing.T) {
 	k := pearl.NewKernel()
 	b := New(k, "bus", Config{Width: 8, ArbitrationDelay: 1}, nil, nil)
 	var t1, t2 pearl.Time
-	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t1 = p.Now() })
-	k.Spawn("b", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t2 = p.Now() })
+	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t1 = k.Now() })
+	k.Spawn("b", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t2 = k.Now() })
 	k.Run()
 	// Each transaction: 1 arb + 8 transfer = 9.
 	if t1 != 9 || t2 != 18 {
@@ -40,7 +40,7 @@ func TestTransactBodyRunsWhileHolding(t *testing.T) {
 	k.Spawn("a", func(p *pearl.Process) {
 		b.Transact(p, 0, 8, func() {
 			bodyRan = true
-			if b.Utilization() == 0 && p.Now() == 0 {
+			if b.Utilization() == 0 && k.Now() == 0 {
 				// holding at time zero; nothing to assert about utilisation yet
 				_ = b
 			}
@@ -76,8 +76,8 @@ func TestCrossbarParallelism(t *testing.T) {
 	b := New(k, "xbar", Config{Kind: KindCrossbar, Width: 8, ArbitrationDelay: 1, Banks: 4, InterleaveBytes: 64}, nil, nil)
 	var t1, t2 pearl.Time
 	// Different banks: concurrent.
-	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t1 = p.Now() })
-	k.Spawn("b", func(p *pearl.Process) { b.Transact(p, 64, 64, nil); t2 = p.Now() })
+	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t1 = k.Now() })
+	k.Spawn("b", func(p *pearl.Process) { b.Transact(p, 64, 64, nil); t2 = k.Now() })
 	k.Run()
 	if t1 != 9 || t2 != 9 {
 		t.Fatalf("t1=%d t2=%d, want concurrent 9/9", t1, t2)
@@ -89,8 +89,8 @@ func TestCrossbarSameBankSerialises(t *testing.T) {
 	b := New(k, "xbar", Config{Kind: KindCrossbar, Width: 8, ArbitrationDelay: 1, Banks: 4, InterleaveBytes: 64}, nil, nil)
 	var t1, t2 pearl.Time
 	// Same bank (64-byte interleave, banks 4: addresses 0 and 256 share bank 0).
-	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t1 = p.Now() })
-	k.Spawn("b", func(p *pearl.Process) { b.Transact(p, 256, 64, nil); t2 = p.Now() })
+	k.Spawn("a", func(p *pearl.Process) { b.Transact(p, 0, 64, nil); t1 = k.Now() })
+	k.Spawn("b", func(p *pearl.Process) { b.Transact(p, 256, 64, nil); t2 = k.Now() })
 	k.Run()
 	if t1 != 9 || t2 != 18 {
 		t.Fatalf("t1=%d t2=%d, want serialised 9/18", t1, t2)

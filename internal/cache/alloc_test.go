@@ -38,7 +38,7 @@ func TestAllocFreeMissChain(t *testing.T) {
 		count func(h *Hierarchy) uint64 // the events the case is about
 	}{
 		{"miss", deep(1, NoCoherence), []op{{Read, stride, 0}},
-			func(h *Hierarchy) uint64 { return h.mem.Reads() }},
+			func(h *Hierarchy) uint64 { return memReads(h) }},
 		{"write-back", deep(1, NoCoherence), []op{{Write, stride, 0}},
 			func(h *Hierarchy) uint64 { return h.busWB.Value() }},
 		// CPU 0 writes the line CPU 1 has read since: Shared on both sides, so

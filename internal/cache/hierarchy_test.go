@@ -60,6 +60,12 @@ func mustHierarchy(t *testing.T, k *pearl.Kernel, cfg HierarchyConfig) *Hierarch
 	return h
 }
 
+// memReads returns how many reads the hierarchy's memory served.
+func memReads(h *Hierarchy) uint64 {
+	v, _ := h.Memory().Stats().Get("reads")
+	return uint64(v)
+}
+
 func TestValidateHierarchy(t *testing.T) {
 	bad := []HierarchyConfig{
 		{CPUs: 0},
@@ -88,12 +94,12 @@ func TestUniprocessorMissThenHit(t *testing.T) {
 	pt := h.Port(0)
 	var missT, hitT pearl.Time
 	drive(t, h, k, func(p *pearl.Process) {
-		start := p.Now()
+		start := k.Now()
 		pt.Access(p, Read, 0x1000, 4)
-		missT = p.Now() - start
-		start = p.Now()
+		missT = k.Now() - start
+		start = k.Now()
 		pt.Access(p, Read, 0x1004, 4) // same line
-		hitT = p.Now() - start
+		hitT = k.Now() - start
 	})
 	// Miss: L1 lookup (1) + arbitration (1) + DRAM 5+64/8 (13) + bus 64/8 (8) = 23.
 	if missT != 23 {
@@ -106,8 +112,8 @@ func TestUniprocessorMissThenHit(t *testing.T) {
 	if l1.S.Hits.Value() != 1 || l1.S.Misses.Value() != 1 {
 		t.Errorf("hits=%d misses=%d", l1.S.Hits.Value(), l1.S.Misses.Value())
 	}
-	if h.Memory().Reads() != 1 {
-		t.Errorf("memory reads = %d, want 1", h.Memory().Reads())
+	if memReads(h) != 1 {
+		t.Errorf("memory reads = %d, want 1", memReads(h))
 	}
 }
 
@@ -171,16 +177,16 @@ func TestTwoLevelPrivateInclusion(t *testing.T) {
 		pt.Access(p, Read, 0x1000, 4) // miss both, fill both
 		// Conflict line 0x1000 out of L1 (direct-mapped, 16 sets, stride 512).
 		pt.Access(p, Read, 0x1000+512, 4)
-		start := p.Now()
+		start := k.Now()
 		pt.Access(p, Read, 0x1000, 4) // L1 miss, L2 hit
-		l2HitT = p.Now() - start
+		l2HitT = k.Now() - start
 	})
 	// L1 (1) + L2 (4) hit: no bus or memory involvement.
 	if l2HitT != 5 {
 		t.Errorf("L2 hit latency = %d, want 5", l2HitT)
 	}
-	if h.Memory().Reads() != 2 {
-		t.Errorf("memory reads = %d, want 2", h.Memory().Reads())
+	if memReads(h) != 2 {
+		t.Errorf("memory reads = %d, want 2", memReads(h))
 	}
 }
 
@@ -223,16 +229,16 @@ func TestSharedL2(t *testing.T) {
 		pt.Access(p, Read, 0, 4)
 		pt.Access(p, Read, 512, 4)  // same L1 set (8 sets, 2 ways)
 		pt.Access(p, Read, 1024, 4) // third conflicting line evicts line 0
-		start := p.Now()
+		start := k.Now()
 		pt.Access(p, Read, 0, 4) // L1 miss, shared L2 hit
-		sharedHitT = p.Now() - start
+		sharedHitT = k.Now() - start
 	})
 	// L1 (1) + arb (1) + L2 hit (4) + bus transfer (8) = 14, no memory.
 	if sharedHitT != 14 {
 		t.Errorf("shared L2 hit latency = %d, want 14", sharedHitT)
 	}
-	if h.Memory().Reads() != 3 {
-		t.Errorf("memory reads = %d, want 3", h.Memory().Reads())
+	if memReads(h) != 3 {
+		t.Errorf("memory reads = %d, want 3", memReads(h))
 	}
 }
 
@@ -457,7 +463,7 @@ func TestCoherenceInvariantsRandom(t *testing.T) {
 					cpu := rng.Intn(4)
 					addr := lines[rng.Intn(len(lines))]
 					kind := Read
-					if rng.Bool(0.4) {
+					if rng.Float64() < 0.4 {
 						kind = Write
 					}
 					h.Port(cpu).Access(p, kind, addr, 4)
@@ -547,7 +553,7 @@ func TestStoreBufferHidesWriteLatency(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			pt.Access(p, Write, uint64(0x100+8*i), 4)
 		}
-		retire = p.Now()
+		retire = k.Now()
 	})
 	end := k.Run()
 	if h.Memory().Writes() != 8 {
@@ -570,7 +576,7 @@ func TestStoreBufferStallsWhenFull(t *testing.T) {
 		for i := 0; i < 8; i++ {
 			pt.Access(p, Write, uint64(0x100+8*i), 4)
 		}
-		retire = p.Now()
+		retire = k.Now()
 	})
 	k.Run()
 	// With depth 2, retiring 8 stores must wait for ~6 drains (8 cycles

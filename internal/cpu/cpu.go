@@ -123,9 +123,6 @@ func (c *CPU) BusyCycles() pearl.Time { return c.busy }
 // and bus/DRAM queueing). BusyCycles minus MemStallCycles is pure compute.
 func (c *CPU) MemStallCycles() pearl.Time { return c.memStall }
 
-// Count returns how many operations of the given kind were executed.
-func (c *CPU) Count(k ops.Kind) uint64 { return c.counts[k].Value() }
-
 // usesPort reports whether the operation goes through the memory hierarchy:
 // loads, stores and — unlike ops.Kind.IsMemoryAccess, which is the data side
 // only — instruction fetches.

@@ -65,7 +65,7 @@ func TestMemoryOpsGoThroughHierarchy(t *testing.T) {
 	if l1.S.Misses.Value() != 1 || l1.S.Hits.Value() != 2 {
 		t.Fatalf("L1 misses=%d hits=%d", l1.S.Misses.Value(), l1.S.Hits.Value())
 	}
-	if c.Count(ops.Load) != 2 || c.Count(ops.Store) != 1 {
+	if c.counts[ops.Load].Value() != 2 || c.counts[ops.Store].Value() != 1 {
 		t.Fatal("op counters wrong")
 	}
 }

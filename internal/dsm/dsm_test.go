@@ -21,14 +21,14 @@ func cluster(t *testing.T) *machine.Machine {
 
 // sharedProg builds an instrumented program whose threads access the shared
 // segment; body receives the unit and the thread.
-func sharedProg(threads int, body func(u *annotate.Unit, rank int)) *trace.Program {
+func sharedProg(threads int, body func(u *annotate.Unit, th *trace.Thread, rank int)) *trace.Program {
 	return &trace.Program{
 		Threads: threads,
 		Body: func(th *trace.Thread) {
 			u := annotate.New(th, annotate.GenericTarget())
 			u.Enter("main")
 			defer u.Leave()
-			body(u, th.ID())
+			body(u, th, th.ID())
 		},
 	}
 }
@@ -53,11 +53,11 @@ func TestConfigValidate(t *testing.T) {
 
 func TestReadFaultThenLocality(t *testing.T) {
 	m := cluster(t)
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
 		if rank != 1 {
 			return
 		}
-		x := u.Shared("x", ops.MemWord)
+		x := u.SharedArray("x", ops.MemWord, 1)
 		u.Load(x) // first touch: read fault
 		u.Load(x) // locality: no further fault
 		u.Load(x)
@@ -82,9 +82,8 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 	m := cluster(t)
 	// Rank 1 and 2 read the page; then rank 3 writes it; then rank 1 reads
 	// again (must re-fault). Sequencing via explicit messages.
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
-		x := u.Shared("x", ops.MemWord)
-		th := u.Thread()
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
+		x := u.SharedArray("x", ops.MemWord, 1)
 		switch rank {
 		case 1, 2:
 			u.Load(x)
@@ -117,9 +116,8 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 
 func TestOwnershipMigration(t *testing.T) {
 	m := cluster(t)
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
-		x := u.Shared("x", ops.MemWord)
-		th := u.Thread()
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
+		x := u.SharedArray("x", ops.MemWord, 1)
 		switch rank {
 		case 1:
 			u.Store(x) // become owner
@@ -145,11 +143,11 @@ func TestOwnershipMigration(t *testing.T) {
 
 func TestWriteThenLocalReadsNoFault(t *testing.T) {
 	m := cluster(t)
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
 		if rank != 2 {
 			return
 		}
-		x := u.Shared("x", ops.MemWord)
+		x := u.SharedArray("x", ops.MemWord, 1)
 		u.Store(x)
 		u.Load(x) // write rights imply read rights
 		u.Store(x)
@@ -169,10 +167,9 @@ func TestFalseSharingPingPong(t *testing.T) {
 	// Nodes 1 and 2 alternately write two different words in the same page:
 	// the page ping-pongs between them (the classic DSM false-sharing
 	// pathology, visible as ~2 page moves per round).
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
-		a := u.Shared("a", ops.MemWord)
-		b := u.Shared("b", ops.MemWord) // same page as a
-		th := u.Thread()
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
+		a := u.SharedArray("a", ops.MemWord, 1)
+		b := u.SharedArray("b", ops.MemWord, 1) // same page as a
 		for i := 0; i < rounds; i++ {
 			switch rank {
 			case 1:
@@ -197,9 +194,8 @@ func TestFalseSharingPingPong(t *testing.T) {
 
 func TestCachesFlushedOnPageInvalidation(t *testing.T) {
 	m := cluster(t)
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
-		x := u.Shared("x", ops.MemWord)
-		th := u.Thread()
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
+		x := u.SharedArray("x", ops.MemWord, 1)
 		switch rank {
 		case 1:
 			u.Load(x) // page + cache line at node 1
@@ -221,17 +217,18 @@ func TestCachesFlushedOnPageInvalidation(t *testing.T) {
 	if l1.S.SnoopInvalidates.Value() == 0 {
 		t.Fatal("cache lines not dropped with the page")
 	}
-	var loads, misses = m.Nodes()[1].CPU(0).Count(ops.Load), l1.S.Misses.Value()
+	loads, _ := m.Nodes()[1].CPU(0).Stats().Get(ops.Load.String())
+	misses := l1.S.Misses.Value()
 	if loads != 2 || misses < 2 {
-		t.Fatalf("loads=%d cache misses=%d, want 2 misses", loads, misses)
+		t.Fatalf("loads=%v cache misses=%d, want 2 misses", loads, misses)
 	}
 }
 
 func TestSharedAddressesAgreeAcrossThreads(t *testing.T) {
 	addrs := make([]uint64, 4)
 	m := cluster(t)
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
-		u.Shared("first", ops.MemFloat8)
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
+		u.SharedArray("first", ops.MemFloat8, 1)
 		arr := u.SharedArray("arr", ops.MemWord, 100)
 		addrs[rank] = arr.Addr
 	})
@@ -259,8 +256,8 @@ func TestDSMRequiresDetailedMultiNode(t *testing.T) {
 // per page (observed indirectly: every write fault migrated ownership).
 func TestConcurrentAccessTerminates(t *testing.T) {
 	m := cluster(t)
-	prog := sharedProg(4, func(u *annotate.Unit, rank int) {
-		x := u.Shared("x", ops.MemWord)
+	prog := sharedProg(4, func(u *annotate.Unit, th *trace.Thread, rank int) {
+		x := u.SharedArray("x", ops.MemWord, 1)
 		big := u.SharedArray("big", ops.MemFloat8, 1024) // spans 2 pages (8 KiB)
 		for i := 0; i < 10; i++ {
 			u.Load(x)
@@ -290,7 +287,7 @@ func TestManyNodesConcurrentSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := sharedProg(9, func(u *annotate.Unit, rank int) {
+	prog := sharedProg(9, func(u *annotate.Unit, th *trace.Thread, rank int) {
 		arr := u.SharedArray("arr", ops.MemFloat8, 2048) // 16 KiB: 4 pages
 		for i := 0; i < 12; i++ {
 			u.LoadElem(arr, (rank*97+i*31)%2048)

@@ -118,7 +118,7 @@ func TestRegistryMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(e.Units), len(rs.Table.Header()); got != want {
+		if got, want := len(e.Units), len(rs.Table.Rows()[0]); got != want {
 			t.Errorf("%s: %d units for %d columns", name, got, want)
 		}
 	}

@@ -236,16 +236,16 @@ func TestSummaryAggregates(t *testing.T) {
 	}
 	rep := New(2).Run(jobs)
 	s := rep.Summary()
-	if got := s.MustGet("runs"); got != 2 {
+	if got, _ := s.Get("runs"); got != 2 {
 		t.Errorf("runs = %v", got)
 	}
-	if got := s.MustGet("failures"); got != 1 {
+	if got, _ := s.Get("failures"); got != 1 {
 		t.Errorf("failures = %v", got)
 	}
-	if got := s.MustGet("sim cycles"); got != 1000 {
+	if got, _ := s.Get("sim cycles"); got != 1000 {
 		t.Errorf("sim cycles = %v", got)
 	}
-	if got := s.MustGet("kernel events"); got != 42 {
+	if got, _ := s.Get("kernel events"); got != 42 {
 		t.Errorf("kernel events = %v", got)
 	}
 	var sb strings.Builder

@@ -48,8 +48,8 @@ func TestInjectorWindowsApplyInVirtualTime(t *testing.T) {
 	var got []sample
 	k.Spawn("observer", func(p *pearl.Process) {
 		for _, at := range []pearl.Time{5, 12, 22, 35} {
-			p.Hold(at - p.Now())
-			got = append(got, sample{p.Now(), inj.LinkDown(1, p12), inj.NodeDown(3)})
+			p.Hold(at - k.Now())
+			got = append(got, sample{k.Now(), inj.LinkDown(1, p12), inj.NodeDown(3)})
 		}
 	})
 	k.Run()

@@ -151,8 +151,7 @@ type call struct {
 	pc    int
 }
 
-// Reads and Writes expose the access counters.
-func (d *DRAM) Reads() uint64  { return d.reads.Value() }
+// Writes returns how many writes the memory served.
 func (d *DRAM) Writes() uint64 { return d.writes.Value() }
 
 // Stats reports the memory's counters and utilisation.

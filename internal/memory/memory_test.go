@@ -21,14 +21,14 @@ func TestPortContention(t *testing.T) {
 	k := pearl.NewKernel()
 	d := New(k, "m", Config{ReadLatency: 10, WriteLatency: 10, BytesPerCycle: 8, Ports: 1}, nil, nil)
 	var t1, t2 pearl.Time
-	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 8); t1 = p.Now() })
-	k.Spawn("b", func(p *pearl.Process) { d.Read(p, 64, 8); t2 = p.Now() })
+	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 8); t1 = k.Now() })
+	k.Spawn("b", func(p *pearl.Process) { d.Read(p, 64, 8); t2 = k.Now() })
 	k.Run()
 	if t1 != 11 || t2 != 22 {
 		t.Fatalf("t1=%d t2=%d, want 11/22 (serialised)", t1, t2)
 	}
-	if d.Reads() != 2 || d.bytes.Value() != 16 {
-		t.Fatalf("reads=%d bytes=%d", d.Reads(), d.bytes.Value())
+	if d.reads.Value() != 2 || d.bytes.Value() != 16 {
+		t.Fatalf("reads=%d bytes=%d", d.reads.Value(), d.bytes.Value())
 	}
 }
 
@@ -36,8 +36,8 @@ func TestDualPorted(t *testing.T) {
 	k := pearl.NewKernel()
 	d := New(k, "m", Config{ReadLatency: 10, WriteLatency: 10, BytesPerCycle: 8, Ports: 2}, nil, nil)
 	var t1, t2 pearl.Time
-	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 8); t1 = p.Now() })
-	k.Spawn("b", func(p *pearl.Process) { d.access(p, true, 8); t2 = p.Now() })
+	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 8); t1 = k.Now() })
+	k.Spawn("b", func(p *pearl.Process) { d.access(p, true, 8); t2 = k.Now() })
 	k.Run()
 	if t1 != 11 || t2 != 11 {
 		t.Fatalf("t1=%d t2=%d, want concurrent 11/11", t1, t2)
@@ -49,7 +49,7 @@ func TestSanitizeDefaults(t *testing.T) {
 	d := New(k, "m", Config{}, nil, nil) // all zero: must not divide by zero
 	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 64) })
 	k.Run()
-	if d.Reads() != 1 {
+	if d.reads.Value() != 1 {
 		t.Fatal("read did not complete")
 	}
 }

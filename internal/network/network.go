@@ -57,7 +57,9 @@ type Config struct {
 	// synchronous (rendezvous) send.
 	AckBytes int
 	// LocalBytesPerCycle is the memory-copy bandwidth for self-sends
-	// (src == dst), which never enter the network.
+	// (src == dst), which never enter the network. 0 (or less) means 8: the
+	// network applies that default when it is built and leaves the
+	// configuration as given, so -dump-config prints 0.
 	LocalBytesPerCycle int
 	// Seed drives the randomised routing (Valiant intermediate selection).
 	Seed uint64

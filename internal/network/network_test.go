@@ -39,13 +39,13 @@ func TestAsyncSendLatencySAF(t *testing.T) {
 	k.Spawn("sender", func(p *pearl.Process) {
 		send(p, n.Node(0), 1, 64, 0, "hi", false)
 		// Async: back after the send overhead.
-		if p.Now() != 3 {
-			t.Errorf("async send returned at %d, want 3", p.Now())
+		if k.Now() != 3 {
+			t.Errorf("async send returned at %d, want 3", k.Now())
 		}
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		m := recv(p, n.Node(1), 0, 0)
-		recvAt = p.Now()
+		recvAt = k.Now()
 		if m.Payload != "hi" {
 			t.Errorf("payload = %v", m.Payload)
 		}
@@ -71,7 +71,7 @@ func TestZeroLoadLatencyMatchesFormula(t *testing.T) {
 			k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 2, 128, 0, nil, false) })
 			k.Spawn("r", func(p *pearl.Process) {
 				recv(p, n.Node(2), 0, 0)
-				recvAt = p.Now()
+				recvAt = k.Now()
 			})
 			k.Run()
 			want := cfg.Router.UncontendedLatency(128, 2, 8, 1)
@@ -88,7 +88,7 @@ func TestSyncSendBlocksForAck(t *testing.T) {
 	var sendDone pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
 		send(p, n.Node(0), 1, 64, 0, nil, true)
-		sendDone = p.Now()
+		sendDone = k.Now()
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		recv(p, n.Node(1), 0, 0)
@@ -107,7 +107,7 @@ func TestSyncSendWaitsForLateReceiver(t *testing.T) {
 	var done pearl.Time
 	k.Spawn("sender", func(p *pearl.Process) {
 		send(p, n.Node(0), 1, 64, 0, nil, true)
-		done = p.Now()
+		done = k.Now()
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		p.Hold(100) // receiver arrives late
@@ -167,7 +167,7 @@ func TestMultiPacketMessage(t *testing.T) {
 	n := mustNet(t, k, cfg)
 	var recvAt pearl.Time
 	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 1, 256, 0, nil, false) })
-	k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0); recvAt = p.Now() })
+	k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0); recvAt = k.Now() })
 	k.Run()
 	if n.packets.Value() != 4 {
 		t.Errorf("packets = %d, want 4", n.packets.Value())
@@ -191,7 +191,7 @@ func TestSelfSendIsLocalCopy(t *testing.T) {
 	k.Spawn("node", func(p *pearl.Process) {
 		send(p, n.Node(2), 2, 64, 0, "self", false)
 		m := recv(p, n.Node(2), 2, 0)
-		recvAt = p.Now()
+		recvAt = k.Now()
 		if m.Payload != "self" {
 			t.Error("lost payload")
 		}
@@ -214,10 +214,10 @@ func TestARecvOverlap(t *testing.T) {
 	k.Spawn("s", func(p *pearl.Process) { send(p, n.Node(0), 1, 64, 0, nil, false) })
 	k.Spawn("r", func(p *pearl.Process) {
 		postRecv(p, n.Node(1), 0, 0, 1)
-		postedAt = p.Now() // immediate
+		postedAt = k.Now() // immediate
 		p.Hold(5)          // overlapped computation
 		waitRecv(p, n.Node(1), 1)
-		waitedAt = p.Now()
+		waitedAt = k.Now()
 	})
 	k.Run()
 	if postedAt != 0 {
@@ -242,9 +242,9 @@ func TestLinkContentionSerialises(t *testing.T) {
 	})
 	k.Spawn("r", func(p *pearl.Process) {
 		recv(p, n.Node(1), 0, 1)
-		t1 = p.Now()
+		t1 = k.Now()
 		recv(p, n.Node(1), 0, 2)
-		t2 = p.Now()
+		t2 = k.Now()
 	})
 	k.Run()
 	if t1 != 11 || t2 != 22 {
@@ -274,7 +274,7 @@ func TestWormholeHoldsPath(t *testing.T) {
 		})
 		k.Spawn("r", func(p *pearl.Process) {
 			recv(p, n.Node(1), 0, 1)
-			t2 = p.Now()
+			t2 = k.Now()
 		})
 		k.Run()
 		return t2
@@ -307,7 +307,7 @@ func TestProcessorPingPong(t *testing.T) {
 	if p0.Err() != nil || p1.Err() != nil {
 		t.Fatalf("errors: %v / %v", p0.Err(), p1.Err())
 	}
-	if !p0.Done() || !p1.Done() {
+	if !p0.done || !p1.done {
 		t.Fatal("processors not done")
 	}
 	if p0.compute != 100 || p1.compute != 50 {
@@ -338,7 +338,7 @@ func TestDeadlockDiagnosable(t *testing.T) {
 	pr := n.Processor(0)
 	pr.Start(traceFromOps([]ops.Op{ops.NewRecv(1, 0)}))
 	k.Run()
-	if pr.Done() {
+	if pr.done {
 		t.Fatal("processor should be stuck")
 	}
 	if got, want := pr.Blocked(), "proc0 (await)"; got != want {
@@ -469,7 +469,7 @@ func TestAdaptiveRoutingAvoidsHotLink(t *testing.T) {
 		k.Spawn("sink1", func(p *pearl.Process) { recv(p, n.Node(1), 0, 0) })
 		k.Spawn("sink3", func(p *pearl.Process) {
 			recv(p, n.Node(3), 0, 1)
-			done = p.Now()
+			done = k.Now()
 		})
 		k.Run()
 		return done
@@ -528,7 +528,7 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		m := recv(p, n.Node(1), 0, 0)
-		recvAt = p.Now()
+		recvAt = k.Now()
 		if m.Payload != "through the outage" {
 			t.Errorf("payload = %v", m.Payload)
 		}
@@ -567,7 +567,7 @@ func TestCrashedDestinationDropsUntilRestart(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *pearl.Process) {
 		recv(p, n.Node(1), 0, 0)
-		recvAt = p.Now()
+		recvAt = k.Now()
 	})
 	k.Run()
 	if recvAt < 300 {

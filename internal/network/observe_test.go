@@ -1,6 +1,7 @@
 package network
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -71,14 +72,14 @@ func runExchange(t testing.TB, cfg Config, streams [][]ops.Op, observed bool) (a
 	env.Kernel.Run()
 	runtime.ReadMemStats(&after)
 	for i := range streams {
-		if p := n.Processor(i); !p.Done() || p.Err() != nil {
-			t.Fatalf("processor %d: done %v, err %v", i, p.Done(), p.Err())
+		if p := n.Processor(i); !p.done || p.Err() != nil {
+			t.Fatalf("processor %d: done %v, err %v", i, p.done, p.Err())
 		}
 	}
 	if observed && (env.Probe.Timeline().Events() == 0 || len(env.Collect.Analyze(env.Kernel.Now()).Waits) == 0) {
 		t.Fatal("the observed run recorded no spans or no waits")
 	}
-	return after.Mallocs - before.Mallocs, uint64(n.hopHist.Sum())
+	return after.Mallocs - before.Mallocs, uint64(math.Round(n.hopHist.Mean() * float64(n.hopHist.Count())))
 }
 
 // Observing a run must cost no allocation per packet-hop: link reasons and

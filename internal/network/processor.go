@@ -130,10 +130,6 @@ func (pr *Processor) commCycles() pearl.Time {
 // Err returns the error the processor stopped on, if any.
 func (pr *Processor) Err() error { return pr.err }
 
-// Done reports whether the processor finished its trace (or stopped on an
-// error).
-func (pr *Processor) Done() bool { return pr.done }
-
 // Blocked describes the processor for a deadlock report — what its chain
 // waits for — or returns "" when it is done.
 func (pr *Processor) Blocked() string {

@@ -191,7 +191,7 @@ func TestDrivenFromAnotherGoroutineEachSlice(t *testing.T) {
 		k.Spawn("ping", func(p *Process) {
 			for i := 0; ; i++ {
 				b.Send(i)
-				log = append(log, fmt.Sprintf("%d ping got %v", p.Now(), p.Receive(a)))
+				log = append(log, fmt.Sprintf("%d ping got %v", k.Now(), p.Receive(a)))
 				p.Hold(3)
 			}
 		})
@@ -204,7 +204,7 @@ func TestDrivenFromAnotherGoroutineEachSlice(t *testing.T) {
 				// goroutine drives the slice it falls in.
 				k.Spawn("child", func(c *Process) {
 					c.Hold(4)
-					log = append(log, fmt.Sprintf("%d child of round %v done", c.Now(), v))
+					log = append(log, fmt.Sprintf("%d child of round %v done", k.Now(), v))
 				})
 			}
 		})

@@ -4,9 +4,8 @@ package pearl
 // asynchronous message-passing primitive of the Pearl modelling style.
 // Messages may be sent from process context or from plain event callbacks;
 // receiving requires a process. Delivery order is deterministic: FIFO per
-// mailbox, with delayed sends ordered by (arrival time, send order).
+// mailbox.
 type Mailbox struct {
-	k       *Kernel
 	reason  string // block reason of a receiver, built once
 	q       fifo[any]
 	waiters fifo[*Process]
@@ -14,22 +13,12 @@ type Mailbox struct {
 
 // NewMailbox creates an empty mailbox.
 func (k *Kernel) NewMailbox(name string) *Mailbox {
-	return &Mailbox{k: k, reason: "receive " + name}
+	return &Mailbox{reason: "receive " + name}
 }
 
 // Send enqueues msg for delivery at the current virtual time.
 func (mb *Mailbox) Send(msg any) {
 	mb.deliver(msg)
-}
-
-// sendAfter enqueues msg for delivery d cycles from now. The message is not
-// visible to receivers before then.
-func (mb *Mailbox) sendAfter(d Time, msg any) {
-	if d == 0 {
-		mb.deliver(msg)
-		return
-	}
-	mb.k.After(d, func() { mb.deliver(msg) })
 }
 
 func (mb *Mailbox) deliver(msg any) {

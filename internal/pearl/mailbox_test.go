@@ -33,9 +33,9 @@ func TestMailboxSendAfter(t *testing.T) {
 	var when Time
 	k.Spawn("consumer", func(p *Process) {
 		p.Receive(mb)
-		when = p.Now()
+		when = k.Now()
 	})
-	mb.sendAfter(42, "late")
+	k.After(42, func() { mb.Send("late") })
 	k.Run()
 	if when != 42 {
 		t.Fatalf("received at %d, want 42", when)
@@ -48,7 +48,7 @@ func TestMailboxBlocksUntilMessage(t *testing.T) {
 	var when Time = -1
 	k.Spawn("consumer", func(p *Process) {
 		p.Receive(mb)
-		when = p.Now()
+		when = k.Now()
 	})
 	k.Spawn("producer", func(p *Process) {
 		p.Hold(100)

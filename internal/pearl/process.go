@@ -184,9 +184,6 @@ func (p *Process) wait(s Step) {
 	}
 }
 
-// Now returns the current virtual time.
-func (p *Process) Now() Time { return p.k.now }
-
 // String implements fmt.Stringer.
 func (p *Process) String() string {
 	return fmt.Sprintf("process %q (#%d)", p.name, p.id)

@@ -10,13 +10,13 @@ func TestProcessHold(t *testing.T) {
 	k := NewKernel()
 	var marks []Time
 	k.Spawn("holder", func(p *Process) {
-		marks = append(marks, p.Now())
+		marks = append(marks, k.Now())
 		p.Hold(10)
-		marks = append(marks, p.Now())
+		marks = append(marks, k.Now())
 		p.Hold(0)
-		marks = append(marks, p.Now())
+		marks = append(marks, k.Now())
 		p.Hold(5)
-		marks = append(marks, p.Now())
+		marks = append(marks, k.Now())
 	})
 	k.Run()
 	want := []Time{0, 10, 10, 15}
@@ -45,7 +45,7 @@ func TestProcessTermination(t *testing.T) {
 func TestSpawnAt(t *testing.T) {
 	k := NewKernel()
 	var started Time = -1
-	k.SpawnAt(25, "late", func(p *Process) { started = p.Now() })
+	k.SpawnAt(25, "late", func(p *Process) { started = k.Now() })
 	k.Run()
 	if started != 25 {
 		t.Fatalf("started at %d, want 25", started)
@@ -57,14 +57,14 @@ func TestTwoProcessesInterleave(t *testing.T) {
 	var order []string
 	k.Spawn("a", func(p *Process) {
 		for i := 0; i < 3; i++ {
-			order = append(order, fmt.Sprintf("a@%d", p.Now()))
+			order = append(order, fmt.Sprintf("a@%d", k.Now()))
 			p.Hold(10)
 		}
 	})
 	k.Spawn("b", func(p *Process) {
 		p.Hold(5)
 		for i := 0; i < 3; i++ {
-			order = append(order, fmt.Sprintf("b@%d", p.Now()))
+			order = append(order, fmt.Sprintf("b@%d", k.Now()))
 			p.Hold(10)
 		}
 	})
@@ -127,7 +127,7 @@ func TestManyProcessesDeterministic(t *testing.T) {
 			k.Spawn(fmt.Sprintf("p%d", i), func(p *Process) {
 				for j := 0; j < 5; j++ {
 					p.Hold(Time(1 + (i+j)%7))
-					order = append(order, fmt.Sprintf("%d:%d@%d", i, j, p.Now()))
+					order = append(order, fmt.Sprintf("%d:%d@%d", i, j, k.Now()))
 				}
 			})
 		}

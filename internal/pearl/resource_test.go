@@ -16,9 +16,9 @@ func TestResourceMutualExclusion(t *testing.T) {
 		k.Spawn(name, func(p *Process) {
 			p.Hold(start)
 			p.wait(Step{Acquire: r})
-			order = append(order, fmt.Sprintf("%s+%d", name, p.Now()))
+			order = append(order, fmt.Sprintf("%s+%d", name, k.Now()))
 			p.Hold(10)
-			order = append(order, fmt.Sprintf("%s-%d", name, p.Now()))
+			order = append(order, fmt.Sprintf("%s-%d", name, k.Now()))
 			r.Release()
 		})
 	}
@@ -73,7 +73,7 @@ func TestTryAcquire(t *testing.T) {
 	var granted Time
 	k.Spawn("waiter", func(p *Process) {
 		p.wait(Step{Acquire: r})
-		granted = p.Now()
+		granted = k.Now()
 	})
 	k.After(5, func() {
 		if r.queueLen() != 1 {
@@ -201,7 +201,7 @@ func TestFutureAwait(t *testing.T) {
 	k.Spawn("waiter", func(p *Process) {
 		p.wait(Step{Await: f})
 		got = f.Value()
-		when = p.Now()
+		when = k.Now()
 	})
 	k.Spawn("completer", func(p *Process) {
 		p.Hold(33)
@@ -264,7 +264,7 @@ func TestSynchronousCall(t *testing.T) {
 			mb.Send(req)
 			p.wait(Step{Await: req.reply})
 			results = append(results, req.reply.Value().(int))
-			times = append(times, p.Now())
+			times = append(times, k.Now())
 		}
 	})
 	k.Run()

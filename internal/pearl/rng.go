@@ -52,11 +52,6 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool {
-	return r.Float64() < p
-}
-
 // ExpFloat64 returns an exponentially distributed float64 with mean 1.
 func (r *RNG) ExpFloat64() float64 {
 	for {

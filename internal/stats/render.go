@@ -104,9 +104,6 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// Header returns the column names.
-func (t *Table) Header() []string { return t.header }
-
 // Rows returns the formatted data rows in insertion order. The slice is the
 // table's own storage; callers must not mutate it.
 func (t *Table) Rows() [][]string { return t.rows }

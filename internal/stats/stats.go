@@ -4,10 +4,7 @@
 // visualisation and analysis tool suite.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -106,9 +103,6 @@ func (h *Histogram) Merge(o *Histogram) {
 
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
-
-// Sum returns the sum of all samples.
-func (h *Histogram) Sum() int64 { return h.sum }
 
 // Min and Max return the extreme samples (0 if empty).
 func (h *Histogram) Min() int64 {
@@ -275,16 +269,6 @@ func (s *Set) Get(name string) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// MustGet returns the named metric value, panicking if absent: use in tests
-// and experiment harnesses where the metric is known to exist.
-func (s *Set) MustGet(name string) float64 {
-	v, ok := s.Get(name)
-	if !ok {
-		panic(fmt.Sprintf("stats: set %q has no metric %q", s.Name, name))
-	}
-	return v
 }
 
 // Sub returns (creating if needed) the named subset.

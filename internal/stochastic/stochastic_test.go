@@ -295,8 +295,8 @@ func TestSyncPatternsRunToCompletion(t *testing.T) {
 					if pr.Err() != nil {
 						t.Fatalf("node %d: %v", i, pr.Err())
 					}
-					if !pr.Done() {
-						t.Fatalf("node %d deadlocked (pattern %s)", i, pat)
+					if b := pr.Blocked(); b != "" {
+						t.Fatalf("node %d deadlocked on %s (pattern %s)", i, b, pat)
 					}
 				}
 			})
