@@ -175,19 +175,21 @@ func checkDivisible(t *testing.T, cfg *machine.Config, k int) {
 	if cfg.DSM != nil {
 		net = append(net, int(cfg.DSM.PageSize))
 	}
-	for _, r := range []struct {
+	type rate struct {
 		name  string
 		rate  int
 		sizes []int
-	}{
+	}
+	rates := []rate{
 		{"bus width", h.Bus.Width, lines},
 		{"memory bytes per cycle", h.Memory.BytesPerCycle, lines},
-		{"link bytes per cycle", cfg.Network.Link.BytesPerCycle, net},
 		{"local bytes per cycle", cfg.Network.LocalBytesPerCycle, net},
-	} {
+	}
+	if bpc := cfg.Network.Link.BytesPerCycle; bpc != 0 { // else timed per byte, or absent
+		rates = append(rates, rate{"link bytes per cycle", bpc, net})
+	}
+	for _, r := range rates {
 		switch {
-		case r.rate == 0 && r.name == "link bytes per cycle":
-			continue // the link is timed per byte, or absent
 		case r.rate == 0:
 			t.Fatalf("%s is 0: the model would use a default the scaling cannot divide", r.name)
 		case r.rate%k != 0:
