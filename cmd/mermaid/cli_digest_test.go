@@ -106,29 +106,31 @@ func cliFixtures(t *testing.T) string {
 // standard output with its host wall-clock lines removed, then standard
 // error. The task-level torus runs the task-level description and traces;
 // every application is instruction-level, so -app on it pins the refusal.
+// The six dump-config entries were re-printed once when Validate began
+// writing the defaults back: they print the effective configuration.
 var cliDigests = map[string]string{
 	"config/app":                  "8ff9ae9a24899359be1e3da1be1c9dd7caac4200e97c2f46ed926c7da911526f",
 	"config/app/faults":           "7efc1bfa003874ba41916f2ca55f6e2e4d8fc4153fe3290be94344916af56b49",
 	"config/desc":                 "63263fd177c6d21c937f80ada566a48f3733a130b6720c843089c43fb5c4cbe9",
 	"config/desc/faults":          "af3ff8d35812ffc670cd6593a2c816987638cb029bc64e8528fbb56a76f11d03",
-	"config/dump-config":          "da949647bc396b6f57a6af7401f3e215a035fc5d6230da12173ceee299eeccdc",
-	"config/dump-config/faults":   "18009a5c5971186b1bf1b8114ac208036e1ce86e0b4cdc66e947d22a6c5680d0",
+	"config/dump-config":          "4a0fa1acdfb824904edac5902187dadd1e7f58d8758540b8a65a8b147f356b6e",
+	"config/dump-config/faults":   "c9a4c051d338f29ff53e603285a8be9e9daf5018c49fde5c8a6caed38822d91f",
 	"config/traces":               "63263fd177c6d21c937f80ada566a48f3733a130b6720c843089c43fb5c4cbe9",
 	"config/traces/faults":        "af3ff8d35812ffc670cd6593a2c816987638cb029bc64e8528fbb56a76f11d03",
 	"preset/app":                  "50826763bff4c5b5705b5a9a9ab00608777722536d3af3dd3fba4de54d88c84e",
 	"preset/app/faults":           "9f7f2a3cfcd1aaf7d920472a6e0110c1783e4b819c0d01c4622821b90d047d6d",
 	"preset/desc":                 "adbd8537158637d8b3db860e38fc7a30e7723c2b0b6616c16ec9923d016bd260",
 	"preset/desc/faults":          "6bf6df4b6e0a18749f09b8525f5bed5c60990454d1ffc8f5bb79263a62e7770e",
-	"preset/dump-config":          "1f0e2882b558c651cae1d452e96f9bc897abfd475f15af0113cc6162a099b666",
-	"preset/dump-config/faults":   "7660b4c09ce4f5a382ee0bac2c1e5ae3b05cde396f2ed9ef0ce0d23416162d6f",
+	"preset/dump-config":          "1ccb90ef5bfc777f483b51a1af1fef6b2524a1b3cd4d5d7c42909245c86cbd62",
+	"preset/dump-config/faults":   "2d67225d1389747a517279131b0350b4f21b8bf028514248ac1094b7e3f07e40",
 	"preset/traces":               "adbd8537158637d8b3db860e38fc7a30e7723c2b0b6616c16ec9923d016bd260",
 	"preset/traces/faults":        "6bf6df4b6e0a18749f09b8525f5bed5c60990454d1ffc8f5bb79263a62e7770e",
 	"topology/app":                "7405dc3bffe86aae5be375ad6e74f0f84d7abcfaae6d100cfca9b5b54ecebaf0",
 	"topology/app/faults":         "7405dc3bffe86aae5be375ad6e74f0f84d7abcfaae6d100cfca9b5b54ecebaf0",
 	"topology/desc":               "d78ca56f5f2cd46c287188a802aa87e18e62ea3505d25e33030b30729a2cf2ce",
 	"topology/desc/faults":        "1a5dbbb4620321153f22eca3835084298358266fdfba2a1a0882901f02f4dbf6",
-	"topology/dump-config":        "52fd016ede8e1893b99c88529b6fc55b16cede2e005e36f7d9a74d3eeebbb580",
-	"topology/dump-config/faults": "0b91cc181092975856d19d19fa8283577801a53bbc667f08931e8a630be27079",
+	"topology/dump-config":        "6cf69b64a3af92bd905afeacce95ed01d4da54c8f1d31717e8f86648b442ee16",
+	"topology/dump-config/faults": "3021de0f2c28056cf97b4130482d18c8d0d9e4ec38a0e7879c37253c906acef3",
 	"topology/traces":             "d78ca56f5f2cd46c287188a802aa87e18e62ea3505d25e33030b30729a2cf2ce",
 	"topology/traces/faults":      "1a5dbbb4620321153f22eca3835084298358266fdfba2a1a0882901f02f4dbf6",
 }

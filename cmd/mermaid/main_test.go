@@ -560,3 +560,31 @@ func TestOneWorkloadFlag(t *testing.T) {
 		}
 	}
 }
+
+// A retransmission schedule whose longest backoff would overflow the clock
+// is refused before the run: with backoff 1000, attempt 16 waits
+// 500·1000^15 cycles, which once wrapped negative and panicked the kernel
+// ("time went backwards"). With backoff 3 the same run fits and ends in the
+// deadlock the abandoned packets leave.
+func TestRetransOverflowRefused(t *testing.T) {
+	dir := t.TempDir()
+	docs := map[string]string{
+		"overflow.json": `{"noise":[{"a":-1,"b":-1,"drop":0.9}],"retrans":{"timeout":500,"backoff":1000,"maxRetries":16}}`,
+		"fits.json":     `{"noise":[{"a":-1,"b":-1,"drop":0.9}],"retrans":{"timeout":500,"backoff":3,"maxRetries":16}}`,
+		"desc.json":     `{"Level":"task","Iterations":2,"Phases":[{"Duration":100,"Comm":{"Pattern":"nearest","Bytes":64}}]}`,
+	}
+	for name, doc := range docs {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for faults, want := range map[string]string{
+		"overflow.json": "mermaid: fault: retransmission timeout 500 with backoff 1000 waits more than 4611686018427387903 cycles before attempt 16\n",
+		"fits.json":     "mermaid: machine: simulation deadlocked",
+	} {
+		code, stdout, stderr := runCLI(t, dir, "-preset", "t805-task-4x4", "-faults", faults, "-desc", "desc.json")
+		if code != 1 || len(stdout) != 0 || !strings.HasPrefix(string(stderr), want) {
+			t.Errorf("%s: exit %d, stdout %.80q, stderr %.300q; want exit 1 and %q", faults, code, stdout, stderr, want)
+		}
+	}
+}

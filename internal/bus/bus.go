@@ -28,46 +28,49 @@ const (
 	KindCrossbar Kind = "crossbar"
 )
 
-// Config parameterises the interconnect.
+// Config parameterises the interconnect. Validate writes the default in
+// place of every zero field, so a validated configuration is the one the
+// model runs.
 type Config struct {
 	// Kind selects bus or crossbar; empty means bus.
 	Kind Kind
 	// Width is the data path width in bytes per cycle (per bank for the
-	// crossbar).
+	// crossbar); zero means 8.
 	Width int
 	// ArbitrationDelay is the fixed cost, in cycles, of winning arbitration
 	// for one transaction.
 	ArbitrationDelay pearl.Time
-	// Banks is the number of crossbar banks (ignored for the bus).
+	// Banks is the number of crossbar banks (ignored for the bus); zero
+	// means 4.
 	Banks int
-	// InterleaveBytes sets the bank interleaving granularity.
+	// InterleaveBytes sets the bank interleaving granularity; zero means 64.
 	InterleaveBytes int
 }
 
-func (c *Config) sanitize() {
-	if c.Kind == "" {
-		c.Kind = KindBus
-	}
-	if c.Width <= 0 {
-		c.Width = 8
-	}
-	if c.ArbitrationDelay < 0 {
-		c.ArbitrationDelay = 0
-	}
-	if c.Banks <= 0 {
-		c.Banks = 4
-	}
-	if c.InterleaveBytes <= 0 {
-		c.InterleaveBytes = 64
-	}
-}
-
-// Validate checks the configuration.
+// Validate fills the defaults of zero fields and refuses an unknown kind and
+// negative values.
 func (c *Config) Validate() error {
 	switch c.Kind {
-	case "", KindBus, KindCrossbar:
+	case "":
+		c.Kind = KindBus
+	case KindBus, KindCrossbar:
 	default:
 		return fmt.Errorf("bus: unknown interconnect kind %q", c.Kind)
+	}
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{{"Width", &c.Width, 8}, {"Banks", &c.Banks, 4}, {"InterleaveBytes", &c.InterleaveBytes, 64}} {
+		switch {
+		case *f.v < 0:
+			return fmt.Errorf("bus: negative %s %d", f.name, *f.v)
+		case *f.v == 0:
+			*f.v = f.def
+		}
+	}
+	if c.ArbitrationDelay < 0 {
+		return fmt.Errorf("bus: negative ArbitrationDelay %d", c.ArbitrationDelay)
 	}
 	return nil
 }
@@ -96,9 +99,9 @@ type Bus struct {
 // instrumentation); with a probe attached the bus registers its traffic
 // counters and emits one "txn" span per transaction and channel; with a
 // collector attached every channel contributes busy/wait accounting to the
-// bottleneck analysis.
+// bottleneck analysis. cfg is taken as given: any kind but the crossbar is
+// a bus, and Width must be positive, as Validate leaves it.
 func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysis.Collector) *Bus {
-	cfg.sanitize()
 	n := 1
 	if cfg.Kind == KindCrossbar {
 		n = cfg.Banks

@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"strings"
 	"testing"
 
 	"mermaid/internal/pearl"
@@ -52,11 +53,29 @@ func TestTransactBodyRunsWhileHolding(t *testing.T) {
 	}
 }
 
-func TestSanitize(t *testing.T) {
-	k := pearl.NewKernel()
-	b := New(k, "bus", Config{}, nil, nil) // zero width must not divide by zero
-	if b.transferTime(8) != 1 {
+// Validate writes the default of every zero field, so the all-zero
+// configuration runs as a 64-byte-interleaved bus eight bytes wide, and
+// refuses every negative field by name.
+func TestValidateDefaults(t *testing.T) {
+	var c Config
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{Kind: KindBus, Width: 8, Banks: 4, InterleaveBytes: 64}); c != want {
+		t.Fatalf("validated zero config = %+v, want %+v", c, want)
+	}
+	if b := New(pearl.NewKernel(), "bus", c, nil, nil); b.transferTime(8) != 1 {
 		t.Fatalf("default width transfer = %d", b.transferTime(8))
+	}
+	for field, bad := range map[string]Config{
+		"Width":            {Width: -1},
+		"Banks":            {Banks: -1},
+		"InterleaveBytes":  {InterleaveBytes: -1},
+		"ArbitrationDelay": {ArbitrationDelay: -1},
+	} {
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %v, want one naming it", field, err)
+		}
 	}
 }
 

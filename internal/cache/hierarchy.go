@@ -95,7 +95,9 @@ type HierarchyConfig struct {
 	Memory memory.Config
 }
 
-// Validate checks the configuration's structural constraints.
+// Validate checks the configuration's structural constraints and, through
+// the bus and memory configurations' own Validate, writes their defaults in
+// place of zero fields.
 func (hc *HierarchyConfig) Validate() error {
 	if hc.CPUs < 1 {
 		return fmt.Errorf("hierarchy: %d CPUs", hc.CPUs)
@@ -126,6 +128,9 @@ func (hc *HierarchyConfig) Validate() error {
 		return fmt.Errorf("hierarchy: L1I line size exceeds next level's")
 	}
 	if err := hc.Bus.Validate(); err != nil {
+		return err
+	}
+	if err := hc.Memory.Validate(); err != nil {
 		return err
 	}
 	switch hc.Coherence {

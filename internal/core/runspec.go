@@ -118,7 +118,7 @@ func (s RunSpec) machine() (machine.Config, error) {
 	case len(machines) > 1:
 		return cfg, fmt.Errorf("give exactly one of %s", strings.Join(machines, " and "))
 	case len(machines) == 0:
-		return cfg, fmt.Errorf("a machine is required: config or topology")
+		return cfg, fmt.Errorf("a machine is required: preset, config or topology")
 	case s.Preset != "":
 		mk, ok := presets[s.Preset]
 		if !ok {
@@ -141,7 +141,8 @@ func (s RunSpec) machine() (machine.Config, error) {
 			return cfg, err
 		}
 	}
-	return cfg, cfg.Validate()
+	err = cfg.Validate()
+	return cfg, err
 }
 
 // given returns those of the space-separated names whose flag is set.

@@ -100,9 +100,8 @@ func TestTimeScaleInvariance(t *testing.T) {
 				if c.edit != nil {
 					c.edit(&cfg)
 				}
-				// Set by hand: the network reads 0 as 8, which a hidden
-				// default would leave undivided, and 8 does not divide the
-				// 4-byte messages.
+				// Set by hand: Validate writes the default 8 on a networked
+				// machine, which does not divide the 4-byte messages.
 				cfg.Network.LocalBytesPerCycle = messageGranule
 				if scale {
 					checkDivisible(t, &cfg, timeScale)
@@ -191,7 +190,7 @@ func checkDivisible(t *testing.T, cfg *machine.Config, k int) {
 	for _, r := range rates {
 		switch {
 		case r.rate == 0:
-			t.Fatalf("%s is 0: the model would use a default the scaling cannot divide", r.name)
+			t.Fatalf("%s is 0: the configuration was not validated", r.name)
 		case r.rate%k != 0:
 			t.Fatalf("%s %d is not a multiple of %d", r.name, r.rate, k)
 		}

@@ -54,7 +54,8 @@ type Timing struct {
 	Branch pearl.Time
 	Call   pearl.Time
 	Ret    pearl.Time
-	// FetchBytes is the instruction size used for ifetch memory accesses.
+	// FetchBytes is the instruction size used for ifetch memory accesses;
+	// zero means 4.
 	FetchBytes uint32
 }
 
@@ -73,10 +74,34 @@ func DefaultTiming() Timing {
 	}
 }
 
-func (t *Timing) sanitize() {
+// Validate fills the default of a zero FetchBytes and refuses a negative
+// latency, naming its entry.
+func (t *Timing) Validate() error {
+	for _, a := range []struct {
+		name string
+		t    ArithTiming
+	}{{"Add", t.Add}, {"Sub", t.Sub}, {"Mul", t.Mul}, {"Div", t.Div}, {"LoadConst", t.LoadConst}} {
+		for _, e := range []struct {
+			typ string
+			lat pearl.Time
+		}{{"Int", a.t.Int}, {"Long", a.t.Long}, {"Float", a.t.Float}, {"Double", a.t.Double}} {
+			if e.lat < 0 {
+				return fmt.Errorf("cpu: negative %s.%s latency %d", a.name, e.typ, e.lat)
+			}
+		}
+	}
+	for _, e := range []struct {
+		name string
+		lat  pearl.Time
+	}{{"Branch", t.Branch}, {"Call", t.Call}, {"Ret", t.Ret}} {
+		if e.lat < 0 {
+			return fmt.Errorf("cpu: negative %s latency %d", e.name, e.lat)
+		}
+	}
 	if t.FetchBytes == 0 {
 		t.FetchBytes = 4
 	}
+	return nil
 }
 
 // CPU executes abstract machine instructions against a memory hierarchy
@@ -104,9 +129,8 @@ type CPU struct {
 }
 
 // New creates a CPU with the given timing, issuing memory accesses through
-// port.
+// port. The timing is taken as given, as Validate leaves it.
 func New(id int, timing Timing, port *cache.Port) *CPU {
-	timing.sanitize()
 	c := &CPU{id: id, timing: timing, port: port}
 	c.step = c.Step
 	return c

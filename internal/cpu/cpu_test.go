@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"mermaid/internal/bus"
@@ -161,5 +162,30 @@ func TestZeroCostOpsDoNotAdvanceTime(t *testing.T) {
 	end := run(t, k, c, []ops.Op{ops.NewArith(ops.Add, ops.TypeInt), ops.NewBranch(0)})
 	if end != 0 {
 		t.Fatalf("end = %d, want 0", end)
+	}
+}
+
+// Validate writes the default instruction size in place of a zero
+// FetchBytes and refuses a negative latency, naming its table entry: a
+// negative multiply once ran a matrix product in a third less time and
+// reported negative busy cycles.
+func TestTimingValidate(t *testing.T) {
+	var tm Timing
+	if err := tm.Validate(); err != nil || tm != (Timing{FetchBytes: 4}) {
+		t.Fatalf("validated zero timing = %+v (%v)", tm, err)
+	}
+	for entry, edit := range map[string]func(*Timing){
+		"Mul.Int":         func(t *Timing) { t.Mul.Int = -30 },
+		"Add.Double":      func(t *Timing) { t.Add.Double = -1 },
+		"LoadConst.Float": func(t *Timing) { t.LoadConst.Float = -1 },
+		"Branch":          func(t *Timing) { t.Branch = -1 },
+		"Ret":             func(t *Timing) { t.Ret = -1 },
+	} {
+		tm := DefaultTiming()
+		edit(&tm)
+		err := tm.Validate()
+		if err == nil || !strings.Contains(err.Error(), "negative "+entry+" ") {
+			t.Errorf("negative %s: error %v, want one naming it", entry, err)
+		}
 	}
 }

@@ -45,8 +45,7 @@ type Injector struct {
 	topo topology.Topology
 	rng  *pearl.RNG
 
-	sched   Schedule
-	retrans Retrans
+	sched Schedule // validated: its Retrans defaults filled
 
 	deg      int
 	linkDown []int // [node*deg+port] down-window nesting count
@@ -118,7 +117,6 @@ func newInjector(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *p
 		topo:     topo,
 		rng:      rng.Derive(rngStream),
 		sched:    sched,
-		retrans:  sched.Retrans.WithDefaults(),
 		deg:      topo.Degree(),
 		linkDown: make([]int, topo.Nodes()*topo.Degree()),
 		nodeDown: make([]int, topo.Nodes()),
@@ -364,12 +362,13 @@ func (inj *Injector) CountDrop() {
 	}
 }
 
-// Retrans returns the retransmission parameters with defaults applied.
+// Retrans returns the validated retransmission parameters; a nil injector
+// returns the defaults.
 func (inj *Injector) Retrans() Retrans {
 	if inj == nil {
-		return Retrans{}.WithDefaults()
+		return defaultRetrans
 	}
-	return inj.retrans
+	return inj.sched.Retrans
 }
 
 // Drops returns how many packets were lost to down links/nodes or noise.

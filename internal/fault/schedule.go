@@ -79,66 +79,53 @@ type LinkNoise struct {
 
 // Retrans parameterises the network-level retransmission that recovers lost
 // packets: a lost packet is retransmitted from its source after a timeout
-// that backs off exponentially per attempt.
+// that backs off exponentially per attempt. Validate writes the default in
+// place of every zero field.
 type Retrans struct {
-	// Timeout is the delay before the first retransmission, in cycles.
-	// Zero means the default (500).
+	// Timeout is the delay before the first retransmission, in cycles;
+	// zero means 500.
 	Timeout pearl.Time `json:"timeout,omitempty"`
 	// Backoff is the multiplicative factor applied to the timeout on every
-	// further attempt. Zero means the default (2).
+	// further attempt; zero means 2.
 	Backoff int `json:"backoff,omitempty"`
 	// MaxRetries bounds the attempts per packet; past it the packet (and
-	// its message) is abandoned and counted in net.lost. Zero means the
-	// default (16).
+	// its message) is abandoned and counted in net.lost. Zero means 16.
 	MaxRetries int `json:"maxRetries,omitempty"`
 }
 
-// Retrans defaults and the backoff exponent cap (keeps the delay finite and
-// overflow-free even at the retry bound).
+// defaultRetrans holds the defaults Validate writes in place of zero fields.
+var defaultRetrans = Retrans{Timeout: 500, Backoff: 2, MaxRetries: 16}
+
 const (
-	defaultTimeout    = pearl.Time(500)
-	defaultBackoff    = 2
-	defaultMaxRetries = 16
-	maxBackoffShift   = 20
+	// maxBackoffShift caps the backoff exponent: attempts past it wait as
+	// long as attempt maxBackoffShift+1.
+	maxBackoffShift = 20
+	// maxRetransDelay bounds the longest delay a validated Retrans asks for,
+	// that of attempt MaxRetries. A run's clock stays below 2^62 cycles (146
+	// years at 1 GHz), so the clock plus any such delay stays below
+	// pearl.Forever.
+	maxRetransDelay = pearl.Forever / 2
 )
 
-// WithDefaults returns the configuration with zero fields replaced by the
-// documented defaults.
-func (r Retrans) WithDefaults() Retrans {
-	if r.Timeout == 0 {
-		r.Timeout = defaultTimeout
-	}
-	if r.Backoff == 0 {
-		r.Backoff = defaultBackoff
-	}
-	if r.MaxRetries == 0 {
-		r.MaxRetries = defaultMaxRetries
-	}
-	return r
-}
-
 // Delay returns the retransmission delay before attempt `attempt` (1-based):
-// Timeout * Backoff^(attempt-1), with the exponent capped so the delay stays
-// finite.
+// Timeout * Backoff^(attempt-1), with the exponent capped at maxBackoffShift
+// and the product at maxRetransDelay+1 — a delay Validate refuses, so for a
+// validated Retrans and an attempt up to MaxRetries the delay is exact,
+// positive and non-decreasing in attempt.
 func (r Retrans) Delay(attempt int) pearl.Time {
 	d := r.Timeout
-	if d <= 0 {
-		d = 1
-	}
-	steps := attempt - 1
-	if steps < 0 {
-		steps = 0
-	}
-	if steps > maxBackoffShift {
-		steps = maxBackoffShift
-	}
-	for i := 0; i < steps; i++ {
+	for i := 1; i < min(attempt, maxBackoffShift+1); i++ {
+		if d > maxRetransDelay/pearl.Time(r.Backoff) {
+			return maxRetransDelay + 1
+		}
 		d *= pearl.Time(r.Backoff)
 	}
 	return d
 }
 
-func (r Retrans) validate() error {
+// validate refuses negative fields and a longest delay beyond
+// maxRetransDelay, and writes the defaults in place of zero fields.
+func (r *Retrans) validate() error {
 	if r.Timeout < 0 {
 		return fmt.Errorf("fault: negative retransmission timeout %d", r.Timeout)
 	}
@@ -147,6 +134,19 @@ func (r Retrans) validate() error {
 	}
 	if r.MaxRetries < 0 {
 		return fmt.Errorf("fault: negative retry bound %d", r.MaxRetries)
+	}
+	if r.Timeout == 0 {
+		r.Timeout = defaultRetrans.Timeout
+	}
+	if r.Backoff == 0 {
+		r.Backoff = defaultRetrans.Backoff
+	}
+	if r.MaxRetries == 0 {
+		r.MaxRetries = defaultRetrans.MaxRetries
+	}
+	if d := r.Delay(r.MaxRetries); d > maxRetransDelay {
+		return fmt.Errorf("fault: retransmission timeout %d with backoff %d waits more than %d cycles before attempt %d",
+			r.Timeout, r.Backoff, maxRetransDelay, r.MaxRetries)
 	}
 	return nil
 }
@@ -166,9 +166,10 @@ func (s *Schedule) Empty() bool {
 	return s == nil || len(s.Links) == 0 && len(s.Nodes) == 0 && len(s.Noise) == 0
 }
 
-// Validate checks the schedule against a machine of `nodes` nodes. Link
-// endpoint adjacency is checked later, against the concrete topology, when
-// the Injector is built.
+// Validate checks the schedule against a machine of `nodes` nodes and writes
+// the retransmission defaults in place of zero fields. Link endpoint
+// adjacency is checked later, against the concrete topology, when the
+// Injector is built.
 func (s *Schedule) Validate(nodes int) error {
 	if s == nil {
 		return nil

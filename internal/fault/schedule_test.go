@@ -37,9 +37,9 @@ func TestWindowClip(t *testing.T) {
 }
 
 func TestRetransDefaultsAndDelay(t *testing.T) {
-	r := Retrans{}.WithDefaults()
-	if r.Timeout != 500 || r.Backoff != 2 || r.MaxRetries != 16 {
-		t.Fatalf("defaults = %+v", r)
+	var r Retrans
+	if err := r.validate(); err != nil || r != (Retrans{Timeout: 500, Backoff: 2, MaxRetries: 16}) {
+		t.Fatalf("validated zero Retrans = %+v (%v)", r, err)
 	}
 	r = Retrans{Timeout: 100, Backoff: 3, MaxRetries: 4}
 	if d := r.Delay(1); d != 100 {

@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"time"
 
@@ -92,7 +93,11 @@ type Config struct {
 	Shards int `json:"shards,omitempty"`
 }
 
-// Validate checks the configuration's cross-component consistency.
+// Validate checks the configuration's cross-component consistency and makes
+// it the effective configuration: every component's Validate writes its
+// defaults in place of zero fields, so what is dumped, hashed and built is
+// one value. A task-level machine runs no node model; its Node block, when
+// given, is checked and filled all the same.
 func (c *Config) Validate() error {
 	if c.Nodes < 1 {
 		return fmt.Errorf("machine: %d nodes", c.Nodes)
@@ -123,8 +128,11 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("machine: %d nodes but topology %s has %d", c.Nodes, topo.Name(), topo.Nodes())
 		}
 	}
-	if c.Mode == Detailed {
+	if c.Mode == Detailed || !reflect.ValueOf(c.Node).IsZero() {
 		if err := c.Node.Hierarchy.Validate(); err != nil {
+			return err
+		}
+		if err := c.Node.Timing.Validate(); err != nil {
 			return err
 		}
 	}
@@ -136,12 +144,18 @@ func (c *Config) Validate() error {
 			return err
 		}
 	}
-	if !c.Faults.Empty() {
-		if !c.hasNetwork() {
-			return fmt.Errorf("machine: fault injection requires a networked (multi-node) machine")
-		}
-		if err := c.Faults.Validate(c.Nodes); err != nil {
+	if !c.Faults.Empty() && !c.hasNetwork() {
+		return fmt.Errorf("machine: fault injection requires a networked (multi-node) machine")
+	}
+	if c.Faults != nil {
+		// Copies of a configuration share the schedule, so its defaults go
+		// into a copy of it, made only when a default was missing.
+		f := *c.Faults
+		if err := f.Validate(c.Nodes); err != nil {
 			return err
+		}
+		if f.Retrans != c.Faults.Retrans {
+			c.Faults = &f
 		}
 	}
 	if c.Shards < 0 {

@@ -42,9 +42,7 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 	// Timeout). Either bound alone is safe; take the smaller.
 	look := router.ComputeLookahead(topo, part, shards, perHop).Global
 	if !cfg.Faults.Empty() {
-		if rt := cfg.Faults.Retrans.WithDefaults(); rt.Timeout < look {
-			look = rt.Timeout
-		}
+		look = min(look, cfg.Faults.Retrans.Timeout)
 	}
 	group := pearl.NewShardGroup(shards, look)
 	m := &Machine{cfg: cfg, k: group.Kernel(0), pb: env.Probe, group: group}

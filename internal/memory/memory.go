@@ -5,38 +5,51 @@
 package memory
 
 import (
+	"fmt"
+
 	"mermaid/internal/analysis"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/stats"
 )
 
-// Config parameterises the DRAM model.
+// Config parameterises the DRAM model. Validate writes the default in place
+// of every zero field, so a validated configuration is the one the model
+// runs.
 type Config struct {
 	// ReadLatency and WriteLatency are the fixed access latencies in cycles
 	// before the first byte moves.
 	ReadLatency  pearl.Time
 	WriteLatency pearl.Time
-	// BytesPerCycle is the transfer bandwidth of the memory interface.
+	// BytesPerCycle is the transfer bandwidth of the memory interface; zero
+	// means 8.
 	BytesPerCycle int
 	// Ports is the number of concurrent accesses the memory sustains;
-	// additional requests queue (FIFO).
+	// additional requests queue (FIFO). Zero means 1.
 	Ports int
 }
 
-func (c *Config) sanitize() {
-	if c.BytesPerCycle <= 0 {
-		c.BytesPerCycle = 8
-	}
-	if c.Ports <= 0 {
-		c.Ports = 1
-	}
+// Validate fills the defaults of zero fields and refuses negative values.
+func (c *Config) Validate() error {
 	if c.ReadLatency < 0 {
-		c.ReadLatency = 0
+		return fmt.Errorf("memory: negative ReadLatency %d", c.ReadLatency)
 	}
 	if c.WriteLatency < 0 {
-		c.WriteLatency = 0
+		return fmt.Errorf("memory: negative WriteLatency %d", c.WriteLatency)
 	}
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{{"BytesPerCycle", &c.BytesPerCycle, 8}, {"Ports", &c.Ports, 1}} {
+		switch {
+		case *f.v < 0:
+			return fmt.Errorf("memory: negative %s %d", f.name, *f.v)
+		case *f.v == 0:
+			*f.v = f.def
+		}
+	}
+	return nil
 }
 
 // DRAM is a simple main-memory timing model.
@@ -60,9 +73,9 @@ type DRAM struct {
 // instrumentation); with a probe attached the DRAM registers its access
 // counters and emits one "read"/"write" span per access on its track; with a
 // collector attached the port pool contributes busy/wait accounting to the
-// bottleneck analysis.
+// bottleneck analysis. cfg is taken as given: BytesPerCycle and Ports must
+// be positive, as Validate leaves them.
 func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysis.Collector) *DRAM {
-	cfg.sanitize()
 	d := &DRAM{cfg: cfg, k: k, ports: k.NewResource(name+".ports", cfg.Ports)}
 	col.Resource("dram", d.ports)
 	reg := pb.Registry()

@@ -1,6 +1,7 @@
 package memory
 
 import (
+	"strings"
 	"testing"
 
 	"mermaid/internal/pearl"
@@ -44,13 +45,33 @@ func TestDualPorted(t *testing.T) {
 	}
 }
 
-func TestSanitizeDefaults(t *testing.T) {
+// Validate writes the default of every zero field, so the all-zero
+// configuration runs as a one-ported memory moving eight bytes per cycle,
+// and refuses every negative field by name.
+func TestValidateDefaults(t *testing.T) {
+	var c Config
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Config{BytesPerCycle: 8, Ports: 1}); c != want {
+		t.Fatalf("validated zero config = %+v, want %+v", c, want)
+	}
 	k := pearl.NewKernel()
-	d := New(k, "m", Config{}, nil, nil) // all zero: must not divide by zero
+	d := New(k, "m", c, nil, nil)
 	k.Spawn("a", func(p *pearl.Process) { d.Read(p, 0, 64) })
 	k.Run()
-	if d.reads.Value() != 1 {
-		t.Fatal("read did not complete")
+	if d.reads.Value() != 1 || k.Now() != 8 {
+		t.Fatalf("%d reads done at %d, want 1 at 8", d.reads.Value(), k.Now())
+	}
+	for field, bad := range map[string]Config{
+		"ReadLatency":   {ReadLatency: -1},
+		"WriteLatency":  {WriteLatency: -1},
+		"BytesPerCycle": {BytesPerCycle: -1},
+		"Ports":         {Ports: -1},
+	} {
+		if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("negative %s: error %v, want one naming it", field, err)
+		}
 	}
 }
 

@@ -57,20 +57,23 @@ type Config struct {
 	// synchronous (rendezvous) send.
 	AckBytes int
 	// LocalBytesPerCycle is the memory-copy bandwidth for self-sends
-	// (src == dst), which never enter the network. 0 (or less) means 8: the
-	// network applies that default when it is built and leaves the
-	// configuration as given, so -dump-config prints 0.
+	// (src == dst), which never enter the network. Zero means 8, which
+	// Validate writes in its place.
 	LocalBytesPerCycle int
 	// Seed drives the randomised routing (Valiant intermediate selection).
 	Seed uint64
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration and fills the default of a zero
+// LocalBytesPerCycle.
 func (c *Config) Validate() error {
 	if err := c.Router.Validate(); err != nil {
 		return err
 	}
-	if c.Link.BytesPerCycle <= 0 && c.Link.CyclesPerByte <= 0 {
+	if c.Link.BytesPerCycle < 0 || c.Link.CyclesPerByte < 0 {
+		return fmt.Errorf("network: negative link rate (BytesPerCycle %d, CyclesPerByte %d)", c.Link.BytesPerCycle, c.Link.CyclesPerByte)
+	}
+	if c.Link.BytesPerCycle == 0 && c.Link.CyclesPerByte == 0 {
 		return fmt.Errorf("network: link bandwidth unset")
 	}
 	if c.Link.PropDelay < 0 || c.SendOverhead < 0 || c.RecvOverhead < 0 {
@@ -78,6 +81,12 @@ func (c *Config) Validate() error {
 	}
 	if c.AckBytes < 0 {
 		return fmt.Errorf("network: negative ack size")
+	}
+	switch {
+	case c.LocalBytesPerCycle < 0:
+		return fmt.Errorf("network: negative LocalBytesPerCycle %d", c.LocalBytesPerCycle)
+	case c.LocalBytesPerCycle == 0:
+		c.LocalBytesPerCycle = 8
 	}
 	return nil
 }

@@ -13,9 +13,9 @@ import (
 	"mermaid/internal/topology"
 )
 
-// fabric is the validated description every engine walks packets over: the
-// configuration, with LocalBytesPerCycle defaulted, and the topology built
-// from it. Both are read-only once built.
+// fabric is the description every engine walks packets over: the validated
+// configuration, its defaults filled, and the topology built from it. Both
+// are read-only once built.
 type fabric struct {
 	cfg  Config
 	topo topology.Topology
@@ -28,9 +28,6 @@ func newFabric(cfg Config) (fabric, error) {
 	topo, err := topology.New(cfg.Topology)
 	if err != nil {
 		return fabric{}, err
-	}
-	if cfg.LocalBytesPerCycle <= 0 {
-		cfg.LocalBytesPerCycle = 8
 	}
 	return fabric{cfg: cfg, topo: topo}, nil
 }
@@ -183,7 +180,7 @@ func (t *Traffic) recycleAck(ack *Message) {
 // receivers.
 func (t *Traffic) retry(attempt int) (pearl.Time, bool) {
 	rt := t.faults.Retrans()
-	if rt.MaxRetries > 0 && attempt > rt.MaxRetries {
+	if attempt > rt.MaxRetries {
 		t.lost.Inc()
 		return 0, false
 	}

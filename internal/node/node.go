@@ -80,15 +80,19 @@ type Node struct {
 	dsmStall   []pearl.Time
 }
 
-// New builds a node in the given environment. env.Probe may be nil (no
-// instrumentation); with a probe attached the node registers its CPU metrics
-// and emits compute-burst and communication spans per CPU. The node draws
-// randomness from a private substream derived from env.RNG by its ID, so
-// node construction order never perturbs another node's draws.
+// New builds a node in the given environment from its configuration,
+// validated and its defaults filled as a machine's Validate does. env.Probe
+// may be nil (no instrumentation); with a probe attached the node registers
+// its CPU metrics and emits compute-burst and communication spans per CPU.
+// The node draws randomness from a private substream derived from env.RNG by
+// its ID, so node construction order never perturbs another node's draws.
 func New(env sim.Env, prm Params) (*Node, error) {
 	k, cfg := env.Kernel, prm.Cfg
 	if k == nil {
 		return nil, fmt.Errorf("node %d: nil kernel in environment", prm.ID)
+	}
+	if err := cfg.Timing.Validate(); err != nil {
+		return nil, err
 	}
 	name := fmt.Sprintf("node%d", prm.ID)
 	hier, err := cache.NewHierarchy(env.WithRNG(env.DeriveRNG(uint64(prm.ID))), name, cfg.Hierarchy)

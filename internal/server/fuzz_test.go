@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"reflect"
 	"testing"
 
 	"mermaid/internal/server"
@@ -9,7 +10,8 @@ import (
 
 // FuzzJobSpec holds the POST /jobs decoder to its contract: decoding and
 // resolving an arbitrary document never panics, and a document it accepts
-// yields a configuration that validates, a cache key with both hashes, and a
+// yields a configuration that is a fixpoint of Validate (so its hash is that
+// of the configuration the job runs), a cache key with both hashes, and a
 // machine within the port cap.
 func FuzzJobSpec(f *testing.F) {
 	for _, doc := range digestJobs(f) {
@@ -26,8 +28,12 @@ func FuzzJobSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := cfg.Validate(); err != nil {
+		again := cfg
+		if err := again.Validate(); err != nil {
 			t.Fatalf("accepted job's configuration fails validation: %v\n%s", err, doc)
+		}
+		if !reflect.DeepEqual(cfg, again) {
+			t.Fatalf("accepted job's configuration is not a fixpoint of Validate:\nresolved:  %+v\nvalidated: %+v\n%s", cfg, again, doc)
 		}
 		if key.Config == "" || key.Workload == "" {
 			t.Fatalf("accepted job has key %+v\n%s", key, doc)

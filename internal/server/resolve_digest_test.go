@@ -10,15 +10,17 @@ import (
 
 // jobResolutions pins what every digestJobs document resolves to: the hash of
 // its machine configuration and the cache key its outcome is stored under.
+// Both were re-printed once when Validate began writing the defaults back
+// (LocalBytesPerCycle 8 in both): they hash the effective configuration.
 var jobResolutions = map[string][2]string{
-	"service-mix":           {"3ceaa0cc9da87f5bb3f9e6c9f76be80f3768f6ff3eaf42944ce33e75b81aefc3", "8407e99808564f1e2fbd61378746c844b175498ceb58e28cc0c779640d24fc87"},
-	"torus-wormhole-config": {"d8bf1330b8c06626e42581e89dd183d6d05fe134c1df5c7982e7e55e6d1f7d2c", "bbd6089713ca925d7c62d5ccf33ab1e049e601283e58e1f6b8b1505b63f5bed9"},
+	"service-mix":           {"ba8a98c3e480ce5a4208f130d71aa7eee62e4c37fc8fe2220976a73faf8e3275", "abe3880e1c813146ed59ba2bbdec62987cfe8a5a520e5ab0c36b83ea38f729f7"},
+	"torus-wormhole-config": {"fd76c3f489159b76420332edf7bcf1e8fe531843fc8e396fde8f1a2df6a533ea", "70c249cbda91245bfc9fcaffb4ddf82e91b72027102c329be968e5df344e3b50"},
 }
 
 // invalidJobErrors pins the 400 body POST /jobs answers each invalidJobs
 // document with.
 var invalidJobErrors = map[string]string{
-	"empty":              "mermaidd: a machine is required: config or topology",
+	"empty":              "mermaidd: a machine is required: preset, config or topology",
 	"bad json":           "mermaidd: parsing job: unexpected EOF",
 	"both machine forms": "mermaidd: give exactly one of config and topology",
 	"unknown topology":   `mermaidd: topology spec "moebius:7": unknown kind "moebius" (have ring, mesh, torus, torus3d, hypercube, star, full, fattree, dragonfly)`,
@@ -27,6 +29,8 @@ var invalidJobErrors = map[string]string{
 	"node mismatch":      "mermaidd: workload describes 5 nodes, machine has 16 streams",
 	"unknown field":      `mermaidd: parsing job: json: unknown field "x"`,
 	"engine selector":    `mermaidd: parsing job: json: unknown field "engine"`,
+	// Delay(16) = 500·1000^15 overflowed int64 and panicked the run.
+	"retransmission overflow": "mermaidd: fault: retransmission timeout 500 with backoff 1000 waits more than 4611686018427387903 cycles before attempt 16",
 }
 
 func TestJobResolutionDigests(t *testing.T) {

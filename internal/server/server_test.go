@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mermaid/internal/bus"
 	"mermaid/internal/machine"
 	"mermaid/internal/server"
 	"mermaid/internal/topology"
@@ -299,6 +300,8 @@ var invalidJobs = []struct {
 	{"node mismatch", `{"topology":"torus:4x4","workload":{"Level":"task","Nodes":5,"Iterations":1,"Phases":[{"Duration":1}]}}`},
 	{"unknown field", `{"topology":"torus:4x4","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]},"x":1}`},
 	{"engine selector", `{"topology":"torus:4x4","engine":"process","workload":{"Level":"task","Iterations":1,"Phases":[{"Duration":1}]}}`},
+	{"retransmission overflow", `{"preset":"t805-task-4x4","faults":{"noise":[{"a":-1,"b":-1,"drop":0.9}],"retrans":{"timeout":500,"backoff":1000,"maxRetries":16}},` +
+		`"workload":{"Level":"task","Iterations":2,"Phases":[{"Duration":100,"Comm":{"Pattern":"nearest","Bytes":64}}]}}`},
 }
 
 func TestSubmissionValidation(t *testing.T) {
@@ -438,19 +441,27 @@ func TestHealthAndListing(t *testing.T) {
 }
 
 // A job may name its machine by preset. It resolves to the configuration
-// the preset's -dump-config document does, so the two share a cache key.
+// the preset's -dump-config document does, so the two share a cache key; so
+// do the preset's configuration as written, its defaults left zero, and the
+// same with every default written out.
 func TestPresetJob(t *testing.T) {
 	const wl = `"workload":{"Level":"task","Iterations":2,"Phases":[{"Duration":100,"Comm":{"Pattern":"nearest","Bytes":64}}]}`
 	cfg, key, err := server.ResolveJob([]byte(`{"preset":"t805-task-4x4",` + wl + `}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, fromConfig, err := server.ResolveJob([]byte(`{"config":` + string(raw) + `,` + wl + `}`)); err != nil || fromConfig != key {
-		t.Errorf("the preset's configuration document resolves to %v (%v), the preset to %v", fromConfig, err, key)
+	written := machine.T805GridTaskLevel(4, 4)
+	b := &written.Node.Hierarchy.Bus
+	b.Kind, b.Banks, b.InterleaveBytes = bus.KindBus, 4, 64
+	written.Network.LocalBytesPerCycle = 8
+	for form, c := range map[string]machine.Config{"dumped": cfg, "as written": machine.T805GridTaskLevel(4, 4), "written out": written} {
+		raw, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, fromConfig, err := server.ResolveJob([]byte(`{"config":` + string(raw) + `,` + wl + `}`)); err != nil || fromConfig != key {
+			t.Errorf("the preset's configuration document, %s, resolves to %v (%v), the preset to %v", form, fromConfig, err, key)
+		}
 	}
 	_, ts := startServer(t, server.Config{Workers: 1})
 	j, code := submit(t, ts, `{"preset":"t805-task-4x4",`+wl+`}`)
