@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"testing"
 
 	"mermaid/internal/ops"
+	"mermaid/internal/pearl"
 	"mermaid/internal/trace"
 )
 
@@ -121,7 +123,8 @@ func drain(t *testing.T, src trace.Source) []ops.Op {
 }
 
 // TestStochasticDigests pins every node's generated stream, read both ways:
-// flattened by Generate, and handed to a simulator by Sources.
+// flattened by Generate, and handed to a simulator by Sources; first for
+// digestDescs, node by node, then for netDescs, one digest per description.
 func TestStochasticDigests(t *testing.T) {
 	for _, c := range digestDescs {
 		t.Run(c.name, func(t *testing.T) {
@@ -148,4 +151,117 @@ func TestStochasticDigests(t *testing.T) {
 			}
 		})
 	}
+	for i, d := range netDescs() {
+		t.Run(fmt.Sprintf("net/%02d", i), func(t *testing.T) {
+			traces, err := Generate(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srcs, err := Sources(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drained := make([][]ops.Op, len(srcs))
+			for n, s := range srcs {
+				drained[n] = drain(t, s)
+			}
+			got := descDigest(traces)
+			if s := descDigest(drained); s != got {
+				t.Errorf("Sources' digest %s, Generate's %s", s, got)
+			}
+			if i >= len(netDigests) {
+				t.Fatalf("no digest pinned; got %s", got)
+			}
+			if got != netDigests[i] {
+				t.Errorf("digest %s, want %s", got, netDigests[i])
+			}
+		})
+	}
+}
+
+// netDescs draws 40 descriptions from a fixed seed, so that the byte-exact
+// net reaches what the six hand-written cases do not: mixes with zero
+// weights, every Access size, CV up to 1.5 (amounts of 0 among them),
+// working sets from 1 byte to 2^40, strides larger than the working set, and
+// a Base less than a working set below 2^64, so that addresses wrap. Every
+// pattern comes with and without Async and Jitter, at both levels.
+func netDescs() []Desc {
+	r := pearl.NewRNG(2024)
+	patterns := []PatternKind{noComm, NearestNeighbor, Exchange, AllToAll, Hotspot, RandomPairs, ""}
+	cvs := []float64{0, 0.1, 0.5, 1, 1.5}
+	sets := []uint64{0, 1, 7, 64, 4096, 1 << 20, 1 << 40}
+	strides := []uint64{0, 0, 1, 3, 8, 24, 1 << 41}
+	weight := func() float64 {
+		if r.Intn(3) == 0 {
+			return 0
+		}
+		return float64(1 + r.Intn(9))
+	}
+	descs := make([]Desc, 40)
+	for i := range descs {
+		d := Desc{
+			Nodes:      1 + r.Intn(7),
+			Level:      InstructionLevel,
+			Seed:       r.Uint64(),
+			Iterations: 1 + r.Intn(3),
+			Phases:     make([]Phase, 1+r.Intn(3)),
+		}
+		if i%4 == 3 {
+			d.Level = TaskLevel
+		}
+		for j := range d.Phases {
+			ph := &d.Phases[j]
+			ph.Instructions = int64(r.Intn(400))
+			ph.Duration = int64(r.Intn(2000))
+			ph.CV = cvs[r.Intn(len(cvs))]
+			if r.Intn(5) != 0 {
+				ph.Mix = Mix{Load: weight(), Store: weight(), IntArith: weight(), FltArith: weight(), Branch: weight()}
+			}
+			ph.Mem = MemModel{
+				Base:       r.Uint64() >> uint(r.Intn(64)),
+				WorkingSet: sets[r.Intn(len(sets))],
+				Stride:     strides[r.Intn(len(strides))],
+				Access:     ops.MemType(r.Intn(7)),
+			}
+			if r.Intn(4) == 0 {
+				ph.Mem.Base = -ph.Mem.WorkingSet + ph.Mem.WorkingSet/3 // wraps past 2^64
+			}
+			ph.Comm = Comm{
+				Pattern: patterns[(i+3*j)%len(patterns)],
+				Bytes:   uint32(1 + r.Intn(4096)),
+				Jitter:  r.Intn(2) == 0,
+				Async:   r.Intn(2) == 0,
+			}
+		}
+		descs[i] = d
+	}
+	return descs
+}
+
+// netDigests are the first 16 hex digits of descDigest for each of
+// netDescs, in order, as the generator produced them when every computation
+// was stored as operations in segments.
+var netDigests = []string{
+	"736d119019b536ac", "ea3534170716a131", "637331c69b39fd10", "bbf0c71f5132e381",
+	"a8ac9e78012ee244", "2ab7a12dff0940d8", "f45083522dedda15", "eb35eadc1cf66b6e",
+	"4e2e2f6f0a412ed3", "5c88d873f9d1a536", "f3840f65c1a3b0e4", "2188af1748f94d8b",
+	"200dbd8fd662f3f5", "e010f3f8345dd72a", "08c44431139dbf7f", "c57ee8d394747c05",
+	"f5ed09bc3003bf22", "736cd7c70cdf1e9e", "60526a5c65329f29", "5ef75275ee68f417",
+	"96c2fea9ac8b166f", "ec4554529f51ef9e", "af8a6c881ab177b2", "18d1cb045f46334c",
+	"f3a518b2287b86e3", "f9a5ce28cc5a798d", "a6de942b30efaee9", "f7cc8452a9bd17be",
+	"dbf7fc04bb95165a", "a2ba495d01d5d279", "58993355bd7672d9", "6069b56897ab2589",
+	"d00bb37bb1d8673e", "295d288fc5a74f83", "e86faf81d9cfadd2", "360cca658a77554b",
+	"584b7fe9d31b05d8", "ad6ea41778d86522", "0d7536e7f7e11280", "5eefb6f53e126704",
+}
+
+// descDigest hashes every node's stream, each preceded by its length.
+func descDigest(traces [][]ops.Op) string {
+	h := sha256.New()
+	for _, tr := range traces {
+		binary.Write(h, binary.LittleEndian, uint64(len(tr)))
+		for _, o := range tr {
+			binary.Write(h, binary.LittleEndian, o)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }
