@@ -53,21 +53,6 @@ func GenericTarget() Target {
 	}
 }
 
-func (t *Target) sanitize() {
-	if t.InstrBytes == 0 {
-		t.InstrBytes = 4
-	}
-	if t.StackBase == 0 {
-		t.StackBase = 0x7fff_f000
-	}
-	if t.GlobalBase == 0 {
-		t.GlobalBase = 0x1000_0000
-	}
-	if t.CodeBase == 0 {
-		t.CodeBase = 0x0040_0000
-	}
-}
-
 // VarClass distinguishes the entries of the variable descriptor table.
 type VarClass uint8
 
@@ -116,8 +101,8 @@ type frame struct {
 }
 
 // New creates a translation unit for thread th targeting the given machine.
+// Every field of target is used as given: start from GenericTarget.
 func New(th *trace.Thread, target Target) *Unit {
-	target.sanitize()
 	return &Unit{
 		th:        th,
 		target:    target,

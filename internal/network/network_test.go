@@ -548,6 +548,42 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 	}
 }
 
+// TestRetryBudgetExact: a packet is retransmitted MaxRetries times and then
+// abandoned. Every attempt on a link that drops everything fails, so each of
+// two packets makes 1 + 3 attempts: 3 retransmissions and 1 loss apiece. An
+// off-by-one in the budget check shows as 2 or 4.
+func TestRetryBudgetExact(t *testing.T) {
+	k := pearl.NewKernel()
+	n := mustNet(t, k, Config{
+		Topology: topology.Config{Kind: topology.Mesh2D, DimX: 2, DimY: 1},
+		Router:   router.Config{Switching: router.StoreAndForward, RoutingDelay: 2, MaxPacket: 4096},
+		Link:     LinkConfig{BytesPerCycle: 8, PropDelay: 1},
+		AckBytes: 8,
+	})
+	inj, err := fault.NewInjector(k, n.Topology(), fault.Schedule{
+		Noise:   []fault.LinkNoise{{A: -1, B: -1, Drop: 1}},
+		Retrans: fault.Retrans{Timeout: 10, Backoff: 2, MaxRetries: 3},
+	}, pearl.NewRNG(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AttachFaults(inj)
+	k.Spawn("sender", func(p *pearl.Process) {
+		send(p, n.Node(0), 1, 64, 0, nil, false)
+		send(p, n.Node(0), 1, 64, 1, nil, false)
+	})
+	k.Run()
+	if got := n.Retransmits(); got != 6 {
+		t.Errorf("%d retransmissions of 2 packets, want 3 each", got)
+	}
+	if got := n.Lost(); got != 2 {
+		t.Errorf("%d packets abandoned, want 2", got)
+	}
+	if got := inj.Drops(); got != 8 {
+		t.Errorf("%d attempts dropped, want 4 per packet", got)
+	}
+}
+
 func TestCrashedDestinationDropsUntilRestart(t *testing.T) {
 	// Node 1 is down for the first stretch; a packet sent at time zero is
 	// held by retransmission until the node restarts.

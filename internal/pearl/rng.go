@@ -75,30 +75,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// WeightedChoice returns an index in [0, len(weights)) with probability
-// proportional to weights[i]. Weights must be non-negative with a positive
-// sum.
-func (r *RNG) WeightedChoice(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("pearl: negative weight")
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("pearl: weights sum to zero")
-	}
-	x := r.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // Perm returns a random permutation of [0, n) (Fisher–Yates).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)

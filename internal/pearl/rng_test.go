@@ -101,31 +101,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestWeightedChoice(t *testing.T) {
-	r := NewRNG(19)
-	counts := make([]int, 3)
-	const n = 90000
-	for i := 0; i < n; i++ {
-		counts[r.WeightedChoice([]float64{1, 2, 6})]++
-	}
-	fracs := []float64{float64(counts[0]) / n, float64(counts[1]) / n, float64(counts[2]) / n}
-	want := []float64{1.0 / 9, 2.0 / 9, 6.0 / 9}
-	for i := range want {
-		if math.Abs(fracs[i]-want[i]) > 0.01 {
-			t.Fatalf("fracs = %v, want ~%v", fracs, want)
-		}
-	}
-}
-
-func TestWeightedChoiceZeroWeightNeverChosen(t *testing.T) {
-	r := NewRNG(23)
-	for i := 0; i < 10000; i++ {
-		if r.WeightedChoice([]float64{0, 1, 0}) != 1 {
-			t.Fatal("zero-weight index chosen")
-		}
-	}
-}
-
 // Property: Perm always returns a permutation of [0, n).
 func TestPermProperty(t *testing.T) {
 	f := func(seed uint64, n8 uint8) bool {

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 
 	"mermaid/internal/ops"
@@ -131,7 +132,10 @@ type Desc struct {
 	Phases     []Phase
 }
 
-// validate checks the description.
+// validate checks the description and writes back the defaults of its
+// instruction-level phases: an empty Mix is defaultMix, a zero WorkingSet
+// makes the whole MemModel defaultMem, and a MemNone access is a word. The
+// phases are copied first: the caller's slice may be shared.
 func (d *Desc) validate() error {
 	if d.Nodes < 1 {
 		return fmt.Errorf("stochastic: %d nodes", d.Nodes)
@@ -142,12 +146,32 @@ func (d *Desc) validate() error {
 	if len(d.Phases) == 0 {
 		return fmt.Errorf("stochastic: no phases")
 	}
+	d.Phases = slices.Clone(d.Phases)
 	for i := range d.Phases {
 		ph := &d.Phases[i]
 		switch d.Level {
 		case InstructionLevel:
 			if ph.Instructions < 0 {
 				return fmt.Errorf("stochastic: phase %d negative instructions", i)
+			}
+			if ph.Mix == (Mix{}) {
+				ph.Mix = defaultMix()
+			}
+			if slices.ContainsFunc(ph.Mix.weights(), func(w float64) bool { return w < 0 }) {
+				return fmt.Errorf("stochastic: phase %d negative mix weight", i)
+			}
+			if ph.Mem.WorkingSet == 0 {
+				ph.Mem = defaultMem()
+			}
+			if ph.Mem.Access == ops.MemNone {
+				ph.Mem.Access = ops.MemWord
+			}
+			sz := ph.Mem.Access.Size()
+			if sz == 0 {
+				return fmt.Errorf("stochastic: phase %d unknown access type %d", i, ph.Mem.Access)
+			}
+			if ph.Mem.Stride == 0 && ph.Mem.WorkingSet/sz > math.MaxInt64 {
+				return fmt.Errorf("stochastic: phase %d uniform references over 2^63 accesses or more", i)
 			}
 		case TaskLevel:
 			if ph.Duration < 0 {
@@ -195,34 +219,32 @@ func ParseDesc(data []byte) (Desc, error) {
 	return d, nil
 }
 
-// Generate produces the complete per-node traces for the description, each
-// in one slice.
+// Generate produces the complete per-node traces for the description: the
+// per-node sources drained, each into a slice of exactly its length.
 func Generate(d Desc) ([][]ops.Op, error) {
 	streams, err := generate(d)
 	if err != nil {
 		return nil, err
 	}
 	traces := make([][]ops.Op, len(streams))
-	for i, s := range streams {
-		if len(s.segs) == 1 {
-			traces[i] = s.segs[0]
-		} else {
-			traces[i] = slices.Concat(s.segs...)
-		}
+	for i := range streams {
+		traces[i] = make([]ops.Op, streams[i].n)
+		streams[i].flatten(traces[i])
 	}
 	return traces, nil
 }
 
-// Sources generates the traces and wraps them as per-node Sources, which hand
-// the generated operations to the simulator in place.
+// Sources generates the traces as per-node Sources. A source hands out plain
+// operations in place and expands an instruction-level computation, kept as
+// drawn, a batch at a time into a buffer of its own.
 func Sources(d Desc) ([]trace.Source, error) {
 	streams, err := generate(d)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]trace.Source, len(streams))
-	for i, s := range streams {
-		out[i] = trace.FromSegments(s.segs)
+	for i := range streams {
+		out[i] = &streams[i]
 	}
 	return out, nil
 }
@@ -242,12 +264,122 @@ func generate(d Desc) ([]stream, error) {
 	return streams, nil
 }
 
-// stream is one node's trace under construction: a list of segments, the
-// last one open for appends. A segment never grows — an append it has no
-// room for starts a new one — so no operation is copied once it is written.
+// stream is one node's trace: a list of parts, and, read as a trace.Source,
+// how far it has been read. A part is a segment of plain operations, the
+// last one open for appends, or an instruction-level computation block. A
+// segment never grows — an append it has no room for starts a new one — so
+// no operation is copied once it is written.
 type stream struct {
-	segs [][]ops.Op
-	n    int // operations in all segments
+	parts []part
+	n     int // operations in all parts
+
+	buf  []ops.Op // the expansion buffer, made at the first block read
+	i, j int      // instructions and addresses of parts[0]'s block read
+}
+
+// part is a segment of plain operations, or, when blk is set, a block.
+type part struct {
+	seg []ops.Op
+	blk *block
+}
+
+// block is one node's computation of one phase as drawn: per instruction the
+// code of its operation, and per load or store its address. The fetch
+// addresses and branch targets follow from the instruction's index.
+type block struct {
+	codes  []uint8  // per instruction: its operation, an index into codeOps
+	addrs  []uint64 // per load or store, in order
+	pc     uint64   // the node's code region: the loop's first fetch and every branch target
+	access ops.MemType
+}
+
+// A block's code per instruction indexes codeOps, which gives the operation
+// but for the address and access of a load, store or branch. An arithmetic
+// code is drawn uniformly among the four of its type, so codeOps also sets
+// how often each kind occurs: division is rare in integer code.
+const (
+	codeLoad uint8 = iota
+	codeStore
+	codeBranch
+	codeInt
+	codeDouble = codeInt + 4
+)
+
+var codeOps = [...]ops.Op{
+	codeLoad:   {Kind: ops.Load},
+	codeStore:  {Kind: ops.Store},
+	codeBranch: {Kind: ops.Branch},
+	codeInt:    {Kind: ops.Add, Data: ops.TypeInt}, {Kind: ops.Add, Data: ops.TypeInt},
+	{Kind: ops.Sub, Data: ops.TypeInt}, {Kind: ops.Mul, Data: ops.TypeInt},
+	codeDouble: {Kind: ops.Add, Data: ops.TypeDouble}, {Kind: ops.Mul, Data: ops.TypeDouble},
+	{Kind: ops.Sub, Data: ops.TypeDouble}, {Kind: ops.Div, Data: ops.TypeDouble},
+}
+
+// loopBody is the period, in instructions, of a computation's fetch
+// addresses: the model of a loop body of about 64 instructions.
+const loopBody = 64
+
+// blockBatch is the most instructions a source expands per batch.
+const blockBatch = 64
+
+// expand writes instructions i, i+1, … of the block into dst as fetch and
+// operation pairs, filling it; j indexes the first instruction's load or
+// store address. It returns the address index after the last one written.
+func (b *block) expand(dst []ops.Op, i, j int) int {
+	for k, c := range b.codes[i : i+len(dst)/2] {
+		pair := dst[2*k : 2*k+2 : 2*k+2]
+		pair[0] = ops.NewIFetch(b.pc + uint64(i+k)%loopBody*4)
+		op := codeOps[c]
+		if c <= codeStore {
+			op.Mem, op.Addr = b.access, b.addrs[j]
+			j++
+		} else if c == codeBranch {
+			op.Addr = b.pc
+		}
+		pair[1] = op
+	}
+	return j
+}
+
+// NextBatch implements trace.Source: the next segment in place, or the next
+// instructions of a block, at most blockBatch, expanded into the stream's
+// buffer. A part read to its end is dropped, so that what was read can be
+// collected during the run.
+func (s *stream) NextBatch() ([]ops.Op, trace.Global, error) {
+	for len(s.parts) > 0 {
+		p := s.parts[0]
+		if p.blk == nil {
+			s.parts[0], s.parts = part{}, s.parts[1:]
+			return p.seg, trace.Global{}, nil
+		}
+		if m := min(len(p.blk.codes)-s.i, blockBatch); m > 0 {
+			if s.buf == nil {
+				s.buf = make([]ops.Op, 2*blockBatch)
+			}
+			b := s.buf[:2*m]
+			s.j = p.blk.expand(b, s.i, s.j)
+			s.i += m
+			return b, trace.Global{}, nil
+		}
+		s.parts[0], s.parts = part{}, s.parts[1:]
+		s.i, s.j = 0, 0
+	}
+	return nil, trace.Global{}, io.EOF
+}
+
+// flatten writes the stream's operations into out, which holds exactly
+// their number, leaving the stream unread.
+func (s *stream) flatten(out []ops.Op) {
+	k := 0
+	for _, p := range s.parts {
+		if p.blk == nil {
+			k += copy(out[k:], p.seg)
+			continue
+		}
+		n := 2 * len(p.blk.codes)
+		p.blk.expand(out[k:k+n], 0, 0)
+		k += n
+	}
 }
 
 // segmentSpare is the most room a new segment gets beyond the append that
@@ -255,32 +387,25 @@ type stream struct {
 // close a phase, so a phase and its communication share a segment.
 const segmentSpare = 64
 
-// room returns the open segment with room for k more operations. A new
-// segment gets as much room again as the stream will hold, up to
-// segmentSpare: short streams grow geometrically, and a long computation is
-// not followed by a segment as long.
-func (s *stream) room(k int) *[]ops.Op {
-	if len(s.segs) > 0 {
-		if seg := &s.segs[len(s.segs)-1]; cap(*seg)-len(*seg) >= k {
-			return seg
-		}
-	}
-	s.segs = append(s.segs, make([]ops.Op, 0, k+min(s.n+k, segmentSpare)))
-	return &s.segs[len(s.segs)-1]
-}
-
-// add appends operations to the stream.
+// add appends plain operations to the stream's open segment. A new segment
+// gets as much room again as the stream will hold, up to segmentSpare: short
+// streams grow geometrically, and a long computation is not followed by a
+// segment as long.
 func (s *stream) add(o ...ops.Op) {
-	seg := s.room(len(o))
+	k := len(o)
+	if l := len(s.parts) - 1; l < 0 || s.parts[l].blk != nil || cap(s.parts[l].seg)-len(s.parts[l].seg) < k {
+		s.parts = append(s.parts, part{seg: make([]ops.Op, 0, k+min(s.n+k, segmentSpare))})
+	}
+	seg := &s.parts[len(s.parts)-1].seg
 	*seg = append(*seg, o...)
-	s.n += len(o)
+	s.n += k
 }
 
 type generator struct {
-	d    Desc
-	rng  *pearl.RNG
-	pc   uint64
-	tick uint64
+	d     Desc
+	rng   *pearl.RNG
+	tick  uint64
+	addrs []uint64 // the addresses of the block being drawn
 }
 
 // amount draws the per-node computation amount with the phase's CV.
@@ -310,83 +435,97 @@ func (g *generator) phase(streams []stream, iter int, ph *Phase) {
 	g.comm(streams, iter, ph)
 }
 
+// computeInstr draws the node's computation of the phase as a block: the
+// amount, then per instruction its operation and, for a load or store, the
+// address.
 func (g *generator) computeInstr(s *stream, node int, ph *Phase) {
 	n := g.amount(ph.Instructions, ph.CV)
 	if n == 0 {
 		return
 	}
-	mix := ph.Mix
-	if mix == (Mix{}) {
-		mix = defaultMix()
-	}
-	mem := ph.Mem
-	if mem.WorkingSet == 0 {
-		mem = defaultMem()
-	}
-	if mem.Access == ops.MemNone {
-		mem.Access = ops.MemWord
-	}
-	weights := mix.weights()
-	// Model a loop of period ~64 instructions: recurring fetch addresses.
-	const loopBody = 64
-	loopBase := g.pcBase(node)
-	var cursor uint64
-	// Two operations per instruction, count known: the room is made once,
-	// and the appends below never grow the segment.
-	seg := s.room(int(2 * n))
-	tr := *seg
-	for i := int64(0); i < n; i++ {
-		pc := loopBase + uint64(i%loopBody)*4
-		tr = append(tr, ops.NewIFetch(pc))
-		switch g.rng.WeightedChoice(weights) {
+	mix := newChooser(ph.Mix.weights())
+	b := &block{codes: make([]uint8, n), pc: pcBase(node), access: ph.Mem.Access}
+	g.addrs = g.addrs[:0]
+	refs := newRefs(&ph.Mem, node)
+	for i := range b.codes {
+		switch mix.choose(g.rng) {
 		case 0:
-			tr = append(tr, ops.NewLoad(mem.Access, g.dataAddr(&mem, &cursor, node)))
+			b.codes[i] = codeLoad
+			g.addrs = append(g.addrs, refs.next(g.rng))
 		case 1:
-			tr = append(tr, ops.NewStore(mem.Access, g.dataAddr(&mem, &cursor, node)))
+			b.codes[i] = codeStore
+			g.addrs = append(g.addrs, refs.next(g.rng))
 		case 2:
-			tr = append(tr, ops.NewArith(g.intKind(), ops.TypeInt))
+			b.codes[i] = codeInt + uint8(g.rng.Intn(4))
 		case 3:
-			tr = append(tr, ops.NewArith(g.fltKind(), ops.TypeDouble))
+			b.codes[i] = codeDouble + uint8(g.rng.Intn(4))
 		case 4:
-			tr = append(tr, ops.NewBranch(loopBase))
+			b.codes[i] = codeBranch
 		}
 	}
-	*seg = tr
+	b.addrs = slices.Clone(g.addrs)
+	s.parts = append(s.parts, part{blk: b})
 	s.n += int(2 * n)
 }
 
 // pcBase gives each node a stable code region.
-func (g *generator) pcBase(node int) uint64 {
+func pcBase(node int) uint64 {
 	return 0x0040_0000 + uint64(node)*0x1_0000
 }
 
-func (g *generator) dataAddr(mem *MemModel, cursor *uint64, node int) uint64 {
-	span := mem.WorkingSet
-	if span == 0 {
-		span = 1
+// chooser draws an index with probability proportional to its weight, the
+// weights' sum taken once. The weights are a validated Mix's: non-negative,
+// with a positive sum.
+type chooser struct {
+	weights []float64
+	total   float64
+}
+
+func newChooser(weights []float64) chooser {
+	c := chooser{weights: weights}
+	for _, w := range weights {
+		c.total += w
 	}
-	base := mem.Base + uint64(node)*span // per-node address space separation
-	if mem.Stride > 0 {
-		a := base + *cursor
-		*cursor = (*cursor + mem.Stride) % span
+	return c
+}
+
+func (c *chooser) choose(rng *pearl.RNG) int {
+	x := rng.Float64() * c.total
+	for i, w := range c.weights {
+		x -= w
+		if x < 0 {
+			return i
+		}
+	}
+	return len(c.weights) - 1
+}
+
+// refs draws a computation's data addresses in the node's window of the
+// working set: strided through it, or uniform over its slots of the access
+// size.
+type refs struct {
+	base, span, stride, cursor uint64
+	sz, slots                  uint64
+}
+
+func newRefs(mem *MemModel, node int) refs {
+	span, sz := mem.WorkingSet, mem.Access.Size()
+	return refs{
+		base:   mem.Base + uint64(node)*span, // per-node address space separation
+		span:   span,
+		stride: mem.Stride,
+		sz:     sz,
+		slots:  max(span/sz, 1),
+	}
+}
+
+func (r *refs) next(rng *pearl.RNG) uint64 {
+	if r.stride > 0 {
+		a := r.base + r.cursor
+		r.cursor = (r.cursor + r.stride) % r.span
 		return a
 	}
-	sz := mem.Access.Size()
-	slots := span / sz
-	if slots == 0 {
-		slots = 1
-	}
-	return base + uint64(g.rng.Int63n(int64(slots)))*sz
-}
-
-func (g *generator) intKind() ops.Kind {
-	ks := []ops.Kind{ops.Add, ops.Add, ops.Sub, ops.Mul} // div rare
-	return ks[g.rng.Intn(len(ks))]
-}
-
-func (g *generator) fltKind() ops.Kind {
-	ks := []ops.Kind{ops.Add, ops.Mul, ops.Sub, ops.Div}
-	return ks[g.rng.Intn(len(ks))]
+	return r.base + uint64(rng.Int63n(int64(r.slots)))*r.sz
 }
 
 func (g *generator) msgBytes(c *Comm) uint32 {

@@ -1,6 +1,10 @@
 package stochastic
 
 import (
+	"math"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -40,11 +44,57 @@ func TestValidate(t *testing.T) {
 		{Nodes: 2, Iterations: 1, Phases: []Phase{{Comm: Comm{Pattern: "bogus", Bytes: 1}}}},
 		{Nodes: 2, Iterations: 1, Phases: []Phase{{Comm: Comm{Pattern: AllToAll}}}}, // zero bytes
 		{Nodes: 2, Iterations: 1, Phases: []Phase{{CV: -1}}},
+		// Each of these passed and then panicked in the generator.
+		{Nodes: 2, Iterations: 1, Phases: []Phase{{Instructions: 1, Mix: Mix{Load: 2, Store: -1}}}},
+		{Nodes: 2, Iterations: 1, Phases: []Phase{{Instructions: 1, Mem: MemModel{WorkingSet: 64, Access: 200}}}},
+		{Nodes: 2, Iterations: 1, Phases: []Phase{{Instructions: 1, Mem: MemModel{WorkingSet: 1 << 63, Access: ops.MemByte}}}},
 	}
 	for i, d := range bad {
 		if err := d.validate(); err == nil {
 			t.Errorf("desc %d: expected error", i)
 		}
+	}
+	// The strided form of the last one draws no slot, and stays valid.
+	strided := Desc{Nodes: 2, Iterations: 1, Phases: []Phase{{Instructions: 1,
+		Mem: MemModel{WorkingSet: 1 << 63, Stride: 8, Access: ops.MemByte}}}}
+	if err := strided.validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestValidateWritesDefaults: validate writes the instruction level's
+// defaults into its own copy of the phases, never into the caller's, which
+// farm replicas and experiment points share while they generate.
+func TestValidateWritesDefaults(t *testing.T) {
+	phases := []Phase{
+		{Instructions: 10},
+		{Instructions: 10, Mix: Mix{Branch: 1}, Mem: MemModel{Base: 8, WorkingSet: 64, Stride: 4}},
+	}
+	orig := slices.Clone(phases)
+	d := Desc{Nodes: 2, Iterations: 1, Phases: phases}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := Generate(d); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := d.validate(); err != nil {
+		t.Fatal(err)
+	}
+	want := []Phase{
+		{Instructions: 10, Mix: defaultMix(), Mem: defaultMem()},
+		{Instructions: 10, Mix: Mix{Branch: 1}, Mem: MemModel{Base: 8, WorkingSet: 64, Stride: 4, Access: ops.MemWord}},
+	}
+	if !reflect.DeepEqual(d.Phases, want) {
+		t.Errorf("validated phases %+v, want %+v", d.Phases, want)
+	}
+	if !reflect.DeepEqual(phases, orig) {
+		t.Errorf("validate wrote into the caller's phases: %+v", phases)
 	}
 }
 
@@ -358,5 +408,32 @@ func TestGenerateProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestChooser(t *testing.T) {
+	r := pearl.NewRNG(19)
+	c := newChooser([]float64{1, 2, 6})
+	counts := make([]int, 3)
+	const n = 90000
+	for i := 0; i < n; i++ {
+		counts[c.choose(r)]++
+	}
+	fracs := []float64{float64(counts[0]) / n, float64(counts[1]) / n, float64(counts[2]) / n}
+	want := []float64{1.0 / 9, 2.0 / 9, 6.0 / 9}
+	for i := range want {
+		if math.Abs(fracs[i]-want[i]) > 0.01 {
+			t.Fatalf("fracs = %v, want ~%v", fracs, want)
+		}
+	}
+}
+
+func TestChooserZeroWeightNeverChosen(t *testing.T) {
+	r := pearl.NewRNG(23)
+	c := newChooser([]float64{0, 1, 0})
+	for i := 0; i < 10000; i++ {
+		if c.choose(r) != 1 {
+			t.Fatal("zero-weight index chosen")
+		}
 	}
 }

@@ -80,6 +80,25 @@ func TestRingDistances(t *testing.T) {
 	}
 }
 
+// TestRingHalfwayTakesPlusPort: on an even ring both ways to the antipode are
+// equally long, and Route breaks the tie towards the + port (0, the
+// neighbour at rank+1), from every node; so does each torus dimension.
+func TestRingHalfwayTakesPlusPort(t *testing.T) {
+	r, _ := newRing(8)
+	for a := 0; a < 8; a++ {
+		if p := r.Route(a, (a+4)%8); p != 0 || r.Neighbor(a, p) != (a+1)%8 {
+			t.Errorf("ring Route(%d, %d) = port %d to %d, want port 0 to %d", a, (a+4)%8, p, r.Neighbor(a, p), (a+1)%8)
+		}
+	}
+	tr, _ := NewTorus(4, 4)
+	if p := tr.Route(1, 3); p != 0 { // x: 1 -> 3, two hops either way
+		t.Errorf("torus Route(1, 3) = port %d, want 0 (+x)", p)
+	}
+	if p := tr.Route(13, 5); p != 2 { // y: 3 -> 1, two hops either way
+		t.Errorf("torus Route(13, 5) = port %d, want 2 (+y)", p)
+	}
+}
+
 func TestMeshXYRouting(t *testing.T) {
 	m, _ := NewMesh(4, 4)
 	// From (0,0) to (3,3): x first.

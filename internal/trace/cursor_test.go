@@ -21,29 +21,41 @@ func numbered(n int) []ops.Op {
 // three and then fails exactly once: asked again it would claim a clean end
 // of stream, which is what a sticky Cursor error must shield consumers from.
 type onceFailing struct {
-	SliceSource
+	trace []ops.Op
 	err   error
 	calls int
 }
 
 func (s *onceFailing) NextBatch() ([]ops.Op, Global, error) {
 	s.calls++
-	if s.pos >= len(s.trace) {
+	if len(s.trace) == 0 {
 		err := s.err
 		s.err = io.EOF
 		return nil, Global{}, err
 	}
-	n := min(3, len(s.trace)-s.pos)
-	b := s.trace[s.pos : s.pos+n]
-	s.pos += n
+	n := min(3, len(s.trace))
+	b := s.trace[:n]
+	s.trace = s.trace[n:]
+	return b, Global{}, nil
+}
+
+// segments hands out its slices one per batch, empty ones included.
+type segments [][]ops.Op
+
+func (s *segments) NextBatch() ([]ops.Op, Global, error) {
+	if len(*s) == 0 {
+		return nil, Global{}, io.EOF
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
 	return b, Global{}, nil
 }
 
 func TestCursorPeekAdvance(t *testing.T) {
 	for name, src := range map[string]Source{
-		"batched, boundary every 3": &onceFailing{SliceSource: SliceSource{trace: numbered(10)}, err: io.EOF},
+		"batched, boundary every 3": &onceFailing{trace: numbered(10), err: io.EOF},
 		"batched, one batch":        FromOps(numbered(10)),
-		"batched, four segments":    FromSegments([][]ops.Op{nil, numbered(10)[:4], numbered(10)[4:5], nil, numbered(10)[5:]}),
+		"batched, four segments":    &segments{nil, numbered(10)[:4], numbered(10)[4:5], nil, numbered(10)[5:]},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cur := NewCursor(src)
@@ -77,7 +89,7 @@ func TestCursorPeekAdvance(t *testing.T) {
 
 func TestCursorErrorIsSticky(t *testing.T) {
 	boom := errors.New("boom")
-	src := &onceFailing{SliceSource: SliceSource{trace: numbered(4)}, err: boom}
+	src := &onceFailing{trace: numbered(4), err: boom}
 	cur := NewCursor(src)
 	for i := 0; i < 4; i++ {
 		if _, err := cur.Next(); err != nil {

@@ -125,46 +125,22 @@ func (c *Cursor) Next() (Event, error) {
 	return ev, nil
 }
 
-// SliceSource replays operations held in memory (trace-driven simulation):
-// one slice, or a list of segments read one after the other as one stream.
-// NextBatch hands out the rest of the current segment itself, so replaying
-// copies nothing.
+// SliceSource replays operations held in memory (trace-driven simulation).
+// NextBatch hands out the slice itself, so replaying copies nothing.
 type SliceSource struct {
-	trace []ops.Op // the segment being read: trace[pos:]
-	pos   int
-	rest  [][]ops.Op // the segments after it
+	trace []ops.Op // the operations not yet handed out
 }
 
 // FromOps wraps an operation slice as a Source.
 func FromOps(trace []ops.Op) *SliceSource { return &SliceSource{trace: trace} }
 
-// FromSegments wraps a list of operation slices as one Source that replays
-// them in order.
-func FromSegments(segs [][]ops.Op) *SliceSource {
-	if len(segs) == 0 {
-		return &SliceSource{}
-	}
-	return &SliceSource{trace: segs[0], rest: segs[1:]}
-}
-
-// more moves past used-up segments, reporting whether an operation is left.
-func (s *SliceSource) more() bool {
-	for s.pos >= len(s.trace) {
-		if len(s.rest) == 0 {
-			return false
-		}
-		s.trace, s.rest, s.pos = s.rest[0], s.rest[1:], 0
-	}
-	return true
-}
-
-// NextBatch implements Source: the rest of the current segment, in place.
+// NextBatch implements Source: all the operations, in place.
 func (s *SliceSource) NextBatch() ([]ops.Op, Global, error) {
-	if !s.more() {
+	if len(s.trace) == 0 {
 		return nil, Global{}, io.EOF
 	}
-	b := s.trace[s.pos:]
-	s.pos = len(s.trace)
+	b := s.trace
+	s.trace = nil
 	return b, Global{}, nil
 }
 
