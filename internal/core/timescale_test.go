@@ -14,8 +14,13 @@ import (
 	"mermaid/internal/topology"
 )
 
-// timeScale is the factor TestTimeScaleInvariance stretches time by.
-const timeScale = 2
+// timeScales are the factors TestTimeScaleInvariance stretches time by. A
+// factor of 3 cannot hold exactly on any detailed machine: a bus or memory
+// moves power-of-two cache lines at a whole number of bytes per cycle, so a
+// transfer takes a power of two cycles, and three times that is no whole
+// number of cycles at any whole-number rate. 4 is the next factor whose
+// divided rates stay whole.
+var timeScales = []int{2, 4}
 
 // messageGranule is the smallest message the applications below send (a
 // 4-byte word, jacobi-dsm's barrier); every message they send is a multiple
@@ -29,7 +34,9 @@ const messageGranule = 4
 // is 1/k of it, and every count and ratio is unchanged. It holds exactly
 // only when a transfer takes a whole number of cycles at both rates, so each
 // case first asserts that every rate divides every size it moves and that k
-// divides every rate.
+// divides every rate. It runs every detailed preset with every application
+// the preset runs, plus the 4×4 T805 grid under every switching mode on mesh
+// and torus and the DSM cluster with and without its shared memory.
 func TestTimeScaleInvariance(t *testing.T) {
 	onTorus := func(c *machine.Config) {
 		c.Network.Topology = topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}
@@ -49,22 +56,21 @@ func TestTimeScaleInvariance(t *testing.T) {
 		edit        func(*machine.Config)
 		label       string
 	}
-	cases := []tc{
-		{preset: "t805-2x2", app: "jacobi"},
-		{preset: "t805-2x2", app: "matmul"},
-		{preset: "t805-2x2", app: "allreduce"},
-		{preset: "t805-4x4", app: "jacobi"},
-		{preset: "t805-4x4", app: "matmul"},
-		{preset: "t805-4x4", app: "allreduce"},
-		{preset: "ppc601-smp4", app: "shared"},
-		{preset: "ppc601-smp8", app: "shared"},
-		{preset: "dsm-2x2", app: "jacobi-dsm", iters: 1},
-		{preset: "dsm-2x2", app: "jacobi-dsm", iters: 10},
-		{preset: "dsm-2x2", app: "jacobi"},
-		{preset: "dsm-2x2", app: "matmul"},
-		{preset: "dsm-2x2", app: "jacobi", edit: noDSM, label: "no-dsm"},
-		{preset: "dsm-2x2", app: "matmul", edit: noDSM, label: "no-dsm"},
+	var cases []tc
+	for _, preset := range PresetNames() {
+		if presets[preset]().Mode != machine.Detailed {
+			continue
+		}
+		for _, app := range AppNames() {
+			cases = append(cases, tc{preset: preset, app: app})
+		}
 	}
+	cases = append(cases,
+		tc{preset: "dsm-2x2", app: "jacobi-dsm", iters: 1},
+		tc{preset: "dsm-2x2", app: "jacobi-dsm", iters: 10},
+		tc{preset: "dsm-2x2", app: "jacobi", edit: noDSM, label: "no-dsm"},
+		tc{preset: "dsm-2x2", app: "matmul", edit: noDSM, label: "no-dsm"},
+	)
 	// The 4×4 T805 grid on mesh (the preset's) and torus under every
 	// switching mode, store-and-forward on the mesh being the cases above.
 	for _, app := range []string{"jacobi", "matmul"} {
@@ -75,65 +81,79 @@ func TestTimeScaleInvariance(t *testing.T) {
 			cases = append(cases, tc{preset: "t805-4x4", app: app, edit: switching(s, onTorus), label: "torus-" + s.String()})
 		}
 	}
-	if len(cases) != 24 {
-		t.Fatalf("%d cases, want 24", len(cases))
-	}
-	for _, c := range cases {
-		name := c.preset + "/" + c.app
-		if c.iters > 0 {
-			name += fmt.Sprintf("/iters=%d", c.iters)
+	ran := map[string]int{} // cases run, by preset
+	for _, k := range timeScales {
+		for _, c := range cases {
+			name := fmt.Sprintf("k=%d/%s/%s", k, c.preset, c.app)
+			if c.iters > 0 {
+				name += fmt.Sprintf("/iters=%d", c.iters)
+			}
+			if c.label != "" {
+				name += "/" + c.label
+			}
+			t.Run(name, func(t *testing.T) {
+				iters := c.iters
+				if iters == 0 {
+					iters = 2
+				}
+				spec := RunSpec{Preset: c.preset, App: c.app, Iters: iters, Cells: 128, Dim: 16, Rounds: 4, Bytes: 1024}
+				run := func(scale bool) (*machine.Result, error) {
+					cfg, drive, err := spec.Resolve()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if c.edit != nil {
+						c.edit(&cfg)
+					}
+					// Set by hand: Validate writes the default 8 on a networked
+					// machine, which does not divide the 4-byte messages.
+					cfg.Network.LocalBytesPerCycle = messageGranule
+					if bpc := cfg.Network.Link.BytesPerCycle; bpc%k != 0 {
+						cfg.Network.Link.BytesPerCycle = messageGranule // the hybrid cluster's 2
+					}
+					if scale {
+						checkDivisible(t, &cfg, k)
+						scaleTime(&cfg, k)
+					}
+					m, err := machine.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return drive(m)
+				}
+				base, err := run(false)
+				if err != nil {
+					t.Skipf("the preset does not run the application: %v", err)
+				}
+				scaled, err := run(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ran[c.preset]++
+				if want := pearl.Time(k) * base.Cycles; scaled.Cycles != want {
+					t.Errorf("cycles %d, want %d × %d", scaled.Cycles, k, base.Cycles)
+				}
+				if scaled.Events != base.Events || scaled.Instructions != base.Instructions {
+					t.Errorf("events %d, instructions %d; want %d, %d", scaled.Events, scaled.Instructions, base.Events, base.Instructions)
+				}
+				compareScaled(t, base.Stats, scaled.Stats, "", k)
+			})
 		}
-		if c.label != "" {
-			name += "/" + c.label
-		}
-		t.Run(name, func(t *testing.T) {
-			iters := c.iters
-			if iters == 0 {
-				iters = 2
-			}
-			spec := RunSpec{Preset: c.preset, App: c.app, Iters: iters, Cells: 64, Dim: 16, Rounds: 4, Bytes: 1024}
-			run := func(scale bool) *machine.Result {
-				cfg, drive, err := spec.Resolve()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if c.edit != nil {
-					c.edit(&cfg)
-				}
-				// Set by hand: Validate writes the default 8 on a networked
-				// machine, which does not divide the 4-byte messages.
-				cfg.Network.LocalBytesPerCycle = messageGranule
-				if scale {
-					checkDivisible(t, &cfg, timeScale)
-					scaleTime(&cfg, timeScale)
-				}
-				m, err := machine.New(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := drive(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			base, scaled := run(false), run(true)
-			if scaled.Cycles != timeScale*base.Cycles {
-				t.Errorf("cycles %d, want %d × %d", scaled.Cycles, timeScale, base.Cycles)
-			}
-			if scaled.Events != base.Events || scaled.Instructions != base.Instructions {
-				t.Errorf("events %d, instructions %d; want %d, %d", scaled.Events, scaled.Instructions, base.Events, base.Instructions)
-			}
-			compareScaled(t, base.Stats, scaled.Stats, "")
-		})
 	}
+	// Every detailed preset runs some application, at every factor.
+	for _, preset := range PresetNames() {
+		if presets[preset]().Mode == machine.Detailed && ran[preset] < len(timeScales) {
+			t.Errorf("%s ran %d cases, want at least %d", preset, ran[preset], len(timeScales))
+		}
+	}
+	t.Logf("cases run by preset: %v", ran)
 }
 
 // compareScaled walks two report trees of the same shape: a metric in
-// cycles must be timeScale times its base value, a per-cycle rate 1/timeScale
-// of it, anything else equal. Multiplying by two is exact in floating point,
-// so every comparison is exact.
-func compareScaled(t *testing.T, base, scaled *stats.Set, path string) {
+// cycles must be k times its base value, a per-cycle rate 1/k of it,
+// anything else equal. Multiplying by a power of two is exact in floating
+// point, so every comparison is exact.
+func compareScaled(t *testing.T, base, scaled *stats.Set, path string, k int) {
 	t.Helper()
 	path += "/" + base.Name
 	if len(base.Metrics) != len(scaled.Metrics) || len(base.Subsets) != len(scaled.Subsets) {
@@ -143,16 +163,16 @@ func compareScaled(t *testing.T, base, scaled *stats.Set, path string) {
 		s, want := scaled.Metrics[i], b.Value
 		switch {
 		case b.Unit == "cyc":
-			want *= timeScale
+			want *= float64(k)
 		case strings.Contains(b.Name, "per cycle"):
-			want /= timeScale
+			want /= float64(k)
 		}
 		if s.Name != b.Name || s.Value != want {
 			t.Errorf("%s/%s: %v, want %v (base %v %s)", path, s.Name, s.Value, want, b.Value, b.Unit)
 		}
 	}
 	for i := range base.Subsets {
-		compareScaled(t, base.Subsets[i], scaled.Subsets[i], path)
+		compareScaled(t, base.Subsets[i], scaled.Subsets[i], path, k)
 	}
 }
 
