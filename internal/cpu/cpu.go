@@ -116,7 +116,7 @@ type CPU struct {
 	port   *cache.Port
 	step   func() pearl.Step // Step, bound once
 
-	counts   [ops.NumKinds + 1]stats.Counter
+	counts   [ops.Ret - ops.Load + 1]stats.Counter // retired operations by kind, Load first
 	instrs   uint64
 	busy     pearl.Time
 	memStall pearl.Time
@@ -215,7 +215,7 @@ func (c *CPU) Step() pearl.Step {
 }
 
 func (c *CPU) retire(latency pearl.Time) {
-	c.counts[c.kind].Inc()
+	c.counts[c.kind-ops.Load].Inc()
 	c.instrs++
 	c.busy += latency
 }
@@ -239,7 +239,7 @@ func (c *CPU) Stats() *stats.Set {
 	s.PutInt("busy", int64(c.busy), "cyc")
 	var mem, arith, ctl uint64
 	for k := ops.Load; k <= ops.Ret; k++ {
-		n := c.counts[k].Value()
+		n := c.counts[k-ops.Load].Value()
 		if n == 0 {
 			continue
 		}

@@ -66,7 +66,7 @@ func TestMemoryOpsGoThroughHierarchy(t *testing.T) {
 	if l1.S.Misses.Value() != 1 || l1.S.Hits.Value() != 2 {
 		t.Fatalf("L1 misses=%d hits=%d", l1.S.Misses.Value(), l1.S.Hits.Value())
 	}
-	if c.counts[ops.Load].Value() != 2 || c.counts[ops.Store].Value() != 1 {
+	if c.counts[ops.Load-ops.Load].Value() != 2 || c.counts[ops.Store-ops.Load].Value() != 1 {
 		t.Fatal("op counters wrong")
 	}
 }
@@ -92,6 +92,10 @@ func TestControlCosts(t *testing.T) {
 	})
 	if end != 5 {
 		t.Fatalf("end = %d, want 5", end)
+	}
+	// The last kind the CPU counts has a counter of its own.
+	if n := c.counts[ops.Ret-ops.Load].Value(); n != 1 {
+		t.Fatalf("ret counted %d times, want 1", n)
 	}
 }
 
