@@ -18,6 +18,7 @@ var testOnly = map[string]string{
 	"cpu.DefaultTiming":                   "node's tests build their nodes with it",
 	"ops.ReadAll":                         "node's TestTaskExtraction and the root package's trace benchmarks decode whole traces",
 	"pearl.(*Kernel).Close":               "cache's and network's tests unwind processes they leave parked; goes with Process",
+	"pearl.(*Kernel).Dispatches":          "machine's TestRunAheadDispatchFloor and node's TestAllocFreeRunAhead check that private nodes run ahead",
 	"pearl.(*Kernel).RunUntil":            "the allocation tests of cache and probe, and tests of analysis and network, run a kernel in slices",
 	"pearl.(*Kernel).Switches":            "the digest tests of node and machine, machine's TestSwitchBudget* and cache's tests assert it; goes with Process",
 	"router.(*Config).UncontendedLatency": "network's TestZeroLoadLatencyMatchesFormula checks the engine against it",

@@ -373,6 +373,10 @@ func (h *Hierarchy) caches() []*Cache {
 	return out
 }
 
+// Private reports whether the hierarchy serves one CPU and runs nothing of
+// its own between that CPU's accesses: no store-buffer drain, no timeline.
+func (h *Hierarchy) Private() bool { return h.cfg.CPUs == 1 && h.drains == nil && h.tl == nil }
+
 // PrivateCache returns CPU cpu's private data cache at the given level.
 func (h *Hierarchy) PrivateCache(cpu, level int) *Cache { return h.priv[cpu][level] }
 

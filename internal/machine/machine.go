@@ -557,7 +557,9 @@ func (m *Machine) kernels() []*pearl.Kernel {
 type Result struct {
 	// Cycles is the simulated execution time of the target machine.
 	Cycles pearl.Time
-	// Events is the number of kernel events processed.
+	// Events is the number of kernel events processed. A hold that a
+	// private node's runner ran ahead of counts as the event it replaced, so
+	// the count is the per-event path's (pearl.Kernel.Ahead).
 	Events uint64
 	// Wall is the host time the simulation took.
 	Wall time.Duration

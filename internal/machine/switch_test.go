@@ -72,6 +72,38 @@ func TestSwitchBudgetT805Grid(t *testing.T) {
 	}
 }
 
+// The same grid with a dispatch budget: every node has one CPU and no shared
+// memory, so between two communication operations its runner serves its
+// waits ahead of the kernel, and the kernel fires at most one event in
+// twenty that it counts — the rest are holds run ahead of, each counted as
+// the event it replaces.
+func TestRunAheadDispatchFloor(t *testing.T) {
+	d := stochastic.Desc{
+		Nodes: 16, Level: stochastic.InstructionLevel, Iterations: 2, Seed: 7,
+		Phases: []stochastic.Phase{{
+			Instructions: 5000, CV: 0.1,
+			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024},
+		}},
+	}
+	m, err := New(T805Grid(4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.RunStochastic(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatches := m.Kernel().Dispatches()
+	t.Logf("t805 4x4: %d events, %d dispatched, %d instructions", res.Events, dispatches, res.Instructions)
+	if res.Events != t805GridEvents {
+		t.Errorf("%d events; pinned %d", res.Events, t805GridEvents)
+	}
+	if 20*dispatches > res.Events {
+		t.Errorf("%d of %d events dispatched (%.1f%%); want at most 5%%",
+			dispatches, res.Events, 100*float64(dispatches)/float64(res.Events))
+	}
+}
+
 // Four PowerPC 601s behind one snoopy bus: every miss, upgrade and write-back
 // of one CPU interleaves with the other three's.
 func TestSwitchBudgetSMP(t *testing.T) {

@@ -191,6 +191,7 @@ type runner struct {
 
 	phase    uint8
 	inFlight bool        // an operation begun by CPU.Begin has Steps left
+	private  bool        // the straight line may run ahead of the kernel
 	ev       trace.Event // the operation fetched for exec
 	start    pearl.Time  // when it began
 	fault    dsm.Fault   // a page fault in progress
@@ -217,7 +218,7 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 	// Pull through a cursor: batched sources (generator threads, trace
 	// replays) hand over operations many at a time, so the per-operation
 	// cost in this loop is a slice index, not a coroutine switch.
-	r := &runner{n: n, cpu: cpuIdx, c: n.cpus[cpuIdx], cur: trace.NewCursor(src)}
+	r := &runner{n: n, cpu: cpuIdx, c: n.cpus[cpuIdx], cur: trace.NewCursor(src), private: n.private()}
 	n.runners = append(n.runners, r)
 	r.chain.Init(n.k, r.step)
 	if n.tl != nil || n.col.Enabled() {
@@ -234,6 +235,20 @@ func (n *Node) Run(cpuIdx int, src trace.Source) {
 		}
 	}
 	r.chain.Start()
+}
+
+// runAhead lets private nodes run their straight lines ahead of the kernel;
+// tests turn it off to compare with the per-event path.
+var runAhead = true
+
+// private reports whether the node's straight lines depend on nothing
+// outside the node, so that a runner may serve their waits without the
+// kernel (pearl.Kernel.Ahead): one CPU, whose memory system runs nothing of
+// its own, no virtual shared memory, and nobody observing the waits — a
+// timeline or bottleneck collector records spans in the order they end, and
+// spans recorded ahead would reorder its ties.
+func (n *Node) private() bool {
+	return runAhead && len(n.cpus) == 1 && n.hier.Private() && n.shared == nil && n.tl == nil && !n.col.Enabled()
 }
 
 // reasonName returns the timeline Name of a block reason, interning its text
@@ -253,22 +268,31 @@ func (n *Node) reasonName(r pearl.Reason) probe.Name {
 // and resource waits — comes first: it is nearly all of a run. It ends at the
 // first operation the CPU does not take — a task-level compute operation, a
 // load or store to the virtual shared memory, a communication — which exec
-// starts, and at the end of the stream.
+// starts, and at the end of the stream. A private node's runner serves the
+// straight line's waits itself, the kernel's clock running ahead, and where
+// the line ends it rejoins the kernel with one hold to the time it reached:
+// the operation that ended it is peeked again then, and acted on at its
+// proper time.
 func (r *runner) step() pearl.Step {
 	n := r.n
 	for {
 		switch r.phase {
 		case rnStraight:
-			if r.inFlight {
-				if s := r.c.Step(); !s.Done {
+			for r.inFlight {
+				s := r.c.Step()
+				if s.Done {
+					r.inFlight = false
+				} else if !r.private || !n.k.Ahead(s) {
 					return s
 				}
-				r.inFlight = false
 			}
 			if o, err := r.cur.Peek(); err == nil && !n.needsPageRights(*o) && r.c.Begin(*o) {
 				r.cur.Advance()
 				r.inFlight = true
 				continue
+			}
+			if s, ok := n.k.Rejoin(); ok {
+				return s
 			}
 			ev, err := r.cur.Next()
 			if err == io.EOF {

@@ -47,10 +47,11 @@ type Chain struct {
 	// collector. Kernel.ReasonText names the reason.
 	Spans func(from, to Time, reason Reason)
 
-	since Time      // when the current wait began
-	wait  waitKind  // what it is
-	on    *Resource // the resource of a waitAcquire
-	next  *Chain    // the next chain awaiting the same Future
+	since  Time       // when the current wait began
+	wait   waitKind   // what it is
+	on     *Resource  // the resource of a waitAcquire
+	next   *Chain     // the next chain awaiting the same Future
+	rejoin *aheadLine // the line whose rejoin the chain waits for
 }
 
 // Init prepares c, typically a field of its owner, to run step on k.
@@ -88,7 +89,11 @@ func (c *Chain) await(s Step) bool {
 		if s.Hold < 0 {
 			panic(fmt.Sprintf("pearl: chain asked to hold %d: negative duration", s.Hold))
 		}
-		k.schedule(k.now+s.Hold, evChain, nil, c)
+		if k.rejoined != nil { // the hold Rejoin returned
+			k.pendRejoin(c)
+		} else {
+			k.schedule(k.now+s.Hold, evChain, nil, c)
+		}
 		c.wait = waitHold
 	case s.Acquire != nil:
 		if s.Acquire.TryAcquire() {

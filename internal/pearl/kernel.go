@@ -57,6 +57,9 @@ const (
 	// granted, a future completed — and calls its step function in kernel
 	// context (Kernel.link): no closure needed.
 	evChain
+	// evRejoin ends the hold of a chain that ran ahead (ahead.go), like
+	// evChain; it sorts by the line's record where its sequence number ties.
+	evRejoin
 )
 
 // driveMode selects the stop condition of the event loop; the three public
@@ -77,7 +80,7 @@ const (
 // reused through a free list.
 type eventSlot struct {
 	at    Time
-	seq   uint64 // tie-breaker: FIFO among equal times
+	seq   uint64 // tie-breaker: FIFO among equal times; even, odd for a rejoin
 	fn    func() // evFunc and evDaemon only
 	chain *Chain // evChain only
 	next  int32  // wheel entries: the next slot of the bucket, +1; 0 ends it
@@ -150,6 +153,20 @@ type Kernel struct {
 
 	eventCount  uint64
 	daemonFired uint64 // daemon events actually executed
+
+	// Running ahead (ahead.go): running is set while Run drives the event
+	// loop; firing is the event being fired; line is the straight line a
+	// chain is running ahead, rejoined the one it has just ended; pend
+	// holds the ended lines whose hold is not yet placed, spare records for
+	// reuse; skipped counts the events counted without a dispatch.
+	running  bool
+	firing   pos  // real: its time and sequence number
+	atRejoin bool // ... and it is a rejoin
+	line     *aheadLine
+	rejoined *aheadLine
+	pend     []*aheadLine
+	spare    []*aheadLine
+	skipped  uint64
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -159,12 +176,24 @@ func NewKernel() *Kernel { return &Kernel{} }
 func (k *Kernel) Now() Time { return k.now }
 
 // EventCount returns the number of events executed so far; useful as a cheap
-// progress and cost metric.
+// progress and cost metric. A hold that a chain ran ahead of counts as the
+// event it replaces (Ahead).
 func (k *Kernel) EventCount() uint64 { return k.eventCount }
 
 // schedule allocates a slot for an event at absolute time t and queues it.
-// The caller guarantees t >= k.now.
+// The caller guarantees t >= k.now. Nothing may be scheduled while a chain
+// runs ahead: the clock is not the kernel's then.
 func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) {
+	if k.line != nil {
+		panic("pearl: event scheduled while a chain runs ahead of the clock")
+	}
+	k.seq += 2
+	k.queue(k.slot(t, k.seq, kind, fn, c))
+	k.live++
+}
+
+// slot allocates a slot for an event at t with sequence number seq.
+func (k *Kernel) slot(t Time, seq uint64, kind eventKind, fn func(), c *Chain) int32 {
 	var idx int32
 	if n := len(k.free); n > 0 {
 		idx = k.free[n-1]
@@ -175,20 +204,25 @@ func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) {
 	}
 	s := &k.slots[idx]
 	s.at = t
-	s.seq = k.seq
+	s.seq = seq
 	s.fn = fn
 	s.chain = c
 	s.kind = kind
-	k.seq++
-	k.live++
-	if t-k.now < wheelSize {
+	return idx
+}
+
+// queue puts slot idx in the wheel or the heap.
+func (k *Kernel) queue(idx int32) {
+	if t := k.slots[idx].at; t-k.now < wheelSize {
 		k.wheelPush(idx, t)
 	} else {
 		k.heapPush(idx)
 	}
 }
 
-// wheelPush appends slot idx, due at t < now+wheelSize, to its bucket.
+// wheelPush adds slot idx, due at t < now+wheelSize, to its bucket: at the
+// tail, since a new event's sequence number is the largest yet, unless it is
+// a rejoin (ahead.go), which goes where it sorts.
 func (k *Kernel) wheelPush(idx int32, t Time) {
 	b := int(t) & wheelMask
 	k.slots[idx].next = 0
@@ -197,9 +231,19 @@ func (k *Kernel) wheelPush(idx int32, t Time) {
 		bk.head = idx + 1
 		k.occupied[b>>6] |= 1 << (b & 63)
 		k.summary |= 1 << (b >> 6)
-	} else {
-		k.slots[bk.tail-1].next = idx + 1
+		bk.tail = idx + 1
+		return
 	}
+	if k.slots[idx].kind == evRejoin && k.less(idx, bk.tail-1) {
+		link := &bk.head
+		for !k.less(idx, *link-1) {
+			link = &k.slots[*link-1].next
+		}
+		k.slots[idx].next = *link
+		*link = idx + 1
+		return
+	}
+	k.slots[bk.tail-1].next = idx + 1
 	bk.tail = idx + 1
 }
 
@@ -279,13 +323,17 @@ func (k *Kernel) AtDaemon(t Time, fn func()) {
 	k.schedule(t, evDaemon, fn, nil)
 }
 
-// less orders queued events by (time, sequence).
+// less orders queued events by (time, sequence). Only two rejoins can tie
+// on both; their lines' records order them (ahead.go).
 func (k *Kernel) less(a, b int32) bool {
 	sa, sb := &k.slots[a], &k.slots[b]
 	if sa.at != sb.at {
 		return sa.at < sb.at
 	}
-	return sa.seq < sb.seq
+	if sa.seq != sb.seq {
+		return sa.seq < sb.seq
+	}
+	return before(sa.chain.rejoin.last(), sb.chain.rejoin.last())
 }
 
 // 4-ary heap: shallower than binary for the same size, so fewer slot-compare
@@ -350,7 +398,7 @@ func (k *Kernel) heapPop() int32 {
 func (k *Kernel) front() (idx int32, fromHeap, ok bool) {
 	if b := k.wheelFirst(); b >= 0 {
 		idx = k.wheel[b].head - 1
-		if len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at {
+		if len(k.heap) > 0 && k.less(k.heap[0], idx) {
 			return k.heap[0], true, true
 		}
 		return idx, false, true
@@ -381,6 +429,8 @@ func (k *Kernel) fire(idx int32, fromHeap bool) {
 	k.eventCount++
 	k.live--
 	kind, fn, c := s.kind, s.fn, s.chain
+	k.firing, k.atRejoin = pos{at: s.at, seq: s.seq}, kind == evRejoin
+	k.rejoined = nil // a rejoin step not returned where it was made is void
 	if kind == evDaemon {
 		k.daemons--
 		k.daemonFired++
@@ -393,6 +443,10 @@ func (k *Kernel) fire(idx int32, fromHeap bool) {
 		fn()
 	case evChain:
 		k.link(c)
+	case evRejoin:
+		k.spare = append(k.spare, c.rejoin)
+		c.rejoin = nil
+		k.link(c)
 	}
 }
 
@@ -404,7 +458,15 @@ func (k *Kernel) dispatch(mode driveMode, bound Time) {
 	if k.closed {
 		panic("pearl: running a closed kernel")
 	}
+	k.running = mode == driveRun
+	defer func() {
+		k.running = false
+		k.releaseLines()
+	}()
 	for {
+		if len(k.pend) > 0 {
+			k.place()
+		}
 		idx, fromHeap, ok := k.front()
 		switch mode {
 		case driveRun:
