@@ -211,7 +211,7 @@ func (k *Kernel) newLine() *aheadLine {
 	} else {
 		l = linePool.Get().(*aheadLine)
 	}
-	l.from, l.start = k.now, k.firing
+	l.from, l.start = k.now, pos{at: k.now, seq: k.firingSeq}
 	l.hold, l.long, l.counts = l.hold[:0], l.long[:0], l.counts[:0]
 	k.line = l
 	return l
@@ -264,7 +264,7 @@ func (k *Kernel) place() {
 	for len(k.pend) > 0 {
 		for i := 0; i < len(k.pend); {
 			if l := k.pend[i]; l.next.j == l.length()-1 {
-				k.queue(k.slot(l.end, l.count(l.next.j)-1, evRejoin, nil, l.chain))
+				k.queueRejoin(l)
 				k.pend[i] = k.pend[len(k.pend)-1]
 				k.pend = k.pend[:len(k.pend)-1]
 				continue
@@ -274,12 +274,7 @@ func (k *Kernel) place() {
 		idx, _, ok := k.front()
 		var next pos
 		if ok {
-			s := &k.slots[idx]
-			if s.kind == evRejoin {
-				next = s.chain.rejoin.last()
-			} else {
-				next = pos{at: s.at, seq: s.seq}
-			}
+			next = k.slotPos(idx)
 		}
 		// The two earliest pending rejoins: no level at or after another
 		// line's may fire before it is placed.
@@ -316,6 +311,31 @@ func (k *Kernel) place() {
 		}
 		k.fireLevel(first, next, ok, first.next.t)
 	}
+}
+
+// slotPos is the position of a queued event.
+func (k *Kernel) slotPos(idx int32) pos {
+	if s := &k.slots[idx]; s.kind != evRejoin {
+		return pos{at: s.at, seq: s.seq}
+	}
+	return k.slots[idx].chain.rejoin.last()
+}
+
+// queueRejoin queues the rejoin of l, whose levels but the last have fired,
+// under the odd sequence number just below its count: after the real events
+// scheduled before its last level, before the rest. Rejoins wait apart from
+// the wheel and the heap, in the order the lines' records give them, so
+// that two with one number keep their order too.
+func (k *Kernel) queueRejoin(l *aheadLine) {
+	idx := k.slot(l.end, l.count(l.next.j)-1, evRejoin, nil, l.chain)
+	at := l.last()
+	i := len(k.rejoins)
+	for i > 0 && before(at, k.slotPos(k.rejoins[i-1])) {
+		i--
+	}
+	k.rejoins = append(k.rejoins, 0)
+	copy(k.rejoins[i+1:], k.rejoins[i:])
+	k.rejoins[i] = idx
 }
 
 // settle fires the levels of l that come before next (every one when

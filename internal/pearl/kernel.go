@@ -58,7 +58,7 @@ const (
 	// context (Kernel.link): no closure needed.
 	evChain
 	// evRejoin ends the hold of a chain that ran ahead (ahead.go), like
-	// evChain; it sorts by the line's record where its sequence number ties.
+	// evChain; it waits in Kernel.rejoins, not in the wheel or the heap.
 	evRejoin
 )
 
@@ -155,18 +155,19 @@ type Kernel struct {
 	daemonFired uint64 // daemon events actually executed
 
 	// Running ahead (ahead.go): running is set while Run drives the event
-	// loop; firing is the event being fired; line is the straight line a
-	// chain is running ahead, rejoined the one it has just ended; pend
-	// holds the ended lines whose hold is not yet placed, spare records for
-	// reuse; skipped counts the events counted without a dispatch.
-	running  bool
-	firing   pos  // real: its time and sequence number
-	atRejoin bool // ... and it is a rejoin
-	line     *aheadLine
-	rejoined *aheadLine
-	pend     []*aheadLine
-	spare    []*aheadLine
-	skipped  uint64
+	// loop; line is the straight line a chain is running ahead, rejoined
+	// the one it has just ended; pend holds the ended lines whose hold is
+	// not yet queued, spare records for reuse; skipped counts the events
+	// counted without a dispatch.
+	running   bool
+	firingSeq uint64 // the sequence number of the event being fired
+	atRejoin  bool   // ... which is a rejoin
+	line      *aheadLine
+	rejoined  *aheadLine
+	pend      []*aheadLine
+	rejoins   []int32 // queued rejoins, in firing order
+	spare     []*aheadLine
+	skipped   uint64
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -220,9 +221,7 @@ func (k *Kernel) queue(idx int32) {
 	}
 }
 
-// wheelPush adds slot idx, due at t < now+wheelSize, to its bucket: at the
-// tail, since a new event's sequence number is the largest yet, unless it is
-// a rejoin (ahead.go), which goes where it sorts.
+// wheelPush appends slot idx, due at t < now+wheelSize, to its bucket.
 func (k *Kernel) wheelPush(idx int32, t Time) {
 	b := int(t) & wheelMask
 	k.slots[idx].next = 0
@@ -231,19 +230,9 @@ func (k *Kernel) wheelPush(idx int32, t Time) {
 		bk.head = idx + 1
 		k.occupied[b>>6] |= 1 << (b & 63)
 		k.summary |= 1 << (b >> 6)
-		bk.tail = idx + 1
-		return
+	} else {
+		k.slots[bk.tail-1].next = idx + 1
 	}
-	if k.slots[idx].kind == evRejoin && k.less(idx, bk.tail-1) {
-		link := &bk.head
-		for !k.less(idx, *link-1) {
-			link = &k.slots[*link-1].next
-		}
-		k.slots[idx].next = *link
-		*link = idx + 1
-		return
-	}
-	k.slots[bk.tail-1].next = idx + 1
 	bk.tail = idx + 1
 }
 
@@ -323,17 +312,13 @@ func (k *Kernel) AtDaemon(t Time, fn func()) {
 	k.schedule(t, evDaemon, fn, nil)
 }
 
-// less orders queued events by (time, sequence). Only two rejoins can tie
-// on both; their lines' records order them (ahead.go).
+// less orders queued events by (time, sequence).
 func (k *Kernel) less(a, b int32) bool {
 	sa, sb := &k.slots[a], &k.slots[b]
 	if sa.at != sb.at {
 		return sa.at < sb.at
 	}
-	if sa.seq != sb.seq {
-		return sa.seq < sb.seq
-	}
-	return before(sa.chain.rejoin.last(), sb.chain.rejoin.last())
+	return sa.seq < sb.seq
 }
 
 // 4-ary heap: shallower than binary for the same size, so fewer slot-compare
@@ -392,35 +377,48 @@ func (k *Kernel) heapPop() int32 {
 	return top
 }
 
-// front locates the next event in strict (time, seq) order across the wheel
-// and the heap. It reports false when no events remain. The returned entry is
-// left queued.
-func (k *Kernel) front() (idx int32, fromHeap, ok bool) {
+// queueKind names where a queued event waits.
+type queueKind uint8
+
+const (
+	inWheel   queueKind = iota
+	inHeap              // delays of wheelSize or more
+	inRejoins           // rejoins of chains that ran ahead (ahead.go)
+)
+
+// front locates the next event in strict (time, seq) order across the wheel,
+// the heap and the rejoins. It reports false when no events remain. The
+// returned entry is left queued.
+func (k *Kernel) front() (idx int32, from queueKind, ok bool) {
 	if b := k.wheelFirst(); b >= 0 {
-		idx = k.wheel[b].head - 1
-		if len(k.heap) > 0 && k.less(k.heap[0], idx) {
-			return k.heap[0], true, true
+		idx, from, ok = k.wheel[b].head-1, inWheel, true
+		if len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at {
+			idx, from = k.heap[0], inHeap
 		}
-		return idx, false, true
+	} else if len(k.heap) > 0 {
+		idx, from, ok = k.heap[0], inHeap, true
 	}
-	if len(k.heap) > 0 {
-		return k.heap[0], true, true
+	if len(k.rejoins) > 0 && (!ok || k.less(k.rejoins[0], idx)) {
+		idx, from, ok = k.rejoins[0], inRejoins, true
 	}
-	return 0, false, false
+	return idx, from, ok
 }
 
 // remove unlinks idx, the front entry of the indicated queue.
-func (k *Kernel) remove(idx int32, fromHeap bool) {
-	if fromHeap {
+func (k *Kernel) remove(idx int32, from queueKind) {
+	switch from {
+	case inHeap:
 		k.heapPop()
-		return
+	case inWheel:
+		k.wheelPop(int(k.slots[idx].at) & wheelMask)
+	default:
+		k.rejoins = k.rejoins[:copy(k.rejoins, k.rejoins[1:])]
 	}
-	k.wheelPop(int(k.slots[idx].at) & wheelMask)
 }
 
 // fire executes the front event, which front has just located.
-func (k *Kernel) fire(idx int32, fromHeap bool) {
-	k.remove(idx, fromHeap)
+func (k *Kernel) fire(idx int32, from queueKind) {
+	k.remove(idx, from)
 	s := &k.slots[idx]
 	if s.at < k.now {
 		panic("pearl: time went backwards")
@@ -429,8 +427,7 @@ func (k *Kernel) fire(idx int32, fromHeap bool) {
 	k.eventCount++
 	k.live--
 	kind, fn, c := s.kind, s.fn, s.chain
-	k.firing, k.atRejoin = pos{at: s.at, seq: s.seq}, kind == evRejoin
-	k.rejoined = nil // a rejoin step not returned where it was made is void
+	k.firingSeq, k.atRejoin = s.seq, kind == evRejoin
 	if kind == evDaemon {
 		k.daemons--
 		k.daemonFired++
@@ -467,7 +464,7 @@ func (k *Kernel) dispatch(mode driveMode, bound Time) {
 		if len(k.pend) > 0 {
 			k.place()
 		}
-		idx, fromHeap, ok := k.front()
+		idx, from, ok := k.front()
 		switch mode {
 		case driveRun:
 			if k.live <= k.daemons {
@@ -492,7 +489,7 @@ func (k *Kernel) dispatch(mode driveMode, bound Time) {
 				}
 			}
 		}
-		k.fire(idx, fromHeap)
+		k.fire(idx, from)
 	}
 }
 
