@@ -250,6 +250,7 @@ func (k *Kernel) pendRejoin(c *Chain) {
 	k.rejoined = nil
 	l.chain, c.rejoin = c, l
 	k.pend = append(k.pend, l)
+	k.rejoining++
 	k.live++
 }
 
@@ -271,8 +272,8 @@ func (k *Kernel) place() {
 			}
 			i++
 		}
-		idx, _, ok := k.front()
 		var next pos
+		idx, _, ok := k.frontRejoins()
 		if ok {
 			next = k.slotPos(idx)
 		}

@@ -157,15 +157,16 @@ type Kernel struct {
 	// Running ahead (ahead.go): running is set while Run drives the event
 	// loop; line is the straight line a chain is running ahead, rejoined
 	// the one it has just ended; pend holds the ended lines whose hold is
-	// not yet queued, spare records for reuse; skipped counts the events
-	// counted without a dispatch.
+	// not yet queued, rejoins those queued; spare keeps records for reuse;
+	// skipped counts the events counted without a dispatch.
 	running   bool
-	firingSeq uint64 // the sequence number of the event being fired
-	atRejoin  bool   // ... which is a rejoin
+	firingSeq uint64 // the sequence number of the chain event being fired
+	atRejoin  bool   // a rejoin is being fired
 	line      *aheadLine
 	rejoined  *aheadLine
 	pend      []*aheadLine
 	rejoins   []int32 // queued rejoins, in firing order
+	rejoining int     // lines pending or queued
 	spare     []*aheadLine
 	skipped   uint64
 }
@@ -189,8 +190,13 @@ func (k *Kernel) schedule(t Time, kind eventKind, fn func(), c *Chain) {
 		panic("pearl: event scheduled while a chain runs ahead of the clock")
 	}
 	k.seq += 2
-	k.queue(k.slot(t, k.seq, kind, fn, c))
+	idx := k.slot(t, k.seq, kind, fn, c)
 	k.live++
+	if t-k.now < wheelSize {
+		k.wheelPush(idx, t)
+	} else {
+		k.heapPush(idx)
+	}
 }
 
 // slot allocates a slot for an event at t with sequence number seq.
@@ -210,15 +216,6 @@ func (k *Kernel) slot(t Time, seq uint64, kind eventKind, fn func(), c *Chain) i
 	s.chain = c
 	s.kind = kind
 	return idx
-}
-
-// queue puts slot idx in the wheel or the heap.
-func (k *Kernel) queue(idx int32) {
-	if t := k.slots[idx].at; t-k.now < wheelSize {
-		k.wheelPush(idx, t)
-	} else {
-		k.heapPush(idx)
-	}
 }
 
 // wheelPush appends slot idx, due at t < now+wheelSize, to its bucket.
@@ -390,30 +387,49 @@ const (
 // the heap and the rejoins. It reports false when no events remain. The
 // returned entry is left queued.
 func (k *Kernel) front() (idx int32, from queueKind, ok bool) {
-	if b := k.wheelFirst(); b >= 0 {
-		idx, from, ok = k.wheel[b].head-1, inWheel, true
-		if len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at {
-			idx, from = k.heap[0], inHeap
+	if k.rejoining > 0 {
+		if len(k.pend) > 0 {
+			k.place()
 		}
-	} else if len(k.heap) > 0 {
-		idx, from, ok = k.heap[0], inHeap, true
+		return k.frontRejoins()
 	}
-	if len(k.rejoins) > 0 && (!ok || k.less(k.rejoins[0], idx)) {
-		idx, from, ok = k.rejoins[0], inRejoins, true
+	if b := k.wheelFirst(); b >= 0 {
+		idx = k.wheel[b].head - 1
+		if len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at {
+			return k.heap[0], inHeap, true
+		}
+		return idx, inWheel, true
+	}
+	if len(k.heap) > 0 {
+		return k.heap[0], inHeap, true
+	}
+	return 0, inWheel, false
+}
+
+// frontRejoins is front with the pending rejoins left pending: the earlier
+// of the wheel's and the heap's next event and the first queued rejoin.
+func (k *Kernel) frontRejoins() (idx int32, from queueKind, ok bool) {
+	n := k.rejoining
+	k.rejoining = 0 // front over the wheel and the heap alone
+	idx, from, ok = k.front()
+	k.rejoining = n
+	if r := k.rejoins; len(r) > 0 && (!ok || k.less(r[0], idx)) {
+		return r[0], inRejoins, true
 	}
 	return idx, from, ok
 }
 
 // remove unlinks idx, the front entry of the indicated queue.
 func (k *Kernel) remove(idx int32, from queueKind) {
-	switch from {
-	case inHeap:
-		k.heapPop()
-	case inWheel:
+	if from == inWheel {
 		k.wheelPop(int(k.slots[idx].at) & wheelMask)
-	default:
-		k.rejoins = k.rejoins[:copy(k.rejoins, k.rejoins[1:])]
+		return
 	}
+	if from == inHeap {
+		k.heapPop()
+		return
+	}
+	k.rejoins = k.rejoins[:copy(k.rejoins, k.rejoins[1:])]
 }
 
 // fire executes the front event, which front has just located.
@@ -426,8 +442,7 @@ func (k *Kernel) fire(idx int32, from queueKind) {
 	k.now = s.at
 	k.eventCount++
 	k.live--
-	kind, fn, c := s.kind, s.fn, s.chain
-	k.firingSeq, k.atRejoin = s.seq, kind == evRejoin
+	kind, fn, c, seq := s.kind, s.fn, s.chain, s.seq
 	if kind == evDaemon {
 		k.daemons--
 		k.daemonFired++
@@ -439,11 +454,15 @@ func (k *Kernel) fire(idx int32, from queueKind) {
 	case evFunc, evDaemon:
 		fn()
 	case evChain:
+		k.firingSeq = seq
 		k.link(c)
 	case evRejoin:
 		k.spare = append(k.spare, c.rejoin)
 		c.rejoin = nil
+		k.rejoining--
+		k.atRejoin = true
 		k.link(c)
+		k.atRejoin = false
 	}
 }
 
@@ -461,9 +480,6 @@ func (k *Kernel) dispatch(mode driveMode, bound Time) {
 		k.releaseLines()
 	}()
 	for {
-		if len(k.pend) > 0 {
-			k.place()
-		}
 		idx, from, ok := k.front()
 		switch mode {
 		case driveRun:
