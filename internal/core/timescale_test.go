@@ -84,7 +84,10 @@ func TestTimeScaleInvariance(t *testing.T) {
 	ran := map[string]int{} // cases run, by preset
 	for _, k := range timeScales {
 		for _, c := range cases {
-			name := fmt.Sprintf("k=%d/%s/%s", k, c.preset, c.app)
+			name := c.preset + "/" + c.app
+			if k != timeScales[0] {
+				name = fmt.Sprintf("k=%d/%s", k, name)
+			}
 			if c.iters > 0 {
 				name += fmt.Sprintf("/iters=%d", c.iters)
 			}
