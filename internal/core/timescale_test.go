@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,14 +56,19 @@ func TestTimeScaleInvariance(t *testing.T) {
 		iters       int
 		edit        func(*machine.Config)
 		label       string
+		refused     bool // the preset cannot run the application
 	}
 	var cases []tc
 	for _, preset := range PresetNames() {
 		if presets[preset]().Mode != machine.Detailed {
 			continue
 		}
+		runs, ok := presetApps[preset]
+		if !ok {
+			t.Fatalf("detailed preset %s is missing from presetApps", preset)
+		}
 		for _, app := range AppNames() {
-			cases = append(cases, tc{preset: preset, app: app})
+			cases = append(cases, tc{preset: preset, app: app, refused: !slices.Contains(runs, app)})
 		}
 	}
 	cases = append(cases,
@@ -81,9 +87,18 @@ func TestTimeScaleInvariance(t *testing.T) {
 			cases = append(cases, tc{preset: "t805-4x4", app: app, edit: switching(s, onTorus), label: "torus-" + s.String()})
 		}
 	}
-	ran := map[string]int{} // cases run, by preset
+	want := 0 // cases that must run, per factor
+	for _, c := range cases {
+		if !c.refused {
+			want++
+		}
+	}
+	ran := 0
 	for _, k := range timeScales {
 		for _, c := range cases {
+			if c.refused && k != timeScales[0] {
+				continue
+			}
 			name := c.preset + "/" + c.app
 			if k != timeScales[0] {
 				name = fmt.Sprintf("k=%d/%s", k, name)
@@ -99,7 +114,12 @@ func TestTimeScaleInvariance(t *testing.T) {
 				if iters == 0 {
 					iters = 2
 				}
-				spec := RunSpec{Preset: c.preset, App: c.app, Iters: iters, Cells: 128, Dim: 16, Rounds: 4, Bytes: 1024}
+				// 64 cells, 2 per processor on the 8×8 grid.
+				cells := 64
+				if c.preset == "t805-8x8" {
+					cells = 128
+				}
+				spec := RunSpec{Preset: c.preset, App: c.app, Iters: iters, Cells: cells, Dim: 16, Rounds: 4, Bytes: 1024}
 				run := func(scale bool) (*machine.Result, error) {
 					cfg, drive, err := spec.Resolve()
 					if err != nil {
@@ -125,14 +145,20 @@ func TestTimeScaleInvariance(t *testing.T) {
 					return drive(m)
 				}
 				base, err := run(false)
+				if c.refused {
+					if err == nil {
+						t.Fatalf("%s ran %s: add it to presetApps", c.preset, c.app)
+					}
+					return
+				}
 				if err != nil {
-					t.Skipf("the preset does not run the application: %v", err)
+					t.Fatal(err)
 				}
 				scaled, err := run(true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ran[c.preset]++
+				ran++
 				if want := pearl.Time(k) * base.Cycles; scaled.Cycles != want {
 					t.Errorf("cycles %d, want %d × %d", scaled.Cycles, k, base.Cycles)
 				}
@@ -143,13 +169,27 @@ func TestTimeScaleInvariance(t *testing.T) {
 			})
 		}
 	}
-	// Every detailed preset runs some application, at every factor.
-	for _, preset := range PresetNames() {
-		if presets[preset]().Mode == machine.Detailed && ran[preset] < len(timeScales) {
-			t.Errorf("%s ran %d cases, want at least %d", preset, ran[preset], len(timeScales))
-		}
+	if want *= len(timeScales); ran != want {
+		t.Errorf("%d cases ran the relation, want %d", ran, want)
 	}
-	t.Logf("cases run by preset: %v", ran)
+}
+
+// presetApps lists, for every detailed preset, the applications it runs;
+// the test checks that every other application is refused. pingpong needs
+// exactly two processors, jacobi-dsm a DSM layer, butterfly a power-of-two
+// processor count, and matmul at least one row of the 16×16 matrix per
+// processor. The message-passing applications need a network node per
+// processor, which the SMPs and the hybrid cluster (8 CPUs on 4 nodes) lack.
+var presetApps = map[string][]string{
+	"dsm-2x2":      {"jacobi", "jacobi-dsm", "matmul", "allreduce", "transpose", "butterfly", "shared"},
+	"hybrid-2x2x2": {"shared"},
+	"ppc601":       {"jacobi", "matmul", "allreduce", "transpose", "shared"},
+	"ppc601-smp4":  {"shared"},
+	"ppc601-smp8":  {"shared"},
+	"t805-2x1":     {"pingpong", "jacobi", "matmul", "allreduce", "transpose", "butterfly", "shared"},
+	"t805-2x2":     {"jacobi", "matmul", "allreduce", "transpose", "butterfly", "shared"},
+	"t805-4x4":     {"jacobi", "matmul", "allreduce", "transpose", "butterfly", "shared"},
+	"t805-8x8":     {"jacobi", "allreduce", "transpose", "butterfly", "shared"},
 }
 
 // compareScaled walks two report trees of the same shape: a metric in
