@@ -2,7 +2,6 @@ package node
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"mermaid/internal/ops"
@@ -65,14 +64,7 @@ func TestAllocFreeRunAhead(t *testing.T) {
 		}
 		return after.Mallocs - before.Mallocs, k.EventCount(), k.Dispatches()
 	}
-	// Line records outlive a run in a sync.Pool, which a collection empties
-	// and which keeps a record for the processor that put it: no collection
-	// and one processor while measuring, and a warm-up run before each.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	run(1)
 	shortAllocs, _, _ := run(2)
-	run(1)
 	longAllocs, events, dispatches := run(12)
 	if dispatches > 3*12 {
 		t.Fatalf("%d of %d events dispatched: the lines did not run ahead", dispatches, events)

@@ -1,9 +1,6 @@
 package pearl
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Running ahead. A chain whose step function depends on nothing outside its
 // owner for a while — a node with one CPU and no shared memory, between two
@@ -98,10 +95,6 @@ func (l *aheadLine) back(v level) level {
 	v.j--
 	return v
 }
-
-// linePool keeps line records, and their levels' capacity, from one run to
-// the next.
-var linePool = sync.Pool{New: func() any { return new(aheadLine) }}
 
 // pos is a point in the firing order: a real event, by time and sequence
 // number, when line is nil, else a level of line (index -1: its start).
@@ -209,7 +202,7 @@ func (k *Kernel) newLine() *aheadLine {
 		l = k.spare[n-1]
 		k.spare = k.spare[:n-1]
 	} else {
-		l = linePool.Get().(*aheadLine)
+		l = new(aheadLine)
 	}
 	l.from, l.start = k.now, pos{at: k.now, seq: k.firingSeq}
 	l.hold, l.long, l.counts = l.hold[:0], l.long[:0], l.counts[:0]
@@ -363,15 +356,4 @@ func (k *Kernel) fireLevel(l *aheadLine, next pos, ok bool, horizon Time) {
 	for l.next.j < last && l.next.t < horizon && (!ok || l.next.t < next.time()) {
 		l.next = l.step(l.next)
 	}
-}
-
-// releaseLines hands the kernel's idle line records back to the pool when a
-// run ends.
-func (k *Kernel) releaseLines() {
-	for i, l := range k.spare {
-		l.chain = nil
-		linePool.Put(l)
-		k.spare[i] = nil
-	}
-	k.spare = k.spare[:0]
 }

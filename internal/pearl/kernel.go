@@ -393,6 +393,11 @@ func (k *Kernel) front() (idx int32, from queueKind, ok bool) {
 		}
 		return k.frontRejoins()
 	}
+	return k.frontQueued()
+}
+
+// frontQueued is front over the wheel and the heap alone.
+func (k *Kernel) frontQueued() (idx int32, from queueKind, ok bool) {
 	if b := k.wheelFirst(); b >= 0 {
 		idx = k.wheel[b].head - 1
 		if len(k.heap) > 0 && k.slots[k.heap[0]].at <= k.slots[idx].at {
@@ -409,10 +414,7 @@ func (k *Kernel) front() (idx int32, from queueKind, ok bool) {
 // frontRejoins is front with the pending rejoins left pending: the earlier
 // of the wheel's and the heap's next event and the first queued rejoin.
 func (k *Kernel) frontRejoins() (idx int32, from queueKind, ok bool) {
-	n := k.rejoining
-	k.rejoining = 0 // front over the wheel and the heap alone
-	idx, from, ok = k.front()
-	k.rejoining = n
+	idx, from, ok = k.frontQueued()
 	if r := k.rejoins; len(r) > 0 && (!ok || k.less(r[0], idx)) {
 		return r[0], inRejoins, true
 	}
@@ -475,10 +477,7 @@ func (k *Kernel) dispatch(mode driveMode, bound Time) {
 		panic("pearl: running a closed kernel")
 	}
 	k.running = mode == driveRun
-	defer func() {
-		k.running = false
-		k.releaseLines()
-	}()
+	defer func() { k.running = false }()
 	for {
 		idx, from, ok := k.front()
 		switch mode {
