@@ -231,7 +231,7 @@ func BenchmarkCacheSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 				cycles = res.Cycles
-				hit = m.Nodes()[0].Hierarchy().PrivateCache(0, 0).HitRatio()
+				hit, _ = res.Stats.Lookup("node0", "memory-hierarchy", "node0.cpu0.L1").Get("hit ratio")
 			}
 			b.ReportMetric(hit, "hitratio")
 			b.ReportMetric(float64(cycles), "simcycles")
@@ -265,10 +265,11 @@ func BenchmarkTopologySweep(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := m.RunStochastic(desc); err != nil {
+					res, err := m.RunStochastic(desc)
+					if err != nil {
 						b.Fatal(err)
 					}
-					lat = m.Network().MessageLatency().Mean()
+					lat, _ = res.Stats.Prefixed("network ").Get("mean msg latency")
 				}
 				b.ReportMetric(lat, "msglatency")
 			})

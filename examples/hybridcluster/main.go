@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"mermaid/internal/annotate"
-	"mermaid/internal/core"
 	"mermaid/internal/machine"
 	"mermaid/internal/ops"
 	"mermaid/internal/stats"
@@ -61,12 +60,7 @@ func hybridReduce(nodes, cpusPerNode, localWork int) *trace.Program {
 
 func main() {
 	const w, h, cpus = 2, 2, 2
-	cfg := machine.HybridCluster(w, h, cpus)
-	wb, err := core.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	m, err := wb.Build()
+	m, err := machine.New(machine.HybridCluster(w, h, cpus))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -79,13 +73,11 @@ func main() {
 		w*h, cpus, w, h)
 	fmt.Printf("simulated time: %d cycles\n\n", res.Cycles)
 
-	// Coherence traffic inside node 0.
-	h0 := m.Nodes()[0].Hierarchy()
+	// Coherence traffic inside node 0, read from the run's report.
 	tb := stats.NewTable("CPU", "L1 hits", "L1 misses", "snoop invalidations")
 	for c := 0; c < cpus; c++ {
-		l1 := h0.PrivateCache(c, 0)
-		tb.Row(c, int64(l1.S.Hits.Value()), int64(l1.S.Misses.Value()),
-			int64(l1.S.SnoopInvalidates.Value()))
+		l1 := res.Stats.Lookup("node0", "memory-hierarchy", fmt.Sprintf("node0.cpu%d.L1", c))
+		tb.Row(c, metric(l1, "hits"), metric(l1, "misses"), metric(l1, "snoop invalidations"))
 	}
 	fmt.Println("intra-node coherence (node 0):")
 	if err := tb.Render(log.Writer()); err != nil {
@@ -93,7 +85,16 @@ func main() {
 	}
 
 	fmt.Println("\ninter-node network:")
-	if err := stats.RenderSet(log.Writer(), m.Network().Stats()); err != nil {
+	if err := stats.RenderSet(log.Writer(), res.Stats.Prefixed("network ")); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// metric reads a counter of a report set; a report without it is fatal.
+func metric(set *stats.Set, name string) int64 {
+	v, ok := set.Get(name)
+	if !ok {
+		log.Fatalf("report set %q has no metric %q", set.Name, name)
+	}
+	return int64(v)
 }

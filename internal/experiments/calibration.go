@@ -5,8 +5,6 @@ import (
 
 	"mermaid/internal/machine"
 	"mermaid/internal/ops"
-	"mermaid/internal/stats"
-	"mermaid/internal/trace"
 )
 
 // calibration is the §3 validation path: "small benchmarks used to tune and
@@ -27,8 +25,6 @@ func calibration(s Spec) (*ResultSet, error) {
 	if stride <= 0 {
 		return nil, fmt.Errorf("calibration: stride must be positive, got %d", stride)
 	}
-	tb := stats.NewTable("working set", "mean load latency (cyc)", "level")
-	keys := Keys{}
 	sets := []struct {
 		ws    uint64
 		level string
@@ -40,15 +36,16 @@ func calibration(s Spec) (*ResultSet, error) {
 		{2 << 20, "memory"},
 		{4 << 20, "memory"},
 	}
+	out := newOutput("working set", "mean load latency (cyc)", "level")
 	for _, set := range sets {
 		lat, err := loadLatency(set.ws, uint64(stride))
 		if err != nil {
 			return nil, err
 		}
-		tb.Row(fmt.Sprintf("%dK", set.ws>>10), lat, set.level)
-		keys[fmt.Sprintf("lat_%dk", set.ws>>10)] = lat
+		out.row(fmt.Sprintf("%dK", set.ws>>10), lat, set.level)
+		out.key(fmt.Sprintf("lat_%dk", set.ws>>10), lat)
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	return out.done()
 }
 
 // loadLatency measures the steady-state mean latency of strided loads over a
@@ -57,17 +54,13 @@ func calibration(s Spec) (*ResultSet, error) {
 func loadLatency(ws, stride uint64) (float64, error) {
 	const extraPasses = 2
 	run := func(passes int) (int64, int, error) {
-		m, err := machine.New(machine.PPC601Machine())
-		if err != nil {
-			return 0, 0, err
-		}
 		var tr []ops.Op
 		for p := 0; p < passes; p++ {
 			for a := uint64(0); a < ws; a += stride {
 				tr = append(tr, ops.NewLoad(ops.MemWord, 0x1000_0000+a))
 			}
 		}
-		res, err := m.Run([]trace.Source{trace.FromOps(tr)})
+		res, err := point{name: fmt.Sprintf("ws=%d", ws), cfg: machine.PPC601Machine(), drive: runOps(tr)}.run()
 		if err != nil {
 			return 0, 0, err
 		}

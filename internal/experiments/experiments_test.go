@@ -124,6 +124,16 @@ func TestRegistryMetadata(t *testing.T) {
 	}
 }
 
+// TestKeyWrittenTwice: two sweep points whose key names format alike are an
+// error naming the key, not one point's value standing for both.
+func TestKeyWrittenTwice(t *testing.T) {
+	e, _ := ByName("imbalance")
+	_, err := e.Execute(Spec{Sweep: map[string]string{"cv": "0.2,0.25"}})
+	if err == nil || !strings.Contains(err.Error(), "cycles_cv0.2") {
+		t.Fatalf("cv=0.2,0.25: err = %v, want one naming the key cycles_cv0.2", err)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	rs, err := table1(Spec{})
 	if err != nil {

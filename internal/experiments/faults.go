@@ -3,11 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"mermaid/internal/analysis"
+	"mermaid/internal/core"
 	"mermaid/internal/fault"
 	"mermaid/internal/machine"
-	"mermaid/internal/sim"
-	"mermaid/internal/stats"
+	"mermaid/internal/probe"
 	"mermaid/internal/workload"
 )
 
@@ -31,24 +30,6 @@ func faultResilience(s Spec) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(sched *fault.Schedule, analyze bool) (*machine.Result, *machine.Machine, error) {
-		cfg := machine.T805Grid(2, 2)
-		cfg.Faults = sched
-		env := sim.NewEnv(cfg.Seed, nil)
-		if analyze {
-			env = env.WithCollector(analysis.New())
-		}
-		m, err := machine.Build(env, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		res, err := m.RunProgram(workload.Jacobi1D(nodes, cells, iters))
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, m, nil
-	}
-
 	retrans := fault.Retrans{Timeout: 200, Backoff: 2, MaxRetries: 16}
 	scenarios := []struct {
 		name    string
@@ -70,32 +51,41 @@ func faultResilience(s Spec) (*ResultSet, error) {
 		}, true},
 	}
 
-	tb := stats.NewTable("scenario", "cycles", "slowdown", "retransmits", "dropped", "abandoned")
-	keys := Keys{}
-	var arts []Artifact
-	var base float64
-	for _, sc := range scenarios {
-		res, m, err := run(sc.sched, sc.analyze)
-		if err != nil {
-			return nil, fmt.Errorf("fault-resilience %s: %w", sc.name, err)
+	pts := make([]point, len(scenarios))
+	for i, sc := range scenarios {
+		cfg := machine.T805Grid(2, 2)
+		cfg.Faults = sc.sched
+		pts[i] = point{name: sc.name, cfg: cfg, drive: runProgram(workload.Jacobi1D(nodes, cells, iters))}
+		if sc.sched != nil {
+			// Retransmissions, drops and abandoned packets are registry
+			// metrics only.
+			pts[i].opts = append(pts[i].opts, core.WithProbe(probe.New(probe.Config{})))
 		}
-		cycles := float64(res.Cycles)
-		if sc.name == "healthy" {
-			base = cycles
-		}
-		var retransmits, dropped, abandoned uint64
-		if m.Faults() != nil {
-			retransmits = m.Network().Retransmits()
-			dropped = m.Faults().Drops()
-			abandoned = m.Network().Lost()
-		}
-		tb.Row(sc.name, int64(res.Cycles), fmt.Sprintf("%.3fx", cycles/base),
-			int64(retransmits), int64(dropped), int64(abandoned))
-		keys["cycles/"+sc.name] = cycles
-		keys["retransmits/"+sc.name] = float64(retransmits)
-		if res.Analysis != nil {
-			arts = append(arts, Artifact{Name: "bottleneck", Render: res.Analysis.WriteJSON})
+		if sc.analyze {
+			pts[i].opts = append(pts[i].opts, core.WithAnalysis())
 		}
 	}
-	return &ResultSet{Table: tb, Keys: keys, Artifacts: arts}, nil
+	res, err := runPoints(s, pts)
+	if err != nil {
+		return nil, err
+	}
+	out := newOutput("scenario", "cycles", "slowdown", "retransmits", "dropped", "abandoned")
+	for i, r := range res {
+		name, cycles := scenarios[i].name, float64(r.Cycles)
+		var retransmits, dropped, abandoned float64
+		if scenarios[i].sched != nil {
+			reg := r.Stats.Lookup("registry")
+			retransmits = out.metric(reg, "net.retransmits")
+			dropped = out.metric(reg, "fault.drops")
+			abandoned = out.metric(reg, "net.lost")
+		}
+		out.row(name, int64(r.Cycles), fmt.Sprintf("%.3fx", cycles/float64(res[0].Cycles)),
+			int64(retransmits), int64(dropped), int64(abandoned))
+		out.key("cycles/"+name, cycles)
+		out.key("retransmits/"+name, retransmits)
+		if r.Analysis != nil {
+			out.rs.Artifacts = append(out.rs.Artifacts, Artifact{Name: "bottleneck", Render: r.Analysis.WriteJSON})
+		}
+	}
+	return out.done()
 }

@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mermaid/internal/farm"
 	"mermaid/internal/stats"
 )
 
@@ -26,9 +25,6 @@ type Spec struct {
 	Sweep map[string]string
 }
 
-// pool returns a farm pool configured by the spec.
-func (s Spec) pool() *farm.Pool { return farm.New(s.Workers) }
-
 // param returns the named sweep parameter: the override if present, the
 // given default otherwise.
 func (s Spec) param(name, def string) string {
@@ -40,26 +36,23 @@ func (s Spec) param(name, def string) string {
 
 // intsParam parses the named parameter as a comma-separated int list.
 func (s Spec) intsParam(name, def string) ([]int, error) {
-	parts := strings.Split(s.param(name, def), ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("sweep parameter %s: %q is not an integer", name, p)
-		}
-		out = append(out, v)
-	}
-	return out, nil
+	return listParam(s, name, def, "an integer", strconv.Atoi)
 }
 
 // floatsParam parses the named parameter as a comma-separated float list.
 func (s Spec) floatsParam(name, def string) ([]float64, error) {
+	return listParam(s, name, def, "a number", func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+}
+
+// listParam parses the named parameter as a comma-separated list of what
+// parse reads.
+func listParam[T any](s Spec, name, def, what string, parse func(string) (T, error)) ([]T, error) {
 	parts := strings.Split(s.param(name, def), ",")
-	out := make([]float64, 0, len(parts))
+	out := make([]T, 0, len(parts))
 	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("sweep parameter %s: %q is not a number", name, p)
+			return nil, fmt.Errorf("sweep parameter %s: %q is not %s", name, p, what)
 		}
 		out = append(out, v)
 	}

@@ -2,20 +2,18 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"mermaid/internal/bus"
 	"mermaid/internal/cache"
 	"mermaid/internal/core"
-	"mermaid/internal/farm"
 	"mermaid/internal/machine"
 	"mermaid/internal/ops"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
-	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
-	"mermaid/internal/trace"
 	"mermaid/internal/workload"
 )
 
@@ -34,47 +32,34 @@ func traceValidity(s Spec) (*ResultSet, error) {
 	}
 	// Clients: rank 3 (farthest) injects earliest, rank 1 (nearest) last.
 	work := []int{0, 300, 200, 100}
-	run := func(cyclesPerByte int, pb *probe.Probe) (string, *machine.Machine, error) {
-		cfg := machine.T805Grid(2, 2)
-		cfg.Network.Link.CyclesPerByte = cyclesPerByte
-		wb, err := core.New(cfg, core.WithProbe(pb))
-		if err != nil {
-			return "", nil, err
-		}
-		m, err := wb.Build()
-		if err != nil {
-			return "", nil, err
-		}
-		var order []int
-		if _, err := m.RunProgram(workload.RecvAnyServer(4, uint32(msgBytes), work, &order)); err != nil {
-			return "", nil, err
-		}
-		parts := make([]string, len(order))
-		for i, r := range order {
-			parts[i] = fmt.Sprint(r)
-		}
-		return strings.Join(parts, ","), m, nil
-	}
-	fast, _, err := run(1, nil)
-	if err != nil {
-		return nil, err
-	}
 	slowProbe := probe.New(probe.Config{Timeline: true})
-	slow, slowM, err := run(24, slowProbe)
-	if err != nil {
+	orders := make([][]int, 2)
+	pts := make([]point, 2)
+	for i, cyclesPerByte := range []int{1, 24} {
+		pts[i].name = fmt.Sprintf("%d cyc/B", cyclesPerByte)
+		pts[i].cfg = machine.T805Grid(2, 2)
+		pts[i].cfg.Network.Link.CyclesPerByte = cyclesPerByte
+		pts[i].drive = runProgram(workload.RecvAnyServer(4, uint32(msgBytes), work, &orders[i]))
+	}
+	pts[1].opts = []core.Option{core.WithProbe(slowProbe)}
+	if _, err := runPoints(Spec{}, pts); err != nil {
 		return nil, err
 	}
-	tb := stats.NewTable("architecture", "observed service order")
-	tb.Row("fast links (1 cyc/B)", fast)
-	tb.Row("slow links (24 cyc/B)", slow)
-	keys := Keys{"orders_differ": 0}
-	if fast != slow {
-		keys["orders_differ"] = 1
+	out := newOutput("architecture", "observed service order")
+	var differ float64
+	for i, order := range orders {
+		parts := make([]string, len(order))
+		for j, r := range order {
+			parts[j] = fmt.Sprint(r)
+		}
+		out.row([]string{"fast links (1 cyc/B)", "slow links (24 cyc/B)"}[i], strings.Join(parts, ","))
+		if !slices.Equal(order, orders[0]) {
+			differ = 1
+		}
 	}
-	tl := slowM.MergedTimeline()
-	return &ResultSet{Table: tb, Keys: keys, Artifacts: []Artifact{
-		{Name: "timeline", Render: tl.WriteJSON},
-	}}, nil
+	out.key("orders_differ", differ)
+	out.rs.Artifacts = []Artifact{{Name: "timeline", Render: slowProbe.Timeline().WriteJSON}}
+	return out.done()
 }
 
 // cacheSweep (E7) is the design study the paper motivates in §2: the effect
@@ -93,8 +78,6 @@ func cacheSweep(s Spec) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := stats.NewTable("L1 size", "assoc", "hit ratio", "cycles", "CPI")
-	keys := Keys{}
 	desc := stochastic.Desc{
 		Name: "cache-sweep", Nodes: 1, Level: stochastic.InstructionLevel, Seed: 5, Iterations: 1,
 		Phases: []stochastic.Phase{{
@@ -102,49 +85,32 @@ func cacheSweep(s Spec) (*ResultSet, error) {
 			Mem:          stochastic.MemModel{Base: 0x1000_0000, WorkingSet: 16 << 10},
 		}},
 	}
-	type pt struct {
-		size  int
-		assoc int
+	var pts []point
+	add := func(kib, assoc int) {
+		cfg := machine.PPC601Machine()
+		cfg.Node.Hierarchy.Private[0].Size = kib << 10
+		cfg.Node.Hierarchy.Private[0].Assoc = assoc
+		pts = append(pts, point{name: fmt.Sprintf("%dk_a%d", kib, assoc), cfg: cfg, drive: runDesc(desc)})
 	}
-	var points []pt
 	for _, kib := range sizes {
-		points = append(points, pt{kib << 10, 8})
+		add(kib, 8)
 	}
 	for _, a := range assocs {
-		points = append(points, pt{16 << 10, a})
+		add(16, a)
 	}
-	jobs := make([]farm.Job, len(points))
-	for i, point := range points {
-		point := point
-		jobs[i] = farm.Job{Name: fmt.Sprintf("l1=%dK/a%d", point.size>>10, point.assoc),
-			Run: func(rc *farm.RunContext) (any, error) {
-				cfg := machine.PPC601Machine()
-				cfg.Node.Hierarchy.Private[0].Size = point.size
-				cfg.Node.Hierarchy.Private[0].Assoc = point.assoc
-				m, err := machine.New(cfg)
-				if err != nil {
-					return nil, err
-				}
-				res, err := m.RunStochastic(desc)
-				if err != nil {
-					return nil, err
-				}
-				rc.ObserveSim(res.Cycles, res.Events)
-				l1 := m.Nodes()[0].Hierarchy().PrivateCache(0, 0)
-				cpi := float64(res.Cycles) / float64(res.Instructions)
-				return measurement{
-					row: []any{fmt.Sprintf("%dK", point.size>>10), point.assoc, l1.HitRatio(), int64(res.Cycles), cpi},
-					keys: Keys{
-						fmt.Sprintf("hit_%dk_a%d", point.size>>10, point.assoc):    l1.HitRatio(),
-						fmt.Sprintf("cycles_%dk_a%d", point.size>>10, point.assoc): float64(res.Cycles),
-					},
-				}, nil
-			}}
-	}
-	if err := collect(s, jobs, tb, keys); err != nil {
+	res, err := runPoints(s, pts)
+	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	out := newOutput("L1 size", "assoc", "hit ratio", "cycles", "CPI")
+	for i, r := range res {
+		l1 := pts[i].cfg.Node.Hierarchy.Private[0]
+		hit := out.metric(hierarchy(r, "node0.cpu0.L1"), "hit ratio")
+		out.row(fmt.Sprintf("%dK", l1.Size>>10), l1.Assoc, hit, int64(r.Cycles), float64(r.Cycles)/float64(r.Instructions))
+		out.key("hit_"+pts[i].name, hit)
+		out.key("cycles_"+pts[i].name, float64(r.Cycles))
+	}
+	return out.done()
 }
 
 // networkSweep (E8) evaluates interconnect design options on the task-level
@@ -158,8 +124,6 @@ func networkSweep(s Spec) (*ResultSet, error) {
 		return nil, err
 	}
 	const nodes = 16
-	tb := stats.NewTable("topology", "switching", "cycles", "mean msg latency", "max link util", "links")
-	keys := Keys{}
 	topos := []topology.Config{
 		{Kind: topology.Ring, Nodes: nodes},
 		{Kind: topology.Mesh2D, DimX: 4, DimY: 4},
@@ -174,125 +138,88 @@ func networkSweep(s Spec) (*ResultSet, error) {
 			Comm:     stochastic.Comm{Pattern: stochastic.RandomPairs, Bytes: uint32(msgBytes)},
 		}},
 	}
-	var jobs []farm.Job
+	var pts []point
 	for _, tc := range topos {
 		for _, sw := range switchings {
-			tc, sw := tc, sw
-			jobs = append(jobs, farm.Job{Name: fmt.Sprintf("%s/%s", tc.Kind, shortSw(sw)),
-				Run: func(rc *farm.RunContext) (any, error) {
-					topo, err := topology.New(tc)
-					if err != nil {
-						return nil, err
-					}
-					m, err := machine.New(machine.GenericTaskMachine(tc, nodes, sw))
-					if err != nil {
-						return nil, err
-					}
-					res, err := m.RunStochastic(desc)
-					if err != nil {
-						return nil, err
-					}
-					rc.ObserveSim(res.Cycles, res.Events)
-					lat := m.Network().MessageLatency().Mean()
-					_, maxU := m.Network().LinkUtilization()
-					key := fmt.Sprintf("%s/%s", tc.Kind, shortSw(sw))
-					return measurement{
-						row: []any{topo.Name(), sw.String(), int64(res.Cycles), lat, maxU, topology.Links(topo)},
-						keys: Keys{
-							key + "/latency": lat,
-							key + "/cycles":  float64(res.Cycles),
-						},
-					}, nil
-				}})
+			pts = append(pts, point{name: fmt.Sprintf("%s/%s", tc.Kind, shortSw[sw]),
+				cfg: machine.GenericTaskMachine(tc, nodes, sw), drive: runDesc(desc)})
 		}
 	}
-	if err := collect(s, jobs, tb, keys); err != nil {
+	res, err := runPoints(s, pts)
+	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	out := newOutput("topology", "switching", "cycles", "mean msg latency", "max link util", "links")
+	for i, r := range res {
+		tc, sw := topos[i/len(switchings)], switchings[i%len(switchings)]
+		topo, err := topology.New(tc)
+		if err != nil {
+			return nil, err
+		}
+		net := network(r)
+		lat := out.metric(net, "mean msg latency")
+		out.row(topo.Name(), sw.String(), int64(r.Cycles), lat, out.metric(net, "max link utilization"), topology.Links(topo))
+		out.key(pts[i].name+"/latency", lat)
+		out.key(pts[i].name+"/cycles", float64(r.Cycles))
+	}
+	return out.done()
 }
 
-func shortSw(sw router.Switching) string {
-	switch sw {
-	case router.StoreAndForward:
-		return "saf"
-	case router.VirtualCutThrough:
-		return "vct"
-	default:
-		return "wh"
-	}
-}
+// shortSw names a switching strategy in network-sweep's keys.
+var shortSw = map[router.Switching]string{router.StoreAndForward: "saf", router.VirtualCutThrough: "vct", router.Wormhole: "wh"}
 
 // coherenceStudy (E9) exercises the shared-memory side of the workbench
 // (§4.3): SMP scaling under a true-sharing workload and the snoopy bus
 // protocol against the directory alternative.
-func coherenceStudy(Spec) (*ResultSet, error) {
-	tb := stats.NewTable("machine", "CPUs", "coherence", "cycles", "invalidations", "bus util")
-	keys := Keys{}
+func coherenceStudy(s Spec) (*ResultSet, error) {
+	var pts []point
 	for _, cpus := range []int{1, 2, 4, 8} {
 		cfg := machine.PPC601SMP(cpus)
 		if cpus == 1 {
 			cfg.Node.Hierarchy.Coherence = cache.NoCoherence
 		}
-		res, inv, busU, err := runSharedCounter(cfg, cpus)
-		if err != nil {
-			return nil, err
-		}
-		tb.Row("ppc601-smp", cpus, cfg.Node.Hierarchy.Coherence.String(), int64(res), int64(inv), busU)
-		keys[fmt.Sprintf("cycles_smp%d", cpus)] = float64(res)
-		keys[fmt.Sprintf("inval_smp%d", cpus)] = float64(inv)
+		pts = append(pts, point{name: fmt.Sprintf("smp%d", cpus), cfg: cfg, drive: runProgram(workload.SharedCounter(cpus, 200))})
 	}
 	// Snoopy vs directory at 8 CPUs.
 	dirCfg := machine.PPC601SMP(8)
 	dirCfg.Node.Hierarchy.Coherence = cache.Directory
 	dirCfg.Node.Hierarchy.DirLookupLatency = 3
 	dirCfg.Node.Hierarchy.DirMessageLatency = 4
-	res, inv, busU, err := runSharedCounter(dirCfg, 8)
+	pts = append(pts, point{name: "dir8", cfg: dirCfg, drive: runProgram(workload.SharedCounter(8, 200))})
+	res, err := runPoints(s, pts)
 	if err != nil {
 		return nil, err
 	}
-	tb.Row("ppc601-smp", 8, "directory", int64(res), int64(inv), busU)
-	keys["cycles_dir8"] = float64(res)
-	keys["inval_dir8"] = float64(inv)
-	return &ResultSet{Table: tb, Keys: keys}, nil
-}
-
-func runSharedCounter(cfg machine.Config, cpus int) (cycles float64, invals uint64, busU float64, err error) {
-	m, err := machine.New(cfg)
-	if err != nil {
-		return 0, 0, 0, err
+	out := newOutput("machine", "CPUs", "coherence", "cycles", "invalidations", "bus util")
+	for i, r := range res {
+		h := pts[i].cfg.Node.Hierarchy
+		var inv float64
+		for c := 0; c < h.CPUs; c++ {
+			inv += out.metric(hierarchy(r, fmt.Sprintf("node0.cpu%d.L1", c)), "snoop invalidations")
+		}
+		out.row("ppc601-smp", h.CPUs, h.Coherence.String(), int64(r.Cycles), int64(inv), out.metric(hierarchy(r, "bus"), "utilization"))
+		out.key("cycles_"+pts[i].name, float64(r.Cycles))
+		out.key("inval_"+pts[i].name, inv)
 	}
-	res, err := m.RunProgram(workload.SharedCounter(cpus, 200))
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	h := m.Nodes()[0].Hierarchy()
-	for i := 0; i < cpus; i++ {
-		invals += h.PrivateCache(i, 0).S.SnoopInvalidates.Value()
-	}
-	return float64(res.Cycles), invals, h.Bus().Utilization(), nil
+	return out.done()
 }
 
 // stochasticVsAnnotated (E10) compares the two application-modelling paths
 // of Fig. 4 on the same machine: an instrumented Jacobi solver versus a
 // stochastic description of the same phase structure. The synthetic load
 // reproduces the communication structure and the execution time roughly —
-// "modest accuracy", per §3.
-func stochasticVsAnnotated(Spec) (*ResultSet, error) {
+// "modest accuracy", per §3. The description is measured from the annotated
+// run, so the two run one after the other.
+func stochasticVsAnnotated(s Spec) (*ResultSet, error) {
 	const nodes, iters = 4, 10
-	// Annotated run.
-	mA, err := machine.New(machine.T805Grid(2, 2))
+	resA, err := runPoints(s, []point{{name: "annotated", cfg: machine.T805Grid(2, 2),
+		drive: runProgram(workload.Jacobi1D(nodes, 128, iters))}})
 	if err != nil {
 		return nil, err
 	}
-	resA, err := mA.RunProgram(workload.Jacobi1D(nodes, 128, iters))
-	if err != nil {
-		return nil, err
-	}
-	msgsA, bytesA := mA.Network().Messages(), mA.Network().Bytes()
 	// A generated "instruction" is an ifetch plus an operation — two trace
 	// events — while Result.Instructions counts trace events executed.
-	instrPerNode := int64(resA.Instructions) / nodes / iters / 2
+	instrPerNode := int64(resA[0].Instructions) / nodes / iters / 2
 
 	// Stochastic description of the same structure: per iteration, one
 	// computation phase of the measured instruction count, then the halo
@@ -306,36 +233,30 @@ func stochasticVsAnnotated(Spec) (*ResultSet, error) {
 			Comm:         stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 8},
 		}},
 	}
-	mS, err := machine.New(machine.T805Grid(2, 2))
+	resS, err := runPoints(s, []point{{name: "stochastic", cfg: machine.T805Grid(2, 2), drive: runDesc(desc)}})
 	if err != nil {
 		return nil, err
 	}
-	resS, err := mS.RunStochastic(desc)
-	if err != nil {
-		return nil, err
-	}
-	msgsS, bytesS := mS.Network().Messages(), mS.Network().Bytes()
 
-	tb := stats.NewTable("workload path", "cycles", "instructions", "messages", "payload bytes")
-	tb.Row("annotated program", int64(resA.Cycles), int64(resA.Instructions), int64(msgsA), int64(bytesA))
-	tb.Row("stochastic description", int64(resS.Cycles), int64(resS.Instructions), int64(msgsS), int64(bytesS))
-	keys := Keys{
-		"annotated_cycles":  float64(resA.Cycles),
-		"stochastic_cycles": float64(resS.Cycles),
-		"annotated_msgs":    float64(msgsA),
-		"stochastic_msgs":   float64(msgsS),
-		"cycle_ratio":       float64(resS.Cycles) / float64(resA.Cycles),
+	out := newOutput("workload path", "cycles", "instructions", "messages", "payload bytes")
+	for _, p := range []struct {
+		key, label string
+		r          *machine.Result
+	}{{"annotated", "annotated program", resA[0]}, {"stochastic", "stochastic description", resS[0]}} {
+		msgs := out.metric(network(p.r), "messages")
+		out.row(p.label, int64(p.r.Cycles), int64(p.r.Instructions), int64(msgs), int64(out.metric(network(p.r), "payload bytes")))
+		out.key(p.key+"_cycles", float64(p.r.Cycles))
+		out.key(p.key+"_msgs", msgs)
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	out.key("cycle_ratio", float64(resS[0].Cycles)/float64(resA[0].Cycles))
+	return out.done()
 }
 
 // nodeInterconnectStudy (ablation of §4.1's "changing the bus to a more
 // complex structure"): the same multi-CPU node with its shared bus swapped
 // for a banked crossbar, under the directory protocol (snooping needs a
 // broadcast medium) with a bank-disjoint access pattern.
-func nodeInterconnectStudy(Spec) (*ResultSet, error) {
-	tb := stats.NewTable("interconnect", "CPUs", "cycles", "avg occupancy")
-	keys := Keys{}
+func nodeInterconnectStudy(s Spec) (*ResultSet, error) {
 	desc := stochastic.Desc{
 		Name: "xbar", Nodes: 4, Level: stochastic.InstructionLevel, Seed: 13, Iterations: 1,
 		Phases: []stochastic.Phase{{
@@ -346,6 +267,7 @@ func nodeInterconnectStudy(Spec) (*ResultSet, error) {
 			Mix: stochastic.Mix{Load: 0.5, Store: 0.2, IntArith: 0.3},
 		}},
 	}
+	var pts []point
 	for _, kind := range []bus.Kind{bus.KindBus, bus.KindCrossbar} {
 		cfg := machine.PPC601SMP(4)
 		cfg.Node.Hierarchy.Coherence = cache.Directory
@@ -354,19 +276,19 @@ func nodeInterconnectStudy(Spec) (*ResultSet, error) {
 		cfg.Node.Hierarchy.Bus.Kind = kind
 		cfg.Node.Hierarchy.Bus.Banks = 8
 		cfg.Node.Hierarchy.Bus.InterleaveBytes = 64
-		m, err := machine.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.RunStochastic(desc)
-		if err != nil {
-			return nil, err
-		}
-		u := m.Nodes()[0].Hierarchy().Bus().Utilization()
-		tb.Row(string(kind), 4, int64(res.Cycles), u)
-		keys[string(kind)+"/cycles"] = float64(res.Cycles)
+		pts = append(pts, point{name: string(kind), cfg: cfg, drive: runDesc(desc)})
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	res, err := runPoints(s, pts)
+	if err != nil {
+		return nil, err
+	}
+	out := newOutput("interconnect", "CPUs", "cycles", "avg occupancy")
+	for i, r := range res {
+		kind := pts[i].name
+		out.row(kind, 4, int64(r.Cycles), out.metric(hierarchy(r, kind), "utilization"))
+		out.key(kind+"/cycles", float64(r.Cycles))
+	}
+	return out.done()
 }
 
 // routingStudy (§4.2's configurable routing strategy): an adversarial
@@ -384,55 +306,39 @@ func routingStudy(s Spec) (*ResultSet, error) {
 		return nil, err
 	}
 	const nodes = 16
-	tb := stats.NewTable("routing", "cycles", "mean hops", "mean latency", "max link util")
-	keys := Keys{}
-	strategies := []router.Routing{router.Minimal, router.Valiant, router.Adaptive}
-	jobs := make([]farm.Job, len(strategies))
-	for i, rt := range strategies {
-		rt := rt
-		jobs[i] = farm.Job{Name: rt.String(), Run: func(rc *farm.RunContext) (any, error) {
-			cfg := machine.GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, nodes, router.VirtualCutThrough)
-			cfg.Network.Router.Routing = rt
-			cfg.Network.Seed = 5
-			m, err := machine.New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			// Build the adversarial permutation as task traces directly.
-			srcs := make([]trace.Source, nodes)
-			for i := 0; i < nodes; i++ {
-				dst := (i + 8) % nodes
-				var tr []ops.Op
-				for r := 0; r < rounds; r++ {
-					tag := uint32(100 + r)
-					tr = append(tr,
-						ops.NewASend(uint32(msgBytes), int32(dst), tag),
-						ops.NewRecv(int32((i+8)%nodes), tag),
-					)
-				}
-				srcs[i] = trace.FromOps(tr)
-			}
-			res, err := m.Run(srcs)
-			if err != nil {
-				return nil, err
-			}
-			rc.ObserveSim(res.Cycles, res.Events)
-			_, maxU := m.Network().LinkUtilization()
-			lat := m.Network().MessageLatency().Mean()
-			return measurement{
-				row: []any{rt.String(), int64(res.Cycles), m.Network().MeanHops(), lat, maxU},
-				keys: Keys{
-					rt.String() + "/cycles":  float64(res.Cycles),
-					rt.String() + "/hops":    m.Network().MeanHops(),
-					rt.String() + "/maxutil": maxU,
-				},
-			}, nil
-		}}
+	// The adversarial permutation as task traces.
+	streams := make([][]ops.Op, nodes)
+	for i := range streams {
+		dst := (i + 8) % nodes
+		for r := 0; r < rounds; r++ {
+			tag := uint32(100 + r)
+			streams[i] = append(streams[i],
+				ops.NewASend(uint32(msgBytes), int32(dst), tag),
+				ops.NewRecv(int32(dst), tag),
+			)
+		}
 	}
-	if err := collect(s, jobs, tb, keys); err != nil {
+	var pts []point
+	for _, rt := range []router.Routing{router.Minimal, router.Valiant, router.Adaptive} {
+		cfg := machine.GenericTaskMachine(topology.Config{Kind: topology.Torus2D, DimX: 4, DimY: 4}, nodes, router.VirtualCutThrough)
+		cfg.Network.Router.Routing = rt
+		cfg.Network.Seed = 5
+		pts = append(pts, point{name: rt.String(), cfg: cfg, drive: runOps(streams...)})
+	}
+	res, err := runPoints(s, pts)
+	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	out := newOutput("routing", "cycles", "mean hops", "mean latency", "max link util")
+	for i, r := range res {
+		net, rt := network(r), pts[i].name
+		hops, maxU := out.metric(net, "mean hops"), out.metric(net, "max link utilization")
+		out.row(rt, int64(r.Cycles), hops, out.metric(net, "mean msg latency"), maxU)
+		out.key(rt+"/cycles", float64(r.Cycles))
+		out.key(rt+"/hops", hops)
+		out.key(rt+"/maxutil", maxU)
+	}
+	return out.done()
 }
 
 // imbalanceStudy exercises the load-balancing knob of the stochastic
@@ -447,32 +353,28 @@ func imbalanceStudy(s Spec) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb := stats.NewTable("CV", "cycles", "vs balanced")
-	keys := Keys{}
-	var base float64
-	for _, cv := range cvs {
-		m, err := machine.New(machine.T805GridTaskLevel(4, 4))
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.RunStochastic(stochastic.Desc{
-			Name: "bsp", Nodes: 16, Level: stochastic.TaskLevel, Seed: 77, Iterations: 20,
-			Phases: []stochastic.Phase{{
-				Duration: 50000,
-				CV:       cv,
-				Comm:     stochastic.Comm{Pattern: stochastic.Exchange, Bytes: 512},
-			}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		if base == 0 {
-			base = float64(res.Cycles)
-		}
-		tb.Row(cv, int64(res.Cycles), float64(res.Cycles)/base)
-		keys[fmt.Sprintf("cycles_cv%.1f", cv)] = float64(res.Cycles)
+	pts := make([]point, len(cvs))
+	for i, cv := range cvs {
+		pts[i] = point{name: fmt.Sprintf("cv=%g", cv), cfg: machine.T805GridTaskLevel(4, 4),
+			drive: runDesc(stochastic.Desc{
+				Name: "bsp", Nodes: 16, Level: stochastic.TaskLevel, Seed: 77, Iterations: 20,
+				Phases: []stochastic.Phase{{
+					Duration: 50000,
+					CV:       cv,
+					Comm:     stochastic.Comm{Pattern: stochastic.Exchange, Bytes: 512},
+				}},
+			})}
 	}
-	return &ResultSet{Table: tb, Keys: keys}, nil
+	res, err := runPoints(s, pts)
+	if err != nil {
+		return nil, err
+	}
+	out := newOutput("CV", "cycles", "vs balanced")
+	for i, r := range res {
+		out.row(cvs[i], int64(r.Cycles), float64(r.Cycles)/float64(res[0].Cycles))
+		out.key(fmt.Sprintf("cycles_cv%.1f", cvs[i]), float64(r.Cycles))
+	}
+	return out.done()
 }
 
 // scalingStudy runs a fixed-size Jacobi problem (sweep parameters "cells"
@@ -492,38 +394,28 @@ func scalingStudy(s Spec) (*ResultSet, error) {
 		return nil, err
 	}
 	grids := []struct{ w, h int }{{2, 1}, {2, 2}, {4, 2}, {4, 4}}
-	tb := stats.NewTable("nodes", "cycles", "speedup", "efficiency")
-	keys := Keys{}
-	var arts []Artifact
-	var base float64
-	for gi, g := range grids {
-		nodes := g.w * g.h
-		var opts []core.Option
-		if gi == len(grids)-1 {
-			opts = append(opts, core.WithAnalysis())
-		}
-		wb, err := core.New(machine.T805Grid(g.w, g.h), opts...)
-		if err != nil {
-			return nil, err
-		}
-		m, err := wb.Build()
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.RunProgram(workload.Jacobi1D(nodes, cells, iters))
-		if err != nil {
-			return nil, err
-		}
-		if base == 0 {
-			base = float64(res.Cycles) * float64(nodes) / 2 // 2-node run scaled to serial estimate
-		}
-		speedup := base / float64(res.Cycles)
-		tb.Row(nodes, int64(res.Cycles), speedup, speedup/float64(nodes))
-		keys[fmt.Sprintf("cycles_%d", nodes)] = float64(res.Cycles)
-		keys[fmt.Sprintf("speedup_%d", nodes)] = speedup
-		if res.Analysis != nil {
-			arts = append(arts, Artifact{Name: "bottleneck", Render: res.Analysis.WriteJSON})
+	pts := make([]point, len(grids))
+	for i, g := range grids {
+		pts[i] = point{name: fmt.Sprintf("%dx%d", g.w, g.h), cfg: machine.T805Grid(g.w, g.h),
+			drive: runProgram(workload.Jacobi1D(g.w*g.h, cells, iters))}
+	}
+	pts[len(pts)-1].opts = []core.Option{core.WithAnalysis()}
+	res, err := runPoints(s, pts)
+	if err != nil {
+		return nil, err
+	}
+	out := newOutput("nodes", "cycles", "speedup", "efficiency")
+	// Speedups are relative to the 2-node run.
+	base := float64(res[0].Cycles)
+	for i, r := range res {
+		nodes := grids[i].w * grids[i].h
+		speedup := base / float64(r.Cycles)
+		out.row(nodes, int64(r.Cycles), speedup, speedup/float64(nodes))
+		out.key(fmt.Sprintf("cycles_%d", nodes), float64(r.Cycles))
+		out.key(fmt.Sprintf("speedup_%d", nodes), speedup)
+		if r.Analysis != nil {
+			out.rs.Artifacts = append(out.rs.Artifacts, Artifact{Name: "bottleneck", Render: r.Analysis.WriteJSON})
 		}
 	}
-	return &ResultSet{Table: tb, Keys: keys, Artifacts: arts}, nil
+	return out.done()
 }

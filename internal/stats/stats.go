@@ -4,7 +4,10 @@
 // visualisation and analysis tool suite.
 package stats
 
-import "math"
+import (
+	"math"
+	"strings"
+)
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -301,4 +304,16 @@ func (s *Set) Lookup(path ...string) *Set {
 		cur = next
 	}
 	return cur
+}
+
+// Prefixed returns the first subset whose name begins with prefix, or nil:
+// it finds a set named after its parameters, like "network torus(4x4)", by
+// its kind.
+func (s *Set) Prefixed(prefix string) *Set {
+	for _, sub := range s.Subsets {
+		if strings.HasPrefix(sub.Name, prefix) {
+			return sub
+		}
+	}
+	return nil
 }

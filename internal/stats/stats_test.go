@@ -150,6 +150,9 @@ func TestSetNesting(t *testing.T) {
 	if root.Lookup("node0", "nope") != nil {
 		t.Fatal("lookup of missing subset should be nil")
 	}
+	if root.Prefixed("node") != root.Subsets[0] || root.Prefixed("cache") != nil {
+		t.Fatal("Prefixed searches the direct subsets by name prefix")
+	}
 	// Sub is idempotent.
 	if root.Sub("node0") != root.Subsets[0] {
 		t.Fatal("Sub created duplicate")
