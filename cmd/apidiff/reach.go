@@ -22,8 +22,6 @@ var testOnly = map[string]string{
 	"pearl.(*Kernel).RunUntil":            "the allocation tests of cache and probe, and tests of analysis and network, run a kernel in slices",
 	"pearl.(*Kernel).Switches":            "the digest tests of node and machine, machine's TestSwitchBudget* and cache's tests assert it; goes with Process",
 	"router.(*Config).UncontendedLatency": "network's TestZeroLoadLatencyMatchesFormula checks the engine against it",
-	"stats.(*Set).Get":                    "the tests of bus, cache, cpu, dsm, farm, network and node read metrics by name",
-	"stats.(*Set).Lookup":                 "the tests of cache, machine and node find report subsets",
 	"trace.Collect":                       "annotate's tests drain translated programs",
 }
 

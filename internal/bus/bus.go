@@ -115,7 +115,7 @@ func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysi
 	reg := pb.Registry()
 	reg.Counter(name+".transactions", &b.transactions)
 	reg.Counter(name+".bytes", &b.bytes)
-	reg.Gauge(name+".utilization", "", b.Utilization)
+	reg.Gauge(name+".utilization", "", b.utilization)
 	if tl := pb.Timeline(); tl != nil {
 		b.tl = tl
 		b.txn = tl.Name("txn")
@@ -240,8 +240,8 @@ func (c *call) run() pearl.Step {
 	return s
 }
 
-// Utilization returns the mean occupancy across channels so far.
-func (b *Bus) Utilization() float64 {
+// utilization returns the mean occupancy across channels so far.
+func (b *Bus) utilization() float64 {
 	var u float64
 	for _, c := range b.chans {
 		u += c.Utilization()
@@ -254,7 +254,7 @@ func (b *Bus) Stats() *stats.Set {
 	s := stats.NewSet(string(b.cfg.Kind))
 	s.PutUint("transactions", b.transactions.Value(), "")
 	s.PutUint("bytes", b.bytes.Value(), "B")
-	s.Put("utilization", b.Utilization(), "")
+	s.Put("utilization", b.utilization(), "")
 	var wait float64
 	for _, c := range b.chans {
 		wait += c.AvgWait()

@@ -41,7 +41,7 @@ func TestTransactBodyRunsWhileHolding(t *testing.T) {
 	k.Spawn("a", func(p *pearl.Process) {
 		b.Transact(p, 0, 8, func() {
 			bodyRan = true
-			if b.Utilization() == 0 && k.Now() == 0 {
+			if b.utilization() == 0 && k.Now() == 0 {
 				// holding at time zero; nothing to assert about utilisation yet
 				_ = b
 			}

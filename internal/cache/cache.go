@@ -130,8 +130,8 @@ type line struct {
 	loadedAt uint64 // FIFO clock
 }
 
-// Stats holds the per-cache event counters.
-type Stats struct {
+// counters holds the per-cache event counters.
+type counters struct {
 	Hits             stats.Counter
 	Misses           stats.Counter
 	Evictions        stats.Counter
@@ -143,11 +143,11 @@ type Stats struct {
 	Upgrades         stats.Counter // S -> M permission upgrades
 }
 
-// Cache is one level: a set-associative, tags-only cache. It is a passive
+// cache is one level: a set-associative, tags-only cache. It is a passive
 // structure; timing is charged by the hierarchy that owns it. Methods are not
 // safe for concurrent use — a simulation runs one component at a time, so no
 // locking is needed or wanted.
-type Cache struct {
+type cache struct {
 	cfg       Config
 	nsets     int
 	assoc     int
@@ -180,7 +180,7 @@ type Cache struct {
 	// that line to the back.
 	order []link
 
-	S Stats
+	S counters
 }
 
 // link is one entry of Cache.order: the neighbours of a slot in its set's
@@ -194,7 +194,7 @@ type link struct{ prev, next int32 }
 const scanWays = 8
 
 // newCache creates a cache level; the config must validate.
-func newCache(cfg Config, rng *pearl.RNG) (*Cache, error) {
+func newCache(cfg Config, rng *pearl.RNG) (*cache, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func newCache(cfg Config, rng *pearl.RNG) (*Cache, error) {
 	if assoc == 0 {
 		assoc = lines
 	}
-	c := &Cache{
+	c := &cache{
 		cfg:   cfg,
 		nsets: lines / assoc,
 		assoc: assoc,
@@ -231,21 +231,21 @@ func newCache(cfg Config, rng *pearl.RNG) (*Cache, error) {
 }
 
 // resetOrder empties every set's replacement list.
-func (c *Cache) resetOrder() {
+func (c *cache) resetOrder() {
 	for i := len(c.sets); i < len(c.order); i++ {
 		c.order[i] = link{prev: int32(i), next: int32(i)}
 	}
 }
 
 // unlink takes slot i off its set's replacement list.
-func (c *Cache) unlink(i int) {
+func (c *cache) unlink(i int) {
 	l := c.order[i]
 	c.order[l.prev].next = l.next
 	c.order[l.next].prev = l.prev
 }
 
 // pushBack makes slot i, which is on no list, the last victim of its set.
-func (c *Cache) pushBack(i int) {
+func (c *cache) pushBack(i int) {
 	end := int32(len(c.sets) + i/c.assoc)
 	last := c.order[end].prev
 	c.order[i] = link{prev: last, next: end}
@@ -256,7 +256,7 @@ func (c *Cache) pushBack(i int) {
 // used records a use of the valid line in slot i: it stamps the LRU clock
 // and, under LRU, moves the line to the back of the replacement list —
 // where the line used last already is.
-func (c *Cache) used(i int) {
+func (c *cache) used(i int) {
 	c.sets[i].lastUse = c.clock
 	if c.order != nil && c.cfg.Replacement == lru && int(c.order[i].next) < len(c.sets) {
 		c.unlink(i)
@@ -265,7 +265,7 @@ func (c *Cache) used(i int) {
 }
 
 // mustNew is newCache for known-good configs (presets, tests).
-func mustNew(cfg Config, rng *pearl.RNG) *Cache {
+func mustNew(cfg Config, rng *pearl.RNG) *cache {
 	c, err := newCache(cfg, rng)
 	if err != nil {
 		panic(err)
@@ -274,22 +274,22 @@ func mustNew(cfg Config, rng *pearl.RNG) *Cache {
 }
 
 // lineSize returns the line size in bytes.
-func (c *Cache) lineSize() uint64 { return uint64(c.cfg.LineSize) }
+func (c *cache) lineSize() uint64 { return uint64(c.cfg.LineSize) }
 
 // lineAddr returns the line address (addr with the offset bits shifted out),
 // the canonical line identity used throughout the hierarchy.
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineShift }
+func (c *cache) lineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 
 // home is the index entry where the probe for a line address starts: the top
 // bits of a Fibonacci hash, which spreads sequential and strided line
 // addresses alike.
-func (c *Cache) home(la uint64) int {
+func (c *cache) home(la uint64) int {
 	return int((la * 0x9E3779B97F4A7C15) >> c.indexShift)
 }
 
 // entry returns the position in index of the line's entry or, when the line
 // is not resident, of the empty entry that ends its probe.
-func (c *Cache) entry(la uint64) int {
+func (c *cache) entry(la uint64) int {
 	mask := len(c.index) - 1
 	for i := c.home(la); ; i = (i + 1) & mask {
 		if e := c.index[i]; e == 0 || c.sets[e-1].tag == la {
@@ -300,7 +300,7 @@ func (c *Cache) entry(la uint64) int {
 
 // unindex empties entry i of index and shifts back the entries of its probe
 // run that can no longer be reached past the gap.
-func (c *Cache) unindex(i int) {
+func (c *cache) unindex(i int) {
 	mask := len(c.index) - 1
 	for j := (i + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
 		// The entry at j stays unless its home is at or before the gap:
@@ -315,7 +315,7 @@ func (c *Cache) unindex(i int) {
 
 // find is the one residency lookup: the slot in sets holding the line, or
 // -1 when the line is not resident.
-func (c *Cache) find(la uint64) int {
+func (c *cache) find(la uint64) int {
 	if c.index != nil {
 		return int(c.index[c.entry(la)]) - 1
 	}
@@ -331,7 +331,7 @@ func (c *Cache) find(la uint64) int {
 // lookup finds the line (by line address) and refreshes its LRU position.
 // It returns nil on miss. lookup does not update hit/miss counters; the
 // hierarchy does, so that probes (snoops) don't pollute demand statistics.
-func (c *Cache) lookup(la uint64) *state {
+func (c *cache) lookup(la uint64) *state {
 	i := c.find(la)
 	if i < 0 {
 		return nil
@@ -343,7 +343,7 @@ func (c *Cache) lookup(la uint64) *state {
 
 // probe finds the line without touching replacement state (used by snoops
 // and tests).
-func (c *Cache) probe(la uint64) (state, bool) {
+func (c *cache) probe(la uint64) (state, bool) {
 	if i := c.find(la); i >= 0 {
 		return c.sets[i].state, true
 	}
@@ -359,7 +359,7 @@ type victim struct {
 // insert places the line (by line address) in the given state, evicting a
 // victim if the set is full. It reports the victim, if any. Inserting a line
 // that is already present just overwrites its state.
-func (c *Cache) insert(la uint64, st state) (victim, bool) {
+func (c *cache) insert(la uint64, st state) (victim, bool) {
 	if st == invalid {
 		panic("cache: inserting invalid line")
 	}
@@ -407,7 +407,7 @@ func (c *Cache) insert(la uint64, st state) (victim, bool) {
 }
 
 // pickVictim scans a full set for the way to replace.
-func (c *Cache) pickVictim(set []line) int {
+func (c *cache) pickVictim(set []line) int {
 	switch c.cfg.Replacement {
 	case fifo:
 		best := 0
@@ -434,7 +434,7 @@ func (c *Cache) pickVictim(set []line) int {
 }
 
 // invalidate removes the line if present, reporting its prior state.
-func (c *Cache) invalidate(la uint64) (state, bool) {
+func (c *cache) invalidate(la uint64) (state, bool) {
 	i := c.find(la)
 	if i < 0 {
 		return invalid, false
@@ -453,7 +453,7 @@ func (c *Cache) invalidate(la uint64) (state, bool) {
 
 // setState changes the state of a present line; it reports whether the line
 // was found.
-func (c *Cache) setState(la uint64, st state) bool {
+func (c *cache) setState(la uint64, st state) bool {
 	if st == invalid {
 		panic("cache: SetState to Invalid; use Invalidate")
 	}
@@ -465,18 +465,18 @@ func (c *Cache) setState(la uint64, st state) bool {
 	return true
 }
 
-// HitRatio returns hits/(hits+misses).
-func (c *Cache) HitRatio() float64 {
+// hitRatio returns hits/(hits+misses).
+func (c *cache) hitRatio() float64 {
 	h, m := c.S.Hits.Value(), c.S.Misses.Value()
 	return stats.Ratio(h, h+m)
 }
 
 // statsSet reports the cache counters as a metric set.
-func (c *Cache) statsSet() *stats.Set {
+func (c *cache) statsSet() *stats.Set {
 	s := stats.NewSet(c.cfg.Name)
 	s.PutUint("hits", c.S.Hits.Value(), "")
 	s.PutUint("misses", c.S.Misses.Value(), "")
-	s.Put("hit ratio", c.HitRatio(), "")
+	s.Put("hit ratio", c.hitRatio(), "")
 	s.PutUint("evictions", c.S.Evictions.Value(), "")
 	s.PutUint("writebacks", c.S.Writebacks.Value(), "")
 	s.PutUint("back invalidations", c.S.BackInvalidates.Value(), "")
@@ -490,11 +490,11 @@ func (c *Cache) statsSet() *stats.Set {
 // register publishes the cache's counters into the metrics registry under
 // its dotted name (e.g. "node0.cpu0.L1.misses"), making them stable,
 // greppable identifiers for the sampler and the registry dump.
-func (c *Cache) register(reg *probe.Registry) {
+func (c *cache) register(reg *probe.Registry) {
 	n := c.cfg.Name
 	reg.Counter(n+".hits", &c.S.Hits)
 	reg.Counter(n+".misses", &c.S.Misses)
-	reg.Gauge(n+".hit-ratio", "", c.HitRatio)
+	reg.Gauge(n+".hit-ratio", "", c.hitRatio)
 	reg.Counter(n+".evictions", &c.S.Evictions)
 	reg.Counter(n+".writebacks", &c.S.Writebacks)
 	reg.Counter(n+".back-invalidates", &c.S.BackInvalidates)

@@ -194,8 +194,8 @@ func TestHitRatio(t *testing.T) {
 	c := mustNew(cfg64(1024), nil)
 	c.S.Hits.Add(3)
 	c.S.Misses.Add(1)
-	if c.HitRatio() != 0.75 {
-		t.Fatalf("hit ratio = %v", c.HitRatio())
+	if c.hitRatio() != 0.75 {
+		t.Fatalf("hit ratio = %v", c.hitRatio())
 	}
 }
 
@@ -242,7 +242,7 @@ func TestVictimGoneProperty(t *testing.T) {
 }
 
 // occupancy returns the number of valid lines of c.
-func occupancy(c *Cache) int {
+func occupancy(c *cache) int {
 	n := 0
 	for i := range c.sets {
 		if c.sets[i].state != invalid {

@@ -179,9 +179,9 @@ type Hierarchy struct {
 	bus *bus.Bus
 	mem *memory.DRAM
 
-	priv  [][]*Cache // [cpu][level], data chain; level 0 = L1D
-	privI []*Cache   // [cpu], L1I when split
-	shd   []*Cache   // shared levels
+	priv  [][]*cache // [cpu][level], data chain; level 0 = L1D
+	privI []*cache   // [cpu], L1I when split
+	shd   []*cache   // shared levels
 
 	dir map[uint64]*dirEntry
 
@@ -239,7 +239,7 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 		return rng.Derive(stream)
 	}
 	for cpu := 0; cpu < cfg.CPUs; cpu++ {
-		var chain []*Cache
+		var chain []*cache
 		for lvl, cc := range cfg.Private {
 			cc.Name = fmt.Sprintf("%s.cpu%d.%s", name, cpu, levelName(cc.Name, lvl, false))
 			chain = append(chain, mustNew(cc, nextRNG()))
@@ -355,16 +355,10 @@ func levelName(explicit string, lvl int, instr bool) string {
 	return fmt.Sprintf("L%d", lvl+1)
 }
 
-// Bus returns the node bus (for external statistics).
-func (h *Hierarchy) Bus() *bus.Bus { return h.bus }
-
-// Memory returns the DRAM model.
-func (h *Hierarchy) Memory() *memory.DRAM { return h.mem }
-
 // caches returns every cache instance (for statistics and tests): data
 // chains per CPU, instruction L1s, then shared levels.
-func (h *Hierarchy) caches() []*Cache {
-	var out []*Cache
+func (h *Hierarchy) caches() []*cache {
+	var out []*cache
 	for _, chain := range h.priv {
 		out = append(out, chain...)
 	}
@@ -377,15 +371,12 @@ func (h *Hierarchy) caches() []*Cache {
 // its own between that CPU's accesses: no store-buffer drain, no timeline.
 func (h *Hierarchy) Private() bool { return h.cfg.CPUs == 1 && h.drains == nil && h.tl == nil }
 
-// PrivateCache returns CPU cpu's private data cache at the given level.
-func (h *Hierarchy) PrivateCache(cpu, level int) *Cache { return h.priv[cpu][level] }
-
 // Port is a CPU-side handle for issuing memory accesses, one at a time.
 type Port struct {
 	a *access
 	// data and instr are the private chains, innermost first, that loads and
 	// stores resp. instruction fetches walk; they differ only in a split L1.
-	data, instr []*Cache
+	data, instr []*cache
 }
 
 // Port returns the access port for the given CPU.
@@ -400,7 +391,7 @@ func (h *Hierarchy) Port(cpu int) *Port {
 	pt.data = h.priv[cpu]
 	pt.instr = pt.data
 	if h.cfg.SplitL1 {
-		pt.instr = append([]*Cache{h.privI[cpu]}, pt.data[1:]...)
+		pt.instr = append([]*cache{h.privI[cpu]}, pt.data[1:]...)
 	}
 	return pt
 }
@@ -498,7 +489,7 @@ type access struct {
 	began pearl.Time // when the access was begun
 
 	kind      AccessKind
-	chain     []*Cache
+	chain     []*cache
 	next, end uint64 // what is left of the access
 	addr      uint64 // the current piece, inside one innermost line
 	size      uint64
@@ -734,7 +725,7 @@ func (h *Hierarchy) backInvalidate(cpu, lvl int, base, size uint64) {
 	}
 }
 
-func (h *Hierarchy) invalidateRange(c *Cache, base, size uint64, counter *stats.Counter) {
+func (h *Hierarchy) invalidateRange(c *cache, base, size uint64, counter *stats.Counter) {
 	for a := base; a < base+size; a += c.lineSize() {
 		if _, ok := c.invalidate(c.lineAddr(a)); ok {
 			counter.Inc()

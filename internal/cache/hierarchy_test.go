@@ -13,6 +13,12 @@ import (
 	"mermaid/internal/stats"
 )
 
+// memWrites returns how many writes the hierarchy's memory served.
+func memWrites(h *Hierarchy) uint64 {
+	v, _ := h.mem.Stats().Get("writes")
+	return uint64(v)
+}
+
 func testBus() bus.Config { return bus.Config{Width: 8, ArbitrationDelay: 1} }
 func testMem() memory.Config {
 	return memory.Config{ReadLatency: 5, WriteLatency: 5, BytesPerCycle: 8, Ports: 1}
@@ -62,7 +68,7 @@ func mustHierarchy(t *testing.T, k *pearl.Kernel, cfg HierarchyConfig) *Hierarch
 
 // memReads returns how many reads the hierarchy's memory served.
 func memReads(h *Hierarchy) uint64 {
-	v, _ := h.Memory().Stats().Get("reads")
+	v, _ := h.mem.Stats().Get("reads")
 	return uint64(v)
 }
 
@@ -108,7 +114,7 @@ func TestUniprocessorMissThenHit(t *testing.T) {
 	if hitT != 1 {
 		t.Errorf("hit latency = %d, want 1", hitT)
 	}
-	l1 := h.PrivateCache(0, 0)
+	l1 := h.priv[0][0]
 	if l1.S.Hits.Value() != 1 || l1.S.Misses.Value() != 1 {
 		t.Errorf("hits=%d misses=%d", l1.S.Hits.Value(), l1.S.Misses.Value())
 	}
@@ -127,13 +133,13 @@ func TestWriteBackDirtyEviction(t *testing.T) {
 		pt.Access(p, Read, stride, 4)   // fills way 2
 		pt.Access(p, Read, 2*stride, 4) // evicts dirty line 0
 	})
-	if h.Memory().Writes() != 1 {
-		t.Errorf("memory writes = %d, want 1 (dirty write-back)", h.Memory().Writes())
+	if memWrites(h) != 1 {
+		t.Errorf("memory writes = %d, want 1 (dirty write-back)", memWrites(h))
 	}
 	if h.busWB.Value() != 1 {
 		t.Errorf("write-back transactions = %d, want 1", h.busWB.Value())
 	}
-	if _, ok := h.PrivateCache(0, 0).probe(0); ok {
+	if _, ok := h.priv[0][0].probe(0); ok {
 		t.Error("evicted line still present")
 	}
 }
@@ -147,10 +153,10 @@ func TestWriteThroughStoresReachMemory(t *testing.T) {
 		pt.Access(p, Write, 0x40, 4) // WT hit: store goes to memory
 		pt.Access(p, Write, 0x80, 4) // WT miss: store goes to memory, no allocate
 	})
-	if h.Memory().Writes() != 2 {
-		t.Errorf("memory writes = %d, want 2", h.Memory().Writes())
+	if memWrites(h) != 2 {
+		t.Errorf("memory writes = %d, want 2", memWrites(h))
 	}
-	l1 := h.PrivateCache(0, 0)
+	l1 := h.priv[0][0]
 	if st, ok := l1.probe(l1.lineAddr(0x40)); !ok || st == modified {
 		t.Errorf("WT line state = %v, %v; want clean present", st, ok)
 	}
@@ -209,7 +215,7 @@ func TestInclusionBackInvalidation(t *testing.T) {
 		pt.Access(p, Read, 0, 4)
 		pt.Access(p, Read, 128, 4) // L2 set 0 again (stride 128 = 2 lines*64): evicts line 0
 	})
-	l1 := h.PrivateCache(0, 0)
+	l1 := h.priv[0][0]
 	if _, ok := l1.probe(l1.lineAddr(0)); ok {
 		t.Error("L1 copy survived L2 eviction (inclusion violated)")
 	}
@@ -253,7 +259,7 @@ func TestSplitL1(t *testing.T) {
 		pt.Access(p, Fetch, 0x400000, 4)
 		pt.Access(p, Read, 0x10000, 4)
 	})
-	ic, dc := h.privI[0], h.PrivateCache(0, 0)
+	ic, dc := h.privI[0], h.priv[0][0]
 	if ic.S.Misses.Value() != 1 || occupancy(ic) != 1 {
 		t.Errorf("L1I misses=%d occupancy=%d", ic.S.Misses.Value(), occupancy(ic))
 	}
@@ -272,7 +278,7 @@ func TestAccessSpanningLines(t *testing.T) {
 	drive(t, h, k, func(p *pearl.Process) {
 		pt.Access(p, Read, 60, 8) // straddles lines 0 and 1
 	})
-	l1 := h.PrivateCache(0, 0)
+	l1 := h.priv[0][0]
 	if l1.S.Misses.Value() != 2 {
 		t.Errorf("misses = %d, want 2 (split access)", l1.S.Misses.Value())
 	}
@@ -286,7 +292,7 @@ func TestSnoopyReadAfterRemoteWrite(t *testing.T) {
 		p0.Access(p, Write, 0x100, 4) // CPU0: M
 		p1.Access(p, Read, 0x100, 4)  // CPU1 read: supply + downgrade
 	})
-	c0, c1 := h.PrivateCache(0, 0), h.PrivateCache(1, 0)
+	c0, c1 := h.priv[0][0], h.priv[1][0]
 	la := c0.lineAddr(0x100)
 	st0, _ := c0.probe(la)
 	st1, _ := c1.probe(la)
@@ -300,8 +306,8 @@ func TestSnoopyReadAfterRemoteWrite(t *testing.T) {
 		t.Errorf("downgrades = %d, want 1", c0.S.SnoopDowngrades.Value())
 	}
 	// The flush wrote the line back.
-	if h.Memory().Writes() != 1 {
-		t.Errorf("memory writes = %d, want 1 (flush on supply)", h.Memory().Writes())
+	if memWrites(h) != 1 {
+		t.Errorf("memory writes = %d, want 1 (flush on supply)", memWrites(h))
 	}
 }
 
@@ -314,7 +320,7 @@ func TestSnoopyWriteInvalidatesRemote(t *testing.T) {
 		p1.Access(p, Read, 0x100, 4)  // both: S
 		p1.Access(p, Write, 0x100, 4) // CPU1 upgrades; CPU0 invalidated
 	})
-	c0, c1 := h.PrivateCache(0, 0), h.PrivateCache(1, 0)
+	c0, c1 := h.priv[0][0], h.priv[1][0]
 	la := c0.lineAddr(0x100)
 	if _, ok := c0.probe(la); ok {
 		t.Error("CPU0 copy survived remote write")
@@ -337,7 +343,7 @@ func TestSnoopyExclusiveOnSoleRead(t *testing.T) {
 	drive(t, h, k, func(p *pearl.Process) {
 		p0.Access(p, Read, 0x200, 4)
 	})
-	c0 := h.PrivateCache(0, 0)
+	c0 := h.priv[0][0]
 	if st, _ := c0.probe(c0.lineAddr(0x200)); st != exclusive {
 		t.Errorf("state = %v, want E (no other sharer)", st)
 	}
@@ -354,7 +360,7 @@ func TestSnoopySilentUpgradeFromExclusive(t *testing.T) {
 	if h.busUpgr.Value() != 0 {
 		t.Errorf("upgrades = %d, want 0 (E->M is silent)", h.busUpgr.Value())
 	}
-	c0 := h.PrivateCache(0, 0)
+	c0 := h.priv[0][0]
 	if st, _ := c0.probe(c0.lineAddr(0x200)); st != modified {
 		t.Errorf("state = %v, want M", st)
 	}
@@ -369,7 +375,7 @@ func TestDirectorySemanticsMatchSnoopy(t *testing.T) {
 		p1.Access(p, Read, 0x100, 4)  // intervention: flush + share
 		p1.Access(p, Write, 0x100, 4) // invalidation of CPU0
 	})
-	c0, c1 := h.PrivateCache(0, 0), h.PrivateCache(1, 0)
+	c0, c1 := h.priv[0][0], h.priv[1][0]
 	la := c0.lineAddr(0x100)
 	if _, ok := c0.probe(la); ok {
 		t.Error("CPU0 copy survived remote write")
@@ -556,8 +562,8 @@ func TestStoreBufferHidesWriteLatency(t *testing.T) {
 		retire = k.Now()
 	})
 	end := k.Run()
-	if h.Memory().Writes() != 8 {
-		t.Fatalf("memory writes = %d, want 8", h.Memory().Writes())
+	if memWrites(h) != 8 {
+		t.Fatalf("memory writes = %d, want 8", memWrites(h))
 	}
 	// The CPU retired long before the drains finished.
 	if retire >= end {

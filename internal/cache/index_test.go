@@ -23,7 +23,7 @@ type refCache struct {
 	writeback uint64
 }
 
-func newRef(c *Cache, rng *pearl.RNG) *refCache {
+func newRef(c *cache, rng *pearl.RNG) *refCache {
 	return &refCache{
 		assoc: c.assoc, setMask: c.setMask, sets: make([]line, len(c.sets)),
 		repl: c.cfg.Replacement, rng: rng,
@@ -125,7 +125,7 @@ func (r *refCache) setState(la uint64, st state) bool {
 // checkOrder holds the replacement lists of wide sets to the lines: each
 // set's list threads exactly its valid lines, oldest clock first, so its head
 // is the way the reference's scan would pick.
-func checkOrder(t *testing.T, c *Cache, op int) {
+func checkOrder(t *testing.T, c *cache, op int) {
 	t.Helper()
 	for set := 0; set < c.nsets; set++ {
 		end := int32(len(c.sets) + set)
@@ -148,7 +148,7 @@ func checkOrder(t *testing.T, c *Cache, op int) {
 }
 
 // indexed counts the lines the residency table holds.
-func indexed(c *Cache) int {
+func indexed(c *cache) int {
 	n := 0
 	for _, e := range c.index {
 		if e != 0 {

@@ -259,10 +259,6 @@ func (l *Layer) Stats() *stats.Set {
 	return s
 }
 
-// ReadFaults and WriteFaults expose the fault counters.
-func (l *Layer) ReadFaults() uint64  { return l.faultsRead.Value() }
-func (l *Layer) WriteFaults() uint64 { return l.faultsWrite.Value() }
-
 // Fault is a page fault in progress: the state of an Ensure call across its
 // waits, kept by the caller. Its zero value is ready for the next call.
 type Fault struct {

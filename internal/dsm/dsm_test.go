@@ -62,18 +62,19 @@ func TestReadFaultThenLocality(t *testing.T) {
 		u.Load(x) // locality: no further fault
 		u.Load(x)
 	})
-	if _, err := m.RunProgram(prog); err != nil {
+	res, err := m.RunProgram(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
 	l := m.DSM()
-	if l.ReadFaults() != 1 {
-		t.Fatalf("read faults = %d, want 1 (page cached after first)", l.ReadFaults())
+	if dsmCount(l, "read faults") != 1 {
+		t.Fatalf("read faults = %d, want 1 (page cached after first)", dsmCount(l, "read faults"))
 	}
 	if dsmCount(l, "page transfers") != 1 {
 		t.Fatalf("page transfers = %d", dsmCount(l, "page transfers"))
 	}
 	// The fault generated real network traffic without any app-level send.
-	if m.Network().Messages() == 0 {
+	if msgs, _ := res.Stats.Prefixed("network ").Get("messages"); msgs == 0 {
 		t.Fatal("no network messages for the remote fault")
 	}
 }
@@ -106,11 +107,11 @@ func TestWriteInvalidatesReaders(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 2 (both readers)", dsmCount(l, "invalidations"))
 	}
 	// Re-reads: 2 initial + 2 after invalidation = 4 read faults.
-	if l.ReadFaults() != 4 {
-		t.Fatalf("read faults = %d, want 4", l.ReadFaults())
+	if dsmCount(l, "read faults") != 4 {
+		t.Fatalf("read faults = %d, want 4", dsmCount(l, "read faults"))
 	}
-	if l.WriteFaults() != 1 {
-		t.Fatalf("write faults = %d, want 1", l.WriteFaults())
+	if dsmCount(l, "write faults") != 1 {
+		t.Fatalf("write faults = %d, want 1", dsmCount(l, "write faults"))
 	}
 }
 
@@ -131,8 +132,8 @@ func TestOwnershipMigration(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := m.DSM()
-	if l.WriteFaults() != 2 {
-		t.Fatalf("write faults = %d, want 2", l.WriteFaults())
+	if dsmCount(l, "write faults") != 2 {
+		t.Fatalf("write faults = %d, want 2", dsmCount(l, "write faults"))
 	}
 	// The second write forced the first owner's copy out (flush demand
 	// demotes, then the invalidation removes the read copy).
@@ -156,8 +157,8 @@ func TestWriteThenLocalReadsNoFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := m.DSM()
-	if l.WriteFaults() != 1 || l.ReadFaults() != 0 {
-		t.Fatalf("faults = %d write / %d read, want 1/0", l.WriteFaults(), l.ReadFaults())
+	if dsmCount(l, "write faults") != 1 || dsmCount(l, "read faults") != 0 {
+		t.Fatalf("faults = %d write / %d read, want 1/0", dsmCount(l, "write faults"), dsmCount(l, "read faults"))
 	}
 }
 
@@ -187,8 +188,8 @@ func TestFalseSharingPingPong(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := m.DSM()
-	if l.WriteFaults() < 2*rounds-1 {
-		t.Fatalf("write faults = %d, want ~%d (page ping-pong)", l.WriteFaults(), 2*rounds)
+	if dsmCount(l, "write faults") < 2*rounds-1 {
+		t.Fatalf("write faults = %d, want ~%d (page ping-pong)", dsmCount(l, "write faults"), 2*rounds)
 	}
 }
 
@@ -208,19 +209,20 @@ func TestCachesFlushedOnPageInvalidation(t *testing.T) {
 			th.ASend(1, 4, 10, nil)
 		}
 	})
-	if _, err := m.RunProgram(prog); err != nil {
+	res, err := m.RunProgram(prog)
+	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := m.Nodes()[1].Hierarchy().PrivateCache(0, 0)
+	l1 := res.Stats.Lookup("node1", "memory-hierarchy", "node1.cpu0.L1")
 	// Two loads of the same line, but the invalidation in between forces two
 	// cache misses.
-	if l1.S.SnoopInvalidates.Value() == 0 {
+	if inv, _ := l1.Get("snoop invalidations"); inv == 0 {
 		t.Fatal("cache lines not dropped with the page")
 	}
-	loads, _ := m.Nodes()[1].CPU(0).Stats().Get(ops.Load.String())
-	misses := l1.S.Misses.Value()
+	loads, _ := res.Stats.Lookup("node1", "cpu0").Get(ops.Load.String())
+	misses, _ := l1.Get("misses")
 	if loads != 2 || misses < 2 {
-		t.Fatalf("loads=%v cache misses=%d, want 2 misses", loads, misses)
+		t.Fatalf("loads=%v cache misses=%v, want 2 misses", loads, misses)
 	}
 }
 
@@ -273,8 +275,8 @@ func TestConcurrentAccessTerminates(t *testing.T) {
 		t.Fatal("no time simulated")
 	}
 	l := m.DSM()
-	if l.WriteFaults() == 0 || l.ReadFaults() == 0 {
-		t.Fatalf("faults: %d write, %d read", l.WriteFaults(), l.ReadFaults())
+	if dsmCount(l, "write faults") == 0 || dsmCount(l, "read faults") == 0 {
+		t.Fatalf("faults: %d write, %d read", dsmCount(l, "write faults"), dsmCount(l, "read faults"))
 	}
 }
 
@@ -303,7 +305,7 @@ func TestManyNodesConcurrentSharing(t *testing.T) {
 	if dsmCount(l, "page transfers") == 0 {
 		t.Fatal("no page transfers")
 	}
-	faults := l.ReadFaults() + l.WriteFaults()
+	faults := dsmCount(l, "read faults") + dsmCount(l, "write faults")
 	if dsmCount(l, "invalidations") > faults*9 {
 		t.Fatalf("invalidations %d inconsistent with %d faults", dsmCount(l, "invalidations"), faults)
 	}

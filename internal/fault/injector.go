@@ -371,17 +371,9 @@ func (inj *Injector) Retrans() Retrans {
 	return inj.sched.Retrans
 }
 
-// Drops returns how many packets were lost to down links/nodes or noise.
-func (inj *Injector) Drops() uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.drops.Value()
-}
-
-// DowntimeUpTo returns how long node has been down in [0, now): the union of
+// downtimeUpTo returns how long node has been down in [0, now): the union of
 // its crash windows clipped to the elapsed run.
-func (inj *Injector) DowntimeUpTo(node int, now pearl.Time) pearl.Time {
+func (inj *Injector) downtimeUpTo(node int, now pearl.Time) pearl.Time {
 	if inj == nil {
 		return 0
 	}
@@ -479,7 +471,7 @@ func (inj *Injector) registerMetrics(reg *probe.Registry) {
 		seen[nf.Node] = true
 		node := nf.Node
 		reg.Gauge(fmt.Sprintf("node%d.downtime", node), "cyc", func() float64 {
-			return float64(inj.DowntimeUpTo(node, inj.k.Now()))
+			return float64(inj.downtimeUpTo(node, inj.k.Now()))
 		})
 	}
 }

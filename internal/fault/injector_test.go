@@ -101,16 +101,16 @@ func TestDowntimeMergesOverlappingWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := inj.DowntimeUpTo(0, 50); d != 30 { // [10,30) + [40,50)
+	if d := inj.downtimeUpTo(0, 50); d != 30 { // [10,30) + [40,50)
 		t.Errorf("downtime(0, 50) = %d, want 30", d)
 	}
-	if d := inj.DowntimeUpTo(0, 25); d != 15 { // [10,25)
+	if d := inj.downtimeUpTo(0, 25); d != 15 { // [10,25)
 		t.Errorf("downtime(0, 25) = %d, want 15", d)
 	}
-	if d := inj.DowntimeUpTo(1, 50); d != 5 {
+	if d := inj.downtimeUpTo(1, 50); d != 5 {
 		t.Errorf("downtime(1, 50) = %d, want 5", d)
 	}
-	if d := inj.DowntimeUpTo(2, 50); d != 0 {
+	if d := inj.downtimeUpTo(2, 50); d != 0 {
 		t.Errorf("downtime(2, 50) = %d, want 0", d)
 	}
 }
@@ -139,8 +139,8 @@ func TestHopFateMatchesConfiguredProbabilities(t *testing.T) {
 	if f := float64(corrupts) / draws; f < 0.17 || f > 0.23 {
 		t.Errorf("corrupt fraction = %.3f, want ~0.2", f)
 	}
-	if inj.Drops() != uint64(drops) || inj.corruptions.Value() != uint64(corrupts) {
-		t.Errorf("counters %d/%d, want %d/%d", inj.Drops(), inj.corruptions.Value(), drops, corrupts)
+	if inj.drops.Value() != uint64(drops) || inj.corruptions.Value() != uint64(corrupts) {
+		t.Errorf("counters %d/%d, want %d/%d", inj.drops.Value(), inj.corruptions.Value(), drops, corrupts)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestNilInjectorIsDisabledSubsystem(t *testing.T) {
 	if inj.HopFate(0, 0) != OK {
 		t.Error("nil injector drops packets")
 	}
-	if inj.Drops() != 0 || inj.DowntimeUpTo(0, 100) != 0 {
+	if inj.downtimeUpTo(0, 100) != 0 {
 		t.Error("nil injector has nonzero accounting")
 	}
 	if rt := inj.Retrans(); rt.Timeout != 500 {

@@ -41,8 +41,8 @@ func TestTaskExchangeAmortisedAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got, want := m.Network().Messages(), uint64(4*cfg.Nodes); got != want {
-		t.Fatalf("%d messages, want %d", got, want)
+	if got, _ := res.Stats.Prefixed("network ").Get("messages"); got != float64(4*cfg.Nodes) {
+		t.Fatalf("%v messages, want %d", got, 4*cfg.Nodes)
 	}
 	perNode := float64(after.Mallocs-before.Mallocs) / float64(cfg.Nodes)
 	t.Logf("%d nodes, %d allocations: %.2f per node", cfg.Nodes, after.Mallocs-before.Mallocs, perNode)

@@ -30,8 +30,8 @@ func ledgerReading(t *testing.T, m *Machine) string {
 	}
 	avg, max := net.LinkUtilization()
 	lat := net.MessageLatency()
-	return fmt.Sprintf("messages %d, bytes %d, mean hops %v, retransmits %d, lost %d, latency mean %v max %d, utilization %v/%v",
-		net.Messages(), net.Bytes(), net.MeanHops(), net.Retransmits(), net.Lost(), lat.Mean(), lat.Max(), avg, max)
+	return fmt.Sprintf("mean hops %v, latency mean %v max %d, utilization %v/%v",
+		net.MeanHops(), lat.Mean(), lat.Max(), avg, max)
 }
 
 // observedEnv is the environment of a fully instrumented single-kernel run:
@@ -186,10 +186,10 @@ func checkConservation(t *testing.T, label string, m *Machine, res *Result, sync
 			recvs += mt.Value
 		}
 	}
-	net := m.Network()
-	msgs, delivered := net.Messages(), net.MessageLatency().Count()
-	if delivered != msgs || float64(msgs) != sends || float64(msgs) != recvs {
-		t.Errorf("%s: %d messages, %d delivered, %v sent, %v received: traffic not conserved",
+	msgs, _ := res.Stats.Prefixed("network ").Get("messages")
+	delivered := m.Network().MessageLatency().Count()
+	if float64(delivered) != msgs || msgs != sends || msgs != recvs {
+		t.Errorf("%s: %v messages, %d delivered, %v sent, %v received: traffic not conserved",
 			label, msgs, delivered, sends, recvs)
 	}
 	if acks != float64(syncSends) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mermaid/internal/fault"
+	"mermaid/internal/probe"
 	"mermaid/internal/sim"
 	"mermaid/internal/workload"
 )
@@ -54,17 +55,22 @@ func TestFaultsRequireNetwork(t *testing.T) {
 
 // runPingPong builds a 2x1 transputer grid (one physical link, so a link
 // fault severs the machine) and runs a ping-pong under the given fault plan.
+// A registry-only probe holds the fault counters faultCount reads.
 func runPingPong(t *testing.T, sched *fault.Schedule) (*Result, *Machine, error) {
 	t.Helper()
 	cfg := T805Grid(2, 1)
 	cfg.Faults = sched
-	m, err := Build(sim.NewEnv(cfg.Seed, nil), cfg)
+	m, err := Build(sim.NewEnv(cfg.Seed, probe.New(probe.Config{})), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := m.RunProgram(workload.PingPong(10, 1024))
 	return res, m, err
 }
+
+// faultCount reads a fault counter of m's registry: net.retransmits,
+// net.lost or fault.drops.
+func faultCount(m *Machine, name string) float64 { return m.pb.Registry().Lookup(name).Read() }
 
 func TestLinkFlapRecoversThroughRetransmission(t *testing.T) {
 	healthy, _, err := runPingPong(t, nil)
@@ -81,13 +87,13 @@ func TestLinkFlapRecoversThroughRetransmission(t *testing.T) {
 	if err != nil {
 		t.Fatalf("flapped run did not recover: %v", err)
 	}
-	if m.Network().Retransmits() == 0 {
+	if faultCount(m, "net.retransmits") == 0 {
 		t.Error("link flap recovered without retransmissions")
 	}
-	if m.Network().Lost() != 0 {
-		t.Errorf("%d packets abandoned despite recovery window", m.Network().Lost())
+	if lost := faultCount(m, "net.lost"); lost != 0 {
+		t.Errorf("%v packets abandoned despite recovery window", lost)
 	}
-	if m.Faults().Drops() == 0 {
+	if faultCount(m, "fault.drops") == 0 {
 		t.Error("no drops recorded across a down window")
 	}
 	if res.Cycles <= healthy.Cycles {
@@ -102,9 +108,9 @@ func TestLinkFlapRecoversThroughRetransmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Cycles != res.Cycles || m2.Network().Retransmits() != m.Network().Retransmits() {
-		t.Errorf("fault run not reproducible: %d/%d cycles, %d/%d retransmits",
-			res.Cycles, res2.Cycles, m.Network().Retransmits(), m2.Network().Retransmits())
+	if r1, r2 := faultCount(m, "net.retransmits"), faultCount(m2, "net.retransmits"); res2.Cycles != res.Cycles || r2 != r1 {
+		t.Errorf("fault run not reproducible: %d/%d cycles, %v/%v retransmits",
+			res.Cycles, res2.Cycles, r1, r2)
 	}
 }
 
@@ -119,7 +125,7 @@ func TestPermanentPartitionAbandonsPackets(t *testing.T) {
 	if !errors.As(err, &dead) {
 		t.Fatalf("severed machine finished with err = %v, want DeadlockError", err)
 	}
-	if m.Network().Lost() == 0 {
+	if faultCount(m, "net.lost") == 0 {
 		t.Error("no packets abandoned on a permanently severed link")
 	}
 }
@@ -131,7 +137,7 @@ func TestEmptyFaultScheduleBuildsNoInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Faults() != nil {
+	if m.inj != nil {
 		t.Error("inert schedule built an injector")
 	}
 }

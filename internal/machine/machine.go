@@ -300,10 +300,6 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Faults returns the fault injector, or nil when the configuration schedules
-// no faults.
-func (m *Machine) Faults() *fault.Injector { return m.inj }
-
 // DSM returns the virtual-shared-memory layer, or nil.
 func (m *Machine) DSM() *dsm.Layer { return m.dsm }
 
@@ -328,9 +324,6 @@ func (m *Machine) Network() *network.Traffic {
 	}
 	return nil
 }
-
-// Nodes returns the node models (empty in task-level mode).
-func (m *Machine) Nodes() []*node.Node { return m.nodes }
 
 // Streams returns how many trace streams the machine consumes: one per
 // processor in detailed mode (the paper: each trace accounts for one

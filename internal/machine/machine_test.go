@@ -121,8 +121,8 @@ func TestRunStochasticTaskLevel(t *testing.T) {
 	if res.Cycles < 30000 {
 		t.Fatalf("cycles = %d, want >= 3x10000 compute", res.Cycles)
 	}
-	if m.Network().Messages() != 12 { // 4 nodes x 3 iterations
-		t.Fatalf("messages = %d, want 12", m.Network().Messages())
+	if msgs, _ := res.Stats.Prefixed("network ").Get("messages"); msgs != 12 { // 4 nodes x 3 iterations
+		t.Fatalf("messages = %v, want 12", msgs)
 	}
 }
 

@@ -164,9 +164,6 @@ type call struct {
 	pc    int
 }
 
-// Writes returns how many writes the memory served.
-func (d *DRAM) Writes() uint64 { return d.writes.Value() }
-
 // Stats reports the memory's counters and utilisation.
 func (d *DRAM) Stats() *stats.Set {
 	s := stats.NewSet("memory")

@@ -7,6 +7,7 @@ import (
 	"mermaid/internal/fault"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
+	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
 	"mermaid/internal/topology"
@@ -316,8 +317,8 @@ func TestProcessorPingPong(t *testing.T) {
 	if end == 0 {
 		t.Fatal("no time advanced")
 	}
-	if n.Messages() < 2 {
-		t.Fatalf("messages = %d", n.Messages())
+	if n.messages.Value() < 2 {
+		t.Fatalf("messages = %d", n.messages.Value())
 	}
 }
 
@@ -409,7 +410,7 @@ func TestValiantRoutingDelivers(t *testing.T) {
 			k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node((i+8)%16), int32(i), uint32(i)) })
 		}
 		k.Run()
-		return n.Messages(), n.MeanHops()
+		return n.messages.Value(), n.MeanHops()
 	}
 	dMin, hMin := run(minCfg)
 	dVal, hVal := run(cfg)
@@ -513,10 +514,11 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 		RecvOverhead: 2,
 		AckBytes:     8,
 	})
+	pb := probe.New(probe.Config{})
 	inj, err := fault.NewInjector(k, n.Topology(), fault.Schedule{
 		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 0, To: 500}}},
 		Retrans: fault.Retrans{Timeout: 50, Backoff: 2, MaxRetries: 16},
-	}, pearl.NewRNG(1), nil)
+	}, pearl.NewRNG(1), pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,16 +539,19 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 	if recvAt < 500 {
 		t.Fatalf("delivered at %d, inside the outage window", recvAt)
 	}
-	if n.Retransmits() == 0 {
+	if n.retransmits.Value() == 0 {
 		t.Error("delivery across an outage without retransmissions")
 	}
-	if n.Lost() != 0 {
-		t.Errorf("%d packets abandoned", n.Lost())
+	if n.lost.Value() != 0 {
+		t.Errorf("%d packets abandoned", n.lost.Value())
 	}
-	if inj.Drops() == 0 {
+	if faultDrops(pb) == 0 {
 		t.Error("no drops recorded for packets sent into the outage")
 	}
 }
+
+// faultDrops reads the fault.drops counter an injector registers in pb.
+func faultDrops(pb *probe.Probe) float64 { return pb.Registry().Lookup("fault.drops").Read() }
 
 // TestRetryBudgetExact: a packet is retransmitted MaxRetries times and then
 // abandoned. Every attempt on a link that drops everything fails, so each of
@@ -560,10 +565,11 @@ func TestRetryBudgetExact(t *testing.T) {
 		Link:     LinkConfig{BytesPerCycle: 8, PropDelay: 1},
 		AckBytes: 8,
 	})
+	pb := probe.New(probe.Config{})
 	inj, err := fault.NewInjector(k, n.Topology(), fault.Schedule{
 		Noise:   []fault.LinkNoise{{A: -1, B: -1, Drop: 1}},
 		Retrans: fault.Retrans{Timeout: 10, Backoff: 2, MaxRetries: 3},
-	}, pearl.NewRNG(1), nil)
+	}, pearl.NewRNG(1), pb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,14 +579,14 @@ func TestRetryBudgetExact(t *testing.T) {
 		send(p, n.Node(0), 1, 64, 1, nil, false)
 	})
 	k.Run()
-	if got := n.Retransmits(); got != 6 {
+	if got := n.retransmits.Value(); got != 6 {
 		t.Errorf("%d retransmissions of 2 packets, want 3 each", got)
 	}
-	if got := n.Lost(); got != 2 {
+	if got := n.lost.Value(); got != 2 {
 		t.Errorf("%d packets abandoned, want 2", got)
 	}
-	if got := inj.Drops(); got != 8 {
-		t.Errorf("%d attempts dropped, want 4 per packet", got)
+	if got := faultDrops(pb); got != 8 {
+		t.Errorf("%v attempts dropped, want 4 per packet", got)
 	}
 }
 
@@ -609,7 +615,7 @@ func TestCrashedDestinationDropsUntilRestart(t *testing.T) {
 	if recvAt < 300 {
 		t.Fatalf("delivered at %d while the destination was down", recvAt)
 	}
-	if n.Retransmits() == 0 {
+	if n.retransmits.Value() == 0 {
 		t.Error("no retransmissions across the crash window")
 	}
 }

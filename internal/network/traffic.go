@@ -207,25 +207,12 @@ func (t *Traffic) Nodes() int { return t.topo.Nodes() }
 // Topology returns the interconnect.
 func (t *Traffic) Topology() topology.Topology { return t.topo }
 
-// Messages returns the number of application messages injected (acks
-// excluded).
-func (t *Traffic) Messages() uint64 { return t.messages.Value() }
-
-// Bytes returns the total application payload bytes injected.
-func (t *Traffic) Bytes() uint64 { return t.bytes.Value() }
-
 // MeanHops returns the average per-packet hop count observed so far.
 func (t *Traffic) MeanHops() float64 { return t.hopHist.Mean() }
 
 // MessageLatency returns the distribution of end-to-end message latencies
 // (injection to full arrival, excluding send/receive overheads and matching).
 func (t *Traffic) MessageLatency() *stats.Histogram { return &t.msgLatency }
-
-// Retransmits returns how many packet retransmissions the network issued.
-func (t *Traffic) Retransmits() uint64 { return t.retransmits.Value() }
-
-// Lost returns how many packets were abandoned after exhausting retries.
-func (t *Traffic) Lost() uint64 { return t.lost.Value() }
 
 // LinkUtilization returns the mean and maximum utilisation over all wired
 // links.

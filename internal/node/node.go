@@ -156,9 +156,6 @@ func (n *Node) CPUs() int { return len(n.cpus) }
 // CPU returns the i-th processor model.
 func (n *Node) CPU(i int) *cpu.CPU { return n.cpus[i] }
 
-// Hierarchy returns the node's memory system.
-func (n *Node) Hierarchy() *cache.Hierarchy { return n.hier }
-
 // SetTaskSink attaches a writer that receives the task-level trace derived
 // from CPU cpuIdx's instruction-level execution: compute(duration) events
 // between communication operations, plus the communication operations

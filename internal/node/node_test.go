@@ -66,8 +66,10 @@ func TestSharedMemoryNodeTwoCPUs(t *testing.T) {
 	if len(n.Blocked()) != 0 {
 		t.Fatal("node not done")
 	}
-	c0 := n.Hierarchy().PrivateCache(0, 0)
-	if c0.S.SnoopDowngrades.Value() == 0 && c0.S.SnoopInvalidates.Value() == 0 {
+	c0 := n.Stats().Lookup("memory-hierarchy", "node0.cpu0.L1")
+	downgrades, _ := c0.Get("snoop downgrades")
+	invalidations, _ := c0.Get("snoop invalidations")
+	if downgrades == 0 && invalidations == 0 {
 		t.Error("no coherence activity observed")
 	}
 }
@@ -125,8 +127,8 @@ func TestDetailedPingPong(t *testing.T) {
 			t.Fatal("node stuck")
 		}
 	}
-	if net.Messages() != 2 {
-		t.Fatalf("messages = %d, want 2", net.Messages())
+	if msgs, _ := net.Stats().Get("messages"); msgs != 2 {
+		t.Fatalf("messages = %v, want 2", msgs)
 	}
 	if end == 0 {
 		t.Fatal("time did not advance")

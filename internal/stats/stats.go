@@ -4,10 +4,7 @@
 // visualisation and analysis tool suite.
 package stats
 
-import (
-	"math"
-	"strings"
-)
+import "strings"
 
 // Counter is a monotonically increasing event count.
 type Counter struct {
@@ -31,20 +28,16 @@ func Ratio(c, total uint64) float64 {
 	return float64(c) / float64(total)
 }
 
-// Histogram accumulates int64 samples in power-of-two buckets: bucket i
-// holds samples in [2^(i-1), 2^i), with bucket 0 holding zero and negative
-// samples. Every histogram shares this one layout. It also tracks exact
-// count, sum, min and max, so Mean is exact while percentiles are
-// bucket-resolution estimates. The zero value is an empty histogram.
+// Histogram accumulates int64 samples: their exact count, sum, min and max,
+// so Mean is exact. The zero value is an empty histogram.
 //
 // Histogram is a comparable value type (no pointers or slices), so snapshots
 // can be taken by plain assignment and compared with ==.
 type Histogram struct {
-	buckets [65]uint64
-	count   uint64
-	sum     int64
-	min     int64
-	max     int64
+	count uint64
+	sum   int64
+	min   int64
+	max   int64
 }
 
 // Observe records one sample.
@@ -61,28 +54,12 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[h.bucketOf(v)]++
 }
 
-// bucketOf maps a sample to its bucket index.
-func (h *Histogram) bucketOf(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	b := 1
-	for x := v; x > 1; x >>= 1 {
-		b++
-	}
-	if b > 64 {
-		b = 64
-	}
-	return b
-}
-
-// Merge folds another histogram into h, bucket-wise, as if every sample
-// observed by o had been observed by h: count, sum, min and max all end up
-// exactly what a single histogram observing both sample streams would hold.
-// A nil or empty o is a no-op.
+// Merge folds another histogram into h as if every sample observed by o had
+// been observed by h: count, sum, min and max all end up exactly what a
+// single histogram observing both sample streams would hold. A nil or empty
+// o is a no-op.
 func (h *Histogram) Merge(o *Histogram) {
 	if o == nil || o.count == 0 {
 		return
@@ -90,9 +67,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	if h.count == 0 {
 		*h = *o
 		return
-	}
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
 	}
 	h.count += o.count
 	h.sum += o.sum
@@ -129,54 +103,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum) / float64(h.count)
-}
-
-// Percentile returns an upper-bound estimate of the p-quantile (p in [0,1])
-// at bucket resolution: the upper edge of the bucket containing it. Every
-// return path clamps to the observed [min, max], so an estimate can never
-// fall outside the sample range (the first non-empty bucket's upper edge may
-// lie below min when min sits high inside its bucket).
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.count == 0 {
-		return 0
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	target := uint64(math.Ceil(p * float64(h.count)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range h.buckets {
-		cum += n
-		if cum >= target {
-			return h.clamp(h.bucketHigh(i))
-		}
-	}
-	return h.clamp(h.max)
-}
-
-// clamp bounds a bucket-resolution estimate to the observed sample range.
-func (h *Histogram) clamp(v int64) int64 {
-	if v > h.max {
-		return h.max
-	}
-	if v < h.min {
-		return h.min
-	}
-	return v
-}
-
-// bucketHigh returns the inclusive upper edge of bucket i.
-func (h *Histogram) bucketHigh(i int) int64 {
-	if i == 0 {
-		return 0
-	}
-	return int64(1)<<uint(i-1)*2 - 1
 }
 
 // Series is a sampled time series of float64 values at int64 (virtual time)

@@ -47,7 +47,7 @@ func ParseSpec(spec string) (Config, error) {
 
 	cfg := Config{Kind: kind}
 	switch kind {
-	case Ring, Hypercube, Star, FullyConnected:
+	case Ring, Hypercube, Star, fullyConnected:
 		if err := want(1, string(kind)+":<nodes>"); err != nil {
 			return Config{}, err
 		}

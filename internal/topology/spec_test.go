@@ -17,7 +17,7 @@ func TestParseSpec(t *testing.T) {
 		{"torus3d:4x4x4", Config{Kind: Torus3D, DimX: 4, DimY: 4, DimZ: 4}, 64},
 		{"hypercube:64", Config{Kind: Hypercube, Nodes: 64}, 64},
 		{"star:16", Config{Kind: Star, Nodes: 16}, 16},
-		{"full:8", Config{Kind: FullyConnected, Nodes: 8}, 8},
+		{"full:8", Config{Kind: fullyConnected, Nodes: 8}, 8},
 		{"fattree:4x2", Config{Kind: FatTree, Arity: 4, Levels: 2}, 24},
 		{"dragonfly:2x2x5", Config{Kind: Dragonfly, Routers: 2, Globals: 2, Groups: 5}, 10},
 		{" torus3d : 2 x 3 x 4 ", Config{Kind: Torus3D, DimX: 2, DimY: 3, DimZ: 4}, 24},

@@ -57,7 +57,7 @@ const (
 	Torus3D        Kind = "torus3d"
 	Hypercube      Kind = "hypercube"
 	Star           Kind = "star"
-	FullyConnected Kind = "full"
+	fullyConnected Kind = "full"
 	FatTree        Kind = "fattree"
 	Dragonfly      Kind = "dragonfly"
 )
@@ -95,7 +95,7 @@ func New(cfg Config) (Topology, error) {
 		return newHypercube(cfg.Nodes)
 	case Star:
 		return newStar(cfg.Nodes)
-	case FullyConnected:
+	case fullyConnected:
 		return newFull(cfg.Nodes)
 	case FatTree:
 		return newFatTree(cfg.Arity, cfg.Levels)

@@ -211,7 +211,7 @@ func TestNewFromConfig(t *testing.T) {
 		{Kind: Torus2D, DimX: 2, DimY: 2},
 		{Kind: Hypercube, Nodes: 4},
 		{Kind: Star, Nodes: 4},
-		{Kind: FullyConnected, Nodes: 4},
+		{Kind: fullyConnected, Nodes: 4},
 	}
 	for _, c := range cases {
 		tp, err := New(c)

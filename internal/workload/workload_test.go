@@ -1,10 +1,17 @@
 package workload
 
 import (
+	"fmt"
 	"testing"
 
 	"mermaid/internal/machine"
 )
+
+// messages reads how many messages a run's network carried from its report.
+func messages(res *machine.Result) float64 {
+	v, _ := res.Stats.Prefixed("network ").Get("messages")
+	return v
+}
 
 func TestPingPong(t *testing.T) {
 	m, err := machine.New(machine.T805Grid(2, 1))
@@ -15,8 +22,8 @@ func TestPingPong(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Network().Messages() != 20 {
-		t.Fatalf("messages = %d, want 20", m.Network().Messages())
+	if got := messages(res); got != 20 {
+		t.Fatalf("messages = %v, want 20", got)
 	}
 	if res.Cycles == 0 || res.Instructions == 0 {
 		t.Fatal("empty run")
@@ -57,7 +64,7 @@ func TestJacobi1D(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 3 iterations, interior nodes exchange 2 halos each way.
-	if m.Network().Messages() == 0 {
+	if messages(res) == 0 {
 		t.Fatal("no halo exchange")
 	}
 	if res.Cycles == 0 {
@@ -104,12 +111,13 @@ func TestTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.RunProgram(Transpose(nodes, 512)); err != nil {
+		res, err := m.RunProgram(Transpose(nodes, 512))
+		if err != nil {
 			t.Fatalf("%d nodes: %v", nodes, err)
 		}
-		want := uint64(nodes * (nodes - 1)) // every ordered pair
-		if got := m.Network().Messages(); got != want {
-			t.Fatalf("%d nodes: messages = %d, want %d", nodes, got, want)
+		want := float64(nodes * (nodes - 1)) // every ordered pair
+		if got := messages(res); got != want {
+			t.Fatalf("%d nodes: messages = %v, want %v", nodes, got, want)
 		}
 	}
 }
@@ -142,13 +150,15 @@ func TestSharedCounterCoherenceTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RunProgram(SharedCounter(4, 50)); err != nil {
+	res, err := m.RunProgram(SharedCounter(4, 50))
+	if err != nil {
 		t.Fatal(err)
 	}
-	h := m.Nodes()[0].Hierarchy()
-	var invals uint64
+	var invals float64
 	for cpuIdx := 0; cpuIdx < 4; cpuIdx++ {
-		invals += h.PrivateCache(cpuIdx, 0).S.SnoopInvalidates.Value()
+		l1 := res.Stats.Lookup("node0", "memory-hierarchy", fmt.Sprintf("node0.cpu%d.L1", cpuIdx))
+		v, _ := l1.Get("snoop invalidations")
+		invals += v
 	}
 	if invals == 0 {
 		t.Fatal("true sharing produced no invalidations")
@@ -165,8 +175,8 @@ func TestButterfly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// log2(4)=2 stages, every node sends once per stage: 8 messages.
-	if got := m.Network().Messages(); got != 8 {
-		t.Fatalf("messages = %d, want 8", got)
+	if got := messages(res); got != 8 {
+		t.Fatalf("messages = %v, want 8", got)
 	}
 	if res.Cycles == 0 {
 		t.Fatal("no time simulated")
