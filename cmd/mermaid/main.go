@@ -293,7 +293,8 @@ func main() {
 }
 
 // parseSweep parses ';'-separated name=value pairs (';' because sweep values
-// are comma-separated lists themselves).
+// are comma-separated lists themselves). A name given twice is refused: one
+// value would silently stand for both.
 func parseSweep(s string) (map[string]string, error) {
 	if s == "" {
 		return nil, nil
@@ -308,7 +309,11 @@ func parseSweep(s string) (map[string]string, error) {
 		if !ok || name == "" {
 			return nil, fmt.Errorf("-sweep: %q is not a name=value pair", pair)
 		}
-		sweep[strings.TrimSpace(name)] = strings.TrimSpace(value)
+		name = strings.TrimSpace(name)
+		if _, dup := sweep[name]; dup {
+			return nil, fmt.Errorf("-sweep: %s is given twice", name)
+		}
+		sweep[name] = strings.TrimSpace(value)
 	}
 	return sweep, nil
 }

@@ -86,6 +86,18 @@ func TestRunExperimentsUnknownName(t *testing.T) {
 	}
 }
 
+// TestSweepNameGivenTwiceRefused: a repeated -sweep name would run only its
+// last value, so it is refused naming the parameter.
+func TestSweepNameGivenTwiceRefused(t *testing.T) {
+	if _, err := parseSweep("sizes=4;sizes=8"); err == nil || !strings.Contains(err.Error(), "sizes") {
+		t.Fatalf("err = %v, want a refusal naming sizes", err)
+	}
+	sweep, err := parseSweep("sizes=4,8; assocs=2")
+	if err != nil || sweep["sizes"] != "4,8" || sweep["assocs"] != "2" {
+		t.Fatalf("sweep = %v, err = %v", sweep, err)
+	}
+}
+
 // timelineRun builds a two-node machine with a timeline probe, runs a
 // ping-pong workload and returns the exported trace-event JSON.
 func timelineRun() ([]byte, error) {

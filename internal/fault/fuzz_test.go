@@ -15,9 +15,9 @@ import (
 // once validated its retransmission delays Delay(1..MaxRetries) must be
 // positive and non-decreasing, the last within maxRetransDelay. Seeds:
 // testdata/fuzz/FuzzParseSchedule (the schedules of the parser, engine and
-// server tests and of examples/faulty, an empty link list, which once
-// re-parsed as a different schedule, and a backoff whose last delay once
-// overflowed).
+// server tests, one combining a link flap, a node crash and noise, an empty
+// link list, which once re-parsed as a different schedule, and a backoff
+// whose last delay once overflowed).
 func FuzzParseSchedule(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ParseSchedule(data)
