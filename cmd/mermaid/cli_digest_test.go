@@ -107,32 +107,35 @@ func cliFixtures(t *testing.T) string {
 // error. The task-level torus runs the task-level description and traces;
 // every application is instruction-level, so -app on it pins the refusal.
 // The six dump-config entries were re-printed once when Validate began
-// writing the defaults back: they print the effective configuration.
+// writing the defaults back: they print the effective configuration. The
+// eight runs under -faults were re-printed once when fault accounting
+// (retransmits, lost packets, re-paths, drops, corruptions, downtime) joined
+// the report.
 var cliDigests = map[string]string{
 	"config/app":                  "8ff9ae9a24899359be1e3da1be1c9dd7caac4200e97c2f46ed926c7da911526f",
-	"config/app/faults":           "7efc1bfa003874ba41916f2ca55f6e2e4d8fc4153fe3290be94344916af56b49",
+	"config/app/faults":           "80aa7578abc69c2c71ed97b962fbaa4f813fd6c3a9faff95412bb45838544600",
 	"config/desc":                 "63263fd177c6d21c937f80ada566a48f3733a130b6720c843089c43fb5c4cbe9",
-	"config/desc/faults":          "af3ff8d35812ffc670cd6593a2c816987638cb029bc64e8528fbb56a76f11d03",
+	"config/desc/faults":          "73da1d08d347f06c6a57c20d1402c405cb8123a2020ed4aa3ad50e74b162c3db",
 	"config/dump-config":          "4a0fa1acdfb824904edac5902187dadd1e7f58d8758540b8a65a8b147f356b6e",
 	"config/dump-config/faults":   "c9a4c051d338f29ff53e603285a8be9e9daf5018c49fde5c8a6caed38822d91f",
 	"config/traces":               "63263fd177c6d21c937f80ada566a48f3733a130b6720c843089c43fb5c4cbe9",
-	"config/traces/faults":        "af3ff8d35812ffc670cd6593a2c816987638cb029bc64e8528fbb56a76f11d03",
+	"config/traces/faults":        "73da1d08d347f06c6a57c20d1402c405cb8123a2020ed4aa3ad50e74b162c3db",
 	"preset/app":                  "50826763bff4c5b5705b5a9a9ab00608777722536d3af3dd3fba4de54d88c84e",
-	"preset/app/faults":           "9f7f2a3cfcd1aaf7d920472a6e0110c1783e4b819c0d01c4622821b90d047d6d",
+	"preset/app/faults":           "1960578dabd2167079b8fdde4ef043cb178c9390d90a67262841f32e5d74d687",
 	"preset/desc":                 "adbd8537158637d8b3db860e38fc7a30e7723c2b0b6616c16ec9923d016bd260",
-	"preset/desc/faults":          "6bf6df4b6e0a18749f09b8525f5bed5c60990454d1ffc8f5bb79263a62e7770e",
+	"preset/desc/faults":          "6757eb2889b4c8f849574bed1a6c2114599f58228ef1ace794558f0b5468ad2b",
 	"preset/dump-config":          "1ccb90ef5bfc777f483b51a1af1fef6b2524a1b3cd4d5d7c42909245c86cbd62",
 	"preset/dump-config/faults":   "2d67225d1389747a517279131b0350b4f21b8bf028514248ac1094b7e3f07e40",
 	"preset/traces":               "adbd8537158637d8b3db860e38fc7a30e7723c2b0b6616c16ec9923d016bd260",
-	"preset/traces/faults":        "6bf6df4b6e0a18749f09b8525f5bed5c60990454d1ffc8f5bb79263a62e7770e",
+	"preset/traces/faults":        "6757eb2889b4c8f849574bed1a6c2114599f58228ef1ace794558f0b5468ad2b",
 	"topology/app":                "7405dc3bffe86aae5be375ad6e74f0f84d7abcfaae6d100cfca9b5b54ecebaf0",
 	"topology/app/faults":         "7405dc3bffe86aae5be375ad6e74f0f84d7abcfaae6d100cfca9b5b54ecebaf0",
 	"topology/desc":               "d78ca56f5f2cd46c287188a802aa87e18e62ea3505d25e33030b30729a2cf2ce",
-	"topology/desc/faults":        "1a5dbbb4620321153f22eca3835084298358266fdfba2a1a0882901f02f4dbf6",
+	"topology/desc/faults":        "0756c4f109f76f4d98445379cf116d673cb9ab8f65cd85e0f955aabc1eae3776",
 	"topology/dump-config":        "6cf69b64a3af92bd905afeacce95ed01d4da54c8f1d31717e8f86648b442ee16",
 	"topology/dump-config/faults": "3021de0f2c28056cf97b4130482d18c8d0d9e4ec38a0e7879c37253c906acef3",
 	"topology/traces":             "d78ca56f5f2cd46c287188a802aa87e18e62ea3505d25e33030b30729a2cf2ce",
-	"topology/traces/faults":      "1a5dbbb4620321153f22eca3835084298358266fdfba2a1a0882901f02f4dbf6",
+	"topology/traces/faults":      "0756c4f109f76f4d98445379cf116d673cb9ab8f65cd85e0f955aabc1eae3776",
 }
 
 func TestCLIReportDigests(t *testing.T) {

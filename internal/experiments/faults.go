@@ -6,7 +6,6 @@ import (
 	"mermaid/internal/core"
 	"mermaid/internal/fault"
 	"mermaid/internal/machine"
-	"mermaid/internal/probe"
 	"mermaid/internal/workload"
 )
 
@@ -56,11 +55,6 @@ func faultResilience(s Spec) (*ResultSet, error) {
 		cfg := machine.T805Grid(2, 2)
 		cfg.Faults = sc.sched
 		pts[i] = point{name: sc.name, cfg: cfg, drive: runProgram(workload.Jacobi1D(nodes, cells, iters))}
-		if sc.sched != nil {
-			// Retransmissions, drops and abandoned packets are registry
-			// metrics only.
-			pts[i].opts = append(pts[i].opts, core.WithProbe(probe.New(probe.Config{})))
-		}
 		if sc.analyze {
 			pts[i].opts = append(pts[i].opts, core.WithAnalysis())
 		}
@@ -72,12 +66,13 @@ func faultResilience(s Spec) (*ResultSet, error) {
 	out := newOutput("scenario", "cycles", "slowdown", "retransmits", "dropped", "abandoned")
 	for i, r := range res {
 		name, cycles := scenarios[i].name, float64(r.Cycles)
+		// A healthy run reports no fault accounting: it has nothing to
+		// recover from.
 		var retransmits, dropped, abandoned float64
 		if scenarios[i].sched != nil {
-			reg := r.Stats.Lookup("registry")
-			retransmits = out.metric(reg, "net.retransmits")
-			dropped = out.metric(reg, "fault.drops")
-			abandoned = out.metric(reg, "net.lost")
+			retransmits = out.metric(network(r), "retransmits")
+			dropped = out.metric(r.Stats.Lookup("faults"), "drops")
+			abandoned = out.metric(network(r), "lost packets")
 		}
 		out.row(name, int64(r.Cycles), fmt.Sprintf("%.3fx", cycles/float64(res[0].Cycles)),
 			int64(retransmits), int64(dropped), int64(abandoned))

@@ -17,8 +17,8 @@ import (
 type driver = func(*machine.Machine) (*machine.Result, error)
 
 // point is one run of a study: a machine configuration and the driver that
-// runs its workload, plus the observers the study attaches (a bottleneck
-// analysis, a registry-only probe). name labels the run in errors.
+// runs its workload, plus the observer the study attaches (a bottleneck
+// analysis). name labels the run in errors.
 type point struct {
 	name  string
 	cfg   machine.Config

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mermaid/internal/pearl"
@@ -457,23 +458,50 @@ func (inj *Injector) makeTracks() {
 	}
 }
 
-// registerMetrics publishes the degraded-mode accounting under stable dotted
-// names: the loss counters and one downtime gauge per node the schedule can
-// crash.
+// crashable returns the nodes the schedule can crash, each once, in the
+// order the schedule first names them.
+func (inj *Injector) crashable() []int {
+	var nodes []int
+	for _, nf := range inj.sched.Nodes {
+		if !slices.Contains(nodes, nf.Node) {
+			nodes = append(nodes, nf.Node)
+		}
+	}
+	return nodes
+}
+
+// registerMetrics names the degraded-mode accounting for live sampling: the
+// loss counters and one downtime gauge per node the schedule can crash.
 func (inj *Injector) registerMetrics(reg *probe.Registry) {
 	reg.Counter("fault.drops", &inj.drops)
 	reg.Counter("fault.corruptions", &inj.corruptions)
-	seen := map[int]bool{}
-	for _, nf := range inj.sched.Nodes {
-		if seen[nf.Node] {
-			continue
-		}
-		seen[nf.Node] = true
-		node := nf.Node
+	for _, node := range inj.crashable() {
 		reg.Gauge(fmt.Sprintf("node%d.downtime", node), "cyc", func() float64 {
 			return float64(inj.downtimeUpTo(node, inj.k.Now()))
 		})
 	}
+}
+
+// Stats reports the degraded-mode accounting of a run that ended at end, as
+// the report's "faults" set: the packets lost in transit (drops) and
+// damaged (corruptions), and the downtime of every node the schedule can
+// crash. replicas are the run's injectors, one per shard. A drop or a
+// corruption is counted by the replica that saw it, so those are summed;
+// every replica applies the same schedule, so downtime is the first's.
+func Stats(end pearl.Time, replicas ...*Injector) *stats.Set {
+	var drops, corruptions uint64
+	for _, r := range replicas {
+		drops += r.drops.Value()
+		corruptions += r.corruptions.Value()
+	}
+	s := stats.NewSet("faults")
+	s.PutUint("drops", drops, "")
+	s.PutUint("corruptions", corruptions, "")
+	inj := replicas[0]
+	for _, node := range inj.crashable() {
+		s.PutInt(fmt.Sprintf("node%d downtime", node), int64(inj.downtimeUpTo(node, end)), "cyc")
+	}
+	return s
 }
 
 // Finish closes the injector's timeline accounting at the end of a run of

@@ -20,18 +20,17 @@ import (
 	"mermaid/internal/trace"
 )
 
-// ledgerReading formats everything Machine.Network() answers about a run, so
-// that engines can be compared through the ledger as well as the report.
+// ledgerReading formats what Machine.Network() answers about a run beyond
+// the report — the message latency distribution — so that engines can be
+// compared through the ledger as well as the report.
 func ledgerReading(t *testing.T, m *Machine) string {
 	t.Helper()
 	net := m.Network()
 	if net == nil {
 		t.Fatal("Machine.Network() is nil on a networked machine")
 	}
-	avg, max := net.LinkUtilization()
 	lat := net.MessageLatency()
-	return fmt.Sprintf("mean hops %v, latency mean %v max %d, utilization %v/%v",
-		net.MeanHops(), lat.Mean(), lat.Max(), avg, max)
+	return fmt.Sprintf("latency mean %v max %d, %d messages delivered", lat.Mean(), lat.Max(), lat.Count())
 }
 
 // observedEnv is the environment of a fully instrumented single-kernel run:
@@ -41,13 +40,11 @@ func observedEnv(seed uint64) sim.Env {
 }
 
 // runEngineReport builds cfg on the single-kernel network, fully observed or
-// with a bare probe, and runs the case's streams, returning the rendered
-// stats report (with the probe registry dump included, so metric names and
-// ordering are compared too) and the ledger reading. The run must conserve
-// its traffic.
+// with no probe, and runs the case's streams, returning the rendered stats
+// report and the ledger reading. The run must conserve its traffic.
 func runEngineReport(t *testing.T, cfg Config, observed bool, s streams) (string, string) {
 	t.Helper()
-	env := sim.NewEnv(cfg.Seed, probe.New(probe.Config{}))
+	env := sim.NewEnv(cfg.Seed, nil)
 	if observed {
 		env = observedEnv(cfg.Seed)
 	}
@@ -161,32 +158,29 @@ func (c sendCounter) NextBatch() ([]ops.Op, trace.Global, error) {
 }
 
 // checkConservation asserts what a completed run conserves on whichever
-// engine ran it: every message injected was delivered, and was sent once and
-// received once by the interfaces (Σ net.nifN.sends, Σ net.nifN.recvs); every
-// synchronous send was acknowledged once (net.acks).
+// engine ran it, as its report tells: every message injected was delivered,
+// and was sent once and received once by the interfaces (Σ nifN sends,
+// Σ nifN recvs); every synchronous send was acknowledged once (the network
+// set's sync acks).
 func checkConservation(t *testing.T, label string, m *Machine, res *Result, syncSends int64) {
 	t.Helper()
-	var reg *stats.Set
-	for _, s := range res.Stats.Subsets {
-		if s.Name == "registry" {
-			reg = s
+	var sends, recvs float64
+	var walk func(s *stats.Set)
+	walk = func(s *stats.Set) {
+		if strings.HasPrefix(s.Name, "nif") {
+			v, _ := s.Get("sends")
+			sends += v
+			v, _ = s.Get("recvs")
+			recvs += v
+		}
+		for _, sub := range s.Subsets {
+			walk(sub)
 		}
 	}
-	if reg == nil {
-		t.Fatalf("%s: no registry dump in the report", label)
-	}
-	var sends, recvs, acks float64
-	for _, mt := range reg.Metrics {
-		switch {
-		case mt.Name == "net.acks":
-			acks = mt.Value
-		case strings.HasPrefix(mt.Name, "net.nif") && strings.HasSuffix(mt.Name, ".sends"):
-			sends += mt.Value
-		case strings.HasPrefix(mt.Name, "net.nif") && strings.HasSuffix(mt.Name, ".recvs"):
-			recvs += mt.Value
-		}
-	}
-	msgs, _ := res.Stats.Prefixed("network ").Get("messages")
+	walk(res.Stats)
+	net := res.Stats.Prefixed("network ")
+	acks, _ := net.Get("sync acks")
+	msgs, _ := net.Get("messages")
 	delivered := m.Network().MessageLatency().Count()
 	if float64(delivered) != msgs || msgs != sends || msgs != recvs {
 		t.Errorf("%s: %v messages, %d delivered, %v sent, %v received: traffic not conserved",

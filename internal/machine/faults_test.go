@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mermaid/internal/fault"
-	"mermaid/internal/probe"
 	"mermaid/internal/sim"
 	"mermaid/internal/workload"
 )
@@ -54,46 +53,62 @@ func TestFaultsRequireNetwork(t *testing.T) {
 }
 
 // runPingPong builds a 2x1 transputer grid (one physical link, so a link
-// fault severs the machine) and runs a ping-pong under the given fault plan.
-// A registry-only probe holds the fault counters faultCount reads.
-func runPingPong(t *testing.T, sched *fault.Schedule) (*Result, *Machine, error) {
+// fault severs the machine) with no probe attached, runs a ping-pong under
+// the given fault plan and returns the run's report. A run that stops with an
+// error returns no Result, so its report is taken from the machine as the
+// run left it.
+func runPingPong(t *testing.T, sched *fault.Schedule) (*Result, error) {
 	t.Helper()
 	cfg := T805Grid(2, 1)
 	cfg.Faults = sched
-	m, err := Build(sim.NewEnv(cfg.Seed, probe.New(probe.Config{})), cfg)
+	m, err := Build(sim.NewEnv(cfg.Seed, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := m.RunProgram(workload.PingPong(10, 1024))
-	return res, m, err
+	if err != nil {
+		res = m.result(m.k.Now(), 0)
+	}
+	return res, err
 }
 
-// faultCount reads a fault counter of m's registry: net.retransmits,
-// net.lost or fault.drops.
-func faultCount(m *Machine, name string) float64 { return m.pb.Registry().Lookup(name).Read() }
+// faultCount reads a fault quantity of a report: the network set's
+// "retransmits" or "lost packets", or the faults set's "drops".
+func faultCount(t *testing.T, res *Result, name string) float64 {
+	t.Helper()
+	set := res.Stats.Prefixed("network ")
+	if name == "drops" {
+		set = res.Stats.Lookup("faults")
+	}
+	v, ok := set.Get(name)
+	if !ok {
+		t.Fatalf("report has no %q", name)
+	}
+	return v
+}
 
 func TestLinkFlapRecoversThroughRetransmission(t *testing.T) {
-	healthy, _, err := runPingPong(t, nil)
+	healthy, err := runPingPong(t, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Flap the only link mid-run: every packet in the window is dropped and
 	// must be recovered by retransmission once the link returns.
-	res, m, err := runPingPong(t, &fault.Schedule{
+	res, err := runPingPong(t, &fault.Schedule{
 		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 3_000, To: 15_000}}},
 		Retrans: fault.Retrans{Timeout: 200, Backoff: 2, MaxRetries: 16},
 	})
 	if err != nil {
 		t.Fatalf("flapped run did not recover: %v", err)
 	}
-	if faultCount(m, "net.retransmits") == 0 {
+	if faultCount(t, res, "retransmits") == 0 {
 		t.Error("link flap recovered without retransmissions")
 	}
-	if lost := faultCount(m, "net.lost"); lost != 0 {
+	if lost := faultCount(t, res, "lost packets"); lost != 0 {
 		t.Errorf("%v packets abandoned despite recovery window", lost)
 	}
-	if faultCount(m, "fault.drops") == 0 {
+	if faultCount(t, res, "drops") == 0 {
 		t.Error("no drops recorded across a down window")
 	}
 	if res.Cycles <= healthy.Cycles {
@@ -101,14 +116,14 @@ func TestLinkFlapRecoversThroughRetransmission(t *testing.T) {
 	}
 
 	// The faulty run is deterministic: an identical build reproduces it.
-	res2, m2, err := runPingPong(t, &fault.Schedule{
+	res2, err := runPingPong(t, &fault.Schedule{
 		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 3_000, To: 15_000}}},
 		Retrans: fault.Retrans{Timeout: 200, Backoff: 2, MaxRetries: 16},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1, r2 := faultCount(m, "net.retransmits"), faultCount(m2, "net.retransmits"); res2.Cycles != res.Cycles || r2 != r1 {
+	if r1, r2 := faultCount(t, res, "retransmits"), faultCount(t, res2, "retransmits"); res2.Cycles != res.Cycles || r2 != r1 {
 		t.Errorf("fault run not reproducible: %d/%d cycles, %v/%v retransmits",
 			res.Cycles, res2.Cycles, r1, r2)
 	}
@@ -117,7 +132,7 @@ func TestLinkFlapRecoversThroughRetransmission(t *testing.T) {
 func TestPermanentPartitionAbandonsPackets(t *testing.T) {
 	// The only link stays down forever and retries are few: the sender gives
 	// the packet up and the machine reports the resulting deadlock honestly.
-	_, m, err := runPingPong(t, &fault.Schedule{
+	res, err := runPingPong(t, &fault.Schedule{
 		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 0}}},
 		Retrans: fault.Retrans{Timeout: 100, Backoff: 2, MaxRetries: 2},
 	})
@@ -125,7 +140,7 @@ func TestPermanentPartitionAbandonsPackets(t *testing.T) {
 	if !errors.As(err, &dead) {
 		t.Fatalf("severed machine finished with err = %v, want DeadlockError", err)
 	}
-	if faultCount(m, "net.lost") == 0 {
+	if faultCount(t, res, "lost packets") == 0 {
 		t.Error("no packets abandoned on a permanently severed link")
 	}
 }
@@ -137,7 +152,7 @@ func TestEmptyFaultScheduleBuildsNoInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.inj != nil {
+	if m.injs != nil {
 		t.Error("inert schedule built an injector")
 	}
 }

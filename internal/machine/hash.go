@@ -31,7 +31,7 @@ func (c Config) Hash() (string, error) {
 // (numbers kept as their exact literals, so 64-bit seeds survive) and
 // re-encoded — encoding/json emits object keys sorted — and the SHA-256 of
 // that canonical form is returned as hex. The simulation server uses it to
-// address workload descriptions submitted as raw JSON.
+// address a job's effective workload description.
 func CanonicalJSONHash(data []byte) (string, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()

@@ -211,7 +211,7 @@ type Machine struct {
 	net   *network.Network // the single-kernel fabric; nil without a network or with shards
 	nodes []*node.Node
 	dsm   *dsm.Layer
-	inj   *fault.Injector
+	injs  []*fault.Injector // one replica per shard, the first closing the fault timeline; nil without faults
 	col   *analysis.Collector
 	ran   bool // one run per machine
 
@@ -294,7 +294,7 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.inj = inj
+		m.injs = []*fault.Injector{inj}
 		m.net.AttachFaults(inj)
 	}
 	return m, nil
@@ -437,7 +437,9 @@ func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 
 	// Close fault accounting at the run's end: down-window spans are clipped
 	// to the measured length before the timeline is flushed.
-	m.inj.Finish(cycles)
+	if m.injs != nil {
+		m.injs[0].Finish(cycles)
+	}
 
 	for _, nd := range m.nodes {
 		if err := nd.Err(); err != nil {
@@ -589,19 +591,13 @@ func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
 	if t := m.Network(); t != nil {
 		root.Subsets = append(root.Subsets, t.Stats())
 	}
+	if m.injs != nil {
+		root.Subsets = append(root.Subsets, fault.Stats(cycles, m.injs...))
+	}
 	if m.dsm != nil {
 		root.Subsets = append(root.Subsets, m.dsm.Stats())
 	}
 	root.PutUint("instructions", r.Instructions, "")
-	if m.group != nil {
-		if dump := m.mergedRegistryDump(); dump != nil {
-			root.Subsets = append(root.Subsets, dump)
-		}
-	} else if reg := m.pb.Registry(); reg.Len() > 0 {
-		// The flat registry dump: every registered metric under its stable
-		// dotted name (node0.cache.l1d.misses, net.messages, ...).
-		root.Subsets = append(root.Subsets, reg.Dump())
-	}
 	r.Stats = root
 	r.Analysis = m.col.Analyze(cycles)
 	return r

@@ -168,7 +168,8 @@ func TestMonitorCSV(t *testing.T) {
 }
 
 // flatten lists every metric of the stats tree as "path = value unit", minus
-// the two event counts, which are the one thing an observer may change.
+// the report's and the registry's event counts, which are the one thing an
+// observer may change.
 func flatten(s *stats.Set, prefix string, out *[]string) {
 	path := prefix + s.Name
 	for _, mt := range s.Metrics {
@@ -230,6 +231,7 @@ func TestSamplingDoesNotPerturb(t *testing.T) {
 				}
 				finish(res.Cycles)
 				flatten(res.Stats, "", &metrics)
+				flatten(&stats.Set{Name: "registry", Metrics: reg.Snapshot()}, "/", &metrics)
 				if every > 0 {
 					rows := csvRows(t, reg)
 					if last := rows[len(rows)-1][0]; last != strconv.FormatInt(int64(res.Cycles), 10) {

@@ -2,8 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"mermaid/internal/fault"
 	"mermaid/internal/network"
@@ -12,7 +10,6 @@ import (
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
-	"mermaid/internal/stats"
 	"mermaid/internal/topology"
 )
 
@@ -52,10 +49,10 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 		k := group.Kernel(s)
 		var pb *probe.Probe
 		if env.Probe != nil {
-			// One probe per shard; registries are merged and timelines
-			// canonicalised when the run is reported. Event sampling is not
-			// supported: the per-timeline event counters it rates on are
-			// partition-dependent.
+			// One probe per shard; timelines are canonicalised when the run
+			// is reported. Each shard's registry names only its own
+			// components and no sampler reads it: the per-shard event counts
+			// a sample would carry are partition-dependent.
 			pb = probe.New(probe.Config{Timeline: wantTL})
 		}
 		e := sim.Env{Kernel: k, RNG: pearl.NewRNG(cfg.Seed), Probe: pb}
@@ -81,9 +78,9 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 		// with eagerly pre-scheduled transitions: every replica fires the
 		// same state changes at the same instants, before any model event of
 		// those instants, so liveness queries agree across shards without
-		// synchronisation. Only replica 0 reports (Finish, fault timeline);
-		// drop counts land on whichever replica observed the drop and are
-		// summed by the registry merge.
+		// synchronisation. Only replica 0 closes the fault timeline
+		// (Finish); drop counts land on whichever replica observed the drop
+		// and fault.Stats sums them.
 		injs := make([]*fault.Injector, shards)
 		for s := range injs {
 			inj, err := fault.NewInjectorEager(group.Kernel(s), topo, *cfg.Faults, m.envs[s].RNG, m.envs[s].Probe)
@@ -92,7 +89,7 @@ func buildSharded(env sim.Env, cfg Config) (*Machine, error) {
 			}
 			injs[s] = inj
 		}
-		m.inj = injs[0]
+		m.injs = injs
 		snet.AttachFaults(injs, cfg.Seed)
 	}
 	return m, nil
@@ -129,68 +126,4 @@ func (m *Machine) MergedTimeline() *probe.Timeline {
 		tls[i] = e.Timeline()
 	}
 	return probe.MergeTimelines(tls...)
-}
-
-// mergedRegistryDump merges the per-shard metric registries into one flat
-// "registry" set with the same names a one-shard run reports, sorted by
-// name. Three merge rules cover every registered metric:
-//
-//   - replicated state (re-path counts, per-node downtime): every shard
-//     reports the same value, the first is kept;
-//   - derived means and utilisations, plus the event count: recomputed from
-//     the merged underlying data, because means do not sum;
-//   - everything else (counters, per-node metrics): summed — a metric
-//     registered by one shard only passes through unchanged.
-func (m *Machine) mergedRegistryDump() *stats.Set {
-	type slot struct {
-		unit string
-		val  float64
-		n    int
-	}
-	firstWins := func(name string) bool {
-		return name == "net.repaths" ||
-			(strings.HasPrefix(name, "node") && strings.HasSuffix(name, ".downtime"))
-	}
-	slots := make(map[string]*slot)
-	var names []string
-	for _, e := range m.envs {
-		for _, ent := range e.Registry().Entries() {
-			s, ok := slots[ent.Name]
-			if !ok {
-				s = &slot{unit: ent.Unit}
-				slots[ent.Name] = s
-				names = append(names, ent.Name)
-			}
-			s.n++
-			switch {
-			case s.n == 1:
-				s.val = ent.Read()
-			case firstWins(ent.Name):
-			default:
-				s.val += ent.Read()
-			}
-		}
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	if s, ok := slots["kernel.events"]; ok {
-		s.val = float64(m.events())
-	}
-	t := m.snet.Traffic()
-	if s, ok := slots["net.latency.mean"]; ok {
-		s.val = t.MessageLatency().Mean()
-	}
-	if s, ok := slots["net.hops.mean"]; ok {
-		s.val = t.MeanHops()
-	}
-	if s, ok := slots["net.link-utilization.avg"]; ok {
-		s.val, _ = t.LinkUtilization()
-	}
-	sort.Strings(names)
-	set := stats.NewSet("registry")
-	for _, name := range names {
-		set.Put(name, slots[name].val, slots[name].unit)
-	}
-	return set
 }

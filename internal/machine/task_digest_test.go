@@ -3,6 +3,7 @@ package machine
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -19,16 +20,19 @@ import (
 
 // taskStatsDigests pins SHA-256 of the rendered metric tree of 1,024-node
 // task-level runs — every procN set with its nifN subset, node ids from one
-// digit to four — and of the probe registry dump where a registry is
+// digit to four — and of the probe registry's snapshot where a registry is
 // attached. They were printed by the tree that still built each node's
 // report sets one Put at a time and named every interface counter with
 // fmt.Sprintf. The sharded fabric refuses wormhole switching, so the
 // shards cases run the same exchange under virtual cut-through, once on
-// the single kernel and once on two shards.
+// the single kernel and once on two shards. The faulted and the sharded
+// digests were re-printed when fault accounting joined the report and the
+// report stopped carrying the registry (and, on shards, a merge of the
+// shards' registries).
 var taskStatsDigests = map[string]string{
 	"vct/plain":         "10f2171b90ee5a25d0e78cd4",
-	"vct/shards2":       "c3e2f899223372d64027d44a",
-	"wormhole/faults":   "715c4ee1b189b3397c778559",
+	"vct/shards2":       "84ac9377f7454ff7ee703041",
+	"wormhole/faults":   "92157a1d67e4d3454e1b8e3f",
 	"wormhole/observed": "3cdb09b08a975f9559583b51",
 	"wormhole/plain":    "eac99dcdeb2fb859e6284353",
 }
@@ -52,8 +56,22 @@ func torus32Task(sw router.Switching) Config {
 	return cfg
 }
 
+// withRegistry returns the report with reg's snapshot as a last "registry"
+// set, where the report carried the registry before it kept to the
+// simulation's own sets, so that a digest over it moves only where the
+// report did. Without registered metrics it returns the report unchanged.
+func withRegistry(report *stats.Set, reg *probe.Registry) *stats.Set {
+	ms := reg.Snapshot()
+	if ms == nil {
+		return report
+	}
+	r := *report
+	r.Subsets = append(slices.Clip(r.Subsets), &stats.Set{Name: "registry", Metrics: ms})
+	return &r
+}
+
 // taskStatsDigest runs cfg on env and hashes the rendered metric tree and,
-// with a registry attached, its dump.
+// with a registry attached, its snapshot.
 func taskStatsDigest(t *testing.T, env sim.Env, cfg Config) string {
 	t.Helper()
 	m, err := Build(env, cfg)
@@ -66,11 +84,12 @@ func taskStatsDigest(t *testing.T, env sim.Env, cfg Config) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events\n", res.Cycles, res.Events)
-	if err := stats.RenderSet(h, res.Stats); err != nil {
+	reg := env.Registry()
+	if err := stats.RenderSet(h, withRegistry(res.Stats, reg)); err != nil {
 		t.Fatal(err)
 	}
-	if reg := env.Registry(); reg != nil {
-		if err := stats.RenderSet(h, reg.Dump()); err != nil {
+	if reg != nil {
+		if err := stats.RenderSet(h, &stats.Set{Name: "registry", Metrics: reg.Snapshot()}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -21,8 +21,9 @@ import (
 
 // The table below pins what the network engines printed before they shared
 // one traffic ledger (commit 852830c): SHA-256 over the rendered report
-// (registry dump included), the timeline JSON and the bottleneck JSON of
-// seeded runs. The Matching entries were pinned at commit 1e0a5fd, while the
+// with the registry's dump as its last set, the timeline JSON and the
+// bottleneck JSON of seeded runs. The report no longer carries the dump, so
+// the digest renders the registry's snapshot where it sat. The Matching entries were pinned at commit 1e0a5fd, while the
 // compact engine still kept its own copy of NodeIf's matching rule. The
 // engine/*/observed entries are what the per-process transport — one process
 // per packet and per task-level node, then the only engine that carried the
@@ -40,12 +41,15 @@ import (
 // reference coalescer of the node package's digest tests. The two
 // engine/WormholeUnderFaults entries were printed by the packet walker that
 // kept its waiters in a map and each worm's channels in a slice, the last
-// tree before the walker's state became one record per channel.
+// tree before the walker's state became one record per channel. The five
+// entries under faults and the twelve shards/* entries were re-printed when
+// fault accounting joined the report and the shards' merged registry left
+// it.
 var trafficDigests = map[string]string{
 	"detailed/DSMCluster(2,2)":              "1c71488d4bb26d3400f95bc5",
 	"detailed/HybridCluster(2,2,2)":         "9bdfc3c5cf844a08fc9a4ca0",
 	"detailed/T805Grid(2,2)":                "e59a2d4c8d1b1472c88e62d5",
-	"detailed/T805Grid(2,2)/VCTUnderFaults": "2267e78acd43bdabcbd1b762",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "d112d4167c58233c927ee476",
 	"detailed/T805Grid(3,3)/VCTAdaptive":    "467d2526dea9e68195dc53df",
 	"detailed/T805Grid(3,3)/Wormhole":       "e7d3de6e574749bc1efe4bc2",
 	"engine/AdaptiveFatTree/observed":       "6facbbf96f297e60971d2df1",
@@ -58,26 +62,26 @@ var trafficDigests = map[string]string{
 	"engine/MatchingNoOverhead/plain":       "08ec9d92faaa079fba38d572",
 	"engine/SAF/observed":                   "d70134df49d71bb584e76121",
 	"engine/SAF/plain":                      "acc724673a887fd8c9d50156",
-	"engine/UnderFaults/observed":           "0b899e8e51fc9b1561bb237d",
-	"engine/UnderFaults/plain":              "b56dbf636026cfdbfe348fee",
+	"engine/UnderFaults/observed":           "b6101f6aaea9ac09764c64c9",
+	"engine/UnderFaults/plain":              "f625d3ac4f65f5c94d4bb071",
 	"engine/VCTValiant/observed":            "aaf5710301ae157a01035c78",
 	"engine/VCTValiant/plain":               "88435e6f6411aa5cc215f77e",
 	"engine/WormholeTorus3D/observed":       "ed8071d04ebc8ad9f803f9da",
 	"engine/WormholeTorus3D/plain":          "5a0b604871e0a177069d8b7d",
-	"engine/WormholeUnderFaults/observed":   "63d53c6ef52266d67fe2ecb7",
-	"engine/WormholeUnderFaults/plain":      "3484cf93701479f8ef348ed2",
-	"shards/JacobiDetailed/1":               "0e525dc7f9510048b679e76f",
-	"shards/JacobiDetailed/2":               "0e525dc7f9510048b679e76f",
-	"shards/JacobiDetailed/4":               "0e525dc7f9510048b679e76f",
-	"shards/PingPong/1":                     "8afcbd38cb37e5d51e6187b3",
-	"shards/PingPong/2":                     "8afcbd38cb37e5d51e6187b3",
-	"shards/PingPong/4":                     "8afcbd38cb37e5d51e6187b3",
-	"shards/TaskLevel/1":                    "9cc7075b80f3298c0ad813a1",
-	"shards/TaskLevel/2":                    "9cc7075b80f3298c0ad813a1",
-	"shards/TaskLevel/4":                    "9cc7075b80f3298c0ad813a1",
-	"shards/UnderFaults/1":                  "d8fbc62454b9fe1beecdde68",
-	"shards/UnderFaults/2":                  "d8fbc62454b9fe1beecdde68",
-	"shards/UnderFaults/4":                  "d8fbc62454b9fe1beecdde68",
+	"engine/WormholeUnderFaults/observed":   "28f37021b1c9896eaf7d3c3a",
+	"engine/WormholeUnderFaults/plain":      "c79c4cae51d399bf900bad07",
+	"shards/JacobiDetailed/1":               "7eed9b1faf31470af8828119",
+	"shards/JacobiDetailed/2":               "7eed9b1faf31470af8828119",
+	"shards/JacobiDetailed/4":               "7eed9b1faf31470af8828119",
+	"shards/PingPong/1":                     "31ebfec56da63346196cb154",
+	"shards/PingPong/2":                     "31ebfec56da63346196cb154",
+	"shards/PingPong/4":                     "31ebfec56da63346196cb154",
+	"shards/TaskLevel/1":                    "85f1bdc84a3af1d819f7926e",
+	"shards/TaskLevel/2":                    "85f1bdc84a3af1d819f7926e",
+	"shards/TaskLevel/4":                    "85f1bdc84a3af1d819f7926e",
+	"shards/UnderFaults/1":                  "2bccecce676ac22bba94fd3e",
+	"shards/UnderFaults/2":                  "2bccecce676ac22bba94fd3e",
+	"shards/UnderFaults/4":                  "2bccecce676ac22bba94fd3e",
 }
 
 // artifactDigest runs cfg, observed or with a bare probe, and hashes every
@@ -105,7 +109,7 @@ func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) 
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
-	if err := stats.RenderSet(h, res.Stats); err != nil {
+	if err := stats.RenderSet(h, withRegistry(res.Stats, pb.Registry())); err != nil {
 		t.Fatal(err)
 	}
 	if tl := m.MergedTimeline(); tl != nil {

@@ -384,7 +384,7 @@ func TestNetworkStats(t *testing.T) {
 	if n.MessageLatency().Count() != 1 {
 		t.Fatal("latency histogram empty")
 	}
-	avg, max := n.LinkUtilization()
+	avg, max := n.util()
 	if avg <= 0 || max <= 0 {
 		t.Fatalf("utilization %v/%v", avg, max)
 	}
@@ -410,7 +410,7 @@ func TestValiantRoutingDelivers(t *testing.T) {
 			k.Spawn("r", func(p *pearl.Process) { recv(p, n.Node((i+8)%16), int32(i), uint32(i)) })
 		}
 		k.Run()
-		return n.messages.Value(), n.MeanHops()
+		return n.messages.Value(), n.hopHist.Mean()
 	}
 	dMin, hMin := run(minCfg)
 	dVal, hVal := run(cfg)
@@ -495,7 +495,7 @@ func TestAdaptiveStaysMinimal(t *testing.T) {
 	k.Run()
 	// 0 -> 15 on the 4x4 torus is 2 hops (wrap both dimensions); adaptive
 	// must not take more.
-	if h := n.MeanHops(); h != 2 {
+	if h := n.hopHist.Mean(); h != 2 {
 		t.Fatalf("mean hops = %v, want minimal 2", h)
 	}
 }

@@ -199,9 +199,12 @@ func (n *ShardedNetwork) Processor(i int) *Processor { return &n.procs[i] }
 
 // Traffic returns the fabric's traffic ledger: the shard ledgers merged, with
 // counters summed and histograms merged, and shard 0's injector replica,
-// which carries the canonical schedule. It is built afresh on every call.
+// which carries the canonical schedule, with its re-path count. It is built
+// afresh on every call.
 func (n *ShardedNetwork) Traffic() *Traffic {
-	t := &Traffic{fabric: n.fabric, util: n.linkUtilization, faults: n.shards[0].faults}
+	s0 := n.shards[0]
+	t := &Traffic{fabric: n.fabric, util: n.linkUtilization, faults: s0.faults}
+	t.repaths.Add(s0.repaths.Value())
 	for _, s := range n.shards {
 		t.merge(&s.Traffic)
 	}

@@ -88,7 +88,8 @@ type Traffic struct {
 
 // register names the traffic metrics in reg and takes the engine's link
 // utilisation, which reads link state only the engine has. Registration order
-// is part of the registry dump, so each engine calls it at its own point.
+// is the order of the sampled columns, so each engine calls it at its own
+// point.
 func (t *Traffic) register(reg *probe.Registry, util func() (avg, max float64)) {
 	t.reg, t.util = reg, util
 	reg.Counter("net.messages", &t.messages)
@@ -189,7 +190,8 @@ func (t *Traffic) retry(attempt int) (pearl.Time, bool) {
 }
 
 // merge adds o's counters and histograms into t. Re-path counts are not
-// merged: every shard's injector replica sees the same topology changes.
+// summed: every shard's injector replica sees the same topology changes, so
+// the merged ledger takes one shard's (ShardedNetwork.Traffic).
 func (t *Traffic) merge(o *Traffic) {
 	t.msgLatency.Merge(&o.msgLatency)
 	t.hopHist.Merge(&o.hopHist)
@@ -207,18 +209,13 @@ func (t *Traffic) Nodes() int { return t.topo.Nodes() }
 // Topology returns the interconnect.
 func (t *Traffic) Topology() topology.Topology { return t.topo }
 
-// MeanHops returns the average per-packet hop count observed so far.
-func (t *Traffic) MeanHops() float64 { return t.hopHist.Mean() }
-
 // MessageLatency returns the distribution of end-to-end message latencies
 // (injection to full arrival, excluding send/receive overheads and matching).
 func (t *Traffic) MessageLatency() *stats.Histogram { return &t.msgLatency }
 
-// LinkUtilization returns the mean and maximum utilisation over all wired
-// links.
-func (t *Traffic) LinkUtilization() (avg, max float64) { return t.util() }
-
-// Stats reports the network's aggregate metrics.
+// Stats reports the network's aggregate metrics and, with faults attached,
+// the recovery traffic: packet attempts retransmitted, packets abandoned and
+// routing tables recomputed.
 func (t *Traffic) Stats() *stats.Set {
 	s := stats.NewSet("network " + t.topo.Name())
 	s.PutUint("messages", t.messages.Value(), "")
@@ -231,6 +228,11 @@ func (t *Traffic) Stats() *stats.Set {
 	avg, max := t.util()
 	s.Put("avg link utilization", avg, "")
 	s.Put("max link utilization", max, "")
+	if t.faults != nil {
+		s.PutUint("retransmits", t.retransmits.Value(), "")
+		s.PutUint("lost packets", t.lost.Value(), "")
+		s.PutUint("re-paths", t.repaths.Value(), "")
+	}
 	return s
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -39,9 +40,12 @@ import (
 // runners began to record one span per run of waits, both were re-printed by
 // commit c9229e9, the last tree that recorded each wait as a span of its own,
 // over its timelines put through coalesce; every timeline now must equal its
-// coalesced self. A digest that moves means simulated behaviour moved: some
-// event fires at another time, in another order, or not at all. If that is
-// intended, re-pin it and say why.
+// coalesced self. The report is hashed with the registry's snapshot as its
+// last set, where the report carried the registry before; the faulted and
+// the sharded digests were re-printed when fault accounting joined the report
+// and the shards' merged registry left it. A digest that moves means
+// simulated behaviour moved: some event fires at another time, in another
+// order, or not at all. If that is intended, re-pin it and say why.
 
 // smallCache returns a cache small enough for mixedTrace's 12 KiB private
 // window to overflow, so fills, victims and write-backs all happen.
@@ -213,7 +217,7 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	noSwitches(t, m)
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
-	if err := stats.RenderSet(h, res.Stats); err != nil {
+	if err := stats.RenderSet(h, withRegistry(res.Stats, pb.Registry())); err != nil {
 		t.Fatal(err)
 	}
 	var tl strings.Builder
@@ -531,7 +535,7 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 		}
 		out[name] = buf.String()
 	}
-	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, res.Stats) })
+	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, withRegistry(res.Stats, pb.Registry())) })
 	render("timeline", func(b *bytes.Buffer) error { return m.MergedTimeline().WriteJSON(b) })
 	coalesced(t, out["timeline"])
 	if res.Analysis != nil {
@@ -540,6 +544,20 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 		render("metrics CSV", func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
 	}
 	return out
+}
+
+// withRegistry returns the report with reg's snapshot as a last "registry"
+// set, where the report carried the registry before it kept to the
+// simulation's own sets, so that the digests move only where the report did.
+// Without registered metrics it returns the report unchanged.
+func withRegistry(report *stats.Set, reg *probe.Registry) *stats.Set {
+	ms := reg.Snapshot()
+	if ms == nil {
+		return report
+	}
+	r := *report
+	r.Subsets = append(slices.Clip(r.Subsets), &stats.Set{Name: "registry", Metrics: ms})
+	return &r
 }
 
 // mixedTrace draws n instructions exercising every case of cpu.CPU.Begin:

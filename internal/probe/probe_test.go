@@ -28,7 +28,7 @@ func TestNilRegistryNoOps(t *testing.T) {
 	r.Counter("a.b", &c)
 	r.Gauge("c.d", "", func() float64 { return 1 })
 	r.Sample(10)
-	if r.Len() != 0 || r.Entries() != nil || r.Lookup("a.b") != nil || r.Dump() != nil {
+	if r.Entries() != nil || r.Lookup("a.b") != nil || r.Snapshot() != nil {
 		t.Error("nil registry is not inert")
 	}
 	k := pearl.NewKernel()
@@ -69,33 +69,33 @@ func TestNilTimelineNoOps(t *testing.T) {
 	}
 }
 
-func TestRegistryRegisterAndDump(t *testing.T) {
+func TestRegistryRegisterAndSnapshot(t *testing.T) {
 	p := New(Config{})
 	reg := p.Registry()
 	var misses stats.Counter
 	misses.Add(7)
 	reg.Counter("node0.cache.l1d.misses", &misses)
 	reg.Gauge("node0.bus.utilization", "", func() float64 { return 0.5 })
-	if reg.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", reg.Len())
+	if len(reg.Entries()) != 2 {
+		t.Fatalf("Len = %d, want 2", len(reg.Entries()))
 	}
 	if e := reg.Lookup("node0.cache.l1d.misses"); e == nil || e.Read() != 7 {
 		t.Fatalf("Lookup miss counter: %+v", e)
 	}
 	// Re-registering a name replaces the reader but keeps its position.
 	reg.Gauge("node0.bus.utilization", "", func() float64 { return 0.75 })
-	if reg.Len() != 2 {
-		t.Fatalf("re-register grew the registry to %d", reg.Len())
+	if len(reg.Entries()) != 2 {
+		t.Fatalf("re-register grew the registry to %d", len(reg.Entries()))
 	}
-	d := reg.Dump()
-	if d.Name != "registry" || len(d.Metrics) != 2 {
-		t.Fatalf("dump = %+v", d)
+	ms := reg.Snapshot()
+	if len(ms) != 2 {
+		t.Fatalf("snapshot = %+v", ms)
 	}
-	if d.Metrics[0].Name != "node0.cache.l1d.misses" || d.Metrics[0].Value != 7 {
-		t.Errorf("dump[0] = %+v", d.Metrics[0])
+	if ms[0].Name != "node0.cache.l1d.misses" || ms[0].Value != 7 {
+		t.Errorf("snapshot[0] = %+v", ms[0])
 	}
-	if d.Metrics[1].Value != 0.75 {
-		t.Errorf("dump[1] = %+v, want replaced reader value 0.75", d.Metrics[1])
+	if ms[1].Value != 0.75 {
+		t.Errorf("snapshot[1] = %+v, want replaced reader value 0.75", ms[1])
 	}
 }
 

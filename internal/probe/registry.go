@@ -12,7 +12,7 @@ import (
 )
 
 // Entry is one registered metric: a stable dotted name, a unit, and a read
-// function evaluated on demand (dump) or periodically (sampler).
+// function evaluated on demand (snapshot) or periodically (sampler).
 type Entry struct {
 	Name string
 	Unit string
@@ -59,14 +59,6 @@ func (r *Registry) Counter(name string, c *stats.Counter) {
 		return
 	}
 	r.Gauge(name, "", func() float64 { return float64(c.Value()) })
-}
-
-// Len returns the number of registered metrics.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.entries)
 }
 
 // Entries returns the registered metrics in registration order.
@@ -141,7 +133,7 @@ func (r *Registry) StartSampler(k *pearl.Kernel, every pearl.Time, consumers ...
 // values out so that they can be served without touching the simulation
 // again; nil for an empty registry.
 func (r *Registry) Snapshot() []stats.Metric {
-	if r.Len() == 0 {
+	if r == nil || len(r.entries) == 0 {
 		return nil
 	}
 	ms := make([]stats.Metric, len(r.entries))
@@ -149,15 +141,6 @@ func (r *Registry) Snapshot() []stats.Metric {
 		ms[i] = stats.Metric{Name: e.Name, Value: e.Read(), Unit: e.Unit}
 	}
 	return ms
-}
-
-// Dump returns a Snapshot as one flat stats.Set named "registry" — the
-// stable-name counterpart of the per-component Stats() trees.
-func (r *Registry) Dump() *stats.Set {
-	if r == nil {
-		return nil
-	}
-	return &stats.Set{Name: "registry", Metrics: r.Snapshot()}
 }
 
 // WriteCSV exports the sampled series as CSV: a cycle column followed by

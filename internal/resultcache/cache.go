@@ -27,8 +27,9 @@ import (
 
 // Key addresses one deterministic run: the machine configuration hash
 // (machine.Config.Hash), the workload description hash
-// (machine.CanonicalJSONHash over the submitted document), and the seed the
-// run executes with. Equal keys imply byte-identical artifacts.
+// (machine.CanonicalJSONHash over the effective description, its defaults
+// written back), and the seed the run executes with. Equal keys imply
+// byte-identical artifacts.
 type Key struct {
 	Config   string
 	Workload string

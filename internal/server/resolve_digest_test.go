@@ -11,10 +11,13 @@ import (
 // jobResolutions pins what every digestJobs document resolves to: the hash of
 // its machine configuration and the cache key its outcome is stored under.
 // Both were re-printed once when Validate began writing the defaults back
-// (LocalBytesPerCycle 8 in both): they hash the effective configuration.
+// (LocalBytesPerCycle 8 in both): they hash the effective configuration. The
+// keys were re-printed once more when jobs began to be keyed by the effective
+// workload description, every field written out, not by the document as
+// submitted.
 var jobResolutions = map[string][2]string{
-	"service-mix":           {"ba8a98c3e480ce5a4208f130d71aa7eee62e4c37fc8fe2220976a73faf8e3275", "abe3880e1c813146ed59ba2bbdec62987cfe8a5a520e5ab0c36b83ea38f729f7"},
-	"torus-wormhole-config": {"fd76c3f489159b76420332edf7bcf1e8fe531843fc8e396fde8f1a2df6a533ea", "70c249cbda91245bfc9fcaffb4ddf82e91b72027102c329be968e5df344e3b50"},
+	"service-mix":           {"ba8a98c3e480ce5a4208f130d71aa7eee62e4c37fc8fe2220976a73faf8e3275", "73d0b01c767ac57b3f5f562a6c6e29bf74d8d647508336cf7c071d01cd238d0b"},
+	"torus-wormhole-config": {"fd76c3f489159b76420332edf7bcf1e8fe531843fc8e396fde8f1a2df6a533ea", "d0ebac725a566c456c1aa06093b16100ba7586eea0a455ace586a23372b5e19b"},
 }
 
 // invalidJobErrors pins the 400 body POST /jobs answers each invalidJobs
@@ -56,5 +59,39 @@ func TestJobResolutionDigests(t *testing.T) {
 		if got, want := strings.TrimSpace(j.Error), invalidJobErrors[tc.name]; got != want {
 			t.Errorf("%q: %q, // pinned %q", tc.name, got, want)
 		}
+	}
+}
+
+// A workload document that leaves the instruction-level defaults out and
+// one that writes them out describe one run: they resolve to one key, and
+// submitting the second is answered from the cache the first filled.
+func TestEffectiveWorkloadKey(t *testing.T) {
+	job := func(phase string) string {
+		return `{"preset": "t805-2x2", "workload": {"Level": "instruction", "Seed": 3, "Iterations": 2,
+			"Phases": [{"Instructions": 400, ` + phase + `"Comm": {"Pattern": "nearest", "Bytes": 256}}]}}`
+	}
+	omitted := job("")
+	written := job(`"Mix": {"Load": 0.25, "Store": 0.1, "IntArith": 0.3, "FltArith": 0.25, "Branch": 0.1},
+		"Mem": {"Base": 268435456, "WorkingSet": 65536, "Access": 3}, `)
+	_, k1, err := server.ResolveJob([]byte(omitted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, k2, err := server.ResolveJob([]byte(written))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Fatalf("defaults omitted: key %s; written out: key %s", k1.ID(), k2.ID())
+	}
+	_, ts := startServer(t, server.Config{Workers: 1})
+	first, code := submit(t, ts, omitted)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d (%s)", code, first.Error)
+	}
+	waitDone(t, ts, first.ID)
+	second, code := submit(t, ts, written)
+	if code != http.StatusOK || !second.Cached {
+		t.Errorf("second submission: status %d, cached %v; want a cache hit", code, second.Cached)
 	}
 }

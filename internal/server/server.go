@@ -51,6 +51,7 @@ import (
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/resultcache"
+	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
 )
 
@@ -289,7 +290,18 @@ func admit(spec core.RunSpec) (*job, error) {
 	if err != nil {
 		return nil, err
 	}
-	wlHash, err := machine.CanonicalJSONHash(spec.Workload)
+	// Key the outcome by the effective description: a document that omits
+	// a default and one that writes it out are one run. Resolve has parsed
+	// it already, so it parses.
+	desc, err := stochastic.ParseDesc(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	effective, err := json.Marshal(desc)
+	if err != nil {
+		return nil, err
+	}
+	wlHash, err := machine.CanonicalJSONHash(effective)
 	if err != nil {
 		return nil, err
 	}

@@ -197,8 +197,10 @@ func (d *Desc) validate() error {
 
 // ParseDesc decodes and validates a description from JSON, as strictly as
 // machine.ParseConfig decodes a machine: unknown fields (a misspelt "Byts")
-// and anything but whitespace after the document are errors. Nodes may be
-// omitted (0): the machine that runs the description sizes it.
+// and anything but whitespace after the document are errors. It returns the
+// effective description, every default written back, so that a document
+// that omits a default and one that writes it out parse to one value. Nodes
+// may be omitted (0): the machine that runs the description sizes it.
 func ParseDesc(data []byte) (Desc, error) {
 	var d Desc
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -209,13 +211,14 @@ func ParseDesc(data []byte) (Desc, error) {
 	if _, err := dec.Token(); err != io.EOF {
 		return Desc{}, fmt.Errorf("stochastic: trailing data after description JSON")
 	}
-	sized := d
-	if sized.Nodes == 0 {
-		sized.Nodes = 1
+	nodes := d.Nodes
+	if d.Nodes == 0 {
+		d.Nodes = 1
 	}
-	if err := sized.validate(); err != nil {
+	if err := d.validate(); err != nil {
 		return Desc{}, err
 	}
+	d.Nodes = nodes
 	return d, nil
 }
 
