@@ -79,13 +79,11 @@ func main() {
 
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations to run concurrently (experiment sweeps and -repeats)")
 		repeats  = flag.Int("repeats", 1, "replications of the run with per-replica derived seeds")
-		shards   = flag.Int("shards", 0, "run one simulation on N parallel shards (conservative parallel engine; 0 = single kernel). Results are byte-identical at any shard count")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		hostTrace   = flag.String("host-trace", "", "write a wall-clock host trace (Chrome trace-event JSON: shard windows with -shards, farm workers with -repeats) to this file. Host telemetry never changes simulated results")
-		hostMetrics = flag.String("host-metrics", "", "write the parallel engine's telemetry (busy/wait per shard, windows, efficiency) as Prometheus text to this file (requires -shards)")
+		hostTrace = flag.String("host-trace", "", "write a wall-clock host trace of the -repeats farm workers (Chrome trace-event JSON) to this file. Host telemetry never changes simulated results")
 	)
 	flag.Parse()
 
@@ -118,8 +116,8 @@ func main() {
 		fatal(fmt.Errorf("-monitor must be 0 (off) or a positive interval, have %d", *monitor))
 	case *repeats < 1:
 		fatal(fmt.Errorf("-repeats must be at least 1, have %d", *repeats))
-	case *shards < 0:
-		fatal(fmt.Errorf("-shards must be 0 (one kernel) or a positive shard count, have %d", *shards))
+	case *hostTrace != "" && *repeats == 1:
+		fatal(fmt.Errorf("-host-trace records the farm workers of a -repeats run; use -repeats 2 or more"))
 	}
 	if *traces != "" {
 		spec.Traces = strings.Split(*traces, ",")
@@ -127,27 +125,6 @@ func main() {
 	cfg, runOnce, err := spec.Resolve()
 	if err != nil {
 		fatal(err)
-	}
-	if *shards > 0 {
-		cfg.Shards = *shards
-	}
-	if cfg.Shards > 0 {
-		// The parallel engine owns one kernel per shard; the single-kernel
-		// observers that poll or schedule on "the" kernel don't compose with
-		// it (and would break shard-count invariance).
-		switch {
-		case *monitor > 0:
-			fatal(fmt.Errorf("-monitor is not supported with -shards"))
-		case *metricsOut != "":
-			fatal(fmt.Errorf("-metrics is not supported with -shards"))
-		case *reportPath != "":
-			fatal(fmt.Errorf("-report is not supported with -shards"))
-		case *monitorAddr != "":
-			fatal(fmt.Errorf("-monitor-addr is not supported with -shards"))
-		}
-	}
-	if *hostMetrics != "" && cfg.Shards == 0 {
-		fatal(fmt.Errorf("-host-metrics reports the parallel engine; add -shards N"))
 	}
 	if *dumpConfig {
 		data, err := json.MarshalIndent(cfg, "", "  ")
@@ -181,9 +158,6 @@ func main() {
 		if *monitor > 0 || *timeline != "" || *metricsOut != "" || *reportPath != "" {
 			fatal(fmt.Errorf("-monitor, -timeline, -metrics and -report observe a single machine; use -repeats 1"))
 		}
-		if *hostMetrics != "" {
-			fatal(fmt.Errorf("-host-metrics reports one parallel run; use -repeats 1"))
-		}
 		var host *hostprobe.Trace
 		if *hostTrace != "" {
 			host = hostprobe.NewTrace()
@@ -213,18 +187,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Host-side observability: wall-clock only, attached outside the
-	// simulation. Enabling it never changes reports or virtual-time
-	// timelines (pinned by the shard-invariance tests).
-	var host *hostprobe.Trace
-	if *hostTrace != "" {
-		host = hostprobe.NewTrace()
-	}
-	var shardTel *pearl.ShardTelemetry
-	if g := m.ShardGroup(); g != nil {
-		shardTel = g.EnableTelemetry()
-		hostprobe.ShardSpans(host, g)
-	}
 	scope.SetRuns(1)
 	view, finish, err := observe(m.Kernel(), pb.Registry(), pearl.Time(*monitor), *metricsOut != "", scope)
 	if err != nil {
@@ -248,8 +210,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *reportPath)
 	}
 	if *timeline != "" {
-		// MergedTimeline is the single probe timeline on the one-kernel
-		// engine and the canonical cross-shard merge under -shards.
 		tl := m.MergedTimeline()
 		if err := writeFileWith(*timeline, tl.WriteJSON); err != nil {
 			fatal(err)
@@ -264,25 +224,6 @@ func main() {
 	}
 	if err := wb.Report(os.Stdout, res); err != nil {
 		fatal(err)
-	}
-	if shardTel != nil {
-		// Host-side wall-clock profile of the parallel engine: stderr, so the
-		// deterministic report on stdout stays byte-identical run to run.
-		fmt.Fprintln(os.Stderr)
-		if err := hostprobe.WriteShardReport(os.Stderr, shardTel); err != nil {
-			fatal(err)
-		}
-	}
-	writeHostTrace(host, *hostTrace)
-	if *hostMetrics != "" {
-		reg := new(probe.Registry)
-		hostprobe.RegisterShardStats(reg, shardTel)
-		if err := writeFileWith(*hostMetrics, func(w io.Writer) error {
-			return probe.WritePrometheus(w, reg.Snapshot())
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *hostMetrics)
 	}
 	if view != nil {
 		fmt.Println("\nrun-time monitor:")

@@ -208,34 +208,45 @@ func TestTimelineGoldenTwoNodePingPong(t *testing.T) {
 }
 
 // Replicated runs derive a distinct seed per replica and report one row each,
-// plus the latency distribution merged over all of them — on the parallel
-// engine too, whose ledger is the merge of its shards'.
+// plus the latency distribution merged over all of them.
 func TestRunReplicated(t *testing.T) {
 	runOnce := func(m *machine.Machine) (*machine.Result, error) {
 		return m.RunProgram(workload.Jacobi1D(m.Streams(), 64, 2))
 	}
-	var latency []string
-	for _, shards := range []int{0, 2} {
-		cfg := machine.T805Grid(2, 2)
-		cfg.Shards = shards
-		var out bytes.Buffer
-		if err := runReplicated(&out, cfg, "jacobi", 3, 2, nil, nil, runOnce); err != nil {
-			t.Fatalf("shards %d: runReplicated: %v", shards, err)
-		}
-		if got := strings.Count(out.String(), "jacobi"); got != 4 { // header line + one row per replica
-			t.Errorf("shards %d: report mentions jacobi %d times, want 4 (3 replica rows):\n%s", shards, got, out.String())
-		}
-		if !strings.Contains(out.String(), "runs") {
-			t.Errorf("shards %d: report missing aggregate summary:\n%s", shards, out.String())
-		}
-		i := strings.Index(out.String(), "message latency over all replicas:")
-		if i < 0 {
-			t.Fatalf("shards %d: report missing the merged message latency:\n%s", shards, out.String())
-		}
-		latency = append(latency, out.String()[i:])
+	var out bytes.Buffer
+	if err := runReplicated(&out, machine.T805Grid(2, 2), "jacobi", 3, 2, nil, nil, runOnce); err != nil {
+		t.Fatalf("runReplicated: %v", err)
 	}
-	if latency[0] != latency[1] {
-		t.Errorf("merged latency differs between engines:\n%s%s", latency[0], latency[1])
+	if got := strings.Count(out.String(), "jacobi"); got != 4 { // header line + one row per replica
+		t.Errorf("report mentions jacobi %d times, want 4 (3 replica rows):\n%s", got, out.String())
+	}
+	if !strings.Contains(out.String(), "runs") {
+		t.Errorf("report missing aggregate summary:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "message latency over all replicas:") {
+		t.Errorf("report missing the merged message latency:\n%s", out.String())
+	}
+}
+
+// A host trace records the farm workers of a -repeats run; a single run has
+// none, so -host-trace without -repeats is refused rather than writing an
+// empty trace.
+func TestHostTraceNeedsRepeats(t *testing.T) {
+	dir := t.TempDir()
+	run := []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-host-trace", "h.json"}
+	code, stdout, stderr := runCLI(t, dir, run...)
+	if code == 0 || len(stdout) != 0 || !bytes.Contains(stderr, []byte("-host-trace")) {
+		t.Errorf("single run: exit %d, stdout %.80q, stderr %q; want a refusal naming -host-trace", code, stdout, stderr)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "h.json")); err == nil {
+		t.Error("the refused run wrote h.json")
+	}
+	code, _, stderr = runCLI(t, dir, append(run, "-repeats", "2", "-parallel", "1")...)
+	if code != 0 {
+		t.Fatalf("-repeats 2: exit %d, stderr %q", code, stderr)
+	}
+	if bytes.Contains(stderr, []byte("(0 host trace events)")) || !bytes.Contains(stderr, []byte("host trace events")) {
+		t.Errorf("-repeats 2: stderr %q; want a non-empty host trace written", stderr)
 	}
 }
 
@@ -478,7 +489,6 @@ func TestNonPositiveSizesRefused(t *testing.T) {
 		{"-monitor", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-monitor", "-5"}},
 		{"-repeats", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "0"}},
 		{"-repeats", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "-3"}},
-		{"-shards", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-shards", "-2"}},
 		{"-parallel", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "2", "-parallel", "0"}},
 		{"-parallel", []string{"-preset", "t805-2x2", "-app", "jacobi", "-iters", "2", "-repeats", "2", "-parallel", "-4"}},
 		{"-parallel", []string{"pipeline", "run", "-grid", "grid.json", "-out", "refused", "-parallel", "0"}},

@@ -63,14 +63,6 @@ type Injector struct {
 	pending []transition
 	next    int
 
-	// eager marks an injector whose transition events were all scheduled at
-	// construction (one daemon per distinct instant) instead of chained one
-	// at a time. Shard replicas need this: construction-time events get the
-	// smallest sequence numbers, so a transition always fires before any
-	// model event of the same instant regardless of how the machine was
-	// partitioned.
-	eager bool
-
 	onChange []func()
 
 	drops       stats.Counter
@@ -88,22 +80,6 @@ type Injector struct {
 // Validate for the topology's node count; link faults and noise must name
 // adjacent node pairs.
 func NewInjector(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *pearl.RNG, pb *probe.Probe) (*Injector, error) {
-	return newInjector(k, topo, sched, rng, pb, false)
-}
-
-// NewInjectorEager builds an injector with every transition scheduled as
-// its own daemon event at construction time, rather than chained lazily one
-// instant at a time. The applied fault states are identical; what changes
-// is sequence-number assignment: construction-time events precede every
-// event the model schedules while running, so a same-instant race between a
-// topology change and a routing decision always resolves in the
-// transition's favour. The sharded machine runner replicates one eager
-// injector per shard for exactly this property.
-func NewInjectorEager(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *pearl.RNG, pb *probe.Probe) (*Injector, error) {
-	return newInjector(k, topo, sched, rng, pb, true)
-}
-
-func newInjector(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *pearl.RNG, pb *probe.Probe, eager bool) (*Injector, error) {
 	if sched.Empty() {
 		return nil, fmt.Errorf("fault: empty schedule needs no injector")
 	}
@@ -122,7 +98,6 @@ func newInjector(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *p
 		linkDown: make([]int, topo.Nodes()*topo.Degree()),
 		nodeDown: make([]int, topo.Nodes()),
 		tl:       pb.Timeline(),
-		eager:    eager,
 	}
 	if err := inj.applyNoise(); err != nil {
 		return nil, err
@@ -132,14 +107,7 @@ func newInjector(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *p
 	}
 	inj.makeTracks()
 	inj.registerMetrics(pb.Registry())
-	switch {
-	case eager:
-		for i, tr := range inj.pending {
-			if i == 0 || tr.at != inj.pending[i-1].at {
-				inj.k.AtDaemon(tr.at, inj.fire)
-			}
-		}
-	case len(inj.pending) > 0:
+	if len(inj.pending) > 0 {
 		inj.scheduleNext()
 	}
 	return inj, nil
@@ -254,7 +222,7 @@ func (inj *Injector) fire() {
 	for _, fn := range inj.onChange {
 		fn()
 	}
-	if !inj.eager && inj.next < len(inj.pending) {
+	if inj.next < len(inj.pending) {
 		inj.scheduleNext()
 	}
 }
@@ -318,41 +286,6 @@ func (inj *Injector) HopFate(node, port int) Fate {
 		return corrupted
 	}
 	return OK
-}
-
-// FateWith draws the outcome of one hop out of `node` via `port` like
-// HopFate, but from a caller-supplied stream instead of the injector's
-// private one. The sharded transport keeps one stream per directed link
-// (see LinkStream): draw order on a link equals grant order on that link,
-// which is deterministic, so noisy runs stay byte-identical at any shard
-// count. Counting (drops, corruptions) lands on this injector.
-func (inj *Injector) FateWith(r *pearl.RNG, node, port int) Fate {
-	if inj == nil || !inj.noisy {
-		return OK
-	}
-	idx := node*inj.deg + port
-	d, c := inj.drop[idx], inj.corrupt[idx]
-	if d == 0 && c == 0 {
-		return OK
-	}
-	u := r.Float64()
-	switch {
-	case u < d:
-		inj.drops.Inc()
-		return dropped
-	case u < d+c:
-		inj.corruptions.Inc()
-		return corrupted
-	}
-	return OK
-}
-
-// LinkStream derives the private noise stream of one directed link (its
-// flat node*degree+port index) from the machine seed. The derivation is a
-// pure function of (seed, link), independent of construction order or
-// machine partitioning — the property FateWith's determinism argument needs.
-func LinkStream(seed uint64, link int) *pearl.RNG {
-	return pearl.NewRNG(seed).Derive(rngStream).Derive(uint64(link) + 1)
 }
 
 // CountDrop records a packet lost to a down link or node (window faults, as
@@ -485,19 +418,11 @@ func (inj *Injector) registerMetrics(reg *probe.Registry) {
 // Stats reports the degraded-mode accounting of a run that ended at end, as
 // the report's "faults" set: the packets lost in transit (drops) and
 // damaged (corruptions), and the downtime of every node the schedule can
-// crash. replicas are the run's injectors, one per shard. A drop or a
-// corruption is counted by the replica that saw it, so those are summed;
-// every replica applies the same schedule, so downtime is the first's.
-func Stats(end pearl.Time, replicas ...*Injector) *stats.Set {
-	var drops, corruptions uint64
-	for _, r := range replicas {
-		drops += r.drops.Value()
-		corruptions += r.corruptions.Value()
-	}
+// crash.
+func (inj *Injector) Stats(end pearl.Time) *stats.Set {
 	s := stats.NewSet("faults")
-	s.PutUint("drops", drops, "")
-	s.PutUint("corruptions", corruptions, "")
-	inj := replicas[0]
+	s.PutUint("drops", inj.drops.Value(), "")
+	s.PutUint("corruptions", inj.corruptions.Value(), "")
 	for _, node := range inj.crashable() {
 		s.PutInt(fmt.Sprintf("node%d downtime", node), int64(inj.downtimeUpTo(node, end)), "cyc")
 	}

@@ -1,7 +1,7 @@
 // Package hostprobe is the workbench's telemetry about itself: wall-clock
-// observability for the host-side machinery — the parallel engine's
-// barriers, the farm's workers, the service's job lifecycle — as opposed to
-// internal/probe, which watches the *simulated* machine in virtual time.
+// observability for the host-side machinery — the farm's workers, the
+// service's job lifecycle — as opposed to internal/probe, which watches the
+// *simulated* machine in virtual time.
 //
 // The two layers share formats but never mix data: a probe timeline's
 // timestamps are simulated cycles, a hostprobe trace's are wall-clock
@@ -28,8 +28,8 @@ import (
 // export, Perfetto-loadable next to a virtual-time probe timeline. It
 // reuses the probe timeline recorder and its JSON writer; timestamps are
 // microseconds since the trace was created. Unlike the single-goroutine
-// probe timeline, a host trace is fed concurrently — shard workers, farm
-// workers, HTTP handlers — so every method locks.
+// probe timeline, a host trace is fed concurrently — farm workers, HTTP
+// handlers — so every method locks.
 type Trace struct {
 	mu sync.Mutex
 	t0 time.Time
@@ -42,7 +42,7 @@ func NewTrace() *Trace {
 }
 
 // Track returns (creating on first use) the track with the given dotted
-// name, e.g. "shard.0" or "farm.w3". The first dot segment groups tracks
+// name, e.g. "farm.w3". The first dot segment groups tracks
 // into one Perfetto process row.
 func (t *Trace) Track(name string) probe.Track {
 	if t == nil {

@@ -3,13 +3,9 @@ package hostprobe
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 )
 
 // traceDoc mirrors the Chrome trace-event export for validation.
@@ -132,115 +128,4 @@ func TestTraceConcurrent(t *testing.T) {
 		t.Fatalf("Events() = %d, want 800", got)
 	}
 	decodeTrace(t, tr)
-}
-
-// TestShardSpansAndReport drives a real sharded simulation with telemetry
-// and the span hook attached, then checks the trace, the text report and
-// the registry gauges against the telemetry record.
-func TestShardSpansAndReport(t *testing.T) {
-	const shards = 4
-	g := pearl.NewShardGroup(shards, 8)
-	tel := g.EnableTelemetry()
-	tr := NewTrace()
-	ShardSpans(tr, g)
-
-	// A ring of cross-shard ping events: each shard forwards to the next at
-	// +lookahead, for a fixed number of hops.
-	var hops int
-	var step func(src int, at pearl.Time)
-	step = func(src int, at pearl.Time) {
-		if hops++; hops >= 64 {
-			return
-		}
-		dst := (src + 1) % shards
-		g.Send(src, dst, at+8, uint64(hops), 0, func() { step(dst, at+8) })
-	}
-	g.Kernel(0).At(0, func() { step(0, 0) })
-	g.Run()
-
-	if tel.Windows == 0 {
-		t.Fatal("no windows recorded")
-	}
-	if tel.WindowEvents.Count != tel.Windows {
-		t.Errorf("WindowEvents.Count = %d, Windows = %d", tel.WindowEvents.Count, tel.Windows)
-	}
-	if tel.Advance.Count != tel.Windows-1 {
-		t.Errorf("Advance.Count = %d, want Windows-1 = %d", tel.Advance.Count, tel.Windows-1)
-	}
-	var sent, traffic uint64
-	for i := range tel.Shards {
-		sent += tel.Shards[i].Sent
-	}
-	for _, c := range tel.Traffic {
-		traffic += c
-	}
-	if sent == 0 || sent != traffic {
-		t.Errorf("Sent total %d vs Traffic total %d; want equal and > 0", sent, traffic)
-	}
-
-	// One span per shard per window, all named "window".
-	doc := decodeTrace(t, tr)
-	var windowSpans int
-	for _, ev := range doc.TraceEvents {
-		if ev.Ph == "X" && ev.Name == "window" {
-			windowSpans++
-		}
-	}
-	if want := int(tel.Windows) * shards; windowSpans != want {
-		t.Errorf("trace has %d window spans, want %d (windows %d x shards %d)",
-			windowSpans, want, tel.Windows, shards)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteShardReport(&buf, tel); err != nil {
-		t.Fatalf("WriteShardReport: %v", err)
-	}
-	out := buf.String()
-	for _, want := range []string{"parallel efficiency:", "busy%", "imbalance:",
-		"window advance (cyc)", "events/window", "cross-shard events:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q:\n%s", want, out)
-		}
-	}
-
-	reg := &probe.Registry{}
-	RegisterShardStats(reg, tel)
-	for _, want := range []string{"host.windows", "host.efficiency", "host.shard0.busy", "host.shard3.events"} {
-		if reg.Lookup(want) == nil {
-			t.Errorf("registry missing gauge %q", want)
-		}
-	}
-	if e := reg.Lookup("host.windows"); e != nil && e.Read() != float64(tel.Windows) {
-		t.Errorf("host.windows gauge = %v, want %d", e.Read(), tel.Windows)
-	}
-}
-
-func TestWriteShardReportNil(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteShardReport(&buf, nil); err != nil {
-		t.Fatalf("nil telemetry: %v", err)
-	}
-	if buf.Len() != 0 {
-		t.Errorf("nil telemetry wrote %q", buf.String())
-	}
-}
-
-func TestLogHistBuckets(t *testing.T) {
-	var h pearl.LogHist
-	for _, v := range []uint64{0, 1, 2, 3, 4, 1000} {
-		h.Observe(v)
-	}
-	if h.Count != 6 || h.MinV != 0 || h.MaxV != 1000 {
-		t.Fatalf("Count=%d Min=%d Max=%d", h.Count, h.MinV, h.MaxV)
-	}
-	lo, hi := h.BucketRange()
-	if lo != 0 || hi != 11 { // 1000 has bit length 10 -> bucket 10
-		t.Errorf("BucketRange = (%d, %d), want (0, 11)", lo, hi)
-	}
-	if blo, bhi := h.BucketBounds(0); blo != 0 || bhi != 1 {
-		t.Errorf("BucketBounds(0) = (%d, %d)", blo, bhi)
-	}
-	if blo, bhi := h.BucketBounds(3); blo != 4 || bhi != 8 {
-		t.Errorf("BucketBounds(3) = (%d, %d)", blo, bhi)
-	}
 }

@@ -152,7 +152,7 @@ func TestEmptyFaultScheduleBuildsNoInjector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.injs != nil {
+	if m.inj != nil {
 		t.Error("inert schedule built an injector")
 	}
 }

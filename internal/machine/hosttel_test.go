@@ -1,82 +1,48 @@
 package machine
 
 import (
-	"bytes"
 	"testing"
-
-	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
-	"mermaid/internal/sim"
-	"mermaid/internal/stats"
-	"mermaid/internal/stochastic"
 )
 
 // TestShardTelemetryDoesNotPerturb pins the host-telemetry guarantee: a
-// sharded run with telemetry and the window-span hook enabled produces a
-// byte-identical stats report and virtual-time timeline to the same run
-// without them, at every shard count.
+// sharded run with telemetry enabled produces a byte-identical stats report
+// to the same run without it, at every shard count.
 func TestShardTelemetryDoesNotPerturb(t *testing.T) {
-	cfg := T805GridTaskLevel(2, 2)
-	cfg.Seed = 7
-	desc := stochastic.Desc{
-		Name: "hosttel", Nodes: 4, Level: stochastic.TaskLevel, Seed: 11, Iterations: 8,
-		Phases: []stochastic.Phase{{
-			Duration: 3000, CV: 0.3,
-			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024, Jitter: true},
-		}},
-	}
-
-	run := func(shards int, observe bool) (string, string, *pearl.ShardTelemetry) {
+	c := taskShardCase()
+	run := func(shards int, observe bool) (string, float64) {
 		t.Helper()
-		c := cfg
-		c.Shards = shards
-		pb := probe.New(probe.Config{Timeline: true})
-		m, err := Build(sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(c.Seed), Probe: pb}, c)
+		cfg := c.cfg
+		cfg.Shards = shards
+		m, err := New(cfg)
 		if err != nil {
 			t.Fatalf("shards=%d: build: %v", shards, err)
 		}
-		var tel *pearl.ShardTelemetry
+		var eff func() float64
 		if observe {
 			g := m.ShardGroup()
 			if g == nil {
 				t.Fatalf("shards=%d: no shard group", shards)
 			}
-			tel = g.EnableTelemetry()
-			g.SetWindowSpanHook(func(pearl.WindowSpan) {})
+			eff = g.EnableTelemetry().Efficiency
 		}
-		res, err := m.RunStochastic(desc)
+		res, _, err := runCounted(m, c.streams)
 		if err != nil {
 			t.Fatalf("shards=%d: run: %v", shards, err)
 		}
-		var report bytes.Buffer
-		if err := stats.RenderSet(&report, res.Stats); err != nil {
-			t.Fatal(err)
+		if eff == nil {
+			return renderStats(t, res.Stats), 0
 		}
-		var tl bytes.Buffer
-		if err := m.MergedTimeline().WriteJSON(&tl); err != nil {
-			t.Fatal(err)
-		}
-		return report.String(), tl.String(), tel
+		return renderStats(t, res.Stats), eff()
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		plainRep, plainTL, _ := run(shards, false)
-		obsRep, obsTL, tel := run(shards, true)
-		if obsRep != plainRep {
+		plain, _ := run(shards, false)
+		observed, eff := run(shards, true)
+		if observed != plain {
 			t.Errorf("shards=%d: telemetry changed the stats report", shards)
 		}
-		if obsTL != plainTL {
-			t.Errorf("shards=%d: telemetry changed the timeline export", shards)
-		}
-		if tel.Windows == 0 {
-			t.Errorf("shards=%d: telemetry recorded no windows", shards)
-		}
-		var events uint64
-		for i := range tel.Shards {
-			events += tel.Shards[i].Events
-		}
-		if events == 0 {
-			t.Errorf("shards=%d: telemetry recorded no events", shards)
+		if eff <= 0 || eff > 1 {
+			t.Errorf("shards=%d: efficiency %v, want (0, 1]", shards, eff)
 		}
 	}
 }

@@ -88,8 +88,9 @@ type Config struct {
 	// each owning a discrete-event kernel, synchronised in lookahead-sized
 	// windows derived from the minimum link latency. Results are
 	// byte-identical at any shard count. Zero selects the single-kernel
-	// engine. Requires a networked machine; wormhole switching, non-minimal
-	// routing, and DSM are not supported (see DESIGN.md §8).
+	// engine, which gives the same report. The engine runs only an
+	// unobserved, fault-free task-level machine with minimal routing and
+	// store-and-forward or cut-through switching (see DESIGN.md §8).
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -162,11 +163,12 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: %d shards", c.Shards)
 	}
 	if c.Shards > 0 {
-		if !c.hasNetwork() {
-			return fmt.Errorf("machine: the parallel engine requires a networked (multi-node) machine")
-		}
-		if c.DSM != nil {
-			return fmt.Errorf("machine: virtual shared memory is not supported with shards")
+		const single = "; the single kernel (shards 0) gives the same report"
+		switch {
+		case c.Mode != TaskLevel:
+			return fmt.Errorf("machine: the parallel engine runs task-level machines only%s", single)
+		case !c.Faults.Empty():
+			return fmt.Errorf("machine: fault schedules are not supported with shards%s", single)
 		}
 	}
 	return nil
@@ -211,17 +213,14 @@ type Machine struct {
 	net   *network.Network // the single-kernel fabric; nil without a network or with shards
 	nodes []*node.Node
 	dsm   *dsm.Layer
-	injs  []*fault.Injector // one replica per shard, the first closing the fault timeline; nil without faults
+	inj   *fault.Injector // nil without faults
 	col   *analysis.Collector
 	ran   bool // one run per machine
 
-	// Parallel-engine state (nil/empty when cfg.Shards == 0): the shard
-	// group, the sharded fabric and the per-shard construction environments
-	// (kernel, RNG root, probe). k then aliases shard 0's kernel; net stays
-	// nil and snet carries the fabric.
+	// Parallel-engine state (nil when cfg.Shards == 0): the shard group and
+	// the sharded fabric. k then aliases shard 0's kernel and net stays nil.
 	group *pearl.ShardGroup
 	snet  *network.ShardedNetwork
-	envs  []sim.Env
 }
 
 // New builds the machine in a fresh environment seeded from the
@@ -294,7 +293,7 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.injs = []*fault.Injector{inj}
+		m.inj = inj
 		m.net.AttachFaults(inj)
 	}
 	return m, nil
@@ -308,8 +307,8 @@ func (m *Machine) Kernel() *pearl.Kernel { return m.k }
 
 // ShardGroup returns the parallel engine's shard group, or nil when the
 // machine runs single-kernel (cfg.Shards == 0). Callers use it to attach
-// host-side telemetry (pearl.ShardGroup.EnableTelemetry, window-span
-// hooks); host observation never affects simulated results.
+// host-side telemetry (pearl.ShardGroup.EnableTelemetry); host observation
+// never affects simulated results.
 func (m *Machine) ShardGroup() *pearl.ShardGroup { return m.group }
 
 // Network returns the traffic ledger of the machine's communication model,
@@ -437,9 +436,7 @@ func (m *Machine) Run(srcs []trace.Source) (*Result, error) {
 
 	// Close fault accounting at the run's end: down-window spans are clipped
 	// to the measured length before the timeline is flushed.
-	if m.injs != nil {
-		m.injs[0].Finish(cycles)
-	}
+	m.inj.Finish(cycles)
 
 	for _, nd := range m.nodes {
 		if err := nd.Err(); err != nil {
@@ -548,6 +545,21 @@ func (m *Machine) kernels() []*pearl.Kernel {
 	return ks
 }
 
+// events returns the run's event count: under the parallel engine, the sum
+// of the shard kernels' counts.
+func (m *Machine) events() uint64 {
+	var total uint64
+	for _, k := range m.kernels() {
+		total += k.EventCount()
+	}
+	return total
+}
+
+// MergedTimeline returns the timeline to export, nil when the machine was
+// built without timeline tracing. Only the single kernel records one: the
+// parallel engine refuses probes.
+func (m *Machine) MergedTimeline() *probe.Timeline { return m.pb.Timeline() }
+
 // Result is the outcome of one simulation run.
 type Result struct {
 	// Cycles is the simulated execution time of the target machine.
@@ -591,8 +603,8 @@ func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
 	if t := m.Network(); t != nil {
 		root.Subsets = append(root.Subsets, t.Stats())
 	}
-	if m.injs != nil {
-		root.Subsets = append(root.Subsets, fault.Stats(cycles, m.injs...))
+	if m.inj != nil {
+		root.Subsets = append(root.Subsets, m.inj.Stats(cycles))
 	}
 	if m.dsm != nil {
 		root.Subsets = append(root.Subsets, m.dsm.Stats())

@@ -6,30 +6,28 @@ import (
 	"strings"
 	"testing"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
-	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
 	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
-	"mermaid/internal/trace"
-	"mermaid/internal/workload"
 )
 
 // runShardedReport builds cfg with the given shard count and runs the case's
-// streams, returning the rendered stats report, the exported timeline and the
-// merged ledger's reading (all byte-for-byte comparable across shard counts).
-// The run must conserve its traffic.
-func runShardedReport(t *testing.T, cfg Config, shards int, s streams) (string, string, string) {
+// streams, returning the rendered stats report and the merged ledger's
+// reading (both byte-for-byte comparable across shard counts). The run must
+// conserve its traffic.
+func runShardedReport(t *testing.T, c engineCase, shards int) (string, string) {
 	t.Helper()
+	cfg := c.cfg
 	cfg.Shards = shards
-	pb := probe.New(probe.Config{Timeline: true})
-	m, err := Build(sim.Env{Kernel: pearl.NewKernel(), RNG: pearl.NewRNG(cfg.Seed), Probe: pb}, cfg)
+	m, err := New(cfg)
 	if err != nil {
 		t.Fatalf("shards=%d: build: %v", shards, err)
 	}
-	res, syncSends, err := runCounted(m, s)
+	res, syncSends, err := runCounted(m, c.streams)
 	if err != nil {
 		t.Fatalf("shards=%d: run: %v", shards, err)
 	}
@@ -38,54 +36,15 @@ func runShardedReport(t *testing.T, cfg Config, shards int, s streams) (string, 
 	if err := stats.RenderSet(&report, res.Stats); err != nil {
 		t.Fatalf("shards=%d: render: %v", shards, err)
 	}
-	var tl bytes.Buffer
-	if err := m.MergedTimeline().WriteJSON(&tl); err != nil {
-		t.Fatalf("shards=%d: timeline: %v", shards, err)
-	}
-	return report.String(), tl.String(), ledgerReading(t, m)
+	return report.String(), ledgerReading(t, m)
 }
 
-// checkShardInvariance runs the model at 1, 2 and 4 shards and requires the
-// full stats report and the timeline export to be byte-identical — the
-// determinism gate of the parallel engine.
-func checkShardInvariance(t *testing.T, cfg Config, s streams) {
-	t.Helper()
-	ref, refTL, refLedger := runShardedReport(t, cfg, 1, s)
-	if !strings.Contains(ref, "messages") {
-		t.Fatalf("reference report looks empty:\n%s", ref)
-	}
-	for _, shards := range []int{2, 4} {
-		got, gotTL, gotLedger := runShardedReport(t, cfg, shards, s)
-		if got != ref {
-			t.Errorf("shards=%d: stats report differs from shards=1\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
-				shards, ref, shards, got)
-		}
-		if gotTL != refTL {
-			t.Errorf("shards=%d: timeline differs from shards=1 (%d vs %d bytes)",
-				shards, len(gotTL), len(refTL))
-		}
-		if gotLedger != refLedger {
-			t.Errorf("shards=%d: ledger differs from shards=1\nshards=1: %s\nshards=%d: %s",
-				shards, refLedger, shards, gotLedger)
-		}
-	}
-}
-
-// shardCase is one machine and workload whose reports and timelines must not
-// depend on the shard count.
-type shardCase struct {
-	name    string
-	cfg     Config
-	streams streams
-}
-
-func shardCases() []shardCase {
-	pingpong := T805Grid(2, 1)
-	pingpong.Seed = 42
-	// Task-level mode: abstract processors on the sharded fabric, driven by
-	// a stochastic neighbour-exchange application with load imbalance and
-	// message-size jitter (every draw comes from per-stream RNGs, so the
-	// trace is the same at any shard count).
+// taskShardCase is the machine and workload whose report must not depend on
+// the shard count: abstract processors on the sharded fabric, driven by a
+// stochastic neighbour-exchange application with load imbalance and
+// message-size jitter (every draw comes from per-stream RNGs, so the trace
+// is the same at any shard count).
+func taskShardCase() engineCase {
 	task := T805GridTaskLevel(2, 2)
 	task.Seed = 7
 	desc := stochastic.Desc{
@@ -98,70 +57,71 @@ func shardCases() []shardCase {
 			Comm:     stochastic.Comm{Pattern: stochastic.Exchange, Bytes: 256, Async: true},
 		}},
 	}
-	jacobi := T805Grid(2, 2)
-	jacobi.Seed = 7
-	// The fault-resilience experiment's machine: link down-windows, packet
-	// noise and retransmission all active at once, which exercises the
-	// replicated injectors, the per-link noise streams and the cross-shard
-	// retransmission restarts.
-	faulted := T805Grid(2, 2)
-	faulted.Seed = 99
-	faulted.Faults = &fault.Schedule{
-		Links: []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 10_000, To: 200_000}}},
-		Noise: []fault.LinkNoise{{A: -1, B: -1, Drop: 0.01}},
-		Retrans: fault.Retrans{
-			Timeout:    200,
-			Backoff:    2,
-			MaxRetries: 16,
-		},
-	}
-	return []shardCase{
-		// Two nodes cap the useful shard count at 2; the engine clamps 4 to 2.
-		{"PingPong", pingpong, programStreams(func() *trace.Program { return workload.PingPong(20, 1500) })},
-		{"TaskLevel", task, stochasticStreams(desc)},
-		{"JacobiDetailed", jacobi, programStreams(func() *trace.Program { return workload.Jacobi1D(4, 64, 3) })},
-		{"UnderFaults", faulted, programStreams(func() *trace.Program { return workload.Jacobi1D(4, 256, 6) })},
-	}
+	return engineCase{"TaskLevel", task, stochasticStreams(desc)}
 }
 
-// checkShardCase runs the named shardCases entry through checkShardInvariance.
-func checkShardCase(t *testing.T, name string) {
-	t.Helper()
-	for _, c := range shardCases() {
-		if c.name == name {
-			checkShardInvariance(t, c.cfg, c.streams)
-			return
+// TestShardInvarianceTaskLevel runs the task-level case at 1, 2 and 4 shards
+// and requires the full stats report and the ledger to be byte-identical —
+// the determinism gate of the parallel engine.
+func TestShardInvarianceTaskLevel(t *testing.T) {
+	c := taskShardCase()
+	ref, refLedger := runShardedReport(t, c, 1)
+	if !strings.Contains(ref, "messages") {
+		t.Fatalf("reference report looks empty:\n%s", ref)
+	}
+	for _, shards := range []int{2, 4} {
+		got, gotLedger := runShardedReport(t, c, shards)
+		if got != ref {
+			t.Errorf("shards=%d: stats report differs from shards=1\n--- shards=1 ---\n%s\n--- shards=%d ---\n%s",
+				shards, ref, shards, got)
+		}
+		if gotLedger != refLedger {
+			t.Errorf("shards=%d: ledger differs from shards=1\nshards=1: %s\nshards=%d: %s",
+				shards, refLedger, shards, gotLedger)
 		}
 	}
-	t.Fatalf("no shard case %q", name)
 }
 
-func TestShardInvariancePingPong(t *testing.T) {
-	checkShardCase(t, "PingPong")
-}
-
-func TestShardInvarianceTaskLevel(t *testing.T) {
-	checkShardCase(t, "TaskLevel")
-}
-
-func TestShardInvarianceJacobiDetailed(t *testing.T) {
-	checkShardCase(t, "JacobiDetailed")
-}
-
-func TestShardInvarianceUnderFaults(t *testing.T) {
-	checkShardCase(t, "UnderFaults")
-}
-
+// TestShardedRejectsUnsupported holds every configuration the parallel
+// engine does not run to an error — never a panic — and every refusal that
+// the single kernel runs the same machine to saying so.
 func TestShardedRejectsUnsupported(t *testing.T) {
-	cfg := T805GridTaskLevel(2, 2)
-	cfg.Shards = 2
-	cfg.Network.Router.Switching = router.Wormhole
-	if _, err := New(cfg); err == nil {
-		t.Fatalf("wormhole switching accepted with shards")
+	task := func(shards int) Config {
+		cfg := T805GridTaskLevel(2, 2)
+		cfg.Shards = shards
+		return cfg
 	}
-	cfg = T805GridTaskLevel(2, 2)
-	cfg.Shards = -1
-	if _, err := New(cfg); err == nil {
-		t.Fatalf("negative shard count accepted")
+	const single = "the single kernel (shards 0) gives the same report"
+	wormhole := task(2)
+	wormhole.Network.Router.Switching = router.Wormhole
+	detailed := T805Grid(2, 2)
+	detailed.Shards = 2
+	faulted := task(2)
+	faulted.Faults = &fault.Schedule{Noise: []fault.LinkNoise{{A: -1, B: -1, Drop: 0.01}}}
+	plain := func(seed uint64) sim.Env { return sim.NewEnv(seed, nil) }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		env  func(seed uint64) sim.Env
+		want string // a part of the error; "" for any error
+	}{
+		{"wormhole", wormhole, plain, ""},
+		{"negative", task(-1), plain, ""},
+		{"detailed", detailed, plain, single},
+		{"faults", faulted, plain, single},
+		{"registry probe", task(2), func(seed uint64) sim.Env {
+			return sim.NewEnv(seed, probe.New(probe.Config{}))
+		}, single},
+		{"timeline probe", task(2), func(seed uint64) sim.Env {
+			return sim.NewEnv(seed, probe.New(probe.Config{Timeline: true}))
+		}, single},
+		{"collector", task(2), func(seed uint64) sim.Env {
+			return plain(seed).WithCollector(analysis.New())
+		}, single},
+	} {
+		_, err := Build(tc.env(tc.cfg.Seed), tc.cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a refusal containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -42,9 +42,13 @@ import (
 // engine/WormholeUnderFaults entries were printed by the packet walker that
 // kept its waiters in a map and each worm's channels in a slice, the last
 // tree before the walker's state became one record per channel. The five
-// entries under faults and the twelve shards/* entries were re-printed when
-// fault accounting joined the report and the shards' merged registry left
-// it.
+// entries under faults and the shards/* entries were re-printed when fault
+// accounting joined the report and the shards' merged registry left it.
+// When the parallel engine narrowed to unobserved, fault-free task-level
+// machines, the tree before it printed the kernel/* entries — the machines
+// it had run on shards, observed on the single kernel (the third, Jacobi on
+// a 2×2 T805 grid, is detailed/T805Grid(2,2)) — and the shards/TaskLevel/*
+// entries without a probe.
 var trafficDigests = map[string]string{
 	"detailed/DSMCluster(2,2)":              "1c71488d4bb26d3400f95bc5",
 	"detailed/HybridCluster(2,2,2)":         "9bdfc3c5cf844a08fc9a4ca0",
@@ -70,28 +74,24 @@ var trafficDigests = map[string]string{
 	"engine/WormholeTorus3D/plain":          "5a0b604871e0a177069d8b7d",
 	"engine/WormholeUnderFaults/observed":   "28f37021b1c9896eaf7d3c3a",
 	"engine/WormholeUnderFaults/plain":      "c79c4cae51d399bf900bad07",
-	"shards/JacobiDetailed/1":               "7eed9b1faf31470af8828119",
-	"shards/JacobiDetailed/2":               "7eed9b1faf31470af8828119",
-	"shards/JacobiDetailed/4":               "7eed9b1faf31470af8828119",
-	"shards/PingPong/1":                     "31ebfec56da63346196cb154",
-	"shards/PingPong/2":                     "31ebfec56da63346196cb154",
-	"shards/PingPong/4":                     "31ebfec56da63346196cb154",
-	"shards/TaskLevel/1":                    "85f1bdc84a3af1d819f7926e",
-	"shards/TaskLevel/2":                    "85f1bdc84a3af1d819f7926e",
-	"shards/TaskLevel/4":                    "85f1bdc84a3af1d819f7926e",
-	"shards/UnderFaults/1":                  "2bccecce676ac22bba94fd3e",
-	"shards/UnderFaults/2":                  "2bccecce676ac22bba94fd3e",
-	"shards/UnderFaults/4":                  "2bccecce676ac22bba94fd3e",
+	"kernel/PingPong":                       "7f4f6d2e7b2ded53ff0f69e4",
+	"kernel/UnderFaults":                    "272449a954ae86feb1c6bfca",
+	"shards/TaskLevel/1":                    "d314f8fb7c4a36c730921485",
+	"shards/TaskLevel/2":                    "d314f8fb7c4a36c730921485",
+	"shards/TaskLevel/4":                    "d314f8fb7c4a36c730921485",
 }
 
 // artifactDigest runs cfg, observed or with a bare probe, and hashes every
-// artifact of the run. Observed means the timeline, plus the bottleneck
-// collector on a single kernel (shards reject it).
+// artifact of the run. Observed means the timeline and the bottleneck
+// collector. Shards refuse every observer, so a sharded run has no probe.
 func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) (*Result, error)) string {
 	t.Helper()
-	pb := probe.New(probe.Config{Timeline: observed})
+	var pb *probe.Probe
+	if cfg.Shards == 0 {
+		pb = probe.New(probe.Config{Timeline: observed})
+	}
 	env := sim.NewEnv(cfg.Seed, pb)
-	if observed && cfg.Shards == 0 {
+	if observed {
 		env = env.WithCollector(analysis.New())
 	}
 	m, err := Build(env, cfg)
@@ -175,16 +175,21 @@ func TestTrafficDigests(t *testing.T) {
 			})
 		}
 	}
-	for _, c := range shardCases() {
-		for _, shards := range []int{1, 2, 4} {
-			cfg := c.cfg
-			cfg.Shards = shards
-			s := c.streams
-			got[fmt.Sprintf("shards/%s/%d", c.name, shards)] = artifactDigest(t, cfg, true, func(m *Machine) (*Result, error) {
-				res, _, err := runCounted(m, s)
-				return res, err
-			})
-		}
+	for _, c := range kernelCases() {
+		s := c.streams
+		got["kernel/"+c.name] = artifactDigest(t, c.cfg, true, func(m *Machine) (*Result, error) {
+			res, _, err := runCounted(m, s)
+			return res, err
+		})
+	}
+	task := taskShardCase()
+	for _, shards := range []int{1, 2, 4} {
+		cfg := task.cfg
+		cfg.Shards = shards
+		got[fmt.Sprintf("shards/%s/%d", task.name, shards)] = artifactDigest(t, cfg, false, func(m *Machine) (*Result, error) {
+			res, _, err := runCounted(m, task.streams)
+			return res, err
+		})
 	}
 	got["detailed/T805Grid(2,2)"] = artifactDigest(t, T805Grid(2, 2), true, func(m *Machine) (*Result, error) {
 		return m.RunProgram(workload.Jacobi1D(4, 64, 3))
@@ -248,5 +253,29 @@ func detailedFabricCases() map[string]Config {
 		"detailed/T805Grid(3,3)/Wormhole":       worm,
 		"detailed/T805Grid(3,3)/VCTAdaptive":    adaptive,
 		"detailed/T805Grid(2,2)/VCTUnderFaults": faulted,
+	}
+}
+
+// kernelCases are two machines the parallel engine ran before it narrowed to
+// task-level machines, now pinned on the single kernel: a detailed ping-pong
+// between two T805 nodes, and Jacobi on a 2×2 grid with a link down-window,
+// packet noise and retransmission all active at once.
+func kernelCases() []engineCase {
+	pingpong := T805Grid(2, 1)
+	pingpong.Seed = 42
+	faulted := T805Grid(2, 2)
+	faulted.Seed = 99
+	faulted.Faults = &fault.Schedule{
+		Links: []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 10_000, To: 200_000}}},
+		Noise: []fault.LinkNoise{{A: -1, B: -1, Drop: 0.01}},
+		Retrans: fault.Retrans{
+			Timeout:    200,
+			Backoff:    2,
+			MaxRetries: 16,
+		},
+	}
+	return []engineCase{
+		{"PingPong", pingpong, programStreams(func() *trace.Program { return workload.PingPong(20, 1500) })},
+		{"UnderFaults", faulted, programStreams(func() *trace.Program { return workload.Jacobi1D(4, 256, 6) })},
 	}
 }

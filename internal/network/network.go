@@ -7,7 +7,7 @@
 //
 // The model runs on two fabrics: Network, the single-kernel engine every
 // machine without shards is built on, and ShardedNetwork, the conservative
-// parallel fabric. Both run packets and task-level nodes as plain kernel
+// parallel fabric of unobserved, fault-free task-level machines. Both run packets and task-level nodes as plain kernel
 // events — no packet or node owns a stack — and each keeps only what it
 // runs: its packet walker, its link state and how it delivers. What they
 // share is written once. NodeIf is every node's interface: Table 1 matching,

@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"mermaid/internal/fault"
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 	"mermaid/internal/router"
-	"mermaid/internal/sim"
 )
 
 // ShardedNetwork is the communication fabric of the conservative parallel
@@ -30,8 +27,9 @@ import (
 //     shard group injects them in that canonical order.
 //
 // Together these make a run byte-identical at any shard count, which the
-// machine layer verifies in its tests and which makes `-shards` safe to use
-// for any experiment the sharded engine accepts.
+// machine layer verifies in its tests. The fabric carries no fault plan and
+// no observer: the machine refuses both on shards, where the single kernel
+// gives the same report.
 type ShardedNetwork struct {
 	fabric
 	group *pearl.ShardGroup
@@ -39,32 +37,19 @@ type ShardedNetwork struct {
 	deg   int
 	hop   pearl.Time // per-hop header latency: routing decision + propagation
 
-	shards []*netShard
+	// shards holds each shard's traffic ledger: its kernel and its share of
+	// the counters. A metric is counted on whichever shard observes the
+	// event; Traffic merges the ledgers.
+	shards []*Traffic
 	links  []*slink     // directed, single virtual channel, indexed node*deg+port
 	procs  []Processor  // per node: its interface and abstract processor; never resized
 	bufs   []arrivalBuf // per node, same index space as procs
-
-	// One private noise stream per directed link (nil on a healthy build),
-	// so fate draws are a function of grant order on that link alone.
-	linkRNGs []*pearl.RNG
-}
-
-// netShard is the per-shard slice of the fabric: the timeline, and this
-// shard's traffic ledger — its kernel, its share of the counters, registered
-// in the shard's registry, plus the shard's fault replica and re-pathing
-// table. A metric is counted on whichever shard observes the event; Traffic
-// merges the ledgers.
-type netShard struct {
-	Traffic
-	tl *probe.Timeline
 }
 
 // slink is one directed link: a unit-capacity channel owned by the shard of
 // its source node. All state transitions happen in that shard's kernel.
 type slink struct {
-	shard int // owning shard: part[from]
-	from  int
-	port  int
+	shard int // owning shard: the source node's
 	next  int // destination node of the directed link
 
 	freeAt  pearl.Time // instant the channel is next idle
@@ -73,22 +58,17 @@ type slink struct {
 
 	settleAt  pearl.Time // instant an arbitration is already queued for
 	revisitAt pearl.Time // future instant a re-arbitration is scheduled at
-
-	tl    *probe.Timeline
-	track probe.Track
-	pkt   probe.Name
 }
 
 // spkt is one packet in flight under the sharded engine: plain state moved
 // between shards by events.
 type spkt struct {
-	msg     *Message
-	bytes   uint32 // wire size of this packet
-	key2    uint64 // packet index within the message
-	at      int    // current node
-	hops    int
-	attempt int        // failed attempts so far (retransmission counter)
-	wantAt  pearl.Time // when the packet requested its current link
+	msg    *Message
+	bytes  uint32 // wire size of this packet
+	key2   uint64 // packet index within the message
+	at     int    // current node
+	hops   int
+	wantAt pearl.Time // when the packet requested its current link
 }
 
 // arrivalBuf collects the messages completing at one node within an
@@ -99,29 +79,28 @@ type arrivalBuf struct {
 }
 
 // NewSharded builds the fabric for a partitioned machine. group must have
-// one kernel per shard of part; envs carries, per shard, that shard's
-// kernel and probe. The engine supports store-and-forward and virtual
+// one kernel per shard of part. The engine supports store-and-forward and virtual
 // cut-through switching with minimal routing; configurations outside that
 // envelope (wormhole's channel-holding worms, Valiant's shared RNG,
 // adaptive's instantaneous remote queue inspection) are rejected rather
 // than silently made nondeterministic.
-func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int) (*ShardedNetwork, error) {
+func NewSharded(group *pearl.ShardGroup, cfg Config, part []int) (*ShardedNetwork, error) {
 	fab, err := newFabric(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.Router.Switching == router.Wormhole {
-		return nil, fmt.Errorf("network: wormhole switching is not supported with -shards (channels held across shard boundaries)")
+		return nil, fmt.Errorf("network: wormhole switching is not supported with shards (channels held across shard boundaries)")
 	}
 	if cfg.Router.Routing != router.Minimal {
-		return nil, fmt.Errorf("network: %s routing is not supported with -shards", cfg.Router.Routing)
+		return nil, fmt.Errorf("network: %s routing is not supported with shards", cfg.Router.Routing)
 	}
 	topo := fab.topo
 	if len(part) != topo.Nodes() {
 		return nil, fmt.Errorf("network: partition covers %d nodes, topology has %d", len(part), topo.Nodes())
 	}
 	if cfg.Router.RoutingDelay+cfg.Link.PropDelay < 1 {
-		return nil, fmt.Errorf("network: -shards needs a per-hop latency of at least one cycle for lookahead")
+		return nil, fmt.Errorf("network: shards need a per-hop latency of at least one cycle for lookahead")
 	}
 	n := &ShardedNetwork{
 		fabric: fab,
@@ -130,88 +109,47 @@ func NewSharded(group *pearl.ShardGroup, envs []sim.Env, cfg Config, part []int)
 		deg:    topo.Degree(),
 		hop:    cfg.Router.RoutingDelay + cfg.Link.PropDelay,
 	}
-	n.shards = make([]*netShard, group.Shards())
+	n.shards = make([]*Traffic, group.Shards())
 	for s := range n.shards {
-		// Unlike the single-kernel engines, each shard names the traffic
-		// metrics before the interfaces it hosts.
-		sh := &netShard{Traffic: Traffic{fabric: fab, k: group.Kernel(s), tr: n}, tl: envs[s].Timeline()}
-		sh.register(envs[s].Registry(), n.linkUtilization)
-		n.shards[s] = sh
+		n.shards[s] = &Traffic{fabric: fab, k: group.Kernel(s), tr: n}
 	}
 	n.links = make([]*slink, topo.Nodes()*n.deg)
 	for node := 0; node < topo.Nodes(); node++ {
-		owner := n.shards[part[node]]
 		for port := 0; port < n.deg; port++ {
 			nb := topo.Neighbor(node, port)
 			if nb < 0 {
 				continue
 			}
-			l := &slink{
-				shard: part[node], from: node, port: port, next: nb,
+			n.links[node*n.deg+port] = &slink{
+				shard: part[node], next: nb,
 				settleAt: pearl.Forever, revisitAt: pearl.Forever,
 			}
-			if owner.tl != nil {
-				l.tl = owner.tl
-				l.track = owner.tl.Track(fmt.Sprintf("net.link%d.%d.vc0", node, port))
-				l.pkt = owner.tl.Name("pkt")
-			}
-			n.links[node*n.deg+port] = l
 		}
 	}
 	n.procs = make([]Processor, topo.Nodes())
 	n.bufs = make([]arrivalBuf, topo.Nodes())
 	for i := range n.procs {
-		sh := part[i]
-		n.procs[i].NodeIf = NodeIf{led: &n.shards[sh].Traffic, id: i}
+		n.procs[i].NodeIf = NodeIf{led: n.shards[part[i]], id: i}
 		n.bufs[i].drainAt = pearl.Forever
-		n.procs[i].registerIf(envs[sh].Registry(), i)
 	}
 	return n, nil
 }
-
-// AttachFaults activates the fault subsystem on a sharded fabric: one
-// injector replica per shard (built eagerly by the machine assembly, all
-// from the same schedule, fired eagerly so replicas agree at every instant)
-// attached to that shard's ledger, and one noise stream per directed link
-// derived from seed. Must be called before the simulation runs; passing nil
-// replicas is a no-op.
-func (n *ShardedNetwork) AttachFaults(injs []*fault.Injector, seed uint64) {
-	if len(injs) == 0 || injs[0] == nil {
-		return
-	}
-	for s, sh := range n.shards {
-		sh.AttachFaults(injs[s])
-	}
-	n.linkRNGs = make([]*pearl.RNG, len(n.links))
-	for idx, l := range n.links {
-		if l != nil {
-			n.linkRNGs[idx] = fault.LinkStream(seed, idx)
-		}
-	}
-}
-
-// Node returns node i's network interface.
-func (n *ShardedNetwork) Node(i int) *NodeIf { return &n.procs[i].NodeIf }
 
 // Processor returns node i's abstract processor, which runs on the kernel of
 // the node's shard once started.
 func (n *ShardedNetwork) Processor(i int) *Processor { return &n.procs[i] }
 
 // Traffic returns the fabric's traffic ledger: the shard ledgers merged, with
-// counters summed and histograms merged, and shard 0's injector replica,
-// which carries the canonical schedule, with its re-path count. It is built
-// afresh on every call.
+// counters summed and histograms merged. It is built afresh on every call.
 func (n *ShardedNetwork) Traffic() *Traffic {
-	s0 := n.shards[0]
-	t := &Traffic{fabric: n.fabric, util: n.linkUtilization, faults: s0.faults}
-	t.repaths.Add(s0.repaths.Value())
+	t := &Traffic{fabric: n.fabric, util: n.linkUtilization}
 	for _, s := range n.shards {
-		t.merge(&s.Traffic)
+		t.merge(s)
 	}
 	return t
 }
 
-func (n *ShardedNetwork) shardOf(node int) *netShard { return n.shards[n.part[node]] }
+func (n *ShardedNetwork) shardOf(node int) *Traffic { return n.shards[n.part[node]] }
 
 // inject launches the transport of msg. Runs in the sending node's shard, in
 // the sender's event context.
@@ -232,25 +170,8 @@ func (n *ShardedNetwork) inject(msg *Message) {
 	msg.remaining = rc.NumPackets(msg.Size)
 	for i := 0; i < msg.remaining; i++ {
 		s.packets.Inc()
-		pk := &spkt{msg: msg, bytes: rc.PacketBytes(msg.Size, i), key2: uint64(i), at: msg.Src}
-		n.startAttempt(pk)
+		n.requestHop(&spkt{msg: msg, bytes: rc.PacketBytes(msg.Size, i), key2: uint64(i), at: msg.Src})
 	}
-}
-
-// startAttempt begins (or restarts, after a retransmission timeout) one
-// packet's walk from its source. Runs in the source node's shard.
-func (n *ShardedNetwork) startAttempt(pk *spkt) {
-	s := n.shardOf(pk.msg.Src)
-	pk.at = pk.msg.Src
-	pk.hops = 0
-	if s.faults != nil && (s.faults.NodeDown(pk.msg.Src) || s.faults.NodeDown(pk.msg.Dst)) {
-		// Source interface crashed, or the destination would discard the
-		// arrival: the packet goes nowhere this attempt.
-		s.faults.CountDrop()
-		n.failRestart(s, pk)
-		return
-	}
-	n.requestHop(pk)
 }
 
 // requestHop inserts the packet into the pending set of its next link and
@@ -258,27 +179,7 @@ func (n *ShardedNetwork) startAttempt(pk *spkt) {
 // shard owning pk.at, which also owns every outgoing link of pk.at.
 func (n *ShardedNetwork) requestHop(pk *spkt) {
 	s := n.shardOf(pk.at)
-	var port int
-	if s.table != nil {
-		port = s.table.Port(pk.at, pk.msg.Dst)
-		if port < 0 {
-			// The live graph is partitioned right now; retry after the
-			// timeout, by which time links may have recovered.
-			s.faults.CountDrop()
-			n.failRestart(s, pk)
-			return
-		}
-	} else {
-		port = n.topo.Route(pk.at, pk.msg.Dst)
-	}
-	if s.faults != nil && s.faults.LinkDown(pk.at, port) {
-		// The table has not been recomputed for a fault landing at this
-		// exact instant; the packet is lost at the dead link.
-		s.faults.CountDrop()
-		n.failRestart(s, pk)
-		return
-	}
-	l := n.links[pk.at*n.deg+port]
+	l := n.links[pk.at*n.deg+n.topo.Route(pk.at, pk.msg.Dst)]
 	pk.wantAt = s.k.Now()
 	l.pending = append(l.pending, pk)
 	n.queueArb(l)
@@ -341,44 +242,23 @@ func (n *ShardedNetwork) grant(l *slink, pk *spkt, now pearl.Time) {
 	occ := n.hop + transfer
 	l.freeAt = now + occ
 	l.busy += occ
-	if l.tl != nil {
-		l.tl.NamedSpan(l.track, l.pkt, now, l.freeAt)
-	}
 	headerAt := l.freeAt // store-and-forward: the whole packet crosses first
 	if n.cfg.Router.Switching == router.VirtualCutThrough {
 		headerAt = now + n.hop // header advances; the body streams behind
 	}
-	from, port, next := l.from, l.port, l.next
+	next := l.next
 	n.group.Send(l.shard, n.part[next], headerAt, pk.msg.key, pk.key2, func() {
-		n.hopDone(pk, from, port, next)
+		n.hopDone(pk, next)
 	})
 }
 
 // hopDone completes one hop: the packet's header (and, for store-and-
-// forward, its body) has reached `next`. Runs in next's shard — faults are
-// judged against that shard's replica, and the link's noise stream is drawn
-// here, where grant order fixes draw order. headerAt is always at least one
-// lookahead window past the grant, so cross-shard sends are safe.
-func (n *ShardedNetwork) hopDone(pk *spkt, from, port, next int) {
+// forward, its body) has reached `next`. Runs in next's shard. headerAt is
+// always at least one lookahead window past the grant, so cross-shard sends
+// are safe.
+func (n *ShardedNetwork) hopDone(pk *spkt, next int) {
 	s := n.shardOf(next)
-	// The packet is in next's shard from here on, lost or not: a restart
-	// is sent from the shard that observed the loss (failRestart reads
-	// pk.at), never scheduled on from's kernel behind its back.
 	pk.at = next
-	if s.faults != nil {
-		if s.faults.LinkDown(from, port) {
-			// The link failed while the packet was crossing it.
-			s.faults.CountDrop()
-			n.failRestart(s, pk)
-			return
-		}
-		if s.faults.FateWith(n.linkRNGs[from*n.deg+port], from, port) != fault.OK {
-			// Dropped in transit or discarded at the next router's checksum;
-			// either way this attempt is over.
-			n.failRestart(s, pk)
-			return
-		}
-	}
 	pk.hops++
 	if next != pk.msg.Dst {
 		n.requestHop(pk)
@@ -394,13 +274,7 @@ func (n *ShardedNetwork) hopDone(pk *spkt, from, port, next int) {
 }
 
 // deliverPkt lands one complete packet at its destination node's shard.
-func (n *ShardedNetwork) deliverPkt(s *netShard, pk *spkt) {
-	if s.faults != nil && s.faults.NodeDown(pk.msg.Dst) {
-		// The destination crashed while the packet was in flight.
-		s.faults.CountDrop()
-		n.failRestart(s, pk)
-		return
-	}
+func (n *ShardedNetwork) deliverPkt(s *Traffic, pk *spkt) {
 	s.hopHist.Observe(int64(pk.hops))
 	pk.msg.remaining--
 	if pk.msg.remaining == 0 {
@@ -437,24 +311,6 @@ func (n *ShardedNetwork) drainArrivals(node int) {
 	for _, m := range ms {
 		ni.arrive(m)
 	}
-}
-
-// failRestart handles a failed packet attempt observed on shard s: the
-// source learns of the loss through its retransmission timer and resends
-// from scratch, backing off exponentially, until the retry budget is
-// exhausted. The timeout is never shorter than the lookahead window, so the
-// restart can cross back to the source's shard.
-func (n *ShardedNetwork) failRestart(s *netShard, pk *spkt) {
-	pk.attempt++
-	delay, ok := s.retry(pk.attempt)
-	if !ok {
-		return
-	}
-	restartAt := s.k.Now() + delay
-	cur := n.part[pk.at]
-	n.group.Send(cur, n.part[pk.msg.Src], restartAt, pk.msg.key, pk.key2, func() {
-		n.startAttempt(pk)
-	})
 }
 
 // linkUtilization returns the mean and maximum utilisation over the wired

@@ -53,9 +53,9 @@ func (f *fabric) copyTime(size uint32) pearl.Time {
 // wiring — plus the kernel the traffic runs on and the engine carrying it,
 // which is all a NodeIf needs besides, and the bottleneck collector its
 // processors report to. Network embeds one; the sharded fabric keeps one per
-// shard and answers with their merge. What
-// differs between the engines — how packets walk and how links are
-// arbitrated — stays with each engine, which writes the counters here
+// shard, with no faults, registry or collector, and answers with their
+// merge. What differs between the engines — how packets walk and how links
+// are arbitrated — stays with each engine, which writes the counters here
 // directly.
 type Traffic struct {
 	fabric
@@ -189,9 +189,7 @@ func (t *Traffic) retry(attempt int) (pearl.Time, bool) {
 	return rt.Delay(attempt), true
 }
 
-// merge adds o's counters and histograms into t. Re-path counts are not
-// summed: every shard's injector replica sees the same topology changes, so
-// the merged ledger takes one shard's (ShardedNetwork.Traffic).
+// merge adds o's counters and histograms into t.
 func (t *Traffic) merge(o *Traffic) {
 	t.msgLatency.Merge(&o.msgLatency)
 	t.hopHist.Merge(&o.hopHist)
@@ -199,8 +197,6 @@ func (t *Traffic) merge(o *Traffic) {
 	t.packets.Add(o.packets.Value())
 	t.bytes.Add(o.bytes.Value())
 	t.acks.Add(o.acks.Value())
-	t.retransmits.Add(o.retransmits.Value())
-	t.lost.Add(o.lost.Value())
 }
 
 // Nodes returns the node count.

@@ -41,9 +41,11 @@ import (
 // commit c9229e9, the last tree that recorded each wait as a span of its own,
 // over its timelines put through coalesce; every timeline now must equal its
 // coalesced self. The report is hashed with the registry's snapshot as its
-// last set, where the report carried the registry before; the faulted and
-// the sharded digests were re-printed when fault accounting joined the report
-// and the shards' merged registry left it. A digest that moves means
+// last set, where the report carried the registry before; the faulted
+// digests were re-printed when fault accounting joined the report. The
+// observed cases keep the "/shards=0" of the time they also ran on the
+// parallel engine, which now runs task-level machines only. A digest that
+// moves means
 // simulated behaviour moved: some event fires at another time, in another
 // order, or not at all. If that is intended, re-pin it and say why.
 
@@ -290,10 +292,9 @@ func TestDetailedDigests(t *testing.T) {
 		t.Logf("digests of this tree:\n%s", table.String())
 	}
 
-	// Every kind of node under every executor, with every artifact the
-	// workbench writes about a run: on one kernel the timeline, the
-	// bottleneck text and JSON and the CSV of a metrics sampler ticking
-	// through the run, on shards the timeline.
+	// Every kind of node, with every artifact the workbench writes about a
+	// run: the timeline, the bottleneck text and JSON and the CSV of a
+	// metrics sampler ticking through the run.
 	table.Reset()
 	for _, tc := range observedCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -335,21 +336,12 @@ func TestDetailedDigests(t *testing.T) {
 	}
 }
 
-// noSwitches fails the test unless every kernel of m ran its events without a
+// noSwitches fails the test unless m's kernel ran its events without a
 // hand-off: nothing in a machine runs on a stack of its own.
 func noSwitches(t *testing.T, m *machine.Machine) {
 	t.Helper()
-	ks := []*pearl.Kernel{m.Kernel()}
-	if g := m.ShardGroup(); g != nil {
-		ks = ks[:0]
-		for i := 0; i < g.Shards(); i++ {
-			ks = append(ks, g.Kernel(i))
-		}
-	}
-	for i, k := range ks {
-		if n := k.Switches(); n != 0 {
-			t.Errorf("kernel %d: %d switches", i, n)
-		}
+	if n := m.Kernel().Switches(); n != 0 {
+		t.Errorf("%d switches", n)
 	}
 }
 
@@ -378,7 +370,7 @@ type observedCase struct {
 
 // observedCases are the machines whose components wait in the model's own
 // state machines — CPU runners, store-buffer drains, DSM managers and request
-// handlers — under every executor, and the outputs those write.
+// handlers — and the outputs those write.
 func observedCases() []observedCase {
 	stream := func(traces [][]ops.Op) func(*machine.Machine) (*machine.Result, error) {
 		return func(m *machine.Machine) (*machine.Result, error) { return m.Run(sources(traces)) }
@@ -411,23 +403,19 @@ func observedCases() []observedCase {
 	directory.Node.Hierarchy.Bus = bus.Config{Kind: bus.KindCrossbar, Width: 8, ArbitrationDelay: 1, Banks: 4, InterleaveBytes: 64}
 
 	var out []observedCase
-	add := func(cfg machine.Config, shards []int, run func(*machine.Machine) (*machine.Result, error)) {
-		for _, s := range shards {
-			cfg := cfg
-			cfg.Shards = s
-			out = append(out, observedCase{name: fmt.Sprintf("%s/shards=%d", cfg.Name, s), cfg: cfg, every: 250, run: run})
-		}
+	add := func(cfg machine.Config, run func(*machine.Machine) (*machine.Result, error)) {
+		out = append(out, observedCase{name: cfg.Name + "/shards=0", cfg: cfg, every: 250, run: run})
 	}
-	add(machine.T805Grid(2, 2), []int{0, 1, 2, 4}, stream(ringTraces(4, 1, 4, 400)))
-	add(faulted, []int{0, 1, 2, 4}, stream(ringTraces(4, 1, 4, 400)))
-	add(machine.PPC601Machine(), []int{0}, stream(ringTraces(1, 1, 1, 3000)))
-	add(storeBuffered, []int{0}, stream(ringTraces(1, 1, 1, 3000)))
-	add(splitL1, []int{0}, stream(ringTraces(1, 1, 1, 3000)))
-	add(machine.PPC601SMP(4), []int{0}, stream(ringTraces(1, 4, 1, 1500)))
-	add(contended, []int{0}, stream(sharingTraces(4, 1500)))
-	add(directory, []int{0}, stream(ringTraces(1, 4, 1, 1500)))
-	add(machine.HybridCluster(2, 2, 2), []int{0}, stream(ringTraces(4, 2, 3, 400)))
-	add(machine.DSMCluster(2, 2), []int{0}, func(m *machine.Machine) (*machine.Result, error) {
+	add(machine.T805Grid(2, 2), stream(ringTraces(4, 1, 4, 400)))
+	add(faulted, stream(ringTraces(4, 1, 4, 400)))
+	add(machine.PPC601Machine(), stream(ringTraces(1, 1, 1, 3000)))
+	add(storeBuffered, stream(ringTraces(1, 1, 1, 3000)))
+	add(splitL1, stream(ringTraces(1, 1, 1, 3000)))
+	add(machine.PPC601SMP(4), stream(ringTraces(1, 4, 1, 1500)))
+	add(contended, stream(sharingTraces(4, 1500)))
+	add(directory, stream(ringTraces(1, 4, 1, 1500)))
+	add(machine.HybridCluster(2, 2, 2), stream(ringTraces(4, 2, 3, 400)))
+	add(machine.DSMCluster(2, 2), func(m *machine.Machine) (*machine.Result, error) {
 		return m.RunProgram(workload.JacobiDSM(4, 64, 3))
 	})
 
@@ -498,26 +486,19 @@ func storeBurstTraces(n int) [][]ops.Op {
 	return [][]ops.Op{out}
 }
 
-// observe runs cfg once and renders everything the workbench can write about
-// the run. Single-kernel runs carry the full instrumentation — the timeline,
-// the bottleneck collector and a metrics sampler ticking every `every`
-// cycles; sharded runs what the parallel engine supports.
+// observe runs cfg once with the full instrumentation — the timeline, the
+// bottleneck collector and a metrics sampler ticking every `every` cycles —
+// and renders everything the workbench can write about the run.
 func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machine.Machine) (*machine.Result, error)) map[string]string {
 	t.Helper()
 	pb := probe.New(probe.Config{Timeline: true})
-	env := sim.NewEnv(cfg.Seed, pb)
-	if cfg.Shards == 0 {
-		env = env.WithCollector(analysis.New())
-	}
-	m, err := machine.Build(env, cfg)
+	m, err := machine.Build(sim.NewEnv(cfg.Seed, pb).WithCollector(analysis.New()), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	finish := func(pearl.Time) {}
-	if cfg.Shards == 0 {
-		if finish, err = pb.Registry().StartSampler(m.Kernel(), every, pb.Registry().Sample); err != nil {
-			t.Fatal(err)
-		}
+	finish, err := pb.Registry().StartSampler(m.Kernel(), every, pb.Registry().Sample)
+	if err != nil {
+		t.Fatal(err)
 	}
 	res, err := run(m)
 	if err != nil {
@@ -538,11 +519,9 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, withRegistry(res.Stats, pb.Registry())) })
 	render("timeline", func(b *bytes.Buffer) error { return m.MergedTimeline().WriteJSON(b) })
 	coalesced(t, out["timeline"])
-	if res.Analysis != nil {
-		render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
-		render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })
-		render("metrics CSV", func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
-	}
+	render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
+	render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })
+	render("metrics CSV", func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
 	return out
 }
 

@@ -353,7 +353,6 @@ type propOutcome struct {
 	Logs    [][]propEntry
 	Now     []Time
 	Events  []uint64
-	Daemons []uint64
 	Blocked [][]string
 	// Per resource: BusyCycles, WaitCycles, Acquires, InUse, QueueLen.
 	Resources [][5]int64
@@ -365,7 +364,6 @@ func (w *propWorld) outcome() propOutcome {
 		o.Logs = append(o.Logs, s.log)
 		o.Now = append(o.Now, s.k.Now())
 		o.Events = append(o.Events, s.k.EventCount())
-		o.Daemons = append(o.Daemons, s.k.DaemonEvents())
 		var blocked []string
 		for _, p := range s.k.blocked() {
 			blocked = append(blocked, p.name+": "+p.blockReason())

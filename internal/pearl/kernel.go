@@ -151,8 +151,7 @@ type Kernel struct {
 	reasons    []reasonRange
 	nextReason Reason
 
-	eventCount  uint64
-	daemonFired uint64 // daemon events actually executed
+	eventCount uint64
 
 	// Running ahead (ahead.go): running is set while Run drives the event
 	// loop; line is the straight line a chain is running ahead, rejoined
@@ -447,7 +446,6 @@ func (k *Kernel) fire(idx int32, from queueKind) {
 	kind, fn, c, seq := s.kind, s.fn, s.chain, s.seq
 	if kind == evDaemon {
 		k.daemons--
-		k.daemonFired++
 	}
 	// Release before firing so the slot is immediately reusable by whatever
 	// the event schedules.
@@ -525,11 +523,6 @@ func (k *Kernel) RunUntil(t Time) Time {
 	}
 	return k.now
 }
-
-// DaemonEvents returns how many daemon events have been executed. The
-// sharded runner uses it to normalise event counts: background chains
-// replicated into every shard (the fault plan) are counted once.
-func (k *Kernel) DaemonEvents() uint64 { return k.daemonFired }
 
 // pendingWork reports whether any non-daemon event is queued: the liveness
 // condition of Run, exposed so a shard coordinator can decide termination

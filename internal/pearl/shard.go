@@ -34,10 +34,9 @@ type ShardGroup struct {
 	cross   [][]crossEvent
 	scratch []crossEvent
 
-	// Host-side introspection (shardtel.go). Both nil by default: the
-	// window loop then takes no wall-clock timestamps at all.
+	// Host-side introspection (shardtel.go). Nil by default: the window
+	// loop then takes no wall-clock timestamps at all.
 	tel        *ShardTelemetry
-	spanHook   func(WindowSpan)
 	resScratch []windowRes
 }
 
@@ -106,10 +105,6 @@ func (g *ShardGroup) drain() {
 		g.scratch = g.scratch[:0]
 		for src := 0; src < n; src++ {
 			box := &g.cross[src*n+dst]
-			if g.tel != nil && len(*box) > 0 {
-				g.tel.Traffic[src*n+dst] += uint64(len(*box))
-				g.tel.Shards[src].Sent += uint64(len(*box))
-			}
 			g.scratch = append(g.scratch, *box...)
 			*box = (*box)[:0]
 		}
@@ -147,15 +142,9 @@ func (g *ShardGroup) drain() {
 // on.
 func (g *ShardGroup) Run() Time {
 	n := len(g.kernels)
-	// Host-side observation (telemetry, window spans) measures wall time
-	// around the protocol; it never touches virtual time or event order.
-	obs := g.observed()
-	var runStart time.Time
-	var evBase []uint64
-	if obs {
-		runStart = time.Now()
-		evBase = make([]uint64, n)
-	}
+	// Host-side telemetry measures wall time around the protocol; it never
+	// touches virtual time or event order.
+	obs := g.tel != nil
 	var workers []*shardWorker
 	if n > 1 {
 		workers = make([]*shardWorker, n)
@@ -168,8 +157,6 @@ func (g *ShardGroup) Run() Time {
 			}
 		}()
 	}
-	var window uint64
-	var lastNext Time
 	for {
 		g.drain()
 		next := Forever
@@ -186,25 +173,15 @@ func (g *ShardGroup) Run() Time {
 			break
 		}
 		end := next + g.lookahead
-		if obs {
-			for i, k := range g.kernels {
-				evBase[i] = k.EventCount()
-			}
-			if g.tel != nil && window > 0 {
-				g.tel.Advance.Observe(uint64(next - lastNext))
-			}
-			lastNext = next
-		}
 		if workers == nil {
 			if obs {
 				t0 := time.Now()
 				g.kernels[0].runWindow(end)
 				g.resScratch = append(g.resScratch[:0], windowRes{t0: t0, t1: time.Now()})
-				g.windowDone(window, next, end, g.resScratch, evBase)
+				g.windowDone(g.resScratch)
 			} else {
 				g.kernels[0].runWindow(end)
 			}
-			window++
 			continue
 		}
 		for _, w := range workers {
@@ -226,12 +203,8 @@ func (g *ShardGroup) Run() Time {
 			panic(panicked)
 		}
 		if obs {
-			g.windowDone(window, next, end, results, evBase)
+			g.windowDone(results)
 		}
-		window++
-	}
-	if g.tel != nil {
-		g.tel.Wall += time.Since(runStart)
 	}
 	var end Time
 	for _, k := range g.kernels {
@@ -245,39 +218,21 @@ func (g *ShardGroup) Run() Time {
 	return end
 }
 
-// windowDone folds one finished window into the telemetry record and the
-// span hook. res is index-aligned with the shards; the barrier-wait of a
-// shard is the gap between its own finish and the slowest shard's.
-func (g *ShardGroup) windowDone(window uint64, vstart, vend Time, res []windowRes, evBase []uint64) {
+// windowDone folds one finished window into the telemetry record. res is
+// index-aligned with the shards; the barrier-wait of a shard is the gap
+// between its own finish and the slowest shard's.
+func (g *ShardGroup) windowDone(res []windowRes) {
 	last := res[0].t1
 	for _, r := range res[1:] {
 		if r.t1.After(last) {
 			last = r.t1
 		}
 	}
-	var totalEvents uint64
 	for s := range res {
 		r := &res[s]
-		events := g.kernels[s].EventCount() - evBase[s]
-		totalEvents += events
-		if g.tel != nil {
-			ld := &g.tel.Shards[s]
-			ld.Busy += r.t1.Sub(r.t0)
-			ld.Wait += last.Sub(r.t1)
-			ld.Events += events
-		}
-		if g.spanHook != nil {
-			g.spanHook(WindowSpan{
-				Shard: s, Window: window,
-				Start: r.t0, End: r.t1,
-				VStart: vstart, VEnd: vend,
-				Events: events,
-			})
-		}
-	}
-	if g.tel != nil {
-		g.tel.Windows++
-		g.tel.WindowEvents.Observe(totalEvents)
+		ld := &g.tel.Shards[s]
+		ld.Busy += r.t1.Sub(r.t0)
+		ld.Wait += last.Sub(r.t1)
 	}
 }
 

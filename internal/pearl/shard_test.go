@@ -140,21 +140,6 @@ func TestShardGroupDaemonsDoNotKeepAlive(t *testing.T) {
 	}
 }
 
-// TestShardGroupDaemonCounting checks DaemonEvents tracks fired daemons so
-// the machine layer can normalise replicated event counts.
-func TestShardGroupDaemonCounting(t *testing.T) {
-	k := NewKernel()
-	k.AtDaemon(3, func() {})
-	k.At(5, func() {})
-	k.Run()
-	if k.DaemonEvents() != 1 {
-		t.Fatalf("DaemonEvents = %d, want 1", k.DaemonEvents())
-	}
-	if k.EventCount() < 2 {
-		t.Fatalf("EventCount = %d, want >= 2", k.EventCount())
-	}
-}
-
 // TestShardGroupPanicPropagates checks a model panic inside a shard worker
 // resurfaces on the caller.
 func TestShardGroupPanicPropagates(t *testing.T) {

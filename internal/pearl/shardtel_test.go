@@ -28,44 +28,15 @@ func TestShardTelemetryAccounting(t *testing.T) {
 	tel := g.EnableTelemetry()
 	g.Run()
 
-	if tel.Lookahead != 16 {
-		t.Errorf("Lookahead = %d, want 16", tel.Lookahead)
+	if len(tel.Shards) != shards {
+		t.Fatalf("%d load records for %d shards", len(tel.Shards), shards)
 	}
-	if tel.Windows == 0 {
-		t.Fatal("no windows recorded")
-	}
-	if tel.Wall <= 0 {
-		t.Error("Wall not recorded")
-	}
-	if tel.WindowEvents.Count != tel.Windows {
-		t.Errorf("WindowEvents.Count = %d, Windows = %d", tel.WindowEvents.Count, tel.Windows)
-	}
-	if tel.Advance.Count != tel.Windows-1 {
-		t.Errorf("Advance.Count = %d, want %d", tel.Advance.Count, tel.Windows-1)
-	}
-	// Advance floor is the lookahead: windows start at least L apart.
-	if tel.Advance.Count > 0 && tel.Advance.MinV < 16 {
-		t.Errorf("Advance.MinV = %d, below the lookahead", tel.Advance.MinV)
-	}
-
 	var busy time.Duration
-	var events, sent, traffic uint64
 	for i := range tel.Shards {
 		busy += tel.Shards[i].Busy
-		events += tel.Shards[i].Events
-		sent += tel.Shards[i].Sent
-	}
-	for _, c := range tel.Traffic {
-		traffic += c
 	}
 	if busy <= 0 {
 		t.Error("no busy time accumulated")
-	}
-	if events == 0 {
-		t.Error("no events accounted")
-	}
-	if sent != hops || traffic != hops {
-		t.Errorf("sent %d, traffic %d; want %d cross-shard events", sent, traffic, hops)
 	}
 	if eff := tel.Efficiency(); eff <= 0 || eff > 1 {
 		t.Errorf("Efficiency = %v, want (0, 1]", eff)
@@ -84,36 +55,14 @@ func TestShardTelemetrySingleShard(t *testing.T) {
 	}
 	g.Kernel(0).At(0, tick)
 	g.Run()
-	if tel.Windows == 0 || tel.Shards[0].Events == 0 {
-		t.Errorf("single-shard telemetry empty: windows %d, events %d", tel.Windows, tel.Shards[0].Events)
+	if tel.Shards[0].Busy <= 0 {
+		t.Error("single-shard telemetry recorded no busy time")
 	}
 	if tel.Shards[0].Wait != 0 {
 		t.Errorf("single shard waited %v at its own barrier", tel.Shards[0].Wait)
 	}
-}
-
-func TestWindowSpanHook(t *testing.T) {
-	const shards = 2
-	g := ringGroup(shards, 16, 10)
-	var spans []WindowSpan
-	g.SetWindowSpanHook(func(s WindowSpan) { spans = append(spans, s) })
-	g.Run()
-	if len(spans) == 0 {
-		t.Fatal("hook never fired")
-	}
-	if len(spans)%shards != 0 {
-		t.Errorf("%d spans over %d shards: not one per shard per window", len(spans), shards)
-	}
-	for i, s := range spans {
-		if s.End.Before(s.Start) {
-			t.Errorf("span %d: End before Start", i)
-		}
-		if s.VEnd != s.VStart+16 {
-			t.Errorf("span %d: virtual window [%d, %d) is not lookahead-sized", i, s.VStart, s.VEnd)
-		}
-		if s.Shard != i%shards {
-			t.Errorf("span %d: shard %d, want %d (coordinator order)", i, s.Shard, i%shards)
-		}
+	if eff := tel.Efficiency(); eff != 1 {
+		t.Errorf("single-shard Efficiency = %v, want 1", eff)
 	}
 }
 
@@ -124,7 +73,7 @@ func TestTelemetryIdenticalEventCounts(t *testing.T) {
 	endPlain := plain.Run()
 
 	obs := ringGroup(3, 16, 30)
-	tel := obs.EnableTelemetry()
+	obs.EnableTelemetry()
 	endObs := obs.Run()
 
 	if endPlain != endObs {
@@ -134,16 +83,5 @@ func TestTelemetryIdenticalEventCounts(t *testing.T) {
 		if p, o := plain.Kernel(i).EventCount(), obs.Kernel(i).EventCount(); p != o {
 			t.Errorf("shard %d: event count %d with telemetry vs %d without", i, o, p)
 		}
-	}
-	var telEvents uint64
-	for i := range tel.Shards {
-		telEvents += tel.Shards[i].Events
-	}
-	var kernelEvents uint64
-	for i := 0; i < 3; i++ {
-		kernelEvents += obs.Kernel(i).EventCount()
-	}
-	if telEvents != kernelEvents {
-		t.Errorf("telemetry accounted %d events, kernels executed %d", telEvents, kernelEvents)
 	}
 }

@@ -95,3 +95,36 @@ func TestEffectiveWorkloadKey(t *testing.T) {
 		t.Errorf("second submission: status %d, cached %v; want a cache hit", code, second.Cached)
 	}
 }
+
+// A workload document that omits Nodes is sized to the machine's streams, so
+// it and one that gives the stream count describe one run: they resolve to
+// one key, and submitting the second is answered from the cache the first
+// filled.
+func TestSizedWorkloadKey(t *testing.T) {
+	job := func(nodes string) string {
+		return `{"topology": "torus:4x4", "workload": {` + nodes + `"Level": "task", "Seed": 5, "Iterations": 2,
+			"Phases": [{"Duration": 300, "Comm": {"Pattern": "exchange", "Bytes": 512}}]}}`
+	}
+	omitted, sized := job(""), job(`"Nodes": 16, `)
+	_, k1, err := server.ResolveJob([]byte(omitted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, k2, err := server.ResolveJob([]byte(sized))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Fatalf("Nodes omitted: key %s; Nodes 16: key %s", k1.ID(), k2.ID())
+	}
+	_, ts := startServer(t, server.Config{Workers: 1})
+	first, code := submit(t, ts, omitted)
+	if code != http.StatusAccepted {
+		t.Fatalf("first submission: status %d (%s)", code, first.Error)
+	}
+	waitDone(t, ts, first.ID)
+	second, code := submit(t, ts, sized)
+	if code != http.StatusOK || !second.Cached {
+		t.Errorf("second submission: status %d, cached %v; want a cache hit", code, second.Cached)
+	}
+}

@@ -269,6 +269,7 @@ func admit(spec core.RunSpec) (*job, error) {
 	if cfg.Nodes > maxJobStreams || cpus > maxJobStreams || cfg.Nodes*cpus > maxJobStreams {
 		return nil, fmt.Errorf("machine has %d nodes of %d CPUs; a job may have at most %d streams", cfg.Nodes, cpus, maxJobStreams)
 	}
+	streams := cfg.Nodes * cpus
 	if cfg.Shards > 0 {
 		// Per-job live monitoring and the bottleneck collector observe one
 		// kernel; the parallel engine is for offline runs.
@@ -291,11 +292,15 @@ func admit(spec core.RunSpec) (*job, error) {
 		return nil, err
 	}
 	// Key the outcome by the effective description: a document that omits
-	// a default and one that writes it out are one run. Resolve has parsed
-	// it already, so it parses.
+	// a default and one that writes it out are one run, and so are one that
+	// omits Nodes and one that gives the machine's stream count, to which
+	// Resolve sizes it. Resolve has parsed it already, so it parses.
 	desc, err := stochastic.ParseDesc(spec.Workload)
 	if err != nil {
 		return nil, err
+	}
+	if desc.Nodes == 0 {
+		desc.Nodes = streams
 	}
 	effective, err := json.Marshal(desc)
 	if err != nil {
