@@ -3,7 +3,6 @@ package machine
 import (
 	"crypto/sha256"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -20,8 +19,7 @@ import (
 
 // taskStatsDigests pins SHA-256 of the rendered metric tree of 1,024-node
 // task-level runs — every procN set with its nifN subset, node ids from one
-// digit to four — and of the probe registry's snapshot where a registry is
-// attached. They were printed by the tree that still built each node's
+// digit to four. They were printed by the tree that still built each node's
 // report sets one Put at a time and named every interface counter with
 // fmt.Sprintf. The sharded fabric refuses wormhole switching, so the
 // shards cases run the same exchange under virtual cut-through, once on
@@ -29,12 +27,14 @@ import (
 // digests were re-printed when fault accounting joined the report and the
 // report stopped carrying the registry (and, on shards, a merge of the
 // shards' registries); the sharded one once more, by the tree before shards
-// refused probes, without one.
+// refused probes, without one. All five were re-printed by commit 07645d3
+// when the digest stopped hashing the metric registry's snapshot beside the
+// report.
 var taskStatsDigests = map[string]string{
-	"vct/plain":         "10f2171b90ee5a25d0e78cd4",
+	"vct/plain":         "2b588a00d088751b3fd0c7dc",
 	"vct/shards2":       "abde9ee0f4c01459415c7f35",
-	"wormhole/faults":   "92157a1d67e4d3454e1b8e3f",
-	"wormhole/observed": "3cdb09b08a975f9559583b51",
+	"wormhole/faults":   "9f8de8ab02e4b079873840ee",
+	"wormhole/observed": "eac99dcdeb2fb859e6284353",
 	"wormhole/plain":    "eac99dcdeb2fb859e6284353",
 }
 
@@ -57,22 +57,7 @@ func torus32Task(sw router.Switching) Config {
 	return cfg
 }
 
-// withRegistry returns the report with reg's snapshot as a last "registry"
-// set, where the report carried the registry before it kept to the
-// simulation's own sets, so that a digest over it moves only where the
-// report did. Without registered metrics it returns the report unchanged.
-func withRegistry(report *stats.Set, reg *probe.Registry) *stats.Set {
-	ms := reg.Snapshot()
-	if ms == nil {
-		return report
-	}
-	r := *report
-	r.Subsets = append(slices.Clip(r.Subsets), &stats.Set{Name: "registry", Metrics: ms})
-	return &r
-}
-
-// taskStatsDigest runs cfg on env and hashes the rendered metric tree and,
-// with a registry attached, its snapshot.
+// taskStatsDigest runs cfg on env and hashes the rendered metric tree.
 func taskStatsDigest(t *testing.T, env sim.Env, cfg Config) string {
 	t.Helper()
 	m, err := Build(env, cfg)
@@ -85,14 +70,8 @@ func taskStatsDigest(t *testing.T, env sim.Env, cfg Config) string {
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events\n", res.Cycles, res.Events)
-	reg := env.Registry()
-	if err := stats.RenderSet(h, withRegistry(res.Stats, reg)); err != nil {
+	if err := stats.RenderSet(h, res.Stats); err != nil {
 		t.Fatal(err)
-	}
-	if reg != nil {
-		if err := stats.RenderSet(h, &stats.Set{Name: "registry", Metrics: reg.Snapshot()}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
@@ -140,7 +119,7 @@ func TestTaskStatsDigests(t *testing.T) {
 		case !ok:
 			t.Errorf("%s: no digest pinned (got %s)", name, got[name])
 		case got[name] != want:
-			t.Errorf("%s: digest %s, pinned %s: a report set, metric or registry entry moved", name, got[name], want)
+			t.Errorf("%s: digest %s, pinned %s: a report set or metric moved", name, got[name], want)
 		}
 	}
 	if len(taskStatsDigests) != len(got) {

@@ -22,15 +22,17 @@ import (
 // The table below pins what the network engines printed before they shared
 // one traffic ledger (commit 852830c): SHA-256 over the rendered report
 // with the registry's dump as its last set, the timeline JSON and the
-// bottleneck JSON of seeded runs. The report no longer carries the dump, so
-// the digest renders the registry's snapshot where it sat. The Matching entries were pinned at commit 1e0a5fd, while the
+// bottleneck JSON of seeded runs. Every entry was re-printed by commit
+// 07645d3 over the report alone, without the registry's snapshot the
+// earlier digests rendered where the dump sat. The Matching entries were
+// pinned at commit 1e0a5fd, while the
 // compact engine still kept its own copy of NodeIf's matching rule. The
 // engine/*/observed entries are what the per-process transport — one process
 // per packet and per task-level node, then the only engine that carried the
 // timeline and the collector — printed fully instrumented; the
 // engine/*/plain entries are the compact engine's uninstrumented runs. Both
 // are now the one single-kernel engine. A digest that moves means a counter,
-// a metric name, a registration order, a span or a simulated time moved. The
+// a metric name, a span or a simulated time moved. The
 // three detailed/T805Grid/<switching> entries were printed by the
 // per-process transport too (commit d8329d7), to pin the detailed nodes'
 // packets — under cut-through, adaptive routing, wormhole worms and a fault
@@ -50,32 +52,32 @@ import (
 // a 2×2 T805 grid, is detailed/T805Grid(2,2)) — and the shards/TaskLevel/*
 // entries without a probe.
 var trafficDigests = map[string]string{
-	"detailed/DSMCluster(2,2)":              "1c71488d4bb26d3400f95bc5",
-	"detailed/HybridCluster(2,2,2)":         "9bdfc3c5cf844a08fc9a4ca0",
-	"detailed/T805Grid(2,2)":                "e59a2d4c8d1b1472c88e62d5",
-	"detailed/T805Grid(2,2)/VCTUnderFaults": "d112d4167c58233c927ee476",
-	"detailed/T805Grid(3,3)/VCTAdaptive":    "467d2526dea9e68195dc53df",
-	"detailed/T805Grid(3,3)/Wormhole":       "e7d3de6e574749bc1efe4bc2",
-	"engine/AdaptiveFatTree/observed":       "6facbbf96f297e60971d2df1",
-	"engine/AdaptiveFatTree/plain":          "830501e0a07162d1885b35d7",
-	"engine/Dragonfly/observed":             "ad2a8dc631a75dcada901d10",
-	"engine/Dragonfly/plain":                "8cac5cbbf4ecc2f4017df565",
-	"engine/Matching/observed":              "f74c3992b79d38edef7536fe",
-	"engine/Matching/plain":                 "ce9dbc4318b23a97983f4922",
-	"engine/MatchingNoOverhead/observed":    "2c8913e8e289b0c247693306",
-	"engine/MatchingNoOverhead/plain":       "08ec9d92faaa079fba38d572",
-	"engine/SAF/observed":                   "d70134df49d71bb584e76121",
-	"engine/SAF/plain":                      "acc724673a887fd8c9d50156",
-	"engine/UnderFaults/observed":           "b6101f6aaea9ac09764c64c9",
-	"engine/UnderFaults/plain":              "f625d3ac4f65f5c94d4bb071",
-	"engine/VCTValiant/observed":            "aaf5710301ae157a01035c78",
-	"engine/VCTValiant/plain":               "88435e6f6411aa5cc215f77e",
-	"engine/WormholeTorus3D/observed":       "ed8071d04ebc8ad9f803f9da",
-	"engine/WormholeTorus3D/plain":          "5a0b604871e0a177069d8b7d",
-	"engine/WormholeUnderFaults/observed":   "28f37021b1c9896eaf7d3c3a",
-	"engine/WormholeUnderFaults/plain":      "c79c4cae51d399bf900bad07",
-	"kernel/PingPong":                       "7f4f6d2e7b2ded53ff0f69e4",
-	"kernel/UnderFaults":                    "272449a954ae86feb1c6bfca",
+	"detailed/DSMCluster(2,2)":              "27e8b1571661f169ba078f2a",
+	"detailed/HybridCluster(2,2,2)":         "7a81c5e3f74470e7f8266e83",
+	"detailed/T805Grid(2,2)":                "980e54126b2032f2e244b994",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "c79bffb2a01120ccb23ef7e7",
+	"detailed/T805Grid(3,3)/VCTAdaptive":    "4cfaca3492ff149a9f90128d",
+	"detailed/T805Grid(3,3)/Wormhole":       "86c29c52f40ed4f4def49f95",
+	"engine/AdaptiveFatTree/observed":       "1955463dfb01d05be1a9a04f",
+	"engine/AdaptiveFatTree/plain":          "ded231e5f44590e3568fba65",
+	"engine/Dragonfly/observed":             "d0e3277b8445061842ad73cd",
+	"engine/Dragonfly/plain":                "d464e0c2f253ddcae834e700",
+	"engine/Matching/observed":              "a433fe72a12e08cf3cbaaf28",
+	"engine/Matching/plain":                 "2895123f96483527fc6dbb2c",
+	"engine/MatchingNoOverhead/observed":    "0eff084b1a1cf9c04c84fdef",
+	"engine/MatchingNoOverhead/plain":       "3b1816f4b7d430762697dcb6",
+	"engine/SAF/observed":                   "6b65dd35c27c0bfafb59e7cf",
+	"engine/SAF/plain":                      "56d82c0eb99d9116e59077af",
+	"engine/UnderFaults/observed":           "3747f5c3b8976fcbefab9a1b",
+	"engine/UnderFaults/plain":              "e1c50a39221e12c8a91d9e2c",
+	"engine/VCTValiant/observed":            "a2b1931cdfae2ee0cff45309",
+	"engine/VCTValiant/plain":               "b854001b7c7d67d00d6d74f3",
+	"engine/WormholeTorus3D/observed":       "2094a99a6c180764303ad6b1",
+	"engine/WormholeTorus3D/plain":          "4b8d96f574ab6684093fe4b6",
+	"engine/WormholeUnderFaults/observed":   "f31f22da3a05734416a7d444",
+	"engine/WormholeUnderFaults/plain":      "f775a623a75f8762bb63c593",
+	"kernel/PingPong":                       "7e282c0357dfe8c1c4cbdda1",
+	"kernel/UnderFaults":                    "92d1b2c61aa8c8318bb8fa64",
 	"shards/TaskLevel/1":                    "d314f8fb7c4a36c730921485",
 	"shards/TaskLevel/2":                    "d314f8fb7c4a36c730921485",
 	"shards/TaskLevel/4":                    "d314f8fb7c4a36c730921485",
@@ -109,7 +111,7 @@ func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) 
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
-	if err := stats.RenderSet(h, withRegistry(res.Stats, pb.Registry())); err != nil {
+	if err := stats.RenderSet(h, res.Stats); err != nil {
 		t.Fatal(err)
 	}
 	if tl := m.MergedTimeline(); tl != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"regexp"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -40,9 +39,12 @@ import (
 // runners began to record one span per run of waits, both were re-printed by
 // commit c9229e9, the last tree that recorded each wait as a span of its own,
 // over its timelines put through coalesce; every timeline now must equal its
-// coalesced self. The report is hashed with the registry's snapshot as its
-// last set, where the report carried the registry before; the faulted
-// digests were re-printed when fault accounting joined the report. The
+// coalesced self. The faulted digests were re-printed when fault
+// accounting joined the report. Both tables were re-printed once more, by
+// commit 07645d3, when the report stopped being hashed together with the
+// metric registry's snapshot: they hash the report alone, and the metrics
+// CSV, whose column names are the registry's, is pinned apart in
+// metricsCSVDigests. The
 // observed cases keep the "/shards=0" of the time they also ran on the
 // parallel engine, which now runs task-level machines only. A digest that
 // moves means
@@ -219,7 +221,7 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	noSwitches(t, m)
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
-	if err := stats.RenderSet(h, withRegistry(res.Stats, pb.Registry())); err != nil {
+	if err := stats.RenderSet(h, res.Stats); err != nil {
 		t.Fatal(err)
 	}
 	var tl strings.Builder
@@ -296,6 +298,7 @@ func TestDetailedDigests(t *testing.T) {
 	// run: the timeline, the bottleneck text and JSON and the CSV of a
 	// metrics sampler ticking through the run.
 	table.Reset()
+	var csvTable strings.Builder
 	for _, tc := range observedCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			var sinks []*bytes.Buffer
@@ -316,6 +319,12 @@ func TestDetailedDigests(t *testing.T) {
 				}
 			}
 			arts := observe(t, tc.cfg, tc.every, run)
+			csv := hashArtifacts(map[string]string{metricsCSV: arts[metricsCSV]})
+			delete(arts, metricsCSV)
+			fmt.Fprintf(&csvTable, "\t%q: %q,\n", tc.name, csv)
+			if want := metricsCSVDigests[tc.name]; csv != want {
+				t.Errorf("metrics CSV digest %s, pinned %s", csv, want)
+			}
 			for s, b := range sinks {
 				arts[fmt.Sprintf("task sink %d", s)] = b.String()
 			}
@@ -333,6 +342,7 @@ func TestDetailedDigests(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("observed digests of this tree:\n%s", table.String())
+		t.Logf("metrics CSV digests of this tree:\n%s", csvTable.String())
 	}
 }
 
@@ -516,28 +526,18 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 		}
 		out[name] = buf.String()
 	}
-	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, withRegistry(res.Stats, pb.Registry())) })
+	render("report", func(b *bytes.Buffer) error { return stats.RenderSet(b, res.Stats) })
 	render("timeline", func(b *bytes.Buffer) error { return m.MergedTimeline().WriteJSON(b) })
 	coalesced(t, out["timeline"])
 	render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
 	render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })
-	render("metrics CSV", func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
+	render(metricsCSV, func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
 	return out
 }
 
-// withRegistry returns the report with reg's snapshot as a last "registry"
-// set, where the report carried the registry before it kept to the
-// simulation's own sets, so that the digests move only where the report did.
-// Without registered metrics it returns the report unchanged.
-func withRegistry(report *stats.Set, reg *probe.Registry) *stats.Set {
-	ms := reg.Snapshot()
-	if ms == nil {
-		return report
-	}
-	r := *report
-	r.Subsets = append(slices.Clip(r.Subsets), &stats.Set{Name: "registry", Metrics: ms})
-	return &r
-}
+// metricsCSV is the artifact name of the sampler's CSV, which observe
+// renders beside the others and TestDetailedDigests pins apart.
+const metricsCSV = "metrics CSV"
 
 // mixedTrace draws n instructions exercising every case of cpu.CPU.Begin:
 // fetches, loads and stores over a private window that overflows the inner
