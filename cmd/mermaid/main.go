@@ -75,7 +75,7 @@ func main() {
 		monitorAddr = flag.String("monitor-addr", "", "serve live run state over HTTP on this address (/metrics Prometheus text, /progress JSON)")
 
 		timeline   = flag.String("timeline", "", "write a virtual-time timeline (Chrome trace-event JSON, Perfetto-loadable) to this file")
-		metricsOut = flag.String("metrics", "", "write periodic metric-registry samples, one row per -monitor interval plus the end of the run, to this CSV file")
+		metricsOut = flag.String("metrics", "", "write periodic samples of the run's report, one column per metric path (e.g. nif3/sends) and one row per -monitor interval plus the end of the run, to this CSV file")
 
 		parallel = flag.Int("parallel", runtime.NumCPU(), "max simulations to run concurrently (experiment sweeps and -repeats)")
 		repeats  = flag.Int("repeats", 1, "replications of the run with per-replica derived seeds")
@@ -98,6 +98,19 @@ func main() {
 		fatal(fmt.Errorf("-parallel must be at least 1, have %d", *parallel))
 	}
 	if *experiment != "" {
+		// An experiment makes no single run: refuse the flags that
+		// configure one, as -sweep is refused without -experiment.
+		var single []string
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "experiment", "sweep", "csv", "parallel", "cpuprofile", "memprofile":
+			default:
+				single = append(single, "-"+f.Name)
+			}
+		})
+		if len(single) > 0 {
+			fatal(fmt.Errorf("%s configure a single run; -experiment takes only -sweep, -csv, -parallel, -cpuprofile and -memprofile", strings.Join(single, ", ")))
+		}
 		sweep, err := parseSweep(*sweepF)
 		if err != nil {
 			fatal(err)
@@ -169,12 +182,9 @@ func main() {
 		return
 	}
 
-	var pb *probe.Probe
 	var opts []core.Option
-	// Any observer reads the metric registry, so any observer attaches a probe.
-	if *timeline != "" || *metricsOut != "" || *monitor > 0 || *monitorAddr != "" {
-		pb = probe.New(probe.Config{Timeline: *timeline != ""})
-		opts = append(opts, core.WithProbe(pb))
+	if *timeline != "" {
+		opts = append(opts, core.WithProbe(probe.New(probe.Config{Timeline: true})))
 	}
 	if *reportPath != "" {
 		opts = append(opts, core.WithAnalysis())
@@ -188,7 +198,11 @@ func main() {
 		fatal(err)
 	}
 	scope.SetRuns(1)
-	view, finish, err := observe(m.Kernel(), pb.Registry(), pearl.Time(*monitor), *metricsOut != "", scope)
+	var history *stats.History
+	if *metricsOut != "" {
+		history = new(stats.History)
+	}
+	view, finish, err := observe(m, pearl.Time(*monitor), history, scope)
 	if err != nil {
 		fatal(err)
 	}
@@ -197,7 +211,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	finish(res.Cycles)
+	finish(res)
 	scope.RunDone()
 	scope.Finish()
 	if *reportPath != "" {
@@ -217,7 +231,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "mermaid: wrote %s (%d timeline events)\n", *timeline, tl.Events())
 	}
 	if *metricsOut != "" {
-		if err := writeFileWith(*metricsOut, pb.Registry().WriteCSV); err != nil {
+		if err := writeFileWith(*metricsOut, history.WriteCSV); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "mermaid: wrote %s\n", *metricsOut)

@@ -98,6 +98,31 @@ func TestSweepNameGivenTwiceRefused(t *testing.T) {
 	}
 }
 
+// An -experiment run reads none of the single-run flags: each one given
+// with it is refused, the way -sweep is refused without -experiment, and no
+// file a refused flag names is written.
+func TestExperimentRefusesSingleRunFlags(t *testing.T) {
+	dir := t.TempDir()
+	code, stdout, stderr := runCLI(t, dir, "-experiment", "calibration",
+		"-timeline", "t.json", "-metrics", "m.csv", "-repeats", "3")
+	if code == 0 || len(stdout) != 0 {
+		t.Fatalf("exit %d, stdout %.80q; want a refusal", code, stdout)
+	}
+	for _, flag := range []string{"-timeline", "-metrics", "-repeats"} {
+		if !bytes.Contains(stderr, []byte(flag)) {
+			t.Errorf("stderr %q does not name %s", stderr, flag)
+		}
+	}
+	for _, f := range []string{"t.json", "m.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err == nil {
+			t.Errorf("the refused run wrote %s", f)
+		}
+	}
+	if code, _, stderr := runCLI(t, dir, "-experiment", "calibration", "-csv", "-parallel", "1"); code != 0 {
+		t.Errorf("-experiment with -csv and -parallel: exit %d, stderr %q", code, stderr)
+	}
+}
+
 // timelineRun builds a two-node machine with a timeline probe, runs a
 // ping-pong workload and returns the exported trace-event JSON.
 func timelineRun() ([]byte, error) {
@@ -254,17 +279,12 @@ func TestHostTraceNeedsRepeats(t *testing.T) {
 // sampling chain: attaching all three costs the events of attaching one, and
 // none of them moves simulated time.
 func TestObserversShareOneChain(t *testing.T) {
-	run := func(monitor pearl.Time, csv bool, scope *analysis.Scope) (*machine.Result, sparklines, *probe.Registry) {
-		pb := probe.New(probe.Config{})
-		wb, err := core.New(machine.T805Grid(2, 2), core.WithProbe(pb))
+	run := func(monitor pearl.Time, csv *stats.History, scope *analysis.Scope) (*machine.Result, sparklines) {
+		m, err := machine.New(machine.T805Grid(2, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := wb.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		view, finish, err := observe(m.Kernel(), pb.Registry(), monitor, csv, scope)
+		view, finish, err := observe(m, monitor, csv, scope)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -272,16 +292,16 @@ func TestObserversShareOneChain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		finish(res.Cycles)
-		return res, view, pb.Registry()
+		finish(res)
+		return res, view
 	}
-	plain, view, _ := run(0, false, nil)
+	plain, view := run(0, nil, nil)
 	if view != nil {
 		t.Error("sparklines without -monitor")
 	}
-	one, _, _ := run(1000, false, nil)
-	scope := analysis.NewScope()
-	all, view, reg := run(1000, true, scope)
+	one, _ := run(1000, nil, nil)
+	history, scope := new(stats.History), analysis.NewScope()
+	all, view := run(1000, history, scope)
 	if one.Cycles != plain.Cycles || all.Cycles != plain.Cycles {
 		t.Errorf("observers moved simulated time: plain %d, one %d, all %d", plain.Cycles, one.Cycles, all.Cycles)
 	}
@@ -303,7 +323,11 @@ func TestObserversShareOneChain(t *testing.T) {
 	if got := strings.Count(sb.String(), samples); got != 4 {
 		t.Errorf("%d of 4 sparklines have %s:\n%s", got, samples, sb.String())
 	}
-	if n := reg.Lookup("kernel.events").Series.Len(); n != int(ticks)+1 {
+	sb.Reset()
+	if err := history.WriteCSV(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(sb.String(), "\n") - 1; n != int(ticks)+1 {
 		t.Errorf("CSV history has %d rows, want %d", n, ticks+1)
 	}
 	sb.Reset()
@@ -313,7 +337,7 @@ func TestObserversShareOneChain(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("mermaid_virtual_cycles %d\n", all.Cycles),
 		fmt.Sprintf("mermaid_events_total %d\n", all.Events),
-		"mermaid_net_messages ",
+		"mermaid_network_mesh_2x2__messages ",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("scope metrics missing %q", want)

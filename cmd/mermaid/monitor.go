@@ -6,8 +6,8 @@ import (
 	"strings"
 
 	"mermaid/internal/analysis"
+	"mermaid/internal/machine"
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 	"mermaid/internal/stats"
 )
 
@@ -15,61 +15,50 @@ import (
 // is on and -monitor does not name one.
 const defaultSampleEvery = 10000
 
-// sparkline is one row of the -monitor view: a series derived from registry
-// metrics on every sampling tick.
-type sparkline struct {
-	stats.Series
-	read func() float64
-}
-
 // sparklines is the -monitor view — the run-time half of the environment's
 // visualisation support (§3): mean node-bus utilisation, mean link
 // utilisation, messages delivered and kernel events, whichever of them the
-// machine registers. It keeps history for these few series only, not for
-// every metric of the registry.
-type sparklines []*sparkline
+// machine reports; a row the report has no metric for stays empty and is
+// not rendered. It keeps history for these few series only, not for every
+// metric of the report.
+type sparklines []stats.Series
 
-func newSparklines(reg *probe.Registry) sparklines {
-	var sp sparklines
-	add := func(label string, read func() float64) {
-		sp = append(sp, &sparkline{Series: stats.Series{Name: label}, read: read})
-	}
-	var buses []*probe.Entry
-	for _, e := range reg.Entries() {
-		if strings.HasPrefix(e.Name, "node") && strings.HasSuffix(e.Name, ".bus.utilization") {
-			buses = append(buses, e)
-		}
-	}
-	if len(buses) > 0 {
-		add("bus utilization", func() float64 {
-			var sum float64
-			for _, e := range buses {
-				sum += e.Read()
-			}
-			return sum / float64(len(buses))
-		})
-	}
-	for _, row := range [][2]string{
-		{"link utilization", "net.link-utilization.avg"},
-		{"messages", "net.messages"},
-		{"kernel events", "kernel.events"},
-	} {
-		if e := reg.Lookup(row[1]); e != nil {
-			add(row[0], e.Read)
-		}
-	}
-	return sp
+func newSparklines() sparklines {
+	return sparklines{{Name: "bus utilization"}, {Name: "link utilization"}, {Name: "messages"}, {Name: "kernel events"}}
 }
 
-func (sp sparklines) sample(at pearl.Time) {
-	for _, s := range sp {
-		s.Append(int64(at), s.read())
+// sample appends each row's value in the report sampled at: the mean of the
+// nodes' interconnect utilisations ("nodeN/memory-hierarchy/bus/utilization"
+// or ".../crossbar/utilization"), and the network set's "avg link
+// utilization" and "messages", and the root's "events".
+func (sp sparklines) sample(at pearl.Time, report *stats.Set) {
+	var bus float64
+	buses := 0
+	for _, m := range stats.Flatten(report) {
+		switch {
+		case strings.HasPrefix(m.Name, "node") && (strings.HasSuffix(m.Name, "/memory-hierarchy/bus/utilization") ||
+			strings.HasSuffix(m.Name, "/memory-hierarchy/crossbar/utilization")):
+			bus += m.Value
+			buses++
+		case strings.HasPrefix(m.Name, "network ") && strings.HasSuffix(m.Name, "/avg link utilization"):
+			sp[1].Append(int64(at), m.Value)
+		case strings.HasPrefix(m.Name, "network ") && strings.HasSuffix(m.Name, "/messages"):
+			sp[2].Append(int64(at), m.Value)
+		case m.Name == "events":
+			sp[3].Append(int64(at), m.Value)
+		}
+	}
+	if buses > 0 {
+		sp[0].Append(int64(at), bus/float64(buses))
 	}
 }
 
 // render writes each series as a sparkline with summary statistics.
 func (sp sparklines) render(w io.Writer) error {
 	for _, s := range sp {
+		if s.Len() == 0 {
+			continue
+		}
 		min, mean, max := s.Summary()
 		if _, err := fmt.Fprintf(w, "%-18s %s  (min %s, mean %s, max %s, %d samples)\n",
 			s.Name, stats.Sparkline(s.V),
@@ -80,27 +69,27 @@ func (sp sparklines) render(w io.Writer) error {
 	return nil
 }
 
-// observe attaches every requested observer of a single run to the run's one
-// sampling chain: the sparklines (monitor > 0, which is also the interval),
-// the -metrics CSV history (read back with reg.WriteCSV) and the
+// observe attaches every requested observer of a single run to the machine's
+// one sampling chain: the sparklines (monitor > 0, which is also the
+// interval), the -metrics CSV history (csv, nil when off) and the
 // -monitor-addr scope (nil when off). It returns the sparkline view and the
-// function that takes the end-of-run sample; with no observer requested no
-// chain is armed.
-func observe(k *pearl.Kernel, reg *probe.Registry, monitor pearl.Time, csv bool, scope *analysis.Scope) (sparklines, func(end pearl.Time), error) {
+// function that hands the observers the run's report; with no observer
+// requested no chain is armed.
+func observe(m *machine.Machine, monitor pearl.Time, csv *stats.History, scope *analysis.Scope) (sparklines, func(*machine.Result), error) {
 	var view sparklines
-	var consumers []func(pearl.Time)
+	var consumers []func(pearl.Time, *stats.Set)
 	every := pearl.Time(defaultSampleEvery)
 	if monitor > 0 {
 		every = monitor
-		view = newSparklines(reg)
+		view = newSparklines()
 		consumers = append(consumers, view.sample)
 	}
-	if csv {
-		consumers = append(consumers, reg.Sample)
+	if csv != nil {
+		consumers = append(consumers, func(at pearl.Time, report *stats.Set) { csv.Add(int64(at), report) })
 	}
 	if scope != nil {
-		consumers = append(consumers, func(pearl.Time) { scope.Sample(k, reg) })
+		consumers = append(consumers, scope.Sample)
 	}
-	finish, err := reg.StartSampler(k, every, consumers...)
+	finish, err := m.StartSampler(every, consumers...)
 	return view, finish, err
 }

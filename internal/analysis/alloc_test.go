@@ -38,9 +38,8 @@ func TestAllocFreeNilMonitor(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	var s *Scope // what a run without -monitor-addr holds
-	k := pearl.NewKernel()
 	if got := testing.AllocsPerRun(200, func() {
-		s.Sample(k, nil)
+		s.Sample(10, nil)
 		s.SetRuns(3)
 		s.ObserveRun(100, 10)
 		s.RunDone()

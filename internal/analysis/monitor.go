@@ -39,11 +39,12 @@ func NewScope() *Scope {
 }
 
 // snapshot is what the handlers may read: plain values copied out of the
-// simulation on its own goroutine.
+// simulation on its own goroutine, and the last sampled report tree, which
+// no one modifies once the sampler has handed it out.
 type snapshot struct {
 	virtual   int64
 	events    uint64
-	metrics   []stats.Metric
+	report    *stats.Set
 	runsDone  int
 	runsTotal int
 	finished  bool
@@ -60,19 +61,19 @@ type progressJSON struct {
 	Done          bool    `json:"done"`
 }
 
-// Sample copies the current kernel and registry state into the snapshot: the
-// scope's consumer on the run's sampling chain (probe.Registry.StartSampler),
-// which calls it at every tick and once more, with the exact end-of-run
-// values, after the run. Must run on the simulation goroutine.
-func (s *Scope) Sample(k *pearl.Kernel, reg *probe.Registry) {
+// Sample keeps the run's report tree as it stood at virtual time at, and
+// its event count: the scope's consumer on the run's sampling chain
+// (machine.Machine.StartSampler), which calls it at every tick and once
+// more, with the run's report, after the run.
+func (s *Scope) Sample(at pearl.Time, report *stats.Set) {
 	if s == nil {
 		return
 	}
-	ms := reg.Snapshot()
+	events, _ := report.Get("events")
 	s.mu.Lock()
-	s.snap.virtual = int64(k.Now())
-	s.snap.events = k.EventCount()
-	s.snap.metrics = ms
+	s.snap.virtual = int64(at)
+	s.snap.events = uint64(events)
+	s.snap.report = report
 	s.mu.Unlock()
 }
 
@@ -110,25 +111,29 @@ func (s *Scope) RunDone() {
 	s.mu.Unlock()
 }
 
-// Finish marks the scope's work complete; progress reports done:true.
+// Finish marks the scope's work complete; progress reports done:true. It
+// lets go of the last report tree, so a finished scope's metrics are the
+// virtual clock and the event count alone.
 func (s *Scope) Finish() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.snap.finished = true
+	s.snap.report = nil
 	s.mu.Unlock()
 }
 
 // WriteMetrics renders the scope's last sampled state in Prometheus text
-// exposition format: the virtual clock, the event count, and every registry
-// metric as probe.WritePrometheus names it.
+// exposition format: the virtual clock, the event count, and every metric of
+// the sampled report under its path (stats.Flatten), as
+// probe.WritePrometheus names it.
 func (s *Scope) WriteMetrics(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
-	snap := s.snap // metrics is replaced whole by Sample, never written in place
+	snap := s.snap
 	s.mu.Unlock()
 
 	if _, err := fmt.Fprintf(w, "# TYPE mermaid_virtual_cycles gauge\nmermaid_virtual_cycles %d\n", snap.virtual); err != nil {
@@ -137,7 +142,10 @@ func (s *Scope) WriteMetrics(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# TYPE mermaid_events_total counter\nmermaid_events_total %d\n", snap.events); err != nil {
 		return err
 	}
-	return probe.WritePrometheus(w, snap.metrics)
+	if snap.report == nil {
+		return nil
+	}
+	return probe.WritePrometheus(w, stats.Flatten(snap.report))
 }
 
 // WriteProgress renders the scope's completion state as the /progress JSON
@@ -164,11 +172,11 @@ func (s *Scope) WriteProgress(w io.Writer) error {
 }
 
 // Monitor serves one Scope over HTTP while a simulation executes:
-// GET /metrics returns the probe registry in Prometheus text exposition
+// GET /metrics returns the last sampled report in Prometheus text exposition
 // format, GET /progress returns a JSON snapshot of virtual time, wall time,
 // event throughput and experiment completion.
 //
-// The simulation goroutine owns the kernel and registry; the handlers never
+// The simulation goroutine owns the kernel and the model; the handlers never
 // touch them. They serve from the scope's mutex-protected snapshot, which the
 // simulation side fills (Scope.Sample on the run's sampling chain, or
 // ObserveRun/RunDone from farm workers).

@@ -9,7 +9,7 @@ import (
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
+	"mermaid/internal/stats"
 )
 
 func get(t *testing.T, url string) (string, string) {
@@ -29,20 +29,29 @@ func get(t *testing.T, url string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
-// watch makes the scope a consumer of the run's sampling chain, the way the
-// CLI and the simulation server attach it, and returns the end-of-run sampler.
-func watch(t *testing.T, s *analysis.Scope, k *pearl.Kernel, reg *probe.Registry, every pearl.Time) func(pearl.Time) {
-	t.Helper()
-	finish, err := reg.StartSampler(k, every, func(pearl.Time) { s.Sample(k, reg) })
-	if err != nil {
-		t.Fatal(err)
+// watch feeds the scope the way a machine's sampler does
+// (machine.Machine.StartSampler): a daemon tick every `every` cycles hands it
+// a report tree — the kernel's event count and a network's message count —
+// and the returned function hands it the last one after the run.
+func watch(s *analysis.Scope, k *pearl.Kernel, messages float64, every pearl.Time) func(end pearl.Time) {
+	report := func() *stats.Set {
+		r := stats.NewSet("machine test")
+		r.PutUint("events", k.EventCount(), "")
+		r.Sub("network mesh(2x2)").Put("messages", messages, "")
+		return r
 	}
-	return finish
+	var tick func()
+	tick = func() {
+		s.Sample(k.Now(), report())
+		k.AtDaemon(k.Now()+every, tick)
+	}
+	k.AtDaemon(every, tick)
+	return func(end pearl.Time) { s.Sample(end, report()) }
 }
 
-// The monitor serves live kernel and registry state over HTTP without
-// touching the simulation from handler goroutines: /metrics is Prometheus
-// text exposition, /progress is a JSON snapshot with run completion.
+// The monitor serves the live report over HTTP without touching the
+// simulation from handler goroutines: /metrics is Prometheus text
+// exposition, /progress is a JSON snapshot with run completion.
 func TestMonitorEndpoints(t *testing.T) {
 	mon, err := analysis.NewMonitor("127.0.0.1:0")
 	if err != nil {
@@ -54,11 +63,6 @@ func TestMonitorEndpoints(t *testing.T) {
 	}
 
 	k := pearl.NewKernel()
-	pb := probe.New(probe.Config{})
-	reg := pb.Registry()
-	var msgs float64 = 42
-	reg.Gauge("net.messages", "count", func() float64 { return msgs })
-
 	k.Spawn("worker", func(p *pearl.Process) {
 		for i := 0; i < 100; i++ {
 			p.Hold(10)
@@ -66,7 +70,7 @@ func TestMonitorEndpoints(t *testing.T) {
 	})
 	scope := mon.Scope()
 	scope.SetRuns(3)
-	watch(t, scope, k, reg, 50)
+	watch(scope, k, 42, 50)
 	k.RunUntil(1000)
 	scope.RunDone()
 	scope.RunDone()
@@ -78,8 +82,8 @@ func TestMonitorEndpoints(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE mermaid_virtual_cycles gauge",
 		"# TYPE mermaid_events_total counter",
-		"# TYPE mermaid_net_messages gauge",
-		"mermaid_net_messages 42",
+		"# TYPE mermaid_network_mesh_2x2__messages gauge",
+		"mermaid_network_mesh_2x2__messages 42",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, metrics)

@@ -10,45 +10,46 @@ import (
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 )
 
 // Two scopes are fully independent: each serves its own kernel's clock,
-// event count and registry values — the property the simulation server
-// relies on when two jobs run concurrently.
+// event count and report — the property the simulation server relies on
+// when two jobs run concurrently. Finish lets go of the report.
 func TestScopesAreIndependent(t *testing.T) {
-	mkScope := func(gauge float64, horizon pearl.Time) *analysis.Scope {
+	mkScope := func(messages float64, horizon pearl.Time) *analysis.Scope {
 		s := analysis.NewScope()
 		k := pearl.NewKernel()
-		pb := probe.New(probe.Config{})
-		pb.Registry().Gauge("net.messages", "count", func() float64 { return gauge })
 		k.Spawn("worker", func(p *pearl.Process) {
 			for i := pearl.Time(0); i < horizon; i += 10 {
 				p.Hold(10)
 			}
 		})
 		s.SetRuns(1)
-		finish := watch(t, s, k, pb.Registry(), 25)
+		finish := watch(s, k, messages, 25)
 		finish(k.Run())
 		s.RunDone()
-		s.Finish()
 		return s
 	}
 	a := mkScope(7, 1000)
 	b := mkScope(11, 5000)
 
-	var wa, wb strings.Builder
-	if err := a.WriteMetrics(&wa); err != nil {
-		t.Fatal(err)
+	metrics := func(s *analysis.Scope) string {
+		var sb strings.Builder
+		if err := s.WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	if err := b.WriteMetrics(&wb); err != nil {
-		t.Fatal(err)
+	if got := metrics(a); !strings.Contains(got, "mermaid_network_mesh_2x2__messages 7\n") {
+		t.Errorf("scope A metrics:\n%s", got)
 	}
-	if !strings.Contains(wa.String(), "mermaid_net_messages 7") {
-		t.Errorf("scope A metrics:\n%s", wa.String())
+	if got := metrics(b); !strings.Contains(got, "mermaid_network_mesh_2x2__messages 11\n") {
+		t.Errorf("scope B metrics:\n%s", got)
 	}
-	if !strings.Contains(wb.String(), "mermaid_net_messages 11") {
-		t.Errorf("scope B metrics:\n%s", wb.String())
+	a.Finish()
+	b.Finish()
+	if got := metrics(a); strings.Contains(got, "messages") || !strings.Contains(got, "mermaid_virtual_cycles 1000\n") {
+		t.Errorf("finished scope A metrics, want the clock and events alone:\n%s", got)
 	}
 
 	var pa, pb2 struct {
@@ -80,7 +81,7 @@ func TestScopesAreIndependent(t *testing.T) {
 // A nil scope accepts every call as a no-op, like the nil monitor.
 func TestNilScope(t *testing.T) {
 	var s *analysis.Scope
-	s.Sample(pearl.NewKernel(), nil)
+	s.Sample(10, nil)
 	s.ObserveRun(100, 10)
 	s.SetRuns(1)
 	s.RunDone()
@@ -103,14 +104,12 @@ func TestMonitorCloseGraceful(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := pearl.NewKernel()
-	pb := probe.New(probe.Config{})
-	pb.Registry().Gauge("net.messages", "count", func() float64 { return 42 })
 	k.Spawn("worker", func(p *pearl.Process) {
 		for i := 0; i < 100; i++ {
 			p.Hold(10)
 		}
 	})
-	watch(t, mon.Scope(), k, pb.Registry(), 50)(k.Run())
+	watch(mon.Scope(), k, 42, 50)(k.Run())
 	mon.Scope().Finish()
 
 	addr := mon.Addr()

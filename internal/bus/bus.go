@@ -96,10 +96,9 @@ type Bus struct {
 }
 
 // New creates an interconnect on kernel k. pb and col may be nil (no
-// instrumentation); with a probe attached the bus registers its traffic
-// counters and emits one "txn" span per transaction and channel; with a
-// collector attached every channel contributes busy/wait accounting to the
-// bottleneck analysis. cfg is taken as given: any kind but the crossbar is
+// instrumentation); with a timeline attached the bus emits one "txn" span
+// per transaction and channel; with a collector attached every channel
+// contributes busy/wait accounting to the bottleneck analysis. cfg is taken as given: any kind but the crossbar is
 // a bus, and Width must be positive, as Validate leaves it.
 func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysis.Collector) *Bus {
 	n := 1
@@ -112,10 +111,6 @@ func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysi
 		b.chans = append(b.chans, ch)
 		col.Resource("bus", ch)
 	}
-	reg := pb.Registry()
-	reg.Counter(name+".transactions", &b.transactions)
-	reg.Counter(name+".bytes", &b.bytes)
-	reg.Gauge(name+".utilization", "", b.utilization)
 	if tl := pb.Timeline(); tl != nil {
 		b.tl = tl
 		b.txn = tl.Name("txn")
@@ -240,25 +235,18 @@ func (c *call) run() pearl.Step {
 	return s
 }
 
-// utilization returns the mean occupancy across channels so far.
-func (b *Bus) utilization() float64 {
-	var u float64
-	for _, c := range b.chans {
-		u += c.Utilization()
-	}
-	return u / float64(len(b.chans))
-}
-
 // Stats reports traffic and contention metrics.
 func (b *Bus) Stats() *stats.Set {
 	s := stats.NewSet(string(b.cfg.Kind))
 	s.PutUint("transactions", b.transactions.Value(), "")
 	s.PutUint("bytes", b.bytes.Value(), "B")
-	s.Put("utilization", b.utilization(), "")
-	var wait float64
+	// Mean occupancy and queueing delay across channels so far.
+	var u, wait float64
 	for _, c := range b.chans {
+		u += c.Utilization()
 		wait += c.AvgWait()
 	}
+	s.Put("utilization", u/float64(len(b.chans)), "")
 	s.Put("avg arbitration wait", wait/float64(len(b.chans)), "cyc")
 	s.PutInt("channels", int64(len(b.chans)), "")
 	return s

@@ -11,7 +11,6 @@ import (
 	"math/bits"
 
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 	"mermaid/internal/stats"
 )
 
@@ -485,21 +484,4 @@ func (c *cache) statsSet() *stats.Set {
 	s.PutUint("snoop supplies", c.S.SnoopSupplies.Value(), "")
 	s.PutUint("upgrades", c.S.Upgrades.Value(), "")
 	return s
-}
-
-// register publishes the cache's counters into the metrics registry under
-// its dotted name (e.g. "node0.cpu0.L1.misses"), making them stable,
-// greppable identifiers for the sampler and the registry dump.
-func (c *cache) register(reg *probe.Registry) {
-	n := c.cfg.Name
-	reg.Counter(n+".hits", &c.S.Hits)
-	reg.Counter(n+".misses", &c.S.Misses)
-	reg.Gauge(n+".hit-ratio", "", c.hitRatio)
-	reg.Counter(n+".evictions", &c.S.Evictions)
-	reg.Counter(n+".writebacks", &c.S.Writebacks)
-	reg.Counter(n+".back-invalidates", &c.S.BackInvalidates)
-	reg.Counter(n+".snoop-invalidates", &c.S.SnoopInvalidates)
-	reg.Counter(n+".snoop-downgrades", &c.S.SnoopDowngrades)
-	reg.Counter(n+".snoop-supplies", &c.S.SnoopSupplies)
-	reg.Counter(n+".upgrades", &c.S.Upgrades)
 }

@@ -211,9 +211,8 @@ type Hierarchy struct {
 
 // NewHierarchy builds the memory system in the given environment. env.RNG
 // seeds random replacement; pass a nil stream for deterministic-only
-// policies. env.Probe may be nil (no instrumentation); with a probe
-// attached, every cache registers its counters under its dotted name and
-// miss fills are recorded as spans.
+// policies. env.Probe may be nil (no instrumentation); with a timeline
+// attached, miss fills are recorded as spans.
 func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -255,18 +254,6 @@ func NewHierarchy(env sim.Env, name string, cfg HierarchyConfig) (*Hierarchy, er
 		cc.Name = fmt.Sprintf("%s.%s", name, levelName(cc.Name, len(cfg.Private)+lvl, false))
 		h.shd = append(h.shd, mustNew(cc, nextRNG()))
 	}
-	reg := pb.Registry()
-	for _, c := range h.caches() {
-		c.register(reg)
-	}
-	reg.Counter(name+".coherence.bus-reads", &h.busRd)
-	reg.Counter(name+".coherence.bus-read-x", &h.busRdX)
-	reg.Counter(name+".coherence.upgrades", &h.busUpgr)
-	reg.Counter(name+".coherence.writebacks", &h.busWB)
-	reg.Counter(name+".coherence.writethroughs", &h.wtWrites)
-	reg.Counter(name+".coherence.c2c-supplies", &h.c2c)
-	reg.Counter(name+".coherence.dir-lookups", &h.dirLookups)
-	reg.Counter(name+".coherence.dir-messages", &h.dirMsgs)
 	if tl := pb.Timeline(); tl != nil {
 		h.tl = tl
 		h.fill = tl.Name("fill")

@@ -39,8 +39,8 @@ type Job struct {
 	// job-scoped counterpart of Pool.OnResult, so different jobs sharing one
 	// pool or queue can feed different observers (the simulation server
 	// gives every HTTP job its own monitor scope). It is called from worker
-	// goroutines, before the pool-level hook, and must be safe for
-	// concurrent use; it observes results, it cannot change them.
+	// goroutines — under Run, before the pool-level hook — and must be safe
+	// for concurrent use; it observes results, it cannot change them.
 	OnResult func(Result)
 }
 
@@ -108,15 +108,15 @@ type Pool struct {
 	Repeats int
 	// Seed is the base seed per-run seeds are derived from.
 	Seed uint64
-	// OnResult, when non-nil, is invoked once per completed run with its
-	// Result — a progress hook for live monitoring. It is called from worker
-	// goroutines and must be safe for concurrent use; it observes results,
-	// it cannot change them.
+	// OnResult, when non-nil, is invoked once per completed run of Run with
+	// its Result — a progress hook for live monitoring. It is called from
+	// worker goroutines and must be safe for concurrent use; it observes
+	// results, it cannot change them. A Queue does not call it.
 	OnResult func(Result)
-	// Host, when non-nil, receives one wall-clock span per run on a
+	// Host, when non-nil, receives one wall-clock span per run of Run on a
 	// "farm.wN" track per worker, named after the job — the farm's schedule
 	// in a host trace (internal/hostprobe). Host telemetry observes runs; it
-	// never affects them.
+	// never affects them. A Queue records no host trace.
 	Host *hostprobe.Trace
 }
 

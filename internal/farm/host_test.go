@@ -70,17 +70,17 @@ func TestBatchQueueWaitAndHostTrace(t *testing.T) {
 func TestQueueWait(t *testing.T) {
 	var mu sync.Mutex
 	var waits []time.Duration
-	p := &Pool{Workers: 1, OnResult: func(r Result) {
+	record := func(r Result) {
 		mu.Lock()
 		waits = append(waits, r.QueueWait)
 		mu.Unlock()
-	}}
-	q := p.StartQueue(8)
-	block := Job{Name: "block", Run: func(rc *RunContext) (any, error) {
+	}
+	q := New(1).StartQueue(8)
+	block := Job{Name: "block", OnResult: record, Run: func(rc *RunContext) (any, error) {
 		time.Sleep(5 * time.Millisecond)
 		return nil, nil
 	}}
-	quick := Job{Name: "quick", Run: func(rc *RunContext) (any, error) { return nil, nil }}
+	quick := Job{Name: "quick", OnResult: record, Run: func(rc *RunContext) (any, error) { return nil, nil }}
 	if err := q.Submit(block, 1); err != nil {
 		t.Fatal(err)
 	}

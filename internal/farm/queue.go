@@ -2,7 +2,6 @@ package farm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 )
@@ -23,15 +22,13 @@ var (
 // service — the simulation server — receives jobs one at a time and wants
 // back-pressure instead of an unbounded backlog, so Queue accepts or
 // refuses each job immediately and delivers outcomes through the job-scoped
-// OnResult hook (plus the pool-level one, when set). There is no batch
-// report.
+// OnResult hook. There is no batch report.
 //
 // Unlike the batch path, every submission carries its own explicit seed:
 // service jobs are addressed by (config, workload, seed) for the result
 // cache, so the seed must come from the request, not from a submission
 // position.
 type Queue struct {
-	p    *Pool
 	jobs chan queuedJob
 	wg   sync.WaitGroup
 
@@ -50,9 +47,9 @@ type queuedJob struct {
 }
 
 // StartQueue starts the pool's workers on a bounded queue holding at most
-// depth not-yet-started jobs (values below 1 mean 1). The pool's Workers
-// and OnResult fields are read once here; Repeats and Seed do not apply to
-// queued jobs.
+// depth not-yet-started jobs (values below 1 mean 1). Of the pool's fields
+// only Workers applies, read once here: queued jobs carry their own seed and
+// their own OnResult hook.
 func (p *Pool) StartQueue(depth int) *Queue {
 	workers := p.Workers
 	if workers < 1 {
@@ -61,15 +58,15 @@ func (p *Pool) StartQueue(depth int) *Queue {
 	if depth < 1 {
 		depth = 1
 	}
-	q := &Queue{p: p, jobs: make(chan queuedJob, depth)}
+	q := &Queue{jobs: make(chan queuedJob, depth)}
 	for w := 0; w < workers; w++ {
 		q.wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer q.wg.Done()
 			for qj := range q.jobs {
-				q.run(w, qj)
+				q.run(qj)
 			}
-		}(w)
+		}()
 	}
 	return q
 }
@@ -105,7 +102,7 @@ func (q *Queue) Close() {
 	q.wg.Wait()
 }
 
-func (q *Queue) run(w int, qj queuedJob) {
+func (q *Queue) run(qj queuedJob) {
 	rc := &RunContext{Index: qj.idx, Seed: qj.seed}
 	res := Result{Index: qj.idx, Name: qj.job.Name, Seed: qj.seed}
 	t0 := time.Now()
@@ -113,14 +110,7 @@ func (q *Queue) run(w int, qj queuedJob) {
 	res.Value, res.Err = runIsolated(qj.job, rc)
 	res.Wall = time.Since(t0)
 	res.Cycles, res.Events = rc.cycles, rc.events
-	if q.p.Host != nil {
-		track := q.p.Host.Track(fmt.Sprintf("farm.w%d", w))
-		q.p.Host.SpanSince(track, qj.job.Name, t0)
-	}
 	if qj.job.OnResult != nil {
 		qj.job.OnResult(res)
-	}
-	if q.p.OnResult != nil {
-		q.p.OnResult(res)
 	}
 }

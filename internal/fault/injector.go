@@ -106,7 +106,6 @@ func NewInjector(k *pearl.Kernel, topo topology.Topology, sched Schedule, rng *p
 		return nil, err
 	}
 	inj.makeTracks()
-	inj.registerMetrics(pb.Registry())
 	if len(inj.pending) > 0 {
 		inj.scheduleNext()
 	}
@@ -401,18 +400,6 @@ func (inj *Injector) crashable() []int {
 		}
 	}
 	return nodes
-}
-
-// registerMetrics names the degraded-mode accounting for live sampling: the
-// loss counters and one downtime gauge per node the schedule can crash.
-func (inj *Injector) registerMetrics(reg *probe.Registry) {
-	reg.Counter("fault.drops", &inj.drops)
-	reg.Counter("fault.corruptions", &inj.corruptions)
-	for _, node := range inj.crashable() {
-		reg.Gauge(fmt.Sprintf("node%d.downtime", node), "cyc", func() float64 {
-			return float64(inj.downtimeUpTo(node, inj.k.Now()))
-		})
-	}
 }
 
 // Stats reports the degraded-mode accounting of a run that ended at end, as

@@ -12,9 +12,8 @@ import (
 )
 
 // A task-level request allocates a few objects per node, not one per metric
-// or per message: the report sets are built in bulk, interface counters are
-// named only when a registry is attached, the processor reads its trace in
-// place, and the rendezvous acks and receive futures are reused. Building a
+// or per message: the report sets are built in bulk, the processor reads its
+// trace in place, and the rendezvous acks and receive futures are reused. Building a
 // 32×32 wormhole torus, running a synchronous exchange of 4 KiB × 4 on it
 // and rendering the report must allocate at most 10 times per node.
 func TestTaskExchangeAmortisedAllocs(t *testing.T) {

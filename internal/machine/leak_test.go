@@ -104,7 +104,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.Kernel().After(200, func() { panic("kaput") })
+			m.k.After(200, func() { panic("kaput") })
 			defer func() {
 				if v := recover(); v != "kaput" {
 					t.Errorf("Run panicked with %v, want the callback's panic", v)

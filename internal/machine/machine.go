@@ -216,6 +216,8 @@ type Machine struct {
 	inj   *fault.Injector // nil without faults
 	col   *analysis.Collector
 	ran   bool // one run per machine
+	// sampling is set once StartSampler has armed the run's sampling chain.
+	sampling bool
 
 	// Parallel-engine state (nil when cfg.Shards == 0): the shard group and
 	// the sharded fabric. k then aliases shard 0's kernel and net stays nil.
@@ -232,10 +234,8 @@ func New(cfg Config) (*Machine, error) {
 
 // Build assembles the machine in the given environment. env.Kernel hosts
 // every component; env.RNG (normally seeded with cfg.Seed) is the root of
-// all component random streams; env.Probe, when non-nil, attaches the
-// observability layer: every component registers its counters in the probe's
-// metrics registry and, if the probe carries a timeline, emits span events
-// into it.
+// all component random streams; env.Probe, when it carries a timeline, has
+// every component emit span events into it.
 func Build(env sim.Env, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -255,7 +255,6 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		}
 		m.col.SetMachine(cfg.Name, cpusPerNode, k)
 	}
-	env.Registry().Gauge("kernel.events", "", func() float64 { return float64(k.EventCount()) })
 	if cfg.hasNetwork() {
 		net, err := network.New(env, cfg.Network)
 		if err != nil {
@@ -287,8 +286,8 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 		}
 	}
 	if !cfg.Faults.Empty() {
-		// Registered last so that with an empty schedule the metric registry
-		// and timeline are bit-identical to a build without the subsystem.
+		// Built last so that with an empty schedule the timeline is
+		// bit-identical to a build without the subsystem.
 		inj, err := fault.NewInjector(k, m.net.Topology(), *cfg.Faults, env.RNG, env.Probe)
 		if err != nil {
 			return nil, err
@@ -301,9 +300,6 @@ func Build(env sim.Env, cfg Config) (*Machine, error) {
 
 // DSM returns the virtual-shared-memory layer, or nil.
 func (m *Machine) DSM() *dsm.Layer { return m.dsm }
-
-// Kernel returns the machine's simulation kernel.
-func (m *Machine) Kernel() *pearl.Kernel { return m.k }
 
 // ShardGroup returns the parallel engine's shard group, or nil when the
 // machine runs single-kernel (cfg.Shards == 0). Callers use it to attach
@@ -582,19 +578,39 @@ type Result struct {
 }
 
 func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
-	r := &Result{
-		Cycles:     cycles,
-		Events:     m.events(),
-		Wall:       wall,
-		Processors: m.Streams(),
+	return &Result{
+		Cycles:       cycles,
+		Events:       m.events(),
+		Wall:         wall,
+		Instructions: m.instructions(),
+		Processors:   m.Streams(),
+		Stats:        m.report(cycles),
+		Analysis:     m.col.Analyze(cycles),
 	}
-	root := stats.NewSet("machine " + m.cfg.Name)
-	root.PutInt("cycles", int64(cycles), "cyc")
-	root.PutUint("events", r.Events, "")
+}
+
+// instructions returns the abstract instructions the detailed CPUs have
+// executed so far.
+func (m *Machine) instructions() uint64 {
+	var n uint64
 	for _, nd := range m.nodes {
 		for i := 0; i < nd.CPUs(); i++ {
-			r.Instructions += nd.CPU(i).Instructions()
+			n += nd.CPU(i).Instructions()
 		}
+	}
+	return n
+}
+
+// report builds the run's metric tree as it stands at virtual time now: the
+// tree Result.Stats holds at the end of the run, and what the sampler hands
+// its consumers at every tick. Building it changes no model state — link and
+// resource utilisations fold their busy time exactly up to the present — so
+// a report taken mid-run leaves the run where it was.
+func (m *Machine) report(now pearl.Time) *stats.Set {
+	root := stats.NewSet("machine " + m.cfg.Name)
+	root.PutInt("cycles", int64(now), "cyc")
+	root.PutUint("events", m.events(), "")
+	for _, nd := range m.nodes {
 		root.Subsets = append(root.Subsets, nd.Stats())
 	}
 	if m.cfg.Mode == TaskLevel {
@@ -604,15 +620,55 @@ func (m *Machine) result(cycles pearl.Time, wall time.Duration) *Result {
 		root.Subsets = append(root.Subsets, t.Stats())
 	}
 	if m.inj != nil {
-		root.Subsets = append(root.Subsets, m.inj.Stats(cycles))
+		root.Subsets = append(root.Subsets, m.inj.Stats(now))
 	}
 	if m.dsm != nil {
 		root.Subsets = append(root.Subsets, m.dsm.Stats())
 	}
-	root.PutUint("instructions", r.Instructions, "")
-	r.Stats = root
-	r.Analysis = m.col.Analyze(cycles)
-	return r
+	root.PutUint("instructions", m.instructions(), "")
+	return root
+}
+
+// StartSampler arms the run's one sampling chain — a daemon event at every,
+// 2·every, … that builds the run's report as it stands and hands it to each
+// consumer with the tick's virtual time — and returns the function that
+// hands them the last sample: call it once after the run with the run's
+// result, whose Stats is that sample. However many consumers observe a run
+// (a CSV history, a live scope, a sparkline view), they share this chain
+// and each tick builds one tree for all of them, which they must not
+// modify. A second StartSampler on the machine is an error; with no
+// consumer no chain is armed.
+//
+// Daemon events fire in (time, sequence) order while model work remains but
+// neither keep a run alive nor move its clock, and building a report only
+// reads, so a sampled run ends at the same cycle with the same statistics
+// as an unsampled one. The one thing sampling changes is the kernel's event
+// count: plus one per tick fired.
+func (m *Machine) StartSampler(every pearl.Time, consumers ...func(at pearl.Time, report *stats.Set)) (finish func(*Result), err error) {
+	switch {
+	case every <= 0:
+		return nil, fmt.Errorf("machine: sampling interval %d", every)
+	case m.group != nil:
+		return nil, fmt.Errorf("machine: live sampling is not supported with shards; the single kernel (shards 0) gives the same report")
+	case len(consumers) == 0:
+		return func(*Result) {}, nil // nothing to sample: no chain, no ticks
+	case m.sampling:
+		return nil, fmt.Errorf("machine: sampler already started")
+	}
+	m.sampling = true
+	sample := func(at pearl.Time, report *stats.Set) {
+		for _, c := range consumers {
+			c(at, report)
+		}
+	}
+	k := m.k
+	var tick func()
+	tick = func() {
+		sample(k.Now(), m.report(k.Now()))
+		k.AtDaemon(k.Now()+every, tick)
+	}
+	k.AtDaemon(k.Now()+every, tick)
+	return func(res *Result) { sample(res.Cycles, res.Stats) }, nil
 }
 
 // CyclesPerSecond returns the simulation speed: simulated target cycles per

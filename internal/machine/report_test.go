@@ -2,10 +2,12 @@ package machine
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
+	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
@@ -81,10 +83,11 @@ func runReport(t *testing.T, c reportCase, env sim.Env) (*Machine, *Result) {
 }
 
 // TestReportIndependentOfObservers holds the report to the simulation alone:
-// Result.Stats renders byte for byte the same with no observer, with a
-// registry-only probe, with a timeline and with the bottleneck collector.
-// No sampler runs: a sampler's ticks are kernel events, and the report
-// counts them.
+// Result.Stats renders byte for byte the same with no observer, with a probe
+// without a timeline, with a timeline and with the bottleneck collector. A
+// sampler's ticks are kernel events, so under a sampler ticking every 1,000
+// cycles the report is the same but for the root's "events", which grows by
+// exactly the ticks fired.
 func TestReportIndependentOfObservers(t *testing.T) {
 	type observer struct {
 		name string
@@ -92,7 +95,7 @@ func TestReportIndependentOfObservers(t *testing.T) {
 	}
 	plain := func(seed uint64) sim.Env { return sim.NewEnv(seed, nil) }
 	observers := []observer{
-		{"registry", func(seed uint64) sim.Env { return sim.NewEnv(seed, probe.New(probe.Config{})) }},
+		{"bare probe", func(seed uint64) sim.Env { return sim.NewEnv(seed, probe.New(probe.Config{})) }},
 		{"timeline", func(seed uint64) sim.Env { return sim.NewEnv(seed, probe.New(probe.Config{Timeline: true})) }},
 		{"collector", func(seed uint64) sim.Env { return plain(seed).WithCollector(analysis.New()) }},
 	}
@@ -105,6 +108,28 @@ func TestReportIndependentOfObservers(t *testing.T) {
 				t.Errorf("%s: the report with %s differs from the one with no observer\n--- no observer ---\n%s\n--- %s ---\n%s",
 					c.name, o.name, want, o.name, got)
 			}
+		}
+
+		m := buildPlain(t, c.cfg)
+		calls := 0
+		finish, err := m.StartSampler(1000, func(pearl.Time, *stats.Set) { calls++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sampled, err := c.run(m)
+		if err != nil {
+			t.Fatalf("%s: run: %v", c.name, err)
+		}
+		finish(sampled)
+		ticks := uint64(calls - 1) // every call but the end-of-run one is a tick
+		if want := uint64(res.Cycles / 1000); ticks+1 < want || ticks > want || sampled.Events != res.Events+ticks {
+			t.Errorf("%s: sampled run counts %d events, %d unsampled, %d ticks over %d cycles", c.name, sampled.Events, res.Events, ticks, res.Cycles)
+		}
+		root := *sampled.Stats
+		root.Metrics = slices.Clone(root.Metrics)
+		root.Put("events", float64(res.Events), "")
+		if got := renderStats(t, &root); got != want {
+			t.Errorf("%s: the sampled report differs beyond its events\n--- no observer ---\n%s\n--- sampled ---\n%s", c.name, want, got)
 		}
 	}
 }
@@ -120,23 +145,23 @@ func renderStats(t *testing.T, s *stats.Set) string {
 }
 
 // TestFaultAccountingInReport requires a faulted run's report to carry the
-// six fault quantities, each equal to the registry metric a sampler reads
-// for it.
+// six fault quantities, every one exercised, node 1's downtime the length of
+// its scheduled window.
 func TestFaultAccountingInReport(t *testing.T) {
-	quantities := []struct{ set, metric, entry string }{
-		{"network ", "retransmits", "net.retransmits"},
-		{"network ", "lost packets", "net.lost"},
-		{"network ", "re-paths", "net.repaths"},
-		{"faults", "drops", "fault.drops"},
-		{"faults", "corruptions", "fault.corruptions"},
-		{"faults", "node1 downtime", "node1.downtime"},
+	quantities := []struct{ set, metric string }{
+		{"network ", "retransmits"},
+		{"network ", "lost packets"},
+		{"network ", "re-paths"},
+		{"faults", "drops"},
+		{"faults", "corruptions"},
+		{"faults", "node1 downtime"},
 	}
+	window := reportFaults().Nodes[0].Window
 	for _, c := range reportCases() {
 		if c.cfg.Faults.Empty() {
 			continue
 		}
-		m, res := runReport(t, c, sim.NewEnv(c.cfg.Seed, probe.New(probe.Config{})))
-		reg := m.pb.Registry()
+		_, res := runReport(t, c, sim.NewEnv(c.cfg.Seed, nil))
 		for _, q := range quantities {
 			set := res.Stats.Lookup(q.set)
 			if q.set == "network " {
@@ -147,11 +172,11 @@ func TestFaultAccountingInReport(t *testing.T) {
 				t.Errorf("%s: the report has no %q", c.name, q.metric)
 				continue
 			}
-			if want := reg.Lookup(q.entry).Read(); got != want {
-				t.Errorf("%s: report %s %v, registry %s %v", c.name, q.metric, got, q.entry, want)
-			}
 			if got == 0 && q.metric != "lost packets" {
 				t.Errorf("%s: no %s: the schedule no longer exercises it", c.name, q.metric)
+			}
+			if q.metric == "node1 downtime" && res.Cycles > window.To && got != float64(window.To-window.From) {
+				t.Errorf("%s: node1 downtime %v, its window is %d cycles", c.name, got, window.To-window.From)
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 		{"negative", task(-1), plain, ""},
 		{"detailed", detailed, plain, single},
 		{"faults", faulted, plain, single},
-		{"registry probe", task(2), func(seed uint64) sim.Env {
+		{"bare probe", task(2), func(seed uint64) sim.Env {
 			return sim.NewEnv(seed, probe.New(probe.Config{}))
 		}, single},
 		{"timeline probe", task(2), func(seed uint64) sim.Env {

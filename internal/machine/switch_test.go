@@ -35,7 +35,7 @@ func runSwitches(t *testing.T, cfg Config, d stochastic.Desc) (events, switches 
 	if _, err := m.RunStochastic(d); err != nil {
 		t.Fatal(err)
 	}
-	return m.Kernel().EventCount(), m.Kernel().Switches()
+	return m.k.EventCount(), m.k.Switches()
 }
 
 // A single-CPU node with private caches: the whole run is holds of one
@@ -93,7 +93,7 @@ func TestRunAheadDispatchFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dispatches := m.Kernel().Dispatches()
+	dispatches := m.k.Dispatches()
 	t.Logf("t805 4x4: %d events, %d dispatched, %d instructions", res.Events, dispatches, res.Instructions)
 	if res.Events != t805GridEvents {
 		t.Errorf("%d events; pinned %d", res.Events, t805GridEvents)

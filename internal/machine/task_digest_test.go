@@ -88,8 +88,8 @@ func TestTaskStatsDigests(t *testing.T) {
 		Retrans: fault.Retrans{Timeout: 250, Backoff: 2, MaxRetries: 16},
 	}
 	plain := func(cfg Config) sim.Env { return sim.NewEnv(cfg.Seed, nil) }
-	registry := func(cfg Config) sim.Env { return sim.NewEnv(cfg.Seed, probe.New(probe.Config{})) }
-	observed := func(cfg Config) sim.Env { return registry(cfg).WithCollector(analysis.New()) }
+	probed := func(cfg Config) sim.Env { return sim.NewEnv(cfg.Seed, probe.New(probe.Config{})) }
+	observed := func(cfg Config) sim.Env { return probed(cfg).WithCollector(analysis.New()) }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -97,8 +97,8 @@ func TestTaskStatsDigests(t *testing.T) {
 	}{
 		{"wormhole/plain", worm, plain},
 		{"wormhole/observed", worm, observed},
-		{"wormhole/faults", faulted, registry},
-		{"vct/plain", vct, registry},
+		{"wormhole/faults", faulted, probed},
+		{"vct/plain", vct, probed},
 		{"vct/shards2", sharded, plain},
 	}
 	got := make(map[string]string)

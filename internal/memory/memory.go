@@ -70,19 +70,13 @@ type DRAM struct {
 }
 
 // New creates a DRAM on kernel k. pb and col may be nil (no
-// instrumentation); with a probe attached the DRAM registers its access
-// counters and emits one "read"/"write" span per access on its track; with a
-// collector attached the port pool contributes busy/wait accounting to the
+// instrumentation); with a timeline attached the DRAM emits one
+// "read"/"write" span per access on its track; with a collector attached the port pool contributes busy/wait accounting to the
 // bottleneck analysis. cfg is taken as given: BytesPerCycle and Ports must
 // be positive, as Validate leaves them.
 func New(k *pearl.Kernel, name string, cfg Config, pb *probe.Probe, col *analysis.Collector) *DRAM {
 	d := &DRAM{cfg: cfg, k: k, ports: k.NewResource(name+".ports", cfg.Ports)}
 	col.Resource("dram", d.ports)
-	reg := pb.Registry()
-	reg.Counter(name+".reads", &d.reads)
-	reg.Counter(name+".writes", &d.writes)
-	reg.Counter(name+".bytes", &d.bytes)
-	reg.Gauge(name+".utilization", "", d.ports.Utilization)
 	if tl := pb.Timeline(); tl != nil {
 		d.tl = tl
 		d.track = tl.Track(name)

@@ -14,10 +14,10 @@
 // arecv handles and rendezvous acks, in non-blocking halves. Comm is one
 // communication operation over them, a resumable call that detailed CPUs, DSM
 // servers and Processor — the abstract processor of a task-level node — make
-// from their pearl.Chain step functions. Traffic is the ledger: the validated configuration and topology,
-// the traffic counters and histograms, the net.* metric names, the report sets
-// and the fault wiring. Whatever fabric a machine was built on, its nodes
-// match messages alike and its Traffic reads the same.
+// from their pearl.Chain step functions. Traffic is the ledger: the validated
+// configuration and topology, the traffic counters and histograms, the report
+// sets and the fault wiring. Whatever fabric a machine was built on, its
+// nodes match messages alike and its Traffic reads the same.
 package network
 
 import (
@@ -187,10 +187,8 @@ type vchan struct {
 // numVCs is the number of virtual channels per directed link.
 const numVCs = 2
 
-// New builds the network on env's kernel. The probe registry gets every
-// interface's counters, then the traffic ledger's; a timeline gets one track
-// per link virtual channel and the collector one resource per channel and per
-// router.
+// New builds the network on env's kernel. A timeline gets one track per link
+// virtual channel and the collector one resource per channel and per router.
 func New(env sim.Env, cfg Config) (*Network, error) {
 	fab, err := newFabric(cfg)
 	if err != nil {
@@ -235,12 +233,10 @@ func New(env sim.Env, cfg Config) (*Network, error) {
 		}
 	}
 	n.procs = make([]Processor, nodes)
-	reg := pb.Registry()
 	for i := range n.procs {
 		n.procs[i].NodeIf = NodeIf{led: &n.Traffic, id: i}
-		n.procs[i].registerIf(reg, i)
 	}
-	n.register(reg, n.linkUtilization)
+	n.util = n.linkUtilization
 	if n.col != nil {
 		n.routers = make([]router.Occupancy, nodes)
 		for node := range n.routers {

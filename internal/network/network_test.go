@@ -7,7 +7,6 @@ import (
 	"mermaid/internal/fault"
 	"mermaid/internal/ops"
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
 	"mermaid/internal/topology"
@@ -514,11 +513,10 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 		RecvOverhead: 2,
 		AckBytes:     8,
 	})
-	pb := probe.New(probe.Config{})
 	inj, err := fault.NewInjector(k, n.Topology(), fault.Schedule{
 		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: 0, To: 500}}},
 		Retrans: fault.Retrans{Timeout: 50, Backoff: 2, MaxRetries: 16},
-	}, pearl.NewRNG(1), pb)
+	}, pearl.NewRNG(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,13 +543,16 @@ func TestLinkFlapRetransmitsAndDelivers(t *testing.T) {
 	if n.lost.Value() != 0 {
 		t.Errorf("%d packets abandoned", n.lost.Value())
 	}
-	if faultDrops(pb) == 0 {
+	if faultDrops(inj) == 0 {
 		t.Error("no drops recorded for packets sent into the outage")
 	}
 }
 
-// faultDrops reads the fault.drops counter an injector registers in pb.
-func faultDrops(pb *probe.Probe) float64 { return pb.Registry().Lookup("fault.drops").Read() }
+// faultDrops reads the drops an injector reports in its "faults" set.
+func faultDrops(inj *fault.Injector) float64 {
+	drops, _ := inj.Stats(0).Get("drops")
+	return drops
+}
 
 // TestRetryBudgetExact: a packet is retransmitted MaxRetries times and then
 // abandoned. Every attempt on a link that drops everything fails, so each of
@@ -565,11 +566,10 @@ func TestRetryBudgetExact(t *testing.T) {
 		Link:     LinkConfig{BytesPerCycle: 8, PropDelay: 1},
 		AckBytes: 8,
 	})
-	pb := probe.New(probe.Config{})
 	inj, err := fault.NewInjector(k, n.Topology(), fault.Schedule{
 		Noise:   []fault.LinkNoise{{A: -1, B: -1, Drop: 1}},
 		Retrans: fault.Retrans{Timeout: 10, Backoff: 2, MaxRetries: 3},
-	}, pearl.NewRNG(1), pb)
+	}, pearl.NewRNG(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -585,7 +585,7 @@ func TestRetryBudgetExact(t *testing.T) {
 	if got := n.lost.Value(); got != 2 {
 		t.Errorf("%d packets abandoned, want 2", got)
 	}
-	if got := faultDrops(pb); got != 8 {
+	if got := faultDrops(inj); got != 8 {
 		t.Errorf("%v attempts dropped, want 4 per packet", got)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
 	"mermaid/internal/pearl"
-	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/stats"
 	"mermaid/internal/topology"
@@ -49,12 +48,11 @@ func (f *fabric) copyTime(size uint32) pearl.Time {
 
 // Traffic is the engine-independent half of the communication model: the
 // fabric's configuration and topology, the traffic counters and histograms,
-// the net.* metrics and the "network <topology>" report, and the fault
-// wiring — plus the kernel the traffic runs on and the engine carrying it,
-// which is all a NodeIf needs besides, and the bottleneck collector its
-// processors report to. Network embeds one; the sharded fabric keeps one per
-// shard, with no faults, registry or collector, and answers with their
-// merge. What differs between the engines — how packets walk and how links
+// the "network <topology>" report, and the fault wiring — plus the kernel
+// the traffic runs on and the engine carrying it, which is all a NodeIf
+// needs besides, and the bottleneck collector its processors report to.
+// Network embeds one; the sharded fabric keeps one per shard, with no faults
+// or collector, and answers with their merge. What differs between the engines — how packets walk and how links
 // are arbitrated — stays with each engine, which writes the counters here
 // directly.
 type Traffic struct {
@@ -80,25 +78,11 @@ type Traffic struct {
 	lost        stats.Counter
 	repaths     stats.Counter
 
-	reg  *probe.Registry
-	util func() (avg, max float64) // the engine's link utilisation
+	// util is the engine's link utilisation, which reads link state only the
+	// engine has.
+	util func() (avg, max float64)
 
 	freeAcks []*Message // delivered acks, for ackFor to reuse
-}
-
-// register names the traffic metrics in reg and takes the engine's link
-// utilisation, which reads link state only the engine has. Registration order
-// is the order of the sampled columns, so each engine calls it at its own
-// point.
-func (t *Traffic) register(reg *probe.Registry, util func() (avg, max float64)) {
-	t.reg, t.util = reg, util
-	reg.Counter("net.messages", &t.messages)
-	reg.Counter("net.packets", &t.packets)
-	reg.Counter("net.bytes", &t.bytes)
-	reg.Counter("net.acks", &t.acks)
-	reg.Gauge("net.latency.mean", "cyc", t.msgLatency.Mean)
-	reg.Gauge("net.hops.mean", "", t.hopHist.Mean)
-	reg.Gauge("net.link-utilization.avg", "", func() float64 { avg, _ := t.util(); return avg })
 }
 
 // AttachFaults activates the fault-injection subsystem: the injector's
@@ -115,9 +99,6 @@ func (t *Traffic) AttachFaults(inj *fault.Injector) {
 		return
 	}
 	t.faults = inj
-	t.reg.Counter("net.retransmits", &t.retransmits)
-	t.reg.Counter("net.lost", &t.lost)
-	t.reg.Counter("net.repaths", &t.repaths)
 	// Per-destination rows are computed on first use and dropped on every
 	// topology-change event, so the fault-affected cut is the only part of
 	// the O(N²) table a run ever pays for.
@@ -239,19 +220,6 @@ func (t *Traffic) Stats() *stats.Set {
 type nodeAcct struct {
 	tasks, sends, recvs           stats.Counter
 	compute, sendBlock, recvBlock pearl.Time
-}
-
-// registerIf names node i's interface counters in reg; with no registry
-// attached it builds no names.
-func (a *nodeAcct) registerIf(reg *probe.Registry, i int) {
-	if reg == nil {
-		return
-	}
-	var buf [32]byte
-	name := strconv.AppendInt(append(buf[:0], "net.nif"...), int64(i), 10)
-	n := len(name)
-	reg.Counter(string(append(name, ".sends"...)), &a.sends)
-	reg.Counter(string(append(name[:n], ".recvs"...)), &a.recvs)
 }
 
 // The metrics of a "procN" and of a "nifN" set.

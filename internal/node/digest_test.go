@@ -13,7 +13,6 @@ import (
 	"mermaid/internal/analysis"
 	"mermaid/internal/bus"
 	"mermaid/internal/cache"
-	"mermaid/internal/core"
 	"mermaid/internal/dsm"
 	"mermaid/internal/fault"
 	"mermaid/internal/machine"
@@ -43,8 +42,9 @@ import (
 // accounting joined the report. Both tables were re-printed once more, by
 // commit 07645d3, when the report stopped being hashed together with the
 // metric registry's snapshot: they hash the report alone, and the metrics
-// CSV, whose column names are the registry's, is pinned apart in
-// metricsCSVDigests. The
+// CSV is pinned apart in metricsCSVDigests. That table was re-printed once,
+// when the registry gave way to the sampled report and the CSV's columns
+// became report paths. The
 // observed cases keep the "/shards=0" of the time they also ran on the
 // parallel engine, which now runs task-level machines only. A digest that
 // moves means
@@ -205,12 +205,8 @@ func busName(b bus.Config) string {
 // hashes the three artifacts that between them show every simulated time.
 func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machine.Result, error)) string {
 	t.Helper()
-	pb := probe.New(probe.Config{Timeline: true})
-	wb, err := core.New(cfg, core.WithProbe(pb), core.WithAnalysis())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := wb.Build()
+	env := observedEnv(cfg)
+	m, err := machine.Build(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +214,7 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	if err != nil {
 		t.Fatal(err)
 	}
-	noSwitches(t, m)
+	noSwitches(t, env.Kernel)
 	h := sha256.New()
 	fmt.Fprintf(h, "%d cycles, %d events, %d instructions\n", res.Cycles, res.Events, res.Instructions)
 	if err := stats.RenderSet(h, res.Stats); err != nil {
@@ -346,11 +342,17 @@ func TestDetailedDigests(t *testing.T) {
 	}
 }
 
-// noSwitches fails the test unless m's kernel ran its events without a
-// hand-off: nothing in a machine runs on a stack of its own.
-func noSwitches(t *testing.T, m *machine.Machine) {
+// observedEnv is cfg's environment with the timeline and the bottleneck
+// collector attached.
+func observedEnv(cfg machine.Config) sim.Env {
+	return sim.NewEnv(cfg.Seed, probe.New(probe.Config{Timeline: true})).WithCollector(analysis.New())
+}
+
+// noSwitches fails the test unless the machine's kernel k ran its events
+// without a hand-off: nothing in a machine runs on a stack of its own.
+func noSwitches(t *testing.T, k *pearl.Kernel) {
 	t.Helper()
-	if n := m.Kernel().Switches(); n != 0 {
+	if n := k.Switches(); n != 0 {
 		t.Errorf("%d switches", n)
 	}
 }
@@ -501,12 +503,13 @@ func storeBurstTraces(n int) [][]ops.Op {
 // and renders everything the workbench can write about the run.
 func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machine.Machine) (*machine.Result, error)) map[string]string {
 	t.Helper()
-	pb := probe.New(probe.Config{Timeline: true})
-	m, err := machine.Build(sim.NewEnv(cfg.Seed, pb).WithCollector(analysis.New()), cfg)
+	env := observedEnv(cfg)
+	m, err := machine.Build(env, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	finish, err := pb.Registry().StartSampler(m.Kernel(), every, pb.Registry().Sample)
+	var history stats.History
+	finish, err := m.StartSampler(every, func(at pearl.Time, report *stats.Set) { history.Add(int64(at), report) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,8 +517,8 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 	if err != nil {
 		t.Fatal(err)
 	}
-	noSwitches(t, m)
-	finish(res.Cycles)
+	noSwitches(t, env.Kernel)
+	finish(res)
 	out := map[string]string{
 		"totals": fmt.Sprintf("%d cycles, %d events, %d instructions", res.Cycles, res.Events, res.Instructions),
 	}
@@ -531,7 +534,7 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 	coalesced(t, out["timeline"])
 	render("bottleneck text", func(b *bytes.Buffer) error { return res.Analysis.Render(b) })
 	render("bottleneck JSON", func(b *bytes.Buffer) error { return res.Analysis.WriteJSON(b) })
-	render(metricsCSV, func(b *bytes.Buffer) error { return pb.Registry().WriteCSV(b) })
+	render(metricsCSV, func(b *bytes.Buffer) error { return history.WriteCSV(b) })
 	return out
 }
 

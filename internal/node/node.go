@@ -82,8 +82,8 @@ type Node struct {
 
 // New builds a node in the given environment from its configuration,
 // validated and its defaults filled as a machine's Validate does. env.Probe
-// may be nil (no instrumentation); with a probe attached the node registers
-// its CPU metrics and emits compute-burst and communication spans per CPU.
+// may be nil (no instrumentation); with a timeline attached the node emits
+// compute-burst and communication spans per CPU.
 // The node draws randomness from a private substream derived from env.RNG by
 // its ID, so node construction order never perturbs another node's draws.
 func New(env sim.Env, prm Params) (*Node, error) {
@@ -111,7 +111,6 @@ func New(env sim.Env, prm Params) (*Node, error) {
 		commCycles: make([]pearl.Time, cfg.Hierarchy.CPUs),
 		dsmStall:   make([]pearl.Time, cfg.Hierarchy.CPUs),
 	}
-	reg := env.Registry()
 	tl := env.Timeline()
 	if tl != nil {
 		n.tl = tl
@@ -125,8 +124,6 @@ func New(env sim.Env, prm Params) (*Node, error) {
 		c := cpu.New(i, cfg.Timing, hier.Port(i))
 		n.cpus = append(n.cpus, c)
 		cpuName := fmt.Sprintf("%s.cpu%d", name, i)
-		reg.Gauge(cpuName+".instructions", "", func() float64 { return float64(c.Instructions()) })
-		reg.Gauge(cpuName+".busy", "cyc", func() float64 { return float64(c.BusyCycles()) })
 		n.col.RegisterCPU(n.cpuBase+i, cpuName, func() analysis.CPUSample {
 			return analysis.CPUSample{
 				Compute:     c.BusyCycles() - c.MemStallCycles(),

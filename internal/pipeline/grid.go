@@ -68,10 +68,6 @@ type GridSpec struct {
 	// Repeats is the default number of recorded replicas per design point
 	// (0 or 1 = one).
 	Repeats int `json:"repeats,omitempty"`
-	// Warmup is the number of unrecorded warm-up executions per design
-	// point, run before the recorded replicas (host caches and JIT-like
-	// effects settle; simulated results are unaffected either way).
-	Warmup int `json:"warmup,omitempty"`
 	// Workers is the default host worker count (0 = caller's choice).
 	Workers int `json:"workers,omitempty"`
 	// Experiments are the experiments to run, in order.
@@ -103,8 +99,8 @@ func (g *GridSpec) validate() error {
 	if len(g.Experiments) == 0 {
 		return fmt.Errorf("pipeline: grid %q lists no experiments", g.Name)
 	}
-	if g.Repeats < 0 || g.Warmup < 0 || g.Workers < 0 {
-		return fmt.Errorf("pipeline: grid %q: repeats, warmup and workers must be non-negative", g.Name)
+	if g.Repeats < 0 || g.Workers < 0 {
+		return fmt.Errorf("pipeline: grid %q: repeats and workers must be non-negative", g.Name)
 	}
 	for _, ge := range g.Experiments {
 		e, ok := experiments.ByName(ge.Name)

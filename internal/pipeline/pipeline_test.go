@@ -255,7 +255,7 @@ func TestDiffDetectsChange(t *testing.T) {
 }
 
 // TestParseGridRejectsBadSpecs: unknown experiments, undeclared sweep
-// parameters, and unknown JSON fields all fail fast.
+// parameters, and unknown JSON fields (naming the field) all fail fast.
 func TestParseGridRejectsBadSpecs(t *testing.T) {
 	cases := []struct {
 		name, grid, want string
@@ -265,6 +265,9 @@ func TestParseGridRejectsBadSpecs(t *testing.T) {
 		{"unknown field", `{"name":"g","experimints":[]}`, "experimints"},
 		{"no experiments", `{"name":"g","experiments":[]}`, "no experiments"},
 		{"no name", `{"experiments":[{"name":"validity"}]}`, "name"},
+		// Grids have no warm-up runs: a grid asking for them is refused
+		// rather than run without them.
+		{"warmup", `{"name":"g","warmup":1,"experiments":[{"name":"validity"}]}`, `unknown field "warmup"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -50,7 +50,6 @@ type unit struct {
 	exp     experiments.Experiment
 	point   Point
 	replica int
-	warmup  bool
 	group   string // display group: "name" or "name@k=v ..."
 	id      string // filesystem id: sanitized group plus replica suffix
 }
@@ -124,9 +123,6 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", u.id, err)
 			}
-			if u.warmup {
-				return (*unitOutput)(nil), nil
-			}
 			return buildOutput(u, rs, time.Since(start))
 		}}
 	}
@@ -153,9 +149,6 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 	writeStart := time.Now()
 	for _, v := range rep.Values() {
 		out := v.(*unitOutput)
-		if out == nil { // warmup
-			continue
-		}
 		for _, f := range out.files {
 			if err := writeFile(dir, f); err != nil {
 				return nil, "", err
@@ -204,8 +197,7 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 }
 
 // expandUnits flattens the grid into scheduled units: experiments in grid
-// order, points in deterministic cross-product order, warmups before
-// recorded replicas.
+// order, points in deterministic cross-product order, then replicas.
 func expandUnits(grid *GridSpec) []unit {
 	var units []unit
 	for _, ge := range grid.Experiments {
@@ -223,10 +215,6 @@ func expandUnits(grid *GridSpec) []unit {
 				group += "@" + label
 			}
 			base := sanitize(strings.ReplaceAll(group, " ", ","))
-			for w := 0; w < grid.Warmup; w++ {
-				units = append(units, unit{exp: e, point: pt, warmup: true, group: group,
-					id: base + "__warmup" + fmt.Sprint(w)})
-			}
 			for r := 0; r < repeats; r++ {
 				id := base
 				if repeats > 1 {

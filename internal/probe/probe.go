@@ -3,20 +3,17 @@
 // while a simulation runs, standing in for the run-time half of Mermaid's
 // visualisation and analysis tool suite (§2, Fig. 1).
 //
-// It has two outputs:
-//
-//   - A Timeline of span events keyed by (component track, virtual
-//     time), exported in the Chrome trace-event JSON format so a run opens
-//     directly in Perfetto or chrome://tracing.
-//   - A Registry of named metrics that components register their existing
-//     stats counters into at construction, with the one periodic
-//     virtual-time sampler every observer of a run shares (StartSampler),
-//     a CSV exporter and the Prometheus text renderer.
+// Its output is a Timeline of span events keyed by (component track,
+// virtual time), exported in the Chrome trace-event format so a run opens
+// directly in Perfetto or chrome://tracing. Metrics need no layer of their
+// own: every counter lives in the run's report (machine.Result.Stats), and a
+// live sampler hands that report tree to its consumers, whose Prometheus
+// exposition WritePrometheus renders.
 //
 // The layer is cheap when disabled: every method is safe on a nil receiver,
-// components hold nil Timeline/Registry pointers when no probe is attached,
-// and the disabled path performs no allocation — the kernel's zero-alloc
-// gates keep passing with probe-aware components compiled in.
+// components hold a nil Timeline when no probe is attached, and the disabled
+// path performs no allocation — the kernel's zero-alloc gates keep passing
+// with probe-aware components compiled in.
 package probe
 
 // Config selects which probe outputs are active.
@@ -25,15 +22,13 @@ type Config struct {
 	Timeline bool
 }
 
-// Probe bundles the two instrumentation outputs. A nil *Probe is the
-// disabled probe: all methods no-op and the accessors return nil.
+// Probe carries a run's instrumentation: the timeline, when enabled. A nil
+// *Probe is the disabled probe, whose Timeline is nil.
 type Probe struct {
-	tl  *Timeline
-	reg Registry
+	tl *Timeline
 }
 
-// New creates a probe. The registry is always available; the timeline is
-// allocated only when cfg.Timeline is set.
+// New creates a probe, allocating the timeline when cfg.Timeline is set.
 func New(cfg Config) *Probe {
 	p := &Probe{}
 	if cfg.Timeline {
@@ -50,13 +45,4 @@ func (p *Probe) Timeline() *Timeline {
 		return nil
 	}
 	return p.tl
-}
-
-// Registry returns the metrics registry; nil for a nil probe (the nil
-// *Registry accepts registrations as no-ops).
-func (p *Probe) Registry() *Registry {
-	if p == nil {
-		return nil
-	}
-	return &p.reg
 }

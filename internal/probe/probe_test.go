@@ -2,9 +2,7 @@ package probe
 
 import (
 	"bytes"
-	"encoding/csv"
 	"encoding/json"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -17,33 +15,8 @@ func TestNilProbeAccessors(t *testing.T) {
 	if p.Timeline() != nil {
 		t.Error("nil probe returned a timeline")
 	}
-	if p.Registry() != nil {
-		t.Error("nil probe returned a registry")
-	}
-}
-
-func TestNilRegistryNoOps(t *testing.T) {
-	var r *Registry
-	var c stats.Counter
-	r.Counter("a.b", &c)
-	r.Gauge("c.d", "", func() float64 { return 1 })
-	r.Sample(10)
-	if r.Entries() != nil || r.Lookup("a.b") != nil || r.Snapshot() != nil {
-		t.Error("nil registry is not inert")
-	}
-	k := pearl.NewKernel()
-	finish, err := r.StartSampler(k, 10, func(pearl.Time) { t.Error("nil registry sampled") })
-	if err != nil {
-		t.Fatalf("nil registry sampler: %v", err)
-	}
-	k.After(25, func() {})
-	finish(k.Run())
-	if k.EventCount() != 1 {
-		t.Errorf("nil registry armed a sampling chain: %d events", k.EventCount())
-	}
-	var buf bytes.Buffer
-	if err := r.WriteCSV(&buf); err != nil {
-		t.Errorf("nil registry CSV: %v", err)
+	if New(Config{}).Timeline() != nil {
+		t.Error("a probe without Timeline set returned a timeline")
 	}
 }
 
@@ -66,122 +39,6 @@ func TestNilTimelineNoOps(t *testing.T) {
 	}
 	if len(doc.TraceEvents) != 0 {
 		t.Errorf("nil timeline emitted %d events", len(doc.TraceEvents))
-	}
-}
-
-func TestRegistryRegisterAndSnapshot(t *testing.T) {
-	p := New(Config{})
-	reg := p.Registry()
-	var misses stats.Counter
-	misses.Add(7)
-	reg.Counter("node0.cache.l1d.misses", &misses)
-	reg.Gauge("node0.bus.utilization", "", func() float64 { return 0.5 })
-	if len(reg.Entries()) != 2 {
-		t.Fatalf("Len = %d, want 2", len(reg.Entries()))
-	}
-	if e := reg.Lookup("node0.cache.l1d.misses"); e == nil || e.Read() != 7 {
-		t.Fatalf("Lookup miss counter: %+v", e)
-	}
-	// Re-registering a name replaces the reader but keeps its position.
-	reg.Gauge("node0.bus.utilization", "", func() float64 { return 0.75 })
-	if len(reg.Entries()) != 2 {
-		t.Fatalf("re-register grew the registry to %d", len(reg.Entries()))
-	}
-	ms := reg.Snapshot()
-	if len(ms) != 2 {
-		t.Fatalf("snapshot = %+v", ms)
-	}
-	if ms[0].Name != "node0.cache.l1d.misses" || ms[0].Value != 7 {
-		t.Errorf("snapshot[0] = %+v", ms[0])
-	}
-	if ms[1].Value != 0.75 {
-		t.Errorf("snapshot[1] = %+v, want replaced reader value 0.75", ms[1])
-	}
-}
-
-func TestRegistrySamplerAndCSV(t *testing.T) {
-	k := pearl.NewKernel()
-	p := New(Config{})
-	reg := p.Registry()
-	var c stats.Counter
-	reg.Counter("net.messages", &c)
-	if _, err := reg.StartSampler(k, 0, reg.Sample); err == nil {
-		t.Fatal("StartSampler accepted a zero interval")
-	}
-	// Nothing to sample arms nothing (the event count below has no extra
-	// ticks) and leaves the registry free for the run's real chain.
-	if _, err := reg.StartSampler(k, 10); err != nil {
-		t.Fatal(err)
-	}
-	finish, err := reg.StartSampler(k, 10, reg.Sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One chain per run: further consumers join the first call, not a second.
-	if _, err := reg.StartSampler(k, 10, reg.Sample); err == nil {
-		t.Fatal("StartSampler armed a second chain on the same registry")
-	}
-	// Keep the simulation alive for 35 cycles; the counter grows along the way.
-	k.After(5, func() { c.Add(1) })
-	k.After(15, func() { c.Add(1) })
-	k.After(35, func() { c.Add(1) })
-	// The tick queued for 40 is a daemon event: the run ends with its last
-	// model event, not at the next multiple of the interval.
-	end := k.Run()
-	if end != 35 {
-		t.Fatalf("simulation ended at %d, want 35 (the last model event)", end)
-	}
-	if got := k.EventCount(); got != 3+3 {
-		t.Errorf("%d events, want 3 model events + 3 ticks", got)
-	}
-	finish(end)
-	e := reg.Lookup("net.messages")
-	// Ticks at 10, 20 and 30, then the end-of-run sample at 35.
-	if e.Series.Len() != 4 {
-		t.Fatalf("samples = %d, want 4 (got T=%v)", e.Series.Len(), e.Series.T)
-	}
-	if e.Series.T[0] != 10 || e.Series.V[0] != 1 {
-		t.Errorf("sample[0] = (%d, %g), want (10, 1)", e.Series.T[0], e.Series.V[0])
-	}
-	if e.Series.T[2] != 30 || e.Series.V[2] != 2 {
-		t.Errorf("sample[2] = (%d, %g), want (30, 2)", e.Series.T[2], e.Series.V[2])
-	}
-	if e.Series.T[3] != 35 || e.Series.V[3] != 3 {
-		t.Errorf("sample[3] = (%d, %g), want the end-of-run (35, 3)", e.Series.T[3], e.Series.V[3])
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("CSV lines = %d, want header + 4 rows:\n%s", len(lines), buf.String())
-	}
-	if lines[0] != "cycle,net.messages" {
-		t.Errorf("CSV header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "10,") || lines[4] != "35,3" {
-		t.Errorf("CSV rows = %q", lines[1:])
-	}
-}
-
-// A run that ends in the cycle of a tick must not leave two rows for that
-// cycle: the end-of-run sample — taken after the instant's remaining events —
-// replaces the tick's.
-func TestSamplerEndOfRunReplacesSameCycleTick(t *testing.T) {
-	k := pearl.NewKernel()
-	reg := New(Config{}).Registry()
-	var c stats.Counter
-	reg.Counter("net.messages", &c)
-	finish, err := reg.StartSampler(k, 10, reg.Sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k.After(20, func() { c.Add(1) }) // same instant as the second tick, later sequence
-	finish(k.Run())
-	e := reg.Lookup("net.messages")
-	if !reflect.DeepEqual(e.Series.T, []int64{10, 20}) || !reflect.DeepEqual(e.Series.V, []float64{0, 1}) {
-		t.Errorf("series = %v %v, want [10 20] [0 1]", e.Series.T, e.Series.V)
 	}
 }
 
@@ -295,85 +152,29 @@ func TestKernelBlockSpansOptIn(t *testing.T) {
 	}
 }
 
-// The CSV export is consumed by external tools, so its shape is pinned:
-// columns appear in registration order behind the cycle column, and metric
-// names containing CSV metacharacters (commas, quotes) are escaped per RFC
-// 4180 rather than corrupting the header.
-func TestWriteCSVDeterministicOrderAndEscaping(t *testing.T) {
-	p := New(Config{})
-	reg := p.Registry()
-	reg.Gauge("plain.metric", "", func() float64 { return 1 })
-	reg.Gauge(`latency,p99`, "cyc", func() float64 { return 2 })
-	reg.Gauge(`say "hi"`, "", func() float64 { return 3 })
-	reg.Sample(10)
-	reg.Sample(20)
-
-	var buf bytes.Buffer
-	if err := reg.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV lines = %d, want header + 2 rows:\n%s", len(lines), buf.String())
-	}
-	wantHeader := `cycle,plain.metric,"latency,p99","say ""hi"""`
-	if lines[0] != wantHeader {
-		t.Errorf("CSV header = %q, want %q", lines[0], wantHeader)
-	}
-
-	// Round-trip through a real CSV reader: the embedded comma and quotes
-	// must come back as the original metric names, in registration order.
-	rd := csv.NewReader(strings.NewReader(buf.String()))
-	rows, err := rd.ReadAll()
-	if err != nil {
-		t.Fatalf("exported CSV does not re-parse: %v", err)
-	}
-	want := []string{"cycle", "plain.metric", `latency,p99`, `say "hi"`}
-	if !reflect.DeepEqual(rows[0], want) {
-		t.Errorf("parsed header = %q, want %q", rows[0], want)
-	}
-	if rows[1][0] != "10" || rows[2][0] != "20" {
-		t.Errorf("cycle column = %q/%q, want 10/20", rows[1][0], rows[2][0])
-	}
-	if rows[1][2] != "2" || rows[1][3] != "3" {
-		t.Errorf("value row = %q, want columns in registration order", rows[1])
-	}
-
-	// A second export must be byte-identical.
-	var buf2 bytes.Buffer
-	if err := reg.WriteCSV(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Error("WriteCSV output differs between calls")
-	}
-}
-
 // The one Prometheus renderer: metrics sorted by name, units as HELP lines,
-// every metric a gauge — and the caller's slice left in registration order.
+// every metric a gauge — and the caller's slice left in its order.
 func TestWritePrometheus(t *testing.T) {
-	reg := New(Config{}).Registry()
-	reg.Gauge("net.latency.mean", "cyc", func() float64 { return 12.5 })
-	reg.Gauge("kernel.events", "", func() float64 { return 42 })
-	rs := reg.Snapshot()
+	rs := []stats.Metric{
+		{Name: "network mesh(2x2)/mean msg latency", Value: 12.5, Unit: "cyc"},
+		{Name: "events", Value: 42},
+	}
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, rs); err != nil {
 		t.Fatal(err)
 	}
-	want := "# TYPE mermaid_kernel_events gauge\nmermaid_kernel_events 42\n" +
-		"# HELP mermaid_net_latency_mean unit: cyc\n# TYPE mermaid_net_latency_mean gauge\nmermaid_net_latency_mean 12.5\n"
+	want := "# TYPE mermaid_events gauge\nmermaid_events 42\n" +
+		"# HELP mermaid_network_mesh_2x2__mean_msg_latency unit: cyc\n" +
+		"# TYPE mermaid_network_mesh_2x2__mean_msg_latency gauge\nmermaid_network_mesh_2x2__mean_msg_latency 12.5\n"
 	if buf.String() != want {
 		t.Errorf("exposition:\n%s\nwant:\n%s", buf.String(), want)
 	}
-	if rs[0].Name != "net.latency.mean" {
+	if rs[0].Name != "network mesh(2x2)/mean msg latency" {
 		t.Error("WritePrometheus reordered the caller's metrics")
-	}
-	if (*Registry)(nil).Snapshot() != nil || new(Registry).Snapshot() != nil {
-		t.Error("empty registry snapshot is not nil")
 	}
 }
 
-// Distinct registry names must never fold into the same Prometheus metric
+// Distinct metric names must never fold into the same Prometheus metric
 // name: "node0.cache.l1d" and "node0_cache.l1d" both sanitize to
 // "mermaid_node0_cache_l1d", and a scraper rejects an exposition with
 // duplicate names. Colliding groups get deterministic hash suffixes; names

@@ -7,8 +7,8 @@
 // a second user, is served from memory without touching a kernel. The cache
 // is what makes heavy traffic from many users cheap.
 //
-// An entry holds what every job needs: the report and the final metrics.
-// The timeline and the bottleneck analysis are not stored; the server
+// An entry holds what every job needs: the report. The metrics exposition,
+// the timeline and the bottleneck analysis are not stored; the server
 // re-derives them per GET by running the simulation again, at the cost of
 // one simulation each, and determinism makes those bytes the first run's.
 package resultcache
@@ -21,8 +21,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-
-	"mermaid/internal/probe"
 )
 
 // Key addresses one deterministic run: the machine configuration hash
@@ -55,17 +53,16 @@ func (k Key) ID() string {
 
 // Entry holds the stored artifacts of one run, exactly as the server's
 // endpoints deliver them: a cache hit serves bytes equal to what the
-// original run produced. The server stores the report and the metrics
-// only: it re-derives the timeline and the bottleneck analysis per GET and
-// retains nothing of them.
+// original run produced. The server stores the report only: it re-derives
+// the metrics, the timeline and the bottleneck analysis per GET and retains
+// nothing of them.
 type Entry struct {
 	// Report is the rendered text report (GET /jobs/{id}/report).
 	Report []byte
-	// Metrics is the final Prometheus exposition (GET /jobs/{id}/metrics).
-	Metrics []byte
-	// Timeline and Bottleneck are left empty by the server. They remain
-	// only because the benchmark's cache probe (benchmark/probes.go) sizes
-	// its entries with them; they go when that probe next changes.
+	// Metrics, Timeline and Bottleneck are left empty by the server. They
+	// remain only because the benchmark's cache probe (benchmark/probes.go)
+	// sizes its entries with them; they go when that probe next changes.
+	Metrics    []byte
 	Timeline   []byte
 	Bottleneck []byte
 	// Cycles and Events are the run's simulated volume, for progress
@@ -81,8 +78,8 @@ func (e *Entry) size() uint64 {
 }
 
 // Cache is a bounded in-memory LRU of run artifacts, safe for concurrent
-// use by HTTP handlers and farm workers. Hit, miss and eviction counts are
-// exported through Register for the server's /metrics endpoint.
+// use by HTTP handlers and farm workers. Its hit, miss and eviction counts,
+// entries and bytes are read by the server's /metrics endpoint.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
@@ -106,17 +103,6 @@ func New(max int) *Cache {
 		max = 1
 	}
 	return &Cache{max: max, ll: list.New(), byID: make(map[string]*list.Element)}
-}
-
-// Register exposes the cache's counters in the given probe registry under
-// stable dotted names, so hit rates are visible wherever the registry is
-// served (the server's /metrics endpoint).
-func (c *Cache) Register(reg *probe.Registry) {
-	reg.Gauge("resultcache.hits", "", func() float64 { return float64(c.hits.Load()) })
-	reg.Gauge("resultcache.misses", "", func() float64 { return float64(c.misses.Load()) })
-	reg.Gauge("resultcache.evictions", "", func() float64 { return float64(c.evictions.Load()) })
-	reg.Gauge("resultcache.entries", "", func() float64 { return float64(c.entries()) })
-	reg.Gauge("resultcache.bytes", "B", func() float64 { return float64(c.Bytes()) })
 }
 
 // Get returns the artifacts stored under the key, counting a hit or a miss
@@ -161,8 +147,8 @@ func (c *Cache) Put(k Key, e Entry) {
 	}
 }
 
-// entries returns the number of cached entries.
-func (c *Cache) entries() int {
+// Len returns the number of cached entries.
+func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()

@@ -4,8 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"mermaid/internal/probe"
 )
 
 func TestKeyID(t *testing.T) {
@@ -49,14 +47,8 @@ func TestCacheHitMissAndCounters(t *testing.T) {
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Errorf("hits/misses = %d/%d, want 1/1", c.Hits(), c.Misses())
 	}
-
-	pb := probe.New(probe.Config{})
-	c.Register(pb.Registry())
-	if got := pb.Registry().Lookup("resultcache.hits").Read(); got != 1 {
-		t.Errorf("registry hits = %v, want 1", got)
-	}
-	if got := pb.Registry().Lookup("resultcache.entries").Read(); got != 1 {
-		t.Errorf("registry entries = %v, want 1", got)
+	if c.Len() != 1 {
+		t.Errorf("Len = %d, want 1", c.Len())
 	}
 }
 
@@ -75,8 +67,8 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, ok := c.Get(k(1)); !ok {
 		t.Error("recently used entry was evicted")
 	}
-	if c.entries() != 2 || c.Evictions() != 1 {
-		t.Errorf("len/evictions = %d/%d, want 2/1", c.entries(), c.Evictions())
+	if c.Len() != 2 || c.Evictions() != 1 {
+		t.Errorf("len/evictions = %d/%d, want 2/1", c.Len(), c.Evictions())
 	}
 }
 
@@ -100,8 +92,8 @@ func TestCacheConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.entries() > 16 {
-		t.Errorf("cache overflowed capacity: %d", c.entries())
+	if c.Len() > 16 {
+		t.Errorf("cache overflowed capacity: %d", c.Len())
 	}
 }
 
@@ -128,11 +120,5 @@ func TestCacheBytes(t *testing.T) {
 	c.Put(k(3), ent(5)) // evicts k(2): +10 -100
 	if got := c.Bytes(); got != 30 {
 		t.Errorf("Bytes after eviction = %d, want 30", got)
-	}
-
-	pb := probe.New(probe.Config{})
-	c.Register(pb.Registry())
-	if got := pb.Registry().Lookup("resultcache.bytes").Read(); got != 30 {
-		t.Errorf("registry bytes = %v, want 30", got)
 	}
 }

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// A finished job stores exactly its report and its final metrics, each with
-// no spare capacity: the result cache keeps up to 256 entries, and slack in
-// each would be retained with them. The timeline and the bottleneck analysis
-// are re-derived per GET and never stored.
+// A finished job stores exactly its report, with no spare capacity: the
+// result cache keeps up to 256 entries, and slack in each would be retained
+// with them. The metrics, the timeline and the bottleneck analysis are
+// re-derived per GET and never stored.
 func TestArtifactsStoredExactSize(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -31,15 +31,14 @@ func TestArtifactsStoredExactSize(t *testing.T) {
 	if !ok {
 		t.Fatal("finished job left no cache entry")
 	}
-	for name, art := range map[string][]byte{"report": entry.Report, "metrics": entry.Metrics} {
-		if len(art) == 0 || cap(art) != len(art) {
-			t.Errorf("%s: len %d, cap %d; want a non-empty slice with cap == len", name, len(art), cap(art))
-		}
+	if art := entry.Report; len(art) == 0 || cap(art) != len(art) {
+		t.Errorf("report: len %d, cap %d; want a non-empty slice with cap == len", len(art), cap(art))
 	}
-	if entry.Timeline != nil || entry.Bottleneck != nil {
-		t.Errorf("entry stores a timeline (%d B) or a bottleneck analysis (%d B)", len(entry.Timeline), len(entry.Bottleneck))
+	if entry.Metrics != nil || entry.Timeline != nil || entry.Bottleneck != nil {
+		t.Errorf("entry stores metrics (%d B), a timeline (%d B) or a bottleneck analysis (%d B)",
+			len(entry.Metrics), len(entry.Timeline), len(entry.Bottleneck))
 	}
-	if got, want := s.cache.Bytes(), uint64(len(entry.Report)+len(entry.Metrics)); got != want {
-		t.Errorf("cache holds %d bytes, want the report and metrics' %d", got, want)
+	if got, want := s.cache.Bytes(), uint64(len(entry.Report)); got != want {
+		t.Errorf("cache holds %d bytes, want the report's %d", got, want)
 	}
 }

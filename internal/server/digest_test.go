@@ -19,14 +19,16 @@ import (
 // is hashed with its host wall-clock lines removed; the rest is hashed whole.
 // The two reports were re-printed when the report stopped carrying the
 // metric registry: each is the old report without its "registry" set,
-// whose end-of-run values the metrics artifact serves.
+// whose end-of-run values the metrics artifact serves. The two metrics
+// expositions were re-printed when the registry gave way to the sampled
+// report: they name every report metric by its path.
 var jobArtifactDigests = map[string]string{
 	"service-mix/report":               "df70df1afcb37703e2bd41650e9c9b17782f42af53567b4c130fa4b2a189768d",
-	"service-mix/metrics":              "1b9c8ac52f12ad7167f530951d783d42d84536e438b6a13fe99075c186490c4b",
+	"service-mix/metrics":              "73457e4082ef145011fc253d08533b75971bb8fbd7958f7371fac38818572960",
 	"service-mix/timeline":             "76659bf3187851fefa5ceadf9058867671d4f93c02d8e88e0fd4a9ec9796e366",
 	"service-mix/bottleneck":           "4aebe58c9fa9e134adfeab08ab9700da75a6d8fb6d4c8e3c76dd44b8f68cc3f5",
 	"torus-wormhole-config/report":     "f1af37b2e3a6d1e0bbf98b2ed65f6f2b912008997cb0089f33fd44eb7c2f94af",
-	"torus-wormhole-config/metrics":    "5143dfd63f8a0c0b376cd524a68c79fa7b71b2f92eddfb7e0c9245c5219b7c85",
+	"torus-wormhole-config/metrics":    "f53d4771d683f2d2e91086901cc4971844d4663e108e815434131e287e43615c",
 	"torus-wormhole-config/timeline":   "098099fa5f06495d03fc26bf159691873c909fd5ce065537e3cf0a265eedd6ce",
 	"torus-wormhole-config/bottleneck": "8c8b4fe3cf7a285251db888960d96981f27498d97b4ed94da1b35d0abd83b0e6",
 }
@@ -111,11 +113,12 @@ func TestJobArtifactDigests(t *testing.T) {
 	}
 }
 
-// The timeline and the bottleneck analysis are not stored: every GET of one
-// re-runs the job. A miss and its cache hit serve the same bytes, those
-// pinned in jobArtifactDigests. A re-derivation the queue has no room for
-// answers 503, and a job still running answers 409 as it does for its
-// report.
+// The timeline, the bottleneck analysis and a done job's metrics are not
+// stored: every GET of one re-runs the job. A miss and its cache hit serve
+// the same bytes, those pinned in jobArtifactDigests. A re-derivation the
+// queue has no room for answers 503; a job still running answers 409 for
+// its timeline and bottleneck, as it does for its report, and serves its
+// live metrics.
 func TestHeavyArtifactsRederived(t *testing.T) {
 	_, ts := startServer(t, server.Config{Workers: 1, QueueDepth: 1, SampleEvery: 10000})
 	var doneID string
@@ -130,7 +133,7 @@ func TestHeavyArtifactsRederived(t *testing.T) {
 			t.Fatalf("%s resubmitted: status %d, cached %v", name, code, hit.Cached)
 		}
 		doneID = hit.ID
-		for _, art := range []string{"timeline", "bottleneck"} {
+		for _, art := range []string{"timeline", "bottleneck", "metrics"} {
 			fromMiss, code := get(t, ts, "/jobs/"+miss.ID+"/"+art)
 			if code != http.StatusOK {
 				t.Fatalf("%s/%s of the miss: status %d\n%s", name, art, code, fromMiss)
@@ -170,6 +173,9 @@ func TestHeavyArtifactsRederived(t *testing.T) {
 			t.Errorf("%s of a running job: status %d, want 409\n%s", art, code, data)
 		}
 	}
+	if data, code := get(t, ts, "/jobs/"+long.ID+"/metrics"); code != http.StatusOK || !bytes.Contains(data, []byte("mermaid_events_total")) {
+		t.Errorf("metrics of a running job: status %d, want 200 and the live exposition\n%s", code, data)
+	}
 	for i := 0; ; i++ {
 		_, code := submit(t, ts, torusJob(fmt.Sprintf("fill%d", i), uint64(2+i), 5000))
 		if code == http.StatusServiceUnavailable {
@@ -179,7 +185,7 @@ func TestHeavyArtifactsRederived(t *testing.T) {
 			t.Fatalf("filling the queue: submission %d answered %d", i, code)
 		}
 	}
-	for _, art := range []string{"timeline", "bottleneck"} {
+	for _, art := range []string{"timeline", "bottleneck", "metrics"} {
 		if data, code := get(t, ts, "/jobs/"+doneID+"/"+art); code != http.StatusServiceUnavailable {
 			t.Errorf("%s with the queue full: status %d, want 503\n%.200s", art, code, data)
 		}

@@ -7,10 +7,10 @@
 // seed and fault schedule) and a stochastic workload description — and
 // answers with a job id. A bounded queue feeds
 // a shared farm of simulation workers; every job owns an analysis.Scope, so
-// GET /jobs/{id}/progress and /jobs/{id}/metrics stream per-job live state
-// while concurrent jobs stay independent. A finished job keeps two
-// artifacts, served from /jobs/{id}/report and /metrics: the text report and
-// the final metrics exposition.
+// GET /jobs/{id}/progress and /jobs/{id}/metrics stream per-job live state —
+// the run's report as the last sampling tick built it — while concurrent
+// jobs stay independent. A finished job keeps one artifact, served from
+// /jobs/{id}/report: the text report.
 //
 // Because the workbench is deterministic (byte-identical reports at any
 // worker or shard count), finished artifacts are cached content-addressed
@@ -19,13 +19,13 @@
 // response bytes equal the original run's. Cache hits and misses are
 // visible on the server-level GET /metrics.
 //
-// The same determinism lets the heavy artifacts go unstored. A job runs
-// without a timeline; GET /jobs/{id}/timeline and /bottleneck re-run its
-// simulation on the shared queue, with the timeline attached when it is the
-// one asked for, and stream the artifact from that run. Each such GET costs
-// one simulation and retains nothing; the bytes equal the first run's, on a
-// cache hit too. The server's /metrics counts the re-runs
-// (artifacts.rederived).
+// The same determinism lets every other artifact go unstored. A job runs
+// without a timeline; GET /jobs/{id}/timeline, /bottleneck and, once the job
+// is done, /metrics re-run its simulation on the shared queue, with the
+// timeline attached when it is the one asked for, and stream the artifact
+// from that run. Each such GET costs one simulation and retains nothing; the
+// bytes equal the first run's, on a cache hit too. The server's /metrics
+// counts the re-runs (artifacts.rederived).
 package server
 
 import (
@@ -51,6 +51,7 @@ import (
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/resultcache"
+	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
 )
@@ -106,7 +107,6 @@ type Server struct {
 	log     *slog.Logger
 	queue   *farm.Queue
 	cache   *resultcache.Cache
-	reg     *probe.Registry
 	mux     *http.ServeMux
 	started time.Time
 
@@ -121,7 +121,7 @@ type Server struct {
 	rejected  atomic.Uint64
 	queued    atomic.Int64
 	running   atomic.Int64
-	rederived atomic.Uint64 // simulations run to serve /timeline and /bottleneck
+	rederived atomic.Uint64 // simulations run to re-derive a done job's artifacts
 }
 
 // job is the server-side state of one submission. The immutable fields are
@@ -132,7 +132,7 @@ type job struct {
 	key   resultcache.Key
 	scope *analysis.Scope
 	// cfg and run are what the job simulates, kept on a cache hit as on a
-	// miss: /timeline and /bottleneck run them again.
+	// miss: /timeline, /bottleneck and a done job's /metrics run them again.
 	cfg     machine.Config
 	run     func(*machine.Machine) (*machine.Result, error)
 	created time.Time
@@ -159,20 +159,10 @@ func New(cfg Config) *Server {
 		cfg:     cfg,
 		log:     cfg.Log,
 		cache:   resultcache.New(cfg.CacheEntries),
-		reg:     new(probe.Registry),
 		jobs:    make(map[string]*job),
 		started: time.Now(),
 	}
 	s.queue = farm.New(cfg.Workers).StartQueue(cfg.QueueDepth)
-
-	s.cache.Register(s.reg)
-	s.reg.Gauge("jobs.submitted", "", func() float64 { return float64(s.submitted.Load()) })
-	s.reg.Gauge("jobs.completed", "", func() float64 { return float64(s.completed.Load()) })
-	s.reg.Gauge("jobs.failed", "", func() float64 { return float64(s.failed.Load()) })
-	s.reg.Gauge("jobs.rejected", "", func() float64 { return float64(s.rejected.Load()) })
-	s.reg.Gauge("jobs.queued", "", func() float64 { return float64(s.queued.Load()) })
-	s.reg.Gauge("jobs.running", "", func() float64 { return float64(s.running.Load()) })
-	s.reg.Gauge("artifacts.rederived", "", func() float64 { return float64(s.rederived.Load()) })
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
@@ -181,8 +171,8 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /jobs/{id}/progress", s.handleProgress)
 	mux.HandleFunc("GET /jobs/{id}/metrics", s.handleJobMetrics)
 	mux.HandleFunc("GET /jobs/{id}/report", s.handleReport)
-	mux.HandleFunc("GET /jobs/{id}/timeline", s.rederive(true))
-	mux.HandleFunc("GET /jobs/{id}/bottleneck", s.rederive(false))
+	mux.HandleFunc("GET /jobs/{id}/timeline", s.handleRederived("timeline"))
+	mux.HandleFunc("GET /jobs/{id}/bottleneck", s.handleRederived("bottleneck"))
 	mux.HandleFunc("GET /jobs/{id}/hosttrace", s.handleHostTrace)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -333,10 +323,13 @@ type simRun struct {
 // simulate runs a job's simulation, with the timeline attached or not. The
 // bottleneck collector and the live sampler are attached either way, so
 // every run of a job is the same simulation; the sampler feeds scope (nil
-// samples into nothing) and takes one last sample at the end of the run.
+// samples into nothing) and hands it the run's report at the end.
 func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun, error) {
-	pb := probe.New(probe.Config{Timeline: timeline})
-	wb, err := core.New(j.cfg, core.WithProbe(pb), core.WithAnalysis())
+	opts := []core.Option{core.WithAnalysis()}
+	if timeline {
+		opts = append(opts, core.WithProbe(probe.New(probe.Config{Timeline: true})))
+	}
+	wb, err := core.New(j.cfg, opts...)
 	if err != nil {
 		return simRun{}, err
 	}
@@ -344,8 +337,7 @@ func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun,
 	if err != nil {
 		return simRun{}, err
 	}
-	k, reg := m.Kernel(), pb.Registry()
-	finish, err := reg.StartSampler(k, s.cfg.SampleEvery, func(pearl.Time) { scope.Sample(k, reg) })
+	finish, err := m.StartSampler(s.cfg.SampleEvery, scope.Sample)
 	if err != nil {
 		return simRun{}, err
 	}
@@ -353,32 +345,27 @@ func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun,
 	if err != nil {
 		return simRun{}, err
 	}
-	finish(res.Cycles)
+	finish(res)
 	return simRun{wb: wb, m: m, res: res}, nil
 }
 
 // execute runs one job's simulation on a worker goroutine, without a
-// timeline, and renders what the job keeps: the report and the final
-// metrics, which the job's scope holds at their exact end-of-run values.
-// Each is stored with no spare capacity: the result cache holds its entries
-// for as long as they are hot.
+// timeline, and renders what the job keeps: the report, stored with no spare
+// capacity, since the result cache holds its entries for as long as they are
+// hot.
 func (s *Server) execute(j *job) (resultcache.Entry, error) {
 	run, err := s.simulate(j.scope, j, false)
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
-	var report, metrics bytes.Buffer
+	var report bytes.Buffer
 	if err := run.wb.Report(&report, run.res); err != nil {
 		return resultcache.Entry{}, err
 	}
-	if err := j.scope.WriteMetrics(&metrics); err != nil {
-		return resultcache.Entry{}, err
-	}
 	return resultcache.Entry{
-		Report:  exactCopy(report.Bytes()),
-		Metrics: exactCopy(metrics.Bytes()),
-		Cycles:  int64(run.res.Cycles),
-		Events:  run.res.Events,
+		Report: exactCopy(report.Bytes()),
+		Cycles: int64(run.res.Cycles),
+		Events: run.res.Events,
 	}, nil
 }
 
@@ -614,25 +601,28 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	j.scope.WriteProgress(w) //nolint:errcheck // best-effort over HTTP
 }
 
-// handleJobMetrics serves the job's metric state: the stored end-of-run
-// exposition once the job is done (byte-identical on cache hits), the live
-// scope sample while it runs.
+// handleJobMetrics serves the job's metric state: the live scope's last
+// sample while the job is queued, running or failed, and the end-of-run
+// exposition, re-derived, once it is done (byte-identical on cache hits).
 func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r)
 	if j == nil {
 		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	j.mu.Lock()
-	final := j.entry.Metrics
+	done := j.state == "done"
 	j.mu.Unlock()
-	if final != nil {
-		w.Write(final) //nolint:errcheck
+	if done {
+		s.rederive(w, r, j, "metrics")
 		return
 	}
+	w.Header().Set("Content-Type", metricsContentType)
 	j.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
 }
+
+// metricsContentType is the Prometheus text exposition's media type.
+const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // finished returns a done job's stored entry. A failed, queued or running
 // job has no artifacts: it is answered 409 and finished returns false.
@@ -666,16 +656,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Write(entry.Report) //nolint:errcheck // best-effort over HTTP
 }
 
-// rederive serves an artifact no job keeps — the timeline, or else the
-// bottleneck analysis — by running the job's simulation again and streaming
-// the artifact from that run. The run goes through the shared queue, so it
-// is bounded like a job: a full queue answers 503, and a panic fails only
-// this request. Determinism makes the bytes those of the job's first run.
-func (s *Server) rederive(timeline bool) http.HandlerFunc {
-	which := "bottleneck"
-	if timeline {
-		which = "timeline"
-	}
+// handleRederived serves a done job's timeline or bottleneck analysis,
+// which no job keeps (see rederive). A job not yet done has neither: it is
+// answered 409.
+func (s *Server) handleRederived(which string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j := s.lookup(r)
 		if j == nil {
@@ -685,38 +669,57 @@ func (s *Server) rederive(timeline bool) http.HandlerFunc {
 		if _, ok := finished(w, j); !ok {
 			return
 		}
-		done := make(chan farm.Result, 1) // the run may outlive a client that hung up
-		err := s.queue.Submit(farm.Job{
-			Name: j.id + "/" + which,
-			Run: func(*farm.RunContext) (any, error) {
-				s.rederived.Add(1)
-				return s.simulate(nil, j, timeline)
-			},
-			OnResult: func(res farm.Result) { done <- res },
-		}, j.cfg.Seed)
-		if err != nil {
-			s.log.Warn("re-derivation rejected", "job", j.id, "artifact", which, "err", err)
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-			return
-		}
-		var res farm.Result
-		select {
-		case res = <-done:
-		case <-r.Context().Done():
-			return
-		}
-		if res.Err != nil {
-			s.log.Error("re-derivation failed", "job", j.id, "artifact", which, "err", res.Err)
-			httpError(w, http.StatusInternalServerError, "re-deriving %s: %v", which, res.Err)
-			return
-		}
-		run := res.Value.(simRun)
+		s.rederive(w, r, j, which)
+	}
+}
+
+// rederive serves an artifact no job keeps — its "timeline", "bottleneck"
+// analysis or end-of-run "metrics" — by running the done job's simulation
+// again and streaming the artifact from that run. The run goes through the
+// shared queue, so it is bounded like a job: a full queue answers 503, and a
+// panic fails only this request. Determinism makes the bytes those of the
+// job's first run.
+func (s *Server) rederive(w http.ResponseWriter, r *http.Request, j *job, which string) {
+	var scope *analysis.Scope
+	if which == "metrics" {
+		scope = analysis.NewScope()
+	}
+	done := make(chan farm.Result, 1) // the run may outlive a client that hung up
+	err := s.queue.Submit(farm.Job{
+		Name: j.id + "/" + which,
+		Run: func(*farm.RunContext) (any, error) {
+			s.rederived.Add(1)
+			return s.simulate(scope, j, which == "timeline")
+		},
+		OnResult: func(res farm.Result) { done <- res },
+	}, j.cfg.Seed)
+	if err != nil {
+		s.log.Warn("re-derivation rejected", "job", j.id, "artifact", which, "err", err)
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
+	var res farm.Result
+	select {
+	case res = <-done:
+	case <-r.Context().Done():
+		return
+	}
+	if res.Err != nil {
+		s.log.Error("re-derivation failed", "job", j.id, "artifact", which, "err", res.Err)
+		httpError(w, http.StatusInternalServerError, "re-deriving %s: %v", which, res.Err)
+		return
+	}
+	run := res.Value.(simRun)
+	switch which {
+	case "timeline":
 		w.Header().Set("Content-Type", "application/json")
-		if timeline {
-			run.m.MergedTimeline().WriteJSON(w) //nolint:errcheck // best-effort over HTTP
-			return
-		}
+		run.m.MergedTimeline().WriteJSON(w) //nolint:errcheck // best-effort over HTTP
+	case "bottleneck":
+		w.Header().Set("Content-Type", "application/json")
 		run.res.Analysis.WriteJSON(w) //nolint:errcheck // best-effort over HTTP
+	default:
+		w.Header().Set("Content-Type", metricsContentType)
+		scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
 	}
 }
 
@@ -750,11 +753,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(out) //nolint:errcheck // best-effort over HTTP
 }
 
-// handleMetrics serves the server-level exposition: result-cache hit/miss
-// counters, job throughput gauges and the count of re-derivation runs.
+// handleMetrics serves the server-level exposition, read at request time:
+// result-cache counters, job throughput gauges and the count of
+// re-derivation runs.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	probe.WritePrometheus(w, s.reg.Snapshot()) //nolint:errcheck // best-effort over HTTP
+	c := s.cache
+	w.Header().Set("Content-Type", metricsContentType)
+	probe.WritePrometheus(w, []stats.Metric{ //nolint:errcheck // best-effort over HTTP
+		{Name: "resultcache.hits", Value: float64(c.Hits())},
+		{Name: "resultcache.misses", Value: float64(c.Misses())},
+		{Name: "resultcache.evictions", Value: float64(c.Evictions())},
+		{Name: "resultcache.entries", Value: float64(c.Len())},
+		{Name: "resultcache.bytes", Value: float64(c.Bytes()), Unit: "B"},
+		{Name: "jobs.submitted", Value: float64(s.submitted.Load())},
+		{Name: "jobs.completed", Value: float64(s.completed.Load())},
+		{Name: "jobs.failed", Value: float64(s.failed.Load())},
+		{Name: "jobs.rejected", Value: float64(s.rejected.Load())},
+		{Name: "jobs.queued", Value: float64(s.queued.Load())},
+		{Name: "jobs.running", Value: float64(s.running.Load())},
+		{Name: "artifacts.rederived", Value: float64(s.rederived.Load())},
+	})
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

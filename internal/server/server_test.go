@@ -208,9 +208,17 @@ func TestSubmitPollFetchAndCacheHit(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: %d", code)
 	}
-	for _, want := range []string{"mermaid_resultcache_hits 1", "mermaid_jobs_completed 1"} {
+	for _, want := range []string{"mermaid_resultcache_hits 1\n", "mermaid_jobs_completed 1\n",
+		"# HELP mermaid_resultcache_bytes unit: B\n"} {
 		if !bytes.Contains(sm, []byte(want)) {
 			t.Errorf("server /metrics missing %q:\n%s", want, sm)
+		}
+	}
+	for _, name := range []string{"artifacts_rederived", "jobs_completed", "jobs_failed", "jobs_queued",
+		"jobs_rejected", "jobs_running", "jobs_submitted", "resultcache_bytes", "resultcache_entries",
+		"resultcache_evictions", "resultcache_hits", "resultcache_misses"} {
+		if !bytes.Contains(sm, []byte("# TYPE mermaid_"+name+" gauge\n")) {
+			t.Errorf("server /metrics has no gauge mermaid_%s:\n%s", name, sm)
 		}
 	}
 

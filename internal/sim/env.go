@@ -70,6 +70,3 @@ func (e Env) WithCollector(c *analysis.Collector) Env {
 
 // Timeline returns the probe's timeline recorder, or nil.
 func (e Env) Timeline() *probe.Timeline { return e.Probe.Timeline() }
-
-// Registry returns the probe's metrics registry (nil-safe for registration).
-func (e Env) Registry() *probe.Registry { return e.Probe.Registry() }

@@ -62,6 +62,4 @@ func TestNilProbeAccessors(t *testing.T) {
 	if env.Timeline() != nil {
 		t.Error("nil probe produced a timeline")
 	}
-	// Registration on the nil registry must be a safe no-op.
-	env.Registry().Gauge("x", "", func() float64 { return 0 })
 }
