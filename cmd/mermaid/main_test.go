@@ -123,6 +123,39 @@ func TestExperimentRefusesSingleRunFlags(t *testing.T) {
 	}
 }
 
+// A task-level machine on shards runs from the command line when no
+// observer is asked for, and reports what the same machine on one shard
+// reports but for the host wall-clock lines.
+func TestShardedRunWithoutObservers(t *testing.T) {
+	dir := t.TempDir()
+	desc := `{"Level": "task", "Seed": 3, "Iterations": 3,
+		"Phases": [{"Duration": 2000, "CV": 0.3, "Comm": {"Pattern": "nearest", "Bytes": 1024, "Jitter": true}}]}`
+	if err := os.WriteFile(filepath.Join(dir, "desc.json"), []byte(desc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reports := map[int][]byte{}
+	for _, shards := range []int{1, 2} {
+		cfg := machine.GenericTaskMachine(machine.T805GridTaskLevel(4, 4).Network.Topology, 16, 0)
+		cfg.Shards = shards
+		doc, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("shards%d.json", shards)
+		if err := os.WriteFile(filepath.Join(dir, name), doc, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, stdout, stderr := runCLI(t, dir, "-config", name, "-desc", "desc.json")
+		if code != 0 {
+			t.Fatalf("shards %d: exit %d, stderr %q", shards, code, stderr)
+		}
+		reports[shards] = stripWallLines(stdout)
+	}
+	if !bytes.Equal(reports[1], reports[2]) {
+		t.Errorf("shards 2 reports differently from shards 1:\n%s\n---\n%s", reports[2], reports[1])
+	}
+}
+
 // timelineRun builds a two-node machine with a timeline probe, runs a
 // ping-pong workload and returns the exported trace-event JSON.
 func timelineRun() ([]byte, error) {

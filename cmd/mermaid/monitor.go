@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/machine"
@@ -19,8 +18,8 @@ const defaultSampleEvery = 10000
 // visualisation support (§3): mean node-bus utilisation, mean link
 // utilisation, messages delivered and kernel events, whichever of them the
 // machine reports; a row the report has no metric for stays empty and is
-// not rendered. It keeps history for these few series only, not for every
-// metric of the report.
+// not rendered. It keeps history for these few series only, and reads them
+// straight from the report tree.
 type sparklines []stats.Series
 
 func newSparklines() sparklines {
@@ -29,27 +28,30 @@ func newSparklines() sparklines {
 
 // sample appends each row's value in the report sampled at: the mean of the
 // nodes' interconnect utilisations ("nodeN/memory-hierarchy/bus/utilization"
-// or ".../crossbar/utilization"), and the network set's "avg link
-// utilization" and "messages", and the root's "events".
+// or ".../crossbar/utilization"), the network set's "avg link utilization"
+// and "messages", and the root's "events".
 func (sp sparklines) sample(at pearl.Time, report *stats.Set) {
 	var bus float64
 	buses := 0
-	for _, m := range stats.Flatten(report) {
-		switch {
-		case strings.HasPrefix(m.Name, "node") && (strings.HasSuffix(m.Name, "/memory-hierarchy/bus/utilization") ||
-			strings.HasSuffix(m.Name, "/memory-hierarchy/crossbar/utilization")):
-			bus += m.Value
-			buses++
-		case strings.HasPrefix(m.Name, "network ") && strings.HasSuffix(m.Name, "/avg link utilization"):
-			sp[1].Append(int64(at), m.Value)
-		case strings.HasPrefix(m.Name, "network ") && strings.HasSuffix(m.Name, "/messages"):
-			sp[2].Append(int64(at), m.Value)
-		case m.Name == "events":
-			sp[3].Append(int64(at), m.Value)
+	for _, nd := range report.Subsets {
+		for _, ic := range [...]string{"bus", "crossbar"} {
+			if u, ok := nd.Lookup("memory-hierarchy", ic).Get("utilization"); ok {
+				bus += u
+				buses++
+			}
 		}
 	}
 	if buses > 0 {
 		sp[0].Append(int64(at), bus/float64(buses))
+	}
+	net := report.Prefixed("network ")
+	for row, m := range [...]struct {
+		set  *stats.Set
+		name string
+	}{{net, "avg link utilization"}, {net, "messages"}, {report, "events"}} {
+		if v, ok := m.set.Get(m.name); ok {
+			sp[row+1].Append(int64(at), v)
+		}
 	}
 }
 

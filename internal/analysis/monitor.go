@@ -111,15 +111,24 @@ func (s *Scope) RunDone() {
 	s.mu.Unlock()
 }
 
-// Finish marks the scope's work complete; progress reports done:true. It
-// lets go of the last report tree, so a finished scope's metrics are the
-// virtual clock and the event count alone.
+// Finish marks the scope's work complete; progress reports done:true.
 func (s *Scope) Finish() {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.snap.finished = true
+	s.mu.Unlock()
+}
+
+// DropReport lets go of the last sampled report tree: the scope's metrics
+// are then the virtual clock and the event count alone. The simulation
+// server calls it once a job is done, whose /metrics it re-derives.
+func (s *Scope) DropReport() {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
 	s.snap.report = nil
 	s.mu.Unlock()
 }

@@ -14,7 +14,8 @@ import (
 
 // Two scopes are fully independent: each serves its own kernel's clock,
 // event count and report — the property the simulation server relies on
-// when two jobs run concurrently. Finish lets go of the report.
+// when two jobs run concurrently. Finish keeps the last report; DropReport
+// lets go of it.
 func TestScopesAreIndependent(t *testing.T) {
 	mkScope := func(messages float64, horizon pearl.Time) *analysis.Scope {
 		s := analysis.NewScope()
@@ -48,8 +49,12 @@ func TestScopesAreIndependent(t *testing.T) {
 	}
 	a.Finish()
 	b.Finish()
+	if got := metrics(a); !strings.Contains(got, "mermaid_network_mesh_2x2__messages 7\n") {
+		t.Errorf("finished scope A metrics, want the last report:\n%s", got)
+	}
+	a.DropReport()
 	if got := metrics(a); strings.Contains(got, "messages") || !strings.Contains(got, "mermaid_virtual_cycles 1000\n") {
-		t.Errorf("finished scope A metrics, want the clock and events alone:\n%s", got)
+		t.Errorf("scope A metrics after DropReport, want the clock and events alone:\n%s", got)
 	}
 
 	var pa, pb2 struct {
@@ -86,6 +91,7 @@ func TestNilScope(t *testing.T) {
 	s.SetRuns(1)
 	s.RunDone()
 	s.Finish()
+	s.DropReport()
 	if err := s.WriteMetrics(io.Discard); err != nil {
 		t.Fatal(err)
 	}

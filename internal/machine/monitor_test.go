@@ -161,11 +161,48 @@ func TestMonitorValidation(t *testing.T) {
 	sharded := GenericTaskMachine(T805GridTaskLevel(2, 2).Network.Topology, 4, 0)
 	sharded.Shards = 2
 	if sm, err := New(sharded); err == nil {
+		// The CLI asks every run for a chain; with no observer a sharded
+		// run must still go ahead.
+		if _, err := sm.StartSampler(100); err != nil {
+			t.Errorf("no consumer on shards: %v", err)
+		}
 		if _, err := sm.StartSampler(100, consumer); err == nil || !strings.Contains(err.Error(), "shards 0") {
 			t.Errorf("sampler on shards: err = %v, want a refusal naming the single kernel", err)
 		}
 	} else {
 		t.Fatal(err)
+	}
+}
+
+// A nil consumer takes nothing, but its chain ticks as an observed one does:
+// the run's event count is that of a run with a real consumer, and a real
+// consumer beside it is handed every sample.
+func TestNilConsumerOnlyTicks(t *testing.T) {
+	run := func(consumers ...func(pearl.Time, *stats.Set)) *Result {
+		m := buildPlain(t, T805GridTaskLevel(2, 2))
+		finish, err := m.StartSampler(1000, consumers...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.RunStochastic(neighbourDesc(4, 2500, 512))
+		if err != nil {
+			t.Fatal(err)
+		}
+		finish(res)
+		return res
+	}
+	calls := 0
+	counted := run(func(pearl.Time, *stats.Set) { calls++ })
+	if bare := run(nil); bare.Events != counted.Events || bare.Cycles != counted.Cycles {
+		t.Errorf("nil consumer: %d events at %d cycles, a counted chain %d at %d", bare.Events, bare.Cycles, counted.Events, counted.Cycles)
+	}
+	want := calls
+	if want < 2 {
+		t.Fatalf("the counted chain was called %d times; the run is too short to tick", want)
+	}
+	calls = 0
+	if run(nil, func(pearl.Time, *stats.Set) { calls++ }); calls != want {
+		t.Errorf("a consumer beside a nil one was called %d times, want %d", calls, want)
 	}
 }
 

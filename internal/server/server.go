@@ -169,7 +169,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /jobs", s.handleList)
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /jobs/{id}/progress", s.handleProgress)
-	mux.HandleFunc("GET /jobs/{id}/metrics", s.handleJobMetrics)
+	mux.HandleFunc("GET /jobs/{id}/metrics", s.handleRederived("metrics"))
 	mux.HandleFunc("GET /jobs/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /jobs/{id}/timeline", s.handleRederived("timeline"))
 	mux.HandleFunc("GET /jobs/{id}/bottleneck", s.handleRederived("bottleneck"))
@@ -322,9 +322,10 @@ type simRun struct {
 
 // simulate runs a job's simulation, with the timeline attached or not. The
 // bottleneck collector and the live sampler are attached either way, so
-// every run of a job is the same simulation; the sampler feeds scope (nil
-// samples into nothing) and hands it the run's report at the end.
-func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun, error) {
+// every run of a job is the same simulation; the sampler hands sample each
+// tick's report and the run's at the end. With sample nil its ticks still
+// fire, so the event count is the same, but build no report.
+func (s *Server) simulate(sample func(pearl.Time, *stats.Set), j *job, timeline bool) (simRun, error) {
 	opts := []core.Option{core.WithAnalysis()}
 	if timeline {
 		opts = append(opts, core.WithProbe(probe.New(probe.Config{Timeline: true})))
@@ -337,7 +338,7 @@ func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun,
 	if err != nil {
 		return simRun{}, err
 	}
-	finish, err := m.StartSampler(s.cfg.SampleEvery, scope.Sample)
+	finish, err := m.StartSampler(s.cfg.SampleEvery, sample)
 	if err != nil {
 		return simRun{}, err
 	}
@@ -354,7 +355,7 @@ func (s *Server) simulate(scope *analysis.Scope, j *job, timeline bool) (simRun,
 // capacity, since the result cache holds its entries for as long as they are
 // hot.
 func (s *Server) execute(j *job) (resultcache.Entry, error) {
-	run, err := s.simulate(j.scope, j, false)
+	run, err := s.simulate(j.scope.Sample, j, false)
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
@@ -464,6 +465,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.state = "done"
 			j.entry = entry
 			j.mu.Unlock()
+			// A done job's /metrics re-derives; a failed one's keeps the
+			// last sample, and so does this one until it reads "done".
+			j.scope.DropReport()
 			s.completed.Add(1)
 			s.log.Info("job finished", "job", j.id,
 				"wall_ms", durMS(res.Wall), "queue_wait_ms", durMS(res.QueueWait),
@@ -601,26 +605,6 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	j.scope.WriteProgress(w) //nolint:errcheck // best-effort over HTTP
 }
 
-// handleJobMetrics serves the job's metric state: the live scope's last
-// sample while the job is queued, running or failed, and the end-of-run
-// exposition, re-derived, once it is done (byte-identical on cache hits).
-func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
-	j := s.lookup(r)
-	if j == nil {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
-		return
-	}
-	j.mu.Lock()
-	done := j.state == "done"
-	j.mu.Unlock()
-	if done {
-		s.rederive(w, r, j, "metrics")
-		return
-	}
-	w.Header().Set("Content-Type", metricsContentType)
-	j.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
-}
-
 // metricsContentType is the Prometheus text exposition's media type.
 const metricsContentType = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -656,14 +640,23 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	w.Write(entry.Report) //nolint:errcheck // best-effort over HTTP
 }
 
-// handleRederived serves a done job's timeline or bottleneck analysis,
-// which no job keeps (see rederive). A job not yet done has neither: it is
-// answered 409.
+// handleRederived serves a done job's timeline, bottleneck analysis or
+// metrics, which no job keeps (see rederive). A job not yet done, or
+// failed, has no timeline or bottleneck: it is answered 409. Its metrics are
+// its live scope's last sample.
 func (s *Server) handleRederived(which string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j := s.lookup(r)
 		if j == nil {
 			httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+			return
+		}
+		j.mu.Lock()
+		done := j.state == "done"
+		j.mu.Unlock()
+		if which == "metrics" && !done {
+			w.Header().Set("Content-Type", metricsContentType)
+			j.scope.WriteMetrics(w) //nolint:errcheck // best-effort over HTTP
 			return
 		}
 		if _, ok := finished(w, j); !ok {
@@ -681,15 +674,17 @@ func (s *Server) handleRederived(which string) http.HandlerFunc {
 // job's first run.
 func (s *Server) rederive(w http.ResponseWriter, r *http.Request, j *job, which string) {
 	var scope *analysis.Scope
+	var sample func(pearl.Time, *stats.Set) // nil: ticks, but no report built
 	if which == "metrics" {
 		scope = analysis.NewScope()
+		sample = scope.Sample
 	}
 	done := make(chan farm.Result, 1) // the run may outlive a client that hung up
 	err := s.queue.Submit(farm.Job{
 		Name: j.id + "/" + which,
 		Run: func(*farm.RunContext) (any, error) {
 			s.rederived.Add(1)
-			return s.simulate(scope, j, which == "timeline")
+			return s.simulate(sample, j, which == "timeline")
 		},
 		OnResult: func(res farm.Result) { done <- res },
 	}, j.cfg.Seed)

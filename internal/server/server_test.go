@@ -294,6 +294,33 @@ func TestArtifactsBeforeCompletion(t *testing.T) {
 	}
 }
 
+// A failed job keeps its scope's last sample: its /metrics serves the
+// report as it stood at the last tick before the run failed, not the clock
+// and event count alone.
+func TestFailedJobMetricsKeepLastSample(t *testing.T) {
+	_, ts := startServer(t, server.Config{Workers: 1, SampleEvery: 100})
+	// The only link is down for good and retries are few: deadlock.
+	j, code := submit(t, ts, `{"topology": "mesh:2x1", "seed": 1,
+		"faults": {"links": [{"a": 0, "b": 1, "from": 0}], "retrans": {"timeout": 100, "backoff": 2, "maxRetries": 2}},
+		"workload": {"Level": "task", "Iterations": 2,
+			"Phases": [{"Duration": 1000, "Comm": {"Pattern": "nearest", "Bytes": 256}}]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", code, j.Error)
+	}
+	if got := finished(t, ts, j.ID); got.State != "failed" {
+		t.Fatalf("the deadlocking job is %s", got.State)
+	}
+	data, code := get(t, ts, "/jobs/"+j.ID+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("metrics of a failed job: status %d\n%s", code, data)
+	}
+	for _, want := range []string{"mermaid_virtual_cycles ", "mermaid_events_total ", "mermaid_network_mesh_2x1__retransmits ", "mermaid_proc0_compute_cycles "} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Errorf("metrics of a failed job lack %q:\n%s", want, data)
+		}
+	}
+}
+
 // invalidJobs are documents POST /jobs refuses with 400.
 var invalidJobs = []struct {
 	name string

@@ -190,8 +190,11 @@ func (s *Set) PutUint(name string, value uint64, unit string) {
 	s.Put(name, float64(value), unit)
 }
 
-// Get returns the named metric value; ok is false if absent.
+// Get returns the named metric value; ok is false if absent or s is nil.
 func (s *Set) Get(name string) (float64, bool) {
+	if s == nil {
+		return 0, false
+	}
 	for _, m := range s.Metrics {
 		if m.Name == name {
 			return m.Value, true
