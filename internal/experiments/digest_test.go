@@ -22,6 +22,8 @@ import (
 // point of the pipeline's smoke grid and the benchmark's sweep grid
 // ("name?param=value,..."). They were printed before the studies read their
 // runs' reports; any simulated number, column or key that moves changes one.
+// Timeline artifacts are pinned apart, in experimentTimelineDigests, split
+// off by commit 944c536.
 var experimentDigests = map[string]string{
 	"cache-sweep":                        "5af4806099514f8e4059be9312f4c4c5fff16b7e54f632ee202d89e4b67e521d",
 	"cache-sweep?assocs=1,sizes=8":       "0af67d28c130824f70f8514d3870bd32bb6d0779010c184b25002bf43be59a30",
@@ -44,7 +46,13 @@ var experimentDigests = map[string]string{
 	"scaling?cells=256,iters=3":          "91cc2b3e1e1efe982a57c800ad0b513cc6ca96c13a74ddc946db43e42db7bfc5",
 	"stochastic-vs-annotated":            "78413f4167af03e95a20933d65bb10fc315f4f48433b3a782366cd2a9aed6ac6",
 	"table1":                             "c5e3f0630a38c913bc26c383c5adfc5bea47df7e284bd08e272533f988f2b700",
-	"validity":                           "ff428359b48ac0fbb2807aa0b4f7ba1ff4f8ea57de91b375330002906787436f",
+	"validity":                           "18e7cfe13377987867ec74bcae7b70ca20ad414806203c98afc7793b389dbe22",
+}
+
+// experimentTimelineDigests pins SHA-256 of the timeline artifacts of every
+// case that writes one; TestExperimentDigests prints it.
+var experimentTimelineDigests = map[string]string{
+	"validity": "83a97d7aa60db9daedaad540861878ebf8781e34dea843bd680ee42f431cd572",
 }
 
 // digestGrids are the grid files whose points the digests cover.
@@ -105,10 +113,11 @@ func digestCases(t *testing.T) map[string]Spec {
 	return cases
 }
 
-// outputDigest hashes everything an experiment outputs.
-func outputDigest(t *testing.T, e Experiment, rs *ResultSet) string {
+// outputDigest hashes everything an experiment outputs, and its timeline
+// artifacts apart ("" when it writes none).
+func outputDigest(t *testing.T, e Experiment, rs *ResultSet) (output, timeline string) {
 	t.Helper()
-	h := sha256.New()
+	h, th := sha256.New(), sha256.New()
 	if err := rs.Table.Render(h); err != nil {
 		t.Fatal(err)
 	}
@@ -118,13 +127,21 @@ func outputDigest(t *testing.T, e Experiment, rs *ResultSet) string {
 	for _, k := range slices.Sorted(maps.Keys(rs.Keys)) {
 		fmt.Fprintf(h, "%s=%s\n", k, strconv.FormatFloat(rs.Keys[k], 'g', -1, 64))
 	}
+	timelines := false
 	for _, a := range rs.Artifacts {
-		fmt.Fprintf(h, "artifact %s\n", a.Name)
-		if err := a.Render(h); err != nil {
+		w := h
+		if a.Name == "timeline" {
+			w, timelines = th, true
+		}
+		fmt.Fprintf(w, "artifact %s\n", a.Name)
+		if err := a.Render(w); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	if timelines {
+		timeline = hex.EncodeToString(th.Sum(nil))
+	}
+	return hex.EncodeToString(h.Sum(nil)), timeline
 }
 
 // TestExperimentDigests is what says a change to how studies are built left
@@ -132,8 +149,9 @@ func outputDigest(t *testing.T, e Experiment, rs *ResultSet) string {
 func TestExperimentDigests(t *testing.T) {
 	cases := digestCases(t)
 	var (
-		mu  sync.Mutex
-		got = map[string]string{}
+		mu          sync.Mutex
+		got         = map[string]string{}
+		gotTimeline = map[string]string{}
 	)
 	t.Run("cases", func(t *testing.T) {
 		for id, spec := range cases {
@@ -148,26 +166,38 @@ func TestExperimentDigests(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d := outputDigest(t, e, rs)
+				d, tl := outputDigest(t, e, rs)
 				mu.Lock()
 				got[id] = d
+				if tl != "" {
+					gotTimeline[id] = tl
+				}
 				mu.Unlock()
 				if want, ok := experimentDigests[id]; !ok {
 					t.Errorf("no digest pinned (got %s)", d)
 				} else if d != want {
 					t.Errorf("digest %s, pinned %s: the experiment's output moved", d, want)
 				}
+				if want := experimentTimelineDigests[id]; tl != want {
+					t.Errorf("timeline digest %q, pinned %q: the experiment's timeline moved", tl, want)
+				}
 			})
 		}
 	})
-	if len(experimentDigests) != len(cases) {
-		t.Errorf("%d digests pinned for %d cases", len(experimentDigests), len(cases))
+	if len(experimentDigests) != len(cases) || len(experimentTimelineDigests) != len(gotTimeline) {
+		t.Errorf("%d digests pinned for %d cases, %d timeline digests for %d", len(experimentDigests), len(cases),
+			len(experimentTimelineDigests), len(gotTimeline))
 	}
 	if t.Failed() {
-		var table strings.Builder
-		for _, id := range slices.Sorted(maps.Keys(got)) {
-			fmt.Fprintf(&table, "\t%q: %q,\n", id, got[id])
+		for _, table := range []struct {
+			what string
+			got  map[string]string
+		}{{"digests", got}, {"timeline digests", gotTimeline}} {
+			var b strings.Builder
+			for _, id := range slices.Sorted(maps.Keys(table.got)) {
+				fmt.Fprintf(&b, "\t%q: %q,\n", id, table.got[id])
+			}
+			t.Logf("%s of this tree:\n%s", table.what, b.String())
 		}
-		t.Logf("digests of this tree:\n%s", table.String())
 	}
 }

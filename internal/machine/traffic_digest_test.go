@@ -50,43 +50,69 @@ import (
 // machines, the tree before it printed the kernel/* entries — the machines
 // it had run on shards, observed on the single kernel (the third, Jacobi on
 // a 2×2 T805 grid, is detailed/T805Grid(2,2)) — and the shards/TaskLevel/*
-// entries without a probe.
+// entries without a probe. The timelines are pinned apart, in
+// trafficTimelineDigests, split off by commit 944c536 from the hash of
+// report and bottleneck JSON that trafficDigests keeps.
 var trafficDigests = map[string]string{
-	"detailed/DSMCluster(2,2)":              "27e8b1571661f169ba078f2a",
-	"detailed/HybridCluster(2,2,2)":         "7a81c5e3f74470e7f8266e83",
-	"detailed/T805Grid(2,2)":                "980e54126b2032f2e244b994",
-	"detailed/T805Grid(2,2)/VCTUnderFaults": "c79bffb2a01120ccb23ef7e7",
-	"detailed/T805Grid(3,3)/VCTAdaptive":    "4cfaca3492ff149a9f90128d",
-	"detailed/T805Grid(3,3)/Wormhole":       "86c29c52f40ed4f4def49f95",
-	"engine/AdaptiveFatTree/observed":       "1955463dfb01d05be1a9a04f",
+	"detailed/DSMCluster(2,2)":              "72b1fee7d7ee5371029daf2b",
+	"detailed/HybridCluster(2,2,2)":         "98e4d56230637dea058baf29",
+	"detailed/T805Grid(2,2)":                "9677878ebf626a7a3489080f",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "51bc3deb5c5bbf36cd29099f",
+	"detailed/T805Grid(3,3)/VCTAdaptive":    "a8335782a5dfe969a2472005",
+	"detailed/T805Grid(3,3)/Wormhole":       "d54ea466e1f8880d795bc1fb",
+	"engine/AdaptiveFatTree/observed":       "9264220e483a7f6bcd375a8b",
 	"engine/AdaptiveFatTree/plain":          "ded231e5f44590e3568fba65",
-	"engine/Dragonfly/observed":             "d0e3277b8445061842ad73cd",
+	"engine/Dragonfly/observed":             "c3525a12ce8e8f3dd7180822",
 	"engine/Dragonfly/plain":                "d464e0c2f253ddcae834e700",
-	"engine/Matching/observed":              "a433fe72a12e08cf3cbaaf28",
+	"engine/Matching/observed":              "d4692c44d29034ce39ffef4f",
 	"engine/Matching/plain":                 "2895123f96483527fc6dbb2c",
-	"engine/MatchingNoOverhead/observed":    "0eff084b1a1cf9c04c84fdef",
+	"engine/MatchingNoOverhead/observed":    "52a84cb2fbd852ece2c6d30c",
 	"engine/MatchingNoOverhead/plain":       "3b1816f4b7d430762697dcb6",
-	"engine/SAF/observed":                   "6b65dd35c27c0bfafb59e7cf",
+	"engine/SAF/observed":                   "2ac4a1377c0e41b5ae5d743a",
 	"engine/SAF/plain":                      "56d82c0eb99d9116e59077af",
-	"engine/UnderFaults/observed":           "3747f5c3b8976fcbefab9a1b",
+	"engine/UnderFaults/observed":           "0e4a5c03e9c1a677fce2c5f1",
 	"engine/UnderFaults/plain":              "e1c50a39221e12c8a91d9e2c",
-	"engine/VCTValiant/observed":            "a2b1931cdfae2ee0cff45309",
+	"engine/VCTValiant/observed":            "d4f6a74998bad5b3c295d586",
 	"engine/VCTValiant/plain":               "b854001b7c7d67d00d6d74f3",
-	"engine/WormholeTorus3D/observed":       "2094a99a6c180764303ad6b1",
+	"engine/WormholeTorus3D/observed":       "b50bb6c1276e847101e360ab",
 	"engine/WormholeTorus3D/plain":          "4b8d96f574ab6684093fe4b6",
-	"engine/WormholeUnderFaults/observed":   "f31f22da3a05734416a7d444",
+	"engine/WormholeUnderFaults/observed":   "5ae100c92f0326444031f1ec",
 	"engine/WormholeUnderFaults/plain":      "f775a623a75f8762bb63c593",
-	"kernel/PingPong":                       "7e282c0357dfe8c1c4cbdda1",
-	"kernel/UnderFaults":                    "92d1b2c61aa8c8318bb8fa64",
+	"kernel/PingPong":                       "50ef82149d40726eb8c82c36",
+	"kernel/UnderFaults":                    "e35f0c5da4666f663bdd3f3a",
 	"shards/TaskLevel/1":                    "d314f8fb7c4a36c730921485",
 	"shards/TaskLevel/2":                    "d314f8fb7c4a36c730921485",
 	"shards/TaskLevel/4":                    "d314f8fb7c4a36c730921485",
 }
 
+// trafficTimelineDigests is printed by TestTrafficDigests: the timeline of
+// every observed case.
+var trafficTimelineDigests = map[string]string{
+	"detailed/DSMCluster(2,2)":              "012d1abf127630f87f219abc",
+	"detailed/HybridCluster(2,2,2)":         "de139ea540d5cc7199e82c62",
+	"detailed/T805Grid(2,2)":                "5c6e3830b68d7326bae1b9e4",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "a522b6dd49ea4789d0da0701",
+	"detailed/T805Grid(3,3)/VCTAdaptive":    "42b6e1469b96c5428053ae1c",
+	"detailed/T805Grid(3,3)/Wormhole":       "676d85e0dce513b677ae3d14",
+	"engine/AdaptiveFatTree/observed":       "5f43e3f81e8cf1235af59f88",
+	"engine/Dragonfly/observed":             "cdb48840fff31855afc803c9",
+	"engine/Matching/observed":              "b76afc20a1c9711247b0e479",
+	"engine/MatchingNoOverhead/observed":    "bc791b1c7c4543edd4d7277b",
+	"engine/SAF/observed":                   "65d119e668f20919d55b841f",
+	"engine/UnderFaults/observed":           "b7563458e31e62d4155008ad",
+	"engine/VCTValiant/observed":            "b34e3c2d72a4e7428551b5c8",
+	"engine/WormholeTorus3D/observed":       "95d3387d15a7d78ec6210cb2",
+	"engine/WormholeUnderFaults/observed":   "8dd6f78e036923dd6e116b26",
+	"kernel/PingPong":                       "e6eac3a1d67e753fcfd264d3",
+	"kernel/UnderFaults":                    "f376b524ad10a03b7a78c44c",
+}
+
 // artifactDigest runs cfg, observed or with a bare probe, and hashes every
-// artifact of the run. Observed means the timeline and the bottleneck
-// collector. Shards refuse every observer, so a sharded run has no probe.
-func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) (*Result, error)) string {
+// artifact of the run: the report with the bottleneck JSON, and the timeline
+// apart ("" when the run records none). Observed means the timeline and the
+// bottleneck collector. Shards refuse every observer, so a sharded run has no
+// probe.
+func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) (*Result, error)) (report, timeline string) {
 	t.Helper()
 	var pb *probe.Probe
 	if cfg.Shards == 0 {
@@ -114,17 +140,19 @@ func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) 
 	if err := stats.RenderSet(h, res.Stats); err != nil {
 		t.Fatal(err)
 	}
-	if tl := m.MergedTimeline(); tl != nil {
-		if err := tl.WriteJSON(h); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if res.Analysis != nil {
 		if err := res.Analysis.WriteJSON(h); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
+	if tl := m.MergedTimeline(); tl != nil {
+		th := sha256.New()
+		if err := tl.WriteJSON(th); err != nil {
+			t.Fatal(err)
+		}
+		timeline = fmt.Sprintf("%x", th.Sum(nil)[:12])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:12]), timeline
 }
 
 // ringStreams gives every CPU of a detailed machine a short instruction mix;
@@ -167,11 +195,17 @@ func ringStreams(nodes, cpus, rounds int) []trace.Source {
 }
 
 func TestTrafficDigests(t *testing.T) {
-	got := make(map[string]string)
+	got, gotTimeline := make(map[string]string), make(map[string]string)
+	add := func(name string, cfg Config, observed bool, run func(*Machine) (*Result, error)) {
+		got[name], gotTimeline[name] = artifactDigest(t, cfg, observed, run)
+		if gotTimeline[name] == "" {
+			delete(gotTimeline, name)
+		}
+	}
 	for _, c := range engineCases() {
 		for observed, label := range map[bool]string{true: "observed", false: "plain"} {
 			s := c.streams
-			got["engine/"+c.name+"/"+label] = artifactDigest(t, c.cfg, observed, func(m *Machine) (*Result, error) {
+			add("engine/"+c.name+"/"+label, c.cfg, observed, func(m *Machine) (*Result, error) {
 				res, _, err := runCounted(m, s)
 				return res, err
 			})
@@ -179,7 +213,7 @@ func TestTrafficDigests(t *testing.T) {
 	}
 	for _, c := range kernelCases() {
 		s := c.streams
-		got["kernel/"+c.name] = artifactDigest(t, c.cfg, true, func(m *Machine) (*Result, error) {
+		add("kernel/"+c.name, c.cfg, true, func(m *Machine) (*Result, error) {
 			res, _, err := runCounted(m, s)
 			return res, err
 		})
@@ -188,48 +222,56 @@ func TestTrafficDigests(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {
 		cfg := task.cfg
 		cfg.Shards = shards
-		got[fmt.Sprintf("shards/%s/%d", task.name, shards)] = artifactDigest(t, cfg, false, func(m *Machine) (*Result, error) {
+		add(fmt.Sprintf("shards/%s/%d", task.name, shards), cfg, false, func(m *Machine) (*Result, error) {
 			res, _, err := runCounted(m, task.streams)
 			return res, err
 		})
 	}
-	got["detailed/T805Grid(2,2)"] = artifactDigest(t, T805Grid(2, 2), true, func(m *Machine) (*Result, error) {
+	add("detailed/T805Grid(2,2)", T805Grid(2, 2), true, func(m *Machine) (*Result, error) {
 		return m.RunProgram(workload.Jacobi1D(4, 64, 3))
 	})
 	for name, cfg := range detailedFabricCases() {
 		nodes := cfg.Nodes
-		got[name] = artifactDigest(t, cfg, true, func(m *Machine) (*Result, error) {
+		add(name, cfg, true, func(m *Machine) (*Result, error) {
 			return m.RunProgram(workload.Jacobi1D(nodes, 128, 4))
 		})
 	}
-	got["detailed/HybridCluster(2,2,2)"] = artifactDigest(t, HybridCluster(2, 2, 2), true, func(m *Machine) (*Result, error) {
+	add("detailed/HybridCluster(2,2,2)", HybridCluster(2, 2, 2), true, func(m *Machine) (*Result, error) {
 		return m.Run(ringStreams(4, 2, 3))
 	})
-	got["detailed/DSMCluster(2,2)"] = artifactDigest(t, DSMCluster(2, 2), true, func(m *Machine) (*Result, error) {
+	add("detailed/DSMCluster(2,2)", DSMCluster(2, 2), true, func(m *Machine) (*Result, error) {
 		return m.RunProgram(workload.JacobiDSM(4, 64, 3))
 	})
+	checkPinned(t, "digests", got, trafficDigests)
+	checkPinned(t, "timeline digests", gotTimeline, trafficTimelineDigests)
+}
 
+// checkPinned fails the test on every entry of got that pinned does not
+// hold, and logs the table of this tree if one failed.
+func checkPinned(t *testing.T, what string, got, pinned map[string]string) {
+	t.Helper()
 	names := make([]string, 0, len(got))
 	for name := range got {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	var table strings.Builder
+	failed := len(pinned) != len(got)
+	if failed {
+		t.Errorf("%d %s pinned for %d configurations", len(pinned), what, len(got))
+	}
 	for _, name := range names {
 		fmt.Fprintf(&table, "\t%q: %q,\n", name, got[name])
-		want, ok := trafficDigests[name]
-		switch {
-		case !ok:
+		if want, ok := pinned[name]; !ok {
 			t.Errorf("%s: no digest pinned (got %s)", name, got[name])
-		case got[name] != want:
+			failed = true
+		} else if got[name] != want {
 			t.Errorf("%s: digest %s, pinned %s: the report or its artifacts moved", name, got[name], want)
+			failed = true
 		}
 	}
-	if len(trafficDigests) != len(got) {
-		t.Errorf("%d digests pinned for %d configurations", len(trafficDigests), len(got))
-	}
-	if t.Failed() {
-		t.Logf("digests of this tree:\n%s", table.String())
+	if failed {
+		t.Logf("%s of this tree:\n%s", what, table.String())
 	}
 }
 

@@ -44,8 +44,10 @@ import (
 // metric registry's snapshot: they hash the report alone, and the metrics
 // CSV is pinned apart in metricsCSVDigests. That table was re-printed once,
 // when the registry gave way to the sampled report and the CSV's columns
-// became report paths. The
-// observed cases keep the "/shards=0" of the time they also ran on the
+// became report paths. The timelines are pinned apart too, in
+// detailedTimelineDigests and observedTimelineDigests, split off by commit
+// 944c536 from the hash of report and bottleneck JSON that the first two
+// tables keep. The observed cases keep the "/shards=0" of the time they also ran on the
 // parallel engine, which now runs task-level machines only. A digest that
 // moves means
 // simulated behaviour moved: some event fires at another time, in another
@@ -202,8 +204,9 @@ func busName(b bus.Config) string {
 }
 
 // digest runs cfg once with the timeline and the bottleneck collector on and
-// hashes the three artifacts that between them show every simulated time.
-func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machine.Result, error)) string {
+// hashes the three artifacts that between them show every simulated time:
+// the report with the bottleneck JSON, and the timeline apart.
+func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machine.Result, error)) (report, timeline string) {
 	t.Helper()
 	env := observedEnv(cfg)
 	m, err := machine.Build(env, cfg)
@@ -220,15 +223,28 @@ func digest(t *testing.T, cfg machine.Config, run func(*machine.Machine) (*machi
 	if err := stats.RenderSet(h, res.Stats); err != nil {
 		t.Fatal(err)
 	}
+	if err := res.Analysis.WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
 	var tl strings.Builder
 	if err := m.MergedTimeline().WriteJSON(&tl); err != nil {
 		t.Fatal(err)
 	}
-	io.WriteString(h, coalesced(t, tl.String()))
-	if err := res.Analysis.WriteJSON(h); err != nil {
-		t.Fatal(err)
+	th := sha256.New()
+	io.WriteString(th, coalesced(t, tl.String()))
+	return fmt.Sprintf("%x", h.Sum(nil)[:12]), fmt.Sprintf("%x", th.Sum(nil)[:12])
+}
+
+// pinned fails the test unless table pins got under name, and writes the
+// entry to the printed table.
+func pinned(t *testing.T, printed *strings.Builder, table map[string]string, name, got string) {
+	t.Helper()
+	fmt.Fprintf(printed, "\t%q: %q,\n", name, got)
+	if want, ok := table[name]; !ok {
+		t.Errorf("%s: no digest pinned (got %s)", name, got)
+	} else if got != want {
+		t.Errorf("%s: digest %s, pinned %s: simulated behaviour moved", name, got, want)
 	}
-	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
 func TestDetailedDigests(t *testing.T) {
@@ -271,29 +287,25 @@ func TestDetailedDigests(t *testing.T) {
 	if len(cases) < 24 {
 		t.Fatalf("only %d configurations", len(cases))
 	}
-	var table strings.Builder
+	var table, tlTable strings.Builder
 	for _, tc := range cases {
-		got := digest(t, tc.cfg, tc.run)
-		fmt.Fprintf(&table, "\t%q: %q,\n", tc.cfg.Name, got)
-		want, ok := detailedDigests[tc.cfg.Name]
-		switch {
-		case !ok:
-			t.Errorf("%s: no digest pinned (got %s)", tc.cfg.Name, got)
-		case got != want:
-			t.Errorf("%s: digest %s, pinned %s: simulated behaviour moved", tc.cfg.Name, got, want)
-		}
+		report, timeline := digest(t, tc.cfg, tc.run)
+		pinned(t, &table, detailedDigests, tc.cfg.Name, report)
+		pinned(t, &tlTable, detailedTimelineDigests, tc.cfg.Name, timeline)
 	}
-	if len(detailedDigests) != len(cases) {
-		t.Errorf("%d digests pinned for %d configurations", len(detailedDigests), len(cases))
+	if len(detailedDigests) != len(cases) || len(detailedTimelineDigests) != len(cases) {
+		t.Errorf("%d and %d digests pinned for %d configurations", len(detailedDigests), len(detailedTimelineDigests), len(cases))
 	}
 	if t.Failed() {
 		t.Logf("digests of this tree:\n%s", table.String())
+		t.Logf("timeline digests of this tree:\n%s", tlTable.String())
 	}
 
 	// Every kind of node, with every artifact the workbench writes about a
 	// run: the timeline, the bottleneck text and JSON and the CSV of a
 	// metrics sampler ticking through the run.
 	table.Reset()
+	tlTable.Reset()
 	var csvTable strings.Builder
 	for _, tc := range observedCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,29 +327,27 @@ func TestDetailedDigests(t *testing.T) {
 				}
 			}
 			arts := observe(t, tc.cfg, tc.every, run)
-			csv := hashArtifacts(map[string]string{metricsCSV: arts[metricsCSV]})
-			delete(arts, metricsCSV)
-			fmt.Fprintf(&csvTable, "\t%q: %q,\n", tc.name, csv)
-			if want := metricsCSVDigests[tc.name]; csv != want {
-				t.Errorf("metrics CSV digest %s, pinned %s", csv, want)
-			}
 			for s, b := range sinks {
 				arts[fmt.Sprintf("task sink %d", s)] = b.String()
 			}
 			if tc.check != nil {
 				tc.check(t, arts)
 			}
-			got := hashArtifacts(arts)
-			fmt.Fprintf(&table, "\t%q: %q,\n", tc.name, got)
-			if want, ok := observedDigests[tc.name]; !ok {
-				t.Errorf("no digest pinned (got %s)", got)
-			} else if got != want {
-				t.Errorf("digest %s, pinned %s: simulated behaviour moved", got, want)
+			// The metrics CSV and the timeline are pinned apart.
+			for _, apart := range []struct {
+				name  string
+				table map[string]string
+				out   *strings.Builder
+			}{{metricsCSV, metricsCSVDigests, &csvTable}, {"timeline", observedTimelineDigests, &tlTable}} {
+				pinned(t, apart.out, apart.table, tc.name, hashArtifacts(map[string]string{apart.name: arts[apart.name]}))
+				delete(arts, apart.name)
 			}
+			pinned(t, &table, observedDigests, tc.name, hashArtifacts(arts))
 		})
 	}
 	if t.Failed() {
 		t.Logf("observed digests of this tree:\n%s", table.String())
+		t.Logf("observed timeline digests of this tree:\n%s", tlTable.String())
 		t.Logf("metrics CSV digests of this tree:\n%s", csvTable.String())
 	}
 }

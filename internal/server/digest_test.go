@@ -21,7 +21,9 @@ import (
 // metric registry: each is the old report without its "registry" set,
 // whose end-of-run values the metrics artifact serves. The two metrics
 // expositions were re-printed when the registry gave way to the sampled
-// report: they name every report metric by its path.
+// report: they name every report metric by its path. Each artifact has a
+// digest of its own, so a timeline that moves leaves the report, metrics and
+// bottleneck pins in place.
 var jobArtifactDigests = map[string]string{
 	"service-mix/report":               "df70df1afcb37703e2bd41650e9c9b17782f42af53567b4c130fa4b2a189768d",
 	"service-mix/metrics":              "73457e4082ef145011fc253d08533b75971bb8fbd7958f7371fac38818572960",
