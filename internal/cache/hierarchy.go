@@ -355,8 +355,8 @@ func (h *Hierarchy) caches() []*cache {
 }
 
 // Private reports whether the hierarchy serves one CPU and runs nothing of
-// its own between that CPU's accesses: no store-buffer drain, no timeline.
-func (h *Hierarchy) Private() bool { return h.cfg.CPUs == 1 && h.drains == nil && h.tl == nil }
+// its own between that CPU's accesses: no store-buffer drain.
+func (h *Hierarchy) Private() bool { return h.cfg.CPUs == 1 && h.drains == nil }
 
 // Port is a CPU-side handle for issuing memory accesses, one at a time.
 type Port struct {

@@ -52,7 +52,7 @@ var experimentDigests = map[string]string{
 // experimentTimelineDigests pins SHA-256 of the timeline artifacts of every
 // case that writes one; TestExperimentDigests prints it.
 var experimentTimelineDigests = map[string]string{
-	"validity": "83a97d7aa60db9daedaad540861878ebf8781e34dea843bd680ee42f431cd572",
+	"validity": "6daf5eee6ae69f3719d89f9a0590eb9bb911f86848051d5414a5f1e6474ea6d8",
 }
 
 // digestGrids are the grid files whose points the digests cover.

@@ -3,6 +3,9 @@ package machine
 import (
 	"testing"
 
+	"mermaid/internal/analysis"
+	"mermaid/internal/probe"
+	"mermaid/internal/sim"
 	"mermaid/internal/stochastic"
 )
 
@@ -76,7 +79,9 @@ func TestSwitchBudgetT805Grid(t *testing.T) {
 // memory, so between two communication operations its runner serves its
 // waits ahead of the kernel, and the kernel fires at most one event in
 // twenty that it counts — the rest are holds run ahead of, each counted as
-// the event it replaces.
+// the event it replaces. Watching the run changes neither: with the
+// timeline and the bottleneck collector attached, the runners still run
+// ahead.
 func TestRunAheadDispatchFloor(t *testing.T) {
 	d := stochastic.Desc{
 		Nodes: 16, Level: stochastic.InstructionLevel, Iterations: 2, Seed: 7,
@@ -85,22 +90,31 @@ func TestRunAheadDispatchFloor(t *testing.T) {
 			Comm: stochastic.Comm{Pattern: stochastic.NearestNeighbor, Bytes: 1024},
 		}},
 	}
-	m, err := New(T805Grid(4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.RunStochastic(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dispatches := m.k.Dispatches()
-	t.Logf("t805 4x4: %d events, %d dispatched, %d instructions", res.Events, dispatches, res.Instructions)
-	if res.Events != t805GridEvents {
-		t.Errorf("%d events; pinned %d", res.Events, t805GridEvents)
-	}
-	if 20*dispatches > res.Events {
-		t.Errorf("%d of %d events dispatched (%.1f%%); want at most 5%%",
-			dispatches, res.Events, 100*float64(dispatches)/float64(res.Events))
+	cfg := T805Grid(4, 4)
+	for _, c := range []struct {
+		name string
+		env  sim.Env
+	}{
+		{"plain", sim.NewEnv(cfg.Seed, nil)},
+		{"observed", sim.NewEnv(cfg.Seed, probe.New(probe.Config{Timeline: true})).WithCollector(analysis.New())},
+	} {
+		m, err := Build(c.env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.RunStochastic(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dispatches := m.k.Dispatches()
+		t.Logf("t805 4x4 %s: %d events, %d dispatched, %d instructions", c.name, res.Events, dispatches, res.Instructions)
+		if res.Events != t805GridEvents {
+			t.Errorf("%s: %d events; pinned %d", c.name, res.Events, t805GridEvents)
+		}
+		if 20*dispatches > res.Events {
+			t.Errorf("%s: %d of %d events dispatched (%.1f%%); want at most 5%%",
+				c.name, dispatches, res.Events, 100*float64(dispatches)/float64(res.Events))
+		}
 	}
 }
 

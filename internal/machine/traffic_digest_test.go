@@ -88,23 +88,23 @@ var trafficDigests = map[string]string{
 // trafficTimelineDigests is printed by TestTrafficDigests: the timeline of
 // every observed case.
 var trafficTimelineDigests = map[string]string{
-	"detailed/DSMCluster(2,2)":              "012d1abf127630f87f219abc",
-	"detailed/HybridCluster(2,2,2)":         "de139ea540d5cc7199e82c62",
-	"detailed/T805Grid(2,2)":                "5c6e3830b68d7326bae1b9e4",
-	"detailed/T805Grid(2,2)/VCTUnderFaults": "a522b6dd49ea4789d0da0701",
-	"detailed/T805Grid(3,3)/VCTAdaptive":    "42b6e1469b96c5428053ae1c",
-	"detailed/T805Grid(3,3)/Wormhole":       "676d85e0dce513b677ae3d14",
-	"engine/AdaptiveFatTree/observed":       "5f43e3f81e8cf1235af59f88",
-	"engine/Dragonfly/observed":             "cdb48840fff31855afc803c9",
+	"detailed/DSMCluster(2,2)":              "54baa9783a51639e2b1b6e5a",
+	"detailed/HybridCluster(2,2,2)":         "cdcc1394ec6c495b56a81a3c",
+	"detailed/T805Grid(2,2)":                "2e5804f4299a3b1511e03d76",
+	"detailed/T805Grid(2,2)/VCTUnderFaults": "71685b50a87bdb16ba185da6",
+	"detailed/T805Grid(3,3)/VCTAdaptive":    "ec81812d465cc3436097bd22",
+	"detailed/T805Grid(3,3)/Wormhole":       "ea848de3809460a42b4975ed",
+	"engine/AdaptiveFatTree/observed":       "d73ef27a7adb8881ec16b5db",
+	"engine/Dragonfly/observed":             "07d7aeb08775b129bb84a2d3",
 	"engine/Matching/observed":              "b76afc20a1c9711247b0e479",
-	"engine/MatchingNoOverhead/observed":    "bc791b1c7c4543edd4d7277b",
-	"engine/SAF/observed":                   "65d119e668f20919d55b841f",
-	"engine/UnderFaults/observed":           "b7563458e31e62d4155008ad",
-	"engine/VCTValiant/observed":            "b34e3c2d72a4e7428551b5c8",
-	"engine/WormholeTorus3D/observed":       "95d3387d15a7d78ec6210cb2",
-	"engine/WormholeUnderFaults/observed":   "8dd6f78e036923dd6e116b26",
-	"kernel/PingPong":                       "e6eac3a1d67e753fcfd264d3",
-	"kernel/UnderFaults":                    "f376b524ad10a03b7a78c44c",
+	"engine/MatchingNoOverhead/observed":    "2ff5eb869cd80599e96a4dd4",
+	"engine/SAF/observed":                   "8d114a40b5cddb271f158b87",
+	"engine/UnderFaults/observed":           "93833a8237817cf302269e90",
+	"engine/VCTValiant/observed":            "40cd1d25b56ef615442b6613",
+	"engine/WormholeTorus3D/observed":       "6575fcb1bf4c860287634ac0",
+	"engine/WormholeUnderFaults/observed":   "c78bc5fa8172ce9c41acf7d2",
+	"kernel/PingPong":                       "8e80867b1679df30ff4f47bf",
+	"kernel/UnderFaults":                    "b26d255b0c8d312b6d07aed1",
 }
 
 // artifactDigest runs cfg, observed or with a bare probe, and hashes every

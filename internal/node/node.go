@@ -237,12 +237,12 @@ var runAhead = true
 
 // private reports whether the node's straight lines depend on nothing
 // outside the node, so that a runner may serve their waits without the
-// kernel (pearl.Kernel.Ahead): one CPU, whose memory system runs nothing of
-// its own, no virtual shared memory, and nobody observing the waits — a
-// timeline or bottleneck collector records spans in the order they end, and
-// spans recorded ahead would reorder its ties.
+// kernel (pearl.Chain.Ahead): one CPU, whose memory system runs nothing of
+// its own, and no virtual shared memory. Observers do not matter: the
+// runner reports the waits it serves ahead as the kernel would, and every
+// timeline track the line writes is the node's own.
 func (n *Node) private() bool {
-	return runAhead && len(n.cpus) == 1 && n.hier.Private() && n.shared == nil && n.tl == nil && !n.col.Enabled()
+	return runAhead && n.hier.Private() && n.shared == nil
 }
 
 // reasonName returns the timeline Name of a block reason, interning its text
@@ -276,7 +276,7 @@ func (r *runner) step() pearl.Step {
 				s := r.c.Step()
 				if s.Done {
 					r.inFlight = false
-				} else if !r.private || !n.k.Ahead(s) {
+				} else if !r.private || !r.chain.Ahead(s) {
 					return s
 				}
 			}

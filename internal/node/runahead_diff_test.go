@@ -6,31 +6,41 @@ import (
 	"encoding/binary"
 	"fmt"
 	"regexp"
+	"strings"
 	"testing"
 
 	"mermaid/internal/core"
 	"mermaid/internal/machine"
 	"mermaid/internal/node"
 	"mermaid/internal/pearl"
+	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
 )
 
 // A private node's runner serves its straight line ahead of the kernel and
-// rejoins it with one hold (pearl.Kernel.Ahead, Rejoin), which takes the
-// place among the events of its instant that the line's last hold would
+// rejoins it with one hold (pearl.Chain.Ahead, Kernel.Rejoin), which takes
+// the place among the events of its instant that the line's last hold would
 // have taken. Running ahead must change nothing but the kernel's dispatches:
 // the tests below run every case twice, running ahead and per event, and
 // compare the reports byte for byte but for the host's wall-clock lines —
-// cycles, every statistic and the event count.
+// cycles, every statistic and the event count — and, observed, the timeline
+// and the bottleneck JSON too.
 
 // runAheadReport runs the case with running ahead on or off and returns its
-// report without the wall-clock lines.
-func runAheadReport(t *testing.T, ahead bool, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) string {
+// report without the wall-clock lines; observed, with the timeline and the
+// bottleneck collector attached, followed by the timeline JSON and the
+// bottleneck JSON.
+func runAheadReport(t *testing.T, ahead, observed bool, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) string {
 	t.Helper()
 	defer node.SetRunAhead(ahead)()
-	wb, err := core.New(cfg)
+	var opts []core.Option
+	pb := probe.New(probe.Config{Timeline: observed})
+	if observed {
+		opts = append(opts, core.WithProbe(pb), core.WithAnalysis())
+	}
+	wb, err := core.New(cfg, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,19 +56,43 @@ func runAheadReport(t *testing.T, ahead bool, cfg machine.Config, drive func(*ma
 	if err := wb.Report(&buf, res); err != nil {
 		t.Fatal(err)
 	}
-	return wallLines.ReplaceAllString(buf.String(), "")
+	report := wallLines.ReplaceAllString(buf.String(), "")
+	if observed {
+		buf.Reset()
+		if err := pb.Timeline().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Analysis.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		report += buf.String()
+	}
+	return report
 }
 
 // wallLines are the report lines that read the host clock.
 var wallLines = regexp.MustCompile(`(?m)^(host wall time|sim speed|slowdown/proc):.*\n`)
 
-// compareRunAhead runs the case both ways and fails on any report byte that
-// differs.
-func compareRunAhead(t *testing.T, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) {
+// compareRunAhead runs the case both ways, observed or not, and fails on
+// any byte that differs.
+func compareRunAhead(t *testing.T, observed bool, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) {
 	t.Helper()
-	if ahead, perEvent := runAheadReport(t, true, cfg, drive), runAheadReport(t, false, cfg, drive); ahead != perEvent {
-		t.Fatalf("reports differ\nrunning ahead:\n%s\nper event:\n%s", ahead, perEvent)
+	ahead, perEvent := runAheadReport(t, true, observed, cfg, drive), runAheadReport(t, false, observed, cfg, drive)
+	if ahead == perEvent {
+		return
 	}
+	a, p := strings.Split(ahead, "\n"), strings.Split(perEvent, "\n")
+	i := 0
+	for i < len(a) && i < len(p) && a[i] == p[i] {
+		i++
+	}
+	line := func(l []string) string {
+		if i < len(l) {
+			return l[i]
+		}
+		return "(end)"
+	}
+	t.Fatalf("observed %v: outputs differ from line %d\nrunning ahead: %s\nper event:     %s", observed, i+1, line(a), line(p))
 }
 
 // TestRunAheadExact: every preset with every application it runs, and the
@@ -82,7 +116,8 @@ func TestRunAheadExact(t *testing.T) {
 				if _, err := drive(m); err != nil {
 					t.Skipf("the preset does not run the application: %v", err)
 				}
-				compareRunAhead(t, cfg, drive)
+				compareRunAhead(t, false, cfg, drive)
+				compareRunAhead(t, true, cfg, drive)
 			})
 		}
 	}
@@ -114,7 +149,9 @@ func TestRunAheadExact(t *testing.T) {
 				cfg, d := rq.cfg, rq.desc
 				cfg.Seed = requestSeed(rq.name, i, "machine")
 				d.Seed = requestSeed(rq.name, i, "desc")
-				compareRunAhead(t, cfg, func(m *machine.Machine) (*machine.Result, error) { return m.RunStochastic(d) })
+				drive := func(m *machine.Machine) (*machine.Result, error) { return m.RunStochastic(d) }
+				compareRunAhead(t, false, cfg, drive)
+				compareRunAhead(t, true, cfg, drive)
 			})
 		}
 	}
@@ -134,7 +171,8 @@ func requestSeed(kind string, i int, purpose string) uint64 {
 // packets of 64 B–4 KiB, every communication pattern, synchronous and
 // asynchronous, with and without jitter. One case in four is provoked:
 // phases of 1–12 instructions, so that straight lines end in the cycles
-// where messages arrive and where other lines end.
+// where messages arrive and where other lines end. One case in ten is
+// also compared observed: timeline and bottleneck JSON as well.
 func TestRunAheadDifferential(t *testing.T) {
 	cases := 3000
 	if node.RaceEnabled || testing.Short() {
@@ -143,7 +181,11 @@ func TestRunAheadDifferential(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		cfg, d := differentialCase(uint64(i))
 		t.Run(fmt.Sprintf("case%04d", i), func(t *testing.T) {
-			compareRunAhead(t, cfg, func(m *machine.Machine) (*machine.Result, error) { return m.RunStochastic(d) })
+			drive := func(m *machine.Machine) (*machine.Result, error) { return m.RunStochastic(d) }
+			compareRunAhead(t, false, cfg, drive)
+			if i%10 == 0 {
+				compareRunAhead(t, true, cfg, drive)
+			}
 		})
 	}
 }

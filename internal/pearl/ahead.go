@@ -147,12 +147,13 @@ func before(a, b pos) bool {
 	}
 }
 
-// Ahead serves the wait s in place, without an event, for a chain whose
-// step function depends on nothing outside itself until it next gives
+// Ahead serves the chain's wait s in place, without an event, for a chain
+// whose step function depends on nothing outside itself until it next gives
 // control back, and reports true; the step function then goes on at once.
 // A hold advances the clock by its duration and counts as the event it
 // replaces, so that anything reading the clock (a Resource's occupancy, a
-// cache's miss timing) reads what it would have; a unit of a Resource is
+// cache's miss timing) reads what it would have, and a hold that takes time
+// is reported to Spans as the event ending it would report it; a unit of a Resource is
 // taken at once, and a Future must be complete: a chain whose wait depends
 // on another component was not private, and Ahead panics. It reports false,
 // having done nothing, where running ahead is refused: under any driver but
@@ -161,7 +162,8 @@ func before(a, b pos) bool {
 // a fault plan observes the run at times of its own), and for the first
 // hold of a line that begins where another ended, in its rejoin. Until the
 // chain calls Rejoin, nothing may schedule an event.
-func (k *Kernel) Ahead(s Step) bool {
+func (c *Chain) Ahead(s Step) bool {
+	k := c.k
 	if !k.running || k.daemons > 0 || k.atRejoin && k.line == nil {
 		return false
 	}
@@ -191,6 +193,9 @@ func (k *Kernel) Ahead(s Step) bool {
 		k.now += s.Hold
 		k.eventCount++
 		k.skipped++
+		if c.Spans != nil && s.Hold > 0 {
+			c.Spans(k.now-s.Hold, k.now, ReasonHold)
+		}
 	}
 	return true
 }
@@ -215,7 +220,8 @@ func (k *Kernel) newLine() *aheadLine {
 // time the run ahead reached; ok is false, and nothing changes, when no hold
 // was run ahead of. The hold fires as a real event, in the place its
 // per-event twin would have, and replaces the last skipped hold in the
-// count.
+// count. The hold reports no span when it ends: the holds it stands for
+// reported theirs when they were run ahead of.
 func (k *Kernel) Rejoin() (s Step, ok bool) {
 	l := k.line
 	if l == nil {

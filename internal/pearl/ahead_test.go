@@ -28,7 +28,7 @@ func (r *racer) step() Step {
 		w := r.waits[0]
 		r.waits = r.waits[1:]
 		r.log = append(r.log, fmt.Sprintf("%d", k.Now()))
-		if !r.ahead || !k.Ahead(w) {
+		if !r.ahead || !r.c.Ahead(w) {
 			return w
 		}
 	}
@@ -47,19 +47,23 @@ func TestAheadCountsEvents(t *testing.T) {
 		end                         Time
 		events, dispatches, acquire uint64
 		busy                        Time
-		log, peer                   []string
+		log, peer, spans            []string
 	}
 	run := func(ahead bool) outcome {
 		k := NewKernel()
 		res := k.NewResource("bus", 1)
 		r := newRacer(k, ahead, Step{Hold: 3}, Step{Hold: 0}, Step{Acquire: res}, Step{Hold: 5}, Step{Hold: 2})
+		var spans []string
+		r.c.Spans = func(from, to Time, reason Reason) {
+			spans = append(spans, fmt.Sprintf("%d-%d %s", from, to, k.ReasonText(reason)))
+		}
 		// A peer with events of its own inside the run ahead, and one at the
 		// instant it ends.
 		peer := newRacer(k, false, Step{Hold: 4}, Step{Hold: 6})
 		r.c.Start()
 		peer.c.Start()
 		end := k.Run()
-		return outcome{end, k.EventCount(), k.Dispatches(), res.Acquires(), res.BusyCycles(), r.log, peer.log}
+		return outcome{end, k.EventCount(), k.Dispatches(), res.Acquires(), res.BusyCycles(), r.log, peer.log, spans}
 	}
 	perEvent, ahead := run(false), run(true)
 	if perEvent.dispatches != perEvent.events {
@@ -75,19 +79,26 @@ func TestAheadCountsEvents(t *testing.T) {
 	if want := []string{"0", "3", "3", "3", "8", "done 10"}; !reflect.DeepEqual(ahead.log, want) {
 		t.Errorf("operations started at %v, want %v", ahead.log, want)
 	}
+	// Every hold that took time, once; the rejoin that stands for them
+	// reports nothing of its own.
+	if want := []string{"0-3 hold", "3-8 hold", "8-10 hold"}; !reflect.DeepEqual(ahead.spans, want) {
+		t.Errorf("spans %q, want %q", ahead.spans, want)
+	}
 }
 
 // Rejoin sets the clock back to where the run ahead began and returns the
 // distance; with nothing run ahead of it changes nothing.
 func TestRejoinRestoresClock(t *testing.T) {
 	k := NewKernel()
+	var c Chain
+	c.Init(k, nil)
 	var got []string
 	k.At(5, func() {
 		if s, ok := k.Rejoin(); ok {
 			got = append(got, fmt.Sprintf("rejoin %d before any hold", s.Hold))
 		}
-		k.Ahead(Step{Hold: 4})
-		k.Ahead(Step{Hold: 3})
+		c.Ahead(Step{Hold: 4})
+		c.Ahead(Step{Hold: 3})
 		got = append(got, fmt.Sprintf("ahead at %d after %d events", k.Now(), k.EventCount()))
 		s, ok := k.Rejoin()
 		got = append(got, fmt.Sprintf("rejoined %v: hold %d at %d after %d events", ok, s.Hold, k.Now(), k.EventCount()))
@@ -107,7 +118,9 @@ func TestRejoinRestoresClock(t *testing.T) {
 func TestAheadRefused(t *testing.T) {
 	try := func(k *Kernel) string {
 		before, events := k.Now(), k.EventCount()
-		if k.Ahead(Step{Hold: 10}) {
+		var c Chain
+		c.Init(k, nil)
+		if c.Ahead(Step{Hold: 10}) {
 			k.Rejoin()
 			return "ran ahead"
 		}
@@ -149,15 +162,17 @@ func TestAheadRefused(t *testing.T) {
 // Nothing may be scheduled while a chain runs ahead, and a wait that another
 // component would end cannot be served ahead: each panics.
 func TestAheadPanics(t *testing.T) {
-	for name, body := range map[string]func(k *Kernel){
-		"schedule":      func(k *Kernel) { k.Ahead(Step{Hold: 1}); k.After(1, func() {}) },
-		"start":         func(k *Kernel) { k.Ahead(Step{Hold: 1}); newRacer(k, false).c.Start() },
-		"busy unit":     func(k *Kernel) { r := k.NewResource("bus", 1); r.TryAcquire(); k.Ahead(Step{Acquire: r}) },
-		"open future":   func(k *Kernel) { k.Ahead(Step{Await: k.NewFuture()}) },
-		"negative hold": func(k *Kernel) { k.Ahead(Step{Hold: -1}) },
+	for name, body := range map[string]func(k *Kernel, c *Chain){
+		"schedule":      func(k *Kernel, c *Chain) { c.Ahead(Step{Hold: 1}); k.After(1, func() {}) },
+		"start":         func(k *Kernel, c *Chain) { c.Ahead(Step{Hold: 1}); newRacer(k, false).c.Start() },
+		"busy unit":     func(k *Kernel, c *Chain) { r := k.NewResource("bus", 1); r.TryAcquire(); c.Ahead(Step{Acquire: r}) },
+		"open future":   func(k *Kernel, c *Chain) { c.Ahead(Step{Await: k.NewFuture()}) },
+		"negative hold": func(k *Kernel, c *Chain) { c.Ahead(Step{Hold: -1}) },
 	} {
 		k := NewKernel()
-		k.At(1, func() { body(k) })
+		var c Chain
+		c.Init(k, nil)
+		k.At(1, func() { body(k, &c) })
 		func() {
 			defer func() {
 				if v := recover(); v == nil || !strings.Contains(fmt.Sprint(v), "pearl:") {
@@ -180,6 +195,7 @@ type actor struct {
 	echoes []Time
 	seg, i int
 	log    *[]string
+	spans  []string
 }
 
 func (a *actor) step() Step {
@@ -188,7 +204,7 @@ func (a *actor) step() Step {
 		if hs := a.segs[a.seg]; a.i < len(hs) {
 			h := hs[a.i]
 			a.i++
-			if a.ahead && k.Ahead(Step{Hold: h}) {
+			if a.ahead && a.c.Ahead(Step{Hold: h}) {
 				continue
 			}
 			return Step{Hold: h}
@@ -210,13 +226,15 @@ func (a *actor) step() Step {
 // actors whose holds of 0–3 cycles (now and then 255 more) keep ending in
 // the same cycles, whose public actions schedule events into those cycles,
 // some running ahead and some not, log exactly what they log per event, in
-// the same order, after the same number of events.
+// the same order, after the same number of events, and each reports the
+// same spans of its waits in the same order.
 func TestAheadOrderMatchesPerEvent(t *testing.T) {
 	for seed := uint64(0); seed < 1000; seed++ {
 		run := func(ahead bool) ([]string, uint64) {
 			r := NewRNG(seed)
 			k := NewKernel()
 			var log []string
+			var actors []*actor
 			for i, n := 0, 2+r.Intn(6); i < n; i++ {
 				private := r.Intn(4) != 0
 				a := &actor{name: fmt.Sprintf("a%d", i), ahead: ahead && private, log: &log}
@@ -233,9 +251,16 @@ func TestAheadOrderMatchesPerEvent(t *testing.T) {
 					a.echoes = append(a.echoes, Time(r.Intn(4)))
 				}
 				a.c.Init(k, a.step)
+				a.c.Spans = func(from, to Time, reason Reason) {
+					a.spans = append(a.spans, fmt.Sprintf("%d-%d %s", from, to, k.ReasonText(reason)))
+				}
+				actors = append(actors, a)
 				k.At(Time(r.Intn(3)), a.c.Start)
 			}
 			k.Run()
+			for _, a := range actors {
+				log = append(log, fmt.Sprintf("%s spans %q", a.name, a.spans))
+			}
 			return log, k.EventCount()
 		}
 		perLog, perEvents := run(false)

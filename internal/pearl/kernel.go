@@ -460,6 +460,7 @@ func (k *Kernel) fire(idx int32, from queueKind) {
 		k.spare = append(k.spare, c.rejoin)
 		c.rejoin = nil
 		k.rejoining--
+		c.since = k.now // the holds run ahead of have reported their spans
 		k.atRejoin = true
 		k.link(c)
 		k.atRejoin = false

@@ -27,7 +27,7 @@ type refEvent struct {
 
 // referenceJSON is the writer's specification: tracks grouped into pids by
 // their first dot segment, every event marshalled by encoding/json, and the
-// events stably sorted by timestamp.
+// events stably sorted by timestamp, then by track.
 func referenceJSON(tracks []string, events []refEvent) []byte {
 	type args struct {
 		Name string `json:"name"`
@@ -67,7 +67,12 @@ func referenceJSON(tracks []string, events []refEvent) []byte {
 		out = append(out, jsonEvent{Name: "thread_name", Ph: "M", Pid: pids[i], Tid: tids[i], Args: &args{name}})
 	}
 	sorted := append([]refEvent(nil), events...)
-	sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].ts < sorted[b].ts })
+	sort.SliceStable(sorted, func(a, b int) bool {
+		if sorted[a].ts != sorted[b].ts {
+			return sorted[a].ts < sorted[b].ts
+		}
+		return sorted[a].track < sorted[b].track
+	})
 	for _, ev := range sorted {
 		je := jsonEvent{Name: ev.name, Ph: string(ev.ph), Ts: ev.ts, Pid: pids[ev.track], Tid: tids[ev.track]}
 		if ev.ph == 'X' {

@@ -115,6 +115,54 @@ func TestTimelineWriteJSON(t *testing.T) {
 	}
 }
 
+// TestTimelineOrderIsContent records the same spans in two interleavings
+// across tracks — each track's own spans in one order — and requires the
+// same bytes: ties in time are ordered by track, then as their track
+// recorded them, never by when another track recorded its spans.
+func TestTimelineOrderIsContent(t *testing.T) {
+	type span struct {
+		track    int
+		name     string
+		from, to pearl.Time
+	}
+	perTrack := [][]span{
+		{{0, "hold", 0, 4}, {0, "compute", 4, 4}, {0, "hold", 4, 9}},
+		{{1, "txn", 4, 6}, {1, "txn", 4, 5}, {1, "txn", 9, 12}},
+		{{2, "read", 0, 3}, {2, "write", 4, 9}},
+	}
+	record := func(order []int) string {
+		tl := NewTimeline()
+		tracks := []Track{tl.Track("node0.cpu0"), tl.Track("node0.bus.0"), tl.Track("node0.memory")}
+		next := make([]int, len(perTrack))
+		for _, tr := range order {
+			sp := perTrack[tr][next[tr]]
+			next[tr]++
+			tl.Span(tracks[sp.track], sp.name, sp.from, sp.to)
+		}
+		var buf bytes.Buffer
+		if err := tl.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	trackByTrack := record([]int{0, 0, 0, 1, 1, 1, 2, 2})
+	interleaved := record([]int{2, 1, 0, 2, 1, 0, 1, 0})
+	if trackByTrack != interleaved {
+		t.Fatalf("one set of spans, two exports\ntrack by track:\n%s\ninterleaved:\n%s", trackByTrack, interleaved)
+	}
+	// At time 4: the CPU's two spans, as recorded, then the bus's two, as
+	// recorded, then the memory's.
+	var names []string
+	for _, line := range strings.Split(trackByTrack, "\n") {
+		if strings.Contains(line, `"ts":4,`) {
+			names = append(names, line[strings.Index(line, `"name":`)+8:strings.Index(line, `","ph"`)])
+		}
+	}
+	if got, want := strings.Join(names, " "), "compute hold txn txn write"; got != want {
+		t.Errorf("events at time 4: %s, want %s", got, want)
+	}
+}
+
 func TestKernelBlockSpansOptIn(t *testing.T) {
 	k := pearl.NewKernel()
 	p := New(Config{Timeline: true})

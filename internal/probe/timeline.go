@@ -31,9 +31,10 @@ type Name int32
 // recording copies nothing already recorded and gives the garbage collector
 // nothing to scan. Track and event names are resolved only by WriteJSON.
 //
-// The recorder is deterministic: given the same simulation, the same events
-// are recorded in the same order, so the JSON export is byte-identical
-// across runs and host worker counts.
+// The export is deterministic: it orders events by their content — time,
+// track, and order within the track — so it is byte-identical across runs,
+// host worker counts and execution paths that record each track's events in
+// the same order.
 type Timeline struct {
 	tracks     []string
 	trackIndex map[string]Track
@@ -140,7 +141,9 @@ func (t *Timeline) Events() int {
 // (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU):
 // a {"traceEvents": [...]} document of metadata and span ('X') events. Track names map to (pid, tid) pairs — the first dot segment
 // of the track name is the process group — and events are ordered by
-// timestamp, so per-track timestamps are monotonic. Virtual cycles are
+// timestamp, then by track, then in recording order within the track
+// (sortByTime), so per-track timestamps are monotonic and the bytes depend
+// only on what each track recorded. Virtual cycles are
 // reported as microseconds, which Perfetto displays unscaled.
 func (t *Timeline) WriteJSON(w io.Writer) error {
 	if t == nil {
@@ -218,33 +221,47 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 }
 
 // sortByTime returns the events' indices ordered by timestamp, equal
-// timestamps in recording order: per-(pid,tid) timestamps come out
-// monotonic and equal-time events keep their deterministic recording order.
-// A least-significant-digit radix sort over each timestamp's offset from the
-// earliest orders them: one linear pass per 11 bits of the timestamps' range
-// (two or three for a run of up to 2^33 cycles), stable by construction.
+// timestamps by track, and events of one track and time in recording order.
+// The order is a function of what was recorded, not of how recording
+// interleaved across tracks: each track is written by one component in an
+// order of its own, and a component that runs ahead of the kernel keeps it.
+// A least-significant-digit radix sort orders them: one stable counting pass
+// over the track ids, then one linear pass per 11 bits of the timestamps'
+// range, over each timestamp's offset from the earliest (two or three for a
+// run of up to 2^33 cycles).
 func (t *Timeline) sortByTime() []uint32 {
-	ts := make([]int64, 0, t.events.Len()) // in recording order
+	n := t.events.Len()
+	ts := make([]int64, 0, n) // in recording order
+	at := make([]int, len(t.tracks)+1)
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, chunk := range t.events.chunks {
 		for j := range chunk {
 			ts = append(ts, chunk[j].ts)
 			lo, hi = min(lo, chunk[j].ts), max(hi, chunk[j].ts)
+			at[chunk[j].track+1]++
 		}
 	}
-	order := make([]uint32, len(ts))
-	for i := range order {
-		order[i] = uint32(i)
+	for tr := 1; tr < len(at); tr++ {
+		at[tr] += at[tr-1]
+	}
+	from, to := make([]uint32, n), make([]uint32, n)
+	i := uint32(0)
+	for _, chunk := range t.events.chunks {
+		for j := range chunk {
+			tr := chunk[j].track
+			from[at[tr]] = i
+			at[tr]++
+			i++
+		}
 	}
 	if lo >= hi {
-		return order // no events, or all at one time
+		return from // no events, or all at one time
 	}
 	width := bits.Len64(uint64(hi) - uint64(lo))
 	const digit = 11
 	passes := (width + digit - 1) / digit
 	step := (width + passes - 1) / passes
 	mask := uint64(1)<<step - 1
-	from, to := order, make([]uint32, len(order))
 	for shift := 0; shift < width; shift += step {
 		var at [1 << digit]int
 		for _, v := range ts {

@@ -27,11 +27,11 @@ import (
 var jobArtifactDigests = map[string]string{
 	"service-mix/report":               "df70df1afcb37703e2bd41650e9c9b17782f42af53567b4c130fa4b2a189768d",
 	"service-mix/metrics":              "73457e4082ef145011fc253d08533b75971bb8fbd7958f7371fac38818572960",
-	"service-mix/timeline":             "76659bf3187851fefa5ceadf9058867671d4f93c02d8e88e0fd4a9ec9796e366",
+	"service-mix/timeline":             "3cbe01fb2b3b8a8ffec19bcb872bb46c2aadde3fbbd1fd452435da589d39766b",
 	"service-mix/bottleneck":           "4aebe58c9fa9e134adfeab08ab9700da75a6d8fb6d4c8e3c76dd44b8f68cc3f5",
 	"torus-wormhole-config/report":     "f1af37b2e3a6d1e0bbf98b2ed65f6f2b912008997cb0089f33fd44eb7c2f94af",
 	"torus-wormhole-config/metrics":    "f53d4771d683f2d2e91086901cc4971844d4663e108e815434131e287e43615c",
-	"torus-wormhole-config/timeline":   "098099fa5f06495d03fc26bf159691873c909fd5ce065537e3cf0a265eedd6ce",
+	"torus-wormhole-config/timeline":   "458ca493ec9e75165e793558426ae90d0155bbac419664d908c0db376509e02d",
 	"torus-wormhole-config/bottleneck": "8c8b4fe3cf7a285251db888960d96981f27498d97b4ed94da1b35d0abd83b0e6",
 }
 
