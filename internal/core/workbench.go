@@ -37,8 +37,7 @@ type Workbench struct {
 type Option func(*Workbench)
 
 // WithProbe attaches the observability layer: every machine the workbench
-// builds registers its metrics in the probe's registry and, if the probe
-// carries a timeline, records span events into it.
+// builds records span events into the probe's timeline, if it carries one.
 func WithProbe(pb *probe.Probe) Option {
 	return func(w *Workbench) { w.pb = pb }
 }

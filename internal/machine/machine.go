@@ -529,25 +529,15 @@ func (m *Machine) checkDone() error {
 	return &deadlockError{Blocked: blocked}
 }
 
-// kernels returns every kernel of the machine: the shard kernels under the
-// parallel engine, the single kernel otherwise.
-func (m *Machine) kernels() []*pearl.Kernel {
-	if m.group == nil {
-		return []*pearl.Kernel{m.k}
-	}
-	ks := make([]*pearl.Kernel, m.group.Shards())
-	for i := range ks {
-		ks[i] = m.group.Kernel(i)
-	}
-	return ks
-}
-
 // events returns the run's event count: under the parallel engine, the sum
 // of the shard kernels' counts.
 func (m *Machine) events() uint64 {
+	if m.group == nil {
+		return m.k.EventCount()
+	}
 	var total uint64
-	for _, k := range m.kernels() {
-		total += k.EventCount()
+	for i := 0; i < m.group.Shards(); i++ {
+		total += m.group.Kernel(i).EventCount()
 	}
 	return total
 }
@@ -563,7 +553,7 @@ type Result struct {
 	Cycles pearl.Time
 	// Events is the number of kernel events processed. A hold that a
 	// private node's runner ran ahead of counts as the event it replaced, so
-	// the count is the per-event path's (pearl.Kernel.Ahead).
+	// the count is the per-event path's (pearl.Chain.Ahead).
 	Events uint64
 	// Wall is the host time the simulation took.
 	Wall time.Duration

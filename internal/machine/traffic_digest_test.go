@@ -130,7 +130,14 @@ func artifactDigest(t *testing.T, cfg Config, observed bool, run func(*Machine) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range m.kernels() {
+	kernels := []*pearl.Kernel{m.k}
+	if m.group != nil {
+		kernels = kernels[:0]
+		for i := 0; i < m.group.Shards(); i++ {
+			kernels = append(kernels, m.group.Kernel(i))
+		}
+	}
+	for _, k := range kernels {
 		if n := k.Switches(); n != 0 {
 			t.Errorf("%s: %d switches; nothing in a machine runs on a stack of its own", cfg.Name, n)
 		}

@@ -68,8 +68,6 @@ type GridSpec struct {
 	// Repeats is the default number of recorded replicas per design point
 	// (0 or 1 = one).
 	Repeats int `json:"repeats,omitempty"`
-	// Workers is the default host worker count (0 = caller's choice).
-	Workers int `json:"workers,omitempty"`
 	// Experiments are the experiments to run, in order.
 	Experiments []GridExperiment `json:"experiments"`
 }
@@ -99,8 +97,8 @@ func (g *GridSpec) validate() error {
 	if len(g.Experiments) == 0 {
 		return fmt.Errorf("pipeline: grid %q lists no experiments", g.Name)
 	}
-	if g.Repeats < 0 || g.Workers < 0 {
-		return fmt.Errorf("pipeline: grid %q: repeats and workers must be non-negative", g.Name)
+	if g.Repeats < 0 {
+		return fmt.Errorf("pipeline: grid %q: repeats must be non-negative", g.Name)
 	}
 	for _, ge := range g.Experiments {
 		e, ok := experiments.ByName(ge.Name)

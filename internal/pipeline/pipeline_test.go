@@ -268,6 +268,8 @@ func TestParseGridRejectsBadSpecs(t *testing.T) {
 		// Grids have no warm-up runs: a grid asking for them is refused
 		// rather than run without them.
 		{"warmup", `{"name":"g","warmup":1,"experiments":[{"name":"validity"}]}`, `unknown field "warmup"`},
+		// The run's options decide the host worker count, not the grid.
+		{"workers", `{"name":"g","workers":2,"experiments":[{"name":"validity"}]}`, `unknown field "workers"`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

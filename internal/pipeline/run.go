@@ -26,8 +26,7 @@ type Options struct {
 	Dir string
 	// Root is the parent of timestamped run directories (default "runs").
 	Root string
-	// Workers is the host worker count; the grid's own workers field wins
-	// when set. Values below 1 mean sequential.
+	// Workers is the host worker count. Values below 1 mean sequential.
 	Workers int
 	// GitCommit overrides commit discovery (default: `git rev-parse HEAD`,
 	// falling back to "unknown").
@@ -86,10 +85,6 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	workers := opts.Workers
-	if grid.Workers > 0 {
-		workers = grid.Workers
-	}
 
 	units := expandUnits(grid)
 	logw := opts.Log
@@ -97,7 +92,7 @@ func Run(grid *GridSpec, opts Options) (*Manifest, string, error) {
 		logw = io.Discard
 	}
 	var logMu sync.Mutex
-	pool := farm.New(workers)
+	pool := farm.New(opts.Workers)
 	pool.Seed = grid.Seed
 	pool.Host = opts.Host
 	hostTrk := opts.Host.Track("pipeline") // nil-safe: all hostprobe calls no-op without a trace
