@@ -36,8 +36,9 @@ func runAheadReport(t *testing.T, ahead, observed bool, cfg machine.Config, driv
 	t.Helper()
 	defer node.SetRunAhead(ahead)()
 	var opts []core.Option
-	pb := probe.New(probe.Config{Timeline: observed})
+	var pb *probe.Probe
 	if observed {
+		pb = probe.New(probe.Config{Timeline: true})
 		opts = append(opts, core.WithProbe(pb), core.WithAnalysis())
 	}
 	wb, err := core.New(cfg, opts...)

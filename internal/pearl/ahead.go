@@ -152,16 +152,16 @@ func before(a, b pos) bool {
 // control back, and reports true; the step function then goes on at once.
 // A hold advances the clock by its duration and counts as the event it
 // replaces, so that anything reading the clock (a Resource's occupancy, a
-// cache's miss timing) reads what it would have, and a hold that takes time
-// is reported to Spans as the event ending it would report it; a unit of a Resource is
-// taken at once, and a Future must be complete: a chain whose wait depends
-// on another component was not private, and Ahead panics. It reports false,
-// having done nothing, where running ahead is refused: under any driver but
-// Run (RunUntil must not pass its bound, the sharded window executor must
-// not pass its window), while any daemon event is queued (a sampler tick or
-// a fault plan observes the run at times of its own), and for the first
-// hold of a line that begins where another ended, in its rejoin. Until the
-// chain calls Rejoin, nothing may schedule an event.
+// cache's miss timing) reads what it would have, and one that takes time is
+// reported to Spans as the event ending it would report it; a unit of a
+// Resource is taken at once, and a Future must be complete: a chain whose
+// wait depends on another component was not private, and Ahead panics. It
+// reports false, having done nothing, where running ahead is refused: under
+// any driver but Run (RunUntil must not pass its bound, the sharded window
+// executor must not pass its window), while any daemon event is queued (a
+// sampler tick or a fault plan observes the run at times of its own), and
+// for the first hold of a line that begins where another ended, in its
+// rejoin. Until the chain calls Rejoin, nothing may schedule an event.
 func (c *Chain) Ahead(s Step) bool {
 	k := c.k
 	if !k.running || k.daemons > 0 || k.atRejoin && k.line == nil {

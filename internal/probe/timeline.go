@@ -231,26 +231,25 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 // run of up to 2^33 cycles).
 func (t *Timeline) sortByTime() []uint32 {
 	n := t.events.Len()
-	ts := make([]int64, 0, n) // in recording order
-	at := make([]int, len(t.tracks)+1)
+	ts := make([]int64, 0, n)            // in recording order
+	next := make([]int, len(t.tracks)+1) // per track, where its next event goes
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, chunk := range t.events.chunks {
 		for j := range chunk {
 			ts = append(ts, chunk[j].ts)
 			lo, hi = min(lo, chunk[j].ts), max(hi, chunk[j].ts)
-			at[chunk[j].track+1]++
+			next[chunk[j].track+1]++
 		}
 	}
-	for tr := 1; tr < len(at); tr++ {
-		at[tr] += at[tr-1]
+	for tr := 1; tr < len(next); tr++ {
+		next[tr] += next[tr-1]
 	}
 	from, to := make([]uint32, n), make([]uint32, n)
 	i := uint32(0)
 	for _, chunk := range t.events.chunks {
 		for j := range chunk {
-			tr := chunk[j].track
-			from[at[tr]] = i
-			at[tr]++
+			from[next[chunk[j].track]] = i
+			next[chunk[j].track]++
 			i++
 		}
 	}
