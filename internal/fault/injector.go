@@ -30,10 +30,14 @@ const (
 	corrupted
 )
 
-// transition is one scheduled fault state change.
+// transition is one scheduled fault state change: at time at, delta (+1
+// down, -1 up) on the down-window nesting count of the directed links a and
+// b of one physical link, or of node a.
 type transition struct {
 	at    pearl.Time
-	apply func()
+	link  bool
+	a, b  int
+	delta int
 }
 
 // Injector applies a Schedule to one machine's interconnect. It is built by
@@ -71,7 +75,6 @@ type Injector struct {
 	tl         *probe.Timeline
 	linkTracks []probe.Track // parallel to sched.Links
 	nodeTracks []probe.Track // parallel to sched.Nodes
-	finished   bool
 }
 
 // NewInjector builds the injector for the given topology and schedule,
@@ -173,25 +176,23 @@ func (inj *Injector) applyNoise() error {
 }
 
 func (inj *Injector) buildTransitions() error {
-	add := func(at pearl.Time, apply func()) {
-		inj.pending = append(inj.pending, transition{at: at, apply: apply})
+	add := func(w Window, tr transition) {
+		tr.at, tr.delta = w.From, 1
+		inj.pending = append(inj.pending, tr)
+		if w.To != 0 {
+			tr.at, tr.delta = w.To, -1
+			inj.pending = append(inj.pending, tr)
+		}
 	}
 	for _, lf := range inj.sched.Links {
 		ab, ba, err := inj.ports(lf.A, lf.B)
 		if err != nil {
 			return err
 		}
-		add(lf.From, func() { inj.linkDown[ab]++; inj.linkDown[ba]++ })
-		if lf.To != 0 {
-			add(lf.To, func() { inj.linkDown[ab]--; inj.linkDown[ba]-- })
-		}
+		add(lf.Window, transition{link: true, a: ab, b: ba})
 	}
 	for _, nf := range inj.sched.Nodes {
-		node := nf.Node
-		add(nf.From, func() { inj.nodeDown[node]++ })
-		if nf.To != 0 {
-			add(nf.To, func() { inj.nodeDown[node]-- })
-		}
+		add(nf.Window, transition{a: nf.Node})
 	}
 	// Stable by time: same-time transitions keep schedule order, so the
 	// state after each instant is deterministic.
@@ -214,9 +215,13 @@ func (inj *Injector) scheduleNext() {
 // the topology-change subscribers once, and re-arms for the next instant.
 func (inj *Injector) fire() {
 	now := inj.k.Now()
-	for inj.next < len(inj.pending) && inj.pending[inj.next].at == now {
-		inj.pending[inj.next].apply()
-		inj.next++
+	for ; inj.next < len(inj.pending) && inj.pending[inj.next].at == now; inj.next++ {
+		if tr := inj.pending[inj.next]; tr.link {
+			inj.linkDown[tr.a] += tr.delta
+			inj.linkDown[tr.b] += tr.delta
+		} else {
+			inj.nodeDown[tr.a] += tr.delta
+		}
 	}
 	for _, fn := range inj.onChange {
 		fn()
@@ -304,89 +309,20 @@ func (inj *Injector) Retrans() Retrans {
 	return inj.sched.Retrans
 }
 
-// downtimeUpTo returns how long node has been down in [0, now): the union of
-// its crash windows clipped to the elapsed run.
-func (inj *Injector) downtimeUpTo(node int, now pearl.Time) pearl.Time {
-	if inj == nil {
-		return 0
-	}
-	// Merge the (few, usually sorted) windows on the fly.
-	var total, coveredTo pearl.Time
-	for {
-		// Earliest window for this node starting at or after coveredTo.
-		best := pearl.Time(-1)
-		var bestTo pearl.Time
-		for _, nf := range inj.sched.Nodes {
-			if nf.Node != node {
-				continue
-			}
-			from, to, ok := nf.clip(now)
-			if !ok || to <= coveredTo {
-				continue
-			}
-			if from < coveredTo {
-				from = coveredTo
-			}
-			if best < 0 || from < best {
-				best, bestTo = from, to
-			} else if from == best && to > bestTo {
-				bestTo = to
-			}
-		}
-		if best < 0 {
-			return total
-		}
-		// Extend over overlapping windows.
-		for changed := true; changed; {
-			changed = false
-			for _, nf := range inj.sched.Nodes {
-				if nf.Node != node {
-					continue
-				}
-				from, to, ok := nf.clip(now)
-				if ok && from <= bestTo && to > bestTo {
-					bestTo = to
-					changed = true
-				}
-			}
-		}
-		total += bestTo - best
-		coveredTo = bestTo
-	}
-}
-
-// makeTracks creates the timeline fault tracks — one per scheduled link
-// fault pair and one per crashed node — under the "fault" group. Tracks are
-// only created when a timeline is attached and only for components the
-// schedule actually touches.
+// makeTracks creates the timeline fault tracks — one per faulted link pair
+// and one per crashed node, each once (Timeline.Track) — under the "fault"
+// group. Tracks are only created when a timeline is attached and only for
+// components the schedule actually touches.
 func (inj *Injector) makeTracks() {
 	if inj.tl == nil {
 		return
 	}
-	seenLink := map[[2]int]probe.Track{}
-	inj.linkTracks = make([]probe.Track, len(inj.sched.Links))
-	for i, lf := range inj.sched.Links {
-		a, b := lf.A, lf.B
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int{a, b}
-		tr, ok := seenLink[key]
-		if !ok {
-			tr = inj.tl.Track(fmt.Sprintf("fault.link%d-%d", a, b))
-			seenLink[key] = tr
-		}
-		inj.linkTracks[i] = tr
+	for _, lf := range inj.sched.Links {
+		name := fmt.Sprintf("fault.link%d-%d", min(lf.A, lf.B), max(lf.A, lf.B))
+		inj.linkTracks = append(inj.linkTracks, inj.tl.Track(name))
 	}
-	seenNode := map[int]probe.Track{}
-	inj.nodeTracks = make([]probe.Track, len(inj.sched.Nodes))
-	for i, nf := range inj.sched.Nodes {
-		tr, ok := seenNode[nf.Node]
-		if !ok {
-			tr = inj.tl.Track(fmt.Sprintf("fault.node%d", nf.Node))
-			seenNode[nf.Node] = tr
-		}
-		inj.nodeTracks[i] = tr
+	for _, nf := range inj.sched.Nodes {
+		inj.nodeTracks = append(inj.nodeTracks, inj.tl.Track(fmt.Sprintf("fault.node%d", nf.Node)))
 	}
 }
 
@@ -405,26 +341,45 @@ func (inj *Injector) crashable() []int {
 // Stats reports the degraded-mode accounting of a run that ended at end, as
 // the report's "faults" set: the packets lost in transit (drops) and
 // damaged (corruptions), and the downtime of every node the schedule can
-// crash.
+// crash — the union of its down windows clipped to [0, end), read off the
+// sorted transitions in one pass.
 func (inj *Injector) Stats(end pearl.Time) *stats.Set {
 	s := stats.NewSet("faults")
 	s.PutUint("drops", inj.drops.Value(), "")
 	s.PutUint("corruptions", inj.corruptions.Value(), "")
-	for _, node := range inj.crashable() {
-		s.PutInt(fmt.Sprintf("node%d downtime", node), int64(inj.downtimeUpTo(node, end)), "cyc")
+	nodes := inj.crashable()
+	depth := make([]int, len(nodes))
+	down := make([]pearl.Time, len(nodes)) // less the start of an open window
+	for _, tr := range inj.pending {
+		if tr.at >= end {
+			break
+		}
+		if tr.link {
+			continue
+		}
+		i := slices.Index(nodes, tr.a)
+		if depth[i] == 0 {
+			down[i] -= tr.at
+		}
+		if depth[i] += tr.delta; depth[i] == 0 {
+			down[i] += tr.at
+		}
+	}
+	for i, node := range nodes {
+		if depth[i] > 0 {
+			down[i] += end
+		}
+		s.PutInt(fmt.Sprintf("node%d downtime", node), int64(down[i]), "cyc")
 	}
 	return s
 }
 
 // Finish closes the injector's timeline accounting at the end of a run of
 // `end` cycles: every scheduled down window is emitted as one "down" span on
-// its fault track, clipped to the run. Safe to call once; later calls no-op.
+// its fault track, clipped to the run. A machine runs once, and calls it
+// once.
 func (inj *Injector) Finish(end pearl.Time) {
-	if inj == nil || inj.finished {
-		return
-	}
-	inj.finished = true
-	if inj.tl == nil {
+	if inj == nil || inj.tl == nil {
 		return
 	}
 	for i, lf := range inj.sched.Links {

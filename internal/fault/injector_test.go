@@ -1,9 +1,11 @@
 package fault
 
 import (
+	"fmt"
 	"testing"
 
 	"mermaid/internal/pearl"
+	"mermaid/internal/stats"
 	"mermaid/internal/topology"
 )
 
@@ -88,6 +90,67 @@ func TestCrashedNodeTakesItsLinksDown(t *testing.T) {
 	}
 }
 
+// downtime reads node's downtime in a run that ended at end off the
+// injector's report.
+func downtime(t *testing.T, inj *Injector, node int, end pearl.Time) pearl.Time {
+	t.Helper()
+	name := fmt.Sprintf("node%d downtime", node)
+	for _, m := range stats.Flatten(inj.Stats(end)) {
+		if m.Name == name {
+			return pearl.Time(m.Value)
+		}
+	}
+	t.Fatalf("no %q in the report", name)
+	return 0
+}
+
+// mergedDowntime is the reference for a node's downtime: the union of its
+// crash windows clipped to [0, end), merged window by window.
+func mergedDowntime(windows []NodeFault, node int, end pearl.Time) pearl.Time {
+	var total, coveredTo pearl.Time
+	for {
+		// Earliest window for this node starting at or after coveredTo.
+		best := pearl.Time(-1)
+		var bestTo pearl.Time
+		for _, nf := range windows {
+			if nf.Node != node {
+				continue
+			}
+			from, to, ok := nf.clip(end)
+			if !ok || to <= coveredTo {
+				continue
+			}
+			if from < coveredTo {
+				from = coveredTo
+			}
+			if best < 0 || from < best {
+				best, bestTo = from, to
+			} else if from == best && to > bestTo {
+				bestTo = to
+			}
+		}
+		if best < 0 {
+			return total
+		}
+		// Extend over overlapping windows.
+		for changed := true; changed; {
+			changed = false
+			for _, nf := range windows {
+				if nf.Node != node {
+					continue
+				}
+				from, to, ok := nf.clip(end)
+				if ok && from <= bestTo && to > bestTo {
+					bestTo = to
+					changed = true
+				}
+			}
+		}
+		total += bestTo - best
+		coveredTo = bestTo
+	}
+}
+
 func TestDowntimeMergesOverlappingWindows(t *testing.T) {
 	k := pearl.NewKernel()
 	topo := ringTopo(t, 4)
@@ -101,17 +164,47 @@ func TestDowntimeMergesOverlappingWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := inj.downtimeUpTo(0, 50); d != 30 { // [10,30) + [40,50)
+	if d := downtime(t, inj, 0, 50); d != 30 { // [10,30) + [40,50)
 		t.Errorf("downtime(0, 50) = %d, want 30", d)
 	}
-	if d := inj.downtimeUpTo(0, 25); d != 15 { // [10,25)
+	if d := downtime(t, inj, 0, 25); d != 15 { // [10,25)
 		t.Errorf("downtime(0, 25) = %d, want 15", d)
 	}
-	if d := inj.downtimeUpTo(1, 50); d != 5 {
+	if d := downtime(t, inj, 1, 50); d != 5 {
 		t.Errorf("downtime(1, 50) = %d, want 5", d)
 	}
-	if d := inj.downtimeUpTo(2, 50); d != 0 {
-		t.Errorf("downtime(2, 50) = %d, want 0", d)
+}
+
+// The report's downtimes, read off the sorted transitions in one pass, are
+// the reference merge's on random windows — overlapping, nested, abutting,
+// open-ended, and starting at or after the end of the run — of several
+// nodes, beside link windows.
+func TestDowntimeMatchesMerge(t *testing.T) {
+	topo := ringTopo(t, 4)
+	for seed := uint64(0); seed < 2000; seed++ {
+		r := pearl.NewRNG(seed)
+		var sched Schedule
+		for i, n := 0, 1+r.Intn(6); i < n; i++ {
+			w := Window{From: pearl.Time(r.Intn(60))}
+			if r.Intn(4) != 0 {
+				w.To = w.From + pearl.Time(1+r.Intn(30))
+			}
+			sched.Nodes = append(sched.Nodes, NodeFault{Node: r.Intn(3), Window: w})
+		}
+		if r.Intn(2) == 0 {
+			sched.Links = append(sched.Links, LinkFault{A: 0, B: 1, Window: Window{From: pearl.Time(r.Intn(60))}})
+		}
+		inj, err := NewInjector(pearl.NewKernel(), topo, sched, pearl.NewRNG(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, end := range []pearl.Time{0, 1, pearl.Time(1 + r.Intn(100)), 100} {
+			for _, node := range inj.crashable() {
+				if got, want := downtime(t, inj, node, end), mergedDowntime(sched.Nodes, node, end); got != want {
+					t.Fatalf("seed %d: node %d downtime to %d = %d, the merge gives %d (windows %+v)", seed, node, end, got, want, sched.Nodes)
+				}
+			}
+		}
 	}
 }
 
@@ -211,9 +304,6 @@ func TestNilInjectorIsDisabledSubsystem(t *testing.T) {
 	}
 	if inj.HopFate(0, 0) != OK {
 		t.Error("nil injector drops packets")
-	}
-	if inj.downtimeUpTo(0, 100) != 0 {
-		t.Error("nil injector has nonzero accounting")
 	}
 	if rt := inj.Retrans(); rt.Timeout != 500 {
 		t.Errorf("nil injector retrans = %+v", rt)

@@ -627,39 +627,39 @@ func (m *Machine) report(now pearl.Time) *stats.Set {
 // result, whose Stats is that sample. However many consumers observe a run
 // (a CSV history, a live scope, a sparkline view), they share this chain
 // and each tick builds one tree for all of them, which they must not
-// modify. A nil consumer takes nothing: a chain of nil consumers ticks but
-// builds no report. With no consumer at all no chain is armed; a second
-// StartSampler on the machine is an error.
+// modify. With no consumer at all no chain is armed; a nil consumer, or a
+// second StartSampler on the machine, is an error.
 //
 // Daemon events fire in (time, sequence) order while model work remains but
 // neither keep a run alive nor move its clock, and building a report only
 // reads, so a sampled run ends at the same cycle with the same statistics
-// as an unsampled one. The one thing sampling changes is the kernel's event
-// count: plus one per tick fired.
+// as an unsampled one. A tick bounds the straight lines private nodes run
+// ahead (pearl.Chain.Ahead), so it reads what the per-event path would. The
+// one thing sampling changes is the kernel's event count: plus one per tick
+// fired.
 func (m *Machine) StartSampler(every pearl.Time, consumers ...func(at pearl.Time, report *stats.Set)) (finish func(*Result), err error) {
 	switch {
 	case every <= 0:
 		return nil, fmt.Errorf("machine: sampling interval %d", every)
 	case len(consumers) == 0:
 		return func(*Result) {}, nil // nothing to sample: no chain, no ticks
+	case slices.ContainsFunc(consumers, func(c func(pearl.Time, *stats.Set)) bool { return c == nil }):
+		return nil, fmt.Errorf("machine: nil sampler consumer")
 	case m.group != nil:
 		return nil, fmt.Errorf("machine: live sampling is not supported with shards; the single kernel (shards 0) gives the same report")
 	case m.sampling:
 		return nil, fmt.Errorf("machine: sampler already started")
 	}
 	m.sampling = true
-	live := slices.DeleteFunc(slices.Clone(consumers), func(c func(pearl.Time, *stats.Set)) bool { return c == nil })
 	sample := func(at pearl.Time, report *stats.Set) {
-		for _, c := range live {
+		for _, c := range consumers {
 			c(at, report)
 		}
 	}
 	k := m.k
 	var tick func()
 	tick = func() {
-		if len(live) > 0 {
-			sample(k.Now(), m.report(k.Now()))
-		}
+		sample(k.Now(), m.report(k.Now()))
 		k.AtDaemon(k.Now()+every, tick)
 	}
 	k.AtDaemon(k.Now()+every, tick)

@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"mermaid/internal/analysis"
+	"mermaid/internal/fault"
+	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/sim"
+	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
 )
 
@@ -25,6 +28,10 @@ const (
 	ppc601Events, ppc601Switches     = 47142, 0
 	t805GridEvents, t805GridSwitches = 534671, 0
 	smpEvents, smpSwitches           = 105898, 0
+
+	// The grid with the link between nodes 5 and 6 down from cycle 100,000
+	// to 250,000, as the per-event path counts it.
+	t805GridFaultedEvents = 534682
 )
 
 // runSwitches runs the description and returns the kernel's event and
@@ -81,7 +88,10 @@ func TestSwitchBudgetT805Grid(t *testing.T) {
 // twenty that it counts — the rest are holds run ahead of, each counted as
 // the event it replaces. Watching the run changes neither: with the
 // timeline and the bottleneck collector attached, the runners still run
-// ahead.
+// ahead. Nor do daemon events, which only cut the lines at their instants:
+// a sampler every 10,000 cycles (the server's interval), whose run counts
+// the plain run's events and one per tick, and a link down in the middle of
+// the run, whose run counts t805GridFaultedEvents, the per-event path's.
 func TestRunAheadDispatchFloor(t *testing.T) {
 	d := stochastic.Desc{
 		Nodes: 16, Level: stochastic.InstructionLevel, Iterations: 2, Seed: 7,
@@ -91,25 +101,41 @@ func TestRunAheadDispatchFloor(t *testing.T) {
 		}},
 	}
 	cfg := T805Grid(4, 4)
+	faulted := T805Grid(4, 4)
+	faulted.Faults = &fault.Schedule{Links: []fault.LinkFault{{A: 5, B: 6, Window: fault.Window{From: 100_000, To: 250_000}}}}
 	for _, c := range []struct {
-		name string
-		env  sim.Env
+		name  string
+		cfg   Config
+		env   sim.Env
+		every pearl.Time
 	}{
-		{"plain", sim.NewEnv(cfg.Seed, nil)},
-		{"observed", sim.NewEnv(cfg.Seed, probe.New(probe.Config{Timeline: true})).WithCollector(analysis.New())},
+		{"plain", cfg, sim.NewEnv(cfg.Seed, nil), 0},
+		{"observed", cfg, sim.NewEnv(cfg.Seed, probe.New(probe.Config{Timeline: true})).WithCollector(analysis.New()), 0},
+		{"sampled", cfg, sim.NewEnv(cfg.Seed, nil), 10_000},
+		{"faulted", faulted, sim.NewEnv(cfg.Seed, nil), 0},
 	} {
-		m, err := Build(c.env, cfg)
+		m, err := Build(c.env, c.cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		ticks := uint64(0)
+		if c.every > 0 {
+			if _, err := m.StartSampler(c.every, func(pearl.Time, *stats.Set) { ticks++ }); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := m.RunStochastic(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dispatches := m.k.Dispatches()
-		t.Logf("t805 4x4 %s: %d events, %d dispatched, %d instructions", c.name, res.Events, dispatches, res.Instructions)
-		if res.Events != t805GridEvents {
-			t.Errorf("%s: %d events; pinned %d", c.name, res.Events, t805GridEvents)
+		t.Logf("t805 4x4 %s: %d events, %d dispatched, %d instructions, %d cycles", c.name, res.Events, dispatches, res.Instructions, res.Cycles)
+		want := uint64(t805GridEvents) + ticks
+		if c.cfg.Faults != nil {
+			want = t805GridFaultedEvents
+		}
+		if res.Events != want {
+			t.Errorf("%s: %d events; the per-event path counts %d", c.name, res.Events, want)
 		}
 		if 20*dispatches > res.Events {
 			t.Errorf("%s: %d of %d events dispatched (%.1f%%); want at most 5%%",

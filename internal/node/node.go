@@ -276,7 +276,12 @@ func (r *runner) step() pearl.Step {
 				s := r.c.Step()
 				if s.Done {
 					r.inFlight = false
-				} else if !r.private || !r.chain.Ahead(s) {
+				} else if !r.private {
+					return s
+				} else if !r.chain.Ahead(s) {
+					if j, ok := n.k.Rejoin(); ok {
+						return j // s ended the line at the kernel's horizon
+					}
 					return s
 				}
 			}

@@ -5,16 +5,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
 
 	"mermaid/internal/core"
+	"mermaid/internal/fault"
 	"mermaid/internal/machine"
 	"mermaid/internal/node"
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
+	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
 	"mermaid/internal/topology"
 )
@@ -26,13 +30,17 @@ import (
 // the tests below run every case twice, running ahead and per event, and
 // compare the reports byte for byte but for the host's wall-clock lines —
 // cycles, every statistic and the event count — and, observed, the timeline
-// and the bottleneck JSON too.
+// and the bottleneck JSON too. A sampler's ticks and a fault plan's
+// transitions are daemon events, which bound the lines run ahead: sampled,
+// the whole metrics CSV, every tick's row, is compared as well.
 
 // runAheadReport runs the case with running ahead on or off and returns its
 // report without the wall-clock lines; observed, with the timeline and the
 // bottleneck collector attached, followed by the timeline JSON and the
-// bottleneck JSON.
-func runAheadReport(t *testing.T, ahead, observed bool, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) string {
+// bottleneck JSON; sampled every so many cycles (0: not sampled), followed
+// by a digest of every sample: each tick's report tree and the last, every
+// name, unit and value that a metrics CSV row is made of.
+func runAheadReport(t *testing.T, ahead, observed bool, every pearl.Time, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) string {
 	t.Helper()
 	defer node.SetRunAhead(ahead)()
 	var opts []core.Option
@@ -49,36 +57,67 @@ func runAheadReport(t *testing.T, ahead, observed bool, cfg machine.Config, driv
 	if err != nil {
 		t.Fatal(err)
 	}
+	var samples maphash.Hash
+	samples.SetSeed(sampleSeed)
+	finish := func(*machine.Result) {}
+	if every > 0 {
+		var row []byte
+		var walk func(*stats.Set)
+		walk = func(s *stats.Set) {
+			row = append(row, s.Name...)
+			for _, mt := range s.Metrics {
+				row = append(append(row, mt.Name...), mt.Unit...)
+				row = binary.LittleEndian.AppendUint64(row, math.Float64bits(mt.Value))
+			}
+			for _, sub := range s.Subsets {
+				walk(sub)
+			}
+		}
+		finish, err = m.StartSampler(every, func(at pearl.Time, r *stats.Set) {
+			row = binary.LittleEndian.AppendUint64(row[:0], uint64(at))
+			walk(r)
+			samples.Write(row)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	res, err := drive(m)
 	if err != nil {
 		t.Fatal(err)
 	}
+	finish(res)
 	var buf bytes.Buffer
 	if err := wb.Report(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	report := wallLines.ReplaceAllString(buf.String(), "")
+	buf.Reset()
 	if observed {
-		buf.Reset()
 		if err := pb.Timeline().WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		if err := res.Analysis.WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		report += buf.String()
 	}
-	return report
+	if every > 0 {
+		fmt.Fprintf(&buf, "samples %x\n", samples.Sum64())
+	}
+	return report + buf.String()
 }
+
+// sampleSeed seeds the sample digests, alike for both paths.
+var sampleSeed = maphash.MakeSeed()
 
 // wallLines are the report lines that read the host clock.
 var wallLines = regexp.MustCompile(`(?m)^(host wall time|sim speed|slowdown/proc):.*\n`)
 
-// compareRunAhead runs the case both ways, observed or not, and fails on
-// any byte that differs.
-func compareRunAhead(t *testing.T, observed bool, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) {
+// compareRunAhead runs the case both ways, observed or not and sampled
+// every so many cycles or not, and fails on any byte that differs.
+func compareRunAhead(t *testing.T, observed bool, every pearl.Time, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) {
 	t.Helper()
-	ahead, perEvent := runAheadReport(t, true, observed, cfg, drive), runAheadReport(t, false, observed, cfg, drive)
+	ahead, perEvent := runAheadReport(t, true, observed, every, cfg, drive), runAheadReport(t, false, observed, every, cfg, drive)
 	if ahead == perEvent {
 		return
 	}
@@ -93,7 +132,44 @@ func compareRunAhead(t *testing.T, observed bool, cfg machine.Config, drive func
 		}
 		return "(end)"
 	}
-	t.Fatalf("observed %v: outputs differ from line %d\nrunning ahead: %s\nper event:     %s", observed, i+1, line(a), line(p))
+	t.Fatalf("observed %v, sampled every %d: outputs differ from line %d\nrunning ahead: %s\nper event:     %s", observed, every, i+1, line(a), line(p))
+}
+
+// compareConditions compares the case plain and observed, then observed
+// and sampled every 1,000 (not under the race detector or -short) and
+// 10,000 cycles, then observed and sampled under a fault plan: a link
+// window, a node window and noise.
+func compareConditions(t *testing.T, cfg machine.Config, drive func(*machine.Machine) (*machine.Result, error)) {
+	t.Helper()
+	compareRunAhead(t, false, 0, cfg, drive)
+	compareRunAhead(t, true, 0, cfg, drive)
+	if !node.RaceEnabled && !testing.Short() {
+		compareRunAhead(t, true, 1000, cfg, drive)
+	}
+	compareRunAhead(t, true, 10000, cfg, drive)
+	if faulted, ok := withFaults(cfg, 2000, 3000); ok {
+		compareRunAhead(t, true, 10000, faulted, drive)
+	}
+}
+
+// withFaults returns cfg under a fault plan: the link between nodes 0 and 1
+// down from `from` for `span` cycles, the last node down for `span` cycles
+// from a third of the way in, and 1 % drops on every link. ok is false for a
+// machine of one node, or one whose nodes 0 and 1 are not neighbours.
+func withFaults(cfg machine.Config, from, span pearl.Time) (machine.Config, bool) {
+	if cfg.Nodes < 2 {
+		return cfg, false
+	}
+	cfg.Faults = &fault.Schedule{
+		Links:   []fault.LinkFault{{A: 0, B: 1, Window: fault.Window{From: from, To: from + span}}},
+		Nodes:   []fault.NodeFault{{Node: cfg.Nodes - 1, Window: fault.Window{From: from + span/3, To: from + span/3 + span}}},
+		Noise:   []fault.LinkNoise{{A: -1, B: -1, Drop: 0.01}},
+		Retrans: fault.Retrans{Timeout: 200, Backoff: 2, MaxRetries: 32},
+	}
+	if _, err := machine.New(cfg); err != nil {
+		return cfg, false
+	}
+	return cfg, true
 }
 
 // TestRunAheadExact: every preset with every application it runs, and the
@@ -117,8 +193,7 @@ func TestRunAheadExact(t *testing.T) {
 				if _, err := drive(m); err != nil {
 					t.Skipf("the preset does not run the application: %v", err)
 				}
-				compareRunAhead(t, false, cfg, drive)
-				compareRunAhead(t, true, cfg, drive)
+				compareConditions(t, cfg, drive)
 			})
 		}
 	}
@@ -151,8 +226,7 @@ func TestRunAheadExact(t *testing.T) {
 				cfg.Seed = requestSeed(rq.name, i, "machine")
 				d.Seed = requestSeed(rq.name, i, "desc")
 				drive := func(m *machine.Machine) (*machine.Result, error) { return m.RunStochastic(d) }
-				compareRunAhead(t, false, cfg, drive)
-				compareRunAhead(t, true, cfg, drive)
+				compareConditions(t, cfg, drive)
 			})
 		}
 	}
@@ -173,7 +247,9 @@ func requestSeed(kind string, i int, purpose string) uint64 {
 // asynchronous, with and without jitter. One case in four is provoked:
 // phases of 1–12 instructions, so that straight lines end in the cycles
 // where messages arrive and where other lines end. One case in ten is
-// also compared observed: timeline and bottleneck JSON as well.
+// also compared observed: timeline and bottleneck JSON as well. One in ten
+// is compared sampled instead, every 50–1,000 cycles, and one in ten under
+// a seeded fault plan.
 func TestRunAheadDifferential(t *testing.T) {
 	cases := 3000
 	if node.RaceEnabled || testing.Short() {
@@ -183,9 +259,19 @@ func TestRunAheadDifferential(t *testing.T) {
 		cfg, d := differentialCase(uint64(i))
 		t.Run(fmt.Sprintf("case%04d", i), func(t *testing.T) {
 			drive := func(m *machine.Machine) (*machine.Result, error) { return m.RunStochastic(d) }
-			compareRunAhead(t, false, cfg, drive)
-			if i%10 == 0 {
-				compareRunAhead(t, true, cfg, drive)
+			compareRunAhead(t, false, 0, cfg, drive)
+			r := pearl.NewRNG(0x5a3f + uint64(i))
+			switch i % 10 {
+			case 0:
+				compareRunAhead(t, true, 0, cfg, drive)
+			case 3:
+				compareRunAhead(t, false, pearl.Time(50+r.Intn(951)), cfg, drive)
+			case 6:
+				faulted, ok := withFaults(cfg, pearl.Time(r.Intn(3000)), pearl.Time(1+r.Intn(2000)))
+				if !ok {
+					t.Fatal("a generated machine refuses the fault plan")
+				}
+				compareRunAhead(t, false, 0, faulted, drive)
 			}
 		})
 	}

@@ -17,9 +17,10 @@ import (
 // write-back, an arithmetic hold — allocates nothing once the node is built
 // and a line as long has run, however many lines follow. Runs of 2 and 12
 // lines of 10,000 instructions, each ended by a task-level compute
-// operation, must allocate the same, with no observer and with the
-// bottleneck collector attached, which the runner feeds every hold it serves
-// ahead.
+// operation, must allocate the same, with no observer, with the bottleneck
+// collector attached, which the runner feeds every hold it serves ahead,
+// and with a sampler's daemon ticking every 1,000 cycles, which cuts the
+// lines at its instants: a cut line's record is reused as any other.
 //
 // The count is the process's, so the runtime or a goroutine another test
 // left running could add to it: each size is measured with GOMAXPROCS at 1,
@@ -58,16 +59,30 @@ func TestAllocFreeRunAhead(t *testing.T) {
 		return out
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, observed := range []bool{false, true} {
+	for _, c := range []struct {
+		name     string
+		observed bool
+		every    pearl.Time
+	}{{"plain", false, 0}, {"collector", true, 0}, {"sampled", false, 1000}} {
+		ticks := uint64(0)
 		run := func(lines int) (mallocs, events, dispatches uint64) {
 			k := pearl.NewKernel()
 			env := sim.Env{Kernel: k}
-			if observed {
+			if c.observed {
 				env = env.WithCollector(analysis.New())
 			}
 			nd, err := New(env, Params{ID: 0, Cfg: nodeConfig(1)})
 			if err != nil {
 				t.Fatal(err)
+			}
+			ticks = 0
+			if c.every > 0 {
+				var tick func()
+				tick = func() {
+					ticks++
+					k.AtDaemon(k.Now()+c.every, tick)
+				}
+				k.AtDaemon(c.every, tick)
 			}
 			nd.Run(0, trace.FromOps(stream(lines)))
 			var before, after runtime.MemStats
@@ -93,12 +108,16 @@ func TestAllocFreeRunAhead(t *testing.T) {
 		}
 		shortAllocs, _, _ := fewest(2)
 		longAllocs, events, dispatches := fewest(12)
-		if dispatches > 3*12 {
-			t.Fatalf("collector %v: %d of %d events dispatched: the lines did not run ahead", observed, dispatches, events)
+		t.Logf("%s: %d events, %d dispatched, %d ticks; %d allocations over 2 lines, %d over 12", c.name, events, dispatches, ticks, shortAllocs, longAllocs)
+		if dispatches > 3*(12+ticks) {
+			t.Fatalf("%s: %d of %d events dispatched, %d ticks: the lines did not run ahead", c.name, dispatches, events, ticks)
+		}
+		if c.every > 0 && ticks < 12 {
+			t.Fatalf("%s: %d ticks over 12 lines: the lines were not cut", c.name, ticks)
 		}
 		if longAllocs > shortAllocs {
-			t.Errorf("collector %v: %d allocations over 12 lines of %d instructions, %d over 2: %.5f per instruction; want 0",
-				observed, longAllocs, line, shortAllocs, float64(longAllocs-shortAllocs)/(10*line))
+			t.Errorf("%s: %d allocations over 12 lines of %d instructions, %d over 2: %.5f per instruction; want 0",
+				c.name, longAllocs, line, shortAllocs, float64(longAllocs-shortAllocs)/(10*line))
 		}
 	}
 }

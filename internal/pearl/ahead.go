@@ -155,16 +155,20 @@ func before(a, b pos) bool {
 // cache's miss timing) reads what it would have, and one that takes time is
 // reported to Spans as the event ending it would report it; a unit of a
 // Resource is taken at once, and a Future must be complete: a chain whose
-// wait depends on another component was not private, and Ahead panics. It
-// reports false, having done nothing, where running ahead is refused: under
-// any driver but Run (RunUntil must not pass its bound, the sharded window
-// executor must not pass its window), while any daemon event is queued (a
-// sampler tick or a fault plan observes the run at times of its own), and
-// for the first hold of a line that begins where another ended, in its
-// rejoin. Until the chain calls Rejoin, nothing may schedule an event.
+// wait depends on another component was not private, and Ahead panics.
+//
+// No line passes the kernel's horizon: the first queued daemon event (a
+// sampler tick, a fault transition) or the driver's bound (RunUntil's t+1,
+// the window's end; 0 outside a driver). A hold ending at or after
+// it is served as the line's last level and Ahead reports false: the chain
+// must Rejoin at once, so the daemon fires in its per-event place and sees
+// the per-event state. With no line open such a hold is refused, as is the
+// first hold of a line that would begin in a rejoin: Ahead reports false
+// having done nothing. Until the chain calls Rejoin, nothing may schedule
+// an event.
 func (c *Chain) Ahead(s Step) bool {
 	k := c.k
-	if !k.running || k.daemons > 0 || k.atRejoin && k.line == nil {
+	if k.atRejoin && k.line == nil {
 		return false
 	}
 	switch {
@@ -180,8 +184,12 @@ func (c *Chain) Ahead(s Step) bool {
 		if s.Hold < 0 {
 			panic(fmt.Sprintf("pearl: chain asked to hold %d: negative duration", s.Hold))
 		}
+		last := k.now+s.Hold >= k.horizon
 		l := k.line
 		if l == nil {
+			if last {
+				return false
+			}
 			l = k.newLine()
 		}
 		if s.Hold < longHold {
@@ -196,6 +204,7 @@ func (c *Chain) Ahead(s Step) bool {
 		if c.Spans != nil && s.Hold > 0 {
 			c.Spans(k.now-s.Hold, k.now, ReasonHold)
 		}
+		return !last
 	}
 	return true
 }

@@ -32,6 +32,7 @@ package pearl
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Time is virtual simulation time, measured in cycles of the simulated
@@ -69,7 +70,7 @@ type driveMode uint8
 const (
 	// driveRun stops when only daemon events remain.
 	driveRun driveMode = iota
-	// driveUntil stops before the first event later than bound.
+	// driveUntil stops before the first event at or after bound.
 	driveUntil
 	// driveWindow stops before the first event at or after bound, running
 	// the deferred Post/Settle phases at the end of every instant.
@@ -126,8 +127,8 @@ type Kernel struct {
 	occupied [wheelWords]uint64
 	summary  uint64
 
-	live    int // queued events
-	daemons int // live events scheduled with AtDaemon
+	live     int    // queued events
+	daemonAt []Time // the times of the queued events scheduled with AtDaemon
 
 	// procs is the blocking layer's record (process.go); closed is set by
 	// Close.
@@ -153,21 +154,22 @@ type Kernel struct {
 
 	eventCount uint64
 
-	// Running ahead (ahead.go): running is set while Run drives the event
-	// loop; line is the straight line a chain is running ahead, rejoined
-	// the one it has just ended; pend holds the ended lines whose hold is
-	// not yet queued, rejoins those queued; spare keeps records for reuse;
-	// skipped counts the events counted without a dispatch.
-	running   bool
-	firingSeq uint64 // the sequence number of the chain event being fired
-	atRejoin  bool   // a rejoin is being fired
-	line      *aheadLine
-	rejoined  *aheadLine
-	pend      []*aheadLine
-	rejoins   []int32 // queued rejoins, in firing order
-	rejoining int     // lines pending or queued
-	spare     []*aheadLine
-	skipped   uint64
+	// Running ahead (ahead.go): no line passes horizon, the earlier of the
+	// first queued daemon event and bound, the driver's (0 outside one);
+	// line is the straight line a chain is running ahead, rejoined the one
+	// it has just ended; pend holds the ended lines whose hold is not yet
+	// queued, rejoins those queued; spare keeps records for reuse; skipped
+	// counts the events counted without a dispatch.
+	bound, horizon Time
+	firingSeq      uint64 // the sequence number of the chain event being fired
+	atRejoin       bool   // a rejoin is being fired
+	line           *aheadLine
+	rejoined       *aheadLine
+	pend           []*aheadLine
+	rejoins        []int32 // queued rejoins, in firing order
+	rejoining      int     // lines pending or queued
+	spare          []*aheadLine
+	skipped        uint64
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -300,12 +302,35 @@ func (k *Kernel) After(d Time, fn func()) {
 // chains (fault schedules, periodic samplers) use this so a plan that
 // outlives the workload cannot extend the run. RunUntil, whose horizon is
 // the caller's and not the schedule's, fires daemon events like any other.
+// A daemon bounds the lines run ahead (Chain.Ahead), so it must not be
+// queued while a line's levels are pending, which may have passed its
+// instant: only build code and firing daemons schedule one.
 func (k *Kernel) AtDaemon(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("pearl: scheduling event at %d, before current time %d", t, k.now))
 	}
-	k.daemons++
+	if len(k.pend) > 0 {
+		panic("pearl: daemon event scheduled while a line run ahead is pending: only build code and firing daemons may schedule one")
+	}
 	k.schedule(t, evDaemon, fn, nil)
+	k.daemonAt = append(k.daemonAt, t)
+	k.horizon = min(k.horizon, t)
+}
+
+// daemonGone forgets a queued daemon event due at t and resets the horizon.
+func (k *Kernel) daemonGone(t Time) {
+	i := slices.Index(k.daemonAt, t)
+	k.daemonAt = slices.Delete(k.daemonAt, i, i+1)
+	k.setHorizon()
+}
+
+// setHorizon sets the horizon to the earlier of the driver's bound and the
+// first queued daemon event.
+func (k *Kernel) setHorizon() {
+	k.horizon = k.bound
+	for _, t := range k.daemonAt {
+		k.horizon = min(k.horizon, t)
+	}
 }
 
 // less orders queued events by (time, sequence).
@@ -445,7 +470,7 @@ func (k *Kernel) fire(idx int32, from queueKind) {
 	k.live--
 	kind, fn, c, seq := s.kind, s.fn, s.chain, s.seq
 	if kind == evDaemon {
-		k.daemons--
+		k.daemonGone(k.now)
 	}
 	// Release before firing so the slot is immediately reusable by whatever
 	// the event schedules.
@@ -470,22 +495,24 @@ func (k *Kernel) fire(idx int32, from queueKind) {
 // dispatch is the event loop: it fires events in strict (time, seq) order,
 // on the calling goroutine, until the stop condition of mode and bound holds.
 // An event that panics leaves the kernel as it left it, so the run can be
-// resumed.
+// resumed. No line runs ahead to bound, the first instant the loop would not
+// reach.
 func (k *Kernel) dispatch(mode driveMode, bound Time) {
 	if k.closed {
 		panic("pearl: running a closed kernel")
 	}
-	k.running = mode == driveRun
-	defer func() { k.running = false }()
+	k.bound = bound
+	k.setHorizon()
+	defer func() { k.bound = 0; k.setHorizon() }()
 	for {
 		idx, from, ok := k.front()
 		switch mode {
 		case driveRun:
-			if k.live <= k.daemons {
+			if k.live <= len(k.daemonAt) {
 				return
 			}
 		case driveUntil:
-			if !ok || k.slots[idx].at > bound {
+			if !ok || k.slots[idx].at >= bound {
 				return
 			}
 		case driveWindow:
@@ -511,14 +538,14 @@ func (k *Kernel) dispatch(mode driveMode, bound Time) {
 // not count — they are left queued, unfired). It returns the final virtual
 // time.
 func (k *Kernel) Run() Time {
-	k.dispatch(driveRun, 0)
+	k.dispatch(driveRun, Forever)
 	return k.now
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 // It returns the final virtual time.
 func (k *Kernel) RunUntil(t Time) Time {
-	k.dispatch(driveUntil, t)
+	k.dispatch(driveUntil, min(t, Forever-1)+1)
 	if k.now < t {
 		k.now = t
 	}
@@ -528,7 +555,7 @@ func (k *Kernel) RunUntil(t Time) Time {
 // pendingWork reports whether any non-daemon event is queued: the liveness
 // condition of Run, exposed so a shard coordinator can decide termination
 // across several kernels.
-func (k *Kernel) pendingWork() bool { return k.live > k.daemons }
+func (k *Kernel) pendingWork() bool { return k.live > len(k.daemonAt) }
 
 // nextTime returns the timestamp of the next event (daemon or not); ok is
 // false with nothing queued.
@@ -590,7 +617,7 @@ func (k *Kernel) runWindow(end Time) { k.dispatch(driveWindow, end) }
 // simulation. Daemon events left queued before t stay queued, unfired —
 // exactly like the tail of a fault plan after Run returns.
 func (k *Kernel) finishAt(t Time) {
-	if k.live > k.daemons {
+	if k.live > len(k.daemonAt) {
 		panic("pearl: FinishAt with non-daemon events pending")
 	}
 	if t > k.now {

@@ -36,7 +36,7 @@ func (k *Kernel) drop() bool {
 	}
 	k.remove(idx, fromHeap)
 	if k.slots[idx].kind == evDaemon {
-		k.daemons--
+		k.daemonGone(k.slots[idx].at)
 	}
 	k.live--
 	k.release(idx)

@@ -320,12 +320,13 @@ type simRun struct {
 	res *machine.Result
 }
 
-// simulate runs a job's simulation, with the timeline attached or not. The
-// bottleneck collector and the live sampler are attached either way, so
-// every run of a job is the same simulation; the sampler hands sample each
-// tick's report and the run's at the end. With sample nil its ticks still
-// fire, so the event count is the same, but build no report.
-func (s *Server) simulate(sample func(pearl.Time, *stats.Set), j *job, timeline bool) (simRun, error) {
+// simulate runs a job's simulation, with the timeline attached or not, and
+// the bottleneck collector either way. A live sampler hands the sample
+// consumers, if any, each tick's report and the run's at the end; with none
+// no sampler is armed. Its ticks change nothing but the event count, which
+// neither the timeline nor the bottleneck analysis carries, so every run of
+// a job derives the same artifacts.
+func (s *Server) simulate(j *job, timeline bool, sample ...func(pearl.Time, *stats.Set)) (simRun, error) {
 	opts := []core.Option{core.WithAnalysis()}
 	if timeline {
 		opts = append(opts, core.WithProbe(probe.New(probe.Config{Timeline: true})))
@@ -338,7 +339,7 @@ func (s *Server) simulate(sample func(pearl.Time, *stats.Set), j *job, timeline 
 	if err != nil {
 		return simRun{}, err
 	}
-	finish, err := m.StartSampler(s.cfg.SampleEvery, sample)
+	finish, err := m.StartSampler(s.cfg.SampleEvery, sample...)
 	if err != nil {
 		return simRun{}, err
 	}
@@ -355,7 +356,7 @@ func (s *Server) simulate(sample func(pearl.Time, *stats.Set), j *job, timeline 
 // capacity, since the result cache holds its entries for as long as they are
 // hot.
 func (s *Server) execute(j *job) (resultcache.Entry, error) {
-	run, err := s.simulate(j.scope.Sample, j, false)
+	run, err := s.simulate(j, false, j.scope.Sample)
 	if err != nil {
 		return resultcache.Entry{}, err
 	}
@@ -674,17 +675,17 @@ func (s *Server) handleRederived(which string) http.HandlerFunc {
 // job's first run.
 func (s *Server) rederive(w http.ResponseWriter, r *http.Request, j *job, which string) {
 	var scope *analysis.Scope
-	var sample func(pearl.Time, *stats.Set) // nil: ticks, but no report built
+	var sample []func(pearl.Time, *stats.Set) // none: no sampler
 	if which == "metrics" {
 		scope = analysis.NewScope()
-		sample = scope.Sample
+		sample = append(sample, scope.Sample)
 	}
 	done := make(chan farm.Result, 1) // the run may outlive a client that hung up
 	err := s.queue.Submit(farm.Job{
 		Name: j.id + "/" + which,
 		Run: func(*farm.RunContext) (any, error) {
 			s.rederived.Add(1)
-			return s.simulate(sample, j, which == "timeline")
+			return s.simulate(j, which == "timeline", sample...)
 		},
 		OnResult: func(res farm.Result) { done <- res },
 	}, j.cfg.Seed)
