@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -121,9 +122,14 @@ func outputDigest(t *testing.T, e Experiment, rs *ResultSet) (output, timeline s
 	if err := rs.Table.Render(h); err != nil {
 		t.Fatal(err)
 	}
-	if err := stats.WriteCSV(h, rs.Table.Schema(e.Units...), rs.Table.Rows()); err != nil {
+	var csv bytes.Buffer
+	if err := rs.Table.RenderCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
+	if err := stats.ValidateCSV(bytes.NewReader(csv.Bytes()), rs.Table.Schema(e.Units...)); err != nil {
+		t.Fatalf("the CSV fails its table's schema: %v", err)
+	}
+	h.Write(csv.Bytes())
 	for _, k := range slices.Sorted(maps.Keys(rs.Keys)) {
 		fmt.Fprintf(h, "%s=%s\n", k, strconv.FormatFloat(rs.Keys[k], 'g', -1, 64))
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/csv"
 	"reflect"
 	"strings"
 	"testing"
@@ -97,7 +99,7 @@ func TestExecuteRejectsUnknownSweep(t *testing.T) {
 // every experiment.
 func TestRegistryMetadata(t *testing.T) {
 	desc := Describe()
-	if got, want := len(desc.Rows()), len(All()); got != want {
+	if got, want := len(tableRows(t, desc)), len(All()); got != want {
 		t.Errorf("Describe lists %d experiments, registry has %d", got, want)
 	}
 	for _, e := range All() {
@@ -118,7 +120,7 @@ func TestRegistryMetadata(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(e.Units), len(rs.Table.Rows()[0]); got != want {
+		if got, want := len(e.Units), len(rs.Table.Schema()); got != want {
 			t.Errorf("%s: %d units for %d columns", name, got, want)
 		}
 	}
@@ -272,7 +274,7 @@ func TestCacheSweepOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(rs.Table.Rows()); got != 3 {
+	if got := len(tableRows(t, rs.Table)); got != 3 {
 		t.Errorf("override produced %d rows, want 3", got)
 	}
 	if _, ok := rs.Keys["hit_4k_a8"]; !ok {
@@ -446,4 +448,18 @@ func TestScalingStudy(t *testing.T) {
 	if len(rs.Artifacts) != 1 || rs.Artifacts[0].Name != "bottleneck" {
 		t.Fatalf("artifacts = %v, want one bottleneck report", rs.Artifacts)
 	}
+}
+
+// tableRows reads a table's data rows back from its CSV.
+func tableRows(t *testing.T, tb *stats.Table) [][]string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := tb.RenderCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	records, err := csv.NewReader(&b).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return records[1:]
 }

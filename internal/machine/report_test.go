@@ -127,7 +127,11 @@ func TestReportIndependentOfObservers(t *testing.T) {
 		}
 		root := *sampled.Stats
 		root.Metrics = slices.Clone(root.Metrics)
-		root.Put("events", float64(res.Events), "")
+		i := slices.IndexFunc(root.Metrics, func(m stats.Metric) bool { return m.Name == "events" })
+		if i < 0 {
+			t.Fatalf("%s: the sampled report has no events", c.name)
+		}
+		root.Metrics[i].Value = float64(res.Events)
 		if got := renderStats(t, &root); got != want {
 			t.Errorf("%s: the sampled report differs beyond its events\n--- no observer ---\n%s\n--- sampled ---\n%s", c.name, want, got)
 		}

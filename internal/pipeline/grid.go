@@ -1,9 +1,9 @@
 // Package pipeline is the paper-grade experiment pipeline of the workbench:
 // a declarative grid specification (experiments x parameter sweeps x
 // repeats) executed through the simulation farm into a timestamped artifact
-// directory, with schema-validated CSVs, per-run JSON artifacts, grouped
-// summaries, and a manifest recording the grid, the git commit, and a
-// content hash of every artifact. Two artifact directories can be diffed
+// directory, with CSVs, per-run JSON artifacts, grouped summaries, and a
+// manifest recording the grid, the git commit, each CSV's column schema
+// and a content hash of every artifact. Two artifact directories can be diffed
 // into a before/after JSON delta report (Diff), and any directory can be
 // re-validated against its own manifest (Validate).
 //

@@ -222,14 +222,15 @@ func expandUnits(grid *GridSpec) []unit {
 	return units
 }
 
-// buildOutput renders one run's artifacts in memory: the schema-validated
-// CSV, the log (rendered table), and the experiment's JSON artifacts.
+// buildOutput renders one run's artifacts in memory: the CSV with the
+// schema the manifest records for it, the log (rendered table), and the
+// experiment's JSON artifacts.
 func buildOutput(u unit, rs *experiments.ResultSet, wall time.Duration) (*unitOutput, error) {
 	out := &unitOutput{}
 
 	schema := rs.Table.Schema(u.exp.Units...)
 	var csvBuf bytes.Buffer
-	if err := stats.WriteCSV(&csvBuf, schema, rs.Table.Rows()); err != nil {
+	if err := rs.Table.RenderCSV(&csvBuf); err != nil {
 		return nil, fmt.Errorf("%s: rendering CSV: %w", u.id, err)
 	}
 	out.csv = "csv/" + u.id + ".csv"
@@ -279,7 +280,9 @@ func buildOutput(u unit, rs *experiments.ResultSet, wall time.Duration) (*unitOu
 	return out, nil
 }
 
-// summarySchema is the fixed schema of analysis/summary.csv.
+// summarySchema is the fixed schema of analysis/summary.csv, recorded in the
+// manifest: a mean or deviation is a float even where every cell of a run
+// reads as an integer.
 var summarySchema = stats.Schema{
 	{Name: "group", Type: stats.ColString},
 	{Name: "key", Type: stats.ColString},
@@ -311,21 +314,13 @@ func summaryFile(runs []RunRecord) (namedFile, error) {
 		}
 		return keys[i].key < keys[j].key
 	})
-	var buf bytes.Buffer
-	cw, err := stats.NewCSVWriter(&buf, summarySchema)
-	if err != nil {
-		return namedFile{}, err
-	}
+	tb := stats.NewTable("group", "key", "n", "mean", "std", "min", "max")
 	for _, k := range keys {
 		s := stats.Summarize(values[k])
-		row := []string{k.group, k.key, fmt.Sprint(s.N),
-			stats.FormatFloat(s.Mean), stats.FormatFloat(s.Std),
-			stats.FormatFloat(s.Min), stats.FormatFloat(s.Max)}
-		if err := cw.Write(row); err != nil {
-			return namedFile{}, err
-		}
+		tb.Row(k.group, k.key, s.N, s.Mean, s.Std, s.Min, s.Max)
 	}
-	if err := cw.Flush(); err != nil {
+	var buf bytes.Buffer
+	if err := tb.RenderCSV(&buf); err != nil {
 		return namedFile{}, err
 	}
 	return namedFile{"analysis/summary.csv", buf.Bytes()}, nil

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bufio"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -30,20 +31,11 @@ type Column struct {
 	Unit string  `json:"unit,omitempty"`
 }
 
-// Schema is the column layout of one CSV artifact. Every CSV the workbench
-// writes goes through a schema-checked writer (CSVWriter), and every CSV an
-// artifact store reads back is re-validated against the schema its manifest
-// recorded (ValidateCSV).
+// Schema is the column layout of one CSV artifact. The experiment pipeline
+// records each file's schema in its manifest when it writes the file, and
+// checks the file against it when the file is read back (ValidateCSV); a
+// file is not checked as it is written.
 type Schema []Column
-
-// header returns the column names in order.
-func (s Schema) header() []string {
-	h := make([]string, len(s))
-	for i, c := range s {
-		h[i] = c.Name
-	}
-	return h
-}
 
 // checkHeader verifies a read-back header row matches the schema exactly.
 func (s Schema) checkHeader(row []string) error {
@@ -95,9 +87,9 @@ func (c Column) check(cell string) error {
 // inferSchema derives a schema from a header and the data rows: a column is
 // ColInt when every cell parses as an integer, ColFloat when every cell
 // parses as a number, and ColString otherwise. A column with no rows is
-// ColString. The result accepts exactly the rows it was inferred from, so
-// writing a table through its inferred schema can never fail, while any
-// later corruption of a numeric cell is caught on re-validation.
+// ColString. The result accepts every row of the header's width it was
+// inferred from, so a later corruption of a numeric cell is caught when the
+// file is read back.
 func inferSchema(header []string, rows [][]string) Schema {
 	s := make(Schema, len(header))
 	for i, name := range header {
@@ -140,77 +132,32 @@ func (s Schema) withUnits(units []string) Schema {
 	return out
 }
 
-// CSVWriter is the single schema-validated CSV writer of the workbench:
-// every row is checked against the schema (column count and per-cell type)
-// before it is encoded, and encoding goes through encoding/csv so cells
-// containing separators, quotes or newlines are escaped correctly.
-type CSVWriter struct {
-	w      io.Writer
-	cw     *csv.Writer
-	schema Schema
-	line   int // last line written (1 = header)
+// csvEncoder is the workbench's one CSV encoder. Text records go through
+// encoding/csv, which quotes a cell holding a separator, a quote or a line
+// break; a record of one empty cell, which encoding/csv writes as a blank
+// line that readers skip, is written quoted. A history row, all numbers,
+// needs no quoting and is written to bw as formatted. Write errors stick in
+// bw, and flush returns them.
+type csvEncoder struct {
+	bw *bufio.Writer
+	cw *csv.Writer // writes straight into bw: bufio.NewWriter returns bw itself
 }
 
-// NewCSVWriter starts a schema-validated CSV stream on w and writes the
-// header row derived from the schema.
-func NewCSVWriter(w io.Writer, schema Schema) (*CSVWriter, error) {
-	if len(schema) == 0 {
-		return nil, fmt.Errorf("stats: CSV schema must have at least one column")
-	}
-	cw := &CSVWriter{w: w, cw: csv.NewWriter(w), schema: schema, line: 1}
-	if err := cw.write(schema.header()); err != nil {
-		return nil, err
-	}
-	return cw, nil
+func newCSVEncoder(w io.Writer) *csvEncoder {
+	bw := bufio.NewWriter(w)
+	return &csvEncoder{bw: bw, cw: csv.NewWriter(bw)}
 }
 
-// Write validates one data row against the schema and appends it.
-func (w *CSVWriter) Write(row []string) error {
-	if err := w.schema.checkRow(w.line+1, row); err != nil {
-		return fmt.Errorf("stats: %w", err)
+// record writes one text record.
+func (e *csvEncoder) record(cells []string) {
+	if len(cells) == 1 && cells[0] == "" {
+		e.bw.WriteString("\"\"\n")
+		return
 	}
-	if err := w.write(row); err != nil {
-		return err
-	}
-	w.line++
-	return nil
+	e.cw.Write(cells)
 }
 
-// write encodes one record. encoding/csv writes a record of one empty cell
-// as a blank line, which readers skip, so that record is written quoted.
-func (w *CSVWriter) write(record []string) error {
-	if len(record) != 1 || record[0] != "" {
-		return w.cw.Write(record)
-	}
-	w.cw.Flush()
-	if err := w.cw.Error(); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w.w, "\"\"\n")
-	return err
-}
-
-// Flush drains buffered rows and reports any deferred encoding error. Call
-// it once after the last row.
-func (w *CSVWriter) Flush() error {
-	w.cw.Flush()
-	return w.cw.Error()
-}
-
-// WriteCSV writes a complete schema-validated CSV document: header, every
-// row checked, flushed.
-func WriteCSV(w io.Writer, schema Schema, rows [][]string) error {
-	cw, err := NewCSVWriter(w, schema)
-	if err != nil {
-		return err
-	}
-	for _, row := range rows {
-		if err := cw.Write(row); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
-}
+func (e *csvEncoder) flush() error { return e.bw.Flush() }
 
 // ValidateCSV re-validates a CSV document against its schema: the header
 // must match exactly and every row must pass checkRow. The first violation

@@ -17,13 +17,12 @@ func TestCSVWriterEscapingRoundTrip(t *testing.T) {
 		{Name: "cycles", Type: ColInt, Unit: "cyc"},
 		{Name: "ratio", Type: ColFloat},
 	}
-	rows := [][]string{
-		{`comma, inside`, "42", "0.5"},
-		{`quote " inside`, "-7", "1e3"},
-		{"newline\ninside", "0", "3.25"},
-	}
+	tb := NewTable("name", "cycles", "ratio")
+	tb.Row(`comma, inside`, "42", "0.5")
+	tb.Row(`quote " inside`, "-7", "1e3")
+	tb.Row("newline\ninside", "0", "3.25")
 	var sb strings.Builder
-	if err := WriteCSV(&sb, schema, rows); err != nil {
+	if err := tb.RenderCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateCSV(strings.NewReader(sb.String()), schema); err != nil {
@@ -33,23 +32,27 @@ func TestCSVWriterEscapingRoundTrip(t *testing.T) {
 	if !strings.Contains(sb.String(), `"comma, inside"`) {
 		t.Errorf("comma cell not quoted:\n%s", sb.String())
 	}
-}
-
-func TestCSVWriterRejectsBadRow(t *testing.T) {
-	schema := Schema{{Name: "n", Type: ColInt}}
-	var sb strings.Builder
-	cw, err := NewCSVWriter(&sb, schema)
+	records, err := csv.NewReader(strings.NewReader(sb.String())).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Write([]string{"12"}); err != nil {
+	if want := append([][]string{tb.header}, tb.rows...); !reflect.DeepEqual(records, want) {
+		t.Errorf("read back %q, want %q", records, want)
+	}
+}
+
+// A row of the wrong width, or a cell its column's type does not parse, is
+// refused when the file is read back, with the row and column named.
+func TestValidateCSVRejectsBadRow(t *testing.T) {
+	schema := Schema{{Name: "n", Type: ColInt}}
+	if err := ValidateCSV(strings.NewReader("n\n12\n"), schema); err != nil {
 		t.Fatal(err)
 	}
-	if err := cw.Write([]string{"12", "extra"}); err == nil ||
-		!strings.Contains(err.Error(), "columns") {
+	if err := ValidateCSV(strings.NewReader("n\n12\n12,extra\n"), schema); err == nil ||
+		!strings.Contains(err.Error(), "row 3 has 2 columns") {
 		t.Errorf("wrong-width row not rejected: %v", err)
 	}
-	if err := cw.Write([]string{"1.5"}); err == nil ||
+	if err := ValidateCSV(strings.NewReader("n\n1.5\n"), schema); err == nil ||
 		!strings.Contains(err.Error(), `column "n"`) {
 		t.Errorf("non-integer cell not rejected with column name: %v", err)
 	}
@@ -140,9 +143,12 @@ func TestSummarize(t *testing.T) {
 // write it as a blank line, which a reader skips, losing the header or the
 // row.
 func TestCSVWriterLoneEmptyCell(t *testing.T) {
+	tb := NewTable("")
+	tb.Row("")
+	tb.Row("a")
+	tb.Row("")
 	var buf strings.Builder
-	schema := Schema{{Name: "", Type: ColString}}
-	if err := WriteCSV(&buf, schema, [][]string{{""}, {"a"}, {""}}); err != nil {
+	if err := tb.RenderCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
 	records, err := csv.NewReader(strings.NewReader(buf.String())).ReadAll()
@@ -152,7 +158,7 @@ func TestCSVWriterLoneEmptyCell(t *testing.T) {
 	if want := [][]string{{""}, {""}, {"a"}, {""}}; !reflect.DeepEqual(records, want) {
 		t.Errorf("read back %q from %q, want %q", records, buf.String(), want)
 	}
-	if err := ValidateCSV(strings.NewReader(buf.String()), schema); err != nil {
+	if err := ValidateCSV(strings.NewReader(buf.String()), tb.Schema()); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,12 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzValidateCSV holds the CSV schema layer to its contract. The input is
-// read two ways. As a CSV document, ValidateCSV never panics on it, against
-// the schema inferred from its own first line. As a table — lines of
+// FuzzValidateCSV holds the CSV layer to its contract. The input is read two
+// ways. As a CSV document, ValidateCSV never panics on it, against the
+// schema inferred from its own first line. As a table — lines of
 // comma-separated cells, the first line the header, each row cut or padded
-// to the header's width — WriteCSV writes it through its inferred schema
-// without error, and the output validates against that schema.
+// to the header's width — what RenderCSV writes of it validates against the
+// table's inferred schema, a lone empty cell included.
 func FuzzValidateCSV(f *testing.F) {
 	f.Add("name,cycles,ratio\njacobi,1200,0.5\npingpong,80,1e-3\n")
 	f.Add("a,b\n\"quoted, cell\",2\n")
@@ -31,12 +31,20 @@ func FuzzValidateCSV(f *testing.F) {
 		schema := inferSchema(header, rows)
 		ValidateCSV(strings.NewReader(doc), schema) //nolint:errcheck // must not panic; any verdict goes
 
-		var buf bytes.Buffer
-		if err := WriteCSV(&buf, schema, rows); err != nil {
-			t.Fatalf("WriteCSV refused rows its inferred schema accepts: %v\n%q", err, doc)
+		tb := NewTable(header...)
+		for _, row := range rows {
+			cells := make([]any, len(row))
+			for i, c := range row {
+				cells[i] = c
+			}
+			tb.Row(cells...)
 		}
-		if err := ValidateCSV(bytes.NewReader(buf.Bytes()), schema); err != nil {
-			t.Fatalf("WriteCSV output fails its own schema: %v\nwritten %q\nfrom %q", err, buf.Bytes(), doc)
+		var buf bytes.Buffer
+		if err := tb.RenderCSV(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateCSV(bytes.NewReader(buf.Bytes()), tb.Schema()); err != nil {
+			t.Fatalf("RenderCSV output fails its table's schema: %v\nwritten %q\nfrom %q", err, buf.Bytes(), doc)
 		}
 	})
 }

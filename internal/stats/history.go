@@ -1,6 +1,9 @@
 package stats
 
-import "io"
+import (
+	"io"
+	"strconv"
+)
 
 // Flatten lists every metric of the tree s heads, each named by its path:
 // the names of the sets below s that lead to it and its own name, joined by
@@ -20,11 +23,37 @@ func flatten(out []Metric, s *Set, prefix string) []Metric {
 	return out
 }
 
-// History keeps every sample of a run's metric tree, flattened, for
-// WriteCSV. The zero value is an empty history.
+// History keeps every sample of a run's metric tree, as numbers, for
+// WriteCSV: a metric's path is built once, when it first appears, and each
+// sample is one row of values indexed by path, with a mark for the paths it
+// has. The zero value is an empty history.
 type History struct {
-	at      []int64
-	samples [][]Metric
+	root  *pathSet
+	paths []string // column → metric path
+	ticks []tick
+	// The last sample's columns in report order, and their values.
+	order []int32
+	vals  []float64
+}
+
+// pathSet names the columns of one set of the tree, and its subsets, by the
+// metrics' and subsets' own names.
+type pathSet struct {
+	prefix string // the path of the set's metrics up to their names
+	cols   map[string]int32
+	subs   map[string]*pathSet
+}
+
+func newPathSet(prefix string) *pathSet {
+	return &pathSet{prefix: prefix, cols: map[string]int32{}, subs: map[string]*pathSet{}}
+}
+
+// tick is one sample: a value per column, and a bit per column that the
+// sample has.
+type tick struct {
+	at   int64
+	vals []float64
+	has  []uint64
 }
 
 // Add records the tree s as it stood at virtual time at. A sample at the
@@ -32,13 +61,44 @@ type History struct {
 // instant: an end-of-run sample supersedes a periodic one that fired in the
 // run's final cycle.
 func (h *History) Add(at int64, s *Set) {
-	ms := Flatten(s)
-	if n := len(h.at); n > 0 && h.at[n-1] == at {
-		h.samples[n-1] = ms
+	if h.root == nil {
+		h.root = newPathSet("")
+	}
+	h.order, h.vals = h.order[:0], h.vals[:0]
+	h.walk(h.root, s)
+	t := tick{at: at, vals: make([]float64, len(h.paths)), has: make([]uint64, (len(h.paths)+63)/64)}
+	for i, c := range h.order {
+		t.vals[c] = h.vals[i]
+		t.has[c/64] |= 1 << (c % 64)
+	}
+	if n := len(h.ticks); n > 0 && h.ticks[n-1].at == at {
+		h.ticks[n-1] = t
 		return
 	}
-	h.at = append(h.at, at)
-	h.samples = append(h.samples, ms)
+	h.ticks = append(h.ticks, t)
+}
+
+// walk appends the columns and values of s, which ps names, in report
+// order: a set's own metrics, then its subsets' in turn.
+func (h *History) walk(ps *pathSet, s *Set) {
+	for _, m := range s.Metrics {
+		c, ok := ps.cols[m.Name]
+		if !ok {
+			c = int32(len(h.paths))
+			ps.cols[m.Name] = c
+			h.paths = append(h.paths, ps.prefix+m.Name)
+		}
+		h.order = append(h.order, c)
+		h.vals = append(h.vals, m.Value)
+	}
+	for _, sub := range s.Subsets {
+		next := ps.subs[sub.Name]
+		if next == nil {
+			next = newPathSet(ps.prefix + sub.Name + "/")
+			ps.subs[sub.Name] = next
+		}
+		h.walk(next, sub)
+	}
 }
 
 // WriteCSV writes the history as CSV: a cycle column, then one column per
@@ -47,30 +107,22 @@ func (h *History) Add(at int64, s *Set) {
 // sample lacks (a counter a component reports once it is non-zero) is
 // empty. Without samples it writes only the cycle header.
 func (h *History) WriteCSV(w io.Writer) error {
-	var last []Metric
-	if n := len(h.samples); n > 0 {
-		last = h.samples[n-1]
+	e := newCSVEncoder(w)
+	header := []string{"cycle"}
+	for _, c := range h.order {
+		header = append(header, h.paths[c])
 	}
-	header := make([]string, 0, len(last)+1)
-	header = append(header, "cycle")
-	col := make(map[string]int, len(last))
-	for i, m := range last {
-		header = append(header, m.Name)
-		col[m.Name] = i + 1
-	}
-	tb := NewTable(header...)
-	row := make([]any, len(header))
-	for i, ms := range h.samples {
-		row[0] = h.at[i]
-		for j := 1; j < len(row); j++ {
-			row[j] = ""
-		}
-		for _, m := range ms {
-			if j, ok := col[m.Name]; ok {
-				row[j] = m.Value
+	e.record(header)
+	var line []byte
+	for _, t := range h.ticks {
+		line = strconv.AppendInt(line[:0], t.at, 10)
+		for _, c := range h.order {
+			line = append(line, ',')
+			if int(c) < len(t.vals) && t.has[c/64]&(1<<(c%64)) != 0 {
+				line = appendFloat(line, t.vals[c])
 			}
 		}
-		tb.Row(row...)
+		e.bw.Write(append(line, '\n'))
 	}
-	return tb.RenderCSV(w)
+	return e.flush()
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -103,5 +104,51 @@ func TestHistoryOneRowPerInstant(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 || lines[2] != "20,100,9,7,3,0.25" {
 		t.Errorf("CSV rows = %q, want two, the last the replacing sample's", lines[1:])
+	}
+}
+
+// machineTree is a report of a 64-node machine's shape, 3,011 metrics: each
+// node has its own metrics, a CPU's and a network interface's.
+func machineTree() *Set {
+	root := NewSet("machine m")
+	root.Put("cycles", 1e6, "cyc")
+	for n := range 64 {
+		node := root.Sub(fmt.Sprintf("node%d", n))
+		for i := range 16 {
+			node.Put(fmt.Sprintf("counter %d", i), float64(i), "")
+		}
+		cpu := node.Sub("cpu0")
+		for i := range 21 {
+			cpu.Put(fmt.Sprintf("instructions %d", i), float64(n*i), "")
+		}
+		nif := node.Sub(fmt.Sprintf("nif%d", n))
+		for i := range 10 {
+			nif.Put(fmt.Sprintf("sends %d", i), float64(i)/3, "")
+		}
+	}
+	root.Sub("network mesh(8x8)").Put("messages", 4096, "")
+	root.Put("events", 1e7, "")
+	return root
+}
+
+// Once a tree's paths are known, adding another tree of its shape allocates
+// the sample's row and its mark, whatever the number of metrics: no path is
+// built again.
+func TestAllocFreeHistoryAdd(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	tree := machineTree()
+	if n := len(Flatten(tree)); n < 3000 {
+		t.Fatalf("the tree has %d metrics, want about 3,000", n)
+	}
+	var h History
+	at := int64(0)
+	h.Add(at, tree)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		at += 10
+		h.Add(at, tree)
+	}); allocs > 2 {
+		t.Errorf("History.Add allocates %v times per sample of %d metrics, want at most 2 (its row)", allocs, len(Flatten(tree)))
 	}
 }

@@ -104,23 +104,25 @@ func (t *Table) Render(w io.Writer) error {
 	return nil
 }
 
-// Rows returns the formatted data rows in insertion order. The slice is the
-// table's own storage; callers must not mutate it.
-func (t *Table) Rows() [][]string { return t.rows }
-
 // Schema infers the table's CSV schema from its formatted cells (see
-// inferSchema), attaching the given per-column units if any.
+// inferSchema), attaching the given per-column units if any. The experiment
+// pipeline records it beside the CSV and checks the file against it when the
+// file is read back, not when it is written.
 func (t *Table) Schema(units ...string) Schema {
 	return inferSchema(t.header, t.rows).withUnits(units)
 }
 
 // RenderCSV writes the table as CSV for post-mortem analysis in external
-// tools. It goes through the workbench's single schema-validated CSV writer:
-// the schema is inferred from the table itself, so writing cannot fail on
-// type grounds, while the artifact gains a schema any reader can re-validate
-// against.
+// tools: the header, then every row, through the workbench's one CSV
+// encoder. Nothing is checked on the way out; Schema describes the file for
+// whoever reads it back.
 func (t *Table) RenderCSV(w io.Writer) error {
-	return WriteCSV(w, t.Schema(), t.rows)
+	e := newCSVEncoder(w)
+	e.record(t.header)
+	for _, row := range t.rows {
+		e.record(row)
+	}
+	return e.flush()
 }
 
 // RenderSet writes a metric set (and its subsets, indented) as

@@ -159,12 +159,15 @@ func TestSparkline(t *testing.T) {
 // numbers, never short for the others a report holds.
 func TestRenderBound(t *testing.T) {
 	whole, mixed := NewSet("machine"), NewSet("machine")
+	whole.Put("m", 0, "")
 	for i, v := range []float64{0, 7, 10, 99, 100, 123456789, 999999999999999, -1, -10, -4096} {
 		whole.Sub(fmt.Sprintf("node%d", i)).Put(fmt.Sprintf("metric %d with a long name beyond the column", i), v, "cyc")
-		whole.Put("m", v, "")
+		whole.Metrics[0].Value = v
 	}
+	node := mixed.Sub("node")
+	node.Put("m", 0, "B")
 	for _, v := range []float64{0.5, 3.25, 123.456, -0.001, 1e15, 12345678.9} {
-		mixed.Sub("node").Put("m", v, "B")
+		node.Metrics[0].Value = v
 	}
 	for _, s := range []*Set{whole, mixed} {
 		var sb strings.Builder

@@ -165,16 +165,11 @@ type Set struct {
 // NewSet creates a named, empty metric set.
 func NewSet(name string) *Set { return &Set{Name: name} }
 
-// Put appends a metric (keeping insertion order; duplicate names are
-// overwritten in place).
+// Put appends a metric, keeping insertion order. It does not look for the
+// name among the set's metrics: a report names each metric of a set once
+// (its paths name the history's columns and the Prometheus series), and a
+// caller that changes a value sets it in place.
 func (s *Set) Put(name string, value float64, unit string) {
-	for i := range s.Metrics {
-		if s.Metrics[i].Name == name {
-			s.Metrics[i].Value = value
-			s.Metrics[i].Unit = unit
-			return
-		}
-	}
 	s.Metrics = append(s.Metrics, Metric{name, value, unit})
 }
 

