@@ -26,11 +26,12 @@ func newSparklines() sparklines {
 	return sparklines{{Name: "bus utilization"}, {Name: "link utilization"}, {Name: "messages"}, {Name: "kernel events"}}
 }
 
-// sample appends each row's value in the report sampled at: the mean of the
+// sample appends each row's value in the tick's report: the mean of the
 // nodes' interconnect utilisations ("nodeN/memory-hierarchy/bus/utilization"
 // or ".../crossbar/utilization"), the network set's "avg link utilization"
 // and "messages", and the root's "events".
-func (sp sparklines) sample(at pearl.Time, report *stats.Set) {
+func (sp sparklines) sample(t analysis.Tick) {
+	at, report := t.At, t.Report()
 	var bus float64
 	buses := 0
 	for _, nd := range report.Subsets {
@@ -79,7 +80,7 @@ func (sp sparklines) render(w io.Writer) error {
 // requested no chain is armed.
 func observe(m *machine.Machine, monitor pearl.Time, csv *stats.History, scope *analysis.Scope) (sparklines, func(*machine.Result), error) {
 	var view sparklines
-	var consumers []func(pearl.Time, *stats.Set)
+	var consumers []func(analysis.Tick)
 	every := pearl.Time(defaultSampleEvery)
 	if monitor > 0 {
 		every = monitor
@@ -87,7 +88,7 @@ func observe(m *machine.Machine, monitor pearl.Time, csv *stats.History, scope *
 		consumers = append(consumers, view.sample)
 	}
 	if csv != nil {
-		consumers = append(consumers, func(at pearl.Time, report *stats.Set) { csv.Add(int64(at), report) })
+		consumers = append(consumers, func(t analysis.Tick) { csv.Add(int64(t.At), t.Report()) })
 	}
 	if scope != nil {
 		consumers = append(consumers, scope.Sample)

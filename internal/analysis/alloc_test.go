@@ -39,7 +39,7 @@ func TestAllocFreeNilMonitor(t *testing.T) {
 	}
 	var s *Scope // what a run without -monitor-addr holds
 	if got := testing.AllocsPerRun(200, func() {
-		s.Sample(10, nil)
+		s.Sample(Tick{At: 10})
 		s.SetRuns(3)
 		s.ObserveRun(100, 10)
 		s.RunDone()

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"mermaid/internal/pearl"
 )
@@ -162,14 +165,8 @@ func (c *Collector) criticalPath(total pearl.Time) []PathSegment {
 			Pct:       round6(float64(acc[k]) / float64(total) * 100),
 		})
 	}
-	sort.SliceStable(segs, func(i, j int) bool {
-		if segs[i].Cycles != segs[j].Cycles {
-			return segs[i].Cycles > segs[j].Cycles
-		}
-		if segs[i].Component != segs[j].Component {
-			return segs[i].Component < segs[j].Component
-		}
-		return segs[i].Kind < segs[j].Kind
+	slices.SortStableFunc(segs, func(a, b PathSegment) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), strings.Compare(a.Component, b.Component), cmp.Compare(a.Kind, b.Kind))
 	})
 	return segs
 }

@@ -29,6 +29,10 @@ import (
 type Scope struct {
 	mu   sync.Mutex
 	snap snapshot
+	// read is set once WriteMetrics has rendered the held report, and age
+	// counts the ticks since the scope took it.
+	read bool
+	age  int
 
 	started time.Time
 }
@@ -39,8 +43,8 @@ func NewScope() *Scope {
 }
 
 // snapshot is what the handlers may read: plain values copied out of the
-// simulation on its own goroutine, and the last sampled report tree, which
-// no one modifies once the sampler has handed it out.
+// simulation on its own goroutine, and the last report tree the scope took,
+// which no one modifies once the sampler has handed it out.
 type snapshot struct {
 	virtual   int64
 	events    uint64
@@ -61,20 +65,45 @@ type progressJSON struct {
 	Done          bool    `json:"done"`
 }
 
-// Sample keeps the run's report tree as it stood at virtual time at, and
-// its event count: the scope's consumer on the run's sampling chain
-// (machine.Machine.StartSampler), which calls it at every tick and once
-// more, with the run's report, after the run.
-func (s *Scope) Sample(at pearl.Time, report *stats.Set) {
+// Tick is what a run's sampling chain (machine.Machine.StartSampler) hands
+// each of its consumers at a tick, and once more after the run: the virtual
+// time, the kernel's event count, and the run's report tree as it stands,
+// which Report builds on first request, once for all the tick's consumers.
+// Report is valid only during the call; the tree it returns must not be
+// modified.
+type Tick struct {
+	At     pearl.Time
+	Events uint64
+	Final  bool // the end-of-run report: Report returns the result's tree
+	Report func() *stats.Set
+}
+
+// maxTreeAge is how many ticks a scope keeps a report tree nobody has read
+// before it takes a fresh one. A tree costs a whole report build (every
+// node's sets, about 31 KB on a 64-node machine), and a job's scope is
+// mostly never scraped; 16 ticks divide that cost by 16 and keep an unread
+// tree within 160,000 cycles of the clock at the default 10,000-cycle
+// interval. A read makes the next tick take a fresh tree, so a client that
+// polls sees one at most a poll interval old.
+const maxTreeAge = 16
+
+// Sample is the scope's consumer on the run's sampling chain: it keeps the
+// tick's clock and event count for /progress and /metrics, and takes the
+// tick's report tree when it holds none, when its tree has been read, when
+// that tree is maxTreeAge ticks old, and always at the end of the run.
+func (s *Scope) Sample(t Tick) {
 	if s == nil {
 		return
 	}
-	events, _ := report.Get("events")
 	s.mu.Lock()
-	s.snap.virtual = int64(at)
-	s.snap.events = uint64(events)
-	s.snap.report = report
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	s.snap.virtual = int64(t.At)
+	s.snap.events = t.Events
+	if t.Final || s.snap.report == nil || s.read || s.age+1 >= maxTreeAge {
+		s.snap.report, s.read, s.age = t.Report(), false, 0
+	} else {
+		s.age++
+	}
 }
 
 // ObserveRun accumulates a completed run's simulated volume into the
@@ -121,7 +150,7 @@ func (s *Scope) Finish() {
 	s.mu.Unlock()
 }
 
-// DropReport lets go of the last sampled report tree: the scope's metrics
+// DropReport lets go of the scope's report tree: the scope's metrics
 // are then the virtual clock and the event count alone. The simulation
 // server calls it once a job is done, whose /metrics it re-derives.
 func (s *Scope) DropReport() {
@@ -133,16 +162,18 @@ func (s *Scope) DropReport() {
 	s.mu.Unlock()
 }
 
-// WriteMetrics renders the scope's last sampled state in Prometheus text
-// exposition format: the virtual clock, the event count, and every metric of
-// the sampled report under its path (stats.Flatten), as
-// probe.WritePrometheus names it.
+// WriteMetrics renders the scope's state in Prometheus text exposition
+// format: the last tick's virtual clock and event count, and every metric of
+// the report the scope holds under its path (stats.Flatten), as
+// probe.WritePrometheus names it. Rendering a report marks it read, so the
+// next tick takes a fresh one.
 func (s *Scope) WriteMetrics(w io.Writer) error {
 	if s == nil {
 		return nil
 	}
 	s.mu.Lock()
 	snap := s.snap
+	s.read = snap.report != nil
 	s.mu.Unlock()
 
 	if _, err := fmt.Fprintf(w, "# TYPE mermaid_virtual_cycles gauge\nmermaid_virtual_cycles %d\n", snap.virtual); err != nil {
@@ -181,7 +212,7 @@ func (s *Scope) WriteProgress(w io.Writer) error {
 }
 
 // Monitor serves one Scope over HTTP while a simulation executes:
-// GET /metrics returns the last sampled report in Prometheus text exposition
+// GET /metrics returns the scope's report in Prometheus text exposition
 // format, GET /progress returns a JSON snapshot of virtual time, wall time,
 // event throughput and experiment completion.
 //

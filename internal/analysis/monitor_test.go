@@ -31,8 +31,9 @@ func get(t *testing.T, url string) (string, string) {
 
 // watch feeds the scope the way a machine's sampler does
 // (machine.Machine.StartSampler): a daemon tick every `every` cycles hands it
-// a report tree — the kernel's event count and a network's message count —
-// and the returned function hands it the last one after the run.
+// the clock, the kernel's event count and a builder of a report tree — the
+// event count and a network's message count — and the returned function
+// hands it the end-of-run report after the run.
 func watch(s *analysis.Scope, k *pearl.Kernel, messages float64, every pearl.Time) func(end pearl.Time) {
 	report := func() *stats.Set {
 		r := stats.NewSet("machine test")
@@ -42,11 +43,13 @@ func watch(s *analysis.Scope, k *pearl.Kernel, messages float64, every pearl.Tim
 	}
 	var tick func()
 	tick = func() {
-		s.Sample(k.Now(), report())
+		s.Sample(analysis.Tick{At: k.Now(), Events: k.EventCount(), Report: report})
 		k.AtDaemon(k.Now()+every, tick)
 	}
 	k.AtDaemon(every, tick)
-	return func(end pearl.Time) { s.Sample(end, report()) }
+	return func(end pearl.Time) {
+		s.Sample(analysis.Tick{At: end, Events: k.EventCount(), Final: true, Report: report})
+	}
 }
 
 // The monitor serves the live report over HTTP without touching the

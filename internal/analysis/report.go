@@ -1,11 +1,13 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"mermaid/internal/pearl"
 	"mermaid/internal/stats"
@@ -94,7 +96,7 @@ func (c *Collector) Analyze(total pearl.Time) *Report {
 
 	cpus := make([]cpuEntry, len(c.cpus))
 	copy(cpus, c.cpus)
-	sort.SliceStable(cpus, func(i, j int) bool { return cpus[i].index < cpus[j].index })
+	slices.SortStableFunc(cpus, func(a, b cpuEntry) int { return cmp.Compare(a.index, b.index) })
 	for _, e := range cpus {
 		s := e.sample()
 		d := CPUDecomp{
@@ -145,11 +147,8 @@ func (c *Collector) Analyze(total pearl.Time) *Report {
 		r.Waits[j].Cycles += int64(b.cycles)
 		r.Waits[j].Count += b.count
 	}
-	sort.SliceStable(r.Waits, func(i, j int) bool {
-		if r.Waits[i].Cycles != r.Waits[j].Cycles {
-			return r.Waits[i].Cycles > r.Waits[j].Cycles
-		}
-		return r.Waits[i].Reason < r.Waits[j].Reason
+	slices.SortStableFunc(r.Waits, func(a, b WaitRow) int {
+		return cmp.Or(cmp.Compare(b.Cycles, a.Cycles), strings.Compare(a.Reason, b.Reason))
 	})
 
 	r.CriticalPath = c.criticalPath(total)
@@ -179,11 +178,8 @@ func (r *Report) rank() []Bottleneck {
 	for i, d := range r.CPUs {
 		cand = append(cand, candidate{d.Name, round6(float64(d.MemStall+d.CommBlocked) / total), len(r.Resources) + i})
 	}
-	sort.SliceStable(cand, func(i, j int) bool {
-		if cand[i].score != cand[j].score {
-			return cand[i].score > cand[j].score
-		}
-		return cand[i].component < cand[j].component
+	slices.SortStableFunc(cand, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.component, b.component))
 	})
 	if len(cand) > topN {
 		cand = cand[:topN]
@@ -247,11 +243,8 @@ func (r *Report) Render(w io.Writer) error {
 		fmt.Fprintln(w, "\nshared resources:")
 		rows := make([]ResourceRow, len(r.Resources))
 		copy(rows, r.Resources)
-		sort.SliceStable(rows, func(i, j int) bool {
-			if rows[i].Utilization != rows[j].Utilization {
-				return rows[i].Utilization > rows[j].Utilization
-			}
-			return rows[i].Name < rows[j].Name
+		slices.SortStableFunc(rows, func(a, b ResourceRow) int {
+			return cmp.Or(cmp.Compare(b.Utilization, a.Utilization), strings.Compare(a.Name, b.Name))
 		})
 		if len(rows) > 12 {
 			rows = rows[:12]

@@ -86,7 +86,7 @@ func TestScopesAreIndependent(t *testing.T) {
 // A nil scope accepts every call as a no-op, like the nil monitor.
 func TestNilScope(t *testing.T) {
 	var s *analysis.Scope
-	s.Sample(10, nil)
+	s.Sample(analysis.Tick{At: 10})
 	s.ObserveRun(100, 10)
 	s.SetRuns(1)
 	s.RunDone()

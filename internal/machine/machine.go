@@ -593,10 +593,10 @@ func (m *Machine) instructions() uint64 {
 }
 
 // report builds the run's metric tree as it stands at virtual time now: the
-// tree Result.Stats holds at the end of the run, and what the sampler hands
-// its consumers at every tick. Building it changes no model state — link and
-// resource utilisations fold their busy time exactly up to the present — so
-// a report taken mid-run leaves the run where it was.
+// tree Result.Stats holds at the end of the run, and what a sampler tick
+// builds for the consumers that ask. Building it changes no model state —
+// link and resource utilisations fold their busy time exactly up to the
+// present — so a report taken mid-run leaves the run where it was.
 func (m *Machine) report(now pearl.Time) *stats.Set {
 	root := stats.NewSet("machine " + m.cfg.Name)
 	root.PutInt("cycles", int64(now), "cyc")
@@ -621,14 +621,15 @@ func (m *Machine) report(now pearl.Time) *stats.Set {
 }
 
 // StartSampler arms the run's one sampling chain — a daemon event at every,
-// 2·every, … that builds the run's report as it stands and hands it to each
-// consumer with the tick's virtual time — and returns the function that
-// hands them the last sample: call it once after the run with the run's
-// result, whose Stats is that sample. However many consumers observe a run
-// (a CSV history, a live scope, a sparkline view), they share this chain
-// and each tick builds one tree for all of them, which they must not
-// modify. With no consumer at all no chain is armed; a nil consumer, or a
-// second StartSampler on the machine, is an error.
+// 2·every, … that hands each consumer the tick's virtual time, event count
+// and a builder of the run's report as it stands — and returns the function
+// that hands them the end-of-run report: call it once after the run with the
+// run's result, whose Stats is that report. However many consumers observe a
+// run (a CSV history, a live scope, a sparkline view), they share this
+// chain, and a tick builds its report only when a consumer asks for it, and
+// then once for all of them; they must not modify it. With no consumer at
+// all no chain is armed; a nil consumer, or a second StartSampler on the
+// machine, is an error.
 //
 // Daemon events fire in (time, sequence) order while model work remains but
 // neither keep a run alive nor move its clock, and building a report only
@@ -636,14 +637,14 @@ func (m *Machine) report(now pearl.Time) *stats.Set {
 // as an unsampled one. A tick bounds the straight lines private nodes run
 // ahead (pearl.Chain.Ahead), so it reads what the per-event path would. The
 // one thing sampling changes is the kernel's event count: plus one per tick
-// fired.
-func (m *Machine) StartSampler(every pearl.Time, consumers ...func(at pearl.Time, report *stats.Set)) (finish func(*Result), err error) {
+// fired, whether or not a consumer asked for the tick's report.
+func (m *Machine) StartSampler(every pearl.Time, consumers ...func(analysis.Tick)) (finish func(*Result), err error) {
 	switch {
 	case every <= 0:
 		return nil, fmt.Errorf("machine: sampling interval %d", every)
 	case len(consumers) == 0:
 		return func(*Result) {}, nil // nothing to sample: no chain, no ticks
-	case slices.ContainsFunc(consumers, func(c func(pearl.Time, *stats.Set)) bool { return c == nil }):
+	case slices.ContainsFunc(consumers, func(c func(analysis.Tick)) bool { return c == nil }):
 		return nil, fmt.Errorf("machine: nil sampler consumer")
 	case m.group != nil:
 		return nil, fmt.Errorf("machine: live sampling is not supported with shards; the single kernel (shards 0) gives the same report")
@@ -651,19 +652,29 @@ func (m *Machine) StartSampler(every pearl.Time, consumers ...func(at pearl.Time
 		return nil, fmt.Errorf("machine: sampler already started")
 	}
 	m.sampling = true
-	sample := func(at pearl.Time, report *stats.Set) {
+	sample := func(t analysis.Tick) {
 		for _, c := range consumers {
-			c(at, report)
+			c(t)
 		}
 	}
 	k := m.k
+	var report *stats.Set // the current tick's, once a consumer asked for it
+	build := func() *stats.Set {
+		if report == nil {
+			report = m.report(k.Now())
+		}
+		return report
+	}
 	var tick func()
 	tick = func() {
-		sample(k.Now(), m.report(k.Now()))
+		sample(analysis.Tick{At: k.Now(), Events: m.events(), Report: build})
+		report = nil
 		k.AtDaemon(k.Now()+every, tick)
 	}
 	k.AtDaemon(k.Now()+every, tick)
-	return func(res *Result) { sample(res.Cycles, res.Stats) }, nil
+	return func(res *Result) {
+		sample(analysis.Tick{At: res.Cycles, Events: res.Events, Final: true, Report: func() *stats.Set { return res.Stats }})
+	}, nil
 }
 
 // CyclesPerSecond returns the simulation speed: simulated target cycles per

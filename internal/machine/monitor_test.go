@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
 	"mermaid/internal/pearl"
 	"mermaid/internal/sim"
@@ -32,9 +33,9 @@ type sampleLog struct {
 	reports []*stats.Set
 }
 
-func (l *sampleLog) add(at pearl.Time, report *stats.Set) {
-	l.at = append(l.at, at)
-	l.reports = append(l.reports, report)
+func (l *sampleLog) add(t analysis.Tick) {
+	l.at = append(l.at, t.At)
+	l.reports = append(l.reports, t.Report())
 }
 
 // series returns the value of the metric at path in every logged report
@@ -53,10 +54,10 @@ func (l *sampleLog) series(path string) []float64 {
 
 // startSampler arms m's sampling chain with a full log and a CSV history
 // plus any further consumers.
-func startSampler(t *testing.T, m *Machine, every pearl.Time, more ...func(pearl.Time, *stats.Set)) (*sampleLog, *stats.History, func(*Result)) {
+func startSampler(t *testing.T, m *Machine, every pearl.Time, more ...func(analysis.Tick)) (*sampleLog, *stats.History, func(*Result)) {
 	t.Helper()
 	log, h := new(sampleLog), new(stats.History)
-	consumers := append([]func(pearl.Time, *stats.Set){log.add, func(at pearl.Time, r *stats.Set) { h.Add(int64(at), r) }}, more...)
+	consumers := append([]func(analysis.Tick){log.add, func(tk analysis.Tick) { h.Add(int64(tk.At), tk.Report()) }}, more...)
 	finish, err := m.StartSampler(every, consumers...)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +144,7 @@ func TestMonitorDetailedMode(t *testing.T) {
 
 func TestMonitorValidation(t *testing.T) {
 	m := buildPlain(t, T805Grid(2, 1))
-	consumer := func(pearl.Time, *stats.Set) {}
+	consumer := func(analysis.Tick) {}
 	if _, err := m.StartSampler(0, consumer); err == nil {
 		t.Fatal("expected error for zero interval")
 	}
@@ -341,9 +342,9 @@ func TestSamplingDoesNotPerturb(t *testing.T) {
 				finish := func(*Result) {}
 				var h *stats.History
 				if every > 0 {
-					more := make([]func(pearl.Time, *stats.Set), consumers)
+					more := make([]func(analysis.Tick), consumers)
 					for i := range more {
-						more[i] = func(pearl.Time, *stats.Set) { calls++ }
+						more[i] = func(analysis.Tick) { calls++ }
 					}
 					_, h, finish = startSampler(t, m, every, more...)
 				}

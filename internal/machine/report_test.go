@@ -7,7 +7,6 @@ import (
 
 	"mermaid/internal/analysis"
 	"mermaid/internal/fault"
-	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/router"
 	"mermaid/internal/sim"
@@ -112,7 +111,7 @@ func TestReportIndependentOfObservers(t *testing.T) {
 
 		m := buildPlain(t, c.cfg)
 		calls := 0
-		finish, err := m.StartSampler(1000, func(pearl.Time, *stats.Set) { calls++ })
+		finish, err := m.StartSampler(1000, func(t analysis.Tick) { t.Report(); calls++ })
 		if err != nil {
 			t.Fatal(err)
 		}

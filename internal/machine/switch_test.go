@@ -8,7 +8,6 @@ import (
 	"mermaid/internal/pearl"
 	"mermaid/internal/probe"
 	"mermaid/internal/sim"
-	"mermaid/internal/stats"
 	"mermaid/internal/stochastic"
 )
 
@@ -120,7 +119,7 @@ func TestRunAheadDispatchFloor(t *testing.T) {
 		}
 		ticks := uint64(0)
 		if c.every > 0 {
-			if _, err := m.StartSampler(c.every, func(pearl.Time, *stats.Set) { ticks++ }); err != nil {
+			if _, err := m.StartSampler(c.every, func(t analysis.Tick) { t.Report(); ticks++ }); err != nil {
 				t.Fatal(err)
 			}
 		}

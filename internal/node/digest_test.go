@@ -519,7 +519,7 @@ func observe(t *testing.T, cfg machine.Config, every pearl.Time, run func(*machi
 		t.Fatal(err)
 	}
 	var history stats.History
-	finish, err := m.StartSampler(every, func(at pearl.Time, report *stats.Set) { history.Add(int64(at), report) })
+	finish, err := m.StartSampler(every, func(t analysis.Tick) { history.Add(int64(t.At), t.Report()) })
 	if err != nil {
 		t.Fatal(err)
 	}

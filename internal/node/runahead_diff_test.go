@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"mermaid/internal/analysis"
 	"mermaid/internal/core"
 	"mermaid/internal/fault"
 	"mermaid/internal/machine"
@@ -73,9 +74,9 @@ func runAheadReport(t *testing.T, ahead, observed bool, every pearl.Time, cfg ma
 				walk(sub)
 			}
 		}
-		finish, err = m.StartSampler(every, func(at pearl.Time, r *stats.Set) {
-			row = binary.LittleEndian.AppendUint64(row[:0], uint64(at))
-			walk(r)
+		finish, err = m.StartSampler(every, func(t analysis.Tick) {
+			row = binary.LittleEndian.AppendUint64(row[:0], uint64(t.At))
+			walk(t.Report())
 			samples.Write(row)
 		})
 		if err != nil {

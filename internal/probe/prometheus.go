@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"mermaid/internal/stats"
@@ -15,7 +15,7 @@ import (
 // name. The slice is not modified.
 func WritePrometheus(w io.Writer, metrics []stats.Metric) error {
 	ms := append([]stats.Metric(nil), metrics...)
-	sort.SliceStable(ms, func(i, j int) bool { return ms[i].Name < ms[j].Name })
+	slices.SortStableFunc(ms, func(a, b stats.Metric) int { return strings.Compare(a.Name, b.Name) })
 	names := make([]string, len(ms))
 	for i := range ms {
 		names[i] = ms[i].Name

@@ -322,11 +322,11 @@ type simRun struct {
 
 // simulate runs a job's simulation, with the timeline attached or not, and
 // the bottleneck collector either way. A live sampler hands the sample
-// consumers, if any, each tick's report and the run's at the end; with none
+// consumers, if any, each tick and the run's report at the end; with none
 // no sampler is armed. Its ticks change nothing but the event count, which
 // neither the timeline nor the bottleneck analysis carries, so every run of
 // a job derives the same artifacts.
-func (s *Server) simulate(j *job, timeline bool, sample ...func(pearl.Time, *stats.Set)) (simRun, error) {
+func (s *Server) simulate(j *job, timeline bool, sample ...func(analysis.Tick)) (simRun, error) {
 	opts := []core.Option{core.WithAnalysis()}
 	if timeline {
 		opts = append(opts, core.WithProbe(probe.New(probe.Config{Timeline: true})))
@@ -467,7 +467,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			j.entry = entry
 			j.mu.Unlock()
 			// A done job's /metrics re-derives; a failed one's keeps the
-			// last sample, and so does this one until it reads "done".
+			// scope's tree, and so does this one until it reads "done".
 			j.scope.DropReport()
 			s.completed.Add(1)
 			s.log.Info("job finished", "job", j.id,
@@ -644,7 +644,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // handleRederived serves a done job's timeline, bottleneck analysis or
 // metrics, which no job keeps (see rederive). A job not yet done, or
 // failed, has no timeline or bottleneck: it is answered 409. Its metrics are
-// its live scope's last sample.
+// its live scope's: the last tick's clock and event count, and a report at
+// most 16 ticks old (analysis.Scope.Sample).
 func (s *Server) handleRederived(which string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		j := s.lookup(r)
@@ -675,7 +676,7 @@ func (s *Server) handleRederived(which string) http.HandlerFunc {
 // job's first run.
 func (s *Server) rederive(w http.ResponseWriter, r *http.Request, j *job, which string) {
 	var scope *analysis.Scope
-	var sample []func(pearl.Time, *stats.Set) // none: no sampler
+	var sample []func(analysis.Tick) // none: no sampler
 	if which == "metrics" {
 		scope = analysis.NewScope()
 		sample = append(sample, scope.Sample)

@@ -159,15 +159,13 @@ func TestSparkline(t *testing.T) {
 // numbers, never short for the others a report holds.
 func TestRenderBound(t *testing.T) {
 	whole, mixed := NewSet("machine"), NewSet("machine")
-	whole.Put("m", 0, "")
 	for i, v := range []float64{0, 7, 10, 99, 100, 123456789, 999999999999999, -1, -10, -4096} {
 		whole.Sub(fmt.Sprintf("node%d", i)).Put(fmt.Sprintf("metric %d with a long name beyond the column", i), v, "cyc")
-		whole.Metrics[0].Value = v
+		whole.Put(fmt.Sprintf("m%d", i), v, "")
 	}
 	node := mixed.Sub("node")
-	node.Put("m", 0, "B")
-	for _, v := range []float64{0.5, 3.25, 123.456, -0.001, 1e15, 12345678.9} {
-		node.Metrics[0].Value = v
+	for i, v := range []float64{0.5, 3.25, 123.456, -0.001, 1e15, 12345678.9} {
+		node.Put(fmt.Sprintf("m%d", i), v, "B")
 	}
 	for _, s := range []*Set{whole, mixed} {
 		var sb strings.Builder

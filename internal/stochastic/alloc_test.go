@@ -1,6 +1,7 @@
 package stochastic
 
 import (
+	"io"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -57,9 +58,9 @@ func TestSourcesAmortisedAllocs(t *testing.T) {
 	}
 }
 
-// TestAllocFreeCursorOverSource: a source expands its blocks into one buffer
-// it reuses, so once the first batch has made it, reading a stream by Peek
-// and Advance allocates nothing per operation.
+// TestAllocFreeCursorOverSource: a source makes its operations in one buffer
+// it reuses, so reading a stream by Peek and Advance allocates nothing per
+// operation.
 func TestAllocFreeCursorOverSource(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -71,19 +72,75 @@ func TestAllocFreeCursorOverSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := trace.NewCursor(srcs[0])
-	const batches = 4
+	const batches = 8
 	cycle := func() {
-		for i := 0; i < batches*2*blockBatch; i++ {
+		for i := 0; i < batches*maxBatch; i++ {
 			if _, err := cur.Peek(); err != nil {
 				t.Fatal(err)
 			}
 			cur.Advance()
 		}
 	}
-	cycle() // the first batch makes the buffer
+	cycle()
 	// 31 more cycles read about 16,000 operations: past the first block and
-	// the communication segment after it.
+	// the communication after it.
 	if got := testing.AllocsPerRun(30, cycle); got != 0 {
-		t.Errorf("%d Peek/Advance pairs allocate %v times; want 0", batches*2*blockBatch, got)
+		t.Errorf("%d Peek/Advance pairs allocate %v times; want 0", batches*maxBatch, got)
+	}
+}
+
+// TestTaskSourcesAmortisedAllocs: a task-level source keeps its node's draws
+// as numbers and makes its operations in a buffer cut from one allocation
+// for all nodes, so Sources allocates a number of objects that does not grow
+// with the node count, and at most 320 bytes per node. Storing every
+// compute, send and receive as an operation in segments allocated about 4
+// objects and 460 bytes per node. Draining a source allocates nothing.
+func TestTaskSourcesAmortisedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	exchange := func(nodes int) Desc {
+		return Desc{
+			Nodes: nodes, Level: TaskLevel, Seed: 5, Iterations: 2,
+			Phases: []Phase{{Duration: 1000, CV: 0.1, Comm: Comm{Pattern: Exchange, Bytes: 4096}}},
+		}
+	}
+	sources := func(d Desc) []trace.Source {
+		srcs, err := Sources(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srcs
+	}
+	const nodes = 4096
+	small := testing.AllocsPerRun(5, func() { sources(exchange(16)) })
+	large := testing.AllocsPerRun(5, func() { sources(exchange(nodes)) })
+	if large != small {
+		t.Errorf("Sources allocates %v objects for %d nodes and %v for 16; want the same", large, nodes, small)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sources(exchange(nodes))
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / runs / nodes
+	t.Logf("Sources allocates %v objects and %.0f bytes per node for %d nodes", large, perNode, nodes)
+	if perNode > 320 {
+		t.Errorf("Sources allocates %.0f bytes per node; want at most 320", perNode)
+	}
+
+	srcs := sources(exchange(nodes))
+	next := 0
+	if got := testing.AllocsPerRun(nodes-1, func() {
+		for {
+			if _, _, err := srcs[next].NextBatch(); err == io.EOF {
+				break
+			}
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("draining a source allocates %v times; want 0", got)
 	}
 }

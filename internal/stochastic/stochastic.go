@@ -225,65 +225,106 @@ func ParseDesc(data []byte) (Desc, error) {
 // Generate produces the complete per-node traces for the description: the
 // per-node sources drained, each into a slice of exactly its length.
 func Generate(d Desc) ([][]ops.Op, error) {
-	streams, err := generate(d)
+	srcs, err := generate(d)
 	if err != nil {
 		return nil, err
 	}
-	traces := make([][]ops.Op, len(streams))
-	for i := range streams {
-		traces[i] = make([]ops.Op, streams[i].n)
-		streams[i].flatten(traces[i])
+	buf := make([]ops.Op, maxBatch) // one node is drained at a time
+	traces := make([][]ops.Op, len(srcs))
+	for i := range srcs {
+		s := &srcs[i]
+		s.buf = buf
+		total, _ := s.sizes()
+		tr := make([]ops.Op, 0, total)
+		for {
+			b, _, err := s.NextBatch()
+			if err == io.EOF {
+				break
+			}
+			tr = append(tr, b...)
+		}
+		traces[i] = tr
 	}
 	return traces, nil
 }
 
-// Sources generates the traces as per-node Sources. A source hands out plain
-// operations in place and expands an instruction-level computation, kept as
-// drawn, a batch at a time into a buffer of its own.
+// Sources generates the traces as per-node Sources. What was drawn is kept
+// as numbers; a source makes its node's operations as they are read, into a
+// buffer of its own that holds the node's largest phase instance, up to
+// maxBatch operations. The buffers are cut from one allocation.
 func Sources(d Desc) ([]trace.Source, error) {
-	streams, err := generate(d)
+	srcs, err := generate(d)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]trace.Source, len(streams))
-	for i := range streams {
-		out[i] = &streams[i]
+	lens := make([]int, len(srcs))
+	total := 0
+	for i := range srcs {
+		_, largest := srcs[i].sizes()
+		lens[i] = min(largest, maxBatch)
+		total += lens[i]
+	}
+	slab := make([]ops.Op, total)
+	out := make([]trace.Source, len(srcs))
+	for i, n := range lens {
+		srcs[i].buf, slab = slab[:n:n], slab[n:]
+		out[i] = &srcs[i]
 	}
 	return out, nil
 }
 
-// generate draws every node's trace, one phase of all nodes at a time.
-func generate(d Desc) ([]stream, error) {
+// maxBatch is the most operations a source makes per batch.
+const maxBatch = 64
+
+// generate draws every phase instance, one phase of all nodes at a time, in
+// the order the description gives them, and returns the nodes' sources,
+// each unread and without a buffer.
+func generate(d Desc) ([]source, error) {
 	if err := d.validate(); err != nil {
 		return nil, err
 	}
 	g := &generator{d: d, rng: pearl.NewRNG(d.Seed)}
-	streams := make([]stream, d.Nodes)
+	dr := &draws{nodes: d.Nodes, level: d.Level, insts: make([]instance, 0, d.Iterations*len(d.Phases))}
 	for iter := 0; iter < d.Iterations; iter++ {
 		for pi := range d.Phases {
-			g.phase(streams, iter, &d.Phases[pi])
+			dr.insts = append(dr.insts, g.phase(&d.Phases[pi]))
 		}
 	}
-	return streams, nil
+	srcs := make([]source, d.Nodes)
+	for i := range srcs {
+		srcs[i] = source{dr: dr, node: i}
+	}
+	return srcs, nil
 }
 
-// stream is one node's trace: a list of parts, and, read as a trace.Source,
-// how far it has been read. A part is a segment of plain operations, the
-// last one open for appends, or an instruction-level computation block. A
-// segment never grows — an append it has no room for starts a new one — so
-// no operation is copied once it is written.
-type stream struct {
-	parts []part
-	n     int // operations in all parts
-
-	buf  []ops.Op // the expansion buffer, made at the first block read
-	i, j int      // instructions and addresses of parts[0]'s block read
+// draws is a description as drawn: every phase instance, an (iteration,
+// phase) pair, in trace order.
+type draws struct {
+	nodes int
+	level Level
+	insts []instance
 }
 
-// part is a segment of plain operations, or, when blk is set, a block.
-type part struct {
-	seg []ops.Op
-	blk *block
+// instance is one phase instance as drawn: every node's computation and the
+// communication that closes it. A permutation pattern is rounds of
+// one-to-one transfers; a hotspot is one round in which every other node
+// sends to node 0.
+type instance struct {
+	comm Comm
+	// Task level: every node's compute amount, or, when amounts is nil
+	// (nothing was drawn), amount for all of them.
+	amount  int64
+	amounts []int64
+	// Instruction level: per node, its computation; a block with no codes
+	// computes nothing.
+	blocks []block
+	rounds int    // communication rounds: 0 with no communication
+	tag    uint32 // the first round's tag; round r's is tag+r
+	// sizes are the jittered message sizes, per round and node (a
+	// hotspot's: per sender); nil without jitter.
+	sizes []uint32
+	// perm and inv are a random pattern's permutation and its inverse.
+	perm, inv []int32
 }
 
 // block is one node's computation of one phase as drawn: per instruction the
@@ -322,9 +363,6 @@ var codeOps = [...]ops.Op{
 // addresses: the model of a loop body of about 64 instructions.
 const loopBody = 64
 
-// blockBatch is the most instructions a source expands per batch.
-const blockBatch = 64
-
 // expand writes instructions i, i+1, … of the block into dst as fetch and
 // operation pairs, filling it; j indexes the first instruction's load or
 // store address. It returns the address index after the last one written.
@@ -344,64 +382,183 @@ func (b *block) expand(dst []ops.Op, i, j int) int {
 	return j
 }
 
-// NextBatch implements trace.Source: the next segment in place, or the next
-// instructions of a block, at most blockBatch, expanded into the stream's
-// buffer. A part read to its end is dropped, so that what was read can be
-// collected during the run.
-func (s *stream) NextBatch() ([]ops.Op, trace.Global, error) {
-	for len(s.parts) > 0 {
-		p := s.parts[0]
-		if p.blk == nil {
-			s.parts[0], s.parts = part{}, s.parts[1:]
-			return p.seg, trace.Global{}, nil
+// units is the number of communication units node has in the instance: one
+// per round, but at a hotspot node 0 receives one message per sender.
+func (in *instance) units(node, n int) int {
+	if in.comm.Pattern == Hotspot && node == 0 && in.rounds > 0 {
+		return n - 1
+	}
+	return in.rounds
+}
+
+// partners gives the node's peers in round r of a permutation pattern: the
+// node it sends to and the node it receives from, itself for neither.
+func (in *instance) partners(node, n, r int) (to, from int) {
+	switch in.comm.Pattern {
+	case NearestNeighbor:
+		return (node + 1) % n, (node + n - 1) % n
+	case RandomPairs:
+		return int(in.perm[node]), int(in.inv[node])
+	case AllToAll:
+		// Pairwise exchange rounds: partner = rank XOR (r+1). Every round
+		// is a set of disjoint pairs, and the rounds pair every two nodes.
+		r++
+	default: // Exchange: the partner is rank^1
+		r = 1
+	}
+	if p := node ^ r; p < n {
+		return p, p
+	}
+	return node, node
+}
+
+// maxUnit is the most operations a communication unit has: an
+// asynchronous send, receive and wait.
+const maxUnit = 3
+
+// writeUnit writes the node's communication unit r into dst, which has room
+// for maxUnit operations, and returns the number of operations written. In
+// a permutation round the lower-ranked end of each transfer sends first and
+// the higher-ranked one receives first, which breaks every wait cycle of a
+// synchronous round at its maximum element, so no round can deadlock.
+func (in *instance) writeUnit(dst []ops.Op, node, n, r int) int {
+	c := &in.comm
+	if c.Pattern == Hotspot {
+		if node == 0 {
+			return recvOps(dst, c.Async, r+1, in.tag)
 		}
-		if m := min(len(p.blk.codes)-s.i, blockBatch); m > 0 {
-			if s.buf == nil {
-				s.buf = make([]ops.Op, 2*blockBatch)
+		return sendOps(dst, c.Async, in.size(0, node, n), 0, in.tag)
+	}
+	to, from := in.partners(node, n, r)
+	if to == node {
+		return 0
+	}
+	tag, size := in.tag+uint32(r), in.size(r, node, n)
+	if node < to {
+		k := sendOps(dst, c.Async, size, to, tag)
+		return k + recvOps(dst[k:], c.Async, from, tag)
+	}
+	k := recvOps(dst, c.Async, from, tag)
+	return k + sendOps(dst[k:], c.Async, size, to, tag)
+}
+
+// size is the size of the message node sends in round r.
+func (in *instance) size(r, node, n int) uint32 {
+	if in.sizes == nil {
+		return in.comm.Bytes
+	}
+	return in.sizes[r*n+node]
+}
+
+// sendOps writes the sending side of one transfer.
+func sendOps(dst []ops.Op, async bool, bytes uint32, to int, tag uint32) int {
+	if async {
+		dst[0] = ops.NewASend(bytes, int32(to), tag)
+	} else {
+		dst[0] = ops.NewSend(bytes, int32(to), tag)
+	}
+	return 1
+}
+
+// recvOps writes the receiving side of the transfer from `from`.
+func recvOps(dst []ops.Op, async bool, from int, tag uint32) int {
+	if !async {
+		dst[0] = ops.NewRecv(int32(from), tag)
+		return 1
+	}
+	ar := ops.NewARecv(int32(from), tag)
+	ar.Addr = uint64(tag)<<20 | uint64(from) // unique handle per (round, source)
+	dst[0], dst[1] = ar, ops.NewWaitRecv(ar.Addr)
+	return 2
+}
+
+// source is one node's trace read as a trace.Source: the draws it reads
+// from and how far it has read them.
+type source struct {
+	dr   *draws
+	node int
+	k    int // the phase instance being read
+	i, j int // its computation's instructions (task level: 1 once written) and addresses written
+	r    int // its communication units written
+	buf  []ops.Op
+}
+
+// NextBatch implements trace.Source: as many of the node's next operations
+// as fill the source's buffer, made in it from the draws.
+func (s *source) NextBatch() ([]ops.Op, trace.Global, error) {
+	n := 0
+	for s.k < len(s.dr.insts) {
+		w, done := s.fill(s.buf[n:], &s.dr.insts[s.k])
+		n += w
+		if !done {
+			break
+		}
+		s.k++
+		s.i, s.j, s.r = 0, 0, 0
+	}
+	if n == 0 {
+		return nil, trace.Global{}, io.EOF
+	}
+	return s.buf[:n], trace.Global{}, nil
+}
+
+// fill writes what is left of the node's part of the instance into dst, as
+// far as it has room, and says whether all of it was written. A computation
+// is cut between instructions, a communication only between units.
+func (s *source) fill(dst []ops.Op, in *instance) (int, bool) {
+	n := 0
+	if s.dr.level == TaskLevel {
+		if s.i == 0 {
+			if len(dst) == 0 {
+				return 0, false
 			}
-			b := s.buf[:2*m]
-			s.j = p.blk.expand(b, s.i, s.j)
-			s.i += m
-			return b, trace.Global{}, nil
+			dst[0] = ops.NewCompute(in.amountOf(s.node))
+			n, s.i = 1, 1
 		}
-		s.parts[0], s.parts = part{}, s.parts[1:]
-		s.i, s.j = 0, 0
+	} else if b := &in.blocks[s.node]; s.i < len(b.codes) {
+		m := min(len(b.codes)-s.i, len(dst)/2)
+		s.j = b.expand(dst[:2*m], s.i, s.j)
+		s.i += m
+		if n = 2 * m; s.i < len(b.codes) {
+			return n, false
+		}
 	}
-	return nil, trace.Global{}, io.EOF
+	var unit [maxUnit]ops.Op
+	for units := in.units(s.node, s.dr.nodes); s.r < units; s.r++ {
+		k := in.writeUnit(unit[:], s.node, s.dr.nodes, s.r)
+		if k > len(dst)-n {
+			return n, false
+		}
+		n += copy(dst[n:], unit[:k])
+	}
+	return n, true
 }
 
-// flatten writes the stream's operations into out, which holds exactly
-// their number, leaving the stream unread.
-func (s *stream) flatten(out []ops.Op) {
-	k := 0
-	for _, p := range s.parts {
-		if p.blk == nil {
-			k += copy(out[k:], p.seg)
-			continue
+// sizes returns the number of operations in the node's whole trace and in
+// its largest phase instance.
+func (s *source) sizes() (total, largest int) {
+	for k := range s.dr.insts {
+		in := &s.dr.insts[k]
+		l := 1
+		if s.dr.level == InstructionLevel {
+			l = 2 * len(in.blocks[s.node].codes)
 		}
-		n := 2 * len(p.blk.codes)
-		p.blk.expand(out[k:k+n], 0, 0)
-		k += n
+		var unit [maxUnit]ops.Op
+		for r, units := 0, in.units(s.node, s.dr.nodes); r < units; r++ {
+			l += in.writeUnit(unit[:], s.node, s.dr.nodes, r)
+		}
+		total += l
+		largest = max(largest, l)
 	}
+	return total, largest
 }
 
-// segmentSpare is the most room a new segment gets beyond the append that
-// starts it, in operations: enough for the communication operations that
-// close a phase, so a phase and its communication share a segment.
-const segmentSpare = 64
-
-// add appends plain operations to the stream's open segment. A new segment
-// gets as much room again as the stream will hold, up to segmentSpare: short
-// streams grow geometrically, and a long computation is not followed by a
-// segment as long.
-func (s *stream) add(o ...ops.Op) {
-	k := len(o)
-	if l := len(s.parts) - 1; l < 0 || s.parts[l].blk != nil || cap(s.parts[l].seg)-len(s.parts[l].seg) < k {
-		s.parts = append(s.parts, part{seg: make([]ops.Op, 0, k+min(s.n+k, segmentSpare))})
+// amountOf is the node's task-level compute amount.
+func (in *instance) amountOf(node int) int64 {
+	if in.amounts == nil {
+		return in.amount
 	}
-	seg := &s.parts[len(s.parts)-1].seg
-	*seg = append(*seg, o...)
-	s.n += k
+	return in.amounts[node]
 }
 
 type generator struct {
@@ -426,28 +583,41 @@ func (g *generator) amount(mean int64, cv float64) int64 {
 	return int64(v)
 }
 
-func (g *generator) phase(streams []stream, iter int, ph *Phase) {
-	for node := range streams {
-		switch g.d.Level {
-		case InstructionLevel:
-			g.computeInstr(&streams[node], node, ph)
-		case TaskLevel:
-			streams[node].add(ops.NewCompute(g.amount(ph.Duration, ph.CV)))
+// phase draws one phase instance: every node's computation, in node order,
+// then the communication's draws.
+func (g *generator) phase(ph *Phase) instance {
+	n := g.d.Nodes
+	in := instance{comm: ph.Comm}
+	switch g.d.Level {
+	case InstructionLevel:
+		in.blocks = make([]block, n)
+		for node := range in.blocks {
+			g.computeInstr(&in.blocks[node], node, ph)
+		}
+	case TaskLevel:
+		if ph.Duration > 0 && ph.CV > 0 {
+			in.amounts = make([]int64, n)
+			for node := range in.amounts {
+				in.amounts[node] = g.amount(ph.Duration, ph.CV)
+			}
+		} else {
+			in.amount = g.amount(ph.Duration, ph.CV)
 		}
 	}
-	g.comm(streams, iter, ph)
+	g.comm(&in)
+	return in
 }
 
 // computeInstr draws the node's computation of the phase as a block: the
 // amount, then per instruction its operation and, for a load or store, the
 // address.
-func (g *generator) computeInstr(s *stream, node int, ph *Phase) {
+func (g *generator) computeInstr(b *block, node int, ph *Phase) {
 	n := g.amount(ph.Instructions, ph.CV)
 	if n == 0 {
 		return
 	}
 	mix := newChooser(ph.Mix.weights())
-	b := &block{codes: make([]uint8, n), pc: pcBase(node), access: ph.Mem.Access}
+	*b = block{codes: make([]uint8, n), pc: pcBase(node), access: ph.Mem.Access}
 	g.addrs = g.addrs[:0]
 	refs := newRefs(&ph.Mem, node)
 	for i := range b.codes {
@@ -467,8 +637,6 @@ func (g *generator) computeInstr(s *stream, node int, ph *Phase) {
 		}
 	}
 	b.addrs = slices.Clone(g.addrs)
-	s.parts = append(s.parts, part{blk: b})
-	s.n += int(2 * n)
 }
 
 // pcBase gives each node a stable code region.
@@ -542,70 +710,46 @@ func (g *generator) msgBytes(c *Comm) uint32 {
 	return v
 }
 
-// comm appends a well-formed communication pattern: every send has a
-// matching receive with the same tag, and synchronous (rendezvous) rounds
-// are ordered so they cannot deadlock — within each permutation round, the
-// lower-ranked endpoint sends first and the higher-ranked one receives
-// first, which breaks every wait cycle at its maximum element.
-func (g *generator) comm(streams []stream, _ int, ph *Phase) {
-	c := &ph.Comm
-	n := len(streams)
+// comm draws the instance's communication: a random pattern's permutation,
+// then the jittered message sizes, round by round and node by node (at a
+// hotspot, sender by sender), and takes one tag per round. Every send has
+// a matching receive with the same tag (writeUnit).
+func (g *generator) comm(in *instance) {
+	c := &in.comm
+	n := g.d.Nodes
 	if c.Pattern == noComm || c.Pattern == "" || n < 2 {
 		return
 	}
+	in.rounds = 1
 	switch c.Pattern {
-	case NearestNeighbor:
-		perm := make([]int, n)
-		for i := range perm {
-			perm[i] = (i + 1) % n
-		}
-		g.permRound(streams, c, perm)
-	case Exchange:
-		perm := make([]int, n)
-		for i := range perm {
-			if p := i ^ 1; p < n {
-				perm[i] = p
-			} else {
-				perm[i] = i
-			}
-		}
-		g.permRound(streams, c, perm)
 	case AllToAll:
-		// Pairwise exchange rounds: partner = rank XOR r. Every round is a
-		// set of disjoint pairs, so each round is trivially deadlock-free,
-		// and r = i^j eventually pairs every (i, j).
 		npow := 1
 		for npow < n {
 			npow <<= 1
 		}
-		for r := 1; r < npow; r++ {
-			perm := make([]int, n)
-			for i := range perm {
-				if p := i ^ r; p < n {
-					perm[i] = p
-				} else {
-					perm[i] = i
-				}
-			}
-			g.permRound(streams, c, perm)
-		}
-	case Hotspot:
-		g.tick++
-		tag := uint32(g.tick)
-		for i := 1; i < n; i++ {
-			b := g.msgBytes(c)
-			g.emitSend(streams, c, i, 0, b, tag)
-		}
-		for i := 1; i < n; i++ {
-			g.emitRecv(streams, c, i, 0, tag)
-		}
+		in.rounds = npow - 1
 	case RandomPairs:
 		perm := g.rng.Perm(n)
 		for isIdentity(perm) {
 			perm = g.rng.Perm(n) // identity would mean no communication
 		}
-		g.permRound(streams, c, perm)
+		in.perm, in.inv = make([]int32, n), make([]int32, n)
+		for i, p := range perm {
+			in.perm[i], in.inv[p] = int32(p), int32(i)
+		}
 	}
+	if c.Jitter {
+		in.sizes = make([]uint32, in.rounds*n)
+		first := 0
+		if c.Pattern == Hotspot {
+			first = 1 // node 0 sends nothing
+		}
+		for i := first; i < len(in.sizes); i++ {
+			in.sizes[i] = g.msgBytes(c)
+		}
+	}
+	in.tag = uint32(g.tick + 1)
+	g.tick += uint64(in.rounds)
 }
 
 func isIdentity(perm []int) bool {
@@ -615,55 +759,6 @@ func isIdentity(perm []int) bool {
 		}
 	}
 	return true
-}
-
-// permRound emits one permutation round: node i sends to perm[i] and
-// receives from its inverse image. Lower rank sends first.
-func (g *generator) permRound(streams []stream, c *Comm, perm []int) {
-	n := len(perm)
-	g.tick++
-	tag := uint32(g.tick)
-	inv := make([]int, n)
-	for i, p := range perm {
-		inv[p] = i
-	}
-	sizes := make([]uint32, n)
-	for i := range sizes {
-		sizes[i] = g.msgBytes(c)
-	}
-	for i := 0; i < n; i++ {
-		to, from := perm[i], inv[i]
-		if to == i {
-			continue
-		}
-		if i < to {
-			g.emitSend(streams, c, i, to, sizes[i], tag)
-			g.emitRecv(streams, c, from, i, tag)
-		} else {
-			g.emitRecv(streams, c, from, i, tag)
-			g.emitSend(streams, c, i, to, sizes[i], tag)
-		}
-	}
-}
-
-// emitSend appends the sending side of one transfer to the sender's trace.
-func (g *generator) emitSend(streams []stream, c *Comm, from, to int, bytes uint32, tag uint32) {
-	if c.Async {
-		streams[from].add(ops.NewASend(bytes, int32(to), tag))
-	} else {
-		streams[from].add(ops.NewSend(bytes, int32(to), tag))
-	}
-}
-
-// emitRecv appends the receiving side of the transfer from -> to.
-func (g *generator) emitRecv(streams []stream, c *Comm, from, to int, tag uint32) {
-	if c.Async {
-		ar := ops.NewARecv(int32(from), tag)
-		ar.Addr = uint64(tag)<<20 | uint64(from) // unique handle per (round, source)
-		streams[to].add(ar, ops.NewWaitRecv(ar.Addr))
-	} else {
-		streams[to].add(ops.NewRecv(int32(from), tag))
-	}
 }
 
 // MarshalJSON encodes the level by name.
